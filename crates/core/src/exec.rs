@@ -50,7 +50,11 @@ pub struct CoreCounters {
     pub writes: u64,
     /// Page walks performed (TLB misses).
     pub walks: u64,
-    /// Total table-entry loads across all walks.
+    /// Table-entry loads across all walks. Natively these are the guest
+    /// PT-entry loads. Under Covirt they are EPT-entry loads only: the EPT
+    /// walks for guest PT-entry addresses that missed the walk cache, plus
+    /// the data page's EPT walk; the guest PT-entry loads themselves are
+    /// not added.
     pub walk_loads: u64,
     /// IPIs transmitted by guest code.
     pub ipis_sent: u64,
@@ -116,10 +120,11 @@ pub enum FaultOutcome {
 /// cost on hardware (up to 24 loads for a 4-level guest walk).
 ///
 /// When a [`WalkCache`] is attached it models the hardware paging-structure
-/// cache: PT-entry pages whose EPT translation is cached (and whose fill
-/// generation still matches) resolve in zero extra loads. The generation is
-/// sampled once per guest walk — a concurrent controller unmap invalidates
-/// every cached line for subsequent walks, never mid-line.
+/// cache: PT-entry pages under an EPT leaf that is cached (and whose fill
+/// generation still matches) resolve in zero extra loads, and a miss caches
+/// the whole leaf it walked to. The generation is sampled once per guest
+/// walk — a concurrent controller unmap invalidates every cached line for
+/// subsequent walks, never mid-line.
 struct NestedLoad<'a> {
     ept: &'a Ept,
     mem: &'a PhysMemory,
@@ -149,7 +154,7 @@ impl TableLoad for NestedLoad<'_> {
         )?;
         self.loads.set(self.loads.get() + t.loads);
         if let Some(cache) = self.cache {
-            cache.insert(pa.raw(), t.pa.raw(), self.generation);
+            cache.insert(pa.raw(), &t, self.generation);
         }
         Ok((t.pa, t.loads))
     }
@@ -218,7 +223,7 @@ impl GuestCore {
             doorbell: None,
             cmdq: None,
             tlb,
-            walk_cache: WalkCache::new(WalkCache::DEFAULT_ENTRIES),
+            walk_cache: WalkCache::new(),
             walk_cache_enabled: true,
             region_cache: RegionCache::new(),
             counters: CoreCounters::default(),
@@ -274,7 +279,7 @@ impl GuestCore {
             doorbell,
             cmdq,
             tlb,
-            walk_cache: WalkCache::new(WalkCache::DEFAULT_ENTRIES),
+            walk_cache: WalkCache::new(),
             walk_cache_enabled: true,
             region_cache,
             counters: CoreCounters::default(),
@@ -474,9 +479,9 @@ impl GuestCore {
             .transition_now(Phase::RegionResolve, || self.node.clock.rdtsc());
         let t0 = self.tracer.enabled().then(std::time::Instant::now);
         let mem = &self.node.mem;
-        let ept = self.vctx.as_ref().and_then(|v| v.ept.clone());
+        let ept = self.vctx.as_ref().and_then(|v| v.ept.as_deref());
 
-        let (t, writable) = if let Some(ept) = ept.as_deref() {
+        let (t, writable) = if let Some(ept) = ept {
             // Nested translation: guest walk with EPT-translated entry
             // loads, then the EPT translation of the final address. The
             // walk cache short-circuits PT-entry EPT walks; the *data*
@@ -995,6 +1000,7 @@ impl GuestCore {
 mod tests {
     use super::*;
     use crate::config::CovirtConfig;
+    use covirt_simhw::addr::{PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use covirt_simhw::node::NodeConfig;
     use covirt_simhw::topology::{CoreId, ZoneId};
     use hobbes::MasterControl;
@@ -1069,22 +1075,29 @@ mod tests {
 
     #[test]
     fn covirt_rw_roundtrip_and_nested_walk_costs_more() {
-        let wn = world(ExecMode::Native);
-        let wc = world(ExecMode::Covirt(CovirtConfig::MEM));
-        let mut n = core(&wn, 1);
-        let mut c = core(&wc, 1);
-        let an = data_gva(&wn);
-        let ac = data_gva(&wc);
-        n.write_u64(an, 7).unwrap();
-        c.write_u64(ac, 7).unwrap();
-        assert_eq!(n.read_u64(an).unwrap(), 7);
-        assert_eq!(c.read_u64(ac).unwrap(), 7);
-        // Same number of walks, many more loads per walk under EPT.
+        let roundtrip = |mode: ExecMode, walk_cache: bool| {
+            let w = world(mode);
+            let mut gc = core(&w, 1);
+            gc.set_walk_cache_enabled(walk_cache);
+            let a = data_gva(&w);
+            gc.write_u64(a, 7).unwrap();
+            assert_eq!(gc.read_u64(a).unwrap(), 7);
+            assert_eq!(gc.counters.walks, 1);
+            gc.counters.walk_loads
+        };
+        let native = roundtrip(ExecMode::Native, true);
+        let cached = roundtrip(ExecMode::Covirt(CovirtConfig::MEM), true);
+        let full = roundtrip(ExecMode::Covirt(CovirtConfig::MEM), false);
+        // One walk each. The full 2-D walk pays an EPT walk per guest PT
+        // entry; with the walk cache one leaf fill serves the remaining
+        // levels of even a cold walk.
         assert!(
-            c.counters.walk_loads > 3 * n.counters.walk_loads,
-            "nested walk loads ({}) should dwarf native ({})",
-            c.counters.walk_loads,
-            n.counters.walk_loads
+            full > 3 * native,
+            "nested walk loads ({full}) should dwarf native ({native})"
+        );
+        assert!(
+            native < cached && cached < full,
+            "cached nested walk ({cached}) must sit between native ({native}) and full ({full})"
         );
     }
 
@@ -1161,6 +1174,35 @@ mod tests {
             gc.counters().walk_cache_misses > misses_before,
             "generation bump must force a cold re-walk"
         );
+    }
+
+    #[test]
+    fn one_leaf_fill_serves_every_pt_page_under_it() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let ctl = w.controller.as_ref().unwrap();
+        let ept = ctl.context(w.enclave.id.0).unwrap().ept.clone().unwrap();
+        let node = w.master.pisces().node();
+        let mem = w.enclave.resources().mem[0];
+        let walk_cache = WalkCache::new();
+        let loader = NestedLoad {
+            ept: &ept,
+            mem: &node.mem,
+            loads: Cell::new(0),
+            cache: Some(&walk_cache),
+            generation: ept.generation(),
+            region_cache: &RegionCache::new(),
+        };
+        // 256 guest PT pages under one 2 MiB EPT leaf, as `frag` has.
+        let leaf = mem.start.align_up(PAGE_SIZE_2M);
+        assert!(mem.covers(&PhysRange::new(leaf, PAGE_SIZE_2M)));
+        let (_, fill) = loader.translate_entry_addr(leaf).unwrap();
+        assert!(fill > 0, "the cold fill walks the EPT");
+        for pt_page in 1..256 {
+            let entry = leaf.add(pt_page * PAGE_SIZE_4K + 8 * pt_page);
+            assert_eq!(loader.translate_entry_addr(entry).unwrap(), (entry, 0));
+        }
+        assert_eq!(walk_cache.stats(), (255, 1));
+        assert_eq!(loader.loads.get(), fill);
     }
 
     #[test]

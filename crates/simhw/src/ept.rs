@@ -14,7 +14,10 @@
 //! hardware model deliberately does **not** auto-invalidate TLBs on EPT
 //! edits — that asynchrony is the behaviour Covirt exists to manage.
 
-use crate::addr::{GuestPhysAddr, HostPhysAddr, PhysRange};
+use crate::addr::{
+    GuestPhysAddr, HostPhysAddr, PhysRange, PAGE_SHIFT_1G, PAGE_SHIFT_2M, PAGE_SHIFT_4K,
+    PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K,
+};
 use crate::error::{HwError, HwResult};
 use crate::paging::{Access, EntryFormat, FramePool, Perms, RadixTable, TableLoad, Translation};
 use std::cell::Cell;
@@ -196,107 +199,145 @@ impl Ept {
 ///
 /// Under nested paging every *guest page-table entry* load must itself be
 /// translated through the EPT, multiplying the miss-path cost (up to ~24
-/// loads for a 4-level guest walk). Real hardware hides most of this with
-/// paging-structure caches; this models one: it maps the 4 KiB
-/// guest-physical page holding a PT entry to its host-physical page, so a
-/// hit skips the EPT walk entirely.
+/// loads for a 4-level guest walk). Real hardware hides most of this by
+/// caching nested translations at the size of the EPT leaf they came from;
+/// this models that: a fill records the whole leaf (4 KiB / 2 MiB / 1 GiB
+/// classes, as [`crate::tlb::Tlb`] does for guest-virtual pages), so one
+/// 2 MiB entry answers every guest PT page under that leaf, and a hit skips
+/// the EPT walk entirely.
 ///
 /// Coherence contract: every entry is tagged with the EPT [`generation`]
 /// current when it was filled, and a lookup only hits when the tag equals
-/// the *current* generation. Because the generation is bumped exactly when
-/// the mapping shrinks ([`Ept::unmap`]) — growth cannot change an existing
-/// translation, since the radix engine rejects double-maps — a stale entry
-/// can never outlive the mapping it was derived from. No explicit
-/// invalidation call exists or is needed.
+/// the *current* generation. The generation is bumped exactly when the
+/// mapping shrinks ([`Ept::unmap`], which also splits a partially unmapped
+/// large leaf), so a stale entry can never outlive the mapping it was
+/// derived from. Growth needs no bump: the EPT is an identity map, so a
+/// map or re-map (the radix engine overwrites a same-level leaf) cannot
+/// change a cached guest-physical → host-physical pair, and the cache
+/// stores no permissions — the data page's permission check always runs
+/// against the live EPT. No explicit invalidation call exists or is needed.
 ///
 /// The cache is core-private (interior mutability via [`Cell`], not
 /// thread-safe) exactly like the hardware structure it models.
 ///
 /// [`generation`]: Ept::generation
 pub struct WalkCache {
-    entries: Vec<Cell<WalkCacheEntry>>,
+    // Slots per class, sized like a hardware PML4/PDPT/PDE cache: a few
+    // dozen entries cover the paging structures of many gigabytes.
+    e4k: LeafClass<64, PAGE_SHIFT_4K>,
+    e2m: LeafClass<16, PAGE_SHIFT_2M>,
+    e1g: LeafClass<4, PAGE_SHIFT_1G>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
 
 #[derive(Clone, Copy)]
 struct WalkCacheEntry {
-    /// Guest-physical 4 KiB page base; `u64::MAX` = invalid.
+    /// Guest-physical base of the cached leaf; `u64::MAX` = invalid.
     tag: u64,
-    /// Host-physical base of that page.
-    host_page: u64,
+    /// Host-physical base of that leaf.
+    host_base: u64,
     /// EPT generation when filled.
     generation: u64,
 }
 
-impl WalkCacheEntry {
-    const INVALID: u64 = u64::MAX;
+/// The direct-mapped slots for EPT leaves of `1 << SHIFT` bytes. `N` is a
+/// power of two, so a slot is picked with a mask, not a divide.
+struct LeafClass<const N: usize, const SHIFT: u32>([Cell<WalkCacheEntry>; N]);
+
+impl<const N: usize, const SHIFT: u32> LeafClass<N, SHIFT> {
+    const MASK: usize = {
+        assert!(N.is_power_of_two());
+        N - 1
+    };
+
+    fn new() -> Self {
+        LeafClass(std::array::from_fn(|_| {
+            Cell::new(WalkCacheEntry {
+                tag: u64::MAX,
+                host_base: 0,
+                generation: 0,
+            })
+        }))
+    }
+
+    #[inline]
+    fn slot(&self, gpa: u64) -> &Cell<WalkCacheEntry> {
+        &self.0[(gpa >> SHIFT) as usize & Self::MASK]
+    }
+
+    #[inline]
+    fn probe(&self, gpa: u64, generation: u64) -> Option<u64> {
+        let e = self.slot(gpa).get();
+        (e.tag == gpa >> SHIFT << SHIFT && e.generation == generation)
+            .then(|| e.host_base + (gpa - e.tag))
+    }
+
+    #[inline]
+    fn fill(&self, gpa: u64, host_base: u64, generation: u64) {
+        self.slot(gpa).set(WalkCacheEntry {
+            tag: gpa >> SHIFT << SHIFT,
+            host_base,
+            generation,
+        });
+    }
 }
 
 impl WalkCache {
-    /// Default number of entries; sized like a hardware PML4/PDPT/PDE cache
-    /// (a few dozen entries cover the paging structures of many gigabytes).
-    pub const DEFAULT_ENTRIES: usize = 64;
-
-    /// Build a direct-mapped cache with `entries` slots.
-    pub fn new(entries: usize) -> Self {
-        let n = entries.max(1);
+    /// Build an empty cache.
+    pub fn new() -> Self {
         WalkCache {
-            entries: (0..n)
-                .map(|_| {
-                    Cell::new(WalkCacheEntry {
-                        tag: WalkCacheEntry::INVALID,
-                        host_page: 0,
-                        generation: 0,
-                    })
-                })
-                .collect(),
+            e4k: LeafClass::new(),
+            e2m: LeafClass::new(),
+            e1g: LeafClass::new(),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
     }
 
-    #[inline]
-    fn slot(&self, page: u64) -> &Cell<WalkCacheEntry> {
-        &self.entries[((page >> 12) as usize) % self.entries.len()]
-    }
-
     /// Look up the host-physical address for `gpa` given the current EPT
-    /// generation. Hits return the translated address with zero loads.
+    /// generation. Hits return the translated address with zero loads. The
+    /// classes are probed in turn; one lookup counts one hit or one miss.
     #[inline]
     pub fn lookup(&self, gpa: u64, generation: u64) -> Option<u64> {
-        let page = gpa & !0xfff;
-        let e = self.slot(page).get();
-        if e.tag == page && e.generation == generation {
-            self.hits.set(self.hits.get() + 1);
-            Some(e.host_page + (gpa & 0xfff))
+        // 2 MiB first: enclave memory is granted in large contiguous runs,
+        // so that is the leaf size guest PT pages normally sit under.
+        let hit = self
+            .e2m
+            .probe(gpa, generation)
+            .or_else(|| self.e4k.probe(gpa, generation))
+            .or_else(|| self.e1g.probe(gpa, generation));
+        let tally = if hit.is_some() {
+            &self.hits
         } else {
-            self.misses.set(self.misses.get() + 1);
-            None
+            &self.misses
+        };
+        tally.set(tally.get() + 1);
+        hit
+    }
+
+    /// Install the whole EPT leaf that translated `gpa` — `leaf` is what
+    /// [`Ept::translate`] returned for it — under `generation`.
+    #[inline]
+    pub fn insert(&self, gpa: u64, leaf: &Translation, generation: u64) {
+        let host_base = leaf.page_base.raw();
+        match leaf.page_size {
+            PAGE_SIZE_4K => self.e4k.fill(gpa, host_base, generation),
+            PAGE_SIZE_2M => self.e2m.fill(gpa, host_base, generation),
+            PAGE_SIZE_1G => self.e1g.fill(gpa, host_base, generation),
+            size => panic!("unsupported EPT leaf size {size:#x}"),
         }
     }
 
-    /// Install the translation `gpa → host_pa` (both arbitrary addresses in
-    /// the same page-offset) under `generation`.
-    #[inline]
-    pub fn insert(&self, gpa: u64, host_pa: u64, generation: u64) {
-        let page = gpa & !0xfff;
-        self.slot(page).set(WalkCacheEntry {
-            tag: page,
-            host_page: host_pa & !0xfff,
-            generation,
-        });
-    }
-
-    /// (hits, misses) since construction or the last reset.
+    /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
     }
+}
 
-    /// Reset the counters (benchmark harness hygiene).
-    pub fn reset_stats(&self) {
-        self.hits.set(0);
-        self.misses.set(0);
+impl Default for WalkCache {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -314,7 +355,7 @@ mod tests {
     use super::*;
     use crate::addr::{PAGE_SIZE_2M, PAGE_SIZE_4K};
     use crate::memory::PhysMemory;
-    use crate::paging::DirectLoad;
+    use crate::paging::{level_page_size, DirectLoad};
     use crate::topology::ZoneId;
 
     fn setup() -> (Arc<PhysMemory>, Ept) {
@@ -412,10 +453,22 @@ mod tests {
             .is_err());
     }
 
+    /// What `Ept::translate` returns for an address under the leaf of
+    /// `page_size` bytes at host-physical `host_base`.
+    fn leaf(host_base: u64, page_size: u64) -> Translation {
+        Translation {
+            page_base: HostPhysAddr::new(host_base),
+            page_size,
+            pa: HostPhysAddr::new(host_base),
+            perms: Perms::RWX,
+            loads: 0,
+        }
+    }
+
     #[test]
     fn walk_cache_hits_within_generation() {
-        let c = WalkCache::new(16);
-        c.insert(0x5000 + 8, 0x9000 + 8, 1);
+        let c = WalkCache::new();
+        c.insert(0x5000 + 8, &leaf(0x9000, PAGE_SIZE_4K), 1);
         assert_eq!(c.lookup(0x5010, 1), Some(0x9010));
         assert_eq!(c.lookup(0x5ff8, 1), Some(0x9ff8));
         let (h, m) = c.stats();
@@ -424,12 +477,28 @@ mod tests {
 
     #[test]
     fn walk_cache_invalidated_by_generation_bump() {
-        let c = WalkCache::new(16);
-        c.insert(0x5000, 0x9000, 1);
+        let c = WalkCache::new();
+        c.insert(0x5000, &leaf(0x9000, PAGE_SIZE_4K), 1);
         assert!(c.lookup(0x5000, 2).is_none(), "stale generation must miss");
         // Refill under the new generation works.
-        c.insert(0x5000, 0xa000, 2);
+        c.insert(0x5000, &leaf(0xa000, PAGE_SIZE_4K), 2);
         assert_eq!(c.lookup(0x5000, 2), Some(0xa000));
+    }
+
+    #[test]
+    fn walk_cache_entry_covers_its_whole_leaf_and_nothing_else() {
+        let c = WalkCache::new();
+        let (gpa, host) = (3 * PAGE_SIZE_1G + 5 * PAGE_SIZE_2M, 7 * PAGE_SIZE_2M);
+        c.insert(gpa + 0x1238, &leaf(host, PAGE_SIZE_2M), 1);
+        assert_eq!(c.lookup(gpa, 1), Some(host));
+        assert_eq!(
+            c.lookup(gpa + PAGE_SIZE_2M - 8, 1),
+            Some(host + PAGE_SIZE_2M - 8)
+        );
+        assert_eq!(c.lookup(gpa - 8, 1), None);
+        assert_eq!(c.lookup(gpa + PAGE_SIZE_2M, 1), None);
+        // One lookup is one hit or one miss, however many classes it probed.
+        assert_eq!(c.stats(), (2, 2));
     }
 
     #[test]
@@ -437,17 +506,118 @@ mod tests {
         let (mem, ept) = setup();
         let r = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
         ept.map_identity(r, 2).unwrap();
-        let c = WalkCache::new(16);
+        let c = WalkCache::new();
         let gpa = r.start.raw() + 64;
         let t = ept
             .translate(GuestPhysAddr::new(gpa), Access::Read, &DirectLoad(&mem))
             .unwrap();
-        c.insert(gpa, t.pa.raw(), ept.generation());
+        c.insert(gpa, &t, ept.generation());
         assert_eq!(c.lookup(gpa, ept.generation()), Some(t.pa.raw()));
         // The reclaim's generation bump kills the cached translation
         // without any explicit invalidation.
         ept.unmap(r).unwrap();
         assert!(c.lookup(gpa, ept.generation()).is_none());
+    }
+
+    mod leaf_cache_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The sample points of the 2 GiB arena: GiB slot `g`, 2 MiB slot
+        /// `m` within it, and eight 256 KiB-spaced pages `p` across that
+        /// slot, so ops collide and both halves of a 2 MiB leaf are seen.
+        fn point(arena: u64, (g, m, p): (u64, u64, u64)) -> u64 {
+            arena + g * PAGE_SIZE_1G + m * PAGE_SIZE_2M + p * (PAGE_SIZE_2M / 8)
+        }
+
+        fn points(arena: u64) -> impl Iterator<Item = u64> {
+            (0..2).flat_map(move |g| {
+                (0..4).flat_map(move |m| (0..8).map(move |p| point(arena, (g, m, p))))
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+            /// Drive the cache the way `NestedLoad` does (sample the
+            /// generation, look up, on a miss translate and insert the
+            /// leaf) against random map/unmap sequences mixing 4 KiB,
+            /// 2 MiB and 1 GiB leaves. Every hit must equal a fresh
+            /// `Ept::translate` at the current generation — so an unmapped
+            /// address can never hit — and right after an unmap nothing
+            /// inside any leaf it touched may hit, the surviving part of a
+            /// split leaf included.
+            #[test]
+            #[allow(clippy::needless_update)]
+            fn hits_match_the_live_ept_and_unmapped_leaves_never_hit(
+                ops in proptest::collection::vec((0u8..12, 0u64..2, 0u64..4, 0u64..8), 1..200),
+            ) {
+                // Two GiB slots above the memory `setup` builds: the EPT
+                // maps addresses, so the arena needs no backing.
+                let (mem, ept) = setup();
+                let arena = PAGE_SIZE_1G;
+                let load = DirectLoad(&mem);
+                let translate =
+                    |gpa: u64| ept.translate(GuestPhysAddr::new(gpa), Access::Read, &load);
+                let cache = WalkCache::new();
+
+                for (kind, g, m, p) in ops {
+                    let page = point(arena, (g, m, p));
+                    let slot_2m = point(arena, (g, m, 0));
+                    let slot_1g = point(arena, (g, 0, 0));
+                    let range = |start, len| PhysRange::new(HostPhysAddr::new(start), len);
+                    let r = match kind {
+                        // A map that collides with a larger leaf is
+                        // refused; the sequence just carries on.
+                        0..=2 => {
+                            let (start, level) =
+                                [(page, 1), (slot_2m, 2), (slot_1g, 3)][kind as usize];
+                            let _ = ept.map_identity(range(start, level_page_size(level)), level);
+                            continue;
+                        }
+                        3 => range(page, PAGE_SIZE_4K),
+                        4 => range(slot_2m, PAGE_SIZE_2M),
+                        // The lower half only: splits a 2 MiB leaf.
+                        5 => range(slot_2m, PAGE_SIZE_2M / 2),
+                        _ => {
+                            let gpa = page + 8 * (g + m + p);
+                            let generation = ept.generation();
+                            match cache.lookup(gpa, generation) {
+                                Some(host) => prop_assert_eq!(
+                                    translate(gpa).map(|t| t.pa.raw()).ok(),
+                                    Some(host),
+                                    "hit at {:#x} disagrees with the live EPT", gpa
+                                ),
+                                None => {
+                                    if let Ok(t) = translate(gpa) {
+                                        cache.insert(gpa, &t, generation);
+                                    }
+                                }
+                            }
+                            continue;
+                        }
+                    };
+                    // The leaves the unmap is about to touch, whole.
+                    let touched: Vec<(u64, u64)> = points(arena)
+                        .filter(|gpa| r.contains(HostPhysAddr::new(*gpa)))
+                        .filter_map(|gpa| translate(gpa).ok())
+                        .map(|t| (t.page_base.raw(), t.page_size))
+                        .collect();
+                    ept.unmap(r).unwrap();
+                    let generation = ept.generation();
+                    for (base, size) in touched {
+                        for gpa in points(arena).chain([base + size - 8]) {
+                            if (base..base + size).contains(&gpa) {
+                                prop_assert_eq!(
+                                    cache.lookup(gpa, generation), None,
+                                    "{:#x} hits after an unmap touched its {:#x}-byte leaf",
+                                    gpa, size
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
