@@ -43,7 +43,7 @@ fn ept_for(mem: &Arc<PhysMemory>) -> Ept {
     let pool = mem
         .alloc_backed(ZoneId(0), 8 * 1024 * 1024, PAGE_SIZE_4K)
         .unwrap();
-    Ept::new(Arc::new(FramePool::new(Arc::clone(mem), pool))).unwrap()
+    Ept::new(Arc::new(FramePool::new(Arc::clone(mem), pool).unwrap())).unwrap()
 }
 
 fn ablate_ept_coalescing(c: &mut Criterion) {

@@ -149,19 +149,23 @@ impl CovirtBootParams {
         addr: HostPhysAddr,
     ) -> Result<(), covirt_simhw::HwError> {
         let bytes = self.encode();
-        mem.write_u64(addr, bytes.len() as u64)?;
-        mem.write_bytes(addr.add(8), &bytes)
+        // One snapshot search for the length word and the record.
+        let (backing, off) = mem.resolve(addr, 8 + bytes.len() as u64)?;
+        backing.write_u64(off, bytes.len() as u64);
+        backing.write_bytes(off + 8, &bytes);
+        Ok(())
     }
 
     /// Load from `addr`.
     pub fn read_from(mem: &PhysMemory, addr: HostPhysAddr) -> Result<Self, WireError> {
-        let len = mem.read_u64(addr).map_err(|_| WireError)?;
-        if len == 0 || len > 1 << 20 {
+        let (backing, off) = mem.resolve(addr, 8).map_err(|_| WireError)?;
+        let len = backing.read_u64(off);
+        // The record must end inside the region the length word is in.
+        if len == 0 || len > 1 << 20 || off + 8 + len as usize > backing.len() {
             return Err(WireError);
         }
         let mut buf = vec![0u8; len as usize];
-        mem.read_bytes(addr.add(8), &mut buf)
-            .map_err(|_| WireError)?;
+        backing.read_bytes(off + 8, &mut buf);
         Self::decode(&buf)
     }
 

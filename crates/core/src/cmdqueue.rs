@@ -200,44 +200,49 @@ impl CmdQueue {
         if range.len < Self::required_bytes() {
             return Err(RingError::Corrupt);
         }
-        mem.write_u64(range.start.add(OFF_COMPLETION), 0)
+        // One snapshot search for the whole queue: both words and the ring
+        // are placed from this resolve.
+        let (backing, off) = mem
+            .resolve(range.start, range.len)
             .map_err(|_| RingError::Corrupt)?;
-        mem.write_u64(range.start.add(OFF_NEXT_SEQ), 1)
-            .map_err(|_| RingError::Corrupt)?;
-        let ring = SharedRing::create(
-            mem,
-            PhysRange::new(range.start.add(OFF_RING), range.len - OFF_RING),
+        backing.write_u64(off + OFF_COMPLETION as usize, 0);
+        backing.write_u64(off + OFF_NEXT_SEQ as usize, 1);
+        let ring = SharedRing::create_at(
+            Arc::clone(&backing),
+            off + OFF_RING as usize,
+            range.len - OFF_RING,
             CMD_SLOTS,
             CMD_SLOT,
         )?;
-        Self::with_cached_words(Arc::clone(mem), range.start, ring)
+        Ok(Self::over(range.start, backing, off, ring))
     }
 
     /// Attach to an existing queue (hypervisor side, from boot parameters).
     pub fn attach(mem: &Arc<PhysMemory>, base: HostPhysAddr) -> Result<Self, RingError> {
-        let ring = SharedRing::attach(mem, base.add(OFF_RING))?;
-        Self::with_cached_words(Arc::clone(mem), base, ring)
+        let (backing, off) = mem
+            .resolve(base, Self::required_bytes())
+            .map_err(|_| RingError::Corrupt)?;
+        let ring_off = off + OFF_RING as usize;
+        let ring_len = (backing.len() - ring_off) as u64;
+        let ring = SharedRing::attach_at(Arc::clone(&backing), ring_off, ring_len)?;
+        Ok(Self::over(base, backing, off, ring))
     }
 
-    fn with_cached_words(
-        mem: Arc<PhysMemory>,
+    /// A handle on the queue whose first byte is `backing[off]`.
+    fn over(
         base: HostPhysAddr,
+        backing: Arc<covirt_simhw::backing::Backing>,
+        off: usize,
         ring: SharedRing,
-    ) -> Result<Self, RingError> {
-        let completion = mem
-            .resolve(base.add(OFF_COMPLETION), 8)
-            .map_err(|_| RingError::Corrupt)?;
-        let next_seq = mem
-            .resolve(base.add(OFF_NEXT_SEQ), 8)
-            .map_err(|_| RingError::Corrupt)?;
-        Ok(CmdQueue {
+    ) -> Self {
+        CmdQueue {
             base,
             ring,
-            completion,
-            next_seq,
+            completion: (Arc::clone(&backing), off + OFF_COMPLETION as usize),
+            next_seq: (backing, off + OFF_NEXT_SEQ as usize),
             core: 0,
             tracer: None,
-        })
+        }
     }
 
     /// Tag the queue with the core it serves (for timeout diagnostics).

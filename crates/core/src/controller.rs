@@ -25,6 +25,7 @@ use crate::vctx::{VirtContext, CMD_DOORBELL_VECTOR};
 use crate::{CovirtError, CovirtResult};
 use covirt_simhw::addr::{PhysRange, PAGE_SIZE_4K};
 use covirt_simhw::ept::Ept;
+use covirt_simhw::error::HwResult;
 use covirt_simhw::interconnect::{DeliveryMode, IpiDest};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::paging::FramePool;
@@ -41,7 +42,11 @@ use pisces::{PiscesError, PiscesResult};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-/// Bytes of host memory reserved per enclave for EPT table frames.
+/// Bytes of host memory the node reserves, once, for the EPT table frames
+/// of every enclave it will ever host. An enclave's EPT takes a handful of
+/// frames (its grants are 2 MiB-aligned and coalesce into large leaves) and
+/// returns them when it drops, so 4096 frames bound the enclaves *alive at
+/// once*, not the enclaves ever created.
 const EPT_POOL_BYTES: u64 = 16 * 1024 * 1024;
 
 /// Reclaims at or below this size are shot down with `TlbFlushRange`
@@ -100,6 +105,10 @@ pub struct CovirtController {
     escalation_bound_ns: RwLock<u64>,
     /// Doorbell deliveries that timed out and escalated to an NMI.
     nmi_escalations: RwLock<u64>,
+    /// The node's EPT table frames, shared by every enclave's EPT; reserved
+    /// when the first memory-protected enclave boots and kept for the life
+    /// of the node.
+    ept_pool: Mutex<Option<Arc<FramePool>>>,
     /// Flight-recorder handle on the controller lane.
     tracer: Tracer,
 }
@@ -124,6 +133,7 @@ impl CovirtController {
             delivery: RwLock::new(CmdDelivery::DoorbellFirst),
             escalation_bound_ns: RwLock::new(DEFAULT_ESCALATION_BOUND_NS),
             nmi_escalations: RwLock::new(0),
+            ept_pool: Mutex::new(None),
             tracer,
         })
     }
@@ -299,6 +309,29 @@ impl CovirtController {
         q.wait(seq, spins)
     }
 
+    /// The node's EPT frame pool, reserved on first use.
+    fn ept_pool(&self) -> HwResult<Arc<FramePool>> {
+        let mut slot = self.ept_pool.lock();
+        if let Some(pool) = slot.as_ref() {
+            return Ok(Arc::clone(pool));
+        }
+        let mem = &self.node.mem;
+        let region = mem.alloc_backed(ZoneId(0), EPT_POOL_BYTES, PAGE_SIZE_4K)?;
+        let pool = Arc::new(FramePool::new(Arc::clone(mem), region)?);
+        *slot = Some(Arc::clone(&pool));
+        Ok(pool)
+    }
+
+    /// EPT table frames currently held by enclaves' EPTs (0 before the
+    /// first memory-protected enclave boots). Every frame comes back when
+    /// the last handle on its enclave's [`VirtContext`] drops.
+    pub fn ept_frames_outstanding(&self) -> u64 {
+        self.ept_pool
+            .lock()
+            .as_ref()
+            .map_or(0, |pool| pool.outstanding())
+    }
+
     /// Build the full virtualization context for an enclave about to boot.
     fn build_context(&self, enclave: &Enclave, plan: &BootPlan) -> PiscesResult<Arc<VirtContext>> {
         let res = enclave.resources();
@@ -307,16 +340,7 @@ impl CovirtController {
         // EPT: identity map of everything the enclave owns, coalesced into
         // the largest possible pages, full permissions.
         let ept = if self.config.memory {
-            let pool_region = self
-                .node
-                .mem
-                .alloc_backed(ZoneId(0), EPT_POOL_BYTES, PAGE_SIZE_4K)
-                .map_err(PiscesError::Hw)?;
-            let ept = Ept::new(Arc::new(FramePool::new(
-                Arc::clone(&self.node.mem),
-                pool_region,
-            )))
-            .map_err(PiscesError::Hw)?;
+            let ept = Ept::new(self.ept_pool()?)?;
             for r in &res.mem {
                 ept.map_identity(*r, 3).map_err(PiscesError::Hw)?;
                 self.tracer
@@ -965,6 +989,100 @@ mod tests {
         ctl.report_fault(enclave.id.0, 1, "EPT violation at 0xdead");
         assert_eq!(ctl.faults.count(), 1);
         assert!(matches!(enclave.state(), pisces::EnclaveState::Failed(_)));
+    }
+
+    #[test]
+    fn enclaves_share_one_pool_and_return_their_frames_when_they_drop() {
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let mem = &master.pisces().node().mem;
+        assert_eq!(ctl.ept_frames_outstanding(), 0);
+        let idle = mem.zone_usage(ZoneId(0)).unwrap().1;
+        let (e1, _k1) = master.bring_up_enclave("e1", &req()).unwrap();
+        let one = ctl.ept_frames_outstanding();
+        assert!(one > 0);
+        let with_one = mem.zone_usage(ZoneId(0)).unwrap().1;
+        let small = ResourceRequest::new(vec![CoreId(3)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+        let (e2, _k2) = master.bring_up_enclave("e2", &small).unwrap();
+        // The second enclave took frames, not a second pool: zone 0 grew
+        // by exactly what the first enclave itself cost beyond the pool.
+        assert_eq!(ctl.ept_frames_outstanding(), 2 * one);
+        let with_two = mem.zone_usage(ZoneId(0)).unwrap().1;
+        assert_eq!(with_two - with_one, with_one - idle - EPT_POOL_BYTES);
+
+        // Teardown drops the controller's handle; a holder of the context
+        // (a terminated guest core, a benchmark) keeps the frames alive.
+        let held = ctl.context(e2.id.0).unwrap();
+        master.pisces().teardown(&e2).unwrap();
+        assert_eq!(ctl.ept_frames_outstanding(), 2 * one);
+        drop(held);
+        assert_eq!(ctl.ept_frames_outstanding(), one);
+        master.pisces().teardown(&e1).unwrap();
+        assert_eq!(ctl.ept_frames_outstanding(), 0);
+        assert_eq!(mem.zone_usage(ZoneId(0)).unwrap().1, idle + EPT_POOL_BYTES);
+    }
+
+    #[test]
+    fn grant_refused_by_an_exhausted_ept_pool_changes_nothing() {
+        let mut topology = covirt_simhw::topology::Topology::small();
+        topology.zones = 2;
+        let node = SimNode::new(NodeConfig { topology });
+        let master = MasterControl::new(Arc::clone(&node));
+        let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::MEM);
+        ctl.attach_hobbes(&master);
+        let (enclave, _kernel) = master.bring_up_enclave("e0", &req()).unwrap();
+        let vctx = ctl.context(enclave.id.0).unwrap();
+
+        // Leave the pool a single frame. The enclave's first grant from
+        // zone 1 sits under a PML4 entry of its own and needs two: the
+        // first allocation succeeds, the second is the refusal.
+        let pool = ctl.ept_pool().unwrap();
+        let mut hoard = Vec::new();
+        while let Ok(frame) = pool.alloc_frame() {
+            hoard.push(frame);
+        }
+        pool.free_frame(hoard.pop().unwrap()).unwrap();
+
+        let state = || {
+            (
+                node.mem.zone_usage(ZoneId(0)).unwrap(),
+                node.mem.zone_usage(ZoneId(1)).unwrap(),
+                enclave.resources(),
+                ctl.ept_frames_outstanding(),
+                vctx.ept.as_ref().unwrap().leaf_counts().unwrap(),
+            )
+        };
+        let before = state();
+        let err = master
+            .pisces()
+            .add_memory(&enclave, ZoneId(1), 2 * 1024 * 1024)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PiscesError::Hw(covirt_simhw::HwError::OutOfMemory { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(state(), before);
+
+        // With the frames back the same grant goes through.
+        for frame in hoard {
+            pool.free_frame(frame).unwrap();
+        }
+        let range = master
+            .pisces()
+            .add_memory(&enclave, ZoneId(1), 2 * 1024 * 1024)
+            .unwrap();
+        assert!(vctx
+            .ept
+            .as_ref()
+            .unwrap()
+            .translate(
+                covirt_simhw::addr::GuestPhysAddr::new(range.start.raw()),
+                Access::Write,
+                &DirectLoad(&node.mem)
+            )
+            .is_ok());
     }
 
     #[test]

@@ -345,10 +345,10 @@ mod tests {
                 .alloc_backed(ZoneId(0), 4 * 1024 * 1024, PAGE_SIZE_4K)
                 .unwrap();
             Some(Arc::new(
-                covirt_simhw::ept::Ept::new(Arc::new(covirt_simhw::paging::FramePool::new(
-                    Arc::clone(&node.mem),
-                    pool_region,
-                )))
+                covirt_simhw::ept::Ept::new(Arc::new(
+                    covirt_simhw::paging::FramePool::new(Arc::clone(&node.mem), pool_region)
+                        .unwrap(),
+                ))
                 .unwrap(),
             ))
         } else {

@@ -250,7 +250,7 @@ mod tests {
         let pool_region = mem
             .alloc_backed(ZoneId(0), 4 * 1024 * 1024, covirt_simhw::addr::PAGE_SIZE_4K)
             .unwrap();
-        Arc::new(Ept::new(Arc::new(FramePool::new(mem, pool_region))).unwrap())
+        Arc::new(Ept::new(Arc::new(FramePool::new(mem, pool_region).unwrap())).unwrap())
     }
 
     #[test]

@@ -81,14 +81,27 @@ impl SharedRing {
         slot_count: u64,
         slot_size: u64,
     ) -> Result<Self, RingError> {
-        let slot_count = slot_count.max(2).next_power_of_two();
-        let slot_size = slot_size.div_ceil(8) * 8;
-        if Self::required_bytes(slot_count, slot_size) > range.len {
-            return Err(RingError::Corrupt);
-        }
         let (backing, base) = mem
             .resolve(range.start, range.len)
             .map_err(|_| RingError::Corrupt)?;
+        Self::create_at(backing, base, range.len, slot_count, slot_size)
+    }
+
+    /// [`SharedRing::create`] into the `len` bytes at offset `base` of a
+    /// backing the caller has already resolved — a structure that embeds a
+    /// ring resolves its range once and formats every part from that.
+    pub fn create_at(
+        backing: Arc<Backing>,
+        base: usize,
+        len: u64,
+        slot_count: u64,
+        slot_size: u64,
+    ) -> Result<Self, RingError> {
+        let slot_count = slot_count.max(2).next_power_of_two();
+        let slot_size = slot_size.div_ceil(8) * 8;
+        if Self::required_bytes(slot_count, slot_size) > len {
+            return Err(RingError::Corrupt);
+        }
         backing.write_u64(base + OFF_COUNT, slot_count);
         backing.write_u64(base + OFF_SLOT_SIZE, slot_size);
         backing.write_u64(base + OFF_HEAD, 0);
@@ -107,18 +120,31 @@ impl SharedRing {
         let (backing, base) = mem
             .resolve(addr, DATA_OFF as u64)
             .map_err(|_| RingError::Corrupt)?;
-        if backing.read_u64_acquire(base + OFF_MAGIC) != MAGIC {
+        // The data area may run to the end of the populated region.
+        let len = (backing.len() - base) as u64;
+        Self::attach_at(backing, base, len)
+    }
+
+    /// [`SharedRing::attach`] to a ring that must lie within the `len`
+    /// bytes at offset `base` of a backing the caller has already resolved.
+    pub fn attach_at(backing: Arc<Backing>, base: usize, len: u64) -> Result<Self, RingError> {
+        if len < DATA_OFF as u64 || backing.read_u64_acquire(base + OFF_MAGIC) != MAGIC {
             return Err(RingError::Corrupt);
         }
         let slot_count = backing.read_u64(base + OFF_COUNT);
         let slot_size = backing.read_u64(base + OFF_SLOT_SIZE);
-        if !slot_count.is_power_of_two() || slot_size == 0 || slot_size % 8 != 0 {
+        if !slot_count.is_power_of_two() || slot_size == 0 || !slot_size.is_multiple_of(8) {
             return Err(RingError::Corrupt);
         }
-        // Re-resolve with the full extent to bounds-check the data area.
-        let (backing, base) = mem
-            .resolve(addr, Self::required_bytes(slot_count, slot_size))
-            .map_err(|_| RingError::Corrupt)?;
+        // The header is writable by the other side: bounds-check the data
+        // area it describes without trusting the product not to wrap.
+        let fits = slot_count
+            .checked_mul(slot_size)
+            .and_then(|data| data.checked_add(DATA_OFF as u64))
+            .is_some_and(|need| need <= len);
+        if !fits {
+            return Err(RingError::Corrupt);
+        }
         Ok(SharedRing {
             backing,
             base,

@@ -363,7 +363,7 @@ mod tests {
         let pool_region = mem
             .alloc_backed(ZoneId(0), 8 * 1024 * 1024, PAGE_SIZE_4K)
             .unwrap();
-        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region));
+        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
         let ept = Ept::new(pool).unwrap();
         (mem, ept)
     }

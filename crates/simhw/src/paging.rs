@@ -242,33 +242,44 @@ pub fn level_index(addr: u64, level: u8) -> u64 {
     (addr >> (12 + 9 * (level as u64 - 1))) & 0x1ff
 }
 
-/// Bump allocator for table frames carved out of one backed region.
+/// Allocator for table frames carved out of one backed region: a bump
+/// pointer over frames never handed out, and a free list of returned ones.
 ///
 /// The pool resolves its region's backing once at construction, so table
 /// entry loads during walks are a bounds check plus a word load — the
 /// cached-page-table-entry cost regime of real hardware, on which the
 /// evaluation's walk-cost ratios depend.
+///
+/// Several tables may share one pool (every enclave's EPT draws from the
+/// controller's node-lifetime pool). A [`RadixTable`] returns its frames
+/// when it drops, so a frame is reachable from at most one live table.
 pub struct FramePool {
     mem: Arc<PhysMemory>,
     region: PhysRange,
-    next: Mutex<u64>,
+    frames: Mutex<FrameList>,
     backing: Arc<crate::backing::Backing>,
     backing_off: usize,
 }
 
+#[derive(Default)]
+struct FrameList {
+    /// Offset of the first frame never handed out.
+    next: u64,
+    /// Offsets of returned frames, reused before `next` advances.
+    free: Vec<u64>,
+}
+
 impl FramePool {
     /// Build a pool over `region`, which must already be populated.
-    pub fn new(mem: Arc<PhysMemory>, region: PhysRange) -> Self {
-        let (backing, backing_off) = mem
-            .resolve(region.start, region.len)
-            .expect("frame pool region must be populated");
-        FramePool {
+    pub fn new(mem: Arc<PhysMemory>, region: PhysRange) -> HwResult<Self> {
+        let (backing, backing_off) = mem.resolve(region.start, region.len)?;
+        Ok(FramePool {
             mem,
             region,
-            next: Mutex::new(0),
+            frames: Mutex::new(FrameList::default()),
             backing,
             backing_off,
-        }
+        })
     }
 
     /// Fast word load from a pool-resident table frame.
@@ -295,29 +306,55 @@ impl FramePool {
         }
     }
 
-    /// Allocate one zeroed 4 KiB table frame.
+    /// Allocate one zeroed 4 KiB table frame, reusing a returned frame
+    /// before touching a fresh one.
     pub fn alloc_frame(&self) -> HwResult<HostPhysAddr> {
-        let mut next = self.next.lock();
-        if *next + PAGE_SIZE_4K > self.region.len {
-            return Err(HwError::OutOfMemory {
-                zone: self.mem.zone_of(self.region.start).0,
-                requested: PAGE_SIZE_4K,
-            });
-        }
-        let frame_off = *next;
-        let pa = self.region.start.add(frame_off);
-        *next += PAGE_SIZE_4K;
+        let frame_off = {
+            let mut frames = self.frames.lock();
+            match frames.free.pop() {
+                Some(off) => off,
+                None => {
+                    let off = frames.next;
+                    if off + PAGE_SIZE_4K > self.region.len {
+                        return Err(HwError::OutOfMemory {
+                            zone: self.mem.zone_of(self.region.start).0,
+                            requested: PAGE_SIZE_4K,
+                        });
+                    }
+                    frames.next = off + PAGE_SIZE_4K;
+                    off
+                }
+            }
+        };
         // Zero through the pool's own pinned backing: frame allocation is a
         // tight loop at boot, and the region was resolved once at
-        // construction.
+        // construction. The caller owns the frame exclusively from here, so
+        // zeroing needs no lock.
         self.backing
             .zero(self.backing_off + frame_off as usize, PAGE_SIZE_4K as usize);
-        Ok(pa)
+        Ok(self.region.start.add(frame_off))
     }
 
-    /// Bytes remaining in the pool.
-    pub fn remaining(&self) -> u64 {
-        self.region.len - *self.next.lock()
+    /// Return a frame obtained from [`FramePool::alloc_frame`]. The caller
+    /// must have unlinked it from every table first: the next allocation
+    /// may hand it to another table. An address that is not a frame this
+    /// pool has out — foreign, unaligned, never allocated, already
+    /// returned — is refused, since accepting it would give one frame two
+    /// owners.
+    pub fn free_frame(&self, pa: HostPhysAddr) -> HwResult<()> {
+        let off = pa.raw().wrapping_sub(self.region.start.raw());
+        let mut frames = self.frames.lock();
+        if !off.is_multiple_of(PAGE_SIZE_4K) || off >= frames.next || frames.free.contains(&off) {
+            return Err(HwError::Invalid("not an outstanding frame of this pool"));
+        }
+        frames.free.push(off);
+        Ok(())
+    }
+
+    /// Frames handed out and not yet returned.
+    pub fn outstanding(&self) -> u64 {
+        let frames = self.frames.lock();
+        frames.next / PAGE_SIZE_4K - frames.free.len() as u64
     }
 
     /// The physical memory the pool carves frames from.
@@ -327,11 +364,26 @@ impl FramePool {
 }
 
 /// Generic 4-level radix table rooted at a physical frame.
+///
+/// The table owns every frame it takes from its pool and returns them all
+/// when it drops — not earlier, because a walker holding the table may
+/// still follow any of them. Edits of one table are not synchronized with
+/// each other; its owner serializes them.
 pub struct RadixTable<F: EntryFormat> {
     mem: Arc<PhysMemory>,
     pool: Arc<FramePool>,
     root: HostPhysAddr,
+    /// Every frame taken from `pool`, in allocation order (root first).
+    frames: Mutex<Vec<HostPhysAddr>>,
     _fmt: std::marker::PhantomData<F>,
+}
+
+/// What a `map` call has changed so far, so a failure can take it back:
+/// the entries it overwrote with their old values, and where in the
+/// table's frame record its own allocations start.
+struct MapUndo {
+    entries: Vec<(HostPhysAddr, u64)>,
+    first_new_frame: usize,
 }
 
 impl<F: EntryFormat> RadixTable<F> {
@@ -342,8 +394,16 @@ impl<F: EntryFormat> RadixTable<F> {
             mem: Arc::clone(pool.memory()),
             pool,
             root,
+            frames: Mutex::new(vec![root]),
             _fmt: std::marker::PhantomData,
         })
+    }
+
+    /// Take one table frame from the pool and record it as this table's.
+    fn alloc_table(&self) -> HwResult<HostPhysAddr> {
+        let frame = self.pool.alloc_frame()?;
+        self.frames.lock().push(frame);
+        Ok(frame)
     }
 
     /// Physical address of the root table (CR3 / EPTP analogue).
@@ -374,7 +434,9 @@ impl<F: EntryFormat> RadixTable<F> {
 
     /// Map `[va, va+len)` to `[pa, pa+len)` with `perms`, using the largest
     /// page size `<= max_level` that alignment and remaining length allow.
-    /// `va`, `pa` and `len` must be 4 KiB aligned.
+    /// `va`, `pa` and `len` must be 4 KiB aligned. All or nothing: on an
+    /// error (pool exhausted, collision with a larger page) the table and
+    /// the pool are as they were before the call.
     pub fn map(
         &self,
         va: u64,
@@ -393,6 +455,10 @@ impl<F: EntryFormat> RadixTable<F> {
             return Ok(());
         }
         let max_level = max_level.clamp(1, 3);
+        let mut undo = MapUndo {
+            entries: Vec::new(),
+            first_new_frame: self.frames.lock().len(),
+        };
         let mut off = 0u64;
         while off < len {
             let cva = va + off;
@@ -406,14 +472,36 @@ impl<F: EntryFormat> RadixTable<F> {
                 }
                 level -= 1;
             }
-            self.map_one(cva, HostPhysAddr::new(cpa), level, perms)?;
+            if let Err(e) = self.map_one(cva, HostPhysAddr::new(cpa), level, perms, &mut undo) {
+                self.roll_back(undo);
+                return Err(e);
+            }
             off += level_page_size(level);
         }
         Ok(())
     }
 
-    /// Install a single leaf at `level`.
-    fn map_one(&self, va: u64, pa: HostPhysAddr, level: u8, perms: Perms) -> HwResult<()> {
+    /// Undo a failed `map`: restore the overwritten entries newest first,
+    /// which unlinks every frame the call allocated, then return those.
+    fn roll_back(&self, undo: MapUndo) {
+        for &(eaddr, old) in undo.entries.iter().rev() {
+            // The same store succeeded moments ago on the way in.
+            let _ = self.write_entry(eaddr, old);
+        }
+        for frame in self.frames.lock().split_off(undo.first_new_frame) {
+            let _ = self.pool.free_frame(frame);
+        }
+    }
+
+    /// Install a single leaf at `level`, logging each entry it overwrites.
+    fn map_one(
+        &self,
+        va: u64,
+        pa: HostPhysAddr,
+        level: u8,
+        perms: Perms,
+        undo: &mut MapUndo,
+    ) -> HwResult<()> {
         let mut table = self.root;
         let mut cur = 4u8;
         while cur > level {
@@ -427,7 +515,8 @@ impl<F: EntryFormat> RadixTable<F> {
                 }
                 F::frame(e)
             } else {
-                let child = self.pool.alloc_frame()?;
+                let child = self.alloc_table()?;
+                undo.entries.push((eaddr, e));
                 self.write_entry(eaddr, F::table_entry(child))?;
                 child
             };
@@ -435,6 +524,7 @@ impl<F: EntryFormat> RadixTable<F> {
             cur -= 1;
         }
         let eaddr = Self::entry_addr(table, level_index(va, level));
+        undo.entries.push((eaddr, self.read_entry(eaddr)?));
         self.write_entry(eaddr, F::leaf_entry(pa, level, perms))?;
         Ok(())
     }
@@ -489,7 +579,7 @@ impl<F: EntryFormat> RadixTable<F> {
                 return Ok(Some(page_size - (va - page_base)));
             }
             // Partially covered large page: split into the next level down.
-            let child = self.pool.alloc_frame()?;
+            let child = self.alloc_table()?;
             let child_size = level_page_size(level - 1);
             let base_pa = F::frame(e).raw();
             let perms = F::entry_perms(e);
@@ -580,6 +670,16 @@ impl<F: EntryFormat> RadixTable<F> {
     }
 }
 
+impl<F: EntryFormat> Drop for RadixTable<F> {
+    fn drop(&mut self) {
+        for frame in self.frames.get_mut().drain(..) {
+            // Only frames `alloc_frame` returned are recorded, so the pool
+            // accepts each; a `Drop` must not panic in any case.
+            let _ = self.pool.free_frame(frame);
+        }
+    }
+}
+
 /// Guest (co-kernel) page tables in x86-64 format.
 pub type GuestPageTables = RadixTable<X86Format>;
 
@@ -594,7 +694,7 @@ mod tests {
         let pool_region = mem
             .alloc_backed(ZoneId(0), 8 * 1024 * 1024, PAGE_SIZE_4K)
             .unwrap();
-        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region));
+        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
         (mem, pool)
     }
 
@@ -714,7 +814,7 @@ mod tests {
         let pool_region = mem
             .alloc_backed(ZoneId(0), 4 * 1024 * 1024, PAGE_SIZE_4K)
             .unwrap();
-        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region));
+        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
         let pt = GuestPageTables::new(pool).unwrap();
         let region = mem.alloc(ZoneId(0), PAGE_SIZE_1G, PAGE_SIZE_1G).unwrap();
         pt.map(region.start.raw(), region.start, region.len, Perms::RWX, 3)
@@ -726,6 +826,190 @@ mod tests {
             .unwrap();
         assert_eq!(t.page_size, PAGE_SIZE_1G);
         assert_eq!(t.loads, 2);
+    }
+
+    #[test]
+    fn returned_frames_are_reused_zeroed_before_fresh_ones() {
+        let (_mem, pool) = setup();
+        let a = pool.alloc_frame().unwrap();
+        let b = pool.alloc_frame().unwrap();
+        assert_eq!(pool.outstanding(), 2);
+        assert!(pool.store(a.add(8), 0xdead));
+        pool.free_frame(a).unwrap();
+        assert_eq!(pool.outstanding(), 1);
+        // The free list is served before the bump pointer moves, and what
+        // it hands out is zeroed again.
+        assert_eq!(pool.alloc_frame().unwrap(), a);
+        assert_eq!(pool.load(a.add(8)), Some(0));
+        assert_eq!(pool.alloc_frame().unwrap(), b.add(PAGE_SIZE_4K));
+        assert_eq!(pool.outstanding(), 3);
+    }
+
+    #[test]
+    fn free_frame_refuses_what_the_pool_never_handed_out() {
+        let (mem, pool) = setup();
+        let a = pool.alloc_frame().unwrap();
+        let outside = mem.alloc(ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K).unwrap();
+        for bad in [a.add(8), a.add(PAGE_SIZE_4K), outside.start] {
+            assert!(
+                matches!(pool.free_frame(bad), Err(HwError::Invalid(_))),
+                "{bad:?} accepted"
+            );
+        }
+        assert_eq!(pool.outstanding(), 1);
+        pool.free_frame(a).unwrap();
+        assert!(pool.free_frame(a).is_err(), "double free accepted");
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    #[test]
+    fn dropping_a_table_returns_every_frame_splits_included() {
+        let (mem, pool) = setup();
+        let region = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
+        let pt = GuestPageTables::new(Arc::clone(&pool)).unwrap();
+        pt.map(region.start.raw(), region.start, region.len, Perms::RWX, 2)
+            .unwrap();
+        assert_eq!(pool.outstanding(), 3, "root, PDPT, PD");
+        pt.unmap(region.start.raw() + PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        assert_eq!(pool.outstanding(), 4, "the split took a PT frame");
+        // A second table on the same pool never sees the first one's frames.
+        let other = GuestPageTables::new(Arc::clone(&pool)).unwrap();
+        assert!(!pt.frames.lock().contains(&other.root()));
+        drop(pt);
+        assert_eq!(pool.outstanding(), 1);
+        drop(other);
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    #[test]
+    fn failed_map_leaves_table_and_pool_as_they_were() {
+        let mem = Arc::new(PhysMemory::new(&[64 * 1024 * 1024]));
+        // Five frames: root, PDPT, PD and one PT, then one spare.
+        let pool_region = mem
+            .alloc_backed(ZoneId(0), 5 * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
+        let pt = GuestPageTables::new(Arc::clone(&pool)).unwrap();
+        let base = 4 * PAGE_SIZE_2M;
+        pt.map(base, HostPhysAddr::new(base), PAGE_SIZE_4K, Perms::RWX, 1)
+            .unwrap();
+        assert_eq!(pool.outstanding(), 4);
+        // Three more 2 MiB slots at 4 KiB granularity want three PT frames;
+        // the pool has one. The first slot maps, the second cannot.
+        let want = PhysRange::new(HostPhysAddr::new(base + PAGE_SIZE_2M), 3 * PAGE_SIZE_2M);
+        let err = pt
+            .map(want.start.raw(), want.start, want.len, Perms::RWX, 1)
+            .unwrap_err();
+        assert!(matches!(err, HwError::OutOfMemory { .. }));
+        assert_eq!(pool.outstanding(), 4, "the partial map's frame came back");
+        assert_eq!(pt.leaf_counts().unwrap(), (1, 0, 0));
+        assert!(pt.walk(want.start.raw(), &DirectLoad(&mem)).is_err());
+        assert!(pt.walk(base, &DirectLoad(&mem)).is_ok());
+        // A collision is rolled back the same way.
+        pt.map(
+            base + PAGE_SIZE_1G,
+            HostPhysAddr::new(base),
+            PAGE_SIZE_4K,
+            Perms::RWX,
+            1,
+        )
+        .unwrap_err();
+        assert_eq!(pool.outstanding(), 4);
+        // And what fits still maps.
+        pt.map(want.start.raw(), want.start, PAGE_SIZE_2M, Perms::RWX, 1)
+            .unwrap();
+        assert_eq!(pool.outstanding(), 5);
+    }
+
+    mod frame_ownership_props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// The table frames reachable from `pt`'s root, found by walking
+        /// the tree — independent of the table's own record.
+        fn reachable(pt: &GuestPageTables) -> BTreeSet<u64> {
+            fn rec(pt: &GuestPageTables, table: HostPhysAddr, level: u8, out: &mut BTreeSet<u64>) {
+                assert!(out.insert(table.raw()), "table frame linked twice");
+                for i in 0..512 {
+                    let e = pt
+                        .read_entry(GuestPageTables::entry_addr(table, i))
+                        .unwrap();
+                    if X86Format::present(e) && level > 1 && !X86Format::leaf(e, level) {
+                        rec(pt, X86Format::frame(e), level - 1, out);
+                    }
+                }
+            }
+            let mut out = BTreeSet::new();
+            rec(pt, pt.root(), 4, &mut out);
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+            /// Several tables share one pool through random map/unmap
+            /// sequences (4 KiB, 2 MiB and 1 GiB leaves; unmaps that split
+            /// 2 MiB and 1 GiB leaves) and are dropped and recreated in
+            /// random order. After every step every frame a table's tree
+            /// links is in that table's record (the record may hold more:
+            /// a large leaf mapped over a subtree unlinks it), no frame is
+            /// in two records, and the pool's outstanding count is the sum
+            /// of the records; when the last table drops it is 0.
+            #[test]
+            #[allow(clippy::needless_update)]
+            fn a_frame_has_one_owner_and_every_frame_comes_back(
+                ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..2, 0u64..4, 0u64..8), 1..120),
+            ) {
+                let (_mem, pool) = setup();
+                let mut tables: [Option<GuestPageTables>; 3] = [None, None, None];
+                for (kind, t, g, m, p) in ops {
+                    let slot_1g = PAGE_SIZE_1G * (1 + g);
+                    let slot_2m = slot_1g + m * PAGE_SIZE_2M;
+                    let page = slot_2m + p * (PAGE_SIZE_2M / 8);
+                    let Some(pt) = &tables[t] else {
+                        tables[t] = Some(GuestPageTables::new(Arc::clone(&pool)).unwrap());
+                        continue;
+                    };
+                    // A map that collides with a larger leaf is refused
+                    // (and rolled back); the sequence just carries on.
+                    let map = |va, level| {
+                        let _ = pt.map(va, HostPhysAddr::new(va), level_page_size(level), Perms::RWX, level);
+                    };
+                    match kind {
+                        0 => tables[t] = None,
+                        1 | 2 => map(page, 1),
+                        3 | 4 => map(slot_2m, 2),
+                        5 => map(slot_1g, 3),
+                        // Splits a 2 MiB leaf, or a 1 GiB leaf twice over.
+                        6 => pt.unmap(page, PAGE_SIZE_4K).unwrap(),
+                        7 => pt.unmap(slot_2m, PAGE_SIZE_2M / 2).unwrap(),
+                        // Splits a 1 GiB leaf once.
+                        8 => pt.unmap(slot_2m, PAGE_SIZE_2M).unwrap(),
+                        _ => pt.unmap(slot_1g, PAGE_SIZE_1G).unwrap(),
+                    }
+
+                    let mut owned = BTreeSet::new();
+                    for pt in tables.iter().flatten() {
+                        let linked = reachable(pt);
+                        let recorded: BTreeSet<u64> =
+                            pt.frames.lock().iter().map(|f| f.raw()).collect();
+                        prop_assert!(
+                            linked.is_subset(&recorded),
+                            "tree links {:x?}, record holds only {:x?}",
+                            linked,
+                            recorded
+                        );
+                        for f in recorded {
+                            prop_assert!(owned.insert(f), "frame {:#x} live in two tables", f);
+                        }
+                    }
+                    prop_assert_eq!(pool.outstanding(), owned.len() as u64);
+                }
+                drop(tables);
+                prop_assert_eq!(pool.outstanding(), 0);
+            }
+        }
     }
 
     #[test]

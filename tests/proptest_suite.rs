@@ -23,7 +23,7 @@ fn pt_setup(mem_bytes: u64) -> (Arc<PhysMemory>, GuestPageTables, PhysRange) {
             PAGE_SIZE_4K,
         )
         .unwrap();
-    let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region));
+    let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
     let pt = GuestPageTables::new(pool).unwrap();
     let arena = mem
         .alloc(
