@@ -75,6 +75,10 @@ pub struct CoreCounters {
     pub walk_cache_hits: u64,
     /// EPT walk-cache misses (PT-entry loads that paid the full EPT walk).
     pub walk_cache_misses: u64,
+    /// Walk-cache syncs that had to clear every entry because the EPT's
+    /// unmap log no longer covered what the core had missed; the first sync
+    /// of a core is one.
+    pub walk_cache_full_flushes: u64,
     /// Region-cache hits: physical resolves answered core-locally, without
     /// searching the populate snapshot.
     pub resolve_hits: u64,
@@ -120,27 +124,47 @@ pub enum FaultOutcome {
 /// cost on hardware (up to 24 loads for a 4-level guest walk).
 ///
 /// When a [`WalkCache`] is attached it models the hardware paging-structure
-/// cache: PT-entry pages under an EPT leaf that is cached (and whose fill
-/// generation still matches) resolve in zero extra loads, and a miss caches
-/// the whole leaf it walked to. The generation is sampled once per guest
-/// walk — a concurrent controller unmap invalidates every cached line for
-/// subsequent walks, never mid-line.
+/// cache: PT-entry pages under a cached EPT leaf resolve in zero extra
+/// loads, and a miss caches the whole leaf it walked to. The cache is synced
+/// with the EPT's unmap log once per guest walk, when the loader is built — a
+/// concurrent controller unmap drops the lines it overlaps for subsequent
+/// walks, never mid-walk.
 struct NestedLoad<'a> {
     ept: &'a Ept,
     mem: &'a PhysMemory,
     loads: Cell<u32>,
     cache: Option<&'a WalkCache>,
-    generation: u64,
     /// Core-local region cache shared with the owning [`GuestCore`], so
     /// off-pool entry loads (both the EPT walk's and the guest walk's)
     /// skip the populate-snapshot search.
     region_cache: &'a RegionCache,
 }
 
+impl<'a> NestedLoad<'a> {
+    /// The loader for one guest walk.
+    fn new(
+        ept: &'a Ept,
+        mem: &'a PhysMemory,
+        cache: Option<&'a WalkCache>,
+        region_cache: &'a RegionCache,
+    ) -> Self {
+        if let Some(cache) = cache {
+            cache.sync(ept);
+        }
+        NestedLoad {
+            ept,
+            mem,
+            loads: Cell::new(0),
+            cache,
+            region_cache,
+        }
+    }
+}
+
 impl TableLoad for NestedLoad<'_> {
     fn translate_entry_addr(&self, pa: HostPhysAddr) -> Result<(HostPhysAddr, u32), HwError> {
         if let Some(cache) = self.cache {
-            if let Some(host) = cache.lookup(pa.raw(), self.generation) {
+            if let Some(host) = cache.lookup(pa.raw()) {
                 return Ok((HostPhysAddr::new(host), 0));
             }
         }
@@ -154,7 +178,7 @@ impl TableLoad for NestedLoad<'_> {
         )?;
         self.loads.set(self.loads.get() + t.loads);
         if let Some(cache) = self.cache {
-            cache.insert(pa.raw(), &t, self.generation);
+            cache.insert(pa.raw(), &t);
         }
         Ok((t.pa, t.loads))
     }
@@ -376,6 +400,7 @@ impl GuestCore {
         let (h, m) = self.walk_cache.stats();
         c.walk_cache_hits = h;
         c.walk_cache_misses = m;
+        c.walk_cache_full_flushes = self.walk_cache.full_flushes();
         let (h, m) = self.region_cache.stats();
         c.resolve_hits = h;
         c.resolve_misses = m;
@@ -405,6 +430,7 @@ impl GuestCore {
             (Counter::Polls, c.polls),
             (Counter::WalkCacheHits, c.walk_cache_hits),
             (Counter::WalkCacheMisses, c.walk_cache_misses),
+            (Counter::WalkCacheFullFlushes, c.walk_cache_full_flushes),
             (Counter::ResolveHits, c.resolve_hits),
             (Counter::ResolveMisses, c.resolve_misses),
             (Counter::TlbHits, t.hits),
@@ -487,14 +513,12 @@ impl GuestCore {
             // walk cache short-circuits PT-entry EPT walks; the *data*
             // page's EPT translation always runs (it carries the access
             // permission check).
-            let loader = NestedLoad {
+            let loader = NestedLoad::new(
                 ept,
                 mem,
-                loads: Cell::new(0),
-                cache: self.walk_cache_enabled.then_some(&self.walk_cache),
-                generation: ept.generation(),
-                region_cache: &self.region_cache,
-            };
+                self.walk_cache_enabled.then_some(&self.walk_cache),
+                &self.region_cache,
+            );
             let gt = match self.kernel.page_tables.walk(gva, &loader) {
                 Ok(t) => t,
                 Err(HwError::EptViolation { gpa, .. }) => {
@@ -1142,56 +1166,230 @@ mod tests {
         );
     }
 
-    #[test]
-    fn walk_cache_invalidated_by_reclaim_generation_bump() {
-        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+    /// The enclave's EPT, as the controller built it.
+    fn ept_of(w: &World) -> Arc<Ept> {
         let ctl = w.controller.as_ref().unwrap();
+        ctl.context(w.enclave.id.0).unwrap().ept.clone().unwrap()
+    }
+
+    /// Grant 2 MiB and let the guest take it.
+    fn grant_2m(w: &World) -> PhysRange {
+        let host = w.master.pisces();
+        let range = host
+            .add_memory(&w.enclave, ZoneId(0), PAGE_SIZE_2M)
+            .unwrap();
+        w.kernel.poll_ctrl().unwrap();
+        host.process_acks(&w.enclave).unwrap();
+        range
+    }
+
+    /// Reclaim `range` through the full protocol — guest ack, controller
+    /// unmap, shootdown — with `gc` polling as a live core does. Inside an
+    /// open reclaim epoch this returns without any shootdown.
+    fn reclaim(w: &World, gc: &mut GuestCore, range: PhysRange) {
+        let host = w.master.pisces();
+        host.request_remove_memory(&w.enclave, range).unwrap();
+        w.kernel.poll_ctrl().unwrap();
+        std::thread::scope(|s| {
+            let acks = s.spawn(|| {
+                while w.enclave.resources().mem.contains(&range) {
+                    host.process_acks(&w.enclave).unwrap();
+                    std::thread::yield_now();
+                }
+            });
+            while !acks.is_finished() {
+                gc.poll().unwrap();
+                std::thread::yield_now();
+            }
+        });
+    }
+
+    #[test]
+    fn walk_cache_keeps_pt_lines_across_an_unrelated_reclaim() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
         let mut gc = core(&w, 1);
         let a = data_gva(&w);
         gc.read_u64(a).unwrap();
         gc.read_u64(a + 2 * 1024 * 1024).unwrap(); // same PT pages → cache hit
-        let hits_before = gc.counters().walk_cache_hits;
-        assert!(hits_before > 0);
+        let before = gc.counters();
+        assert!(before.walk_cache_hits > 0);
 
-        // Unmapping an unrelated grant bumps the EPT generation, which
-        // must invalidate every cached line (conservative model of the
-        // paging-structure cache being flushed with the TLB).
-        let range = w
-            .master
-            .pisces()
-            .add_memory(&w.enclave, ZoneId(0), 2 * 1024 * 1024)
-            .unwrap();
-        w.kernel.poll_ctrl().unwrap();
-        w.master.pisces().process_acks(&w.enclave).unwrap();
-        let ept = ctl.context(w.enclave.id.0).unwrap().ept.clone().unwrap();
+        // Unmapping an unrelated grant moves the EPT generation on, but the
+        // leaf holding the guest's PT pages was not in the range.
+        let range = grant_2m(&w);
+        let ept = ept_of(&w);
         let gen_before = ept.generation();
         ept.unmap(range).unwrap();
         assert!(ept.generation() > gen_before);
 
-        let misses_before = gc.counters().walk_cache_misses;
         gc.read_u64(a + 4 * 1024 * 1024).unwrap(); // fresh page, same PT path
-        assert!(
-            gc.counters().walk_cache_misses > misses_before,
-            "generation bump must force a cold re-walk"
+        let after = gc.counters();
+        assert_eq!(after.walks, before.walks + 1);
+        assert_eq!(
+            after.walk_cache_misses, before.walk_cache_misses,
+            "an unrelated reclaim must leave the PT-page lines hitting"
         );
+        assert!(after.walk_cache_hits > before.walk_cache_hits);
+        assert_eq!(after.walk_cache_full_flushes, 1, "only the cold sync");
+    }
+
+    #[test]
+    fn walk_cache_rewalks_after_the_pt_leaf_is_reclaimed() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core(&w, 1);
+        let a = data_gva(&w);
+        gc.read_u64(a).unwrap();
+        gc.read_u64(a + 2 * 1024 * 1024).unwrap();
+        let before = gc.counters();
+
+        // Take the EPT leaf under the guest's root table away and put it
+        // back: the cached translation of that leaf must not survive.
+        let ept = ept_of(&w);
+        let root = w.kernel.page_tables.root();
+        let leaf = PhysRange::new(root.align_down(PAGE_SIZE_2M), PAGE_SIZE_2M);
+        ept.unmap(leaf).unwrap();
+        ept.map_identity(leaf, 2).unwrap();
+
+        gc.read_u64(a + 4 * 1024 * 1024).unwrap();
+        let after = gc.counters();
+        assert!(
+            after.walk_cache_misses > before.walk_cache_misses,
+            "a reclaim overlapping the PT pages' leaf must force a cold re-walk"
+        );
+        assert!(after.walk_loads - before.walk_loads > 3, "EPT re-walked");
+        assert_eq!(after.walk_cache_full_flushes, 1, "ranged, not a full clear");
+    }
+
+    /// The unmap log is sized for the reclaim protocol: neither a long run
+    /// of grant → write → reclaim cycles nor the largest ranged reclaim
+    /// epoch ever makes a walking core fall back to clearing everything.
+    #[test]
+    fn reclaims_never_overrun_the_unmap_log() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let ctl = w.controller.as_ref().unwrap();
+        ctl.set_flush_spins(50_000_000);
+        let mut gc = core(&w, 1);
+        let a = data_gva(&w);
+        gc.read_u64(a).unwrap();
+        assert_eq!(gc.counters().walk_cache_full_flushes, 1, "cold start");
+
+        for cycle in 0..100u64 {
+            let range = grant_2m(&w);
+            gc.write_u64(range.start.raw(), cycle).unwrap();
+            reclaim(&w, &mut gc, range);
+        }
+        assert_eq!(gc.counters().walk_cache_full_flushes, 1);
+
+        // Eight ranges is the most one epoch closes with ranged flushes.
+        let ranges: Vec<PhysRange> = (0..8).map(|_| grant_2m(&w)).collect();
+        for r in &ranges {
+            gc.write_u64(r.start.raw(), 8).unwrap();
+        }
+        let enclave = w.enclave.id.0;
+        ctl.begin_reclaim_epoch(enclave);
+        for r in &ranges {
+            reclaim(&w, &mut gc, *r);
+        }
+        std::thread::scope(|s| {
+            let close = s.spawn(|| ctl.end_reclaim_epoch(enclave).unwrap());
+            while !close.is_finished() {
+                gc.poll().unwrap();
+                std::thread::yield_now();
+            }
+        });
+        assert_eq!(gc.tlb_stats().full_flushes, 0, "the epoch closed ranged");
+        let walks = gc.counters().walks;
+        gc.read_u64(a + 2 * 1024 * 1024).unwrap();
+        assert_eq!(gc.counters().walks, walks + 1, "a walk synced the cache");
+        assert_eq!(gc.counters().walk_cache_full_flushes, 1);
+        assert_eq!(ctl.nmi_escalation_count(), 0);
+    }
+
+    /// One thread walks through `NestedLoad`s while another unmaps and
+    /// re-maps a range. The walker free-runs, so walks also straddle the
+    /// edits; the ones that provably began after `unmap` returned and ended
+    /// before the re-map began must not be served from inside the range.
+    #[test]
+    fn walks_started_after_an_unmap_returns_are_not_served_from_its_range() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let ept = ept_of(&w);
+        let node = Arc::clone(w.master.pisces().node());
+        let host = w.master.pisces();
+        let reclaimed = host
+            .add_memory(&w.enclave, ZoneId(0), PAGE_SIZE_2M)
+            .unwrap();
+        let unrelated = host
+            .add_memory(&w.enclave, ZoneId(0), PAGE_SIZE_2M)
+            .unwrap();
+        // Odd while `reclaimed` is unmapped: set after `unmap` returns,
+        // cleared before the re-map starts.
+        let phase = AtomicU64::new(0);
+        let walks = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+
+        std::thread::scope(|s| {
+            let walker = s.spawn(|| {
+                let (cache, region_cache) = (WalkCache::new(), RegionCache::new());
+                let mut checked = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    let began = phase.load(Ordering::SeqCst);
+                    let loader = NestedLoad::new(&ept, &node.mem, Some(&cache), &region_cache);
+                    let inside = loader.translate_entry_addr(reclaimed.start.add(0x1238));
+                    let outside = loader.translate_entry_addr(unrelated.start.add(0x38));
+                    let ended = phase.load(Ordering::SeqCst);
+                    assert_eq!(outside.unwrap().0, unrelated.start.add(0x38));
+                    if began == ended && began % 2 == 1 {
+                        assert!(
+                            inside.is_err(),
+                            "walk begun after unmap returned was served {inside:?}"
+                        );
+                        checked += 1;
+                    }
+                    walks.fetch_add(1, Ordering::SeqCst);
+                }
+                // The unrelated leaf was walked once and hit ever after;
+                // the walker never fell further behind than the log reaches.
+                assert_eq!(cache.full_flushes(), 1);
+                (checked, cache.stats())
+            });
+
+            // Each phase lasts until the walker has begun and ended a walk
+            // inside it, so both the cached and the reclaimed view are seen.
+            // A walker that failed stops advancing; `join` reports it.
+            let await_walks = |n: u64| {
+                let target = walks.load(Ordering::SeqCst) + n;
+                while walks.load(Ordering::SeqCst) < target && !walker.is_finished() {
+                    std::thread::yield_now();
+                }
+            };
+            for _ in 0..300 {
+                await_walks(2);
+                let unmapped = ept.unmap(reclaimed);
+                phase.fetch_add(1, Ordering::SeqCst);
+                await_walks(2);
+                phase.fetch_add(1, Ordering::SeqCst);
+                let mapped = ept.map_identity(reclaimed, 2);
+                if unmapped.and(mapped).is_err() || walker.is_finished() {
+                    break;
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+            let (checked, (hits, _)) = walker.join().unwrap();
+            assert!(checked >= 300, "every unmapped phase held a whole walk");
+            assert!(hits > 300, "the mapped phases were served from the cache");
+        });
     }
 
     #[test]
     fn one_leaf_fill_serves_every_pt_page_under_it() {
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));
-        let ctl = w.controller.as_ref().unwrap();
-        let ept = ctl.context(w.enclave.id.0).unwrap().ept.clone().unwrap();
+        let ept = ept_of(&w);
         let node = w.master.pisces().node();
         let mem = w.enclave.resources().mem[0];
-        let walk_cache = WalkCache::new();
-        let loader = NestedLoad {
-            ept: &ept,
-            mem: &node.mem,
-            loads: Cell::new(0),
-            cache: Some(&walk_cache),
-            generation: ept.generation(),
-            region_cache: &RegionCache::new(),
-        };
+        let (walk_cache, region_cache) = (WalkCache::new(), RegionCache::new());
+        let loader = NestedLoad::new(&ept, &node.mem, Some(&walk_cache), &region_cache);
         // 256 guest PT pages under one 2 MiB EPT leaf, as `frag` has.
         let leaf = mem.start.align_up(PAGE_SIZE_2M);
         assert!(mem.covers(&PhysRange::new(leaf, PAGE_SIZE_2M)));

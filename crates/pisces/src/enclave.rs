@@ -116,6 +116,20 @@ impl Enclave {
         std::mem::replace(&mut *s, next)
     }
 
+    /// End the enclave's life: under the state lock, move it to `last`
+    /// (`Terminated` or `Failed(reason)`) unless it is already dead.
+    /// Returns whether this caller made the transition — exactly one of any
+    /// number of racing callers does, and that one runs the teardown hooks
+    /// and reclaims the partition.
+    pub fn retire(&self, last: EnclaveState) -> bool {
+        let mut s = self.state.lock();
+        if matches!(*s, EnclaveState::Terminated | EnclaveState::Failed(_)) {
+            return false;
+        }
+        *s = last;
+        true
+    }
+
     /// Read access to the resource partition.
     pub fn resources(&self) -> ResourceSpec {
         self.resources.read().clone()
@@ -179,6 +193,15 @@ mod tests {
         let prev = e.set_state(EnclaveState::Failed("ept violation".into()));
         assert_eq!(prev, EnclaveState::Running);
         assert!(!e.state().is_live());
+    }
+
+    #[test]
+    fn only_the_first_retire_wins() {
+        let e = enclave();
+        e.set_state(EnclaveState::Running);
+        assert!(e.retire(EnclaveState::Failed("first".into())));
+        assert!(!e.retire(EnclaveState::Terminated));
+        assert_eq!(e.state(), EnclaveState::Failed("first".into()));
     }
 
     #[test]

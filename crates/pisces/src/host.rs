@@ -428,62 +428,51 @@ impl PiscesHost {
         Ok(())
     }
 
-    fn reclaim(&self, enclave: &Enclave) {
-        let res = enclave.resources();
-        for r in &res.mem {
-            let _ = self.node.mem.free(*r);
+    /// Run the teardown hooks, then return everything the enclave holds to
+    /// the node. Called only by the caller that won [`Enclave::retire`];
+    /// taking the spec under the resource lock leaves nothing for anyone
+    /// else to free.
+    fn reclaim(&self, enclave: &Enclave) -> PiscesResult<()> {
+        for h in self.hooks.read().iter() {
+            h.on_teardown(enclave);
         }
-        let _ = self.node.mem.free(enclave.mgmt_region);
+        let res = enclave.with_resources_mut(std::mem::take);
+        // Release everything even if one range is refused; report the first.
+        let mut freed = Ok(());
+        for r in res.mem.iter().chain([&enclave.mgmt_region]) {
+            freed = freed.and(self.node.mem.free(*r));
+        }
         {
             let mut assigned = self.assigned_cores.lock();
             for c in &res.cores {
                 assigned.remove(&c.0);
             }
         }
-        {
-            let mut pool = self.vector_pool.lock();
-            for v in &res.ipi_vectors {
-                pool.push_back(*v);
-            }
-        }
-        enclave.with_resources_mut(|r| *r = ResourceSpec::new());
+        self.vector_pool.lock().extend(res.ipi_vectors);
+        freed.map_err(PiscesError::Hw)
     }
 
-    /// Orderly teardown: hooks, reclaim, `Terminated`.
+    /// Orderly teardown: `Terminated`, hooks, reclaim.
     pub fn teardown(&self, enclave: &Enclave) -> PiscesResult<()> {
-        match enclave.state() {
-            EnclaveState::Terminated | EnclaveState::Failed(_) => {
-                return Err(PiscesError::BadState {
-                    enclave: enclave.id.0,
-                    op: "teardown",
-                })
-            }
-            _ => {}
+        if !enclave.retire(EnclaveState::Terminated) {
+            return Err(PiscesError::BadState {
+                enclave: enclave.id.0,
+                op: "teardown",
+            });
         }
-        for h in self.hooks.read().iter() {
-            h.on_teardown(enclave);
-        }
-        self.reclaim(enclave);
-        enclave.set_state(EnclaveState::Terminated);
-        Ok(())
+        self.reclaim(enclave)
     }
 
     /// Fault path: the hypervisor (or host policy) killed the enclave.
     /// Resources are reclaimed, the state records the reason, and the rest
     /// of the node keeps running — the isolation property Covirt provides.
+    /// Of racing reports (and a racing teardown) one does the work; the
+    /// others return `Ok` at once, possibly before it has finished.
     pub fn report_fault(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
-        if matches!(
-            enclave.state(),
-            EnclaveState::Terminated | EnclaveState::Failed(_)
-        ) {
+        if !enclave.retire(EnclaveState::Failed(reason.to_owned())) {
             return Ok(()); // already dead; double reports are harmless
         }
-        for h in self.hooks.read().iter() {
-            h.on_teardown(enclave);
-        }
-        self.reclaim(enclave);
-        enclave.set_state(EnclaveState::Failed(reason.to_owned()));
-        Ok(())
+        self.reclaim(enclave)
     }
 
     /// Begin an orderly shutdown: ask the co-kernel to quiesce over the
@@ -702,6 +691,66 @@ mod tests {
         // Other enclaves can be created afterwards — the node survived.
         let e2 = h.create_enclave("e1", &small_req()).unwrap();
         assert_eq!(e2.state(), EnclaveState::Loaded);
+    }
+
+    /// Two threads end one enclave at the same moment — fault report
+    /// against fault report, and fault report against teardown. Exactly one
+    /// of them may run the hooks and reclaim; the node must get everything
+    /// back exactly once (the allocator asserts on a double free).
+    #[test]
+    fn racing_fault_reports_and_teardown_reclaim_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        #[derive(Default)]
+        struct CountTeardowns(AtomicUsize);
+        impl EnclaveHooks for CountTeardowns {
+            fn on_teardown(&self, _e: &Enclave) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let h = host();
+        let hooks = Arc::new(CountTeardowns::default());
+        h.register_hooks(Arc::clone(&hooks) as Arc<dyn EnclaveHooks>);
+        let in_use = || h.node().mem.zone_usage(ZoneId(0)).unwrap().1;
+        let (in_use_before, vectors_before, cores_before) =
+            (in_use(), h.free_vector_count(), h.assigned_cores());
+
+        for round in 0..200 {
+            let e = h.create_enclave("victim", &small_req()).unwrap();
+            h.launch(&e).unwrap();
+            h.add_memory(&e, ZoneId(0), 2 * 1024 * 1024).unwrap();
+            let orderly = round % 2 == 1;
+            let start = Barrier::new(2);
+            let (fault, other) = std::thread::scope(|s| {
+                let fault = s.spawn(|| {
+                    start.wait();
+                    h.report_fault(&e, "raced fault")
+                });
+                let other = s.spawn(|| {
+                    start.wait();
+                    if orderly {
+                        h.teardown(&e)
+                    } else {
+                        h.report_fault(&e, "raced remediation")
+                    }
+                });
+                (fault.join().unwrap(), other.join().unwrap())
+            });
+            // A fault report never fails; a teardown that lost the race
+            // finds the enclave dead.
+            fault.unwrap();
+            match (other, e.state()) {
+                (Ok(()), _) | (Err(PiscesError::BadState { .. }), EnclaveState::Failed(_)) => {}
+                (r, state) => panic!("round {round}: {r:?} with the enclave {state:?}"),
+            }
+            assert_eq!(hooks.0.load(Ordering::Relaxed), round + 1, "one winner");
+            assert!(e.resources().mem.is_empty());
+            assert_eq!(in_use(), in_use_before, "round {round}: zone usage");
+            assert_eq!(h.free_vector_count(), vectors_before);
+            assert_eq!(h.assigned_cores(), cores_before);
+        }
     }
 
     #[test]

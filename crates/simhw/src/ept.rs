@@ -7,12 +7,15 @@
 //! protection feature. Contiguous runs are coalesced into 2 MiB and 1 GiB
 //! leaves by the generic radix engine (see [`crate::paging`]).
 //!
-//! The structure also carries a monotonic *generation* counter. Shrinking
-//! the map bumps the generation; per-core TLBs record the generation of the
-//! entries they cache, and the Covirt hypervisor's `TlbFlush` command is
-//! what re-synchronizes them (the paper's command-queue + NMI protocol). The
-//! hardware model deliberately does **not** auto-invalidate TLBs on EPT
-//! edits — that asynchrony is the behaviour Covirt exists to manage.
+//! The structure also carries a monotonic *generation* counter and a short
+//! log of the ranges the last few unmaps removed. Shrinking the map logs the
+//! range and bumps the generation; a core's [`WalkCache`] pulls the ranges it
+//! has not seen the next time it starts a walk and drops only what they
+//! overlap. TLBs are a different matter: the hardware model deliberately
+//! does **not** auto-invalidate them on EPT edits — the Covirt hypervisor's
+//! `TlbFlush` command is what re-synchronizes them (the paper's
+//! command-queue + NMI protocol), and that asynchrony is the behaviour Covirt
+//! exists to manage.
 
 use crate::addr::{
     GuestPhysAddr, HostPhysAddr, PhysRange, PAGE_SHIFT_1G, PAGE_SHIFT_2M, PAGE_SHIFT_4K,
@@ -20,6 +23,7 @@ use crate::addr::{
 };
 use crate::error::{HwError, HwResult};
 use crate::paging::{Access, EntryFormat, FramePool, Perms, RadixTable, TableLoad, Translation};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,11 +106,21 @@ pub struct EptViolationInfo {
     pub access: Access,
 }
 
+/// How many unmaps a [`WalkCache`] may fall behind before its next sync has
+/// to clear everything. The controller coalesces at most 8 ranged flushes
+/// into one reclaim epoch (`MAX_RANGE_FLUSH_CMDS`), so a core that walks at
+/// least once per epoch never overflows this.
+const UNMAP_LOG_SLOTS: usize = 16;
+
 /// An enclave's extended page tables.
 pub struct Ept {
     table: RadixTable<EptFormat>,
     /// Bumped whenever the mapping *shrinks* (an INVEPT-requiring change).
+    /// Written only under the `unmap_log` lock.
     generation: AtomicU64,
+    /// Slot `g % UNMAP_LOG_SLOTS` holds the range whose unmap produced
+    /// generation `g`, for the last `UNMAP_LOG_SLOTS` generations.
+    unmap_log: Mutex<[PhysRange; UNMAP_LOG_SLOTS]>,
     /// Count of map operations (controller-side instrumentation).
     map_ops: AtomicU64,
     /// Count of unmap operations.
@@ -119,6 +133,7 @@ impl Ept {
         Ok(Ept {
             table: RadixTable::new(pool)?,
             generation: AtomicU64::new(1),
+            unmap_log: Mutex::new([PhysRange::new(HostPhysAddr::new(0), 0); UNMAP_LOG_SLOTS]),
             map_ops: AtomicU64::new(0),
             unmap_ops: AtomicU64::new(0),
         })
@@ -150,11 +165,22 @@ impl Ept {
         Ok(())
     }
 
-    /// Remove a guest-physical range from the map and bump the generation.
+    /// Remove a guest-physical range from the map, log it and bump the
+    /// generation. The table is edited first and the log entry is written
+    /// before the generation that names it is published, so whoever observes
+    /// the new generation finds both the range in the log and the mapping
+    /// gone. A failed unmap may have cleared part of the range, so it is
+    /// logged all the same.
     pub fn unmap(&self, range: PhysRange) -> HwResult<()> {
-        self.table.unmap(range.start.raw(), range.len)?;
+        let cleared = self.table.unmap(range.start.raw(), range.len);
+        {
+            let mut log = self.unmap_log.lock();
+            let generation = self.generation.load(Ordering::Relaxed) + 1;
+            log[generation as usize % UNMAP_LOG_SLOTS] = range;
+            self.generation.store(generation, Ordering::Release);
+        }
+        cleared?;
         self.unmap_ops.fetch_add(1, Ordering::Relaxed);
-        self.generation.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -206,29 +232,42 @@ impl Ept {
 /// 2 MiB entry answers every guest PT page under that leaf, and a hit skips
 /// the EPT walk entirely.
 ///
-/// Coherence contract: every entry is tagged with the EPT [`generation`]
-/// current when it was filled, and a lookup only hits when the tag equals
-/// the *current* generation. The generation is bumped exactly when the
-/// mapping shrinks ([`Ept::unmap`], which also splits a partially unmapped
-/// large leaf), so a stale entry can never outlive the mapping it was
-/// derived from. Growth needs no bump: the EPT is an identity map, so a
-/// map or re-map (the radix engine overwrites a same-level leaf) cannot
-/// change a cached guest-physical → host-physical pair, and the cache
-/// stores no permissions — the data page's permission check always runs
-/// against the live EPT. No explicit invalidation call exists or is needed.
+/// Coherence contract. [`Ept::unmap`] edits the table, then writes the range
+/// into a small fixed-size ring of the most recent unmapped ranges, then
+/// publishes the generation that names that slot. The cache remembers the
+/// one generation it has *synced* to, and [`WalkCache::sync`] — which a core
+/// calls once, when it starts a guest walk — replays the ranges logged since
+/// then and clears exactly the entries whose leaf overlaps one of them. The
+/// whole entry goes, so the surviving part of a partially unmapped (split)
+/// large leaf is dropped with it, while entries for leaves no unmap touched
+/// keep hitting. Once `unmap(R)` has returned, the first walk any core
+/// starts therefore serves nothing from inside `R`. A cache further behind
+/// than the ring reaches, or one that has never synced, clears everything
+/// instead (counted in [`WalkCache::full_flushes`]) — what every unmap used
+/// to cost. A walk already in flight when an unmap lands keeps the view it
+/// synced to until it ends; what that walk leaves in the TLB is for the
+/// reclaim protocol's shootdown to flush. A cache follows one [`Ept`] for
+/// life.
+///
+/// Growth is not logged: the EPT is an identity map, so a map or re-map (the
+/// radix engine overwrites a same-level leaf) cannot change a cached
+/// guest-physical → host-physical pair, and the cache stores no permissions —
+/// the data page's permission check always runs against the live EPT.
 ///
 /// The cache is core-private (interior mutability via [`Cell`], not
 /// thread-safe) exactly like the hardware structure it models.
-///
-/// [`generation`]: Ept::generation
 pub struct WalkCache {
     // Slots per class, sized like a hardware PML4/PDPT/PDE cache: a few
     // dozen entries cover the paging structures of many gigabytes.
     e4k: LeafClass<64, PAGE_SHIFT_4K>,
     e2m: LeafClass<16, PAGE_SHIFT_2M>,
     e1g: LeafClass<4, PAGE_SHIFT_1G>,
+    /// The EPT generation up to which every unmap has been applied to the
+    /// entries; 0 (no EPT ever has it) until the first sync.
+    synced: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
+    full_flushes: Cell<u64>,
 }
 
 #[derive(Clone, Copy)]
@@ -237,8 +276,13 @@ struct WalkCacheEntry {
     tag: u64,
     /// Host-physical base of that leaf.
     host_base: u64,
-    /// EPT generation when filled.
-    generation: u64,
+}
+
+impl WalkCacheEntry {
+    const INVALID: Self = WalkCacheEntry {
+        tag: u64::MAX,
+        host_base: 0,
+    };
 }
 
 /// The direct-mapped slots for EPT leaves of `1 << SHIFT` bytes. `N` is a
@@ -252,13 +296,7 @@ impl<const N: usize, const SHIFT: u32> LeafClass<N, SHIFT> {
     };
 
     fn new() -> Self {
-        LeafClass(std::array::from_fn(|_| {
-            Cell::new(WalkCacheEntry {
-                tag: u64::MAX,
-                host_base: 0,
-                generation: 0,
-            })
-        }))
+        LeafClass(std::array::from_fn(|_| Cell::new(WalkCacheEntry::INVALID)))
     }
 
     #[inline]
@@ -267,19 +305,35 @@ impl<const N: usize, const SHIFT: u32> LeafClass<N, SHIFT> {
     }
 
     #[inline]
-    fn probe(&self, gpa: u64, generation: u64) -> Option<u64> {
+    fn probe(&self, gpa: u64) -> Option<u64> {
         let e = self.slot(gpa).get();
-        (e.tag == gpa >> SHIFT << SHIFT && e.generation == generation)
-            .then(|| e.host_base + (gpa - e.tag))
+        (e.tag == gpa >> SHIFT << SHIFT).then(|| e.host_base + (gpa - e.tag))
     }
 
     #[inline]
-    fn fill(&self, gpa: u64, host_base: u64, generation: u64) {
+    fn fill(&self, gpa: u64, host_base: u64) {
         self.slot(gpa).set(WalkCacheEntry {
             tag: gpa >> SHIFT << SHIFT,
             host_base,
-            generation,
         });
+    }
+
+    /// Invalidate every entry whose leaf shares a byte with `range`.
+    fn drop_overlapping(&self, range: &PhysRange) {
+        for slot in &self.0 {
+            let tag = slot.get().tag;
+            if tag != WalkCacheEntry::INVALID.tag
+                && range.overlaps(&PhysRange::new(HostPhysAddr::new(tag), 1 << SHIFT))
+            {
+                slot.set(WalkCacheEntry::INVALID);
+            }
+        }
+    }
+
+    fn clear(&self) {
+        for slot in &self.0 {
+            slot.set(WalkCacheEntry::INVALID);
+        }
     }
 }
 
@@ -290,23 +344,64 @@ impl WalkCache {
             e4k: LeafClass::new(),
             e2m: LeafClass::new(),
             e1g: LeafClass::new(),
+            synced: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
+            full_flushes: Cell::new(0),
         }
     }
 
-    /// Look up the host-physical address for `gpa` given the current EPT
-    /// generation. Hits return the translated address with zero loads. The
-    /// classes are probed in turn; one lookup counts one hit or one miss.
+    /// Bring the cache up to `ept`'s current generation: drop what the
+    /// unmaps since the last sync removed. Call once at the start of each
+    /// guest walk, before the first [`lookup`](Self::lookup); with no unmap
+    /// in between this is one atomic load.
     #[inline]
-    pub fn lookup(&self, gpa: u64, generation: u64) -> Option<u64> {
+    pub fn sync(&self, ept: &Ept) {
+        if ept.generation() != self.synced.get() {
+            self.catch_up(ept);
+        }
+    }
+
+    #[cold]
+    fn catch_up(&self, ept: &Ept) {
+        // Holding the lock keeps the slots being replayed from being reused
+        // and the generation still.
+        let log = ept.unmap_log.lock();
+        let current = ept.generation.load(Ordering::Relaxed);
+        let synced = self.synced.get();
+        let logged = synced != 0
+            && current
+                .checked_sub(synced)
+                .is_some_and(|behind| behind <= UNMAP_LOG_SLOTS as u64);
+        if logged {
+            for generation in synced + 1..=current {
+                let range = &log[generation as usize % UNMAP_LOG_SLOTS];
+                self.e4k.drop_overlapping(range);
+                self.e2m.drop_overlapping(range);
+                self.e1g.drop_overlapping(range);
+            }
+        } else {
+            self.e4k.clear();
+            self.e2m.clear();
+            self.e1g.clear();
+            self.full_flushes.set(self.full_flushes.get() + 1);
+        }
+        self.synced.set(current);
+    }
+
+    /// Look up the host-physical address for `gpa` as of the last
+    /// [`sync`](Self::sync). Hits return the translated address with zero
+    /// loads. The classes are probed in turn; one lookup counts one hit or
+    /// one miss.
+    #[inline]
+    pub fn lookup(&self, gpa: u64) -> Option<u64> {
         // 2 MiB first: enclave memory is granted in large contiguous runs,
         // so that is the leaf size guest PT pages normally sit under.
         let hit = self
             .e2m
-            .probe(gpa, generation)
-            .or_else(|| self.e4k.probe(gpa, generation))
-            .or_else(|| self.e1g.probe(gpa, generation));
+            .probe(gpa)
+            .or_else(|| self.e4k.probe(gpa))
+            .or_else(|| self.e1g.probe(gpa));
         let tally = if hit.is_some() {
             &self.hits
         } else {
@@ -317,14 +412,15 @@ impl WalkCache {
     }
 
     /// Install the whole EPT leaf that translated `gpa` — `leaf` is what
-    /// [`Ept::translate`] returned for it — under `generation`.
+    /// [`Ept::translate`] returned for it since the last
+    /// [`sync`](Self::sync).
     #[inline]
-    pub fn insert(&self, gpa: u64, leaf: &Translation, generation: u64) {
+    pub fn insert(&self, gpa: u64, leaf: &Translation) {
         let host_base = leaf.page_base.raw();
         match leaf.page_size {
-            PAGE_SIZE_4K => self.e4k.fill(gpa, host_base, generation),
-            PAGE_SIZE_2M => self.e2m.fill(gpa, host_base, generation),
-            PAGE_SIZE_1G => self.e1g.fill(gpa, host_base, generation),
+            PAGE_SIZE_4K => self.e4k.fill(gpa, host_base),
+            PAGE_SIZE_2M => self.e2m.fill(gpa, host_base),
+            PAGE_SIZE_1G => self.e1g.fill(gpa, host_base),
             size => panic!("unsupported EPT leaf size {size:#x}"),
         }
     }
@@ -332,6 +428,12 @@ impl WalkCache {
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
+    }
+
+    /// Syncs that had to clear everything because the unmap log no longer
+    /// covered the gap; a cache's first sync is one of them.
+    pub fn full_flushes(&self) -> u64 {
+        self.full_flushes.get()
     }
 }
 
@@ -466,59 +568,122 @@ mod tests {
     }
 
     #[test]
-    fn walk_cache_hits_within_generation() {
+    fn walk_cache_hits_within_the_inserted_leaf() {
         let c = WalkCache::new();
-        c.insert(0x5000 + 8, &leaf(0x9000, PAGE_SIZE_4K), 1);
-        assert_eq!(c.lookup(0x5010, 1), Some(0x9010));
-        assert_eq!(c.lookup(0x5ff8, 1), Some(0x9ff8));
+        c.insert(0x5000 + 8, &leaf(0x9000, PAGE_SIZE_4K));
+        assert_eq!(c.lookup(0x5010), Some(0x9010));
+        assert_eq!(c.lookup(0x5ff8), Some(0x9ff8));
         let (h, m) = c.stats();
         assert_eq!((h, m), (2, 0));
-    }
-
-    #[test]
-    fn walk_cache_invalidated_by_generation_bump() {
-        let c = WalkCache::new();
-        c.insert(0x5000, &leaf(0x9000, PAGE_SIZE_4K), 1);
-        assert!(c.lookup(0x5000, 2).is_none(), "stale generation must miss");
-        // Refill under the new generation works.
-        c.insert(0x5000, &leaf(0xa000, PAGE_SIZE_4K), 2);
-        assert_eq!(c.lookup(0x5000, 2), Some(0xa000));
     }
 
     #[test]
     fn walk_cache_entry_covers_its_whole_leaf_and_nothing_else() {
         let c = WalkCache::new();
         let (gpa, host) = (3 * PAGE_SIZE_1G + 5 * PAGE_SIZE_2M, 7 * PAGE_SIZE_2M);
-        c.insert(gpa + 0x1238, &leaf(host, PAGE_SIZE_2M), 1);
-        assert_eq!(c.lookup(gpa, 1), Some(host));
+        c.insert(gpa + 0x1238, &leaf(host, PAGE_SIZE_2M));
+        assert_eq!(c.lookup(gpa), Some(host));
         assert_eq!(
-            c.lookup(gpa + PAGE_SIZE_2M - 8, 1),
+            c.lookup(gpa + PAGE_SIZE_2M - 8),
             Some(host + PAGE_SIZE_2M - 8)
         );
-        assert_eq!(c.lookup(gpa - 8, 1), None);
-        assert_eq!(c.lookup(gpa + PAGE_SIZE_2M, 1), None);
+        assert_eq!(c.lookup(gpa - 8), None);
+        assert_eq!(c.lookup(gpa + PAGE_SIZE_2M), None);
         // One lookup is one hit or one miss, however many classes it probed.
         assert_eq!(c.stats(), (2, 2));
     }
 
-    #[test]
-    fn walk_cache_tracks_ept_generation_end_to_end() {
-        let (mem, ept) = setup();
-        let r = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
-        ept.map_identity(r, 2).unwrap();
-        let c = WalkCache::new();
-        let gpa = r.start.raw() + 64;
-        let t = ept
-            .translate(GuestPhysAddr::new(gpa), Access::Read, &DirectLoad(&mem))
+    /// Map `slots` consecutive 2 MiB leaves and cache all of them the way a
+    /// walk would: sync, miss, translate, insert.
+    fn cached_2m_leaves(mem: &PhysMemory, ept: &Ept, c: &WalkCache, slots: u64) -> PhysRange {
+        let r = mem
+            .alloc(ZoneId(0), slots * PAGE_SIZE_2M, PAGE_SIZE_2M)
             .unwrap();
-        c.insert(gpa, &t, ept.generation());
-        assert_eq!(c.lookup(gpa, ept.generation()), Some(t.pa.raw()));
-        // The reclaim's generation bump kills the cached translation
-        // without any explicit invalidation.
-        ept.unmap(r).unwrap();
-        assert!(c.lookup(gpa, ept.generation()).is_none());
+        ept.map_identity(r, 2).unwrap();
+        c.sync(ept);
+        for slot in 0..slots {
+            let gpa = r.start.raw() + slot * PAGE_SIZE_2M + 64;
+            assert_eq!(c.lookup(gpa), None);
+            let t = ept
+                .translate(GuestPhysAddr::new(gpa), Access::Read, &DirectLoad(mem))
+                .unwrap();
+            c.insert(gpa, &t);
+        }
+        r
     }
 
+    fn sub(r: PhysRange, offset: u64, len: u64) -> PhysRange {
+        PhysRange::new(r.start.add(offset), len)
+    }
+
+    #[test]
+    fn sync_drops_what_an_unmap_removed_and_keeps_the_rest() {
+        let (mem, ept) = setup();
+        let c = WalkCache::new();
+        let r = cached_2m_leaves(&mem, &ept, &c, 3);
+        let at = |slot: u64| r.start.raw() + slot * PAGE_SIZE_2M + 4096;
+        assert_eq!(c.full_flushes(), 1, "the cold first sync");
+
+        ept.unmap(sub(r, PAGE_SIZE_2M, PAGE_SIZE_2M)).unwrap();
+        // Not yet synced: the walk in flight keeps the view it started with.
+        assert_eq!(c.lookup(at(1)), Some(at(1)));
+        c.sync(&ept);
+        assert_eq!(c.lookup(at(1)), None, "the reclaimed leaf is gone");
+        assert_eq!(c.lookup(at(0)), Some(at(0)), "its neighbours still hit");
+        assert_eq!(c.lookup(at(2)), Some(at(2)));
+        assert_eq!(c.full_flushes(), 1, "a logged unmap needs no full clear");
+    }
+
+    #[test]
+    fn sync_drops_the_whole_entry_of_a_split_leaf() {
+        let (mem, ept) = setup();
+        let c = WalkCache::new();
+        let r = cached_2m_leaves(&mem, &ept, &c, 2);
+        // One page out of the first leaf: the radix engine splits it, and
+        // the 2 MiB entry no longer describes a leaf that exists.
+        ept.unmap(sub(r, 16 * PAGE_SIZE_4K, PAGE_SIZE_4K)).unwrap();
+        c.sync(&ept);
+        assert_eq!(c.lookup(r.start.raw() + 16 * PAGE_SIZE_4K), None);
+        assert_eq!(c.lookup(r.start.raw()), None, "surviving part included");
+        let other = r.start.raw() + PAGE_SIZE_2M;
+        assert_eq!(c.lookup(other), Some(other));
+    }
+
+    #[test]
+    fn sync_clears_everything_once_the_log_has_wrapped() {
+        let (mem, ept) = setup();
+        let c = WalkCache::new();
+        let r = cached_2m_leaves(&mem, &ept, &c, 2);
+        let (reclaimed, kept) = (r.start.raw(), r.start.raw() + PAGE_SIZE_2M);
+        let slots = UNMAP_LOG_SLOTS as u64;
+        let scratch = mem
+            .alloc(ZoneId(0), slots * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        // Unmap the first leaf, then `more` unrelated pages, unsynced.
+        let fall_behind = |more: u64| {
+            ept.map_identity(scratch, 1).unwrap();
+            ept.unmap(sub(r, 0, PAGE_SIZE_2M)).unwrap();
+            for page in 0..more {
+                ept.unmap(sub(scratch, page * PAGE_SIZE_4K, PAGE_SIZE_4K))
+                    .unwrap();
+            }
+        };
+
+        fall_behind(slots - 1);
+        c.sync(&ept);
+        assert_eq!(c.full_flushes(), 1, "a full ring is still replayed");
+        assert_eq!(c.lookup(reclaimed), None);
+        assert_eq!(c.lookup(kept), Some(kept));
+
+        fall_behind(slots);
+        c.sync(&ept);
+        assert_eq!(c.full_flushes(), 2, "one unmap too many to replay");
+        assert_eq!(c.lookup(kept), None, "overflow degrades to a full clear");
+    }
+
+    // The stand-in `ProptestConfig` has one field; `..default()` keeps the
+    // block compatible with the real crate.
+    #[allow(clippy::needless_update)]
     mod leaf_cache_props {
         use super::*;
         use proptest::prelude::*;
@@ -538,18 +703,16 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-            /// Drive the cache the way `NestedLoad` does (sample the
-            /// generation, look up, on a miss translate and insert the
-            /// leaf) against random map/unmap sequences mixing 4 KiB,
-            /// 2 MiB and 1 GiB leaves. Every hit must equal a fresh
-            /// `Ept::translate` at the current generation — so an unmapped
-            /// address can never hit — and right after an unmap nothing
-            /// inside any leaf it touched may hit, the surviving part of a
-            /// split leaf included.
+            /// Drive the cache the way `NestedLoad` does (sync, look up, on
+            /// a miss translate and insert the leaf) against random
+            /// map/unmap sequences mixing 4 KiB, 2 MiB and 1 GiB leaves,
+            /// with any number of unmaps — at times more than the log holds
+            /// — between two walks. After every sync no point inside a range
+            /// unmapped since the previous one may hit, and every hit
+            /// anywhere must equal a fresh `Ept::translate`.
             #[test]
-            #[allow(clippy::needless_update)]
-            fn hits_match_the_live_ept_and_unmapped_leaves_never_hit(
-                ops in proptest::collection::vec((0u8..12, 0u64..2, 0u64..4, 0u64..8), 1..200),
+            fn hits_match_the_live_ept_and_unmapped_ranges_never_hit(
+                ops in proptest::collection::vec((0u8..16, 0u64..2, 0u64..4, 0u64..8), 1..200),
             ) {
                 // Two GiB slots above the memory `setup` builds: the EPT
                 // maps addresses, so the arena needs no backing.
@@ -559,13 +722,15 @@ mod tests {
                 let translate =
                     |gpa: u64| ept.translate(GuestPhysAddr::new(gpa), Access::Read, &load);
                 let cache = WalkCache::new();
+                let range = |start, len| PhysRange::new(HostPhysAddr::new(start), len);
+                // Unmapped since the cache last synced.
+                let mut unsynced: Vec<PhysRange> = Vec::new();
 
                 for (kind, g, m, p) in ops {
                     let page = point(arena, (g, m, p));
                     let slot_2m = point(arena, (g, m, 0));
                     let slot_1g = point(arena, (g, 0, 0));
-                    let range = |start, len| PhysRange::new(HostPhysAddr::new(start), len);
-                    let r = match kind {
+                    let unmaps = match kind {
                         // A map that collides with a larger leaf is
                         // refused; the sequence just carries on.
                         0..=2 => {
@@ -574,46 +739,47 @@ mod tests {
                             let _ = ept.map_identity(range(start, level_page_size(level)), level);
                             continue;
                         }
-                        3 => range(page, PAGE_SIZE_4K),
-                        4 => range(slot_2m, PAGE_SIZE_2M),
+                        3 => vec![range(page, PAGE_SIZE_4K)],
+                        4 => vec![range(slot_2m, PAGE_SIZE_2M)],
                         // The lower half only: splits a 2 MiB leaf.
-                        5 => range(slot_2m, PAGE_SIZE_2M / 2),
+                        5 => vec![range(slot_2m, PAGE_SIZE_2M / 2)],
+                        6 => vec![range(slot_1g, PAGE_SIZE_1G)],
+                        // Every sample page of one GiB slot, one unmap
+                        // each: more than the log holds.
+                        7 => points(arena)
+                            .filter(|gpa| range(slot_1g, PAGE_SIZE_1G).contains(HostPhysAddr::new(*gpa)))
+                            .map(|gpa| range(gpa, PAGE_SIZE_4K))
+                            .collect(),
                         _ => {
+                            cache.sync(&ept);
+                            for gpa in points(arena) {
+                                let hit = cache.lookup(gpa);
+                                if unsynced.iter().any(|r| r.contains(HostPhysAddr::new(gpa))) {
+                                    prop_assert_eq!(
+                                        hit, None,
+                                        "{:#x} hits after a sync that followed its unmap", gpa
+                                    );
+                                }
+                                if hit.is_some() {
+                                    prop_assert_eq!(
+                                        translate(gpa).map(|t| t.pa.raw()).ok(), hit,
+                                        "hit at {:#x} disagrees with the live EPT", gpa
+                                    );
+                                }
+                            }
+                            unsynced.clear();
                             let gpa = page + 8 * (g + m + p);
-                            let generation = ept.generation();
-                            match cache.lookup(gpa, generation) {
-                                Some(host) => prop_assert_eq!(
-                                    translate(gpa).map(|t| t.pa.raw()).ok(),
-                                    Some(host),
-                                    "hit at {:#x} disagrees with the live EPT", gpa
-                                ),
-                                None => {
-                                    if let Ok(t) = translate(gpa) {
-                                        cache.insert(gpa, &t, generation);
-                                    }
+                            if cache.lookup(gpa).is_none() {
+                                if let Ok(t) = translate(gpa) {
+                                    cache.insert(gpa, &t);
                                 }
                             }
                             continue;
                         }
                     };
-                    // The leaves the unmap is about to touch, whole.
-                    let touched: Vec<(u64, u64)> = points(arena)
-                        .filter(|gpa| r.contains(HostPhysAddr::new(*gpa)))
-                        .filter_map(|gpa| translate(gpa).ok())
-                        .map(|t| (t.page_base.raw(), t.page_size))
-                        .collect();
-                    ept.unmap(r).unwrap();
-                    let generation = ept.generation();
-                    for (base, size) in touched {
-                        for gpa in points(arena).chain([base + size - 8]) {
-                            if (base..base + size).contains(&gpa) {
-                                prop_assert_eq!(
-                                    cache.lookup(gpa, generation), None,
-                                    "{:#x} hits after an unmap touched its {:#x}-byte leaf",
-                                    gpa, size
-                                );
-                            }
-                        }
+                    for r in unmaps {
+                        ept.unmap(r).unwrap();
+                        unsynced.push(r);
                     }
                 }
             }

@@ -1239,6 +1239,9 @@ mod tests {
         assert_eq!(cmp.deltas[0].verdict, Verdict::Ungated);
     }
 
+    // The stand-in `ProptestConfig` has one field; `..default()` keeps the
+    // block compatible with the real crate.
+    #[allow(clippy::needless_update)]
     mod props {
         use super::*;
         use proptest::prelude::*;

@@ -22,6 +22,9 @@ pub enum Counter {
     WalkLoads,
     WalkCacheHits,
     WalkCacheMisses,
+    /// Walk-cache syncs that cleared every entry (EPT unmap log overrun,
+    /// or a core's first sync).
+    WalkCacheFullFlushes,
     ResolveHits,
     ResolveMisses,
     // Interrupts.
@@ -55,13 +58,14 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 29] = [
         Counter::Reads,
         Counter::Writes,
         Counter::Walks,
         Counter::WalkLoads,
         Counter::WalkCacheHits,
         Counter::WalkCacheMisses,
+        Counter::WalkCacheFullFlushes,
         Counter::ResolveHits,
         Counter::ResolveMisses,
         Counter::IpisSent,
@@ -95,6 +99,7 @@ impl Counter {
             Counter::WalkLoads => "walk_loads",
             Counter::WalkCacheHits => "walk_cache_hits",
             Counter::WalkCacheMisses => "walk_cache_misses",
+            Counter::WalkCacheFullFlushes => "walk_cache_full_flushes",
             Counter::ResolveHits => "resolve_hits",
             Counter::ResolveMisses => "resolve_misses",
             Counter::IpisSent => "ipis_sent",
@@ -359,7 +364,7 @@ impl MetricsRegistry {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("== metrics registry ==\n");
-        out.push_str(&format!("{:<20} {:>12}  per-lane\n", "counter", "total"));
+        out.push_str(&format!("{:<24} {:>12}  per-lane\n", "counter", "total"));
         for c in Counter::ALL {
             let total = self.counter_total(c);
             if total == 0 {
@@ -371,7 +376,7 @@ impl MetricsRegistry {
                 .map(|s| s.counters[c as usize].load(Ordering::Relaxed).to_string())
                 .collect();
             out.push_str(&format!(
-                "{:<20} {:>12}  [{}]\n",
+                "{:<24} {:>12}  [{}]\n",
                 c.name(),
                 total,
                 lanes.join(", ")

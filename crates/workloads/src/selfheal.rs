@@ -310,4 +310,14 @@ mod tests {
             r.events_to_remediate
         );
     }
+
+    /// The guest's containment path and the tailer's remediation report the
+    /// same fault from two threads; whichever loses must leave the reclaim
+    /// to the other (a double free panics in the allocator).
+    #[test]
+    fn fault_run_survives_its_racing_fault_reports() {
+        for run in 0..50 {
+            assert!(fault_run().quarantined(), "run {run}");
+        }
+    }
 }

@@ -85,7 +85,7 @@ mod tests {
     /// the end *down* past the segment's last byte.
     #[test]
     fn page_frame_list_at_top_of_address_space() {
-        let top_page = u64::MAX & !(PAGE_SIZE_4K - 1);
+        let top_page = !(PAGE_SIZE_4K - 1);
         let s = SegmentInfo {
             segid: SegmentId(3),
             name: "top".into(),

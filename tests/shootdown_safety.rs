@@ -167,3 +167,97 @@ fn oversized_reclaim_falls_back_to_full_flush() {
     );
     assert_eq!(g.tlb_stats().range_flushes, 0);
 }
+
+/// The walk cache's half of a reclaim: the nested translations inside the
+/// reclaimed range are dropped, the unrelated ones — the guest's own
+/// page-table pages included — keep hitting, and nothing is cleared
+/// wholesale.
+#[test]
+fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
+    use covirt_suite::simhw::addr::GuestPhysAddr;
+    use covirt_suite::simhw::ept::WalkCache;
+    use covirt_suite::simhw::paging::{Access, DirectLoad};
+
+    let (node, master, ctl) = world();
+    let req = covirt_suite::pisces::resources::ResourceRequest::new(
+        vec![CoreId(2)],
+        vec![(ZoneId(0), 64 * 1024 * 1024)],
+    );
+    let (e, k) = master.bring_up_enclave("w", &req).unwrap();
+    let mut g = GuestCore::launch_covirt(
+        Arc::clone(&node),
+        Arc::clone(&k),
+        Arc::clone(&ctl),
+        2,
+        TlbParams::default(),
+    )
+    .unwrap();
+    ctl.set_flush_spins(50_000_000);
+
+    let grant = || {
+        let r = master
+            .pisces()
+            .add_memory(&e, ZoneId(0), 2 * 1024 * 1024)
+            .unwrap();
+        k.poll_ctrl().unwrap();
+        master.pisces().process_acks(&e).unwrap();
+        r
+    };
+    let (reclaimed, kept) = (grant(), grant());
+    g.write_u64(reclaimed.start.raw(), 0xa).unwrap();
+
+    // A cache filled the way a core fills its own, holding both grants'
+    // leaves (the guest's page tables do not live in granted memory, so
+    // the core's own cache never holds these).
+    let ept = ctl.context(e.id.0).unwrap().ept.clone().unwrap();
+    let cache = WalkCache::new();
+    cache.sync(&ept);
+    for r in [reclaimed, kept] {
+        let gpa = r.start.raw() + 0x40;
+        let leaf = ept
+            .translate(
+                GuestPhysAddr::new(gpa),
+                Access::Read,
+                &DirectLoad(&node.mem),
+            )
+            .unwrap();
+        cache.insert(gpa, &leaf);
+    }
+    let before = g.counters();
+
+    master
+        .pisces()
+        .request_remove_memory(&e, reclaimed)
+        .unwrap();
+    k.poll_ctrl().unwrap();
+    std::thread::scope(|s| {
+        let acks = s.spawn(|| {
+            while e.resources().mem.contains(&reclaimed) {
+                master.pisces().process_acks(&e).unwrap();
+                std::thread::yield_now();
+            }
+        });
+        while !acks.is_finished() {
+            g.poll().unwrap();
+            std::thread::yield_now();
+        }
+    });
+
+    // Kept: the first touch of the other grant walks through the same
+    // guest PT pages, and every one of their lines still hits.
+    g.write_u64(kept.start.raw(), 0xb).unwrap();
+    let after = g.counters();
+    assert_eq!(after.walks, before.walks + 1);
+    assert_eq!(after.walk_cache_misses, before.walk_cache_misses);
+    assert!(after.walk_cache_hits > before.walk_cache_hits);
+    assert_eq!(after.walk_cache_full_flushes, 1, "the cold sync only");
+
+    // Dropped: the next sync removes the reclaimed leaf and only that.
+    cache.sync(&ept);
+    assert_eq!(cache.lookup(reclaimed.start.raw() + 0x40), None);
+    assert_eq!(
+        cache.lookup(kept.start.raw() + 0x40),
+        Some(kept.start.raw() + 0x40)
+    );
+    assert_eq!(cache.full_flushes(), 1);
+}
