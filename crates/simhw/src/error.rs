@@ -1,6 +1,6 @@
 //! Error type shared by the hardware model.
 
-use crate::addr::{GuestPhysAddr, GuestVirtAddr, HostPhysAddr};
+use crate::addr::{GuestPhysAddr, GuestVirtAddr, HostPhysAddr, PhysRange};
 use std::fmt;
 
 /// Errors raised by the simulated hardware.
@@ -22,6 +22,12 @@ pub enum HwError {
     NoSuchCore(usize),
     /// Attempt to free or operate on a region that is not allocated.
     NotAllocated(HostPhysAddr),
+    /// Attempt to free a range that is (in part) already free: it overlaps
+    /// a free extent, or is larger than everything its zone has out.
+    DoubleFree {
+        /// The range whose free was refused.
+        range: PhysRange,
+    },
     /// A page-table walk failed (not-present entry) at the given level.
     PageNotPresent {
         /// Faulting guest-virtual address.
@@ -62,6 +68,7 @@ impl fmt::Display for HwError {
             HwError::NoSuchZone(z) => write!(f, "no such NUMA zone: {z}"),
             HwError::NoSuchCore(c) => write!(f, "no such core: {c}"),
             HwError::NotAllocated(a) => write!(f, "region at {a} is not allocated"),
+            HwError::DoubleFree { range } => write!(f, "double free of {range:?}"),
             HwError::PageNotPresent { gva, level } => {
                 write!(f, "page not present for {gva} at level {level}")
             }

@@ -17,7 +17,8 @@
 //! published RCU-style: writers (grant/reclaim/XEMEM — all control-plane,
 //! all rare) build a new sorted snapshot under a small per-zone writer
 //! mutex and swap one pointer; readers take no lock at all — one atomic
-//! pointer load plus a binary search. A publish in one zone never touches
+//! pointer load, one load from the snapshot's bucket table and a binary
+//! search of that bucket's few regions. A publish in one zone never touches
 //! another zone's snapshot or generation, so one enclave's grant/reclaim
 //! churn cannot invalidate resolves (or region caches) in a sibling zone.
 //!
@@ -43,7 +44,7 @@
 //! attached — and skips even the snapshot search, with reclaim safety by
 //! generation mismatch.
 
-use crate::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_4K};
+use crate::addr::{HostPhysAddr, PhysRange, PAGE_SHIFT_2M, PAGE_SIZE_4K};
 use crate::backing::Backing;
 use crate::error::{HwError, HwResult};
 use crate::topology::ZoneId;
@@ -81,6 +82,8 @@ const RETIRE_YIELD_BUDGET: u32 = 64;
 struct ZoneAllocator {
     /// start -> len of free extents, keyed by start for coalescing.
     free: BTreeMap<u64, u64>,
+    /// First byte of the zone's RAM.
+    base: u64,
     total: u64,
     in_use: u64,
 }
@@ -92,6 +95,7 @@ impl ZoneAllocator {
         free.insert(base, bytes);
         ZoneAllocator {
             free,
+            base,
             total: bytes,
             in_use: 0,
         }
@@ -123,15 +127,40 @@ impl ZoneAllocator {
         Some(PhysRange::new(HostPhysAddr::new(alloc_at), len))
     }
 
-    fn free(&mut self, range: PhysRange) {
+    /// Whether `range` can be returned: inside the zone's RAM, overlapping
+    /// no free extent (neither the one before it nor the one after), and
+    /// no larger than what is out — the guard on `free`'s subtraction,
+    /// which the first two already imply while the free list and `in_use`
+    /// agree. `range` is non-empty and does not wrap
+    /// (`PhysMemory::range_zone`).
+    fn check_free(&self, range: &PhysRange) -> HwResult<()> {
+        let (start, end) = (range.start.raw(), range.end().raw());
+        if start < self.base || end > self.base + self.total {
+            return Err(HwError::NotAllocated(range.start));
+        }
+        let prev_overlaps = self
+            .free
+            .range(..start)
+            .next_back()
+            .is_some_and(|(&pstart, &plen)| pstart + plen > start);
+        let next_overlaps = self
+            .free
+            .range(start..)
+            .next()
+            .is_some_and(|(&nstart, _)| nstart < end);
+        if prev_overlaps || next_overlaps || range.len > self.in_use {
+            return Err(HwError::DoubleFree { range: *range });
+        }
+        Ok(())
+    }
+
+    /// Return `range` to the free list; a refused free edits nothing.
+    fn free(&mut self, range: PhysRange) -> HwResult<()> {
+        self.check_free(&range)?;
         let mut start = range.start.raw();
         let mut len = range.len;
         // Coalesce with the previous extent if adjacent.
         if let Some((&pstart, &plen)) = self.free.range(..start).next_back() {
-            assert!(
-                pstart + plen <= start,
-                "double free overlapping previous extent"
-            );
             if pstart + plen == start {
                 self.free.remove(&pstart);
                 start = pstart;
@@ -147,6 +176,7 @@ impl ZoneAllocator {
         }
         self.free.insert(start, len);
         self.in_use -= range.len;
+        Ok(())
     }
 }
 
@@ -157,22 +187,139 @@ struct Populated {
     backing: Arc<Backing>,
 }
 
+impl Populated {
+    /// The backing keep-alive and `addr`'s offset into it (`addr` lies in
+    /// `range`).
+    #[inline]
+    fn pin(&self, addr: HostPhysAddr) -> (Arc<Backing>, usize) {
+        (
+            Arc::clone(&self.backing),
+            (addr.raw() - self.range.start.raw()) as usize,
+        )
+    }
+}
+
+/// Whether `range` holds all of `addr .. addr + len`. A `len` that carries
+/// the sum past `u64::MAX` is held by nothing — unchecked, the wrapped sum
+/// would pass for a small one.
+#[inline]
+fn covers_access(range: &PhysRange, addr: HostPhysAddr, len: u64) -> bool {
+    range.contains(addr)
+        && addr
+            .raw()
+            .checked_add(len)
+            .is_some_and(|end| end <= range.end().raw())
+}
+
+/// Narrowest bucket of a snapshot's table: 2 MiB, the alignment
+/// `PiscesHost::add_memory` gives every grant, so an enclave built from
+/// many small grants has one region start per bucket.
+const BUCKET_SHIFT_MIN: u32 = PAGE_SHIFT_2M;
+
+/// Most buckets one table may hold (a 16 KiB table, 8 GiB of span at the
+/// narrowest width); a wider populated span doubles the bucket width until
+/// it fits.
+const MAX_BUCKETS: u64 = 4096;
+
 /// An immutable view of one zone's populated regions, sorted by start
-/// address. Writers publish a fresh snapshot with a single pointer swap;
-/// readers binary-search whichever snapshot they loaded. `generation`
-/// identifies the snapshot uniquely within its zone (it increments on
-/// every publish to that zone), so a cached `(generation, region)` pair is
-/// current iff the generation still equals the zone's generation.
+/// address, and a bucket table over their starts. Writers publish a fresh
+/// snapshot with a single pointer swap; readers search whichever snapshot
+/// they loaded. `generation` identifies the snapshot uniquely within its
+/// zone (it increments on every publish to that zone), so a cached
+/// `(generation, region)` pair is current iff the generation still equals
+/// the zone's generation.
+///
+/// The table cuts the span from the first region's start to the last
+/// region's start into `1 << bucket_shift`-byte buckets and holds, per
+/// bucket boundary, how many regions start below it: `starts_below[b]..
+/// starts_below[b + 1]` indexes the regions that start in bucket `b`. It is
+/// built once, in [`RegionSnapshot::new`], from the list it is stored
+/// beside, and neither changes afterwards — a reader that holds a snapshot
+/// can never pair the table of one publish with the list of another.
 struct RegionSnapshot {
     generation: u64,
     regions: Vec<Populated>,
+    /// Start of bucket 0: the first region's start, rounded down to the
+    /// bucket width.
+    bucket_base: u64,
+    bucket_shift: u32,
+    /// Buckets + 1 prefix counts (empty for an empty snapshot).
+    starts_below: Box<[u32]>,
 }
 
 impl RegionSnapshot {
-    /// The region with the greatest start `<= addr`, if any. The caller
-    /// still has to bounds-check `addr` against the region's end.
+    /// Index `regions` (sorted by start, disjoint): one allocation sized
+    /// to the populated span and one pass over the list.
+    fn new(generation: u64, regions: Vec<Populated>) -> Self {
+        let start = |p: &Populated| p.range.start.raw();
+        let (Some(first), Some(last)) = (regions.first().map(start), regions.last().map(start))
+        else {
+            return RegionSnapshot {
+                generation,
+                regions,
+                bucket_base: 0,
+                bucket_shift: BUCKET_SHIFT_MIN,
+                starts_below: Box::default(),
+            };
+        };
+        assert!(
+            regions.len() <= u32::MAX as usize,
+            "region count overflows the bucket table's u32 counts"
+        );
+        let mut shift = BUCKET_SHIFT_MIN;
+        while (last >> shift) - (first >> shift) >= MAX_BUCKETS {
+            shift += 1;
+        }
+        let first_bucket = first >> shift;
+        let buckets = ((last >> shift) - first_bucket + 1) as usize;
+        let mut starts_below = Vec::with_capacity(buckets + 1);
+        for (i, p) in regions.iter().enumerate() {
+            // Every boundary up to this region's bucket has `i` starts
+            // below it.
+            let bucket = ((start(p) >> shift) - first_bucket) as usize;
+            starts_below.resize(bucket + 1, i as u32);
+        }
+        starts_below.push(regions.len() as u32);
+        RegionSnapshot {
+            generation,
+            bucket_base: first_bucket << shift,
+            bucket_shift: shift,
+            starts_below: starts_below.into_boxed_slice(),
+            regions,
+        }
+    }
+
+    /// The region with the greatest start `<= addr`, if any, and the
+    /// dependent loads made to find it (see
+    /// [`ZoneStats::search_depth_total`]). The caller still has to
+    /// bounds-check `addr` against the region's end.
+    ///
+    /// Addresses outside the table clamp to its first or last bucket. Below
+    /// the first bucket no start is `<= addr`, and bucket 0's search says
+    /// so; above the last one every start is, and the last bucket's search
+    /// ends on the last region (which starts in it). A bucket with no
+    /// start answers with its predecessor — the region that starts in an
+    /// earlier bucket and may reach into this one.
     #[inline]
-    fn find(&self, addr: u64) -> Option<&Populated> {
+    fn find(&self, addr: u64) -> (Option<&Populated>, u64) {
+        let Some(last_bucket) = self.starts_below.len().checked_sub(2) else {
+            return (None, 0);
+        };
+        let bucket = (addr.saturating_sub(self.bucket_base) >> self.bucket_shift)
+            .min(last_bucket as u64) as usize;
+        let lo = self.starts_below[bucket] as usize;
+        let hi = self.starts_below[bucket + 1] as usize;
+        let idx = lo + self.regions[lo..hi].partition_point(|p| p.range.start.raw() <= addr);
+        // One load for the table entry, then the binary search's
+        // `floor(log2 k) + 1` over the bucket's `k` starts — or, with none
+        // to search, the one load of the predecessor's entry.
+        let probes = 1 + (usize::BITS - (hi - lo).leading_zeros()).max(1);
+        (self.regions[..idx].last(), u64::from(probes))
+    }
+
+    /// The whole-list search `find` must agree with.
+    #[cfg(test)]
+    fn find_reference(&self, addr: u64) -> Option<&Populated> {
         let idx = self
             .regions
             .partition_point(|p| p.range.start.raw() <= addr);
@@ -239,10 +386,7 @@ struct ZoneShard {
 
 impl ZoneShard {
     fn new(zone: usize, bytes: u64) -> Self {
-        let first = Box::new(RegionSnapshot {
-            generation: 1,
-            regions: Vec::new(),
-        });
+        let first = Box::new(RegionSnapshot::new(1, Vec::new()));
         ZoneShard {
             alloc: Mutex::new(ZoneAllocator::new(zone, bytes)),
             current: AtomicPtr::new(Box::into_raw(first)),
@@ -287,8 +431,8 @@ impl ZoneShard {
 /// Per-zone counters mirrored out of a shard (see
 /// [`PhysMemory::zone_stats`]). `resolve_misses` counts snapshot searches
 /// (every resolve that was not served by a [`RegionCache`] hit);
-/// `search_depth_total / resolve_misses` approximates the average
-/// binary-search probe depth.
+/// `search_depth_total / resolve_misses` is the average number of
+/// dependent loads one search made.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ZoneStats {
     /// Snapshots published into this zone.
@@ -304,12 +448,19 @@ pub struct ZoneStats {
     pub resolve_hits: u64,
     /// Snapshot searches (resolves not served by a region cache).
     pub resolve_misses: u64,
-    /// Cumulative binary-search probe depth across all searches.
+    /// Dependent loads made to find the candidate region, summed over all
+    /// searches. One probe is one load whose address hangs on the previous
+    /// one's value: the bucket-table entry for the address (its two
+    /// adjacent counts are one load), then the binary search's `floor(log2
+    /// k) + 1` steps over the `k` regions that start in that bucket — or,
+    /// when none does, the one load of the predecessor's entry. An empty
+    /// snapshot costs nothing. The snapshot header (table base, width and
+    /// the list pointer) is not counted, as the list pointer never was.
     pub search_depth_total: u64,
 }
 
 impl ZoneStats {
-    /// Average binary-search probe depth per snapshot search.
+    /// Average probes (see `search_depth_total`) per snapshot search.
     pub fn avg_search_depth(&self) -> f64 {
         if self.resolve_misses == 0 {
             0.0
@@ -504,15 +655,13 @@ impl PhysMemory {
         }
     }
 
-    /// Account one snapshot search over `n` regions (probe depth is
-    /// `floor(log2 n) + 1` for a non-empty list).
+    /// Account one snapshot search that made `probes` dependent loads (what
+    /// [`RegionSnapshot::find`] reports; 0 for an empty snapshot).
     #[inline]
-    fn note_search(&self, shard: &ZoneShard, n: usize) {
+    fn note_search(shard: &ZoneShard, probes: u64) {
         shard.searches.fetch_add(1, Ordering::Relaxed);
-        if n > 0 {
-            shard
-                .search_depth
-                .fetch_add((usize::BITS - n.leading_zeros()) as u64, Ordering::Relaxed);
+        if probes > 0 {
+            shard.search_depth.fetch_add(probes, Ordering::Relaxed);
         }
     }
 
@@ -580,10 +729,7 @@ impl PhysMemory {
         let out = f(&mut regions)?;
         let next_gen = cur.generation + 1;
         let region_count = regions.len() as u64;
-        let next = Box::new(RegionSnapshot {
-            generation: next_gen,
-            regions,
-        });
+        let next = Box::new(RegionSnapshot::new(next_gen, regions));
         // Publish the generation before the snapshot: a region cache racing
         // with this publish can only *miss* (generation mismatch while the
         // old snapshot is still current), never hit on just-reclaimed data.
@@ -688,16 +834,22 @@ impl PhysMemory {
     }
 
     /// Return the range to its zone's free list (and drop backing if any).
+    /// A range the allocator refuses ([`HwError::DoubleFree`], or
+    /// `NotAllocated` outside the zone's RAM) keeps its backing: nothing is
+    /// depopulated, published or edited.
     pub fn free(&self, range: PhysRange) -> HwResult<()> {
         let zone = self.range_zone(&range)?;
+        // Ask first, and keep the allocator locked until the edit so the
+        // answer cannot go stale in between.
+        let mut alloc = self.shards[zone].alloc.lock();
+        alloc.check_free(&range)?;
         // Bookkeeping-only ranges fail the exact-match depopulate, which
         // then publishes nothing — no spurious generation bump.
         match self.depopulate(range) {
             Ok(()) | Err(HwError::NotAllocated(_)) => {}
             Err(e) => return Err(e),
         }
-        self.shards[zone].alloc.lock().free(range);
-        Ok(())
+        alloc.free(range)
     }
 
     /// The global publish count plus one (its pre-sharding definition:
@@ -724,31 +876,31 @@ impl PhysMemory {
             .sum()
     }
 
+    /// The populated region of snapshot `s` holding all of `addr .. addr +
+    /// len`; every snapshot search goes through here and is accounted to
+    /// `shard`.
     #[inline]
-    fn resolve_in(
-        s: &RegionSnapshot,
+    fn resolve_in<'s>(
+        shard: &ZoneShard,
+        s: &'s RegionSnapshot,
         addr: HostPhysAddr,
         len: u64,
-    ) -> HwResult<(Arc<Backing>, usize)> {
-        let p = s.find(addr.raw()).ok_or(HwError::UnbackedPhys(addr))?;
-        if !p.range.contains(addr) || addr.raw() + len > p.range.end().raw() {
-            return Err(HwError::UnbackedPhys(addr));
-        }
-        Ok((
-            Arc::clone(&p.backing),
-            (addr.raw() - p.range.start.raw()) as usize,
-        ))
+    ) -> HwResult<&'s Populated> {
+        let (found, probes) = s.find(addr.raw());
+        Self::note_search(shard, probes);
+        found
+            .filter(|p| covers_access(&p.range, addr, len))
+            .ok_or(HwError::UnbackedPhys(addr))
     }
 
     /// Resolve a physical address to a host pointer valid for `len` bytes,
     /// plus the backing keep-alive. Fails if the range is not fully inside
-    /// one populated region. Lock-free: one atomic load + binary search in
-    /// the owning zone's shard only.
+    /// one populated region. Lock-free: one atomic load + bucketed search
+    /// in the owning zone's shard only.
     pub fn resolve(&self, addr: HostPhysAddr, len: u64) -> HwResult<(Arc<Backing>, usize)> {
         let zone = self.shard_index(addr)?;
         self.with_zone_snapshot(zone, |s| {
-            self.note_search(&self.shards[zone], s.regions.len());
-            Self::resolve_in(s, addr, len)
+            Self::resolve_in(&self.shards[zone], s, addr, len).map(|p| p.pin(addr))
         })
     }
 
@@ -757,11 +909,7 @@ impl PhysMemory {
     pub fn resolve_region(&self, addr: HostPhysAddr, len: u64) -> HwResult<ResolvedRegion> {
         let zone = self.shard_index(addr)?;
         self.with_zone_snapshot(zone, |s| {
-            self.note_search(&self.shards[zone], s.regions.len());
-            let p = s.find(addr.raw()).ok_or(HwError::UnbackedPhys(addr))?;
-            if !p.range.contains(addr) || addr.raw() + len > p.range.end().raw() {
-                return Err(HwError::UnbackedPhys(addr));
-            }
+            let p = Self::resolve_in(&self.shards[zone], s, addr, len)?;
             Ok(ResolvedRegion {
                 range: p.range,
                 backing: Arc::clone(&p.backing),
@@ -788,8 +936,7 @@ impl PhysMemory {
             .iter()
             .map(|r| {
                 let z = self.shard_index(r.start)?;
-                self.note_search(&self.shards[z], snaps[z].regions.len());
-                Self::resolve_in(snaps[z], r.start, r.len)
+                Self::resolve_in(&self.shards[z], snaps[z], r.start, r.len).map(|p| p.pin(r.start))
             })
             .collect();
         for (shard, slot) in self.shards.iter().zip(slots) {
@@ -887,6 +1034,11 @@ struct CachedWay {
 /// round-robin victim) keep fragmented enclaves — many small grants — from
 /// thrashing the single pinned slot the cache used to be.
 ///
+/// A way pins its region's host memory. Its tag can only fall behind, so a
+/// lookup that passes over a way with a stale tag drops it there and then —
+/// the core's first resolve after a reclaim releases the reclaimed backing,
+/// not the fourth fill after it.
+///
 /// Reclaim safety, plain mode: a hit requires the pinned region's zone
 /// generation to equal the owning zone's *current* generation. Any publish
 /// to that zone — including the reclaim of an unrelated region — bumps it
@@ -981,18 +1133,27 @@ impl RegionCache {
                 None => mem.zone_generation_of(addr),
             };
             if let Some(tag) = tag {
-                let ways = self.ways.borrow();
-                for w in ways.iter().take(self.ways_limit.get()).flatten() {
-                    if w.tag == tag
-                        && w.region.range.contains(addr)
-                        && addr.raw() + len <= w.region.range.end().raw()
+                let mut ways = self.ways.borrow_mut();
+                for slot in ways.iter_mut().take(self.ways_limit.get()) {
+                    let Some(w) = slot else { continue };
+                    if w.tag == tag {
+                        if covers_access(&w.region.range, addr, len) {
+                            self.hits.set(self.hits.get() + 1);
+                            mem.note_cache_hit(addr);
+                            return Ok((
+                                Arc::clone(&w.region.backing),
+                                (addr.raw() - w.region.range.start.raw()) as usize,
+                            ));
+                        }
+                    } else if view_tag.is_some()
+                        || mem.zone_generation_of(w.region.range.start) != Some(w.tag)
                     {
-                        self.hits.set(self.hits.get() + 1);
-                        mem.note_cache_hit(addr);
-                        return Ok((
-                            Arc::clone(&w.region.backing),
-                            (addr.raw() - w.region.range.start.raw()) as usize,
-                        ));
+                        // Generations only grow, so a way behind its view
+                        // (or, in plain mode, behind its own zone — `tag`
+                        // may be another zone's) can never hit again. Drop
+                        // it now: its `Arc` may be the last reference to a
+                        // reclaimed region's host memory.
+                        *slot = None;
                     }
                 }
                 fill = true;
@@ -1392,6 +1553,323 @@ mod tests {
             cache.resolve(&m, r.start, 8),
             Err(HwError::UnbackedPhys(_))
         ));
+    }
+
+    /// What a refused free must leave alone: usage, the free list, the
+    /// zone's generation and its populated regions.
+    fn zone0_state(m: &PhysMemory) -> ((u64, u64), BTreeMap<u64, u64>, u64, Vec<PhysRange>) {
+        (
+            m.zone_usage(ZoneId(0)).unwrap(),
+            m.shards[0].alloc.lock().free.clone(),
+            m.zone_generation(ZoneId(0)).unwrap(),
+            m.with_zone_snapshot(0, |s| s.regions.iter().map(|p| p.range).collect()),
+        )
+    }
+
+    #[test]
+    fn double_free_is_a_typed_error_and_changes_nothing() {
+        let m = mem();
+        let keep = m.alloc_backed(ZoneId(0), 8192, PAGE_SIZE_4K).unwrap();
+        let a = m.alloc_backed(ZoneId(0), 8192, PAGE_SIZE_4K).unwrap();
+        m.free(a).unwrap();
+        let before = zone0_state(&m);
+        assert_eq!(m.free(a), Err(HwError::DoubleFree { range: a }));
+        // Half of it, too: the previous extent reaches over the start.
+        let tail = PhysRange::new(a.start.add(4096), 4096);
+        assert_eq!(m.free(tail), Err(HwError::DoubleFree { range: tail }));
+        assert_eq!(zone0_state(&m), before);
+        m.free(keep).unwrap();
+        assert_eq!(m.zone_usage(ZoneId(0)).unwrap().1, 0);
+    }
+
+    #[test]
+    fn free_reaching_into_the_next_free_extent_is_refused() {
+        let m = mem();
+        let a = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        let b = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        let c = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        assert!(a.abuts(&b) && b.abuts(&c));
+        m.free(b).unwrap();
+        // Starts in allocated `a` (no free extent before it) and runs on
+        // into free `b`: only the next extent gives it away.
+        let before = zone0_state(&m);
+        let over = PhysRange::new(a.start, 8192);
+        assert_eq!(m.free(over), Err(HwError::DoubleFree { range: over }));
+        assert_eq!(zone0_state(&m), before);
+        assert_eq!(m.read_u64(a.start).unwrap(), 0);
+        m.free(a).unwrap();
+        m.free(c).unwrap();
+        assert_eq!(m.zone_usage(ZoneId(0)).unwrap().1, 0);
+    }
+
+    #[test]
+    fn free_of_a_never_allocated_range_is_refused() {
+        let m = mem();
+        let a = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        // Populated behind the allocator's back, in space it holds free:
+        // the refused free must not take the backing away.
+        let rogue = PhysRange::new(a.start.add(1 << 20), 4096);
+        m.populate(rogue).unwrap();
+        let before = zone0_state(&m);
+        assert_eq!(m.free(rogue), Err(HwError::DoubleFree { range: rogue }));
+        // Inside the zone's span but past its 64 MiB of RAM.
+        let beyond = PhysRange::new(HostPhysAddr::new(ZONE_RAM_BASE + (64 << 20)), 4096);
+        assert_eq!(m.free(beyond), Err(HwError::NotAllocated(beyond.start)));
+        let below = PhysRange::new(HostPhysAddr::new(ZONE_RAM_BASE - 4096), 8192);
+        assert_eq!(m.free(below), Err(HwError::NotAllocated(below.start)));
+        assert_eq!(zone0_state(&m), before);
+        assert_eq!(m.read_u64(rogue.start).unwrap(), 0);
+    }
+
+    #[test]
+    fn oversized_len_is_unbacked_not_a_wrapped_sum() {
+        let m = mem();
+        let r = m.alloc_backed(ZoneId(0), 8192, PAGE_SIZE_4K).unwrap();
+        // An address in the last populated page: `addr + u64::MAX` wraps to
+        // `addr - 1`, which is below the region's end.
+        let addr = r.start.add(4096 + 8);
+        let unbacked = Err(HwError::UnbackedPhys(addr));
+        assert_eq!(m.resolve(addr, u64::MAX).map(|_| ()), unbacked);
+        assert_eq!(
+            m.resolve_many(&[r, PhysRange::new(addr, u64::MAX)])
+                .map(|_| ()),
+            unbacked
+        );
+        let cache = RegionCache::new();
+        cache.resolve(&m, addr, 8).unwrap();
+        assert_eq!(cache.resolve(&m, addr, u64::MAX).map(|_| ()), unbacked);
+        // The warm way refused it (a miss), and still serves honest sizes.
+        assert_eq!(cache.stats(), (0, 2));
+        cache.resolve(&m, addr, 4096 - 8).unwrap();
+        assert_eq!(cache.stats(), (1, 2));
+    }
+
+    /// Grant, touch through `cache`, reclaim (bumping `view` if the cache
+    /// has one), then resolve something else: that first resolve must let
+    /// go of the reclaimed region's host memory.
+    fn first_resolve_after_reclaim_releases_backing(view: Option<Arc<RegionView>>) {
+        let m = mem();
+        let cache = RegionCache::new();
+        cache.set_view(view.clone());
+        let other = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        let r = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        let retired = Arc::downgrade(&cache.resolve(&m, r.start, 8).unwrap().0);
+        m.free(r).unwrap();
+        if let Some(v) = &view {
+            v.bump();
+        }
+        // Two more publishes push the snapshots that still list `r` out of
+        // the retire buckets; the cache's way is then the last holder.
+        let scratch = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        m.free(scratch).unwrap();
+        assert!(retired.upgrade().is_some(), "the way should still pin it");
+        let before = cache.stats();
+        cache.resolve(&m, other.start, 8).unwrap();
+        assert!(retired.upgrade().is_none(), "stale way kept the backing");
+        // Dropping the way is not a lookup outcome: one miss, as before.
+        assert_eq!(cache.stats(), (before.0, before.1 + 1));
+    }
+
+    #[test]
+    fn stale_way_releases_reclaimed_backing_plain_mode() {
+        first_resolve_after_reclaim_releases_backing(None);
+    }
+
+    #[test]
+    fn stale_way_releases_reclaimed_backing_view_mode() {
+        first_resolve_after_reclaim_releases_backing(Some(Arc::new(RegionView::new())));
+    }
+
+    #[test]
+    fn lookup_in_one_zone_keeps_another_zones_live_way() {
+        let m = mem();
+        let cache = RegionCache::new();
+        let r0 = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        let r1 = m.alloc_backed(ZoneId(1), 4096, PAGE_SIZE_4K).unwrap();
+        // Move zone 1's generation away from zone 0's, so the two ways'
+        // tags differ while both are current.
+        let bump = m.alloc_backed(ZoneId(1), 4096, PAGE_SIZE_4K).unwrap();
+        cache.resolve(&m, r0.start, 8).unwrap();
+        cache.resolve(&m, r1.start, 8).unwrap();
+        cache.reset_stats();
+        for _ in 0..3 {
+            cache.resolve(&m, r1.start, 8).unwrap();
+            cache.resolve(&m, r0.start, 8).unwrap();
+        }
+        assert_eq!(cache.stats(), (6, 0));
+        let _ = bump;
+    }
+
+    /// Snapshot probes one `resolve(addr, 8)` is charged.
+    fn probes(m: &PhysMemory, addr: u64) -> u64 {
+        let zone = m.zone_of(HostPhysAddr::new(addr));
+        let before = m.zone_stats(zone).unwrap();
+        let _ = m.resolve(HostPhysAddr::new(addr), 8);
+        let after = m.zone_stats(zone).unwrap();
+        assert_eq!(after.resolve_misses, before.resolve_misses + 1);
+        after.search_depth_total - before.search_depth_total
+    }
+
+    fn populate_at(m: &PhysMemory, start: u64, len: u64) -> PhysRange {
+        let r = PhysRange::new(HostPhysAddr::new(start), len);
+        m.populate(r).unwrap();
+        r
+    }
+
+    const MIB: u64 = 1 << 20;
+
+    #[test]
+    fn probe_counts_match_hand_computation() {
+        let m = mem();
+        let base = ZONE_RAM_BASE;
+        // Empty snapshot: a search, but nothing to load.
+        assert_eq!(probes(&m, base), 0);
+        // One 64 KiB region per 2 MiB bucket (the `frag` shape): the table
+        // entry, then a one-step search of the bucket's single start.
+        for i in 0..8 {
+            populate_at(&m, base + i * 2 * MIB, 64 * 1024);
+        }
+        for i in 0..8 {
+            assert_eq!(probes(&m, base + i * 2 * MIB + 4096), 2);
+        }
+        // Past a region's end but in its bucket: same search, no backing.
+        assert_eq!(probes(&m, base + MIB), 2);
+        // Below the first bucket and above the last: clamped, same cost.
+        assert_eq!(probes(&m, base - 4096), 2);
+        assert_eq!(probes(&m, base + 40 * MIB), 2);
+        // Three starts in one bucket: 1 + floor(log2 3) + 1.
+        let m = mem();
+        for i in 0..3 {
+            populate_at(&m, base + i * 8192, 4096);
+        }
+        for i in 0..3 {
+            assert_eq!(probes(&m, base + i * 8192), 3);
+        }
+        // A 6 MiB region over buckets 0..=2 and a neighbour in bucket 4:
+        // buckets 1 and 2 hold no start, so the table entry plus the
+        // predecessor's entry; bucket 3 likewise, and finds nothing backed.
+        let m = mem();
+        let big = populate_at(&m, base, 6 * MIB);
+        populate_at(&m, base + 8 * MIB, 4096);
+        for addr in [base + 2 * MIB, base + 4 * MIB, base + 6 * MIB - 8] {
+            assert_eq!(probes(&m, addr), 2);
+            let (_, off) = m.resolve(HostPhysAddr::new(addr), 8).unwrap();
+            assert_eq!(off as u64, addr - big.start.raw());
+        }
+        assert_eq!(probes(&m, base + 6 * MIB), 2);
+        assert!(m.resolve(HostPhysAddr::new(base + 6 * MIB), 8).is_err());
+    }
+
+    #[test]
+    fn table_is_sized_to_the_span_and_widens_past_the_bucket_limit() {
+        let m = PhysMemory::new(&[64 << 30]);
+        let base = ZONE_RAM_BASE;
+        let shape =
+            |m: &PhysMemory| m.with_zone_snapshot(0, |s| (s.bucket_shift, s.starts_below.len()));
+        assert_eq!(shape(&m), (BUCKET_SHIFT_MIN, 0));
+        populate_at(&m, base, 4096);
+        populate_at(&m, base + 2 * MIB, 4096);
+        assert_eq!(shape(&m), (BUCKET_SHIFT_MIN, 3));
+        // Exactly MAX_BUCKETS 2 MiB buckets still fit ...
+        let edge = populate_at(&m, base + (MAX_BUCKETS - 1) * 2 * MIB, 4096);
+        assert_eq!(shape(&m), (BUCKET_SHIFT_MIN, MAX_BUCKETS as usize + 1));
+        assert_eq!(probes(&m, base), 2);
+        assert_eq!(probes(&m, base + 2 * MIB), 2);
+        // ... one more does not: 4 MiB buckets, and the two low regions
+        // now share bucket 0 (1 + floor(log2 2) + 1 probes).
+        let far = populate_at(&m, base + MAX_BUCKETS * 2 * MIB, 4096);
+        assert_eq!(
+            shape(&m),
+            (BUCKET_SHIFT_MIN + 1, MAX_BUCKETS as usize / 2 + 2)
+        );
+        assert_eq!(probes(&m, base), 3);
+        assert_eq!(probes(&m, base + 2 * MIB), 3);
+        assert_eq!(probes(&m, far.start.raw()), 2);
+        m.write_u64(far.start, 7).unwrap();
+        assert_eq!(m.read_u64(far.start).unwrap(), 7);
+        // The width follows the span back down.
+        m.depopulate(far).unwrap();
+        m.depopulate(edge).unwrap();
+        assert_eq!(shape(&m), (BUCKET_SHIFT_MIN, 3));
+    }
+
+    #[allow(clippy::needless_update)]
+    mod bucket_table_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Where an op lands. Class 0: sixteen 4 KiB-spaced starts inside
+        /// one 2 MiB bucket (regions smaller than a bucket, sharing one).
+        /// Class 1: 8 MiB-spaced, 5 MiB-and-a-page long (each spans four
+        /// buckets). Class 2: 2 MiB-spaced starts 16 GiB up, which force
+        /// wider buckets while any is populated.
+        fn site(zone: u64, class: u8, slot: u64) -> PhysRange {
+            let base = zone * ZONE_SPAN + ZONE_RAM_BASE;
+            let (start, len) = match class {
+                0 => (base + slot * 4096, 4096 * (1 + slot % 3)),
+                1 => (base + 4 * MIB + slot * 8 * MIB, 5 * MIB + 4096),
+                _ => (base + (16 << 30) + slot * 2 * MIB, 4096),
+            };
+            PhysRange::new(HostPhysAddr::new(start), len)
+        }
+
+        /// `find` against the whole-list reference at every address where
+        /// they could part: each region's start, end - 1 and end, their
+        /// neighbours, every bucket boundary a region touches (+- 1), and
+        /// the far ends of the address space.
+        fn check(s: &RegionSnapshot) -> Result<(), TestCaseError> {
+            let width = 1u64 << s.bucket_shift;
+            let mut addrs = vec![0, s.bucket_base.saturating_sub(1), u64::MAX];
+            for p in &s.regions {
+                let (start, end) = (p.range.start.raw(), p.range.end().raw());
+                addrs.extend([start - 1, start, start + 1, end - 1, end, end + 1]);
+                let mut boundary = start & !(width - 1);
+                while boundary <= end + width {
+                    addrs.extend([boundary - 1, boundary, boundary + 1]);
+                    boundary += width;
+                }
+            }
+            for a in addrs {
+                let (got, probes) = s.find(a);
+                prop_assert_eq!(
+                    got.map(|p| p.range),
+                    s.find_reference(a).map(|p| p.range),
+                    "find({:#x}) with {} regions, {} byte buckets",
+                    a,
+                    s.regions.len(),
+                    width
+                );
+                prop_assert_eq!(probes == 0, s.regions.is_empty());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+            /// Toggle random sites of two zones between populated and not;
+            /// after every publish the bucketed `find` of the zone's new
+            /// snapshot equals the whole-list search.
+            #[test]
+            fn find_matches_the_whole_list_search(
+                ops in proptest::collection::vec((0u64..2, 0u8..3, 0u64..16), 1..120),
+            ) {
+                let m = PhysMemory::new(&[64 << 30, 64 << 30]);
+                let mut live = std::collections::HashSet::new();
+                for (zone, class, slot) in ops {
+                    let r = site(zone, class, slot);
+                    if live.remove(&r) {
+                        m.depopulate(r).unwrap();
+                    } else if m.populate(r).is_ok() {
+                        // (class 0 neighbours overlap; a refused populate
+                        // publishes nothing.)
+                        live.insert(r);
+                    } else {
+                        continue;
+                    }
+                    m.with_zone_snapshot(zone as usize, check)?;
+                }
+            }
+        }
     }
 
     #[test]

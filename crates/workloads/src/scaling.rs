@@ -418,7 +418,8 @@ pub struct FragPoint {
     pub regions: usize,
     /// Region-cache hit rate over the access run.
     pub hit_rate: f64,
-    /// Average snapshot binary-search probe depth per cache miss.
+    /// Average snapshot-search probes (`ZoneStats::avg_search_depth`) per
+    /// cache miss.
     pub avg_search_depth: f64,
 }
 

@@ -177,10 +177,15 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
     ctl.set_flush_spins(50_000_000);
 
     let published: Arc<Mutex<Option<(u64, u64)>>> = Arc::new(Mutex::new(None));
+    // The tag each guest last tried to read, so a publish window stays open
+    // until both cores have used it (a fixed number of yields lets a
+    // descheduled guest miss every window).
+    let seen = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
     let stop = Arc::new(AtomicBool::new(false));
     let guests: Vec<_> = [2usize, 3]
         .into_iter()
-        .map(|core| {
+        .enumerate()
+        .map(|(i, core)| {
             let mut g = GuestCore::launch_covirt(
                 Arc::clone(&node),
                 Arc::clone(&k),
@@ -190,12 +195,13 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
             )
             .unwrap();
             let published = Arc::clone(&published);
+            let seen = Arc::clone(&seen);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     // Service flush NMIs so reclaim epochs can close.
                     g.poll().unwrap();
-                    let Some((addr, _tag)) = *published.lock().unwrap() else {
+                    let Some((addr, tag)) = *published.lock().unwrap() else {
                         std::thread::yield_now();
                         continue;
                     };
@@ -204,6 +210,7 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
                     if let Ok(v) = g.read_u64(addr) {
                         assert!(coherent(v), "guest read incoherent word {v:#x}");
                     }
+                    seen[i].store(tag, Ordering::Release);
                 }
                 g
             })
@@ -220,7 +227,9 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
         let tag = TAG_BASE | cycle;
         node.mem.write_u64(r.start, tag).unwrap();
         *published.lock().unwrap() = Some((r.start.raw(), tag));
-        for _ in 0..200 {
+        let t0 = std::time::Instant::now();
+        while seen.iter().any(|s| s.load(Ordering::Acquire) != tag) {
+            assert!(t0.elapsed().as_secs() < 30, "guests never read the grant");
             std::thread::yield_now();
         }
         *published.lock().unwrap() = None;
