@@ -4,37 +4,36 @@
 //! ```text
 //! cargo run -p covirt-bench --release --bin figures -- all
 //! cargo run -p covirt-bench --release --bin figures -- fig5b --full
+//! cargo run -p covirt-bench --release --bin figures -- exitless --trials 3
 //! cargo run -p covirt-bench --release --bin figures -- bench --compare bench/baseline.json
 //! ```
 //!
-//! Each subcommand sweeps the paper's configurations and prints the rows
-//! or series of the corresponding table/figure; `--full` selects the
-//! paper-scale parameters from Table I instead of the scaled defaults.
-//! Gated subcommands report through one shared [`GateResult`] path: any
-//! failed check exits non-zero with the failing gate named.
+//! Every experiment is an entry of [`suite::HARNESSES`]: `figures <name>`
+//! is `figures bench` restricted to that one harness — it prints the
+//! harness's report and judges its rows of [`suite::GATES`], so any
+//! failed bound exits non-zero with the failing row named. `--full`
+//! selects the paper-scale sweep parameters from Table I instead of the
+//! scaled defaults. `trace`, `report` and `bench` are plain tool commands.
 
 use covirt_bench::gate::GateResult;
-use covirt_bench::{
-    fmt_pct, render_churn_isolation, render_fig3, render_fig4, render_fig5a, render_fig5b,
-    render_fig8, render_frag_points, render_numa_points, render_scaling, render_scaling_points,
-    render_shootdown, suite,
-};
+use covirt_bench::render_shootdown;
+use covirt_bench::suite::{self, Ctx, Harness, HARNESSES};
 use covirt_trace::bench::{self, BenchSuite, ComparePolicy, MAD_SIGMA};
 use std::path::{Path, PathBuf};
-use workloads::figures::{self, Scale};
-use workloads::{scaling, shootdown, table1};
+use workloads::figures::Scale;
+use workloads::shootdown;
 
 /// Options every subcommand receives.
 #[derive(Clone)]
 struct Opts {
     scale: Scale,
-    fault: bool,
     /// Output directory for exported artifacts (traces, profiles,
     /// BENCH_covirt.json). Defaults to `target/figures/` so nothing
     /// lands in the repo root.
     out: PathBuf,
-    /// Bench suite trials per harness.
-    trials: usize,
+    /// Trials per harness (`--trials`); the default is
+    /// [`suite::DEFAULT_TRIALS`] for `bench` and one for a single harness.
+    trials: Option<usize>,
     /// Baseline to compare the bench suite against.
     compare: Option<PathBuf>,
     /// Re-bless `bench/baseline.json` from this bench run.
@@ -44,268 +43,62 @@ struct Opts {
     inject: Option<String>,
 }
 
-/// One dispatchable subcommand. The usage text, the dispatcher, and the
-/// gated-exit test all iterate this table, so none can drift apart.
-struct Subcommand {
+/// A subcommand that is not a harness: it measures no row of the gate
+/// table.
+struct Tool {
     name: &'static str,
-    /// Help text; continuation lines are newline-separated and indented
-    /// by `usage`.
+    /// Help text; continuation lines are newline-separated.
     help: &'static str,
-    /// Whether `figures all` includes this command (the gated/exporting
-    /// commands run separately).
-    in_all: bool,
-    /// Whether the command enforces gates (and may exit non-zero).
-    gated: bool,
     run: fn(&Opts) -> GateResult,
 }
 
-const SUBCOMMANDS: &[Subcommand] = &[
-    Subcommand {
-        name: "table1",
-        help: "benchmark versions/parameters (Table I)",
-        in_all: true,
-        gated: false,
-        run: table1_cmd,
-    },
-    Subcommand {
-        name: "fig3",
-        help: "Selfish-Detour noise profile",
-        in_all: true,
-        gated: false,
-        run: fig3_cmd,
-    },
-    Subcommand {
-        name: "fig4",
-        help: "XEMEM attach delay vs region size",
-        in_all: true,
-        gated: false,
-        run: fig4_cmd,
-    },
-    Subcommand {
-        name: "fig5a",
-        help: "STREAM bandwidth",
-        in_all: true,
-        gated: false,
-        run: fig5a_cmd,
-    },
-    Subcommand {
-        name: "fig5b",
-        help: "RandomAccess GUPS",
-        in_all: true,
-        gated: false,
-        run: fig5b_cmd,
-    },
-    Subcommand {
-        name: "fig6",
-        help: "MiniFE scaling over core/NUMA layouts",
-        in_all: true,
-        gated: false,
-        run: fig6_cmd,
-    },
-    Subcommand {
-        name: "fig7",
-        help: "HPCG scaling over core/NUMA layouts",
-        in_all: true,
-        gated: false,
-        run: fig7_cmd,
-    },
-    Subcommand {
-        name: "fig8",
-        help: "LAMMPS loop times (lj/chain/eam/chute)",
-        in_all: true,
-        gated: false,
-        run: fig8_cmd,
-    },
-    Subcommand {
-        name: "scaling",
-        help: "data-plane per-core scaling (STREAM+GUPS, 1..8 cores) with resolve\n\
-               stats, plus the multi-zone weak-scaling arm (arrays pinned per zone)",
-        in_all: true,
-        gated: false,
-        run: scaling_cmd,
-    },
-    Subcommand {
-        name: "numa",
-        help: "NUMA-sharded resolution gates: cross-zone churn isolation (zone-0\n\
-               hit rate under zone-1 churn must stay within 2% of the quiet\n\
-               baseline, retired backlog bounded) and the many-grants\n\
-               fragmentation rung (region-cache ways vs search depth); exits 1\n\
-               when a gate misses",
-        in_all: false,
-        gated: true,
-        run: |o| numa_cmd(o.scale),
-    },
-    Subcommand {
-        name: "shootdown",
-        help: "coalesced reclaim-epoch demo with TLB flush stats",
-        in_all: true,
-        gated: false,
-        run: |_| {
-            println!("{}", render_shootdown(&shootdown::run(false)));
-            GateResult::new()
-        },
-    },
-    Subcommand {
+const TOOLS: &[Tool] = &[
+    Tool {
         name: "trace",
         help: "shootdown demo with the flight recorder on; writes covirt-trace.json\n\
                (chrome://tracing / ui.perfetto.dev) and covirt-trace.jsonl under --out",
-        in_all: false,
-        gated: false,
         run: trace_cmd,
     },
-    Subcommand {
+    Tool {
         name: "report",
         help: "shootdown demo with metrics on; prints the registry, the per-zone\n\
                snapshot/resolve statistics and the slowest command completions",
-        in_all: false,
-        gated: false,
         run: |_| report_cmd(),
     },
-    Subcommand {
-        name: "traceovh",
-        help: "STREAM with the recorder disabled vs enabled; exits 1 if the\n\
-               disabled path regresses >5% (best of several arms)",
-        in_all: false,
-        gated: true,
-        run: |_| traceovh_cmd(),
-    },
-    Subcommand {
-        name: "audit",
-        help: "protection audit: run a clean lifecycle workload through the\n\
-               audit engine and print lifecycles, violations (expected: zero)\n\
-               and the per-enclave budget report; exits 1 on any violation.\n\
-               With --fault, inject a contained fault instead and exit 1\n\
-               unless the engine attributes >=1 violation to the enclave",
-        in_all: false,
-        gated: true,
-        run: |o| audit_cmd(o.fault),
-    },
-    Subcommand {
-        name: "selfheal",
-        help: "live audit tail with self-healing control feedback: a clean\n\
-               run must take zero remediation actions; with --fault, the\n\
-               injected violation must be detected live, the enclave\n\
-               quarantined, and the detection->remediation latency (MTTR)\n\
-               printed; exits 1 when either expectation fails",
-        in_all: false,
-        gated: true,
-        run: |o| selfheal_cmd(o.fault),
-    },
-    Subcommand {
-        name: "exitless",
-        help: "command-delivery comparison: NMI-only vs doorbell-first\n\
-               round-trips plus a parked-core fallback run; exits 1 unless\n\
-               the doorbell path is exitless (zero command-path VM exits,\n\
-               zero NMI escalations) with post->complete p99 at least 5x\n\
-               below the NMI baseline, and the parked run escalates to an\n\
-               NMI only after the configured bound",
-        in_all: false,
-        gated: true,
-        run: |_| exitless_cmd(),
-    },
-    Subcommand {
-        name: "profile",
-        help: "always-on cycle accounting: STREAM + reclaim churn with the\n\
-               phase profiler on, per-enclave phase breakdown, live window\n\
-               tail, flamegraph (covirt-profile.folded) and counter-track\n\
-               (covirt-profile.json) exports under --out; exits 1 unless\n\
-               accounted cycles match wall-clock TSC within 1% per core and\n\
-               the profiler-off STREAM path stays within 5% of the enabled\n\
-               one. With --fault, a bystander enclave runs beside a\n\
-               misbehaving one (SLO-throttled, then fault-quarantined);\n\
-               exits 1 unless the ShootdownWait/Throttled spike lands on\n\
-               the misbehaving enclave and the bystander stays clean",
-        in_all: false,
-        gated: true,
-        run: |o| profile_cmd(o),
-    },
-    Subcommand {
+    Tool {
         name: "bench",
-        help: "covirt-bench observability suite: run every harness headless over\n\
-               --trials trials, write <out>/BENCH_covirt.json (median/MAD per\n\
-               metric, config fingerprint, commit), and apply the declarative\n\
-               gate table; with --compare <baseline.json>, also run the\n\
-               noise-aware regression comparator; --bless rewrites\n\
+        help: "covirt-bench observability suite: run every harness that has gate\n\
+               rows headless over --trials trials, write <out>/BENCH_covirt.json\n\
+               (median/MAD per metric, config fingerprint, commit), and apply the\n\
+               declarative gate table; with --compare <baseline.json>, also run\n\
+               the noise-aware regression comparator; --bless rewrites\n\
                bench/baseline.json from this run; exits 1 on any gate or\n\
                comparison failure",
-        in_all: false,
-        gated: true,
         run: bench_cmd,
     },
 ];
 
-fn table1_cmd(_o: &Opts) -> GateResult {
-    println!(
-        "TABLE I: Benchmark Versions and Parameters\n{}",
-        table1::format_table1()
-    );
-    GateResult::new()
-}
-
-fn fig3_cmd(o: &Opts) -> GateResult {
-    println!("{}", render_fig3(&figures::fig3(o.scale)));
-    GateResult::new()
-}
-
-fn fig4_cmd(o: &Opts) -> GateResult {
-    println!("{}", render_fig4(&figures::fig4(o.scale)));
-    GateResult::new()
-}
-
-fn fig5a_cmd(o: &Opts) -> GateResult {
-    println!("{}", render_fig5a(&figures::fig5a(o.scale)));
-    GateResult::new()
-}
-
-fn fig5b_cmd(o: &Opts) -> GateResult {
-    println!("{}", render_fig5b(&figures::fig5b(o.scale)));
-    GateResult::new()
-}
-
-fn fig6_cmd(o: &Opts) -> GateResult {
-    println!(
-        "{}",
-        render_scaling(
-            "Fig. 6 — MiniFE scaling",
-            "MFLOP/s",
-            &figures::fig6(o.scale)
-        )
-    );
-    GateResult::new()
-}
-
-fn fig7_cmd(o: &Opts) -> GateResult {
-    println!(
-        "{}",
-        render_scaling("Fig. 7 — HPCG scaling", "GFLOP/s", &figures::fig7(o.scale))
-    );
-    GateResult::new()
-}
-
-fn fig8_cmd(o: &Opts) -> GateResult {
-    println!("{}", render_fig8(&figures::fig8(o.scale)));
-    GateResult::new()
-}
-
-fn scaling_cmd(o: &Opts) -> GateResult {
-    println!("{}", render_scaling_points(&scaling::run(o.scale)));
-    println!("{}", render_numa_points(&scaling::run_numa(o.scale)));
-    GateResult::new()
-}
-
-fn usage() -> ! {
-    let names: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.name).collect();
+fn usage_text() -> String {
+    let names: Vec<&str> = HARNESSES
+        .iter()
+        .map(|h| h.name)
+        .chain(TOOLS.iter().map(|t| t.name))
+        .collect();
     let mut out = format!(
-        "usage: figures <{}|all> [--full] [--fault] [--out <dir>] [--trials <n>]\n\
+        "usage: figures <{}|all> [--full] [--out <dir>] [--trials <n>]\n\
          \x20              [--compare <baseline.json>] [--bless] [--inject-regression <harness.metric>]\n",
         names.join("|")
     );
-    for s in SUBCOMMANDS {
-        let mut lines = s.help.lines();
-        let gated = if s.gated { " [gated]" } else { "" };
+    let entries = HARNESSES
+        .iter()
+        .map(|h| (h.name, h.help, h.gated()))
+        .chain(TOOLS.iter().map(|t| (t.name, t.help, false)));
+    for (name, help, gated) in entries {
+        let mut lines = help.lines();
+        let gated = if gated { " [gated]" } else { "" };
         out.push_str(&format!(
             "\n  {:<9} {}{gated}",
-            s.name,
+            name,
             lines.next().unwrap_or("")
         ));
         for l in lines {
@@ -313,18 +106,22 @@ fn usage() -> ! {
         }
     }
     out.push_str(
-        "\n  all       every command marked for the combined run (gated/exporting\
-         \n            commands run separately)\
-         \n  --full    paper-scale parameters (slow; needs several GiB)\
-         \n  --fault   audit/selfheal/profile: fault-injected run instead of the clean one\
+        "\n  all       every harness marked for the combined run\
+         \n  --full    paper-scale sweep parameters (slow; needs several GiB)\
          \n  --out     artifact directory (default target/figures/)\
-         \n  --trials  bench: trials per harness (default 3)\
+         \n  --trials  trials per harness (default 3 for bench, 1 otherwise)\
+         \n  [gated]   the harness owns bounded rows of the gate table and exits 1\
+         \n            when one misses\
          \n  --compare bench: baseline suite to gate against\
          \n  --bless   bench: rewrite bench/baseline.json from this run\
          \n  --inject-regression  bench: synthetically regress one metric before\
          \n            the comparison (gate-path self-test)",
     );
-    eprintln!("{out}");
+    out
+}
+
+fn usage() -> ! {
+    eprintln!("{}", usage_text());
     std::process::exit(2)
 }
 
@@ -332,6 +129,18 @@ fn usage() -> ! {
 fn out_dir(o: &Opts) -> PathBuf {
     std::fs::create_dir_all(&o.out).unwrap_or_else(|e| panic!("create {}: {e}", o.out.display()));
     o.out.clone()
+}
+
+/// Run `harnesses` the way `bench` runs all of them, restricted: measure
+/// over `--trials`, print each report, judge their rows of the gate table.
+fn harness_cmd(harnesses: &[&Harness], o: &Opts) -> GateResult {
+    let ctx = Ctx {
+        scale: o.scale,
+        out: &o.out,
+        report: true,
+    };
+    let records = suite::run_suite(harnesses, o.trials.unwrap_or(1), &ctx);
+    suite::apply_gates(&records, harnesses)
 }
 
 /// `trace` subcommand: run the shootdown demo with the recorder on and
@@ -432,424 +241,6 @@ fn report_cmd() -> GateResult {
     GateResult::new()
 }
 
-/// `audit` subcommand: run the clean (or fault-injected) audit workload,
-/// stream the recorder through the protection-audit engine, and print the
-/// report. A clean run must show zero violations; a fault run must show
-/// at least one attributed to the faulting enclave.
-fn audit_cmd(fault: bool) -> GateResult {
-    use workloads::audit as drivers;
-
-    let run = if fault {
-        eprintln!("[audit] fault-injected run...");
-        drivers::fault_run()
-    } else {
-        eprintln!("[audit] clean lifecycle run...");
-        drivers::clean_run()
-    };
-    let s = drivers::summarize(&run);
-    println!("{}", s.report.render());
-    let mut g = GateResult::new();
-    if fault {
-        g.check(
-            "fault attribution",
-            s.attributed >= 1,
-            format!(
-                "{} violation(s) attributed to enclave {} (need >=1)",
-                s.attributed, s.enclave
-            ),
-        );
-    } else {
-        g.check(
-            "clean audit violation-free",
-            s.report.ok(),
-            format!(
-                "{} invariant violation(s); {} region lifecycle(s), {} command chain(s)",
-                s.violations, s.regions, s.commands
-            ),
-        );
-    }
-    g
-}
-
-/// `selfheal` subcommand: run the live-tailed workload with the
-/// remediation loop closed onto the Pisces host. A clean run must take
-/// zero actions; a fault run must quarantine the faulting enclave from a
-/// live verdict and report a finite MTTR.
-fn selfheal_cmd(fault: bool) -> GateResult {
-    use workloads::selfheal as drivers;
-
-    let r = if fault {
-        eprintln!("[selfheal] fault-injected run, live tail + remediation...");
-        drivers::fault_run()
-    } else {
-        eprintln!("[selfheal] clean lifecycle run, live tail + remediation...");
-        drivers::clean_run()
-    };
-    println!(
-        "live tail: {} batch(es), {} event(s) delivered, {} lapped",
-        r.batches, r.events, r.dropped
-    );
-    if r.actions.is_empty() {
-        println!("remediation actions: none");
-    } else {
-        println!("remediation actions:");
-        for a in &r.actions {
-            println!("  - {a}");
-        }
-    }
-    let mut g = GateResult::new();
-    if fault {
-        g.check(
-            "live quarantine",
-            r.quarantined() && r.quarantined_live,
-            format!("enclave {} quarantined from the live tail", r.enclave),
-        );
-        g.check(
-            "MTTR measured",
-            r.mttr_ns.is_some(),
-            match r.mttr_ns {
-                Some(mttr) => format!(
-                    "MTTR {} ns ({} event(s) fault -> remediation)",
-                    mttr, r.events_to_remediate
-                ),
-                None => "fault report never tailed".to_string(),
-            },
-        );
-    } else {
-        g.check(
-            "clean run takes no actions",
-            r.actions.is_empty(),
-            format!(
-                "{} remediation action(s) across {} tailed event(s)",
-                r.actions.len(),
-                r.events
-            ),
-        );
-    }
-    g
-}
-
-/// `exitless` subcommand: compare NMI-only vs doorbell-first command
-/// delivery on the same workload, then prove the parked-core fallback.
-fn exitless_cmd() -> GateResult {
-    use workloads::exitless;
-
-    const ROUNDS: u64 = 8192;
-    const BARRIER_ROUNDS: u64 = 64;
-    const PARKED_BOUND_NS: u64 = 200_000;
-
-    eprintln!("[exitless] steady state: {ROUNDS} command round-trips per arm...");
-    let (nmi, doorbell) = exitless::steady_state(ROUNDS);
-    println!("steady-state command delivery ({ROUNDS} single-command round-trips per arm):");
-    println!(
-        "  {:<15} {:>9} {:>12} {:>12} {:>10} {:>10} {:>11}",
-        "arm", "commands", "p50-ns", "p99-ns", "cmd-exits", "exits/cmd", "escalations"
-    );
-    for a in [&nmi, &doorbell] {
-        println!(
-            "  {:<15} {:>9} {:>12} {:>12} {:>10} {:>10.3} {:>11}",
-            a.label,
-            a.commands,
-            a.p50_ns,
-            a.p99_ns,
-            a.cmd_exits,
-            a.exits_per_cmd(),
-            a.escalations
-        );
-    }
-    let ratio = nmi.p99_ns as f64 / doorbell.p99_ns.max(1) as f64;
-    println!("  post->complete p99 ratio (nmi-only / doorbell-first): {ratio:.1}x");
-
-    eprintln!("[exitless] concurrent barrier: {BARRIER_ROUNDS} doorbell-first rounds...");
-    let conc = exitless::concurrent_barrier(BARRIER_ROUNDS);
-    println!(
-        "concurrent barrier ({} rounds, 2 live cores): {} command-path exit(s), \
-         {} harvested in guest mode, {} escalation(s)",
-        conc.rounds, conc.cmd_exits, conc.harvested, conc.escalations
-    );
-
-    eprintln!("[exitless] parked-core fallback, bound {PARKED_BOUND_NS} ns...");
-    let parked = exitless::parked_fallback(PARKED_BOUND_NS);
-    println!(
-        "parked-core fallback: {} escalation(s), first after {} ns (bound {} ns), completed: {}",
-        parked.escalations, parked.time_to_escalation_ns, parked.bound_ns, parked.completed
-    );
-
-    let mut g = GateResult::new();
-    g.check(
-        "doorbell exitless",
-        doorbell.cmd_exits == 0,
-        format!(
-            "{} command-path VM exit(s) in steady state",
-            doorbell.cmd_exits
-        ),
-    );
-    g.check(
-        "doorbell never escalates",
-        doorbell.escalations == 0,
-        format!("{} NMI escalation(s) in steady state", doorbell.escalations),
-    );
-    g.check(
-        "doorbell harvests in guest mode",
-        doorbell.harvested == doorbell.commands,
-        format!(
-            "harvested {} of {} commands",
-            doorbell.harvested, doorbell.commands
-        ),
-    );
-    g.check(
-        "p99 >= 5x below NMI",
-        ratio >= 5.0,
-        format!("post->complete p99 {ratio:.1}x below the NMI baseline"),
-    );
-    g.check(
-        "concurrent barrier exitless",
-        conc.cmd_exits == 0,
-        format!("{} command-path VM exit(s)", conc.cmd_exits),
-    );
-    g.check(
-        "concurrent barrier never escalates",
-        conc.escalations == 0,
-        format!("{} NMI escalation(s) against live cores", conc.escalations),
-    );
-    g.check(
-        "parked core escalates",
-        parked.escalations > 0,
-        format!("{} escalation(s)", parked.escalations),
-    );
-    g.check(
-        "escalation respects bound",
-        parked.time_to_escalation_ns >= parked.bound_ns,
-        format!(
-            "first escalation after {} ns (bound {} ns)",
-            parked.time_to_escalation_ns, parked.bound_ns
-        ),
-    );
-    g.check(
-        "parked command completes",
-        parked.completed,
-        "barrier completion",
-    );
-    g
-}
-
-/// `numa` subcommand: run the sharded-resolution experiments and gate on
-/// the isolation claims.
-fn numa_cmd(scale: Scale) -> GateResult {
-    use workloads::scaling;
-
-    const BACKLOG_BOUND: u64 = 32;
-
-    eprintln!("[numa] multi-zone weak scaling (arrays pinned per zone)...");
-    println!("{}", render_numa_points(&scaling::run_numa(scale)));
-
-    eprintln!("[numa] cross-zone churn isolation...");
-    let iso = scaling::run_churn_isolation(scaling::ScalingParams::for_scale(scale));
-    println!("{}", render_churn_isolation(&iso));
-
-    eprintln!("[numa] many-grants fragmentation...");
-    let frag = scaling::run_frag(scale);
-    println!("{}", render_frag_points(&frag));
-
-    let mut g = GateResult::new();
-    g.check(
-        "churn stressor ran",
-        iso.remote_publishes > 0,
-        format!("{} zone-1 snapshot publish(es)", iso.remote_publishes),
-    );
-    g.check(
-        "churn isolation within 2%",
-        iso.churn_hit_rate >= 0.98 * iso.baseline_hit_rate,
-        format!(
-            "zone-0 hit rate {:.2}% under zone-1 churn vs quiet baseline {:.2}%",
-            iso.churn_hit_rate * 100.0,
-            iso.baseline_hit_rate * 100.0
-        ),
-    );
-    g.check(
-        "remote backlog bounded",
-        iso.remote_backlog_high_water <= BACKLOG_BOUND,
-        format!(
-            "zone-1 retired backlog high water {} (bound {})",
-            iso.remote_backlog_high_water, BACKLOG_BOUND
-        ),
-    );
-    let direct = frag.iter().find(|f| f.ways == 1).expect("ways=1 row");
-    let assoc = frag.iter().find(|f| f.ways > 1).expect("ways>1 row");
-    g.check(
-        "associative cache beats direct-mapped",
-        assoc.hit_rate > direct.hit_rate,
-        format!(
-            "{}-way hit rate {:.2}% vs direct-mapped {:.2}% on the fragmented enclave",
-            assoc.ways,
-            assoc.hit_rate * 100.0,
-            direct.hit_rate * 100.0
-        ),
-    );
-    g
-}
-
-/// `traceovh` subcommand: assert the disabled recorder costs nothing on
-/// the guest data plane. The off-path is one relaxed load + branch per
-/// emit point, so disabled throughput must track (and normally beat)
-/// enabled throughput; a best-attempt deficit beyond the noise floor
-/// means the off-path gate regressed. The bound is 5% rather than a
-/// tighter figure because a shared single-CPU runner routinely steals
-/// several percent from one arm of the comparison.
-fn traceovh_cmd() -> GateResult {
-    use covirt::stats::overhead_pct;
-    use workloads::profile;
-
-    let arm = profile::best_arm(6, profile::recorder_overhead_arm);
-    let margin = overhead_pct(arm.on_mbs, arm.off_mbs); // off throughput relative to on
-    println!("STREAM triad, recorder off: {:.0} MB/s", arm.off_mbs);
-    println!("STREAM triad, recorder on:  {:.0} MB/s", arm.on_mbs);
-    println!(
-        "disabled-recorder margin: {}%  (positive = off faster, as expected)",
-        fmt_pct(margin)
-    );
-    let mut g = GateResult::new();
-    g.check(
-        "tracing-disabled overhead within 5%",
-        arm.deficit_pct() <= 5.0,
-        format!("off-path deficit {:.2}%", arm.deficit_pct()),
-    );
-    g
-}
-
-/// Render the per-enclave × per-phase cycle table of a profile report.
-fn render_profile_breakdown(r: &workloads::profile::ProfileReport) -> String {
-    use covirt_trace::Phase;
-
-    let mut out = String::from("per-enclave phase breakdown (cycles):\n");
-    out.push_str(&format!("  {:<10}", "enclave"));
-    for p in Phase::ALL {
-        out.push_str(&format!(" {:>14}", p.name()));
-    }
-    out.push('\n');
-    for e in r.snapshot.by_enclave() {
-        let label = e.enclave.map_or("native".to_string(), |id| id.to_string());
-        out.push_str(&format!("  {label:<10}"));
-        for p in Phase::ALL {
-            out.push_str(&format!(" {:>14}", e.cycles[p as usize]));
-        }
-        out.push('\n');
-    }
-    out.push_str("per-core conservation (accounted vs wall TSC):\n");
-    for l in r.snapshot.lanes.iter().filter(|l| l.wall > 0) {
-        out.push_str(&format!(
-            "  core{:<3} wall {:>14}  accounted {:>14}  err {:.4}%\n",
-            l.lane,
-            l.wall,
-            l.accounted,
-            l.conservation_error() * 100.0
-        ));
-    }
-    out
-}
-
-/// `profile` subcommand: run the cycle-accounting harness, print the
-/// breakdown, export the flamegraph + counter tracks under `--out`, and gate.
-fn profile_cmd(o: &Opts) -> GateResult {
-    use covirt_trace::{export, Phase};
-    use workloads::profile as drivers;
-
-    let fault = o.fault;
-    let r = if fault {
-        eprintln!("[profile] fault run: bystander + misbehaving enclave...");
-        drivers::fault_run()
-    } else {
-        eprintln!("[profile] clean run: STREAM + reclaim churn, profiler on...");
-        drivers::clean_run()
-    };
-    println!("{}", render_profile_breakdown(&r));
-    println!(
-        "live window tail: {} sealed window(s) across {} lane(s), {} cycles/window",
-        r.window_count(),
-        r.windows.iter().filter(|(_, w)| !w.is_empty()).count(),
-        r.window_cycles
-    );
-
-    let dir = out_dir(o);
-    let folded_path = dir.join("covirt-profile.folded");
-    let counters_path = dir.join("covirt-profile.json");
-    let folded = export::to_folded(&r.snapshot);
-    let counters = export::to_chrome_counter_trace(&r.windows, r.window_cycles, r.hz);
-    std::fs::write(&folded_path, &folded).expect("write covirt-profile.folded");
-    std::fs::write(&counters_path, &counters).expect("write covirt-profile.json");
-    println!(
-        "wrote {} ({} lines; flamegraph.pl / speedscope folded format)",
-        folded_path.display(),
-        folded.lines().count()
-    );
-    println!(
-        "wrote {} ({} bytes; chrome://tracing counter tracks)",
-        counters_path.display(),
-        counters.len()
-    );
-
-    let mut g = GateResult::new();
-    let err = r.max_conservation_error();
-    g.check(
-        "cycle conservation within 1%",
-        err <= 0.01,
-        format!(
-            "max per-core error {:.4}% (accounted vs wall TSC)",
-            err * 100.0
-        ),
-    );
-    g.check(
-        "live tail sealed windows",
-        r.window_count() > 0,
-        format!("{} window(s)", r.window_count()),
-    );
-
-    if fault {
-        let bystander = r.bystander.expect("fault run has a bystander");
-        let spike = |e| {
-            r.enclave_phase_cycles(e, Phase::ShootdownWait)
-                + r.enclave_phase_cycles(e, Phase::Throttled)
-        };
-        g.check(
-            "degraded enclave throttled",
-            r.actions.iter().any(|a| {
-                matches!(a, pisces::RemediationAction::Throttle { enclave, .. } if *enclave == r.enclave)
-            }),
-            format!("Throttle action against enclave {}", r.enclave),
-        );
-        g.check(
-            "spike lands on the culprit",
-            spike(r.enclave) > 0,
-            format!(
-                "enclave {}: shootdown-wait {} + throttled {} cycles",
-                r.enclave,
-                r.enclave_phase_cycles(r.enclave, Phase::ShootdownWait),
-                r.enclave_phase_cycles(r.enclave, Phase::Throttled)
-            ),
-        );
-        g.check(
-            "bystander stays clean",
-            spike(bystander) == 0,
-            format!(
-                "bystander enclave {} charged {} controller-side cycle(s)",
-                bystander,
-                spike(bystander)
-            ),
-        );
-    } else {
-        eprintln!("[profile] profiler-off overhead arm...");
-        let arm = drivers::best_arm(6, drivers::profiler_overhead_arm);
-        println!("STREAM triad, profiler off: {:.0} MB/s", arm.off_mbs);
-        println!("STREAM triad, profiler on:  {:.0} MB/s", arm.on_mbs);
-        g.check(
-            "profiler-off overhead within 5%",
-            arm.deficit_pct() <= 5.0,
-            format!("off-path deficit {:.2}%", arm.deficit_pct()),
-        );
-    }
-    g
-}
-
 /// Current commit hash, or "unknown" outside a git checkout.
 fn git_commit() -> String {
     std::process::Command::new("git")
@@ -933,14 +324,21 @@ fn render_suite(s: &BenchSuite) -> String {
 /// the declarative gate table, and optionally compare/bless a baseline.
 fn bench_cmd(o: &Opts) -> GateResult {
     let mut g = GateResult::new();
-    eprintln!(
-        "[bench] running the full suite, {} trial(s) per harness...",
-        o.trials
-    );
-    let records = suite::run_suite(o.trials);
-    let current = BenchSuite::new(git_commit(), suite::config_string(o.trials), records);
-
+    let trials = o.trials.unwrap_or(suite::DEFAULT_TRIALS);
+    let harnesses: Vec<&Harness> = HARNESSES
+        .iter()
+        .filter(|h| h.rows().next().is_some())
+        .collect();
+    eprintln!("[bench] running the full suite, {trials} trial(s) per harness...");
     let dir = out_dir(o);
+    let ctx = Ctx {
+        scale: o.scale,
+        out: &dir,
+        report: false,
+    };
+    let records = suite::run_suite(&harnesses, trials, &ctx);
+    let current = BenchSuite::new(git_commit(), suite::config_string(trials), records);
+
     let path = dir.join("BENCH_covirt.json");
     std::fs::write(&path, current.to_json()).expect("write BENCH_covirt.json");
     println!("{}", render_suite(&current));
@@ -964,7 +362,7 @@ fn bench_cmd(o: &Opts) -> GateResult {
         format!("{} harness(es)", current.harnesses().len()),
     );
 
-    g.merge(suite::apply_gates(&current));
+    g.merge(suite::apply_gates(&current.records, &harnesses));
 
     if let Some(base_path) = &o.compare {
         let mut compared = current.clone();
@@ -1037,9 +435,8 @@ fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut opts = Opts {
         scale: Scale::Quick,
-        fault: false,
         out: PathBuf::from("target/figures"),
-        trials: suite::DEFAULT_TRIALS,
+        trials: None,
         compare: None,
         bless: false,
         inject: None,
@@ -1055,13 +452,12 @@ fn main() {
         };
         match a.as_str() {
             "--full" => opts.scale = Scale::Paper,
-            "--fault" => opts.fault = true,
             "--bless" => opts.bless = true,
             "--out" => opts.out = PathBuf::from(value("--out")),
             "--trials" => {
                 let v = value("--trials");
                 opts.trials = match v.parse::<usize>() {
-                    Ok(n) if n > 0 => n,
+                    Ok(n) if n > 0 => Some(n),
                     _ => {
                         eprintln!("--trials needs a positive integer, got {v:?}\n");
                         usage()
@@ -1080,17 +476,16 @@ fn main() {
     let what = positional[0].as_str();
 
     let t0 = std::time::Instant::now();
-    let mut result = GateResult::new();
-    if what == "all" {
-        for s in SUBCOMMANDS.iter().filter(|s| s.in_all) {
-            result.merge((s.run)(&opts));
-        }
+    let result = if what == "all" {
+        let in_all: Vec<&Harness> = HARNESSES.iter().filter(|h| h.in_all).collect();
+        harness_cmd(&in_all, &opts)
+    } else if let Some(h) = suite::harness(what) {
+        harness_cmd(&[h], &opts)
+    } else if let Some(t) = TOOLS.iter().find(|t| t.name == what) {
+        (t.run)(&opts)
     } else {
-        match SUBCOMMANDS.iter().find(|s| s.name == what) {
-            Some(s) => result = (s.run)(&opts),
-            None => usage(),
-        }
-    }
+        usage()
+    };
     let rendered = result.render();
     if !rendered.is_empty() {
         if result.ok() {
@@ -1109,64 +504,26 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The registry is the single source of truth for the usage string,
-    /// the dispatcher, and the gate/exit policy; this pins the
-    /// properties that keep them in agreement.
+    /// Usage and dispatch read the same two tables, so every harness and
+    /// tool is listed, and no tool shadows a harness or the `all` keyword.
     #[test]
-    fn subcommand_registry_is_consistent() {
-        let names: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.name).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len(), "duplicate subcommand names");
-        for s in SUBCOMMANDS {
-            assert!(!s.name.is_empty());
-            assert!(
-                !s.help.trim().is_empty(),
-                "subcommand {} has no help text",
-                s.name
-            );
-            assert_ne!(s.name, "all", "'all' is the dispatcher's keyword");
-        }
-        // Every command the roadmap gates on must be dispatchable.
-        for required in [
-            "trace", "report", "traceovh", "audit", "selfheal", "exitless", "numa", "profile",
-            "bench",
-        ] {
-            assert!(names.contains(&required), "{required} not in the registry");
-        }
-    }
-
-    /// Agreement between the registry's `gated` flags and the set of
-    /// commands that enforce expectations: exactly these may exit
-    /// non-zero, all through the shared GateResult path, and none of
-    /// them may run inside `figures all` (whose commands must stay
-    /// side-effect-free and always succeed).
-    #[test]
-    fn gated_subcommands_agree_with_registry() {
-        const GATED: &[&str] = &[
-            "numa", "traceovh", "audit", "selfheal", "exitless", "profile", "bench",
-        ];
-        for s in SUBCOMMANDS {
-            assert_eq!(
-                s.gated,
-                GATED.contains(&s.name),
-                "subcommand {}: gated flag disagrees with the gated set",
-                s.name
-            );
-            if s.gated {
-                assert!(
-                    !s.in_all,
-                    "gated subcommand {} must not run inside `figures all`",
-                    s.name
-                );
-            }
-        }
-        let registry_gated: Vec<&str> = SUBCOMMANDS
+    fn usage_lists_every_harness_and_tool() {
+        let usage = usage_text();
+        for name in HARNESSES
             .iter()
-            .filter(|s| s.gated)
-            .map(|s| s.name)
-            .collect();
-        assert_eq!(registry_gated, GATED);
+            .map(|h| h.name)
+            .chain(TOOLS.iter().map(|t| t.name))
+        {
+            assert!(
+                usage.contains(&format!("\n  {name:<9} ")),
+                "{name} unlisted"
+            );
+        }
+        for t in TOOLS {
+            assert!(suite::harness(t.name).is_none(), "{} is both", t.name);
+            assert_ne!(t.name, "all");
+            assert!(!t.help.trim().is_empty());
+        }
+        assert!(!usage.contains("--fault"));
     }
 }

@@ -1,8 +1,8 @@
-//! The one pass/fail path every gated `figures` subcommand exits
-//! through. Each harness records its expectations as named checks on a
-//! [`GateResult`]; the binary's `main` renders the result and maps
-//! `!ok()` to a non-zero exit, so no harness hand-rolls its own
-//! `eprintln! + exit(1)` anymore and none can forget the exit code.
+//! The one pass/fail path every `figures` subcommand exits through.
+//! Expectations are recorded as named checks on a [`GateResult`] — the
+//! rows of `suite::GATES` via `suite::apply_gates`, plus `bench`'s
+//! artifact and baseline checks; the binary's `main` renders the result
+//! and maps `!ok()` to a non-zero exit.
 
 use std::fmt;
 
@@ -25,7 +25,8 @@ pub struct GateResult {
 }
 
 impl GateResult {
-    /// An empty result (how ungated subcommands report: trivially ok).
+    /// An empty result (how a harness without bounded rows reports:
+    /// trivially ok).
     pub fn new() -> GateResult {
         GateResult::default()
     }

@@ -3,26 +3,27 @@
 //! Two entry points:
 //!
 //! * the **`figures` binary** (`cargo run -p covirt-bench --release --bin
-//!   figures -- <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8|all>
-//!   [--full]`) re-runs an experiment and prints the same rows/series the
-//!   paper's table or figure reports, including the overhead percentages
-//!   the text quotes;
-//! * the **criterion benches** (`cargo bench -p covirt-bench`), one per
-//!   figure plus the ablation suite for the design choices DESIGN.md calls
-//!   out (EPT coalescing, IPI mode, asynchronous command-queue
-//!   reconfiguration, per-exit-reason cost).
+//!   figures -- <table1|fig3|...|profile|bench|all> [--full]`) re-runs an
+//!   experiment and prints the same rows/series the paper's table or
+//!   figure reports, including the overhead percentages the text quotes;
+//! * the **criterion ablation bench** (`cargo bench -p covirt-bench`) for
+//!   the design choices DESIGN.md calls out (EPT coalescing, IPI mode,
+//!   asynchronous command-queue reconfiguration, per-exit-reason cost).
 //!
-//! This library holds the shared formatting helpers, the shared
-//! [`gate::GateResult`] pass/fail path every gated subcommand exits
-//! through, and the [`suite`] module behind `figures bench`: the
-//! structured benchmark runner, its declarative gate table, and the
-//! baseline comparator plumbing (schema in `covirt_trace::bench`).
+//! This library holds the report renderers, the shared
+//! [`gate::GateResult`] pass/fail path every subcommand exits through,
+//! and the [`suite`] module: the one table of harnesses behind every
+//! `figures` subcommand, its declarative gate table, and the baseline
+//! comparator plumbing (schema in `covirt_trace::bench`).
 
 pub mod gate;
 pub mod suite;
 
 use covirt::stats::overhead_pct;
+use covirt_trace::Phase;
+use workloads::exitless::{ArmResult, ConcurrentResult, ParkedResult};
 use workloads::figures::{Fig3Row, Fig4Row, Fig5aRow, Fig5bRow, Fig8Row, ScalingRow};
+use workloads::profile::{OverheadArm, ProfileReport};
 use workloads::scaling::{ChurnIsolation, FragPoint, NumaPoint, ScalingPoint};
 
 /// Format an overhead percentage for a table cell: two decimals, or
@@ -313,6 +314,122 @@ pub fn render_shootdown(r: &workloads::shootdown::ShootdownRun) -> String {
             c.counters.walk_cache_misses,
         ));
     }
+    out
+}
+
+/// Render one `selfheal` arm: what the live tail delivered and what the
+/// remediation policy did about it.
+pub fn render_selfheal(arm: &str, r: &workloads::selfheal::SelfhealReport) -> String {
+    let mut out = format!(
+        "{arm}: live tail {} batch(es), {} event(s) delivered, {} lapped\n",
+        r.batches, r.events, r.dropped
+    );
+    if r.actions.is_empty() {
+        out.push_str("remediation actions: none\n");
+    } else {
+        out.push_str("remediation actions:\n");
+        for a in &r.actions {
+            out.push_str(&format!("  - {a}\n"));
+        }
+    }
+    if let Some(mttr) = r.mttr_ns {
+        out.push_str(&format!(
+            "MTTR {mttr} ns ({} event(s) fault -> remediation)\n",
+            r.events_to_remediate
+        ));
+    }
+    out
+}
+
+/// Render the `exitless` comparison: the two steady-state delivery arms,
+/// the concurrent barrier and the parked-core fallback.
+pub fn render_exitless(
+    nmi: &ArmResult,
+    doorbell: &ArmResult,
+    conc: &ConcurrentResult,
+    parked: &ParkedResult,
+) -> String {
+    let mut out = format!(
+        "steady-state command delivery ({} single-command round-trips per arm):\n\
+         \x20 {:<15} {:>9} {:>12} {:>12} {:>10} {:>10} {:>11}\n",
+        nmi.rounds, "arm", "commands", "p50-ns", "p99-ns", "cmd-exits", "exits/cmd", "escalations"
+    );
+    for a in [nmi, doorbell] {
+        out.push_str(&format!(
+            "  {:<15} {:>9} {:>12} {:>12} {:>10} {:>10.3} {:>11}\n",
+            a.label,
+            a.commands,
+            a.p50_ns,
+            a.p99_ns,
+            a.cmd_exits,
+            a.exits_per_cmd(),
+            a.escalations
+        ));
+    }
+    out.push_str(&format!(
+        "  post->complete p99 ratio (nmi-only / doorbell-first): {:.1}x\n\
+         concurrent barrier ({} rounds, 2 live cores): {} command-path exit(s), \
+         {} harvested in guest mode, {} escalation(s)\n\
+         parked-core fallback: {} escalation(s), first after {} ns (bound {} ns), completed: {}\n",
+        nmi.p99_ns as f64 / doorbell.p99_ns.max(1) as f64,
+        conc.rounds,
+        conc.cmd_exits,
+        conc.harvested,
+        conc.escalations,
+        parked.escalations,
+        parked.time_to_escalation_ns,
+        parked.bound_ns,
+        parked.completed
+    ));
+    out
+}
+
+/// Render an instrumentation off-vs-on STREAM arm (`what` = "recorder" /
+/// "profiler").
+pub fn render_overhead_arm(what: &str, arm: &OverheadArm) -> String {
+    format!(
+        "STREAM triad, {what} off: {:.0} MB/s\n\
+         STREAM triad, {what} on:  {:.0} MB/s\n\
+         disabled-{what} margin: {}%  (positive = off faster, as expected)\n",
+        arm.off_mbs,
+        arm.on_mbs,
+        fmt_pct(overhead_pct(arm.on_mbs, arm.off_mbs)) // off throughput relative to on
+    )
+}
+
+/// Render a profile report: the per-enclave x per-phase cycle table, the
+/// per-core conservation check and the live window tail's tally.
+pub fn render_profile(r: &ProfileReport) -> String {
+    let mut out = String::from("per-enclave phase breakdown (cycles):\n");
+    out.push_str(&format!("  {:<10}", "enclave"));
+    for p in Phase::ALL {
+        out.push_str(&format!(" {:>14}", p.name()));
+    }
+    out.push('\n');
+    for e in r.snapshot.by_enclave() {
+        let label = e.enclave.map_or("native".to_string(), |id| id.to_string());
+        out.push_str(&format!("  {label:<10}"));
+        for p in Phase::ALL {
+            out.push_str(&format!(" {:>14}", e.cycles[p as usize]));
+        }
+        out.push('\n');
+    }
+    out.push_str("per-core conservation (accounted vs wall TSC):\n");
+    for l in r.snapshot.lanes.iter().filter(|l| l.wall > 0) {
+        out.push_str(&format!(
+            "  core{:<3} wall {:>14}  accounted {:>14}  err {:.4}%\n",
+            l.lane,
+            l.wall,
+            l.accounted,
+            l.conservation_error() * 100.0
+        ));
+    }
+    out.push_str(&format!(
+        "live window tail: {} sealed window(s) across {} lane(s), {} cycles/window\n",
+        r.window_count(),
+        r.windows.iter().filter(|(_, w)| !w.is_empty()).count(),
+        r.window_cycles
+    ));
     out
 }
 

@@ -35,9 +35,36 @@ pub enum EnclaveState {
 }
 
 impl EnclaveState {
+    /// Every state that is not dead — the from-set of the two transitions
+    /// that end an enclave's life.
+    pub const NOT_DEAD: [EnclaveState; 4] = [
+        EnclaveState::Created,
+        EnclaveState::Loaded,
+        EnclaveState::Running,
+        EnclaveState::ShuttingDown,
+    ];
+
     /// True if the enclave's cores may be executing.
     pub fn is_live(&self) -> bool {
         matches!(self, EnclaveState::Running | EnclaveState::ShuttingDown)
+    }
+
+    /// True once the enclave has ended (`Terminated` or `Failed`). Dead
+    /// is absorbing: no transition leaves it.
+    pub fn is_dead(&self) -> bool {
+        matches!(self, EnclaveState::Terminated | EnclaveState::Failed(_))
+    }
+
+    /// The lifecycle table: `Created → Loaded → Running → ShuttingDown`,
+    /// one step at a time, and any state that is not dead may die.
+    pub fn may_become(&self, next: &EnclaveState) -> bool {
+        use EnclaveState::*;
+        match (self, next) {
+            (Terminated | Failed(_), _) => false,
+            (_, Terminated | Failed(_)) => true,
+            (Created, Loaded) | (Loaded, Running) | (Running, ShuttingDown) => true,
+            _ => false,
+        }
     }
 }
 
@@ -110,24 +137,24 @@ impl Enclave {
         self.state.lock().clone()
     }
 
-    /// Transition with validation; returns the previous state.
-    pub fn set_state(&self, next: EnclaveState) -> EnclaveState {
+    /// The one lifecycle transition: under the state lock, move to `to`
+    /// if the current state is one of `allowed_from` and the step is an
+    /// edge of [`EnclaveState::may_become`]. `Ok(previous)` tells the
+    /// caller it made the transition — of any number of racing callers
+    /// exactly one does, and the one that kills the enclave runs the
+    /// teardown hooks and reclaims the partition. `Err(current)` leaves
+    /// the state as it was.
+    pub fn transition(
+        &self,
+        allowed_from: &[EnclaveState],
+        to: EnclaveState,
+    ) -> Result<EnclaveState, EnclaveState> {
         let mut s = self.state.lock();
-        std::mem::replace(&mut *s, next)
-    }
-
-    /// End the enclave's life: under the state lock, move it to `last`
-    /// (`Terminated` or `Failed(reason)`) unless it is already dead.
-    /// Returns whether this caller made the transition — exactly one of any
-    /// number of racing callers does, and that one runs the teardown hooks
-    /// and reclaims the partition.
-    pub fn retire(&self, last: EnclaveState) -> bool {
-        let mut s = self.state.lock();
-        if matches!(*s, EnclaveState::Terminated | EnclaveState::Failed(_)) {
-            return false;
+        if allowed_from.contains(&s) && s.may_become(&to) {
+            Ok(std::mem::replace(&mut *s, to))
+        } else {
+            Err(s.clone())
         }
-        *s = last;
-        true
     }
 
     /// Read access to the resource partition.
@@ -186,22 +213,69 @@ mod tests {
 
     #[test]
     fn transitions_and_liveness() {
+        use EnclaveState::*;
         let e = enclave();
-        e.set_state(EnclaveState::Loaded);
-        e.set_state(EnclaveState::Running);
+        assert_eq!(e.transition(&[Created], Loaded), Ok(Created));
+        // Skipping a step is refused even when the caller allows it.
+        assert_eq!(e.transition(&[Loaded], ShuttingDown), Err(Loaded));
+        // A legal edge is refused from a state the caller did not allow.
+        assert_eq!(e.transition(&[Created], Running), Err(Loaded));
+        assert_eq!(e.transition(&[Loaded], Running), Ok(Loaded));
         assert!(e.state().is_live());
-        let prev = e.set_state(EnclaveState::Failed("ept violation".into()));
-        assert_eq!(prev, EnclaveState::Running);
+        let failed = Failed("ept violation".into());
+        assert_eq!(
+            e.transition(&EnclaveState::NOT_DEAD, failed.clone()),
+            Ok(Running)
+        );
         assert!(!e.state().is_live());
+        // Only the first death wins, and nothing revives the enclave.
+        assert_eq!(
+            e.transition(&EnclaveState::NOT_DEAD, Terminated),
+            Err(failed.clone())
+        );
+        assert_eq!(
+            e.transition(std::slice::from_ref(&failed), ShuttingDown),
+            Err(failed.clone())
+        );
+        assert_eq!(e.state(), failed);
     }
 
-    #[test]
-    fn only_the_first_retire_wins() {
-        let e = enclave();
-        e.set_state(EnclaveState::Running);
-        assert!(e.retire(EnclaveState::Failed("first".into())));
-        assert!(!e.retire(EnclaveState::Terminated));
-        assert_eq!(e.state(), EnclaveState::Failed("first".into()));
+    proptest::proptest! {
+        /// Random (from-set, target) requests against a fresh enclave:
+        /// every accepted step is an edge of the lifecycle table taken
+        /// from an allowed state, every refusal leaves the state alone,
+        /// and once dead the enclave never changes again.
+        #[test]
+        fn random_transition_sequences_follow_the_table(
+            steps in proptest::collection::vec((0u8..64, 0usize..6), 1..40),
+        ) {
+            use EnclaveState::*;
+            let states = [Created, Loaded, Running, ShuttingDown, Terminated, Failed("f".into())];
+            // (from, to) index pairs of the table, written out independently.
+            let edges = [(0, 1), (1, 2), (2, 3)];
+            let e = enclave();
+            let mut at = 0usize;
+            for (mask, to) in steps {
+                let allowed: Vec<EnclaveState> = (0..6)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| states[i].clone())
+                    .collect();
+                let legal = at < 4 && (to >= 4 || edges.contains(&(at, to)));
+                let expect = legal && allowed.contains(&states[at]);
+                match e.transition(&allowed, states[to].clone()) {
+                    Ok(prev) => {
+                        proptest::prop_assert!(expect, "{:?} -> {:?} accepted", prev, states[to]);
+                        proptest::prop_assert_eq!(&prev, &states[at]);
+                        at = to;
+                    }
+                    Err(cur) => {
+                        proptest::prop_assert!(!expect, "{:?} -> {:?} refused", cur, states[to]);
+                        proptest::prop_assert_eq!(&cur, &states[at]);
+                    }
+                }
+                proptest::prop_assert_eq!(e.state(), states[at].clone());
+            }
+        }
     }
 
     #[test]

@@ -228,7 +228,9 @@ impl PiscesHost {
         };
         params.write_to(&self.node.mem, mgmt.start)?;
 
-        enclave.set_state(EnclaveState::Loaded);
+        enclave
+            .transition(&[EnclaveState::Created], EnclaveState::Loaded)
+            .expect("a new enclave is Created and not yet shared");
         self.enclaves.write().insert(id.0, Arc::clone(&enclave));
         Ok(enclave)
     }
@@ -256,17 +258,22 @@ impl PiscesHost {
     /// here) and mark the enclave running. The caller then drives the
     /// returned plan on the enclave's cores.
     pub fn launch(&self, enclave: &Enclave) -> PiscesResult<BootPlan> {
+        let bad_state = PiscesError::BadState {
+            enclave: enclave.id.0,
+            op: "launch",
+        };
+        // Fail fast before the hooks build anything; the transition below
+        // is what decides, so a teardown racing the hooks is not undone.
         if enclave.state() != EnclaveState::Loaded {
-            return Err(PiscesError::BadState {
-                enclave: enclave.id.0,
-                op: "launch",
-            });
+            return Err(bad_state);
         }
         let mut plan = self.boot_plan(enclave)?;
         for h in self.hooks.read().iter() {
             plan = h.on_boot_plan(enclave, plan)?;
         }
-        enclave.set_state(EnclaveState::Running);
+        enclave
+            .transition(&[EnclaveState::Loaded], EnclaveState::Running)
+            .map_err(|_| bad_state)?;
         Ok(plan)
     }
 
@@ -429,7 +436,8 @@ impl PiscesHost {
     }
 
     /// Run the teardown hooks, then return everything the enclave holds to
-    /// the node. Called only by the caller that won [`Enclave::retire`];
+    /// the node. Called only by the caller whose [`Enclave::transition`]
+    /// killed the enclave;
     /// taking the spec under the resource lock leaves nothing for anyone
     /// else to free.
     fn reclaim(&self, enclave: &Enclave) -> PiscesResult<()> {
@@ -454,12 +462,12 @@ impl PiscesHost {
 
     /// Orderly teardown: `Terminated`, hooks, reclaim.
     pub fn teardown(&self, enclave: &Enclave) -> PiscesResult<()> {
-        if !enclave.retire(EnclaveState::Terminated) {
-            return Err(PiscesError::BadState {
+        enclave
+            .transition(&EnclaveState::NOT_DEAD, EnclaveState::Terminated)
+            .map_err(|_| PiscesError::BadState {
                 enclave: enclave.id.0,
                 op: "teardown",
-            });
-        }
+            })?;
         self.reclaim(enclave)
     }
 
@@ -469,10 +477,13 @@ impl PiscesHost {
     /// Of racing reports (and a racing teardown) one does the work; the
     /// others return `Ok` at once, possibly before it has finished.
     pub fn report_fault(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
-        if !enclave.retire(EnclaveState::Failed(reason.to_owned())) {
-            return Ok(()); // already dead; double reports are harmless
+        match enclave.transition(
+            &EnclaveState::NOT_DEAD,
+            EnclaveState::Failed(reason.to_owned()),
+        ) {
+            Ok(_) => self.reclaim(enclave),
+            Err(_) => Ok(()), // already dead; double reports are harmless
         }
-        self.reclaim(enclave)
     }
 
     /// Begin an orderly shutdown: ask the co-kernel to quiesce over the
@@ -480,13 +491,16 @@ impl PiscesHost {
     /// [`PiscesHost::process_acks`]; callers then invoke
     /// [`PiscesHost::teardown`].
     pub fn request_shutdown(&self, enclave: &Enclave) -> PiscesResult<()> {
-        if !enclave.state().is_live() {
-            return Err(PiscesError::BadState {
-                enclave: enclave.id.0,
-                op: "shutdown",
-            });
+        match enclave.transition(&[EnclaveState::Running], EnclaveState::ShuttingDown) {
+            // A repeated request while the first is pending asks again.
+            Ok(_) | Err(EnclaveState::ShuttingDown) => {}
+            Err(_) => {
+                return Err(PiscesError::BadState {
+                    enclave: enclave.id.0,
+                    op: "shutdown",
+                })
+            }
         }
-        enclave.set_state(EnclaveState::ShuttingDown);
         let ctrl = enclave
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
@@ -691,6 +705,25 @@ mod tests {
         // Other enclaves can be created afterwards — the node survived.
         let e2 = h.create_enclave("e1", &small_req()).unwrap();
         assert_eq!(e2.state(), EnclaveState::Loaded);
+    }
+
+    /// Dead is absorbing at the host API too: no lifecycle call moves a
+    /// failed enclave, and none reclaims its partition a second time.
+    #[test]
+    fn shutdown_request_cannot_revive_a_failed_enclave() {
+        let h = host();
+        let in_use = || h.node().mem.zone_usage(ZoneId(0)).unwrap().1;
+        let before = in_use();
+        let e = h.create_enclave("e0", &small_req()).unwrap();
+        h.launch(&e).unwrap();
+        h.report_fault(&e, "ept violation").unwrap();
+        assert_eq!(in_use(), before);
+        for r in [h.request_shutdown(&e), h.teardown(&e)] {
+            assert!(matches!(r, Err(PiscesError::BadState { .. })), "{r:?}");
+        }
+        assert!(matches!(h.launch(&e), Err(PiscesError::BadState { .. })));
+        assert_eq!(e.state(), EnclaveState::Failed("ept violation".into()));
+        assert_eq!(in_use(), before, "a dead enclave was reclaimed again");
     }
 
     /// Two threads end one enclave at the same moment — fault report

@@ -12,7 +12,6 @@
 //!   cannot confuse the two.
 //! * [`GuestVirtAddr`] — virtual addresses inside a co-kernel / its tasks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// 4 KiB base page.
@@ -32,7 +31,7 @@ pub const PAGE_SHIFT_1G: u32 = 30;
 macro_rules! addr_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -159,7 +158,7 @@ impl HostPhysAddr {
 }
 
 /// Inclusive-start, exclusive-end range of host-physical memory.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysRange {
     /// First byte of the range.
     pub start: HostPhysAddr,

@@ -6,11 +6,10 @@
 //! (1 core / 1 zone … 8 cores / 2 zones, Figures 6 and 7) is expressed with
 //! [`HwLayout`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a logical CPU core, node-global (0-based).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CoreId(pub usize);
 
 impl fmt::Display for CoreId {
@@ -20,7 +19,7 @@ impl fmt::Display for CoreId {
 }
 
 /// Identifier of a NUMA memory zone (0-based).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ZoneId(pub usize);
 
 impl fmt::Display for ZoneId {
@@ -30,7 +29,7 @@ impl fmt::Display for ZoneId {
 }
 
 /// Static description of a node.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Number of CPU sockets.
     pub sockets: usize,
@@ -90,7 +89,7 @@ impl Topology {
 /// One of the paper's enclave hardware layouts (Figures 6–7): a core count
 /// and the number of NUMA zones those cores (and the enclave's memory) are
 /// spread across.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HwLayout {
     /// Cores assigned to the enclave.
     pub cores: usize,

@@ -27,6 +27,7 @@
 //! counts, single-trial records) fall back to the declared floors; a
 //! count pinned at 0 with zero floors regresses on *any* increase.
 
+use crate::export::escape;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -233,21 +234,7 @@ impl BenchSuite {
 }
 
 // ---------------------------------------------------------------------------
-// JSON serialization (hand-rolled, matching the exporters' style).
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
+// JSON serialization (hand-rolled, sharing the exporters' string escaper).
 
 /// Format an f64 so it round-trips: integral values print without a
 /// fraction, everything else with enough digits to reparse exactly.
@@ -273,9 +260,9 @@ impl BenchSuite {
             "{{\n  \"schema\": {},\n  \"commit\": \"",
             self.schema
         ));
-        escape_into(&self.commit, &mut out);
+        escape(&self.commit, &mut out);
         out.push_str("\",\n  \"config\": \"");
-        escape_into(&self.config, &mut out);
+        escape(&self.config, &mut out);
         // Hex string: u64 fingerprints exceed f64 integer precision,
         // so a bare JSON number would not round-trip.
         out.push_str(&format!(
@@ -284,11 +271,11 @@ impl BenchSuite {
         ));
         for (i, r) in self.records.iter().enumerate() {
             out.push_str("    {\"harness\": \"");
-            escape_into(&r.harness, &mut out);
+            escape(&r.harness, &mut out);
             out.push_str("\", \"metric\": \"");
-            escape_into(&r.metric, &mut out);
+            escape(&r.metric, &mut out);
             out.push_str("\", \"unit\": \"");
-            escape_into(&r.unit, &mut out);
+            escape(&r.unit, &mut out);
             out.push_str(&format!(
                 "\", \"direction\": \"{}\", \"rel_floor\": {}, \"abs_floor\": {}, \"gated\": {}, \"median\": {}, \"mad\": {}, \"samples\": [{}]}}{}\n",
                 r.direction.name(),

@@ -5,7 +5,8 @@
 use crate::profile::{Phase, ProfileSnapshot, WindowSnapshot};
 use crate::{unpack_str, EventKind, TraceEvent};
 
-fn escape(s: &str, out: &mut String) {
+/// Append `s` to `out` escaped for a JSON string literal.
+pub(crate) fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

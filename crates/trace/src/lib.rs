@@ -24,6 +24,8 @@
 //!
 //! ## Ring protocol
 //!
+//! Event lanes and the profiler's sealed-window lanes are the same
+//! seqlock ring (`seqring.rs`), each decoding its own payload words.
 //! Each lane has one *logical* writer (the thread driving that core; the
 //! controller gets its own lane), but the ring is robust to concurrent
 //! readers and even misbehaving extra writers: slots carry a seqlock-style
@@ -37,11 +39,13 @@ pub mod bench;
 pub mod export;
 pub mod metrics;
 pub mod profile;
+mod seqring;
 
 pub use metrics::{Counter, Hist, HistSnapshot, MetricsRegistry};
 pub use profile::{Phase, PhaseProfiler, PhaseTracker, ProfileSnapshot};
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use seqring::SeqRing;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Default events retained per lane.
@@ -277,172 +281,32 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// One ring slot. `seq` is the seqlock word; payload words are relaxed
-/// atomics so concurrent read/write stays defined — the seqlock detects
-/// (and discards) torn payloads rather than preventing them.
-struct Slot {
-    seq: AtomicU64,
-    tsc: AtomicU64,
-    /// kind (low 8 bits) | lane (bits 8..40) | enclave tag (bits 40..64,
-    /// `enclave_id + 1`, 0 = unattributed).
-    meta: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
+/// One per-core ring of four-word records: TSC, meta, `a`, `b`. Meta is
+/// kind (low 8 bits) | lane (bits 8..40) | enclave tag (bits 40..64,
+/// `enclave_id + 1`, 0 = unattributed).
+type Lane = SeqRing<4>;
+
+/// Decode one lane record; `None` when the kind byte is unknown.
+fn decode((idx, [tsc, meta, a, b]): seqring::Record<4>) -> Option<TraceEvent> {
+    let tag = meta >> 40;
+    Some(TraceEvent {
+        tsc,
+        lane: (meta >> 8) as u32,
+        idx,
+        kind: EventKind::from_u8(meta as u8)?,
+        enclave: (tag != 0).then(|| tag - 1),
+        a,
+        b,
+    })
 }
 
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            tsc: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One per-core ring.
-struct Lane {
-    /// Next stream index to write (fetch_add reservation).
-    next: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl Lane {
-    fn new(capacity: usize) -> Lane {
-        Lane {
-            next: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Slot::empty()).collect(),
-        }
-    }
-
-    #[inline]
-    fn write(&self, lane: u32, tag: u64, kind: EventKind, tsc: u64, a: u64, b: u64) {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(idx as usize) & (self.slots.len() - 1)];
-        // Odd = write in flight. Release so the odd marker is visible
-        // before any payload store can be observed as part of this write.
-        slot.seq.store(idx * 2 + 1, Ordering::Release);
-        slot.tsc.store(tsc, Ordering::Relaxed);
-        slot.meta.store(
-            kind as u64 | ((lane as u64) << 8) | (tag << 40),
-            Ordering::Relaxed,
-        );
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        // Even = committed for stream index `idx`; Release publishes the
-        // payload to any reader that acquires this value.
-        slot.seq.store(idx * 2 + 2, Ordering::Release);
-    }
-
-    /// Snapshot every coherent record, oldest first. Records a concurrent
-    /// writer is mid-overwriting are skipped.
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue; // empty or write in flight
-            }
-            let tsc = slot.tsc.load(Ordering::Relaxed);
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            // The fence orders the payload loads before the re-check: if
-            // seq is unchanged, no writer touched the slot in between and
-            // the payload is the one committed under s1.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != s1 {
-                continue; // overwritten mid-read — discard
-            }
-            let Some(kind) = EventKind::from_u8(meta as u8) else {
-                continue;
-            };
-            let tag = meta >> 40;
-            out.push(TraceEvent {
-                tsc,
-                lane: (meta >> 8) as u32,
-                idx: (s1 - 2) / 2,
-                kind,
-                enclave: (tag != 0).then(|| tag - 1),
-                a,
-                b,
-            });
-        }
-        out.sort_by_key(|e| e.idx);
-        out
-    }
-
-    /// Deliver the committed records at stream indices `cursor..`, oldest
-    /// first, without consuming them: `(events, next_cursor,
-    /// dropped_since)`. The cursor is the next undelivered stream index;
-    /// pass `next_cursor` back in to tail incrementally. `dropped_since`
-    /// counts records in `cursor..next_cursor` the ring overwrote before
-    /// (or while) they could be read. Delivery is a strict prefix of the
-    /// readable range — the walk stops at the first slot whose write is
-    /// still in flight, so a record is never skipped and later delivered
-    /// (no reordering, no double delivery across calls).
-    fn tail_from(&self, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
-        let cap = self.slots.len() as u64;
-        let next = self.next.load(Ordering::Acquire);
-        if next <= cursor {
-            // Nothing new; a cursor from the future stays put.
-            return (Vec::new(), cursor, 0);
-        }
-        // Everything older than one ring's worth is already overwritten.
-        let start = cursor.max(next.saturating_sub(cap));
-        let mut dropped = start - cursor;
-        let mut out = Vec::with_capacity((next - start) as usize);
-        let mut pos = start;
-        while pos < next {
-            let want = pos * 2 + 2;
-            let slot = &self.slots[(pos as usize) & (self.slots.len() - 1)];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 < want {
-                // The slot still holds older content or an in-flight
-                // write for `pos` (the writer reserves the index before
-                // committing). Stop so delivery stays a strict prefix;
-                // the next call resumes here.
-                break;
-            }
-            if s1 > want {
-                // The ring lapped `pos` after the `next` load.
-                dropped += 1;
-                pos += 1;
-                continue;
-            }
-            let tsc = slot.tsc.load(Ordering::Relaxed);
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            // Same seqlock re-check as `snapshot`: unchanged seq means no
-            // writer touched the slot across the payload loads.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != want {
-                dropped += 1; // overwritten mid-read — the record is gone
-                pos += 1;
-                continue;
-            }
-            match EventKind::from_u8(meta as u8) {
-                Some(kind) => {
-                    let tag = meta >> 40;
-                    out.push(TraceEvent {
-                        tsc,
-                        lane: (meta >> 8) as u32,
-                        idx: pos,
-                        kind,
-                        enclave: (tag != 0).then(|| tag - 1),
-                        a,
-                        b,
-                    });
-                }
-                None => dropped += 1, // undecodable — count as lost
-            }
-            pos += 1;
-        }
-        (out, pos, dropped)
-    }
+/// [`SeqRing::tail_from`] decoded; an undecodable record counts as lost.
+fn tail_lane(lane: &Lane, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
+    let (records, next, dropped) = lane.tail_from(cursor);
+    let read = records.len() as u64;
+    let events: Vec<TraceEvent> = records.into_iter().filter_map(decode).collect();
+    let undecodable = read - events.len() as u64;
+    (events, next, dropped + undecodable)
 }
 
 /// The flight recorder: one ring per lane plus the metrics registry, so a
@@ -525,21 +389,27 @@ impl Recorder {
             return;
         }
         let li = (lane as usize).min(self.lanes.len() - 1);
-        self.lanes[li].write(lane, enclave_tag(enclave), kind, tsc, a, b);
+        let meta = kind as u64 | ((lane as u64) << 8) | (enclave_tag(enclave) << 40);
+        self.lanes[li].write([tsc, meta, a, b]);
     }
 
     /// One lane's coherent records, oldest first.
     pub fn lane_events(&self, lane: u32) -> Vec<TraceEvent> {
         self.lanes
             .get(lane as usize)
-            .map(|l| l.snapshot())
+            .map(|l| l.snapshot().into_iter().filter_map(decode).collect())
             .unwrap_or_default()
     }
 
     /// Merged chronological dump across all lanes, sorted by TSC (lane and
     /// stream index break ties deterministically).
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = self.lanes.iter().flat_map(|l| l.snapshot()).collect();
+        let mut all: Vec<TraceEvent> = self
+            .lanes
+            .iter()
+            .flat_map(|l| l.snapshot())
+            .filter_map(decode)
+            .collect();
         all.sort_by_key(|e| (e.tsc, e.lane, e.idx));
         all
     }
@@ -554,7 +424,7 @@ impl Recorder {
     pub fn tail_from(&self, lane: u32, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
         self.lanes
             .get(lane as usize)
-            .map(|l| l.tail_from(cursor))
+            .map(|l| tail_lane(l, cursor))
             .unwrap_or((Vec::new(), cursor, 0))
     }
 
@@ -568,7 +438,7 @@ impl Recorder {
         let mut all = Vec::new();
         let mut dropped = 0;
         for (lane, cursor) in cursors.iter_mut().enumerate() {
-            let (events, next, d) = self.lanes[lane].tail_from(*cursor);
+            let (events, next, d) = tail_lane(&self.lanes[lane], *cursor);
             all.extend(events);
             *cursor = next;
             dropped += d;
@@ -579,24 +449,18 @@ impl Recorder {
 
     /// Total events ever emitted (including overwritten ones).
     pub fn emitted(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.next.load(Ordering::Relaxed))
-            .sum()
+        self.lanes.iter().map(Lane::written).sum()
     }
 
     /// Events per lane ring (all lanes share one capacity; 0 if the
     /// recorder somehow has no lanes — `drop` accounting must not panic).
     pub fn lane_capacity(&self) -> u64 {
-        self.lanes.first().map_or(0, |l| l.slots.len() as u64)
+        self.lanes.first().map_or(0, Lane::capacity)
     }
 
     /// Events ever emitted on one lane (including overwritten ones).
     pub fn lane_emitted(&self, lane: u32) -> u64 {
-        self.lanes
-            .get(lane as usize)
-            .map(|l| l.next.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.lanes.get(lane as usize).map_or(0, Lane::written)
     }
 
     /// Events a lane's ring has overwritten (dropped from any future

@@ -33,12 +33,13 @@
 //!
 //! A per-lane sliding-window ring ([`PhaseProfiler::tail_windows`])
 //! exposes the time series live — fixed windows of per-phase cycle
-//! shares plus p50/p99 phase dwell — using the same seqlock-and-cursor
-//! tailing protocol the recorder uses, so the remediation pump can
-//! consume it with the cursor discipline it already has.
+//! shares plus p50/p99 phase dwell — in the same seqlock ring the
+//! recorder's event lanes use (`seqring.rs`), so the remediation pump
+//! consumes it with the cursor discipline it already has.
 
 use crate::metrics::HistSnapshot;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use crate::seqring::SeqRing;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Execution phases a core (or the control plane, via the overlay) can
@@ -146,28 +147,18 @@ impl WindowSnapshot {
     }
 }
 
-/// One ring slot holding a sealed window, protected by the recorder's
-/// seqlock protocol: `2*pos + 1` while the seal is in flight, `2*pos + 2`
-/// once committed (`pos` = seal-order stream index). A reader observing
-/// an odd or moved sequence discards the slot — torn windows are
-/// detected, never returned.
-struct WindowSlot {
-    seq: AtomicU64,
-    index: AtomicU64,
-    phase_cycles: [AtomicU64; NUM_PHASES],
-    dwell_p50: [AtomicU64; NUM_PHASES],
-    dwell_p99: [AtomicU64; NUM_PHASES],
-}
+/// Payload words of one sealed window in the lane's [`SeqRing`]: the
+/// window index, then per-phase cycles, dwell p50 and dwell p99.
+const WINDOW_WORDS: usize = 1 + 3 * NUM_PHASES;
 
-impl WindowSlot {
-    fn new() -> WindowSlot {
-        WindowSlot {
-            seq: AtomicU64::new(0),
-            index: AtomicU64::new(0),
-            phase_cycles: std::array::from_fn(|_| AtomicU64::new(0)),
-            dwell_p50: std::array::from_fn(|_| AtomicU64::new(0)),
-            dwell_p99: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+/// Decode a sealed window from its ring payload.
+fn decode_window(words: [u64; WINDOW_WORDS]) -> WindowSnapshot {
+    let column = |c: usize| std::array::from_fn(|p| words[1 + c * NUM_PHASES + p]);
+    WindowSnapshot {
+        index: words[0],
+        phase_cycles: column(0),
+        dwell_p50: column(1),
+        dwell_p99: column(2),
     }
 }
 
@@ -236,9 +227,7 @@ struct LaneShard {
     /// Per-phase dwell (contiguous occupancy length, cycles), log2.
     dwell: [[AtomicU64; DWELL_BUCKETS]; NUM_PHASES],
     /// Sealed windows, in seal order.
-    windows: Vec<WindowSlot>,
-    /// Next window stream index to seal (== windows sealed so far).
-    window_next: AtomicU64,
+    windows: SeqRing<WINDOW_WORDS>,
 }
 
 impl LaneShard {
@@ -249,8 +238,7 @@ impl LaneShard {
             wall: AtomicU64::new(0),
             accounted: AtomicU64::new(0),
             dwell: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            windows: (0..WINDOW_SLOTS).map(|_| WindowSlot::new()).collect(),
-            window_next: AtomicU64::new(0),
+            windows: SeqRing::new(WINDOW_SLOTS),
         }
     }
 
@@ -275,67 +263,26 @@ impl LaneShard {
 
     /// Seal a writer-private window accumulator into the ring.
     fn seal(&self, acc: &WindowAcc) {
-        let pos = self.window_next.load(Ordering::Relaxed);
-        let slot = &self.windows[(pos as usize) & (WINDOW_SLOTS - 1)];
-        slot.seq.store(pos * 2 + 1, Ordering::Release);
-        fence(Ordering::Release);
-        slot.index.store(acc.index, Ordering::Relaxed);
+        let mut words = [0; WINDOW_WORDS];
+        words[0] = acc.index;
         for p in 0..NUM_PHASES {
-            slot.phase_cycles[p].store(acc.phase_cycles[p], Ordering::Relaxed);
-            slot.dwell_p50[p].store(WindowAcc::quantile(&acc.dwell[p], 0.5), Ordering::Relaxed);
-            slot.dwell_p99[p].store(WindowAcc::quantile(&acc.dwell[p], 0.99), Ordering::Relaxed);
+            words[1 + p] = acc.phase_cycles[p];
+            words[1 + NUM_PHASES + p] = WindowAcc::quantile(&acc.dwell[p], 0.5);
+            words[1 + 2 * NUM_PHASES + p] = WindowAcc::quantile(&acc.dwell[p], 0.99);
         }
-        fence(Ordering::Release);
-        slot.seq.store(pos * 2 + 2, Ordering::Release);
-        self.window_next.store(pos + 1, Ordering::Release);
+        self.windows.write(words);
     }
 
     /// Tail sealed windows from `cursor` (seal-order stream index):
     /// `(windows, next_cursor, dropped_since)` — same strict-prefix
     /// cursor protocol as the recorder's event tailing.
     fn tail_windows(&self, cursor: u64) -> (Vec<WindowSnapshot>, u64, u64) {
-        let cap = WINDOW_SLOTS as u64;
-        let next = self.window_next.load(Ordering::Acquire);
-        if next <= cursor {
-            return (Vec::new(), cursor, 0);
-        }
-        let start = cursor.max(next.saturating_sub(cap));
-        let mut dropped = start - cursor;
-        let mut out = Vec::with_capacity((next - start) as usize);
-        let mut pos = start;
-        while pos < next {
-            let want = pos * 2 + 2;
-            let slot = &self.windows[(pos as usize) & (WINDOW_SLOTS - 1)];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 < want {
-                break; // seal in flight: stop, stay a strict prefix
-            }
-            if s1 > want {
-                dropped += 1; // lapped after the `next` load
-                pos += 1;
-                continue;
-            }
-            let mut snap = WindowSnapshot {
-                index: slot.index.load(Ordering::Relaxed),
-                phase_cycles: [0; NUM_PHASES],
-                dwell_p50: [0; NUM_PHASES],
-                dwell_p99: [0; NUM_PHASES],
-            };
-            for p in 0..NUM_PHASES {
-                snap.phase_cycles[p] = slot.phase_cycles[p].load(Ordering::Relaxed);
-                snap.dwell_p50[p] = slot.dwell_p50[p].load(Ordering::Relaxed);
-                snap.dwell_p99[p] = slot.dwell_p99[p].load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != want {
-                dropped += 1; // overwritten mid-read — the window is gone
-                pos += 1;
-                continue;
-            }
-            out.push(snap);
-            pos += 1;
-        }
-        (out, pos, dropped)
+        let (records, next, dropped) = self.windows.tail_from(cursor);
+        let windows = records
+            .into_iter()
+            .map(|(_, words)| decode_window(words))
+            .collect();
+        (windows, next, dropped)
     }
 }
 

@@ -394,8 +394,8 @@ pub fn fault_run() -> ProfileReport {
     }
 }
 
-/// An off-vs-on overhead measurement (`figures traceovh`, the profile
-/// clean gate, and the bench suite): best-of-four STREAM triad per mode,
+/// An off-vs-on overhead measurement (the `traceovh` and `profile`
+/// harnesses): best-of-four STREAM triad per mode,
 /// interleaved so host scheduler noise lands on both modes alike.
 pub struct OverheadArm {
     /// Best triad bandwidth with the instrumentation disabled, MB/s.
@@ -484,26 +484,6 @@ pub fn recorder_overhead_arm() -> OverheadArm {
 /// Disabled-profiler cost on the guest data plane.
 pub fn profiler_overhead_arm() -> OverheadArm {
     overhead_arm(stream_triad_profiler)
-}
-
-/// Re-run an overhead arm up to `attempts` times and keep the lowest
-/// deficit. A single arm can lose the host scheduler lottery on a busy
-/// box; the off-path cost claim is a capability bound, so the gate
-/// judges the best attempt — the same best-trial statistic the bench
-/// suite applies to these metrics. Stops early once an attempt shows no
-/// deficit at all.
-pub fn best_arm(attempts: usize, arm: fn() -> OverheadArm) -> OverheadArm {
-    let mut best = arm();
-    for _ in 1..attempts {
-        if best.deficit_pct() <= 0.0 {
-            break;
-        }
-        let next = arm();
-        if next.deficit_pct() < best.deficit_pct() {
-            best = next;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

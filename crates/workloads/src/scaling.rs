@@ -18,7 +18,6 @@ use covirt::config::CovirtConfig;
 use covirt::ExecMode;
 use covirt_simhw::addr::{PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use covirt_simhw::memory::ZoneStats;
-use covirt_simhw::node::SimNode;
 use covirt_simhw::tlb::TlbParams;
 use covirt_simhw::topology::{CoreId, HwLayout, Topology, ZoneId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,30 +110,7 @@ pub fn build_world(mode: ExecMode, cores: usize, p: ScalingParams) -> World {
 /// Run one (mode, cores) point: per-core STREAM then per-core
 /// RandomAccess, all cores concurrent, one OS thread per core.
 pub fn run_point(mode: ExecMode, cores: usize, p: ScalingParams) -> ScalingPoint {
-    run_point_on(mode, cores, p, false).0
-}
-
-/// [`run_point`] with the node's flight recorder attached for the whole
-/// run. Returns the node alongside the measurement so the caller can
-/// export the trace and the metrics registry.
-pub fn run_point_recorded(
-    mode: ExecMode,
-    cores: usize,
-    p: ScalingParams,
-) -> (ScalingPoint, Arc<SimNode>) {
-    run_point_on(mode, cores, p, true)
-}
-
-fn run_point_on(
-    mode: ExecMode,
-    cores: usize,
-    p: ScalingParams,
-    record: bool,
-) -> (ScalingPoint, Arc<SimNode>) {
     let world = build_world(mode, cores, p);
-    if record {
-        world.node.recorder().set_enabled(true);
-    }
     let streams: Vec<stream::Stream> = (0..cores)
         .map(|_| stream::Stream::setup(&world, p.stream_n))
         .collect();
@@ -167,15 +143,14 @@ fn run_point_on(
     let gups: Vec<f64> = results.iter().map(|r| r.1).collect();
     let hits: u64 = results.iter().map(|r| r.2).sum();
     let misses: u64 = results.iter().map(|r| r.3).sum();
-    let point = ScalingPoint {
+    ScalingPoint {
         mode: mode.label(),
         cores,
         stream_mbs_per_core: covirt::stats::median(&triads),
         gups_per_core: covirt::stats::median(&gups),
         resolve_hit_rate: covirt::stats::ratio(hits, hits + misses),
         snapshot_swaps,
-    };
-    (point, Arc::clone(&world.node))
+    }
 }
 
 /// Run the full sweep: every core count, Native then Covirt, interleaved
@@ -488,19 +463,6 @@ pub fn run_frag_point(ways: usize, regions: usize, rounds: usize) -> FragPoint {
     }
 }
 
-/// The fragmentation sweep: direct-mapped vs fully associative region
-/// cache over the same fragmented enclave.
-pub fn run_frag(scale: Scale) -> Vec<FragPoint> {
-    let (regions, rounds) = match scale {
-        Scale::Quick => (128, 8),
-        Scale::Paper => (512, 16),
-    };
-    [1usize, 4]
-        .iter()
-        .map(|&w| run_frag_point(w, regions, rounds))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,7 +513,7 @@ mod tests {
         let iso = run_churn_isolation(p);
         assert!(iso.remote_publishes > 0, "churn arm published nothing");
         assert!(iso.baseline_hit_rate > 0.5);
-        // The hard 2% gate runs in `figures numa`; here just require the
+        // The hard gate is `numa.churn_hit_rate_ratio`; here just require the
         // churn arm to be in the same regime, not collapsed.
         assert!(
             iso.churn_hit_rate > 0.9 * iso.baseline_hit_rate,

@@ -115,8 +115,8 @@ mod tests {
     /// fraction is under `bound`. These tests judge one short wall-clock
     /// run while the crate's other tests share the host's vCPUs, so a
     /// single run can lose the scheduler lottery; the noise claim is a
-    /// capability bound, so — like `profile::best_arm` — the best attempt
-    /// is what counts.
+    /// capability bound, so — like the bench suite's `GateOn::Best` rows —
+    /// the best attempt is what counts.
     fn quietest(bound: f64, mut run: impl FnMut() -> SelfishResult) -> SelfishResult {
         let mut best = run();
         for _ in 1..5 {

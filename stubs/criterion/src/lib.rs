@@ -2,7 +2,7 @@
 //!
 //! Provides the macro/API surface the workspace's benches use
 //! (`criterion_group!`, `criterion_main!`, benchmark groups,
-//! `bench_with_input`, `black_box`). Instead of criterion's statistical
+//! `black_box`). Instead of criterion's statistical
 //! machinery, each benchmark runs a small fixed number of iterations and
 //! prints the mean wall-clock time — enough for `cargo bench --no-run`
 //! gates and for eyeballing relative numbers offline.
@@ -26,33 +26,6 @@ impl Criterion {
             _criterion: self,
             name: name.to_string(),
         }
-    }
-
-    pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_one(&id.to_string(), &mut f);
-        self
-    }
-}
-
-/// Two-part benchmark id (`group/parameter`).
-pub struct BenchmarkId(String);
-
-impl BenchmarkId {
-    pub fn new(function: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        Self(format!("{function}/{parameter}"))
-    }
-
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        Self(parameter.to_string())
-    }
-}
-
-impl std::fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
     }
 }
 
@@ -101,19 +74,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: impl std::fmt::Display,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        run_one(&format!("{}/{}", self.name, id), &mut |b| f(b, input));
-        self
-    }
-
     pub fn finish(self) {}
 }
 
@@ -154,11 +114,7 @@ mod tests {
             .sample_size(10)
             .measurement_time(Duration::from_millis(1));
         group.bench_function("add", |b| b.iter(|| black_box(1u64) + black_box(2)));
-        group.bench_with_input(BenchmarkId::new("mul", 3u64), &3u64, |b, &x| {
-            b.iter(|| black_box(x) * 2)
-        });
         group.finish();
-        c.bench_function("top-level", |b| b.iter(|| black_box(5u8)));
     }
 
     criterion_group!(benches, bench);
