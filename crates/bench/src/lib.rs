@@ -1,14 +1,10 @@
 //! # covirt-bench — the evaluation harness
 //!
-//! Two entry points:
-//!
-//! * the **`figures` binary** (`cargo run -p covirt-bench --release --bin
-//!   figures -- <table1|fig3|...|profile|bench|all> [--full]`) re-runs an
-//!   experiment and prints the same rows/series the paper's table or
-//!   figure reports, including the overhead percentages the text quotes;
-//! * the **criterion ablation bench** (`cargo bench -p covirt-bench`) for
-//!   the design choices DESIGN.md calls out (EPT coalescing, IPI mode,
-//!   asynchronous command-queue reconfiguration, per-exit-reason cost).
+//! One entry point: the **`figures` binary** (`cargo run -p covirt-bench
+//! --release --bin figures -- <table1|fig3|...|profile|bench|all>
+//! [--full]`) re-runs an experiment and prints the same rows/series the
+//! paper's table or figure reports, including the overhead percentages
+//! the text quotes.
 //!
 //! This library holds the report renderers, the shared
 //! [`gate::GateResult`] pass/fail path every subcommand exits through,

@@ -53,7 +53,13 @@ const EPT_POOL_BYTES: u64 = 16 * 1024 * 1024;
 /// commands; larger ones fall back to a full flush (invalidating the whole
 /// TLB is cheaper than sweeping it per-range once the range dwarfs the TLB
 /// reach).
-const DEFAULT_RANGE_FLUSH_THRESHOLD: u64 = 16 * 1024 * 1024;
+pub const DEFAULT_RANGE_FLUSH_THRESHOLD: u64 = 16 * 1024 * 1024;
+
+/// Polls of a core's completion counter before a flush wait gives up with
+/// a [`FlushTimeout`]. Sized for an oversubscribed host, where a polling
+/// core may not be scheduled for many quanta; a live core answers in
+/// microseconds of its own time.
+const COMPLETION_WAIT_POLLS: u64 = 50_000_000;
 
 /// At most this many coalesced ranges ride in one shootdown before the
 /// controller merges them into a single full flush (the command ring holds
@@ -89,10 +95,6 @@ pub struct CovirtController {
     master: RwLock<Option<Weak<MasterControl>>>,
     /// Record of every contained fault.
     pub faults: FaultLog,
-    /// Spin budget when waiting for per-core flush completions.
-    flush_spins: RwLock<u64>,
-    /// Size threshold selecting range-flush vs full-flush shootdowns.
-    range_flush_threshold: RwLock<u64>,
     /// Ranges unmapped inside an open reclaim epoch, awaiting the single
     /// coalesced shootdown at epoch close (keyed by enclave).
     pending_reclaims: Mutex<HashMap<u64, Vec<PhysRange>>>,
@@ -126,8 +128,6 @@ impl CovirtController {
             contexts: RwLock::new(HashMap::new()),
             master: RwLock::new(None),
             faults: FaultLog::new(),
-            flush_spins: RwLock::new(1_000_000),
-            range_flush_threshold: RwLock::new(DEFAULT_RANGE_FLUSH_THRESHOLD),
             pending_reclaims: Mutex::new(HashMap::new()),
             shootdowns: RwLock::new(0),
             delivery: RwLock::new(CmdDelivery::DoorbellFirst),
@@ -163,18 +163,6 @@ impl CovirtController {
             .get(&enclave)
             .cloned()
             .ok_or(CovirtError::NoContext(enclave))
-    }
-
-    /// Bound the flush-completion wait (tests use small values).
-    pub fn set_flush_spins(&self, spins: u64) {
-        *self.flush_spins.write() = spins;
-    }
-
-    /// Reclaims at or below `bytes` use `TlbFlushRange` shootdowns; larger
-    /// ones fall back to `TlbFlushAll`. `0` disables range flushes entirely
-    /// (ablation knob).
-    pub fn set_range_flush_threshold(&self, bytes: u64) {
-        *self.range_flush_threshold.write() = bytes;
     }
 
     /// How many broadcast shootdowns this controller has issued.
@@ -269,13 +257,7 @@ impl CovirtController {
     /// bound is kicked with the legacy NMI (and the escalation counted)
     /// before the full-budget wait resumes — so a core parked outside any
     /// harvest safe point still converges.
-    fn await_completion(
-        &self,
-        q: &CmdQueue,
-        core: usize,
-        seq: u64,
-        spins: u64,
-    ) -> Result<(), FlushTimeout> {
+    fn await_completion(&self, q: &CmdQueue, core: usize, seq: u64) -> Result<(), FlushTimeout> {
         if self.delivery() == CmdDelivery::DoorbellFirst {
             const SPIN_POLLS: u64 = 128;
             let bound = self.escalation_bound_ns();
@@ -306,7 +288,7 @@ impl CovirtController {
                 i += 1;
             }
         }
-        q.wait(seq, spins)
+        q.wait(seq, COMPLETION_WAIT_POLLS)
     }
 
     /// The node's EPT frame pool, reserved on first use.
@@ -449,11 +431,10 @@ impl CovirtController {
         if ranges.is_empty() {
             return Ok(());
         }
-        let spins = *self.flush_spins.read();
-        let threshold = *self.range_flush_threshold.read();
-        let use_ranges = threshold > 0
-            && ranges.len() <= MAX_RANGE_FLUSH_CMDS
-            && ranges.iter().all(|r| r.len <= threshold);
+        let use_ranges = ranges.len() <= MAX_RANGE_FLUSH_CMDS
+            && ranges
+                .iter()
+                .all(|r| r.len <= DEFAULT_RANGE_FLUSH_THRESHOLD);
         let traced = self.tracer.enabled();
         let t0 = if traced { self.node.clock.rdtsc() } else { 0 };
         if traced {
@@ -504,7 +485,7 @@ impl CovirtController {
         let prof = self.node.recorder().profiler();
         let w0 = prof.enabled().then(|| self.node.clock.rdtsc());
         for (q, core, seq) in waits {
-            self.await_completion(&q, core, seq, spins)
+            self.await_completion(&q, core, seq)
                 .map_err(|e| format!("TLB shootdown failed: {e}"))?;
         }
         if let Some(w0) = w0 {
@@ -565,7 +546,6 @@ impl CovirtController {
         let Some(vctx) = self.contexts.read().get(&enclave).cloned() else {
             return Ok(());
         };
-        let spins = *self.flush_spins.read();
         let mut waits = Vec::new();
         for core in vctx.live_cores() {
             if let Some(q) = vctx.cmdq(core) {
@@ -582,7 +562,7 @@ impl CovirtController {
         let prof = self.node.recorder().profiler();
         let w0 = prof.enabled().then(|| self.node.clock.rdtsc());
         for (q, core, seq) in waits {
-            self.await_completion(&q, core, seq, spins)
+            self.await_completion(&q, core, seq)
                 .map_err(|e| format!("shootdown barrier failed: {e}"))?;
         }
         if let Some(w0) = w0 {
@@ -635,6 +615,20 @@ impl EnclaveHooks for CovirtController {
             }
         }
         Ok(())
+    }
+
+    fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) {
+        if let Some(vctx) = self.contexts.read().get(&enclave.id.0) {
+            if let Some(ept) = vctx.ept.as_ref() {
+                let _ = ept.unmap(range);
+                self.tracer.emit_for(
+                    enclave.id.0,
+                    EventKind::EptUnmap,
+                    range.start.raw(),
+                    range.len,
+                );
+            }
+        }
     }
 
     fn on_mem_remove_acked(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
@@ -1083,6 +1077,49 @@ mod tests {
                 &DirectLoad(&node.mem)
             )
             .is_ok());
+    }
+
+    /// A co-kernel that never polls fills the 64-slot control ring; the
+    /// grant that finds it full was already allocated, EPT-mapped and
+    /// recorded, and must be undone down to the last leaf — without waiting
+    /// on the cores that are not answering.
+    #[test]
+    fn grant_refused_by_a_full_control_ring_changes_nothing() {
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let node = Arc::clone(master.pisces().node());
+        let (enclave, kernel) = master.bring_up_enclave("e0", &req()).unwrap();
+        let vctx = ctl.context(enclave.id.0).unwrap();
+        let grant = || master.pisces().add_memory(&enclave, ZoneId(0), 64 * 1024);
+        let mut granted = Vec::new();
+        let state = || {
+            (
+                node.mem.zone_usage(ZoneId(0)).unwrap(),
+                enclave.resources(),
+                vctx.ept.as_ref().unwrap().leaf_counts().unwrap(),
+                kernel.memmap().regions().len(),
+            )
+        };
+        let (before, err) = loop {
+            let before = state();
+            match grant() {
+                Ok(r) => granted.push(r),
+                Err(e) => break (before, e),
+            }
+        };
+        assert_eq!(granted.len(), 64, "the ring holds 64 messages");
+        assert!(matches!(err, PiscesError::ResourceBusy(_)), "{err}");
+        assert_eq!(state(), before);
+
+        // Once the kernel drains the ring the same grant goes through and
+        // every earlier one is there to be used.
+        master.pisces().process_acks(&enclave).unwrap();
+        kernel.poll_ctrl().unwrap();
+        granted.push(grant().unwrap());
+        master.pisces().process_acks(&enclave).unwrap();
+        kernel.poll_ctrl().unwrap();
+        for r in granted {
+            assert!(kernel.memmap().contains(r.start, 8));
+        }
     }
 
     #[test]

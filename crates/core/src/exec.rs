@@ -449,11 +449,6 @@ impl GuestCore {
         self.walk_cache_enabled = enabled;
     }
 
-    /// Enable or disable the region cache (ablation knob; on by default).
-    pub fn set_region_cache_enabled(&mut self, enabled: bool) {
-        self.region_cache.set_enabled(enabled);
-    }
-
     /// Restrict the region cache's associativity (ablation knob; full
     /// associativity by default).
     pub fn set_region_cache_ways(&mut self, ways: usize) {
@@ -1267,7 +1262,6 @@ mod tests {
     fn reclaims_never_overrun_the_unmap_log() {
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));
         let ctl = w.controller.as_ref().unwrap();
-        ctl.set_flush_spins(50_000_000);
         let mut gc = core(&w, 1);
         let a = data_gva(&w);
         gc.read_u64(a).unwrap();
@@ -1418,20 +1412,6 @@ mod tests {
             "second fill in the same grant region must hit the region cache"
         );
         assert!(c.resolve_misses > 0, "cold fills must miss");
-    }
-
-    #[test]
-    fn region_cache_disabled_never_hits() {
-        let w = world(ExecMode::Native);
-        let mut gc = core(&w, 1);
-        gc.set_region_cache_enabled(false);
-        let a = data_gva(&w);
-        for i in 0..2 {
-            gc.read_u64(a + i * 2 * 1024 * 1024).unwrap();
-        }
-        let c = gc.counters();
-        assert_eq!(c.resolve_hits, 0);
-        assert!(c.resolve_misses > 0);
     }
 
     #[test]
@@ -1684,7 +1664,6 @@ mod tests {
     #[test]
     fn tlb_flush_protocol_closes_stale_window() {
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));
-        let ctl = w.controller.as_ref().unwrap();
         let mut gc = core(&w, 1);
 
         // Grant a region, touch it (fills TLB), then reclaim it.
@@ -1703,7 +1682,6 @@ mod tests {
         let host = Arc::clone(w.master.pisces());
         let enclave = Arc::clone(&w.enclave);
         let kernel = Arc::clone(&w.kernel);
-        ctl.set_flush_spins(10_000_000);
         let h = std::thread::spawn(move || {
             host.request_remove_memory(&enclave, range).unwrap();
             // Wait for the guest to ack, then complete (hook runs inside).

@@ -32,6 +32,13 @@ pub trait EnclaveHooks: Send + Sync {
         Ok(())
     }
 
+    /// Called when a grant every hook prepared is abandoned **before** the
+    /// co-kernel was told of it (the control ring was full). Covirt unmaps
+    /// the range and returns at once: no core can hold a translation for
+    /// memory its kernel never heard of, so no flush is owed — and the
+    /// cores may be the reason the grant failed.
+    fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) {}
+
     /// Called when the co-kernel has **acknowledged** removal of a region
     /// but before the host reclaims/reuses it. Covirt unmaps the EPT
     /// entries here and issues a `TlbFlush` command to every enclave core,

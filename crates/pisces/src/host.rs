@@ -103,14 +103,34 @@ impl PiscesHost {
 
     /// Create an enclave: claim cores, allocate (and populate) memory,
     /// allocate IPI vectors, set up the control channel and boot
-    /// parameters. The enclave is left in `Loaded` state.
+    /// parameters. The enclave is left in `Loaded` state. A request that
+    /// fails part-way hands back everything it had claimed.
     pub fn create_enclave(&self, name: &str, req: &ResourceRequest) -> PiscesResult<Arc<Enclave>> {
         if self.admission_shed() {
             return Err(PiscesError::ResourceBusy(
                 "admission shed: observability degraded",
             ));
         }
-        // Claim cores.
+        // What has been claimed so far, for `release` on any failure.
+        let mut spec = ResourceSpec::new();
+        let mut mgmt = None;
+        let loaded = self.claim_and_load(name, req, &mut spec, &mut mgmt);
+        if loaded.is_err() {
+            let _ = self.release(&spec, mgmt);
+        }
+        loaded
+    }
+
+    /// The body of [`PiscesHost::create_enclave`]: every resource is
+    /// recorded in `spec`/`mgmt` the moment it is claimed, so the caller
+    /// can release exactly that much when this returns early.
+    fn claim_and_load(
+        &self,
+        name: &str,
+        req: &ResourceRequest,
+        spec: &mut ResourceSpec,
+        mgmt: &mut Option<PhysRange>,
+    ) -> PiscesResult<Arc<Enclave>> {
         {
             let mut assigned = self.assigned_cores.lock();
             for c in &req.cores {
@@ -121,16 +141,9 @@ impl PiscesHost {
                     return Err(PiscesError::ResourceBusy("core already assigned"));
                 }
             }
-            for c in &req.cores {
-                assigned.insert(c.0);
-            }
+            assigned.extend(req.cores.iter().map(|c| c.0));
+            spec.cores = req.cores.clone();
         }
-        let release_cores = |host: &Self| {
-            let mut assigned = host.assigned_cores.lock();
-            for c in &req.cores {
-                assigned.remove(&c.0);
-            }
-        };
 
         // Management region (boot params + control channel) is allocated
         // *before* the enclave's general-purpose memory so that the page
@@ -142,43 +155,18 @@ impl PiscesHost {
             .first()
             .map(|&(z, _)| z)
             .unwrap_or(ZoneId(0));
-        let mgmt = match self
-            .node
-            .mem
-            .alloc_backed(mgmt_zone, MGMT_REGION_LEN, PAGE_SIZE_4K)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                release_cores(self);
-                return Err(e.into());
-            }
-        };
+        let mgmt = *mgmt.insert(self.node.mem.alloc_backed(
+            mgmt_zone,
+            MGMT_REGION_LEN,
+            PAGE_SIZE_4K,
+        )?);
 
         // Allocate memory, 2 MiB-aligned so identity maps coalesce.
-        let mut spec = ResourceSpec {
-            cores: req.cores.clone(),
-            ..Default::default()
-        };
-        let mut allocated: Vec<PhysRange> = Vec::new();
         for &(zone, bytes) in &req.mem_per_zone {
-            match self.node.mem.alloc_backed(zone, bytes, PAGE_SIZE_2M) {
-                Ok(r) => {
-                    allocated.push(r);
-                    spec.add_mem(r).expect("fresh allocations cannot overlap");
-                }
-                Err(e) => {
-                    for r in allocated {
-                        let _ = self.node.mem.free(r);
-                    }
-                    let _ = self.node.mem.free(mgmt);
-                    release_cores(self);
-                    return Err(e.into());
-                }
-            }
+            let r = self.node.mem.alloc_backed(zone, bytes, PAGE_SIZE_2M)?;
+            spec.add_mem(r).expect("fresh allocations cannot overlap");
         }
         if spec.mem.is_empty() {
-            let _ = self.node.mem.free(mgmt);
-            release_cores(self);
             return Err(PiscesError::Invalid(
                 "enclave needs at least one memory region",
             ));
@@ -188,17 +176,9 @@ impl PiscesHost {
         {
             let mut pool = self.vector_pool.lock();
             if pool.len() < req.num_ipi_vectors {
-                for r in allocated {
-                    let _ = self.node.mem.free(r);
-                }
-                let _ = self.node.mem.free(mgmt);
-                release_cores(self);
                 return Err(PiscesError::ResourceBusy("IPI vector pool exhausted"));
             }
-            for _ in 0..req.num_ipi_vectors {
-                spec.ipi_vectors
-                    .push(pool.pop_front().expect("checked length"));
-            }
+            spec.ipi_vectors.extend(pool.drain(..req.num_ipi_vectors));
         }
 
         let id = EnclaveId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -233,6 +213,24 @@ impl PiscesHost {
             .expect("a new enclave is Created and not yet shared");
         self.enclaves.write().insert(id.0, Arc::clone(&enclave));
         Ok(enclave)
+    }
+
+    /// Hand a partition and its management region back to the node.
+    /// Everything is released even if one range is refused; the first
+    /// refusal is reported.
+    fn release(&self, res: &ResourceSpec, mgmt: Option<PhysRange>) -> PiscesResult<()> {
+        let mut freed = Ok(());
+        for r in res.mem.iter().chain(&mgmt) {
+            freed = freed.and(self.node.mem.free(*r));
+        }
+        {
+            let mut assigned = self.assigned_cores.lock();
+            for c in &res.cores {
+                assigned.remove(&c.0);
+            }
+        }
+        self.vector_pool.lock().extend(&res.ipi_vectors);
+        freed.map_err(PiscesError::Hw)
     }
 
     /// Produce the native boot plan for a loaded enclave.
@@ -301,18 +299,41 @@ impl PiscesHost {
             let _ = self.node.mem.free(range);
             return Err(e);
         }
-        enclave
-            .with_resources_mut(|r| r.add_mem(range))
-            .map_err(PiscesError::Invalid)?;
-        let ctrl = enclave
+        if let Err(e) = enclave.with_resources_mut(|r| r.add_mem(range)) {
+            self.abort_grant(enclave, range);
+            return Err(PiscesError::Invalid(e));
+        }
+        let sent = enclave
             .ctrl()
-            .ok_or(PiscesError::Invalid("no control channel"))?;
-        ctrl.send(&CtrlMsg::AddMem {
-            start: range.start.raw(),
-            len: range.len,
-        })
-        .map_err(|_| PiscesError::ResourceBusy("control channel full"))?;
+            .ok_or(PiscesError::Invalid("no control channel"))
+            .and_then(|ctrl| {
+                ctrl.send(&CtrlMsg::AddMem {
+                    start: range.start.raw(),
+                    len: range.len,
+                })
+                .map_err(|_| PiscesError::ResourceBusy("control channel full"))
+            });
+        if let Err(e) = sent {
+            // Whoever takes the range out of the partition frees it: a
+            // teardown racing this grant may already have.
+            if enclave.with_resources_mut(|r| r.remove_mem(range)).is_ok() {
+                self.abort_grant(enclave, range);
+            }
+            return Err(e);
+        }
         Ok(range)
+    }
+
+    /// Undo a grant the hooks prepared but the co-kernel was never told
+    /// of: the layers drop their mappings and the range returns to the
+    /// node. Nothing waits on the enclave's cores — they may be why the
+    /// grant failed (a full control ring), and none can hold a translation
+    /// for memory its kernel never heard of.
+    fn abort_grant(&self, enclave: &Enclave, range: PhysRange) {
+        for h in self.hooks.read().iter() {
+            h.on_mem_add_aborted(enclave, range);
+        }
+        let _ = self.node.mem.free(range);
     }
 
     /// Ask the enclave to give a region back. Completion happens when the
@@ -445,19 +466,7 @@ impl PiscesHost {
             h.on_teardown(enclave);
         }
         let res = enclave.with_resources_mut(std::mem::take);
-        // Release everything even if one range is refused; report the first.
-        let mut freed = Ok(());
-        for r in res.mem.iter().chain([&enclave.mgmt_region]) {
-            freed = freed.and(self.node.mem.free(*r));
-        }
-        {
-            let mut assigned = self.assigned_cores.lock();
-            for c in &res.cores {
-                assigned.remove(&c.0);
-            }
-        }
-        self.vector_pool.lock().extend(res.ipi_vectors);
-        freed.map_err(PiscesError::Hw)
+        self.release(&res, Some(enclave.mgmt_region))
     }
 
     /// Orderly teardown: `Terminated`, hooks, reclaim.
@@ -594,6 +603,30 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, PiscesError::ResourceBusy(_)));
+    }
+
+    /// The last resource a request claims is its vectors; refused there,
+    /// the cores and memory it already held go back through the one
+    /// release path.
+    #[test]
+    fn create_refused_at_the_vector_pool_changes_nothing() {
+        let h = host();
+        let state = || {
+            (
+                h.assigned_cores(),
+                h.node().mem.zone_usage(ZoneId(0)).unwrap(),
+                h.free_vector_count(),
+            )
+        };
+        let before = state();
+        let mut req = small_req();
+        req.num_ipi_vectors = before.2 + 1;
+        let err = h.create_enclave("greedy", &req).unwrap_err();
+        assert!(matches!(err, PiscesError::ResourceBusy(_)), "{err}");
+        assert_eq!(state(), before);
+        assert!(h.enclaves().is_empty());
+        // The same cores and memory are there for a request that fits.
+        h.create_enclave("modest", &small_req()).unwrap();
     }
 
     #[test]

@@ -1060,7 +1060,6 @@ pub struct RegionCache {
     /// Active associativity (1..=REGION_CACHE_WAYS; ablation knob).
     ways_limit: Cell<usize>,
     view: RefCell<Option<Arc<RegionView>>>,
-    enabled: Cell<bool>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -1073,18 +1072,8 @@ impl RegionCache {
             victim: Cell::new(0),
             ways_limit: Cell::new(REGION_CACHE_WAYS),
             view: RefCell::new(None),
-            enabled: Cell::new(true),
             hits: Cell::new(0),
             misses: Cell::new(0),
-        }
-    }
-
-    /// Ablation knob: a disabled cache never hits and never pins, so every
-    /// resolve pays the snapshot search (on by default).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.set(enabled);
-        if !enabled {
-            self.invalidate();
         }
     }
 
@@ -1120,44 +1109,42 @@ impl RegionCache {
     ) -> HwResult<(Arc<Backing>, usize)> {
         let mut fill = false;
         let mut view_tag = None;
-        if self.enabled.get() {
-            // The validity tag, sampled before the lookup (and, for a
-            // view, before the fill's resolve — see the view-mode race
-            // note on the type).
-            let tag = match self.view.borrow().as_ref() {
-                Some(v) => {
-                    let g = v.generation();
-                    view_tag = Some(g);
-                    Some(g)
-                }
-                None => mem.zone_generation_of(addr),
-            };
-            if let Some(tag) = tag {
-                let mut ways = self.ways.borrow_mut();
-                for slot in ways.iter_mut().take(self.ways_limit.get()) {
-                    let Some(w) = slot else { continue };
-                    if w.tag == tag {
-                        if covers_access(&w.region.range, addr, len) {
-                            self.hits.set(self.hits.get() + 1);
-                            mem.note_cache_hit(addr);
-                            return Ok((
-                                Arc::clone(&w.region.backing),
-                                (addr.raw() - w.region.range.start.raw()) as usize,
-                            ));
-                        }
-                    } else if view_tag.is_some()
-                        || mem.zone_generation_of(w.region.range.start) != Some(w.tag)
-                    {
-                        // Generations only grow, so a way behind its view
-                        // (or, in plain mode, behind its own zone — `tag`
-                        // may be another zone's) can never hit again. Drop
-                        // it now: its `Arc` may be the last reference to a
-                        // reclaimed region's host memory.
-                        *slot = None;
-                    }
-                }
-                fill = true;
+        // The validity tag, sampled before the lookup (and, for a view,
+        // before the fill's resolve — see the view-mode race note on the
+        // type).
+        let tag = match self.view.borrow().as_ref() {
+            Some(v) => {
+                let g = v.generation();
+                view_tag = Some(g);
+                Some(g)
             }
+            None => mem.zone_generation_of(addr),
+        };
+        if let Some(tag) = tag {
+            let mut ways = self.ways.borrow_mut();
+            for slot in ways.iter_mut().take(self.ways_limit.get()) {
+                let Some(w) = slot else { continue };
+                if w.tag == tag {
+                    if covers_access(&w.region.range, addr, len) {
+                        self.hits.set(self.hits.get() + 1);
+                        mem.note_cache_hit(addr);
+                        return Ok((
+                            Arc::clone(&w.region.backing),
+                            (addr.raw() - w.region.range.start.raw()) as usize,
+                        ));
+                    }
+                } else if view_tag.is_some()
+                    || mem.zone_generation_of(w.region.range.start) != Some(w.tag)
+                {
+                    // Generations only grow, so a way behind its view (or,
+                    // in plain mode, behind its own zone — `tag` may be
+                    // another zone's) can never hit again. Drop it now: its
+                    // `Arc` may be the last reference to a reclaimed
+                    // region's host memory.
+                    *slot = None;
+                }
+            }
+            fill = true;
         }
         self.misses.set(self.misses.get() + 1);
         let r = mem.resolve_region(addr, len)?;

@@ -294,11 +294,6 @@ impl Tlb {
     pub fn stats(&self) -> TlbStats {
         self.stats
     }
-
-    /// Reset the counters (benchmark harness hygiene).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
 }
 
 #[cfg(test)]

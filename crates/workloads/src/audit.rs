@@ -4,16 +4,10 @@
 //! an attributed violation. Both return the node with the flight
 //! recorder still loaded so the caller can drain it into the engine.
 
-use covirt::config::CovirtConfig;
-use covirt::exec::FaultOutcome;
-use covirt::ExecMode;
 use covirt_simhw::node::SimNode;
-use covirt_simhw::topology::{HwLayout, ZoneId};
-use kitten::faults;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::{stream, World};
+use crate::scenario;
 
 /// A finished audit-driver run.
 pub struct AuditRun {
@@ -28,97 +22,23 @@ pub struct AuditRun {
 /// shootdown lifecycle, recorder on throughout. Every region chain must
 /// complete and no invariant may fire.
 pub fn clean_run() -> AuditRun {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let world = scenario::world(2);
     world.node.recorder().set_enabled(true);
-    let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_flush_spins(50_000_000);
-    let enclave = Arc::clone(&world.enclave);
-    let kernel = Arc::clone(&world.kernel);
-    let pisces = world.master.pisces();
-
-    // Phase 1: a small STREAM kernel so the audit report has attributed
-    // data-plane traffic (exits, posted-interrupt harvests).
-    {
-        let s = stream::Stream::setup(&world, 50_000);
-        let mut g = world.guest_core(world.cores[0]).expect("guest core");
-        s.init(&mut g).expect("stream init");
-        s.run_once(&mut g).expect("stream kernel");
-        g.shutdown(); // VMXOFF so phase 2 can relaunch this core
-    }
-
-    // Phase 2: grant two ranges, cache them on every core, reclaim both
-    // inside one epoch so one broadcast shootdown closes both lifecycles.
-    let r1 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    let r2 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    kernel.poll_ctrl().unwrap();
-    pisces.process_acks(&enclave).unwrap();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let ready = Arc::new(std::sync::Barrier::new(world.cores.len() + 1));
-    let handles: Vec<_> = world
-        .cores
-        .iter()
-        .map(|&core| {
-            let mut g = world.guest_core(core).unwrap();
-            let stop = Arc::clone(&stop);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                g.write_u64(r1.start.raw(), 1).unwrap();
-                g.write_u64(r2.start.raw(), 1).unwrap();
-                ready.wait();
-                while !stop.load(Ordering::Acquire) {
-                    g.poll().unwrap();
-                    std::hint::spin_loop();
-                }
-            })
-        })
-        .collect();
-    ready.wait();
-
-    ctl.begin_reclaim_epoch(enclave.id.0);
-    for r in [r1, r2] {
-        pisces.request_remove_memory(&enclave, r).unwrap();
-        while enclave.resources().mem.contains(&r) {
-            kernel.poll_ctrl().unwrap();
-            pisces.process_acks(&enclave).unwrap();
-        }
-    }
-    ctl.end_reclaim_epoch(enclave.id.0).unwrap();
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        h.join().unwrap();
-    }
-
+    scenario::stream_phase(&world);
+    scenario::reclaim_churn(&world, &mut || {});
     AuditRun {
-        enclave: enclave.id.0,
+        enclave: world.enclave.id.0,
         node: Arc::clone(&world.node),
     }
 }
 
-/// Fault-injected run: reuse the fault-isolation machinery to make the
-/// enclave hit a contained EPT violation, so the recorder carries a
-/// `FaultReport` → `Teardown` chain the engine must surface as a
-/// violation attributed to this enclave.
+/// Fault-injected run: the enclave hits a contained EPT violation, so the
+/// recorder carries a `FaultReport` → `Teardown` chain the engine must
+/// surface as a violation attributed to this enclave.
 pub fn fault_run() -> AuditRun {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 1, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let world = scenario::world(1);
     world.node.recorder().set_enabled(true);
-    let mut g = world.guest_core(world.cores[0]).expect("guest core");
-    match g.execute_fault(faults::off_by_one_region(&world.kernel)) {
-        FaultOutcome::Contained(_) => {}
-        o => panic!("covirt must contain the injected fault, got {o:?}"),
-    }
+    scenario::contained_fault(&world, &mut || {});
     AuditRun {
         enclave: world.enclave.id.0,
         node: Arc::clone(&world.node),

@@ -14,7 +14,9 @@ use kitten::KittenKernel;
 use parking_lot::Mutex;
 use pisces::resources::ResourceRequest;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Default enclave memory for workload worlds. The paper uses 14 GiB; the
 /// simulation scales this down so populated backing stays laptop-sized
@@ -121,6 +123,14 @@ impl World {
         }
     }
 
+    /// Launch a guest execution context on every enclave core, rank order.
+    pub fn guest_cores(&self) -> Vec<GuestCore> {
+        self.cores
+            .iter()
+            .map(|&c| self.guest_core(c).expect("guest core launch failed"))
+            .collect()
+    }
+
     /// Pin subsequent [`World::alloc_array`] calls to a NUMA zone. `None`
     /// (the default) restores the kernel's bump allocator over the first
     /// boot region; `Some(z)` carves from the boot region the enclave was
@@ -171,11 +181,7 @@ impl World {
     /// returned in rank order.
     pub fn run_on_cores<R: Send>(&self, f: impl Fn(usize, &mut GuestCore) -> R + Sync) -> Vec<R> {
         let n = self.cores.len();
-        let mut guests: Vec<GuestCore> = self
-            .cores
-            .iter()
-            .map(|&c| self.guest_core(c).expect("guest core launch failed"))
-            .collect();
+        let mut guests = self.guest_cores();
         if n == 1 {
             let r = f(0, &mut guests[0]);
             for g in guests {
@@ -204,10 +210,85 @@ impl World {
             .collect()
     }
 
-    /// The enclave's allocated IPI vectors (for cross-core signalling in
-    /// workloads that use IPIs).
-    pub fn ipi_vectors(&self) -> Vec<u8> {
-        self.enclave.resources().ipi_vectors.clone()
+    /// Launch every enclave core and keep it live — see [`LiveCores`].
+    pub fn live_cores(
+        &self,
+        prime: impl Fn(&mut GuestCore) + Send + Sync + 'static,
+        finish: impl Fn(&mut GuestCore) + Send + Sync + 'static,
+    ) -> LiveCores {
+        LiveCores::adopt(self.guest_cores(), prime, finish)
+    }
+}
+
+/// Guest cores kept live for a control-plane driver: one thread per core
+/// runs `prime`, reports ready, then polls at safe points — servicing the
+/// controller's doorbells and NMIs — until [`LiveCores::stop`], and runs
+/// `finish` on its own thread before handing the core back. Dropping the
+/// handle stops and joins too, so no poller outlives a panicking driver.
+pub struct LiveCores {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<GuestCore>>,
+}
+
+impl LiveCores {
+    /// Take over already-launched cores (a driver that needs them parked
+    /// first launches them itself); returns once every core has primed.
+    pub fn adopt(
+        guests: Vec<GuestCore>,
+        prime: impl Fn(&mut GuestCore) + Send + Sync + 'static,
+        finish: impl Fn(&mut GuestCore) + Send + Sync + 'static,
+    ) -> LiveCores {
+        let stop = Arc::new(AtomicBool::new(false));
+        let primed = Arc::new(AtomicUsize::new(0));
+        let hooks = Arc::new((prime, finish));
+        let n = guests.len();
+        let threads = guests
+            .into_iter()
+            .map(|mut g| {
+                let (stop, primed, hooks) =
+                    (Arc::clone(&stop), Arc::clone(&primed), Arc::clone(&hooks));
+                std::thread::spawn(move || {
+                    (hooks.0)(&mut g);
+                    primed.fetch_add(1, Ordering::Release);
+                    while !stop.load(Ordering::Acquire) {
+                        g.poll().expect("live core poll failed");
+                        // The driver needs CPU time too on a host with
+                        // fewer CPUs than enclave cores.
+                        std::thread::yield_now();
+                    }
+                    (hooks.1)(&mut g);
+                    g
+                })
+            })
+            .collect();
+        // Built before the wait so that unwinding out of it joins.
+        let live = LiveCores { stop, threads };
+        while primed.load(Ordering::Acquire) < n {
+            // Nobody has been told to stop: a thread that ended, died.
+            let died = live.threads.iter().any(JoinHandle::is_finished);
+            assert!(!died, "a live core panicked while priming");
+            std::thread::yield_now();
+        }
+        live
+    }
+
+    /// Stop polling and return the cores in rank order, `finish` applied.
+    pub fn stop(mut self) -> Vec<GuestCore> {
+        self.join()
+            .into_iter()
+            .map(|g| g.expect("live core thread panicked"))
+            .collect()
+    }
+
+    fn join(&mut self) -> Vec<std::thread::Result<GuestCore>> {
+        self.stop.store(true, Ordering::Release);
+        self.threads.drain(..).map(JoinHandle::join).collect()
+    }
+}
+
+impl Drop for LiveCores {
+    fn drop(&mut self) {
+        self.join();
     }
 }
 
@@ -286,6 +367,65 @@ mod tests {
             s
         });
         assert_eq!(results, vec![1024, 2048, 3072, 4096]);
+    }
+
+    #[test]
+    fn live_cores_stop_returns_every_core_in_rank_order_with_its_counters() {
+        let w = crate::scenario::world(2);
+        let a = w.alloc_array(1024 * 1024);
+        let live = w.live_cores(
+            move |g| g.write_u64(a + 8 * g.core as u64, 1).unwrap(),
+            move |g| g.write_u64(a + 8 * g.core as u64, 2).unwrap(),
+        );
+        // Live means serviced: a broadcast barrier completes.
+        let ctl = w.controller.as_ref().unwrap();
+        ctl.shootdown_barrier(w.enclave.id.0).unwrap();
+        let mut cores = live.stop();
+        assert_eq!(cores.iter().map(|g| g.core).collect::<Vec<_>>(), w.cores);
+        for g in &mut cores {
+            assert!(g.counters().polls > 0, "core {} never polled", g.core);
+            // `prime` then `finish` ran on this core.
+            assert_eq!(g.read_u64(a + 8 * g.core as u64).unwrap(), 2);
+        }
+    }
+
+    #[test]
+    fn live_cores_dropped_or_unwound_past_are_joined() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        // `finish` runs on a core's thread as its last act, so the count
+        // says how many pollers had ended by the time the handle was gone.
+        let finished = Arc::new(AtomicUsize::new(0));
+        let live = |w: &World, prime: fn(&mut GuestCore)| {
+            let finished = Arc::clone(&finished);
+            w.live_cores(prime, move |_| {
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+
+        drop(live(&crate::scenario::world(2), |_| {}));
+        assert_eq!(finished.load(Ordering::SeqCst), 2, "dropped without stop()");
+
+        let w = crate::scenario::world(2);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _live = live(&w, |_| {});
+            panic!("driver failed with its cores live");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(finished.load(Ordering::SeqCst), 4, "unwound past");
+
+        // A core that dies priming fails the driver instead of hanging
+        // it, and its sibling is stopped and joined.
+        static PRIMED: AtomicUsize = AtomicUsize::new(0);
+        let w = crate::scenario::world(2);
+        let primed = catch_unwind(AssertUnwindSafe(|| {
+            live(&w, |_| {
+                let earlier = PRIMED.fetch_add(1, Ordering::SeqCst);
+                assert_eq!(earlier, 0, "the second core to prime dies");
+            })
+        }));
+        assert!(primed.is_err());
+        assert_eq!(finished.load(Ordering::SeqCst), 5);
     }
 
     #[test]

@@ -24,14 +24,11 @@
 //!    escalate to an NMI once the configured TSC bound elapses, and the
 //!    command must still complete after the cores resume.
 
-use covirt::config::CovirtConfig;
 use covirt::controller::CmdDelivery;
-use covirt::ExecMode;
-use covirt_simhw::topology::HwLayout;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::World;
+use crate::env::LiveCores;
+use crate::scenario;
 
 /// Result of one delivery-protocol arm.
 pub struct ArmResult {
@@ -94,11 +91,7 @@ const BATCH: u64 = 16;
 /// host-scheduler wakeup latency, which on a loaded (or single-CPU)
 /// machine swamps both arms identically and hides the difference.
 fn run_arm(delivery: CmdDelivery, rounds: u64, label: &'static str) -> ArmResult {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let world = scenario::world(2);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
     ctl.set_delivery(delivery);
     let enclave = world.kernel.params.enclave_id;
@@ -175,14 +168,9 @@ pub struct ConcurrentResult {
 /// verifies the controller's `await_completion` path never escalates when
 /// the cores are live, and that the whole run stays exitless.
 pub fn concurrent_barrier(rounds: u64) -> ConcurrentResult {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let world = scenario::world(2);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
     ctl.set_delivery(CmdDelivery::DoorbellFirst);
-    ctl.set_flush_spins(500_000_000);
     // A polling core answers a doorbell in microseconds of *its own* CPU
     // time, but on an oversubscribed host the poll thread may not be
     // scheduled for several quanta. Widen the bound so the phase tests
@@ -191,37 +179,13 @@ pub fn concurrent_barrier(rounds: u64) -> ConcurrentResult {
     ctl.set_escalation_bound_ns(100_000_000);
     let enclave = world.kernel.params.enclave_id;
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let ready = Arc::new(std::sync::Barrier::new(world.cores.len() + 1));
-    let handles: Vec<_> = world
-        .cores
-        .iter()
-        .map(|&core| {
-            let mut g = world.guest_core(core).unwrap();
-            let stop = Arc::clone(&stop);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                ready.wait();
-                while !stop.load(Ordering::Acquire) {
-                    g.poll().unwrap();
-                    // Yield-friendly: on a loaded host the controller
-                    // thread needs CPU time to observe completions.
-                    std::thread::yield_now();
-                }
-                g
-            })
-        })
-        .collect();
-    ready.wait();
-
+    let live = world.live_cores(|_| {}, |_| {});
     for _ in 0..rounds {
         ctl.shootdown_barrier(enclave).expect("barrier round");
     }
-    stop.store(true, Ordering::Release);
 
     let (mut exits, mut timer_irqs, mut harvested) = (0u64, 0u64, 0u64);
-    for h in handles {
-        let g = h.join().unwrap();
+    for g in live.stop() {
         let c = g.counters();
         exits += g.exit_count();
         timer_irqs += c.timer_irqs;
@@ -239,24 +203,15 @@ pub fn concurrent_barrier(rounds: u64) -> ConcurrentResult {
 /// the controller escalates to an NMI once `bound_ns` elapses, then let
 /// the cores resume and the command complete.
 pub fn parked_fallback(bound_ns: u64) -> ParkedResult {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let world = scenario::world(2);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
     ctl.set_delivery(CmdDelivery::DoorbellFirst);
     ctl.set_escalation_bound_ns(bound_ns);
-    ctl.set_flush_spins(500_000_000);
     let enclave = world.kernel.params.enclave_id;
 
     // Launch the cores (they register as live) but do NOT poll them yet —
     // that is what "parked" means here.
-    let guests: Vec<_> = world
-        .cores
-        .iter()
-        .map(|&core| world.guest_core(core).unwrap())
-        .collect();
+    let guests = world.guest_cores();
 
     let clock = Arc::clone(&world.node.clock);
     let t0 = clock.rdtsc();
@@ -271,24 +226,8 @@ pub fn parked_fallback(bound_ns: u64) -> ParkedResult {
     let escalations = ctl.nmi_escalation_count();
 
     // Resume the cores so the NMI-driven drain can run the command.
-    let stop = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = guests
-        .into_iter()
-        .map(|mut g| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    g.poll().unwrap();
-                    std::hint::spin_loop();
-                }
-            })
-        })
-        .collect();
+    let _live = LiveCores::adopt(guests, |_| {}, |_| {});
     let completed = barrier.join().unwrap();
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        h.join().unwrap();
-    }
 
     ParkedResult {
         bound_ns,

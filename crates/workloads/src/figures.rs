@@ -1,7 +1,7 @@
 //! Per-figure drivers: one function per table/figure in the paper's
 //! evaluation, each sweeping the paper's configurations and returning the
 //! same rows/series the paper plots. The `figures` binary (covirt-bench)
-//! prints them; the criterion benches time their kernels.
+//! prints them.
 
 use crate::env::World;
 use crate::{hpcg, md, minife, randomaccess, selfish, stream, table1, xemem_bench};
@@ -89,6 +89,33 @@ pub fn fig4(scale: Scale) -> Vec<Fig4Row> {
     .collect()
 }
 
+/// The measurement order every per-configuration figure shares: `setup`
+/// builds and warms one arm per mode, then `reps` rounds measure every
+/// mode in turn, so slow drift of the shared host lands on all
+/// configurations alike. Returns each mode's samples in `modes` order.
+fn interleaved_sweep<S, R>(
+    modes: &[ExecMode],
+    reps: usize,
+    mut setup: impl FnMut(ExecMode) -> S,
+    mut measure: impl FnMut(ExecMode, &mut S) -> R,
+) -> Vec<(ExecMode, Vec<R>)> {
+    let mut arms: Vec<(ExecMode, S, Vec<R>)> = modes
+        .iter()
+        .map(|&mode| (mode, setup(mode), Vec::with_capacity(reps)))
+        .collect();
+    for _ in 0..reps {
+        for (mode, state, samples) in &mut arms {
+            samples.push(measure(*mode, state));
+        }
+    }
+    arms.into_iter().map(|(m, _, r)| (m, r)).collect()
+}
+
+/// The median of one field over a mode's samples.
+fn median_of<R>(samples: &[R], field: impl Fn(&R) -> f64) -> f64 {
+    covirt::stats::median(&samples.iter().map(field).collect::<Vec<_>>())
+}
+
 /// Figure 5a — STREAM bandwidths per configuration.
 #[derive(Clone, Debug)]
 pub struct Fig5aRow {
@@ -104,55 +131,41 @@ pub struct Fig5aRow {
     pub triad: f64,
 }
 
-/// Run Figure 5a. Worlds are built up front and the timed trials are
-/// interleaved round-robin across configurations (drift cancellation, as
-/// for Figure 5b); STREAM convention keeps the best bandwidth per kernel.
+/// Run Figure 5a: every configuration built and warmed, then the timed
+/// trials interleaved (drift cancellation, as for Figure 5b); STREAM
+/// convention keeps the best bandwidth per kernel.
 pub fn fig5a(scale: Scale) -> Vec<Fig5aRow> {
     let (n, trials) = match scale {
         Scale::Quick => (1 << 22, 5),
         Scale::Paper => (1 << 24, 10),
     };
     let mem = (n as u64 * 8 * 3 + 96 * 1024 * 1024).max(crate::env::DEFAULT_ENCLAVE_MEM);
-    let mut setups: Vec<(ExecMode, World)> = ExecMode::paper_sweep()
-        .iter()
-        .map(|&mode| {
-            (
-                mode,
-                World::build(mode, HwLayout { cores: 1, zones: 1 }, mem),
-            )
-        })
-        .collect();
-    let mut runs: Vec<(ExecMode, stream::Stream, covirt::GuestCore)> = setups
-        .iter_mut()
-        .map(|(mode, w)| {
-            let s = stream::Stream::setup(w, n);
+    interleaved_sweep(
+        &ExecMode::paper_sweep(),
+        trials,
+        |mode| {
+            let w = World::build(mode, HwLayout { cores: 1, zones: 1 }, mem);
+            let s = stream::Stream::setup(&w, n);
             let mut g = w.guest_core(w.cores[0]).expect("guest core");
             s.init(&mut g).expect("init");
             s.run_once(&mut g).expect("warmup");
-            (*mode, s, g)
-        })
-        .collect();
-    let mut best = vec![
+            (w, s, g)
+        },
+        |_, (_, s, g)| s.run_once(g).expect("stream"),
+    )
+    .into_iter()
+    .map(|(mode, runs)| {
+        let best =
+            |kernel: fn(&stream::StreamResult) -> f64| runs.iter().map(kernel).fold(0.0, f64::max);
         Fig5aRow {
-            mode: String::new(),
-            copy: 0.0,
-            scale: 0.0,
-            add: 0.0,
-            triad: 0.0
-        };
-        runs.len()
-    ];
-    for _ in 0..trials {
-        for (i, (mode, s, g)) in runs.iter_mut().enumerate() {
-            let r = s.run_once(g).expect("stream");
-            best[i].mode = mode.label();
-            best[i].copy = best[i].copy.max(r.copy_mbs);
-            best[i].scale = best[i].scale.max(r.scale_mbs);
-            best[i].add = best[i].add.max(r.add_mbs);
-            best[i].triad = best[i].triad.max(r.triad_mbs);
+            mode: mode.label(),
+            copy: best(|r| r.copy_mbs),
+            scale: best(|r| r.scale_mbs),
+            add: best(|r| r.add_mbs),
+            triad: best(|r| r.triad_mbs),
         }
-    }
-    best
+    })
+    .collect()
 }
 
 /// Figure 5b — RandomAccess GUPS per configuration.
@@ -170,59 +183,41 @@ pub struct Fig5bRow {
     pub walk_cache_hit_rate: f64,
 }
 
-/// Run Figure 5b. All four configurations are built up front, warmed, and
-/// then measured in interleaved round-robin batches so slow drift of the
-/// shared host cancels; the per-configuration median GUPS is reported
-/// (the paper averages ten runs per configuration).
+/// Run Figure 5b: every configuration built and its table warmed, then
+/// measured in interleaved batches; the per-configuration median GUPS is
+/// reported (the paper averages ten runs per configuration) beside the
+/// last batch's TLB and walk figures.
 pub fn fig5b(scale: Scale) -> Vec<Fig5bRow> {
     let (log2_n, updates, reps) = match scale {
         Scale::Quick => (table1::RA_LOG2_TABLE_DEFAULT, 2_000_000u64, 9),
         Scale::Paper => (table1::RA_LOG2_TABLE_PAPER, 16_000_000u64, 15),
     };
     let mem = ((8u64 << log2_n) + 96 * 1024 * 1024).max(crate::env::DEFAULT_ENCLAVE_MEM);
-    let modes = ExecMode::paper_sweep();
-    // Build every world and warm every table first.
-    let mut setups: Vec<(ExecMode, World)> = modes
-        .iter()
-        .map(|&mode| {
-            (
-                mode,
-                World::build(mode, HwLayout { cores: 1, zones: 1 }, mem),
-            )
-        })
-        .collect();
-    let mut runs: Vec<(ExecMode, randomaccess::RandomAccess, covirt::GuestCore)> = setups
-        .iter_mut()
-        .map(|(mode, w)| {
-            let ra = randomaccess::RandomAccess::setup(w, log2_n);
+    interleaved_sweep(
+        &ExecMode::paper_sweep(),
+        reps,
+        |mode| {
+            let w = World::build(mode, HwLayout { cores: 1, zones: 1 }, mem);
+            let ra = randomaccess::RandomAccess::setup(&w, log2_n);
             let mut g = w.guest_core(w.cores[0]).expect("guest core");
             ra.init(&mut g).expect("init");
             ra.run(&mut g, updates / 2).expect("warmup");
-            (*mode, ra, g)
-        })
-        .collect();
-    // Interleaved measurement.
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); runs.len()];
-    let mut miss: Vec<f64> = vec![0.0; runs.len()];
-    let mut walk: Vec<(f64, f64)> = vec![(0.0, 0.0); runs.len()];
-    for _ in 0..reps {
-        for (i, (_, ra, g)) in runs.iter_mut().enumerate() {
-            let r = ra.run(g, updates).expect("updates");
-            samples[i].push(r.gups);
-            miss[i] = r.tlb_miss_rate;
-            walk[i] = (r.walk_loads_per_miss(), r.walk_cache_hit_rate());
-        }
-    }
-    runs.iter()
-        .enumerate()
-        .map(|(i, (mode, _, _))| Fig5bRow {
+            (w, ra, g)
+        },
+        |_, (_, ra, g)| ra.run(g, updates).expect("updates"),
+    )
+    .into_iter()
+    .map(|(mode, runs)| {
+        let last = runs.last().expect("at least one rep");
+        Fig5bRow {
             mode: mode.label(),
-            gups: covirt::stats::median(&samples[i]),
-            tlb_miss_rate: miss[i],
-            walk_loads_per_miss: walk[i].0,
-            walk_cache_hit_rate: walk[i].1,
-        })
-        .collect()
+            gups: median_of(&runs, |r| r.gups),
+            tlb_miss_rate: last.tlb_miss_rate,
+            walk_loads_per_miss: last.walk_loads_per_miss(),
+            walk_cache_hit_rate: last.walk_cache_hit_rate(),
+        }
+    })
+    .collect()
 }
 
 /// Figures 6/7 — scaling over CPU-core/NUMA-zone layouts.
@@ -239,36 +234,28 @@ pub struct ScalingRow {
 }
 
 /// Sweep a scaling figure: per layout, one discarded warm-up run per
-/// configuration followed by `reps` measured runs round-robin across
-/// configurations; the median is reported. (The paper runs everything ten
-/// times; the interleaving additionally cancels host drift.)
+/// configuration followed by `reps` interleaved measured runs; the median
+/// is reported. (The paper runs everything ten times.)
 fn scaling_sweep(
     reps: usize,
     run_one: impl Fn(ExecMode, HwLayout) -> (f64, f64),
 ) -> Vec<ScalingRow> {
     let mut rows = Vec::new();
     for layout in HwLayout::paper_layouts() {
-        let modes = ExecMode::paper_sweep();
-        for &mode in &modes {
-            let _ = run_one(mode, layout); // warm-up, discarded
-        }
-        let mut perf: Vec<Vec<f64>> = vec![Vec::new(); modes.len()];
-        let mut secs: Vec<Vec<f64>> = vec![Vec::new(); modes.len()];
-        for _ in 0..reps {
-            for (i, &mode) in modes.iter().enumerate() {
-                let (p, s) = run_one(mode, layout);
-                perf[i].push(p);
-                secs[i].push(s);
-            }
-        }
-        for (i, &mode) in modes.iter().enumerate() {
-            rows.push(ScalingRow {
-                mode: mode.label(),
-                layout: layout.to_string(),
-                perf: covirt::stats::median(&perf[i]),
-                seconds: covirt::stats::median(&secs[i]),
-            });
-        }
+        let runs = interleaved_sweep(
+            &ExecMode::paper_sweep(),
+            reps,
+            |mode| {
+                run_one(mode, layout);
+            },
+            |mode, ()| run_one(mode, layout),
+        );
+        rows.extend(runs.into_iter().map(|(mode, runs)| ScalingRow {
+            mode: mode.label(),
+            layout: layout.to_string(),
+            perf: median_of(&runs, |r| r.0),
+            seconds: median_of(&runs, |r| r.1),
+        }));
     }
     rows
 }
@@ -326,27 +313,23 @@ pub fn fig8(scale: Scale) -> Vec<Fig8Row> {
             params.n_atoms = 32_000;
             params.steps = 100;
         }
-        let modes = ExecMode::paper_sweep();
         let run_one = |mode| {
             let w = World::build(mode, layout, crate::env::DEFAULT_ENCLAVE_MEM);
             md::run(&w, params).loop_time_s
         };
-        for &mode in &modes {
-            let _ = run_one(mode); // warm-up
-        }
-        let mut times: Vec<Vec<f64>> = vec![Vec::new(); modes.len()];
-        for _ in 0..reps {
-            for (i, &mode) in modes.iter().enumerate() {
-                times[i].push(run_one(mode));
-            }
-        }
-        for (i, &mode) in modes.iter().enumerate() {
-            rows.push(Fig8Row {
-                mode: mode.label(),
-                workload: wl.label().to_owned(),
-                loop_time_s: covirt::stats::median(&times[i]),
-            });
-        }
+        let runs = interleaved_sweep(
+            &ExecMode::paper_sweep(),
+            reps,
+            |mode| {
+                run_one(mode);
+            },
+            |mode, ()| run_one(mode),
+        );
+        rows.extend(runs.into_iter().map(|(mode, times)| Fig8Row {
+            mode: mode.label(),
+            workload: wl.label().to_owned(),
+            loop_time_s: covirt::stats::median(&times),
+        }));
     }
     rows
 }
@@ -364,6 +347,28 @@ mod tests {
         let mut dedup = labels.clone();
         dedup.dedup();
         assert_eq!(labels.len(), dedup.len());
+    }
+
+    #[test]
+    fn sweep_warms_each_mode_once_then_measures_rep_major() {
+        let (a, b) = (ExecMode::Native, ExecMode::paper_sweep()[1]);
+        let log = std::cell::RefCell::new(Vec::new());
+        let runs = interleaved_sweep(
+            &[a, b],
+            2,
+            |mode| log.borrow_mut().push(("warm", mode)),
+            |mode, ()| {
+                log.borrow_mut().push(("measure", mode));
+                log.borrow().len()
+            },
+        );
+        let measured = [("measure", a), ("measure", b)];
+        assert_eq!(
+            *log.borrow(),
+            [[("warm", a), ("warm", b)], measured, measured].concat()
+        );
+        // Each mode gets its own samples back, in rep order.
+        assert_eq!(runs, [(a, vec![3, 5]), (b, vec![4, 6])]);
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod minife;
 pub mod profile;
 pub mod randomaccess;
 pub mod scaling;
+pub mod scenario;
 pub mod selfheal;
 pub mod selfish;
 pub mod shootdown;

@@ -13,22 +13,17 @@
 //! the ShootdownWait/Throttled cycle spike on the misbehaving enclave,
 //! not the bystander.
 
-use covirt::config::CovirtConfig;
-use covirt::exec::FaultOutcome;
-use covirt::{ExecMode, GuestCore};
-use covirt_simhw::topology::{CoreId, HwLayout, ZoneId};
-use covirt_trace::audit::{AuditConfig, AuditEngine, SloBudgets};
+use covirt::GuestCore;
+use covirt_simhw::topology::{CoreId, ZoneId};
+use covirt_trace::audit::{AuditConfig, SloBudgets};
 use covirt_trace::profile::WindowSnapshot;
 use covirt_trace::{Phase, PhaseProfiler, ProfileSnapshot};
-use kitten::faults;
-use pisces::{RemediationAction, RemediationConfig, RemediationPolicy};
+use pisces::RemediationAction;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::{stream, World};
-
-/// Pump rounds after the fault before the run gives up on a quarantine.
-const FAULT_PUMP_BUDGET: u32 = 64;
+use crate::selfheal::Tailer;
+use crate::{scenario, stream, World};
 
 /// What a profile run measured.
 pub struct ProfileReport {
@@ -101,94 +96,28 @@ fn window_tracks(prof: &PhaseProfiler) -> Vec<(u32, Vec<WindowSnapshot>)> {
 }
 
 /// Clean run: STREAM on core 0, then the grant → touch → epoch-reclaim
-/// churn on every core, all bracketed, windows tailed live.
+/// churn on every core, all bracketed, windows tailed live. The shootdown
+/// waits land in the controller overlay, the cores' own flush servicing in
+/// their lane totals.
 pub fn clean_run() -> ProfileReport {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let world = scenario::world(2);
     let prof = Arc::clone(world.node.recorder().profiler());
     prof.set_enabled(true);
-    let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_flush_spins(50_000_000);
-    let enclave = Arc::clone(&world.enclave);
-    let kernel = Arc::clone(&world.kernel);
-    let pisces = world.master.pisces();
     let mut cursors: Vec<u64> = Vec::new();
     let mut windows = window_tracks(&prof);
 
-    // Phase 1: STREAM on core 0, its whole session bracketed.
-    {
-        let s = stream::Stream::setup(&world, 50_000);
-        let mut g = world.guest_core(world.cores[0]).expect("guest core");
-        g.profile_begin();
-        s.init(&mut g).expect("stream init");
-        s.run_once(&mut g).expect("stream kernel");
-        g.profile_finish();
-        g.shutdown(); // VMXOFF so phase 2 can relaunch this core
-    }
+    scenario::stream_phase(&world);
     pump_windows(&prof, &mut cursors, &mut windows);
-
-    // Phase 2: grant two ranges, cache them on every core, reclaim both
-    // inside one epoch — the shootdown waits land in the controller
-    // overlay, the cores' own flush servicing in their lane totals.
-    let r1 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    let r2 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    kernel.poll_ctrl().unwrap();
-    pisces.process_acks(&enclave).unwrap();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let ready = Arc::new(std::sync::Barrier::new(world.cores.len() + 1));
-    let handles: Vec<_> = world
-        .cores
-        .iter()
-        .map(|&core| {
-            let mut g = world.guest_core(core).unwrap();
-            let stop = Arc::clone(&stop);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                g.profile_begin();
-                g.write_u64(r1.start.raw(), 1).unwrap();
-                g.write_u64(r2.start.raw(), 1).unwrap();
-                ready.wait();
-                while !stop.load(Ordering::Acquire) {
-                    g.poll().unwrap();
-                    std::hint::spin_loop();
-                }
-                g.profile_finish();
-                g.shutdown();
-            })
-        })
-        .collect();
-    ready.wait();
-
-    ctl.begin_reclaim_epoch(enclave.id.0);
-    for r in [r1, r2] {
-        pisces.request_remove_memory(&enclave, r).unwrap();
-        while enclave.resources().mem.contains(&r) {
-            kernel.poll_ctrl().unwrap();
-            pisces.process_acks(&enclave).unwrap();
-            pump_windows(&prof, &mut cursors, &mut windows);
-        }
-    }
-    ctl.end_reclaim_epoch(enclave.id.0).unwrap();
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        h.join().unwrap();
-    }
-    pump_windows(&prof, &mut cursors, &mut windows);
+    scenario::reclaim_churn(&world, &mut || {
+        pump_windows(&prof, &mut cursors, &mut windows)
+    });
 
     ProfileReport {
         snapshot: prof.snapshot(),
         windows,
         window_cycles: prof.window_cycles(),
         hz: world.node.clock.hz(),
-        enclave: enclave.id.0,
+        enclave: world.enclave.id.0,
         bystander: None,
         actions: Vec::new(),
     }
@@ -202,21 +131,31 @@ pub fn clean_run() -> ProfileReport {
 /// interval the policy imposes becomes Throttled overlay cycles on the
 /// misbehaving enclave.
 pub fn fault_run() -> ProfileReport {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
-    world.node.recorder().set_enabled(true);
+    let world = scenario::world(2);
     let prof = Arc::clone(world.node.recorder().profiler());
     prof.set_enabled(true);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_flush_spins(50_000_000);
-    let enclave = Arc::clone(&world.enclave);
-    let kernel = Arc::clone(&world.kernel);
-    let pisces = world.master.pisces();
     let mut cursors: Vec<u64> = Vec::new();
     let mut windows = window_tracks(&prof);
+
+    // Live control loop with the profiler attached: a 1 ns shootdown-RTT
+    // budget makes the churn's real RTTs degrade the workload enclave,
+    // so the policy genuinely throttles it.
+    let mut tailer = Tailer::new(
+        &world,
+        AuditConfig {
+            budgets: SloBudgets {
+                shootdown_p99_ns: Some(1),
+                ..SloBudgets::default()
+            },
+            ..AuditConfig::default()
+        },
+    );
+    let clock_node = Arc::clone(&world.node);
+    tailer.policy.attach_profiler(
+        Arc::clone(&prof),
+        Arc::new(move || clock_node.clock.rdtsc()),
+    );
 
     // Bystander enclave on a core of its own, doing clean guest work for
     // the whole run. Its phase profile must stay free of ShootdownWait
@@ -259,125 +198,22 @@ pub fn fault_run() -> ProfileReport {
         })
     };
 
-    // Live control loop with the profiler attached: a 1 ns shootdown-RTT
-    // budget makes the churn's real RTTs degrade the workload enclave,
-    // so the policy genuinely throttles it.
-    let mut engine = AuditEngine::new(
-        AuditConfig {
-            budgets: SloBudgets {
-                shootdown_p99_ns: Some(1),
-                ..SloBudgets::default()
-            },
-            ..AuditConfig::default()
-        },
-        world.node.clock.hz(),
-    );
-    let mut policy = RemediationPolicy::new(
-        Arc::clone(pisces),
-        RemediationConfig {
-            shed_drop_threshold: 1_000_000,
-        },
-    );
-    {
-        let clock_node = Arc::clone(&world.node);
-        policy.attach_profiler(
-            Arc::clone(&prof),
-            Arc::new(move || clock_node.clock.rdtsc()),
-        );
-    }
-    let mut ev_cursors: Vec<u64> = Vec::new();
-    let mut pump = |engine: &mut AuditEngine, policy: &mut RemediationPolicy| {
-        let (events, dropped) = world.node.recorder().tail_all(&mut ev_cursors);
-        if events.is_empty() && dropped == 0 {
-            return Vec::new();
-        }
-        let verdict = engine.ingest_tail(&events, dropped);
-        policy.apply(&verdict)
-    };
+    // Churn phase on the workload enclave's cores. The verdict pumped
+    // once they stop has the shootdown RTTs in the ring: it throttles.
+    let churn = scenario::reclaim_churn(&world, &mut || {
+        tailer.pump();
+        pump_windows(&prof, &mut cursors, &mut windows);
+    });
 
-    // Churn phase on the workload enclave's cores.
-    let r1 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    let r2 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    kernel.poll_ctrl().unwrap();
-    pisces.process_acks(&enclave).unwrap();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let ready = Arc::new(std::sync::Barrier::new(world.cores.len() + 1));
-    let handles: Vec<_> = world
-        .cores
-        .iter()
-        .map(|&core| {
-            let mut g = world.guest_core(core).unwrap();
-            let stop = Arc::clone(&stop);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                g.profile_begin();
-                g.write_u64(r1.start.raw(), 1).unwrap();
-                g.write_u64(r2.start.raw(), 1).unwrap();
-                ready.wait();
-                while !stop.load(Ordering::Acquire) {
-                    g.poll().unwrap();
-                    std::hint::spin_loop();
-                }
-                g.profile_finish();
-                g.shutdown();
-            })
-        })
-        .collect();
-    ready.wait();
-
-    ctl.begin_reclaim_epoch(enclave.id.0);
-    for r in [r1, r2] {
-        pisces.request_remove_memory(&enclave, r).unwrap();
-        while enclave.resources().mem.contains(&r) {
-            kernel.poll_ctrl().unwrap();
-            pisces.process_acks(&enclave).unwrap();
-            pump(&mut engine, &mut policy);
-            pump_windows(&prof, &mut cursors, &mut windows);
-        }
+    // Fault phase: a contained EPT violation on the first core, shut
+    // down to be relaunchable; the live loop must quarantine, which also
+    // closes the open throttle interval.
+    for g in churn.cores {
+        g.shutdown();
     }
-    ctl.end_reclaim_epoch(enclave.id.0).unwrap();
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        h.join().unwrap();
-    }
-    // The shootdown RTTs are in the ring now; this verdict throttles.
-    pump(&mut engine, &mut policy);
-
-    // Fault phase: a contained EPT violation on the (now relaunchable)
-    // first core; the live loop must quarantine, which also closes the
-    // open throttle interval.
-    {
-        let kernel = Arc::clone(&kernel);
-        let mut g = world.guest_core(world.cores[0]).expect("fault core");
-        g.profile_begin();
-        match g.execute_fault(faults::off_by_one_region(&kernel)) {
-            FaultOutcome::Contained(_) => {}
-            o => panic!("covirt must contain the injected fault, got {o:?}"),
-        }
-        g.profile_finish();
-    }
-    let mut spare = FAULT_PUMP_BUDGET;
-    loop {
-        let actions = pump(&mut engine, &mut policy);
-        let quarantined = policy.log().iter().any(
-            |a| matches!(a, RemediationAction::Quarantine { enclave: e, .. } if *e == enclave.id.0),
-        );
-        if quarantined {
-            break;
-        }
-        if actions.is_empty() {
-            spare -= 1;
-            if spare == 0 {
-                break;
-            }
-        }
-    }
-    policy.flush_throttle_intervals();
+    scenario::contained_fault(&world, &mut || {});
+    tailer.pump_until_quarantined();
+    tailer.policy.flush_throttle_intervals();
 
     stop_by.store(true, Ordering::Release);
     by_thread.join().expect("bystander thread panicked");
@@ -388,9 +224,9 @@ pub fn fault_run() -> ProfileReport {
         windows,
         window_cycles: prof.window_cycles(),
         hz: world.node.clock.hz(),
-        enclave: enclave.id.0,
+        enclave: world.enclave.id.0,
         bystander: Some(bystander_id),
-        actions: policy.log().to_vec(),
+        actions: tailer.into_report().actions,
     }
 }
 
@@ -416,37 +252,14 @@ impl OverheadArm {
     }
 }
 
-/// One best-of STREAM triad with the flight recorder off or on.
-fn stream_triad_recorder(on: bool) -> f64 {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 1, zones: 1 },
-        96 * 1024 * 1024,
-    );
-    if on {
-        world.node.recorder().set_enabled(true);
-    }
-    let s = stream::Stream::setup(&world, 200_000);
-    let mut g = world.guest_core(world.cores[0]).unwrap();
-    s.init(&mut g).expect("stream init");
-    let mut best: f64 = 0.0;
-    for _ in 0..5 {
-        best = best.max(s.run_once(&mut g).expect("stream kernel").triad_mbs);
-    }
-    best
-}
-
-/// One best-of STREAM triad with the phase profiler off or on. Both arms
-/// bracket the session (the brackets are always compiled in); only the
-/// enabled flag differs, so the delta is exactly the off-path cost the
-/// gate bounds: one cached-bool branch per transition site.
-fn stream_triad_profiler(on: bool) -> f64 {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 1, zones: 1 },
-        96 * 1024 * 1024,
-    );
-    world.node.recorder().profiler().set_enabled(on);
+/// Best-of-five STREAM triad in a fresh world with the instrument under
+/// test switched `on` or off. The session is bracketed either way (the
+/// brackets are always compiled in), so an arm's delta is exactly the
+/// off-path cost its gate bounds: one relaxed load + branch per emit
+/// point, one cached-bool branch per phase transition.
+fn stream_triad(switch: fn(&World, bool), on: bool) -> f64 {
+    let world = scenario::world(1);
+    switch(&world, on);
     let s = stream::Stream::setup(&world, 200_000);
     let mut g = world.guest_core(world.cores[0]).unwrap();
     g.profile_begin();
@@ -459,7 +272,8 @@ fn stream_triad_profiler(on: bool) -> f64 {
     best
 }
 
-fn overhead_arm(triad: fn(bool) -> f64) -> OverheadArm {
+fn overhead_arm(switch: fn(&World, bool)) -> OverheadArm {
+    let triad = |on| stream_triad(switch, on);
     // Warm once, then best-of-four per mode, interleaved.
     let _ = triad(false);
     let mut off: f64 = 0.0;
@@ -478,12 +292,12 @@ fn overhead_arm(triad: fn(bool) -> f64) -> OverheadArm {
 /// relaxed load + branch per emit point, so disabled throughput must
 /// track (and normally beat) enabled throughput.
 pub fn recorder_overhead_arm() -> OverheadArm {
-    overhead_arm(stream_triad_recorder)
+    overhead_arm(|w, on| w.node.recorder().set_enabled(on))
 }
 
 /// Disabled-profiler cost on the guest data plane.
 pub fn profiler_overhead_arm() -> OverheadArm {
-    overhead_arm(stream_triad_profiler)
+    overhead_arm(|w, on| w.node.recorder().profiler().set_enabled(on))
 }
 
 #[cfg(test)]

@@ -85,32 +85,13 @@ impl ScalingParams {
     }
 }
 
-/// Build the world one scaling point runs in: a single NUMA zone (the
-/// enclave's workload data is one grant region — the baseline the per-core
-/// region cache is built for; the multi-zone arm lives in
-/// [`build_numa_world`]/[`run_numa_point`]) on a node wide enough for the
-/// 8-core rung.
-///
-/// The paper testbed has 6 cores per socket, so an 8-core single-zone
-/// enclave does not fit; the sweep runs on a wider single-socket node
-/// (core 0 is still left to the host by `pick_cores`).
-pub fn build_world(mode: ExecMode, cores: usize, p: ScalingParams) -> World {
-    let per_core = p.stream_n as u64 * 8 * 3 + (8u64 << p.ra_log2_n);
-    let mem = (per_core * cores as u64 + 96 * 1024 * 1024).max(DEFAULT_ENCLAVE_MEM);
-    let topo = Topology {
-        sockets: 1,
-        cores_per_socket: 1 + CORE_COUNTS[CORE_COUNTS.len() - 1],
-        zones: 1,
-        mem_per_zone: mem + 256 * 1024 * 1024,
-        tsc_hz: Topology::paper_testbed().tsc_hz,
-    };
-    World::build_on(topo, mode, HwLayout { cores, zones: 1 }, mem)
-}
-
 /// Run one (mode, cores) point: per-core STREAM then per-core
-/// RandomAccess, all cores concurrent, one OS thread per core.
+/// RandomAccess, all cores concurrent, one OS thread per core, in a single
+/// NUMA zone (the enclave's workload data is one grant region — the
+/// baseline the per-core region cache is built for; the multi-zone arm is
+/// [`run_numa_point`]).
 pub fn run_point(mode: ExecMode, cores: usize, p: ScalingParams) -> ScalingPoint {
-    let world = build_world(mode, cores, p);
+    let world = build_world(mode, cores, 1, p);
     let streams: Vec<stream::Stream> = (0..cores)
         .map(|_| stream::Stream::setup(&world, p.stream_n))
         .collect();
@@ -187,10 +168,12 @@ pub struct NumaPoint {
     pub snapshot_swaps: u64,
 }
 
-/// Build a multi-zone world: one socket per zone, cores split evenly, the
-/// enclave's memory split evenly (this is the `zones: 1` pin of
-/// [`build_world`], lifted).
-pub fn build_numa_world(mode: ExecMode, cores: usize, zones: usize, p: ScalingParams) -> World {
+/// Build the world a scaling point runs in: one socket per zone, cores and
+/// the enclave's memory split evenly across them. The paper testbed has 6
+/// cores per socket, so an 8-core single-zone enclave does not fit; every
+/// rung runs on sockets wide enough for the 8-core one (core 0 is still
+/// left to the host by `pick_cores`).
+fn build_world(mode: ExecMode, cores: usize, zones: usize, p: ScalingParams) -> World {
     assert!(
         zones >= 1 && cores.is_multiple_of(zones),
         "cores must split evenly"
@@ -212,7 +195,7 @@ pub fn build_numa_world(mode: ExecMode, cores: usize, zones: usize, p: ScalingPa
 /// its own resolves; the region-cache hit rate must match the single-zone
 /// arm — locality is free, not a new cost.
 pub fn run_numa_point(mode: ExecMode, cores: usize, zones: usize, p: ScalingParams) -> NumaPoint {
-    let world = build_numa_world(mode, cores, zones, p);
+    let world = build_world(mode, cores, zones, p);
     let streams: Vec<stream::Stream> = world
         .cores
         .iter()
@@ -409,11 +392,7 @@ pub const FRAG_WORKING_SET: usize = 4;
 /// [`FRAG_WORKING_SET`]-region working set touching every 4 KiB page.
 pub fn run_frag_point(ways: usize, regions: usize, rounds: usize) -> FragPoint {
     const GRANT_BYTES: u64 = 64 * 1024;
-    let mut world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 1, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let mut world = crate::scenario::world(1);
     world.tlb = TlbParams {
         entries_4k: 16,
         entries_2m: 2,

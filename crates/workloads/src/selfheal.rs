@@ -7,22 +7,16 @@
 //! (during the pump loop, not from a post-run report) and yields the
 //! detection → remediation latency (MTTR).
 
-use covirt::config::CovirtConfig;
-use covirt::exec::FaultOutcome;
-use covirt::ExecMode;
 use covirt_simhw::node::SimNode;
-use covirt_simhw::topology::{HwLayout, ZoneId};
 use covirt_trace::audit::{cycles_to_ns, AuditConfig, AuditEngine};
 use covirt_trace::EventKind;
-use kitten::faults;
-use pisces::{PiscesHost, RemediationAction, RemediationConfig, RemediationPolicy};
-use std::sync::atomic::{AtomicBool, Ordering};
+use pisces::{RemediationAction, RemediationConfig, RemediationPolicy};
 use std::sync::Arc;
 
-use crate::{stream, World};
+use crate::{scenario, World};
 
-/// How many empty pump rounds after the workload stops before the fault
-/// run gives up waiting for a quarantine. The remediation must land long
+/// How many empty pump rounds after the workload stops before a fault run
+/// gives up waiting for a quarantine. The remediation must land long
 /// before this: the verdict that carries the fault report is the one that
 /// quarantines.
 const FAULT_PUMP_BUDGET: u32 = 64;
@@ -65,7 +59,9 @@ impl SelfhealReport {
 pub struct Tailer {
     node: Arc<SimNode>,
     engine: AuditEngine,
-    policy: RemediationPolicy,
+    /// The policy the verdicts go to (the profile harness attaches the
+    /// profiler to it).
+    pub(crate) policy: RemediationPolicy,
     cursors: Vec<u64>,
     enclave: u64,
     batches: u64,
@@ -79,13 +75,16 @@ pub struct Tailer {
 }
 
 impl Tailer {
-    /// A tailer watching `enclave` on `node`, remediating through `host`.
-    pub fn new(node: Arc<SimNode>, host: Arc<PiscesHost>, enclave: u64) -> Tailer {
-        let hz = node.clock.hz();
+    /// A tailer watching `world`'s workload enclave, judging by `config`
+    /// and remediating through the world's Pisces host. Switches the
+    /// flight recorder on: there is nothing to tail otherwise.
+    pub fn new(world: &World, config: AuditConfig) -> Tailer {
+        let node = Arc::clone(&world.node);
+        node.recorder().set_enabled(true);
         Tailer {
-            engine: AuditEngine::new(AuditConfig::default(), hz),
+            engine: AuditEngine::new(config, node.clock.hz()),
             policy: RemediationPolicy::new(
-                host,
+                Arc::clone(world.master.pisces()),
                 RemediationConfig {
                     // The clean gate demands zero actions; shedding on
                     // routine ring pressure would be a false positive.
@@ -94,7 +93,7 @@ impl Tailer {
             ),
             node,
             cursors: Vec::new(),
-            enclave,
+            enclave: world.enclave.id.0,
             batches: 0,
             events: 0,
             dropped: 0,
@@ -135,6 +134,20 @@ impl Tailer {
         actions
     }
 
+    /// Drain the tail until the watched enclave's quarantine lands, giving
+    /// up after [`FAULT_PUMP_BUDGET`] rounds that triggered nothing.
+    pub(crate) fn pump_until_quarantined(&mut self) {
+        let mut idle = 0;
+        while idle < FAULT_PUMP_BUDGET {
+            if self.pump().is_empty() {
+                idle += 1;
+            }
+            if self.quarantine_tsc.is_some() {
+                break;
+            }
+        }
+    }
+
     /// Close the loop and summarize.
     pub fn into_report(self) -> SelfhealReport {
         let hz = self.node.clock.hz();
@@ -156,125 +169,30 @@ impl Tailer {
 
 /// Clean run: the full STREAM + grant → touch → epoch-reclaim lifecycle of
 /// the audit driver, but tailed *live* — the pump interleaves with the
-/// workload's own poll loops. A healthy run must trigger zero actions.
+/// workload's own poll loops, between every control-plane step. A healthy
+/// run must trigger zero actions.
 pub fn clean_run() -> SelfhealReport {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
-    world.node.recorder().set_enabled(true);
-    let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_flush_spins(50_000_000);
-    let enclave = Arc::clone(&world.enclave);
-    let kernel = Arc::clone(&world.kernel);
-    let pisces = world.master.pisces();
-    let mut tailer = Tailer::new(Arc::clone(&world.node), Arc::clone(pisces), enclave.id.0);
-
-    // Phase 1: STREAM traffic so the loop digests real exit/attribution
-    // batches, tailing as it goes.
-    {
-        let s = stream::Stream::setup(&world, 50_000);
-        let mut g = world.guest_core(world.cores[0]).expect("guest core");
-        s.init(&mut g).expect("stream init");
-        s.run_once(&mut g).expect("stream kernel");
-        g.shutdown(); // VMXOFF so phase 2 can relaunch this core
-    }
+    let world = scenario::world(2);
+    let mut tailer = Tailer::new(&world, AuditConfig::default());
+    scenario::stream_phase(&world);
     tailer.pump();
-
-    // Phase 2: grant two ranges, cache them on every core, reclaim both
-    // inside one epoch — pumping between every control-plane step.
-    let r1 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    let r2 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    kernel.poll_ctrl().unwrap();
-    pisces.process_acks(&enclave).unwrap();
-    tailer.pump();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let ready = Arc::new(std::sync::Barrier::new(world.cores.len() + 1));
-    let handles: Vec<_> = world
-        .cores
-        .iter()
-        .map(|&core| {
-            let mut g = world.guest_core(core).unwrap();
-            let stop = Arc::clone(&stop);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                g.write_u64(r1.start.raw(), 1).unwrap();
-                g.write_u64(r2.start.raw(), 1).unwrap();
-                ready.wait();
-                while !stop.load(Ordering::Acquire) {
-                    g.poll().unwrap();
-                    std::hint::spin_loop();
-                }
-            })
-        })
-        .collect();
-    ready.wait();
-
-    ctl.begin_reclaim_epoch(enclave.id.0);
-    for r in [r1, r2] {
-        pisces.request_remove_memory(&enclave, r).unwrap();
-        while enclave.resources().mem.contains(&r) {
-            kernel.poll_ctrl().unwrap();
-            pisces.process_acks(&enclave).unwrap();
-            tailer.pump();
-        }
-    }
-    ctl.end_reclaim_epoch(enclave.id.0).unwrap();
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        h.join().unwrap();
-    }
-    tailer.pump();
+    scenario::reclaim_churn(&world, &mut || {
+        tailer.pump();
+    });
     tailer.into_report()
 }
 
 /// Fault-injected run: the guest hits a contained EPT violation on its
 /// own thread while the main thread keeps tailing. The fault report must
 /// be detected in-flight and the policy must quarantine the enclave
-/// within [`FAULT_PUMP_BUDGET`] further pump rounds.
+/// within [`FAULT_PUMP_BUDGET`] further idle pump rounds.
 pub fn fault_run() -> SelfhealReport {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 1, zones: 1 },
-        96 * 1024 * 1024,
-    );
-    world.node.recorder().set_enabled(true);
-    let mut tailer = Tailer::new(
-        Arc::clone(&world.node),
-        Arc::clone(world.master.pisces()),
-        world.enclave.id.0,
-    );
-    let kernel = Arc::clone(&world.kernel);
-    let mut g = world.guest_core(world.cores[0]).expect("guest core");
-    let guest = std::thread::spawn(move || g.execute_fault(faults::off_by_one_region(&kernel)));
-    while !guest.is_finished() {
+    let world = scenario::world(1);
+    let mut tailer = Tailer::new(&world, AuditConfig::default());
+    scenario::contained_fault(&world, &mut || {
         tailer.pump();
-        std::hint::spin_loop();
-    }
-    match guest.join().expect("guest thread panicked") {
-        FaultOutcome::Contained(_) => {}
-        o => panic!("covirt must contain the injected fault, got {o:?}"),
-    }
-    // Drain the tail until the quarantine lands (bounded).
-    let mut spare = FAULT_PUMP_BUDGET;
-    loop {
-        let acted = !tailer.pump().is_empty();
-        if tailer.quarantine_tsc.is_some() {
-            break;
-        }
-        if !acted {
-            spare -= 1;
-            if spare == 0 {
-                break;
-            }
-        }
-    }
+    });
+    tailer.pump_until_quarantined();
     tailer.into_report()
 }
 

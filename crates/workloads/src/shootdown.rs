@@ -5,16 +5,12 @@
 //! per-core TLB/walk-cache statistics plus the node (recorder still
 //! loaded) for trace/metrics export.
 
-use covirt::config::CovirtConfig;
 use covirt::exec::CoreCounters;
-use covirt::ExecMode;
 use covirt_simhw::node::SimNode;
 use covirt_simhw::tlb::TlbStats;
-use covirt_simhw::topology::{HwLayout, ZoneId};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::World;
+use crate::scenario;
 
 /// One core's counters after the epoch closed.
 pub struct CoreStats {
@@ -40,71 +36,15 @@ pub struct ShootdownRun {
 /// Run the demo. With `trace` the node's flight recorder runs for the
 /// whole workload so callers can export the timeline and metrics.
 pub fn run(trace: bool) -> ShootdownRun {
-    let world = World::build(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        HwLayout { cores: 2, zones: 1 },
-        96 * 1024 * 1024,
-    );
+    let world = scenario::world(2);
     if trace {
         world.node.recorder().set_enabled(true);
     }
-    let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_flush_spins(50_000_000);
-    let enclave = Arc::clone(&world.enclave);
-    let kernel = Arc::clone(&world.kernel);
-    let pisces = world.master.pisces();
-
-    let r1 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    let r2 = pisces
-        .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-        .unwrap();
-    kernel.poll_ctrl().unwrap();
-    pisces.process_acks(&enclave).unwrap();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    // Wait for every core to cache the translations before reclaiming,
-    // so the demo actually exercises the stale-entry invalidation.
-    let ready = Arc::new(std::sync::Barrier::new(world.cores.len() + 1));
-    let handles: Vec<_> = world
+    let churn = scenario::reclaim_churn(&world, &mut || {});
+    let cores = churn
         .cores
         .iter()
-        .map(|&core| {
-            let mut g = world.guest_core(core).unwrap();
-            let stop = Arc::clone(&stop);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                // Fill the TLB with soon-to-be-stale entries, then keep
-                // polling so the NMI-driven flushes get serviced.
-                g.write_u64(r1.start.raw(), 1).unwrap();
-                g.write_u64(r2.start.raw(), 1).unwrap();
-                ready.wait();
-                while !stop.load(Ordering::Acquire) {
-                    g.poll().unwrap();
-                    std::hint::spin_loop();
-                }
-                g
-            })
-        })
-        .collect();
-    ready.wait();
-
-    ctl.begin_reclaim_epoch(enclave.id.0);
-    for r in [r1, r2] {
-        pisces.request_remove_memory(&enclave, r).unwrap();
-        while enclave.resources().mem.contains(&r) {
-            kernel.poll_ctrl().unwrap();
-            pisces.process_acks(&enclave).unwrap();
-        }
-    }
-    ctl.end_reclaim_epoch(enclave.id.0).unwrap();
-    stop.store(true, Ordering::Release);
-
-    let cores = handles
-        .into_iter()
-        .map(|h| {
-            let g = h.join().unwrap();
+        .map(|g| {
             g.publish_metrics();
             CoreStats {
                 core: g.core,
@@ -114,7 +54,7 @@ pub fn run(trace: bool) -> ShootdownRun {
         })
         .collect();
     ShootdownRun {
-        shootdowns: ctl.shootdown_count(),
+        shootdowns: churn.shootdowns,
         cores,
         node: Arc::clone(&world.node),
     }

@@ -174,7 +174,6 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
         vec![(ZoneId(0), 64 * 1024 * 1024)],
     );
     let (e, k) = master.bring_up_enclave("coherence", &req).unwrap();
-    ctl.set_flush_spins(50_000_000);
 
     let published: Arc<Mutex<Option<(u64, u64)>>> = Arc::new(Mutex::new(None));
     // The tag each guest last tried to read, so a publish window stays open

@@ -4,6 +4,7 @@
 //! may the host recycle the frames.
 
 use covirt_suite::covirt::config::CovirtConfig;
+use covirt_suite::covirt::controller::DEFAULT_RANGE_FLUSH_THRESHOLD;
 use covirt_suite::covirt::exec::FaultOutcome;
 use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::MasterControl;
@@ -40,7 +41,6 @@ fn epoch_close_blocks_until_every_core_flushes() {
     };
     let mut g2 = mk(2);
     let mut g3 = mk(3);
-    ctl.set_flush_spins(50_000_000);
 
     // Grant two ranges and cache their translations on both cores.
     let r1 = master
@@ -132,14 +132,15 @@ fn oversized_reclaim_falls_back_to_full_flush() {
         TlbParams::default(),
     )
     .unwrap();
-    ctl.set_flush_spins(50_000_000);
-    // Force the fall-back for everything: threshold 0 disables range
-    // flushes outright.
-    ctl.set_range_flush_threshold(0);
-
+    // One grant past the range-flush threshold: sweeping the TLB for it
+    // would cost more than invalidating everything.
     let range = master
         .pisces()
-        .add_memory(&e, ZoneId(0), 2 * 1024 * 1024)
+        .add_memory(
+            &e,
+            ZoneId(0),
+            DEFAULT_RANGE_FLUSH_THRESHOLD + 2 * 1024 * 1024,
+        )
         .unwrap();
     k.poll_ctrl().unwrap();
     master.pisces().process_acks(&e).unwrap();
@@ -163,7 +164,7 @@ fn oversized_reclaim_falls_back_to_full_flush() {
     assert_eq!(
         g.tlb_stats().full_flushes,
         1,
-        "threshold 0 must force a full flush"
+        "a reclaim past the threshold must flush everything"
     );
     assert_eq!(g.tlb_stats().range_flushes, 0);
 }
@@ -192,7 +193,6 @@ fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
         TlbParams::default(),
     )
     .unwrap();
-    ctl.set_flush_spins(50_000_000);
 
     let grant = || {
         let r = master
