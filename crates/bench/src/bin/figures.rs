@@ -16,8 +16,8 @@
 //! scaled defaults. `trace`, `report` and `bench` are plain tool commands.
 
 use covirt_bench::gate::GateResult;
-use covirt_bench::render_shootdown;
 use covirt_bench::suite::{self, Ctx, Harness, HARNESSES};
+use covirt_bench::{render_report, render_shootdown};
 use covirt_trace::bench::{self, BenchSuite, ComparePolicy, MAD_SIGMA};
 use std::path::{Path, PathBuf};
 use workloads::figures::Scale;
@@ -61,8 +61,9 @@ const TOOLS: &[Tool] = &[
     },
     Tool {
         name: "report",
-        help: "shootdown demo with metrics on; prints the registry, the per-zone\n\
-               snapshot/resolve statistics and the slowest command completions",
+        help: "shootdown demo with the flight recorder on; prints the per-core and\n\
+               per-zone counts, the audit page of the same capture and the slowest\n\
+               command completions",
         run: |_| report_cmd(),
     },
     Tool {
@@ -185,59 +186,9 @@ fn trace_cmd(o: &Opts) -> GateResult {
 }
 
 /// `report` subcommand: run the shootdown demo with the recorder on and
-/// print the unified metrics registry plus the slowest command completions.
+/// print its counts and its audited latencies as one page.
 fn report_cmd() -> GateResult {
-    use covirt_trace::export;
-
-    let run = shootdown::run(true);
-    println!("{}", render_shootdown(&run));
-    let node = run.node;
-    let (events, drops) = node.drain_trace();
-    println!("\n{}", node.recorder().metrics().render());
-    println!("per-zone snapshot/resolve statistics:");
-    println!(
-        "  {:<5} {:>6} {:>9} {:>10} {:>8} {:>11} {:>6} {:>10}",
-        "zone", "swaps", "res-hits", "res-misses", "backlog", "backlog-hw", "freed", "avg-depth"
-    );
-    for z in 0..node.topology.zones {
-        let s = node
-            .mem
-            .zone_stats(covirt_simhw::topology::ZoneId(z))
-            .expect("zone stats");
-        println!(
-            "  {:<5} {:>6} {:>9} {:>10} {:>8} {:>11} {:>6} {:>10.2}",
-            z,
-            s.snapshot_swaps,
-            s.resolve_hits,
-            s.resolve_misses,
-            s.retired_backlog,
-            s.retired_backlog_high_water,
-            s.retired_freed,
-            s.avg_search_depth()
-        );
-    }
-    let total_drops: u64 = drops.iter().sum();
-    let per_lane: Vec<String> = drops.iter().map(u64::to_string).collect();
-    println!(
-        "ring drops per lane: [{}]  total {}{}",
-        per_lane.join(", "),
-        total_drops,
-        if total_drops > 0 {
-            "  (evidence incomplete: oldest events overwritten)"
-        } else {
-            ""
-        }
-    );
-    let slow = export::slowest_commands(&events, 5);
-    if slow.is_empty() {
-        println!("no timed command completions recorded");
-    } else {
-        println!("slowest command completions (post -> complete):");
-        println!("  seq        core   latency-ns");
-        for c in slow {
-            println!("  {:<10} {:<6} {:>10}", c.seq, c.core, c.latency_ns);
-        }
-    }
+    println!("{}", render_report(&shootdown::run(true)));
     GateResult::new()
 }
 

@@ -16,11 +16,15 @@ pub mod gate;
 pub mod suite;
 
 use covirt::stats::overhead_pct;
+use covirt_simhw::topology::ZoneId;
+use covirt_trace::audit::CmdLifecycle;
 use covirt_trace::Phase;
+use workloads::audit::audit_trace;
 use workloads::exitless::{ArmResult, ConcurrentResult, ParkedResult};
 use workloads::figures::{Fig3Row, Fig4Row, Fig5aRow, Fig5bRow, Fig8Row, ScalingRow};
 use workloads::profile::{OverheadArm, ProfileReport};
 use workloads::scaling::{ChurnIsolation, FragPoint, NumaPoint, ScalingPoint};
+use workloads::shootdown::ShootdownRun;
 
 /// Format an overhead percentage for a table cell: two decimals, or
 /// `"n/a"` when the baseline was zero (`overhead_pct` yields NaN then).
@@ -290,24 +294,77 @@ pub fn render_fig8(rows: &[Fig8Row]) -> String {
 }
 
 /// Render the shootdown demo's result: the coalescing headline plus the
-/// per-core TLB/walk-cache statistics table.
-pub fn render_shootdown(r: &workloads::shootdown::ShootdownRun) -> String {
+/// per-core count table (TLB, walk cache, exits, guest-mode harvests).
+pub fn render_shootdown(r: &ShootdownRun) -> String {
     let mut out = format!(
-        "Coalesced reclaim epoch: 2 x 2 MiB reclaimed, {} broadcast shootdown(s)\n\
-         core   tlb-hits  tlb-misses  full-flush  page-flush  range-flush  wcache h/m\n",
-        r.shootdowns
+        "Coalesced reclaim epoch: 2 x 2 MiB reclaimed, {} broadcast shootdown(s), \
+         {} NMI escalation(s)\n\
+         core   tlb-hits  tlb-misses  full-flush  page-flush  range-flush  wcache h/m  \
+         exits  harvested\n",
+        r.shootdowns, r.nmi_escalations
     );
-    for c in &r.cores {
+    for g in &r.cores {
+        let (tlb, c) = (g.tlb_stats(), g.counters());
         out.push_str(&format!(
-            "cpu{:<4} {:>8} {:>11} {:>11} {:>11} {:>12} {:>6}/{}\n",
-            c.core,
-            c.tlb.hits,
-            c.tlb.misses,
-            c.tlb.full_flushes,
-            c.tlb.page_flushes,
-            c.tlb.range_flushes,
-            c.counters.walk_cache_hits,
-            c.counters.walk_cache_misses,
+            "cpu{:<4} {:>8} {:>11} {:>11} {:>11} {:>12} {:>10} {:>6} {:>10}\n",
+            g.core,
+            tlb.hits,
+            tlb.misses,
+            tlb.full_flushes,
+            tlb.page_flushes,
+            tlb.range_flushes,
+            format!("{}/{}", c.walk_cache_hits, c.walk_cache_misses),
+            g.exit_count(),
+            c.cmd_harvested,
+        ));
+    }
+    out
+}
+
+/// Render the `figures report` page of one traced shootdown run: the
+/// per-core count table, the audit engine's page over the same capture
+/// (region and command lifecycles, the per-enclave latency budget rows),
+/// the slowest of the command completions it stitched, and the per-zone
+/// snapshot/resolve counts.
+pub fn render_report(run: &ShootdownRun) -> String {
+    let node = &run.node;
+    let audit = audit_trace(node);
+    let mut out = format!("{}\n{}", render_shootdown(run), audit.render());
+
+    let mut timed: Vec<&CmdLifecycle> = audit
+        .commands
+        .iter()
+        .filter(|c| c.complete_tsc.is_some())
+        .collect();
+    timed.sort_by(|x, y| y.complete_ns.cmp(&x.complete_ns).then(x.seq.cmp(&y.seq)));
+    out.push_str(
+        "\nslowest command completions (post -> complete):\n\
+         \x20 seq        core   latency-ns\n",
+    );
+    for c in timed.iter().take(5) {
+        out.push_str(&format!(
+            "  {:<10} {:<6} {:>10}\n",
+            c.seq, c.core, c.complete_ns
+        ));
+    }
+
+    out.push_str(&format!(
+        "\nper-zone snapshot/resolve statistics:\n\
+         \x20 {:<5} {:>6} {:>9} {:>10} {:>8} {:>11} {:>6} {:>10}\n",
+        "zone", "swaps", "res-hits", "res-misses", "backlog", "backlog-hw", "freed", "avg-depth"
+    ));
+    for z in 0..node.topology.zones {
+        let s = node.mem.zone_stats(ZoneId(z)).expect("zone stats");
+        out.push_str(&format!(
+            "  {:<5} {:>6} {:>9} {:>10} {:>8} {:>11} {:>6} {:>10.2}\n",
+            z,
+            s.snapshot_swaps,
+            s.resolve_hits,
+            s.resolve_misses,
+            s.retired_backlog,
+            s.retired_backlog_high_water,
+            s.retired_freed,
+            s.avg_search_depth()
         ));
     }
     out
@@ -438,6 +495,37 @@ mod tests {
         assert_eq!(fmt_pct(f64::NAN), "n/a");
         assert_eq!(fmt_pct(4.25159), "4.25");
         assert_eq!(fmt_pct(overhead_pct(0.0, 5.0)), "n/a");
+    }
+
+    /// The report page is the count tables and the audit page of one
+    /// capture: every core, the enclave's latency row, every zone, and at
+    /// most five completions, slowest first.
+    #[test]
+    fn report_page_lists_cores_enclave_zones_and_ranked_completions() {
+        let run = workloads::shootdown::run(true);
+        let text = render_report(&run);
+        for c in &run.cores {
+            assert!(text.contains(&format!("\ncpu{:<4} ", c.core)), "{text}");
+        }
+        assert!(text.contains("evidence: complete"), "{text}");
+        assert_eq!(text.matches(" synced ").count(), 2, "{text}");
+        let section = |title: &str| {
+            let body = text.split_once(title).expect(title).1;
+            let rows = body.split("\n\n").next().expect("section body");
+            // Skip the rest of the title line and the column header.
+            rows.lines().skip(2).collect::<Vec<_>>()
+        };
+        let enclaves = section("per-enclave budget report:");
+        assert_eq!(enclaves.len(), 1, "{text}");
+        assert!(enclaves[0].trim_end().ends_with("OK"), "{text}");
+        let zones = section("per-zone snapshot/resolve statistics:");
+        assert_eq!(zones.len(), run.node.topology.zones, "{text}");
+        let latencies: Vec<u64> = section("slowest command completions")
+            .iter()
+            .map(|l| l.split_whitespace().last().unwrap().parse().unwrap())
+            .collect();
+        assert!((1..=5).contains(&latencies.len()), "{text}");
+        assert!(latencies.windows(2).all(|w| w[0] >= w[1]), "{text}");
     }
 
     #[test]

@@ -834,7 +834,7 @@ fn table1(_: &Ctx, c: &mut Collector) -> String {
 fn shootdown(_: &Ctx, c: &mut Collector) -> String {
     let sd = shootdown::run(false);
     c.push("broadcast_shootdowns", sd.shootdowns as f64);
-    let range_flushes: u64 = sd.cores.iter().map(|cs| cs.tlb.range_flushes).sum();
+    let range_flushes: u64 = sd.cores.iter().map(|g| g.tlb_stats().range_flushes).sum();
     c.push("tlb_range_flushes", range_flushes as f64);
     render_shootdown(&sd)
 }
@@ -943,18 +943,23 @@ fn selfheal(_: &Ctx, c: &mut Collector) -> String {
 }
 
 fn audit(_: &Ctx, c: &mut Collector) -> String {
-    let clean = audit::summarize(&audit::clean_run());
-    c.push("clean_violations", clean.violations as f64);
-    c.push("region_lifecycles", clean.regions as f64);
-    c.push("command_chains", clean.commands as f64);
-    let fault = audit::summarize(&audit::fault_run());
-    c.push("fault_attributed_violations", fault.attributed as f64);
+    let clean = audit::audit_trace(&audit::clean_run().node);
+    c.push("clean_violations", clean.violations.len() as f64);
+    c.push("region_lifecycles", clean.regions.len() as f64);
+    c.push("command_chains", clean.commands.len() as f64);
+    let run = audit::fault_run();
+    let fault = audit::audit_trace(&run.node);
+    let attributed = fault
+        .violations
+        .iter()
+        .filter(|v| v.enclave == Some(run.enclave))
+        .count();
+    c.push("fault_attributed_violations", attributed as f64);
     format!(
-        "clean run\n{}\nfault run: {} violation(s) attributed to enclave {}\n{}",
-        clean.report.render(),
-        fault.attributed,
-        fault.enclave,
-        fault.report.render()
+        "clean run\n{}\nfault run: {attributed} violation(s) attributed to enclave {}\n{}",
+        clean.render(),
+        run.enclave,
+        fault.render()
     )
 }
 

@@ -16,7 +16,7 @@
 
 use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::PhysMemory;
-use covirt_trace::{EventKind, Hist, Tracer};
+use covirt_trace::{EventKind, Tracer};
 use pisces::ring::{RingError, SharedRing};
 use pisces::wire::{WireReader, WireWriter};
 use std::sync::Arc;
@@ -435,9 +435,7 @@ impl CmdQueue {
 
     fn trace_wait(&self, seq: u64, t0: Option<std::time::Instant>) {
         if let (Some(t), Some(t0)) = (&self.tracer, t0) {
-            let ns = t0.elapsed().as_nanos() as u64;
-            t.emit(EventKind::CmdWait, seq, ns);
-            t.observe(Hist::CmdWaitNs, ns);
+            t.emit(EventKind::CmdWait, seq, t0.elapsed().as_nanos() as u64);
         }
     }
 

@@ -30,7 +30,7 @@ use covirt_simhw::interconnect::{DeliveryMode, IpiDest};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::paging::FramePool;
 use covirt_simhw::topology::ZoneId;
-use covirt_trace::{Counter, EventKind, Hist, Phase, Tracer};
+use covirt_trace::{EventKind, Phase, Tracer};
 use hobbes::events::HobbesHooks;
 use hobbes::MasterControl;
 use parking_lot::{Mutex, RwLock};
@@ -40,6 +40,7 @@ use pisces::hooks::EnclaveHooks;
 use pisces::host::PiscesHost;
 use pisces::{PiscesError, PiscesResult};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Bytes of host memory the node reserves, once, for the EPT table frames
@@ -99,14 +100,14 @@ pub struct CovirtController {
     /// coalesced shootdown at epoch close (keyed by enclave).
     pending_reclaims: Mutex<HashMap<u64, Vec<PhysRange>>>,
     /// Broadcast shootdowns issued (instrumentation).
-    shootdowns: RwLock<u64>,
+    shootdowns: AtomicU64,
     /// How commands are signalled to cores (doorbell-first by default).
     delivery: RwLock<CmdDelivery>,
     /// Nanoseconds a core gets to acknowledge a doorbell before the
     /// controller escalates to an NMI kick.
     escalation_bound_ns: RwLock<u64>,
     /// Doorbell deliveries that timed out and escalated to an NMI.
-    nmi_escalations: RwLock<u64>,
+    nmi_escalations: AtomicU64,
     /// The node's EPT table frames, shared by every enclave's EPT; reserved
     /// when the first memory-protected enclave boots and kept for the life
     /// of the node.
@@ -129,10 +130,10 @@ impl CovirtController {
             master: RwLock::new(None),
             faults: FaultLog::new(),
             pending_reclaims: Mutex::new(HashMap::new()),
-            shootdowns: RwLock::new(0),
+            shootdowns: AtomicU64::new(0),
             delivery: RwLock::new(CmdDelivery::DoorbellFirst),
             escalation_bound_ns: RwLock::new(DEFAULT_ESCALATION_BOUND_NS),
-            nmi_escalations: RwLock::new(0),
+            nmi_escalations: AtomicU64::new(0),
             ept_pool: Mutex::new(None),
             tracer,
         })
@@ -167,7 +168,7 @@ impl CovirtController {
 
     /// How many broadcast shootdowns this controller has issued.
     pub fn shootdown_count(&self) -> u64 {
-        *self.shootdowns.read()
+        self.shootdowns.load(Ordering::Relaxed)
     }
 
     /// Select the command-delivery mode (ablation knob; doorbell-first by
@@ -195,7 +196,7 @@ impl CovirtController {
 
     /// How many doorbell deliveries escalated to an NMI kick.
     pub fn nmi_escalation_count(&self) -> u64 {
-        *self.nmi_escalations.read()
+        self.nmi_escalations.load(Ordering::Relaxed)
     }
 
     /// Signal `core` that its command queue has pending work for `seq`.
@@ -210,7 +211,6 @@ impl CovirtController {
                 let notify = desc.post(CMD_DOORBELL_VECTOR);
                 self.tracer
                     .emit_for(vctx.enclave_id, EventKind::CmdDoorbell, seq, core as u64);
-                self.tracer.count(Counter::CmdDoorbells, 1);
                 if notify {
                     self.node
                         .interconnect
@@ -272,8 +272,7 @@ impl CovirtController {
                     // The doorbell went unanswered: demote to the legacy
                     // NMI kick (the interconnect emits NmiKick for the
                     // audit trail) and fall through to the normal wait.
-                    *self.nmi_escalations.write() += 1;
-                    self.tracer.count(Counter::NmiEscalations, 1);
+                    self.nmi_escalations.fetch_add(1, Ordering::Relaxed);
                     let _ = self
                         .node
                         .interconnect
@@ -495,7 +494,7 @@ impl CovirtController {
                 self.node.clock.rdtsc().saturating_sub(w0),
             );
         }
-        *self.shootdowns.write() += 1;
+        self.shootdowns.fetch_add(1, Ordering::Relaxed);
         if traced {
             let rtt = self
                 .node
@@ -503,7 +502,6 @@ impl CovirtController {
                 .cycles_to_ns(self.node.clock.rdtsc().saturating_sub(t0));
             self.tracer
                 .emit_for(vctx.enclave_id, EventKind::ShootdownEnd, rtt, 0);
-            self.tracer.observe(Hist::ShootdownRttNs, rtt);
         }
         Ok(())
     }

@@ -31,7 +31,7 @@ use covirt_simhw::memory::{PhysMemory, RegionCache};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::paging::{Access, CachedLoad, TableLoad};
 use covirt_simhw::tlb::{Tlb, TlbParams};
-use covirt_trace::{Counter, EventKind, Hist, Phase, PhaseTracker, Tracer};
+use covirt_trace::{EventKind, Phase, PhaseTracker, Tracer};
 use kitten::faults::InjectedFault;
 use kitten::KittenKernel;
 use std::cell::Cell;
@@ -407,43 +407,6 @@ impl GuestCore {
         c
     }
 
-    /// Publish this core's counters and TLB statistics into the node's
-    /// metrics registry (absolute stores, so republishing is idempotent).
-    /// This is the single stat-copy path: harnesses read the registry
-    /// instead of hand-copying individual counter fields.
-    pub fn publish_metrics(&self) {
-        let reg = self.node.recorder().metrics();
-        let lane = self.core;
-        let c = self.counters();
-        let t = self.tlb.stats();
-        for (k, v) in [
-            (Counter::Reads, c.reads),
-            (Counter::Writes, c.writes),
-            (Counter::Walks, c.walks),
-            (Counter::WalkLoads, c.walk_loads),
-            (Counter::IpisSent, c.ipis_sent),
-            (Counter::TimerIrqs, c.timer_irqs),
-            (Counter::IpiIrqs, c.ipi_irqs),
-            (Counter::PostedHarvested, c.posted_harvested),
-            (Counter::CmdDoorbells, c.cmd_doorbells),
-            (Counter::CmdHarvested, c.cmd_harvested),
-            (Counter::Polls, c.polls),
-            (Counter::WalkCacheHits, c.walk_cache_hits),
-            (Counter::WalkCacheMisses, c.walk_cache_misses),
-            (Counter::WalkCacheFullFlushes, c.walk_cache_full_flushes),
-            (Counter::ResolveHits, c.resolve_hits),
-            (Counter::ResolveMisses, c.resolve_misses),
-            (Counter::TlbHits, t.hits),
-            (Counter::TlbMisses, t.misses),
-            (Counter::TlbFullFlushes, t.full_flushes),
-            (Counter::TlbPageFlushes, t.page_flushes),
-            (Counter::TlbRangeFlushes, t.range_flushes),
-            (Counter::Exits, self.exit_count()),
-        ] {
-            reg.set(lane, k, v);
-        }
-    }
-
     /// Enable or disable the EPT walk cache (ablation knob; on by default).
     pub fn set_walk_cache_enabled(&mut self, enabled: bool) {
         self.walk_cache_enabled = enabled;
@@ -498,7 +461,6 @@ impl GuestCore {
         let prev = self.phase.phase();
         self.phase
             .transition_now(Phase::RegionResolve, || self.node.clock.rdtsc());
-        let t0 = self.tracer.enabled().then(std::time::Instant::now);
         let mem = &self.node.mem;
         let ept = self.vctx.as_ref().and_then(|v| v.ept.as_deref());
 
@@ -572,10 +534,6 @@ impl GuestCore {
         self.tlb
             .insert(page_gva, t.page_size, base_ptr, backing, writable);
         let in_page = gva - page_gva;
-        if let Some(t0) = t0 {
-            self.tracer
-                .observe(Hist::ResolveMissNs, t0.elapsed().as_nanos() as u64);
-        }
         self.phase.transition_now(prev, || self.node.clock.rdtsc());
         // SAFETY: in_page < page_size, and the resolve covered the page.
         Ok(unsafe { (base_ptr.add(in_page as usize), t.page_size - in_page) })

@@ -21,7 +21,7 @@ use covirt_simhw::exit::{ExitInfo, ExitReason};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::tlb::Tlb;
 use covirt_simhw::vmcs::VmcsHandle;
-use covirt_trace::{EventKind, Hist, Tracer};
+use covirt_trace::{EventKind, Tracer};
 use std::sync::Arc;
 
 /// Measured VM-entry/exit round-trip on Broadwell-class hardware is on the
@@ -231,10 +231,7 @@ impl Hypervisor {
         }
         let handled_ns = t0.elapsed().as_nanos() as u64;
         self.exit_ns += handled_ns;
-        if self.tracer.enabled() {
-            self.tracer.emit(EventKind::ExitLeave, handled_ns, 0);
-            self.tracer.observe(Hist::ExitHandleNs, handled_ns);
-        }
+        self.tracer.emit(EventKind::ExitLeave, handled_ns, 0);
         action
     }
 
@@ -292,9 +289,6 @@ impl Hypervisor {
                     0
                 };
                 self.tracer.emit(EventKind::CmdComplete, sc.seq, ns);
-                if ns != 0 {
-                    self.tracer.observe(Hist::CmdLatencyNs, ns);
-                }
             }
         }
         action

@@ -2,6 +2,9 @@
 
 use crate::vctx::VirtContext;
 
+/// Median of a sample: the one the bench suite's records are built with.
+pub use covirt_trace::bench::median;
+
 /// A sorted (reason, count) table of a context's exits across all cores —
 /// the "incremental overhead costs of different hardware protection
 /// features" instrumentation the paper's contribution list promises.
@@ -57,21 +60,6 @@ pub fn stddev(xs: &[f64]) -> f64 {
     }
     let m = mean(xs);
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
-/// Median (of a copy; the input is not reordered).
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in samples"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
 }
 
 #[cfg(test)]

@@ -127,13 +127,20 @@ impl KittenKernel {
     /// Service pending host→enclave control messages. Returns the messages
     /// handled. This is the kernel's "management interrupt" bottom half; in
     /// a live enclave it runs from the exec loop's safe points.
+    ///
+    /// A handled message may owe the host an acknowledgement, so none is
+    /// taken while the enclave→host ring is full: it stays queued for the
+    /// next poll instead of being applied with its ack lost.
     pub fn poll_ctrl(&self) -> KittenResult<Vec<CtrlMsg>> {
         let mut handled = Vec::new();
-        while let Some(msg) = self
-            .ctrl
-            .try_recv()
-            .map_err(|_| KittenError::Ctrl("recv failed"))?
-        {
+        while self.ctrl.can_send() {
+            let Some(msg) = self
+                .ctrl
+                .try_recv()
+                .map_err(|_| KittenError::Ctrl("recv failed"))?
+            else {
+                break;
+            };
             match &msg {
                 CtrlMsg::AddMem { start, len } => {
                     let range = PhysRange::new(HostPhysAddr::new(*start), *len);
@@ -343,6 +350,34 @@ mod tests {
         k.poll_ctrl().unwrap();
         assert!(!k.memmap().contains(range.start, 8));
         assert!(k.translate(range.start.raw()).is_err());
+        h.process_acks(&e).unwrap();
+        assert!(!e.resources().mem.contains(&range));
+    }
+
+    /// A full enclave→host ring must not cost the host an ack: the
+    /// message stays queued (its effect unapplied) until the ack fits.
+    #[test]
+    fn full_ack_ring_defers_the_message_instead_of_losing_its_ack() {
+        let (h, e, k) = booted();
+        let range = h.add_memory(&e, ZoneId(0), 2 * 1024 * 1024).unwrap();
+        k.poll_ctrl().unwrap();
+        h.process_acks(&e).unwrap();
+        while k.ctrl.can_send() {
+            k.forward_syscall(60, 1, 2).unwrap();
+        }
+        h.request_remove_memory(&e, range).unwrap();
+
+        assert_eq!(k.poll_ctrl().unwrap(), []);
+        assert!(k.memmap().contains(range.start, range.len));
+        assert_eq!(k.ctrl.pending(), 1);
+
+        // The host end takes the syscalls off the ring (unanswered: 64
+        // returns plus the queued RemoveMem would overrun the other ring).
+        let host_end = e.ctrl().unwrap();
+        while host_end.try_recv().unwrap().is_some() {}
+        let handled = k.poll_ctrl().unwrap();
+        assert!(matches!(handled[..], [CtrlMsg::RemoveMem { .. }]));
+        assert!(!k.memmap().contains(range.start, 8));
         h.process_acks(&e).unwrap();
         assert!(!e.resources().mem.contains(&range));
     }

@@ -286,6 +286,12 @@ impl CtrlChannel {
         Ok(())
     }
 
+    /// Whether the ring toward the peer has a free slot. This side is that
+    /// ring's only producer, so a `true` holds until its next `send`.
+    pub fn can_send(&self) -> bool {
+        self.tx().len() < self.tx().capacity()
+    }
+
     /// Non-blocking receive from the peer.
     pub fn try_recv(&self) -> Result<Option<CtrlMsg>, RingError> {
         match self.rx().pop() {

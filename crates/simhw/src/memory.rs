@@ -48,7 +48,7 @@ use crate::addr::{HostPhysAddr, PhysRange, PAGE_SHIFT_2M, PAGE_SIZE_4K};
 use crate::backing::Backing;
 use crate::error::{HwError, HwResult};
 use crate::topology::ZoneId;
-use covirt_trace::{Counter, EventKind, Tracer};
+use covirt_trace::{EventKind, Tracer};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -513,7 +513,7 @@ impl Default for RegionView {
     }
 }
 
-/// The node's physical memory: one [`ZoneShard`] per NUMA zone, plus the
+/// The node's physical memory: one `ZoneShard` per NUMA zone, plus the
 /// global publish count legacy callers key off.
 pub struct PhysMemory {
     shards: Vec<ZoneShard>,
@@ -728,7 +728,6 @@ impl PhysMemory {
         let mut regions = cur.regions.clone();
         let out = f(&mut regions)?;
         let next_gen = cur.generation + 1;
-        let region_count = regions.len() as u64;
         let next = Box::new(RegionSnapshot::new(next_gen, regions));
         // Publish the generation before the snapshot: a region cache racing
         // with this publish can only *miss* (generation mismatch while the
@@ -781,16 +780,9 @@ impl PhysMemory {
         }
         self.publishes.fetch_add(1, Ordering::SeqCst);
         if let Some(t) = self.tracer.get() {
-            t.emit(
-                EventKind::SnapshotPublish,
-                self.populate_generation(),
-                region_count,
-            );
             t.emit(EventKind::ZonePublish, zone as u64, next_gen);
             if freed > 0 {
-                t.emit(EventKind::SnapshotRetire, freed, 0);
                 t.emit(EventKind::ZoneRetire, zone as u64, freed);
-                t.count(Counter::RetiredFreed, freed);
             }
             if new_high > 0 {
                 t.emit(EventKind::RetireBacklog, zone as u64, new_high);

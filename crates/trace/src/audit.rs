@@ -33,20 +33,9 @@
 //! that *was* observed) remain violations: the events proving them are
 //! in hand.
 
-use crate::metrics::HistSnapshot;
-use crate::{unpack_str, EventKind, TraceEvent};
+use crate::hist::HistSnapshot;
+use crate::{cycles_to_ns, unpack_str, EventKind, TraceEvent};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// Convert simulated-TSC cycles to nanoseconds at `hz` (split to avoid
-/// overflow on large cycle counts).
-pub fn cycles_to_ns(cycles: u64, hz: u64) -> u64 {
-    if hz == 0 {
-        return cycles;
-    }
-    let secs = cycles / hz;
-    let rem = cycles % hz;
-    secs * 1_000_000_000 + rem * 1_000_000_000 / hz
-}
 
 /// Per-enclave p99 budgets for the SLO watchdogs (`None` disables that
 /// watchdog).
@@ -237,9 +226,7 @@ pub struct Violation {
 /// Per-enclave attribution rollup.
 #[derive(Clone, Default)]
 pub struct EnclaveStats {
-    /// VM exits entered.
-    pub exits: u64,
-    /// Exit handle times (ns).
+    /// Exit handle times (ns), one sample per VM exit handled.
     pub exit_ns: HistSnapshot,
     /// Broadcast-shootdown round-trips (ns).
     pub shootdown_rtt_ns: HistSnapshot,
@@ -478,7 +465,7 @@ impl AuditReport {
                 out.push_str(&format!(
                     "  {:<8} {:>6} {:>12} {:>12} {:>12} {:>7}  {}\n",
                     id,
-                    s.exits,
+                    s.exit_ns.count,
                     s.exit_ns.quantile(0.99),
                     s.shootdown_rtt_ns.quantile(0.99),
                     s.cmd_wait_ns.quantile(0.99),
@@ -657,11 +644,6 @@ impl AuditEngine {
         }
 
         match e.kind {
-            EventKind::ExitEnter => {
-                if let Some(s) = self.stats(e.enclave) {
-                    s.exits += 1;
-                }
-            }
             EventKind::ExitLeave => {
                 let ns = e.a;
                 if let Some(s) = self.stats(e.enclave) {
@@ -754,15 +736,21 @@ impl AuditEngine {
                 if let Some(s) = self.stats(e.enclave) {
                     s.cmd_wait_ns.record(e.b);
                 }
-                // Attach to the most recent matching command. A returned
-                // wait also proves completion, so close the open entry —
-                // the ack record itself may have been lost to the ring.
-                if let Some(c) = self
-                    .cmd_order
-                    .iter_mut()
-                    .rev()
-                    .find(|c| c.seq == e.a && c.wait_ns.is_none())
-                {
+                // The wait names a sequence number but no core, and one
+                // broadcast posts the same number to every core's queue. A
+                // wait returns only after its command's ack, so attach to
+                // the most recent acked command still lacking a wait —
+                // never to a sibling still in flight, whose completion
+                // would then find no open post. With no acked candidate the
+                // ack record was lost to the ring: the returned wait proves
+                // completion, so close the most recent open entry.
+                let pick = |acked: bool| {
+                    self.cmd_order.iter().rposition(|c| {
+                        c.seq == e.a && c.wait_ns.is_none() && c.complete_tsc.is_some() == acked
+                    })
+                };
+                if let Some(i) = pick(true).or_else(|| pick(false)) {
+                    let c = &mut self.cmd_order[i];
                     c.wait_ns = Some(e.b);
                     let key = (c.seq, c.core);
                     self.cmds_open.remove(&key);
@@ -869,10 +857,9 @@ impl AuditEngine {
                 }
             }
             // Pure markers: no lifecycle or invariant keyed off them.
-            EventKind::EptMap
+            EventKind::ExitEnter
+            | EventKind::EptMap
             | EventKind::EptUnmap
-            | EventKind::SnapshotPublish
-            | EventKind::SnapshotRetire
             | EventKind::ShootdownBegin
             | EventKind::TlbFlushAll
             | EventKind::TlbFlushPage
@@ -1086,6 +1073,32 @@ mod tests {
         assert!(text.contains("post->doorbell-ns"), "{text}");
         assert!(text.contains("post->harvest-ns"), "{text}");
         assert!(!text.contains("post->nmi-ns"), "{text}");
+    }
+
+    /// One broadcast posts the same sequence number to every core. The
+    /// first core's wait can return before the second core completes; it
+    /// must not close the second core's chain, whose completion (and
+    /// latency) would then go unmatched.
+    #[test]
+    fn wait_attaches_to_the_acked_sibling_not_the_one_in_flight() {
+        let events = vec![
+            tagged(ev(100, 2, 0, EventKind::CmdPost, 7, 0), 0),
+            tagged(ev(110, 2, 1, EventKind::CmdPost, 7, 1), 0),
+            tagged(ev(200, 0, 0, EventKind::CmdComplete, 7, 100), 0),
+            tagged(ev(210, 2, 2, EventKind::CmdWait, 7, 20), 0),
+            tagged(ev(300, 1, 0, EventKind::CmdComplete, 7, 190), 0),
+            tagged(ev(310, 2, 3, EventKind::CmdWait, 7, 5), 0),
+        ];
+        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
+        let by_core = |core| report.commands.iter().find(|c| c.core == core).unwrap();
+        assert_eq!(
+            (by_core(0).complete_ns, by_core(0).wait_ns),
+            (100, Some(20))
+        );
+        assert_eq!((by_core(1).complete_ns, by_core(1).wait_ns), (190, Some(5)));
+        assert_eq!(report.enclaves[&0].cmd_latency_ns.count, 2);
     }
 
     /// A doorbell chain that escalated (NmiKick present) is still valid

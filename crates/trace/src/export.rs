@@ -3,7 +3,7 @@
 //! microseconds with the caller-supplied clock frequency.
 
 use crate::profile::{Phase, ProfileSnapshot, WindowSnapshot};
-use crate::{unpack_str, EventKind, TraceEvent};
+use crate::{cycles_to_ns, unpack_str, EventKind, TraceEvent};
 
 /// Append `s` to `out` escaped for a JSON string literal.
 pub(crate) fn escape(s: &str, out: &mut String) {
@@ -52,16 +52,6 @@ pub fn to_jsonl(events: &[TraceEvent], hz: u64) -> String {
     out
 }
 
-fn cycles_to_ns(tsc: u64, hz: u64) -> u64 {
-    if hz == 0 {
-        return tsc;
-    }
-    // Split to avoid overflow on large cycle counts.
-    let secs = tsc / hz;
-    let rem = tsc % hz;
-    secs * 1_000_000_000 + rem * 1_000_000_000 / hz
-}
-
 fn ts_us(tsc: u64, t0: u64, hz: u64) -> f64 {
     cycles_to_ns(tsc.saturating_sub(t0), hz) as f64 / 1000.0
 }
@@ -76,7 +66,7 @@ fn span_end_for(kind: EventKind) -> Option<EventKind> {
     }
 }
 
-/// chrome://tracing (and https://ui.perfetto.dev) loadable JSON. Exit and
+/// chrome://tracing (and <https://ui.perfetto.dev>) loadable JSON. Exit and
 /// shootdown begin/end pairs render as duration ("X") slices per lane;
 /// all other events render as instants ("i"). `pid` 0, `tid` = lane.
 pub fn to_chrome_trace(events: &[TraceEvent], hz: u64) -> String {
@@ -284,51 +274,6 @@ pub fn to_chrome_counter_trace(
     out
 }
 
-/// A completed command: post event paired with its completion.
-#[derive(Clone, Copy, Debug)]
-pub struct SlowCommand {
-    /// Command sequence number.
-    pub seq: u64,
-    /// Core the command was posted to.
-    pub core: u64,
-    /// Post timestamp (TSC).
-    pub post_tsc: u64,
-    /// Post → complete latency in nanoseconds (as measured by the
-    /// completing hypervisor).
-    pub latency_ns: u64,
-}
-
-/// Pair `CmdPost`(a=seq, b=core) with `CmdComplete`(a=seq, b=latency ns)
-/// events and return the `n` slowest completions, slowest first. Sequence
-/// numbers are per-queue, so posts are keyed by (seq, core) and matched
-/// against the lane the completion was recorded on.
-pub fn slowest_commands(events: &[TraceEvent], n: usize) -> Vec<SlowCommand> {
-    use std::collections::HashMap;
-    let mut posts: HashMap<(u64, u64), u64> = HashMap::new(); // (seq, core) -> tsc
-    let mut done: Vec<SlowCommand> = Vec::new();
-    for e in events {
-        match e.kind {
-            EventKind::CmdPost => {
-                posts.insert((e.a, e.b), e.tsc);
-            }
-            EventKind::CmdComplete => {
-                let core = e.lane as u64;
-                let post_tsc = posts.remove(&(e.a, core)).unwrap_or(e.tsc);
-                done.push(SlowCommand {
-                    seq: e.a,
-                    core,
-                    post_tsc,
-                    latency_ns: e.b,
-                });
-            }
-            _ => {}
-        }
-    }
-    done.sort_by(|x, y| y.latency_ns.cmp(&x.latency_ns).then(x.seq.cmp(&y.seq)));
-    done.truncate(n);
-    done
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,24 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn slowest_commands_pairs_and_ranks() {
-        let events = vec![
-            ev(100, 3, 0, EventKind::CmdPost, 1, 0),
-            ev(110, 3, 1, EventKind::CmdPost, 2, 1),
-            ev(500, 0, 0, EventKind::CmdComplete, 1, 400),
-            ev(900, 1, 0, EventKind::CmdComplete, 2, 790),
-            ev(950, 3, 2, EventKind::CmdPost, 3, 0), // never completes
-        ];
-        let top = slowest_commands(&events, 10);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].seq, 2);
-        assert_eq!(top[0].latency_ns, 790);
-        assert_eq!(top[0].core, 1);
-        assert_eq!(top[1].seq, 1);
-        assert_eq!(slowest_commands(&events, 1).len(), 1);
-    }
-
-    #[test]
     fn escape_handles_specials() {
         let mut s = String::new();
         escape("a\"b\\c\nd", &mut s);
@@ -513,7 +440,6 @@ mod tests {
                 wall: 10_500,
                 accounted: 10_500,
                 enclaves: vec![on_core, native],
-                dwell: Vec::new(),
             }],
             overlay: vec![overlay],
         };

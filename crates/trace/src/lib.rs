@@ -1,4 +1,4 @@
-//! Flight recorder + unified metrics registry for the Covirt control plane.
+//! Flight recorder for the Covirt control plane.
 //!
 //! Covirt's evaluation needs *traces* (which event, when, on which core),
 //! not just counters: a shootdown storm is explained by the interleaving of
@@ -9,14 +9,18 @@
 //!   compact [`TraceEvent`] records per core (plus one lane for the
 //!   controller), written with relaxed atomics behind a single
 //!   `enabled` branch so the hot paths pay nothing when tracing is off;
-//! * a **metrics registry** ([`MetricsRegistry`]) of per-lane sharded
-//!   counters and log-bucketed latency histograms behind typed
-//!   [`Counter`]/[`Hist`] enums;
 //! * **exporters** ([`export`]) rendering a merged chronological dump as
 //!   JSON Lines or chrome://tracing JSON;
 //! * an online **protection-audit engine** ([`audit`]) that streams a
 //!   dump through lifecycle stitching, invariant checkers and per-enclave
-//!   SLO watchdogs.
+//!   SLO watchdogs, bucketing every latency the events carry into the
+//!   one log2 histogram ([`hist`]).
+//!
+//! The crate holds no counters. Counts live on the component that counts
+//! them (`CoreCounters`, `TlbStats`, `ZoneStats`, the controller's
+//! shootdown and escalation counts) and are read from there; latencies
+//! live in the event stream as payload words, stitched and bucketed once
+//! by the audit engine.
 //!
 //! The crate is a leaf: it knows nothing about the simulated hardware.
 //! Callers stamp events with their own TSC (a [`Tracer`] carries a
@@ -37,11 +41,10 @@
 pub mod audit;
 pub mod bench;
 pub mod export;
-pub mod metrics;
+pub mod hist;
 pub mod profile;
 mod seqring;
 
-pub use metrics::{Counter, Hist, HistSnapshot, MetricsRegistry};
 pub use profile::{Phase, PhaseProfiler, PhaseTracker, ProfileSnapshot};
 
 use seqring::SeqRing;
@@ -83,62 +86,57 @@ pub enum EventKind {
     EptMap = 11,
     /// EPT mapping removed. `a`: start, `b`: len.
     EptUnmap = 12,
-    /// Populate snapshot published. `a`: generation, `b`: region count.
-    SnapshotPublish = 13,
-    /// Retired snapshots freed at a quiescent publish. `a`: count freed,
-    /// `b`: unused (0).
-    SnapshotRetire = 14,
     /// Memory granted to the enclave. `a`: start, `b`: len.
-    Grant = 15,
+    Grant = 13,
     /// Memory reclaimed (unmapped, shootdown issued/deferred). `a`: start,
     /// `b`: len.
-    Reclaim = 16,
+    Reclaim = 14,
     /// Broadcast shootdown phase 1 begins (span begin). `a`: ranges,
     /// `b`: 1 if range-flush commands were selected, else 0.
-    ShootdownBegin = 17,
+    ShootdownBegin = 15,
     /// Broadcast shootdown fully acknowledged (span end). `a`: rtt ns,
     /// `b`: unused (0).
-    ShootdownEnd = 18,
+    ShootdownEnd = 16,
     /// XEMEM segment attached. `a`: start, `b`: len.
-    XememAttach = 19,
+    XememAttach = 17,
     /// XEMEM segment detached. `a`: start, `b`: len.
-    XememDetach = 20,
+    XememDetach = 18,
     /// IPI vector whitelisted. `a`: vector, `b`: unused (0).
-    VectorAlloc = 21,
+    VectorAlloc = 19,
     /// IPI vector revoked. `a`: vector, `b`: unused (0).
-    VectorFree = 22,
+    VectorFree = 20,
     /// Enclave virtualization context torn down. `a`: enclave id,
     /// `b`: unused (0).
-    Teardown = 23,
+    Teardown = 21,
     /// Fault-isolation teardown reported. `a`: enclave id, `b`: core.
-    FaultReport = 24,
+    FaultReport = 22,
     /// Control-channel message sent. `a`,`b`: packed message tag.
-    CtrlSend = 25,
+    CtrlSend = 23,
     /// Control-channel message received. `a`,`b`: packed message tag.
-    CtrlRecv = 26,
+    CtrlRecv = 24,
     /// Posted-interrupt vectors harvested exit-lessly. `a`: count,
     /// `b`: unused (0).
-    PostedHarvest = 27,
+    PostedHarvest = 25,
     /// Command doorbell posted into a core's posted-interrupt descriptor
     /// (exitless delivery; no NMI sent). `a`: sequence number of the
     /// command the doorbell signals, `b`: destination core.
-    CmdDoorbell = 28,
+    CmdDoorbell = 26,
     /// Command queue drained in guest mode after a doorbell harvest — no
     /// VM exit involved. `a`: commands drained, `b`: unused (0).
-    CmdHarvest = 29,
+    CmdHarvest = 27,
     /// Zone-sharded snapshot published. `a`: zone, `b`: zone generation.
-    ZonePublish = 30,
+    ZonePublish = 28,
     /// Retired zone snapshots freed at an epoch advance. `a`: zone,
     /// `b`: count freed.
-    ZoneRetire = 31,
+    ZoneRetire = 29,
     /// Retired-snapshot backlog reached a new high-water mark. `a`: zone,
     /// `b`: new high-water (snapshots awaiting a grace period).
-    RetireBacklog = 32,
+    RetireBacklog = 30,
 }
 
 impl EventKind {
     /// Every kind, for decoders and summaries.
-    pub const ALL: [EventKind; 32] = [
+    pub const ALL: [EventKind; 30] = [
         EventKind::ExitEnter,
         EventKind::ExitLeave,
         EventKind::CmdPost,
@@ -151,8 +149,6 @@ impl EventKind {
         EventKind::TlbFlushRange,
         EventKind::EptMap,
         EventKind::EptUnmap,
-        EventKind::SnapshotPublish,
-        EventKind::SnapshotRetire,
         EventKind::Grant,
         EventKind::Reclaim,
         EventKind::ShootdownBegin,
@@ -188,8 +184,6 @@ impl EventKind {
             EventKind::TlbFlushRange => "tlb_flush_range",
             EventKind::EptMap => "ept_map",
             EventKind::EptUnmap => "ept_unmap",
-            EventKind::SnapshotPublish => "snapshot_publish",
-            EventKind::SnapshotRetire => "snapshot_retire",
             EventKind::Grant => "grant",
             EventKind::Reclaim => "reclaim",
             EventKind::ShootdownBegin => "shootdown_begin",
@@ -245,6 +239,17 @@ pub fn unpack_str(a: u64, b: u64) -> String {
     buf[8..].copy_from_slice(&b.to_le_bytes());
     let end = buf.iter().position(|&c| c == 0).unwrap_or(16);
     String::from_utf8_lossy(&buf[..end]).into_owned()
+}
+
+/// Convert simulated-TSC cycles to nanoseconds at `hz` (split to avoid
+/// overflow on large cycle counts).
+pub fn cycles_to_ns(cycles: u64, hz: u64) -> u64 {
+    if hz == 0 {
+        return cycles;
+    }
+    let secs = cycles / hz;
+    let rem = cycles % hz;
+    secs * 1_000_000_000 + rem * 1_000_000_000 / hz
 }
 
 /// Enclave-attribution tags ride in the high 24 bits of a slot's meta
@@ -309,12 +314,11 @@ fn tail_lane(lane: &Lane, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
     (events, next, dropped + undecodable)
 }
 
-/// The flight recorder: one ring per lane plus the metrics registry, so a
-/// single handle gives a run's trace *and* its counter/histogram snapshot.
+/// The flight recorder: one ring per lane, plus the phase profiler that
+/// shares the lane layout.
 pub struct Recorder {
     enabled: AtomicBool,
     lanes: Vec<Lane>,
-    metrics: MetricsRegistry,
     profile: Arc<profile::PhaseProfiler>,
 }
 
@@ -327,7 +331,6 @@ impl Recorder {
         Arc::new(Recorder {
             enabled: AtomicBool::new(false),
             lanes: (0..lanes).map(|_| Lane::new(capacity)).collect(),
-            metrics: MetricsRegistry::new(lanes),
             profile: profile::PhaseProfiler::new(lanes),
         })
     }
@@ -358,11 +361,6 @@ impl Recorder {
     /// The controller's lane (last, by convention).
     pub fn controller_lane(&self) -> u32 {
         (self.lanes.len() - 1) as u32
-    }
-
-    /// The unified metrics registry sharing this recorder's lanes.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Emit one event if tracing is enabled. Out-of-range lanes clamp to
@@ -519,11 +517,6 @@ impl Tracer {
         self.enclave
     }
 
-    /// The lane this tracer writes.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
     /// The recorder behind this tracer.
     pub fn recorder(&self) -> &Arc<Recorder> {
         &self.rec
@@ -567,21 +560,6 @@ impl Tracer {
     pub fn emit_at_for(&self, enclave: u64, kind: EventKind, tsc: u64, a: u64, b: u64) {
         self.rec
             .emit_tagged(self.lane, Some(enclave), kind, tsc, a, b);
-    }
-
-    /// Record a latency sample into the registry (gated like `emit`).
-    #[inline]
-    pub fn observe(&self, hist: Hist, value: u64) {
-        if self.rec.enabled() {
-            self.rec.metrics.observe(self.lane as usize, hist, value);
-        }
-    }
-
-    /// Bump a registry counter on this tracer's lane (not gated: counters
-    /// replace always-on instrumentation).
-    #[inline]
-    pub fn count(&self, counter: Counter, n: u64) {
-        self.rec.metrics.add(self.lane as usize, counter, n);
     }
 }
 
@@ -764,7 +742,6 @@ mod tests {
         let r = Recorder {
             enabled: AtomicBool::new(true),
             lanes: Vec::new(),
-            metrics: MetricsRegistry::new(0),
             profile: profile::PhaseProfiler::new(0),
         };
         assert_eq!(r.lane_capacity(), 0);

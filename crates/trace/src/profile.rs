@@ -37,7 +37,7 @@
 //! recorder's event lanes use (`seqring.rs`), so the remediation pump
 //! consumes it with the cursor discipline it already has.
 
-use crate::metrics::HistSnapshot;
+use crate::hist::{bucket_quantile, log2_bucket};
 use crate::seqring::SeqRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -189,31 +189,14 @@ impl WindowAcc {
         self.dwell = [[0; DWELL_BUCKETS]; NUM_PHASES];
         self.dirty = false;
     }
-
-    fn quantile(counts: &[u32; DWELL_BUCKETS], q: f64) -> u64 {
-        let total: u64 = counts.iter().map(|&c| c as u64).sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c as u64;
-            if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i.min(63) };
-            }
-        }
-        1u64 << (DWELL_BUCKETS - 1)
-    }
 }
 
 fn dwell_bucket(cycles: u64) -> usize {
-    ((64 - cycles.leading_zeros()) as usize).min(DWELL_BUCKETS - 1)
+    log2_bucket(cycles).min(DWELL_BUCKETS - 1)
 }
 
 /// One lane's shard: enclave-slot table of per-phase cycle totals, the
-/// conservation pair (wall vs accounted), per-phase dwell histograms,
-/// and the sealed-window ring.
+/// conservation pair (wall vs accounted) and the sealed-window ring.
 struct LaneShard {
     /// Slot tags: enclave id + 1; 0 = free; the last slot aggregates
     /// overflow under its first claimant's tag.
@@ -224,8 +207,6 @@ struct LaneShard {
     /// Sum of all phase deltas recorded by the tracker (conservation
     /// counterpart of `wall`; overlay attribution bypasses this).
     accounted: AtomicU64,
-    /// Per-phase dwell (contiguous occupancy length, cycles), log2.
-    dwell: [[AtomicU64; DWELL_BUCKETS]; NUM_PHASES],
     /// Sealed windows, in seal order.
     windows: SeqRing<WINDOW_WORDS>,
 }
@@ -237,7 +218,6 @@ impl LaneShard {
             cycles: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             wall: AtomicU64::new(0),
             accounted: AtomicU64::new(0),
-            dwell: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             windows: SeqRing::new(WINDOW_SLOTS),
         }
     }
@@ -267,8 +247,8 @@ impl LaneShard {
         words[0] = acc.index;
         for p in 0..NUM_PHASES {
             words[1 + p] = acc.phase_cycles[p];
-            words[1 + NUM_PHASES + p] = WindowAcc::quantile(&acc.dwell[p], 0.5);
-            words[1 + 2 * NUM_PHASES + p] = WindowAcc::quantile(&acc.dwell[p], 0.99);
+            words[1 + NUM_PHASES + p] = bucket_quantile(&acc.dwell[p], 0.5);
+            words[1 + 2 * NUM_PHASES + p] = bucket_quantile(&acc.dwell[p], 0.99);
         }
         self.windows.write(words);
     }
@@ -314,8 +294,6 @@ pub struct LaneProfile {
     pub accounted: u64,
     /// Per-enclave phase totals on this lane.
     pub enclaves: Vec<EnclavePhases>,
-    /// Per-phase dwell distributions (cycles).
-    pub dwell: Vec<HistSnapshot>,
 }
 
 impl LaneProfile {
@@ -477,25 +455,11 @@ impl PhaseProfiler {
             .lanes
             .iter()
             .enumerate()
-            .map(|(lane, shard)| {
-                let dwell = (0..NUM_PHASES)
-                    .map(|p| {
-                        let mut snap = HistSnapshot::default();
-                        for (b, c) in shard.dwell[p].iter().enumerate() {
-                            let n = c.load(Ordering::Relaxed);
-                            snap.buckets[b] += n;
-                            snap.count += n;
-                        }
-                        snap
-                    })
-                    .collect();
-                LaneProfile {
-                    lane,
-                    wall: shard.wall.load(Ordering::Relaxed),
-                    accounted: shard.accounted.load(Ordering::Relaxed),
-                    enclaves: Self::shard_enclaves(shard),
-                    dwell,
-                }
+            .map(|(lane, shard)| LaneProfile {
+                lane,
+                wall: shard.wall.load(Ordering::Relaxed),
+                accounted: shard.accounted.load(Ordering::Relaxed),
+                enclaves: Self::shard_enclaves(shard),
             })
             .collect();
         ProfileSnapshot {
@@ -623,7 +587,6 @@ impl PhaseTracker {
             // Occupancy of `out` ends here: sample its dwell.
             let dwell = tsc.saturating_sub(self.occupancy_start);
             let b = dwell_bucket(dwell);
-            shard.dwell[out][b].fetch_add(1, Ordering::Relaxed);
             self.window.dwell[out][b] = self.window.dwell[out][b].saturating_add(1);
             self.window.dirty = true;
             self.occupancy_start = tsc;
@@ -743,10 +706,12 @@ mod tests {
         t.transition(Phase::GuestExec, 2_000);
         t.transition(Phase::RootExit, 3_000);
         t.finish(3_100);
-        let snap = prof.snapshot();
-        let exec_dwell = &snap.lanes[0].dwell[Phase::GuestExec as usize];
-        assert_eq!(exec_dwell.count, 1);
-        assert_eq!(exec_dwell.quantile(0.5), 4096); // 3000 -> bucket [2048, 4096)
+        let (wins, _, _) = prof.tail_windows(0, 0);
+        assert_eq!(wins.len(), 1);
+        // 3000 -> bucket [2048, 4096); three 1000-cycle dwells would
+        // have reported 1024.
+        assert_eq!(wins[0].dwell_p50[Phase::GuestExec as usize], 4096);
+        assert_eq!(wins[0].dwell_p99[Phase::GuestExec as usize], 4096);
     }
 
     #[test]

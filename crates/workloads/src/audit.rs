@@ -5,6 +5,7 @@
 //! recorder still loaded so the caller can drain it into the engine.
 
 use covirt_simhw::node::SimNode;
+use covirt_trace::audit::{audit_events, AuditConfig, AuditReport};
 use std::sync::Arc;
 
 use crate::scenario;
@@ -45,39 +46,9 @@ pub fn fault_run() -> AuditRun {
     }
 }
 
-/// The audit engine's verdict on a finished run, reduced to the counts
-/// the `figures` gate and the bench suite consume.
-pub struct AuditSummary {
-    /// The enclave the run exercised.
-    pub enclave: u64,
-    /// Total invariant violations.
-    pub violations: usize,
-    /// Violations attributed to [`AuditSummary::enclave`].
-    pub attributed: usize,
-    /// Completed region lifecycles.
-    pub regions: usize,
-    /// Completed command chains.
-    pub commands: usize,
-    /// The full report, for rendering.
-    pub report: covirt_trace::audit::AuditReport,
-}
-
-/// Drain the run's recorder through the protection-audit engine.
-pub fn summarize(run: &AuditRun) -> AuditSummary {
-    use covirt_trace::audit::{audit_events, AuditConfig};
-
-    let (events, drops) = run.node.drain_trace();
-    let report = audit_events(AuditConfig::default(), run.node.clock.hz(), &events, &drops);
-    AuditSummary {
-        enclave: run.enclave,
-        violations: report.violations.len(),
-        attributed: report
-            .violations
-            .iter()
-            .filter(|v| v.enclave == Some(run.enclave))
-            .count(),
-        regions: report.regions.len(),
-        commands: report.commands.len(),
-        report,
-    }
+/// Drain a node's flight recorder, with its per-lane drop counters,
+/// through the protection-audit engine: the one capture-to-report call.
+pub fn audit_trace(node: &SimNode) -> AuditReport {
+    let (events, drops) = node.drain_trace();
+    audit_events(AuditConfig::default(), node.clock.hz(), &events, &drops)
 }

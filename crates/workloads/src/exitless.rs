@@ -39,7 +39,7 @@ pub struct ArmResult {
     /// Commands completed, including the unmeasured warmup posts.
     pub commands: u64,
     /// Post→complete latency, p50 (ns), over per-command means of
-    /// [`BATCH`]-command back-to-back batches.
+    /// `BATCH`-command back-to-back batches.
     pub p50_ns: u64,
     /// Post→complete latency, p99 (ns), same batching as `p50_ns`.
     pub p99_ns: u64,

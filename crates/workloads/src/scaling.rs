@@ -115,7 +115,6 @@ pub fn run_point(mode: ExecMode, cores: usize, p: ScalingParams) -> ScalingPoint
         for _ in 0..p.trials {
             gups = gups.max(ra.run(g, p.ra_updates).expect("ra updates").gups);
         }
-        g.publish_metrics();
         let c = g.counters();
         (triad, gups, c.resolve_hits, c.resolve_misses)
     });
@@ -217,7 +216,6 @@ pub fn run_numa_point(mode: ExecMode, cores: usize, zones: usize, p: ScalingPara
         for _ in 0..p.trials {
             triad = triad.max(s.run_once(g).expect("stream kernel").triad_mbs);
         }
-        g.publish_metrics();
         let c = g.counters();
         (triad, c.resolve_hits, c.resolve_misses)
     });

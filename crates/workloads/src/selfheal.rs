@@ -8,8 +8,8 @@
 //! detection → remediation latency (MTTR).
 
 use covirt_simhw::node::SimNode;
-use covirt_trace::audit::{cycles_to_ns, AuditConfig, AuditEngine};
-use covirt_trace::EventKind;
+use covirt_trace::audit::{AuditConfig, AuditEngine};
+use covirt_trace::{cycles_to_ns, EventKind};
 use pisces::{RemediationAction, RemediationConfig, RemediationPolicy};
 use std::sync::Arc;
 
@@ -185,7 +185,7 @@ pub fn clean_run() -> SelfhealReport {
 /// Fault-injected run: the guest hits a contained EPT violation on its
 /// own thread while the main thread keeps tailing. The fault report must
 /// be detected in-flight and the policy must quarantine the enclave
-/// within [`FAULT_PUMP_BUDGET`] further idle pump rounds.
+/// within `FAULT_PUMP_BUDGET` further idle pump rounds.
 pub fn fault_run() -> SelfhealReport {
     let world = scenario::world(1);
     let mut tailer = Tailer::new(&world, AuditConfig::default());

@@ -2,25 +2,14 @@
 //! `trace`, `report`, and the bench suite): grant two ranges, cache their
 //! translations on every live core, reclaim both inside one epoch so a
 //! single broadcast shootdown closes both lifecycles, and return the
-//! per-core TLB/walk-cache statistics plus the node (recorder still
-//! loaded) for trace/metrics export.
+//! stopped cores (their counters are read where they live) plus the node
+//! (recorder still loaded) for the trace exporters and the audit engine.
 
-use covirt::exec::CoreCounters;
+use covirt::GuestCore;
 use covirt_simhw::node::SimNode;
-use covirt_simhw::tlb::TlbStats;
 use std::sync::Arc;
 
 use crate::scenario;
-
-/// One core's counters after the epoch closed.
-pub struct CoreStats {
-    /// Simulated core id.
-    pub core: usize,
-    /// TLB hit/miss/flush statistics.
-    pub tlb: TlbStats,
-    /// Exit/walk-cache counters.
-    pub counters: CoreCounters,
-}
 
 /// A finished shootdown run.
 pub struct ShootdownRun {
@@ -29,33 +18,30 @@ pub struct ShootdownRun {
     /// Broadcast shootdowns the controller issued (the coalescing claim:
     /// one epoch, two reclaims, one broadcast).
     pub shootdowns: u64,
-    /// Per-core statistics, core order.
-    pub cores: Vec<CoreStats>,
+    /// Doorbells that went unanswered past the escalation bound and were
+    /// demoted to an NMI kick (0 when every core harvested in guest mode).
+    pub nmi_escalations: u64,
+    /// The enclave's cores in rank order, stopped: `counters()`,
+    /// `tlb_stats()` and `exit_count()` hold what the run cost each.
+    pub cores: Vec<GuestCore>,
 }
 
 /// Run the demo. With `trace` the node's flight recorder runs for the
-/// whole workload so callers can export the timeline and metrics.
+/// whole workload so callers can export the timeline and audit it.
 pub fn run(trace: bool) -> ShootdownRun {
     let world = scenario::world(2);
     if trace {
         world.node.recorder().set_enabled(true);
     }
     let churn = scenario::reclaim_churn(&world, &mut || {});
-    let cores = churn
-        .cores
-        .iter()
-        .map(|g| {
-            g.publish_metrics();
-            CoreStats {
-                core: g.core,
-                tlb: g.tlb_stats(),
-                counters: g.counters(),
-            }
-        })
-        .collect();
     ShootdownRun {
         shootdowns: churn.shootdowns,
-        cores,
+        nmi_escalations: world
+            .controller
+            .as_ref()
+            .expect("covirt world")
+            .nmi_escalation_count(),
+        cores: churn.cores,
         node: Arc::clone(&world.node),
     }
 }
@@ -69,12 +55,54 @@ mod tests {
         let r = run(false);
         assert_eq!(r.shootdowns, 1, "2 reclaims in one epoch -> 1 broadcast");
         assert_eq!(r.cores.len(), 2);
-        for c in &r.cores {
+        for g in &r.cores {
+            let tlb = g.tlb_stats();
             assert!(
-                c.tlb.range_flushes + c.tlb.full_flushes + c.tlb.page_flushes > 0,
+                tlb.range_flushes + tlb.full_flushes + tlb.page_flushes > 0,
                 "core {} never flushed",
-                c.core
+                g.core
             );
         }
+    }
+
+    /// The count vocabulary and the event vocabulary agree: on one traced
+    /// run, the counts the components keep and the latencies the audit
+    /// engine buckets out of the event stream describe the same facts.
+    #[test]
+    fn component_counts_and_audited_events_agree_on_one_run() {
+        use crate::audit::audit_trace;
+
+        let r = run(true);
+        let report = audit_trace(&r.node);
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert!(!report.evidence_incomplete, "notes: {:?}", report.notes);
+        assert_eq!(report.regions.len(), 2);
+        assert!(report.regions.iter().all(|l| l.state() == "synced"));
+
+        assert_eq!(report.enclaves.len(), 1, "one enclave ran");
+        let s = report.enclaves.values().next().expect("enclave row");
+        let exits: u64 = r.cores.iter().map(GuestCore::exit_count).sum();
+        let harvested: u64 = r.cores.iter().map(|g| g.counters().cmd_harvested).sum();
+        assert_eq!(s.exit_ns.count, exits);
+        assert_eq!(s.shootdown_rtt_ns.count, r.shootdowns);
+        // Every command was delivered by doorbell and drained in guest
+        // mode, so the harvest count is the completion count.
+        assert_eq!(r.nmi_escalations, 0);
+        assert_eq!(s.cmd_latency_ns.count, harvested);
+        assert!(harvested > 0);
+
+        // That run takes no VM exit, so its exit identity is 0 == 0. Pin
+        // it where it is not: three CPUID exits on one core.
+        let world = scenario::world(1);
+        world.node.recorder().set_enabled(true);
+        let mut g = world.guest_core(world.cores[0]).expect("guest core");
+        for _ in 0..3 {
+            g.cpuid(0).expect("cpuid exit");
+        }
+        let report = audit_trace(&world.node);
+        let s = &report.enclaves[&world.enclave.id.0];
+        assert_eq!(g.exit_count(), 3);
+        assert_eq!(s.exit_ns.count, 3);
+        assert!(s.exit_ns.quantile(0.99) > 0);
     }
 }
