@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use workloads::figures::{self, Scale};
 use workloads::scaling::ScalingParams;
-use workloads::{audit, exitless, profile, scaling, selfheal, shootdown, table1};
+use workloads::{audit, exitless, profile, scaling, scenario, selfheal, shootdown, table1};
 
 /// Default trials per harness for `figures bench`.
 pub const DEFAULT_TRIALS: usize = 3;
@@ -532,6 +532,33 @@ pub const GATES: &[MetricSpec] = &[
         gate_on: GateOn::Worst,
         compare: true,
     },
+    // Bring-up resolves once: zone-snapshot searches from `create_enclave`
+    // to the first guest access (12 under Covirt and 10 natively before
+    // boot structures were placed through windows; 3 and 3 since).
+    MetricSpec {
+        harness: "audit",
+        metric: "bringup_searches_covirt",
+        unit: "count",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(4.0),
+        rel_floor: 0.0,
+        abs_floor: 0.0,
+        gate_on: GateOn::Worst,
+        compare: true,
+    },
+    MetricSpec {
+        harness: "audit",
+        metric: "bringup_searches_native",
+        unit: "count",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(4.0),
+        rel_floor: 0.0,
+        abs_floor: 0.0,
+        gate_on: GateOn::Worst,
+        compare: true,
+    },
     // -- profile: always-on cycle accounting --------------------------------
     MetricSpec {
         harness: "profile",
@@ -955,8 +982,13 @@ fn audit(_: &Ctx, c: &mut Collector) -> String {
         .filter(|v| v.enclave == Some(run.enclave))
         .count();
     c.push("fault_attributed_violations", attributed as f64);
+    let [covirt, native] =
+        [ExecMode::Covirt(CovirtConfig::MEM), ExecMode::Native].map(scenario::bringup_searches);
+    c.push("bringup_searches_covirt", covirt as f64);
+    c.push("bringup_searches_native", native as f64);
     format!(
-        "clean run\n{}\nfault run: {attributed} violation(s) attributed to enclave {}\n{}",
+        "clean run\n{}\nfault run: {attributed} violation(s) attributed to enclave {}\n{}\n\
+         bring-up to first touch: {covirt} zone-snapshot search(es) under Covirt, {native} native",
         clean.render(),
         run.enclave,
         fault.render()

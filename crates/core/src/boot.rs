@@ -19,8 +19,8 @@
 use crate::cmdqueue::CmdQueue;
 use crate::config::{CovirtConfig, IpiMode};
 use covirt_simhw::addr::HostPhysAddr;
-use covirt_simhw::memory::PhysMemory;
-use pisces::wire::{WireError, WireReader, WireWriter};
+use covirt_simhw::memory::MemWindow;
+use pisces::wire::{read_record, write_record, WireError, WireReader, WireWriter};
 
 /// Magic identifying a Covirt boot-parameter structure.
 pub const COVIRT_BOOT_MAGIC: u64 = 0x434f_5649_5254_4250; // "COVIRTBP"
@@ -142,31 +142,19 @@ impl CovirtBootParams {
         })
     }
 
-    /// Store at `addr` with a length prefix.
+    /// Store at `addr` of a window onto the management region, with a
+    /// length prefix.
     pub fn write_to(
         &self,
-        mem: &PhysMemory,
+        window: &MemWindow,
         addr: HostPhysAddr,
     ) -> Result<(), covirt_simhw::HwError> {
-        let bytes = self.encode();
-        // One snapshot search for the length word and the record.
-        let (backing, off) = mem.resolve(addr, 8 + bytes.len() as u64)?;
-        backing.write_u64(off, bytes.len() as u64);
-        backing.write_bytes(off + 8, &bytes);
-        Ok(())
+        write_record(window, addr, &self.encode())
     }
 
-    /// Load from `addr`.
-    pub fn read_from(mem: &PhysMemory, addr: HostPhysAddr) -> Result<Self, WireError> {
-        let (backing, off) = mem.resolve(addr, 8).map_err(|_| WireError)?;
-        let len = backing.read_u64(off);
-        // The record must end inside the region the length word is in.
-        if len == 0 || len > 1 << 20 || off + 8 + len as usize > backing.len() {
-            return Err(WireError);
-        }
-        let mut buf = vec![0u8; len as usize];
-        backing.read_bytes(off + 8, &mut buf);
-        Self::decode(&buf)
+    /// Load from `addr` of a window.
+    pub fn read_from(window: &MemWindow, addr: HostPhysAddr) -> Result<Self, WireError> {
+        Self::decode(&read_record(window, addr)?)
     }
 
     /// The command-queue base for `core`.
@@ -189,6 +177,7 @@ pub fn cmdq_addr(mgmt_base: HostPhysAddr, idx: usize) -> HostPhysAddr {
 mod tests {
     use super::*;
     use covirt_simhw::addr::PAGE_SIZE_4K;
+    use covirt_simhw::memory::PhysMemory;
     use covirt_simhw::topology::ZoneId;
 
     fn params() -> CovirtBootParams {
@@ -232,10 +221,10 @@ mod tests {
     #[test]
     fn memory_roundtrip_and_lookup() {
         let mem = PhysMemory::new(&[16 * 1024 * 1024]);
-        let region = mem.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        let region = mem.alloc_window(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         let p = params();
-        p.write_to(&mem, region.start).unwrap();
-        let back = CovirtBootParams::read_from(&mem, region.start).unwrap();
+        p.write_to(&region, region.base()).unwrap();
+        let back = CovirtBootParams::read_from(&region, region.base()).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.cmdq_base(4), Some(HostPhysAddr::new(0x51000)));
         assert_eq!(back.cmdq_base(9), None);

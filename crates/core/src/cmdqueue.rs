@@ -15,7 +15,7 @@
 //! resources have been fully unmapped") is enforced.
 
 use covirt_simhw::addr::{HostPhysAddr, PhysRange};
-use covirt_simhw::memory::PhysMemory;
+use covirt_simhw::memory::MemWindow;
 use covirt_trace::{EventKind, Tracer};
 use pisces::ring::{RingError, SharedRing};
 use pisces::wire::{WireReader, WireWriter};
@@ -195,48 +195,44 @@ impl CmdQueue {
         OFF_RING + SharedRing::required_bytes(CMD_SLOTS, CMD_SLOT)
     }
 
-    /// Format a queue into `range` (controller side, before boot).
-    pub fn create(mem: &Arc<PhysMemory>, range: PhysRange) -> Result<Self, RingError> {
-        if range.len < Self::required_bytes() {
-            return Err(RingError::Corrupt);
+    /// Format a queue at the start of `window` (controller side, before
+    /// boot).
+    pub fn create(window: &MemWindow) -> Result<Self, RingError> {
+        let ring_window = Self::ring_window(window)?;
+        for (off, value) in [(OFF_COMPLETION, 0), (OFF_NEXT_SEQ, 1)] {
+            window
+                .write_u64(window.base().add(off), value)
+                .map_err(|_| RingError::Corrupt)?;
         }
-        // One snapshot search for the whole queue: both words and the ring
-        // are placed from this resolve.
-        let (backing, off) = mem
-            .resolve(range.start, range.len)
-            .map_err(|_| RingError::Corrupt)?;
-        backing.write_u64(off + OFF_COMPLETION as usize, 0);
-        backing.write_u64(off + OFF_NEXT_SEQ as usize, 1);
-        let ring = SharedRing::create_at(
-            Arc::clone(&backing),
-            off + OFF_RING as usize,
-            range.len - OFF_RING,
-            CMD_SLOTS,
-            CMD_SLOT,
-        )?;
-        Ok(Self::over(range.start, backing, off, ring))
+        let ring = SharedRing::create(&ring_window, CMD_SLOTS, CMD_SLOT)?;
+        Ok(Self::over(window, ring))
     }
 
-    /// Attach to an existing queue (hypervisor side, from boot parameters).
-    pub fn attach(mem: &Arc<PhysMemory>, base: HostPhysAddr) -> Result<Self, RingError> {
-        let (backing, off) = mem
-            .resolve(base, Self::required_bytes())
-            .map_err(|_| RingError::Corrupt)?;
-        let ring_off = off + OFF_RING as usize;
-        let ring_len = (backing.len() - ring_off) as u64;
-        let ring = SharedRing::attach_at(Arc::clone(&backing), ring_off, ring_len)?;
-        Ok(Self::over(base, backing, off, ring))
+    /// Attach to the queue formatted at the start of `window` (hypervisor
+    /// side, from boot parameters).
+    pub fn attach(window: &MemWindow) -> Result<Self, RingError> {
+        let ring = SharedRing::attach(&Self::ring_window(window)?)?;
+        Ok(Self::over(window, ring))
     }
 
-    /// A handle on the queue whose first byte is `backing[off]`.
-    fn over(
-        base: HostPhysAddr,
-        backing: Arc<covirt_simhw::backing::Backing>,
-        off: usize,
-        ring: SharedRing,
-    ) -> Self {
+    /// The part of `window` past the two words, which the ring gets; a
+    /// window too short for the words has none.
+    fn ring_window(window: &MemWindow) -> Result<MemWindow, RingError> {
+        let len = window
+            .len()
+            .checked_sub(OFF_RING)
+            .ok_or(RingError::Corrupt)?;
+        window
+            .sub(PhysRange::new(window.base().add(OFF_RING), len))
+            .map_err(|_| RingError::Corrupt)
+    }
+
+    /// A handle on the queue at the start of `window`, which holds both
+    /// words (it has a [`Self::ring_window`]).
+    fn over(window: &MemWindow, ring: SharedRing) -> Self {
+        let (backing, off) = window.pinned();
         CmdQueue {
-            base,
+            base: window.base(),
             ring,
             completion: (Arc::clone(&backing), off + OFF_COMPLETION as usize),
             next_seq: (backing, off + OFF_NEXT_SEQ as usize),
@@ -449,20 +445,20 @@ impl CmdQueue {
 mod tests {
     use super::*;
     use covirt_simhw::addr::PAGE_SIZE_4K;
+    use covirt_simhw::memory::PhysMemory;
     use covirt_simhw::topology::ZoneId;
 
-    fn queue() -> (Arc<PhysMemory>, CmdQueue) {
-        let mem = Arc::new(PhysMemory::new(&[16 * 1024 * 1024]));
-        let range = mem
-            .alloc_backed(ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
+    fn queue() -> (MemWindow, CmdQueue) {
+        let window = PhysMemory::new(&[16 * 1024 * 1024])
+            .alloc_window(ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
             .unwrap();
-        let q = CmdQueue::create(&mem, range).unwrap();
-        (mem, q)
+        let q = CmdQueue::create(&window).unwrap();
+        (window, q)
     }
 
     #[test]
     fn roundtrip_all_commands() {
-        let (_m, q) = queue();
+        let (_w, q) = queue();
         let cmds = [
             Command::TlbFlushAll,
             Command::TlbFlushPage { gva: 0x20_0000 },
@@ -490,7 +486,7 @@ mod tests {
 
     #[test]
     fn completion_tracking() {
-        let (_m, q) = queue();
+        let (_w, q) = queue();
         let s1 = q.post(Command::Sync).unwrap();
         let s2 = q.post(Command::TlbFlushAll).unwrap();
         assert!(s2 > s1);
@@ -504,7 +500,7 @@ mod tests {
 
     #[test]
     fn timeout_error_names_core_and_progress() {
-        let (_m, q) = queue();
+        let (_w, q) = queue();
         let q = q.with_core(7);
         let s = q.post(Command::Sync).unwrap();
         let err = q.wait(s, 1).unwrap_err();
@@ -516,7 +512,7 @@ mod tests {
 
     #[test]
     fn full_ring_of_flushes_coalesces_instead_of_failing() {
-        let (_m, q) = queue();
+        let (_w, q) = queue();
         // Fill the ring to capacity with flush commands.
         let mut seqs = Vec::new();
         for i in 0..CMD_SLOTS {
@@ -541,7 +537,7 @@ mod tests {
 
     #[test]
     fn coalescing_preserves_non_flush_commands() {
-        let (_m, q) = queue();
+        let (_w, q) = queue();
         let reload = q.post(Command::ReloadVmcs).unwrap();
         for i in 0..CMD_SLOTS - 1 {
             q.post(Command::TlbFlushPage { gva: i * 4096 }).unwrap();
@@ -561,7 +557,7 @@ mod tests {
 
     #[test]
     fn completion_is_monotonic() {
-        let (_m, q) = queue();
+        let (_w, q) = queue();
         q.complete(5);
         q.complete(3); // out-of-order completion must not regress
         assert_eq!(q.completed(), 5);
@@ -569,8 +565,8 @@ mod tests {
 
     #[test]
     fn attach_shares_state() {
-        let (mem, q) = queue();
-        let other = CmdQueue::attach(&mem, q.base()).unwrap();
+        let (window, q) = queue();
+        let other = CmdQueue::attach(&window).unwrap();
         q.post(Command::Sync).unwrap();
         let drained = other.drain();
         assert_eq!(drained.len(), 1);
@@ -580,8 +576,8 @@ mod tests {
 
     #[test]
     fn sequence_numbers_unique_across_handles() {
-        let (mem, q) = queue();
-        let other = CmdQueue::attach(&mem, q.base()).unwrap();
+        let (window, q) = queue();
+        let other = CmdQueue::attach(&window).unwrap();
         let a = q.post(Command::Sync).unwrap();
         let b = other.post(Command::Sync).unwrap();
         assert_ne!(a, b);
@@ -589,10 +585,13 @@ mod tests {
 
     #[test]
     fn undersized_region_rejected() {
-        let mem = Arc::new(PhysMemory::new(&[4 * 1024 * 1024]));
-        let range = mem.alloc_backed(ZoneId(0), 128, PAGE_SIZE_4K).unwrap();
-        // alloc rounds to 4 KiB, so make a deliberately short sub-range.
-        let short = PhysRange::new(range.start, 128);
-        assert!(CmdQueue::create(&mem, short).is_err());
+        let (window, _q) = queue();
+        // alloc rounds to 4 KiB, so make deliberately short sub-windows:
+        // one with no room for the ring, one with none for the words.
+        for len in [128, 8] {
+            let short = window.sub(PhysRange::new(window.base(), len)).unwrap();
+            assert!(CmdQueue::create(&short).is_err(), "{len} bytes");
+            assert!(CmdQueue::attach(&short).is_err(), "{len} bytes");
+        }
     }
 }

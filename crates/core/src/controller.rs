@@ -297,8 +297,8 @@ impl CovirtController {
             return Ok(Arc::clone(pool));
         }
         let mem = &self.node.mem;
-        let region = mem.alloc_backed(ZoneId(0), EPT_POOL_BYTES, PAGE_SIZE_4K)?;
-        let pool = Arc::new(FramePool::new(Arc::clone(mem), region)?);
+        let region = mem.alloc_window(ZoneId(0), EPT_POOL_BYTES, PAGE_SIZE_4K)?;
+        let pool = Arc::new(FramePool::over(Arc::clone(mem), &region));
         *slot = Some(Arc::clone(&pool));
         Ok(pool)
     }
@@ -348,13 +348,17 @@ impl CovirtController {
             }
         }
 
-        // Per-core command queues inside the management region.
+        // Per-core command queues inside the management region, each
+        // placed through the window Pisces resolved when it allocated it.
+        let mgmt = enclave.mgmt();
         let mut queues = Vec::with_capacity(cores.len());
         for (i, &core) in cores.iter().enumerate() {
-            let base = cmdq_addr(enclave.mgmt_region.start, i);
-            let range = PhysRange::new(base, crate::boot::CMDQ_STRIDE);
-            let q = CmdQueue::create(&self.node.mem, range)
-                .map_err(|_| PiscesError::Invalid("command queue creation failed"))?
+            let base = cmdq_addr(mgmt.base(), i);
+            let q = mgmt
+                .sub(PhysRange::new(base, crate::boot::CMDQ_STRIDE))
+                .ok()
+                .and_then(|w| CmdQueue::create(&w).ok())
+                .ok_or(PiscesError::Invalid("command queue creation failed"))?
                 .with_core(core as u64)
                 .with_tracer(self.tracer.clone().with_enclave(enclave.id.0));
             queues.push((core as u64, base.raw()));
@@ -371,11 +375,8 @@ impl CovirtController {
             cmd_queues: queues,
             pisces_params_addr: plan.pisces_params_addr.raw(),
         };
-        cbp.write_to(
-            &self.node.mem,
-            enclave.mgmt_region.start.add(COVIRT_PARAMS_OFFSET),
-        )
-        .map_err(PiscesError::Hw)?;
+        cbp.write_to(mgmt, mgmt.base().add(COVIRT_PARAMS_OFFSET))
+            .map_err(PiscesError::Hw)?;
 
         let vctx = Arc::new(vctx);
         self.contexts
@@ -744,7 +745,7 @@ mod tests {
         assert_eq!(t.pa.raw(), r.start.raw() + 4096);
         // Covirt boot params are in memory and point back at Pisces'.
         let cbp = CovirtBootParams::read_from(
-            &master.pisces().node().mem,
+            enclave.mgmt(),
             enclave.mgmt_region.start.add(COVIRT_PARAMS_OFFSET),
         )
         .unwrap();

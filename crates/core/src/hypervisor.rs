@@ -349,11 +349,11 @@ mod tests {
             None
         };
         let mut vctx = VirtContext::new(7, config, &[1, 2], &[0x40], ept);
-        let qrange = node
+        let qwindow = node
             .mem
-            .alloc_backed(ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
+            .alloc_window(ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
             .unwrap();
-        vctx.set_cmdq(1, CmdQueue::create(&node.mem, qrange).unwrap());
+        vctx.set_cmdq(1, CmdQueue::create(&qwindow).unwrap());
         let vctx = Arc::new(vctx);
         let hv = Hypervisor::launch(Arc::clone(&node), Arc::clone(&vctx), 1).unwrap();
         let tlb = Tlb::new(TlbParams::default());

@@ -18,8 +18,8 @@ use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::vmcs::{new_vmcs, ApicVirtMode, VmcsHandle};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::AtomicU64;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The notification vector posted-interrupt descriptors use (one below the
@@ -31,6 +31,25 @@ pub const PIV_NOTIFICATION_VECTOR: u8 = 0xf2;
 /// pool; distinct from [`PIV_NOTIFICATION_VECTOR`] so command doorbells and
 /// guest-to-guest posted IPIs never alias.
 pub const CMD_DOORBELL_VECTOR: u8 = 0xf3;
+
+/// What a context keeps for one enclave core.
+struct CoreSlot {
+    core: usize,
+    /// The core's VMCS replica ("replicating the hypervisor context ... for
+    /// each CPU core managed by Covirt").
+    vmcs: VmcsHandle,
+    /// The core's command queue, once the controller has placed it.
+    cmdq: Option<CmdQueue>,
+    /// Posted-interrupt descriptor (posted IPI mode only).
+    posted: Option<Arc<PostedIntDescriptor>>,
+    /// Command-doorbell descriptor. Unlike `posted`, this exists in *every*
+    /// Covirt configuration: the exitless command path does not depend on
+    /// the enclave opting into posted-IPI protection.
+    cmd_doorbell: Arc<PostedIntDescriptor>,
+    /// Whether the core is executing in guest mode (its TLB may cache
+    /// stale state; flush synchronization must wait for it).
+    live: AtomicBool,
+}
 
 /// Per-enclave virtualization state.
 pub struct VirtContext {
@@ -46,20 +65,8 @@ pub struct VirtContext {
     pub msr_bitmap: Arc<RwLock<MsrBitmap>>,
     /// I/O intercept bitmap shared by every core's VMCS.
     pub io_bitmap: Arc<RwLock<IoBitmap>>,
-    /// Per-core VMCS replicas ("replicating the hypervisor context ... for
-    /// each CPU core managed by Covirt").
-    vmcs: HashMap<usize, VmcsHandle>,
-    /// Per-core command queues.
-    cmdq: HashMap<usize, CmdQueue>,
-    /// Per-core posted-interrupt descriptors (posted IPI mode only).
-    posted: HashMap<usize, Arc<PostedIntDescriptor>>,
-    /// Per-core command-doorbell descriptors. Unlike `posted`, these exist
-    /// in *every* Covirt configuration: the exitless command path does not
-    /// depend on the enclave opting into posted-IPI protection.
-    cmd_doorbell: HashMap<usize, Arc<PostedIntDescriptor>>,
-    /// Cores currently executing in guest mode (their TLBs may cache
-    /// stale state; flush synchronization must wait for them).
-    live: RwLock<HashSet<usize>>,
+    /// One slot per enclave core, sorted by core id.
+    slots: Vec<CoreSlot>,
     /// Set when the hypervisor terminated the enclave; the reason string.
     terminated: RwLock<Option<String>>,
     /// EPT violations caught (instrumentation).
@@ -113,34 +120,38 @@ impl VirtContext {
         let msr_bitmap = Arc::new(RwLock::new(msr_bitmap));
         let io_bitmap = Arc::new(RwLock::new(io_bitmap));
 
-        let mut vmcs = HashMap::new();
-        let mut posted = HashMap::new();
-        let mut cmd_doorbell = HashMap::new();
-        for &core in cores {
-            cmd_doorbell.insert(
-                core,
-                Arc::new(PostedIntDescriptor::new(CMD_DOORBELL_VECTOR)),
-            );
-            let handle = new_vmcs();
-            {
-                let mut v = handle.write();
-                v.controls.eptp = ept.as_ref().map(|e| e.eptp());
-                v.controls.ext_int_exiting = config.exits_on_external_interrupts();
-                v.controls.apic_virt = match config.ipi {
-                    Some(IpiMode::Vapic) => ApicVirtMode::TrapAll,
-                    Some(IpiMode::Posted) => ApicVirtMode::Posted,
-                    None => ApicVirtMode::Passthrough,
-                };
-                v.controls.msr_bitmap = Some(Arc::clone(&msr_bitmap));
-                v.controls.io_bitmap = Some(Arc::clone(&io_bitmap));
-                if matches!(config.ipi, Some(IpiMode::Posted)) {
-                    let d = Arc::new(PostedIntDescriptor::new(PIV_NOTIFICATION_VECTOR));
-                    v.controls.posted_desc = Some(Arc::clone(&d));
-                    posted.insert(core, d);
+        let mut cores = cores.to_vec();
+        cores.sort_unstable();
+        cores.dedup();
+        let slots = cores
+            .into_iter()
+            .map(|core| {
+                let vmcs = new_vmcs();
+                let posted = matches!(config.ipi, Some(IpiMode::Posted))
+                    .then(|| Arc::new(PostedIntDescriptor::new(PIV_NOTIFICATION_VECTOR)));
+                {
+                    let mut v = vmcs.write();
+                    v.controls.eptp = ept.as_ref().map(|e| e.eptp());
+                    v.controls.ext_int_exiting = config.exits_on_external_interrupts();
+                    v.controls.apic_virt = match config.ipi {
+                        Some(IpiMode::Vapic) => ApicVirtMode::TrapAll,
+                        Some(IpiMode::Posted) => ApicVirtMode::Posted,
+                        None => ApicVirtMode::Passthrough,
+                    };
+                    v.controls.msr_bitmap = Some(Arc::clone(&msr_bitmap));
+                    v.controls.io_bitmap = Some(Arc::clone(&io_bitmap));
+                    v.controls.posted_desc = posted.clone();
                 }
-            }
-            vmcs.insert(core, handle);
-        }
+                CoreSlot {
+                    core,
+                    vmcs,
+                    cmdq: None,
+                    posted,
+                    cmd_doorbell: Arc::new(PostedIntDescriptor::new(CMD_DOORBELL_VECTOR)),
+                    live: AtomicBool::new(false),
+                }
+            })
+            .collect();
 
         VirtContext {
             enclave_id,
@@ -149,64 +160,77 @@ impl VirtContext {
             whitelist,
             msr_bitmap,
             io_bitmap,
-            vmcs,
-            cmdq: HashMap::new(),
-            posted,
-            cmd_doorbell,
-            live: RwLock::new(HashSet::new()),
+            slots,
             terminated: RwLock::new(None),
             violations: AtomicU64::new(0),
             region_view: Arc::new(RegionView::new()),
         }
     }
 
+    /// Index of `core`'s slot, if it is one of the enclave's cores.
+    fn slot_index(&self, core: usize) -> Option<usize> {
+        self.slots.binary_search_by_key(&core, |s| s.core).ok()
+    }
+
+    /// `core`'s slot, if it is one of the enclave's cores.
+    fn slot(&self, core: usize) -> Option<&CoreSlot> {
+        self.slot_index(core).map(|i| &self.slots[i])
+    }
+
     /// The VMCS for a core.
     pub fn vmcs(&self, core: usize) -> Option<VmcsHandle> {
-        self.vmcs.get(&core).cloned()
+        self.slot(core).map(|s| Arc::clone(&s.vmcs))
     }
 
-    /// All cores with a VMCS.
+    /// All cores with a VMCS, in ascending order.
     pub fn cores(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.vmcs.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.slots.iter().map(|s| s.core).collect()
     }
 
-    /// Install a core's command queue (controller, before boot).
+    /// Install a core's command queue (controller, before boot). A core
+    /// outside the enclave has no slot to install it in.
     pub fn set_cmdq(&mut self, core: usize, q: CmdQueue) {
-        self.cmdq.insert(core, q);
+        if let Some(i) = self.slot_index(core) {
+            self.slots[i].cmdq = Some(q);
+        }
     }
 
     /// A core's command queue.
     pub fn cmdq(&self, core: usize) -> Option<&CmdQueue> {
-        self.cmdq.get(&core)
+        self.slot(core)?.cmdq.as_ref()
     }
 
     /// A core's posted-interrupt descriptor (posted mode only).
     pub fn posted(&self, core: usize) -> Option<&Arc<PostedIntDescriptor>> {
-        self.posted.get(&core)
+        self.slot(core)?.posted.as_ref()
     }
 
     /// A core's command-doorbell descriptor (present in every config).
     pub fn cmd_doorbell(&self, core: usize) -> Option<&Arc<PostedIntDescriptor>> {
-        self.cmd_doorbell.get(&core)
+        self.slot(core).map(|s| &s.cmd_doorbell)
     }
 
     /// Mark a core as executing in guest mode.
     pub fn core_entered_guest(&self, core: usize) {
-        self.live.write().insert(core);
+        if let Some(s) = self.slot(core) {
+            s.live.store(true, Ordering::SeqCst);
+        }
     }
 
     /// Mark a core as having left guest mode (termination or shutdown).
     pub fn core_left_guest(&self, core: usize) {
-        self.live.write().remove(&core);
+        if let Some(s) = self.slot(core) {
+            s.live.store(false, Ordering::SeqCst);
+        }
     }
 
-    /// Cores currently in guest mode.
+    /// Cores currently in guest mode, in ascending order.
     pub fn live_cores(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.live.read().iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.slots
+            .iter()
+            .filter(|s| s.live.load(Ordering::SeqCst))
+            .map(|s| s.core)
+            .collect()
     }
 
     /// Record enclave termination (idempotent; first reason wins).
@@ -225,8 +249,8 @@ impl VirtContext {
     /// Total exits across every core's VMCS, by reason.
     pub fn exit_counts(&self) -> HashMap<&'static str, u64> {
         let mut out: HashMap<&'static str, u64> = HashMap::new();
-        for handle in self.vmcs.values() {
-            for (k, v) in handle.read().exit_counts.iter() {
+        for slot in &self.slots {
+            for (k, v) in slot.vmcs.read().exit_counts.iter() {
                 *out.entry(k).or_insert(0) += v;
             }
         }

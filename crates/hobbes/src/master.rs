@@ -7,11 +7,12 @@ use covirt_simhw::addr::PhysRange;
 use covirt_simhw::node::SimNode;
 use kitten::KittenKernel;
 use parking_lot::RwLock;
-use pisces::enclave::EnclaveId;
+use pisces::enclave::{Enclave, EnclaveId};
+use pisces::hooks::EnclaveHooks;
 use pisces::host::PiscesHost;
 use pisces::resources::ResourceRequest;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use xemem::{SegmentId, XememService};
 
 /// The master control process.
@@ -27,16 +28,38 @@ pub struct MasterControl {
     pub notices: NoticeBoard,
 }
 
+/// The master's teardown hook on its own Pisces host: however an enclave
+/// ends — orderly teardown or contained fault — the master lets go of its
+/// kernel (page tables, frame pool, the pinned boot region) then, not when
+/// the node goes. Holds the master weakly: the host the master owns keeps
+/// this hook.
+struct ForgetKernel(Weak<MasterControl>);
+
+impl EnclaveHooks for ForgetKernel {
+    fn on_teardown(&self, enclave: &Enclave) {
+        if let Some(master) = self.0.upgrade() {
+            // Taken out under the lock, dropped (frames returned, backing
+            // released) after it.
+            let kernel = master.kernels.write().remove(&enclave.id.0);
+            drop(kernel);
+        }
+    }
+}
+
 impl MasterControl {
     /// Bring up the master control on a node (loads the Pisces framework).
     pub fn new(node: Arc<SimNode>) -> Arc<Self> {
-        Arc::new(MasterControl {
-            host: PiscesHost::new(node),
-            xemem: Arc::new(XememService::new()),
-            kernels: RwLock::new(HashMap::new()),
-            hooks: RwLock::new(Vec::new()),
-            dependencies: RwLock::new(HashMap::new()),
-            notices: NoticeBoard::new(),
+        Arc::new_cyclic(|master| {
+            let host = PiscesHost::new(node);
+            host.register_hooks(Arc::new(ForgetKernel(Weak::clone(master))));
+            MasterControl {
+                host,
+                xemem: Arc::new(XememService::new()),
+                kernels: RwLock::new(HashMap::new()),
+                hooks: RwLock::new(Vec::new()),
+                dependencies: RwLock::new(HashMap::new()),
+                notices: NoticeBoard::new(),
+            }
         })
     }
 
@@ -183,7 +206,6 @@ impl MasterControl {
     pub fn handle_enclave_failure(&self, failed: u64, reason: &str) -> HobbesResult<()> {
         let enclave = self.host.enclave(EnclaveId(failed))?;
         self.host.report_fault(&enclave, reason)?;
-        self.kernels.write().remove(&failed);
         let mut dependents: HashSet<u64> = HashSet::new();
         for (_segid, members) in self.dependencies.read().iter() {
             if members.contains(&failed) {
@@ -227,6 +249,29 @@ mod tests {
         assert_eq!(e.state(), pisces::EnclaveState::Running);
         assert!(Arc::ptr_eq(&m.kernel(e.id.0).unwrap(), &k));
         assert!(m.kernel(99).is_err());
+    }
+
+    /// An enclave's kernel holds its page tables, their frame pool and the
+    /// pinned boot region: the master must let go of it when the enclave
+    /// ends, by either road, not keep it for the life of the node.
+    #[test]
+    fn a_dead_enclaves_kernel_is_forgotten_on_teardown_and_on_failure() {
+        let m = master();
+        let (orderly, k1) = m.bring_up_enclave("orderly", &req(1)).unwrap();
+        let (faulty, k2) = m.bring_up_enclave("faulty", &req(2)).unwrap();
+        assert_eq!(Arc::strong_count(&k1), 2);
+
+        m.pisces().teardown(&orderly).unwrap();
+        m.handle_enclave_failure(faulty.id.0, "ept violation")
+            .unwrap();
+        for (e, k) in [(&orderly, &k1), (&faulty, &k2)] {
+            assert!(matches!(m.kernel(e.id.0), Err(HobbesError::NoKernel(id)) if id == e.id.0));
+            assert_eq!(Arc::strong_count(k), 1, "{} still holds its kernel", e.name);
+        }
+        // The hook holds the master weakly: dropping the last handle frees it.
+        let weak = Arc::downgrade(&m);
+        drop(m);
+        assert!(weak.upgrade().is_none());
     }
 
     /// Carve an exportable range out of an enclave's assignment.

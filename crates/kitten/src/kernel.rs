@@ -37,10 +37,22 @@ impl KittenKernel {
     /// Boot from the parameter structure at `params_addr` (the address
     /// handed over in RDI by the trampoline — or by the Covirt hypervisor).
     pub fn boot(mem: &Arc<PhysMemory>, params_addr: HostPhysAddr) -> KittenResult<Self> {
+        // The one search for the management region: the parameters, and
+        // the control channel they place, are read through this window.
+        let mgmt = mem
+            .window_from(params_addr)
+            .map_err(|_| KittenError::BadBootParams)?;
         let params =
-            BootParams::read_from(mem, params_addr).map_err(|_| KittenError::BadBootParams)?;
+            BootParams::read_from(&mgmt, params_addr).map_err(|_| KittenError::BadBootParams)?;
+        let chan = mgmt
+            .sub(PhysRange::new(
+                HostPhysAddr::new(params.ctrlchan_base),
+                params.ctrlchan_len,
+            ))
+            .map_err(|_| KittenError::Ctrl("channel outside the management region"))?;
 
-        // Page-table pool lives at the head of the first assigned region.
+        // Page-table pool lives at the head of the first assigned region
+        // (the one search for that region).
         let pt_pool_range = PhysRange::new(HostPhysAddr::new(params.pt_pool.0), params.pt_pool.1);
         let pool = Arc::new(FramePool::new(Arc::clone(mem), pt_pool_range)?);
         let page_tables = GuestPageTables::new(Arc::clone(&pool))?;
@@ -56,20 +68,12 @@ impl KittenKernel {
                 .map_err(KittenError::Invalid)?;
         }
         // The management region (boot params + control channel) is also
-        // visible to the kernel.
-        let mgmt = PhysRange::new(
-            params_addr,
-            // Derive the management span from the channel placement.
-            params.ctrlchan_base + params.ctrlchan_len - params_addr.raw(),
-        );
-        page_tables.map(mgmt.start.raw(), mgmt.start, mgmt.len, Perms::RW, 1)?;
+        // visible to the kernel, up to the end of the channel.
+        let mgmt_len = chan.range().end().raw() - params_addr.raw();
+        page_tables.map(params_addr.raw(), params_addr, mgmt_len, Perms::RW, 1)?;
 
-        let ctrl = CtrlChannel::attach_enclave(
-            mem,
-            HostPhysAddr::new(params.ctrlchan_base),
-            params.ctrlchan_len,
-        )
-        .map_err(|_| KittenError::Ctrl("attach failed"))?;
+        let ctrl =
+            CtrlChannel::attach_enclave(&chan).map_err(|_| KittenError::Ctrl("attach failed"))?;
 
         Ok(KittenKernel {
             params,
@@ -380,6 +384,39 @@ mod tests {
         assert!(!k.memmap().contains(range.start, 8));
         h.process_acks(&e).unwrap();
         assert!(!e.resources().mem.contains(&range));
+    }
+
+    /// The host-side mirror, with both rings full at once: the host keeps
+    /// taking the kernel's syscalls though it cannot answer yet, which is
+    /// what lets the kernel (deferring its polls until its own ring has
+    /// room) start draining; every return then arrives, none is lost and
+    /// neither side waits on the other.
+    #[test]
+    fn two_full_rings_lose_no_syscall_return_and_do_not_wait_on_each_other() {
+        let (h, e, k) = booted();
+        let host_end = e.ctrl().unwrap();
+        let mut pings = 0;
+        while host_end.can_send() {
+            host_end.send(&CtrlMsg::Ping { token: pings }).unwrap();
+            pings += 1;
+        }
+        let mut calls = 0;
+        while k.ctrl.can_send() {
+            k.forward_syscall(60 + calls, 0, 0).unwrap();
+            calls += 1;
+        }
+        assert_eq!(k.poll_ctrl().unwrap(), [], "no room to acknowledge a ping");
+
+        assert_eq!(h.process_acks(&e).unwrap().len(), calls as usize);
+        assert_eq!(k.poll_ctrl().unwrap().len(), pings as usize);
+        assert_eq!(k.take_syscall_ret(), None, "every return is still parked");
+        // The parked returns go out ahead of anything new, oldest first.
+        assert_eq!(h.process_acks(&e).unwrap().len(), pings as usize);
+        let returns = k.poll_ctrl().unwrap();
+        let expect: Vec<CtrlMsg> = (0..calls)
+            .map(|i| CtrlMsg::SyscallRet { nr: 60 + i, ret: 0 })
+            .collect();
+        assert_eq!(returns, expect);
     }
 
     #[test]

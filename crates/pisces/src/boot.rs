@@ -11,9 +11,9 @@
 //! boot parameters*, so the co-kernel remains oblivious. The
 //! [`BootTarget`] enum is how that substitution is expressed in the model.
 
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::wire::{read_record, write_record, WireError, WireReader, WireWriter};
 use covirt_simhw::addr::{HostPhysAddr, PhysRange};
-use covirt_simhw::memory::PhysMemory;
+use covirt_simhw::memory::MemWindow;
 use covirt_simhw::topology::CoreId;
 
 /// Magic number identifying a Pisces boot-parameter structure.
@@ -109,28 +109,20 @@ impl BootParams {
         })
     }
 
-    /// Write the structure into physical memory at `addr` (length-prefixed
-    /// so it can be read back without out-of-band size knowledge).
+    /// Write the structure at `addr` of a window onto the enclave's
+    /// management region (length-prefixed so it can be read back without
+    /// out-of-band size knowledge).
     pub fn write_to(
         &self,
-        mem: &PhysMemory,
+        window: &MemWindow,
         addr: HostPhysAddr,
     ) -> Result<(), covirt_simhw::HwError> {
-        let bytes = self.encode();
-        mem.write_u64(addr, bytes.len() as u64)?;
-        mem.write_bytes(addr.add(8), &bytes)
+        write_record(window, addr, &self.encode())
     }
 
-    /// Read a structure back from physical memory.
-    pub fn read_from(mem: &PhysMemory, addr: HostPhysAddr) -> Result<Self, WireError> {
-        let len = mem.read_u64(addr).map_err(|_| WireError)?;
-        if len == 0 || len > 1 << 20 {
-            return Err(WireError);
-        }
-        let mut buf = vec![0u8; len as usize];
-        mem.read_bytes(addr.add(8), &mut buf)
-            .map_err(|_| WireError)?;
-        Self::decode(&buf)
+    /// Read a structure back from `addr` of a window.
+    pub fn read_from(window: &MemWindow, addr: HostPhysAddr) -> Result<Self, WireError> {
+        Self::decode(&read_record(window, addr)?)
     }
 
     /// Bytes needed to store the structure (including length prefix).
@@ -183,6 +175,7 @@ pub struct BootPlan {
 mod tests {
     use super::*;
     use covirt_simhw::addr::PAGE_SIZE_4K;
+    use covirt_simhw::memory::PhysMemory;
     use covirt_simhw::topology::ZoneId;
 
     fn params() -> BootParams {
@@ -216,18 +209,30 @@ mod tests {
     #[test]
     fn memory_roundtrip() {
         let mem = PhysMemory::new(&[16 * 1024 * 1024]);
-        let region = mem.alloc_backed(ZoneId(0), 8192, PAGE_SIZE_4K).unwrap();
+        let region = mem.alloc_window(ZoneId(0), 8192, PAGE_SIZE_4K).unwrap();
         let p = params();
-        p.write_to(&mem, region.start).unwrap();
-        let back = BootParams::read_from(&mem, region.start).unwrap();
+        p.write_to(&region, region.base()).unwrap();
+        let back = BootParams::read_from(&region, region.base()).unwrap();
         assert_eq!(back, p);
+    }
+
+    /// A record that would run past the window writes nothing at all.
+    #[test]
+    fn write_past_the_window_is_refused_whole() {
+        let mem = PhysMemory::new(&[16 * 1024 * 1024]);
+        let region = mem.alloc_window(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        let p = params();
+        let last_words = region.base().add(4096 - 16);
+        assert!(p.write_to(&region, last_words).is_err());
+        assert_eq!(region.read_u64(last_words), Ok(0));
+        assert!(BootParams::read_from(&region, region.base().add(4096)).is_err());
     }
 
     #[test]
     fn read_from_unwritten_memory_fails() {
         let mem = PhysMemory::new(&[16 * 1024 * 1024]);
-        let region = mem.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        assert!(BootParams::read_from(&mem, region.start).is_err());
+        let region = mem.alloc_window(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        assert!(BootParams::read_from(&region, region.base()).is_err());
     }
 
     #[test]

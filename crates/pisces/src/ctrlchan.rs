@@ -8,8 +8,8 @@
 
 use crate::ring::{RingError, SharedRing};
 use crate::wire::{WireError, WireReader, WireWriter};
-use covirt_simhw::addr::{HostPhysAddr, PhysRange};
-use covirt_simhw::memory::PhysMemory;
+use covirt_simhw::addr::PhysRange;
+use covirt_simhw::memory::MemWindow;
 use covirt_trace::{pack_str, EventKind, Tracer};
 
 /// Slot size of control messages.
@@ -221,32 +221,34 @@ impl CtrlChannel {
         2 * SharedRing::required_bytes(CTRL_SLOTS, CTRL_SLOT).next_power_of_two()
     }
 
-    /// Format a channel into `range` (host side does this at enclave
+    /// The two rings' windows: the halves of the channel's.
+    fn halves(window: &MemWindow) -> [MemWindow; 2] {
+        let half = window.len() / 2;
+        let a = PhysRange::new(window.base(), half);
+        let b = PhysRange::new(a.end(), window.len() - half);
+        [a, b].map(|r| window.sub(r).expect("a window holds its own halves"))
+    }
+
+    /// Format a channel into `window` (host side does this at enclave
     /// creation).
-    pub fn create(mem: &PhysMemory, range: PhysRange) -> Result<Self, RingError> {
-        let half = range.len / 2;
-        let a = PhysRange::new(range.start, half);
-        let b = PhysRange::new(range.start.add(half), range.len - half);
+    pub fn create(window: &MemWindow) -> Result<Self, RingError> {
+        let [a, b] = Self::halves(window);
         Ok(CtrlChannel {
             side: Side::Host,
-            to_enclave: SharedRing::create(mem, a, CTRL_SLOTS, CTRL_SLOT)?,
-            to_host: SharedRing::create(mem, b, CTRL_SLOTS, CTRL_SLOT)?,
+            to_enclave: SharedRing::create(&a, CTRL_SLOTS, CTRL_SLOT)?,
+            to_host: SharedRing::create(&b, CTRL_SLOTS, CTRL_SLOT)?,
             tracer: None,
         })
     }
 
-    /// Attach from the enclave side, given the base address and total
-    /// length out of the boot parameters.
-    pub fn attach_enclave(
-        mem: &PhysMemory,
-        base: HostPhysAddr,
-        total_len: u64,
-    ) -> Result<Self, RingError> {
-        let half = total_len / 2;
+    /// Attach from the enclave side to the channel formatted into
+    /// `window` — the span the boot parameters give.
+    pub fn attach_enclave(window: &MemWindow) -> Result<Self, RingError> {
+        let [a, b] = Self::halves(window);
         Ok(CtrlChannel {
             side: Side::Enclave,
-            to_enclave: SharedRing::attach(mem, base)?,
-            to_host: SharedRing::attach(mem, base.add(half))?,
+            to_enclave: SharedRing::attach(&a)?,
+            to_host: SharedRing::attach(&b)?,
             tracer: None,
         })
     }
@@ -329,16 +331,15 @@ impl CtrlChannel {
 mod tests {
     use super::*;
     use covirt_simhw::addr::PAGE_SIZE_4K;
+    use covirt_simhw::memory::PhysMemory;
     use covirt_simhw::topology::ZoneId;
-    use std::sync::Arc;
 
-    fn channel() -> (Arc<PhysMemory>, PhysRange, CtrlChannel) {
-        let mem = Arc::new(PhysMemory::new(&[16 * 1024 * 1024]));
-        let range = mem
-            .alloc_backed(ZoneId(0), CtrlChannel::required_bytes(), PAGE_SIZE_4K)
+    fn channel() -> (MemWindow, CtrlChannel) {
+        let window = PhysMemory::new(&[16 * 1024 * 1024])
+            .alloc_window(ZoneId(0), CtrlChannel::required_bytes(), PAGE_SIZE_4K)
             .unwrap();
-        let ch = CtrlChannel::create(&mem, range).unwrap();
-        (mem, range, ch)
+        let ch = CtrlChannel::create(&window).unwrap();
+        (window, ch)
     }
 
     #[test]
@@ -374,8 +375,8 @@ mod tests {
 
     #[test]
     fn host_to_enclave_roundtrip() {
-        let (mem, range, host) = channel();
-        let enclave = CtrlChannel::attach_enclave(&mem, range.start, range.len).unwrap();
+        let (window, host) = channel();
+        let enclave = CtrlChannel::attach_enclave(&window).unwrap();
         host.send(&CtrlMsg::AddMem {
             start: 0x100000,
             len: 0x2000,
@@ -408,8 +409,8 @@ mod tests {
 
     #[test]
     fn directions_are_independent() {
-        let (mem, range, host) = channel();
-        let enclave = CtrlChannel::attach_enclave(&mem, range.start, range.len).unwrap();
+        let (window, host) = channel();
+        let enclave = CtrlChannel::attach_enclave(&window).unwrap();
         enclave.send(&CtrlMsg::Ping { token: 7 }).unwrap();
         // Host rx has one message; enclave rx none.
         assert_eq!(host.pending(), 1);
@@ -419,7 +420,7 @@ mod tests {
 
     #[test]
     fn recv_spin_times_out() {
-        let (_mem, _range, host) = channel();
+        let (_window, host) = channel();
         assert_eq!(host.recv_spin(10), Err(RingError::Empty));
     }
 }

@@ -1,9 +1,11 @@
 //! Enclave objects and their lifecycle state machine.
 
-use crate::ctrlchan::CtrlChannel;
+use crate::ctrlchan::{CtrlChannel, CtrlMsg};
 use crate::resources::ResourceSpec;
 use covirt_simhw::addr::PhysRange;
+use covirt_simhw::memory::MemWindow;
 use parking_lot::{Mutex, RwLock};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Enclave identifier, unique per host.
@@ -80,7 +82,14 @@ pub struct Enclave {
     /// Region holding boot structures and the control channel (owned by
     /// the framework, not part of the co-kernel's general-purpose memory).
     pub mgmt_region: PhysRange,
+    /// The window onto `mgmt_region`, resolved once when the region was
+    /// allocated; every host-side layer that places a structure in the
+    /// region takes a sub-window of it.
+    mgmt: MemWindow,
     ctrl: Mutex<Option<CtrlChannel>>,
+    /// Host→enclave replies the control ring had no room for, oldest
+    /// first; [`crate::host::PiscesHost::process_acks`] sends them on.
+    pub(crate) parked_replies: Mutex<VecDeque<CtrlMsg>>,
     /// Self-healing control flags, orthogonal to the lifecycle state: a
     /// remediation policy throttles an enclave whose SLOs degrade and
     /// quarantines one with a confirmed protection violation. Flags, not
@@ -90,20 +99,18 @@ pub struct Enclave {
 }
 
 impl Enclave {
-    /// Build a new enclave record in `Created` state.
-    pub fn new(
-        id: EnclaveId,
-        name: String,
-        resources: ResourceSpec,
-        mgmt_region: PhysRange,
-    ) -> Self {
+    /// Build a new enclave record in `Created` state, its management
+    /// region being what `mgmt` covers.
+    pub fn new(id: EnclaveId, name: String, resources: ResourceSpec, mgmt: MemWindow) -> Self {
         Enclave {
             id,
             name,
             state: Mutex::new(EnclaveState::Created),
             resources: RwLock::new(resources),
-            mgmt_region,
+            mgmt_region: mgmt.range(),
+            mgmt,
             ctrl: Mutex::new(None),
+            parked_replies: Mutex::new(VecDeque::new()),
             throttled: AtomicBool::new(false),
             quarantined: AtomicBool::new(false),
         }
@@ -167,6 +174,11 @@ impl Enclave {
         f(&mut self.resources.write())
     }
 
+    /// The window onto the management region.
+    pub fn mgmt(&self) -> &MemWindow {
+        &self.mgmt
+    }
+
     /// Install the host-side control channel handle.
     pub fn set_ctrl(&self, ch: CtrlChannel) {
         *self.ctrl.lock() = Some(ch);
@@ -193,15 +205,14 @@ impl std::fmt::Debug for Enclave {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use covirt_simhw::addr::HostPhysAddr;
+    use covirt_simhw::memory::PhysMemory;
+    use covirt_simhw::topology::ZoneId;
 
     fn enclave() -> Enclave {
-        Enclave::new(
-            EnclaveId(1),
-            "test".into(),
-            ResourceSpec::new(),
-            PhysRange::new(HostPhysAddr::new(0x1000), 0x1000),
-        )
+        let mgmt = PhysMemory::new(&[1 << 20])
+            .alloc_window(ZoneId(0), 0x1000, 0x1000)
+            .unwrap();
+        Enclave::new(EnclaveId(1), "test".into(), ResourceSpec::new(), mgmt)
     }
 
     #[test]

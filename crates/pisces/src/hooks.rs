@@ -76,15 +76,15 @@ mod tests {
     use crate::enclave::EnclaveId;
     use crate::resources::ResourceSpec;
     use covirt_simhw::addr::HostPhysAddr;
+    use covirt_simhw::memory::PhysMemory;
+    use covirt_simhw::topology::ZoneId;
 
     #[test]
     fn null_hooks_pass_through() {
-        let e = Enclave::new(
-            EnclaveId(1),
-            "t".into(),
-            ResourceSpec::new(),
-            PhysRange::new(HostPhysAddr::new(0), 0x1000),
-        );
+        let mgmt = PhysMemory::new(&[1 << 20])
+            .alloc_window(ZoneId(0), 0x1000, 0x1000)
+            .unwrap();
+        let e = Enclave::new(EnclaveId(1), "t".into(), ResourceSpec::new(), mgmt);
         let h = NullHooks;
         assert!(h
             .on_mem_add_prepared(&e, PhysRange::new(HostPhysAddr::new(0), 1))

@@ -28,6 +28,10 @@ pub const VECTOR_POOL_LAST: u8 = 0xbf;
 
 /// Size reserved per enclave for boot structures + control channel.
 const MGMT_REGION_LEN: u64 = 256 * 1024;
+/// Replies one enclave may have parked (see `PiscesHost::reply`): as many
+/// as its ring holds again. The enclave decides how many syscalls it
+/// forwards without polling, so the host bounds what it keeps for it.
+const MAX_PARKED_REPLIES: usize = crate::ctrlchan::CTRL_SLOTS as usize;
 /// Of the enclave's first region, how much is designated as page-table pool.
 const PT_POOL_LEN: u64 = 16 * 1024 * 1024;
 
@@ -155,11 +159,13 @@ impl PiscesHost {
             .first()
             .map(|&(z, _)| z)
             .unwrap_or(ZoneId(0));
-        let mgmt = *mgmt.insert(self.node.mem.alloc_backed(
-            mgmt_zone,
-            MGMT_REGION_LEN,
-            PAGE_SIZE_4K,
-        )?);
+        // The allocation hands back the window every boot structure below
+        // (and every hook's, through the enclave) is placed with.
+        let mgmt_window = self
+            .node
+            .mem
+            .alloc_window(mgmt_zone, MGMT_REGION_LEN, PAGE_SIZE_4K)?;
+        let mgmt = *mgmt.insert(mgmt_window.range());
 
         // Allocate memory, 2 MiB-aligned so identity maps coalesce.
         for &(zone, bytes) in &req.mem_per_zone {
@@ -182,13 +188,21 @@ impl PiscesHost {
         }
 
         let id = EnclaveId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let enclave = Arc::new(Enclave::new(id, name.to_owned(), spec.clone(), mgmt));
+        let enclave = Arc::new(Enclave::new(
+            id,
+            name.to_owned(),
+            spec.clone(),
+            mgmt_window.clone(),
+        ));
 
         // Control channel occupies the tail of the management region.
         let chan_len = CtrlChannel::required_bytes();
         let chan_base = mgmt.start.add(mgmt.len - chan_len);
-        let mut chan = CtrlChannel::create(&self.node.mem, PhysRange::new(chan_base, chan_len))
-            .map_err(|_| PiscesError::Invalid("control channel setup failed"))?;
+        let mut chan = mgmt_window
+            .sub(PhysRange::new(chan_base, chan_len))
+            .ok()
+            .and_then(|w| CtrlChannel::create(&w).ok())
+            .ok_or(PiscesError::Invalid("control channel setup failed"))?;
         chan.set_tracer(self.node.controller_tracer());
         enclave.set_ctrl(chan);
 
@@ -206,7 +220,7 @@ impl PiscesHost {
             pt_pool: (first.start.raw(), PT_POOL_LEN.min(first.len / 4)),
             tsc_hz: self.node.topology.tsc_hz,
         };
-        params.write_to(&self.node.mem, mgmt.start)?;
+        params.write_to(&mgmt_window, mgmt.start)?;
 
         enclave
             .transition(&[EnclaveState::Created], EnclaveState::Loaded)
@@ -371,6 +385,8 @@ impl PiscesHost {
         let ctrl = enclave
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
+        // Replies an earlier call had no ring slot for go first.
+        Self::send_parked(&mut enclave.parked_replies.lock(), &ctrl);
         let mut handled = Vec::new();
         while let Some(msg) = ctrl
             .try_recv()
@@ -391,8 +407,7 @@ impl PiscesHost {
                     // model simply answers; real work is in the hobbes
                     // layer.
                     let _ = (arg0, arg1);
-                    ctrl.send(&CtrlMsg::SyscallRet { nr: *nr, ret: 0 })
-                        .map_err(|_| PiscesError::ResourceBusy("control channel full"))?;
+                    Self::reply(enclave, &ctrl, CtrlMsg::SyscallRet { nr: *nr, ret: 0 })?;
                 }
                 other => {
                     return Err(PiscesError::Invalid(match other {
@@ -405,6 +420,34 @@ impl PiscesHost {
             handled.push(msg);
         }
         Ok(handled)
+    }
+
+    /// Send parked replies, oldest first, while the host→enclave ring
+    /// takes them.
+    fn send_parked(parked: &mut VecDeque<CtrlMsg>, ctrl: &CtrlChannel) {
+        while parked.front().is_some_and(|r| ctrl.send(r).is_ok()) {
+            parked.pop_front();
+        }
+    }
+
+    /// Answer a message already taken off the enclave→host ring. The reply
+    /// queues behind any the host→enclave ring had no room for and goes
+    /// out as soon as the ring takes it — at once, or from a later
+    /// [`PiscesHost::process_acks`]: the host keeps draining, so a
+    /// co-kernel that defers its polls until it can acknowledge them (it
+    /// takes no message while its own ring is full) always gets that room,
+    /// and the two full rings never wait on each other. An enclave that
+    /// lets [`MAX_PARKED_REPLIES`] pile up is refused further answers.
+    fn reply(enclave: &Enclave, ctrl: &CtrlChannel, msg: CtrlMsg) -> PiscesResult<()> {
+        let mut parked = enclave.parked_replies.lock();
+        if parked.len() >= MAX_PARKED_REPLIES {
+            return Err(PiscesError::ResourceBusy(
+                "enclave is not draining its control channel",
+            ));
+        }
+        parked.push_back(msg);
+        Self::send_parked(&mut parked, ctrl);
+        Ok(())
     }
 
     /// Convenience: request removal and spin until the enclave acks and the
@@ -574,6 +617,18 @@ mod tests {
         )
     }
 
+    /// The co-kernel's end of `e`'s control channel, found the way a
+    /// kernel finds it: from the boot parameters' address alone.
+    fn enclave_end(h: &PiscesHost, e: &Enclave) -> CtrlChannel {
+        let mgmt = h.node().mem.window_from(e.mgmt_region.start).unwrap();
+        let bp = BootParams::read_from(&mgmt, mgmt.base()).unwrap();
+        let chan = PhysRange::new(
+            covirt_simhw::addr::HostPhysAddr::new(bp.ctrlchan_base),
+            bp.ctrlchan_len,
+        );
+        CtrlChannel::attach_enclave(&mgmt.sub(chan).unwrap()).unwrap()
+    }
+
     #[test]
     fn create_assigns_resources() {
         let h = host();
@@ -584,7 +639,7 @@ mod tests {
         assert_eq!(res.mem_bytes(), 32 * 1024 * 1024);
         assert_eq!(res.ipi_vectors.len(), 4);
         // Boot params are readable from memory.
-        let bp = BootParams::read_from(&h.node().mem, e.mgmt_region.start).unwrap();
+        let bp = BootParams::read_from(e.mgmt(), e.mgmt_region.start).unwrap();
         assert_eq!(bp.enclave_id, e.id.0);
         assert_eq!(bp.mem_regions.len(), 1);
     }
@@ -649,13 +704,7 @@ mod tests {
         let range = h.add_memory(&e, ZoneId(0), 4 * 1024 * 1024).unwrap();
         assert!(e.resources().mem.contains(&range));
         // The grant is visible on the enclave side of the channel.
-        let bp = BootParams::read_from(&h.node().mem, e.mgmt_region.start).unwrap();
-        let chan = CtrlChannel::attach_enclave(
-            &h.node().mem,
-            covirt_simhw::addr::HostPhysAddr::new(bp.ctrlchan_base),
-            bp.ctrlchan_len,
-        )
-        .unwrap();
+        let chan = enclave_end(&h, &e);
         let msg = chan.try_recv().unwrap().unwrap();
         assert_eq!(
             msg,
@@ -674,13 +723,7 @@ mod tests {
         let range = h.add_memory(&e, ZoneId(0), 2 * 1024 * 1024).unwrap();
         h.request_remove_memory(&e, range).unwrap();
         // Enclave side acks.
-        let bp = BootParams::read_from(&h.node().mem, e.mgmt_region.start).unwrap();
-        let chan = CtrlChannel::attach_enclave(
-            &h.node().mem,
-            covirt_simhw::addr::HostPhysAddr::new(bp.ctrlchan_base),
-            bp.ctrlchan_len,
-        )
-        .unwrap();
+        let chan = enclave_end(&h, &e);
         // Drain the AddMem + RemoveMem notifications, then ack removal.
         while chan.try_recv().unwrap().is_some() {}
         chan.send(&CtrlMsg::RemoveMemAck {
@@ -691,6 +734,81 @@ mod tests {
         let handled = h.process_acks(&e).unwrap();
         assert_eq!(handled.len(), 1);
         assert!(!e.resources().mem.contains(&range));
+    }
+
+    /// A full host→enclave ring must not cost the co-kernel its syscall
+    /// return: the host still takes the `Syscall` (it never stops
+    /// draining), keeps the reply on the enclave and sends it, in order,
+    /// once the ring has room.
+    #[test]
+    fn full_command_ring_parks_syscall_replies_instead_of_losing_them() {
+        let h = host();
+        let e = h.create_enclave("e0", &small_req()).unwrap();
+        h.launch(&e).unwrap();
+        let guest = enclave_end(&h, &e);
+        let host_end = e.ctrl().unwrap();
+        while host_end.can_send() {
+            host_end.send(&CtrlMsg::Ping { token: 7 }).unwrap();
+        }
+        for nr in [60, 61] {
+            let call = CtrlMsg::Syscall {
+                nr,
+                arg0: 1,
+                arg1: 2,
+            };
+            guest.send(&call).unwrap();
+            assert_eq!(h.process_acks(&e).unwrap(), [call]);
+        }
+        // Nothing fitted yet, and nothing was dropped.
+        assert_eq!(guest.pending(), crate::ctrlchan::CTRL_SLOTS);
+        assert_eq!(e.parked_replies.lock().len(), 2);
+
+        while let Some(msg) = guest.try_recv().unwrap() {
+            assert_eq!(msg, CtrlMsg::Ping { token: 7 });
+        }
+        assert_eq!(h.process_acks(&e).unwrap(), []);
+        for nr in [60, 61] {
+            assert_eq!(
+                guest.try_recv().unwrap(),
+                Some(CtrlMsg::SyscallRet { nr, ret: 0 })
+            );
+        }
+        assert!(e.parked_replies.lock().is_empty());
+    }
+
+    /// How many syscalls go unanswered is the enclave's choice, so what the
+    /// host keeps for it is bounded: past one ring's worth of parked
+    /// replies the next syscall is refused, and polling clears the refusal.
+    #[test]
+    fn parked_replies_are_bounded_per_enclave() {
+        let h = host();
+        let e = h.create_enclave("e0", &small_req()).unwrap();
+        h.launch(&e).unwrap();
+        let guest = enclave_end(&h, &e);
+        let call = CtrlMsg::Syscall {
+            nr: 60,
+            arg0: 0,
+            arg1: 0,
+        };
+        // One ring of replies sent, one ring's worth parked.
+        for _ in 0..2 * crate::ctrlchan::CTRL_SLOTS {
+            guest.send(&call).unwrap();
+            h.process_acks(&e).unwrap();
+        }
+        assert_eq!(e.parked_replies.lock().len(), MAX_PARKED_REPLIES);
+        guest.send(&call).unwrap();
+        let err = h.process_acks(&e).unwrap_err();
+        assert!(matches!(err, PiscesError::ResourceBusy(_)), "{err}");
+
+        while guest.try_recv().unwrap().is_some() {}
+        guest.send(&call).unwrap();
+        assert_eq!(h.process_acks(&e).unwrap(), [call]);
+        let mut returns = 0;
+        while guest.try_recv().unwrap().is_some() {
+            returns += 1;
+        }
+        assert_eq!(returns, MAX_PARKED_REPLIES);
+        assert_eq!(e.parked_replies.lock().len(), 1);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! +64  slot[0] .. slot[n-1]
 //! ```
 
-use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::backing::Backing;
-use covirt_simhw::memory::PhysMemory;
+use covirt_simhw::memory::MemWindow;
 use std::sync::Arc;
 
 const MAGIC: u64 = 0x5049_5343_4553_5251; // "PISCESRQ"
@@ -56,8 +55,9 @@ impl std::fmt::Display for RingError {
 impl std::error::Error for RingError {}
 
 /// A handle onto a shared-memory ring. Both ends construct a handle over
-/// the same physical range; the type does not enforce which side produces —
-/// the *protocol* (one producer, one consumer) does, as in the real system.
+/// a window onto the same physical range; the type does not enforce which
+/// side produces — the *protocol* (one producer, one consumer) does, as in
+/// the real system.
 #[derive(Clone)]
 pub struct SharedRing {
     backing: Arc<Backing>,
@@ -72,36 +72,16 @@ impl SharedRing {
         DATA_OFF as u64 + slot_count * slot_size
     }
 
-    /// Format a fresh ring into `range` (which must be populated) and
-    /// return a handle. `slot_count` is rounded up to a power of two;
-    /// `slot_size` to a multiple of 8.
-    pub fn create(
-        mem: &PhysMemory,
-        range: PhysRange,
-        slot_count: u64,
-        slot_size: u64,
-    ) -> Result<Self, RingError> {
-        let (backing, base) = mem
-            .resolve(range.start, range.len)
-            .map_err(|_| RingError::Corrupt)?;
-        Self::create_at(backing, base, range.len, slot_count, slot_size)
-    }
-
-    /// [`SharedRing::create`] into the `len` bytes at offset `base` of a
-    /// backing the caller has already resolved — a structure that embeds a
-    /// ring resolves its range once and formats every part from that.
-    pub fn create_at(
-        backing: Arc<Backing>,
-        base: usize,
-        len: u64,
-        slot_count: u64,
-        slot_size: u64,
-    ) -> Result<Self, RingError> {
+    /// Format a fresh ring at the start of `window` and return a handle.
+    /// `slot_count` is rounded up to a power of two; `slot_size` to a
+    /// multiple of 8.
+    pub fn create(window: &MemWindow, slot_count: u64, slot_size: u64) -> Result<Self, RingError> {
         let slot_count = slot_count.max(2).next_power_of_two();
         let slot_size = slot_size.div_ceil(8) * 8;
-        if Self::required_bytes(slot_count, slot_size) > len {
+        if Self::required_bytes(slot_count, slot_size) > window.len() {
             return Err(RingError::Corrupt);
         }
+        let (backing, base) = window.pinned();
         backing.write_u64(base + OFF_COUNT, slot_count);
         backing.write_u64(base + OFF_SLOT_SIZE, slot_size);
         backing.write_u64(base + OFF_HEAD, 0);
@@ -115,20 +95,11 @@ impl SharedRing {
         })
     }
 
-    /// Attach to a ring previously formatted at `range.start`.
-    pub fn attach(mem: &PhysMemory, addr: HostPhysAddr) -> Result<Self, RingError> {
-        let (backing, base) = mem
-            .resolve(addr, DATA_OFF as u64)
-            .map_err(|_| RingError::Corrupt)?;
-        // The data area may run to the end of the populated region.
-        let len = (backing.len() - base) as u64;
-        Self::attach_at(backing, base, len)
-    }
-
-    /// [`SharedRing::attach`] to a ring that must lie within the `len`
-    /// bytes at offset `base` of a backing the caller has already resolved.
-    pub fn attach_at(backing: Arc<Backing>, base: usize, len: u64) -> Result<Self, RingError> {
-        if len < DATA_OFF as u64 || backing.read_u64_acquire(base + OFF_MAGIC) != MAGIC {
+    /// Attach to a ring previously formatted at the start of `window`,
+    /// which it must lie within.
+    pub fn attach(window: &MemWindow) -> Result<Self, RingError> {
+        let (backing, base) = window.pinned();
+        if window.len() < DATA_OFF as u64 || backing.read_u64_acquire(base + OFF_MAGIC) != MAGIC {
             return Err(RingError::Corrupt);
         }
         let slot_count = backing.read_u64(base + OFF_COUNT);
@@ -141,7 +112,7 @@ impl SharedRing {
         let fits = slot_count
             .checked_mul(slot_size)
             .and_then(|data| data.checked_add(DATA_OFF as u64))
-            .is_some_and(|need| need <= len);
+            .is_some_and(|need| need <= window.len());
         if !fits {
             return Err(RingError::Corrupt);
         }
@@ -223,21 +194,25 @@ impl SharedRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use covirt_simhw::addr::PAGE_SIZE_4K;
+    use covirt_simhw::addr::{PhysRange, PAGE_SIZE_4K};
+    use covirt_simhw::memory::PhysMemory;
     use covirt_simhw::topology::ZoneId;
 
-    fn setup(slots: u64, size: u64) -> (Arc<PhysMemory>, PhysRange, SharedRing) {
-        let mem = Arc::new(PhysMemory::new(&[16 * 1024 * 1024]));
-        let range = mem
-            .alloc_backed(ZoneId(0), 64 * 1024, PAGE_SIZE_4K)
-            .unwrap();
-        let ring = SharedRing::create(&mem, range, slots, size).unwrap();
-        (mem, range, ring)
+    fn window(bytes: u64) -> MemWindow {
+        PhysMemory::new(&[16 * 1024 * 1024])
+            .alloc_window(ZoneId(0), bytes, PAGE_SIZE_4K)
+            .unwrap()
+    }
+
+    fn setup(slots: u64, size: u64) -> (MemWindow, SharedRing) {
+        let window = window(64 * 1024);
+        let ring = SharedRing::create(&window, slots, size).unwrap();
+        (window, ring)
     }
 
     #[test]
     fn push_pop_fifo() {
-        let (_m, _r, ring) = setup(8, 16);
+        let (_w, ring) = setup(8, 16);
         ring.push(b"alpha").unwrap();
         ring.push(b"beta").unwrap();
         assert_eq!(ring.len(), 2);
@@ -248,7 +223,7 @@ mod tests {
 
     #[test]
     fn fills_at_capacity() {
-        let (_m, _r, ring) = setup(4, 8);
+        let (_w, ring) = setup(4, 8);
         for i in 0..4u64 {
             ring.push(&i.to_le_bytes()).unwrap();
         }
@@ -259,15 +234,15 @@ mod tests {
 
     #[test]
     fn oversized_payload_rejected() {
-        let (_m, _r, ring) = setup(4, 8);
+        let (_w, ring) = setup(4, 8);
         assert_eq!(ring.push(&[0u8; 9]), Err(RingError::BadSize));
     }
 
     #[test]
     fn attach_sees_messages() {
-        let (mem, range, ring) = setup(8, 16);
+        let (window, ring) = setup(8, 16);
         ring.push(b"hello enclave").unwrap();
-        let other = SharedRing::attach(&mem, range.start).unwrap();
+        let other = SharedRing::attach(&window).unwrap();
         assert_eq!(other.capacity(), 8);
         let msg = other.pop().unwrap();
         assert_eq!(&msg[..13], b"hello enclave");
@@ -277,24 +252,38 @@ mod tests {
 
     #[test]
     fn attach_rejects_unformatted() {
-        let mem = Arc::new(PhysMemory::new(&[4 * 1024 * 1024]));
-        let range = mem.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         assert_eq!(
-            SharedRing::attach(&mem, range.start).err(),
+            SharedRing::attach(&window(4096)).err(),
+            Some(RingError::Corrupt)
+        );
+    }
+
+    /// The window is the ring's bound on both ends: a ring formatted into
+    /// a wide window does not attach through a narrower one.
+    #[test]
+    fn attach_rejects_a_window_the_ring_overruns() {
+        let (window, _ring) = setup(8, 16);
+        let need = SharedRing::required_bytes(8, 16);
+        let narrow = |len| window.sub(PhysRange::new(window.base(), len)).unwrap();
+        assert!(SharedRing::attach(&narrow(need)).is_ok());
+        assert_eq!(
+            SharedRing::attach(&narrow(need - 8)).err(),
+            Some(RingError::Corrupt)
+        );
+        assert_eq!(
+            SharedRing::attach(&narrow(8)).err(),
             Some(RingError::Corrupt)
         );
     }
 
     #[test]
     fn create_rejects_undersized_region() {
-        let mem = Arc::new(PhysMemory::new(&[4 * 1024 * 1024]));
-        let range = mem.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        assert!(SharedRing::create(&mem, range, 1024, 128).is_err());
+        assert!(SharedRing::create(&window(4096), 1024, 128).is_err());
     }
 
     #[test]
     fn cross_thread_stream() {
-        let (_m, _r, ring) = setup(16, 8);
+        let (_w, ring) = setup(16, 8);
         let producer = ring.clone();
         let t = std::thread::spawn(move || {
             for i in 0..1000u64 {

@@ -6,6 +6,36 @@
 //! rather than an in-process object graph, so the simulated software really
 //! does read its configuration out of enclave RAM.
 
+use covirt_simhw::addr::{HostPhysAddr, PhysRange};
+use covirt_simhw::memory::MemWindow;
+use covirt_simhw::HwError;
+
+/// Largest record [`read_record`] accepts; the length word is written by
+/// the other side.
+const MAX_RECORD: u64 = 1 << 20;
+
+/// Store `bytes` at `addr` behind a length word, so the record can be read
+/// back without out-of-band size knowledge. `window` must hold all of it.
+pub fn write_record(window: &MemWindow, addr: HostPhysAddr, bytes: &[u8]) -> Result<(), HwError> {
+    // Check the whole extent first: a record that does not fit writes
+    // nothing, not just its length.
+    let record = window.sub(PhysRange::new(addr, 8 + bytes.len() as u64))?;
+    record.write_u64(addr, bytes.len() as u64)?;
+    record.write_bytes(addr.add(8), bytes)
+}
+
+/// Read back what [`write_record`] stored at `addr`.
+pub fn read_record(window: &MemWindow, addr: HostPhysAddr) -> Result<Vec<u8>, WireError> {
+    let len = window.read_u64(addr).map_err(|_| WireError)?;
+    if len == 0 || len > MAX_RECORD {
+        return Err(WireError);
+    }
+    let mut buf = vec![0u8; len as usize];
+    let body = addr.checked_add(8).ok_or(WireError)?;
+    window.read_bytes(body, &mut buf).map_err(|_| WireError)?;
+    Ok(buf)
+}
+
 /// Append-only little-endian word writer.
 #[derive(Default)]
 pub struct WireWriter {

@@ -5,8 +5,9 @@
 //! (`zone i` starts at `i * ZONE_SPAN`). A [`PhysMemory`] hands out
 //! page-aligned [`PhysRange`]s from a first-fit free list per zone, and
 //! tracks which ranges are *populated* — i.e. have real host memory behind
-//! them (see [`crate::backing::Backing`]). Page walks, boot structures and
-//! workload data all resolve through [`PhysMemory::resolve`].
+//! them (see [`crate::backing::Backing`]). Page walks and workload data
+//! resolve through [`PhysMemory::resolve`]; a boot-time structure is reached
+//! through a [`MemWindow`] its owner resolved once.
 //!
 //! # Sharded lock-free resolution
 //!
@@ -339,6 +340,116 @@ pub struct ResolvedRegion {
     pub backing: Arc<Backing>,
     /// Zone generation the region was resolved under.
     pub generation: u64,
+}
+
+/// A resolved, bounds-checked view of one populated range: the backing it
+/// lives in, found once, plus the physical span the holder may touch.
+///
+/// Whoever sets up a structure in shared memory (boot parameters, a ring, a
+/// command queue) resolves its region into a window — [`PhysMemory::window`],
+/// or [`PhysMemory::alloc_window`] when it allocates the region itself —
+/// and hands [`MemWindow::sub`]-windows to the parts. Accesses take physical
+/// addresses, as the structures themselves store them, and one outside the
+/// window (or whose end wraps) is refused, never clamped.
+///
+/// A window pins its region's host memory like any resolve does; it says
+/// nothing about whether the range is still populated.
+#[derive(Clone)]
+pub struct MemWindow {
+    backing: Arc<Backing>,
+    /// Offset of `range.start` in `backing`.
+    off: usize,
+    range: PhysRange,
+}
+
+impl MemWindow {
+    /// The physical span the window covers.
+    pub fn range(&self) -> PhysRange {
+        self.range
+    }
+
+    /// First physical address of the window.
+    pub fn base(&self) -> HostPhysAddr {
+        self.range.start
+    }
+
+    /// Bytes the window covers.
+    pub fn len(&self) -> u64 {
+        self.range.len
+    }
+
+    /// True for a zero-length window.
+    pub fn is_empty(&self) -> bool {
+        self.range.len == 0
+    }
+
+    /// Offset in the backing of `addr .. addr + len`, if the window holds
+    /// all of it.
+    #[inline]
+    fn locate(&self, addr: HostPhysAddr, len: u64) -> HwResult<usize> {
+        let end = addr.raw().checked_add(len);
+        if addr.raw() < self.range.start.raw() || end.is_none_or(|e| e > self.range.end().raw()) {
+            return Err(HwError::UnbackedPhys(addr));
+        }
+        Ok(self.off + (addr.raw() - self.range.start.raw()) as usize)
+    }
+
+    #[inline]
+    fn locate_word(&self, addr: HostPhysAddr) -> HwResult<usize> {
+        if !addr.raw().is_multiple_of(8) {
+            return Err(HwError::Invalid("unaligned word access"));
+        }
+        self.locate(addr, 8)
+    }
+
+    /// Aligned 64-bit load.
+    pub fn read_u64(&self, addr: HostPhysAddr) -> HwResult<u64> {
+        Ok(self.backing.read_u64(self.locate_word(addr)?))
+    }
+
+    /// Aligned 64-bit store.
+    pub fn write_u64(&self, addr: HostPhysAddr, value: u64) -> HwResult<()> {
+        self.backing.write_u64(self.locate_word(addr)?, value);
+        Ok(())
+    }
+
+    /// Copy bytes out of the window.
+    pub fn read_bytes(&self, addr: HostPhysAddr, buf: &mut [u8]) -> HwResult<()> {
+        self.backing
+            .read_bytes(self.locate(addr, buf.len() as u64)?, buf);
+        Ok(())
+    }
+
+    /// Copy bytes into the window.
+    pub fn write_bytes(&self, addr: HostPhysAddr, buf: &[u8]) -> HwResult<()> {
+        self.backing
+            .write_bytes(self.locate(addr, buf.len() as u64)?, buf);
+        Ok(())
+    }
+
+    /// The window onto `range`, which this one must hold entirely.
+    pub fn sub(&self, range: PhysRange) -> HwResult<MemWindow> {
+        Ok(MemWindow {
+            off: self.locate(range.start, range.len)?,
+            backing: Arc::clone(&self.backing),
+            range,
+        })
+    }
+
+    /// The backing and the offset of the window's first byte in it — what
+    /// [`PhysMemory::resolve`] returns for [`MemWindow::range`]. For a
+    /// structure that has checked its layout against [`MemWindow::len`] and
+    /// then works on the shared words directly (ring cursors, completion
+    /// counters).
+    pub fn pinned(&self) -> (Arc<Backing>, usize) {
+        (Arc::clone(&self.backing), self.off)
+    }
+}
+
+impl std::fmt::Debug for MemWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MemWindow({:?})", self.range)
+    }
 }
 
 /// Retired snapshots parked per epoch slot until their grace period ends.
@@ -691,9 +802,14 @@ impl PhysMemory {
 
     /// Allocate and immediately populate a range.
     pub fn alloc_backed(&self, zone: ZoneId, len: u64, align: u64) -> HwResult<PhysRange> {
+        self.alloc_window(zone, len, align).map(|w| w.range())
+    }
+
+    /// [`PhysMemory::alloc_backed`] for a caller that goes on to fill the
+    /// range: the window comes from the allocation itself, with no search.
+    pub fn alloc_window(&self, zone: ZoneId, len: u64, align: u64) -> HwResult<MemWindow> {
         let range = self.alloc(zone, len, align)?;
-        self.populate(range)?;
-        Ok(range)
+        self.populate_window(range)
     }
 
     /// Run `f` against one zone's current snapshot inside a reader section.
@@ -793,6 +909,11 @@ impl PhysMemory {
 
     /// Attach real host memory to an allocated range so it can be accessed.
     pub fn populate(&self, range: PhysRange) -> HwResult<()> {
+        self.populate_window(range).map(drop)
+    }
+
+    /// Populate `range` and hand back the window onto its new backing.
+    fn populate_window(&self, range: PhysRange) -> HwResult<MemWindow> {
         let zone = self.range_zone(&range)?;
         self.mutate_zone(zone, |regions| {
             let idx = regions.partition_point(|p| p.range.start.raw() < range.start.raw());
@@ -806,8 +927,13 @@ impl PhysMemory {
                 ));
             }
             let backing = Arc::new(Backing::new(range.len as usize));
+            let window = MemWindow {
+                backing: Arc::clone(&backing),
+                off: 0,
+                range,
+            };
             regions.insert(idx, Populated { range, backing });
-            Ok(())
+            Ok(window)
         })
     }
 
@@ -906,6 +1032,42 @@ impl PhysMemory {
                 range: p.range,
                 backing: Arc::clone(&p.backing),
                 generation: s.generation,
+            })
+        })
+    }
+
+    /// Resolve a populated range into a [`MemWindow`]: one snapshot search,
+    /// after which every access to the range is a bounds check. Fails unless
+    /// one populated region holds all of `range`.
+    pub fn window(&self, range: PhysRange) -> HwResult<MemWindow> {
+        self.window_in(range.start, range.len, |_| range)
+    }
+
+    /// The window from `addr` to the end of the populated region holding
+    /// it — for a reader that is handed only the address of a structure
+    /// whose extent is written inside it (a kernel and its boot parameters).
+    pub fn window_from(&self, addr: HostPhysAddr) -> HwResult<MemWindow> {
+        self.window_in(addr, 1, |p| {
+            PhysRange::new(addr, p.range.end().raw() - addr.raw())
+        })
+    }
+
+    /// One search for `addr .. addr + len`, then the window `span` picks
+    /// inside the region found (it starts at `addr`).
+    fn window_in(
+        &self,
+        addr: HostPhysAddr,
+        len: u64,
+        span: impl FnOnce(&Populated) -> PhysRange,
+    ) -> HwResult<MemWindow> {
+        let zone = self.shard_index(addr)?;
+        self.with_zone_snapshot(zone, |s| {
+            let p = Self::resolve_in(&self.shards[zone], s, addr, len)?;
+            let (backing, off) = p.pin(addr);
+            Ok(MemWindow {
+                backing,
+                off,
+                range: span(p),
             })
         })
     }
@@ -1947,5 +2109,143 @@ mod tests {
         let s = m.zone_stats(ZoneId(0)).unwrap();
         assert!(s.retired_backlog_high_water <= 2);
         assert_eq!(s.snapshot_swaps, 400);
+    }
+
+    #[test]
+    fn windows_cost_one_search_or_none() {
+        let m = mem();
+        let searches = || m.zone_stats(ZoneId(0)).unwrap().resolve_misses;
+        let w = m.alloc_window(ZoneId(0), 3 * 4096, PAGE_SIZE_4K).unwrap();
+        assert_eq!(searches(), 0, "the allocation hands its window over");
+        w.write_u64(w.base().add(4096), 5).unwrap();
+        let inner = PhysRange::new(w.base().add(4096), 4096);
+        let sub = w.sub(inner).unwrap();
+        assert_eq!((sub.range(), sub.read_u64(inner.start)), (inner, Ok(5)));
+        assert_eq!(searches(), 0);
+        assert_eq!(m.window(inner).unwrap().read_u64(inner.start), Ok(5));
+        assert_eq!(searches(), 1);
+        // From an address alone: the rest of the region it lies in.
+        let rest = m.window_from(inner.start).unwrap();
+        assert_eq!(rest.range(), PhysRange::new(inner.start, 2 * 4096));
+        assert_eq!(searches(), 2);
+        // Nothing spans two regions, lies outside one, or wraps.
+        let next = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        assert_eq!(next.start, w.range().end());
+        for bad in [
+            PhysRange::new(inner.start, 3 * 4096),
+            PhysRange::new(next.end(), 8),
+            PhysRange::new(inner.start, u64::MAX),
+        ] {
+            assert!(m.window(bad).is_err(), "{bad:?}");
+        }
+        assert!(m.window_from(next.end()).is_err());
+        assert!(matches!(
+            w.read_u64(w.base().add(4)),
+            Err(HwError::Invalid(_))
+        ));
+    }
+
+    #[allow(clippy::needless_update)]
+    mod window_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Bytes of the region the windows are cut from.
+        const REGION: u64 = 2 * 4096;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+            /// A window, a sub-window of it and the memory they were cut
+            /// from are views of the same bytes: what one writes at an
+            /// address the others read there, an access the (sub-)window
+            /// does not hold entirely is refused and changes nothing, and
+            /// no length wraps an address into range. Ops are (view, kind,
+            /// offset from the region start — may fall either side of it —,
+            /// length, value).
+            #[test]
+            fn window_access_agrees_with_physmemory_and_stops_at_its_bounds(
+                cut in (0u64..REGION / 8, 0u64..REGION / 8 + 2),
+                ops in proptest::collection::vec(
+                    (0u8..3, 0u8..4, -64i64..(REGION as i64 + 64), 0usize..48, any::<u64>()),
+                    1..80,
+                ),
+            ) {
+                let m = mem();
+                // Neighbours on both sides: an overrun would land in
+                // populated memory, not fault.
+                let _below = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+                let whole = m.alloc_window(ZoneId(0), REGION, PAGE_SIZE_4K).unwrap();
+                let _above = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+                let base = whole.base().raw();
+
+                let cut = PhysRange::new(HostPhysAddr::new(base + cut.0 * 8), cut.1 * 8);
+                let inner = whole.sub(cut);
+                prop_assert_eq!(inner.is_ok(), cut.end().raw() <= base + REGION, "{:?}", cut);
+                let views = [Some(whole.clone()), inner.ok(), m.window(whole.range()).ok()];
+
+                let mut model = vec![0u8; REGION as usize];
+                for (view, kind, off, len, value) in ops {
+                    let Some(w) = &views[view as usize] else { continue };
+                    let addr = HostPhysAddr::new(base.wrapping_add_signed(off));
+                    let word = HostPhysAddr::new(addr.raw() & !7);
+                    let held = |a: HostPhysAddr, n: u64| {
+                        a.raw() >= w.base().raw() && a.raw() + n <= w.range().end().raw()
+                    };
+                    let at = |a: HostPhysAddr| (a.raw() - base) as usize;
+                    match kind {
+                        0 => {
+                            let wrote = w.write_u64(word, value);
+                            prop_assert_eq!(wrote.is_ok(), held(word, 8), "{:?} in {:?}", word, w);
+                            if wrote.is_ok() {
+                                model[at(word)..][..8].copy_from_slice(&value.to_le_bytes());
+                                prop_assert_eq!(m.read_u64(word), Ok(value));
+                            }
+                        }
+                        1 => {
+                            let got = w.read_u64(word);
+                            prop_assert_eq!(got.is_ok(), held(word, 8), "{:?} in {:?}", word, w);
+                            if let Ok(got) = got {
+                                prop_assert_eq!(Ok(got), m.read_u64(word));
+                                prop_assert_eq!(got.to_le_bytes(), model[at(word)..][..8]);
+                            }
+                        }
+                        2 => {
+                            let bytes: Vec<u8> =
+                                (0..len).map(|i| (value >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                            let wrote = w.write_bytes(addr, &bytes);
+                            prop_assert_eq!(wrote.is_ok(), held(addr, len as u64));
+                            if wrote.is_ok() {
+                                model[at(addr)..][..len].copy_from_slice(&bytes);
+                            }
+                        }
+                        _ => {
+                            let mut got = vec![0xa5u8; len];
+                            let read = w.read_bytes(addr, &mut got);
+                            prop_assert_eq!(read.is_ok(), held(addr, len as u64));
+                            if read.is_ok() {
+                                prop_assert_eq!(&got[..], &model[at(addr)..][..len]);
+                            }
+                        }
+                    }
+                }
+                // Refused accesses wrote nothing, here or next door.
+                let mut bytes = vec![0u8; REGION as usize];
+                m.read_bytes(whole.base(), &mut bytes).unwrap();
+                prop_assert!(bytes == model, "the region is not what the accepted writes made it");
+                for r in [_below, _above] {
+                    let mut bytes = vec![0u8; 4096];
+                    m.read_bytes(r.start, &mut bytes).unwrap();
+                    prop_assert!(bytes.iter().all(|&b| b == 0), "{:?} was written", r);
+                }
+                // An end that wraps is out of range, not a small number.
+                for w in views.iter().flatten() {
+                    let top = HostPhysAddr::new(u64::MAX - 7);
+                    prop_assert!(w.read_u64(top).is_err());
+                    prop_assert!(w.write_bytes(top, &[0; 16]).is_err());
+                    prop_assert!(w.sub(PhysRange::new(w.base(), u64::MAX)).is_err());
+                    prop_assert!(w.sub(PhysRange::new(top, 16)).is_err());
+                }
+            }
+        }
     }
 }

@@ -103,11 +103,10 @@ proptest! {
     #[test]
     fn ring_fifo_property(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
         use covirt_suite::pisces::ring::{RingError, SharedRing};
-        let mem = Arc::new(PhysMemory::new(&[8 * 1024 * 1024]));
-        let region = mem
-            .alloc_backed(covirt_suite::simhw::topology::ZoneId(0), 16 * 1024, PAGE_SIZE_4K)
+        let region = PhysMemory::new(&[8 * 1024 * 1024])
+            .alloc_window(covirt_suite::simhw::topology::ZoneId(0), 16 * 1024, PAGE_SIZE_4K)
             .unwrap();
-        let ring = SharedRing::create(&mem, region, 8, 16).unwrap();
+        let ring = SharedRing::create(&region, 8, 16).unwrap();
         let mut model = std::collections::VecDeque::new();
         let mut next = 0u64;
         for push in ops {
@@ -161,11 +160,10 @@ proptest! {
     #[test]
     fn cmdqueue_roundtrip(gvas in proptest::collection::vec(any::<u64>(), 1..16)) {
         use covirt_suite::covirt::cmdqueue::{CmdQueue, Command};
-        let mem = Arc::new(PhysMemory::new(&[8 * 1024 * 1024]));
-        let region = mem
-            .alloc_backed(covirt_suite::simhw::topology::ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
+        let region = PhysMemory::new(&[8 * 1024 * 1024])
+            .alloc_window(covirt_suite::simhw::topology::ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
             .unwrap();
-        let q = CmdQueue::create(&mem, region).unwrap();
+        let q = CmdQueue::create(&region).unwrap();
         let mut seqs = Vec::new();
         for &gva in &gvas {
             seqs.push(q.post(Command::TlbFlushPage { gva }).unwrap());
