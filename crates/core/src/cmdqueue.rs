@@ -14,12 +14,13 @@
 //! which is how memory-unmap ordering ("reclamation only occurs after the
 //! resources have been fully unmapped") is enforced.
 
-use covirt_simhw::addr::{HostPhysAddr, PhysRange};
+use covirt_simhw::addr::PhysRange;
 use covirt_simhw::memory::MemWindow;
 use covirt_trace::{EventKind, Tracer};
 use pisces::ring::{RingError, SharedRing};
 use pisces::wire::{WireReader, WireWriter};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Fixed command slot size (seq + post-TSC + op + up to two operands).
 pub const CMD_SLOT: u64 = 40;
@@ -171,7 +172,6 @@ impl std::error::Error for FlushTimeout {}
 /// controller and hypervisor each hold a handle onto the same region.
 #[derive(Clone)]
 pub struct CmdQueue {
-    base: HostPhysAddr,
     ring: SharedRing,
     /// Resolved backing + offset of the completion counter, cached at
     /// construction: `completed()` sits in every completion-wait spin and
@@ -232,7 +232,6 @@ impl CmdQueue {
     fn over(window: &MemWindow, ring: SharedRing) -> Self {
         let (backing, off) = window.pinned();
         CmdQueue {
-            base: window.base(),
             ring,
             completion: (Arc::clone(&backing), off + OFF_COMPLETION as usize),
             next_seq: (backing, off + OFF_NEXT_SEQ as usize),
@@ -253,26 +252,19 @@ impl CmdQueue {
         self
     }
 
-    /// The core this queue serves.
-    pub fn core(&self) -> u64 {
-        self.core
-    }
-
-    /// The queue's base address (recorded in the Covirt boot parameters).
-    pub fn base(&self) -> HostPhysAddr {
-        self.base
-    }
-
-    fn alloc_seq(&self) -> Result<u64, RingError> {
+    /// Push `cmd` under the next sequence number, which is returned.
+    fn push(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
         // Sequence numbers live in shared memory so any controller thread
         // allocates them consistently.
         let (backing, off) = &self.next_seq;
-        loop {
+        let seq = loop {
             let cur = backing.read_u64_acquire(*off);
             if backing.cas_u64(*off, cur, cur + 1).is_ok() {
-                return Ok(cur);
+                break cur;
             }
-        }
+        };
+        self.ring.push(&SeqCommand { seq, tsc, cmd }.encode())?;
+        Ok(seq)
     }
 
     /// Controller: post a command, returning its sequence number. The
@@ -290,11 +282,9 @@ impl CmdQueue {
     /// completing hypervisor uses to report post→complete latency. A zero
     /// stamp disables the measurement for that command.
     pub fn post_at(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
-        let seq = self.alloc_seq()?;
-        let out = match self.ring.push(&SeqCommand { seq, tsc, cmd }.encode()) {
-            Ok(()) => Ok(seq),
+        let out = match self.push(cmd, tsc) {
             Err(RingError::Full) => self.post_coalescing(cmd, tsc),
-            Err(e) => Err(e),
+            out => out,
         };
         if let (Ok(seq), Some(t)) = (&out, &self.tracer) {
             t.emit(EventKind::CmdPost, *seq, self.core);
@@ -314,48 +304,19 @@ impl CmdQueue {
     /// a command observed by both sides executes twice, and every command
     /// in the protocol is idempotent.
     fn post_coalescing(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
-        let mut kept = Vec::new();
-        let mut flushes = 0u64;
-        while let Ok(buf) = self.ring.pop() {
-            if let Some(c) = SeqCommand::decode(&buf) {
-                if c.cmd.is_flush() {
-                    flushes += 1;
-                } else {
-                    kept.push(c);
-                }
-            }
-        }
+        let drained = self.drain().into_iter();
+        let (flushes, kept): (Vec<_>, Vec<_>) = drained.partition(|c| c.cmd.is_flush());
         for c in &kept {
             self.ring.push(&c.encode())?;
         }
         if cmd.is_flush() {
             // The merged flush covers the drained flushes *and* `cmd`.
-            let seq = self.alloc_seq()?;
-            self.ring.push(
-                &SeqCommand {
-                    seq,
-                    tsc,
-                    cmd: Command::TlbFlushAll,
-                }
-                .encode(),
-            )?;
-            Ok(seq)
-        } else {
-            if flushes > 0 {
-                let seq = self.alloc_seq()?;
-                self.ring.push(
-                    &SeqCommand {
-                        seq,
-                        tsc: 0,
-                        cmd: Command::TlbFlushAll,
-                    }
-                    .encode(),
-                )?;
-            }
-            let seq = self.alloc_seq()?;
-            self.ring.push(&SeqCommand { seq, tsc, cmd }.encode())?;
-            Ok(seq)
+            return self.push(Command::TlbFlushAll, tsc);
         }
+        if !flushes.is_empty() {
+            self.push(Command::TlbFlushAll, 0)?;
+        }
+        self.push(cmd, tsc)
     }
 
     /// Hypervisor: drain all pending commands.
@@ -389,50 +350,48 @@ impl CmdQueue {
         backing.read_u64_acquire(*off)
     }
 
-    /// Controller: wait until `seq` completes or `spins` polls elapse.
+    /// Controller: wait until `seq` completes or `spins` polls elapse — the
+    /// one completion wait.
     ///
     /// The wait escalates: the first polls busy-spin (the common case — a
-    /// core in its NMI handler acknowledges within nanoseconds), then yield
+    /// core at a safe point acknowledges within nanoseconds), then yield
     /// the CPU, then back off with short sleeps so a slow core never costs
-    /// the controller a saturated CPU. On timeout the error names the stuck
-    /// core and how far it got.
-    pub fn wait(&self, seq: u64, spins: u64) -> Result<(), FlushTimeout> {
+    /// the controller a saturated CPU. `escalate` is the caller's bounded
+    /// fallback, `(bound, kick)`: if the wait is still open `bound` after it
+    /// began, `kick` runs — once, never earlier — and the wait goes on. On
+    /// timeout the error names the stuck core and how far it got.
+    pub fn wait(
+        &self,
+        seq: u64,
+        spins: u64,
+        mut escalate: Option<(Duration, &dyn Fn())>,
+    ) -> Result<(), FlushTimeout> {
         const SPIN_POLLS: u64 = 128;
         const YIELD_POLLS: u64 = 4096;
-        let t0 = self
-            .tracer
-            .as_ref()
-            .filter(|t| t.enabled())
-            .map(|_| std::time::Instant::now());
-        for i in 0..spins {
+        let t0 = Instant::now();
+        for i in 0..=spins {
             if self.completed() >= seq {
-                self.trace_wait(seq, t0);
+                if let Some(t) = self.tracer.as_ref().filter(|t| t.enabled()) {
+                    t.emit(EventKind::CmdWait, seq, t0.elapsed().as_nanos() as u64);
+                }
                 return Ok(());
+            }
+            if let Some((_, kick)) = escalate.take_if(|(bound, _)| t0.elapsed() >= *bound) {
+                kick();
             }
             if i < SPIN_POLLS {
                 std::hint::spin_loop();
             } else if i < YIELD_POLLS {
                 std::thread::yield_now();
             } else {
-                std::thread::sleep(std::time::Duration::from_micros(20));
+                std::thread::sleep(Duration::from_micros(20));
             }
         }
-        if self.completed() >= seq {
-            self.trace_wait(seq, t0);
-            Ok(())
-        } else {
-            Err(FlushTimeout {
-                core: self.core,
-                seq,
-                completed: self.completed(),
-            })
-        }
-    }
-
-    fn trace_wait(&self, seq: u64, t0: Option<std::time::Instant>) {
-        if let (Some(t), Some(t0)) = (&self.tracer, t0) {
-            t.emit(EventKind::CmdWait, seq, t0.elapsed().as_nanos() as u64);
-        }
+        Err(FlushTimeout {
+            core: self.core,
+            seq,
+            completed: self.completed(),
+        })
     }
 
     /// Pending (unconsumed) command count.
@@ -490,11 +449,11 @@ mod tests {
         let s1 = q.post(Command::Sync).unwrap();
         let s2 = q.post(Command::TlbFlushAll).unwrap();
         assert!(s2 > s1);
-        assert!(q.wait(s1, 1).is_err());
+        assert!(q.wait(s1, 1, None).is_err());
         for c in q.drain() {
             q.complete(c.seq);
         }
-        assert!(q.wait(s2, 1).is_ok());
+        assert!(q.wait(s2, 1, None).is_ok());
         assert_eq!(q.completed(), s2);
     }
 
@@ -503,7 +462,7 @@ mod tests {
         let (_w, q) = queue();
         let q = q.with_core(7);
         let s = q.post(Command::Sync).unwrap();
-        let err = q.wait(s, 1).unwrap_err();
+        let err = q.wait(s, 1, None).unwrap_err();
         assert_eq!(err.core, 7);
         assert_eq!(err.seq, s);
         assert_eq!(err.completed, 0);
@@ -531,7 +490,7 @@ mod tests {
         // Completing the merged command releases every earlier waiter.
         q.complete(merged);
         for s in seqs {
-            assert!(q.wait(s, 1).is_ok());
+            assert!(q.wait(s, 1, None).is_ok());
         }
     }
 
@@ -571,7 +530,7 @@ mod tests {
         let drained = other.drain();
         assert_eq!(drained.len(), 1);
         other.complete(drained[0].seq);
-        assert!(q.wait(drained[0].seq, 1).is_ok());
+        assert!(q.wait(drained[0].seq, 1, None).is_ok());
     }
 
     #[test]

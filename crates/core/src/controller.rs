@@ -18,7 +18,7 @@
 //! * XEMEM attach/detach → same as grant/reclaim, via the Hobbes hooks.
 
 use crate::boot::{cmdq_addr, CovirtBootParams, COVIRT_BOOT_MAGIC, COVIRT_PARAMS_OFFSET};
-use crate::cmdqueue::{CmdQueue, Command, FlushTimeout};
+use crate::cmdqueue::{CmdQueue, Command};
 use crate::config::CovirtConfig;
 use crate::fault::{FaultLog, FaultReport};
 use crate::vctx::{VirtContext, CMD_DOORBELL_VECTOR};
@@ -29,6 +29,7 @@ use covirt_simhw::error::HwResult;
 use covirt_simhw::interconnect::{DeliveryMode, IpiDest};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::paging::FramePool;
+use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::topology::ZoneId;
 use covirt_trace::{EventKind, Phase, Tracer};
 use hobbes::events::HobbesHooks;
@@ -42,6 +43,7 @@ use pisces::{PiscesError, PiscesResult};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 /// Bytes of host memory the node reserves, once, for the EPT table frames
 /// of every enclave it will ever host. An enclave's EPT takes a handful of
@@ -96,9 +98,6 @@ pub struct CovirtController {
     master: RwLock<Option<Weak<MasterControl>>>,
     /// Record of every contained fault.
     pub faults: FaultLog,
-    /// Ranges unmapped inside an open reclaim epoch, awaiting the single
-    /// coalesced shootdown at epoch close (keyed by enclave).
-    pending_reclaims: Mutex<HashMap<u64, Vec<PhysRange>>>,
     /// Broadcast shootdowns issued (instrumentation).
     shootdowns: AtomicU64,
     /// How commands are signalled to cores (doorbell-first by default).
@@ -129,7 +128,6 @@ impl CovirtController {
             contexts: RwLock::new(HashMap::new()),
             master: RwLock::new(None),
             faults: FaultLog::new(),
-            pending_reclaims: Mutex::new(HashMap::new()),
             shootdowns: AtomicU64::new(0),
             delivery: RwLock::new(CmdDelivery::DoorbellFirst),
             escalation_bound_ns: RwLock::new(DEFAULT_ESCALATION_BOUND_NS),
@@ -199,35 +197,42 @@ impl CovirtController {
         self.nmi_escalations.load(Ordering::Relaxed)
     }
 
-    /// Signal `core` that its command queue has pending work for `seq`.
+    /// Post `cmds` to `core`'s queue, then signal the core — the first half
+    /// of a command round trip. Returns the last command's sequence number.
     ///
     /// Doorbell-first: post the doorbell vector into the core's descriptor
     /// and send the physical notification IPI only when `post()` reports
-    /// none outstanding. NMI-only (or a missing descriptor): the legacy
-    /// unconditional NMI kick.
-    fn signal_core(&self, vctx: &VirtContext, core: usize, seq: u64) -> Result<(), String> {
-        if self.delivery() == CmdDelivery::DoorbellFirst {
-            if let Some(desc) = vctx.cmd_doorbell(core) {
-                let notify = desc.post(CMD_DOORBELL_VECTOR);
-                self.tracer
-                    .emit_for(vctx.enclave_id, EventKind::CmdDoorbell, seq, core as u64);
-                if notify {
-                    self.node
-                        .interconnect
-                        .send(
-                            0,
-                            IpiDest::Core(core),
-                            DeliveryMode::Fixed(CMD_DOORBELL_VECTOR),
-                        )
-                        .map_err(|e| e.to_string())?;
-                }
-                return Ok(());
-            }
+    /// none outstanding. NMI-only: the legacy unconditional NMI kick.
+    fn post_and_signal(
+        &self,
+        enclave: u64,
+        core: usize,
+        q: &CmdQueue,
+        doorbell: &PostedIntDescriptor,
+        cmds: &[Command],
+    ) -> CovirtResult<u64> {
+        let stamp = if self.tracer.enabled() {
+            self.node.clock.rdtsc()
+        } else {
+            0
+        };
+        let mut seq = 0;
+        for cmd in cmds {
+            seq = q.post_at(*cmd, stamp)?;
         }
-        self.node
-            .interconnect
-            .send(0, IpiDest::Core(core), DeliveryMode::Nmi)
-            .map_err(|e| e.to_string())
+        let signal = match self.delivery() {
+            CmdDelivery::DoorbellFirst => {
+                let notify = doorbell.post(CMD_DOORBELL_VECTOR);
+                self.tracer
+                    .emit_for(enclave, EventKind::CmdDoorbell, seq, core as u64);
+                notify.then_some(DeliveryMode::Fixed(CMD_DOORBELL_VECTOR))
+            }
+            CmdDelivery::NmiOnly => Some(DeliveryMode::Nmi),
+        };
+        if let Some(mode) = signal {
+            self.node.interconnect.send(0, IpiDest::Core(core), mode)?;
+        }
+        Ok(seq)
     }
 
     /// Post a single `Sync` command to `core` under the configured
@@ -238,56 +243,55 @@ impl CovirtController {
     /// per-command delivery latency (post → signal → drain → complete)
     /// with the guest polled from the same thread, excluding scheduler
     /// noise the blocking barrier wait would add.
-    pub fn post_sync(&self, vctx: &VirtContext, core: usize) -> Result<u64, String> {
-        let q = vctx
-            .cmdq(core)
-            .ok_or_else(|| format!("core {core} has no command queue"))?;
-        let stamp = if self.tracer.enabled() {
-            self.node.clock.rdtsc()
-        } else {
-            0
-        };
-        let seq = q.post_at(Command::Sync, stamp).map_err(|e| e.to_string())?;
-        self.signal_core(vctx, core, seq)?;
-        Ok(seq)
+    pub fn post_sync(&self, vctx: &VirtContext, core: usize) -> CovirtResult<u64> {
+        let slot = vctx.cmdq(core).zip(vctx.cmd_doorbell(core));
+        let (q, doorbell) = slot.ok_or(CovirtError::Invalid("core has no command queue"))?;
+        self.post_and_signal(vctx.enclave_id, core, q, doorbell, &[Command::Sync])
     }
 
-    /// Wait for `seq` to complete on `core`'s queue. Under doorbell-first
-    /// delivery, a core that fails to acknowledge within the escalation
-    /// bound is kicked with the legacy NMI (and the escalation counted)
-    /// before the full-budget wait resumes — so a core parked outside any
-    /// harvest safe point still converges.
-    fn await_completion(&self, q: &CmdQueue, core: usize, seq: u64) -> Result<(), FlushTimeout> {
-        if self.delivery() == CmdDelivery::DoorbellFirst {
-            const SPIN_POLLS: u64 = 128;
-            let bound = self.escalation_bound_ns();
-            let t0 = self.node.clock.rdtsc();
-            let mut i = 0u64;
-            while q.completed() < seq {
-                let waited = self
-                    .node
-                    .clock
-                    .cycles_to_ns(self.node.clock.rdtsc().saturating_sub(t0));
-                if waited >= bound {
-                    // The doorbell went unanswered: demote to the legacy
-                    // NMI kick (the interconnect emits NmiKick for the
-                    // audit trail) and fall through to the normal wait.
-                    self.nmi_escalations.fetch_add(1, Ordering::Relaxed);
-                    let _ = self
-                        .node
-                        .interconnect
-                        .send(0, IpiDest::Core(core), DeliveryMode::Nmi);
-                    break;
-                }
-                if i < SPIN_POLLS {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-                i += 1;
-            }
+    /// One command round trip: post `cmds` to *every* live core and signal
+    /// them all (doorbell posts, or NMIs in the legacy mode) before waiting
+    /// on anything, so the per-core work executes concurrently; then
+    /// collect the completions in a single pass. Total latency is therefore
+    /// max(per-core) + one signal delivery, not the sum over cores.
+    ///
+    /// Under doorbell-first delivery a core that has not acknowledged
+    /// within the escalation bound is kicked with the legacy NMI once (and
+    /// the escalation counted), so a core parked outside any harvest safe
+    /// point still converges. A core that never does is named in the error.
+    fn round_trip(&self, vctx: &VirtContext, cmds: &[Command]) -> CovirtResult<()> {
+        let mut waits = Vec::new();
+        for (core, q, doorbell) in vctx.live_slots() {
+            let seq = self.post_and_signal(vctx.enclave_id, core, q, doorbell, cmds)?;
+            waits.push((core, q, seq));
         }
-        q.wait(seq, COMPLETION_WAIT_POLLS)
+
+        // The wait is control-plane time forced by *this* enclave, so
+        // covirt-prof attributes it to the enclave on the overlay (the
+        // calling thread has no per-core timeline to conserve against).
+        let prof = self.node.recorder().profiler();
+        let w0 = prof.enabled().then(|| self.node.clock.rdtsc());
+        let doorbell_first = self.delivery() == CmdDelivery::DoorbellFirst;
+        let bound = Duration::from_nanos(self.escalation_bound_ns());
+        for (core, q, seq) in waits {
+            // The doorbell went unanswered: demote to the legacy NMI kick
+            // (the interconnect emits NmiKick for the audit trail).
+            let kick = || {
+                self.nmi_escalations.fetch_add(1, Ordering::Relaxed);
+                let nmi = DeliveryMode::Nmi;
+                let _ = self.node.interconnect.send(0, IpiDest::Core(core), nmi);
+            };
+            let escalate = doorbell_first.then_some((bound, &kick as &dyn Fn()));
+            q.wait(seq, COMPLETION_WAIT_POLLS, escalate)?;
+        }
+        if let Some(w0) = w0 {
+            prof.attribute(
+                vctx.enclave_id,
+                Phase::ShootdownWait,
+                self.node.clock.rdtsc().saturating_sub(w0),
+            );
+        }
+        Ok(())
     }
 
     /// The node's EPT frame pool, reserved on first use.
@@ -393,41 +397,38 @@ impl CovirtController {
     /// reclaim epoch is open for the enclave, deferred: the range joins
     /// the epoch's pending set and a single coalesced shootdown covers
     /// every range when the epoch closes.
-    fn unmap_and_flush(&self, enclave: u64, range: PhysRange) -> Result<(), String> {
-        let Some(vctx) = self.contexts.read().get(&enclave).cloned() else {
+    fn unmap_and_flush(&self, enclave: u64, range: PhysRange) -> CovirtResult<()> {
+        let Ok(vctx) = self.context(enclave) else {
             return Ok(()); // not a Covirt-managed enclave
         };
-        let Some(ept) = vctx.ept.as_ref() else {
-            return Ok(()); // memory protection off — nothing to unmap
-        };
-        ept.unmap(range).map_err(|e| e.to_string())?;
-        self.tracer
-            .emit_for(enclave, EventKind::Reclaim, range.start.raw(), range.len);
-
-        {
-            let mut pending = self.pending_reclaims.lock();
-            if let Some(ranges) = pending.get_mut(&enclave) {
-                ranges.push(range);
-                return Ok(()); // epoch open — shootdown deferred to close
+        // Without memory protection there is nothing to unmap.
+        if let Some(ept) = vctx.ept.as_ref() {
+            ept.unmap(range)?;
+            self.tracer
+                .emit_for(enclave, EventKind::Reclaim, range.start.raw(), range.len);
+            // An open epoch defers the shootdown to its close.
+            let mut epoch = vctx.reclaim_epoch.lock();
+            let deferred = epoch.as_mut().map(|ranges| ranges.push(range));
+            drop(epoch); // not held across the shootdown's wait
+            if deferred.is_none() {
+                self.broadcast_shootdown(&vctx, &[range])?;
             }
         }
-        self.broadcast_shootdown(&vctx, &[range])
+        // Only now that the EPT unmap (and shootdown, unless deferred to
+        // the reclaim epoch) is in place: invalidate the enclave's region
+        // caches. Refills of the removed range fault on the EPT instead of
+        // resolving, so the bump races nothing.
+        vctx.region_view.bump();
+        Ok(())
     }
 
-    /// Two-phase broadcast TLB shootdown.
-    ///
-    /// Phase 1 posts flush commands to *every* live core and signals them
-    /// all (doorbell posts, or NMIs in the legacy mode) before waiting on
-    /// anything, so the per-core flushes execute concurrently; phase 2
-    /// collects the completions in a single pass. Total latency is
-    /// therefore max(per-core flush) + one signal delivery, not the sum
-    /// over cores the old post-wait-per-core loop paid.
+    /// Broadcast TLB shootdown: one [`Self::round_trip`] of flush commands.
     ///
     /// Command selection: if every range fits under the range-flush
     /// threshold (and there are few enough to leave ring headroom), each
     /// core gets per-range `TlbFlushRange` commands and keeps its
     /// unrelated TLB entries; otherwise a single `TlbFlushAll`.
-    fn broadcast_shootdown(&self, vctx: &VirtContext, ranges: &[PhysRange]) -> Result<(), String> {
+    fn broadcast_shootdown(&self, vctx: &VirtContext, ranges: &[PhysRange]) -> CovirtResult<()> {
         if ranges.is_empty() {
             return Ok(());
         }
@@ -435,6 +436,16 @@ impl CovirtController {
             && ranges
                 .iter()
                 .all(|r| r.len <= DEFAULT_RANGE_FLUSH_THRESHOLD);
+        // The LWK identity-maps its assignment, so the guest-virtual
+        // address of a reclaimed frame is its guest-physical address.
+        let flush = |r: &PhysRange| Command::TlbFlushRange {
+            gva: r.start.raw(),
+            len: r.len,
+        };
+        let cmds: Vec<Command> = match use_ranges {
+            true => ranges.iter().map(flush).collect(),
+            false => vec![Command::TlbFlushAll],
+        };
         let traced = self.tracer.enabled();
         let t0 = if traced { self.node.clock.rdtsc() } else { 0 };
         if traced {
@@ -446,55 +457,7 @@ impl CovirtController {
                 use_ranges as u64,
             );
         }
-
-        // Phase 1: post commands + fire NMIs to all live cores.
-        let mut waits = Vec::new();
-        for core in vctx.live_cores() {
-            if let Some(q) = vctx.cmdq(core) {
-                let stamp = if traced { self.node.clock.rdtsc() } else { 0 };
-                let seq = if use_ranges {
-                    let mut last = 0;
-                    for r in ranges {
-                        // The LWK identity-maps its assignment, so the
-                        // guest-virtual address of a reclaimed frame is its
-                        // guest-physical address.
-                        last = q
-                            .post_at(
-                                Command::TlbFlushRange {
-                                    gva: r.start.raw(),
-                                    len: r.len,
-                                },
-                                stamp,
-                            )
-                            .map_err(|e| e.to_string())?;
-                    }
-                    last
-                } else {
-                    q.post_at(Command::TlbFlushAll, stamp)
-                        .map_err(|e| e.to_string())?
-                };
-                self.signal_core(vctx, core, seq)?;
-                waits.push((q.clone(), core, seq));
-            }
-        }
-
-        // Phase 2: wait on all completions in one pass. The wait is
-        // control-plane time forced by *this* enclave's reclaim, so
-        // covirt-prof attributes it to the enclave on the overlay (the
-        // calling thread has no per-core timeline to conserve against).
-        let prof = self.node.recorder().profiler();
-        let w0 = prof.enabled().then(|| self.node.clock.rdtsc());
-        for (q, core, seq) in waits {
-            self.await_completion(&q, core, seq)
-                .map_err(|e| format!("TLB shootdown failed: {e}"))?;
-        }
-        if let Some(w0) = w0 {
-            prof.attribute(
-                vctx.enclave_id,
-                Phase::ShootdownWait,
-                self.node.clock.rdtsc().saturating_sub(w0),
-            );
-        }
+        self.round_trip(vctx, &cmds)?;
         self.shootdowns.fetch_add(1, Ordering::Relaxed);
         if traced {
             let rtt = self
@@ -510,7 +473,8 @@ impl CovirtController {
     /// Open a reclaim epoch for an enclave: until [`end_reclaim_epoch`]
     /// runs, every reclaim unmaps its range immediately but defers TLB
     /// synchronization, and the close issues one coalesced shootdown for
-    /// all of them.
+    /// all of them. The epoch is part of the enclave's context: an unknown
+    /// enclave opens nothing, and a teardown takes an open epoch with it.
     ///
     /// Safety contract: while the epoch is open, reclaimed ranges are
     /// unmapped but may still sit in live TLBs — the caller must not
@@ -519,7 +483,9 @@ impl CovirtController {
     ///
     /// [`end_reclaim_epoch`]: Self::end_reclaim_epoch
     pub fn begin_reclaim_epoch(&self, enclave: u64) {
-        self.pending_reclaims.lock().entry(enclave).or_default();
+        if let Ok(vctx) = self.context(enclave) {
+            vctx.reclaim_epoch.lock().get_or_insert_with(Vec::new);
+        }
     }
 
     /// Close a reclaim epoch: one broadcast shootdown covering every range
@@ -527,69 +493,59 @@ impl CovirtController {
     /// cores acknowledge; only then may the frames be reused.
     ///
     /// [`begin_reclaim_epoch`]: Self::begin_reclaim_epoch
-    pub fn end_reclaim_epoch(&self, enclave: u64) -> Result<(), String> {
-        let Some(ranges) = self.pending_reclaims.lock().remove(&enclave) else {
-            return Ok(()); // no epoch was open
-        };
-        let Some(vctx) = self.contexts.read().get(&enclave).cloned() else {
+    pub fn end_reclaim_epoch(&self, enclave: u64) -> CovirtResult<()> {
+        let Ok(vctx) = self.context(enclave) else {
             return Ok(());
+        };
+        let Some(ranges) = vctx.reclaim_epoch.lock().take() else {
+            return Ok(()); // no epoch was open
         };
         self.broadcast_shootdown(&vctx, &ranges)
     }
 
-    /// Run one broadcast round-trip (post a `Sync` to every live core,
-    /// signal it, wait for all acks) without touching any state. This is the
-    /// pure synchronization cost of a shootdown — benchmarks use it to
-    /// measure how latency scales with core count.
-    pub fn shootdown_barrier(&self, enclave: u64) -> Result<(), String> {
-        let Some(vctx) = self.contexts.read().get(&enclave).cloned() else {
-            return Ok(());
-        };
-        let mut waits = Vec::new();
-        for core in vctx.live_cores() {
-            if let Some(q) = vctx.cmdq(core) {
-                let stamp = if self.tracer.enabled() {
-                    self.node.clock.rdtsc()
-                } else {
-                    0
-                };
-                let seq = q.post_at(Command::Sync, stamp).map_err(|e| e.to_string())?;
-                self.signal_core(&vctx, core, seq)?;
-                waits.push((q.clone(), core, seq));
-            }
+    /// Run one command round trip of `Sync` commands (post to every live
+    /// core, signal it, wait for all acks) without touching any state. This
+    /// is the pure synchronization cost of a shootdown — benchmarks use it
+    /// to measure how latency scales with core count.
+    pub fn shootdown_barrier(&self, enclave: u64) -> CovirtResult<()> {
+        match self.context(enclave) {
+            Ok(vctx) => self.round_trip(&vctx, &[Command::Sync]),
+            Err(_) => Ok(()),
         }
-        let prof = self.node.recorder().profiler();
-        let w0 = prof.enabled().then(|| self.node.clock.rdtsc());
-        for (q, core, seq) in waits {
-            self.await_completion(&q, core, seq)
-                .map_err(|e| format!("shootdown barrier failed: {e}"))?;
-        }
-        if let Some(w0) = w0 {
-            prof.attribute(
-                enclave,
-                Phase::ShootdownWait,
-                self.node.clock.rdtsc().saturating_sub(w0),
-            );
-        }
-        Ok(())
     }
 
     /// Fault containment entry point, called by the execution environment
     /// when a hypervisor instance terminates its enclave: record the
     /// report and tell the master control process, which reclaims the
-    /// enclave's resources and notifies dependants.
+    /// enclave's resources and notifies dependants — in that order, so a
+    /// notice never precedes its report and the report does not depend on
+    /// the reclaim returning. What the reclaim returned joins it afterwards.
     pub fn report_fault(&self, enclave: u64, core: usize, reason: &str) {
         self.tracer
             .emit_for(enclave, EventKind::FaultReport, enclave, core as u64);
-        self.faults.record(FaultReport {
+        let filed = self.faults.record(FaultReport {
             enclave,
             core,
             reason: reason.to_owned(),
             tsc: self.node.clock.rdtsc(),
+            reclaim: None,
         });
         if let Some(master) = self.master.read().as_ref().and_then(Weak::upgrade) {
-            let _ = master.handle_enclave_failure(enclave, reason);
+            let reclaim = master.handle_enclave_failure(enclave, reason);
+            self.faults.set_reclaim(filed, reclaim);
         }
+    }
+
+    /// Map `range` into the enclave's EPT, if it has one, and trace it as
+    /// `kind`. Returns as soon as the mapping is in: the guest keeps
+    /// running, and Pisces may transmit the page list meanwhile.
+    fn map_and_trace(&self, enclave: u64, range: PhysRange, kind: EventKind) -> HwResult<()> {
+        if let Some(ept) = self.context(enclave).ok().and_then(|v| v.ept.clone()) {
+            ept.map_identity(range, 3)?;
+            self.tracer
+                .emit_for(enclave, kind, range.start.raw(), range.len);
+        }
+        Ok(())
     }
 }
 
@@ -604,47 +560,32 @@ impl EnclaveHooks for CovirtController {
     }
 
     fn on_mem_add_prepared(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
-        if let Some(vctx) = self.contexts.read().get(&enclave.id.0) {
-            if let Some(ept) = vctx.ept.as_ref() {
-                // Map, then return immediately: Pisces may transmit the
-                // page list while the guest keeps running.
-                ept.map_identity(range, 3).map_err(PiscesError::Hw)?;
-                self.tracer
-                    .emit_for(enclave.id.0, EventKind::Grant, range.start.raw(), range.len);
-            }
-        }
-        Ok(())
+        self.map_and_trace(enclave.id.0, range, EventKind::Grant)
+            .map_err(PiscesError::Hw)
     }
 
     fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) {
-        if let Some(vctx) = self.contexts.read().get(&enclave.id.0) {
-            if let Some(ept) = vctx.ept.as_ref() {
-                let _ = ept.unmap(range);
-                self.tracer.emit_for(
-                    enclave.id.0,
-                    EventKind::EptUnmap,
-                    range.start.raw(),
-                    range.len,
-                );
-            }
+        if let Some(ept) = self.context(enclave.id.0).ok().and_then(|v| v.ept.clone()) {
+            let _ = ept.unmap(range);
+            self.tracer.emit_for(
+                enclave.id.0,
+                EventKind::EptUnmap,
+                range.start.raw(),
+                range.len,
+            );
         }
     }
 
     fn on_mem_remove_acked(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
         self.unmap_and_flush(enclave.id.0, range)
-            .map_err(|_| PiscesError::ResourceBusy("TLB flush synchronization failed"))?;
-        // Only now that the EPT unmap (and shootdown, unless deferred to
-        // the reclaim epoch) is in place: invalidate the enclave's region
-        // caches. Refills of the removed range fault on the EPT instead of
-        // resolving, so the bump races nothing.
-        if let Some(vctx) = self.contexts.read().get(&enclave.id.0) {
-            vctx.region_view.bump();
-        }
-        Ok(())
+            .map_err(|e| match e {
+                CovirtError::Hw(e) => PiscesError::Hw(e),
+                _ => PiscesError::ResourceBusy("TLB flush synchronization failed"),
+            })
     }
 
     fn on_vector_alloc(&self, enclave: &Enclave, vector: u8) -> PiscesResult<()> {
-        if let Some(vctx) = self.contexts.read().get(&enclave.id.0) {
+        if let Ok(vctx) = self.context(enclave.id.0) {
             vctx.whitelist.add_vector(vector);
             self.tracer
                 .emit_for(enclave.id.0, EventKind::VectorAlloc, vector as u64, 0);
@@ -653,7 +594,7 @@ impl EnclaveHooks for CovirtController {
     }
 
     fn on_vector_free(&self, enclave: &Enclave, vector: u8) -> PiscesResult<()> {
-        if let Some(vctx) = self.contexts.read().get(&enclave.id.0) {
+        if let Ok(vctx) = self.context(enclave.id.0) {
             vctx.whitelist.remove_vector(vector);
             self.tracer
                 .emit_for(enclave.id.0, EventKind::VectorFree, vector as u64, 0);
@@ -672,18 +613,8 @@ impl EnclaveHooks for CovirtController {
 
 impl HobbesHooks for CovirtController {
     fn on_xemem_attach_prepared(&self, enclave: u64, range: PhysRange) -> Result<(), String> {
-        if let Some(vctx) = self.contexts.read().get(&enclave) {
-            if let Some(ept) = vctx.ept.as_ref() {
-                ept.map_identity(range, 3).map_err(|e| e.to_string())?;
-                self.tracer.emit_for(
-                    enclave,
-                    EventKind::XememAttach,
-                    range.start.raw(),
-                    range.len,
-                );
-            }
-        }
-        Ok(())
+        self.map_and_trace(enclave, range, EventKind::XememAttach)
+            .map_err(|e| e.to_string())
     }
 
     fn on_xemem_detach_acked(&self, enclave: u64, range: PhysRange) -> Result<(), String> {
@@ -693,13 +624,8 @@ impl HobbesHooks for CovirtController {
             range.start.raw(),
             range.len,
         );
-        self.unmap_and_flush(enclave, range)?;
-        // As in `on_mem_remove_acked`: the unmap is visible, so scoped
-        // region-cache invalidation is safe now.
-        if let Some(vctx) = self.contexts.read().get(&enclave) {
-            vctx.region_view.bump();
-        }
-        Ok(())
+        self.unmap_and_flush(enclave, range)
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -975,13 +901,33 @@ mod tests {
             .is_err());
     }
 
+    /// A report reaches the log before the master acts on it — a dependant
+    /// told of the failure finds it filed — and then carries the reclaim's
+    /// outcome.
     #[test]
     fn fault_report_flows_to_master() {
+        struct Dependant(Arc<CovirtController>, AtomicU64);
+        impl HobbesHooks for Dependant {
+            fn on_dependency_failed(&self, _dependent: u64, failed: u64) {
+                let filed = self.0.faults.for_enclave(failed).len() as u64;
+                self.1.store(filed, Ordering::SeqCst);
+            }
+        }
         let (master, ctl) = setup(CovirtConfig::MEM);
         let (enclave, _kernel) = master.bring_up_enclave("e0", &req()).unwrap();
+        let peer = ResourceRequest::new(vec![CoreId(3)], vec![(ZoneId(0), 32 << 20)]);
+        let (peer, _kernel) = master.bring_up_enclave("peer", &peer).unwrap();
+        let seg = PhysRange::new(enclave.resources().mem[0].start, 2 << 20);
+        master.export_segment(enclave.id.0, "x", seg).unwrap();
+        master.attach_segment(peer.id.0, "x").unwrap();
+        let dependant = Arc::new(Dependant(Arc::clone(&ctl), AtomicU64::new(0)));
+        master.register_hooks(Arc::clone(&dependant) as Arc<dyn HobbesHooks>);
+
         ctl.report_fault(enclave.id.0, 1, "EPT violation at 0xdead");
         assert_eq!(ctl.faults.count(), 1);
         assert!(matches!(enclave.state(), pisces::EnclaveState::Failed(_)));
+        assert_eq!(ctl.faults.all()[0].reclaim, Some(Ok(())));
+        assert_eq!(dependant.1.load(Ordering::SeqCst), 1, "notice came first");
     }
 
     #[test]
@@ -1131,6 +1077,33 @@ mod tests {
             ctl.context(enclave.id.0),
             Err(CovirtError::NoContext(_))
         ));
+    }
+
+    /// An open reclaim epoch is part of the context: teardown leaves nothing
+    /// of it reachable from the controller, and an unknown enclave opens
+    /// none.
+    #[test]
+    fn an_open_epoch_dies_with_its_context() {
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let (enclave, kernel) = master.bring_up_enclave("e0", &req()).unwrap();
+        let (host, id) = (master.pisces(), enclave.id.0);
+        let vctx = ctl.context(id).unwrap();
+        let range = host.add_memory(&enclave, ZoneId(0), 2 << 20).unwrap();
+        kernel.poll_ctrl().unwrap();
+        host.process_acks(&enclave).unwrap();
+        ctl.begin_reclaim_epoch(id);
+        ctl.begin_reclaim_epoch(99);
+        host.request_remove_memory(&enclave, range).unwrap();
+        kernel.poll_ctrl().unwrap();
+        host.process_acks(&enclave).unwrap();
+        assert_eq!(*vctx.reclaim_epoch.lock(), Some(vec![range]));
+
+        host.teardown(&enclave).unwrap();
+        assert!(matches!(ctl.context(id), Err(CovirtError::NoContext(_))));
+        assert_eq!(Arc::strong_count(&vctx), 1, "the epoch's last holder is us");
+        ctl.end_reclaim_epoch(id).unwrap();
+        ctl.end_reclaim_epoch(99).unwrap();
+        assert_eq!(ctl.shootdown_count(), 0);
     }
 
     #[test]

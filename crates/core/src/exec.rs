@@ -197,14 +197,10 @@ pub struct GuestCore {
     node: Arc<SimNode>,
     kernel: Arc<KittenKernel>,
     cpu: Arc<Cpu>,
-    vctx: Option<Arc<VirtContext>>,
+    /// The Covirt side of this core — its hypervisor instance, which holds
+    /// the enclave's context, this core's command queue and doorbell and
+    /// the controller handle. `None` is native execution, nothing else.
     hv: Option<Hypervisor>,
-    controller: Option<Arc<CovirtController>>,
-    /// This core's command-doorbell descriptor, cached at launch so the
-    /// per-poll harvest check is two atomic loads, not a map lookup.
-    doorbell: Option<Arc<covirt_simhw::posted::PostedIntDescriptor>>,
-    /// This core's command queue, cached for the same reason.
-    cmdq: Option<crate::cmdqueue::CmdQueue>,
     tlb: Tlb,
     /// Paging-structure cache for nested walks (per-core, like the TLB).
     walk_cache: WalkCache,
@@ -231,32 +227,7 @@ impl GuestCore {
         core: usize,
         tlb: TlbParams,
     ) -> CovirtResult<Self> {
-        let cpu = Arc::clone(node.cpu(covirt_simhw::topology::CoreId(core))?);
-        let tracer = node.tracer(core as u32);
-        let phase = PhaseTracker::new(Arc::clone(node.recorder().profiler()), core as u32);
-        let mut tlb = Tlb::new(tlb);
-        tlb.set_tracer(tracer.clone());
-        let gc = GuestCore {
-            core,
-            node,
-            kernel,
-            cpu,
-            vctx: None,
-            hv: None,
-            controller: None,
-            doorbell: None,
-            cmdq: None,
-            tlb,
-            walk_cache: WalkCache::new(),
-            walk_cache_enabled: true,
-            region_cache: RegionCache::new(),
-            counters: CoreCounters::default(),
-            tracer,
-            phase,
-            terminated: None,
-        };
-        gc.arm_timer();
-        Ok(gc)
+        Self::launch(node, kernel, core, tlb, None)
     }
 
     /// Boot guest execution on `core` under the Covirt hypervisor. The
@@ -270,38 +241,38 @@ impl GuestCore {
         tlb: TlbParams,
     ) -> CovirtResult<Self> {
         let vctx = controller.context(kernel.params.enclave_id)?;
+        let hv = Hypervisor::launch(Arc::clone(&node), controller, vctx, core)?;
+        Self::launch(node, kernel, core, tlb, Some(hv))
+    }
+
+    fn launch(
+        node: Arc<SimNode>,
+        kernel: Arc<KittenKernel>,
+        core: usize,
+        tlb: TlbParams,
+        hv: Option<Hypervisor>,
+    ) -> CovirtResult<Self> {
         let cpu = Arc::clone(node.cpu(covirt_simhw::topology::CoreId(core))?);
-        let hv = Hypervisor::launch(Arc::clone(&node), Arc::clone(&vctx), core)?;
-        let tracer = node.tracer(core as u32).with_enclave(vctx.enclave_id);
+        let mut tracer = node.tracer(core as u32);
         let mut phase = PhaseTracker::new(Arc::clone(node.recorder().profiler()), core as u32);
-        phase.set_enclave(vctx.enclave_id);
+        let region_cache = RegionCache::new();
+        if let Some(vctx) = hv.as_ref().map(Hypervisor::vctx) {
+            tracer = tracer.with_enclave(vctx.enclave_id);
+            phase.set_enclave(vctx.enclave_id);
+            // Tag this core's region cache with the enclave's view: sibling
+            // enclaves' grant/reclaim churn leaves it hot, and the
+            // controller bumps the view after any unmap affecting this
+            // enclave.
+            region_cache.set_view(Some(Arc::clone(&vctx.region_view)));
+        }
         let mut tlb = Tlb::new(tlb);
         tlb.set_tracer(tracer.clone());
-        let doorbell = vctx.cmd_doorbell(core).cloned();
-        if let Some(d) = &doorbell {
-            // A covirt guest loop checks the descriptor at every safe
-            // point, so the physical notification IPI adds nothing while
-            // the core runs — suppress it (the SN bit). Parked cores are
-            // covered by the controller's bounded NMI fallback, which
-            // watches the completion counter, not the interrupt.
-            d.set_suppress(true);
-        }
-        let cmdq = vctx.cmdq(core).cloned();
-        // Tag this core's region cache with the enclave's view: sibling
-        // enclaves' grant/reclaim churn leaves it hot, and the controller
-        // bumps the view after any unmap affecting this enclave.
-        let region_cache = RegionCache::new();
-        region_cache.set_view(Some(Arc::clone(&vctx.region_view)));
         let gc = GuestCore {
             core,
             node,
             kernel,
             cpu,
-            vctx: Some(vctx),
-            hv: Some(hv),
-            controller: Some(controller),
-            doorbell,
-            cmdq,
+            hv,
             tlb,
             walk_cache: WalkCache::new(),
             walk_cache_enabled: true,
@@ -311,19 +282,21 @@ impl GuestCore {
             phase,
             terminated: None,
         };
-        gc.arm_timer();
+        if let Some(period) = gc.kernel.timer_policy.period_ns() {
+            gc.cpu.apic.arm_timer(period, true, TIMER_VECTOR);
+        }
         Ok(gc)
     }
 
-    fn arm_timer(&self) {
-        if let Some(period) = self.kernel.timer_policy.period_ns() {
-            self.cpu.apic.arm_timer(period, true, TIMER_VECTOR);
-        }
+    /// The enclave's virtualization context, when this core has a Covirt
+    /// side.
+    fn vctx(&self) -> Option<&VirtContext> {
+        self.hv.as_ref().map(|hv| &**hv.vctx())
     }
 
     /// The execution mode this core runs in.
     pub fn mode(&self) -> ExecMode {
-        match &self.vctx {
+        match self.vctx() {
             Some(v) => ExecMode::Covirt(v.config),
             None => ExecMode::Native,
         }
@@ -362,28 +335,28 @@ impl GuestCore {
         self.phase.finish(t);
     }
 
-    /// Dispatch one VM exit through the hypervisor with the phase state
-    /// machine bracketing it: [`Phase::RootExit`] for the dispatch, then
-    /// back to the interrupted phase (guest context or safe-point
-    /// servicing) — or [`Phase::Idle`] when the exit terminated the
-    /// enclave. Associated fn so call sites can borrow `hv`, `tlb` and
-    /// the tracker disjointly.
-    fn dispatch_exit(
-        phase: &mut PhaseTracker,
-        clock: &covirt_simhw::clock::TscClock,
-        hv: &mut Hypervisor,
-        tlb: &mut Tlb,
-        reason: ExitReason,
-    ) -> ExitAction {
-        let prev = phase.phase();
-        phase.transition_now(Phase::RootExit, || clock.rdtsc());
-        let action = hv.handle_exit(reason, tlb);
-        let next = match action {
-            ExitAction::Resume => prev,
-            ExitAction::Terminate(_) => Phase::Idle,
+    /// The one VM-exit path: every trapped operation of every entry point
+    /// comes through here. A terminated core takes no further exit; a live
+    /// one dispatches through its hypervisor with the phase state machine
+    /// bracketing it — [`Phase::RootExit`] for the dispatch, then back to
+    /// the interrupted phase (guest context or safe-point servicing) — and
+    /// dies with the enclave when the exit terminated it. Natively nothing
+    /// exits.
+    fn vm_exit(&mut self, reason: ExitReason) -> CovirtResult<()> {
+        self.check_live()?;
+        let Some(hv) = self.hv.as_mut() else {
+            return Ok(());
         };
-        phase.transition_now(next, || clock.rdtsc());
-        action
+        let clock = &self.node.clock;
+        let prev = self.phase.phase();
+        self.phase.transition_now(Phase::RootExit, || clock.rdtsc());
+        match hv.handle_exit(reason, &mut self.tlb) {
+            ExitAction::Resume => {
+                self.phase.transition_now(prev, || clock.rdtsc());
+                Ok(())
+            }
+            ExitAction::Terminate(r) => Err(self.die(r)),
+        }
     }
 
     /// TLB statistics snapshot.
@@ -428,12 +401,21 @@ impl GuestCore {
         self.hv.as_ref().map(|h| h.exits).unwrap_or(0)
     }
 
+    /// The hypervisor parked this core: no further guest execution.
+    #[inline]
+    fn check_live(&self) -> CovirtResult<()> {
+        match &self.terminated {
+            Some(reason) => Err(CovirtError::EnclaveTerminated(reason.clone())),
+            None => Ok(()),
+        }
+    }
+
     fn die(&mut self, reason: String) -> CovirtError {
         self.phase
             .transition_now(Phase::Idle, || self.node.clock.rdtsc());
         self.terminated = Some(reason.clone());
-        if let (Some(ctl), Some(vctx)) = (&self.controller, &self.vctx) {
-            ctl.report_fault(vctx.enclave_id, self.core, &reason);
+        if let Some(hv) = &self.hv {
+            hv.report_fault(&reason);
         }
         CovirtError::EnclaveTerminated(reason)
     }
@@ -442,10 +424,7 @@ impl GuestCore {
     /// pointer for the exact byte and the bytes remaining in the page.
     #[inline]
     fn translate(&mut self, gva: u64, access: Access) -> CovirtResult<(*mut u8, u64)> {
-        if let Some(reason) = &self.terminated {
-            // The hypervisor parked this core; no further guest execution.
-            return Err(CovirtError::EnclaveTerminated(reason.clone()));
-        }
+        self.check_live()?;
         if let Some(hit) = self.tlb.lookup(gva) {
             if access == Access::Write && !hit.writable {
                 return self.protection_fault(gva, access);
@@ -462,7 +441,7 @@ impl GuestCore {
         self.phase
             .transition_now(Phase::RegionResolve, || self.node.clock.rdtsc());
         let mem = &self.node.mem;
-        let ept = self.vctx.as_ref().and_then(|v| v.ept.as_deref());
+        let ept = self.hv.as_ref().and_then(|h| h.vctx().ept.as_deref());
 
         let (t, writable) = if let Some(ept) = ept {
             // Nested translation: guest walk with EPT-translated entry
@@ -539,21 +518,20 @@ impl GuestCore {
         Ok(unsafe { (base_ptr.add(in_page as usize), t.page_size - in_page) })
     }
 
+    /// Abort-class: the hypervisor terminates the enclave, so this returns
+    /// an error either way.
     fn ept_violation(
         &mut self,
         gpa: GuestPhysAddr,
         access: Access,
     ) -> CovirtResult<(*mut u8, u64)> {
-        let reason = ExitReason::EptViolation(covirt_simhw::ept::EptViolationInfo { gpa, access });
-        let hv = self.hv.as_mut().expect("EPT violation without hypervisor");
-        match Self::dispatch_exit(&mut self.phase, &self.node.clock, hv, &mut self.tlb, reason) {
-            ExitAction::Terminate(r) => Err(self.die(r)),
-            ExitAction::Resume => unreachable!("EPT violations are abort-class"),
-        }
+        let info = covirt_simhw::ept::EptViolationInfo { gpa, access };
+        self.vm_exit(ExitReason::EptViolation(info))?;
+        Err(CovirtError::Invalid("EPT violation resumed the guest"))
     }
 
     fn protection_fault(&mut self, gva: u64, access: Access) -> CovirtResult<(*mut u8, u64)> {
-        if self.vctx.as_ref().is_some_and(|v| v.ept.is_some()) {
+        if self.vctx().is_some_and(|v| v.ept.is_some()) {
             self.ept_violation(GuestPhysAddr::new(gva), access)
         } else {
             Err(CovirtError::Invalid("write to read-only mapping"))
@@ -659,9 +637,7 @@ impl GuestCore {
 
     /// Transmit an IPI (fixed vector) to `dest`.
     pub fn send_ipi(&mut self, dest: usize, vector: u8) -> CovirtResult<()> {
-        if let Some(reason) = &self.terminated {
-            return Err(CovirtError::EnclaveTerminated(reason.clone()));
-        }
+        self.check_live()?;
         self.counters.ipis_sent += 1;
         let icr = IcrCommand {
             vector,
@@ -670,173 +646,87 @@ impl GuestCore {
             shorthand: ICR_SH_NONE,
         }
         .encode();
-        let protected = self.vctx.as_ref().is_some_and(|v| v.config.ipi.is_some());
-        if protected {
-            let hv = self.hv.as_mut().expect("covirt mode without hypervisor");
-            match Self::dispatch_exit(
-                &mut self.phase,
-                &self.node.clock,
-                hv,
-                &mut self.tlb,
-                ExitReason::IcrWrite { value: icr },
-            ) {
-                ExitAction::Terminate(r) => return Err(self.die(r)),
-                ExitAction::Resume => {}
-            }
+        if self.vctx().is_some_and(|v| v.config.ipi.is_some()) {
+            self.vm_exit(ExitReason::IcrWrite { value: icr })
         } else {
-            self.cpu.apic.icr_write(icr)?;
+            Ok(self.cpu.apic.icr_write(icr)?)
         }
-        Ok(())
     }
 
     /// Execute CPUID (always exits under any hypervisor).
     pub fn cpuid(&mut self, leaf: u32) -> CovirtResult<()> {
-        if let Some(hv) = self.hv.as_mut() {
-            match Self::dispatch_exit(
-                &mut self.phase,
-                &self.node.clock,
-                hv,
-                &mut self.tlb,
-                ExitReason::Cpuid { leaf },
-            ) {
-                ExitAction::Terminate(r) => return Err(self.die(r)),
-                ExitAction::Resume => {}
-            }
-        }
-        Ok(())
+        self.vm_exit(ExitReason::Cpuid { leaf })
     }
 
     /// WRMSR from guest code.
     pub fn wrmsr(&mut self, index: u32, value: u64) -> CovirtResult<()> {
-        let exits = match &self.vctx {
-            Some(v) => v.msr_bitmap.read().write_exits(index),
-            None => false,
-        };
-        if exits {
-            let hv = self.hv.as_mut().expect("covirt mode without hypervisor");
-            match Self::dispatch_exit(
-                &mut self.phase,
-                &self.node.clock,
-                hv,
-                &mut self.tlb,
-                ExitReason::MsrWrite { index, value },
-            ) {
-                ExitAction::Terminate(r) => return Err(self.die(r)),
-                ExitAction::Resume => {}
-            }
+        self.check_live()?;
+        if self
+            .vctx()
+            .is_some_and(|v| v.msr_bitmap.read().write_exits(index))
+        {
+            self.vm_exit(ExitReason::MsrWrite { index, value })
         } else {
             self.cpu.msrs.write(index, value);
+            Ok(())
         }
-        Ok(())
     }
 
     /// OUT instruction from guest code.
     pub fn io_write(&mut self, port: u16, value: u32) -> CovirtResult<()> {
-        let exits = match &self.vctx {
-            Some(v) => v.io_bitmap.read().exits(port),
-            None => false,
-        };
-        if exits {
-            let hv = self.hv.as_mut().expect("covirt mode without hypervisor");
-            match Self::dispatch_exit(
-                &mut self.phase,
-                &self.node.clock,
-                hv,
-                &mut self.tlb,
-                ExitReason::IoWrite { port, value },
-            ) {
-                ExitAction::Terminate(r) => return Err(self.die(r)),
-                ExitAction::Resume => {}
-            }
+        self.check_live()?;
+        if self.vctx().is_some_and(|v| v.io_bitmap.read().exits(port)) {
+            self.vm_exit(ExitReason::IoWrite { port, value })
         } else {
             self.node.ioports.write(port, value);
+            Ok(())
         }
-        Ok(())
     }
 
     /// Safe point: fire due timers, service NMIs (command queue), deliver
     /// pending interrupts — with VM exits where the configuration demands.
     pub fn poll(&mut self) -> CovirtResult<()> {
-        if let Some(reason) = &self.terminated {
-            return Err(CovirtError::EnclaveTerminated(reason.clone()));
-        }
+        self.check_live()?;
         self.counters.polls += 1;
         self.phase
             .transition_now(Phase::SafePoint, || self.node.clock.rdtsc());
         self.cpu.apic.poll_timer();
-        let mailbox = self.node.interconnect.mailbox(self.core)?;
 
         // NMIs first (they are never maskable and always exit under VMX).
-        while mailbox.take_nmi() {
-            if let Some(hv) = self.hv.as_mut() {
-                match Self::dispatch_exit(
-                    &mut self.phase,
-                    &self.node.clock,
-                    hv,
-                    &mut self.tlb,
-                    ExitReason::Nmi,
-                ) {
-                    ExitAction::Terminate(r) => return Err(self.die(r)),
-                    ExitAction::Resume => {}
-                }
-            }
+        while self.node.interconnect.mailbox(self.core)?.take_nmi() {
+            self.vm_exit(ExitReason::Nmi)?;
         }
 
         // Opportunistic doorbell harvest: every safe point checks the
-        // command-doorbell descriptor directly (cached Arc, two atomic
-        // loads on the no-work path, no clone, no allocation), so pending
-        // commands are drained exitlessly even before (or without) the
-        // notification IPI landing in the IRR. With the descriptor's
-        // suppress-notification bit set at launch, this check IS the
-        // delivery path in steady state.
-        if self
-            .doorbell
-            .as_ref()
-            .is_some_and(|d| d.notification_outstanding() || d.has_pending())
-        {
-            if let Some(d) = &self.doorbell {
-                d.acknowledge();
-            }
-            self.counters.cmd_doorbells += 1;
-            self.harvest_commands()?;
-        }
+        // command-doorbell descriptor directly (two atomic loads on the
+        // no-work path, no clone, no allocation), so pending commands are
+        // drained exitlessly even before (or without) the notification IPI
+        // landing in the IRR. With the descriptor's suppress-notification
+        // bit set at launch, this check IS the delivery path in steady
+        // state.
+        self.harvest_doorbell()?;
 
         // Fixed vectors.
         let ext_exits = self
-            .vctx
-            .as_ref()
+            .vctx()
             .is_some_and(|v| v.config.exits_on_external_interrupts());
         loop {
             let mailbox = self.node.interconnect.mailbox(self.core)?;
             let Some(vector) = mailbox.irr.pop_highest() else {
                 break;
             };
-            if self.doorbell.is_some() && vector == CMD_DOORBELL_VECTOR {
+            if self.hv.is_some() && vector == CMD_DOORBELL_VECTOR {
                 // The physical doorbell notification. The descriptor was
                 // (or will be) harvested by the safe-point check above;
                 // consume the vector without a VM exit and without
                 // delivering it to the guest — it is not a guest IRQ.
-                if self
-                    .doorbell
-                    .as_ref()
-                    .is_some_and(|d| d.notification_outstanding() || d.has_pending())
-                {
-                    if let Some(d) = &self.doorbell {
-                        d.acknowledge();
-                    }
-                    self.counters.cmd_doorbells += 1;
-                    self.harvest_commands()?;
-                }
+                self.harvest_doorbell()?;
                 continue;
             }
             if vector == PIV_NOTIFICATION_VECTOR {
                 // Only cloned on the (rare) notification arrival, never on
                 // the empty-IRR hot path.
-                let piv = self
-                    .vctx
-                    .as_ref()
-                    .and_then(|v| v.posted(self.core))
-                    .cloned();
+                let piv = self.vctx().and_then(|v| v.posted(self.core)).cloned();
                 if let Some(desc) = piv {
                     // Exit-less delivery: harvest the PIR directly.
                     let mut harvested = 0u64;
@@ -852,17 +742,7 @@ impl GuestCore {
                 }
             }
             if ext_exits {
-                let hv = self.hv.as_mut().expect("covirt mode without hypervisor");
-                match Self::dispatch_exit(
-                    &mut self.phase,
-                    &self.node.clock,
-                    hv,
-                    &mut self.tlb,
-                    ExitReason::ExternalInterrupt { vector },
-                ) {
-                    ExitAction::Terminate(r) => return Err(self.die(r)),
-                    ExitAction::Resume => {}
-                }
+                self.vm_exit(ExitReason::ExternalInterrupt { vector })?;
             }
             self.deliver(vector);
         }
@@ -871,18 +751,35 @@ impl GuestCore {
         Ok(())
     }
 
-    /// Drain and execute the command queue in guest mode — the exitless
-    /// half of command delivery. Execution semantics are shared with the
-    /// NMI path ([`Hypervisor::execute_commands`]): flushes hit this
-    /// core's TLB and the completion counter advances only after each
-    /// command's effect is applied, so the controller's completion wait
-    /// still proves unmap-before-reclaim. No VM exit is taken and the
-    /// hypervisor's exit counter does not move.
+    /// If the controller rang this core's doorbell, drain and execute the
+    /// command queue in guest mode — the exitless half of command delivery.
+    /// Execution semantics are shared with the NMI path
+    /// ([`Hypervisor::execute_commands`]): flushes hit this core's TLB and
+    /// the completion counter advances only after each command's effect is
+    /// applied, so the controller's completion wait still proves
+    /// unmap-before-reclaim. No VM exit is taken and the hypervisor's exit
+    /// counter does not move.
+    ///
+    /// Two functions on purpose. Written as one, LLVM keeps it out of line
+    /// (even under `#[inline]`) and every silent poll pays the call and a
+    /// six-register prologue before the two loads; EXPERIMENTS.md §PR 20
+    /// has the disassembly and the `poll_idle_ns` runs.
+    #[inline]
+    fn harvest_doorbell(&mut self) -> CovirtResult<()> {
+        if self.hv.as_ref().is_some_and(Hypervisor::doorbell_rung) {
+            return self.harvest_commands();
+        }
+        Ok(())
+    }
+
+    /// The rung half of [`Self::harvest_doorbell`], out of line.
+    #[cold]
     fn harvest_commands(&mut self) -> CovirtResult<()> {
-        let drained = match self.cmdq.as_ref() {
-            Some(q) => q.drain(),
-            None => return Ok(()),
+        let Some(hv) = self.hv.as_mut() else {
+            return Ok(());
         };
+        self.counters.cmd_doorbells += 1;
+        let drained = hv.take_commands();
         if drained.is_empty() {
             return Ok(());
         }
@@ -894,15 +791,12 @@ impl GuestCore {
         // Phase accounting: the drain + [`Hypervisor::execute_commands`]
         // batch is command-harvest work; return to safe-point servicing
         // once the batch is applied (poll's tail flips back to guest).
+        let clock = &self.node.clock;
         let prev = self.phase.phase();
         self.phase
-            .transition_now(Phase::CmdHarvest, || self.node.clock.rdtsc());
-        let action = {
-            let q = self.cmdq.as_ref().expect("drained from this queue");
-            let hv = self.hv.as_mut().expect("covirt mode without hypervisor");
-            hv.execute_commands(q, drained, &mut self.tlb)
-        };
-        self.phase.transition_now(prev, || self.node.clock.rdtsc());
+            .transition_now(Phase::CmdHarvest, || clock.rdtsc());
+        let action = hv.execute_commands(drained, &mut self.tlb);
+        self.phase.transition_now(prev, || clock.rdtsc());
         match action {
             ExitAction::Terminate(r) => Err(self.die(r)),
             ExitAction::Resume => Ok(()),
@@ -938,20 +832,14 @@ impl GuestCore {
             InjectedFault::ErrantIpi { icr } => {
                 let cmd = IcrCommand::decode(icr);
                 let victim = cmd.dest as usize;
-                let before = self
-                    .node
-                    .interconnect
-                    .mailbox(victim)
-                    .map(|m| m.received.load(std::sync::atomic::Ordering::Relaxed))
-                    .unwrap_or(0);
+                let node = Arc::clone(&self.node);
+                let received = || {
+                    let mailbox = node.interconnect.mailbox(victim);
+                    mailbox.map_or(0, |m| m.received.load(std::sync::atomic::Ordering::Relaxed))
+                };
+                let before = received();
                 let _ = self.send_ipi(victim, cmd.vector);
-                let after = self
-                    .node
-                    .interconnect
-                    .mailbox(victim)
-                    .map(|m| m.received.load(std::sync::atomic::Ordering::Relaxed))
-                    .unwrap_or(0);
-                if after > before {
+                if received() > before {
                     FaultOutcome::IpiDelivered {
                         victim,
                         vector: cmd.vector,
@@ -1012,19 +900,16 @@ mod tests {
     }
 
     fn core(w: &World, id: usize) -> GuestCore {
-        let node = Arc::clone(w.master.pisces().node());
+        core_with(w, id, TlbParams::default())
+    }
+
+    fn core_with(w: &World, id: usize, tlb: TlbParams) -> GuestCore {
+        let (node, kernel) = (Arc::clone(w.master.pisces().node()), Arc::clone(&w.kernel));
         match &w.controller {
-            Some(c) => GuestCore::launch_covirt(
-                node,
-                Arc::clone(&w.kernel),
-                Arc::clone(c),
-                id,
-                TlbParams::default(),
-            )
-            .unwrap(),
-            None => GuestCore::launch_native(node, Arc::clone(&w.kernel), id, TlbParams::default())
-                .unwrap(),
+            Some(c) => GuestCore::launch_covirt(node, kernel, Arc::clone(c), id, tlb),
+            None => GuestCore::launch_native(node, kernel, id, tlb),
         }
+        .unwrap()
     }
 
     fn data_gva(w: &World) -> u64 {
@@ -1397,24 +1282,58 @@ mod tests {
         assert_eq!(sum, nexp);
     }
 
+    /// Containment is on the record, local and final. The fault report
+    /// carries what the reclaim returned — under `MEM` a refusal, one of the
+    /// enclave's ranges having gone back behind the host's back — and the
+    /// bystander runs on either way. No entry point runs guest code on the
+    /// terminated core, let alone takes a VM exit that would put the parked
+    /// CPU back in guest mode (under `FULL` the MSR and port below are
+    /// intercepted, under `MEM` they are not).
     #[test]
     fn wild_access_contained_under_covirt() {
-        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
-        let mut gc = core(&w, 1);
-        let fault = kitten::faults::off_by_one_region(&w.kernel);
-        match gc.execute_fault(fault) {
-            FaultOutcome::Contained(reason) => assert!(reason.contains("EPT violation")),
-            o => panic!("expected containment, got {o:?}"),
+        for config in [CovirtConfig::MEM, CovirtConfig::FULL] {
+            let w = world(ExecMode::Covirt(config));
+            let req = ResourceRequest::new(vec![CoreId(3)], vec![(ZoneId(0), 32 << 20)]);
+            let (bystander, _kernel) = w.master.bring_up_enclave("bystander", &req).unwrap();
+            let mut gc = core(&w, 1);
+            let stray = (config == CovirtConfig::MEM).then(|| grant_2m(&w));
+            stray.inspect(|r| w.master.pisces().node().mem.free(*r).unwrap());
+
+            let fault = kitten::faults::off_by_one_region(&w.kernel);
+            match gc.execute_fault(fault) {
+                FaultOutcome::Contained(reason) => assert!(reason.contains("EPT violation")),
+                o => panic!("expected containment, got {o:?}"),
+            }
+            assert!(gc.terminated().is_some());
+            // The master control recorded the failure; the log, the reclaim.
+            assert!(matches!(w.enclave.state(), pisces::EnclaveState::Failed(_)));
+            let reports = w.controller.as_ref().unwrap().faults.all();
+            let refused = stray.map(|range| HwError::DoubleFree { range });
+            let reclaim = refused.map_or(Ok(()), |e| Err(hobbes::HobbesError::Pisces(e.into())));
+            assert_eq!(reports.len(), 1, "{config}");
+            assert_eq!(reports[0].reclaim, Some(reclaim), "{config}");
+            assert_eq!(bystander.state(), pisces::EnclaveState::Running);
+
+            let (exits, a) = (gc.exit_count(), data_gva(&w));
+            let entry_points = [
+                gc.read_u64(a).map(drop),
+                gc.write_u64(a, 1),
+                gc.with_chunks::<u64>(a, 1, |_, _| ()),
+                gc.with_chunks_mut::<u64>(a, 1, |_, _| ()),
+                gc.send_ipi(2, 0x40),
+                gc.cpuid(0),
+                gc.wrmsr(covirt_simhw::msr::IA32_MC0_CTL, 1),
+                gc.io_write(covirt_simhw::ioport::PORT_KBD_RESET, 1),
+                gc.poll(),
+            ];
+            for (i, r) in entry_points.into_iter().enumerate() {
+                let terminated = matches!(r, Err(CovirtError::EnclaveTerminated(_)));
+                assert!(terminated, "{config}: entry point {i} returned {r:?}");
+            }
+            assert_eq!(gc.exit_count(), exits, "{config}");
+            assert_eq!(gc.cpu.mode(), covirt_simhw::cpu::CpuMode::Host, "{config}");
+            assert!(!gc.cpu.vmx_enabled(), "{config}");
         }
-        assert!(gc.terminated().is_some());
-        // The master control recorded the failure.
-        assert!(matches!(w.enclave.state(), pisces::EnclaveState::Failed(_)));
-        // Further guest work on this core fails fast.
-        let a = data_gva(&w);
-        assert!(matches!(
-            gc.write_u64(a, 1),
-            Err(CovirtError::EnclaveTerminated(_)) | Ok(())
-        ));
     }
 
     #[test]
@@ -1617,6 +1536,106 @@ mod tests {
         assert!(g2.exit_count() >= 1, "NMI delivery costs a VM exit");
         assert_eq!(g1.counters.cmd_harvested, 0);
         assert_eq!(g2.counters.cmd_harvested, 0);
+    }
+
+    /// Run `host_op` — which blocks on a shootdown whenever it signals a
+    /// live core — while `gc` polls exactly once, after its doorbell rang
+    /// (or after `host_op` returned without ringing it).
+    fn with_one_poll(w: &World, gc: &mut GuestCore, host_op: impl FnOnce() + Send) {
+        let Some(ctl) = &w.controller else {
+            host_op();
+            return gc.poll().unwrap();
+        };
+        let vctx = ctl.context(w.enclave.id.0).unwrap();
+        let bell = vctx.cmd_doorbell(gc.core).unwrap();
+        std::thread::scope(|s| {
+            let op = s.spawn(host_op);
+            while !bell.notification_outstanding() && !op.is_finished() {
+                std::thread::yield_now();
+            }
+            gc.poll().unwrap();
+        });
+    }
+
+    /// The refactor oracle: one scripted run per mode, every count pinned.
+    /// The numbers were taken at PR 19's commit (EXPERIMENTS.md §"PR 20").
+    #[test]
+    fn scripted_run_reproduces_the_pinned_counts_in_every_mode() {
+        // One row per mode; the columns are in the order of `got` below.
+        let piv = ExecMode::Covirt(CovirtConfig::MEM_IPI_PIV);
+        let modes = ExecMode::paper_sweep().into_iter().chain([piv]);
+        #[rustfmt::skip]
+        let pinned: [[u64; 26]; 5] = [
+            [16, 3, 11, 33, 2, 0, 1, 0, 0, 0, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 0, 0, 0, 0, 0],
+            [16, 3, 11, 33, 2, 0, 1, 0, 1, 1, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 2, 0, 0, 0, 0],
+            [16, 3, 11, 36, 2, 0, 1, 0, 3, 4, 5, 32, 1, 1, 7, 4, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
+            [16, 3, 11, 36, 2, 0, 1, 0, 3, 4, 5, 32, 1, 1, 7, 4, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
+            [16, 3, 11, 36, 2, 0, 1, 1, 3, 4, 5, 32, 1, 1, 7, 4, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
+        ];
+        for (mode, want) in modes.zip(pinned) {
+            let w = world(mode);
+            let ctl = w.controller.as_ref();
+            let (host, id) = (w.master.pisces(), w.enclave.id.0);
+            let tlb = TlbParams {
+                entries_2m: 2,
+                ..TlbParams::default()
+            };
+            let mut gc = core_with(&w, 1, tlb);
+            gc.cpu.apic.arm_timer(0, false, TIMER_VECTOR); // no wall-clock ticks
+            if let Some(c) = ctl {
+                c.set_escalation_bound_ns(u64::MAX >> 1); // nor wall-clock kicks
+            }
+
+            // Strided reads, 2 MiB apart over a 2-entry 2 MiB TLB: each
+            // page misses, its second word hits.
+            let a = w.kernel.alloc_contiguous(8 << 20, &mut 0).unwrap();
+            for i in 0..8 {
+                gc.read_u64(a + (i % 4) * PAGE_SIZE_2M).unwrap();
+                gc.read_u64(a + (i % 4) * PAGE_SIZE_2M + 8).unwrap();
+            }
+            // Grant → write → reclaim, then one epoch of two reclaims.
+            let reclaim = |gc: &mut GuestCore, range: PhysRange| {
+                host.request_remove_memory(&w.enclave, range).unwrap();
+                w.kernel.poll_ctrl().unwrap();
+                with_one_poll(&w, gc, || drop(host.process_acks(&w.enclave).unwrap()));
+            };
+            let ranges = [grant_2m(&w), grant_2m(&w), grant_2m(&w)];
+            for r in ranges {
+                gc.write_u64(r.start.raw(), 7).unwrap();
+            }
+            reclaim(&mut gc, ranges[0]);
+            ctl.inspect(|c| c.begin_reclaim_epoch(id));
+            reclaim(&mut gc, ranges[1]);
+            reclaim(&mut gc, ranges[2]);
+            with_one_poll(&w, &mut gc, || {
+                ctl.inspect(|c| c.end_reclaim_epoch(id).unwrap());
+            });
+            // One always-exiting instruction, one whitelisted IPI (to this
+            // core, so the barrier's poll receives it), one refused, one
+            // barrier.
+            gc.cpuid(0).unwrap();
+            gc.send_ipi(1, w.enclave.resources().ipi_vectors[0])
+                .unwrap();
+            gc.send_ipi(0, 0x2f).unwrap();
+            with_one_poll(&w, &mut gc, || {
+                ctl.inspect(|c| c.shootdown_barrier(id).unwrap());
+            });
+
+            let (c, t) = (gc.counters(), gc.tlb_stats());
+            let ept = ctl.and_then(|c| c.context(id).ok()?.ept.clone());
+            let (maps, unmaps) = ept.map_or((0, 0), |e| e.op_counts());
+            let (shootdowns, escalations) =
+                ctl.map_or((0, 0), |c| (c.shootdown_count(), c.nmi_escalation_count()));
+            #[rustfmt::skip]
+            let got = [
+                c.reads, c.writes, c.walks, c.walk_loads, c.ipis_sent, c.timer_irqs, c.ipi_irqs,
+                c.posted_harvested, c.cmd_doorbells, c.cmd_harvested, c.polls, c.walk_cache_hits,
+                c.walk_cache_misses, c.walk_cache_full_flushes, c.resolve_hits, c.resolve_misses,
+                t.hits, t.misses, t.full_flushes, t.page_flushes, t.range_flushes,
+                gc.exit_count(), shootdowns, escalations, maps, unmaps,
+            ];
+            assert_eq!(got, want, "{mode}");
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@ pub struct FaultReport {
     pub reason: String,
     /// TSC at containment time.
     pub tsc: u64,
+    /// What reclaiming the enclave's resources returned (`Ok` too when a
+    /// racing reporter had already won the reclaim); `None` until it has.
+    pub reclaim: Option<hobbes::HobbesResult<()>>,
 }
 
 /// Append-only fault log.
@@ -32,9 +35,18 @@ impl FaultLog {
         Self::default()
     }
 
-    /// Record a report.
-    pub fn record(&self, report: FaultReport) {
-        self.reports.lock().push(report);
+    /// Record a report; returns its index in the log.
+    pub fn record(&self, report: FaultReport) -> usize {
+        let mut reports = self.reports.lock();
+        reports.push(report);
+        reports.len() - 1
+    }
+
+    /// Attach what the reclaim returned to the report filed at `index`.
+    pub(crate) fn set_reclaim(&self, index: usize, reclaim: hobbes::HobbesResult<()>) {
+        if let Some(report) = self.reports.lock().get_mut(index) {
+            report.reclaim = Some(reclaim);
+        }
     }
 
     /// All reports so far.
@@ -71,14 +83,20 @@ mod tests {
             core: 2,
             reason: "ept".into(),
             tsc: 10,
+            reclaim: None,
         });
-        log.record(FaultReport {
+        let second = log.record(FaultReport {
             enclave: 2,
             core: 3,
             reason: "df".into(),
             tsc: 20,
+            reclaim: None,
         });
+        let refused = Err(hobbes::HobbesError::NoKernel(2));
+        log.set_reclaim(second, refused.clone());
         assert_eq!(log.count(), 2);
+        assert_eq!(log.all()[0].reclaim, None);
+        assert_eq!(log.all()[1].reclaim, Some(refused));
         assert_eq!(log.for_enclave(1).len(), 1);
         assert_eq!(log.for_enclave(3).len(), 0);
         assert_eq!(log.all()[1].reason, "df");

@@ -12,13 +12,15 @@
 //! memory is the fixed 8 KiB stack pre-allocated by the control module
 //! (modelled as an owned buffer so the constraint is visible in the type).
 
-use crate::cmdqueue::Command;
+use crate::cmdqueue::{CmdQueue, Command, SeqCommand};
+use crate::controller::CovirtController;
 use crate::vctx::VirtContext;
 use crate::{CovirtError, CovirtResult};
 use covirt_simhw::apic::IcrCommand;
 use covirt_simhw::cpu::{Cpu, CpuMode};
 use covirt_simhw::exit::{ExitInfo, ExitReason};
 use covirt_simhw::node::SimNode;
+use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::tlb::Tlb;
 use covirt_simhw::vmcs::VmcsHandle;
 use covirt_trace::{EventKind, Tracer};
@@ -60,7 +62,14 @@ pub struct Hypervisor {
     cpu: Arc<Cpu>,
     node: Arc<SimNode>,
     vctx: Arc<VirtContext>,
+    /// The controller module, notified when this instance aborts.
+    controller: Arc<CovirtController>,
     vmcs: VmcsHandle,
+    /// This core's command queue, taken from the context once at launch.
+    cmdq: CmdQueue,
+    /// This core's command-doorbell descriptor, likewise: the safe-point
+    /// check is two atomic loads, not a lookup.
+    doorbell: Arc<PostedIntDescriptor>,
     /// The fixed 8 KiB stack pre-allocated by the control module.
     _stack: Box<[u8; HV_STACK_BYTES]>,
     /// Exits handled on this core.
@@ -80,11 +89,19 @@ impl Hypervisor {
     /// performed after the Pisces trampoline hand-off. Guest state (entry
     /// point, RDI = Pisces boot parameters) was already written by the
     /// controller.
-    pub fn launch(node: Arc<SimNode>, vctx: Arc<VirtContext>, core: usize) -> CovirtResult<Self> {
+    pub fn launch(
+        node: Arc<SimNode>,
+        controller: Arc<CovirtController>,
+        vctx: Arc<VirtContext>,
+        core: usize,
+    ) -> CovirtResult<Self> {
         let cpu = Arc::clone(node.cpu(covirt_simhw::topology::CoreId(core))?);
-        let vmcs = vctx
-            .vmcs(core)
-            .ok_or(CovirtError::Invalid("core has no VMCS"))?;
+        let (Some(vmcs), Some(doorbell)) = (vctx.vmcs(core), vctx.cmd_doorbell(core).cloned())
+        else {
+            return Err(CovirtError::Invalid("core has no VMCS"));
+        };
+        let cmdq = vctx.cmdq(core).cloned();
+        let cmdq = cmdq.ok_or(CovirtError::Invalid("core has no command queue"))?;
         cpu.vmxon()?;
         cpu.vmptrld(Arc::clone(&vmcs))?;
         {
@@ -97,9 +114,16 @@ impl Hypervisor {
         }
         cpu.set_mode(CpuMode::Guest);
         vctx.core_entered_guest(core);
+        // A covirt guest loop checks the descriptor at every safe point, so
+        // the physical notification IPI adds nothing while the core runs —
+        // suppress it (the SN bit). Parked cores are covered by the
+        // controller's bounded NMI fallback, which watches the completion
+        // counter, not the interrupt.
+        doorbell.set_suppress(true);
         model_delay_ns(VM_TRANSITION_NS); // the VMLAUNCH itself
-                                          // Tag this core's lane with the enclave it runs, so exits, drains
-                                          // and completions attribute to it in the audit engine.
+
+        // Tag this core's lane with the enclave it runs, so exits, drains
+        // and completions attribute to it in the audit engine.
         let tracer = node.tracer(core as u32).with_enclave(vctx.enclave_id);
         vmcs.write().tracer = Some(tracer.clone());
         Ok(Hypervisor {
@@ -107,7 +131,10 @@ impl Hypervisor {
             cpu,
             node,
             vctx,
+            controller,
             vmcs,
+            cmdq,
+            doorbell,
             _stack: Box::new([0; HV_STACK_BYTES]),
             exits: 0,
             exit_ns: 0,
@@ -119,6 +146,27 @@ impl Hypervisor {
     /// The context this hypervisor enforces.
     pub fn vctx(&self) -> &Arc<VirtContext> {
         &self.vctx
+    }
+
+    /// Whether the controller rang this core's command doorbell since the
+    /// last [`Self::take_commands`].
+    #[inline]
+    pub fn doorbell_rung(&self) -> bool {
+        self.doorbell.notification_outstanding() || self.doorbell.has_pending()
+    }
+
+    /// Acknowledge the doorbell, then drain the queue — in that order, so a
+    /// post racing the drain re-raises the doorbell instead of being lost.
+    pub fn take_commands(&self) -> Vec<SeqCommand> {
+        self.doorbell.acknowledge();
+        self.cmdq.drain()
+    }
+
+    /// The last step of an abort, taken by the exec loop once the core is
+    /// parked: notify the management layer.
+    pub fn report_fault(&self, reason: &str) {
+        self.controller
+            .report_fault(self.vctx.enclave_id, self.core, reason);
     }
 
     /// Handle one VM exit. `tlb` is the core's translation cache (flushed
@@ -237,16 +285,12 @@ impl Hypervisor {
 
     /// Drain and execute the command queue (invoked on NMI).
     fn process_commands(&mut self, tlb: &mut Tlb) -> ExitAction {
-        let Some(q) = self.vctx.cmdq(self.core) else {
-            return ExitAction::Resume;
-        };
-        let q = q.clone();
-        let drained = q.drain();
+        let drained = self.cmdq.drain();
         if self.tracer.enabled() && !drained.is_empty() {
             self.tracer
                 .emit(EventKind::CmdDrain, drained.len() as u64, 0);
         }
-        self.execute_commands(&q, drained, tlb)
+        self.execute_commands(drained, tlb)
     }
 
     /// Execute an already-drained command batch against this core. Shared
@@ -255,12 +299,7 @@ impl Hypervisor {
     /// only *after* a command's effect has been applied — that ordering is
     /// what lets the controller's completion wait enforce
     /// unmap-before-reclaim.
-    pub fn execute_commands(
-        &mut self,
-        q: &crate::cmdqueue::CmdQueue,
-        drained: Vec<crate::cmdqueue::SeqCommand>,
-        tlb: &mut Tlb,
-    ) -> ExitAction {
+    pub fn execute_commands(&mut self, drained: Vec<SeqCommand>, tlb: &mut Tlb) -> ExitAction {
         let mut action = ExitAction::Resume;
         for sc in drained {
             self.commands += 1;
@@ -278,7 +317,7 @@ impl Hypervisor {
                 }
                 Command::Sync => {}
             }
-            q.complete(sc.seq);
+            self.cmdq.complete(sc.seq);
             if self.tracer.enabled() {
                 // A zero stamp means the poster's recorder was off.
                 let ns = if sc.tsc != 0 {
@@ -321,7 +360,6 @@ impl Hypervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cmdqueue::CmdQueue;
     use crate::config::CovirtConfig;
     use covirt_simhw::addr::{GuestPhysAddr, PAGE_SIZE_4K};
     use covirt_simhw::apic::{ICR_MODE_FIXED, ICR_SH_ALL_EXC, ICR_SH_NONE};
@@ -355,7 +393,8 @@ mod tests {
             .unwrap();
         vctx.set_cmdq(1, CmdQueue::create(&qwindow).unwrap());
         let vctx = Arc::new(vctx);
-        let hv = Hypervisor::launch(Arc::clone(&node), Arc::clone(&vctx), 1).unwrap();
+        let ctl = CovirtController::new(Arc::clone(&node), config);
+        let hv = Hypervisor::launch(Arc::clone(&node), ctl, Arc::clone(&vctx), 1).unwrap();
         let tlb = Tlb::new(TlbParams::default());
         (node, vctx, hv, tlb)
     }
@@ -373,7 +412,8 @@ mod tests {
     #[test]
     fn double_launch_rejected() {
         let (node, vctx, _hv, _tlb) = setup(CovirtConfig::NONE);
-        assert!(Hypervisor::launch(node, vctx, 1).is_err());
+        let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::NONE);
+        assert!(Hypervisor::launch(node, ctl, vctx, 1).is_err());
     }
 
     #[test]
@@ -538,7 +578,7 @@ mod tests {
             tlb.lookup(0x1000).is_none(),
             "TLB must be flushed by the command"
         );
-        assert!(q.wait(seq, 1).is_ok(), "completion must be signalled");
+        assert!(q.wait(seq, 1, None).is_ok(), "completion must be signalled");
         assert_eq!(hv.commands, 1);
     }
 
@@ -573,7 +613,7 @@ mod tests {
         );
         assert!(tlb.lookup(0x1000).is_none(), "range must be invalidated");
         assert!(tlb.lookup(0x8000).is_some(), "unrelated entry must survive");
-        assert!(q.wait(seq, 1).is_ok());
+        assert!(q.wait(seq, 1, None).is_ok());
         assert_eq!(tlb.stats().range_flushes, 1);
         assert_eq!(tlb.stats().full_flushes, 0);
     }

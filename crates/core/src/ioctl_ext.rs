@@ -121,15 +121,13 @@ impl CovirtIoctl {
             .map_err(|_| PiscesError::NoSuchEnclave(enclave))?;
         // Post Terminate to each live core and kick it with an NMI; cores
         // that never entered guest mode need no coercion.
-        for core in vctx.live_cores() {
-            if let Some(q) = vctx.cmdq(core) {
-                q.post(Command::Terminate)
-                    .map_err(|_| PiscesError::ResourceBusy("command queue full"))?;
-                self.node
-                    .interconnect
-                    .send(0, IpiDest::Core(core), DeliveryMode::Nmi)
-                    .map_err(PiscesError::Hw)?;
-            }
+        for (core, q, _) in vctx.live_slots() {
+            q.post(Command::Terminate)
+                .map_err(|_| PiscesError::ResourceBusy("command queue full"))?;
+            self.node
+                .interconnect
+                .send(0, IpiDest::Core(core), DeliveryMode::Nmi)
+                .map_err(PiscesError::Hw)?;
         }
         Ok(Vec::new())
     }

@@ -30,6 +30,16 @@
 //!
 //! See DESIGN.md at the repository root for the paper-to-crate map.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
+
 pub mod boot;
 pub mod cmdqueue;
 pub mod config;
@@ -61,7 +71,9 @@ pub enum CovirtError {
     /// the abort reason.
     EnclaveTerminated(String),
     /// Command-queue failure.
-    CmdQueue(&'static str),
+    CmdQueue(pisces::ring::RingError),
+    /// A core did not acknowledge a synchronization command.
+    FlushTimeout(cmdqueue::FlushTimeout),
     /// Malformed request.
     Invalid(&'static str),
 }
@@ -75,6 +87,7 @@ impl std::fmt::Display for CovirtError {
             CovirtError::NoContext(id) => write!(f, "no virtualization context for enclave {id}"),
             CovirtError::EnclaveTerminated(why) => write!(f, "enclave terminated: {why}"),
             CovirtError::CmdQueue(w) => write!(f, "command queue: {w}"),
+            CovirtError::FlushTimeout(t) => write!(f, "TLB flush synchronization failed: {t}"),
             CovirtError::Invalid(w) => write!(f, "invalid request: {w}"),
         }
     }
@@ -97,6 +110,18 @@ impl From<pisces::PiscesError> for CovirtError {
 impl From<kitten::KittenError> for CovirtError {
     fn from(e: kitten::KittenError) -> Self {
         CovirtError::Kitten(e)
+    }
+}
+
+impl From<pisces::ring::RingError> for CovirtError {
+    fn from(e: pisces::ring::RingError) -> Self {
+        CovirtError::CmdQueue(e)
+    }
+}
+
+impl From<cmdqueue::FlushTimeout> for CovirtError {
+    fn from(e: cmdqueue::FlushTimeout) -> Self {
+        CovirtError::FlushTimeout(e)
     }
 }
 

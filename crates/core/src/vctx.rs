@@ -11,13 +11,14 @@
 use crate::cmdqueue::CmdQueue;
 use crate::config::{CovirtConfig, IpiMode};
 use crate::whitelist::IpiWhitelist;
+use covirt_simhw::addr::PhysRange;
 use covirt_simhw::ept::Ept;
 use covirt_simhw::ioport::IoBitmap;
 use covirt_simhw::memory::RegionView;
 use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::vmcs::{new_vmcs, ApicVirtMode, VmcsHandle};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,6 +78,10 @@ pub struct VirtContext {
     /// enclaves' grant/reclaim churn never invalidates this enclave's
     /// caches.
     pub region_view: Arc<RegionView>,
+    /// The open reclaim epoch, if any: ranges already unmapped whose one
+    /// coalesced shootdown waits for the epoch to close. Lives and dies
+    /// with the context.
+    pub(crate) reclaim_epoch: Mutex<Option<Vec<PhysRange>>>,
 }
 
 impl VirtContext {
@@ -164,6 +169,7 @@ impl VirtContext {
             terminated: RwLock::new(None),
             violations: AtomicU64::new(0),
             region_view: Arc::new(RegionView::new()),
+            reclaim_epoch: Mutex::new(None),
         }
     }
 
@@ -224,13 +230,21 @@ impl VirtContext {
         }
     }
 
+    /// The slots of the cores currently in guest mode, ascending.
+    fn live(&self) -> impl Iterator<Item = &CoreSlot> {
+        self.slots.iter().filter(|s| s.live.load(Ordering::SeqCst))
+    }
+
     /// Cores currently in guest mode, in ascending order.
     pub fn live_cores(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .filter(|s| s.live.load(Ordering::SeqCst))
-            .map(|s| s.core)
-            .collect()
+        self.live().map(|s| s.core).collect()
+    }
+
+    /// What a command round trip needs of each core currently in guest
+    /// mode, in ascending core order: its id, its queue and its doorbell.
+    pub fn live_slots(&self) -> impl Iterator<Item = (usize, &CmdQueue, &PostedIntDescriptor)> {
+        self.live()
+            .filter_map(|s| Some((s.core, s.cmdq.as_ref()?, &*s.cmd_doorbell)))
     }
 
     /// Record enclave termination (idempotent; first reason wins).

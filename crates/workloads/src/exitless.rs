@@ -165,7 +165,7 @@ pub struct ConcurrentResult {
 }
 
 /// Doorbell-first barrier rounds against concurrently polling cores —
-/// verifies the controller's `await_completion` path never escalates when
+/// verifies the completion wait never runs its escalation hook when
 /// the cores are live, and that the whole run stays exitless.
 pub fn concurrent_barrier(rounds: u64) -> ConcurrentResult {
     let world = scenario::world(2);

@@ -85,8 +85,8 @@ fn main() {
     println!("enclave state: {:?}", enclave.state());
     for report in controller.faults.all() {
         println!(
-            "fault log: enclave {} core {} @tsc {}: {}",
-            report.enclave, report.core, report.tsc, report.reason
+            "fault log: enclave {} core {} @tsc {}: {} (reclaim: {:?})",
+            report.enclave, report.core, report.tsc, report.reason, report.reclaim
         );
     }
 
