@@ -443,7 +443,7 @@ impl GuestCore {
         let mem = &self.node.mem;
         let ept = self.hv.as_ref().and_then(|h| h.vctx().ept.as_deref());
 
-        let (t, writable) = if let Some(ept) = ept {
+        let t = if let Some(ept) = ept {
             // Nested translation: guest walk with EPT-translated entry
             // loads, then the EPT translation of the final address. The
             // walk cache short-circuits PT-entry EPT walks; the *data*
@@ -482,9 +482,9 @@ impl GuestCore {
                 Err(e) => return Err(e.into()),
             };
             self.counters.walk_loads += et.loads as u64;
-            // Cache the *guest* page geometry; permissions are the
-            // intersection of guest and EPT rights.
-            (gt, gt.perms.w && et.perms.w)
+            // The TLB is filled with what both leaves cover, not with the
+            // guest's own: the EPT vouched for `et`'s page only.
+            gt.intersect(&et)
         } else {
             let loader = CachedLoad {
                 mem,
@@ -501,21 +501,22 @@ impl GuestCore {
             if access == Access::Write && !t.perms.w {
                 return Err(CovirtError::Invalid("write to read-only mapping"));
             }
-            (t, t.perms.w)
+            t
         };
 
         // Resolve host backing for the whole page and fill the TLB. The
         // region cache pins the last grant region, so consecutive fills in
         // the same region skip the snapshot search entirely.
-        let page_gva = gva - gva % t.page_size;
-        let (backing, off) = self.region_cache.resolve(mem, t.page_base, t.page_size)?;
+        let page_size = t.page_size.bytes();
+        let page_gva = t.page_size.base_of(gva);
+        let (backing, off) = self.region_cache.resolve(mem, t.page_base, page_size)?;
         let base_ptr = backing.ptr_at(off);
         self.tlb
-            .insert(page_gva, t.page_size, base_ptr, backing, writable);
+            .insert(page_gva, page_size, base_ptr, backing, t.perms.w);
         let in_page = gva - page_gva;
         self.phase.transition_now(prev, || self.node.clock.rdtsc());
         // SAFETY: in_page < page_size, and the resolve covered the page.
-        Ok(unsafe { (base_ptr.add(in_page as usize), t.page_size - in_page) })
+        Ok(unsafe { (base_ptr.add(in_page as usize), page_size - in_page) })
     }
 
     /// Abort-class: the hypervisor terminates the enclave, so this returns
@@ -961,6 +962,52 @@ mod tests {
             native < cached && cached < full,
             "cached nested walk ({cached}) must sit between native ({native}) and full ({full})"
         );
+    }
+
+    /// The guest owns its page tables and may set the leaf bit where no
+    /// page size exists (PS in a PML4E). A walk — the core's or the
+    /// kernel's own unmap on `RemoveMem` — that meets it is the guest's page
+    /// fault, as for a not-present entry; the host carries on.
+    #[test]
+    fn leaf_bit_in_a_pml4e_is_a_guest_page_fault_in_every_mode() {
+        for mode in [ExecMode::Native, ExecMode::Covirt(CovirtConfig::MEM)] {
+            let w = world(mode);
+            let mut gc = core(&w, 1);
+            let host = w.master.pisces();
+            let granted = host
+                .add_memory(&w.enclave, ZoneId(0), PAGE_SIZE_2M)
+                .unwrap();
+            w.kernel.poll_ctrl().unwrap();
+            host.process_acks(&w.enclave).unwrap();
+            let a = data_gva(&w);
+            gc.write_u64(a, 7).unwrap();
+
+            let entry = w.kernel.page_tables.root().raw() + ((a >> 39) & 0x1ff) * 8;
+            let intact = gc.read_u64(entry).unwrap();
+            gc.write_u64(entry, intact | covirt_simhw::paging::x86_bits::PS)
+                .unwrap();
+            // A cached translation still hits; one that must walk faults.
+            assert_eq!(gc.read_u64(a).unwrap(), 7, "{mode}");
+            assert!(
+                matches!(gc.read_u64(a + PAGE_SIZE_2M), Err(CovirtError::Invalid(_))),
+                "{mode}"
+            );
+            host.request_remove_memory(&w.enclave, granted).unwrap();
+            assert!(
+                matches!(
+                    w.kernel.poll_ctrl(),
+                    Err(kitten::KittenError::Hw(HwError::PageNotPresent {
+                        level: 4,
+                        ..
+                    }))
+                ),
+                "{mode}"
+            );
+            // Nobody died of it, and the guest can repair its own table.
+            assert!(gc.terminated().is_none(), "{mode}");
+            gc.write_u64(entry, intact).unwrap();
+            assert_eq!(gc.read_u64(a + PAGE_SIZE_2M).unwrap(), 0, "{mode}");
+        }
     }
 
     #[test]

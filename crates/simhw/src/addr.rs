@@ -1,4 +1,4 @@
-//! Address newtypes and page-size constants.
+//! Address newtypes and the page sizes.
 //!
 //! The simulator distinguishes three address spaces, mirroring the paper's
 //! setting:
@@ -14,19 +14,91 @@
 
 use std::fmt;
 
-/// 4 KiB base page.
-pub const PAGE_SIZE_4K: u64 = 4 * 1024;
-/// 2 MiB large page.
-pub const PAGE_SIZE_2M: u64 = 2 * 1024 * 1024;
-/// 1 GiB giant page.
-pub const PAGE_SIZE_1G: u64 = 1024 * 1024 * 1024;
+/// The three page sizes of x86-64 paging, smallest first (so `min` picks the
+/// smaller page). The one place a size, its offset bits and the table level
+/// whose leaves have it are related: whatever holds a `PageSize` holds a size
+/// the TLB, the walk cache and the radix engine all know.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum PageSize {
+    /// 4 KiB base page: a level-1 (PT) leaf.
+    Size4K,
+    /// 2 MiB large page: a level-2 (PD) leaf.
+    Size2M,
+    /// 1 GiB giant page: a level-3 (PDPT) leaf.
+    Size1G,
+}
 
-/// Bits of a 4 KiB page offset.
-pub const PAGE_SHIFT_4K: u32 = 12;
-/// Bits of a 2 MiB page offset.
-pub const PAGE_SHIFT_2M: u32 = 21;
-/// Bits of a 1 GiB page offset.
-pub const PAGE_SHIFT_1G: u32 = 30;
+impl PageSize {
+    /// Every size, smallest first.
+    pub const ALL: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+
+    /// Bits of the page offset.
+    #[inline]
+    pub const fn shift(self) -> u32 {
+        level_shift(self.level())
+    }
+
+    /// Size in bytes.
+    #[inline]
+    pub const fn bytes(self) -> u64 {
+        1 << self.shift()
+    }
+
+    /// Base of the page of this size containing `addr`.
+    #[inline]
+    pub const fn base_of(self, addr: u64) -> u64 {
+        addr & !(self.bytes() - 1)
+    }
+
+    /// The table level (1 = PT … 3 = PDPT) whose leaves map this size.
+    #[inline]
+    pub const fn level(self) -> u8 {
+        match self {
+            PageSize::Size4K => 1,
+            PageSize::Size2M => 2,
+            PageSize::Size1G => 3,
+        }
+    }
+
+    /// The size a leaf at `level` maps; `None` for a level that has no
+    /// leaves (the PML4, or no level at all).
+    #[inline]
+    pub const fn from_level(level: u8) -> Option<Self> {
+        match level {
+            1 => Some(PageSize::Size4K),
+            2 => Some(PageSize::Size2M),
+            3 => Some(PageSize::Size1G),
+            _ => None,
+        }
+    }
+
+    /// The size of exactly `bytes` bytes, if there is one.
+    #[inline]
+    pub const fn from_bytes(bytes: u64) -> Option<Self> {
+        match bytes {
+            PAGE_SIZE_4K => Some(PageSize::Size4K),
+            PAGE_SIZE_2M => Some(PageSize::Size2M),
+            PAGE_SIZE_1G => Some(PageSize::Size1G),
+            _ => None,
+        }
+    }
+}
+
+/// Address bits below the table index of `level` (1 = PT … 4 = PML4): the 12
+/// offset bits of a base page plus 9 index bits per level beneath. One entry
+/// at `level` spans `1 << level_shift(level)` bytes, and a leaf there maps a
+/// page of that size.
+#[inline]
+pub(crate) const fn level_shift(level: u8) -> u32 {
+    12 + 9 * (level as u32 - 1)
+}
+
+/// 4 KiB base page.
+pub const PAGE_SIZE_4K: u64 = PageSize::Size4K.bytes();
+/// 2 MiB large page.
+pub const PAGE_SIZE_2M: u64 = PageSize::Size2M.bytes();
+/// 1 GiB giant page.
+pub const PAGE_SIZE_1G: u64 = PageSize::Size1G.bytes();
 
 macro_rules! addr_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -45,12 +117,6 @@ macro_rules! addr_type {
             #[inline]
             pub const fn raw(self) -> u64 {
                 self.0
-            }
-
-            /// Offset within a page of the given size (size must be a power of two).
-            #[inline]
-            pub const fn page_offset(self, page_size: u64) -> u64 {
-                self.0 & (page_size - 1)
             }
 
             /// Round down to the containing page boundary.
@@ -84,12 +150,6 @@ macro_rules! addr_type {
                     Some(v) => Some(Self(v & !(page_size - 1))),
                     None => None,
                 }
-            }
-
-            /// True if the address is aligned to `page_size`.
-            #[inline]
-            pub const fn is_aligned(self, page_size: u64) -> bool {
-                self.0 & (page_size - 1) == 0
             }
 
             /// Add a byte offset.
@@ -141,22 +201,6 @@ addr_type!(
     GuestVirtAddr
 );
 
-impl GuestPhysAddr {
-    /// Reinterpret as a host-physical address (Covirt's identity mapping).
-    #[inline]
-    pub const fn to_host_identity(self) -> HostPhysAddr {
-        HostPhysAddr(self.0)
-    }
-}
-
-impl HostPhysAddr {
-    /// Reinterpret as a guest-physical address (Covirt's identity mapping).
-    #[inline]
-    pub const fn to_guest_identity(self) -> GuestPhysAddr {
-        GuestPhysAddr(self.0)
-    }
-}
-
 /// Inclusive-start, exclusive-end range of host-physical memory.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysRange {
@@ -191,11 +235,6 @@ impl PhysRange {
     pub fn covers(&self, other: &PhysRange) -> bool {
         other.start.0 >= self.start.0 && other.end().0 <= self.end().0
     }
-
-    /// True if `other` begins exactly where `self` ends.
-    pub fn abuts(&self, other: &PhysRange) -> bool {
-        self.end().0 == other.start.0
-    }
 }
 
 impl fmt::Debug for PhysRange {
@@ -213,8 +252,6 @@ mod tests {
         let a = HostPhysAddr::new(0x1234);
         assert_eq!(a.align_down(PAGE_SIZE_4K).raw(), 0x1000);
         assert_eq!(a.align_up(PAGE_SIZE_4K).raw(), 0x2000);
-        assert!(a.align_down(PAGE_SIZE_4K).is_aligned(PAGE_SIZE_4K));
-        assert_eq!(a.page_offset(PAGE_SIZE_4K), 0x234);
     }
 
     #[test]
@@ -222,7 +259,6 @@ mod tests {
         let a = GuestPhysAddr::new(PAGE_SIZE_2M * 3);
         assert_eq!(a.align_up(PAGE_SIZE_2M), a);
         assert_eq!(a.align_down(PAGE_SIZE_2M), a);
-        assert!(a.is_aligned(PAGE_SIZE_2M));
     }
 
     #[test]
@@ -236,8 +272,6 @@ mod tests {
         assert!(r.overlaps(&r2));
         let r3 = PhysRange::new(HostPhysAddr::new(0x2000), 0x1000);
         assert!(!r.overlaps(&r3));
-        assert!(r.abuts(&r3));
-        assert!(!r3.abuts(&r));
     }
 
     #[test]
@@ -282,11 +316,5 @@ mod tests {
     #[should_panic(expected = "align_up overflows")]
     fn align_up_overflow_panics_in_debug() {
         let _ = HostPhysAddr::new(u64::MAX - 10).align_up(PAGE_SIZE_4K);
-    }
-
-    #[test]
-    fn identity_conversion_roundtrip() {
-        let g = GuestPhysAddr::new(0xdead_b000);
-        assert_eq!(g.to_host_identity().to_guest_identity(), g);
     }
 }

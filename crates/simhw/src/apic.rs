@@ -84,17 +84,6 @@ impl IcrCommand {
     }
 }
 
-/// LAPIC timer modes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimerMode {
-    /// Timer disarmed.
-    Off,
-    /// Fire once at the deadline.
-    OneShot,
-    /// Fire every period.
-    Periodic,
-}
-
 /// The per-core local APIC.
 pub struct LocalApic {
     /// This APIC's id (== core id on our node).
@@ -107,8 +96,6 @@ pub struct LocalApic {
     timer_period: AtomicU64,
     /// Vector the timer delivers.
     timer_vector: AtomicU64,
-    /// ICR writes performed (instrumentation).
-    icr_writes: AtomicU64,
 }
 
 impl LocalApic {
@@ -121,22 +108,15 @@ impl LocalApic {
             timer_deadline: AtomicU64::new(0),
             timer_period: AtomicU64::new(0),
             timer_vector: AtomicU64::new(0xec),
-            icr_writes: AtomicU64::new(0),
         }
     }
 
     /// Write the ICR: decodes the command and delivers the interrupt
     /// immediately (the simulated bus has no queuing delay).
     pub fn icr_write(&self, raw: u64) -> HwResult<()> {
-        self.icr_writes.fetch_add(1, Ordering::Relaxed);
         let cmd = IcrCommand::decode(raw);
         self.interconnect
             .send(self.id, cmd.resolve_dest(self.id), cmd.delivery())
-    }
-
-    /// Number of ICR writes performed by this core.
-    pub fn icr_write_count(&self) -> u64 {
-        self.icr_writes.load(Ordering::Relaxed)
     }
 
     /// Arm the timer to fire `period_ns` from now; `periodic` rearms
@@ -153,17 +133,6 @@ impl LocalApic {
             .store(if periodic { cycles } else { 0 }, Ordering::Relaxed);
         self.timer_deadline
             .store(self.clock.rdtsc() + cycles, Ordering::Release);
-    }
-
-    /// Current timer mode.
-    pub fn timer_mode(&self) -> TimerMode {
-        if self.timer_deadline.load(Ordering::Acquire) == 0 {
-            TimerMode::Off
-        } else if self.timer_period.load(Ordering::Relaxed) == 0 {
-            TimerMode::OneShot
-        } else {
-            TimerMode::Periodic
-        }
     }
 
     /// Poll the timer: if the deadline passed, deliver the timer vector to
@@ -250,7 +219,6 @@ mod tests {
         };
         apics[0].icr_write(cmd.encode()).unwrap();
         assert!(ic.mailbox(2).unwrap().irr.test(0x90));
-        assert_eq!(apics[0].icr_write_count(), 1);
     }
 
     #[test]
@@ -263,7 +231,7 @@ mod tests {
             shorthand: ICR_SH_NONE,
         };
         apics[0].icr_write(cmd.encode()).unwrap();
-        assert!(ic.mailbox(1).unwrap().nmi_pending());
+        assert!(ic.mailbox(1).unwrap().take_nmi());
     }
 
     #[test]
@@ -287,7 +255,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(apics[0].poll_timer());
         assert!(ic.mailbox(0).unwrap().irr.test(0xec));
-        assert_eq!(apics[0].timer_mode(), TimerMode::Off);
         assert!(!apics[0].poll_timer());
     }
 
@@ -297,7 +264,6 @@ mod tests {
         apics[0].arm_timer(100_000, true, 0xec); // 100 µs period
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(apics[0].poll_timer());
-        assert_eq!(apics[0].timer_mode(), TimerMode::Periodic);
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(apics[0].poll_timer(), "periodic timer should fire again");
     }
@@ -307,7 +273,6 @@ mod tests {
         let (_, _, apics) = setup(1);
         apics[0].arm_timer(100, true, 0xec);
         apics[0].arm_timer(0, false, 0xec);
-        assert_eq!(apics[0].timer_mode(), TimerMode::Off);
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(!apics[0].poll_timer());
     }

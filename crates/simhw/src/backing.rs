@@ -8,7 +8,8 @@
 //! but never corrupt the simulator itself (accesses are always whole aligned
 //! machine words or byte copies into freshly owned buffers).
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use crate::error::{HwError, HwResult};
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A contiguous, zero-initialized block of host memory standing in for a
@@ -25,7 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// does.
 pub struct Backing {
     ptr: *mut u8,
-    len: usize,
+    /// What `ptr` was allocated with; its size is the backing's length.
+    layout: Layout,
 }
 
 // SAFETY: `Backing` is a bag of bytes accessed only through raw-pointer
@@ -36,27 +38,32 @@ unsafe impl Sync for Backing {}
 
 impl Backing {
     /// Allocate `len` bytes of zeroed backing. `len` is rounded up to an
-    /// 8-byte multiple so word access never straddles the end.
-    pub fn new(len: usize) -> Self {
-        let len = len.div_ceil(8) * 8;
-        assert!(len > 0, "zero-length backing");
-        let layout = Layout::from_size_align(len, 8).expect("backing layout");
+    /// 8-byte multiple so word access never straddles the end. A length of
+    /// zero, or one no host allocation can have, is refused.
+    pub fn new(len: usize) -> HwResult<Self> {
+        let layout = len
+            .checked_next_multiple_of(8)
+            .filter(|&len| len > 0)
+            .and_then(|len| Layout::from_size_align(len, 8).ok())
+            .ok_or(HwError::Invalid("backing length is zero or too large"))?;
         // SAFETY: layout has non-zero size and valid 8-byte alignment.
         let ptr = unsafe { alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "host allocation of {len} bytes failed");
-        Backing { ptr, len }
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        Ok(Backing { ptr, layout })
     }
 
     /// Length in bytes (rounded up to a word multiple).
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.layout.size()
     }
 
     /// True if the backing has no capacity (never the case after `new`).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Raw pointer to the byte at `offset`.
@@ -66,9 +73,9 @@ impl Backing {
     #[inline]
     pub fn ptr_at(&self, offset: usize) -> *mut u8 {
         debug_assert!(
-            offset < self.len,
+            offset < self.len(),
             "offset {offset} out of backing of len {}",
-            self.len
+            self.len()
         );
         // SAFETY: offset is within the allocation (debug-asserted; release
         // callers bounds-check via `PhysMemory::resolve`).
@@ -78,9 +85,9 @@ impl Backing {
     #[inline]
     fn word(&self, offset: usize) -> &AtomicU64 {
         assert!(
-            offset + 8 <= self.len,
+            offset + 8 <= self.len(),
             "word access at {offset} out of bounds ({})",
-            self.len
+            self.len()
         );
         assert!(
             offset.is_multiple_of(8),
@@ -129,7 +136,7 @@ impl Backing {
 
     /// Copy bytes out of the backing into `buf`.
     pub fn read_bytes(&self, offset: usize, buf: &mut [u8]) {
-        assert!(offset + buf.len() <= self.len, "read_bytes out of bounds");
+        assert!(offset + buf.len() <= self.len(), "read_bytes out of bounds");
         // SAFETY: source range is in-bounds; destination is caller-owned and
         // non-overlapping with the backing.
         unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(offset), buf.as_mut_ptr(), buf.len()) }
@@ -137,7 +144,10 @@ impl Backing {
 
     /// Copy bytes from `buf` into the backing.
     pub fn write_bytes(&self, offset: usize, buf: &[u8]) {
-        assert!(offset + buf.len() <= self.len, "write_bytes out of bounds");
+        assert!(
+            offset + buf.len() <= self.len(),
+            "write_bytes out of bounds"
+        );
         // SAFETY: destination range is in-bounds; source is caller-owned and
         // non-overlapping with the backing.
         unsafe { std::ptr::copy_nonoverlapping(buf.as_ptr(), self.ptr.add(offset), buf.len()) }
@@ -145,7 +155,7 @@ impl Backing {
 
     /// Zero a byte range.
     pub fn zero(&self, offset: usize, len: usize) {
-        assert!(offset + len <= self.len, "zero out of bounds");
+        assert!(offset + len <= self.len(), "zero out of bounds");
         // SAFETY: range is in-bounds.
         unsafe { std::ptr::write_bytes(self.ptr.add(offset), 0, len) }
     }
@@ -153,15 +163,14 @@ impl Backing {
 
 impl Drop for Backing {
     fn drop(&mut self) {
-        let layout = Layout::from_size_align(self.len, 8).expect("backing layout");
         // SAFETY: ptr was produced by `alloc_zeroed` with this exact layout.
-        unsafe { dealloc(self.ptr, layout) }
+        unsafe { dealloc(self.ptr, self.layout) }
     }
 }
 
 impl std::fmt::Debug for Backing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Backing({} bytes @ {:p})", self.len, self.ptr)
+        write!(f, "Backing({} bytes @ {:p})", self.len(), self.ptr)
     }
 }
 
@@ -172,7 +181,7 @@ mod tests {
 
     #[test]
     fn zeroed_on_alloc() {
-        let b = Backing::new(4096);
+        let b = Backing::new(4096).unwrap();
         for off in (0..4096).step_by(8) {
             assert_eq!(b.read_u64(off), 0);
         }
@@ -180,7 +189,7 @@ mod tests {
 
     #[test]
     fn word_roundtrip() {
-        let b = Backing::new(64);
+        let b = Backing::new(64).unwrap();
         b.write_u64(8, 0xdead_beef_cafe_f00d);
         assert_eq!(b.read_u64(8), 0xdead_beef_cafe_f00d);
         assert_eq!(b.read_u64(0), 0);
@@ -189,7 +198,7 @@ mod tests {
 
     #[test]
     fn bytes_roundtrip() {
-        let b = Backing::new(128);
+        let b = Backing::new(128).unwrap();
         let src = [1u8, 2, 3, 4, 5];
         b.write_bytes(17, &src);
         let mut dst = [0u8; 5];
@@ -199,7 +208,7 @@ mod tests {
 
     #[test]
     fn zero_range() {
-        let b = Backing::new(64);
+        let b = Backing::new(64).unwrap();
         b.write_u64(0, u64::MAX);
         b.write_u64(8, u64::MAX);
         b.zero(0, 8);
@@ -208,8 +217,15 @@ mod tests {
     }
 
     #[test]
+    fn impossible_lengths_are_refused() {
+        assert!(Backing::new(0).is_err());
+        assert!(Backing::new(usize::MAX - 3).is_err());
+        assert!(Backing::new(isize::MAX as usize).is_err());
+    }
+
+    #[test]
     fn rounds_len_to_word() {
-        let b = Backing::new(5);
+        let b = Backing::new(5).unwrap();
         assert_eq!(b.len(), 8);
         b.write_u64(0, 42);
         assert_eq!(b.read_u64(0), 42);
@@ -218,13 +234,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn oob_word_panics() {
-        let b = Backing::new(8);
+        let b = Backing::new(8).unwrap();
         b.read_u64(8);
     }
 
     #[test]
     fn cas_semantics() {
-        let b = Backing::new(8);
+        let b = Backing::new(8).unwrap();
         assert_eq!(b.cas_u64(0, 0, 7), Ok(0));
         assert_eq!(b.cas_u64(0, 0, 9), Err(7));
         assert_eq!(b.read_u64(0), 7);
@@ -232,7 +248,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter() {
-        let b = Arc::new(Backing::new(8));
+        let b = Arc::new(Backing::new(8).unwrap());
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let b = Arc::clone(&b);

@@ -5,7 +5,6 @@
 //! offers the same instrument: a monotonic cycle counter derived from the
 //! host's monotonic clock, scaled to the node's nominal TSC frequency.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A node-wide TSC: all cores read the same invariant counter, as on any
@@ -13,8 +12,6 @@ use std::time::Instant;
 pub struct TscClock {
     start: Instant,
     hz: u64,
-    /// Fixed offset so a fresh enclave does not start at cycle 0.
-    offset: AtomicU64,
 }
 
 impl TscClock {
@@ -23,17 +20,15 @@ impl TscClock {
         TscClock {
             start: Instant::now(),
             hz,
-            offset: AtomicU64::new(0),
         }
     }
 
-    /// RDTSC: cycles since the clock was created (plus any offset).
+    /// RDTSC: cycles since the clock was created.
     #[inline]
     pub fn rdtsc(&self) -> u64 {
         let ns = self.start.elapsed().as_nanos() as u64;
         // 128-bit intermediate avoids overflow for multi-hour runs.
-        let cycles = (ns as u128 * self.hz as u128 / 1_000_000_000) as u64;
-        cycles + self.offset.load(Ordering::Relaxed)
+        (ns as u128 * self.hz as u128 / 1_000_000_000) as u64
     }
 
     /// Nominal frequency in Hz.
@@ -52,11 +47,6 @@ impl TscClock {
     #[inline]
     pub fn ns_to_cycles(&self, ns: u64) -> u64 {
         (ns as u128 * self.hz as u128 / 1_000_000_000) as u64
-    }
-
-    /// WRMSR IA32_TSC analogue — used by tests to fast-forward.
-    pub fn add_offset(&self, cycles: u64) {
-        self.offset.fetch_add(cycles, Ordering::Relaxed);
     }
 }
 
@@ -80,15 +70,6 @@ mod tests {
         assert_eq!(cycles, 1_700_000);
         let back = c.cycles_to_ns(cycles);
         assert!((back as i64 - ns as i64).abs() <= 1);
-    }
-
-    #[test]
-    fn offset_applies() {
-        let c = TscClock::new(1_000_000_000);
-        let a = c.rdtsc();
-        c.add_offset(1_000_000_000);
-        let b = c.rdtsc();
-        assert!(b >= a + 1_000_000_000);
     }
 
     #[test]

@@ -84,15 +84,6 @@ impl Cpu {
         Ok(())
     }
 
-    /// VMCLEAR: drop the current VMCS.
-    pub fn vmclear(&self) -> HwResult<()> {
-        if !self.vmx_enabled() {
-            return Err(HwError::VmxNotEnabled(self.id.0));
-        }
-        *self.current_vmcs.lock() = None;
-        Ok(())
-    }
-
     /// The current VMCS, if any.
     pub fn current_vmcs(&self) -> Option<VmcsHandle> {
         self.current_vmcs.lock().clone()
@@ -151,8 +142,6 @@ mod tests {
         c.vmxon().unwrap();
         c.vmptrld(new_vmcs()).unwrap();
         assert!(c.current_vmcs().is_some());
-        c.vmclear().unwrap();
-        assert!(c.current_vmcs().is_none());
     }
 
     #[test]

@@ -17,14 +17,12 @@
 //! command-queue + NMI protocol), and that asynchrony is the behaviour Covirt
 //! exists to manage.
 
-use crate::addr::{
-    GuestPhysAddr, HostPhysAddr, PhysRange, PAGE_SHIFT_1G, PAGE_SHIFT_2M, PAGE_SHIFT_4K,
-    PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K,
-};
+use crate::addr::{GuestPhysAddr, HostPhysAddr, PhysRange};
 use crate::error::{HwError, HwResult};
 use crate::paging::{Access, EntryFormat, FramePool, Perms, RadixTable, TableLoad, Translation};
+use crate::sizeclass::SizeClassed;
 use parking_lot::Mutex;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -110,7 +108,7 @@ pub struct EptViolationInfo {
 /// to clear everything. The controller coalesces at most 8 ranged flushes
 /// into one reclaim epoch (`MAX_RANGE_FLUSH_CMDS`), so a core that walks at
 /// least once per epoch never overflows this.
-const UNMAP_LOG_SLOTS: usize = 16;
+pub(crate) const UNMAP_LOG_SLOTS: usize = 16;
 
 /// An enclave's extended page tables.
 pub struct Ept {
@@ -254,14 +252,13 @@ impl Ept {
 /// guest-physical → host-physical pair, and the cache stores no permissions —
 /// the data page's permission check always runs against the live EPT.
 ///
-/// The cache is core-private (interior mutability via [`Cell`], not
-/// thread-safe) exactly like the hardware structure it models.
+/// The cache is core-private (interior mutability via [`Cell`] and
+/// [`RefCell`], not thread-safe) exactly like the hardware structure it models.
 pub struct WalkCache {
-    // Slots per class, sized like a hardware PML4/PDPT/PDE cache: a few
-    // dozen entries cover the paging structures of many gigabytes.
-    e4k: LeafClass<64, PAGE_SHIFT_4K>,
-    e2m: LeafClass<16, PAGE_SHIFT_2M>,
-    e1g: LeafClass<4, PAGE_SHIFT_1G>,
+    /// Host-physical base of each cached EPT leaf, under its guest-physical
+    /// base. Sized like a hardware PML4/PDPT/PDE cache: a few dozen entries
+    /// cover the paging structures of many gigabytes.
+    leaves: RefCell<SizeClassed<u64, true>>,
     /// The EPT generation up to which every unmap has been applied to the
     /// entries; 0 (no EPT ever has it) until the first sync.
     synced: Cell<u64>,
@@ -270,80 +267,11 @@ pub struct WalkCache {
     full_flushes: Cell<u64>,
 }
 
-#[derive(Clone, Copy)]
-struct WalkCacheEntry {
-    /// Guest-physical base of the cached leaf; `u64::MAX` = invalid.
-    tag: u64,
-    /// Host-physical base of that leaf.
-    host_base: u64,
-}
-
-impl WalkCacheEntry {
-    const INVALID: Self = WalkCacheEntry {
-        tag: u64::MAX,
-        host_base: 0,
-    };
-}
-
-/// The direct-mapped slots for EPT leaves of `1 << SHIFT` bytes. `N` is a
-/// power of two, so a slot is picked with a mask, not a divide.
-struct LeafClass<const N: usize, const SHIFT: u32>([Cell<WalkCacheEntry>; N]);
-
-impl<const N: usize, const SHIFT: u32> LeafClass<N, SHIFT> {
-    const MASK: usize = {
-        assert!(N.is_power_of_two());
-        N - 1
-    };
-
-    fn new() -> Self {
-        LeafClass(std::array::from_fn(|_| Cell::new(WalkCacheEntry::INVALID)))
-    }
-
-    #[inline]
-    fn slot(&self, gpa: u64) -> &Cell<WalkCacheEntry> {
-        &self.0[(gpa >> SHIFT) as usize & Self::MASK]
-    }
-
-    #[inline]
-    fn probe(&self, gpa: u64) -> Option<u64> {
-        let e = self.slot(gpa).get();
-        (e.tag == gpa >> SHIFT << SHIFT).then(|| e.host_base + (gpa - e.tag))
-    }
-
-    #[inline]
-    fn fill(&self, gpa: u64, host_base: u64) {
-        self.slot(gpa).set(WalkCacheEntry {
-            tag: gpa >> SHIFT << SHIFT,
-            host_base,
-        });
-    }
-
-    /// Invalidate every entry whose leaf shares a byte with `range`.
-    fn drop_overlapping(&self, range: &PhysRange) {
-        for slot in &self.0 {
-            let tag = slot.get().tag;
-            if tag != WalkCacheEntry::INVALID.tag
-                && range.overlaps(&PhysRange::new(HostPhysAddr::new(tag), 1 << SHIFT))
-            {
-                slot.set(WalkCacheEntry::INVALID);
-            }
-        }
-    }
-
-    fn clear(&self) {
-        for slot in &self.0 {
-            slot.set(WalkCacheEntry::INVALID);
-        }
-    }
-}
-
 impl WalkCache {
     /// Build an empty cache.
     pub fn new() -> Self {
         WalkCache {
-            e4k: LeafClass::new(),
-            e2m: LeafClass::new(),
-            e1g: LeafClass::new(),
+            leaves: RefCell::new(SizeClassed::new([64, 16, 4])),
             synced: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
@@ -373,17 +301,14 @@ impl WalkCache {
             && current
                 .checked_sub(synced)
                 .is_some_and(|behind| behind <= UNMAP_LOG_SLOTS as u64);
+        let mut leaves = self.leaves.borrow_mut();
         if logged {
             for generation in synced + 1..=current {
                 let range = &log[generation as usize % UNMAP_LOG_SLOTS];
-                self.e4k.drop_overlapping(range);
-                self.e2m.drop_overlapping(range);
-                self.e1g.drop_overlapping(range);
+                leaves.invalidate_overlapping(range.start.raw(), range.len);
             }
         } else {
-            self.e4k.clear();
-            self.e2m.clear();
-            self.e1g.clear();
+            leaves.clear();
             self.full_flushes.set(self.full_flushes.get() + 1);
         }
         self.synced.set(current);
@@ -395,13 +320,11 @@ impl WalkCache {
     /// one miss.
     #[inline]
     pub fn lookup(&self, gpa: u64) -> Option<u64> {
-        // 2 MiB first: enclave memory is granted in large contiguous runs,
-        // so that is the leaf size guest PT pages normally sit under.
         let hit = self
-            .e2m
+            .leaves
+            .borrow()
             .probe(gpa)
-            .or_else(|| self.e4k.probe(gpa))
-            .or_else(|| self.e1g.probe(gpa));
+            .map(|hit| hit.payload + hit.offset);
         let tally = if hit.is_some() {
             &self.hits
         } else {
@@ -416,13 +339,7 @@ impl WalkCache {
     /// [`sync`](Self::sync).
     #[inline]
     pub fn insert(&self, gpa: u64, leaf: &Translation) {
-        let host_base = leaf.page_base.raw();
-        match leaf.page_size {
-            PAGE_SIZE_4K => self.e4k.fill(gpa, host_base),
-            PAGE_SIZE_2M => self.e2m.fill(gpa, host_base),
-            PAGE_SIZE_1G => self.e1g.fill(gpa, host_base),
-            size => panic!("unsupported EPT leaf size {size:#x}"),
-        }
+        *self.leaves.borrow_mut().fill(gpa, leaf.page_size) = leaf.page_base.raw();
     }
 
     /// (hits, misses) since construction.
@@ -455,9 +372,9 @@ fn violation_err(gpa: GuestPhysAddr, access: Access) -> HwError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{PAGE_SIZE_2M, PAGE_SIZE_4K};
+    use crate::addr::{PageSize, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use crate::memory::PhysMemory;
-    use crate::paging::{level_page_size, DirectLoad};
+    use crate::paging::DirectLoad;
     use crate::topology::ZoneId;
 
     fn setup() -> (Arc<PhysMemory>, Ept) {
@@ -547,7 +464,12 @@ mod tests {
     fn readonly_grant_blocks_writes() {
         let (mem, ept) = setup();
         let r = mem.alloc(ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K).unwrap();
-        ept.map_identity_perms(r, Perms::RO, 1).unwrap();
+        let ro = Perms {
+            w: false,
+            x: false,
+            ..Perms::RWX
+        };
+        ept.map_identity_perms(r, ro, 1).unwrap();
         let gpa = GuestPhysAddr::new(r.start.raw());
         assert!(ept.translate(gpa, Access::Read, &DirectLoad(&mem)).is_ok());
         assert!(ept
@@ -560,7 +482,7 @@ mod tests {
     fn leaf(host_base: u64, page_size: u64) -> Translation {
         Translation {
             page_base: HostPhysAddr::new(host_base),
-            page_size,
+            page_size: PageSize::from_bytes(page_size).unwrap(),
             pa: HostPhysAddr::new(host_base),
             perms: Perms::RWX,
             loads: 0,
@@ -736,7 +658,8 @@ mod tests {
                         0..=2 => {
                             let (start, level) =
                                 [(page, 1), (slot_2m, 2), (slot_1g, 3)][kind as usize];
-                            let _ = ept.map_identity(range(start, level_page_size(level)), level);
+                            let len = PageSize::from_level(level).unwrap().bytes();
+                            let _ = ept.map_identity(range(start, len), level);
                             continue;
                         }
                         3 => vec![range(page, PAGE_SIZE_4K)],

@@ -70,14 +70,6 @@ pub enum ExitReason {
 }
 
 impl ExitReason {
-    /// True for abort-class exits that must terminate the enclave.
-    pub fn is_abort(&self) -> bool {
-        matches!(
-            self,
-            ExitReason::EptViolation(_) | ExitReason::DoubleFault | ExitReason::TripleFault
-        )
-    }
-
     /// Short stable name for stats tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -110,22 +102,6 @@ pub struct ExitInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::GuestPhysAddr;
-    use crate::paging::Access;
-
-    #[test]
-    fn abort_classification() {
-        assert!(ExitReason::EptViolation(EptViolationInfo {
-            gpa: GuestPhysAddr::new(0),
-            access: Access::Write
-        })
-        .is_abort());
-        assert!(ExitReason::DoubleFault.is_abort());
-        assert!(ExitReason::TripleFault.is_abort());
-        assert!(!ExitReason::Cpuid { leaf: 0 }.is_abort());
-        assert!(!ExitReason::IcrWrite { value: 0 }.is_abort());
-        assert!(!ExitReason::Hlt.is_abort());
-    }
 
     #[test]
     fn names_are_stable() {

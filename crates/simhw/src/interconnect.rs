@@ -121,12 +121,6 @@ impl CoreMailbox {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
             .is_ok()
     }
-
-    /// True if an NMI is pending.
-    #[inline]
-    pub fn nmi_pending(&self) -> bool {
-        self.nmi.load(Ordering::Acquire) > 0
-    }
 }
 
 /// IPI destination addressing.
@@ -152,8 +146,6 @@ pub enum DeliveryMode {
 /// The node-wide interconnect routing interrupts to core mailboxes.
 pub struct Interconnect {
     mailboxes: Vec<CoreMailbox>,
-    /// Total IPI send operations (instrumentation for the evaluation).
-    sends: AtomicU64,
     /// Flight-recorder handle; NMI kicks emit trace events when set.
     tracer: OnceLock<Tracer>,
 }
@@ -163,7 +155,6 @@ impl Interconnect {
     pub fn new(cores: usize) -> Self {
         Interconnect {
             mailboxes: (0..cores).map(|_| CoreMailbox::default()).collect(),
-            sends: AtomicU64::new(0),
             tracer: OnceLock::new(),
         }
     }
@@ -186,7 +177,6 @@ impl Interconnect {
     /// Route an IPI. `from` is the sending core (used for shorthand
     /// destinations).
     pub fn send(&self, from: usize, dest: IpiDest, mode: DeliveryMode) -> HwResult<()> {
-        self.sends.fetch_add(1, Ordering::Relaxed);
         // NMI kicks are the command queue's doorbell — trace them. Fixed
         // IPIs are the guest's own data plane and stay untraced here.
         if mode == DeliveryMode::Nmi {
@@ -218,11 +208,6 @@ impl Interconnect {
             }
         }
         Ok(())
-    }
-
-    /// Total sends so far.
-    pub fn send_count(&self) -> u64 {
-        self.sends.load(Ordering::Relaxed)
     }
 }
 
@@ -261,7 +246,6 @@ mod tests {
             .unwrap();
         assert!(ic.mailbox(2).unwrap().irr.test(0x40));
         assert!(ic.mailbox(1).unwrap().irr.is_empty());
-        assert_eq!(ic.send_count(), 1);
     }
 
     #[test]
@@ -289,7 +273,6 @@ mod tests {
         ic.send(0, IpiDest::Core(1), DeliveryMode::Nmi).unwrap();
         ic.send(0, IpiDest::Core(1), DeliveryMode::Nmi).unwrap();
         let mb = ic.mailbox(1).unwrap();
-        assert!(mb.nmi_pending());
         assert!(mb.take_nmi());
         assert!(mb.take_nmi());
         assert!(!mb.take_nmi());

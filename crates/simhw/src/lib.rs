@@ -32,6 +32,16 @@
 //! Nothing in this crate knows about Covirt, Pisces, Kitten, Hobbes or
 //! XEMEM; it is strictly the hardware layer those crates program.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
+
 pub mod addr;
 pub mod apic;
 pub mod backing;
@@ -47,6 +57,7 @@ pub mod msr;
 pub mod node;
 pub mod paging;
 pub mod posted;
+mod sizeclass;
 pub mod tlb;
 pub mod topology;
 pub mod vmcs;

@@ -39,13 +39,13 @@
 //! arriving. See DESIGN.md §12 for the ordering argument.
 //!
 //! Every publish bumps the owning zone's generation (and the global
-//! [`PhysMemory::populate_generation`] publish count). A per-core
+//! [`PhysMemory::snapshot_swaps`] publish count). A per-core
 //! [`RegionCache`] pins recently-resolved regions tagged by zone
 //! generation — or by a per-enclave [`RegionView`] generation when one is
 //! attached — and skips even the snapshot search, with reclaim safety by
 //! generation mismatch.
 
-use crate::addr::{HostPhysAddr, PhysRange, PAGE_SHIFT_2M, PAGE_SIZE_4K};
+use crate::addr::{HostPhysAddr, PageSize, PhysRange, PAGE_SIZE_4K};
 use crate::backing::Backing;
 use crate::error::{HwError, HwResult};
 use crate::topology::ZoneId;
@@ -62,7 +62,7 @@ pub const ZONE_SPAN: u64 = 1 << 40;
 
 /// First usable offset within a zone span; the low 16 MiB stand in for
 /// firmware/legacy holes so that address 0 is never valid RAM.
-pub const ZONE_RAM_BASE: u64 = 16 * 1024 * 1024;
+const ZONE_RAM_BASE: u64 = 16 * 1024 * 1024;
 
 /// Associativity of a fully-grown [`RegionCache`] (see `set_ways`).
 pub const REGION_CACHE_WAYS: usize = 4;
@@ -215,7 +215,7 @@ fn covers_access(range: &PhysRange, addr: HostPhysAddr, len: u64) -> bool {
 /// Narrowest bucket of a snapshot's table: 2 MiB, the alignment
 /// `PiscesHost::add_memory` gives every grant, so an enclave built from
 /// many small grants has one region start per bucket.
-const BUCKET_SHIFT_MIN: u32 = PAGE_SHIFT_2M;
+const BUCKET_SHIFT_MIN: u32 = PageSize::Size2M.shift();
 
 /// Most buckets one table may hold (a 16 KiB table, 8 GiB of span at the
 /// narrowest width); a wider populated span doubles the bucket width until
@@ -332,14 +332,13 @@ impl RegionSnapshot {
 /// generation of the snapshot it came from. The generation is the
 /// snapshot's own — never re-sampled — so a [`RegionCache`] can never pair
 /// a stale region with a fresh generation.
-#[derive(Clone)]
-pub struct ResolvedRegion {
+struct ResolvedRegion {
     /// The populated region containing the requested address.
-    pub range: PhysRange,
+    range: PhysRange,
     /// Host memory behind the region.
-    pub backing: Arc<Backing>,
+    backing: Arc<Backing>,
     /// Zone generation the region was resolved under.
-    pub generation: u64,
+    generation: u64,
 }
 
 /// A resolved, bounds-checked view of one populated range: the backing it
@@ -628,8 +627,8 @@ impl Default for RegionView {
 /// global publish count legacy callers key off.
 pub struct PhysMemory {
     shards: Vec<ZoneShard>,
-    /// Total publishes across all zones (drives `populate_generation` /
-    /// `snapshot_swaps`, the writer-side cost counters).
+    /// Total publishes across all zones (`snapshot_swaps`, the writer-side
+    /// cost counter).
     publishes: AtomicU64,
     /// Flight-recorder handle, installed once by the owning node; snapshot
     /// publishes and retire sweeps emit trace events when set.
@@ -662,11 +661,6 @@ impl PhysMemory {
     /// `PhysMemory` instances in tests simply stay untraced).
     pub fn set_tracer(&self, tracer: Tracer) {
         let _ = self.tracer.set(tracer);
-    }
-
-    /// Number of NUMA zones.
-    pub fn zone_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The NUMA zone an address belongs to (derivable from the span
@@ -738,17 +732,6 @@ impl PhysMemory {
         })
     }
 
-    /// The current generation of one zone's snapshot (the tag region
-    /// caches validate plain-mode entries against).
-    pub fn zone_generation(&self, zone: ZoneId) -> HwResult<u64> {
-        Ok(self
-            .shards
-            .get(zone.0)
-            .ok_or(HwError::NoSuchZone(zone.0))?
-            .generation
-            .load(Ordering::SeqCst))
-    }
-
     #[inline]
     fn zone_generation_of(&self, addr: HostPhysAddr) -> Option<u64> {
         let z = (addr.raw() / ZONE_SPAN) as usize;
@@ -809,7 +792,7 @@ impl PhysMemory {
     /// range: the window comes from the allocation itself, with no search.
     pub fn alloc_window(&self, zone: ZoneId, len: u64, align: u64) -> HwResult<MemWindow> {
         let range = self.alloc(zone, len, align)?;
-        self.populate_window(range)
+        self.populate(range)
     }
 
     /// Run `f` against one zone's current snapshot inside a reader section.
@@ -907,13 +890,9 @@ impl PhysMemory {
         Ok(out)
     }
 
-    /// Attach real host memory to an allocated range so it can be accessed.
-    pub fn populate(&self, range: PhysRange) -> HwResult<()> {
-        self.populate_window(range).map(drop)
-    }
-
-    /// Populate `range` and hand back the window onto its new backing.
-    fn populate_window(&self, range: PhysRange) -> HwResult<MemWindow> {
+    /// Attach real host memory to an allocated range so it can be accessed,
+    /// and hand back the window onto the new backing.
+    fn populate(&self, range: PhysRange) -> HwResult<MemWindow> {
         let zone = self.range_zone(&range)?;
         self.mutate_zone(zone, |regions| {
             let idx = regions.partition_point(|p| p.range.start.raw() < range.start.raw());
@@ -926,7 +905,7 @@ impl PhysMemory {
                     "populate overlaps an existing populated region",
                 ));
             }
-            let backing = Arc::new(Backing::new(range.len as usize));
+            let backing = Arc::new(Backing::new(range.len as usize)?);
             let window = MemWindow {
                 backing: Arc::clone(&backing),
                 off: 0,
@@ -938,7 +917,7 @@ impl PhysMemory {
     }
 
     /// Drop the backing of a populated range (exact match required).
-    pub fn depopulate(&self, range: PhysRange) -> HwResult<()> {
+    fn depopulate(&self, range: PhysRange) -> HwResult<()> {
         let zone = self.range_zone(&range)?;
         self.mutate_zone(zone, |regions| {
             match regions.binary_search_by_key(&range.start.raw(), |p| p.range.start.raw()) {
@@ -968,17 +947,6 @@ impl PhysMemory {
             Err(e) => return Err(e),
         }
         alloc.free(range)
-    }
-
-    /// The global publish count plus one (its pre-sharding definition:
-    /// the generation of the imagined fleet-wide snapshot). Bumped by
-    /// every successful populate/depopulate/free-of-populated publish in
-    /// any zone. Region caches no longer key off this — they validate
-    /// against the owning zone's generation (or a [`RegionView`]) — but it
-    /// remains the cheap "has anything anywhere changed" probe.
-    #[inline]
-    pub fn populate_generation(&self) -> u64 {
-        self.publishes.load(Ordering::SeqCst) + 1
     }
 
     /// Snapshot swaps published so far across all zones (the writer-side
@@ -1024,7 +992,7 @@ impl PhysMemory {
 
     /// Resolve to the *whole* containing region (for [`RegionCache`]):
     /// geometry, backing, and the zone snapshot's generation.
-    pub fn resolve_region(&self, addr: HostPhysAddr, len: u64) -> HwResult<ResolvedRegion> {
+    fn resolve_region(&self, addr: HostPhysAddr, len: u64) -> HwResult<ResolvedRegion> {
         let zone = self.shard_index(addr)?;
         self.with_zone_snapshot(zone, |s| {
             let p = Self::resolve_in(&self.shards[zone], s, addr, len)?;
@@ -1072,33 +1040,6 @@ impl PhysMemory {
         })
     }
 
-    /// Resolve several ranges against one consistent snapshot *per zone*
-    /// (every shard's snapshot is loaded once for the whole batch inside
-    /// one reader section — no torn view within a zone). Fails on the
-    /// first range that does not resolve.
-    pub fn resolve_many(&self, ranges: &[PhysRange]) -> HwResult<Vec<(Arc<Backing>, usize)>> {
-        let slots: Vec<usize> = self.shards.iter().map(|s| s.begin_read()).collect();
-        // SAFETY: every shard's reader section is open (above) until the
-        // matching `end_read` below, so the loaded snapshots stay live for
-        // the whole batch.
-        let snaps: Vec<&RegionSnapshot> = self
-            .shards
-            .iter()
-            .map(|s| unsafe { &*s.current.load(Ordering::SeqCst) })
-            .collect();
-        let out = ranges
-            .iter()
-            .map(|r| {
-                let z = self.shard_index(r.start)?;
-                Self::resolve_in(&self.shards[z], snaps[z], r.start, r.len).map(|p| p.pin(r.start))
-            })
-            .collect();
-        for (shard, slot) in self.shards.iter().zip(slots) {
-            shard.end_read(slot);
-        }
-        out
-    }
-
     /// Aligned 64-bit physical load.
     #[inline]
     pub fn read_u64(&self, addr: HostPhysAddr) -> HwResult<u64> {
@@ -1111,36 +1052,6 @@ impl PhysMemory {
     pub fn write_u64(&self, addr: HostPhysAddr, value: u64) -> HwResult<()> {
         let (b, off) = self.resolve(addr, 8)?;
         b.write_u64(off, value);
-        Ok(())
-    }
-
-    /// Copy bytes out of physical memory.
-    pub fn read_bytes(&self, addr: HostPhysAddr, buf: &mut [u8]) -> HwResult<()> {
-        let (b, off) = self.resolve(addr, buf.len() as u64)?;
-        b.read_bytes(off, buf);
-        Ok(())
-    }
-
-    /// Copy bytes into physical memory.
-    pub fn write_bytes(&self, addr: HostPhysAddr, buf: &[u8]) -> HwResult<()> {
-        let (b, off) = self.resolve(addr, buf.len() as u64)?;
-        b.write_bytes(off, buf);
-        Ok(())
-    }
-
-    /// Zero a physical range (must be fully populated).
-    pub fn zero_range(&self, range: PhysRange) -> HwResult<()> {
-        let (b, off) = self.resolve(range.start, range.len)?;
-        b.zero(off, range.len as usize);
-        Ok(())
-    }
-
-    /// Zero several ranges in one reader section (grant/boot zeroing).
-    pub fn zero_ranges(&self, ranges: &[PhysRange]) -> HwResult<()> {
-        let resolved = self.resolve_many(ranges)?;
-        for ((b, off), r) in resolved.iter().zip(ranges) {
-            b.zero(*off, r.len as usize);
-        }
         Ok(())
     }
 }
@@ -1239,11 +1150,6 @@ impl RegionCache {
         self.invalidate();
     }
 
-    /// Active associativity.
-    pub fn ways(&self) -> usize {
-        self.ways_limit.get()
-    }
-
     /// Attach (or detach) a per-enclave region view; entries are then
     /// tagged and validated by the view's generation instead of zone
     /// generations. Drops every current entry.
@@ -1323,15 +1229,9 @@ impl RegionCache {
         (self.hits.get(), self.misses.get())
     }
 
-    /// Zero the hit/miss counters.
-    pub fn reset_stats(&self) {
-        self.hits.set(0);
-        self.misses.set(0);
-    }
-
     /// Drop every pinned region (the generation checks make this
-    /// unnecessary for correctness; useful for ablations).
-    pub fn invalidate(&self) {
+    /// unnecessary for correctness).
+    fn invalidate(&self) {
         for w in self.ways.borrow_mut().iter_mut() {
             *w = None;
         }
@@ -1359,14 +1259,14 @@ mod tests {
         let r1 = m.alloc(ZoneId(1), 8192, PAGE_SIZE_4K).unwrap();
         assert_eq!(m.zone_of(r0.start), ZoneId(0));
         assert_eq!(m.zone_of(r1.start), ZoneId(1));
-        assert!(r0.start.is_aligned(PAGE_SIZE_4K));
+        assert_eq!(r0.start.align_down(PAGE_SIZE_4K), r0.start);
     }
 
     #[test]
     fn alloc_respects_large_alignment() {
         let m = mem();
         let r = m.alloc(ZoneId(0), 4096, 2 * 1024 * 1024).unwrap();
-        assert!(r.start.is_aligned(2 * 1024 * 1024));
+        assert_eq!(r.start.align_down(2 * 1024 * 1024), r.start);
     }
 
     #[test]
@@ -1494,16 +1394,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_roundtrip() {
-        let m = mem();
-        let r = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        m.write_bytes(r.start.add(100), b"covirt").unwrap();
-        let mut buf = [0u8; 6];
-        m.read_bytes(r.start.add(100), &mut buf).unwrap();
-        assert_eq!(&buf, b"covirt");
-    }
-
-    #[test]
     fn zone_usage_tracks() {
         let m = mem();
         let r = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
@@ -1515,67 +1405,36 @@ mod tests {
     #[test]
     fn generation_bumps_on_publish_only() {
         let m = mem();
-        let g0 = m.populate_generation();
         let r = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         // Bookkeeping-only alloc does not publish.
-        assert_eq!(m.populate_generation(), g0);
+        assert_eq!(m.snapshot_swaps(), 0);
         m.populate(r).unwrap();
-        assert_eq!(m.populate_generation(), g0 + 1);
+        assert_eq!(m.snapshot_swaps(), 1);
         // Failed publishes do not move the generation.
         assert!(m.populate(r).is_err());
-        assert_eq!(m.populate_generation(), g0 + 1);
+        assert_eq!(m.snapshot_swaps(), 1);
         m.free(r).unwrap();
-        assert_eq!(m.populate_generation(), g0 + 2);
+        assert_eq!(m.snapshot_swaps(), 2);
         // Freeing a bookkeeping-only range does not publish.
         let r2 = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         m.free(r2).unwrap();
-        assert_eq!(m.populate_generation(), g0 + 2);
-        assert_eq!(m.snapshot_swaps(), g0 + 1);
+        assert_eq!(m.snapshot_swaps(), 2);
     }
 
     #[test]
     fn zone_generations_are_independent() {
         let m = mem();
-        let z0 = m.zone_generation(ZoneId(0)).unwrap();
-        let z1 = m.zone_generation(ZoneId(1)).unwrap();
-        let g = m.populate_generation();
+        let generation = |zone: u64| m.zone_generation_of(HostPhysAddr::new(zone * ZONE_SPAN));
+        let (z0, z1) = (generation(0).unwrap(), generation(1).unwrap());
         let r = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         // A zone-0 publish moves zone 0's generation and the global count,
         // but never zone 1's.
-        assert_eq!(m.zone_generation(ZoneId(0)).unwrap(), z0 + 1);
-        assert_eq!(m.zone_generation(ZoneId(1)).unwrap(), z1);
-        assert_eq!(m.populate_generation(), g + 1);
+        assert_eq!(generation(0), Some(z0 + 1));
+        assert_eq!(generation(1), Some(z1));
+        assert_eq!(m.snapshot_swaps(), 1);
         assert_eq!(m.zone_stats(ZoneId(0)).unwrap().snapshot_swaps, 1);
         assert_eq!(m.zone_stats(ZoneId(1)).unwrap().snapshot_swaps, 0);
         let _ = r;
-    }
-
-    #[test]
-    fn resolve_many_single_snapshot() {
-        let m = mem();
-        let a = m.alloc_backed(ZoneId(0), 8192, PAGE_SIZE_4K).unwrap();
-        let b = m.alloc_backed(ZoneId(1), 4096, PAGE_SIZE_4K).unwrap();
-        let got = m
-            .resolve_many(&[PhysRange::new(a.start.add(4096), 4096), b])
-            .unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].1, 4096);
-        assert_eq!(got[1].1, 0);
-        // One unbacked range fails the whole batch.
-        let hole = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        assert!(m.resolve_many(&[a, hole]).is_err());
-    }
-
-    #[test]
-    fn zero_ranges_batch() {
-        let m = mem();
-        let a = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        let b = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        m.write_u64(a.start, 7).unwrap();
-        m.write_u64(b.start, 8).unwrap();
-        m.zero_ranges(&[a, b]).unwrap();
-        assert_eq!(m.read_u64(a.start).unwrap(), 0);
-        assert_eq!(m.read_u64(b.start).unwrap(), 0);
     }
 
     #[test]
@@ -1629,30 +1488,33 @@ mod tests {
         for r in &regions {
             cache.resolve(&m, r.start, 8).unwrap();
         }
-        cache.reset_stats();
+        let warm = cache.stats();
         for _ in 0..3 {
             for r in &regions {
                 cache.resolve(&m, r.start, 8).unwrap();
             }
         }
-        assert_eq!(cache.stats(), (3 * REGION_CACHE_WAYS as u64, 0));
+        assert_eq!(
+            cache.stats(),
+            (warm.0 + 3 * REGION_CACHE_WAYS as u64, warm.1)
+        );
         // The same working set thrashes a single-way cache: round-robin
         // over N regions with 1 way never revisits the pinned one.
         cache.set_ways(1);
-        assert_eq!(cache.ways(), 1);
+        assert_eq!(cache.ways_limit.get(), 1);
         for r in &regions {
             cache.resolve(&m, r.start, 8).unwrap();
         }
-        cache.reset_stats();
+        let warm = cache.stats();
         for r in &regions {
             cache.resolve(&m, r.start, 8).unwrap();
         }
-        assert_eq!(cache.stats(), (0, REGION_CACHE_WAYS as u64));
+        assert_eq!(cache.stats(), (warm.0, warm.1 + REGION_CACHE_WAYS as u64));
         // The knob clamps.
         cache.set_ways(0);
-        assert_eq!(cache.ways(), 1);
+        assert_eq!(cache.ways_limit.get(), 1);
         cache.set_ways(1000);
-        assert_eq!(cache.ways(), REGION_CACHE_WAYS);
+        assert_eq!(cache.ways_limit.get(), REGION_CACHE_WAYS);
     }
 
     #[test]
@@ -1702,7 +1564,7 @@ mod tests {
         (
             m.zone_usage(ZoneId(0)).unwrap(),
             m.shards[0].alloc.lock().free.clone(),
-            m.zone_generation(ZoneId(0)).unwrap(),
+            m.zone_generation_of(HostPhysAddr::new(0)).unwrap(),
             m.with_zone_snapshot(0, |s| s.regions.iter().map(|p| p.range).collect()),
         )
     }
@@ -1729,7 +1591,7 @@ mod tests {
         let a = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         let b = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         let c = m.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        assert!(a.abuts(&b) && b.abuts(&c));
+        assert!(a.end() == b.start && b.end() == c.start);
         m.free(b).unwrap();
         // Starts in allocated `a` (no free extent before it) and runs on
         // into free `b`: only the next extent gives it away.
@@ -1771,11 +1633,6 @@ mod tests {
         let addr = r.start.add(4096 + 8);
         let unbacked = Err(HwError::UnbackedPhys(addr));
         assert_eq!(m.resolve(addr, u64::MAX).map(|_| ()), unbacked);
-        assert_eq!(
-            m.resolve_many(&[r, PhysRange::new(addr, u64::MAX)])
-                .map(|_| ()),
-            unbacked
-        );
         let cache = RegionCache::new();
         cache.resolve(&m, addr, 8).unwrap();
         assert_eq!(cache.resolve(&m, addr, u64::MAX).map(|_| ()), unbacked);
@@ -1832,12 +1689,12 @@ mod tests {
         let bump = m.alloc_backed(ZoneId(1), 4096, PAGE_SIZE_4K).unwrap();
         cache.resolve(&m, r0.start, 8).unwrap();
         cache.resolve(&m, r1.start, 8).unwrap();
-        cache.reset_stats();
+        let warm = cache.stats();
         for _ in 0..3 {
             cache.resolve(&m, r1.start, 8).unwrap();
             cache.resolve(&m, r0.start, 8).unwrap();
         }
-        assert_eq!(cache.stats(), (6, 0));
+        assert_eq!(cache.stats(), (warm.0 + 6, warm.1));
         let _ = bump;
     }
 
@@ -2230,11 +2087,11 @@ mod tests {
                 }
                 // Refused accesses wrote nothing, here or next door.
                 let mut bytes = vec![0u8; REGION as usize];
-                m.read_bytes(whole.base(), &mut bytes).unwrap();
+                m.window(whole.range()).unwrap().read_bytes(whole.base(), &mut bytes).unwrap();
                 prop_assert!(bytes == model, "the region is not what the accepted writes made it");
                 for r in [_below, _above] {
                     let mut bytes = vec![0u8; 4096];
-                    m.read_bytes(r.start, &mut bytes).unwrap();
+                    m.window(r).unwrap().read_bytes(r.start, &mut bytes).unwrap();
                     prop_assert!(bytes.iter().all(|&b| b == 0), "{:?} was written", r);
                 }
                 // An end that wraps is out of range, not a small number.

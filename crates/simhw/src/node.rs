@@ -33,13 +33,6 @@ impl NodeConfig {
             topology: Topology::small(),
         }
     }
-
-    /// Small node with a custom per-zone memory size.
-    pub fn small_with_mem(mem_per_zone: u64) -> Self {
-        let mut t = Topology::small();
-        t.mem_per_zone = mem_per_zone;
-        NodeConfig { topology: t }
-    }
 }
 
 /// A simulated node. All components are reference-counted so the host OS
@@ -171,14 +164,15 @@ mod tests {
         assert_eq!(node.cpus().len(), 4);
         assert!(node.cpu(CoreId(3)).is_ok());
         assert!(matches!(node.cpu(CoreId(4)), Err(HwError::NoSuchCore(4))));
-        assert_eq!(node.mem.zone_count(), 1);
+        assert!(node.mem.zone_usage(ZoneId(0)).is_ok());
+        assert!(node.mem.zone_usage(ZoneId(1)).is_err());
     }
 
     #[test]
     fn paper_testbed_dimensions() {
         let node = SimNode::new(NodeConfig::paper_testbed());
         assert_eq!(node.cpus().len(), 12);
-        assert_eq!(node.mem.zone_count(), 2);
+        assert!(node.mem.zone_usage(ZoneId(2)).is_err());
         let (total, _) = node.mem.zone_usage(ZoneId(1)).unwrap();
         assert_eq!(total, 32 * 1024 * 1024 * 1024);
     }

@@ -11,7 +11,7 @@
 //! level 1 is the final table (PT). Leaves may appear at level 3 (1 GiB),
 //! level 2 (2 MiB) or level 1 (4 KiB).
 
-use crate::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_4K};
+use crate::addr::{level_shift, GuestVirtAddr, HostPhysAddr, PageSize, PhysRange, PAGE_SIZE_4K};
 use crate::error::{HwError, HwResult};
 use crate::memory::{MemWindow, PhysMemory};
 use parking_lot::Mutex;
@@ -47,18 +47,22 @@ impl Perms {
         w: true,
         x: true,
     };
-    /// Read-only mapping.
-    pub const RO: Perms = Perms {
-        r: true,
-        w: false,
-        x: false,
-    };
     /// Read+write, no execute.
     pub const RW: Perms = Perms {
         r: true,
         w: true,
         x: false,
     };
+
+    /// What both `self` and `other` allow.
+    #[inline]
+    pub fn intersect(self, other: Perms) -> Perms {
+        Perms {
+            r: self.r && other.r,
+            w: self.w && other.w,
+            x: self.x && other.x,
+        }
+    }
 
     /// Whether these permissions allow `access`.
     #[inline]
@@ -215,8 +219,8 @@ impl TableLoad for CachedLoad<'_> {
 pub struct Translation {
     /// Physical base of the containing page.
     pub page_base: HostPhysAddr,
-    /// Page size in bytes (4 KiB / 2 MiB / 1 GiB).
-    pub page_size: u64,
+    /// Size of the containing page.
+    pub page_size: PageSize,
     /// Physical address of the requested byte.
     pub pa: HostPhysAddr,
     /// Leaf permissions.
@@ -225,21 +229,54 @@ pub struct Translation {
     pub loads: u32,
 }
 
-/// Page size covered by a leaf at `level`.
-#[inline]
-pub fn level_page_size(level: u8) -> u64 {
-    match level {
-        1 => PAGE_SIZE_4K,
-        2 => crate::addr::PAGE_SIZE_2M,
-        3 => crate::addr::PAGE_SIZE_1G,
-        _ => panic!("no page size at level {level}"),
+impl Translation {
+    /// What a TLB may cache for an address a guest walk translated to `self`
+    /// and the EPT then translated to `ept` (`ept.pa` is the host address of
+    /// `self.pa`): the smaller of the two pages, based where the EPT put it,
+    /// with the rights both leaves grant. The EPT vouched for its own leaf
+    /// only — caching the guest's larger one would let later hits reach
+    /// guest-physical neighbours the EPT was never asked about.
+    #[inline]
+    pub fn intersect(&self, ept: &Translation) -> Translation {
+        let perms = self.perms.intersect(ept.perms);
+        let loads = self.loads + ept.loads;
+        // Every benign mapping is this case: the EPT maps the guest leaf
+        // where the guest said (identity) under a leaf at least as large,
+        // and the rule yields the guest leaf's own geometry. It is tested,
+        // not computed through `ept`, so the simulating CPU can start on the
+        // fill while the EPT walk's loads are still in flight; computed,
+        // every RandomAccess update under Covirt waits for them (+15 % host
+        // time; the modelled cost is the same either way).
+        if ept.pa == self.pa && ept.page_size >= self.page_size {
+            return Translation {
+                perms,
+                loads,
+                ..*self
+            };
+        }
+        let page_size = smaller(self.page_size, ept.page_size);
+        Translation {
+            page_base: ept.pa.align_down(page_size.bytes()),
+            page_size,
+            pa: ept.pa,
+            perms,
+            loads,
+        }
     }
+}
+
+/// `a.min(b)`, out of line and by value: that is what keeps the test in
+/// [`Translation::intersect`] a branch with its operands in registers.
+#[cold]
+#[inline(never)]
+fn smaller(a: PageSize, b: PageSize) -> PageSize {
+    a.min(b)
 }
 
 /// 9-bit table index of `addr` at `level`.
 #[inline]
-pub fn level_index(addr: u64, level: u8) -> u64 {
-    (addr >> (12 + 9 * (level as u64 - 1))) & 0x1ff
+fn level_index(addr: u64, level: u8) -> u64 {
+    (addr >> level_shift(level)) & 0x1ff
 }
 
 /// Allocator for table frames carved out of one backed region: a bump
@@ -490,8 +527,8 @@ impl<F: EntryFormat> RadixTable<F> {
         };
         let mut off = 0u64;
         while off < len {
-            let level = Self::leaf_level(va + off, pa.raw() + off, len - off, max_level);
-            match self.map_run(va + off, pa.add(off), len - off, level, perms, &mut undo) {
+            let size = Self::leaf_size(va + off, pa.raw() + off, len - off, max_level);
+            match self.map_run(va + off, pa.add(off), len - off, size, perms, &mut undo) {
                 Ok(mapped) => off += mapped,
                 Err(e) => {
                     self.roll_back(undo);
@@ -502,18 +539,17 @@ impl<F: EntryFormat> RadixTable<F> {
         Ok(())
     }
 
-    /// The largest leaf level `<= max_level` a mapping of `va` to `pa` with
-    /// `remaining` bytes to go may use.
-    fn leaf_level(va: u64, pa: u64, remaining: u64, max_level: u8) -> u8 {
-        let mut level = max_level.clamp(1, 3);
-        while level > 1 {
-            let sz = level_page_size(level);
-            if va.is_multiple_of(sz) && pa.is_multiple_of(sz) && remaining >= sz {
-                break;
-            }
-            level -= 1;
-        }
-        level
+    /// The largest page, of a level `<= max_level`, a mapping of `va` to
+    /// `pa` with `remaining` bytes to go may use.
+    fn leaf_size(va: u64, pa: u64, remaining: u64, max_level: u8) -> PageSize {
+        [PageSize::Size1G, PageSize::Size2M]
+            .into_iter()
+            .filter(|size| size.level() <= max_level)
+            .find(|size| {
+                let bytes = size.bytes();
+                va.is_multiple_of(bytes) && pa.is_multiple_of(bytes) && remaining >= bytes
+            })
+            .unwrap_or(PageSize::Size4K)
     }
 
     /// Undo a failed `map`: restore the overwritten entries newest first,
@@ -552,21 +588,21 @@ impl<F: EntryFormat> RadixTable<F> {
         Ok(table)
     }
 
-    /// Install `level` leaves from `va` on, as many as `remaining` holds
-    /// and `va`'s table at `level` has entries left for, logging each entry
-    /// overwritten. Returns the bytes mapped. (The level `leaf_level` picks
-    /// cannot change before the table ends: a larger page needs `va` on a
-    /// boundary only a table's first entry sits on.)
+    /// Install leaves of `size` from `va` on, as many as `remaining` holds
+    /// and `va`'s table at that level has entries left for, logging each
+    /// entry overwritten. Returns the bytes mapped. (The size `leaf_size`
+    /// picks cannot change before the table ends: a larger page needs `va` on
+    /// a boundary only a table's first entry sits on.)
     fn map_run(
         &self,
         va: u64,
         pa: HostPhysAddr,
         remaining: u64,
-        level: u8,
+        size: PageSize,
         perms: Perms,
         undo: &mut MapUndo,
     ) -> HwResult<u64> {
-        let size = level_page_size(level);
+        let (level, size) = (size.level(), size.bytes());
         let first = level_index(va, level);
         let count = (512 - first).min(remaining / size);
         let table = self.descend(va, level, undo)?;
@@ -633,12 +669,12 @@ impl<F: EntryFormat> RadixTable<F> {
         };
         let mut off = 0u64;
         while off < len {
-            let level = Self::leaf_level(va + off, pa.raw() + off, len - off, max_level);
-            if let Err(e) = self.map_one(va + off, pa.add(off), level, perms, &mut undo) {
+            let size = Self::leaf_size(va + off, pa.raw() + off, len - off, max_level);
+            if let Err(e) = self.map_one(va + off, pa.add(off), size.level(), perms, &mut undo) {
                 self.roll_back(undo);
                 return Err(e);
             }
-            off += level_page_size(level);
+            off += size.bytes();
         }
         Ok(())
     }
@@ -671,11 +707,7 @@ impl<F: EntryFormat> RadixTable<F> {
             let e = self.read_entry(eaddr)?;
             if !F::present(e) {
                 // Hole: skip to the end of this entry's span.
-                let span = if level == 4 {
-                    512 * level_page_size(3)
-                } else {
-                    level_page_size(level)
-                };
+                let span = 1u64 << level_shift(level);
                 let skip = span - (va % span);
                 return Ok(Some(skip.min(range_va + range_len - va)));
             }
@@ -685,8 +717,8 @@ impl<F: EntryFormat> RadixTable<F> {
                 continue;
             }
             // Found the leaf.
-            let page_size = level_page_size(level);
-            let page_base = va - va % page_size;
+            let size = Self::size_of_leaf(va, level)?;
+            let (page_size, page_base) = (size.bytes(), size.base_of(va));
             let covered = page_base >= range_va && page_base + page_size <= range_va + range_len;
             if covered || level == 1 {
                 self.write_entry(eaddr, 0)?;
@@ -694,7 +726,7 @@ impl<F: EntryFormat> RadixTable<F> {
             }
             // Partially covered large page: split into the next level down.
             let child = self.alloc_table()?;
-            let child_size = level_page_size(level - 1);
+            let child_size = 1u64 << level_shift(level - 1);
             let base_pa = F::frame(e).raw();
             let perms = F::entry_perms(e);
             for i in 0..512u64 {
@@ -709,6 +741,17 @@ impl<F: EntryFormat> RadixTable<F> {
             table = child;
             level -= 1;
         }
+    }
+
+    /// The size of a leaf entry found at `level` on the way to `va`. Software
+    /// that owns the table may set the leaf bit where no page size exists (an
+    /// x86 PML4E with PS set); hardware answers that with a page fault, and
+    /// so does this — the one a not-present entry at that level raises.
+    fn size_of_leaf(va: u64, level: u8) -> HwResult<PageSize> {
+        PageSize::from_level(level).ok_or(HwError::PageNotPresent {
+            gva: GuestVirtAddr::new(va),
+            level,
+        })
     }
 
     /// Walk the table for `va`. Each entry address is first translated
@@ -730,7 +773,7 @@ impl<F: EntryFormat> RadixTable<F> {
             loads += extra + 1;
             if !F::present(e) {
                 return Err(HwError::PageNotPresent {
-                    gva: crate::addr::GuestVirtAddr::new(va),
+                    gva: GuestVirtAddr::new(va),
                     level,
                 });
             }
@@ -739,12 +782,12 @@ impl<F: EntryFormat> RadixTable<F> {
                 level -= 1;
                 continue;
             }
-            let page_size = level_page_size(level);
+            let page_size = Self::size_of_leaf(va, level)?;
             let page_base = F::frame(e);
             return Ok(Translation {
                 page_base,
                 page_size,
-                pa: page_base.add(va % page_size),
+                pa: page_base.add(va % page_size.bytes()),
                 perms: F::entry_perms(e),
                 loads,
             });
@@ -753,29 +796,22 @@ impl<F: EntryFormat> RadixTable<F> {
 
     /// Count leaves per level: `(count_4k, count_2m, count_1g)`.
     pub fn leaf_counts(&self) -> HwResult<(u64, u64, u64)> {
-        let mut counts = (0u64, 0u64, 0u64);
+        let mut counts = [0u64; 3];
         self.count_rec(self.root, 4, &mut counts)?;
-        Ok(counts)
+        Ok((counts[0], counts[1], counts[2]))
     }
 
-    fn count_rec(
-        &self,
-        table: HostPhysAddr,
-        level: u8,
-        counts: &mut (u64, u64, u64),
-    ) -> HwResult<()> {
+    /// Add the leaves under `table` to `counts`, indexed by `PageSize`.
+    fn count_rec(&self, table: HostPhysAddr, level: u8, counts: &mut [u64; 3]) -> HwResult<()> {
         for i in 0..512u64 {
             let e = self.read_entry(Self::entry_addr(table, i))?;
             if !F::present(e) {
                 continue;
             }
             if F::leaf(e, level) {
-                match level {
-                    1 => counts.0 += 1,
-                    2 => counts.1 += 1,
-                    3 => counts.2 += 1,
-                    _ => return Err(HwError::Invalid("leaf at level 4")),
-                }
+                let size =
+                    PageSize::from_level(level).ok_or(HwError::Invalid("leaf at level 4"))?;
+                counts[size as usize] += 1;
             } else if level > 1 {
                 self.count_rec(F::frame(e), level - 1, counts)?;
             }
@@ -803,6 +839,12 @@ mod tests {
     use crate::addr::{PAGE_SIZE_1G, PAGE_SIZE_2M};
     use crate::topology::ZoneId;
 
+    const RO: Perms = Perms {
+        r: true,
+        w: false,
+        x: false,
+    };
+
     fn setup() -> (Arc<PhysMemory>, Arc<FramePool>) {
         let mem = Arc::new(PhysMemory::new(&[256 * 1024 * 1024]));
         let pool_region = mem
@@ -810,6 +852,41 @@ mod tests {
             .unwrap();
         let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
         (mem, pool)
+    }
+
+    #[test]
+    fn intersect_is_the_smaller_page_at_the_epts_base_with_both_leaves_rights() {
+        let leaf = |base: u64, page_size: PageSize, off: u64, perms| Translation {
+            page_base: HostPhysAddr::new(base),
+            page_size,
+            pa: HostPhysAddr::new(base + off),
+            perms,
+            loads: 3,
+        };
+        let off = 5 * PAGE_SIZE_4K + 8;
+        let guest = leaf(4 * PAGE_SIZE_2M, PageSize::Size2M, off, Perms::RW);
+        // Identity under a leaf at least as large: the guest leaf, less the
+        // rights the EPT withholds.
+        let t = guest.intersect(&leaf(0, PageSize::Size1G, guest.pa.raw(), RO));
+        assert_eq!(
+            (t.page_base, t.page_size, t.pa),
+            (guest.page_base, PageSize::Size2M, guest.pa)
+        );
+        assert_eq!((t.perms, t.loads), (RO, 6));
+        // A smaller EPT leaf, somewhere else: its page, its address.
+        let host = 9 * PAGE_SIZE_2M + 5 * PAGE_SIZE_4K;
+        let t = guest.intersect(&leaf(host, PageSize::Size4K, 8, Perms::RWX));
+        assert_eq!(
+            (t.page_base.raw(), t.page_size, t.pa.raw()),
+            (host, PageSize::Size4K, host + 8)
+        );
+        assert_eq!(t.perms, Perms::RW);
+        // As large, but not where the guest thinks: the guest's size there.
+        let t = guest.intersect(&leaf(8 * PAGE_SIZE_2M, PageSize::Size2M, off, Perms::RWX));
+        assert_eq!(
+            (t.page_base.raw(), t.page_size, t.pa.raw()),
+            (8 * PAGE_SIZE_2M, PageSize::Size2M, 8 * PAGE_SIZE_2M + off)
+        );
     }
 
     #[test]
@@ -822,7 +899,7 @@ mod tests {
         pt.map(data.start.raw(), data.start, data.len, Perms::RWX, 1)
             .unwrap();
         let t = pt.walk(data.start.raw() + 5000, &DirectLoad(&mem)).unwrap();
-        assert_eq!(t.page_size, PAGE_SIZE_4K);
+        assert_eq!(t.page_size, PageSize::Size4K);
         assert_eq!(t.pa.raw(), data.start.raw() + 5000);
         assert_eq!(t.loads, 4);
     }
@@ -841,7 +918,7 @@ mod tests {
         let t = pt
             .walk(region.start.raw() + PAGE_SIZE_2M + 123, &DirectLoad(&mem))
             .unwrap();
-        assert_eq!(t.page_size, PAGE_SIZE_2M);
+        assert_eq!(t.page_size, PageSize::Size2M);
         assert_eq!(t.loads, 3);
     }
 
@@ -892,7 +969,7 @@ mod tests {
         assert!(pt.walk(hole, &mem_loader).is_err());
         // Neighbours still mapped, now via 4 KiB leaves.
         let t = pt.walk(hole - PAGE_SIZE_4K, &mem_loader).unwrap();
-        assert_eq!(t.page_size, PAGE_SIZE_4K);
+        assert_eq!(t.page_size, PageSize::Size4K);
         assert_eq!(t.pa.raw(), hole - PAGE_SIZE_4K);
         let (c4k, c2m, _) = pt.leaf_counts().unwrap();
         assert_eq!(c2m, 0);
@@ -916,8 +993,7 @@ mod tests {
         let (mem, pool) = setup();
         let pt = GuestPageTables::new(pool).unwrap();
         let data = mem.alloc(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        pt.map(data.start.raw(), data.start, 4096, Perms::RO, 1)
-            .unwrap();
+        pt.map(data.start.raw(), data.start, 4096, RO, 1).unwrap();
         let t = pt.walk(data.start.raw(), &DirectLoad(&mem)).unwrap();
         assert!(t.perms.r && !t.perms.w && !t.perms.x);
     }
@@ -938,7 +1014,7 @@ mod tests {
         let t = pt
             .walk(region.start.raw() + 12345, &DirectLoad(&mem))
             .unwrap();
-        assert_eq!(t.page_size, PAGE_SIZE_1G);
+        assert_eq!(t.page_size, PageSize::Size1G);
         assert_eq!(t.loads, 2);
     }
 
@@ -1088,7 +1164,8 @@ mod tests {
                     // A map that collides with a larger leaf is refused
                     // (and rolled back); the sequence just carries on.
                     let map = |va, level| {
-                        let _ = pt.map(va, HostPhysAddr::new(va), level_page_size(level), Perms::RWX, level);
+                        let len = PageSize::from_level(level).unwrap().bytes();
+                        let _ = pt.map(va, HostPhysAddr::new(va), len, Perms::RWX, level);
                     };
                     match kind {
                         0 => tables[t] = None,
@@ -1291,7 +1368,7 @@ mod tests {
                 // Something to keep: a few pages the failed map may run
                 // into, share tables with and overwrite.
                 let (kept_va, kept_pa, kept_len, _) = range((0, 0, before.0), 0, (0, 0, before.1), 1);
-                pt.map(kept_va, kept_pa, kept_len, Perms::RO, 1).unwrap();
+                pt.map(kept_va, kept_pa, kept_len, RO, 1).unwrap();
                 let was = (tree(&pt), pt.frames.lock().clone(), pool.outstanding());
 
                 // 4 KiB-granular and 12 leaf tables long: more than the pool holds.
@@ -1303,7 +1380,7 @@ mod tests {
                     "a failed map left its mark"
                 );
                 let kept = pt.walk(kept_va, &DirectLoad(&mem)).unwrap();
-                prop_assert_eq!((kept.pa, kept.perms), (kept_pa, Perms::RO));
+                prop_assert_eq!((kept.pa, kept.perms), (kept_pa, RO));
                 // What the pool can hold still maps.
                 pt.map(va, pa, PAGE_SIZE_4K, Perms::RW, 1).unwrap();
             }

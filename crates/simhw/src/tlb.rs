@@ -18,7 +18,9 @@
 //! modern two-level STLB and are the calibration knob for the RandomAccess
 //! overhead band (see EXPERIMENTS.md).
 
+use crate::addr::PageSize;
 use crate::backing::Backing;
+use crate::sizeclass::SizeClassed;
 use covirt_trace::{EventKind, Tracer};
 use std::sync::Arc;
 
@@ -51,13 +53,8 @@ impl Default for TlbParams {
     }
 }
 
-/// One cached translation. `tag == u64::MAX` means invalid.
-#[derive(Clone)]
-struct TlbEntry {
-    /// Guest-virtual page base (absolute address, page-aligned).
-    tag: u64,
-    /// log2 of the page size.
-    shift: u32,
+/// What one cached translation stores beside its guest-virtual page.
+struct TlbLine {
     /// Host pointer to the first byte of the page.
     host_base: *mut u8,
     /// Keep-alive for the backing so stale entries can never dangle
@@ -69,15 +66,11 @@ struct TlbEntry {
 
 // SAFETY: the raw pointer refers into a `Backing`, which is itself
 // `Send + Sync`; the `Arc` keep-alive guarantees validity.
-unsafe impl Send for TlbEntry {}
+unsafe impl Send for TlbLine {}
 
-impl TlbEntry {
-    const INVALID: u64 = u64::MAX;
-
-    fn empty() -> Self {
-        TlbEntry {
-            tag: Self::INVALID,
-            shift: 0,
+impl Default for TlbLine {
+    fn default() -> Self {
+        TlbLine {
             host_base: std::ptr::null_mut(),
             _backing: None,
             writable: false,
@@ -116,33 +109,18 @@ pub struct TlbHit {
 /// Per-core translation cache. Owned exclusively by the thread driving the
 /// core, exactly as a hardware TLB is private to its CPU.
 pub struct Tlb {
-    params: TlbParams,
-    e4k: Vec<TlbEntry>,
-    e2m: Vec<TlbEntry>,
-    e1g: Vec<TlbEntry>,
+    lines: SizeClassed<TlbLine, false>,
     stats: TlbStats,
     tracer: Option<Tracer>,
 }
-
-const SHIFT_4K: u32 = 12;
-const SHIFT_2M: u32 = 21;
-const SHIFT_1G: u32 = 30;
 
 impl Tlb {
     /// Build a TLB with the given geometry (exact entry counts; sets are
     /// indexed by `vpn mod entries`, so non-power-of-two geometries are
     /// legal and useful for calibration).
     pub fn new(params: TlbParams) -> Self {
-        let p = TlbParams {
-            entries_4k: params.entries_4k.max(1),
-            entries_2m: params.entries_2m.max(1),
-            entries_1g: params.entries_1g.max(1),
-        };
         Tlb {
-            params: p,
-            e4k: vec![TlbEntry::empty(); p.entries_4k],
-            e2m: vec![TlbEntry::empty(); p.entries_2m],
-            e1g: vec![TlbEntry::empty(); p.entries_1g],
+            lines: SizeClassed::new([params.entries_4k, params.entries_2m, params.entries_1g]),
             stats: TlbStats::default(),
             tracer: None,
         }
@@ -153,45 +131,19 @@ impl Tlb {
         self.tracer = Some(tracer);
     }
 
-    /// Geometry in use (after power-of-two rounding).
-    pub fn params(&self) -> TlbParams {
-        self.params
-    }
-
-    #[inline]
-    fn probe(set: &[TlbEntry], gva: u64, shift: u32) -> Option<&TlbEntry> {
-        let page = gva >> shift << shift;
-        let idx = ((gva >> shift) as usize) % set.len();
-        let e = &set[idx];
-        if e.tag == page {
-            Some(e)
-        } else {
-            None
-        }
-    }
-
     /// Look up a guest-virtual address. On a hit, returns the host pointer
     /// for that exact byte.
     #[inline]
     pub fn lookup(&mut self, gva: u64) -> Option<TlbHit> {
-        // Probe the three page-size sets; 2 MiB first — it is the common
-        // case for LWK workloads (contiguous memory policy ⇒ large pages).
-        let hit = Self::probe(&self.e2m, gva, SHIFT_2M)
-            .or_else(|| Self::probe(&self.e4k, gva, SHIFT_4K))
-            .or_else(|| Self::probe(&self.e1g, gva, SHIFT_1G));
-        match hit {
-            Some(e) => {
-                let off = gva - e.tag;
-                // SAFETY: host_base points at the page base inside a live
-                // Backing (kept alive by e.backing); off < page size.
-                let ptr = unsafe { e.host_base.add(off as usize) };
-                let writable = e.writable;
-                let remaining = (1u64 << e.shift) - off;
+        match self.lines.probe(gva) {
+            Some(hit) => {
                 self.stats.hits += 1;
                 Some(TlbHit {
-                    host_ptr: ptr,
-                    writable,
-                    remaining,
+                    // SAFETY: host_base points at the page base inside a live
+                    // Backing (kept alive by the line); offset < page size.
+                    host_ptr: unsafe { hit.payload.host_base.add(hit.offset as usize) },
+                    writable: hit.payload.writable,
+                    remaining: hit.size.bytes() - hit.offset,
                 })
             }
             None => {
@@ -201,7 +153,10 @@ impl Tlb {
         }
     }
 
-    /// Install a translation after a walk. `page_size` selects the set.
+    /// Install a translation after a walk; `page_size`, in bytes, selects
+    /// the class. A size no class holds caches nothing. That is a TLB that
+    /// misses, which is always correct: no insert promises a later hit (the
+    /// next one may evict its slot), so there is nothing to refuse loudly.
     pub fn insert(
         &mut self,
         gva_page: u64,
@@ -210,34 +165,20 @@ impl Tlb {
         backing: Arc<Backing>,
         writable: bool,
     ) {
-        let (set, shift) = match page_size {
-            crate::addr::PAGE_SIZE_4K => (&mut self.e4k, SHIFT_4K),
-            crate::addr::PAGE_SIZE_2M => (&mut self.e2m, SHIFT_2M),
-            crate::addr::PAGE_SIZE_1G => (&mut self.e1g, SHIFT_1G),
-            _ => panic!("unsupported page size {page_size:#x}"),
+        let Some(size) = PageSize::from_bytes(page_size) else {
+            return;
         };
         debug_assert_eq!(gva_page % page_size, 0, "insert of non-page-aligned base");
-        let idx = ((gva_page >> shift) as usize) % set.len();
-        set[idx] = TlbEntry {
-            tag: gva_page,
-            shift,
-            host_base,
-            _backing: Some(backing),
-            writable,
-        };
+        let line = self.lines.fill(gva_page, size);
+        line.host_base = host_base;
+        line._backing = Some(backing);
+        line.writable = writable;
     }
 
     /// Drop every cached translation (the hypervisor's response to a
     /// `TlbFlush` command, or a MOV-CR3 analogue).
     pub fn flush_all(&mut self) {
-        for e in self
-            .e4k
-            .iter_mut()
-            .chain(self.e2m.iter_mut())
-            .chain(self.e1g.iter_mut())
-        {
-            *e = TlbEntry::empty();
-        }
+        self.lines.clear();
         self.stats.full_flushes += 1;
         if let Some(t) = &self.tracer {
             t.emit(EventKind::TlbFlushAll, 0, 0);
@@ -246,17 +187,7 @@ impl Tlb {
 
     /// Invalidate any entry covering `gva` (INVLPG analogue).
     pub fn flush_page(&mut self, gva: u64) {
-        for (set, shift) in [
-            (&mut self.e4k, SHIFT_4K),
-            (&mut self.e2m, SHIFT_2M),
-            (&mut self.e1g, SHIFT_1G),
-        ] {
-            let page = gva >> shift << shift;
-            let idx = ((gva >> shift) as usize) % set.len();
-            if set[idx].tag == page {
-                set[idx] = TlbEntry::empty();
-            }
-        }
+        self.lines.invalidate_page(gva);
         self.stats.page_flushes += 1;
         if let Some(t) = &self.tracer {
             t.emit(EventKind::TlbFlushPage, gva, 0);
@@ -271,19 +202,7 @@ impl Tlb {
     /// bounded by the TLB geometry (one pass over the sets), never by the
     /// range size.
     pub fn flush_range(&mut self, gva: u64, len: u64) {
-        let end = gva.saturating_add(len);
-        for (set, shift) in [
-            (&mut self.e4k, SHIFT_4K),
-            (&mut self.e2m, SHIFT_2M),
-            (&mut self.e1g, SHIFT_1G),
-        ] {
-            let page_size = 1u64 << shift;
-            for e in set.iter_mut() {
-                if e.tag != TlbEntry::INVALID && e.tag < end && e.tag + page_size > gva {
-                    *e = TlbEntry::empty();
-                }
-            }
-        }
+        self.lines.invalidate_overlapping(gva, len);
         self.stats.range_flushes += 1;
         if let Some(t) = &self.tracer {
             t.emit(EventKind::TlbFlushRange, gva, len);
@@ -302,7 +221,7 @@ mod tests {
     use crate::addr::{PAGE_SIZE_2M, PAGE_SIZE_4K};
 
     fn backing_page() -> Arc<Backing> {
-        Arc::new(Backing::new(PAGE_SIZE_2M as usize))
+        Arc::new(Backing::new(PAGE_SIZE_2M as usize).unwrap())
     }
 
     #[test]
@@ -425,18 +344,6 @@ mod tests {
         // SAFETY: pointer kept alive by the entry's Arc.
         let v = unsafe { (hit.host_ptr as *const u64).read() };
         assert_eq!(v, 0x5a5a);
-    }
-
-    #[test]
-    fn exact_geometry_preserved() {
-        let tlb = Tlb::new(TlbParams {
-            entries_4k: 3,
-            entries_2m: 5,
-            entries_1g: 0,
-        });
-        assert_eq!(tlb.params().entries_4k, 3);
-        assert_eq!(tlb.params().entries_2m, 5);
-        assert_eq!(tlb.params().entries_1g, 1);
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl Topology {
         let socket = core.0 / self.cores_per_socket;
         ZoneId(socket % self.zones)
     }
-
-    /// All cores belonging to a socket.
-    pub fn cores_of_socket(&self, socket: usize) -> Vec<CoreId> {
-        let base = socket * self.cores_per_socket;
-        (base..base + self.cores_per_socket).map(CoreId).collect()
-    }
 }
 
 /// One of the paper's enclave hardware layouts (Figures 6–7): a core count
@@ -165,16 +159,6 @@ mod tests {
         assert_eq!(t.zone_of_core(CoreId(5)), ZoneId(0));
         assert_eq!(t.zone_of_core(CoreId(6)), ZoneId(1));
         assert_eq!(t.zone_of_core(CoreId(11)), ZoneId(1));
-    }
-
-    #[test]
-    fn cores_of_socket() {
-        let t = Topology::paper_testbed();
-        assert_eq!(t.cores_of_socket(0), (0..6).map(CoreId).collect::<Vec<_>>());
-        assert_eq!(
-            t.cores_of_socket(1),
-            (6..12).map(CoreId).collect::<Vec<_>>()
-        );
     }
 
     #[test]

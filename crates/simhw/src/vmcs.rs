@@ -120,11 +120,6 @@ impl Vmcs {
         }
         self.last_exit = Some(info);
     }
-
-    /// Total exits so far.
-    pub fn total_exits(&self) -> u64 {
-        self.exit_counts.values().sum()
-    }
 }
 
 /// Shared handle to a VMCS, as both controller and hypervisor hold one.
@@ -167,7 +162,6 @@ mod tests {
         });
         assert_eq!(v.exit_counts["cpuid"], 2);
         assert_eq!(v.exit_counts["hlt"], 1);
-        assert_eq!(v.total_exits(), 3);
         assert_eq!(v.last_exit.unwrap().tsc, 30);
     }
 }

@@ -276,3 +276,67 @@ fn msr_and_io_protection_full_config() {
         1
     );
 }
+
+#[test]
+fn guest_leaf_larger_than_the_ept_leaf_reaches_only_what_the_ept_mapped() {
+    use covirt_suite::covirt::CovirtError;
+    use covirt_suite::simhw::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
+    use covirt_suite::simhw::paging::x86_bits;
+
+    let lab = Lab::new(ExecMode::Covirt(CovirtConfig::MEM));
+    let (owner, _ko, mut go) = lab.enclave(2);
+    let in_use = |lab: &Lab| lab.node.mem.zone_usage(ZoneId(0)).unwrap().1;
+    let before_attacher = in_use(&lab);
+    let (attacher, ka, mut ga) = lab.enclave(3);
+
+    // A 4 KiB segment on a 2 MiB boundary well inside the owner's region;
+    // the page after it stays the owner's own.
+    let region = owner.resources().mem[0];
+    let seg = PhysRange::new(
+        region.start.align_up(PAGE_SIZE_2M).add(8 * PAGE_SIZE_2M),
+        PAGE_SIZE_4K,
+    );
+    let private = seg.end().raw();
+    go.write_u64(seg.start.raw() + 8, 0x5e6).unwrap();
+    go.write_u64(private, 0xdead_beef).unwrap();
+    lab.master.export_segment(owner.id.0, "seg", seg).unwrap();
+    lab.master.attach_segment(attacher.id.0, "seg").unwrap();
+
+    // The attacher rewrites the PDE over the segment as a 2 MiB leaf: its
+    // own page tables now claim the owner's whole 2 MiB frame.
+    let index = |level: u64| (seg.start.raw() >> (12 + 9 * (level - 1))) & 0x1ff;
+    let mut table = ka.page_tables.root().raw();
+    for level in [4, 3] {
+        table = ga.read_u64(table + index(level) * 8).unwrap() & x86_bits::ADDR;
+    }
+    let leaf = seg.start.raw() | x86_bits::P | x86_bits::RW | x86_bits::US | x86_bits::PS;
+    ga.write_u64(table + index(2) * 8, leaf).unwrap();
+
+    // Inside the segment the EPT agrees; one page on, it was never asked.
+    assert_eq!(ga.read_u64(seg.start.raw() + 8).unwrap(), 0x5e6);
+    match ga.read_u64(private) {
+        Err(CovirtError::EnclaveTerminated(reason)) => {
+            assert!(reason.contains("EPT violation"), "{reason}");
+            assert!(reason.contains(&format!("{private:#x}")), "{reason}");
+        }
+        other => panic!("the neighbour page must be out of reach, got {other:x?}"),
+    }
+    assert_eq!(
+        lab.node.mem.read_u64(HostPhysAddr::new(private)).unwrap(),
+        0xdead_beef
+    );
+    assert_eq!(owner.state(), EnclaveState::Running);
+    assert_eq!(go.read_u64(private).unwrap(), 0xdead_beef);
+    // The attacher's partition went back, once.
+    assert!(matches!(attacher.state(), EnclaveState::Failed(_)));
+    assert!(attacher.resources().mem.is_empty());
+    assert_eq!(in_use(&lab), before_attacher);
+    let reports = lab
+        .controller
+        .as_ref()
+        .unwrap()
+        .faults
+        .for_enclave(attacher.id.0);
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].reclaim, Some(Ok(())));
+}

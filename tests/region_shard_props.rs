@@ -7,8 +7,6 @@
 //! * a resolve racing remote- and local-zone publishes never returns a
 //!   torn word or a region that does not contain the address — pinned
 //!   regions read back exactly what was written, always;
-//! * `resolve_many` answers a cross-zone batch with every range backed,
-//!   even while every shard is being republished;
 //! * a view-attached region cache under racing view bumps never serves a
 //!   mapping for a region the publish history has replaced;
 //! * reclamation stays bounded: per zone, every retired snapshot is either
@@ -65,8 +63,7 @@ fn race(zones: usize, cycles: u32, readers: usize, bump_every: u32) -> u64 {
                 })
             })
             .collect();
-        // Cross-zone resolvers: single resolves plus per-zone
-        // consistent batches, sustained until every publisher exits.
+        // Cross-zone resolvers, sustained until every publisher exits.
         for _ in 0..readers {
             let mem = Arc::clone(&mem);
             let pins = pins.clone();
@@ -75,17 +72,7 @@ fn race(zones: usize, cycles: u32, readers: usize, bump_every: u32) -> u64 {
                 while !stop.load(Ordering::Acquire) {
                     for (z, p) in pins.iter().enumerate() {
                         let v = mem.read_u64(p.start).unwrap();
-                        assert_eq!(v, MARKER | z as u64, "torn or stale single resolve");
-                    }
-                    let ranges: Vec<PhysRange> =
-                        pins.iter().map(|p| PhysRange::new(p.start, 8)).collect();
-                    let batch = mem.resolve_many(&ranges).unwrap();
-                    for (z, (b, off)) in batch.iter().enumerate() {
-                        assert_eq!(
-                            b.read_u64(*off),
-                            MARKER | z as u64,
-                            "torn or stale batched resolve"
-                        );
+                        assert_eq!(v, MARKER | z as u64, "torn or stale resolve");
                     }
                 }
             });

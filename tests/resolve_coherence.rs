@@ -9,8 +9,6 @@
 //!   published snapshot, and the word read through it is a value some
 //!   writer legitimately stored there — never garbage from a recycled
 //!   frame and never a torn word;
-//! * `resolve_many` answers every range from one snapshot — a racing
-//!   publish can fail the whole call but can never mix two snapshots;
 //! * under the full stack, guest loads racing a reclaim epoch observe
 //!   only values the host published for that region's lifetime (or fault
 //!   once their TLB entry is shot down).
@@ -19,7 +17,7 @@ use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::MasterControl;
 use covirt_suite::pisces::resources::ResourceRequest;
-use covirt_suite::simhw::addr::{PhysRange, PAGE_SIZE_2M};
+use covirt_suite::simhw::addr::PAGE_SIZE_2M;
 use covirt_suite::simhw::memory::{PhysMemory, RegionCache};
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::tlb::TlbParams;
@@ -107,60 +105,6 @@ fn concurrent_resolve_never_sees_reclaimed_or_torn_state() {
     // published exactly two swaps (grant + reclaim).
     assert_eq!(mem.populated_regions(), 0);
     assert!(mem.snapshot_swaps() >= 2 * CYCLES);
-}
-
-#[test]
-fn resolve_many_is_single_snapshot_under_churn() {
-    let mem = Arc::new(PhysMemory::new(&[64 * 1024 * 1024]));
-    let published = AtomicU64::new(0);
-    let done = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for _ in 0..300 {
-                let r = mem
-                    .alloc_backed(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M)
-                    .unwrap();
-                published.store(r.start.raw(), Ordering::Release);
-                for _ in 0..10 {
-                    std::thread::yield_now();
-                }
-                published.store(0, Ordering::Release);
-                mem.free(r).unwrap();
-            }
-            done.store(true, Ordering::Release);
-        });
-
-        for _ in 0..3 {
-            s.spawn(|| {
-                while !done.load(Ordering::Acquire) {
-                    let addr = published.load(Ordering::Acquire);
-                    if addr == 0 {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    let start = covirt_suite::simhw::addr::HostPhysAddr::new(addr);
-                    let first = PhysRange::new(start, 8);
-                    let last = PhysRange::new(start.add(PAGE_SIZE_2M - 8), 8);
-                    for _ in 0..32 {
-                        // Both sub-ranges live in one populated region, so
-                        // a successful answer must come from one snapshot:
-                        // the same backing allocation serves both. A
-                        // reclaim racing in may fail the whole call, but
-                        // can never hand back halves of two snapshots.
-                        if let Ok(parts) = mem.resolve_many(&[first, last]) {
-                            assert_eq!(parts.len(), 2);
-                            assert!(
-                                Arc::ptr_eq(&parts[0].0, &parts[1].0),
-                                "resolve_many mixed two snapshots"
-                            );
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            });
-        }
-    });
 }
 
 #[test]
