@@ -169,7 +169,8 @@ impl std::fmt::Display for FlushTimeout {
 impl std::error::Error for FlushTimeout {}
 
 /// One per-core command queue over shared physical memory. Cloneable:
-/// controller and hypervisor each hold a handle onto the same region.
+/// controller and hypervisor each hold a handle onto the same region (the
+/// hypervisor's is a clone taken from the enclave's context at launch).
 #[derive(Clone)]
 pub struct CmdQueue {
     ring: SharedRing,
@@ -205,14 +206,14 @@ impl CmdQueue {
                 .map_err(|_| RingError::Corrupt)?;
         }
         let ring = SharedRing::create(&ring_window, CMD_SLOTS, CMD_SLOT)?;
-        Ok(Self::over(window, ring))
-    }
-
-    /// Attach to the queue formatted at the start of `window` (hypervisor
-    /// side, from boot parameters).
-    pub fn attach(window: &MemWindow) -> Result<Self, RingError> {
-        let ring = SharedRing::attach(&Self::ring_window(window)?)?;
-        Ok(Self::over(window, ring))
+        let (backing, off) = window.pinned();
+        Ok(CmdQueue {
+            ring,
+            completion: (Arc::clone(&backing), off + OFF_COMPLETION as usize),
+            next_seq: (backing, off + OFF_NEXT_SEQ as usize),
+            core: 0,
+            tracer: None,
+        })
     }
 
     /// The part of `window` past the two words, which the ring gets; a
@@ -225,19 +226,6 @@ impl CmdQueue {
         window
             .sub(PhysRange::new(window.base().add(OFF_RING), len))
             .map_err(|_| RingError::Corrupt)
-    }
-
-    /// A handle on the queue at the start of `window`, which holds both
-    /// words (it has a [`Self::ring_window`]).
-    fn over(window: &MemWindow, ring: SharedRing) -> Self {
-        let (backing, off) = window.pinned();
-        CmdQueue {
-            ring,
-            completion: (Arc::clone(&backing), off + OFF_COMPLETION as usize),
-            next_seq: (backing, off + OFF_NEXT_SEQ as usize),
-            core: 0,
-            tracer: None,
-        }
     }
 
     /// Tag the queue with the core it serves (for timeout diagnostics).
@@ -522,24 +510,19 @@ mod tests {
         assert_eq!(q.completed(), 5);
     }
 
+    /// The two sides' handles are clones: everything they agree on —
+    /// ring, completion counter, sequence allocator — is in the region.
     #[test]
-    fn attach_shares_state() {
-        let (window, q) = queue();
-        let other = CmdQueue::attach(&window).unwrap();
-        q.post(Command::Sync).unwrap();
-        let drained = other.drain();
-        assert_eq!(drained.len(), 1);
-        other.complete(drained[0].seq);
-        assert!(q.wait(drained[0].seq, 1, None).is_ok());
-    }
-
-    #[test]
-    fn sequence_numbers_unique_across_handles() {
-        let (window, q) = queue();
-        let other = CmdQueue::attach(&window).unwrap();
+    fn clones_share_the_queue_in_memory() {
+        let (_w, q) = queue();
+        let other = q.clone();
         let a = q.post(Command::Sync).unwrap();
         let b = other.post(Command::Sync).unwrap();
         assert_ne!(a, b);
+        let drained = other.drain();
+        assert_eq!(drained.len(), 2);
+        other.complete(b);
+        assert!(q.wait(a, 1, None).is_ok());
     }
 
     #[test]
@@ -550,7 +533,6 @@ mod tests {
         for len in [128, 8] {
             let short = window.sub(PhysRange::new(window.base(), len)).unwrap();
             assert!(CmdQueue::create(&short).is_err(), "{len} bytes");
-            assert!(CmdQueue::attach(&short).is_err(), "{len} bytes");
         }
     }
 }

@@ -3,8 +3,9 @@
 //! The controller is the management half of Covirt's split architecture:
 //! it is "integrated with the master control process" and "hooks into the
 //! control paths that manage the system-wide hardware configuration". It
-//! builds each enclave's virtualization context before boot (interposing
-//! the hypervisor into the boot plan), and afterwards translates every
+//! builds each enclave's virtualization context before boot (which is what
+//! interposes the hypervisor: a core of an enclave with a context starts
+//! under it), and afterwards translates every
 //! resource-management event into direct edits of that context:
 //!
 //! * memory grant   → EPT map, then return immediately (asynchronous —
@@ -15,9 +16,11 @@
 //! * vector alloc/free → whitelist edit, **no** hypervisor coordination
 //!   (the hypervisor reads the whitelist fresh on every trap — only state
 //!   the CPU may cache needs the command queue);
-//! * XEMEM attach/detach → same as grant/reclaim, via the Hobbes hooks.
+//! * XEMEM attach/detach → same as grant/reclaim, via the Hobbes hooks;
+//!   the master runs the detach hook too for every attacher of a segment
+//!   that is destroyed, or whose owner ends, under it.
 
-use crate::boot::{cmdq_addr, CovirtBootParams, COVIRT_BOOT_MAGIC, COVIRT_PARAMS_OFFSET};
+use crate::boot::{cmdq_addr, CMDQ_STRIDE};
 use crate::cmdqueue::{CmdQueue, Command};
 use crate::config::CovirtConfig;
 use crate::fault::{FaultLog, FaultReport};
@@ -35,7 +38,6 @@ use covirt_trace::{EventKind, Phase, Tracer};
 use hobbes::events::HobbesHooks;
 use hobbes::MasterControl;
 use parking_lot::{Mutex, RwLock};
-use pisces::boot::{BootPlan, BootTarget};
 use pisces::enclave::Enclave;
 use pisces::hooks::EnclaveHooks;
 use pisces::host::PiscesHost;
@@ -318,7 +320,7 @@ impl CovirtController {
     }
 
     /// Build the full virtualization context for an enclave about to boot.
-    fn build_context(&self, enclave: &Enclave, plan: &BootPlan) -> PiscesResult<Arc<VirtContext>> {
+    fn build_context(&self, enclave: &Enclave) -> PiscesResult<Arc<VirtContext>> {
         let res = enclave.resources();
         let cores: Vec<usize> = res.cores.iter().map(|c| c.0).collect();
 
@@ -348,39 +350,23 @@ impl CovirtController {
             if let Some(h) = vctx.vmcs(core) {
                 let mut v = h.write();
                 v.guest.rip = 0xffff_ffff_8000_0000; // canonical kernel text base
-                v.guest.rdi = plan.pisces_params_addr.raw();
+                v.guest.rdi = enclave.params_addr().raw();
             }
         }
 
         // Per-core command queues inside the management region, each
         // placed through the window Pisces resolved when it allocated it.
         let mgmt = enclave.mgmt();
-        let mut queues = Vec::with_capacity(cores.len());
         for (i, &core) in cores.iter().enumerate() {
-            let base = cmdq_addr(mgmt.base(), i);
             let q = mgmt
-                .sub(PhysRange::new(base, crate::boot::CMDQ_STRIDE))
+                .sub(PhysRange::new(cmdq_addr(mgmt.base(), i), CMDQ_STRIDE))
                 .ok()
                 .and_then(|w| CmdQueue::create(&w).ok())
                 .ok_or(PiscesError::Invalid("command queue creation failed"))?
                 .with_core(core as u64)
                 .with_tracer(self.tracer.clone().with_enclave(enclave.id.0));
-            queues.push((core as u64, base.raw()));
             vctx.set_cmdq(core, q);
         }
-
-        // The Covirt boot-parameter structure, with the pointer back to the
-        // unmodified Pisces parameters.
-        let cbp = CovirtBootParams {
-            magic: COVIRT_BOOT_MAGIC,
-            enclave_id: enclave.id.0,
-            config: self.config,
-            eptp: vctx.ept.as_ref().map(|e| e.eptp().raw()).unwrap_or(0),
-            cmd_queues: queues,
-            pisces_params_addr: plan.pisces_params_addr.raw(),
-        };
-        cbp.write_to(mgmt, mgmt.base().add(COVIRT_PARAMS_OFFSET))
-            .map_err(PiscesError::Hw)?;
 
         let vctx = Arc::new(vctx);
         self.contexts
@@ -514,6 +500,20 @@ impl CovirtController {
         }
     }
 
+    /// The operator's kill switch for a wedged guest: post `Terminate` to
+    /// every live core of the enclave and kick it with an NMI. Each core
+    /// aborts at its next exit and reports the fault, which reclaims the
+    /// enclave; cores that never entered guest mode need no coercion.
+    pub fn terminate_enclave(&self, enclave: u64) -> CovirtResult<()> {
+        let vctx = self.context(enclave)?;
+        for (core, q, _) in vctx.live_slots() {
+            q.post(Command::Terminate)?;
+            let nmi = DeliveryMode::Nmi;
+            self.node.interconnect.send(0, IpiDest::Core(core), nmi)?;
+        }
+        Ok(())
+    }
+
     /// Fault containment entry point, called by the execution environment
     /// when a hypervisor instance terminates its enclave: record the
     /// report and tell the master control process, which reclaims the
@@ -550,13 +550,8 @@ impl CovirtController {
 }
 
 impl EnclaveHooks for CovirtController {
-    fn on_boot_plan(&self, enclave: &Enclave, mut plan: BootPlan) -> PiscesResult<BootPlan> {
-        self.build_context(enclave, &plan)?;
-        plan.target = BootTarget::Interposed {
-            layer: "covirt".to_owned(),
-            layer_params_addr: enclave.mgmt_region.start.add(COVIRT_PARAMS_OFFSET),
-        };
-        Ok(plan)
+    fn on_launch(&self, enclave: &Enclave) -> PiscesResult<()> {
+        self.build_context(enclave).map(drop)
     }
 
     fn on_mem_add_prepared(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
@@ -658,6 +653,13 @@ mod tests {
         let (enclave, _kernel) = master.bring_up_enclave("e0", &req()).unwrap();
         let vctx = ctl.context(enclave.id.0).unwrap();
         assert_eq!(vctx.cores(), vec![1, 2]);
+        // Every core is set to enter the kernel with the unmodified Pisces
+        // parameters in RDI, and has its queue.
+        for core in [1, 2] {
+            let rdi = vctx.vmcs(core).unwrap().read().guest.rdi;
+            assert_eq!(rdi, enclave.params_addr().raw());
+            assert!(vctx.cmdq(core).is_some());
+        }
         let ept = vctx.ept.as_ref().unwrap();
         // The whole assignment translates identity.
         let r = enclave.resources().mem[0];
@@ -669,16 +671,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(t.pa.raw(), r.start.raw() + 4096);
-        // Covirt boot params are in memory and point back at Pisces'.
-        let cbp = CovirtBootParams::read_from(
-            enclave.mgmt(),
-            enclave.mgmt_region.start.add(COVIRT_PARAMS_OFFSET),
-        )
-        .unwrap();
-        assert_eq!(cbp.enclave_id, enclave.id.0);
-        assert_eq!(cbp.pisces_params_addr, enclave.mgmt_region.start.raw());
-        assert_eq!(cbp.cmd_queues.len(), 2);
-        assert_eq!(cbp.eptp, ept.eptp().raw());
+        assert_eq!(vctx.vmcs(1).unwrap().read().controls.eptp, Some(ept.eptp()));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod controller;
 pub mod exec;
 pub mod fault;
 pub mod hypervisor;
-pub mod ioctl_ext;
 pub mod stats;
 pub mod vctx;
 pub mod whitelist;

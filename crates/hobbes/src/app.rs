@@ -157,13 +157,6 @@ impl Composer {
         }
         affected
     }
-
-    /// All live applications.
-    pub fn apps(&self) -> Vec<App> {
-        let mut v: Vec<App> = self.apps.read().values().cloned().collect();
-        v.sort_by_key(|a| a.id);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +217,6 @@ mod tests {
             .unwrap()
             .translate(app.exchange_range.start.raw())
             .is_ok());
-        assert_eq!(c.apps().len(), 1);
         assert_eq!(c.app(app.id).unwrap().name, "insitu");
     }
 

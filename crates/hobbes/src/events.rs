@@ -20,9 +20,11 @@ pub trait HobbesHooks: Send + Sync {
         Ok(())
     }
 
-    /// Enclave `enclave` has unmapped a detached (or destroyed) segment.
+    /// Enclave `enclave` no longer holds the segment at `range`: it
+    /// detached, or the segment (or its owner) went while it was attached.
     /// Covirt unmaps the EPT entries and flushes the enclave's TLBs here,
-    /// before the owner may reuse the memory.
+    /// returning only once its live cores acknowledge — before the memory
+    /// may be reused. An error ends the enclave when the segment is gone.
     fn on_xemem_detach_acked(&self, enclave: u64, range: PhysRange) -> Result<(), String> {
         Ok(())
     }
@@ -63,16 +65,6 @@ impl NoticeBoard {
     pub fn drain(&self) -> Vec<FailureNotice> {
         self.notices.lock().drain(..).collect()
     }
-
-    /// Notices currently queued.
-    pub fn len(&self) -> usize {
-        self.notices.lock().len()
-    }
-
-    /// True if no notices are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +74,6 @@ mod tests {
     #[test]
     fn notice_board_fifo() {
         let b = NoticeBoard::new();
-        assert!(b.is_empty());
         b.post(FailureNotice {
             dependent: 1,
             failed: 2,
@@ -93,11 +84,11 @@ mod tests {
             failed: 2,
             reason: "ept".into(),
         });
-        assert_eq!(b.len(), 2);
         let drained = b.drain();
+        assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].dependent, 1);
         assert_eq!(drained[1].dependent, 3);
-        assert!(b.is_empty());
+        assert!(b.drain().is_empty());
     }
 
     #[test]

@@ -8,6 +8,22 @@
 //! this crate provides the hook points ([`events::HobbesHooks`]) the
 //! controller subscribes to for the XEMEM control paths, mirroring the
 //! Pisces-level hooks for plain memory grants.
+//!
+//! Who shares memory with whom is XEMEM's record and nobody else's: the
+//! master reads it to notify a dead enclave's dependants, and revokes it
+//! from its teardown hook — owner dies ⇒ its segments are destroyed and
+//! every attacher cut off (detach hook: EPT unmap + acknowledged flush) ⇒
+//! only then is the owner's memory freed.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
 
 pub mod app;
 pub mod events;

@@ -11,37 +11,32 @@ use pisces::enclave::{Enclave, EnclaveId};
 use pisces::hooks::EnclaveHooks;
 use pisces::host::PiscesHost;
 use pisces::resources::ResourceRequest;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use xemem::{SegmentId, XememService};
 
 /// The master control process.
 pub struct MasterControl {
     host: Arc<PiscesHost>,
-    xemem: Arc<XememService>,
+    /// The shared-memory service: the one record of who shares memory
+    /// with whom, read to notify dependants and to revoke.
+    xemem: XememService,
     kernels: RwLock<HashMap<u64, Arc<KittenKernel>>>,
     hooks: RwLock<Vec<Arc<dyn HobbesHooks>>>,
-    /// Which enclaves share state (segid → attached+owner set), used to
-    /// notify dependents on failure.
-    dependencies: RwLock<HashMap<SegmentId, HashSet<u64>>>,
     /// Failure notices awaiting delivery.
     pub notices: NoticeBoard,
 }
 
 /// The master's teardown hook on its own Pisces host: however an enclave
-/// ends — orderly teardown or contained fault — the master lets go of its
-/// kernel (page tables, frame pool, the pinned boot region) then, not when
-/// the node goes. Holds the master weakly: the host the master owns keeps
-/// this hook.
-struct ForgetKernel(Weak<MasterControl>);
+/// ends — orderly teardown or contained fault — the master forgets it
+/// then, before its memory returns to the node. Holds the master weakly:
+/// the host the master owns keeps this hook.
+struct ForgetEnclave(Weak<MasterControl>);
 
-impl EnclaveHooks for ForgetKernel {
+impl EnclaveHooks for ForgetEnclave {
     fn on_teardown(&self, enclave: &Enclave) {
         if let Some(master) = self.0.upgrade() {
-            // Taken out under the lock, dropped (frames returned, backing
-            // released) after it.
-            let kernel = master.kernels.write().remove(&enclave.id.0);
-            drop(kernel);
+            master.forget(enclave.id.0);
         }
     }
 }
@@ -51,13 +46,12 @@ impl MasterControl {
     pub fn new(node: Arc<SimNode>) -> Arc<Self> {
         Arc::new_cyclic(|master| {
             let host = PiscesHost::new(node);
-            host.register_hooks(Arc::new(ForgetKernel(Weak::clone(master))));
+            host.register_hooks(Arc::new(ForgetEnclave(Weak::clone(master))));
             MasterControl {
                 host,
-                xemem: Arc::new(XememService::new()),
+                xemem: XememService::new(),
                 kernels: RwLock::new(HashMap::new()),
                 hooks: RwLock::new(Vec::new()),
-                dependencies: RwLock::new(HashMap::new()),
                 notices: NoticeBoard::new(),
             }
         })
@@ -68,11 +62,6 @@ impl MasterControl {
         &self.host
     }
 
-    /// The shared-memory service.
-    pub fn xemem(&self) -> &Arc<XememService> {
-        &self.xemem
-    }
-
     /// Register Hobbes-level hooks (the Covirt controller does this).
     pub fn register_hooks(&self, hooks: Arc<dyn HobbesHooks>) {
         self.hooks.write().push(hooks);
@@ -81,8 +70,7 @@ impl MasterControl {
     /// Create + launch an enclave and boot a Kitten kernel in it. Returns
     /// the enclave and the kernel handle. (With Covirt active, launch
     /// interposition happens inside `PiscesHost::launch` via its hooks; the
-    /// returned boot plan's params pointer is what Kitten reads either
-    /// way.)
+    /// returned plan's params pointer is what Kitten reads either way.)
     pub fn bring_up_enclave(
         &self,
         name: &str,
@@ -131,13 +119,7 @@ impl MasterControl {
                 ));
             }
         }
-        let segid = self.xemem.export(name, owner, range)?;
-        self.dependencies
-            .write()
-            .entry(segid)
-            .or_default()
-            .insert(owner);
-        Ok(segid)
+        Ok(self.xemem.export(name, owner, range)?)
     }
 
     /// Attach enclave `who` to the named segment.
@@ -162,11 +144,6 @@ impl MasterControl {
         // why the EPT update is invisible next to this linear work.
         let pages = info.page_frame_list();
         kernel.map_shared_pagelist(info.range, &pages)?;
-        self.dependencies
-            .write()
-            .entry(segid)
-            .or_default()
-            .insert(who);
         Ok(info.range)
     }
 
@@ -184,35 +161,72 @@ impl MasterControl {
             h.on_xemem_detach_acked(who, info.range)
                 .map_err(HobbesError::Vetoed)?;
         }
-        if let Some(deps) = self.dependencies.write().get_mut(&segid) {
-            deps.remove(&who);
-        }
         Ok(())
     }
 
-    /// Destroy a segment. Returns enclaves that were still attached (the
-    /// stale-mapping hazard — their kernels keep the mapping until their
-    /// own cleanup runs, which with Covirt enabled is survivable).
+    /// Destroy a segment. Returns the enclaves that were still attached
+    /// (the stale-mapping hazard): each is cut off before this returns —
+    /// its *kernel* keeps the mapping until its own cleanup runs, which
+    /// with Covirt enabled is survivable.
     pub fn destroy_segment(&self, name: &str) -> HobbesResult<Vec<u64>> {
         let segid = self.xemem.lookup(name)?;
-        let leftover = self.xemem.destroy(segid)?;
-        self.dependencies.write().remove(&segid);
+        let (segment, leftover) = self.xemem.destroy(segid)?;
+        self.cut_off(&leftover, segment.range);
         Ok(leftover)
     }
 
-    /// Fault path: an enclave died (Covirt containment calls this via the
-    /// Pisces fault report). Notifies every enclave that shared a segment
-    /// with it, as the paper's master control process is responsible for.
-    pub fn handle_enclave_failure(&self, failed: u64, reason: &str) -> HobbesResult<()> {
-        let enclave = self.host.enclave(EnclaveId(failed))?;
-        self.host.report_fault(&enclave, reason)?;
-        let mut dependents: HashSet<u64> = HashSet::new();
-        for (_segid, members) in self.dependencies.read().iter() {
-            if members.contains(&failed) {
-                dependents.extend(members.iter().filter(|&&m| m != failed && m != 0));
+    /// A segment is gone while `attachers` still map `range`: take it out
+    /// of each one's reach through the detach hook (under Covirt, EPT unmap
+    /// and a shootdown the attacher's live cores acknowledge) before the
+    /// memory can be reused. An attacher that cannot be cut off is ended
+    /// instead — never skipped. Blocks like a detach; holds no lock of the
+    /// master across the wait.
+    fn cut_off(&self, attachers: &[u64], range: PhysRange) {
+        let hooks = self.hooks.read().clone();
+        for &who in attachers {
+            let cut = hooks
+                .iter()
+                .try_for_each(|h| h.on_xemem_detach_acked(who, range));
+            if let Err(why) = cut {
+                let reason = format!("kept a revoked segment: {why}");
+                let _ = self.handle_enclave_failure(who, &reason);
             }
         }
-        for d in dependents {
+    }
+
+    /// Enclave `id` is ending and its memory is about to return to the
+    /// node: let go of its kernel (page tables, frame pool, the pinned boot
+    /// region), destroy the segments it owns — cutting off whoever is
+    /// still attached to them — and drop it from the ones it attached to.
+    fn forget(&self, id: u64) {
+        // Taken out under the lock, dropped (frames returned, backing
+        // released) after it.
+        let kernel = self.kernels.write().remove(&id);
+        drop(kernel);
+        for (segment, attachers) in self.xemem.revoke(id) {
+            self.cut_off(&attachers, segment.range);
+        }
+    }
+
+    /// Fault path: an enclave died (Covirt containment calls this via the
+    /// Pisces fault report). Reclaims it and notifies every living enclave
+    /// that shared a segment with it, as the paper's master control
+    /// process is responsible for. An enclave already reclaimed has left
+    /// the host and its sharers were told then: a later report (another of
+    /// its cores, the remediation loop) is `Ok` and does nothing.
+    pub fn handle_enclave_failure(&self, failed: u64, reason: &str) -> HobbesResult<()> {
+        let Ok(enclave) = self.host.enclave(EnclaveId(failed)) else {
+            return Ok(());
+        };
+        // Read before the reclaim, which revokes what it is read from.
+        let dependants = self.xemem.sharers(failed);
+        self.host.report_fault(&enclave, reason)?;
+        for d in dependants {
+            // The host OS/R (0) is no enclave, and a dependant the reclaim
+            // itself had to end has nobody left to tell.
+            if self.host.enclave(EnclaveId(d)).is_err() {
+                continue;
+            }
             for h in self.hooks.read().iter() {
                 h.on_dependency_failed(d, failed);
             }
@@ -330,19 +344,138 @@ mod tests {
             Err(HobbesError::Vetoed(_))
         ));
         // Attachment rolled back in XEMEM.
-        assert!(m.xemem().attachments(segid).unwrap().is_empty());
+        assert!(m.xemem.sharers(e1.id.0).is_empty());
+        assert_eq!(m.xemem.lookup("x").unwrap(), segid);
+    }
+
+    /// Records every detach the master runs, and refuses the ones for
+    /// `refuse` — a stand-in for an attacher whose cores never acknowledge
+    /// the flush.
+    #[derive(Default)]
+    struct Detaches {
+        seen: parking_lot::Mutex<Vec<(u64, PhysRange, u64)>>,
+        refuse: Option<u64>,
+        mem: Option<Arc<covirt_simhw::memory::PhysMemory>>,
+    }
+
+    impl HobbesHooks for Detaches {
+        fn on_xemem_detach_acked(&self, enclave: u64, range: PhysRange) -> Result<(), String> {
+            // How much of zone 0 is in use when the hook runs: the cut-off
+            // must come before the owner's memory goes back.
+            let in_use = self.mem.as_ref().map_or(0, |m| zone0(m));
+            self.seen.lock().push((enclave, range, in_use));
+            match self.refuse == Some(enclave) {
+                true => Err("core 2 did not acknowledge".into()),
+                false => Ok(()),
+            }
+        }
+    }
+
+    fn zone0(mem: &covirt_simhw::memory::PhysMemory) -> u64 {
+        mem.zone_usage(ZoneId(0)).unwrap().1
     }
 
     #[test]
-    fn destroy_with_live_attachment_reports_hazard() {
+    fn destroy_with_live_attachment_cuts_the_attacher_off() {
         let m = master();
+        let hook = Arc::new(Detaches::default());
+        m.register_hooks(Arc::clone(&hook) as Arc<dyn HobbesHooks>);
         let (e1, _) = m.bring_up_enclave("p", &req(1)).unwrap();
-        let (e2, _) = m.bring_up_enclave("c", &req(2)).unwrap();
-        m.export_segment(e1.id.0, "x", carve(&e1)).unwrap();
+        let (e2, k2) = m.bring_up_enclave("c", &req(2)).unwrap();
+        let seg = carve(&e1);
+        m.export_segment(e1.id.0, "x", seg).unwrap();
         m.attach_segment(e2.id.0, "x").unwrap();
         let leftover = m.destroy_segment("x").unwrap();
         assert_eq!(leftover, vec![e2.id.0]);
-        assert_eq!(m.xemem().hazardous_destroy_count(), 1);
+        assert_eq!(hook.seen.lock()[..], [(e2.id.0, seg, 0)]);
+        // The hazard the paper describes: the attacher's kernel still
+        // believes in the mapping.
+        assert!(k2.translate(seg.start.raw()).is_ok());
+        assert!(matches!(
+            m.attach_segment(e2.id.0, "x"),
+            Err(HobbesError::Xemem(xemem::XememError::NoSuchName(_)))
+        ));
+    }
+
+    /// The revocation rule, on both roads an owner can go: its segments
+    /// are destroyed, each attacher is cut off while the owner's memory is
+    /// still the owner's, and nobody can attach to the dead name.
+    #[test]
+    fn a_dying_owners_segments_are_revoked_before_its_memory_is_freed() {
+        for orderly in [true, false] {
+            let m = master();
+            let mem = Arc::clone(&m.pisces().node().mem);
+            let hook = Arc::new(Detaches {
+                mem: Some(Arc::clone(&mem)),
+                ..Detaches::default()
+            });
+            m.register_hooks(Arc::clone(&hook) as Arc<dyn HobbesHooks>);
+            let (owner, _) = m.bring_up_enclave("owner", &req(1)).unwrap();
+            let (early, _) = m.bring_up_enclave("early", &req(2)).unwrap();
+            let (late, _) = m.bring_up_enclave("late", &req(3)).unwrap();
+            let seg = carve(&owner);
+            m.export_segment(owner.id.0, "x", seg).unwrap();
+            m.attach_segment(early.id.0, "x").unwrap();
+            let with_owner = zone0(&mem);
+
+            match orderly {
+                true => m.pisces().teardown(&owner).unwrap(),
+                false => m
+                    .handle_enclave_failure(owner.id.0, "ept violation")
+                    .unwrap(),
+            }
+            assert_eq!(hook.seen.lock()[..], [(early.id.0, seg, with_owner)]);
+            assert!(zone0(&mem) < with_owner, "the owner's memory went back");
+            assert!(matches!(
+                m.attach_segment(late.id.0, "x"),
+                Err(HobbesError::Xemem(xemem::XememError::NoSuchName(_)))
+            ));
+            assert_eq!(early.state(), pisces::EnclaveState::Running);
+            // Only a failure is news; either way nobody shares with the
+            // dead any more, so the next failure tells no one about it.
+            let told: Vec<u64> = m.notices.drain().iter().map(|n| n.dependent).collect();
+            assert_eq!(told, if orderly { vec![] } else { vec![early.id.0] });
+            m.handle_enclave_failure(early.id.0, "later").unwrap();
+            assert!(m.notices.drain().is_empty());
+        }
+    }
+
+    /// An attacher that cannot be cut off is ended, not skipped: it is
+    /// reclaimed through the same failure path, gets no notice about the
+    /// owner, and the owner's reclaim still completes.
+    #[test]
+    fn an_attacher_that_does_not_let_go_is_ended_with_the_owner() {
+        let m = master();
+        let mem = Arc::clone(&m.pisces().node().mem);
+        let idle = zone0(&mem);
+        let (owner, _) = m.bring_up_enclave("owner", &req(1)).unwrap();
+        let (stuck, _) = m.bring_up_enclave("stuck", &req(2)).unwrap();
+        let (fine, _) = m.bring_up_enclave("fine", &req(3)).unwrap();
+        let hook = Arc::new(Detaches {
+            refuse: Some(stuck.id.0),
+            ..Detaches::default()
+        });
+        m.register_hooks(Arc::clone(&hook) as Arc<dyn HobbesHooks>);
+        m.export_segment(owner.id.0, "x", carve(&owner)).unwrap();
+        m.attach_segment(stuck.id.0, "x").unwrap();
+        m.attach_segment(fine.id.0, "x").unwrap();
+
+        m.handle_enclave_failure(owner.id.0, "ept violation")
+            .unwrap();
+        match stuck.state() {
+            pisces::EnclaveState::Failed(why) => {
+                assert!(why.contains("kept a revoked segment"), "{why}");
+                assert!(why.contains("did not acknowledge"), "{why}");
+            }
+            s => panic!("the stuck attacher must be ended, is {s:?}"),
+        }
+        assert_eq!(fine.state(), pisces::EnclaveState::Running);
+        let told: Vec<u64> = m.notices.drain().iter().map(|n| n.dependent).collect();
+        assert_eq!(told, vec![fine.id.0], "only the living are told");
+        let living: Vec<u64> = m.pisces().enclaves().iter().map(|e| e.id.0).collect();
+        assert_eq!(living, vec![fine.id.0]);
+        m.pisces().teardown(&fine).unwrap();
+        assert_eq!(zone0(&mem), idle);
     }
 
     #[test]
@@ -355,7 +488,9 @@ mod tests {
 
         m.handle_enclave_failure(e1.id.0, "ept violation").unwrap();
         assert!(matches!(e1.state(), pisces::EnclaveState::Failed(_)));
-        // The consumer is told its producer died.
+        // A second report for the reclaimed enclave is harmless.
+        m.handle_enclave_failure(e1.id.0, "again").unwrap();
+        // The consumer is told its producer died, once.
         let notices = m.notices.drain();
         assert_eq!(notices.len(), 1);
         assert_eq!(notices[0].dependent, e2.id.0);

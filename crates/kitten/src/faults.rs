@@ -62,13 +62,11 @@ pub fn stale_shared_mapping(kernel: &KittenKernel, reclaimed: PhysRange) -> Inje
 /// region end. The kernel extends its map one page past its real
 /// assignment and will happily touch the neighbour's first page.
 pub fn off_by_one_region(kernel: &KittenKernel) -> InjectedFault {
-    let last = kernel
-        .memmap()
-        .by_kind(RegionKind::Boot)
-        .last()
-        .copied()
-        .expect("kernel has at least one boot region");
-    let rogue = PhysRange::new(last.range.end(), PAGE_SIZE_4K);
+    // `KittenKernel::boot` refuses parameters without a memory region and
+    // nothing removes a boot region, so there is a last one to run past.
+    let boot = kernel.memmap().by_kind(RegionKind::Boot);
+    let end = boot.last().map_or(HostPhysAddr::new(0), |r| r.range.end());
+    let rogue = PhysRange::new(end, PAGE_SIZE_4K);
     kernel.with_memmap_mut(|m| m.corrupt_extend(rogue));
     let _ = kernel.page_tables.map(
         rogue.start.raw(),
@@ -126,7 +124,10 @@ mod tests {
             .mem
             .alloc_backed(ZoneId(0), 2 * 1024 * 1024, PAGE_SIZE_4K)
             .unwrap();
-        k.map_shared(seg).unwrap();
+        let frames: Vec<u64> = (0..seg.len / PAGE_SIZE_4K)
+            .map(|i| seg.start.raw() + i * PAGE_SIZE_4K)
+            .collect();
+        k.map_shared_pagelist(seg, &frames).unwrap();
         // Host reclaims the segment; the buggy kernel never unmaps.
         let fault = stale_shared_mapping(&k, seg);
         match fault {

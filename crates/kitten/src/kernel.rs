@@ -1,7 +1,6 @@
 //! The Kitten kernel object: boot, memory management, control-channel
 //! servicing and syscall forwarding.
 
-use crate::aspace::AddressSpace;
 use crate::memmap::{MemMap, RegionKind};
 use crate::task::{Task, TaskId};
 use crate::timer::TimerPolicy;
@@ -44,6 +43,10 @@ impl KittenKernel {
             .map_err(|_| KittenError::BadBootParams)?;
         let params =
             BootParams::read_from(&mgmt, params_addr).map_err(|_| KittenError::BadBootParams)?;
+        // Every later "the kernel's boot regions" relies on there being one.
+        if params.mem_regions.is_empty() {
+            return Err(KittenError::BadBootParams);
+        }
         let chan = mgmt
             .sub(PhysRange::new(
                 HostPhysAddr::new(params.ctrlchan_base),
@@ -86,11 +89,6 @@ impl KittenKernel {
             next_task: Mutex::new(1),
             last_syscall_ret: Mutex::new(None),
         })
-    }
-
-    /// The physical memory the kernel runs on.
-    pub fn memory(&self) -> &Arc<PhysMemory> {
-        &self.mem
     }
 
     /// Snapshot of the memory map.
@@ -195,21 +193,11 @@ impl KittenKernel {
         Ok(handled)
     }
 
-    /// Map an attached shared segment (XEMEM page list) into the kernel.
-    /// The Hobbes layer calls this after the host-side mapping is ready.
-    pub fn map_shared(&self, range: PhysRange) -> KittenResult<()> {
-        self.page_tables
-            .map(range.start.raw(), range.start, range.len, Perms::RWX, 2)?;
-        self.memmap
-            .write()
-            .add(range, RegionKind::Shared)
-            .map_err(KittenError::Invalid)?;
-        Ok(())
-    }
-
-    /// Map an attached segment from its transmitted page-frame list, one
-    /// 4 KiB page at a time — the faithful XPMEM attach path, whose cost
-    /// is linear in the segment size (this linearity dominates Figure 4).
+    /// Map an attached shared segment from its transmitted page-frame
+    /// list, one 4 KiB page at a time — the faithful XPMEM attach path,
+    /// whose cost is linear in the segment size (this linearity dominates
+    /// Figure 4). The Hobbes layer calls this after the host-side mapping
+    /// is ready.
     pub fn map_shared_pagelist(&self, range: PhysRange, pages: &[u64]) -> KittenResult<()> {
         for &page in pages {
             self.page_tables.map(
@@ -249,8 +237,7 @@ impl KittenKernel {
         self.last_syscall_ret.lock().take()
     }
 
-    /// Create a task pinned to `core` with an address space spanning the
-    /// kernel's current map.
+    /// Create a task pinned to `core`.
     pub fn spawn_task(&self, name: &str, core: CoreId) -> KittenResult<TaskId> {
         if !self.cores().contains(&core) {
             return Err(KittenError::Invalid("core not assigned to this enclave"));
@@ -258,10 +245,11 @@ impl KittenKernel {
         let mut next = self.next_task.lock();
         let id = TaskId(*next);
         *next += 1;
-        let aspace = AddressSpace::spanning(&self.memmap.read());
-        self.tasks
-            .write()
-            .push(Task::new(id, name.to_owned(), core, aspace));
+        self.tasks.write().push(Task {
+            id,
+            name: name.to_owned(),
+            core,
+        });
         Ok(id)
     }
 
@@ -449,8 +437,15 @@ mod tests {
             .mem
             .alloc_backed(ZoneId(0), 2 * 1024 * 1024, PAGE_SIZE_2M)
             .unwrap();
-        k.map_shared(seg).unwrap();
+        let frames: Vec<u64> = (0..seg.len / 4096)
+            .map(|i| seg.start.raw() + i * 4096)
+            .collect();
+        k.map_shared_pagelist(seg, &frames).unwrap();
         assert_eq!(k.translate(seg.start.raw()).unwrap(), seg.start);
+        assert_eq!(
+            k.translate(seg.end().raw() - 8).unwrap().raw() + 8,
+            seg.end().raw()
+        );
         assert_eq!(k.memmap().by_kind(RegionKind::Shared).len(), 1);
         k.unmap_shared(seg).unwrap();
         assert!(k.translate(seg.start.raw()).is_err());
@@ -462,7 +457,10 @@ mod tests {
         let t = k.spawn_task("app", CoreId(1)).unwrap();
         assert_eq!(t.0, 1);
         assert!(k.spawn_task("bad", CoreId(3)).is_err());
-        assert_eq!(k.tasks().len(), 1);
+        let tasks = k.tasks();
+        assert_eq!(tasks.len(), 1);
+        assert_eq!((tasks[0].id, tasks[0].core), (t, CoreId(1)));
+        assert_eq!(format!("{}: {}", tasks[0].id, tasks[0].name), "task1: app");
     }
 
     #[test]

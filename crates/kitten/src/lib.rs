@@ -14,7 +14,16 @@
 //! view of its resources disagrees with the actual assignment — precisely
 //! the inconsistency Covirt exists to contain.
 
-pub mod aspace;
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
+
 pub mod faults;
 pub mod kernel;
 pub mod memmap;

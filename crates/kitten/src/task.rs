@@ -1,6 +1,10 @@
 //! Kitten tasks: minimal process objects pinned to cores.
+//!
+//! Kitten identity-maps physical memory and uses SMARTMAP-style sharing:
+//! there is no per-task page table or address-space object — the kernel's
+//! identity tables serve every task, which is exactly what makes
+//! cross-enclave sharing cheap (and its stale states dangerous).
 
-use crate::aspace::AddressSpace;
 use covirt_simhw::topology::CoreId;
 
 /// Task identifier (kernel-local).
@@ -13,21 +17,8 @@ impl std::fmt::Display for TaskId {
     }
 }
 
-/// Task run state (Kitten's scheduler is run-to-completion per core; there
-/// is no preemption in the model, matching the LWK's noise goals).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskState {
-    /// Eligible to run.
-    Ready,
-    /// Currently on its core.
-    Running,
-    /// Waiting on a blocking operation (e.g. an XEMEM attach in flight).
-    Blocked,
-    /// Finished.
-    Exited,
-}
-
-/// A Kitten task.
+/// A Kitten task. The scheduler is run-to-completion per core; there is
+/// no preemption in the model, matching the LWK's noise goals.
 #[derive(Clone, Debug)]
 pub struct Task {
     /// Identifier.
@@ -36,40 +27,4 @@ pub struct Task {
     pub name: String,
     /// Core the task is pinned to (Kitten pins by default).
     pub core: CoreId,
-    /// The task's address space.
-    pub aspace: AddressSpace,
-    /// Scheduler state.
-    pub state: TaskState,
-}
-
-impl Task {
-    /// New ready task.
-    pub fn new(id: TaskId, name: String, core: CoreId, aspace: AddressSpace) -> Self {
-        Task {
-            id,
-            name,
-            core,
-            aspace,
-            state: TaskState::Ready,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::memmap::MemMap;
-
-    #[test]
-    fn task_construction() {
-        let t = Task::new(
-            TaskId(7),
-            "mini".into(),
-            CoreId(2),
-            AddressSpace::spanning(&MemMap::new()),
-        );
-        assert_eq!(t.id, TaskId(7));
-        assert_eq!(t.state, TaskState::Ready);
-        assert_eq!(format!("{}", t.id), "task7");
-    }
 }

@@ -5,16 +5,18 @@
 //! kernel entry, and (3) kicking the CPU. The address of the parameter
 //! structure is handed to the kernel in a register (RDI here).
 //!
-//! Covirt interposes on exactly this path: its hook replaces the
-//! [`BootPlan`]'s target with the hypervisor entry and substitutes its own
-//! parameter structure that *contains a pointer to the unmodified Pisces
-//! boot parameters*, so the co-kernel remains oblivious. The
-//! [`BootTarget`] enum is how that substitution is expressed in the model.
+//! Covirt interposes on exactly this path: the CPU boots into its
+//! hypervisor, which launches the co-kernel with *the unmodified Pisces
+//! boot parameters* in the same register, so the co-kernel remains
+//! oblivious. In the model the interposition is the hypervisor's
+//! virtualization context existing when the cores start
+//! ([`crate::hooks::EnclaveHooks::on_launch`] builds it); what the host
+//! hands back from a launch is the one thing either entry path needs, the
+//! parameters' address ([`BootPlan`]).
 
 use crate::wire::{read_record, write_record, WireError, WireReader, WireWriter};
-use covirt_simhw::addr::{HostPhysAddr, PhysRange};
+use covirt_simhw::addr::HostPhysAddr;
 use covirt_simhw::memory::MemWindow;
-use covirt_simhw::topology::CoreId;
 
 /// Magic number identifying a Pisces boot-parameter structure.
 pub const BOOT_MAGIC: u64 = 0x5049_5343_4553_4250; // "PISCESBP"
@@ -124,51 +126,14 @@ impl BootParams {
     pub fn read_from(window: &MemWindow, addr: HostPhysAddr) -> Result<Self, WireError> {
         Self::decode(&read_record(window, addr)?)
     }
-
-    /// Bytes needed to store the structure (including length prefix).
-    pub fn stored_size(&self) -> u64 {
-        8 + self.encode().len() as u64
-    }
 }
 
-/// What a freshly kicked CPU starts executing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BootTarget {
-    /// Boot straight into the co-kernel (native Pisces behaviour). The
-    /// kernel reads its [`BootParams`] from `params_addr` (passed in RDI).
-    Kernel {
-        /// Physical address of the boot parameters.
-        params_addr: HostPhysAddr,
-    },
-    /// Boot into an interposed layer (Covirt's hypervisor). The layer's own
-    /// parameter structure lives at `layer_params_addr`; it contains a
-    /// pointer to the original kernel parameters.
-    Interposed {
-        /// Identifies the interposing layer ("covirt").
-        layer: String,
-        /// Physical address of the layer's parameter structure.
-        layer_params_addr: HostPhysAddr,
-    },
-}
-
-/// The per-enclave boot plan produced by the host and (possibly) rewritten
-/// by hooks before the CPUs are kicked.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What a launch hands the caller that drives the enclave's cores.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BootPlan {
-    /// The enclave being booted.
-    pub enclave_id: u64,
-    /// Boot core (BSP of the enclave).
-    pub boot_core: CoreId,
-    /// Application cores, brought up by the kernel after the BSP.
-    pub secondary_cores: Vec<CoreId>,
-    /// What each core starts executing.
-    pub target: BootTarget,
-    /// Where the *original* Pisces boot parameters live (never changes,
-    /// even when the target is interposed).
+    /// Where the Pisces boot parameters live: what each core's kernel
+    /// entry is given in RDI, natively or by an interposed hypervisor.
     pub pisces_params_addr: HostPhysAddr,
-    /// Region reserved for the boot structures (parameters + any layer
-    /// additions), carved from the enclave's assignment.
-    pub boot_region: PhysRange,
 }
 
 #[cfg(test)]
@@ -233,11 +198,5 @@ mod tests {
         let mem = PhysMemory::new(&[16 * 1024 * 1024]);
         let region = mem.alloc_window(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
         assert!(BootParams::read_from(&region, region.base()).is_err());
-    }
-
-    #[test]
-    fn stored_size_covers_encoding() {
-        let p = params();
-        assert_eq!(p.stored_size(), 8 + p.encode().len() as u64);
     }
 }

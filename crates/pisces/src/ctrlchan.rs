@@ -194,8 +194,8 @@ impl CtrlMsg {
 }
 
 /// One endpoint of the control channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Side {
+#[derive(Clone, Copy)]
+enum Side {
     /// The host (Linux + Pisces module) end.
     Host,
     /// The enclave (co-kernel) end.
@@ -222,17 +222,18 @@ impl CtrlChannel {
     }
 
     /// The two rings' windows: the halves of the channel's.
-    fn halves(window: &MemWindow) -> [MemWindow; 2] {
+    fn halves(window: &MemWindow) -> Result<[MemWindow; 2], RingError> {
         let half = window.len() / 2;
         let a = PhysRange::new(window.base(), half);
         let b = PhysRange::new(a.end(), window.len() - half);
-        [a, b].map(|r| window.sub(r).expect("a window holds its own halves"))
+        let sub = |r| window.sub(r).map_err(|_| RingError::Corrupt);
+        Ok([sub(a)?, sub(b)?])
     }
 
     /// Format a channel into `window` (host side does this at enclave
     /// creation).
     pub fn create(window: &MemWindow) -> Result<Self, RingError> {
-        let [a, b] = Self::halves(window);
+        let [a, b] = Self::halves(window)?;
         Ok(CtrlChannel {
             side: Side::Host,
             to_enclave: SharedRing::create(&a, CTRL_SLOTS, CTRL_SLOT)?,
@@ -244,18 +245,13 @@ impl CtrlChannel {
     /// Attach from the enclave side to the channel formatted into
     /// `window` — the span the boot parameters give.
     pub fn attach_enclave(window: &MemWindow) -> Result<Self, RingError> {
-        let [a, b] = Self::halves(window);
+        let [a, b] = Self::halves(window)?;
         Ok(CtrlChannel {
             side: Side::Enclave,
             to_enclave: SharedRing::attach(&a)?,
             to_host: SharedRing::attach(&b)?,
             tracer: None,
         })
-    }
-
-    /// Which side this handle represents.
-    pub fn side(&self) -> Side {
-        self.side
     }
 
     /// Attach a flight-recorder handle; this clone (and clones made from
@@ -308,17 +304,6 @@ impl CtrlChannel {
             Err(RingError::Empty) => Ok(None),
             Err(e) => Err(e),
         }
-    }
-
-    /// Spin until a message arrives or `spins` polls elapse.
-    pub fn recv_spin(&self, spins: u64) -> Result<CtrlMsg, RingError> {
-        for _ in 0..spins {
-            if let Some(m) = self.try_recv()? {
-                return Ok(m);
-            }
-            std::thread::yield_now();
-        }
-        Err(RingError::Empty)
     }
 
     /// Messages queued toward this side.
@@ -416,11 +401,5 @@ mod tests {
         assert_eq!(host.pending(), 1);
         assert_eq!(enclave.pending(), 0);
         assert!(enclave.try_recv().unwrap().is_none());
-    }
-
-    #[test]
-    fn recv_spin_times_out() {
-        let (_window, host) = channel();
-        assert_eq!(host.recv_spin(10), Err(RingError::Empty));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::ctrlchan::{CtrlChannel, CtrlMsg};
 use crate::resources::ResourceSpec;
-use covirt_simhw::addr::PhysRange;
+use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::MemWindow;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
@@ -51,14 +51,9 @@ impl EnclaveState {
         matches!(self, EnclaveState::Running | EnclaveState::ShuttingDown)
     }
 
-    /// True once the enclave has ended (`Terminated` or `Failed`). Dead
-    /// is absorbing: no transition leaves it.
-    pub fn is_dead(&self) -> bool {
-        matches!(self, EnclaveState::Terminated | EnclaveState::Failed(_))
-    }
-
     /// The lifecycle table: `Created → Loaded → Running → ShuttingDown`,
-    /// one step at a time, and any state that is not dead may die.
+    /// one step at a time, and any state that is not dead may die. Dead
+    /// (`Terminated` or `Failed`) is absorbing: no transition leaves it.
     pub fn may_become(&self, next: &EnclaveState) -> bool {
         use EnclaveState::*;
         match (self, next) {
@@ -90,11 +85,10 @@ pub struct Enclave {
     /// Host→enclave replies the control ring had no room for, oldest
     /// first; [`crate::host::PiscesHost::process_acks`] sends them on.
     pub(crate) parked_replies: Mutex<VecDeque<CtrlMsg>>,
-    /// Self-healing control flags, orthogonal to the lifecycle state: a
-    /// remediation policy throttles an enclave whose SLOs degrade and
-    /// quarantines one with a confirmed protection violation. Flags, not
-    /// states — the lifecycle machine keeps its invariants.
-    throttled: AtomicBool,
+    /// Self-healing control flag, orthogonal to the lifecycle state: a
+    /// remediation policy quarantines an enclave with a confirmed
+    /// protection violation. A flag, not a state — the lifecycle machine
+    /// keeps its invariants.
     quarantined: AtomicBool,
 }
 
@@ -111,20 +105,8 @@ impl Enclave {
             mgmt,
             ctrl: Mutex::new(None),
             parked_replies: Mutex::new(VecDeque::new()),
-            throttled: AtomicBool::new(false),
             quarantined: AtomicBool::new(false),
         }
-    }
-
-    /// Whether a remediation policy is throttling this enclave.
-    pub fn is_throttled(&self) -> bool {
-        self.throttled.load(Ordering::Acquire)
-    }
-
-    /// Set or clear the throttle flag (the enclave's drivers pace resource
-    /// requests off it). Returns the previous value.
-    pub fn set_throttled(&self, on: bool) -> bool {
-        self.throttled.swap(on, Ordering::AcqRel)
     }
 
     /// Whether this enclave has been quarantined.
@@ -177,6 +159,13 @@ impl Enclave {
     /// The window onto the management region.
     pub fn mgmt(&self) -> &MemWindow {
         &self.mgmt
+    }
+
+    /// Where the co-kernel's boot parameters live — the head of the
+    /// management region — and so what the trampoline (or the interposed
+    /// hypervisor) hands the kernel in RDI.
+    pub fn params_addr(&self) -> HostPhysAddr {
+        self.mgmt_region.start
     }
 
     /// Install the host-side control channel handle.
@@ -290,18 +279,14 @@ mod tests {
     }
 
     #[test]
-    fn remediation_flags() {
+    fn quarantine_flag() {
         let e = enclave();
-        assert!(!e.is_throttled());
         assert!(!e.is_quarantined());
-        assert!(!e.set_throttled(true));
-        assert!(e.is_throttled());
-        assert!(e.set_throttled(false));
         // Quarantine reports the transition exactly once.
         assert!(e.quarantine());
         assert!(!e.quarantine());
         assert!(e.is_quarantined());
-        // Flags do not disturb the lifecycle state machine.
+        // The flag does not disturb the lifecycle state machine.
         assert_eq!(e.state(), EnclaveState::Created);
     }
 

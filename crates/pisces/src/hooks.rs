@@ -6,7 +6,6 @@
 //! performed."* These are those locations, with the ordering contract the
 //! Covirt memory protocol depends on spelled out per method.
 
-use crate::boot::BootPlan;
 use crate::enclave::Enclave;
 use crate::PiscesResult;
 use covirt_simhw::addr::PhysRange;
@@ -16,11 +15,12 @@ use covirt_simhw::addr::PhysRange;
 /// returning an error, which aborts the surrounding operation.
 #[allow(unused_variables)]
 pub trait EnclaveHooks: Send + Sync {
-    /// Called after the host constructs the boot plan and before the CPUs
-    /// are kicked. The returned plan replaces the original — this is how
-    /// Covirt interposes its hypervisor into the boot path.
-    fn on_boot_plan(&self, enclave: &Enclave, plan: BootPlan) -> PiscesResult<BootPlan> {
-        Ok(plan)
+    /// Called when a loaded enclave is about to launch, before the CPUs are
+    /// kicked. Covirt builds the enclave's virtualization context here —
+    /// which is how its hypervisor is interposed into the boot path: a core
+    /// of an enclave with a context starts under it.
+    fn on_launch(&self, enclave: &Enclave) -> PiscesResult<()> {
+        Ok(())
     }
 
     /// Called when a memory grant has been *decided* but **before** the
@@ -60,40 +60,11 @@ pub trait EnclaveHooks: Send + Sync {
         Ok(())
     }
 
-    /// Called when the enclave is torn down (cleanly or after a fault) so
-    /// the layer can release its own per-enclave state.
+    /// Called when the enclave is torn down (cleanly or after a fault),
+    /// **before** anything it holds returns to the node, so the layer can
+    /// release its own per-enclave state and cut off whoever still reaches
+    /// the enclave's memory. May block (the Hobbes layer waits here for the
+    /// attachers of the enclave's segments to flush); the host holds none
+    /// of its locks across the call.
     fn on_teardown(&self, enclave: &Enclave) {}
-}
-
-/// A no-op hook set, useful as a default and in tests.
-pub struct NullHooks;
-
-impl EnclaveHooks for NullHooks {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::enclave::EnclaveId;
-    use crate::resources::ResourceSpec;
-    use covirt_simhw::addr::HostPhysAddr;
-    use covirt_simhw::memory::PhysMemory;
-    use covirt_simhw::topology::ZoneId;
-
-    #[test]
-    fn null_hooks_pass_through() {
-        let mgmt = PhysMemory::new(&[1 << 20])
-            .alloc_window(ZoneId(0), 0x1000, 0x1000)
-            .unwrap();
-        let e = Enclave::new(EnclaveId(1), "t".into(), ResourceSpec::new(), mgmt);
-        let h = NullHooks;
-        assert!(h
-            .on_mem_add_prepared(&e, PhysRange::new(HostPhysAddr::new(0), 1))
-            .is_ok());
-        assert!(h
-            .on_mem_remove_acked(&e, PhysRange::new(HostPhysAddr::new(0), 1))
-            .is_ok());
-        assert!(h.on_vector_alloc(&e, 0x40).is_ok());
-        assert!(h.on_vector_free(&e, 0x40).is_ok());
-        h.on_teardown(&e);
-    }
 }

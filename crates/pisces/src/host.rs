@@ -6,7 +6,7 @@
 //! Linux "has" everything an enclave was not given), runs the hook chain
 //! around every resource event, and drives the control channels.
 
-use crate::boot::{BootParams, BootPlan, BootTarget, BOOT_MAGIC};
+use crate::boot::{BootParams, BootPlan, BOOT_MAGIC};
 use crate::ctrlchan::{CtrlChannel, CtrlMsg};
 use crate::enclave::{Enclave, EnclaveId, EnclaveState};
 use crate::hooks::EnclaveHooks;
@@ -14,7 +14,7 @@ use crate::resources::{ResourceRequest, ResourceSpec};
 use crate::{PiscesError, PiscesResult};
 use covirt_simhw::addr::{PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use covirt_simhw::node::SimNode;
-use covirt_simhw::topology::{CoreId, ZoneId};
+use covirt_simhw::topology::ZoneId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -91,7 +91,7 @@ impl PiscesHost {
         Ok(())
     }
 
-    /// Look up an enclave.
+    /// Look up an enclave that has not been reclaimed.
     pub fn enclave(&self, id: EnclaveId) -> PiscesResult<Arc<Enclave>> {
         self.enclaves
             .read()
@@ -100,7 +100,9 @@ impl PiscesHost {
             .ok_or(PiscesError::NoSuchEnclave(id.0))
     }
 
-    /// All enclaves, by id.
+    /// Every enclave that has not been reclaimed, by id. A dead enclave
+    /// leaves when its partition has gone back to the node; whoever still
+    /// holds its handle keeps the record.
     pub fn enclaves(&self) -> Vec<Arc<Enclave>> {
         self.enclaves.read().values().cloned().collect()
     }
@@ -170,7 +172,11 @@ impl PiscesHost {
         // Allocate memory, 2 MiB-aligned so identity maps coalesce.
         for &(zone, bytes) in &req.mem_per_zone {
             let r = self.node.mem.alloc_backed(zone, bytes, PAGE_SIZE_2M)?;
-            spec.add_mem(r).expect("fresh allocations cannot overlap");
+            if let Err(e) = spec.add_mem(r) {
+                // Not in `spec`, so not the caller's to release.
+                let _ = self.node.mem.free(r);
+                return Err(PiscesError::Invalid(e));
+            }
         }
         if spec.mem.is_empty() {
             return Err(PiscesError::Invalid(
@@ -220,11 +226,14 @@ impl PiscesHost {
             pt_pool: (first.start.raw(), PT_POOL_LEN.min(first.len / 4)),
             tsc_hz: self.node.topology.tsc_hz,
         };
-        params.write_to(&mgmt_window, mgmt.start)?;
+        params.write_to(&mgmt_window, enclave.params_addr())?;
 
         enclave
             .transition(&[EnclaveState::Created], EnclaveState::Loaded)
-            .expect("a new enclave is Created and not yet shared");
+            .map_err(|_| PiscesError::BadState {
+                enclave: id.0,
+                op: "load",
+            })?;
         self.enclaves.write().insert(id.0, Arc::clone(&enclave));
         Ok(enclave)
     }
@@ -247,28 +256,9 @@ impl PiscesHost {
         freed.map_err(PiscesError::Hw)
     }
 
-    /// Produce the native boot plan for a loaded enclave.
-    pub fn boot_plan(&self, enclave: &Enclave) -> PiscesResult<BootPlan> {
-        let res = enclave.resources();
-        let boot_core = *res
-            .cores
-            .first()
-            .ok_or(PiscesError::Invalid("enclave has no cores"))?;
-        Ok(BootPlan {
-            enclave_id: enclave.id.0,
-            boot_core,
-            secondary_cores: res.cores[1..].to_vec(),
-            target: BootTarget::Kernel {
-                params_addr: enclave.mgmt_region.start,
-            },
-            pisces_params_addr: enclave.mgmt_region.start,
-            boot_region: enclave.mgmt_region,
-        })
-    }
-
-    /// Launch: run the boot plan through the hook chain (Covirt rewrites it
-    /// here) and mark the enclave running. The caller then drives the
-    /// returned plan on the enclave's cores.
+    /// Launch: run the hook chain (Covirt builds the enclave's
+    /// virtualization context here) and mark the enclave running. The
+    /// caller then boots the enclave's cores with the returned plan.
     pub fn launch(&self, enclave: &Enclave) -> PiscesResult<BootPlan> {
         let bad_state = PiscesError::BadState {
             enclave: enclave.id.0,
@@ -279,14 +269,16 @@ impl PiscesHost {
         if enclave.state() != EnclaveState::Loaded {
             return Err(bad_state);
         }
-        let mut plan = self.boot_plan(enclave)?;
-        for h in self.hooks.read().iter() {
-            plan = h.on_boot_plan(enclave, plan)?;
+        if enclave.resources().cores.is_empty() {
+            return Err(PiscesError::Invalid("enclave has no cores"));
         }
+        self.run_hooks(|h| h.on_launch(enclave))?;
         enclave
             .transition(&[EnclaveState::Loaded], EnclaveState::Running)
             .map_err(|_| bad_state)?;
-        Ok(plan)
+        Ok(BootPlan {
+            pisces_params_addr: enclave.params_addr(),
+        })
     }
 
     /// Grant additional memory to a running enclave.
@@ -450,28 +442,6 @@ impl PiscesHost {
         Ok(())
     }
 
-    /// Convenience: request removal and spin until the enclave acks and the
-    /// reclaim completes (requires the enclave side to be polled by its own
-    /// thread, or by `pump` below).
-    pub fn remove_memory_sync(
-        &self,
-        enclave: &Enclave,
-        range: PhysRange,
-        spins: u64,
-    ) -> PiscesResult<()> {
-        self.request_remove_memory(enclave, range)?;
-        for _ in 0..spins {
-            self.process_acks(enclave)?;
-            if !enclave.resources().mem.contains(&range) {
-                return Ok(());
-            }
-            std::thread::yield_now();
-        }
-        Err(PiscesError::ResourceBusy(
-            "timed out waiting for remove ack",
-        ))
-    }
-
     /// Allocate an IPI vector for the enclave from the global pool.
     pub fn alloc_vector(&self, enclave: &Enclave) -> PiscesResult<u8> {
         let v = self
@@ -499,17 +469,26 @@ impl PiscesHost {
         Ok(())
     }
 
-    /// Run the teardown hooks, then return everything the enclave holds to
-    /// the node. Called only by the caller whose [`Enclave::transition`]
-    /// killed the enclave;
-    /// taking the spec under the resource lock leaves nothing for anyone
-    /// else to free.
+    /// Run the teardown hooks, return everything the enclave holds to the
+    /// node, then forget the enclave. Called only by the caller whose
+    /// [`Enclave::transition`] killed the enclave; taking the spec under
+    /// the resource lock leaves nothing for anyone else to free.
+    ///
+    /// A teardown hook may block on other enclaves' cores and may end one
+    /// of those enclaves through this same path, so the hooks run on a
+    /// copy of the chain with no lock of the host held.
     fn reclaim(&self, enclave: &Enclave) -> PiscesResult<()> {
-        for h in self.hooks.read().iter() {
+        let hooks = self.hooks.read().clone();
+        for h in &hooks {
             h.on_teardown(enclave);
         }
         let res = enclave.with_resources_mut(std::mem::take);
-        self.release(&res, Some(enclave.mgmt_region))
+        let freed = self.release(&res, Some(enclave.mgmt_region));
+        // Last, so that a hook can still look the enclave up; with the
+        // record goes the host's hold on its management window and
+        // control channel.
+        self.enclaves.write().remove(&enclave.id.0);
+        freed
     }
 
     /// Orderly teardown: `Terminated`, hooks, reclaim.
@@ -527,7 +506,9 @@ impl PiscesHost {
     /// Resources are reclaimed, the state records the reason, and the rest
     /// of the node keeps running — the isolation property Covirt provides.
     /// Of racing reports (and a racing teardown) one does the work; the
-    /// others return `Ok` at once, possibly before it has finished.
+    /// others return `Ok` at once, possibly before it has finished — as
+    /// does a report for an enclave already reclaimed, through a handle
+    /// that outlived it.
     pub fn report_fault(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
         match enclave.transition(
             &EnclaveState::NOT_DEAD,
@@ -565,39 +546,16 @@ impl PiscesHost {
     /// caller alternating), then tear down. Spins up to `spins` polls.
     pub fn shutdown_enclave_sync(&self, enclave: &Enclave, spins: u64) -> PiscesResult<()> {
         self.request_shutdown(enclave)?;
-        let ctrl = enclave
-            .ctrl()
-            .ok_or(PiscesError::Invalid("no control channel"))?;
         for _ in 0..spins {
-            // Drain directly: process_acks treats ShutdownAck as benign.
-            for msg in self.process_acks(enclave)? {
-                if msg == CtrlMsg::ShutdownAck {
-                    return self.teardown(enclave);
-                }
+            // `process_acks` treats ShutdownAck as benign and hands it back.
+            if self.process_acks(enclave)?.contains(&CtrlMsg::ShutdownAck) {
+                return self.teardown(enclave);
             }
-            let _ = ctrl; // keep the handle alive for clarity
             std::thread::yield_now();
         }
         Err(PiscesError::ResourceBusy(
             "co-kernel did not acknowledge shutdown",
         ))
-    }
-
-    /// Cores currently assigned (including core 0 = host).
-    pub fn assigned_cores(&self) -> Vec<CoreId> {
-        let mut v: Vec<CoreId> = self
-            .assigned_cores
-            .lock()
-            .iter()
-            .map(|&c| CoreId(c))
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// Number of free vectors remaining in the global pool.
-    pub fn free_vector_count(&self) -> usize {
-        self.vector_pool.lock().len()
     }
 }
 
@@ -605,9 +563,24 @@ impl PiscesHost {
 mod tests {
     use super::*;
     use covirt_simhw::node::NodeConfig;
+    use covirt_simhw::topology::CoreId;
 
     fn host() -> Arc<PiscesHost> {
         PiscesHost::new(SimNode::new(NodeConfig::small()))
+    }
+
+    impl PiscesHost {
+        /// Cores currently assigned (including core 0 = host), ascending.
+        fn assigned_cores(&self) -> Vec<usize> {
+            let mut v: Vec<usize> = self.assigned_cores.lock().iter().copied().collect();
+            v.sort_unstable();
+            v
+        }
+
+        /// Number of free vectors remaining in the global pool.
+        fn free_vector_count(&self) -> usize {
+            self.vector_pool.lock().len()
+        }
     }
 
     fn small_req() -> ResourceRequest {
@@ -639,7 +612,7 @@ mod tests {
         assert_eq!(res.mem_bytes(), 32 * 1024 * 1024);
         assert_eq!(res.ipi_vectors.len(), 4);
         // Boot params are readable from memory.
-        let bp = BootParams::read_from(e.mgmt(), e.mgmt_region.start).unwrap();
+        let bp = BootParams::read_from(e.mgmt(), e.params_addr()).unwrap();
         assert_eq!(bp.enclave_id, e.id.0);
         assert_eq!(bp.mem_regions.len(), 1);
     }
@@ -689,11 +662,21 @@ mod tests {
         let h = host();
         let e = h.create_enclave("e0", &small_req()).unwrap();
         let plan = h.launch(&e).unwrap();
-        assert_eq!(plan.boot_core, CoreId(1));
-        assert_eq!(plan.secondary_cores, vec![CoreId(2)]);
-        assert!(matches!(plan.target, BootTarget::Kernel { .. }));
+        // The kernel finds its parameters where the plan says.
+        let mgmt = h.node().mem.window_from(plan.pisces_params_addr).unwrap();
+        let bp = BootParams::read_from(&mgmt, plan.pisces_params_addr).unwrap();
+        assert_eq!(bp.cores, vec![1, 2]);
         assert_eq!(e.state(), EnclaveState::Running);
         assert!(matches!(h.launch(&e), Err(PiscesError::BadState { .. })));
+    }
+
+    #[test]
+    fn an_enclave_without_cores_does_not_launch() {
+        let h = host();
+        let req = ResourceRequest::new(vec![], vec![(ZoneId(0), 4 * 1024 * 1024)]);
+        let e = h.create_enclave("coreless", &req).unwrap();
+        assert!(matches!(h.launch(&e), Err(PiscesError::Invalid(_))));
+        assert_eq!(e.state(), EnclaveState::Loaded);
     }
 
     #[test]
@@ -834,6 +817,11 @@ mod tests {
         h.teardown(&e).unwrap();
         assert_eq!(e.state(), EnclaveState::Terminated);
         assert_eq!(h.assigned_cores().len(), cores_before - 2);
+        assert!(h.enclaves().is_empty());
+        assert!(matches!(
+            h.enclave(e.id),
+            Err(PiscesError::NoSuchEnclave(_))
+        ));
         // Memory is reusable: a same-size enclave can be created.
         let e2 = h.create_enclave("e1", &small_req()).unwrap();
         assert_eq!(e2.state(), EnclaveState::Loaded);
@@ -851,7 +839,8 @@ mod tests {
             EnclaveState::Failed(msg) => assert!(msg.contains("ept violation")),
             s => panic!("expected Failed, got {s:?}"),
         }
-        // Idempotent.
+        // Idempotent, through the handle that outlived the host's record.
+        assert!(h.enclaves().is_empty());
         h.report_fault(&e, "again").unwrap();
         // Other enclaves can be created afterwards — the node survived.
         let e2 = h.create_enclave("e1", &small_req()).unwrap();
@@ -875,6 +864,34 @@ mod tests {
         assert!(matches!(h.launch(&e), Err(PiscesError::BadState { .. })));
         assert_eq!(e.state(), EnclaveState::Failed("ept violation".into()));
         assert_eq!(in_use(), before, "a dead enclave was reclaimed again");
+    }
+
+    /// The host's map was the last thing pinning a dead enclave: once the
+    /// caller lets go too, the record goes, and with it the window and the
+    /// control channel that kept the management region's backing alive.
+    #[test]
+    fn a_torn_down_enclave_is_freed_when_its_last_handle_drops() {
+        let h = host();
+        for orderly in [true, false] {
+            let e = h.create_enclave("e0", &small_req()).unwrap();
+            h.launch(&e).unwrap();
+            let record = Arc::downgrade(&e);
+            let backing = Arc::downgrade(&e.mgmt().pinned().0);
+            match orderly {
+                true => h.teardown(&e).unwrap(),
+                false => h.report_fault(&e, "ept violation").unwrap(),
+            }
+            assert!(backing.upgrade().is_some(), "our handle pins it");
+            drop(e);
+            assert!(record.upgrade().is_none(), "orderly={orderly}");
+            // The zone parks a snapshot it replaced for two more publishes.
+            let mem = &h.node().mem;
+            for _ in 0..2 {
+                let churn = mem.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+                mem.free(churn).unwrap();
+            }
+            assert!(backing.upgrade().is_none(), "orderly={orderly}");
+        }
     }
 
     /// Two threads end one enclave at the same moment — fault report
@@ -961,27 +978,28 @@ mod tests {
         );
     }
 
+    /// The launch hook runs on a loaded enclave before it is marked
+    /// running, and a refusal leaves it loaded.
     #[test]
-    fn boot_plan_interposition() {
-        struct Interpose;
+    fn launch_hook_runs_before_the_enclave_runs_and_may_refuse() {
+        struct Interpose(AtomicBool);
         impl EnclaveHooks for Interpose {
-            fn on_boot_plan(&self, _e: &Enclave, mut plan: BootPlan) -> PiscesResult<BootPlan> {
-                plan.target = BootTarget::Interposed {
-                    layer: "covirt".into(),
-                    layer_params_addr: plan.pisces_params_addr.add(0x1000),
-                };
-                Ok(plan)
+            fn on_launch(&self, e: &Enclave) -> PiscesResult<()> {
+                assert_eq!(e.state(), EnclaveState::Loaded);
+                match self.0.load(Ordering::Relaxed) {
+                    true => Ok(()),
+                    false => Err(PiscesError::Vetoed("no context")),
+                }
             }
         }
         let h = host();
-        h.register_hooks(Arc::new(Interpose));
+        let hook = Arc::new(Interpose(AtomicBool::new(false)));
+        h.register_hooks(Arc::clone(&hook) as Arc<dyn EnclaveHooks>);
         let e = h.create_enclave("e0", &small_req()).unwrap();
-        let plan = h.launch(&e).unwrap();
-        match plan.target {
-            BootTarget::Interposed { layer, .. } => assert_eq!(layer, "covirt"),
-            t => panic!("expected interposed target, got {t:?}"),
-        }
-        // The original params pointer is preserved for the co-kernel.
-        assert_eq!(plan.pisces_params_addr, e.mgmt_region.start);
+        assert!(matches!(h.launch(&e), Err(PiscesError::Vetoed(_))));
+        assert_eq!(e.state(), EnclaveState::Loaded);
+        hook.0.store(true, Ordering::Relaxed);
+        assert_eq!(h.launch(&e).unwrap().pisces_params_addr, e.params_addr());
+        assert_eq!(e.state(), EnclaveState::Running);
     }
 }

@@ -13,24 +13,35 @@
 //!   boot-parameter structure serialized into enclave memory whose address
 //!   is passed to the co-kernel in a register. Covirt *interposes* on this
 //!   (it boots the CPU into its hypervisor, which chains to the original
-//!   kernel entry), which is why the plan is a first-class value
-//!   ([`boot::BootPlan`]) that hooks may rewrite.
+//!   kernel entry with the same register), which is why a launch runs the
+//!   hook chain first ([`hooks::EnclaveHooks::on_launch`]).
 //! * **Control channels** ([`ring`], [`ctrlchan`]) — shared-memory command
 //!   rings between the host and each enclave (Pisces' longcall channel),
 //!   used for memory grant/reclaim transmission and syscall forwarding.
-//! * **Management ABI** ([`ioctl`]) — the `/dev/pisces`-style command
-//!   interface, with an extension registry so Covirt can piggy-back new
-//!   commands, exactly as the paper describes.
 //! * **Lifecycle + hooks** ([`enclave`], [`hooks`], [`host`]) — enclave
 //!   state machine and the resource-event callbacks whose *ordering*
-//!   (map-before-notify, unmap-after-ack) the Covirt controller depends on.
+//!   (map-before-notify, unmap-after-ack, cut-off-before-free) the Covirt
+//!   controller depends on. The host's methods are the management
+//!   interface; the `/dev/pisces` ioctl numbering the real module puts in
+//!   front of them is not modelled.
+//! * **Self-healing** ([`remediation`]) — audit verdicts fed back into
+//!   the host as quarantine, teardown and admission control.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
 
 pub mod boot;
 pub mod ctrlchan;
 pub mod enclave;
 pub mod hooks;
 pub mod host;
-pub mod ioctl;
 pub mod remediation;
 pub mod resources;
 pub mod ring;

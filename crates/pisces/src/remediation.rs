@@ -3,16 +3,19 @@
 //!
 //! The covirt-audit engine tails the flight recorder and produces a
 //! [`TailVerdict`] per batch; this module closes the loop by mapping
-//! verdicts onto the three control levers the Pisces host exposes:
+//! verdicts onto control actions:
 //!
 //! * **Throttle** — an enclave whose p99 blows a configured SLO budget
-//!   (shootdown RTT, exit handle time, command wait) gets its throttle
-//!   flag set; the flag clears when the enclave's p99 recovers.
+//!   (shootdown RTT, exit handle time, command wait) is throttled until
+//!   its p99 recovers. The interval is the policy's own record (and the
+//!   profiler's `Throttled` overlay); nothing on the host paces off it.
 //! * **Quarantine, then teardown** — a confirmed protection violation
 //!   (fault report, grant inside a stale-TLB window, orphan teardown
 //!   with complete evidence) quarantines the attributed enclave — no
 //!   further grants — and drives the fault path to reclaim its
-//!   resources. Quarantine is one-way and acted on exactly once.
+//!   resources. Quarantine is one-way and acted on exactly once; when
+//!   Covirt's own containment has already reclaimed the enclave, the
+//!   decision is all there is left to record.
 //! * **Shed admission** — when cumulative ring drops cross a threshold,
 //!   observability is too degraded to vouch for new tenants: enclave
 //!   admission is refused. Sticky until an operator calls
@@ -113,6 +116,10 @@ pub struct RemediationPolicy {
     cfg: RemediationConfig,
     /// Enclaves this policy is currently throttling.
     throttled: HashSet<u64>,
+    /// Enclaves this policy has quarantined — kept here because a
+    /// contained enclave has left the host by the time its fault report
+    /// is tailed.
+    quarantined: HashSet<u64>,
     /// Cumulative drops across all verdicts seen.
     dropped_total: u64,
     /// Every action taken, in order.
@@ -131,6 +138,7 @@ impl RemediationPolicy {
             host,
             cfg,
             throttled: HashSet::new(),
+            quarantined: HashSet::new(),
             dropped_total: 0,
             log: Vec::new(),
             profiler: None,
@@ -191,46 +199,42 @@ impl RemediationPolicy {
             // missing — never destroy an enclave on missing evidence.
             let confirmed = !v.absence_based || !verdict.evidence_incomplete;
             let Some(id) = v.enclave else { continue };
-            if !(protection && confirmed) {
+            // Once per enclave, however often the violation is re-reported.
+            if !(protection && confirmed && self.quarantined.insert(id)) {
                 continue;
             }
+            // A quarantined enclave is being torn down; close any open
+            // throttle interval so its cycles are not lost.
+            self.throttle_close(id);
+            actions.push(RemediationAction::Quarantine {
+                enclave: id,
+                why: format!("{}: {}", v.kind.name(), v.detail),
+            });
+            // Drive the fault path, unless Covirt's containment got there
+            // first and the enclave is already reclaimed and gone.
             let Ok(enclave) = self.host.enclave(EnclaveId(id)) else {
                 continue;
             };
-            if enclave.quarantine() {
-                // A quarantined enclave is being torn down; close any
-                // open throttle interval so its cycles are not lost.
-                self.throttle_close(id);
-                actions.push(RemediationAction::Quarantine {
-                    enclave: id,
-                    why: format!("{}: {}", v.kind.name(), v.detail),
-                });
-                // Drive the fault path. Idempotent: if Covirt's
-                // containment already killed the enclave this only
-                // records the decision.
-                if self
-                    .host
-                    .report_fault(&enclave, &format!("remediation: {}", v.kind.name()))
-                    .is_ok()
-                {
-                    actions.push(RemediationAction::Teardown { enclave: id });
-                }
+            enclave.quarantine();
+            if self
+                .host
+                .report_fault(&enclave, &format!("remediation: {}", v.kind.name()))
+                .is_ok()
+            {
+                actions.push(RemediationAction::Teardown { enclave: id });
             }
         }
 
         // Throttle on SLO degradation; lift on recovery.
         let degraded: HashSet<u64> = verdict.degraded.iter().map(|(id, _)| *id).collect();
         for (id, budgets) in &verdict.degraded {
-            if !self.throttled.contains(id) {
-                if let Ok(e) = self.host.enclave(EnclaveId(*id)) {
-                    self.throttled.insert(*id);
-                    e.set_throttled(true);
-                    self.throttle_mark(*id);
-                    actions.push(RemediationAction::Throttle {
-                        enclave: *id,
-                        why: budgets.join(", "),
-                    });
-                }
+            if !self.throttled.contains(id) && self.host.enclave(EnclaveId(*id)).is_ok() {
+                self.throttled.insert(*id);
+                self.throttle_mark(*id);
+                actions.push(RemediationAction::Throttle {
+                    enclave: *id,
+                    why: budgets.join(", "),
+                });
             }
         }
         let recovered: Vec<u64> = self
@@ -241,9 +245,6 @@ impl RemediationPolicy {
             .collect();
         for id in recovered {
             self.throttled.remove(&id);
-            if let Ok(e) = self.host.enclave(EnclaveId(id)) {
-                e.set_throttled(false);
-            }
             self.throttle_close(id);
             actions.push(RemediationAction::Unthrottle { enclave: id });
         }
@@ -263,11 +264,6 @@ impl RemediationPolicy {
     /// Every action taken so far, in order.
     pub fn log(&self) -> &[RemediationAction] {
         &self.log
-    }
-
-    /// Cumulative ring drops observed across all verdicts.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_total
     }
 }
 
@@ -313,6 +309,7 @@ mod tests {
     #[test]
     fn confirmed_violation_quarantines_then_tears_down_once() {
         let (h, id) = host_with_enclave();
+        let e = h.enclave(EnclaveId(id)).unwrap();
         let mut p = RemediationPolicy::new(Arc::clone(&h), RemediationConfig::default());
         let actions = p.apply(&fault_verdict(id, false, false));
         assert_eq!(actions.len(), 2);
@@ -324,12 +321,29 @@ mod tests {
             &actions[1],
             RemediationAction::Teardown { enclave } if *enclave == id
         ));
-        let e = h.enclave(EnclaveId(id)).unwrap();
         assert!(e.is_quarantined());
         assert!(matches!(e.state(), crate::EnclaveState::Failed(_)));
         // A re-reported violation must not act twice.
         assert!(p.apply(&fault_verdict(id, false, false)).is_empty());
         assert_eq!(p.log().len(), 2);
+    }
+
+    /// Covirt contains a faulting enclave itself; the tailed fault report
+    /// arrives after the enclave has left the host. The decision is still
+    /// recorded, once, and there is nothing left to tear down.
+    #[test]
+    fn a_violation_by_an_enclave_already_reclaimed_records_the_quarantine_alone() {
+        let (h, id) = host_with_enclave();
+        let e = h.enclave(EnclaveId(id)).unwrap();
+        h.report_fault(&e, "EPT violation").unwrap();
+        assert!(h.enclave(EnclaveId(id)).is_err());
+        let mut p = RemediationPolicy::new(Arc::clone(&h), RemediationConfig::default());
+        let actions = p.apply(&fault_verdict(id, false, false));
+        assert!(
+            matches!(&actions[..], [RemediationAction::Quarantine { enclave, .. }] if *enclave == id),
+            "{actions:?}"
+        );
+        assert!(p.apply(&fault_verdict(id, false, false)).is_empty());
     }
 
     #[test]
@@ -355,13 +369,11 @@ mod tests {
         let actions = p.apply(&degraded);
         assert_eq!(actions.len(), 1);
         assert!(matches!(&actions[0], RemediationAction::Throttle { .. }));
-        assert!(h.enclave(EnclaveId(id)).unwrap().is_throttled());
         // Still degraded: no duplicate action.
         assert!(p.apply(&degraded).is_empty());
         // Recovered: throttle lifts.
         let actions = p.apply(&TailVerdict::default());
         assert_eq!(actions, vec![RemediationAction::Unthrottle { enclave: id }]);
-        assert!(!h.enclave(EnclaveId(id)).unwrap().is_throttled());
     }
 
     #[test]

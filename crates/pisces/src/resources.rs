@@ -35,11 +35,6 @@ impl ResourceSpec {
         self.mem.iter().any(|r| r.covers(range))
     }
 
-    /// True if the core belongs to the partition.
-    pub fn has_core(&self, core: CoreId) -> bool {
-        self.cores.contains(&core)
-    }
-
     /// True if the vector is allocated to the partition.
     pub fn has_vector(&self, vector: u8) -> bool {
         self.ipi_vectors.contains(&vector)
@@ -141,14 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn vector_and_core_membership() {
+    fn vector_membership() {
         let s = ResourceSpec {
             cores: vec![CoreId(2), CoreId(3)],
             mem: vec![],
             ipi_vectors: vec![0x40, 0x41],
         };
-        assert!(s.has_core(CoreId(2)));
-        assert!(!s.has_core(CoreId(0)));
         assert!(s.has_vector(0x41));
         assert!(!s.has_vector(0x42));
     }

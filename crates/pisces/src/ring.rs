@@ -124,11 +124,6 @@ impl SharedRing {
         })
     }
 
-    /// Slot payload size in bytes.
-    pub fn slot_size(&self) -> u64 {
-        self.slot_size
-    }
-
     /// Capacity in messages.
     pub fn capacity(&self) -> u64 {
         self.slot_count

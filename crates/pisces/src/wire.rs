@@ -54,16 +54,6 @@ impl WireWriter {
         self
     }
 
-    /// Append a u32 (stored in a full word for alignment).
-    pub fn put_u32(&mut self, v: u32) -> &mut Self {
-        self.put_u64(v as u64)
-    }
-
-    /// Append a byte (stored in a full word for alignment).
-    pub fn put_u8(&mut self, v: u8) -> &mut Self {
-        self.put_u64(v as u64)
-    }
-
     /// Append a length-prefixed list of u64s.
     pub fn put_u64_list(&mut self, vs: &[u64]) -> &mut Self {
         self.put_u64(vs.len() as u64);
@@ -86,16 +76,6 @@ impl WireWriter {
     /// Finish, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -127,20 +107,9 @@ impl<'a> WireReader<'a> {
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
         let end = self.pos.checked_add(8).ok_or(WireError)?;
         let bytes = self.buf.get(self.pos..end).ok_or(WireError)?;
+        let word = <[u8; 8]>::try_from(bytes).map_err(|_| WireError)?;
         self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
-    }
-
-    /// Read a u32 stored as a word.
-    pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        let v = self.get_u64()?;
-        u32::try_from(v).map_err(|_| WireError)
-    }
-
-    /// Read a u8 stored as a word.
-    pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        let v = self.get_u64()?;
-        u8::try_from(v).map_err(|_| WireError)
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Read a length-prefixed list of u64s.
@@ -167,27 +136,11 @@ impl<'a> WireReader<'a> {
         }
         Ok(s)
     }
-
-    /// Bytes consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_scalars() {
-        let mut w = WireWriter::new();
-        w.put_u64(42).put_u32(7).put_u8(255);
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_u64().unwrap(), 42);
-        assert_eq!(r.get_u32().unwrap(), 7);
-        assert_eq!(r.get_u8().unwrap(), 255);
-    }
 
     #[test]
     fn roundtrip_list_and_str() {
@@ -221,20 +174,12 @@ mod tests {
     #[test]
     fn str_padding_keeps_alignment() {
         let mut w = WireWriter::new();
-        w.put_str("abc");
-        assert_eq!(w.len() % 8, 0);
+        w.put_str("abc").put_u64(9);
         let bytes = w.finish();
+        assert_eq!(bytes.len(), 8 + 8 + 8, "length, padded body, next word");
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.get_str().unwrap(), "abc");
-        assert_eq!(r.consumed(), bytes.len());
-    }
-
-    #[test]
-    fn narrowing_overflow_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u64(300);
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_u8(), Err(WireError));
+        assert_eq!(r.get_u64().unwrap(), 9);
+        assert_eq!(r.get_u64(), Err(WireError), "nothing left over");
     }
 }

@@ -9,11 +9,22 @@
 //! memory, every detach shrinks it.
 //!
 //! The crate is deliberately OS-agnostic: it tracks which pages belong to
-//! which segment and who is attached. Wiring an attachment into a kernel's
-//! page tables (and into the EPT under Covirt) is the business of the
-//! `hobbes` orchestration layer.
+//! which segment and who is attached — the node's only record of who
+//! shares memory with whom. Wiring an attachment into a kernel's page
+//! tables (and into the EPT under Covirt), and cutting it out again when
+//! the segment or its owner goes, is the business of the `hobbes`
+//! orchestration layer.
 
-pub mod name_service;
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
+
 pub mod segment;
 pub mod service;
 pub mod wellknown;

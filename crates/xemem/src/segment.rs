@@ -43,11 +43,6 @@ impl SegmentInfo {
             }
         }
     }
-
-    /// Number of 4 KiB pages in the segment.
-    pub fn page_count(&self) -> u64 {
-        self.page_frame_list().len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +60,6 @@ mod tests {
         };
         let frames = s.page_frame_list();
         assert_eq!(frames, vec![0x10_0000, 0x10_1000, 0x10_2000]);
-        assert_eq!(s.page_count(), 3);
     }
 
     #[test]
@@ -77,7 +71,7 @@ mod tests {
             range: PhysRange::new(HostPhysAddr::new(0x10_0800), 0x1000),
         };
         // Straddles two pages.
-        assert_eq!(s.page_count(), 2);
+        assert_eq!(s.page_frame_list(), vec![0x10_0000, 0x10_1000]);
     }
 
     /// Regression: a segment reaching into the top page of the address
@@ -98,6 +92,5 @@ mod tests {
             ),
         };
         assert_eq!(s.page_frame_list(), vec![top_page - PAGE_SIZE_4K, top_page]);
-        assert_eq!(s.page_count(), 2);
     }
 }

@@ -1,55 +1,70 @@
-//! The XEMEM service: export, attach and detach of shared segments.
+//! The XEMEM service: export, attach and detach of shared segments, and
+//! the node's one record of who shares memory with whom.
 //!
-//! The service tracks ownership and attachments; it deliberately allows an
-//! owner to destroy a segment while other enclaves remain attached —
-//! that is the stale-mapping hazard from the paper's XEMEM-cleanup-path
-//! anecdote, and the fault-injection suite exercises it.
+//! XEMEM "provides a global view of shared memory through the use of XPMEM
+//! segment IDs managed across the entire system by a node-local name
+//! service"; the name registry and the segment table are one structure
+//! under one lock here, so a name resolves to a live segment or not at all.
+//!
+//! The service allows an owner to destroy a segment while other enclaves
+//! remain attached — the stale-mapping hazard of the paper's
+//! XEMEM-cleanup-path anecdote — and reports who they were, so the caller
+//! can cut them off before the memory is reused. [`XememService::revoke`]
+//! does the same for everything a dying enclave owns.
 
-use crate::name_service::NameService;
 use crate::segment::{SegmentId, SegmentInfo};
 use crate::wellknown::DYNAMIC_BASE;
 use crate::{XememError, XememResult};
 use covirt_simhw::addr::PhysRange;
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeSet, HashMap};
 
 struct SegmentRecord {
     info: SegmentInfo,
     /// Enclaves currently attached.
-    attached: HashSet<u64>,
+    attached: BTreeSet<u64>,
+}
+
+/// A destroyed segment and the enclaves that were still attached to it,
+/// ascending.
+pub type Revoked = (SegmentInfo, Vec<u64>);
+
+/// Name registry and segment table, kept consistent under one lock.
+#[derive(Default)]
+struct Tables {
+    names: HashMap<String, SegmentId>,
+    segments: HashMap<SegmentId, SegmentRecord>,
+    /// Segids handed out so far.
+    exported: u64,
+}
+
+impl Tables {
+    fn record(&mut self, segid: SegmentId) -> XememResult<&mut SegmentRecord> {
+        self.segments
+            .get_mut(&segid)
+            .ok_or(XememError::NoSuchSegment(segid))
+    }
+
+    fn destroy(&mut self, segid: SegmentId) -> XememResult<Revoked> {
+        let rec = self
+            .segments
+            .remove(&segid)
+            .ok_or(XememError::NoSuchSegment(segid))?;
+        self.names.remove(&rec.info.name);
+        Ok((rec.info, rec.attached.into_iter().collect()))
+    }
 }
 
 /// The node-wide shared-memory service.
+#[derive(Default)]
 pub struct XememService {
-    names: NameService,
-    segments: RwLock<HashMap<SegmentId, SegmentRecord>>,
-    next_segid: AtomicU64,
-    /// Count of destroys that happened with live attachments (stale-mapping
-    /// hazards created) — instrumentation for the fault studies.
-    hazardous_destroys: AtomicU64,
-}
-
-impl Default for XememService {
-    fn default() -> Self {
-        Self::new()
-    }
+    tables: RwLock<Tables>,
 }
 
 impl XememService {
     /// Fresh service.
     pub fn new() -> Self {
-        XememService {
-            names: NameService::new(),
-            segments: RwLock::new(HashMap::new()),
-            next_segid: AtomicU64::new(DYNAMIC_BASE),
-            hazardous_destroys: AtomicU64::new(0),
-        }
-    }
-
-    /// The name service.
-    pub fn names(&self) -> &NameService {
-        &self.names
+        Self::default()
     }
 
     /// `xpmem_make` + name registration: export `range` owned by enclave
@@ -58,19 +73,24 @@ impl XememService {
         if range.len == 0 {
             return Err(XememError::Invalid("empty segment"));
         }
-        let segid = SegmentId(self.next_segid.fetch_add(1, Ordering::Relaxed));
-        self.names.register(name, segid)?;
+        let mut t = self.tables.write();
+        if t.names.contains_key(name) {
+            return Err(XememError::NameTaken(name.to_owned()));
+        }
+        let segid = SegmentId(DYNAMIC_BASE + t.exported);
+        t.exported += 1;
+        t.names.insert(name.to_owned(), segid);
         let info = SegmentInfo {
             segid,
             name: name.to_owned(),
             owner,
             range,
         };
-        self.segments.write().insert(
+        t.segments.insert(
             segid,
             SegmentRecord {
                 info,
-                attached: HashSet::new(),
+                attached: BTreeSet::new(),
             },
         );
         Ok(segid)
@@ -78,15 +98,15 @@ impl XememService {
 
     /// `xpmem_search`: resolve a well-known name.
     pub fn lookup(&self, name: &str) -> XememResult<SegmentId> {
-        self.names.lookup(name)
+        let found = self.tables.read().names.get(name).copied();
+        found.ok_or_else(|| XememError::NoSuchName(name.to_owned()))
     }
 
     /// Segment metadata.
     pub fn info(&self, segid: SegmentId) -> XememResult<SegmentInfo> {
-        self.segments
-            .read()
-            .get(&segid)
-            .map(|r| r.info.clone())
+        let t = self.tables.read();
+        let rec = t.segments.get(&segid);
+        rec.map(|r| r.info.clone())
             .ok_or(XememError::NoSuchSegment(segid))
     }
 
@@ -94,10 +114,8 @@ impl XememService {
     /// return the segment info (whose page-frame list the framework then
     /// transmits).
     pub fn attach(&self, segid: SegmentId, who: u64) -> XememResult<SegmentInfo> {
-        let mut segs = self.segments.write();
-        let rec = segs
-            .get_mut(&segid)
-            .ok_or(XememError::NoSuchSegment(segid))?;
+        let mut t = self.tables.write();
+        let rec = t.record(segid)?;
         if rec.info.owner == who {
             return Err(XememError::OwnerAttach);
         }
@@ -109,57 +127,55 @@ impl XememService {
 
     /// `xpmem_detach`.
     pub fn detach(&self, segid: SegmentId, who: u64) -> XememResult<SegmentInfo> {
-        let mut segs = self.segments.write();
-        let rec = segs
-            .get_mut(&segid)
-            .ok_or(XememError::NoSuchSegment(segid))?;
+        let mut t = self.tables.write();
+        let rec = t.record(segid)?;
         if !rec.attached.remove(&who) {
             return Err(XememError::NotAttached);
         }
         Ok(rec.info.clone())
     }
 
-    /// `xpmem_remove`: destroy a segment. Returns the enclaves that were
-    /// still attached — a non-empty list is the stale-mapping hazard.
-    pub fn destroy(&self, segid: SegmentId) -> XememResult<Vec<u64>> {
-        let rec = self
-            .segments
-            .write()
-            .remove(&segid)
-            .ok_or(XememError::NoSuchSegment(segid))?;
-        self.names.unregister(&rec.info.name)?;
-        let mut leftover: Vec<u64> = rec.attached.into_iter().collect();
-        leftover.sort_unstable();
-        if !leftover.is_empty() {
-            self.hazardous_destroys.fetch_add(1, Ordering::Relaxed);
+    /// `xpmem_remove`: destroy a segment and free its name. The enclaves
+    /// returned with it were still attached — each is a stale mapping
+    /// until the caller has cut it off.
+    pub fn destroy(&self, segid: SegmentId) -> XememResult<Revoked> {
+        self.tables.write().destroy(segid)
+    }
+
+    /// Enclave `who` is gone: destroy every segment it owns, returning
+    /// each with the enclaves still attached to it, and drop `who` from
+    /// every segment it is attached to. An enclave the service never
+    /// heard of revokes nothing.
+    pub fn revoke(&self, who: u64) -> Vec<Revoked> {
+        let mut t = self.tables.write();
+        let mut owned: Vec<SegmentId> = Vec::new();
+        for (segid, rec) in t.segments.iter_mut() {
+            rec.attached.remove(&who);
+            if rec.info.owner == who {
+                owned.push(*segid);
+            }
         }
-        Ok(leftover)
+        owned.sort_unstable();
+        owned
+            .into_iter()
+            .filter_map(|segid| t.destroy(segid).ok())
+            .collect()
     }
 
-    /// Enclaves attached to a segment.
-    pub fn attachments(&self, segid: SegmentId) -> XememResult<Vec<u64>> {
-        let segs = self.segments.read();
-        let rec = segs.get(&segid).ok_or(XememError::NoSuchSegment(segid))?;
-        let mut v: Vec<u64> = rec.attached.iter().copied().collect();
-        v.sort_unstable();
-        Ok(v)
-    }
-
-    /// Destroys that left dangling attachments.
-    pub fn hazardous_destroy_count(&self) -> u64 {
-        self.hazardous_destroys.load(Ordering::Relaxed)
-    }
-
-    /// All live segments.
-    pub fn segments(&self) -> Vec<SegmentInfo> {
-        let mut v: Vec<SegmentInfo> = self
-            .segments
-            .read()
-            .values()
-            .map(|r| r.info.clone())
-            .collect();
-        v.sort_by_key(|s| s.segid);
-        v
+    /// Every enclave that shares a segment with `who` — the owners of what
+    /// it is attached to, and everyone attached to what it owns or is
+    /// attached to — ascending, without `who` itself.
+    pub fn sharers(&self, who: u64) -> Vec<u64> {
+        let t = self.tables.read();
+        let mut out = BTreeSet::new();
+        for rec in t.segments.values() {
+            if rec.info.owner == who || rec.attached.contains(&who) {
+                out.insert(rec.info.owner);
+                out.extend(&rec.attached);
+            }
+        }
+        out.remove(&who);
+        out.into_iter().collect()
     }
 }
 
@@ -179,13 +195,13 @@ mod tests {
         assert_eq!(x.lookup("dbuf").unwrap(), segid);
         let info = x.attach(segid, 2).unwrap();
         assert_eq!(info.range.len, 0x2000);
-        assert_eq!(x.attachments(segid).unwrap(), vec![2]);
+        assert_eq!((x.sharers(1), x.sharers(2)), (vec![2], vec![1]));
         assert!(matches!(
             x.attach(segid, 2),
             Err(XememError::AlreadyAttached)
         ));
         x.detach(segid, 2).unwrap();
-        assert!(x.attachments(segid).unwrap().is_empty());
+        assert!(x.sharers(1).is_empty());
         assert!(matches!(x.detach(segid, 2), Err(XememError::NotAttached)));
     }
 
@@ -200,22 +216,22 @@ mod tests {
     fn clean_destroy() {
         let x = XememService::new();
         let segid = x.export("tmp", 1, range(0x1000, 0x1000)).unwrap();
-        assert_eq!(x.destroy(segid).unwrap(), Vec::<u64>::new());
-        assert_eq!(x.hazardous_destroy_count(), 0);
-        assert!(x.lookup("tmp").is_err());
-        // Name is reusable after destroy.
-        x.export("tmp", 1, range(0x2000, 0x1000)).unwrap();
+        assert_eq!(x.destroy(segid).unwrap().1, Vec::<u64>::new());
+        assert!(matches!(x.lookup("tmp"), Err(XememError::NoSuchName(_))));
+        assert!(matches!(x.info(segid), Err(XememError::NoSuchSegment(_))));
+        // Name is reusable after destroy, under a fresh segid.
+        assert_ne!(x.export("tmp", 1, range(0x2000, 0x1000)).unwrap(), segid);
     }
 
     #[test]
     fn hazardous_destroy_reports_attachments() {
         let x = XememService::new();
         let segid = x.export("shared", 1, range(0x1000, 0x1000)).unwrap();
-        x.attach(segid, 2).unwrap();
         x.attach(segid, 3).unwrap();
-        let leftover = x.destroy(segid).unwrap();
+        x.attach(segid, 2).unwrap();
+        let (info, leftover) = x.destroy(segid).unwrap();
+        assert_eq!((info.segid, info.range), (segid, range(0x1000, 0x1000)));
         assert_eq!(leftover, vec![2, 3]);
-        assert_eq!(x.hazardous_destroy_count(), 1);
     }
 
     #[test]
@@ -235,6 +251,55 @@ mod tests {
         let b = x.export("b", 1, range(0x2000, 0x1000)).unwrap();
         assert_ne!(a, b);
         assert!(a.0 >= DYNAMIC_BASE && b.0 >= DYNAMIC_BASE);
-        assert_eq!(x.segments().len(), 2);
+    }
+
+    /// A dead owner takes its segments with it: names free, attachers
+    /// reported per segment, nobody left sharing with it.
+    #[test]
+    fn revoke_destroys_what_the_owner_exported_and_names_its_attachers() {
+        let x = XememService::new();
+        let both = x.export("both", 1, range(0x1000, 0x1000)).unwrap();
+        let none = x.export("none", 1, range(0x2000, 0x1000)).unwrap();
+        x.attach(both, 3).unwrap();
+        x.attach(both, 2).unwrap();
+        let revoked = x.revoke(1);
+        let ids: Vec<_> = revoked.iter().map(|(i, a)| (i.segid, a.clone())).collect();
+        assert_eq!(ids, vec![(both, vec![2, 3]), (none, vec![])]);
+        for name in ["both", "none"] {
+            assert!(matches!(x.lookup(name), Err(XememError::NoSuchName(_))));
+        }
+        assert!(matches!(
+            x.attach(both, 4),
+            Err(XememError::NoSuchSegment(_))
+        ));
+        assert!(x.sharers(1).is_empty() && x.sharers(2).is_empty());
+    }
+
+    /// A dead attacher leaves every segment it was attached to; the
+    /// segments and their other attachers stay.
+    #[test]
+    fn revoke_drops_an_attacher_from_every_segment() {
+        let x = XememService::new();
+        let a = x.export("a", 1, range(0x1000, 0x1000)).unwrap();
+        let b = x.export("b", 2, range(0x2000, 0x1000)).unwrap();
+        for seg in [a, b] {
+            x.attach(seg, 3).unwrap();
+        }
+        x.attach(a, 4).unwrap();
+        assert_eq!(x.sharers(3), vec![1, 2, 4]);
+        assert!(x.revoke(3).is_empty());
+        assert_eq!((x.sharers(1), x.sharers(2)), (vec![4], vec![]));
+        assert!(matches!(x.detach(a, 3), Err(XememError::NotAttached)));
+        assert_eq!(x.lookup("b").unwrap(), b);
+    }
+
+    #[test]
+    fn revoke_of_an_unknown_enclave_changes_nothing() {
+        let x = XememService::new();
+        let a = x.export("a", 1, range(0x1000, 0x1000)).unwrap();
+        x.attach(a, 2).unwrap();
+        assert!(x.revoke(9).is_empty());
+        assert_eq!(x.sharers(1), vec![2]);
+        assert_eq!(x.lookup("a").unwrap(), a);
     }
 }

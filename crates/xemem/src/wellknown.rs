@@ -1,32 +1,9 @@
-//! Well-known segment ids.
+//! The well-known segid space.
 //!
-//! XEMEM reserves a handful of well-known segids so core services can find
-//! each other before the name service itself is reachable (the name
-//! service's own command segment being the canonical example).
+//! XEMEM reserves the low segids so core services can find each other
+//! before the name service itself is reachable (the name service's own
+//! command segment being the canonical example); exported segments are
+//! numbered from the first id above them.
 
-use crate::segment::SegmentId;
-
-/// The name-service command segment.
-pub const NS_CMD_SEGID: SegmentId = SegmentId(0x1);
-/// The Hobbes master-control database segment (Leviathan's state).
-pub const MASTER_DB_SEGID: SegmentId = SegmentId(0x2);
 /// First dynamically allocated segid.
 pub const DYNAMIC_BASE: u64 = 0x1000;
-
-/// True if a segid is in the reserved well-known space.
-pub fn is_wellknown(segid: SegmentId) -> bool {
-    segid.0 < DYNAMIC_BASE
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classification() {
-        assert!(is_wellknown(NS_CMD_SEGID));
-        assert!(is_wellknown(MASTER_DB_SEGID));
-        assert!(!is_wellknown(SegmentId(DYNAMIC_BASE)));
-        assert!(!is_wellknown(SegmentId(0x12345)));
-    }
-}

@@ -12,6 +12,7 @@ use covirt_suite::pisces::{Enclave, EnclaveState};
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::tlb::TlbParams;
 use covirt_suite::simhw::topology::{CoreId, ZoneId};
+use covirt_suite::workloads::env::LiveCores;
 use std::sync::Arc;
 
 struct Lab {
@@ -203,7 +204,7 @@ fn stale_xemem_mapping_contained_after_flush_protocol() {
 #[test]
 fn dependent_enclaves_notified_not_crashed() {
     let lab = Lab::new(ExecMode::Covirt(CovirtConfig::MEM));
-    let (e1, _k1, mut g1) = lab.enclave(2);
+    let (e1, k1, mut g1) = lab.enclave(2);
     let (e2, k2, mut g2) = lab.enclave(3);
     // Share a segment from e1 to e2.
     let r1 = e1.resources().mem[0];
@@ -215,12 +216,12 @@ fn dependent_enclaves_notified_not_crashed() {
     lab.master.attach_segment(e2.id.0, "x").unwrap();
     g2.write_u64(seg.start.raw(), 1).unwrap(); // consumer uses it
 
-    // Producer faults.
-    let (_k1_fault, outcome) = {
-        let f = faults::off_by_one_region(lab.master.kernel(e1.id.0).unwrap().as_ref());
-        (0, g1.execute_fault(f))
-    };
+    // Producer faults. Its segment is revoked before its memory is freed,
+    // which waits on the consumer's core: that core keeps running.
+    let consumer = LiveCores::adopt(vec![g2], |_| {}, |_| {});
+    let outcome = g1.execute_fault(faults::off_by_one_region(&k1));
     assert!(matches!(outcome, FaultOutcome::Contained(_)));
+    consumer.stop();
     // Consumer is running and was told.
     assert_eq!(e2.state(), EnclaveState::Running);
     let notices = lab.master.notices.drain();
@@ -230,6 +231,143 @@ fn dependent_enclaves_notified_not_crashed() {
     // The consumer's kernel still translates the shared segment (its own
     // cleanup runs later; with Covirt that is safe, not fatal).
     assert!(k2.translate(seg.start.raw()).is_ok());
+}
+
+/// The paper's motivating bug with the roles reversed: it is the *owner*
+/// of a shared segment that dies, while an attacher still maps it, and the
+/// owner's memory is handed to somebody else. One table over what Covirt
+/// buys: natively the attacher's stale mapping writes into the heir;
+/// under memory protection the attacher's EPT lost the segment before the
+/// memory was freed, and the stale write is an EPT violation.
+#[test]
+fn dead_owners_segment_is_unreachable_once_its_memory_is_regranted() {
+    use covirt_suite::hobbes::HobbesError;
+    use covirt_suite::kitten::faults::InjectedFault;
+    use covirt_suite::simhw::addr::{GuestPhysAddr, PhysRange, PAGE_SIZE_2M};
+    use covirt_suite::simhw::paging::{Access, DirectLoad};
+    use covirt_suite::xemem::XememError;
+    const EARLY: u64 = 0xea71;
+    const HEIR: u64 = 0x4e12;
+
+    for mode in [ExecMode::Native, ExecMode::Covirt(CovirtConfig::MEM)] {
+        let lab = Lab::new(mode);
+        let pisces = lab.master.pisces();
+        let in_use = || lab.node.mem.zone_usage(ZoneId(0)).unwrap().1;
+        let frames = || {
+            let ctl = lab.controller.as_ref();
+            ctl.map_or(0, |c| c.ept_frames_outstanding())
+        };
+        // One lifecycle first, so the node's EPT pool (reserved at the
+        // first protected boot, kept for good) is part of the baseline.
+        let (warm, _k, g) = lab.enclave(2);
+        g.shutdown();
+        pisces.teardown(&warm).unwrap();
+        let (idle, frames_idle) = (in_use(), frames());
+
+        // `late` is the owner's neighbour in memory: natively the owner's
+        // wild write lands in its page tables, and it needs none.
+        let (owner, ko, mut go) = lab.enclave(2);
+        let (late, _kl, gl) = lab.enclave(4);
+        let (early, ke, mut ge) = lab.enclave(3);
+        let owned = owner.resources().mem[0];
+        let seg = PhysRange::new(owned.start.add(owned.len - PAGE_SIZE_2M), PAGE_SIZE_2M);
+        lab.master.export_segment(owner.id.0, "x", seg).unwrap();
+        lab.master.attach_segment(early.id.0, "x").unwrap();
+        // What `early`'s kernel will do once its mapping is stale.
+        let stale = faults::stale_shared_mapping(&ke, seg);
+        let InjectedFault::WildAccess { addr: target, .. } = stale else {
+            panic!("{mode}: {stale:?}");
+        };
+        // `early` uses the segment, then keeps running on a live core. (It
+        // touches another page than its stale write will: a native TLB hit
+        // would reach the old backing the model retires, not the heir.)
+        ge.write_u64(seg.start.raw(), EARLY).unwrap();
+        let flushes = ge.tlb_stats().range_flushes;
+        let early_core = LiveCores::adopt(vec![ge], |_| {}, |_| {});
+
+        // The owner faults. Natively nothing notices (the write lands in
+        // its neighbour) and the operator ends it by hand.
+        let outcome = go.execute_fault(faults::off_by_one_region(&ko));
+        match mode {
+            ExecMode::Native => {
+                assert!(matches!(outcome, FaultOutcome::CorruptedMemory { .. }));
+                let failed = lab.master.handle_enclave_failure(owner.id.0, "operator");
+                failed.unwrap();
+            }
+            ExecMode::Covirt(_) => assert!(matches!(outcome, FaultOutcome::Contained(_))),
+        }
+        assert!(matches!(owner.state(), EnclaveState::Failed(_)), "{mode}");
+        let mut ge = early_core.stop().pop().unwrap();
+        let told = lab.master.notices.drain();
+        let told: Vec<(u64, u64)> = told.iter().map(|n| (n.dependent, n.failed)).collect();
+        assert_eq!(told, [(early.id.0, owner.id.0)], "{mode}");
+
+        // The very same memory goes to an heir, which puts its own data
+        // where `early` still believes the segment is.
+        go.shutdown();
+        let (heir, _kh, mut gh) = lab.enclave(2);
+        assert_eq!(heir.resources().mem[0], owned, "{mode}: the test's premise");
+        gh.write_u64(target.raw(), HEIR).unwrap();
+
+        // The dead owner's name resolves to nothing.
+        match lab.master.attach_segment(late.id.0, "x") {
+            Err(HobbesError::Xemem(XememError::NoSuchName(_))) => {}
+            other => panic!("{mode}: attached to a dead owner's segment: {other:?}"),
+        }
+        let marker = || lab.node.mem.read_u64(target).unwrap();
+        match &lab.controller {
+            None => {
+                // What Covirt buys: natively the stale write lands.
+                let outcome = ge.execute_fault(stale);
+                assert!(
+                    matches!(outcome, FaultOutcome::CorruptedMemory { .. }),
+                    "{outcome:?}"
+                );
+                assert_ne!(marker(), HEIR, "native stale write must land in the heir");
+                assert_eq!(early.state(), EnclaveState::Running);
+                ge.shutdown();
+                let failed = lab.master.handle_enclave_failure(early.id.0, "operator");
+                failed.unwrap();
+            }
+            Some(ctl) => {
+                let ept = ctl.context(early.id.0).unwrap().ept.clone().unwrap();
+                let gpa = GuestPhysAddr::new(target.raw());
+                let walk = ept.translate(gpa, Access::Write, &DirectLoad(&lab.node.mem));
+                assert!(
+                    walk.is_err(),
+                    "early's EPT still maps the segment: {walk:?}"
+                );
+                // Its live core acknowledged the shootdown before the
+                // owner's memory was freed.
+                assert_eq!(ge.tlb_stats().range_flushes, flushes + 1);
+                assert!(
+                    ke.translate(target.raw()).is_ok(),
+                    "its kernel's belief is stale"
+                );
+                match ge.execute_fault(stale) {
+                    FaultOutcome::Contained(r) => assert!(r.contains("EPT violation"), "{r}"),
+                    o => panic!("the stale write must be contained, got {o:?}"),
+                }
+                assert_eq!(marker(), HEIR, "the heir's data must be intact");
+                assert!(matches!(early.state(), EnclaveState::Failed(_)));
+                drop(ge);
+            }
+        }
+        // `early` shared with nobody by the time it ended: no notice goes
+        // out, least of all to the dead owner.
+        let told = lab.master.notices.drain();
+        assert!(told.is_empty(), "{mode}: told the dead: {told:?}");
+
+        // Everything goes back, once.
+        gh.shutdown();
+        gl.shutdown();
+        for e in [&heir, &late] {
+            pisces.teardown(e).unwrap();
+        }
+        assert!(pisces.enclaves().is_empty(), "{mode}");
+        assert_eq!(in_use(), idle, "{mode}: leaked bytes");
+        assert_eq!(frames(), frames_idle, "{mode}: EPT frames outstanding");
+    }
 }
 
 #[test]

@@ -96,43 +96,6 @@ fn relaunch_core_after_clean_shutdown() {
     }
 }
 
-#[test]
-fn ioctl_abi_drives_full_lifecycle() {
-    use covirt_suite::pisces::ioctl::{CtlReply, IoctlDispatcher, PiscesCtl};
-    let node = SimNode::new(NodeConfig::small());
-    let master = MasterControl::new(Arc::clone(&node));
-    let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::MEM);
-    ctl.attach_hobbes(&master);
-    let d = IoctlDispatcher::new(Arc::clone(master.pisces()));
-    let id = match d
-        .ioctl(PiscesCtl::CreateEnclave {
-            name: "ioctl-e".into(),
-            cores: vec![1],
-            mem: vec![(0, 64 * 1024 * 1024)],
-        })
-        .unwrap()
-    {
-        CtlReply::EnclaveId(id) => id,
-        r => panic!("unexpected {r:?}"),
-    };
-    d.ioctl(PiscesCtl::Launch { enclave: id }).unwrap();
-    // Covirt context exists because launch ran through the hooks.
-    assert!(ctl.context(id).is_ok());
-    let r = d
-        .ioctl(PiscesCtl::AddMem {
-            enclave: id,
-            zone: 0,
-            bytes: 2 * 1024 * 1024,
-        })
-        .unwrap();
-    assert!(matches!(r, CtlReply::Region { .. }));
-    d.ioctl(PiscesCtl::Teardown { enclave: id }).unwrap();
-    assert!(
-        ctl.context(id).is_err(),
-        "context must be dropped at teardown"
-    );
-}
-
 /// Bring-up resolves once: the host places every boot structure through
 /// the window the management region's allocation handed it, so creating,
 /// loading and (under Covirt) interposing an enclave searches the zone

@@ -2,11 +2,9 @@
 //! Covirt.
 
 use covirt_suite::covirt::config::CovirtConfig;
-use covirt_suite::covirt::ioctl_ext::{client, CovirtIoctl, COVIRT_IOCTL};
 use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::MasterControl;
 use covirt_suite::kitten::syscall::{self, Sysno};
-use covirt_suite::pisces::ioctl::IoctlDispatcher;
 use covirt_suite::pisces::resources::ResourceRequest;
 use covirt_suite::pisces::EnclaveState;
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
@@ -103,10 +101,8 @@ fn syscall_forwarding_works_under_covirt_guest() {
 }
 
 #[test]
-fn operator_kill_switch_via_ioctl_terminates_live_guest() {
+fn operator_kill_switch_terminates_live_guest() {
     let (node, master, ctl) = world();
-    let d = IoctlDispatcher::new(Arc::clone(master.pisces()));
-    CovirtIoctl::register(&d, Arc::clone(&ctl), Arc::clone(&node)).unwrap();
     let req = ResourceRequest::new(vec![CoreId(1)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
     let (e, k) = master.bring_up_enclave("kill", &req).unwrap();
     let mut g = GuestCore::launch_covirt(
@@ -120,8 +116,7 @@ fn operator_kill_switch_via_ioctl_terminates_live_guest() {
 
     // Operator issues the kill; the guest core discovers it at its next
     // safe point (the NMI drains the Terminate command).
-    d.ioctl_raw(COVIRT_IOCTL, &client::terminate(e.id.0))
-        .unwrap();
+    ctl.terminate_enclave(e.id.0).unwrap();
     let err = loop {
         match g.poll() {
             Ok(()) => std::thread::yield_now(),
@@ -133,10 +128,11 @@ fn operator_kill_switch_via_ioctl_terminates_live_guest() {
         covirt_suite::covirt::CovirtError::EnclaveTerminated(_)
     ));
     assert!(matches!(e.state(), EnclaveState::Failed(_)));
-    // The fault log is readable through the same ABI.
-    let reply = d.ioctl_raw(COVIRT_IOCTL, &client::fault_log()).unwrap();
-    let rows = client::parse_fault_log(&reply).unwrap();
+    // The operator reads why in the fault log.
+    let rows = ctl.faults.all();
     assert!(rows
         .iter()
-        .any(|(enc, _, _, why)| *enc == e.id.0 && why.contains("controller")));
+        .any(|r| r.enclave == e.id.0 && r.reason.contains("controller")));
+    // The enclave is gone: there is nothing left to kill.
+    assert!(ctl.terminate_enclave(e.id.0).is_err());
 }
