@@ -29,7 +29,7 @@ use covirt_simhw::error::HwError;
 use covirt_simhw::exit::ExitReason;
 use covirt_simhw::memory::{PhysMemory, RegionCache};
 use covirt_simhw::node::SimNode;
-use covirt_simhw::paging::{Access, CachedLoad, TableLoad};
+use covirt_simhw::paging::{Access, CachedLoad, TableLoad, Translation};
 use covirt_simhw::tlb::{Tlb, TlbParams};
 use covirt_trace::{EventKind, Phase, PhaseTracker, Tracer};
 use kitten::faults::InjectedFault;
@@ -52,10 +52,13 @@ pub struct CoreCounters {
     pub walks: u64,
     /// Table-entry loads across all walks. Natively these are the guest
     /// PT-entry loads. Under Covirt they are EPT-entry loads only: the EPT
-    /// walks for guest PT-entry addresses that missed the walk cache, plus
-    /// the data page's EPT walk; the guest PT-entry loads themselves are
-    /// not added.
+    /// walks for the guest-physical addresses — guest PT-entry pages and
+    /// the data page — that missed the walk cache; the guest PT-entry loads
+    /// themselves are not added.
     pub walk_loads: u64,
+    /// Guest PT-entry loads across all walks, in every mode (natively the
+    /// same loads `walk_loads` counts).
+    pub guest_walk_loads: u64,
     /// IPIs transmitted by guest code.
     pub ipis_sent: u64,
     /// Timer interrupts handled.
@@ -70,10 +73,10 @@ pub struct CoreCounters {
     pub cmd_harvested: u64,
     /// Safe-point polls executed.
     pub polls: u64,
-    /// EPT walk-cache hits (guest PT-entry loads answered without an EPT
-    /// walk).
+    /// EPT walk-cache hits (guest-physical addresses — PT-entry pages and
+    /// data pages — translated without an EPT walk).
     pub walk_cache_hits: u64,
-    /// EPT walk-cache misses (PT-entry loads that paid the full EPT walk).
+    /// EPT walk-cache misses (translations that went to the live EPT).
     pub walk_cache_misses: u64,
     /// Walk-cache syncs that had to clear every entry because the EPT's
     /// unmap log no longer covered what the core had missed; the first sync
@@ -123,12 +126,12 @@ pub enum FaultOutcome {
 /// goes through an EPT walk, which is how nested paging multiplies walk
 /// cost on hardware (up to 24 loads for a 4-level guest walk).
 ///
-/// When a [`WalkCache`] is attached it models the hardware paging-structure
-/// cache: PT-entry pages under a cached EPT leaf resolve in zero extra
-/// loads, and a miss caches the whole leaf it walked to. The cache is synced
-/// with the EPT's unmap log once per guest walk, when the loader is built — a
-/// concurrent controller unmap drops the lines it overlaps for subsequent
-/// walks, never mid-walk.
+/// When a [`WalkCache`] is attached it models the hardware's cache of
+/// guest-physical mappings: an address under a cached EPT leaf whose rights
+/// allow the access resolves in zero extra loads, and a miss caches the whole
+/// leaf it walked to. The cache is synced with the EPT's unmap log once per
+/// guest walk, when the loader is built — a concurrent controller unmap drops
+/// the lines it overlaps for subsequent walks, never mid-walk.
 struct NestedLoad<'a> {
     ept: &'a Ept,
     mem: &'a PhysMemory,
@@ -159,27 +162,31 @@ impl<'a> NestedLoad<'a> {
             region_cache,
         }
     }
+
+    /// The gpa → hpa step of this walk, for a guest PT-entry page and for
+    /// the data page alike: through the walk cache when one is attached,
+    /// else the live EPT. An access neither grants is the
+    /// [`HwError::EptViolation`] naming `gpa` and `access`. (Forced inline
+    /// for the reason [`WalkCache::translate`] is.)
+    #[inline(always)]
+    fn translate_gpa(&self, gpa: GuestPhysAddr, access: Access) -> Result<Translation, HwError> {
+        let loader = CachedLoad {
+            mem: self.mem,
+            cache: self.region_cache,
+        };
+        let t = match self.cache {
+            Some(cache) => cache.translate(self.ept, gpa, access, &loader),
+            None => self.ept.translate(gpa, access, &loader),
+        }?;
+        self.loads.set(self.loads.get() + t.loads);
+        Ok(t)
+    }
 }
 
 impl TableLoad for NestedLoad<'_> {
+    #[inline]
     fn translate_entry_addr(&self, pa: HostPhysAddr) -> Result<(HostPhysAddr, u32), HwError> {
-        if let Some(cache) = self.cache {
-            if let Some(host) = cache.lookup(pa.raw()) {
-                return Ok((HostPhysAddr::new(host), 0));
-            }
-        }
-        let t = self.ept.translate(
-            GuestPhysAddr::new(pa.raw()),
-            Access::Read,
-            &CachedLoad {
-                mem: self.mem,
-                cache: self.region_cache,
-            },
-        )?;
-        self.loads.set(self.loads.get() + t.loads);
-        if let Some(cache) = self.cache {
-            cache.insert(pa.raw(), &t);
-        }
+        let t = self.translate_gpa(GuestPhysAddr::new(pa.raw()), Access::Read)?;
         Ok((t.pa, t.loads))
     }
 
@@ -445,10 +452,10 @@ impl GuestCore {
 
         let t = if let Some(ept) = ept {
             // Nested translation: guest walk with EPT-translated entry
-            // loads, then the EPT translation of the final address. The
-            // walk cache short-circuits PT-entry EPT walks; the *data*
-            // page's EPT translation always runs (it carries the access
-            // permission check).
+            // loads, then the EPT translation of the final address — the
+            // same step with the access's own rights. The walk cache
+            // answers either from a leaf it holds whose rights allow the
+            // access; the live EPT answers the rest and raises violations.
             let loader = NestedLoad::new(
                 ept,
                 mem,
@@ -467,14 +474,8 @@ impl GuestCore {
                 Err(e) => return Err(e.into()),
             };
             self.counters.walk_loads += loader.loads.get() as u64;
-            let et = match ept.translate(
-                GuestPhysAddr::new(gt.pa.raw()),
-                access,
-                &CachedLoad {
-                    mem,
-                    cache: &self.region_cache,
-                },
-            ) {
+            self.counters.guest_walk_loads += (gt.loads - loader.loads.get()) as u64;
+            let et = match loader.translate_gpa(GuestPhysAddr::new(gt.pa.raw()), access) {
                 Ok(t) => t,
                 Err(HwError::EptViolation { gpa, .. }) => {
                     return self.ept_violation(gpa, access);
@@ -498,6 +499,7 @@ impl GuestCore {
                 Err(e) => return Err(e.into()),
             };
             self.counters.walk_loads += t.loads as u64;
+            self.counters.guest_walk_loads += t.loads as u64;
             if access == Access::Write && !t.perms.w {
                 return Err(CovirtError::Invalid("write to read-only mapping"));
             }
@@ -1111,10 +1113,13 @@ mod tests {
         let after = gc.counters();
         assert_eq!(after.walks, before.walks + 1);
         assert_eq!(
-            after.walk_cache_misses, before.walk_cache_misses,
-            "an unrelated reclaim must leave the PT-page lines hitting"
+            after.walk_cache_misses,
+            before.walk_cache_misses + 1,
+            "an unrelated reclaim must leave the PT-page lines hitting: the one miss is \
+             the fresh data page's own EPT leaf, looked up in the walk cache since PR 23"
         );
-        assert!(after.walk_cache_hits > before.walk_cache_hits);
+        assert_eq!(after.walk_loads, before.walk_loads + 3, "that leaf's walk");
+        assert_eq!(after.walk_cache_hits, before.walk_cache_hits + 3);
         assert_eq!(after.walk_cache_full_flushes, 1, "only the cold sync");
     }
 
@@ -1143,6 +1148,90 @@ mod tests {
         );
         assert!(after.walk_loads - before.walk_loads > 3, "EPT re-walked");
         assert_eq!(after.walk_cache_full_flushes, 1, "ranged, not a full clear");
+    }
+
+    /// What a write to `gva` must come back as once the EPT refuses it: the
+    /// abort naming that address and access, through exactly one VM exit.
+    fn assert_write_violates(gc: &mut GuestCore, gva: u64) {
+        let (exits, misses) = (gc.exit_count(), gc.tlb_stats().misses);
+        let want = format!("EPT violation at {gva:#x} (Write)");
+        match gc.write_u64(gva, 1) {
+            Err(CovirtError::EnclaveTerminated(r)) => assert!(r.contains(&want), "{r}"),
+            other => panic!("expected `{want}`, got {other:?}"),
+        }
+        assert_eq!(gc.tlb_stats().misses, misses + 1, "refused on the walk");
+        assert_eq!(gc.exit_count(), exits + 1);
+    }
+
+    #[test]
+    fn walk_cache_serves_the_data_leaf_of_a_second_tlb_miss() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core(&w, 1);
+        let a = data_gva(&w);
+        gc.write_u64(a + 8, 0xfeed).unwrap();
+        gc.tlb.flush_all(); // the walk cache, not the TLB, answers the revisit
+        let before = gc.counters();
+        assert_eq!(gc.read_u64(a + 8).unwrap(), 0xfeed);
+        let after = gc.counters();
+        assert_eq!(after.walks, before.walks + 1, "a TLB miss");
+        assert_eq!(after.walk_loads, before.walk_loads, "no EPT load");
+        assert_eq!(after.guest_walk_loads, before.guest_walk_loads + 3);
+        assert_eq!(after.walk_cache_misses, before.walk_cache_misses);
+        assert_eq!(
+            after.walk_cache_hits,
+            before.walk_cache_hits + 4,
+            "three PT-entry pages and the data page"
+        );
+    }
+
+    #[test]
+    fn walk_cache_checks_a_write_against_the_rights_a_read_cached() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core(&w, 1);
+        let range = grant_2m(&w);
+        ept_of(&w)
+            .map_identity_perms(range, covirt_simhw::paging::Perms::R, 2)
+            .unwrap();
+        assert_eq!(gc.read_u64(range.start.raw()).unwrap(), 0);
+        gc.tlb.flush_all();
+        let hits = gc.counters().walk_cache_hits;
+        assert_eq!(gc.read_u64(range.start.raw() + 8).unwrap(), 0);
+        assert_eq!(
+            gc.counters().walk_cache_hits,
+            hits + 4,
+            "the leaf is cached"
+        );
+        gc.tlb.flush_all();
+        assert_write_violates(&mut gc, range.start.raw() + 16);
+    }
+
+    /// Rights a re-map widened are found by the hit that the cached rights
+    /// deny; rights it narrowed, by the first walk started after it returns.
+    #[test]
+    fn walk_cache_follows_rights_a_re_map_widens_or_narrows() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core(&w, 1);
+        let (range, ept) = (grant_2m(&w), ept_of(&w));
+        let gva = range.start.raw();
+        ept.map_identity_perms(range, covirt_simhw::paging::Perms::R, 2)
+            .unwrap();
+        assert_eq!(gc.read_u64(gva).unwrap(), 0); // cached read-only
+        gc.tlb.flush_all();
+
+        ept.map_identity(range, 2).unwrap();
+        let before = gc.counters();
+        gc.write_u64(gva, 7).unwrap();
+        let after = gc.counters();
+        assert_eq!(after.walk_cache_misses, before.walk_cache_misses + 1);
+        assert_eq!(after.walk_loads, before.walk_loads + 3, "falls through");
+        gc.tlb.flush_all();
+        gc.write_u64(gva + 8, 8).unwrap();
+        assert_eq!(gc.counters().walk_loads, after.walk_loads, "and refilled");
+
+        gc.tlb.flush_all();
+        ept.map_identity_perms(range, covirt_simhw::paging::Perms::R, 2)
+            .unwrap();
+        assert_write_violates(&mut gc, gva + 16);
     }
 
     /// The unmap log is sized for the reclaim protocol: neither a long run
@@ -1605,7 +1694,9 @@ mod tests {
     }
 
     /// The refactor oracle: one scripted run per mode, every count pinned.
-    /// The numbers were taken at PR 19's commit (EXPERIMENTS.md §"PR 20").
+    /// The numbers were taken at PR 19's commit (EXPERIMENTS.md §"PR 20");
+    /// PR 23 moved three columns of the rows with an EPT, as the assertion
+    /// says.
     #[test]
     fn scripted_run_reproduces_the_pinned_counts_in_every_mode() {
         // One row per mode; the columns are in the order of `got` below.
@@ -1615,9 +1706,9 @@ mod tests {
         let pinned: [[u64; 26]; 5] = [
             [16, 3, 11, 33, 2, 0, 1, 0, 0, 0, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 0, 0, 0, 0, 0],
             [16, 3, 11, 33, 2, 0, 1, 0, 1, 1, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 2, 0, 0, 0, 0],
-            [16, 3, 11, 36, 2, 0, 1, 0, 3, 4, 5, 32, 1, 1, 7, 4, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
-            [16, 3, 11, 36, 2, 0, 1, 0, 3, 4, 5, 32, 1, 1, 7, 4, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
-            [16, 3, 11, 36, 2, 0, 1, 1, 3, 4, 5, 32, 1, 1, 7, 4, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
+            [16, 3, 11, 24, 2, 0, 1, 0, 3, 4, 5, 36, 8, 1, 7, 4, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
+            [16, 3, 11, 24, 2, 0, 1, 0, 3, 4, 5, 36, 8, 1, 7, 4, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
+            [16, 3, 11, 24, 2, 0, 1, 1, 3, 4, 5, 36, 8, 1, 7, 4, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
         ];
         for (mode, want) in modes.zip(pinned) {
             let w = world(mode);
@@ -1681,7 +1772,13 @@ mod tests {
                 t.hits, t.misses, t.full_flushes, t.page_flushes, t.range_flushes,
                 gc.exit_count(), shootdowns, escalations, maps, unmaps,
             ];
-            assert_eq!(got, want, "{mode}");
+            assert_eq!(
+                got, want,
+                "{mode}: under an EPT the data page's gpa→hpa goes through the walk cache \
+                 too, so the 11 walks make 44 lookups (was 33) — 8 cold leaves (the PT \
+                 pages', 4 strided data leaves, 3 grants) at 3 loads each = 24 walk loads \
+                 (was 3 + 11 × 3 = 36), 36 hits (was 32), 8 misses (was 1)"
+            );
         }
     }
 

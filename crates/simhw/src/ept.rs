@@ -8,14 +8,15 @@
 //! leaves by the generic radix engine (see [`crate::paging`]).
 //!
 //! The structure also carries a monotonic *generation* counter and a short
-//! log of the ranges the last few unmaps removed. Shrinking the map logs the
-//! range and bumps the generation; a core's [`WalkCache`] pulls the ranges it
-//! has not seen the next time it starts a walk and drops only what they
-//! overlap. TLBs are a different matter: the hardware model deliberately
-//! does **not** auto-invalidate them on EPT edits — the Covirt hypervisor's
-//! `TlbFlush` command is what re-synchronizes them (the paper's
-//! command-queue + NMI protocol), and that asynchrony is the behaviour Covirt
-//! exists to manage.
+//! log of the ranges the last few shrinking edits touched. An edit after
+//! which an answer given before it would be too generous — an unmap, or a
+//! re-map that may narrow a leaf's rights — logs its range and bumps the
+//! generation; a core's [`WalkCache`] pulls the ranges it has not seen the
+//! next time it starts a walk and drops only what they overlap. TLBs are a
+//! different matter: the hardware model deliberately does **not**
+//! auto-invalidate them on EPT edits — the Covirt hypervisor's `TlbFlush`
+//! command is what re-synchronizes them (the paper's command-queue + NMI
+//! protocol), and that asynchrony is the behaviour Covirt exists to manage.
 
 use crate::addr::{GuestPhysAddr, HostPhysAddr, PhysRange};
 use crate::error::{HwError, HwResult};
@@ -104,19 +105,20 @@ pub struct EptViolationInfo {
     pub access: Access,
 }
 
-/// How many unmaps a [`WalkCache`] may fall behind before its next sync has
-/// to clear everything. The controller coalesces at most 8 ranged flushes
-/// into one reclaim epoch (`MAX_RANGE_FLUSH_CMDS`), so a core that walks at
-/// least once per epoch never overflows this.
+/// How many shrinking edits a [`WalkCache`] may fall behind before its next
+/// sync has to clear everything. The controller coalesces at most 8 ranged
+/// flushes into one reclaim epoch (`MAX_RANGE_FLUSH_CMDS`), so a core that
+/// walks at least once per epoch never overflows this.
 pub(crate) const UNMAP_LOG_SLOTS: usize = 16;
 
 /// An enclave's extended page tables.
 pub struct Ept {
     table: RadixTable<EptFormat>,
-    /// Bumped whenever the mapping *shrinks* (an INVEPT-requiring change).
-    /// Written only under the `unmap_log` lock.
+    /// Bumped whenever the mapping *shrinks* — loses a range or may lose
+    /// rights on one (an INVEPT-requiring change). Written only under the
+    /// `unmap_log` lock.
     generation: AtomicU64,
-    /// Slot `g % UNMAP_LOG_SLOTS` holds the range whose unmap produced
+    /// Slot `g % UNMAP_LOG_SLOTS` holds the range whose shrinking produced
     /// generation `g`, for the last `UNMAP_LOG_SLOTS` generations.
     unmap_log: Mutex<[PhysRange; UNMAP_LOG_SLOTS]>,
     /// Count of map operations (controller-side instrumentation).
@@ -150,7 +152,9 @@ impl Ept {
     }
 
     /// Identity-map with explicit permissions (used by tests and by the
-    /// read-only grant extension).
+    /// read-only grant extension). A map overwrites a present leaf, so one of
+    /// less than `RWX` may narrow rights a [`WalkCache`] holds and is logged
+    /// like an unmap; `RWX` — all production code maps — can only widen.
     pub fn map_identity_perms(
         &self,
         range: PhysRange,
@@ -159,27 +163,32 @@ impl Ept {
     ) -> HwResult<()> {
         self.table
             .map(range.start.raw(), range.start, range.len, perms, max_level)?;
+        if perms != Perms::RWX {
+            self.log_shrink(range);
+        }
         self.map_ops.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Remove a guest-physical range from the map, log it and bump the
-    /// generation. The table is edited first and the log entry is written
-    /// before the generation that names it is published, so whoever observes
-    /// the new generation finds both the range in the log and the mapping
-    /// gone. A failed unmap may have cleared part of the range, so it is
-    /// logged all the same.
+    /// generation. A failed unmap may have cleared part of the range, so it
+    /// is logged all the same.
     pub fn unmap(&self, range: PhysRange) -> HwResult<()> {
         let cleared = self.table.unmap(range.start.raw(), range.len);
-        {
-            let mut log = self.unmap_log.lock();
-            let generation = self.generation.load(Ordering::Relaxed) + 1;
-            log[generation as usize % UNMAP_LOG_SLOTS] = range;
-            self.generation.store(generation, Ordering::Release);
-        }
+        self.log_shrink(range);
         cleared?;
         self.unmap_ops.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Log `range` after the table edit that shrank it. The entry is written
+    /// before the generation that names it is published, so whoever observes
+    /// the new generation finds the range logged and the table edited.
+    fn log_shrink(&self, range: PhysRange) {
+        let mut log = self.unmap_log.lock();
+        let generation = self.generation.load(Ordering::Relaxed) + 1;
+        log[generation as usize % UNMAP_LOG_SLOTS] = range;
+        self.generation.store(generation, Ordering::Release);
     }
 
     /// Translate a guest-physical address, checking `access` permission.
@@ -219,48 +228,50 @@ impl Ept {
     }
 }
 
-/// A paging-structure cache for nested walks.
+/// The core's cache of guest-physical mappings: EPT leaves, rights included.
 ///
-/// Under nested paging every *guest page-table entry* load must itself be
-/// translated through the EPT, multiplying the miss-path cost (up to ~24
-/// loads for a 4-level guest walk). Real hardware hides most of this by
-/// caching nested translations at the size of the EPT leaf they came from;
-/// this models that: a fill records the whole leaf (4 KiB / 2 MiB / 1 GiB
-/// classes, as [`crate::tlb::Tlb`] does for guest-virtual pages), so one
-/// 2 MiB entry answers every guest PT page under that leaf, and a hit skips
-/// the EPT walk entirely.
+/// Under nested paging every guest-physical address a TLB miss meets — each
+/// guest page-table entry it loads, then the data page — must itself be
+/// translated through the EPT (up to ~24 loads for a 4-level guest walk).
+/// VT-x hides most of this by caching *guest-physical mappings* (gpa → hpa
+/// with their access rights, SDM vol. 3 §28.4); this models that at the size
+/// of the EPT leaf a translation came from (4 KiB / 2 MiB / 1 GiB classes, as
+/// [`crate::tlb::Tlb`] has for guest-virtual pages), so one 2 MiB entry
+/// answers every guest PT page and data page under that leaf with no EPT
+/// walk. [`WalkCache::translate`] is the one way to ask.
 ///
-/// Coherence contract. [`Ept::unmap`] edits the table, then writes the range
-/// into a small fixed-size ring of the most recent unmapped ranges, then
-/// publishes the generation that names that slot. The cache remembers the
-/// one generation it has *synced* to, and [`WalkCache::sync`] — which a core
-/// calls once, when it starts a guest walk — replays the ranges logged since
-/// then and clears exactly the entries whose leaf overlaps one of them. The
-/// whole entry goes, so the surviving part of a partially unmapped (split)
-/// large leaf is dropped with it, while entries for leaves no unmap touched
-/// keep hitting. Once `unmap(R)` has returned, the first walk any core
-/// starts therefore serves nothing from inside `R`. A cache further behind
-/// than the ring reaches, or one that has never synced, clears everything
-/// instead (counted in [`WalkCache::full_flushes`]) — what every unmap used
-/// to cost. A walk already in flight when an unmap lands keeps the view it
-/// synced to until it ends; what that walk leaves in the TLB is for the
+/// Coherence, one rule for both uses. An [`Ept`] edit after which a cached
+/// (gpa → hpa, rights) answer would be too generous — [`Ept::unmap`], and an
+/// [`Ept::map_identity_perms`] that may narrow a present leaf's rights —
+/// edits the table, writes the range into a small ring of the most recent
+/// such ranges, then publishes the generation naming that slot, all before it
+/// returns. [`WalkCache::sync`], which a core calls once when it starts a
+/// guest walk, replays the ranges logged since the generation it last synced
+/// to and clears exactly the entries whose leaf overlaps one: the whole
+/// entry, so the surviving part of a split large leaf goes too, while leaves
+/// no edit touched keep hitting. Once `unmap(R)` has returned, the first walk
+/// any core starts therefore serves nothing from inside `R`. A cache further
+/// behind than the ring reaches, or never synced, clears everything instead
+/// (counted in [`WalkCache::full_flushes`]). A walk in flight when an edit
+/// lands keeps the view it synced to; what it leaves in the TLB is for the
 /// reclaim protocol's shootdown to flush. A cache follows one [`Ept`] for
 /// life.
 ///
-/// Growth is not logged: the EPT is an identity map, so a map or re-map (the
-/// radix engine overwrites a same-level leaf) cannot change a cached
-/// guest-physical → host-physical pair, and the cache stores no permissions —
-/// the data page's permission check always runs against the live EPT.
+/// Every hit is checked against the cached rights, and one they deny falls
+/// through to the live EPT, which raises the violation or refills the entry.
+/// So an edit that only makes the EPT *more* generous is not logged: the EPT
+/// is an identity map, so no re-map changes a cached gpa → hpa pair, and
+/// rights a re-map widened are found by the fall-through.
 ///
-/// The cache is core-private (interior mutability via [`Cell`] and
-/// [`RefCell`], not thread-safe) exactly like the hardware structure it models.
+/// Core-private (interior mutability via [`Cell`] and [`RefCell`], not
+/// thread-safe), like the hardware structure it models.
 pub struct WalkCache {
-    /// Host-physical base of each cached EPT leaf, under its guest-physical
-    /// base. Sized like a hardware PML4/PDPT/PDE cache: a few dozen entries
-    /// cover the paging structures of many gigabytes.
-    leaves: RefCell<SizeClassed<u64, true>>,
-    /// The EPT generation up to which every unmap has been applied to the
-    /// entries; 0 (no EPT ever has it) until the first sync.
+    /// Host-physical base and rights of each cached EPT leaf, under its
+    /// guest-physical base. Sized like a hardware PML4/PDPT/PDE cache: a few
+    /// dozen entries cover the paging structures of many gigabytes.
+    leaves: RefCell<SizeClassed<(u64, Perms), true>>,
+    /// The EPT generation up to which every logged edit has been applied to
+    /// the entries; 0 (no EPT ever has it) until the first sync.
     synced: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -280,9 +291,9 @@ impl WalkCache {
     }
 
     /// Bring the cache up to `ept`'s current generation: drop what the
-    /// unmaps since the last sync removed. Call once at the start of each
-    /// guest walk, before the first [`lookup`](Self::lookup); with no unmap
-    /// in between this is one atomic load.
+    /// edits logged since the last sync shrank. Call once at the start of
+    /// each guest walk, before the first [`translate`](Self::translate);
+    /// with no such edit in between this is one atomic load.
     #[inline]
     pub fn sync(&self, ept: &Ept) {
         if ept.generation() != self.synced.get() {
@@ -314,32 +325,78 @@ impl WalkCache {
         self.synced.set(current);
     }
 
-    /// Look up the host-physical address for `gpa` as of the last
-    /// [`sync`](Self::sync). Hits return the translated address with zero
-    /// loads. The classes are probed in turn; one lookup counts one hit or
-    /// one miss.
-    #[inline]
-    pub fn lookup(&self, gpa: u64) -> Option<u64> {
-        let hit = self
-            .leaves
-            .borrow()
-            .probe(gpa)
-            .map(|hit| hit.payload + hit.offset);
-        let tally = if hit.is_some() {
+    /// Translate `gpa` for `access` as of the last [`sync`](Self::sync): the
+    /// gpa → hpa step of a nested walk, for a guest PT-entry page
+    /// ([`Access::Read`]) and the data page alike. A cached leaf whose rights
+    /// allow `access` answers with zero loads; anything else walks the live
+    /// `ept` through `loader` — which raises the [`HwError::EptViolation`]
+    /// for `gpa` and `access` — and caches the leaf found.
+    ///
+    /// Forced inline, the miss out of line: a hit is a link in the chain of
+    /// dependent loads a guest walk is. As a call handing a `Translation`
+    /// back through memory it costs RandomAccess under Covirt 9 % of its
+    /// host time, a fragmented enclave 14 %.
+    #[inline(always)]
+    pub fn translate(
+        &self,
+        ept: &Ept,
+        gpa: GuestPhysAddr,
+        access: Access,
+        loader: &impl TableLoad,
+    ) -> HwResult<Translation> {
+        match self.lookup(gpa.raw(), access) {
+            Some(leaf) => Ok(leaf),
+            None => self.walk_and_fill(ept, gpa, access, loader),
+        }
+    }
+
+    /// The miss of [`translate`](Self::translate).
+    #[inline(never)]
+    fn walk_and_fill(
+        &self,
+        ept: &Ept,
+        gpa: GuestPhysAddr,
+        access: Access,
+        loader: &impl TableLoad,
+    ) -> HwResult<Translation> {
+        let walked = ept.translate(gpa, access, loader);
+        if let Ok(leaf) = &walked {
+            self.insert(gpa.raw(), leaf);
+        }
+        walked
+    }
+
+    /// The cached leaf covering `gpa`, if its rights allow `access`. The
+    /// classes are probed in turn; one lookup counts one hit or — a leaf
+    /// that denies `access` included — one miss.
+    #[inline(always)]
+    pub(crate) fn lookup(&self, gpa: u64, access: Access) -> Option<Translation> {
+        let leaves = self.leaves.borrow();
+        let leaf = leaves.probe(gpa).and_then(|hit| {
+            let &(base, perms) = hit.payload;
+            perms.allows(access).then(|| Translation {
+                page_base: HostPhysAddr::new(base),
+                page_size: hit.size,
+                pa: HostPhysAddr::new(base + hit.offset),
+                perms,
+                loads: 0,
+            })
+        });
+        let tally = if leaf.is_some() {
             &self.hits
         } else {
             &self.misses
         };
         tally.set(tally.get() + 1);
-        hit
+        leaf
     }
 
     /// Install the whole EPT leaf that translated `gpa` — `leaf` is what
     /// [`Ept::translate`] returned for it since the last
     /// [`sync`](Self::sync).
     #[inline]
-    pub fn insert(&self, gpa: u64, leaf: &Translation) {
-        *self.leaves.borrow_mut().fill(gpa, leaf.page_size) = leaf.page_base.raw();
+    pub(crate) fn insert(&self, gpa: u64, leaf: &Translation) {
+        *self.leaves.borrow_mut().fill(gpa, leaf.page_size) = (leaf.page_base.raw(), leaf.perms);
     }
 
     /// (hits, misses) since construction.
@@ -347,8 +404,8 @@ impl WalkCache {
         (self.hits.get(), self.misses.get())
     }
 
-    /// Syncs that had to clear everything because the unmap log no longer
-    /// covered the gap; a cache's first sync is one of them.
+    /// Syncs that had to clear everything because the log no longer covered
+    /// the gap; a cache's first sync is one of them.
     pub fn full_flushes(&self) -> u64 {
         self.full_flushes.get()
     }
@@ -489,12 +546,17 @@ mod tests {
         }
     }
 
+    /// Host address a read of `gpa` hits at, if it does.
+    fn read_hit(c: &WalkCache, gpa: u64) -> Option<u64> {
+        c.lookup(gpa, Access::Read).map(|t| t.pa.raw())
+    }
+
     #[test]
     fn walk_cache_hits_within_the_inserted_leaf() {
         let c = WalkCache::new();
         c.insert(0x5000 + 8, &leaf(0x9000, PAGE_SIZE_4K));
-        assert_eq!(c.lookup(0x5010), Some(0x9010));
-        assert_eq!(c.lookup(0x5ff8), Some(0x9ff8));
+        assert_eq!(read_hit(&c, 0x5010), Some(0x9010));
+        assert_eq!(read_hit(&c, 0x5ff8), Some(0x9ff8));
         let (h, m) = c.stats();
         assert_eq!((h, m), (2, 0));
     }
@@ -504,19 +566,19 @@ mod tests {
         let c = WalkCache::new();
         let (gpa, host) = (3 * PAGE_SIZE_1G + 5 * PAGE_SIZE_2M, 7 * PAGE_SIZE_2M);
         c.insert(gpa + 0x1238, &leaf(host, PAGE_SIZE_2M));
-        assert_eq!(c.lookup(gpa), Some(host));
+        assert_eq!(read_hit(&c, gpa), Some(host));
         assert_eq!(
-            c.lookup(gpa + PAGE_SIZE_2M - 8),
+            read_hit(&c, gpa + PAGE_SIZE_2M - 8),
             Some(host + PAGE_SIZE_2M - 8)
         );
-        assert_eq!(c.lookup(gpa - 8), None);
-        assert_eq!(c.lookup(gpa + PAGE_SIZE_2M), None);
+        assert_eq!(read_hit(&c, gpa - 8), None);
+        assert_eq!(read_hit(&c, gpa + PAGE_SIZE_2M), None);
         // One lookup is one hit or one miss, however many classes it probed.
         assert_eq!(c.stats(), (2, 2));
     }
 
     /// Map `slots` consecutive 2 MiB leaves and cache all of them the way a
-    /// walk would: sync, miss, translate, insert.
+    /// walk does: sync, then translate through the cache, which misses.
     fn cached_2m_leaves(mem: &PhysMemory, ept: &Ept, c: &WalkCache, slots: u64) -> PhysRange {
         let r = mem
             .alloc(ZoneId(0), slots * PAGE_SIZE_2M, PAGE_SIZE_2M)
@@ -524,12 +586,9 @@ mod tests {
         ept.map_identity(r, 2).unwrap();
         c.sync(ept);
         for slot in 0..slots {
-            let gpa = r.start.raw() + slot * PAGE_SIZE_2M + 64;
-            assert_eq!(c.lookup(gpa), None);
-            let t = ept
-                .translate(GuestPhysAddr::new(gpa), Access::Read, &DirectLoad(mem))
-                .unwrap();
-            c.insert(gpa, &t);
+            let gpa = GuestPhysAddr::new(r.start.raw() + slot * PAGE_SIZE_2M + 64);
+            let t = c.translate(ept, gpa, Access::Read, &DirectLoad(mem));
+            assert!(t.unwrap().loads > 0, "a cold leaf walks the EPT");
         }
         r
     }
@@ -548,11 +607,11 @@ mod tests {
 
         ept.unmap(sub(r, PAGE_SIZE_2M, PAGE_SIZE_2M)).unwrap();
         // Not yet synced: the walk in flight keeps the view it started with.
-        assert_eq!(c.lookup(at(1)), Some(at(1)));
+        assert_eq!(read_hit(&c, at(1)), Some(at(1)));
         c.sync(&ept);
-        assert_eq!(c.lookup(at(1)), None, "the reclaimed leaf is gone");
-        assert_eq!(c.lookup(at(0)), Some(at(0)), "its neighbours still hit");
-        assert_eq!(c.lookup(at(2)), Some(at(2)));
+        assert_eq!(read_hit(&c, at(1)), None, "the reclaimed leaf is gone");
+        assert_eq!(read_hit(&c, at(0)), Some(at(0)), "its neighbours still hit");
+        assert_eq!(read_hit(&c, at(2)), Some(at(2)));
         assert_eq!(c.full_flushes(), 1, "a logged unmap needs no full clear");
     }
 
@@ -565,10 +624,10 @@ mod tests {
         // the 2 MiB entry no longer describes a leaf that exists.
         ept.unmap(sub(r, 16 * PAGE_SIZE_4K, PAGE_SIZE_4K)).unwrap();
         c.sync(&ept);
-        assert_eq!(c.lookup(r.start.raw() + 16 * PAGE_SIZE_4K), None);
-        assert_eq!(c.lookup(r.start.raw()), None, "surviving part included");
+        assert_eq!(read_hit(&c, r.start.raw() + 16 * PAGE_SIZE_4K), None);
+        assert_eq!(read_hit(&c, r.start.raw()), None, "surviving part included");
         let other = r.start.raw() + PAGE_SIZE_2M;
-        assert_eq!(c.lookup(other), Some(other));
+        assert_eq!(read_hit(&c, other), Some(other));
     }
 
     #[test]
@@ -594,13 +653,52 @@ mod tests {
         fall_behind(slots - 1);
         c.sync(&ept);
         assert_eq!(c.full_flushes(), 1, "a full ring is still replayed");
-        assert_eq!(c.lookup(reclaimed), None);
-        assert_eq!(c.lookup(kept), Some(kept));
+        assert_eq!(read_hit(&c, reclaimed), None);
+        assert_eq!(read_hit(&c, kept), Some(kept));
 
         fall_behind(slots);
         c.sync(&ept);
         assert_eq!(c.full_flushes(), 2, "one unmap too many to replay");
-        assert_eq!(c.lookup(kept), None, "overflow degrades to a full clear");
+        assert_eq!(
+            read_hit(&c, kept),
+            None,
+            "overflow degrades to a full clear"
+        );
+    }
+
+    /// One leaf through its life: read-only and cached by a read, widened,
+    /// narrowed again. The cached rights are checked on every hit, a denied
+    /// hit is the live EPT's to answer, and only the narrowing is logged.
+    #[test]
+    fn cached_rights_are_checked_and_only_a_narrowing_re_map_is_logged() {
+        let (mem, ept) = setup();
+        let c = WalkCache::new();
+        let r = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
+        let gpa = GuestPhysAddr::new(r.start.raw() + 0x1238);
+        // What a walk started now gets: the translation's loads, or the error.
+        let walk = |access| {
+            c.sync(&ept);
+            c.translate(&ept, gpa, access, &DirectLoad(&mem))
+                .map(|t| (t.pa.raw(), t.loads))
+        };
+        let denied = Err(violation_err(gpa, Access::Write));
+
+        ept.map_identity_perms(r, Perms::R, 2).unwrap();
+        assert_eq!(walk(Access::Read), Ok((gpa.raw(), 3)), "cold: the EPT walk");
+        assert_eq!(walk(Access::Read), Ok((gpa.raw(), 0)), "then the cache");
+        assert_eq!(walk(Access::Write), denied, "the cached rights refuse it");
+        assert_eq!(walk(Access::Read), Ok((gpa.raw(), 0)), "and the leaf stays");
+
+        let generation = ept.generation();
+        ept.map_identity(r, 2).unwrap();
+        assert_eq!(ept.generation(), generation, "widening needs no log entry");
+        assert_eq!(walk(Access::Write), Ok((gpa.raw(), 3)), "falls through");
+        assert_eq!(walk(Access::Write), Ok((gpa.raw(), 0)), "and refills");
+
+        ept.map_identity_perms(r, Perms::R, 2).unwrap();
+        assert_eq!(ept.generation(), generation + 1, "narrowing is logged");
+        assert_eq!(walk(Access::Write), denied, "first walk after the re-map");
+        assert_eq!(c.full_flushes(), 1, "ranged, not a full clear");
     }
 
     // The stand-in `ProptestConfig` has one field; `..default()` keeps the
@@ -625,13 +723,15 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-            /// Drive the cache the way `NestedLoad` does (sync, look up, on
-            /// a miss translate and insert the leaf) against random
-            /// map/unmap sequences mixing 4 KiB, 2 MiB and 1 GiB leaves,
-            /// with any number of unmaps — at times more than the log holds
-            /// — between two walks. After every sync no point inside a range
+            /// Drive the cache the way `NestedLoad` does (sync, then
+            /// translate through it) against random map/unmap sequences
+            /// mixing 4 KiB, 2 MiB and 1 GiB leaves of three sets of rights,
+            /// with any number of edits — at times more than the log holds —
+            /// between two walks. After every sync no point inside a range
             /// unmapped since the previous one may hit, and every hit
-            /// anywhere must equal a fresh `Ept::translate`.
+            /// anywhere, for any access, must be one a fresh
+            /// `Ept::translate` grants: same address, no right the live leaf
+            /// lacks.
             #[test]
             fn hits_match_the_live_ept_and_unmapped_ranges_never_hit(
                 ops in proptest::collection::vec((0u8..16, 0u64..2, 0u64..4, 0u64..8), 1..200),
@@ -641,10 +741,9 @@ mod tests {
                 let (mem, ept) = setup();
                 let arena = PAGE_SIZE_1G;
                 let load = DirectLoad(&mem);
-                let translate =
-                    |gpa: u64| ept.translate(GuestPhysAddr::new(gpa), Access::Read, &load);
                 let cache = WalkCache::new();
                 let range = |start, len| PhysRange::new(HostPhysAddr::new(start), len);
+                let accesses = [Access::Read, Access::Write, Access::Exec];
                 // Unmapped since the cache last synced.
                 let mut unsynced: Vec<PhysRange> = Vec::new();
 
@@ -654,12 +753,15 @@ mod tests {
                     let slot_1g = point(arena, (g, 0, 0));
                     let unmaps = match kind {
                         // A map that collides with a larger leaf is
-                        // refused; the sequence just carries on.
+                        // refused; the sequence just carries on. One over a
+                        // present leaf of the same size re-maps it, at
+                        // times with fewer rights.
                         0..=2 => {
                             let (start, level) =
                                 [(page, 1), (slot_2m, 2), (slot_1g, 3)][kind as usize];
                             let len = PageSize::from_level(level).unwrap().bytes();
-                            let _ = ept.map_identity(range(start, len), level);
+                            let perms = [Perms::RWX, Perms::R, Perms::RW][(g + m + p) as usize % 3];
+                            let _ = ept.map_identity_perms(range(start, len), perms, level);
                             continue;
                         }
                         3 => vec![range(page, PAGE_SIZE_4K)],
@@ -675,28 +777,26 @@ mod tests {
                             .collect(),
                         _ => {
                             cache.sync(&ept);
-                            for gpa in points(arena) {
-                                let hit = cache.lookup(gpa);
+                            for (gpa, access) in points(arena).flat_map(|gpa| accesses.map(|a| (gpa, a))) {
+                                let hit = cache.lookup(gpa, access);
                                 if unsynced.iter().any(|r| r.contains(HostPhysAddr::new(gpa))) {
                                     prop_assert_eq!(
                                         hit, None,
                                         "{:#x} hits after a sync that followed its unmap", gpa
                                     );
                                 }
-                                if hit.is_some() {
+                                if let Some(hit) = hit {
+                                    let live = ept.translate(GuestPhysAddr::new(gpa), access, &load);
                                     prop_assert_eq!(
-                                        translate(gpa).map(|t| t.pa.raw()).ok(), hit,
-                                        "hit at {:#x} disagrees with the live EPT", gpa
+                                        live.map(|t| (t.pa, t.perms.intersect(hit.perms))).ok(),
+                                        Some((hit.pa, hit.perms)),
+                                        "{:?} hit at {:#x} is not what the live EPT grants", access, gpa
                                     );
                                 }
                             }
                             unsynced.clear();
-                            let gpa = page + 8 * (g + m + p);
-                            if cache.lookup(gpa).is_none() {
-                                if let Ok(t) = translate(gpa) {
-                                    cache.insert(gpa, &t);
-                                }
-                            }
+                            let gpa = GuestPhysAddr::new(page + 8 * (g + m + p));
+                            let _ = cache.translate(&ept, gpa, accesses[kind as usize % 3], &load);
                             continue;
                         }
                     };

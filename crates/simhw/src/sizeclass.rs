@@ -162,7 +162,7 @@ mod tests {
     use crate::backing::Backing;
     use crate::ept::{Ept, WalkCache, UNMAP_LOG_SLOTS};
     use crate::memory::PhysMemory;
-    use crate::paging::{FramePool, Perms, Translation};
+    use crate::paging::{Access, FramePool, Perms, Translation};
     use crate::tlb::{Tlb, TlbParams};
     use crate::topology::ZoneId;
     use proptest::prelude::*;
@@ -230,6 +230,11 @@ mod tests {
 
     const WALK_CACHE_SLOTS: [usize; 3] = [64, 16, 4];
 
+    /// The rights the walk cache's reference keeps in the low bits of a
+    /// leaf's (GiB-aligned) host base.
+    const RIGHTS: [Perms; 3] = [Perms::RWX, Perms::RW, Perms::R];
+    const ACCESSES: [Access; 3] = [Access::Read, Access::Write, Access::Exec];
+
     #[test]
     fn overlap_is_judged_by_a_pages_last_byte() {
         let mut c = SizeClassed::<u64, true>::new([4, 4, 4]);
@@ -251,10 +256,12 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
         /// Random inserts, lookups and invalidations on a `Tlb` (three
         /// geometries: the default with its 127-entry class, a tiny odd one
-        /// and one with an empty class) and on a `WalkCache` (coherence by
+        /// and one with an empty class) and on a `WalkCache` (leaves of three
+        /// sets of rights looked up for all three accesses; coherence by
         /// `unmap` then `sync`, at times more unmaps than the log holds, at
         /// times a lookup before the sync): every lookup, the final
-        /// survivors and the statistics equal the reference's.
+        /// survivors and the statistics equal the reference's — a leaf whose
+        /// rights deny the access is a miss.
         #[test]
         fn tlb_and_walk_cache_hold_what_a_map_of_their_geometry_holds(
             geometry in 0usize..3,
@@ -302,7 +309,7 @@ mod tests {
                 }
             };
 
-            let mut check = |addr: u64, tlb: &mut Tlb, tlb_ref: &Reference, cache_ref: &Reference| {
+            let mut check = |addr: u64, access: Access, tlb: &mut Tlb, tlb_ref: &Reference, cache_ref: &Reference| {
                 let want = tlb_ref.lookup(addr);
                 let got = tlb.lookup(addr);
                 *(if want.is_some() { &mut hits } else { &mut misses }) += 1;
@@ -311,9 +318,15 @@ mod tests {
                     want.map(|(id, off, s)| (host(id) + off, id.is_multiple_of(2), s.bytes() - off)),
                     "TLB lookup of {:#x}", addr
                 );
-                let want = cache_ref.lookup(addr).map(|(base, off, _)| base + off);
+                let want = cache_ref.lookup(addr).and_then(|(leaf, off, size)| {
+                    let (base, perms) = (leaf & !3, RIGHTS[leaf as usize & 3]);
+                    perms.allows(access).then_some((base + off, size, perms))
+                });
                 *(if want.is_some() { &mut cache_hits } else { &mut cache_misses }) += 1;
-                prop_assert_eq!(cache.lookup(addr), want, "walk-cache lookup of {:#x}", addr);
+                prop_assert_eq!(
+                    cache.lookup(addr, access).map(|t| (t.pa.raw(), t.page_size, t.perms)), want,
+                    "walk-cache {:?} of {:#x}", access, addr
+                );
                 Ok(())
             };
 
@@ -335,12 +348,12 @@ mod tests {
                             page_base: HostPhysAddr::new(host_base),
                             page_size: size,
                             pa: HostPhysAddr::new(host_base + addr % size.bytes()),
-                            perms: Perms::RWX,
+                            perms: RIGHTS[i % 3],
                             loads: 0,
                         });
-                        cache_ref.insert(addr, size, host_base);
+                        cache_ref.insert(addr, size, host_base | (i % 3) as u64);
                     }
-                    5..=7 => check(addr, &mut tlb, &tlb_ref, &cache_ref)?,
+                    5..=7 => check(addr, ACCESSES[kind as usize - 5], &mut tlb, &tlb_ref, &cache_ref)?,
                     8 => {
                         tlb.flush_page(addr);
                         tlb_ref.remove_page(addr);
@@ -379,8 +392,8 @@ mod tests {
                     }
                 }
             }
-            for addr in points() {
-                check(addr, &mut tlb, &tlb_ref, &cache_ref)?;
+            for (addr, access) in points().zip(ACCESSES.into_iter().cycle()) {
+                check(addr, access, &mut tlb, &tlb_ref, &cache_ref)?;
             }
             let stats = tlb.stats();
             prop_assert_eq!((stats.hits, stats.misses), (hits, misses));

@@ -133,6 +133,35 @@ pub fn run_point(mode: ExecMode, cores: usize, p: ScalingParams) -> ScalingPoint
     }
 }
 
+/// A TLB small enough that fills dominate: what the warm-miss and the
+/// fragmentation points run under.
+const SMALL_TLB: TlbParams = TlbParams {
+    entries_4k: 16,
+    entries_2m: 2,
+    entries_1g: 1,
+};
+
+/// log2 entries of the table [`run_warm_miss_point`] updates: 8 MiB, four
+/// 2 MiB pages over a TLB that holds two.
+pub const WARM_MISS_LOG2_N: u32 = 20;
+
+/// RandomAccess under `covirt-mem` on one core whose 2 MiB TLB class holds
+/// two of the table's four pages, so about half the updates miss — the
+/// walk-bound regime of perfbench's `gups`. A first run of `updates` warms
+/// the walk cache and the second is returned: its `walk_loads_per_miss()` is
+/// the nested (EPT-entry) loads a *warm* TLB miss pays — 0 while the walk
+/// cache serves every guest-physical address the walk meets, 3 if the data
+/// page's leaf is walked afresh on every miss.
+pub fn run_warm_miss_point(updates: u64) -> randomaccess::RaResult {
+    let mut world = World::quick(ExecMode::Covirt(CovirtConfig::MEM));
+    world.tlb = SMALL_TLB;
+    let ra = randomaccess::RandomAccess::setup(&world, WARM_MISS_LOG2_N);
+    let mut g = world.guest_core(world.cores[0]).expect("guest core");
+    ra.init(&mut g).expect("ra init");
+    ra.run(&mut g, updates).expect("ra warm-up");
+    ra.run(&mut g, updates).expect("ra updates")
+}
+
 /// Run the full sweep: every core count, Native then Covirt, interleaved
 /// per rung so host drift hits both modes alike.
 pub fn run(scale: Scale) -> Vec<ScalingPoint> {
@@ -391,11 +420,7 @@ pub const FRAG_WORKING_SET: usize = 4;
 pub fn run_frag_point(ways: usize, regions: usize, rounds: usize) -> FragPoint {
     const GRANT_BYTES: u64 = 64 * 1024;
     let mut world = crate::scenario::world(1);
-    world.tlb = TlbParams {
-        entries_4k: 16,
-        entries_2m: 2,
-        entries_1g: 1,
-    };
+    world.tlb = SMALL_TLB;
     let pisces = world.master.pisces();
     let mut grants: Vec<PhysRange> = Vec::with_capacity(regions);
     for _ in 0..regions {

@@ -450,15 +450,25 @@ fn guest_leaf_larger_than_the_ept_leaf_reaches_only_what_the_ept_mapped() {
     let leaf = seg.start.raw() | x86_bits::P | x86_bits::RW | x86_bits::US | x86_bits::PS;
     ga.write_u64(table + index(2) * 8, leaf).unwrap();
 
-    // Inside the segment the EPT agrees; one page on, it was never asked.
+    // Inside the segment the EPT agrees, and that walk leaves the segment's
+    // 4 KiB EPT leaf in the attacher's walk cache. One page on, the EPT was
+    // never asked: the cached leaf covers its own page only, so the touch
+    // misses it and the live EPT refuses.
+    let walked = ga.counters();
     assert_eq!(ga.read_u64(seg.start.raw() + 8).unwrap(), 0x5e6);
+    let cached = ga.counters();
+    assert_eq!(cached.walk_loads, walked.walk_loads + 4, "a 4 KiB leaf");
     match ga.read_u64(private) {
         Err(CovirtError::EnclaveTerminated(reason)) => {
             assert!(reason.contains("EPT violation"), "{reason}");
-            assert!(reason.contains(&format!("{private:#x}")), "{reason}");
+            assert!(reason.contains(&format!("{private:#x} (Read)")), "{reason}");
         }
         other => panic!("the neighbour page must be out of reach, got {other:x?}"),
     }
+    assert_eq!(
+        ga.counters().walk_cache_misses,
+        cached.walk_cache_misses + 1
+    );
     assert_eq!(
         lab.node.mem.read_u64(HostPhysAddr::new(private)).unwrap(),
         0xdead_beef

@@ -169,14 +169,40 @@ fn oversized_reclaim_falls_back_to_full_flush() {
     assert_eq!(g.tlb_stats().range_flushes, 0);
 }
 
+/// Reclaim `range` through the full protocol — guest ack, controller unmap,
+/// shootdown — with `g` polling as a live core does.
+fn reclaim_with_live_core(
+    master: &MasterControl,
+    e: &Arc<covirt_suite::pisces::Enclave>,
+    k: &covirt_suite::kitten::KittenKernel,
+    g: &mut GuestCore,
+    range: covirt_suite::simhw::addr::PhysRange,
+) {
+    master.pisces().request_remove_memory(e, range).unwrap();
+    k.poll_ctrl().unwrap();
+    std::thread::scope(|s| {
+        let acks = s.spawn(|| {
+            while e.resources().mem.contains(&range) {
+                master.pisces().process_acks(e).unwrap();
+                std::thread::yield_now();
+            }
+        });
+        while !acks.is_finished() {
+            g.poll().unwrap();
+            std::thread::yield_now();
+        }
+    });
+}
+
 /// The walk cache's half of a reclaim: the nested translations inside the
 /// reclaimed range are dropped, the unrelated ones — the guest's own
 /// page-table pages included — keep hitting, and nothing is cleared
 /// wholesale.
 #[test]
 fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
-    use covirt_suite::simhw::addr::GuestPhysAddr;
+    use covirt_suite::simhw::addr::{GuestPhysAddr, PhysRange};
     use covirt_suite::simhw::ept::WalkCache;
+    use covirt_suite::simhw::error::HwError;
     use covirt_suite::simhw::paging::{Access, DirectLoad};
 
     let (node, master, ctl) = world();
@@ -207,57 +233,95 @@ fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
     g.write_u64(reclaimed.start.raw(), 0xa).unwrap();
 
     // A cache filled the way a core fills its own, holding both grants'
-    // leaves (the guest's page tables do not live in granted memory, so
-    // the core's own cache never holds these).
+    // leaves.
     let ept = ctl.context(e.id.0).unwrap().ept.clone().unwrap();
     let cache = WalkCache::new();
-    cache.sync(&ept);
+    let read = |r: PhysRange| {
+        cache.sync(&ept);
+        let gpa = GuestPhysAddr::new(r.start.raw() + 0x40);
+        cache
+            .translate(&ept, gpa, Access::Read, &DirectLoad(&node.mem))
+            .map(|t| (t.pa.raw(), t.loads))
+    };
     for r in [reclaimed, kept] {
-        let gpa = r.start.raw() + 0x40;
-        let leaf = ept
-            .translate(
-                GuestPhysAddr::new(gpa),
-                Access::Read,
-                &DirectLoad(&node.mem),
-            )
-            .unwrap();
-        cache.insert(gpa, &leaf);
+        assert_eq!(read(r), Ok((r.start.raw() + 0x40, 3)));
     }
     let before = g.counters();
 
-    master
-        .pisces()
-        .request_remove_memory(&e, reclaimed)
-        .unwrap();
-    k.poll_ctrl().unwrap();
-    std::thread::scope(|s| {
-        let acks = s.spawn(|| {
-            while e.resources().mem.contains(&reclaimed) {
-                master.pisces().process_acks(&e).unwrap();
-                std::thread::yield_now();
-            }
-        });
-        while !acks.is_finished() {
-            g.poll().unwrap();
-            std::thread::yield_now();
-        }
-    });
+    reclaim_with_live_core(&master, &e, &k, &mut g, reclaimed);
 
     // Kept: the first touch of the other grant walks through the same
     // guest PT pages, and every one of their lines still hits.
     g.write_u64(kept.start.raw(), 0xb).unwrap();
     let after = g.counters();
     assert_eq!(after.walks, before.walks + 1);
-    assert_eq!(after.walk_cache_misses, before.walk_cache_misses);
-    assert!(after.walk_cache_hits > before.walk_cache_hits);
+    assert_eq!(
+        after.walk_cache_misses,
+        before.walk_cache_misses + 1,
+        "the one miss is the grant's own EPT leaf, which the core never touched before \
+         and — since PR 23 — looks up in its walk cache like a PT-entry page's"
+    );
+    assert_eq!(after.walk_cache_hits, before.walk_cache_hits + 3);
     assert_eq!(after.walk_cache_full_flushes, 1, "the cold sync only");
 
     // Dropped: the next sync removes the reclaimed leaf and only that.
-    cache.sync(&ept);
-    assert_eq!(cache.lookup(reclaimed.start.raw() + 0x40), None);
-    assert_eq!(
-        cache.lookup(kept.start.raw() + 0x40),
-        Some(kept.start.raw() + 0x40)
+    assert!(
+        matches!(read(reclaimed), Err(HwError::EptViolation { gpa, read: true, .. })
+            if gpa.raw() == reclaimed.start.raw() + 0x40)
     );
+    assert_eq!(read(kept), Ok((kept.start.raw() + 0x40, 0)));
     assert_eq!(cache.full_flushes(), 1);
+}
+
+/// The data page's half of that contract. A core caches the EPT leaf of a
+/// page it touched, rights and all; once the reclaim that unmapped it has
+/// returned, the first access the core starts must find the line gone and
+/// take the violation, not be served the grant it no longer holds.
+#[test]
+fn first_access_after_a_reclaim_is_a_violation_though_its_data_leaf_was_cached() {
+    let (node, master, ctl) = world();
+    let req = covirt_suite::pisces::resources::ResourceRequest::new(
+        vec![CoreId(2)],
+        vec![(ZoneId(0), 64 * 1024 * 1024)],
+    );
+    let (e, k) = master.bring_up_enclave("d", &req).unwrap();
+    let mut g = GuestCore::launch_covirt(
+        Arc::clone(&node),
+        Arc::clone(&k),
+        Arc::clone(&ctl),
+        2,
+        TlbParams::default(),
+    )
+    .unwrap();
+    let range = master
+        .pisces()
+        .add_memory(&e, ZoneId(0), 2 * 1024 * 1024)
+        .unwrap();
+    k.poll_ctrl().unwrap();
+    master.pisces().process_acks(&e).unwrap();
+    // One walk: a TLB entry and a walk-cache line for the grant's leaf.
+    g.write_u64(range.start.raw(), 0xa).unwrap();
+    let cached = g.counters();
+
+    reclaim_with_live_core(&master, &e, &k, &mut g, range);
+    assert_eq!(g.tlb_stats().range_flushes, 1, "the TLB entry is gone");
+
+    // The co-kernel's cleanup bug: its own mapping of the grant survives.
+    let fault = covirt_suite::kitten::faults::stale_shared_mapping(&k, range);
+    let gpa = range.start.raw() + range.len / 2;
+    match g.execute_fault(fault) {
+        FaultOutcome::Contained(reason) => assert!(
+            reason.contains(&format!("EPT violation at {gpa:#x} (Write)")),
+            "{reason}"
+        ),
+        o => panic!("a stale access must be contained, got {o:?}"),
+    }
+    let after = g.counters();
+    assert_eq!(after.walks, cached.walks + 1);
+    assert_eq!(
+        after.walk_cache_misses,
+        cached.walk_cache_misses + 1,
+        "the line was dropped, so the live EPT answered"
+    );
+    assert_eq!(after.walk_cache_full_flushes, 1, "by range, not wholesale");
 }
