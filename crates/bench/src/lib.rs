@@ -251,19 +251,20 @@ pub fn render_churn_isolation(iso: &ChurnIsolation) -> String {
 }
 
 /// Render the many-grants fragmentation rung (region-cache associativity
-/// vs snapshot binary-search depth).
+/// vs snapshot binary-search depth, and the nested walk of each TLB miss).
 pub fn render_frag_points(rows: &[FragPoint]) -> String {
     let mut out = String::from(
         "Many-grants fragmentation — region-cache associativity\n\
-         ways  regions  hit-rate%  avg-search-depth\n",
+         ways  regions  hit-rate%  avg-search-depth  ept-loads/miss\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<5} {:<8} {:>9.1} {:>17.2}\n",
+            "{:<5} {:<8} {:>9.1} {:>17.2} {:>15.2}\n",
             r.ways,
             r.regions,
             r.hit_rate * 100.0,
             r.avg_search_depth,
+            r.nested_loads_per_miss,
         ));
     }
     out
@@ -639,12 +640,14 @@ mod tests {
                 regions: 256,
                 hit_rate: 0.52,
                 avg_search_depth: 8.1,
+                nested_loads_per_miss: 2.0,
             },
             FragPoint {
                 ways: 4,
                 regions: 256,
                 hit_rate: 0.97,
                 avg_search_depth: 8.0,
+                nested_loads_per_miss: 2.0,
             },
         ];
         let s = render_frag_points(&rows);
@@ -652,6 +655,7 @@ mod tests {
         assert!(s.contains("52.0"));
         assert!(s.contains("97.0"));
         assert!(s.contains("8.10"));
+        assert!(s.contains("ept-loads/miss"));
     }
 
     #[test]

@@ -316,6 +316,21 @@ pub const GATES: &[MetricSpec] = &[
         gate_on: GateOn::Worst,
         compare: true,
     },
+    // EPT-entry loads per TLB miss over the fragmented working set (4 KiB
+    // EPT leaves the walk cache cannot keep): 2 while the walk starts at the
+    // cached PD page of the data page's GiB, 4 from the EPT root.
+    MetricSpec {
+        harness: "numa",
+        metric: "frag_nested_loads_per_miss",
+        unit: "count",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(2.05),
+        rel_floor: 0.0,
+        abs_floor: 0.0,
+        gate_on: GateOn::Worst,
+        compare: true,
+    },
     // -- exitless: command delivery -----------------------------------------
     MetricSpec {
         harness: "exitless",
@@ -934,6 +949,7 @@ fn numa(ctx: &Ctx, c: &mut Collector) -> String {
     c.push("frag_direct_hit_rate", direct.hit_rate);
     c.push("frag_assoc_hit_rate", assoc.hit_rate);
     c.push("frag_hit_rate_gain", assoc.hit_rate - direct.hit_rate);
+    c.push("frag_nested_loads_per_miss", assoc.nested_loads_per_miss);
     let ladder = if ctx.report {
         render_numa_points(&scaling::run_numa(ctx.scale)) + "\n"
     } else {

@@ -126,12 +126,14 @@ pub enum FaultOutcome {
 /// goes through an EPT walk, which is how nested paging multiplies walk
 /// cost on hardware (up to 24 loads for a 4-level guest walk).
 ///
-/// When a [`WalkCache`] is attached it models the hardware's cache of
-/// guest-physical mappings: an address under a cached EPT leaf whose rights
-/// allow the access resolves in zero extra loads, and a miss caches the whole
-/// leaf it walked to. The cache is synced with the EPT's unmap log once per
-/// guest walk, when the loader is built — a concurrent controller unmap drops
-/// the lines it overlaps for subsequent walks, never mid-walk.
+/// When a [`WalkCache`] is attached it models the hardware's caches of
+/// guest-physical mappings and of EPT PDPTEs: an address under a cached EPT
+/// leaf whose rights allow the access resolves in zero extra loads, a miss
+/// under a cached PD page walks from that page (1–2 loads instead of 3–4),
+/// and a miss caches the whole leaf it walked to and the PDPTE it passed. The
+/// cache is synced with the EPT's unmap log once per guest walk, when the
+/// loader is built — a concurrent controller unmap drops the lines it
+/// overlaps, table lines included, for subsequent walks, never mid-walk.
 struct NestedLoad<'a> {
     ept: &'a Ept,
     mem: &'a PhysMemory,
@@ -387,8 +389,11 @@ impl GuestCore {
         c
     }
 
-    /// Enable or disable the EPT walk cache (ablation knob; on by default).
-    pub fn set_walk_cache_enabled(&mut self, enabled: bool) {
+    /// Enable or disable the EPT walk cache (on by default). Off, no line of
+    /// either kind — EPT leaf or PDPTE — is cached: every gpa → hpa step
+    /// walks the live EPT from its root.
+    #[cfg(test)]
+    fn set_walk_cache_enabled(&mut self, enabled: bool) {
         self.walk_cache_enabled = enabled;
     }
 
@@ -1053,6 +1058,49 @@ mod tests {
         );
     }
 
+    /// RandomAccess's walk-bound regime — random read-then-write updates of
+    /// an 8 MiB table over a 2-entry 2 MiB TLB — with the walk cache on and
+    /// off. Off, no line of either kind is cached and every miss walks the
+    /// EPT from its root.
+    #[test]
+    fn walk_cache_ablation_cuts_loads_per_miss() {
+        let run_with_cache = |enabled: bool| {
+            let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+            let tlb = TlbParams {
+                entries_4k: 16,
+                entries_2m: 2,
+                entries_1g: 1,
+            };
+            let mut gc = core_with(&w, 1, tlb);
+            gc.set_walk_cache_enabled(enabled);
+            let table = w.kernel.alloc_contiguous(8 << 20, &mut 0).unwrap();
+            let mut ran = 1u64;
+            for _ in 0..20_000 {
+                ran = ran
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let addr = table + (ran >> 44) * 8;
+                let v = gc.read_u64(addr).unwrap();
+                gc.write_u64(addr, v ^ ran).unwrap();
+            }
+            gc.counters()
+        };
+        let per_miss = |c: &CoreCounters| crate::stats::ratio(c.walk_loads, c.walks);
+        let (on, off) = (run_with_cache(true), run_with_cache(false));
+        assert!(
+            on.walks > 0 && off.walks > 0,
+            "test must generate TLB misses"
+        );
+        assert!(on.walk_cache_hits > 0);
+        assert_eq!(off.walk_cache_hits, 0);
+        assert!(
+            per_miss(&on) < per_miss(&off),
+            "walk cache must cut per-miss loads ({:.2} vs {:.2})",
+            per_miss(&on),
+            per_miss(&off)
+        );
+    }
+
     /// The enclave's EPT, as the controller built it.
     fn ept_of(w: &World) -> Arc<Ept> {
         let ctl = w.controller.as_ref().unwrap();
@@ -1222,8 +1270,17 @@ mod tests {
         let before = gc.counters();
         gc.write_u64(gva, 7).unwrap();
         let after = gc.counters();
-        assert_eq!(after.walk_cache_misses, before.walk_cache_misses + 1);
-        assert_eq!(after.walk_loads, before.walk_loads + 3, "falls through");
+        assert_eq!(
+            after.walk_cache_misses, before.walk_cache_misses,
+            "the denied leaf falls through to a walk resumed from the PD page the \
+             read cached, which answers — a paging-structure hit since PR 25"
+        );
+        assert_eq!(
+            after.walk_loads,
+            before.walk_loads + 1,
+            "falls through: one load, the PDE under the cached PDPTE (3 from the root \
+             before PR 25)"
+        );
         gc.tlb.flush_all();
         gc.write_u64(gva + 8, 8).unwrap();
         assert_eq!(gc.counters().walk_loads, after.walk_loads, "and refilled");
@@ -1695,8 +1752,8 @@ mod tests {
 
     /// The refactor oracle: one scripted run per mode, every count pinned.
     /// The numbers were taken at PR 19's commit (EXPERIMENTS.md §"PR 20");
-    /// PR 23 moved three columns of the rows with an EPT, as the assertion
-    /// says.
+    /// PR 23 and PR 25 moved three columns of the rows with an EPT, as the
+    /// assertion says.
     #[test]
     fn scripted_run_reproduces_the_pinned_counts_in_every_mode() {
         // One row per mode; the columns are in the order of `got` below.
@@ -1706,9 +1763,9 @@ mod tests {
         let pinned: [[u64; 26]; 5] = [
             [16, 3, 11, 33, 2, 0, 1, 0, 0, 0, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 0, 0, 0, 0, 0],
             [16, 3, 11, 33, 2, 0, 1, 0, 1, 1, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 2, 0, 0, 0, 0],
-            [16, 3, 11, 24, 2, 0, 1, 0, 3, 4, 5, 36, 8, 1, 7, 4, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
-            [16, 3, 11, 24, 2, 0, 1, 0, 3, 4, 5, 36, 8, 1, 7, 4, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
-            [16, 3, 11, 24, 2, 0, 1, 1, 3, 4, 5, 36, 8, 1, 7, 4, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
+            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 1, 7, 4, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
+            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 1, 7, 4, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
+            [16, 3, 11, 10, 2, 0, 1, 1, 3, 4, 5, 43, 1, 1, 7, 4, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
         ];
         for (mode, want) in modes.zip(pinned) {
             let w = world(mode);
@@ -1774,10 +1831,12 @@ mod tests {
             ];
             assert_eq!(
                 got, want,
-                "{mode}: under an EPT the data page's gpa→hpa goes through the walk cache \
-                 too, so the 11 walks make 44 lookups (was 33) — 8 cold leaves (the PT \
-                 pages', 4 strided data leaves, 3 grants) at 3 loads each = 24 walk loads \
-                 (was 3 + 11 × 3 = 36), 36 hits (was 32), 8 misses (was 1)"
+                "{mode}: under an EPT the 11 walks make 44 walk-cache lookups (33 before \
+                 PR 23, when the data page skipped the cache) and 8 cold leaves — the PT \
+                 pages', 4 strided data leaves, 3 grants. Since PR 25 only the first is \
+                 walked from the EPT root (3 loads); it caches its GiB's PDPTE, and the \
+                 other 7 resume at that PD page (1 load each, a hit): 10 walk loads (was \
+                 24), 43 hits (was 36), 1 miss (was 8)"
             );
         }
     }

@@ -9,16 +9,18 @@
 //!
 //! The structure also carries a monotonic *generation* counter and a short
 //! log of the ranges the last few shrinking edits touched. An edit after
-//! which an answer given before it would be too generous — an unmap, or a
-//! re-map that may narrow a leaf's rights — logs its range and bumps the
-//! generation; a core's [`WalkCache`] pulls the ranges it has not seen the
-//! next time it starts a walk and drops only what they overlap. TLBs are a
-//! different matter: the hardware model deliberately does **not**
-//! auto-invalidate them on EPT edits — the Covirt hypervisor's `TlbFlush`
-//! command is what re-synchronizes them (the paper's command-queue + NMI
-//! protocol), and that asynchrony is the behaviour Covirt exists to manage.
+//! which an answer given before it would be too generous — an unmap, a
+//! re-map that may narrow a leaf's rights, or a map that failed and took
+//! back the tables it linked — logs its range and bumps the generation; a
+//! core's [`WalkCache`] (EPT leaves, and the PD pages of the PDPTEs above
+//! them) pulls the ranges it has not seen the next time it starts a walk and
+//! drops only the lines they overlap. TLBs are a different matter: the
+//! hardware model deliberately does **not** auto-invalidate them on EPT
+//! edits — the Covirt hypervisor's `TlbFlush` command is what
+//! re-synchronizes them (the paper's command-queue + NMI protocol), and that
+//! asynchrony is the behaviour Covirt exists to manage.
 
-use crate::addr::{GuestPhysAddr, HostPhysAddr, PhysRange};
+use crate::addr::{GuestPhysAddr, HostPhysAddr, PageSize, PhysRange};
 use crate::error::{HwError, HwResult};
 use crate::paging::{Access, EntryFormat, FramePool, Perms, RadixTable, TableLoad, Translation};
 use crate::sizeclass::SizeClassed;
@@ -111,6 +113,14 @@ pub struct EptViolationInfo {
 /// walks at least once per epoch never overflows this.
 pub(crate) const UNMAP_LOG_SLOTS: usize = 16;
 
+/// The rights a [`WalkCache`] table line carries: none, which no present EPT
+/// entry has, so a lookup never answers with one.
+const TABLE_LINE: Perms = Perms {
+    r: false,
+    w: false,
+    x: false,
+};
+
 /// An enclave's extended page tables.
 pub struct Ept {
     table: RadixTable<EptFormat>,
@@ -154,18 +164,23 @@ impl Ept {
     /// Identity-map with explicit permissions (used by tests and by the
     /// read-only grant extension). A map overwrites a present leaf, so one of
     /// less than `RWX` may narrow rights a [`WalkCache`] holds and is logged
-    /// like an unmap; `RWX` — all production code maps — can only widen.
+    /// like an unmap; `RWX` — all production code maps — can only widen. A
+    /// map that fails is logged too: its roll-back unlinks the tables it
+    /// linked and returns their frames to the pool, which may hand one to
+    /// another enclave's EPT while a cached PDPTE still points at it.
     pub fn map_identity_perms(
         &self,
         range: PhysRange,
         perms: Perms,
         max_level: u8,
     ) -> HwResult<()> {
-        self.table
-            .map(range.start.raw(), range.start, range.len, perms, max_level)?;
-        if perms != Perms::RWX {
+        let mapped = self
+            .table
+            .map(range.start.raw(), range.start, range.len, perms, max_level);
+        if mapped.is_err() || perms != Perms::RWX {
             self.log_shrink(range);
         }
+        mapped?;
         self.map_ops.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -199,14 +214,32 @@ impl Ept {
         access: Access,
         loader: &impl TableLoad,
     ) -> HwResult<Translation> {
-        let t = self.table.walk(gpa.raw(), loader).map_err(|e| match e {
-            HwError::PageNotPresent { .. } => violation_err(gpa, access),
-            other => other,
-        })?;
+        self.translate_from(self.table.root(), 4, gpa, access, loader)
+            .map(|(t, _)| t)
+    }
+
+    /// [`translate`](Self::translate) from `table`, the table holding
+    /// `gpa`'s entry at `level`; also returns the PD page the walk passed
+    /// (see [`RadixTable::walk_from`]).
+    fn translate_from(
+        &self,
+        table: HostPhysAddr,
+        level: u8,
+        gpa: GuestPhysAddr,
+        access: Access,
+        loader: &impl TableLoad,
+    ) -> HwResult<(Translation, Option<HostPhysAddr>)> {
+        let (t, pd) = self
+            .table
+            .walk_from(table, level, gpa.raw(), loader)
+            .map_err(|e| match e {
+                HwError::PageNotPresent { .. } => violation_err(gpa, access),
+                other => other,
+            })?;
         if !t.perms.allows(access) {
             return Err(violation_err(gpa, access));
         }
-        Ok(t)
+        Ok((t, pd))
     }
 
     /// Current generation (TLB-coherence epoch).
@@ -228,48 +261,65 @@ impl Ept {
     }
 }
 
-/// The core's cache of guest-physical mappings: EPT leaves, rights included.
+/// The core's cache of the EPT's answers: leaves, rights included, and the
+/// PDPTEs above them.
 ///
 /// Under nested paging every guest-physical address a TLB miss meets — each
 /// guest page-table entry it loads, then the data page — must itself be
 /// translated through the EPT (up to ~24 loads for a 4-level guest walk).
-/// VT-x hides most of this by caching *guest-physical mappings* (gpa → hpa
-/// with their access rights, SDM vol. 3 §28.4); this models that at the size
-/// of the EPT leaf a translation came from (4 KiB / 2 MiB / 1 GiB classes, as
+/// VT-x hides most of this with two caches, modelled here in one
+/// size-classed structure. *Guest-physical mappings* (gpa → hpa with their
+/// access rights, SDM vol. 3 §28.4) are held at the size of the EPT leaf a
+/// translation came from (4 KiB / 2 MiB / 1 GiB classes, as
 /// [`crate::tlb::Tlb`] has for guest-virtual pages), so one 2 MiB entry
 /// answers every guest PT page and data page under that leaf with no EPT
-/// walk. [`WalkCache::translate`] is the one way to ask.
+/// walk. The 1 GiB class is also the *EPT PDPTE cache* (§28.3.1): a slot
+/// there holds the PDPTE a walk read — a 1 GiB leaf, or the PD page it
+/// points to — so a walk whose leaf is not cached starts at that PD page
+/// (1 load to a 2 MiB leaf, 2 to a 4 KiB one, instead of 3 and 4). PDE
+/// pointers are not cached: they would share the 2 MiB class with the
+/// leaves over the guest's page-table pages, and a fragmented enclave's
+/// hundreds of EPT page tables would evict those. A table line
+/// carries no rights, so it never answers a lookup as a leaf.
+/// [`WalkCache::translate`] is the one way to ask.
 ///
-/// Coherence, one rule for both uses. An [`Ept`] edit after which a cached
-/// (gpa → hpa, rights) answer would be too generous — [`Ept::unmap`], and an
-/// [`Ept::map_identity_perms`] that may narrow a present leaf's rights —
-/// edits the table, writes the range into a small ring of the most recent
-/// such ranges, then publishes the generation naming that slot, all before it
-/// returns. [`WalkCache::sync`], which a core calls once when it starts a
-/// guest walk, replays the ranges logged since the generation it last synced
-/// to and clears exactly the entries whose leaf overlaps one: the whole
-/// entry, so the surviving part of a split large leaf goes too, while leaves
-/// no edit touched keep hitting. Once `unmap(R)` has returned, the first walk
-/// any core starts therefore serves nothing from inside `R`. A cache further
-/// behind than the ring reaches, or never synced, clears everything instead
-/// (counted in [`WalkCache::full_flushes`]). A walk in flight when an edit
-/// lands keeps the view it synced to; what it leaves in the TLB is for the
-/// reclaim protocol's shootdown to flush. A cache follows one [`Ept`] for
-/// life.
+/// Coherence, one rule for every line. An [`Ept`] edit after which a cached
+/// answer would be too generous — [`Ept::unmap`], an
+/// [`Ept::map_identity_perms`] that may narrow a present leaf's rights, and
+/// a map that failed (its roll-back hands the frames of the tables it linked
+/// back to the pool) — edits the table, writes the range into a small ring
+/// of the most recent such ranges, then publishes the generation naming that
+/// slot, all before it returns. [`WalkCache::sync`], which a core calls once
+/// when it starts a guest walk, replays the ranges logged since the
+/// generation it last synced to and clears exactly the lines that overlap
+/// one, table lines included: the whole line, so the surviving part of a
+/// split large leaf goes too, while lines no edit touched keep hitting. Once
+/// `unmap(R)` has returned, the first walk any core starts therefore serves
+/// nothing from inside `R`. A cache further behind than the ring reaches, or
+/// never synced, clears everything instead (counted in
+/// [`WalkCache::full_flushes`]). A walk in flight when an edit lands keeps
+/// the view it synced to; what it leaves in the TLB is for the reclaim
+/// protocol's shootdown to flush. A cache follows one [`Ept`] for life.
 ///
 /// Every hit is checked against the cached rights, and one they deny falls
-/// through to the live EPT, which raises the violation or refills the entry.
-/// So an edit that only makes the EPT *more* generous is not logged: the EPT
-/// is an identity map, so no re-map changes a cached gpa → hpa pair, and
-/// rights a re-map widened are found by the fall-through.
+/// through to the live EPT, which raises the violation or refills the line;
+/// so does a walk resumed from a PD page that finds no entry or denied
+/// rights — it falls through to a walk from the root. So an edit that only
+/// makes the EPT *more* generous is not logged: the EPT is an identity map,
+/// so no re-map changes a cached gpa → hpa pair; rights a re-map widened are
+/// found by the fall-through; and a PD page a 1 GiB leaf was mapped over
+/// stays the table's until the table drops, so a walk resumed there finds an
+/// answer the EPT gave before, or falls through.
 ///
 /// Core-private (interior mutability via [`Cell`] and [`RefCell`], not
 /// thread-safe), like the hardware structure it models.
 pub struct WalkCache {
-    /// Host-physical base and rights of each cached EPT leaf, under its
-    /// guest-physical base. Sized like a hardware PML4/PDPT/PDE cache: a few
-    /// dozen entries cover the paging structures of many gigabytes.
-    leaves: RefCell<SizeClassed<(u64, Perms), true>>,
+    /// Under its guest-physical base, each line's host-physical base and
+    /// rights: an EPT leaf's, or — in the 1 GiB class, with `TABLE_LINE`'s
+    /// no rights — the PD page an EPT PDPTE points at. 64 × 4 KiB, 16 ×
+    /// 2 MiB and 4 × 1 GiB slots: a few dozen lines cover the guest's page
+    /// tables and the data of many gigabytes.
+    lines: RefCell<SizeClassed<(u64, Perms), true>>,
     /// The EPT generation up to which every logged edit has been applied to
     /// the entries; 0 (no EPT ever has it) until the first sync.
     synced: Cell<u64>,
@@ -282,7 +332,7 @@ impl WalkCache {
     /// Build an empty cache.
     pub fn new() -> Self {
         WalkCache {
-            leaves: RefCell::new(SizeClassed::new([64, 16, 4])),
+            lines: RefCell::new(SizeClassed::new([64, 16, 4])),
             synced: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
@@ -312,14 +362,14 @@ impl WalkCache {
             && current
                 .checked_sub(synced)
                 .is_some_and(|behind| behind <= UNMAP_LOG_SLOTS as u64);
-        let mut leaves = self.leaves.borrow_mut();
+        let mut lines = self.lines.borrow_mut();
         if logged {
             for generation in synced + 1..=current {
                 let range = &log[generation as usize % UNMAP_LOG_SLOTS];
-                leaves.invalidate_overlapping(range.start.raw(), range.len);
+                lines.invalidate_overlapping(range.start.raw(), range.len);
             }
         } else {
-            leaves.clear();
+            lines.clear();
             self.full_flushes.set(self.full_flushes.get() + 1);
         }
         self.synced.set(current);
@@ -329,8 +379,10 @@ impl WalkCache {
     /// gpa → hpa step of a nested walk, for a guest PT-entry page
     /// ([`Access::Read`]) and the data page alike. A cached leaf whose rights
     /// allow `access` answers with zero loads; anything else walks the live
-    /// `ept` through `loader` — which raises the [`HwError::EptViolation`]
-    /// for `gpa` and `access` — and caches the leaf found.
+    /// `ept` through `loader` — from the cached PD page of `gpa`'s GiB if
+    /// there is one, else from the root, which raises the
+    /// [`HwError::EptViolation`] for `gpa` and `access` — and caches what
+    /// the walk read.
     ///
     /// Forced inline, the miss out of line: a hit is a link in the chain of
     /// dependent loads a guest walk is. As a call handing a `Translation`
@@ -350,7 +402,10 @@ impl WalkCache {
         }
     }
 
-    /// The miss of [`translate`](Self::translate).
+    /// The miss of [`translate`](Self::translate). A walk resumed from a
+    /// cached PD page that answers is a hit; one that finds no entry or
+    /// denied rights falls through to the root walk and counts as the miss
+    /// `lookup` tallied, charged that walk's loads.
     #[inline(never)]
     fn walk_and_fill(
         &self,
@@ -359,11 +414,28 @@ impl WalkCache {
         access: Access,
         loader: &impl TableLoad,
     ) -> HwResult<Translation> {
-        let walked = ept.translate(gpa, access, loader);
-        if let Ok(leaf) = &walked {
-            self.insert(gpa.raw(), leaf);
+        if let Some(pd) = self.pd_page(gpa.raw()) {
+            if let Ok((leaf, _)) = ept.translate_from(pd, 2, gpa, access, loader) {
+                self.misses.set(self.misses.get() - 1);
+                self.hits.set(self.hits.get() + 1);
+                self.insert(gpa.raw(), &leaf);
+                return Ok(leaf);
+            }
         }
-        walked
+        let (leaf, pd) = ept.translate_from(ept.eptp(), 4, gpa, access, loader)?;
+        self.insert(gpa.raw(), &leaf);
+        if let Some(pd) = pd {
+            *self.lines.borrow_mut().fill(gpa.raw(), PageSize::Size1G) = (pd.raw(), TABLE_LINE);
+        }
+        Ok(leaf)
+    }
+
+    /// The PD page a cached PDPTE says holds `gpa`'s PDE.
+    #[inline]
+    fn pd_page(&self, gpa: u64) -> Option<HostPhysAddr> {
+        let lines = self.lines.borrow();
+        let &(base, perms) = lines.probe_class(gpa, PageSize::Size1G)?.payload;
+        (perms == TABLE_LINE).then(|| HostPhysAddr::new(base))
     }
 
     /// The cached leaf covering `gpa`, if its rights allow `access`. The
@@ -371,8 +443,8 @@ impl WalkCache {
     /// that denies `access` included — one miss.
     #[inline(always)]
     pub(crate) fn lookup(&self, gpa: u64, access: Access) -> Option<Translation> {
-        let leaves = self.leaves.borrow();
-        let leaf = leaves.probe(gpa).and_then(|hit| {
+        let lines = self.lines.borrow();
+        let leaf = lines.probe(gpa).and_then(|hit| {
             let &(base, perms) = hit.payload;
             perms.allows(access).then(|| Translation {
                 page_base: HostPhysAddr::new(base),
@@ -396,7 +468,7 @@ impl WalkCache {
     /// [`sync`](Self::sync).
     #[inline]
     pub(crate) fn insert(&self, gpa: u64, leaf: &Translation) {
-        *self.leaves.borrow_mut().fill(gpa, leaf.page_size) = (leaf.page_base.raw(), leaf.perms);
+        *self.lines.borrow_mut().fill(gpa, leaf.page_size) = (leaf.page_base.raw(), leaf.perms);
     }
 
     /// (hits, misses) since construction.
@@ -435,13 +507,19 @@ mod tests {
     use crate::topology::ZoneId;
 
     fn setup() -> (Arc<PhysMemory>, Ept) {
+        let (mem, _, ept) = setup_pool(8 * 1024 * 1024);
+        (mem, ept)
+    }
+
+    /// An EPT on a pool of `pool_bytes` in a 512 MiB memory, and that pool.
+    fn setup_pool(pool_bytes: u64) -> (Arc<PhysMemory>, Arc<FramePool>, Ept) {
         let mem = Arc::new(PhysMemory::new(&[512 * 1024 * 1024]));
         let pool_region = mem
-            .alloc_backed(ZoneId(0), 8 * 1024 * 1024, PAGE_SIZE_4K)
+            .alloc_backed(ZoneId(0), pool_bytes, PAGE_SIZE_4K)
             .unwrap();
         let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
-        let ept = Ept::new(pool).unwrap();
-        (mem, ept)
+        let ept = Ept::new(Arc::clone(&pool)).unwrap();
+        (mem, pool, ept)
     }
 
     #[test]
@@ -692,13 +770,211 @@ mod tests {
         let generation = ept.generation();
         ept.map_identity(r, 2).unwrap();
         assert_eq!(ept.generation(), generation, "widening needs no log entry");
-        assert_eq!(walk(Access::Write), Ok((gpa.raw(), 3)), "falls through");
+        assert_eq!(
+            walk(Access::Write),
+            Ok((gpa.raw(), 1)),
+            "falls through to the live EPT — since PR 25 from the cached PD page \
+             the cold walk passed: one load, the PDE, not the root walk's 3"
+        );
         assert_eq!(walk(Access::Write), Ok((gpa.raw(), 0)), "and refills");
 
         ept.map_identity_perms(r, Perms::R, 2).unwrap();
         assert_eq!(ept.generation(), generation + 1, "narrowing is logged");
         assert_eq!(walk(Access::Write), denied, "first walk after the re-map");
         assert_eq!(c.full_flushes(), 1, "ranged, not a full clear");
+    }
+
+    /// Whether `cached` is an answer the live EPT gives: the same verdict,
+    /// and on success the same address with no right the live leaf lacks.
+    fn agrees(cached: &HwResult<Translation>, live: &HwResult<Translation>) -> bool {
+        match (cached, live) {
+            (Ok(c), Ok(l)) => c.pa == l.pa && c.perms.intersect(l.perms) == c.perms,
+            (Err(c), Err(l)) => c == l,
+            _ => false,
+        }
+    }
+
+    /// A walk whose leaf is not cached starts at the PD page the cold walk
+    /// cached for its GiB and answers exactly what a walk from the root
+    /// does: one hit, charged the loads below the PDPTE.
+    #[test]
+    fn a_walk_resumed_from_a_cached_pd_page_answers_what_the_root_walk_does() {
+        let (mem, ept) = setup();
+        let (c, load) = (WalkCache::new(), DirectLoad(&mem));
+        let big = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
+        let small = mem
+            .alloc(ZoneId(0), 4 * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        assert_eq!(
+            big.start.raw() / PAGE_SIZE_1G,
+            small.start.raw() / PAGE_SIZE_1G
+        );
+        ept.map_identity_perms(big, Perms::R, 2).unwrap();
+        ept.map_identity_perms(small, Perms::RW, 1).unwrap();
+        c.sync(&ept);
+        let cold = c.translate(
+            &ept,
+            GuestPhysAddr::new(small.start.raw()),
+            Access::Read,
+            &load,
+        );
+        assert_eq!(cold.unwrap().loads, 4, "the cold walk starts at the root");
+        assert_eq!(c.stats(), (0, 1));
+
+        for (gpa, loads) in [
+            (small.start.raw() + PAGE_SIZE_4K + 8, 2),
+            (big.start.raw() + 0x1238, 1),
+        ] {
+            let gpa = GuestPhysAddr::new(gpa);
+            let (hits, misses) = c.stats();
+            let resumed = c.translate(&ept, gpa, Access::Read, &load).unwrap();
+            let root = ept.translate(gpa, Access::Read, &load).unwrap();
+            assert_eq!(
+                (
+                    resumed.page_base,
+                    resumed.page_size,
+                    resumed.pa,
+                    resumed.perms
+                ),
+                (root.page_base, root.page_size, root.pa, root.perms)
+            );
+            assert_eq!(resumed.loads, loads, "{:?}", root.page_size);
+            assert_eq!(c.stats(), (hits + 1, misses), "a resumed walk is a hit");
+        }
+    }
+
+    /// A 1 GiB leaf mapped over a GiB whose PD page is cached unlinks that
+    /// page without a log entry (an `RWX` map only widens). A walk resumed
+    /// there still gets what the live EPT grants — an answer it gave before,
+    /// or the root walk's where the old page has none or denies the access —
+    /// and once part of the leaf is unmapped, the logged range takes the
+    /// line with it.
+    #[test]
+    fn a_1g_leaf_over_a_cached_pd_page_leaves_only_answers_the_live_ept_gives() {
+        let gib = PhysRange::new(HostPhysAddr::new(PAGE_SIZE_1G), PAGE_SIZE_1G);
+        let hole = sub(gib, PAGE_SIZE_2M + 5 * PAGE_SIZE_4K, PAGE_SIZE_4K);
+        // Read-only under the old PD page: a 2 MiB leaf in slot 0 and sixteen
+        // 4 KiB ones in slot 1, page 5 of them `hole`; nothing in slot 3 or
+        // at the top. `hole` comes first: a walk that falls through to the
+        // root caches the live PDPTE in place of the old one.
+        let points = [
+            hole.start.raw() + 8,
+            gib.start.raw() + 0x1238,
+            gib.start.raw() + PAGE_SIZE_2M + 16 * PAGE_SIZE_4K,
+            gib.start.raw() + 3 * PAGE_SIZE_2M + 8,
+            gib.end().raw() - 8,
+        ];
+        for unmap_first in [false, true] {
+            let (mem, ept) = setup();
+            let (c, load) = (WalkCache::new(), DirectLoad(&mem));
+            ept.map_identity_perms(sub(gib, 0, PAGE_SIZE_2M), Perms::R, 2)
+                .unwrap();
+            ept.map_identity_perms(sub(gib, PAGE_SIZE_2M, 16 * PAGE_SIZE_4K), Perms::R, 1)
+                .unwrap();
+            c.sync(&ept);
+            c.translate(
+                &ept,
+                GuestPhysAddr::new(gib.start.raw()),
+                Access::Read,
+                &load,
+            )
+            .unwrap();
+            let old_pd = c.pd_page(gib.start.raw());
+            assert!(old_pd.is_some(), "the cold walk cached the PDPTE");
+
+            let generation = ept.generation();
+            ept.map_identity(gib, 3).unwrap();
+            assert_eq!(ept.generation(), generation, "not logged");
+            if unmap_first {
+                // The 1 GiB leaf splits under the hole; the range is logged.
+                ept.unmap(hole).unwrap();
+            }
+            for gpa in points {
+                for access in [Access::Read, Access::Write, Access::Exec] {
+                    c.sync(&ept);
+                    let gpa = GuestPhysAddr::new(gpa);
+                    let cached = c.translate(&ept, gpa, access, &load);
+                    let live = ept.translate(gpa, access, &load);
+                    assert!(
+                        agrees(&cached, &live),
+                        "{access:?} of {gpa:?} after unmap: {unmap_first}: {cached:?}, live {live:?}"
+                    );
+                }
+            }
+            if unmap_first {
+                assert_ne!(
+                    c.pd_page(gib.start.raw()),
+                    old_pd,
+                    "the unmap took the line"
+                );
+            }
+        }
+    }
+
+    /// A map the pool refuses after it linked a new PD page takes the page
+    /// back, and the pool hands it on — here to a second EPT on the same
+    /// pool, as the controller's node-wide pool does. A walk in flight during
+    /// the map may have cached the PDPTE that pointed at it; the failed map is
+    /// logged, so the next sync drops that line and the next walk gets this
+    /// EPT's answer, not the other's.
+    #[test]
+    fn a_failed_map_is_logged_so_no_line_leads_into_the_frame_it_gave_back() {
+        let mem = Arc::new(PhysMemory::new(&[64 * 1024 * 1024]));
+        // Each EPT's root, PDPT and one PD, and one frame spare.
+        let region = mem
+            .alloc_backed(ZoneId(0), 7 * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        let pool = Arc::new(FramePool::new(Arc::clone(&mem), region).unwrap());
+        let (ept, other) = (
+            Ept::new(Arc::clone(&pool)).unwrap(),
+            Ept::new(Arc::clone(&pool)).unwrap(),
+        );
+        let slot = |gib: u64, n: u64| {
+            PhysRange::new(
+                HostPhysAddr::new(gib * PAGE_SIZE_1G + n * PAGE_SIZE_2M),
+                PAGE_SIZE_2M,
+            )
+        };
+        ept.map_identity(slot(1, 0), 2).unwrap();
+        other.map_identity(slot(1, 0), 2).unwrap();
+        let spare = pool.alloc_frame().unwrap();
+        pool.free_frame(spare).unwrap();
+
+        // The last 2 MiB of GiB 2 and the first of GiB 3: the spare becomes
+        // GiB 2's PD page, GiB 3's finds no frame.
+        let wanted = PhysRange::new(slot(2, 511).start, 2 * PAGE_SIZE_2M);
+        let c = WalkCache::new();
+        c.sync(&ept);
+        // The line a walk of `wanted` racing the map would leave: GiB 2's
+        // PDPTE, pointing at the spare. (One thread cannot interleave a walk
+        // with a map, so it is filled by hand.)
+        *c.lines
+            .borrow_mut()
+            .fill(wanted.start.raw(), PageSize::Size1G) = (spare.raw(), TABLE_LINE);
+        let generation = ept.generation();
+        let refused = ept.map_identity(wanted, 2);
+        assert!(
+            matches!(refused, Err(HwError::OutOfMemory { .. })),
+            "{refused:?}"
+        );
+        assert_eq!(ept.generation(), generation + 1, "the failed map is logged");
+        // The other EPT's PD page for GiB 3 is the spare, with its last slot
+        // mapped.
+        other.map_identity(slot(3, 511), 2).unwrap();
+        assert_eq!(pool.outstanding(), 7);
+
+        c.sync(&ept);
+        assert_eq!(
+            c.pd_page(wanted.start.raw()),
+            None,
+            "the line went with the log entry"
+        );
+        let gpa = GuestPhysAddr::new(wanted.start.raw() + 0x40);
+        assert_eq!(
+            c.translate(&ept, gpa, Access::Read, &DirectLoad(&mem)),
+            Err(violation_err(gpa, Access::Read)),
+            "this EPT never mapped it"
+        );
     }
 
     // The stand-in `ProptestConfig` has one field; `..default()` keeps the
@@ -726,19 +1002,21 @@ mod tests {
             /// Drive the cache the way `NestedLoad` does (sync, then
             /// translate through it) against random map/unmap sequences
             /// mixing 4 KiB, 2 MiB and 1 GiB leaves of three sets of rights,
-            /// with any number of edits — at times more than the log holds —
+            /// 1 GiB leaves mapped over a subtree whose PD page may be
+            /// cached, and maps refused by a pool with one frame left, with
+            /// any number of edits — at times more than the log holds —
             /// between two walks. After every sync no point inside a range
-            /// unmapped since the previous one may hit, and every hit
-            /// anywhere, for any access, must be one a fresh
-            /// `Ept::translate` grants: same address, no right the live leaf
-            /// lacks.
+            /// unmapped since the previous one may hit, every hit anywhere,
+            /// for any access, must be one a fresh `Ept::translate` grants
+            /// (same address, no right the live leaf lacks), and so must
+            /// every answer `translate` gives, leaf or resumed walk.
             #[test]
             fn hits_match_the_live_ept_and_unmapped_ranges_never_hit(
-                ops in proptest::collection::vec((0u8..16, 0u64..2, 0u64..4, 0u64..8), 1..200),
+                ops in proptest::collection::vec((0u8..18, 0u64..2, 0u64..4, 0u64..8), 1..200),
             ) {
                 // Two GiB slots above the memory `setup` builds: the EPT
                 // maps addresses, so the arena needs no backing.
-                let (mem, ept) = setup();
+                let (mem, pool, ept) = setup_pool(2 * 1024 * 1024);
                 let arena = PAGE_SIZE_1G;
                 let load = DirectLoad(&mem);
                 let cache = WalkCache::new();
@@ -775,6 +1053,27 @@ mod tests {
                             .filter(|gpa| range(slot_1g, PAGE_SIZE_1G).contains(HostPhysAddr::new(*gpa)))
                             .map(|gpa| range(gpa, PAGE_SIZE_4K))
                             .collect(),
+                        // A large leaf over whatever subtree the GiB has.
+                        8 => {
+                            ept.map_identity(range(slot_1g, PAGE_SIZE_1G), 3).unwrap();
+                            continue;
+                        }
+                        // One frame left: a map needing a PD page and a PT
+                        // links the first and is refused at the second.
+                        9 => {
+                            let mut held = Vec::new();
+                            while let Ok(frame) = pool.alloc_frame() {
+                                held.push(frame);
+                            }
+                            if let Some(frame) = held.pop() {
+                                pool.free_frame(frame).unwrap();
+                            }
+                            let _ = ept.map_identity(range(page, PAGE_SIZE_4K), 1);
+                            for frame in held {
+                                pool.free_frame(frame).unwrap();
+                            }
+                            continue;
+                        }
                         _ => {
                             cache.sync(&ept);
                             for (gpa, access) in points(arena).flat_map(|gpa| accesses.map(|a| (gpa, a))) {
@@ -795,8 +1094,15 @@ mod tests {
                                 }
                             }
                             unsynced.clear();
-                            let gpa = GuestPhysAddr::new(page + 8 * (g + m + p));
-                            let _ = cache.translate(&ept, gpa, accesses[kind as usize % 3], &load);
+                            for (i, gpa) in points(arena).enumerate() {
+                                let (gpa, access) = (GuestPhysAddr::new(gpa + 8 * p), accesses[(i + kind as usize) % 3]);
+                                let cached = cache.translate(&ept, gpa, access, &load);
+                                let live = ept.translate(gpa, access, &load);
+                                prop_assert!(
+                                    agrees(&cached, &live),
+                                    "{:?} of {:?}: cached {:?}, live {:?}", access, gpa, cached, live
+                                );
+                            }
                             continue;
                         }
                     };

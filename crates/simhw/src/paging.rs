@@ -770,9 +770,24 @@ impl<F: EntryFormat> RadixTable<F> {
     /// Walk the table for `va`. Each entry address is first translated
     /// through `loader` (identity natively, a nested EPT walk under
     /// Covirt), then the entry is loaded via the pool fast path.
+    #[inline]
     pub fn walk<L: TableLoad>(&self, va: u64, loader: &L) -> HwResult<Translation> {
-        let mut table = self.root;
-        let mut level = 4u8;
+        self.walk_from(self.root, 4, va, loader).map(|(t, _)| t)
+    }
+
+    /// [`walk`](Self::walk) from `table`, the table holding `va`'s entry at
+    /// `level` — the root at 4, or a PD page (level 2) an earlier walk
+    /// passed. Also returns the PD page this walk passed, if it went through
+    /// a level-3 table entry (a PDPTE pointing at one).
+    #[inline]
+    pub fn walk_from<L: TableLoad>(
+        &self,
+        mut table: HostPhysAddr,
+        mut level: u8,
+        va: u64,
+        loader: &L,
+    ) -> HwResult<(Translation, Option<HostPhysAddr>)> {
+        let mut pd = None;
         let mut loads = 0u32;
         loop {
             let eaddr = Self::entry_addr(table, level_index(va, level));
@@ -792,18 +807,22 @@ impl<F: EntryFormat> RadixTable<F> {
             }
             if level > 1 && !F::leaf(e, level) {
                 table = F::frame(e);
+                if level == 3 {
+                    pd = Some(table);
+                }
                 level -= 1;
                 continue;
             }
             let page_size = Self::size_of_leaf(va, level)?;
             let page_base = F::frame(e);
-            return Ok(Translation {
+            let t = Translation {
                 page_base,
                 page_size,
                 pa: page_base.add(va % page_size.bytes()),
                 perms: F::entry_perms(e),
                 loads,
-            });
+            };
+            return Ok((t, pd));
         }
     }
 

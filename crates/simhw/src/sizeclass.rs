@@ -82,8 +82,9 @@ impl<P: Default, const POW2: bool> SizeClassed<P, POW2> {
         }
     }
 
+    /// The cached page of `size` covering `addr`, if its class holds one.
     #[inline]
-    fn probe_class(&self, addr: u64, size: PageSize) -> Option<Hit<'_, P>> {
+    pub fn probe_class(&self, addr: u64, size: PageSize) -> Option<Hit<'_, P>> {
         let slot = &self.classes[size as usize][self.index(addr, size)];
         (slot.tag == size.base_of(addr)).then(|| Hit {
             payload: &slot.payload,

@@ -233,41 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_cache_ablation_cuts_loads_per_miss() {
-        let updates = 100_000;
-        let run_with_cache = |enabled: bool| {
-            let mut w = World::quick(ExecMode::Covirt(CovirtConfig::MEM));
-            // Shrink the TLB so the random stream misses steadily (an
-            // 8 MiB table over 2 large-page slots), exercising the walk
-            // path the cache accelerates.
-            w.tlb = covirt_simhw::tlb::TlbParams {
-                entries_4k: 16,
-                entries_2m: 2,
-                entries_1g: 1,
-            };
-            let ra = RandomAccess::setup(&w, 20);
-            let mut g = w.guest_core(w.cores[0]).unwrap();
-            g.set_walk_cache_enabled(enabled);
-            ra.init(&mut g).unwrap();
-            ra.run(&mut g, updates).unwrap()
-        };
-        let on = run_with_cache(true);
-        let off = run_with_cache(false);
-        assert!(
-            on.walks > 0 && off.walks > 0,
-            "test must generate TLB misses"
-        );
-        assert!(on.walk_cache_hits > 0);
-        assert_eq!(off.walk_cache_hits, 0);
-        assert!(
-            on.walk_loads_per_miss() < off.walk_loads_per_miss(),
-            "walk cache must cut per-miss loads ({:.2} vs {:.2})",
-            on.walk_loads_per_miss(),
-            off.walk_loads_per_miss()
-        );
-    }
-
-    #[test]
     fn gups_positive() {
         let w = World::quick(ExecMode::Native);
         let r = run(&w, 14, 20_000);

@@ -406,6 +406,11 @@ pub struct FragPoint {
     /// Average snapshot-search probes (`ZoneStats::avg_search_depth`) per
     /// cache miss.
     pub avg_search_depth: f64,
+    /// EPT-entry loads per TLB miss over the access run: the data pages sit
+    /// under 4 KiB EPT leaves the walk cache cannot keep (they alias into a
+    /// few of its slots), so each miss walks the EPT from the cached PD page
+    /// of its GiB — 2 loads; 4 means the walk starts at the root again.
+    pub nested_loads_per_miss: f64,
 }
 
 /// Working-set width of the fragmentation access pattern; sized to the
@@ -439,8 +444,7 @@ pub fn run_frag_point(ways: usize, regions: usize, rounds: usize) -> FragPoint {
     let ws: Vec<PhysRange> = (0..FRAG_WORKING_SET)
         .map(|i| grants[i * grants.len() / FRAG_WORKING_SET])
         .collect();
-    let hits0 = g.counters().resolve_hits;
-    let misses0 = g.counters().resolve_misses;
+    let c0 = g.counters();
     for _ in 0..rounds {
         for r in &ws {
             for page in 0..(r.len / PAGE_SIZE_4K) {
@@ -448,8 +452,9 @@ pub fn run_frag_point(ways: usize, regions: usize, rounds: usize) -> FragPoint {
             }
         }
     }
-    let hits = g.counters().resolve_hits - hits0;
-    let misses = g.counters().resolve_misses - misses0;
+    let c = g.counters();
+    let hits = c.resolve_hits - c0.resolve_hits;
+    let misses = c.resolve_misses - c0.resolve_misses;
     let after = world.node.mem.zone_stats(ZoneId(0)).unwrap();
     let searches = after.resolve_misses - before.resolve_misses;
     let depth = after.search_depth_total - before.search_depth_total;
@@ -462,6 +467,10 @@ pub fn run_frag_point(ways: usize, regions: usize, rounds: usize) -> FragPoint {
         } else {
             depth as f64 / searches as f64
         },
+        nested_loads_per_miss: covirt::stats::ratio(
+            c.walk_loads - c0.walk_loads,
+            c.walks - c0.walks,
+        ),
     }
 }
 
@@ -543,6 +552,13 @@ mod tests {
             assoc.hit_rate,
             direct.hit_rate
         );
+        for p in [direct, assoc] {
+            assert!(
+                (2.0..2.05).contains(&p.nested_loads_per_miss),
+                "a data page's EPT walk must start at its cached PD page: {:.3} loads per miss",
+                p.nested_loads_per_miss
+            );
+        }
     }
 
     #[test]

@@ -243,9 +243,13 @@ fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
             .translate(&ept, gpa, Access::Read, &DirectLoad(&node.mem))
             .map(|t| (t.pa.raw(), t.loads))
     };
-    for r in [reclaimed, kept] {
-        assert_eq!(read(r), Ok((r.start.raw() + 0x40, 3)));
-    }
+    assert_eq!(read(reclaimed), Ok((reclaimed.start.raw() + 0x40, 3)));
+    assert_eq!(
+        read(kept),
+        Ok((kept.start.raw() + 0x40, 1)),
+        "the second grant in the same GiB resumes at the PD page the first walk cached: \
+         one load, the PDE (3 from the EPT root before PR 25)"
+    );
     let before = g.counters();
 
     reclaim_with_live_core(&master, &e, &k, &mut g, reclaimed);
@@ -324,4 +328,73 @@ fn first_access_after_a_reclaim_is_a_violation_though_its_data_leaf_was_cached()
         "the line was dropped, so the live EPT answered"
     );
     assert_eq!(after.walk_cache_full_flushes, 1, "by range, not wholesale");
+}
+
+/// The PDPTE half of that contract. A core that touched two grants in one
+/// GiB holds that GiB's PD page as a line: the second grant's first walk
+/// resumed there. Once the reclaim of either grant has returned, the first
+/// access the core starts into it — anywhere in the range, either kind — is
+/// an EPT violation naming that address and access.
+#[test]
+fn first_access_after_a_reclaim_is_a_violation_though_its_pd_page_was_cached() {
+    use covirt_suite::covirt::CovirtError;
+    use covirt_suite::simhw::addr::PAGE_SIZE_2M;
+
+    for (reclaim_second, offset, write) in [
+        (false, PAGE_SIZE_2M / 2, true),
+        (false, 0, false),
+        (true, PAGE_SIZE_2M - 8, false),
+        (true, 8, true),
+    ] {
+        let (node, master, ctl) = world();
+        let req = covirt_suite::pisces::resources::ResourceRequest::new(
+            vec![CoreId(2)],
+            vec![(ZoneId(0), 64 * 1024 * 1024)],
+        );
+        let (e, k) = master.bring_up_enclave("p", &req).unwrap();
+        let mut g = GuestCore::launch_covirt(
+            Arc::clone(&node),
+            Arc::clone(&k),
+            Arc::clone(&ctl),
+            2,
+            TlbParams::default(),
+        )
+        .unwrap();
+        let grants = [(); 2].map(|()| {
+            let r = master
+                .pisces()
+                .add_memory(&e, ZoneId(0), PAGE_SIZE_2M)
+                .unwrap();
+            k.poll_ctrl().unwrap();
+            master.pisces().process_acks(&e).unwrap();
+            r
+        });
+        assert_eq!(grants[0].start.raw() >> 30, grants[1].start.raw() >> 30);
+        g.write_u64(grants[0].start.raw(), 0xa).unwrap();
+        let before = g.counters();
+        g.write_u64(grants[1].start.raw(), 0xb).unwrap();
+        assert_eq!(
+            g.counters().walk_loads,
+            before.walk_loads + 1,
+            "the second grant's leaf was walked from the cached PD page"
+        );
+
+        let range = grants[reclaim_second as usize];
+        reclaim_with_live_core(&master, &e, &k, &mut g, range);
+        // The co-kernel's cleanup bug: its own mapping of the grant survives.
+        let _ = covirt_suite::kitten::faults::stale_shared_mapping(&k, range);
+        let gpa = range.start.raw() + offset;
+        let (access, got) = if write {
+            ("Write", g.write_u64(gpa, 1))
+        } else {
+            ("Read", g.read_u64(gpa).map(drop))
+        };
+        match got {
+            Err(CovirtError::EnclaveTerminated(reason)) => assert!(
+                reason.contains(&format!("EPT violation at {gpa:#x} ({access})")),
+                "{reason}"
+            ),
+            other => panic!("a stale {access} of {gpa:#x} must be contained, got {other:?}"),
+        }
+    }
 }
