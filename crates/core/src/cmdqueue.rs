@@ -36,9 +36,14 @@ const OFF_RING: u64 = 64;
 /// A command to the hypervisor. Every variant is a *synchronization
 /// notification*: the actual configuration change was already made by the
 /// controller; the hypervisor only activates it / invalidates caches.
+///
+/// The flush commands are the only way a core learns that the EPT shrank:
+/// each drops what the core cached from it — TLB entries and EPT walk-cache
+/// lines, table lines included — not the TLB alone. The LWK identity-maps
+/// its assignment, so their guest-virtual addresses are guest-physical too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Command {
-    /// Flush the core's entire TLB (EPT mappings shrank).
+    /// Flush the core's entire TLB and walk cache (EPT mappings shrank).
     TlbFlushAll,
     /// Flush a single page translation.
     TlbFlushPage {

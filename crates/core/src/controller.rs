@@ -375,7 +375,8 @@ impl CovirtController {
         Ok(vctx)
     }
 
-    /// Unmap a range and synchronize every live core's TLB.
+    /// Unmap a range and synchronize every live core's TLB and EPT walk
+    /// cache — the EPT edit alone leaves both serving the old translation.
     ///
     /// The EPT edit is always immediate — a stale *mapping* must never
     /// outlive the reclaim decision. Synchronization is either immediate
@@ -408,12 +409,15 @@ impl CovirtController {
         Ok(())
     }
 
-    /// Broadcast TLB shootdown: one [`Self::round_trip`] of flush commands.
+    /// Broadcast shootdown: one [`Self::round_trip`] of flush commands.
     ///
     /// Command selection: if every range fits under the range-flush
     /// threshold (and there are few enough to leave ring headroom), each
     /// core gets per-range `TlbFlushRange` commands and keeps its
-    /// unrelated TLB entries; otherwise a single `TlbFlushAll`.
+    /// unrelated TLB entries and walk-cache lines; otherwise a single
+    /// `TlbFlushAll`. A ranged flush is the RISC-V `HFENCE.GVMA` form;
+    /// VT-x's INVEPT has no ranged type, and its single-context form would
+    /// clear the whole walk cache on every reclaim.
     fn broadcast_shootdown(&self, vctx: &VirtContext, ranges: &[PhysRange]) -> CovirtResult<()> {
         if ranges.is_empty() {
             return Ok(());
@@ -539,12 +543,24 @@ impl CovirtController {
     /// Map `range` into the enclave's EPT, if it has one, and trace it as
     /// `kind`. Returns as soon as the mapping is in: the guest keeps
     /// running, and Pisces may transmit the page list meanwhile.
+    ///
+    /// A map that fails has rolled back and given the frames of the tables
+    /// it linked back to the node's pool, while a core whose walk raced it
+    /// may hold a line leading into one: the range is shot down before the
+    /// error returns.
     fn map_and_trace(&self, enclave: u64, range: PhysRange, kind: EventKind) -> HwResult<()> {
-        if let Some(ept) = self.context(enclave).ok().and_then(|v| v.ept.clone()) {
-            ept.map_identity(range, 3)?;
-            self.tracer
-                .emit_for(enclave, kind, range.start.raw(), range.len);
+        let Ok(vctx) = self.context(enclave) else {
+            return Ok(());
+        };
+        let Some(ept) = vctx.ept.as_ref() else {
+            return Ok(());
+        };
+        if let Err(e) = ept.map_identity(range, 3) {
+            let _ = self.broadcast_shootdown(&vctx, &[range]);
+            return Err(e);
         }
+        self.tracer
+            .emit_for(enclave, kind, range.start.raw(), range.len);
         Ok(())
     }
 }
@@ -559,16 +575,11 @@ impl EnclaveHooks for CovirtController {
             .map_err(PiscesError::Hw)
     }
 
+    /// The kernel never heard of the range, but the EPT mapped it: a core
+    /// whose kernel strayed into it holds its translations until the
+    /// shootdown, like a reclaim's.
     fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) {
-        if let Some(ept) = self.context(enclave.id.0).ok().and_then(|v| v.ept.clone()) {
-            let _ = ept.unmap(range);
-            self.tracer.emit_for(
-                enclave.id.0,
-                EventKind::EptUnmap,
-                range.start.raw(),
-                range.len,
-            );
-        }
+        let _ = self.unmap_and_flush(enclave.id.0, range);
     }
 
     fn on_mem_remove_acked(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
@@ -996,6 +1007,7 @@ mod tests {
             "{err}"
         );
         assert_eq!(state(), before);
+        assert_eq!(ctl.shootdown_count(), 1, "the refused range was shot down");
 
         // With the frames back the same grant goes through.
         for frame in hoard {
@@ -1019,8 +1031,7 @@ mod tests {
 
     /// A co-kernel that never polls fills the 64-slot control ring; the
     /// grant that finds it full was already allocated, EPT-mapped and
-    /// recorded, and must be undone down to the last leaf — without waiting
-    /// on the cores that are not answering.
+    /// recorded, and must be undone down to the last leaf.
     #[test]
     fn grant_refused_by_a_full_control_ring_changes_nothing() {
         let (master, ctl) = setup(CovirtConfig::MEM);

@@ -78,10 +78,6 @@ pub struct CoreCounters {
     pub walk_cache_hits: u64,
     /// EPT walk-cache misses (translations that went to the live EPT).
     pub walk_cache_misses: u64,
-    /// Walk-cache syncs that had to clear every entry because the EPT's
-    /// unmap log no longer covered what the core had missed; the first sync
-    /// of a core is one.
-    pub walk_cache_full_flushes: u64,
     /// Region-cache hits: physical resolves answered core-locally, without
     /// searching the populate snapshot.
     pub resolve_hits: u64,
@@ -131,9 +127,8 @@ pub enum FaultOutcome {
 /// leaf whose rights allow the access resolves in zero extra loads, a miss
 /// under a cached PD page walks from that page (1–2 loads instead of 3–4),
 /// and a miss caches the whole leaf it walked to and the PDPTE it passed. The
-/// cache is synced with the EPT's unmap log once per guest walk, when the
-/// loader is built — a concurrent controller unmap drops the lines it
-/// overlaps, table lines included, for subsequent walks, never mid-walk.
+/// cache is the core's: only the hypervisor's flush commands, run at a safe
+/// point, drop its lines — never mid-walk.
 struct NestedLoad<'a> {
     ept: &'a Ept,
     mem: &'a PhysMemory,
@@ -153,9 +148,6 @@ impl<'a> NestedLoad<'a> {
         cache: Option<&'a WalkCache>,
         region_cache: &'a RegionCache,
     ) -> Self {
-        if let Some(cache) = cache {
-            cache.sync(ept);
-        }
         NestedLoad {
             ept,
             mem,
@@ -359,7 +351,7 @@ impl GuestCore {
         let clock = &self.node.clock;
         let prev = self.phase.phase();
         self.phase.transition_now(Phase::RootExit, || clock.rdtsc());
-        match hv.handle_exit(reason, &mut self.tlb) {
+        match hv.handle_exit(reason, &mut self.tlb, &self.walk_cache) {
             ExitAction::Resume => {
                 self.phase.transition_now(prev, || clock.rdtsc());
                 Ok(())
@@ -382,7 +374,6 @@ impl GuestCore {
         let (h, m) = self.walk_cache.stats();
         c.walk_cache_hits = h;
         c.walk_cache_misses = m;
-        c.walk_cache_full_flushes = self.walk_cache.full_flushes();
         let (h, m) = self.region_cache.stats();
         c.resolve_hits = h;
         c.resolve_misses = m;
@@ -763,10 +754,10 @@ impl GuestCore {
     /// command queue in guest mode — the exitless half of command delivery.
     /// Execution semantics are shared with the NMI path
     /// ([`Hypervisor::execute_commands`]): flushes hit this core's TLB and
-    /// the completion counter advances only after each command's effect is
-    /// applied, so the controller's completion wait still proves
-    /// unmap-before-reclaim. No VM exit is taken and the hypervisor's exit
-    /// counter does not move.
+    /// walk cache, and the completion counter advances only after each
+    /// command's effect is applied, so the controller's completion wait
+    /// still proves unmap-before-reclaim. No VM exit is taken and the
+    /// hypervisor's exit counter does not move.
     ///
     /// Two functions on purpose. Written as one, LLVM keeps it out of line
     /// (even under `#[inline]`) and every silent poll pays the call and a
@@ -803,7 +794,7 @@ impl GuestCore {
         let prev = self.phase.phase();
         self.phase
             .transition_now(Phase::CmdHarvest, || clock.rdtsc());
-        let action = hv.execute_commands(drained, &mut self.tlb);
+        let action = hv.execute_commands(drained, &mut self.tlb, &self.walk_cache);
         self.phase.transition_now(prev, || clock.rdtsc());
         match action {
             ExitAction::Terminate(r) => Err(self.die(r)),
@@ -1101,10 +1092,18 @@ mod tests {
         );
     }
 
+    /// The enclave's virtualization context, as the controller built it.
+    fn vctx_of(w: &World) -> Arc<VirtContext> {
+        w.controller
+            .as_ref()
+            .unwrap()
+            .context(w.enclave.id.0)
+            .unwrap()
+    }
+
     /// The enclave's EPT, as the controller built it.
     fn ept_of(w: &World) -> Arc<Ept> {
-        let ctl = w.controller.as_ref().unwrap();
-        ctl.context(w.enclave.id.0).unwrap().ept.clone().unwrap()
+        vctx_of(w).ept.clone().unwrap()
     }
 
     /// Grant 2 MiB and let the guest take it.
@@ -1149,13 +1148,10 @@ mod tests {
         let before = gc.counters();
         assert!(before.walk_cache_hits > 0);
 
-        // Unmapping an unrelated grant moves the EPT generation on, but the
-        // leaf holding the guest's PT pages was not in the range.
+        // Reclaiming an unrelated grant flushes its range, but the leaf
+        // holding the guest's PT pages was not in it.
         let range = grant_2m(&w);
-        let ept = ept_of(&w);
-        let gen_before = ept.generation();
-        ept.unmap(range).unwrap();
-        assert!(ept.generation() > gen_before);
+        reclaim(&w, &mut gc, range);
 
         gc.read_u64(a + 4 * 1024 * 1024).unwrap(); // fresh page, same PT path
         let after = gc.counters();
@@ -1168,7 +1164,6 @@ mod tests {
         );
         assert_eq!(after.walk_loads, before.walk_loads + 3, "that leaf's walk");
         assert_eq!(after.walk_cache_hits, before.walk_cache_hits + 3);
-        assert_eq!(after.walk_cache_full_flushes, 1, "only the cold sync");
     }
 
     #[test]
@@ -1180,13 +1175,14 @@ mod tests {
         gc.read_u64(a + 2 * 1024 * 1024).unwrap();
         let before = gc.counters();
 
-        // Take the EPT leaf under the guest's root table away and put it
-        // back: the cached translation of that leaf must not survive.
+        // Take the EPT leaf under the guest's root table away, put it back
+        // and flush it: the cached translation of that leaf must not survive.
         let ept = ept_of(&w);
         let root = w.kernel.page_tables.root();
         let leaf = PhysRange::new(root.align_down(PAGE_SIZE_2M), PAGE_SIZE_2M);
         ept.unmap(leaf).unwrap();
         ept.map_identity(leaf, 2).unwrap();
+        flush_range(&w, &mut gc, leaf);
 
         gc.read_u64(a + 4 * 1024 * 1024).unwrap();
         let after = gc.counters();
@@ -1195,7 +1191,31 @@ mod tests {
             "a reclaim overlapping the PT pages' leaf must force a cold re-walk"
         );
         assert!(after.walk_loads - before.walk_loads > 3, "EPT re-walked");
-        assert_eq!(after.walk_cache_full_flushes, 1, "ranged, not a full clear");
+    }
+
+    /// The first half of the controller's round trip for one core: post a
+    /// flush of `range` to `core`'s queue and ring its doorbell. Returns the
+    /// flush's sequence number.
+    fn post_flush(vctx: &VirtContext, core: usize, range: PhysRange) -> u64 {
+        let flush = crate::cmdqueue::Command::TlbFlushRange {
+            gva: range.start.raw(),
+            len: range.len,
+        };
+        let seq = vctx.cmdq(core).unwrap().post(flush).unwrap();
+        vctx.cmd_doorbell(core).unwrap().post(CMD_DOORBELL_VECTOR);
+        seq
+    }
+
+    /// The whole round trip for one live core: the flush of `range`, taken
+    /// at `gc`'s next safe point.
+    fn flush_range(w: &World, gc: &mut GuestCore, range: PhysRange) {
+        let vctx = vctx_of(w);
+        let seq = post_flush(&vctx, gc.core, range);
+        gc.poll().unwrap();
+        assert!(
+            vctx.cmdq(gc.core).unwrap().completed() >= seq,
+            "the core ran the flush"
+        );
     }
 
     /// What a write to `gva` must come back as once the EPT refuses it: the
@@ -1254,7 +1274,8 @@ mod tests {
     }
 
     /// Rights a re-map widened are found by the hit that the cached rights
-    /// deny; rights it narrowed, by the first walk started after it returns.
+    /// deny; rights it narrowed, by the first walk started after the flush
+    /// of its range.
     #[test]
     fn walk_cache_follows_rights_a_re_map_widens_or_narrows() {
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));
@@ -1285,66 +1306,81 @@ mod tests {
         gc.write_u64(gva + 8, 8).unwrap();
         assert_eq!(gc.counters().walk_loads, after.walk_loads, "and refilled");
 
-        gc.tlb.flush_all();
         ept.map_identity_perms(range, covirt_simhw::paging::Perms::R, 2)
             .unwrap();
+        gc.tlb.flush_all();
+        gc.write_u64(gva + 16, 9).unwrap(); // unflushed, the line still grants it
+        flush_range(&w, &mut gc, range);
         assert_write_violates(&mut gc, gva + 16);
     }
 
-    /// The unmap log is sized for the reclaim protocol: neither a long run
-    /// of grant → write → reclaim cycles nor the largest ranged reclaim
-    /// epoch ever makes a walking core fall back to clearing everything.
+    /// The simulator notices a Covirt that forgets to invalidate: an EPT
+    /// unmap alone leaves the core's walk cache serving the old gpa → hpa,
+    /// and only the flush the reclaim's round trip posts takes it away.
     #[test]
-    fn reclaims_never_overrun_the_unmap_log() {
+    fn an_unmap_without_a_flush_command_leaves_the_cached_line_serving() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core(&w, 1);
+        let range = grant_2m(&w);
+        gc.write_u64(range.start.raw(), 0xa).unwrap();
+        ept_of(&w).unmap(range).unwrap();
+        gc.tlb.flush_all(); // the walk cache, not the TLB, answers the revisit
+        let (before, exits) = (gc.counters(), gc.exit_count());
+        assert_eq!(gc.read_u64(range.start.raw()).unwrap(), 0xa);
+        let after = gc.counters();
+        assert_eq!(after.walk_loads, before.walk_loads, "no EPT load");
+        assert_eq!(after.walk_cache_hits, before.walk_cache_hits + 4);
+        assert_eq!(gc.exit_count(), exits, "no violation");
+
+        reclaim(&w, &mut gc, range);
+        let _ = kitten::faults::stale_shared_mapping(&w.kernel, range);
+        assert_write_violates(&mut gc, range.start.raw() + 8);
+    }
+
+    /// A grant abandoned after the EPT mapped it is flushed like a reclaim:
+    /// a kernel whose memory map strayed into the range wrote it through a
+    /// live core, and once the abort has returned the next write is an EPT
+    /// violation, not served from the TLB or the walk cache.
+    #[test]
+    fn an_aborted_grant_is_flushed_from_the_live_cores() {
+        use pisces::hooks::EnclaveHooks;
+
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));
         let ctl = w.controller.as_ref().unwrap();
         let mut gc = core(&w, 1);
-        let a = data_gva(&w);
-        gc.read_u64(a).unwrap();
-        assert_eq!(gc.counters().walk_cache_full_flushes, 1, "cold start");
+        let mem = &w.master.pisces().node().mem;
+        let range = mem
+            .alloc_backed(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M)
+            .unwrap();
+        ctl.on_mem_add_prepared(&w.enclave, range).unwrap();
+        let _ = kitten::faults::stale_shared_mapping(&w.kernel, range);
+        gc.write_u64(range.start.raw(), 0xa).unwrap();
 
-        for cycle in 0..100u64 {
-            let range = grant_2m(&w);
-            gc.write_u64(range.start.raw(), cycle).unwrap();
-            reclaim(&w, &mut gc, range);
-        }
-        assert_eq!(gc.counters().walk_cache_full_flushes, 1);
-
-        // Eight ranges is the most one epoch closes with ranged flushes.
-        let ranges: Vec<PhysRange> = (0..8).map(|_| grant_2m(&w)).collect();
-        for r in &ranges {
-            gc.write_u64(r.start.raw(), 8).unwrap();
-        }
-        let enclave = w.enclave.id.0;
-        ctl.begin_reclaim_epoch(enclave);
-        for r in &ranges {
-            reclaim(&w, &mut gc, *r);
-        }
         std::thread::scope(|s| {
-            let close = s.spawn(|| ctl.end_reclaim_epoch(enclave).unwrap());
-            while !close.is_finished() {
+            let abort = s.spawn(|| ctl.on_mem_add_aborted(&w.enclave, range));
+            while !abort.is_finished() {
                 gc.poll().unwrap();
                 std::thread::yield_now();
             }
         });
-        assert_eq!(gc.tlb_stats().full_flushes, 0, "the epoch closed ranged");
-        let walks = gc.counters().walks;
-        gc.read_u64(a + 2 * 1024 * 1024).unwrap();
-        assert_eq!(gc.counters().walks, walks + 1, "a walk synced the cache");
-        assert_eq!(gc.counters().walk_cache_full_flushes, 1);
-        assert_eq!(ctl.nmi_escalation_count(), 0);
+        assert_write_violates(&mut gc, range.start.raw() + 8);
     }
 
-    /// One thread walks through `NestedLoad`s while another unmaps and
-    /// re-maps a range. The walker free-runs, so walks also straddle the
-    /// edits; the ones that provably began after `unmap` returned and ended
-    /// before the re-map began must not be served from inside the range.
+    /// One thread walks through `NestedLoad`s over a live core's walk cache,
+    /// harvesting commands between walks as the core's safe points do, while
+    /// another unmaps a range, flushes it through the core's queue and waits
+    /// for the completion, then re-maps it. The walker free-runs, so walks
+    /// also straddle the edits; the ones that provably began after the flush
+    /// completed and ended before the re-map began must not be served from
+    /// inside the range.
     #[test]
-    fn walks_started_after_an_unmap_returns_are_not_served_from_its_range() {
+    fn walks_started_after_a_flush_completes_are_not_served_from_its_range() {
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));
         let ept = ept_of(&w);
+        let vctx = vctx_of(&w);
+        let q = vctx.cmdq(1).unwrap();
         let node = Arc::clone(w.master.pisces().node());
         let host = w.master.pisces();
         let reclaimed = host
@@ -1353,7 +1389,7 @@ mod tests {
         let unrelated = host
             .add_memory(&w.enclave, ZoneId(0), PAGE_SIZE_2M)
             .unwrap();
-        // Odd while `reclaimed` is unmapped: set after `unmap` returns,
+        // Odd while `reclaimed` is unmapped: set once its flush completed,
         // cleared before the re-map starts.
         let phase = AtomicU64::new(0);
         let walks = AtomicU64::new(0);
@@ -1361,11 +1397,13 @@ mod tests {
 
         std::thread::scope(|s| {
             let walker = s.spawn(|| {
-                let (cache, region_cache) = (WalkCache::new(), RegionCache::new());
+                let mut gc = core(&w, 1);
                 let mut checked = 0u64;
                 while !done.load(Ordering::SeqCst) {
+                    gc.poll().unwrap();
                     let began = phase.load(Ordering::SeqCst);
-                    let loader = NestedLoad::new(&ept, &node.mem, Some(&cache), &region_cache);
+                    let loader =
+                        NestedLoad::new(&ept, &node.mem, Some(&gc.walk_cache), &gc.region_cache);
                     let inside = loader.translate_entry_addr(reclaimed.start.add(0x1238));
                     let outside = loader.translate_entry_addr(unrelated.start.add(0x38));
                     let ended = phase.load(Ordering::SeqCst);
@@ -1373,16 +1411,13 @@ mod tests {
                     if began == ended && began % 2 == 1 {
                         assert!(
                             inside.is_err(),
-                            "walk begun after unmap returned was served {inside:?}"
+                            "walk begun after the flush completed was served {inside:?}"
                         );
                         checked += 1;
                     }
                     walks.fetch_add(1, Ordering::SeqCst);
                 }
-                // The unrelated leaf was walked once and hit ever after;
-                // the walker never fell further behind than the log reaches.
-                assert_eq!(cache.full_flushes(), 1);
-                (checked, cache.stats())
+                (checked, gc.walk_cache.stats())
             });
 
             // Each phase lasts until the walker has begun and ended a walk
@@ -1397,6 +1432,10 @@ mod tests {
             for _ in 0..300 {
                 await_walks(2);
                 let unmapped = ept.unmap(reclaimed);
+                let seq = post_flush(&vctx, 1, reclaimed);
+                while q.completed() < seq && !walker.is_finished() {
+                    std::thread::yield_now();
+                }
                 phase.fetch_add(1, Ordering::SeqCst);
                 await_walks(2);
                 phase.fetch_add(1, Ordering::SeqCst);
@@ -1760,12 +1799,12 @@ mod tests {
         let piv = ExecMode::Covirt(CovirtConfig::MEM_IPI_PIV);
         let modes = ExecMode::paper_sweep().into_iter().chain([piv]);
         #[rustfmt::skip]
-        let pinned: [[u64; 26]; 5] = [
-            [16, 3, 11, 33, 2, 0, 1, 0, 0, 0, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 0, 0, 0, 0, 0],
-            [16, 3, 11, 33, 2, 0, 1, 0, 1, 1, 5, 0, 0, 0, 7, 4, 8, 11, 0, 0, 0, 2, 0, 0, 0, 0],
-            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 1, 7, 4, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
-            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 1, 7, 4, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
-            [16, 3, 11, 10, 2, 0, 1, 1, 3, 4, 5, 43, 1, 1, 7, 4, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
+        let pinned: [[u64; 25]; 5] = [
+            [16, 3, 11, 33, 2, 0, 1, 0, 0, 0, 5, 0, 0, 7, 4, 8, 11, 0, 0, 0, 0, 0, 0, 0, 0],
+            [16, 3, 11, 33, 2, 0, 1, 0, 1, 1, 5, 0, 0, 7, 4, 8, 11, 0, 0, 0, 2, 0, 0, 0, 0],
+            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 7, 4, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
+            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 7, 4, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
+            [16, 3, 11, 10, 2, 0, 1, 1, 3, 4, 5, 43, 1, 7, 4, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
         ];
         for (mode, want) in modes.zip(pinned) {
             let w = world(mode);
@@ -1825,7 +1864,7 @@ mod tests {
             let got = [
                 c.reads, c.writes, c.walks, c.walk_loads, c.ipis_sent, c.timer_irqs, c.ipi_irqs,
                 c.posted_harvested, c.cmd_doorbells, c.cmd_harvested, c.polls, c.walk_cache_hits,
-                c.walk_cache_misses, c.walk_cache_full_flushes, c.resolve_hits, c.resolve_misses,
+                c.walk_cache_misses, c.resolve_hits, c.resolve_misses,
                 t.hits, t.misses, t.full_flushes, t.page_flushes, t.range_flushes,
                 gc.exit_count(), shootdowns, escalations, maps, unmaps,
             ];

@@ -18,6 +18,7 @@ use crate::vctx::VirtContext;
 use crate::{CovirtError, CovirtResult};
 use covirt_simhw::apic::IcrCommand;
 use covirt_simhw::cpu::{Cpu, CpuMode};
+use covirt_simhw::ept::WalkCache;
 use covirt_simhw::exit::{ExitInfo, ExitReason};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::posted::PostedIntDescriptor;
@@ -169,9 +170,15 @@ impl Hypervisor {
             .report_fault(self.vctx.enclave_id, self.core, reason);
     }
 
-    /// Handle one VM exit. `tlb` is the core's translation cache (flushed
-    /// on command). Returns what the exec loop should do next.
-    pub fn handle_exit(&mut self, reason: ExitReason, tlb: &mut Tlb) -> ExitAction {
+    /// Handle one VM exit. `tlb` and `walk_cache` are the core's translation
+    /// caches (flushed on command). Returns what the exec loop should do
+    /// next.
+    pub fn handle_exit(
+        &mut self,
+        reason: ExitReason,
+        tlb: &mut Tlb,
+        walk_cache: &WalkCache,
+    ) -> ExitAction {
         let t0 = std::time::Instant::now();
         self.cpu.set_mode(CpuMode::HypervisorRoot);
         model_delay_ns(VM_TRANSITION_NS);
@@ -257,7 +264,7 @@ impl Hypervisor {
             // acknowledges and re-injects into the guest.
             ExitReason::ExternalInterrupt { vector: _ } => ExitAction::Resume,
             // NMI: command-queue synchronization work.
-            ExitReason::Nmi => self.process_commands(tlb),
+            ExitReason::Nmi => self.process_commands(tlb, walk_cache),
             ExitReason::Hlt => ExitAction::Resume,
             // Abort-class exits: terminate, notify, park.
             ExitReason::EptViolation(info) => {
@@ -284,29 +291,44 @@ impl Hypervisor {
     }
 
     /// Drain and execute the command queue (invoked on NMI).
-    fn process_commands(&mut self, tlb: &mut Tlb) -> ExitAction {
+    fn process_commands(&mut self, tlb: &mut Tlb, walk_cache: &WalkCache) -> ExitAction {
         let drained = self.cmdq.drain();
         if self.tracer.enabled() && !drained.is_empty() {
             self.tracer
                 .emit(EventKind::CmdDrain, drained.len() as u64, 0);
         }
-        self.execute_commands(drained, tlb)
+        self.execute_commands(drained, tlb, walk_cache)
     }
 
     /// Execute an already-drained command batch against this core. Shared
     /// by the NMI exit path and the guest-mode doorbell harvest (which
-    /// pays no VM exit). On both paths the completion counter advances
-    /// only *after* a command's effect has been applied — that ordering is
-    /// what lets the controller's completion wait enforce
+    /// pays no VM exit). A flush drops the matching TLB entries and EPT
+    /// walk-cache lines alike. On both paths the completion counter
+    /// advances only *after* a command's effect has been applied — that
+    /// ordering is what lets the controller's completion wait enforce
     /// unmap-before-reclaim.
-    pub fn execute_commands(&mut self, drained: Vec<SeqCommand>, tlb: &mut Tlb) -> ExitAction {
+    pub fn execute_commands(
+        &mut self,
+        drained: Vec<SeqCommand>,
+        tlb: &mut Tlb,
+        walk_cache: &WalkCache,
+    ) -> ExitAction {
         let mut action = ExitAction::Resume;
         for sc in drained {
             self.commands += 1;
             match sc.cmd {
-                Command::TlbFlushAll => tlb.flush_all(),
-                Command::TlbFlushPage { gva } => tlb.flush_page(gva),
-                Command::TlbFlushRange { gva, len } => tlb.flush_range(gva, len),
+                Command::TlbFlushAll => {
+                    tlb.flush_all();
+                    walk_cache.flush_all();
+                }
+                Command::TlbFlushPage { gva } => {
+                    tlb.flush_page(gva);
+                    walk_cache.flush_page(gva);
+                }
+                Command::TlbFlushRange { gva, len } => {
+                    tlb.flush_range(gva, len);
+                    walk_cache.flush_range(gva, len);
+                }
                 Command::ReloadVmcs => {
                     // Re-serialize the (controller-edited) VMCS onto the
                     // CPU: in the model, re-issue VMPTRLD.
@@ -361,15 +383,15 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::config::CovirtConfig;
-    use covirt_simhw::addr::{GuestPhysAddr, PAGE_SIZE_4K};
+    use covirt_simhw::addr::{GuestPhysAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use covirt_simhw::apic::{ICR_MODE_FIXED, ICR_SH_ALL_EXC, ICR_SH_NONE};
     use covirt_simhw::ept::EptViolationInfo;
     use covirt_simhw::node::{NodeConfig, SimNode};
-    use covirt_simhw::paging::Access;
+    use covirt_simhw::paging::{Access, DirectLoad};
     use covirt_simhw::tlb::TlbParams;
     use covirt_simhw::topology::ZoneId;
 
-    fn setup(config: CovirtConfig) -> (Arc<SimNode>, Arc<VirtContext>, Hypervisor, Tlb) {
+    fn setup(config: CovirtConfig) -> (Arc<SimNode>, Arc<VirtContext>, Hypervisor, Tlb, WalkCache) {
         let node = SimNode::new(NodeConfig::small());
         let ept = if config.memory {
             let pool_region = node
@@ -396,12 +418,12 @@ mod tests {
         let ctl = CovirtController::new(Arc::clone(&node), config);
         let hv = Hypervisor::launch(Arc::clone(&node), ctl, Arc::clone(&vctx), 1).unwrap();
         let tlb = Tlb::new(TlbParams::default());
-        (node, vctx, hv, tlb)
+        (node, vctx, hv, tlb, WalkCache::new())
     }
 
     #[test]
     fn launch_enters_guest_mode() {
-        let (node, vctx, _hv, _tlb) = setup(CovirtConfig::NONE);
+        let (node, vctx, _hv, _tlb, _wc) = setup(CovirtConfig::NONE);
         let cpu = node.cpu(covirt_simhw::topology::CoreId(1)).unwrap();
         assert_eq!(cpu.mode(), CpuMode::Guest);
         assert!(cpu.vmx_enabled());
@@ -411,20 +433,20 @@ mod tests {
 
     #[test]
     fn double_launch_rejected() {
-        let (node, vctx, _hv, _tlb) = setup(CovirtConfig::NONE);
+        let (node, vctx, _hv, _tlb, _wc) = setup(CovirtConfig::NONE);
         let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::NONE);
         assert!(Hypervisor::launch(node, ctl, vctx, 1).is_err());
     }
 
     #[test]
     fn cpuid_and_xsetbv_emulated() {
-        let (_n, vctx, mut hv, mut tlb) = setup(CovirtConfig::NONE);
+        let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
         assert_eq!(
-            hv.handle_exit(ExitReason::Cpuid { leaf: 1 }, &mut tlb),
+            hv.handle_exit(ExitReason::Cpuid { leaf: 1 }, &mut tlb, &wc),
             ExitAction::Resume
         );
         assert_eq!(
-            hv.handle_exit(ExitReason::Xsetbv { xcr0: 7 }, &mut tlb),
+            hv.handle_exit(ExitReason::Xsetbv { xcr0: 7 }, &mut tlb, &wc),
             ExitAction::Resume
         );
         assert_eq!(vctx.vmcs(1).unwrap().read().guest.xcr0, 7);
@@ -434,13 +456,14 @@ mod tests {
 
     #[test]
     fn ept_violation_terminates() {
-        let (node, vctx, mut hv, mut tlb) = setup(CovirtConfig::MEM);
+        let (node, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
         let action = hv.handle_exit(
             ExitReason::EptViolation(EptViolationInfo {
                 gpa: GuestPhysAddr::new(0xdead_0000),
                 access: Access::Write,
             }),
             &mut tlb,
+            &wc,
         );
         assert!(matches!(action, ExitAction::Terminate(_)));
         assert!(vctx.termination().unwrap().contains("EPT violation"));
@@ -456,15 +479,15 @@ mod tests {
 
     #[test]
     fn double_fault_terminates() {
-        let (_n, vctx, mut hv, mut tlb) = setup(CovirtConfig::NONE);
-        let action = hv.handle_exit(ExitReason::DoubleFault, &mut tlb);
+        let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
+        let action = hv.handle_exit(ExitReason::DoubleFault, &mut tlb, &wc);
         assert!(matches!(action, ExitAction::Terminate(_)));
         assert!(vctx.termination().unwrap().contains("double fault"));
     }
 
     #[test]
     fn icr_whitelist_enforced() {
-        let (node, vctx, mut hv, mut tlb) = setup(CovirtConfig::MEM_IPI);
+        let (node, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM_IPI);
         // Allowed: own core 2 with allocated vector 0x40.
         let ok = IcrCommand {
             vector: 0x40,
@@ -472,7 +495,7 @@ mod tests {
             dest: 2,
             shorthand: ICR_SH_NONE,
         };
-        hv.handle_exit(ExitReason::IcrWrite { value: ok.encode() }, &mut tlb);
+        hv.handle_exit(ExitReason::IcrWrite { value: ok.encode() }, &mut tlb, &wc);
         assert!(node.interconnect.mailbox(2).unwrap().irr.test(0x40));
         // Errant: host core 0.
         let bad = IcrCommand {
@@ -486,6 +509,7 @@ mod tests {
                 value: bad.encode(),
             },
             &mut tlb,
+            &wc,
         );
         assert!(!node.interconnect.mailbox(0).unwrap().irr.test(0x40));
         // Broadcast shorthand is always dropped.
@@ -495,7 +519,7 @@ mod tests {
             dest: 0,
             shorthand: ICR_SH_ALL_EXC,
         };
-        hv.handle_exit(ExitReason::IcrWrite { value: bc.encode() }, &mut tlb);
+        hv.handle_exit(ExitReason::IcrWrite { value: bc.encode() }, &mut tlb, &wc);
         assert!(!node.interconnect.mailbox(3).unwrap().irr.test(0x40));
         let (permitted, dropped) = vctx.whitelist.counts();
         assert_eq!(permitted, 1);
@@ -504,7 +528,7 @@ mod tests {
 
     #[test]
     fn msr_protection_blocks_writes() {
-        let (node, _vctx, mut hv, mut tlb) = setup(CovirtConfig::FULL);
+        let (node, _vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::FULL);
         let mc0 = covirt_simhw::msr::IA32_MC0_CTL;
         hv.handle_exit(
             ExitReason::MsrWrite {
@@ -512,6 +536,7 @@ mod tests {
                 value: 0xbad,
             },
             &mut tlb,
+            &wc,
         );
         let cpu = node.cpu(covirt_simhw::topology::CoreId(1)).unwrap();
         assert_eq!(
@@ -526,19 +551,21 @@ mod tests {
                 value: 0x1000,
             },
             &mut tlb,
+            &wc,
         );
         assert_eq!(cpu.msrs.read(covirt_simhw::msr::IA32_FS_BASE), 0x1000);
     }
 
     #[test]
     fn io_protection_blocks_sensitive_ports() {
-        let (node, _vctx, mut hv, mut tlb) = setup(CovirtConfig::FULL);
+        let (node, _vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::FULL);
         hv.handle_exit(
             ExitReason::IoWrite {
                 port: covirt_simhw::ioport::PORT_KBD_RESET,
                 value: 0xfe,
             },
             &mut tlb,
+            &wc,
         );
         assert_eq!(
             node.ioports
@@ -551,68 +578,100 @@ mod tests {
                 value: b'x' as u32,
             },
             &mut tlb,
+            &wc,
         );
         assert_eq!(node.ioports.write_count(covirt_simhw::ioport::PORT_COM1), 1);
     }
 
+    /// EPT loads a read of `gpa` costs through `wc`: 0 while a line covers it.
+    fn ept_loads(node: &SimNode, vctx: &VirtContext, wc: &WalkCache, gpa: u64) -> u32 {
+        let ept = vctx.ept.as_deref().unwrap();
+        let t = wc.translate(
+            ept,
+            GuestPhysAddr::new(gpa),
+            Access::Read,
+            &DirectLoad(&node.mem),
+        );
+        t.unwrap().loads
+    }
+
+    /// Two 2 MiB leaves mapped into the context's EPT, each with a TLB entry
+    /// and a walk-cache line.
+    fn cached_leaves(
+        node: &SimNode,
+        vctx: &VirtContext,
+        tlb: &mut Tlb,
+        wc: &WalkCache,
+    ) -> [u64; 2] {
+        let r = node
+            .mem
+            .alloc(ZoneId(0), 2 * PAGE_SIZE_2M, PAGE_SIZE_2M)
+            .unwrap();
+        vctx.ept.as_ref().unwrap().map_identity(r, 2).unwrap();
+        let backing = Arc::new(covirt_simhw::backing::Backing::new(2 * 4096).unwrap());
+        let leaves = [r.start.raw(), r.start.raw() + PAGE_SIZE_2M];
+        for (i, gva) in leaves.into_iter().enumerate() {
+            let host = backing.ptr_at(i * 4096);
+            tlb.insert(gva, PAGE_SIZE_4K, host, Arc::clone(&backing), true);
+            assert!(
+                ept_loads(node, vctx, wc, gva) > 0,
+                "a cold line walks the EPT"
+            );
+        }
+        leaves
+    }
+
     #[test]
     fn nmi_drains_command_queue_and_flushes() {
-        let (_n, vctx, mut hv, mut tlb) = setup(CovirtConfig::MEM);
-        // Seed a TLB entry, then ask for a flush through the queue.
-        let backing = Arc::new(covirt_simhw::backing::Backing::new(4096).unwrap());
-        tlb.insert(
-            0x1000,
-            PAGE_SIZE_4K,
-            backing.ptr_at(0),
-            Arc::clone(&backing),
-            true,
-        );
-        assert!(tlb.lookup(0x1000).is_some());
+        let (node, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
+        // Seed the caches, then ask for a flush through the queue.
+        let leaves = cached_leaves(&node, &vctx, &mut tlb, &wc);
         let q = vctx.cmdq(1).unwrap().clone();
         let seq = q.post(Command::TlbFlushAll).unwrap();
         assert_eq!(
-            hv.handle_exit(ExitReason::Nmi, &mut tlb),
+            hv.handle_exit(ExitReason::Nmi, &mut tlb, &wc),
             ExitAction::Resume
         );
-        assert!(
-            tlb.lookup(0x1000).is_none(),
-            "TLB must be flushed by the command"
-        );
+        for gva in leaves {
+            assert!(
+                tlb.lookup(gva).is_none(),
+                "TLB must be flushed by the command"
+            );
+            assert!(ept_loads(&node, &vctx, &wc, gva) > 0, "and the walk cache");
+        }
         assert!(q.wait(seq, 1, None).is_ok(), "completion must be signalled");
         assert_eq!(hv.commands, 1);
     }
 
     #[test]
     fn nmi_executes_range_flush_selectively() {
-        let (_n, vctx, mut hv, mut tlb) = setup(CovirtConfig::MEM);
-        let backing = Arc::new(covirt_simhw::backing::Backing::new(2 * 4096).unwrap());
-        tlb.insert(
-            0x1000,
-            PAGE_SIZE_4K,
-            backing.ptr_at(0),
-            Arc::clone(&backing),
-            true,
-        );
-        tlb.insert(
-            0x8000,
-            PAGE_SIZE_4K,
-            backing.ptr_at(4096),
-            Arc::clone(&backing),
-            true,
-        );
+        let (node, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
+        let [inside, outside] = cached_leaves(&node, &vctx, &mut tlb, &wc);
         let q = vctx.cmdq(1).unwrap().clone();
         let seq = q
             .post(Command::TlbFlushRange {
-                gva: 0x1000,
-                len: 0x1000,
+                gva: inside,
+                len: PAGE_SIZE_4K,
             })
             .unwrap();
         assert_eq!(
-            hv.handle_exit(ExitReason::Nmi, &mut tlb),
+            hv.handle_exit(ExitReason::Nmi, &mut tlb, &wc),
             ExitAction::Resume
         );
-        assert!(tlb.lookup(0x1000).is_none(), "range must be invalidated");
-        assert!(tlb.lookup(0x8000).is_some(), "unrelated entry must survive");
+        assert!(tlb.lookup(inside).is_none(), "range must be invalidated");
+        assert!(
+            tlb.lookup(outside).is_some(),
+            "unrelated entry must survive"
+        );
+        assert!(
+            ept_loads(&node, &vctx, &wc, inside) > 0,
+            "the walk-cache line over the range went too"
+        );
+        assert_eq!(
+            ept_loads(&node, &vctx, &wc, outside),
+            0,
+            "an unrelated line still hits"
+        );
         assert!(q.wait(seq, 1, None).is_ok());
         assert_eq!(tlb.stats().range_flushes, 1);
         assert_eq!(tlb.stats().full_flushes, 0);
@@ -620,18 +679,18 @@ mod tests {
 
     #[test]
     fn terminate_command_kills_enclave() {
-        let (_n, vctx, mut hv, mut tlb) = setup(CovirtConfig::MEM);
+        let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
         let q = vctx.cmdq(1).unwrap().clone();
         q.post(Command::Terminate).unwrap();
-        let action = hv.handle_exit(ExitReason::Nmi, &mut tlb);
+        let action = hv.handle_exit(ExitReason::Nmi, &mut tlb, &wc);
         assert!(matches!(action, ExitAction::Terminate(_)));
         assert!(vctx.termination().unwrap().contains("controller"));
     }
 
     #[test]
     fn shutdown_returns_stats() {
-        let (node, vctx, mut hv, mut tlb) = setup(CovirtConfig::NONE);
-        hv.handle_exit(ExitReason::Cpuid { leaf: 0 }, &mut tlb);
+        let (node, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
+        hv.handle_exit(ExitReason::Cpuid { leaf: 0 }, &mut tlb, &wc);
         let (exits, ns) = hv.shutdown();
         assert_eq!(exits, 1);
         assert!(ns > 0);

@@ -34,9 +34,9 @@ pub trait EnclaveHooks: Send + Sync {
 
     /// Called when a grant every hook prepared is abandoned **before** the
     /// co-kernel was told of it (the control ring was full). Covirt unmaps
-    /// the range and returns at once: no core can hold a translation for
-    /// memory its kernel never heard of, so no flush is owed — and the
-    /// cores may be the reason the grant failed.
+    /// the range and flushes it from the enclave's live cores, as for a
+    /// reclaim: a kernel whose memory map is corrupt may already have
+    /// touched the mapped range, so a core may hold its translation.
     fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) {}
 
     /// Called when the co-kernel has **acknowledged** removal of a region

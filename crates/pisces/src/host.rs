@@ -331,10 +331,9 @@ impl PiscesHost {
     }
 
     /// Undo a grant the hooks prepared but the co-kernel was never told
-    /// of: the layers drop their mappings and the range returns to the
-    /// node. Nothing waits on the enclave's cores — they may be why the
-    /// grant failed (a full control ring), and none can hold a translation
-    /// for memory its kernel never heard of.
+    /// of: the layers drop their mappings — and whatever the enclave's
+    /// cores cached of them, since a kernel that strays can reach memory it
+    /// never heard of once it is mapped — and the range returns to the node.
     fn abort_grant(&self, enclave: &Enclave, range: PhysRange) {
         for h in self.hooks.read().iter() {
             h.on_mem_add_aborted(enclave, range);

@@ -7,24 +7,17 @@
 //! protection feature. Contiguous runs are coalesced into 2 MiB and 1 GiB
 //! leaves by the generic radix engine (see [`crate::paging`]).
 //!
-//! The structure also carries a monotonic *generation* counter and a short
-//! log of the ranges the last few shrinking edits touched. An edit after
-//! which an answer given before it would be too generous — an unmap, a
-//! re-map that may narrow a leaf's rights, or a map that failed and took
-//! back the tables it linked — logs its range and bumps the generation; a
-//! core's [`WalkCache`] (EPT leaves, and the PD pages of the PDPTEs above
-//! them) pulls the ranges it has not seen the next time it starts a walk and
-//! drops only the lines they overlap. TLBs are a different matter: the
-//! hardware model deliberately does **not** auto-invalidate them on EPT
-//! edits — the Covirt hypervisor's `TlbFlush` command is what
-//! re-synchronizes them (the paper's command-queue + NMI protocol), and that
-//! asynchrony is the behaviour Covirt exists to manage.
+//! An edit changes the table and nothing else. What a core cached from the
+//! EPT — its TLB and its [`WalkCache`] — keeps serving the old answer until
+//! the core is told to drop it, as on hardware: whoever shrinks the map owes
+//! every core that may hold the range an invalidation. In Covirt that is the
+//! hypervisor's flush command (the paper's command-queue + NMI protocol), and
+//! that asynchrony is the behaviour Covirt exists to manage.
 
 use crate::addr::{GuestPhysAddr, HostPhysAddr, PageSize, PhysRange};
 use crate::error::{HwError, HwResult};
 use crate::paging::{Access, EntryFormat, FramePool, Perms, RadixTable, TableLoad, Translation};
 use crate::sizeclass::SizeClassed;
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,12 +100,6 @@ pub struct EptViolationInfo {
     pub access: Access,
 }
 
-/// How many shrinking edits a [`WalkCache`] may fall behind before its next
-/// sync has to clear everything. The controller coalesces at most 8 ranged
-/// flushes into one reclaim epoch (`MAX_RANGE_FLUSH_CMDS`), so a core that
-/// walks at least once per epoch never overflows this.
-pub(crate) const UNMAP_LOG_SLOTS: usize = 16;
-
 /// The rights a [`WalkCache`] table line carries: none, which no present EPT
 /// entry has, so a lookup never answers with one.
 const TABLE_LINE: Perms = Perms {
@@ -124,13 +111,6 @@ const TABLE_LINE: Perms = Perms {
 /// An enclave's extended page tables.
 pub struct Ept {
     table: RadixTable<EptFormat>,
-    /// Bumped whenever the mapping *shrinks* — loses a range or may lose
-    /// rights on one (an INVEPT-requiring change). Written only under the
-    /// `unmap_log` lock.
-    generation: AtomicU64,
-    /// Slot `g % UNMAP_LOG_SLOTS` holds the range whose shrinking produced
-    /// generation `g`, for the last `UNMAP_LOG_SLOTS` generations.
-    unmap_log: Mutex<[PhysRange; UNMAP_LOG_SLOTS]>,
     /// Count of map operations (controller-side instrumentation).
     map_ops: AtomicU64,
     /// Count of unmap operations.
@@ -142,8 +122,6 @@ impl Ept {
     pub fn new(pool: Arc<FramePool>) -> HwResult<Self> {
         Ok(Ept {
             table: RadixTable::new(pool)?,
-            generation: AtomicU64::new(1),
-            unmap_log: Mutex::new([PhysRange::new(HostPhysAddr::new(0), 0); UNMAP_LOG_SLOTS]),
             map_ops: AtomicU64::new(0),
             unmap_ops: AtomicU64::new(0),
         })
@@ -163,47 +141,31 @@ impl Ept {
 
     /// Identity-map with explicit permissions (used by tests and by the
     /// read-only grant extension). A map overwrites a present leaf, so one of
-    /// less than `RWX` may narrow rights a [`WalkCache`] holds and is logged
-    /// like an unmap; `RWX` — all production code maps — can only widen. A
-    /// map that fails is logged too: its roll-back unlinks the tables it
-    /// linked and returns their frames to the pool, which may hand one to
-    /// another enclave's EPT while a cached PDPTE still points at it.
+    /// less than `RWX` may narrow rights a core has cached; `RWX` — all
+    /// production code maps — can only widen. A map that fails has rolled
+    /// back the tables it linked and returned their frames to the pool, which
+    /// may hand one to another enclave's EPT while a cached PDPTE still
+    /// points at it. After either the caller owes the cores an invalidation
+    /// of `range`.
     pub fn map_identity_perms(
         &self,
         range: PhysRange,
         perms: Perms,
         max_level: u8,
     ) -> HwResult<()> {
-        let mapped = self
-            .table
-            .map(range.start.raw(), range.start, range.len, perms, max_level);
-        if mapped.is_err() || perms != Perms::RWX {
-            self.log_shrink(range);
-        }
-        mapped?;
+        self.table
+            .map(range.start.raw(), range.start, range.len, perms, max_level)?;
         self.map_ops.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Remove a guest-physical range from the map, log it and bump the
-    /// generation. A failed unmap may have cleared part of the range, so it
-    /// is logged all the same.
+    /// Remove a guest-physical range from the map. The caller owes the
+    /// cores an invalidation of `range` — even when the unmap fails, since
+    /// it may have cleared part of it.
     pub fn unmap(&self, range: PhysRange) -> HwResult<()> {
-        let cleared = self.table.unmap(range.start.raw(), range.len);
-        self.log_shrink(range);
-        cleared?;
+        self.table.unmap(range.start.raw(), range.len)?;
         self.unmap_ops.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Log `range` after the table edit that shrank it. The entry is written
-    /// before the generation that names it is published, so whoever observes
-    /// the new generation finds the range logged and the table edited.
-    fn log_shrink(&self, range: PhysRange) {
-        let mut log = self.unmap_log.lock();
-        let generation = self.generation.load(Ordering::Relaxed) + 1;
-        log[generation as usize % UNMAP_LOG_SLOTS] = range;
-        self.generation.store(generation, Ordering::Release);
     }
 
     /// Translate a guest-physical address, checking `access` permission.
@@ -242,11 +204,6 @@ impl Ept {
         Ok((t, pd))
     }
 
-    /// Current generation (TLB-coherence epoch).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
     /// Leaf counts `(4k, 2m, 1g)` — used by the coalescing ablation.
     pub fn leaf_counts(&self) -> HwResult<(u64, u64, u64)> {
         self.table.leaf_counts()
@@ -283,29 +240,24 @@ impl Ept {
 /// carries no rights, so it never answers a lookup as a leaf.
 /// [`WalkCache::translate`] is the one way to ask.
 ///
-/// Coherence, one rule for every line. An [`Ept`] edit after which a cached
+/// Coherence is the core's own business, as on hardware: the cache never
+/// looks at the [`Ept`] to learn of an edit. An edit after which a cached
 /// answer would be too generous — [`Ept::unmap`], an
 /// [`Ept::map_identity_perms`] that may narrow a present leaf's rights, and
-/// a map that failed (its roll-back hands the frames of the tables it linked
-/// back to the pool) — edits the table, writes the range into a small ring
-/// of the most recent such ranges, then publishes the generation naming that
-/// slot, all before it returns. [`WalkCache::sync`], which a core calls once
-/// when it starts a guest walk, replays the ranges logged since the
-/// generation it last synced to and clears exactly the lines that overlap
-/// one, table lines included: the whole line, so the surviving part of a
-/// split large leaf goes too, while lines no edit touched keep hitting. Once
-/// `unmap(R)` has returned, the first walk any core starts therefore serves
-/// nothing from inside `R`. A cache further behind than the ring reaches, or
-/// never synced, clears everything instead (counted in
-/// [`WalkCache::full_flushes`]). A walk in flight when an edit lands keeps
-/// the view it synced to; what it leaves in the TLB is for the reclaim
-/// protocol's shootdown to flush. A cache follows one [`Ept`] for life.
+/// a map that failed — leaves every line as it was until the core is told:
+/// [`flush_range`](Self::flush_range) drops exactly the lines that share a
+/// byte with the range, table lines included (the whole line, so the
+/// surviving part of a split large leaf goes too), while lines no edit
+/// touched keep hitting. The Covirt hypervisor runs it for the flush
+/// commands the controller posts after every such edit, so once that round
+/// trip has returned no walk any core starts serves anything from inside the
+/// range. A cache follows one [`Ept`] for life.
 ///
 /// Every hit is checked against the cached rights, and one they deny falls
 /// through to the live EPT, which raises the violation or refills the line;
 /// so does a walk resumed from a PD page that finds no entry or denied
 /// rights — it falls through to a walk from the root. So an edit that only
-/// makes the EPT *more* generous is not logged: the EPT is an identity map,
+/// makes the EPT *more* generous needs no flush: the EPT is an identity map,
 /// so no re-map changes a cached gpa → hpa pair; rights a re-map widened are
 /// found by the fall-through; and a PD page a 1 GiB leaf was mapped over
 /// stays the table's until the table drops, so a walk resumed there finds an
@@ -320,12 +272,8 @@ pub struct WalkCache {
     /// 2 MiB and 4 × 1 GiB slots: a few dozen lines cover the guest's page
     /// tables and the data of many gigabytes.
     lines: RefCell<SizeClassed<(u64, Perms), true>>,
-    /// The EPT generation up to which every logged edit has been applied to
-    /// the entries; 0 (no EPT ever has it) until the first sync.
-    synced: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    full_flushes: Cell<u64>,
 }
 
 impl WalkCache {
@@ -333,50 +281,29 @@ impl WalkCache {
     pub fn new() -> Self {
         WalkCache {
             lines: RefCell::new(SizeClassed::new([64, 16, 4])),
-            synced: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
-            full_flushes: Cell::new(0),
         }
     }
 
-    /// Bring the cache up to `ept`'s current generation: drop what the
-    /// edits logged since the last sync shrank. Call once at the start of
-    /// each guest walk, before the first [`translate`](Self::translate);
-    /// with no such edit in between this is one atomic load.
-    #[inline]
-    pub fn sync(&self, ept: &Ept) {
-        if ept.generation() != self.synced.get() {
-            self.catch_up(ept);
-        }
+    /// Drop every line that shares a byte with `[gpa, gpa + len)`, table
+    /// lines included: the walk-cache half of a ranged flush command.
+    pub fn flush_range(&self, gpa: u64, len: u64) {
+        self.lines.borrow_mut().invalidate_overlapping(gpa, len);
     }
 
-    #[cold]
-    fn catch_up(&self, ept: &Ept) {
-        // Holding the lock keeps the slots being replayed from being reused
-        // and the generation still.
-        let log = ept.unmap_log.lock();
-        let current = ept.generation.load(Ordering::Relaxed);
-        let synced = self.synced.get();
-        let logged = synced != 0
-            && current
-                .checked_sub(synced)
-                .is_some_and(|behind| behind <= UNMAP_LOG_SLOTS as u64);
-        let mut lines = self.lines.borrow_mut();
-        if logged {
-            for generation in synced + 1..=current {
-                let range = &log[generation as usize % UNMAP_LOG_SLOTS];
-                lines.invalidate_overlapping(range.start.raw(), range.len);
-            }
-        } else {
-            lines.clear();
-            self.full_flushes.set(self.full_flushes.get() + 1);
-        }
-        self.synced.set(current);
+    /// Drop the lines covering `gpa`, table lines included.
+    pub fn flush_page(&self, gpa: u64) {
+        self.lines.borrow_mut().invalidate_page(gpa);
     }
 
-    /// Translate `gpa` for `access` as of the last [`sync`](Self::sync): the
-    /// gpa → hpa step of a nested walk, for a guest PT-entry page
+    /// Drop every line.
+    pub fn flush_all(&self) {
+        self.lines.borrow_mut().clear();
+    }
+
+    /// Translate `gpa` for `access` as of the last flush: the gpa → hpa
+    /// step of a nested walk, for a guest PT-entry page
     /// ([`Access::Read`]) and the data page alike. A cached leaf whose rights
     /// allow `access` answers with zero loads; anything else walks the live
     /// `ept` through `loader` — from the cached PD page of `gpa`'s GiB if
@@ -464,8 +391,7 @@ impl WalkCache {
     }
 
     /// Install the whole EPT leaf that translated `gpa` — `leaf` is what
-    /// [`Ept::translate`] returned for it since the last
-    /// [`sync`](Self::sync).
+    /// [`Ept::translate`] returned for it since the last flush.
     #[inline]
     pub(crate) fn insert(&self, gpa: u64, leaf: &Translation) {
         *self.lines.borrow_mut().fill(gpa, leaf.page_size) = (leaf.page_base.raw(), leaf.perms);
@@ -474,12 +400,6 @@ impl WalkCache {
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
-    }
-
-    /// Syncs that had to clear everything because the log no longer covered
-    /// the gap; a cache's first sync is one of them.
-    pub fn full_flushes(&self) -> u64 {
-        self.full_flushes.get()
     }
 }
 
@@ -549,28 +469,6 @@ mod tests {
             .translate(bad, Access::Write, &DirectLoad(&mem))
             .unwrap_err();
         assert!(matches!(e, HwError::EptViolation { write: true, .. }));
-    }
-
-    #[test]
-    fn unmap_bumps_generation() {
-        let (mem, ept) = setup();
-        let r = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
-        let g0 = ept.generation();
-        ept.map_identity(r, 2).unwrap();
-        assert_eq!(
-            ept.generation(),
-            g0,
-            "growing the map must not require INVEPT"
-        );
-        ept.unmap(r).unwrap();
-        assert_eq!(ept.generation(), g0 + 1);
-        assert!(ept
-            .translate(
-                GuestPhysAddr::new(r.start.raw()),
-                Access::Read,
-                &DirectLoad(&mem)
-            )
-            .is_err());
     }
 
     #[test]
@@ -655,107 +553,22 @@ mod tests {
         assert_eq!(c.stats(), (2, 2));
     }
 
-    /// Map `slots` consecutive 2 MiB leaves and cache all of them the way a
-    /// walk does: sync, then translate through the cache, which misses.
-    fn cached_2m_leaves(mem: &PhysMemory, ept: &Ept, c: &WalkCache, slots: u64) -> PhysRange {
-        let r = mem
-            .alloc(ZoneId(0), slots * PAGE_SIZE_2M, PAGE_SIZE_2M)
-            .unwrap();
-        ept.map_identity(r, 2).unwrap();
-        c.sync(ept);
-        for slot in 0..slots {
-            let gpa = GuestPhysAddr::new(r.start.raw() + slot * PAGE_SIZE_2M + 64);
-            let t = c.translate(ept, gpa, Access::Read, &DirectLoad(mem));
-            assert!(t.unwrap().loads > 0, "a cold leaf walks the EPT");
-        }
-        r
-    }
-
     fn sub(r: PhysRange, offset: u64, len: u64) -> PhysRange {
         PhysRange::new(r.start.add(offset), len)
     }
 
-    #[test]
-    fn sync_drops_what_an_unmap_removed_and_keeps_the_rest() {
-        let (mem, ept) = setup();
-        let c = WalkCache::new();
-        let r = cached_2m_leaves(&mem, &ept, &c, 3);
-        let at = |slot: u64| r.start.raw() + slot * PAGE_SIZE_2M + 4096;
-        assert_eq!(c.full_flushes(), 1, "the cold first sync");
-
-        ept.unmap(sub(r, PAGE_SIZE_2M, PAGE_SIZE_2M)).unwrap();
-        // Not yet synced: the walk in flight keeps the view it started with.
-        assert_eq!(read_hit(&c, at(1)), Some(at(1)));
-        c.sync(&ept);
-        assert_eq!(read_hit(&c, at(1)), None, "the reclaimed leaf is gone");
-        assert_eq!(read_hit(&c, at(0)), Some(at(0)), "its neighbours still hit");
-        assert_eq!(read_hit(&c, at(2)), Some(at(2)));
-        assert_eq!(c.full_flushes(), 1, "a logged unmap needs no full clear");
-    }
-
-    #[test]
-    fn sync_drops_the_whole_entry_of_a_split_leaf() {
-        let (mem, ept) = setup();
-        let c = WalkCache::new();
-        let r = cached_2m_leaves(&mem, &ept, &c, 2);
-        // One page out of the first leaf: the radix engine splits it, and
-        // the 2 MiB entry no longer describes a leaf that exists.
-        ept.unmap(sub(r, 16 * PAGE_SIZE_4K, PAGE_SIZE_4K)).unwrap();
-        c.sync(&ept);
-        assert_eq!(read_hit(&c, r.start.raw() + 16 * PAGE_SIZE_4K), None);
-        assert_eq!(read_hit(&c, r.start.raw()), None, "surviving part included");
-        let other = r.start.raw() + PAGE_SIZE_2M;
-        assert_eq!(read_hit(&c, other), Some(other));
-    }
-
-    #[test]
-    fn sync_clears_everything_once_the_log_has_wrapped() {
-        let (mem, ept) = setup();
-        let c = WalkCache::new();
-        let r = cached_2m_leaves(&mem, &ept, &c, 2);
-        let (reclaimed, kept) = (r.start.raw(), r.start.raw() + PAGE_SIZE_2M);
-        let slots = UNMAP_LOG_SLOTS as u64;
-        let scratch = mem
-            .alloc(ZoneId(0), slots * PAGE_SIZE_4K, PAGE_SIZE_4K)
-            .unwrap();
-        // Unmap the first leaf, then `more` unrelated pages, unsynced.
-        let fall_behind = |more: u64| {
-            ept.map_identity(scratch, 1).unwrap();
-            ept.unmap(sub(r, 0, PAGE_SIZE_2M)).unwrap();
-            for page in 0..more {
-                ept.unmap(sub(scratch, page * PAGE_SIZE_4K, PAGE_SIZE_4K))
-                    .unwrap();
-            }
-        };
-
-        fall_behind(slots - 1);
-        c.sync(&ept);
-        assert_eq!(c.full_flushes(), 1, "a full ring is still replayed");
-        assert_eq!(read_hit(&c, reclaimed), None);
-        assert_eq!(read_hit(&c, kept), Some(kept));
-
-        fall_behind(slots);
-        c.sync(&ept);
-        assert_eq!(c.full_flushes(), 2, "one unmap too many to replay");
-        assert_eq!(
-            read_hit(&c, kept),
-            None,
-            "overflow degrades to a full clear"
-        );
-    }
-
     /// One leaf through its life: read-only and cached by a read, widened,
     /// narrowed again. The cached rights are checked on every hit, a denied
-    /// hit is the live EPT's to answer, and only the narrowing is logged.
+    /// hit is the live EPT's to answer, and only the narrowing needs a flush:
+    /// until it comes, the cache grants what the leaf no longer does.
     #[test]
-    fn cached_rights_are_checked_and_only_a_narrowing_re_map_is_logged() {
+    fn cached_rights_are_checked_and_only_a_narrowing_re_map_needs_a_flush() {
         let (mem, ept) = setup();
         let c = WalkCache::new();
         let r = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
         let gpa = GuestPhysAddr::new(r.start.raw() + 0x1238);
         // What a walk started now gets: the translation's loads, or the error.
         let walk = |access| {
-            c.sync(&ept);
             c.translate(&ept, gpa, access, &DirectLoad(&mem))
                 .map(|t| (t.pa.raw(), t.loads))
         };
@@ -767,21 +580,23 @@ mod tests {
         assert_eq!(walk(Access::Write), denied, "the cached rights refuse it");
         assert_eq!(walk(Access::Read), Ok((gpa.raw(), 0)), "and the leaf stays");
 
-        let generation = ept.generation();
         ept.map_identity(r, 2).unwrap();
-        assert_eq!(ept.generation(), generation, "widening needs no log entry");
         assert_eq!(
             walk(Access::Write),
             Ok((gpa.raw(), 1)),
-            "falls through to the live EPT — since PR 25 from the cached PD page \
-             the cold walk passed: one load, the PDE, not the root walk's 3"
+            "falls through to the live EPT from the cached PD page the cold walk \
+             passed: one load, the PDE, not the root walk's 3"
         );
         assert_eq!(walk(Access::Write), Ok((gpa.raw(), 0)), "and refills");
 
         ept.map_identity_perms(r, Perms::R, 2).unwrap();
-        assert_eq!(ept.generation(), generation + 1, "narrowing is logged");
-        assert_eq!(walk(Access::Write), denied, "first walk after the re-map");
-        assert_eq!(c.full_flushes(), 1, "ranged, not a full clear");
+        assert_eq!(
+            walk(Access::Write),
+            Ok((gpa.raw(), 0)),
+            "unflushed, the line still grants the write"
+        );
+        c.flush_range(r.start.raw(), r.len);
+        assert_eq!(walk(Access::Write), denied, "first walk after the flush");
     }
 
     /// Whether `cached` is an answer the live EPT gives: the same verdict,
@@ -811,7 +626,6 @@ mod tests {
         );
         ept.map_identity_perms(big, Perms::R, 2).unwrap();
         ept.map_identity_perms(small, Perms::RW, 1).unwrap();
-        c.sync(&ept);
         let cold = c.translate(
             &ept,
             GuestPhysAddr::new(small.start.raw()),
@@ -844,11 +658,11 @@ mod tests {
     }
 
     /// A 1 GiB leaf mapped over a GiB whose PD page is cached unlinks that
-    /// page without a log entry (an `RWX` map only widens). A walk resumed
+    /// page and needs no flush (an `RWX` map only widens). A walk resumed
     /// there still gets what the live EPT grants — an answer it gave before,
     /// or the root walk's where the old page has none or denies the access —
-    /// and once part of the leaf is unmapped, the logged range takes the
-    /// line with it.
+    /// and once part of the leaf is unmapped, the flush of that range takes
+    /// the line with it.
     #[test]
     fn a_1g_leaf_over_a_cached_pd_page_leaves_only_answers_the_live_ept_gives() {
         let gib = PhysRange::new(HostPhysAddr::new(PAGE_SIZE_1G), PAGE_SIZE_1G);
@@ -871,7 +685,6 @@ mod tests {
                 .unwrap();
             ept.map_identity_perms(sub(gib, PAGE_SIZE_2M, 16 * PAGE_SIZE_4K), Perms::R, 1)
                 .unwrap();
-            c.sync(&ept);
             c.translate(
                 &ept,
                 GuestPhysAddr::new(gib.start.raw()),
@@ -882,16 +695,14 @@ mod tests {
             let old_pd = c.pd_page(gib.start.raw());
             assert!(old_pd.is_some(), "the cold walk cached the PDPTE");
 
-            let generation = ept.generation();
             ept.map_identity(gib, 3).unwrap();
-            assert_eq!(ept.generation(), generation, "not logged");
             if unmap_first {
-                // The 1 GiB leaf splits under the hole; the range is logged.
+                // The 1 GiB leaf splits under the hole, which is flushed.
                 ept.unmap(hole).unwrap();
+                c.flush_range(hole.start.raw(), hole.len);
             }
             for gpa in points {
                 for access in [Access::Read, Access::Write, Access::Exec] {
-                    c.sync(&ept);
                     let gpa = GuestPhysAddr::new(gpa);
                     let cached = c.translate(&ept, gpa, access, &load);
                     let live = ept.translate(gpa, access, &load);
@@ -905,7 +716,7 @@ mod tests {
                 assert_ne!(
                     c.pd_page(gib.start.raw()),
                     old_pd,
-                    "the unmap took the line"
+                    "the flush took the line"
                 );
             }
         }
@@ -914,11 +725,11 @@ mod tests {
     /// A map the pool refuses after it linked a new PD page takes the page
     /// back, and the pool hands it on — here to a second EPT on the same
     /// pool, as the controller's node-wide pool does. A walk in flight during
-    /// the map may have cached the PDPTE that pointed at it; the failed map is
-    /// logged, so the next sync drops that line and the next walk gets this
-    /// EPT's answer, not the other's.
+    /// the map may have cached the PDPTE that pointed at it: until the failed
+    /// map's range is flushed, that line leads into the other EPT's table;
+    /// after, the next walk gets this EPT's answer.
     #[test]
-    fn a_failed_map_is_logged_so_no_line_leads_into_the_frame_it_gave_back() {
+    fn a_failed_maps_flush_drops_the_line_into_the_frame_it_gave_back() {
         let mem = Arc::new(PhysMemory::new(&[64 * 1024 * 1024]));
         // Each EPT's root, PDPT and one PD, and one frame spare.
         let region = mem
@@ -944,32 +755,35 @@ mod tests {
         // GiB 2's PD page, GiB 3's finds no frame.
         let wanted = PhysRange::new(slot(2, 511).start, 2 * PAGE_SIZE_2M);
         let c = WalkCache::new();
-        c.sync(&ept);
         // The line a walk of `wanted` racing the map would leave: GiB 2's
         // PDPTE, pointing at the spare. (One thread cannot interleave a walk
         // with a map, so it is filled by hand.)
         *c.lines
             .borrow_mut()
             .fill(wanted.start.raw(), PageSize::Size1G) = (spare.raw(), TABLE_LINE);
-        let generation = ept.generation();
         let refused = ept.map_identity(wanted, 2);
         assert!(
             matches!(refused, Err(HwError::OutOfMemory { .. })),
             "{refused:?}"
         );
-        assert_eq!(ept.generation(), generation + 1, "the failed map is logged");
         // The other EPT's PD page for GiB 3 is the spare, with its last slot
         // mapped.
         other.map_identity(slot(3, 511), 2).unwrap();
         assert_eq!(pool.outstanding(), 7);
 
-        c.sync(&ept);
+        let gpa = GuestPhysAddr::new(wanted.start.raw() + 0x40);
+        let stale = c.translate(&ept, gpa, Access::Read, &DirectLoad(&mem));
+        assert_eq!(
+            stale.map(|t| t.pa.raw()),
+            Ok(slot(3, 511).start.raw() + 0x40),
+            "unflushed, the line serves the other EPT's mapping"
+        );
+        c.flush_range(wanted.start.raw(), wanted.len);
         assert_eq!(
             c.pd_page(wanted.start.raw()),
             None,
-            "the line went with the log entry"
+            "the flush took the line"
         );
-        let gpa = GuestPhysAddr::new(wanted.start.raw() + 0x40);
         assert_eq!(
             c.translate(&ept, gpa, Access::Read, &DirectLoad(&mem)),
             Err(violation_err(gpa, Access::Read)),
@@ -999,19 +813,20 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-            /// Drive the cache the way `NestedLoad` does (sync, then
-            /// translate through it) against random map/unmap sequences
-            /// mixing 4 KiB, 2 MiB and 1 GiB leaves of three sets of rights,
-            /// 1 GiB leaves mapped over a subtree whose PD page may be
-            /// cached, and maps refused by a pool with one frame left, with
-            /// any number of edits — at times more than the log holds —
-            /// between two walks. After every sync no point inside a range
-            /// unmapped since the previous one may hit, every hit anywhere,
-            /// for any access, must be one a fresh `Ept::translate` grants
-            /// (same address, no right the live leaf lacks), and so must
-            /// every answer `translate` gives, leaf or resumed walk.
+            /// Drive the cache the way a core does (translate through it,
+            /// and flush what the controller flushes: every range unmapped,
+            /// re-mapped with fewer rights or refused since the last walk)
+            /// against random map/unmap sequences mixing 4 KiB, 2 MiB and
+            /// 1 GiB leaves of three sets of rights, 1 GiB leaves mapped over
+            /// a subtree whose PD page may be cached, and maps refused by a
+            /// pool with one frame left, with any number of edits between two
+            /// walks. After every flush no point inside a flushed range may
+            /// hit, every hit anywhere, for any access, must be one a fresh
+            /// `Ept::translate` grants (same address, no right the live leaf
+            /// lacks), and so must every answer `translate` gives, leaf or
+            /// resumed walk.
             #[test]
-            fn hits_match_the_live_ept_and_unmapped_ranges_never_hit(
+            fn hits_match_the_live_ept_and_flushed_ranges_never_hit(
                 ops in proptest::collection::vec((0u8..18, 0u64..2, 0u64..4, 0u64..8), 1..200),
             ) {
                 // Two GiB slots above the memory `setup` builds: the EPT
@@ -1022,8 +837,8 @@ mod tests {
                 let cache = WalkCache::new();
                 let range = |start, len| PhysRange::new(HostPhysAddr::new(start), len);
                 let accesses = [Access::Read, Access::Write, Access::Exec];
-                // Unmapped since the cache last synced.
-                let mut unsynced: Vec<PhysRange> = Vec::new();
+                // Owed a flush since the last walk.
+                let mut unflushed: Vec<PhysRange> = Vec::new();
 
                 for (kind, g, m, p) in ops {
                     let page = point(arena, (g, m, p));
@@ -1037,9 +852,11 @@ mod tests {
                         0..=2 => {
                             let (start, level) =
                                 [(page, 1), (slot_2m, 2), (slot_1g, 3)][kind as usize];
-                            let len = PageSize::from_level(level).unwrap().bytes();
+                            let r = range(start, PageSize::from_level(level).unwrap().bytes());
                             let perms = [Perms::RWX, Perms::R, Perms::RW][(g + m + p) as usize % 3];
-                            let _ = ept.map_identity_perms(range(start, len), perms, level);
+                            if ept.map_identity_perms(r, perms, level).is_err() || perms != Perms::RWX {
+                                unflushed.push(r);
+                            }
                             continue;
                         }
                         3 => vec![range(page, PAGE_SIZE_4K)],
@@ -1048,7 +865,7 @@ mod tests {
                         5 => vec![range(slot_2m, PAGE_SIZE_2M / 2)],
                         6 => vec![range(slot_1g, PAGE_SIZE_1G)],
                         // Every sample page of one GiB slot, one unmap
-                        // each: more than the log holds.
+                        // each.
                         7 => points(arena)
                             .filter(|gpa| range(slot_1g, PAGE_SIZE_1G).contains(HostPhysAddr::new(*gpa)))
                             .map(|gpa| range(gpa, PAGE_SIZE_4K))
@@ -1068,20 +885,24 @@ mod tests {
                             if let Some(frame) = held.pop() {
                                 pool.free_frame(frame).unwrap();
                             }
-                            let _ = ept.map_identity(range(page, PAGE_SIZE_4K), 1);
+                            if ept.map_identity(range(page, PAGE_SIZE_4K), 1).is_err() {
+                                unflushed.push(range(page, PAGE_SIZE_4K));
+                            }
                             for frame in held {
                                 pool.free_frame(frame).unwrap();
                             }
                             continue;
                         }
                         _ => {
-                            cache.sync(&ept);
+                            for r in &unflushed {
+                                cache.flush_range(r.start.raw(), r.len);
+                            }
                             for (gpa, access) in points(arena).flat_map(|gpa| accesses.map(|a| (gpa, a))) {
                                 let hit = cache.lookup(gpa, access);
-                                if unsynced.iter().any(|r| r.contains(HostPhysAddr::new(gpa))) {
+                                if unflushed.iter().any(|r| r.contains(HostPhysAddr::new(gpa))) {
                                     prop_assert_eq!(
                                         hit, None,
-                                        "{:#x} hits after a sync that followed its unmap", gpa
+                                        "{:#x} hits after the flush of its range", gpa
                                     );
                                 }
                                 if let Some(hit) = hit {
@@ -1093,7 +914,7 @@ mod tests {
                                     );
                                 }
                             }
-                            unsynced.clear();
+                            unflushed.clear();
                             for (i, gpa) in points(arena).enumerate() {
                                 let (gpa, access) = (GuestPhysAddr::new(gpa + 8 * p), accesses[(i + kind as usize) % 3]);
                                 let cached = cache.translate(&ept, gpa, access, &load);
@@ -1108,7 +929,7 @@ mod tests {
                     };
                     for r in unmaps {
                         ept.unmap(r).unwrap();
-                        unsynced.push(r);
+                        unflushed.push(r);
                     }
                 }
             }

@@ -6,9 +6,8 @@
 //! slot its page number indexes, tagged with its base. This module is the one
 //! place that knows the invalid tag, how a slot is picked, the order the
 //! classes are probed in and what "overlaps a range" means; the two caches
-//! keep what differs — payload, statistics, tracer events and how each is
-//! kept coherent (shootdown commands for the TLB, the unmap log for the walk
-//! cache).
+//! keep what differs — payload, statistics and tracer events. Both are kept
+//! coherent the same way: the hypervisor's flush commands.
 
 use crate::addr::PageSize;
 
@@ -159,13 +158,11 @@ impl<P: Default, const POW2: bool> SizeClassed<P, POW2> {
 #[allow(clippy::needless_update)]
 mod tests {
     use super::*;
-    use crate::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
+    use crate::addr::{HostPhysAddr, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use crate::backing::Backing;
-    use crate::ept::{Ept, WalkCache, UNMAP_LOG_SLOTS};
-    use crate::memory::PhysMemory;
-    use crate::paging::{Access, FramePool, Perms, Translation};
+    use crate::ept::WalkCache;
+    use crate::paging::{Access, Perms, Translation};
     use crate::tlb::{Tlb, TlbParams};
-    use crate::topology::ZoneId;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -258,11 +255,10 @@ mod tests {
         /// Random inserts, lookups and invalidations on a `Tlb` (three
         /// geometries: the default with its 127-entry class, a tiny odd one
         /// and one with an empty class) and on a `WalkCache` (leaves of three
-        /// sets of rights looked up for all three accesses; coherence by
-        /// `unmap` then `sync`, at times more unmaps than the log holds, at
-        /// times a lookup before the sync): every lookup, the final
-        /// survivors and the statistics equal the reference's — a leaf whose
-        /// rights deny the access is a miss.
+        /// sets of rights looked up for all three accesses, flushed by the
+        /// same page, range and full flushes as the TLB): every lookup, the
+        /// final survivors and the statistics equal the reference's — a leaf
+        /// whose rights deny the access is a miss.
         #[test]
         fn tlb_and_walk_cache_hold_what_a_map_of_their_geometry_holds(
             geometry in 0usize..3,
@@ -281,34 +277,9 @@ mod tests {
             let (mut hits, mut misses) = (0u64, 0u64);
             let (mut page_flushes, mut range_flushes, mut full_flushes) = (0u64, 0u64, 0u64);
 
-            let mem = Arc::new(PhysMemory::new(&[64 * 1024 * 1024]));
-            let pool = mem.alloc_backed(ZoneId(0), 1024 * 1024, PAGE_SIZE_4K).unwrap();
-            let ept = Ept::new(Arc::new(FramePool::new(Arc::clone(&mem), pool).unwrap())).unwrap();
             let cache = WalkCache::new();
             let mut cache_ref = Reference::new(WALK_CACHE_SLOTS);
-            let (mut cache_hits, mut cache_misses, mut cache_clears) = (0u64, 0u64, 0u64);
-            // Unmapped since the cache last synced; `None` until it first has.
-            let mut unsynced: Option<Vec<(u64, u64)>> = None;
-            let unmap = |start: u64, len: u64, unsynced: &mut Option<Vec<(u64, u64)>>| {
-                ept.unmap(PhysRange::new(HostPhysAddr::new(start), len)).unwrap();
-                if let Some(ranges) = unsynced {
-                    ranges.push((start, len));
-                }
-            };
-            let mut sync = |unsynced: &mut Option<Vec<(u64, u64)>>, cache_ref: &mut Reference| {
-                cache.sync(&ept);
-                match unsynced.replace(Vec::new()) {
-                    Some(ranges) if ranges.len() <= UNMAP_LOG_SLOTS => {
-                        for (start, len) in ranges {
-                            cache_ref.remove_overlapping(start, len);
-                        }
-                    }
-                    _ => {
-                        cache_ref.pages.clear();
-                        cache_clears += 1;
-                    }
-                }
-            };
+            let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
 
             let mut check = |addr: u64, access: Access, tlb: &mut Tlb, tlb_ref: &Reference, cache_ref: &Reference| {
                 let want = tlb_ref.lookup(addr);
@@ -333,7 +304,6 @@ mod tests {
 
             for (i, (kind, g, m, p, w)) in ops.into_iter().enumerate() {
                 let addr = point((g, m, p, w));
-                let page = PageSize::Size4K.base_of(addr);
                 let id = i as u64 % 512;
                 match kind {
                     0..=4 => {
@@ -359,8 +329,8 @@ mod tests {
                         tlb.flush_page(addr);
                         tlb_ref.remove_page(addr);
                         page_flushes += 1;
-                        unmap(page, PAGE_SIZE_4K, &mut unsynced);
-                        sync(&mut unsynced, &mut cache_ref);
+                        cache.flush_page(addr);
+                        cache_ref.remove_page(addr);
                     }
                     9 => {
                         let len = [0, 8, PAGE_SIZE_4K, PAGE_SIZE_2M, 3 * PAGE_SIZE_2M + PAGE_SIZE_4K, PAGE_SIZE_1G]
@@ -370,26 +340,19 @@ mod tests {
                         tlb.flush_range(start, len);
                         tlb_ref.remove_overlapping(start, len);
                         range_flushes += 1;
-                        // An unmap takes whole pages.
-                        unmap(page, len.next_multiple_of(PAGE_SIZE_4K), &mut unsynced);
-                        sync(&mut unsynced, &mut cache_ref);
+                        cache.flush_range(start, len);
+                        cache_ref.remove_overlapping(start, len);
                     }
                     10 => {
                         tlb.flush_all();
                         tlb_ref.pages.clear();
                         full_flushes += 1;
-                        // One unmap more than the log can replay, all of a
-                        // page nothing caches.
-                        for _ in 0..=UNMAP_LOG_SLOTS {
-                            unmap(8 * PAGE_SIZE_1G, PAGE_SIZE_4K, &mut unsynced);
-                        }
-                        sync(&mut unsynced, &mut cache_ref);
+                        cache.flush_all();
+                        cache_ref.pages.clear();
                     }
                     _ => {
-                        // A size no class holds caches nothing; an unmap not
-                        // yet synced to removes nothing.
+                        // A size no class holds caches nothing.
                         tlb.insert(addr & !8191, 8192, host(id) as *mut u8, Arc::clone(&backing), true);
-                        unmap(page, PAGE_SIZE_2M, &mut unsynced);
                     }
                 }
             }
@@ -403,7 +366,6 @@ mod tests {
                 (page_flushes, range_flushes, full_flushes)
             );
             prop_assert_eq!(cache.stats(), (cache_hits, cache_misses));
-            prop_assert_eq!(cache.full_flushes(), cache_clears);
         }
     }
 }

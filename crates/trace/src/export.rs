@@ -467,8 +467,6 @@ mod tests {
         let mut w = WindowSnapshot {
             index: 2,
             phase_cycles: [0; NUM_PHASES],
-            dwell_p50: [0; NUM_PHASES],
-            dwell_p99: [0; NUM_PHASES],
         };
         w.phase_cycles[Phase::GuestExec as usize] = 800;
         w.phase_cycles[Phase::RootExit as usize] = 200;

@@ -1,40 +1,13 @@
-//! The one log2 histogram: a bucket rule ([`log2_bucket`]), a quantile
-//! rule ([`bucket_quantile`]) and [`HistSnapshot`], the plain struct the
-//! audit engine buckets event latencies into. The profiler's window
-//! accumulator keeps its own compact dwell counts and shares the two
-//! rules.
+//! The one log2 histogram: [`HistSnapshot`], the plain struct the audit
+//! engine buckets event latencies into.
 
 const BUCKETS: usize = 64;
 
 /// The log2 bucket of `v`: `64 - v.leading_zeros()`, so bucket 0 holds
 /// zeros and bucket `i` covers `[2^(i-1), 2^i)`.
 #[inline]
-pub fn log2_bucket(v: u64) -> usize {
+fn log2_bucket(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
-}
-
-/// Upper bound of the bucket of `counts` (indexed by [`log2_bucket`])
-/// holding the q-quantile sample (`q` clamped to [0, 1]); 0 when `counts`
-/// holds no sample.
-pub fn bucket_quantile<C: Copy + Into<u64>>(counts: &[C], q: f64) -> u64 {
-    let total: u64 = counts.iter().map(|&c| c.into()).sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    let i = counts
-        .iter()
-        .position(|&c| {
-            seen += c.into();
-            seen >= rank
-        })
-        .unwrap_or(counts.len() - 1);
-    if i == 0 {
-        0
-    } else {
-        1u64 << i.min(63)
-    }
 }
 
 /// A log2-bucketed histogram of `u64` samples: fixed memory, no
@@ -67,20 +40,34 @@ impl HistSnapshot {
         self.max = self.max.max(v);
     }
 
-    /// Upper bound of the bucket holding the q-quantile sample
-    /// (`q` in [0, 1]); 0 for an empty histogram.
+    /// Upper bound of the bucket holding the q-quantile sample (`q`
+    /// clamped to [0, 1]); 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        bucket_quantile(&self.buckets, q)
+        let total: u64 = self.buckets.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        let i = self
+            .buckets
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .unwrap_or(BUCKETS);
+        if i == 0 {
+            0
+        } else {
+            1u64 << i.min(63)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The profiler's compact window storage: the shared rules must read
-    /// it the way they read a [`HistSnapshot`].
-    const DWELL: [u32; 48] = [0; 48];
 
     #[test]
     fn bucket_boundaries() {
@@ -112,7 +99,6 @@ mod tests {
         let snap = HistSnapshot::default();
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(snap.quantile(q), 0, "q={q}");
-            assert_eq!(bucket_quantile(&DWELL, q), 0, "q={q}");
         }
     }
 
@@ -120,44 +106,31 @@ mod tests {
     fn quantile_extremes_on_single_bucket() {
         // One sample: every quantile lands in its bucket.
         let mut snap = HistSnapshot::default();
-        let mut dwell = DWELL;
         snap.record(5); // bucket 3, upper bound 8
-        dwell[log2_bucket(5)] += 1;
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(snap.quantile(q), 8, "q={q}");
-            assert_eq!(bucket_quantile(&dwell, q), 8, "q={q}");
         }
         // Many samples in the same bucket behave identically.
         for _ in 0..99 {
             snap.record(5);
         }
-        dwell[log2_bucket(5)] += 99;
         for q in [0.0, 1.0] {
             assert_eq!(snap.quantile(q), 8, "q={q}");
-            assert_eq!(bucket_quantile(&dwell, q), 8, "q={q}");
         }
     }
 
     #[test]
     fn quantile_q0_and_q1_hit_the_extreme_buckets() {
         let mut snap = HistSnapshot::default();
-        let mut dwell = DWELL;
         for v in [1, 1024] {
             snap.record(v); // buckets 1 and 11, upper bounds 2 and 2048
-            dwell[log2_bucket(v)] += 1;
         }
         // q=0 clamps rank to the first sample, q=1 to the last.
         assert_eq!(snap.quantile(0.0), 2);
         assert_eq!(snap.quantile(1.0), 2048);
-        assert_eq!(bucket_quantile(&dwell, 0.0), 2);
-        assert_eq!(bucket_quantile(&dwell, 1.0), 2048);
         // Out-of-range q clamps rather than panicking or wrapping.
         assert_eq!(snap.quantile(-3.0), snap.quantile(0.0));
         assert_eq!(snap.quantile(7.5), snap.quantile(1.0));
-        // A sample clamped into the window's last bucket reports that
-        // bucket's bound, whatever its size.
-        dwell[47] += 1;
-        assert_eq!(bucket_quantile(&dwell, 1.0), 1 << 47);
     }
 
     #[test]

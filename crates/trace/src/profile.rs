@@ -33,11 +33,10 @@
 //!
 //! A per-lane sliding-window ring ([`PhaseProfiler::tail_windows`])
 //! exposes the time series live — fixed windows of per-phase cycle
-//! shares plus p50/p99 phase dwell — in the same seqlock ring the
-//! recorder's event lanes use (`seqring.rs`), so the remediation pump
-//! consumes it with the cursor discipline it already has.
+//! shares — in the same seqlock ring the recorder's event lanes use
+//! (`seqring.rs`), so the remediation pump consumes it with the cursor
+//! discipline it already has.
 
-use crate::hist::{bucket_quantile, log2_bucket};
 use crate::seqring::SeqRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -109,13 +108,9 @@ const SLOTS: usize = 8;
 const WINDOW_SLOTS: usize = 64;
 
 /// Default window length in cycles (~0.4 ms at the default 2.4 GHz
-/// simulated clock) — long enough to hold many dwells, short enough
-/// that a remediation pump sees phase-mix changes quickly.
+/// simulated clock) — long enough to hold many phase changes, short
+/// enough that a remediation pump sees phase-mix changes quickly.
 pub const DEFAULT_WINDOW_CYCLES: u64 = 1 << 20;
-
-/// Dwell histogram buckets (log2 of cycles; bucket 47 covers > 2^46
-/// cycles ≈ 8 hours at 2.4 GHz, far beyond any dwell).
-const DWELL_BUCKETS: usize = 48;
 
 /// One sealed window of a lane's time series.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,10 +119,6 @@ pub struct WindowSnapshot {
     pub index: u64,
     /// Cycles accumulated per phase within the window.
     pub phase_cycles: [u64; NUM_PHASES],
-    /// p50 of phase dwell (cycles, log2-bucket upper bound) per phase.
-    pub dwell_p50: [u64; NUM_PHASES],
-    /// p99 of phase dwell (cycles, log2-bucket upper bound) per phase.
-    pub dwell_p99: [u64; NUM_PHASES],
 }
 
 impl WindowSnapshot {
@@ -148,17 +139,14 @@ impl WindowSnapshot {
 }
 
 /// Payload words of one sealed window in the lane's [`SeqRing`]: the
-/// window index, then per-phase cycles, dwell p50 and dwell p99.
-const WINDOW_WORDS: usize = 1 + 3 * NUM_PHASES;
+/// window index, then per-phase cycles.
+const WINDOW_WORDS: usize = 1 + NUM_PHASES;
 
 /// Decode a sealed window from its ring payload.
 fn decode_window(words: [u64; WINDOW_WORDS]) -> WindowSnapshot {
-    let column = |c: usize| std::array::from_fn(|p| words[1 + c * NUM_PHASES + p]);
     WindowSnapshot {
         index: words[0],
-        phase_cycles: column(0),
-        dwell_p50: column(1),
-        dwell_p99: column(2),
+        phase_cycles: std::array::from_fn(|p| words[1 + p]),
     }
 }
 
@@ -168,8 +156,6 @@ fn decode_window(words: [u64; WINDOW_WORDS]) -> WindowSnapshot {
 struct WindowAcc {
     index: u64,
     phase_cycles: [u64; NUM_PHASES],
-    /// Per-phase log2 dwell counts (compact; quantiles computed at seal).
-    dwell: [[u32; DWELL_BUCKETS]; NUM_PHASES],
     dirty: bool,
 }
 
@@ -178,7 +164,6 @@ impl WindowAcc {
         WindowAcc {
             index: 0,
             phase_cycles: [0; NUM_PHASES],
-            dwell: [[0; DWELL_BUCKETS]; NUM_PHASES],
             dirty: false,
         }
     }
@@ -186,13 +171,8 @@ impl WindowAcc {
     fn reset(&mut self, index: u64) {
         self.index = index;
         self.phase_cycles = [0; NUM_PHASES];
-        self.dwell = [[0; DWELL_BUCKETS]; NUM_PHASES];
         self.dirty = false;
     }
-}
-
-fn dwell_bucket(cycles: u64) -> usize {
-    log2_bucket(cycles).min(DWELL_BUCKETS - 1)
 }
 
 /// One lane's shard: enclave-slot table of per-phase cycle totals, the
@@ -245,11 +225,7 @@ impl LaneShard {
     fn seal(&self, acc: &WindowAcc) {
         let mut words = [0; WINDOW_WORDS];
         words[0] = acc.index;
-        for p in 0..NUM_PHASES {
-            words[1 + p] = acc.phase_cycles[p];
-            words[1 + NUM_PHASES + p] = bucket_quantile(&acc.dwell[p], 0.5);
-            words[1 + 2 * NUM_PHASES + p] = bucket_quantile(&acc.dwell[p], 0.99);
-        }
+        words[1..].copy_from_slice(&acc.phase_cycles);
         self.windows.write(words);
     }
 
@@ -485,9 +461,6 @@ pub struct PhaseTracker {
     phase: Phase,
     /// When the current phase delta started (last transition).
     phase_start: u64,
-    /// When the current *contiguous occupancy* of `phase` started
-    /// (same-phase transitions extend it; dwell is sampled on change).
-    occupancy_start: u64,
     begin_tsc: u64,
     window: WindowAcc,
 }
@@ -504,7 +477,6 @@ impl PhaseTracker {
             on: false,
             phase: Phase::Idle,
             phase_start: 0,
-            occupancy_start: 0,
             begin_tsc: 0,
             window: WindowAcc::new(),
         }
@@ -538,7 +510,6 @@ impl PhaseTracker {
         self.slot = self.prof.shard(self.lane).slot_for(self.tag);
         self.phase = Phase::GuestExec;
         self.phase_start = tsc;
-        self.occupancy_start = tsc;
         self.begin_tsc = tsc;
         self.window.reset(tsc / self.prof.window_cycles());
     }
@@ -582,14 +553,6 @@ impl PhaseTracker {
             }
             self.window.phase_cycles[out] += delta;
             self.window.dirty = true;
-        }
-        if phase as usize != out {
-            // Occupancy of `out` ends here: sample its dwell.
-            let dwell = tsc.saturating_sub(self.occupancy_start);
-            let b = dwell_bucket(dwell);
-            self.window.dwell[out][b] = self.window.dwell[out][b].saturating_add(1);
-            self.window.dirty = true;
-            self.occupancy_start = tsc;
         }
         self.phase = phase;
         self.phase_start = tsc;
@@ -693,25 +656,6 @@ mod tests {
         // The next begin picks the flag up.
         t.begin(400);
         assert!(t.on());
-    }
-
-    #[test]
-    fn same_phase_transitions_merge_occupancy_dwell() {
-        let prof = profiler(1);
-        let mut t = PhaseTracker::new(Arc::clone(&prof), 0);
-        t.begin(0);
-        // Three same-phase ticks then a change: one GuestExec dwell of
-        // 3000 cycles, not three of 1000.
-        t.transition(Phase::GuestExec, 1_000);
-        t.transition(Phase::GuestExec, 2_000);
-        t.transition(Phase::RootExit, 3_000);
-        t.finish(3_100);
-        let (wins, _, _) = prof.tail_windows(0, 0);
-        assert_eq!(wins.len(), 1);
-        // 3000 -> bucket [2048, 4096); three 1000-cycle dwells would
-        // have reported 1024.
-        assert_eq!(wins[0].dwell_p50[Phase::GuestExec as usize], 4096);
-        assert_eq!(wins[0].dwell_p99[Phase::GuestExec as usize], 4096);
     }
 
     #[test]

@@ -194,16 +194,14 @@ fn reclaim_with_live_core(
     });
 }
 
-/// The walk cache's half of a reclaim: the nested translations inside the
-/// reclaimed range are dropped, the unrelated ones — the guest's own
+/// The walk cache's half of a reclaim: the flush command the round trip
+/// posts drops the nested translations overlapping the reclaimed range, its
+/// GiB's PDPTE line included, while the unrelated ones — the guest's own
 /// page-table pages included — keep hitting, and nothing is cleared
 /// wholesale.
 #[test]
 fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
-    use covirt_suite::simhw::addr::{GuestPhysAddr, PhysRange};
-    use covirt_suite::simhw::ept::WalkCache;
-    use covirt_suite::simhw::error::HwError;
-    use covirt_suite::simhw::paging::{Access, DirectLoad};
+    use covirt_suite::covirt::CovirtError;
 
     let (node, master, ctl) = world();
     let req = covirt_suite::pisces::resources::ResourceRequest::new(
@@ -230,29 +228,13 @@ fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
         r
     };
     let (reclaimed, kept) = (grant(), grant());
+    assert_eq!(reclaimed.start.raw() >> 30, kept.start.raw() >> 30);
     g.write_u64(reclaimed.start.raw(), 0xa).unwrap();
-
-    // A cache filled the way a core fills its own, holding both grants'
-    // leaves.
-    let ept = ctl.context(e.id.0).unwrap().ept.clone().unwrap();
-    let cache = WalkCache::new();
-    let read = |r: PhysRange| {
-        cache.sync(&ept);
-        let gpa = GuestPhysAddr::new(r.start.raw() + 0x40);
-        cache
-            .translate(&ept, gpa, Access::Read, &DirectLoad(&node.mem))
-            .map(|t| (t.pa.raw(), t.loads))
-    };
-    assert_eq!(read(reclaimed), Ok((reclaimed.start.raw() + 0x40, 3)));
-    assert_eq!(
-        read(kept),
-        Ok((kept.start.raw() + 0x40, 1)),
-        "the second grant in the same GiB resumes at the PD page the first walk cached: \
-         one load, the PDE (3 from the EPT root before PR 25)"
-    );
     let before = g.counters();
 
     reclaim_with_live_core(&master, &e, &k, &mut g, reclaimed);
+    assert_eq!(g.tlb_stats().range_flushes, 1);
+    assert_eq!(g.tlb_stats().full_flushes, 0, "by range, not wholesale");
 
     // Kept: the first touch of the other grant walks through the same
     // guest PT pages, and every one of their lines still hits.
@@ -262,19 +244,27 @@ fn reclaim_keeps_unrelated_walk_cache_lines_and_drops_reclaimed_ones() {
     assert_eq!(
         after.walk_cache_misses,
         before.walk_cache_misses + 1,
-        "the one miss is the grant's own EPT leaf, which the core never touched before \
-         and — since PR 23 — looks up in its walk cache like a PT-entry page's"
+        "the one miss is the grant's own EPT leaf, which the core never touched before"
     );
     assert_eq!(after.walk_cache_hits, before.walk_cache_hits + 3);
-    assert_eq!(after.walk_cache_full_flushes, 1, "the cold sync only");
-
-    // Dropped: the next sync removes the reclaimed leaf and only that.
-    assert!(
-        matches!(read(reclaimed), Err(HwError::EptViolation { gpa, read: true, .. })
-            if gpa.raw() == reclaimed.start.raw() + 0x40)
+    assert_eq!(
+        after.walk_loads,
+        before.walk_loads + 3,
+        "walked from the EPT root: the GiB's PDPTE line overlapped the reclaimed range"
     );
-    assert_eq!(read(kept), Ok((kept.start.raw() + 0x40, 0)));
-    assert_eq!(cache.full_flushes(), 1);
+
+    // Dropped: the reclaimed leaf's line went with the flush, so the live
+    // EPT answers the first access into it.
+    let _ = covirt_suite::kitten::faults::stale_shared_mapping(&k, reclaimed);
+    let gpa = reclaimed.start.raw() + 0x40;
+    match g.read_u64(gpa) {
+        Err(CovirtError::EnclaveTerminated(reason)) => assert!(
+            reason.contains(&format!("EPT violation at {gpa:#x} (Read)")),
+            "{reason}"
+        ),
+        other => panic!("a stale read of {gpa:#x} must be contained, got {other:?}"),
+    }
+    assert_eq!(g.counters().walk_cache_misses, after.walk_cache_misses + 1);
 }
 
 /// The data page's half of that contract. A core caches the EPT leaf of a
@@ -327,7 +317,6 @@ fn first_access_after_a_reclaim_is_a_violation_though_its_data_leaf_was_cached()
         cached.walk_cache_misses + 1,
         "the line was dropped, so the live EPT answered"
     );
-    assert_eq!(after.walk_cache_full_flushes, 1, "by range, not wholesale");
 }
 
 /// The PDPTE half of that contract. A core that touched two grants in one
