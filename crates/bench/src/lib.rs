@@ -23,7 +23,7 @@ use workloads::audit::audit_trace;
 use workloads::exitless::{ArmResult, ConcurrentResult, ParkedResult};
 use workloads::figures::{Fig3Row, Fig4Row, Fig5aRow, Fig5bRow, Fig8Row, ScalingRow};
 use workloads::profile::{OverheadArm, ProfileReport};
-use workloads::scaling::{ChurnIsolation, FragPoint, NumaPoint, ScalingPoint};
+use workloads::scaling::{NumaPoint, ScalingPoint};
 use workloads::shootdown::ShootdownRun;
 
 /// Format an overhead percentage for a table cell: two decimals, or
@@ -160,11 +160,11 @@ pub fn render_scaling(title: &str, unit: &str, rows: &[ScalingRow]) -> String {
 }
 
 /// Render the data-plane scaling sweep (per-core STREAM + RandomAccess at
-/// 1/2/4/8 cores) with the resolve-path instrumentation behind it.
+/// 1/2/4/8 cores).
 pub fn render_scaling_points(rows: &[ScalingPoint]) -> String {
     let mut out = String::from(
         "Data-plane scaling — per-core throughput (weak scaling)\n\
-         cores config              triad-MB/s/core  ovh-%  GUPS/core  ovh-%  resolve-hit%  snap-swaps\n",
+         cores config              triad-MB/s/core  ovh-%  GUPS/core  ovh-%\n",
     );
     let mut core_counts: Vec<usize> = rows.iter().map(|r| r.cores).collect();
     core_counts.dedup();
@@ -175,7 +175,7 @@ pub fn render_scaling_points(rows: &[ScalingPoint]) -> String {
             .expect("native row");
         for r in rows.iter().filter(|r| r.cores == cores) {
             out.push_str(&format!(
-                "{:<5} {:<18} {:>15.0} {:>6} {:>10.5} {:>6} {:>12.1} {:>11}\n",
+                "{:<5} {:<18} {:>15.0} {:>6} {:>10.5} {:>6}\n",
                 r.cores,
                 r.mode,
                 r.stream_mbs_per_core,
@@ -185,8 +185,6 @@ pub fn render_scaling_points(rows: &[ScalingPoint]) -> String {
                 )),
                 r.gups_per_core,
                 fmt_pct(overhead_pct(r.gups_per_core, native.gups_per_core)),
-                r.resolve_hit_rate * 100.0,
-                r.snapshot_swaps,
             ));
         }
     }
@@ -194,11 +192,11 @@ pub fn render_scaling_points(rows: &[ScalingPoint]) -> String {
 }
 
 /// Render the multi-zone weak-scaling arm: per-core throughput with each
-/// core's arrays pinned to its local zone, plus per-zone shard hit rates.
+/// core's arrays pinned to its local zone.
 pub fn render_numa_points(rows: &[NumaPoint]) -> String {
     let mut out = String::from(
         "Multi-zone weak scaling — arrays pinned per local zone\n\
-         cores zones config              triad-MB/s/core  ovh-%  resolve-hit%  zone-hit%          snap-swaps\n",
+         cores zones config              triad-MB/s/core  ovh-%\n",
     );
     let mut core_counts: Vec<usize> = rows.iter().map(|r| r.cores).collect();
     core_counts.dedup();
@@ -208,13 +206,8 @@ pub fn render_numa_points(rows: &[NumaPoint]) -> String {
             .find(|r| r.cores == cores && r.mode == "native")
             .expect("native row");
         for r in rows.iter().filter(|r| r.cores == cores) {
-            let zone_hits: Vec<String> = r
-                .per_zone_hit_rate
-                .iter()
-                .map(|h| format!("{:.1}", h * 100.0))
-                .collect();
             out.push_str(&format!(
-                "{:<5} {:<5} {:<18} {:>15.0} {:>6} {:>12.1}  {:<17} {:>10}\n",
+                "{:<5} {:<5} {:<18} {:>15.0} {:>6}\n",
                 r.cores,
                 r.zones,
                 r.mode,
@@ -223,49 +216,8 @@ pub fn render_numa_points(rows: &[NumaPoint]) -> String {
                     r.stream_mbs_per_core,
                     native.stream_mbs_per_core
                 )),
-                r.resolve_hit_rate * 100.0,
-                zone_hits.join("/"),
-                r.snapshot_swaps,
             ));
         }
-    }
-    out
-}
-
-/// Render the cross-zone churn-isolation comparison.
-pub fn render_churn_isolation(iso: &ChurnIsolation) -> String {
-    format!(
-        "Cross-zone publish isolation — zone-0 enclave vs zone-1 churn\n\
-         arm                     resolve-hit%   remote-publishes   remote-backlog-hw\n\
-         {:<23} {:>12.2} {:>18} {:>19}\n\
-         {:<23} {:>12.2} {:>18} {:>19}\n",
-        "zone-1 quiet",
-        iso.baseline_hit_rate * 100.0,
-        0,
-        "-",
-        "zone-1 churn+reader",
-        iso.churn_hit_rate * 100.0,
-        iso.remote_publishes,
-        iso.remote_backlog_high_water,
-    )
-}
-
-/// Render the many-grants fragmentation rung (region-cache associativity
-/// vs snapshot binary-search depth, and the nested walk of each TLB miss).
-pub fn render_frag_points(rows: &[FragPoint]) -> String {
-    let mut out = String::from(
-        "Many-grants fragmentation — region-cache associativity\n\
-         ways  regions  hit-rate%  avg-search-depth  ept-loads/miss\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<5} {:<8} {:>9.1} {:>17.2} {:>15.2}\n",
-            r.ways,
-            r.regions,
-            r.hit_rate * 100.0,
-            r.avg_search_depth,
-            r.nested_loads_per_miss,
-        ));
     }
     out
 }
@@ -327,8 +279,8 @@ pub fn render_shootdown(r: &ShootdownRun) -> String {
 /// Render the `figures report` page of one traced shootdown run: the
 /// per-core count table, the audit engine's page over the same capture
 /// (region and command lifecycles, the per-enclave latency budget rows),
-/// the slowest of the command completions it stitched, and the per-zone
-/// snapshot/resolve counts.
+/// the slowest of the command completions it stitched, and each zone's
+/// memory in use.
 pub fn render_report(run: &ShootdownRun) -> String {
     let node = &run.node;
     let audit = audit_trace(node);
@@ -351,23 +303,14 @@ pub fn render_report(run: &ShootdownRun) -> String {
         ));
     }
 
-    out.push_str(&format!(
-        "\nper-zone snapshot/resolve statistics:\n\
-         \x20 {:<5} {:>6} {:>9} {:>10} {:>8} {:>11} {:>6} {:>10}\n",
-        "zone", "swaps", "res-hits", "res-misses", "backlog", "backlog-hw", "freed", "avg-depth"
-    ));
+    out.push_str("\nper-zone memory:\n  zone   total-MiB   in-use-KiB\n");
     for z in 0..node.topology.zones {
-        let s = node.mem.zone_stats(ZoneId(z)).expect("zone stats");
+        let (total, in_use) = node.mem.zone_usage(ZoneId(z)).expect("zone usage");
         out.push_str(&format!(
-            "  {:<5} {:>6} {:>9} {:>10} {:>8} {:>11} {:>6} {:>10.2}\n",
+            "  {:<6} {:>9} {:>12}\n",
             z,
-            s.snapshot_swaps,
-            s.resolve_hits,
-            s.resolve_misses,
-            s.retired_backlog,
-            s.retired_backlog_high_water,
-            s.retired_freed,
-            s.avg_search_depth()
+            total >> 20,
+            in_use >> 10
         ));
     }
     out
@@ -521,7 +464,7 @@ mod tests {
         let enclaves = section("per-enclave budget report:");
         assert_eq!(enclaves.len(), 1, "{text}");
         assert!(enclaves[0].trim_end().ends_with("OK"), "{text}");
-        let zones = section("per-zone snapshot/resolve statistics:");
+        let zones = section("per-zone memory:");
         assert_eq!(zones.len(), run.node.topology.zones, "{text}");
         let latencies: Vec<u64> = section("slowest command completions")
             .iter()
@@ -587,75 +530,25 @@ mod tests {
     }
 
     #[test]
-    fn numa_render_lists_zone_hit_rates() {
+    fn numa_render_lists_both_modes() {
         let rows = vec![
             NumaPoint {
                 mode: "native".into(),
                 cores: 2,
                 zones: 2,
                 stream_mbs_per_core: 1000.0,
-                resolve_hit_rate: 0.99,
-                per_zone_hit_rate: vec![0.991, 0.987],
-                snapshot_swaps: 0,
             },
             NumaPoint {
                 mode: "covirt-mem".into(),
                 cores: 2,
                 zones: 2,
                 stream_mbs_per_core: 990.0,
-                resolve_hit_rate: 0.98,
-                per_zone_hit_rate: vec![0.981, 0.979],
-                snapshot_swaps: 2,
             },
         ];
         let s = render_numa_points(&rows);
         assert!(s.contains("covirt-mem"));
-        assert!(s.contains("99.1/98.7"));
-        assert!(s.contains("98.1/97.9"));
         // covirt is ~1% slower than native on this rung.
         assert!(s.contains("1.0"));
-    }
-
-    #[test]
-    fn churn_render_shows_both_arms() {
-        let iso = ChurnIsolation {
-            baseline_hit_rate: 0.991,
-            churn_hit_rate: 0.989,
-            remote_publishes: 400,
-            remote_backlog_high_water: 3,
-        };
-        let s = render_churn_isolation(&iso);
-        assert!(s.contains("zone-1 quiet"));
-        assert!(s.contains("zone-1 churn+reader"));
-        assert!(s.contains("400"));
-        assert!(s.contains("99.10"));
-        assert!(s.contains("98.90"));
-    }
-
-    #[test]
-    fn frag_render_lists_ways() {
-        let rows = vec![
-            FragPoint {
-                ways: 1,
-                regions: 256,
-                hit_rate: 0.52,
-                avg_search_depth: 8.1,
-                nested_loads_per_miss: 2.0,
-            },
-            FragPoint {
-                ways: 4,
-                regions: 256,
-                hit_rate: 0.97,
-                avg_search_depth: 8.0,
-                nested_loads_per_miss: 2.0,
-            },
-        ];
-        let s = render_frag_points(&rows);
-        assert!(s.contains("256"));
-        assert!(s.contains("52.0"));
-        assert!(s.contains("97.0"));
-        assert!(s.contains("8.10"));
-        assert!(s.contains("ept-loads/miss"));
     }
 
     #[test]

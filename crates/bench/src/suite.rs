@@ -16,9 +16,9 @@
 
 use crate::gate::GateResult;
 use crate::{
-    render_churn_isolation, render_exitless, render_fig3, render_fig4, render_fig5a, render_fig5b,
-    render_fig8, render_frag_points, render_numa_points, render_overhead_arm, render_profile,
-    render_scaling, render_scaling_points, render_selfheal, render_shootdown,
+    render_exitless, render_fig3, render_fig4, render_fig5a, render_fig5b, render_fig8,
+    render_numa_points, render_overhead_arm, render_profile, render_scaling, render_scaling_points,
+    render_selfheal, render_shootdown,
 };
 use covirt::config::CovirtConfig;
 use covirt::stats::overhead_pct;
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use workloads::figures::{self, Scale};
 use workloads::scaling::ScalingParams;
-use workloads::{audit, exitless, profile, scaling, scenario, selfheal, shootdown, table1};
+use workloads::{audit, exitless, profile, scaling, selfheal, shootdown, table1};
 
 /// Default trials per harness for `figures bench`.
 pub const DEFAULT_TRIALS: usize = 3;
@@ -58,7 +58,7 @@ pub fn config_string(trials: usize) -> String {
     format!(
         "covirt-bench trials={trials} \
          scaling{{stream_n={},ra_log2_n={},ra_updates={},best_of={},cores={}}} \
-         numa{{cores={},zones={}}} frag{{regions={},rounds={},ways=1v4}} \
+         numa{{cores={},zones={}}} frag{{regions={},rounds={}}} \
          exitless{{rounds={},barrier={},parked_bound_ns={}}}",
         SUITE_SCALING.stream_n,
         SUITE_SCALING.ra_log2_n,
@@ -213,18 +213,6 @@ pub const GATES: &[MetricSpec] = &[
         gate_on: GateOn::Worst,
         compare: false,
     },
-    MetricSpec {
-        harness: "scaling",
-        metric: "resolve_hit_rate",
-        unit: "ratio",
-        direction: Direction::Higher,
-        min: Some(0.5),
-        max: None,
-        rel_floor: 0.05,
-        abs_floor: 0.02,
-        gate_on: GateOn::Worst,
-        compare: true,
-    },
     // One core, a 2-entry TLB over a four-page table: EPT-entry loads per
     // TLB miss once the walk cache is warm. 3 means the data page's leaf is
     // walked afresh on every miss.
@@ -240,82 +228,7 @@ pub const GATES: &[MetricSpec] = &[
         gate_on: GateOn::Worst,
         compare: true,
     },
-    // -- numa: sharded resolution -------------------------------------------
-    MetricSpec {
-        harness: "numa",
-        metric: "numa_resolve_hit_rate",
-        unit: "ratio",
-        direction: Direction::Higher,
-        min: Some(0.5),
-        max: None,
-        rel_floor: 0.05,
-        abs_floor: 0.02,
-        gate_on: GateOn::Worst,
-        compare: true,
-    },
-    MetricSpec {
-        harness: "numa",
-        metric: "churn_hit_rate_ratio",
-        unit: "ratio",
-        direction: Direction::Higher,
-        min: Some(0.98),
-        max: None,
-        rel_floor: 0.02,
-        abs_floor: 0.01,
-        gate_on: GateOn::Worst,
-        compare: true,
-    },
-    MetricSpec {
-        harness: "numa",
-        metric: "remote_backlog_high_water",
-        unit: "count",
-        direction: Direction::Lower,
-        min: None,
-        max: Some(32.0),
-        rel_floor: 1.0,
-        abs_floor: 16.0,
-        // A scheduler-dependent count (how long the host parks the
-        // sustained reader): the bound is a capability claim, judged on
-        // the quietest trial as `tests/region_shard_props.rs` does.
-        gate_on: GateOn::Best,
-        compare: true,
-    },
-    MetricSpec {
-        harness: "numa",
-        metric: "frag_direct_hit_rate",
-        unit: "ratio",
-        direction: Direction::Higher,
-        min: None,
-        max: None,
-        rel_floor: 0.1,
-        abs_floor: 0.05,
-        gate_on: GateOn::Worst,
-        compare: false,
-    },
-    MetricSpec {
-        harness: "numa",
-        metric: "frag_assoc_hit_rate",
-        unit: "ratio",
-        direction: Direction::Higher,
-        min: None,
-        max: None,
-        rel_floor: 0.1,
-        abs_floor: 0.05,
-        gate_on: GateOn::Worst,
-        compare: true,
-    },
-    MetricSpec {
-        harness: "numa",
-        metric: "frag_hit_rate_gain",
-        unit: "ratio",
-        direction: Direction::Higher,
-        min: Some(1e-6),
-        max: None,
-        rel_floor: 0.0,
-        abs_floor: 0.05,
-        gate_on: GateOn::Worst,
-        compare: true,
-    },
+    // -- numa: the walk over a fragmented enclave ---------------------------
     // EPT-entry loads per TLB miss over the fragmented working set (4 KiB
     // EPT leaves the walk cache cannot keep): 2 while the walk starts at the
     // cached PD page of the data page's GiB, 4 from the EPT root.
@@ -562,33 +475,6 @@ pub const GATES: &[MetricSpec] = &[
         gate_on: GateOn::Worst,
         compare: true,
     },
-    // Bring-up resolves once: zone-snapshot searches from `create_enclave`
-    // to the first guest access (12 under Covirt and 10 natively before
-    // boot structures were placed through windows; 3 and 3 since).
-    MetricSpec {
-        harness: "audit",
-        metric: "bringup_searches_covirt",
-        unit: "count",
-        direction: Direction::Lower,
-        min: None,
-        max: Some(4.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
-        gate_on: GateOn::Worst,
-        compare: true,
-    },
-    MetricSpec {
-        harness: "audit",
-        metric: "bringup_searches_native",
-        unit: "count",
-        direction: Direction::Lower,
-        min: None,
-        max: Some(4.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
-        gate_on: GateOn::Worst,
-        compare: true,
-    },
     // -- profile: always-on cycle accounting --------------------------------
     MetricSpec {
         harness: "profile",
@@ -807,9 +693,8 @@ pub const HARNESSES: &[Harness] = &[
     },
     Harness {
         name: "scaling",
-        help: "data-plane per-core scaling (STREAM+GUPS, 1..8 cores) with resolve\n\
-               stats, plus the multi-zone weak-scaling arm (arrays pinned per\n\
-               zone); the gate rows come from a 4-core rung at suite sizing and,\n\
+        help: "data-plane per-core scaling (STREAM+GUPS, 1..8 cores), plus the\n\
+               multi-zone weak-scaling arm (arrays pinned per zone); the gate rows come from a 4-core rung at suite sizing and,\n\
                for the nested loads a warm TLB miss pays, a 1-core RandomAccess\n\
                over a 2-entry TLB",
         in_all: true,
@@ -817,10 +702,9 @@ pub const HARNESSES: &[Harness] = &[
     },
     Harness {
         name: "numa",
-        help: "NUMA-sharded resolution: cross-zone churn isolation (zone-0 hit\n\
-               rate under zone-1 churn vs the quiet baseline, retired backlog\n\
-               bounded) and the many-grants fragmentation rung (region-cache\n\
-               ways vs search depth)",
+        help: "the many-grants fragmentation rung: EPT-entry loads per TLB miss\n\
+               over an enclave fragmented into small grants (plus the multi-zone\n\
+               ladder with --report)",
         in_all: false,
         measure: numa,
     },
@@ -909,7 +793,6 @@ fn scaling(ctx: &Ctx, c: &mut Collector) -> String {
         overhead_pct(native.stream_mbs_per_core, covirt.stream_mbs_per_core),
     );
     c.push("covirt_gups_per_core", covirt.gups_per_core);
-    c.push("resolve_hit_rate", covirt.resolve_hit_rate);
     c.push(
         "nested_loads_per_warm_miss",
         scaling::run_warm_miss_point(p.ra_updates).walk_loads_per_miss(),
@@ -925,40 +808,15 @@ fn scaling(ctx: &Ctx, c: &mut Collector) -> String {
 }
 
 fn numa(ctx: &Ctx, c: &mut Collector) -> String {
-    let p = SUITE_SCALING;
-    let np = scaling::run_numa_point(
-        ExecMode::Covirt(CovirtConfig::MEM),
-        NUMA_CORES,
-        NUMA_ZONES,
-        p,
-    );
-    c.push("numa_resolve_hit_rate", np.resolve_hit_rate);
-    let iso = scaling::run_churn_isolation(p);
-    let ratio = if iso.baseline_hit_rate > 0.0 {
-        iso.churn_hit_rate / iso.baseline_hit_rate
-    } else {
-        0.0
-    };
-    c.push("churn_hit_rate_ratio", ratio);
-    c.push(
-        "remote_backlog_high_water",
-        iso.remote_backlog_high_water as f64,
-    );
-    let frag = [1, 4].map(|ways| scaling::run_frag_point(ways, FRAG_REGIONS, FRAG_ROUNDS));
-    let [direct, assoc] = &frag;
-    c.push("frag_direct_hit_rate", direct.hit_rate);
-    c.push("frag_assoc_hit_rate", assoc.hit_rate);
-    c.push("frag_hit_rate_gain", assoc.hit_rate - direct.hit_rate);
-    c.push("frag_nested_loads_per_miss", assoc.nested_loads_per_miss);
+    let loads = scaling::frag_nested_loads_per_miss(FRAG_REGIONS, FRAG_ROUNDS);
+    c.push("frag_nested_loads_per_miss", loads);
     let ladder = if ctx.report {
         render_numa_points(&scaling::run_numa(ctx.scale)) + "\n"
     } else {
         String::new()
     };
     format!(
-        "{ladder}{}\n{}",
-        render_churn_isolation(&iso),
-        render_frag_points(&frag)
+        "{ladder}Many-grants fragmentation: {FRAG_REGIONS} grants, {loads:.2} EPT-entry loads per TLB miss\n"
     )
 }
 
@@ -1019,13 +877,8 @@ fn audit(_: &Ctx, c: &mut Collector) -> String {
         .filter(|v| v.enclave == Some(run.enclave))
         .count();
     c.push("fault_attributed_violations", attributed as f64);
-    let [covirt, native] =
-        [ExecMode::Covirt(CovirtConfig::MEM), ExecMode::Native].map(scenario::bringup_searches);
-    c.push("bringup_searches_covirt", covirt as f64);
-    c.push("bringup_searches_native", native as f64);
     format!(
-        "clean run\n{}\nfault run: {attributed} violation(s) attributed to enclave {}\n{}\n\
-         bring-up to first touch: {covirt} zone-snapshot search(es) under Covirt, {native} native",
+        "clean run\n{}\nfault run: {attributed} violation(s) attributed to enclave {}\n{}",
         clean.render(),
         run.enclave,
         fault.render()
@@ -1423,17 +1276,5 @@ mod tests {
             .failures()
             .iter()
             .any(|c| c.label.contains("p99_speedup")));
-        // The churn backlog is judged on the quietest trial too: two
-        // trials the scheduler disturbed do not fail the bound.
-        let numa = [harness("numa").unwrap()];
-        let noisy = [one(
-            "numa",
-            "remote_backlog_high_water",
-            &[374.0, 9.0, 53.0],
-        )];
-        assert!(apply_gates(&noisy, &numa)
-            .failures()
-            .iter()
-            .all(|c| !c.label.contains("remote_backlog_high_water")));
     }
 }

@@ -182,8 +182,8 @@ pub struct CmdQueue {
     /// Resolved backing + offset of the completion counter, cached at
     /// construction: `completed()` sits in every completion-wait spin and
     /// every harvest, and the queue's region lives as long as the enclave,
-    /// so re-resolving per read (snapshot + binary search + `Arc` churn)
-    /// is pure overhead on the hottest path of command delivery.
+    /// so re-resolving per read (bitmap check + `Arc` churn) is pure
+    /// overhead on the hottest path of command delivery.
     completion: (Arc<covirt_simhw::backing::Backing>, usize),
     /// Resolved backing + offset of the next-sequence word (same
     /// rationale: `alloc_seq` runs once per post).

@@ -401,11 +401,6 @@ impl CovirtController {
                 self.broadcast_shootdown(&vctx, &[range])?;
             }
         }
-        // Only now that the EPT unmap (and shootdown, unless deferred to
-        // the reclaim epoch) is in place: invalidate the enclave's region
-        // caches. Refills of the removed range fault on the EPT instead of
-        // resolving, so the bump races nothing.
-        vctx.region_view.bump();
         Ok(())
     }
 
@@ -756,32 +751,6 @@ mod tests {
                 &DirectLoad(&master.pisces().node().mem)
             )
             .is_err());
-    }
-
-    #[test]
-    fn region_view_bumps_on_reclaim_only() {
-        let (master, ctl) = setup(CovirtConfig::MEM);
-        let (enclave, kernel) = master.bring_up_enclave("e0", &req()).unwrap();
-        let vctx = ctl.context(enclave.id.0).unwrap();
-        let g0 = vctx.region_view.generation();
-        // A grant adds a region; nothing a core pinned can go stale, so
-        // the enclave's view must not move (sibling caches stay hot).
-        let range = master
-            .pisces()
-            .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-            .unwrap();
-        kernel.poll_ctrl().unwrap();
-        master.pisces().process_acks(&enclave).unwrap();
-        assert_eq!(vctx.region_view.generation(), g0);
-        // A reclaim unmaps; the view bumps exactly once, after the ack.
-        master
-            .pisces()
-            .request_remove_memory(&enclave, range)
-            .unwrap();
-        kernel.poll_ctrl().unwrap();
-        assert_eq!(vctx.region_view.generation(), g0);
-        master.pisces().process_acks(&enclave).unwrap();
-        assert_eq!(vctx.region_view.generation(), g0 + 1);
     }
 
     #[test]

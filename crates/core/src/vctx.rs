@@ -14,7 +14,6 @@ use crate::whitelist::IpiWhitelist;
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::ept::Ept;
 use covirt_simhw::ioport::IoBitmap;
-use covirt_simhw::memory::RegionView;
 use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::vmcs::{new_vmcs, ApicVirtMode, VmcsHandle};
@@ -72,12 +71,6 @@ pub struct VirtContext {
     terminated: RwLock<Option<String>>,
     /// EPT violations caught (instrumentation).
     pub violations: AtomicU64,
-    /// This enclave's region-view generation. The cores' region caches
-    /// tag entries with it; the controller bumps it after every unmap
-    /// affecting the enclave (memory remove, XEMEM detach), so sibling
-    /// enclaves' grant/reclaim churn never invalidates this enclave's
-    /// caches.
-    pub region_view: Arc<RegionView>,
     /// The open reclaim epoch, if any: ranges already unmapped whose one
     /// coalesced shootdown waits for the epoch to close. Lives and dies
     /// with the context.
@@ -168,7 +161,6 @@ impl VirtContext {
             slots,
             terminated: RwLock::new(None),
             violations: AtomicU64::new(0),
-            region_view: Arc::new(RegionView::new()),
             reclaim_epoch: Mutex::new(None),
         }
     }

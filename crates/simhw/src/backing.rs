@@ -1,24 +1,28 @@
-//! Host-memory backing for populated physical regions.
+//! Host memory behind simulated physical RAM.
 //!
-//! Simulated "physical memory" that is actually touched (kernel images, page
-//! tables, boot parameter structures, workload arrays, shared segments) is
-//! backed by real host allocations. A [`Backing`] behaves like RAM: multiple
-//! simulated cores may read and write it concurrently, and — exactly as on
-//! real hardware — racing unsynchronized accesses yield unspecified *values*
-//! but never corrupt the simulator itself (accesses are always whole aligned
-//! machine words or byte copies into freshly owned buffers).
+//! Each NUMA zone's RAM is one [`Backing`]: an anonymous host mapping the
+//! size of the zone, reserved without committing (`MAP_NORESERVE`), so the
+//! host supplies a page only when simulated software first touches it and
+//! takes it back when the zone frees it ([`Backing::discard`]). A `Backing`
+//! behaves like RAM: multiple simulated cores may read and write it
+//! concurrently, and — exactly as on real hardware — racing unsynchronized
+//! accesses yield unspecified *values* but never corrupt the simulator
+//! itself (accesses are always whole aligned machine words or byte copies
+//! into freshly owned buffers).
 
 use crate::error::{HwError, HwResult};
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A contiguous, zero-initialized block of host memory standing in for a
-/// populated physical region.
+/// A contiguous, zero-initialized block of host memory standing in for
+/// physical RAM.
 ///
 /// # Safety model
 ///
-/// The block is raw shared memory. All access goes through the methods
-/// below, which only ever perform aligned word loads/stores (via
+/// The block is raw shared memory, mapped for the whole life of the
+/// `Backing`: [`Backing::discard`] hands pages back to the host but leaves
+/// them mapped (they read as zeros afterwards), so a pointer into the block
+/// stays valid as long as the `Backing` does. All access goes through the
+/// methods below, which only ever perform aligned word loads/stores (via
 /// [`AtomicU64`] with relaxed ordering, matching the coherence guarantees of
 /// real DRAM) or `ptr::copy_nonoverlapping` into/out of caller-owned
 /// buffers. No Rust references to the interior are ever created, so no
@@ -26,8 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// does.
 pub struct Backing {
     ptr: *mut u8,
-    /// What `ptr` was allocated with; its size is the backing's length.
-    layout: Layout,
+    /// Bytes mapped at `ptr`.
+    len: usize,
 }
 
 // SAFETY: `Backing` is a bag of bytes accessed only through raw-pointer
@@ -36,34 +40,76 @@ pub struct Backing {
 unsafe impl Send for Backing {}
 unsafe impl Sync for Backing {}
 
+/// The C library calls a `Backing` is made of, with their Linux constants.
+mod sys {
+    use std::ffi::c_void;
+
+    pub const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+    /// `MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE`.
+    pub const MAP_ANON_NORESERVE: i32 = 0x02 | 0x20 | 0x4000;
+    pub const MADV_DONTNEED: i32 = 4;
+    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+    }
+}
+
+/// Granule of [`Backing::discard`]: the host's base page.
+pub const DISCARD_GRANULE: usize = 4096;
+
+const REFUSED: HwError = HwError::Invalid("backing length is zero or too large");
+
 impl Backing {
-    /// Allocate `len` bytes of zeroed backing. `len` is rounded up to an
+    /// Reserve `len` bytes of zeroed host memory. `len` is rounded up to an
     /// 8-byte multiple so word access never straddles the end. A length of
-    /// zero, or one no host allocation can have, is refused.
+    /// zero, or one the host will not map, is refused.
     pub fn new(len: usize) -> HwResult<Self> {
-        let layout = len
+        let len = len
             .checked_next_multiple_of(8)
-            .filter(|&len| len > 0)
-            .and_then(|len| Layout::from_size_align(len, 8).ok())
-            .ok_or(HwError::Invalid("backing length is zero or too large"))?;
-        // SAFETY: layout has non-zero size and valid 8-byte alignment.
-        let ptr = unsafe { alloc_zeroed(layout) };
-        if ptr.is_null() {
-            handle_alloc_error(layout);
+            .filter(|&len| len > 0 && len <= isize::MAX as usize)
+            .ok_or(REFUSED)?;
+        // SAFETY: a fresh private anonymous mapping at an address of the
+        // kernel's choosing aliases nothing Rust owns; on success it is
+        // `len` readable, writable, zero-filled bytes until `munmap`.
+        let ptr = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ_WRITE,
+                sys::MAP_ANON_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        if ptr == sys::MAP_FAILED {
+            return Err(REFUSED);
         }
-        Ok(Backing { ptr, layout })
+        Ok(Backing {
+            ptr: ptr.cast(),
+            len,
+        })
     }
 
     /// Length in bytes (rounded up to a word multiple).
     #[inline]
     pub fn len(&self) -> usize {
-        self.layout.size()
+        self.len
     }
 
     /// True if the backing has no capacity (never the case after `new`).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Raw pointer to the byte at `offset`.
@@ -73,11 +119,11 @@ impl Backing {
     #[inline]
     pub fn ptr_at(&self, offset: usize) -> *mut u8 {
         debug_assert!(
-            offset < self.len(),
+            offset < self.len,
             "offset {offset} out of backing of len {}",
-            self.len()
+            self.len
         );
-        // SAFETY: offset is within the allocation (debug-asserted; release
+        // SAFETY: offset is within the mapping (debug-asserted; release
         // callers bounds-check via `PhysMemory::resolve`).
         unsafe { self.ptr.add(offset) }
     }
@@ -85,16 +131,16 @@ impl Backing {
     #[inline]
     fn word(&self, offset: usize) -> &AtomicU64 {
         assert!(
-            offset + 8 <= self.len(),
+            offset + 8 <= self.len,
             "word access at {offset} out of bounds ({})",
-            self.len()
+            self.len
         );
         assert!(
             offset.is_multiple_of(8),
             "unaligned word access at {offset}"
         );
         // SAFETY: in-bounds, aligned; AtomicU64 has no validity invariants
-        // beyond alignment and the memory is always initialized (zeroed).
+        // beyond alignment and the mapping is always initialized (zeroed).
         unsafe { &*(self.ptr.add(offset) as *const AtomicU64) }
     }
 
@@ -136,7 +182,7 @@ impl Backing {
 
     /// Copy bytes out of the backing into `buf`.
     pub fn read_bytes(&self, offset: usize, buf: &mut [u8]) {
-        assert!(offset + buf.len() <= self.len(), "read_bytes out of bounds");
+        assert!(offset + buf.len() <= self.len, "read_bytes out of bounds");
         // SAFETY: source range is in-bounds; destination is caller-owned and
         // non-overlapping with the backing.
         unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(offset), buf.as_mut_ptr(), buf.len()) }
@@ -144,10 +190,7 @@ impl Backing {
 
     /// Copy bytes from `buf` into the backing.
     pub fn write_bytes(&self, offset: usize, buf: &[u8]) {
-        assert!(
-            offset + buf.len() <= self.len(),
-            "write_bytes out of bounds"
-        );
+        assert!(offset + buf.len() <= self.len, "write_bytes out of bounds");
         // SAFETY: destination range is in-bounds; source is caller-owned and
         // non-overlapping with the backing.
         unsafe { std::ptr::copy_nonoverlapping(buf.as_ptr(), self.ptr.add(offset), buf.len()) }
@@ -155,22 +198,59 @@ impl Backing {
 
     /// Zero a byte range.
     pub fn zero(&self, offset: usize, len: usize) {
-        assert!(offset + len <= self.len(), "zero out of bounds");
+        assert!(offset + len <= self.len, "zero out of bounds");
         // SAFETY: range is in-bounds.
         unsafe { std::ptr::write_bytes(self.ptr.add(offset), 0, len) }
+    }
+
+    /// Hand the pages of `offset .. offset + len` back to the host. They
+    /// stay mapped and read as zeros until written again. Both ends must be
+    /// [`DISCARD_GRANULE`]-aligned and inside the backing.
+    pub fn discard(&self, offset: usize, len: usize) -> HwResult<()> {
+        let aligned = offset.is_multiple_of(DISCARD_GRANULE) && len.is_multiple_of(DISCARD_GRANULE);
+        if !aligned || offset.checked_add(len).is_none_or(|end| end > self.len) {
+            return Err(HwError::Invalid("discard outside the backing or unaligned"));
+        }
+        // SAFETY: the range is page-aligned and inside our own private
+        // anonymous mapping; `MADV_DONTNEED` replaces its pages with
+        // zero-fill-on-demand ones and unmaps nothing, so every pointer
+        // into the backing stays valid. Racing accesses read either the
+        // old bytes or zeros, as the type's safety model allows.
+        let rc = unsafe { sys::madvise(self.ptr.add(offset).cast(), len, sys::MADV_DONTNEED) };
+        if rc != 0 {
+            return Err(HwError::Invalid("host refused to discard pages"));
+        }
+        Ok(())
+    }
+
+    /// Ask the host CPU to start fetching the cache line at `offset` — a
+    /// hint that changes no byte and no later access's result.
+    #[inline]
+    pub fn prefetch(&self, offset: usize) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a prefetch neither faults nor reads or writes memory as
+        // the program sees it, whatever the address.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(self.ptr.wrapping_add(offset).cast());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = offset;
     }
 }
 
 impl Drop for Backing {
     fn drop(&mut self) {
-        // SAFETY: ptr was produced by `alloc_zeroed` with this exact layout.
-        unsafe { dealloc(self.ptr, self.layout) }
+        // SAFETY: `ptr`/`len` are exactly what `mmap` returned in `new`, and
+        // with `&mut self` no pointer handed out by `ptr_at` may outlive
+        // this (their holders keep an `Arc<Backing>`).
+        unsafe { sys::munmap(self.ptr.cast(), self.len) };
     }
 }
 
 impl std::fmt::Debug for Backing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Backing({} bytes @ {:p})", self.len(), self.ptr)
+        write!(f, "Backing({} bytes @ {:p})", self.len, self.ptr)
     }
 }
 
@@ -214,6 +294,28 @@ mod tests {
         b.zero(0, 8);
         assert_eq!(b.read_u64(0), 0);
         assert_eq!(b.read_u64(8), u64::MAX);
+    }
+
+    #[test]
+    fn discard_reads_back_zeros_and_keeps_neighbours() {
+        let b = Backing::new(4 * DISCARD_GRANULE).unwrap();
+        let p = DISCARD_GRANULE;
+        for page in 0..4 {
+            b.write_u64(page * p + 8, page as u64 + 1);
+        }
+        let ptr = b.ptr_at(p);
+        b.discard(p, 2 * p).unwrap();
+        assert_eq!(
+            (0..4).map(|i| b.read_u64(i * p + 8)).collect::<Vec<_>>(),
+            [1, 0, 0, 4]
+        );
+        // Still mapped at the same place: the page takes writes again.
+        assert_eq!(b.ptr_at(p), ptr);
+        b.write_u64(p + 8, 9);
+        assert_eq!(b.read_u64(p + 8), 9);
+        for (off, len) in [(1, p), (0, 5 * p), (p, usize::MAX - p + 1)] {
+            assert!(b.discard(off, len).is_err(), "({off}, {len})");
+        }
     }
 
     #[test]

@@ -397,6 +397,15 @@ impl WalkCache {
         *self.lines.borrow_mut().fill(gpa, leaf.page_size) = (leaf.page_base.raw(), leaf.perms);
     }
 
+    /// Count a hit on a 2 MiB line an earlier lookup of the same walk
+    /// returned, which a walker may answer from itself: the 2 MiB class is
+    /// probed first and only a fill changes a line, so until the walker's
+    /// next miss a lookup inside that line would return it again.
+    #[inline]
+    pub fn count_repeat_hit(&self) {
+        self.hits.set(self.hits.get() + 1);
+    }
+
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())

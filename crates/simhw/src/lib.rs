@@ -12,9 +12,9 @@
 //!
 //! * **Topology** ([`topology`]) — sockets, cores, NUMA zones, per-zone
 //!   memory pools (defaults mirror the paper's 2× Xeon E5-2603 v4 testbed).
-//! * **Physical memory** ([`memory`], [`backing`]) — a sparse physical
-//!   address space with per-zone region allocators and real host backing for
-//!   regions that are actually touched.
+//! * **Physical memory** ([`memory`], [`backing`]) — one linear map per
+//!   NUMA zone: a region allocator, a populated-page bitmap and one host
+//!   reservation the zone's addresses index directly.
 //! * **Paging** ([`paging`]) — 4-level x86-64 page tables stored *inside*
 //!   simulated physical memory, so page walks perform real dependent loads.
 //! * **EPT** ([`ept`]) — 4-level nested page tables with 4 KiB / 2 MiB /

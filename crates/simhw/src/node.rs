@@ -68,16 +68,7 @@ impl SimNode {
             let clock = Arc::clone(&clock);
             Arc::new(move || clock.rdtsc())
         };
-        mem.set_tracer(Tracer::new(
-            Arc::clone(&recorder),
-            ctrl_lane,
-            Arc::clone(&now),
-        ));
-        interconnect.set_tracer(Tracer::new(
-            Arc::clone(&recorder),
-            ctrl_lane,
-            Arc::clone(&now),
-        ));
+        interconnect.set_tracer(Tracer::new(Arc::clone(&recorder), ctrl_lane, now));
         let cpus = (0..topo.total_cores())
             .map(|i| {
                 let apic = Arc::new(LocalApic::new(

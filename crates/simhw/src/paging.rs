@@ -186,8 +186,8 @@ pub trait TableLoad {
     fn translate_entry_addr(&self, pa: HostPhysAddr) -> HwResult<(HostPhysAddr, u32)>;
 
     /// Load a table-entry word that missed the frame-pool fast path. The
-    /// default goes straight to physical memory; core-local loaders route
-    /// it through a [`crate::memory::RegionCache`] instead.
+    /// default goes straight to physical memory; core-local loaders count
+    /// it on a [`crate::memory::RegionCache`] first.
     #[inline]
     fn load_word(&self, mem: &PhysMemory, pa: HostPhysAddr) -> HwResult<u64> {
         mem.read_u64(pa)
@@ -204,13 +204,13 @@ impl TableLoad for DirectLoad<'_> {
     }
 }
 
-/// [`DirectLoad`] with a per-core region cache: identity nested
-/// translation, but entry loads that fall outside the table pool resolve
-/// through the cache instead of searching the populate snapshot.
+/// [`DirectLoad`] with a per-core resolve count: identity nested
+/// translation, and entry loads that fall outside the table pool are
+/// counted on the core's [`crate::memory::RegionCache`].
 pub struct CachedLoad<'a> {
     /// The physical memory to resolve against.
     pub mem: &'a PhysMemory,
-    /// The core-local region cache.
+    /// The core-local resolve counter.
     pub cache: &'a crate::memory::RegionCache,
 }
 
@@ -793,7 +793,7 @@ impl<F: EntryFormat> RadixTable<F> {
             let eaddr = Self::entry_addr(table, level_index(va, level));
             let (taddr, extra) = loader.translate_entry_addr(eaddr)?;
             // Pool fast path first; off-pool entries go through the loader,
-            // which may hold a core-local region cache.
+            // which may count them on a core-local resolve counter.
             let e = match self.pool.load(taddr) {
                 Some(v) => v,
                 None => loader.load_word(&self.mem, taddr)?,

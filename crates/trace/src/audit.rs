@@ -868,10 +868,7 @@ impl AuditEngine {
             | EventKind::XememDetach
             | EventKind::VectorAlloc
             | EventKind::VectorFree
-            | EventKind::PostedHarvest
-            | EventKind::ZonePublish
-            | EventKind::ZoneRetire
-            | EventKind::RetireBacklog => {}
+            | EventKind::PostedHarvest => {}
         }
     }
 

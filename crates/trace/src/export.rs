@@ -325,23 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_shard_events_are_labelled_in_both_exporters() {
-        let events = vec![
-            ev(1000, 0, 0, EventKind::ZonePublish, 1, 4),
-            ev(2000, 0, 0, EventKind::ZoneRetire, 1, 2),
-            ev(3000, 0, 0, EventKind::RetireBacklog, 1, 3),
-        ];
-        let jsonl = to_jsonl(&events, 1_000_000_000);
-        assert!(jsonl.contains("\"kind\":\"zone_publish\""));
-        assert!(jsonl.contains("\"kind\":\"zone_retire\""));
-        assert!(jsonl.contains("\"kind\":\"retire_backlog\""));
-        let chrome = to_chrome_trace(&events, 1_000_000_000);
-        assert!(chrome.contains("\"name\":\"zone_publish\""));
-        assert!(chrome.contains("\"name\":\"zone_retire\""));
-        assert!(chrome.contains("\"name\":\"retire_backlog\""));
-    }
-
-    #[test]
     fn chrome_trace_pairs_spans() {
         let (a, b) = pack_str("msr_read");
         let events = vec![

@@ -124,19 +124,11 @@ pub enum EventKind {
     /// Command queue drained in guest mode after a doorbell harvest — no
     /// VM exit involved. `a`: commands drained, `b`: unused (0).
     CmdHarvest = 27,
-    /// Zone-sharded snapshot published. `a`: zone, `b`: zone generation.
-    ZonePublish = 28,
-    /// Retired zone snapshots freed at an epoch advance. `a`: zone,
-    /// `b`: count freed.
-    ZoneRetire = 29,
-    /// Retired-snapshot backlog reached a new high-water mark. `a`: zone,
-    /// `b`: new high-water (snapshots awaiting a grace period).
-    RetireBacklog = 30,
 }
 
 impl EventKind {
     /// Every kind, for decoders and summaries.
-    pub const ALL: [EventKind; 30] = [
+    pub const ALL: [EventKind; 27] = [
         EventKind::ExitEnter,
         EventKind::ExitLeave,
         EventKind::CmdPost,
@@ -164,9 +156,6 @@ impl EventKind {
         EventKind::PostedHarvest,
         EventKind::CmdDoorbell,
         EventKind::CmdHarvest,
-        EventKind::ZonePublish,
-        EventKind::ZoneRetire,
-        EventKind::RetireBacklog,
     ];
 
     /// Stable wire/display name.
@@ -199,9 +188,6 @@ impl EventKind {
             EventKind::PostedHarvest => "posted_harvest",
             EventKind::CmdDoorbell => "cmd_doorbell",
             EventKind::CmdHarvest => "cmd_harvest",
-            EventKind::ZonePublish => "zone_publish",
-            EventKind::ZoneRetire => "zone_retire",
-            EventKind::RetireBacklog => "retire_backlog",
         }
     }
 

@@ -5,7 +5,7 @@
 //! **where every cycle went**. Each core runs a phase state machine
 //! ([`Phase`]) whose transitions are TSC-delimited at the existing
 //! hot-path boundaries (guest execution, exit dispatch, command harvest,
-//! region-resolve misses, safe-point servicing). Because the simulated
+//! TLB misses, safe-point servicing). Because the simulated
 //! TSC is exact, accounting is exact too: the per-core phase totals
 //! telescope, so
 //!
@@ -53,8 +53,9 @@ pub enum Phase {
     /// Draining + executing the command queue (doorbell harvest or the
     /// command portion of an NMI exit).
     CmdHarvest = 2,
-    /// Slow-path translation: walks and region-resolve misses.
-    RegionResolve = 3,
+    /// A TLB miss: the slow-path translation — the guest walk, its nested
+    /// EPT steps and the fill.
+    TlbMiss = 3,
     /// Waiting on broadcast shootdown completions (overlay: attributed
     /// to the enclave whose reclaim forced the wait).
     ShootdownWait = 4,
@@ -77,7 +78,7 @@ impl Phase {
         Phase::GuestExec,
         Phase::RootExit,
         Phase::CmdHarvest,
-        Phase::RegionResolve,
+        Phase::TlbMiss,
         Phase::ShootdownWait,
         Phase::Throttled,
         Phase::SafePoint,
@@ -90,7 +91,7 @@ impl Phase {
             Phase::GuestExec => "guest_exec",
             Phase::RootExit => "root_exit",
             Phase::CmdHarvest => "cmd_harvest",
-            Phase::RegionResolve => "region_resolve",
+            Phase::TlbMiss => "tlb_miss",
             Phase::ShootdownWait => "shootdown_wait",
             Phase::Throttled => "throttled",
             Phase::SafePoint => "safe_point",
@@ -624,7 +625,7 @@ mod tests {
         t.transition(Phase::RootExit, 1_700);
         t.transition(Phase::CmdHarvest, 2_000);
         t.transition(Phase::GuestExec, 2_600);
-        t.transition(Phase::RegionResolve, 9_000);
+        t.transition(Phase::TlbMiss, 9_000);
         t.transition(Phase::GuestExec, 9_400);
         t.finish(12_345);
         let snap = prof.snapshot();
@@ -637,7 +638,7 @@ mod tests {
         assert_eq!(e.cycles[Phase::GuestExec as usize], 700 + 6_400 + 2_945);
         assert_eq!(e.cycles[Phase::RootExit as usize], 300);
         assert_eq!(e.cycles[Phase::CmdHarvest as usize], 600);
-        assert_eq!(e.cycles[Phase::RegionResolve as usize], 400);
+        assert_eq!(e.cycles[Phase::TlbMiss as usize], 400);
         assert_eq!(e.total(), lane.accounted);
     }
 

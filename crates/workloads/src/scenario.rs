@@ -28,22 +28,6 @@ pub fn world(cores: usize) -> World {
     )
 }
 
-/// Zone-snapshot searches one enclave costs from `create_enclave` to its
-/// core's first memory access, on a node that has done nothing else (so
-/// the node's count is the enclave's). The boot-time structures are placed
-/// and read through windows resolved once per region, which is what keeps
-/// this at the kernel's two (management region, page-table pool) plus the
-/// first touch — in either mode.
-pub fn bringup_searches(mode: ExecMode) -> u64 {
-    let world = World::build(mode, HwLayout { cores: 1, zones: 1 }, 32 * 1024 * 1024);
-    let mut g = world.guest_core(world.cores[0]).expect("guest core");
-    let first = world.alloc_array(8);
-    g.write_u64(first, 1).expect("first touch");
-    g.shutdown();
-    let zone = world.node.mem.zone_stats(ZoneId(0)).expect("zone 0");
-    zone.resolve_misses
-}
-
 /// A small STREAM kernel on the first core: attributed data-plane traffic
 /// (exits, posted-interrupt harvests) for the observer. The core is shut
 /// down so a later phase can relaunch it.
@@ -152,13 +136,6 @@ pub fn contained_fault(world: &World, between: &mut dyn FnMut()) {
 mod tests {
     use super::*;
     use covirt_trace::EventKind;
-
-    #[test]
-    fn bring_up_costs_three_searches_in_either_mode() {
-        for mode in [ExecMode::Native, ExecMode::Covirt(CovirtConfig::MEM)] {
-            assert_eq!(bringup_searches(mode), 3, "{mode}");
-        }
-    }
 
     #[test]
     fn churn_reclaims_both_ranges_with_one_broadcast_and_flushes_every_core() {

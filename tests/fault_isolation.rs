@@ -278,9 +278,7 @@ fn dead_owners_segment_is_unreachable_once_its_memory_is_regranted() {
         let InjectedFault::WildAccess { addr: target, .. } = stale else {
             panic!("{mode}: {stale:?}");
         };
-        // `early` uses the segment, then keeps running on a live core. (It
-        // touches another page than its stale write will: a native TLB hit
-        // would reach the old backing the model retires, not the heir.)
+        // `early` uses the segment, then keeps running on a live core.
         ge.write_u64(seg.start.raw(), EARLY).unwrap();
         let flushes = ge.tlb_stats().range_flushes;
         let early_core = LiveCores::adopt(vec![ge], |_| {}, |_| {});
@@ -367,6 +365,68 @@ fn dead_owners_segment_is_unreachable_once_its_memory_is_regranted() {
         assert!(pisces.enclaves().is_empty(), "{mode}");
         assert_eq!(in_use(), idle, "{mode}: leaked bytes");
         assert_eq!(frames(), frames_idle, "{mode}: EPT frames outstanding");
+    }
+}
+
+/// Physical memory is one linear map, so a frame the host reclaimed is
+/// real memory with a next owner, not an orphaned allocation. A core of
+/// enclave `a` writes a granted range; the host reclaims it and grants the
+/// same range to `b`. (a) Between the two the range is unpopulated: a
+/// resolve is `UnbackedPhys`. (b) Natively `a`'s stale TLB entry still
+/// points at those bytes, so its write lands in `b`'s memory and `b` reads
+/// it — the corruption Covirt exists to prevent. (c) Under memory
+/// protection the reclaim's shootdown dropped that entry and `a`'s EPT no
+/// longer maps the range: the write is an EPT violation and `b` reads the
+/// zeros the reclaim left.
+#[test]
+fn a_reclaimed_frame_is_real_memory_not_an_orphan() {
+    use covirt_suite::covirt::exec::FaultOutcome::{Contained, CorruptedMemory};
+    use covirt_suite::simhw::addr::PAGE_SIZE_2M;
+    use covirt_suite::simhw::HwError;
+
+    for mode in [ExecMode::Native, ExecMode::Covirt(CovirtConfig::MEM)] {
+        let lab = Lab::new(mode);
+        let pisces = lab.master.pisces();
+        let (a, ka, mut ga) = lab.enclave(2);
+        let (b, kb, mut gb) = lab.enclave(3);
+        let range = pisces.add_memory(&a, ZoneId(0), PAGE_SIZE_2M).unwrap();
+        ka.poll_ctrl().unwrap();
+        pisces.process_acks(&a).unwrap();
+        let target = range.start.add(range.len / 2);
+        ga.write_u64(target.raw(), 0xa).unwrap();
+
+        // The reclaim, against `a`'s live core.
+        let live = LiveCores::adopt(vec![ga], |_| {}, |_| {});
+        pisces.request_remove_memory(&a, range).unwrap();
+        ka.poll_ctrl().unwrap();
+        pisces.process_acks(&a).unwrap();
+        let mut ga = live.stop().pop().unwrap();
+        assert_eq!(
+            lab.node.mem.resolve(target, 8).map(|_| ()),
+            Err(HwError::UnbackedPhys(target)),
+            "{mode}: (a) a reclaimed range resolves to nothing"
+        );
+
+        let regranted = pisces.add_memory(&b, ZoneId(0), PAGE_SIZE_2M).unwrap();
+        kb.poll_ctrl().unwrap();
+        pisces.process_acks(&b).unwrap();
+        assert_eq!(regranted, range, "{mode}: the test's premise");
+        let stale = faults::stale_shared_mapping(&ka, range);
+        match (mode, ga.execute_fault(stale)) {
+            (ExecMode::Native, CorruptedMemory { addr }) => {
+                assert_eq!(addr, target);
+                assert_eq!(
+                    gb.read_u64(target.raw()).unwrap(),
+                    0xDEAD_BEEF_DEAD_BEEF,
+                    "(b) the stale write must land in the next owner's memory"
+                );
+            }
+            (ExecMode::Covirt(_), Contained(reason)) => {
+                assert!(reason.contains("EPT violation"), "{reason}");
+                assert_eq!(gb.read_u64(target.raw()).unwrap(), 0, "(c) b reads zeros");
+            }
+            (_, outcome) => panic!("{mode}: {outcome:?}"),
+        }
     }
 }
 

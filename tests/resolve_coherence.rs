@@ -1,14 +1,14 @@
 //! Concurrent coherence of the lock-free resolve path: reader threads
-//! hammer `resolve`/guest reads through per-core region caches while
-//! memory is granted and reclaimed underneath them.
+//! hammer `resolve`/guest reads while memory is granted and reclaimed
+//! underneath them.
 //!
-//! The invariants under test mirror the snapshot contract in
+//! The invariants under test mirror the linear-map contract in
 //! `simhw::memory`:
 //!
-//! * a resolve that succeeds returns backing that was populated in *some*
-//!   published snapshot, and the word read through it is a value some
-//!   writer legitimately stored there — never garbage from a recycled
-//!   frame and never a torn word;
+//! * a reader racing populate and free sees the range's bytes, the zeros
+//!   a free leaves, or `UnbackedPhys` — the word read through a backing it
+//!   resolved is one some writer legitimately stored there, never freed
+//!   host memory and never a torn word;
 //! * under the full stack, guest loads racing a reclaim epoch observe
 //!   only values the host published for that region's lifetime (or fault
 //!   once their TLB entry is shot down).
@@ -18,7 +18,8 @@ use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::MasterControl;
 use covirt_suite::pisces::resources::ResourceRequest;
 use covirt_suite::simhw::addr::PAGE_SIZE_2M;
-use covirt_suite::simhw::memory::{PhysMemory, RegionCache};
+use covirt_suite::simhw::error::HwError;
+use covirt_suite::simhw::memory::PhysMemory;
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::tlb::TlbParams;
 use covirt_suite::simhw::topology::{CoreId, ZoneId};
@@ -33,10 +34,9 @@ const TAG_MASK: u64 = 0xffff_0000_0000_0000;
 const POISON: u64 = 0xdead_dead_dead_dead;
 
 /// A value is coherent if it is a tag (current or from a recycled later
-/// lifetime of the same range), the dying-window poison, or zero (a
-/// freshly allocated, zeroed recycling of the range). Anything else means
-/// a resolve reached memory no writer ever published — a torn word or a
-/// dangling region.
+/// lifetime of the same range), the dying-window poison, or zero (what a
+/// free leaves behind). Anything else means a resolve reached memory no
+/// writer ever published — a torn word or freed host memory.
 fn coherent(v: u64) -> bool {
     v == 0 || v == POISON || v & TAG_MASK == TAG_BASE
 }
@@ -71,11 +71,10 @@ fn concurrent_resolve_never_sees_reclaimed_or_torn_state() {
             done.store(true, Ordering::Release);
         });
 
-        // Readers: per-thread region caches (one per simulated core).
+        // Readers: they hold each backing across a yield, so the free often
+        // lands between the resolve and the read.
         for _ in 0..3 {
             s.spawn(|| {
-                let cache = RegionCache::new();
-                let mut resolved_ok = 0u64;
                 while !done.load(Ordering::Acquire) {
                     let addr = published.load(Ordering::Acquire);
                     if addr == 0 {
@@ -84,27 +83,31 @@ fn concurrent_resolve_never_sees_reclaimed_or_torn_state() {
                     }
                     let start = covirt_suite::simhw::addr::HostPhysAddr::new(addr);
                     for _ in 0..32 {
-                        // The publication may already be stale; a failed
-                        // resolve is the correct answer then.
-                        if let Ok((backing, off)) = cache.resolve(&mem, start, 8) {
-                            let v = backing.read_u64(off);
-                            assert!(coherent(v), "resolve returned incoherent word {v:#x}");
-                            resolved_ok += 1;
+                        // The publication may already be stale; unbacked
+                        // is the correct answer then.
+                        match mem.resolve(start, 8) {
+                            Ok((backing, off)) => {
+                                std::thread::yield_now();
+                                let v = backing.read_u64(off);
+                                assert!(coherent(v), "resolve returned incoherent word {v:#x}");
+                            }
+                            Err(e) => assert_eq!(e, HwError::UnbackedPhys(start)),
                         }
                     }
                     // Keep single-CPU hosts round-robining instead of
                     // letting one spinner burn its whole quantum.
                     std::thread::yield_now();
                 }
-                let (hits, misses) = cache.stats();
-                assert!(hits + misses >= resolved_ok);
             });
         }
     });
-    // Every region was freed: the snapshot must be empty and every cycle
-    // published exactly two swaps (grant + reclaim).
-    assert_eq!(mem.populated_regions(), 0);
-    assert!(mem.snapshot_swaps() >= 2 * CYCLES);
+    // Every region was freed: nothing is in use, and the range's next
+    // population reads zeros, not the poison its last lifetime ended with.
+    assert_eq!(mem.zone_usage(ZoneId(0)).unwrap().1, 0);
+    let r = mem
+        .alloc_backed(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M)
+        .unwrap();
+    assert_eq!(mem.read_u64(r.start), Ok(0));
 }
 
 #[test]
@@ -194,8 +197,7 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
     for h in guests {
         let g = h.join().unwrap();
         // The resolve instrumentation saw traffic on every live core.
-        let c = g.counters();
-        assert!(c.resolve_hits + c.resolve_misses > 0);
+        assert!(g.counters().resolve_hits > 0);
         g.shutdown();
     }
 }

@@ -69,10 +69,12 @@ fn epoch_close_blocks_until_every_core_flushes() {
     assert!(!e.resources().mem.contains(&r1) && !e.resources().mem.contains(&r2));
 
     // THE WINDOW: with the epoch still open, both cores can still reach
-    // the reclaimed frames through their stale TLB entries — exactly why
-    // the epoch contract forbids recycling before the close returns.
-    assert_eq!(g2.read_u64(r1.start.raw()).unwrap(), 0xa);
-    assert_eq!(g3.read_u64(r2.start.raw()).unwrap(), 0xb);
+    // the reclaimed frames through their stale TLB entries. The host has
+    // freed them already (they read the zeros the free left), and a frame
+    // recycled now would be written by the old owner — exactly why the
+    // epoch contract forbids recycling before the close returns.
+    assert_eq!(g2.read_u64(r1.start.raw()).unwrap(), 0);
+    assert_eq!(g3.read_u64(r2.start.raw()).unwrap(), 0);
     let flushes_before = g2.tlb_stats().range_flushes + g2.tlb_stats().full_flushes;
 
     // Close the epoch from the host side. Service NMIs ONLY on core 2 for
