@@ -5,7 +5,7 @@
 //! cargo run -p covirt-bench --release --bin figures -- all
 //! cargo run -p covirt-bench --release --bin figures -- fig5b --full
 //! cargo run -p covirt-bench --release --bin figures -- exitless --trials 3
-//! cargo run -p covirt-bench --release --bin figures -- bench --compare bench/baseline.json
+//! cargo run -p covirt-bench --release --bin figures -- bench
 //! ```
 //!
 //! Every experiment is an entry of [`suite::HARNESSES`]: `figures <name>`
@@ -16,10 +16,9 @@
 //! scaled defaults. `trace`, `report` and `bench` are plain tool commands.
 
 use covirt_bench::gate::GateResult;
-use covirt_bench::suite::{self, Ctx, Harness, HARNESSES};
+use covirt_bench::suite::{self, BenchRecord, Ctx, Harness, HARNESSES};
 use covirt_bench::{render_report, render_shootdown};
-use covirt_trace::bench::{self, BenchSuite, ComparePolicy, MAD_SIGMA};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use workloads::figures::Scale;
 use workloads::shootdown;
 
@@ -34,13 +33,6 @@ struct Opts {
     /// Trials per harness (`--trials`); the default is
     /// [`suite::DEFAULT_TRIALS`] for `bench` and one for a single harness.
     trials: Option<usize>,
-    /// Baseline to compare the bench suite against.
-    compare: Option<PathBuf>,
-    /// Re-bless `bench/baseline.json` from this bench run.
-    bless: bool,
-    /// `harness.metric` to synthetically regress before the comparison
-    /// (gate-path self-test; the written artifact stays honest).
-    inject: Option<String>,
 }
 
 /// A subcommand that is not a harness: it measures no row of the gate
@@ -69,12 +61,10 @@ const TOOLS: &[Tool] = &[
     Tool {
         name: "bench",
         help: "covirt-bench observability suite: run every harness that has gate\n\
-               rows headless over --trials trials, write <out>/BENCH_covirt.json\n\
-               (median/MAD per metric, config fingerprint, commit), and apply the\n\
-               declarative gate table; with --compare <baseline.json>, also run\n\
-               the noise-aware regression comparator; --bless rewrites\n\
-               bench/baseline.json from this run; exits 1 on any gate or\n\
-               comparison failure",
+               rows headless over --trials trials, judge each bounded row of the\n\
+               gate table, and write <out>/BENCH_covirt.json (per row its samples,\n\
+               median, judged trial, bounds and verdict); exits 1 naming any row\n\
+               that misses its bound",
         run: bench_cmd,
     },
 ];
@@ -86,8 +76,7 @@ fn usage_text() -> String {
         .chain(TOOLS.iter().map(|t| t.name))
         .collect();
     let mut out = format!(
-        "usage: figures <{}|all> [--full] [--out <dir>] [--trials <n>]\n\
-         \x20              [--compare <baseline.json>] [--bless] [--inject-regression <harness.metric>]\n",
+        "usage: figures <{}|all> [--full] [--out <dir>] [--trials <n>]\n",
         names.join("|")
     );
     let entries = HARNESSES
@@ -112,11 +101,7 @@ fn usage_text() -> String {
          \n  --out     artifact directory (default target/figures/)\
          \n  --trials  trials per harness (default 3 for bench, 1 otherwise)\
          \n  [gated]   the harness owns bounded rows of the gate table and exits 1\
-         \n            when one misses\
-         \n  --compare bench: baseline suite to gate against\
-         \n  --bless   bench: rewrite bench/baseline.json from this run\
-         \n  --inject-regression  bench: synthetically regress one metric before\
-         \n            the comparison (gate-path self-test)",
+         \n            when one misses",
     );
     out
 }
@@ -205,76 +190,48 @@ fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Synthetically regress `harness.metric` in `s`: shift every sample past
-/// the comparator's widest possible threshold in the worse direction.
-/// Returns false when the metric doesn't exist.
-fn inject_regression(s: &mut BenchSuite, key: &str) -> bool {
-    let Some((harness, metric)) = key.split_once('.') else {
-        return false;
-    };
-    let Some(r) = s
-        .records
-        .iter_mut()
-        .find(|r| r.harness == harness && r.metric == metric)
-    else {
-        return false;
-    };
-    let bump = 10.0
-        * (r.rel_floor * r.median.abs()
-            + ComparePolicy::default().sigmas * MAD_SIGMA * r.mad
-            + r.abs_floor)
-        + 1.0;
-    let signed = match r.direction {
-        bench::Direction::Lower => bump,
-        bench::Direction::Higher => -bump,
-    };
-    let samples: Vec<f64> = r.samples.iter().map(|x| x + signed).collect();
-    *r = covirt_trace::bench::BenchRecord::from_samples(
-        harness,
-        metric,
-        &r.unit,
-        r.direction,
-        r.rel_floor,
-        r.abs_floor,
-        r.gated,
-        samples,
-    );
-    true
-}
-
-/// Render the per-metric suite summary table.
-fn render_suite(s: &BenchSuite) -> String {
+/// Render the per-row suite table: each row's median and, for a bounded
+/// row, the trial judged, its bounds and the verdict.
+fn render_suite(commit: &str, records: &[BenchRecord]) -> String {
     let mut out = format!(
-        "covirt-bench suite @ {} ({} harness(es), {} metric(s), fingerprint {:016x})\n\
-         {:<42} {:>14} {:>12} {:>7} {:<7} gated\n",
-        s.commit,
-        s.harnesses().len(),
-        s.records.len(),
-        s.fingerprint,
+        "covirt-bench suite @ {commit} ({} row(s))\n\
+         {:<44} {:>14} {:>6} {:<6} {:>20} {:<14} verdict\n",
+        records.len(),
         "metric",
         "median",
-        "mad",
         "trials",
         "unit",
+        "judged",
+        "bound",
     );
-    for r in &s.records {
+    for r in records {
+        let checks = r.checks();
+        let (judged, bound, verdict) = if checks.is_empty() {
+            (String::new(), String::new(), "info")
+        } else {
+            let (which, v) = r.judged();
+            let bounds: Vec<&str> = checks.iter().map(|c| c.0.as_str()).collect();
+            let ok = checks.iter().all(|c| c.1);
+            (
+                format!("{which} {v:.4}"),
+                bounds.join(", "),
+                if ok { "ok" } else { "FAIL" },
+            )
+        };
         out.push_str(&format!(
-            "{:<42} {:>14.4} {:>12.4} {:>7} {:<7} {}\n",
+            "{:<44} {:>14.4} {:>6} {:<6} {judged:>20} {bound:<14} {verdict}\n",
             r.key(),
             r.median,
-            r.mad,
             r.samples.len(),
-            r.unit,
-            if r.gated { "yes" } else { "info" }
+            r.spec.unit,
         ));
     }
     out
 }
 
-/// `bench` subcommand: run the suite, write `BENCH_covirt.json`, apply
-/// the declarative gate table, and optionally compare/bless a baseline.
+/// `bench` subcommand: run the suite, judge every bounded row of the gate
+/// table and write `BENCH_covirt.json`.
 fn bench_cmd(o: &Opts) -> GateResult {
-    let mut g = GateResult::new();
     let trials = o.trials.unwrap_or(suite::DEFAULT_TRIALS);
     let harnesses: Vec<&Harness> = HARNESSES
         .iter()
@@ -288,98 +245,12 @@ fn bench_cmd(o: &Opts) -> GateResult {
         report: false,
     };
     let records = suite::run_suite(&harnesses, trials, &ctx);
-    let current = BenchSuite::new(git_commit(), suite::config_string(trials), records);
-
+    let commit = git_commit();
     let path = dir.join("BENCH_covirt.json");
-    std::fs::write(&path, current.to_json()).expect("write BENCH_covirt.json");
-    println!("{}", render_suite(&current));
+    std::fs::write(&path, suite::to_json(&commit, &records)).expect("write BENCH_covirt.json");
+    println!("{}", render_suite(&commit, &records));
     println!("wrote {}", path.display());
-
-    // Schema validity: the artifact on disk must parse back to this run.
-    let reparsed = std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| BenchSuite::from_json(&t).map_err(|e| e.to_string()));
-    g.check(
-        "BENCH_covirt.json schema-valid",
-        reparsed.as_ref() == Ok(&current),
-        match &reparsed {
-            Ok(_) => "round-trips exactly".to_string(),
-            Err(e) => e.clone(),
-        },
-    );
-    g.check(
-        "suite covers >= 6 harnesses",
-        current.harnesses().len() >= 6,
-        format!("{} harness(es)", current.harnesses().len()),
-    );
-
-    g.merge(suite::apply_gates(&current.records, &harnesses));
-
-    if let Some(base_path) = &o.compare {
-        let mut compared = current.clone();
-        if let Some(key) = &o.inject {
-            let found = inject_regression(&mut compared, key);
-            g.check(
-                "injected regression target exists",
-                found,
-                format!("--inject-regression {key}"),
-            );
-            if found {
-                eprintln!("[bench] injected a synthetic regression into {key}");
-            }
-        }
-        match std::fs::read_to_string(base_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| BenchSuite::from_json(&t).map_err(|e| e.to_string()))
-        {
-            Err(e) => {
-                g.check(
-                    "baseline loads",
-                    false,
-                    format!("{}: {e}", base_path.display()),
-                );
-            }
-            Ok(baseline) => {
-                println!(
-                    "comparing against {} (baseline commit {})",
-                    base_path.display(),
-                    baseline.commit
-                );
-                let cmp = bench::compare(&baseline, &compared, ComparePolicy::default());
-                println!("{}", cmp.render());
-                g.check(
-                    "no metric regressed vs baseline",
-                    cmp.ok(),
-                    if cmp.ok() {
-                        "comparison clean".to_string()
-                    } else if cmp.config_mismatch.is_some() {
-                        "config fingerprint mismatch (re-bless after deliberate config changes)"
-                            .to_string()
-                    } else {
-                        cmp.failures()
-                            .iter()
-                            .map(|d| format!("{} ({})", d.key, d.verdict.name()))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    },
-                );
-            }
-        }
-    } else if o.inject.is_some() {
-        g.check(
-            "inject requires --compare",
-            false,
-            "--inject-regression only makes sense with --compare",
-        );
-    }
-
-    if o.bless {
-        let dest = Path::new("bench/baseline.json");
-        std::fs::create_dir_all("bench").expect("create bench/");
-        std::fs::write(dest, current.to_json()).expect("write bench/baseline.json");
-        println!("blessed {} from this run", dest.display());
-    }
-    g
+    suite::apply_gates(&records, &harnesses)
 }
 
 fn main() {
@@ -388,9 +259,6 @@ fn main() {
         scale: Scale::Quick,
         out: PathBuf::from("target/figures"),
         trials: None,
-        compare: None,
-        bless: false,
-        inject: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -403,7 +271,6 @@ fn main() {
         };
         match a.as_str() {
             "--full" => opts.scale = Scale::Paper,
-            "--bless" => opts.bless = true,
             "--out" => opts.out = PathBuf::from(value("--out")),
             "--trials" => {
                 let v = value("--trials");
@@ -415,8 +282,6 @@ fn main() {
                     }
                 }
             }
-            "--compare" => opts.compare = Some(PathBuf::from(value("--compare"))),
-            "--inject-regression" => opts.inject = Some(value("--inject-regression")),
             _ if a.starts_with("--") => usage(),
             _ => positional.push(a),
         }

@@ -1,15 +1,15 @@
 //! The one pass/fail path every `figures` subcommand exits through.
-//! Expectations are recorded as named checks on a [`GateResult`] — the
-//! rows of `suite::GATES` via `suite::apply_gates`, plus `bench`'s
-//! artifact and baseline checks; the binary's `main` renders the result
-//! and maps `!ok()` to a non-zero exit.
+//! Expectations are recorded as named checks on a [`GateResult`] — one
+//! per bound of a `suite::GATES` row, via `suite::apply_gates`; the
+//! binary's `main` renders the result and maps `!ok()` to a non-zero exit.
 
 use std::fmt;
 
 /// One named expectation.
 #[derive(Clone, Debug)]
 pub struct GateCheck {
-    /// Short stable label ("doorbell exitless", "bench compare").
+    /// Short stable label: the row and its bound
+    /// ("exitless.doorbell_cmd_exits <= 0").
     pub label: String,
     /// Whether the expectation held.
     pub passed: bool,
@@ -31,19 +31,13 @@ impl GateResult {
         GateResult::default()
     }
 
-    /// Record one expectation; returns `passed` so callers can branch.
-    pub fn check(&mut self, label: &str, passed: bool, detail: impl fmt::Display) -> bool {
+    /// Record one expectation.
+    pub fn check(&mut self, label: &str, passed: bool, detail: impl fmt::Display) {
         self.checks.push(GateCheck {
             label: label.to_string(),
             passed,
             detail: detail.to_string(),
         });
-        passed
-    }
-
-    /// Fold another result's checks into this one.
-    pub fn merge(&mut self, other: GateResult) {
-        self.checks.extend(other.checks);
     }
 
     /// True when every check passed (vacuously true when ungated).
@@ -101,23 +95,12 @@ mod tests {
     #[test]
     fn failure_is_named_and_fails_the_result() {
         let mut g = GateResult::new();
-        assert!(g.check("a", true, "fine"));
-        assert!(!g.check("exitless p99", false, "only 3.0x, need 5x"));
+        g.check("a", true, "fine");
+        g.check("exitless p99", false, "only 3.0x, need 5x");
         assert!(!g.ok());
         assert_eq!(g.failures().len(), 1);
         let r = g.render();
         assert!(r.contains("FAIL: exitless p99"));
         assert!(r.contains("1/2 passed"));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = GateResult::new();
-        a.check("x", true, "");
-        let mut b = GateResult::new();
-        b.check("y", false, "boom");
-        a.merge(b);
-        assert!(!a.ok());
-        assert_eq!(a.checks.len(), 2);
     }
 }

@@ -9,8 +9,8 @@
 //! This library holds the report renderers, the shared
 //! [`gate::GateResult`] pass/fail path every subcommand exits through,
 //! and the [`suite`] module: the one table of harnesses behind every
-//! `figures` subcommand, its declarative gate table, and the baseline
-//! comparator plumbing (schema in `covirt_trace::bench`).
+//! `figures` subcommand, its declarative gate table, the records a run
+//! reduces to and the `BENCH_covirt.json` writer.
 
 pub mod gate;
 pub mod suite;

@@ -2,17 +2,17 @@
 //! is an entry of [`HARNESSES`]: `figures <name>` runs one entry,
 //! `figures all` the entries marked for it, and `figures bench` every
 //! entry that owns rows of the one declarative [`GATES`] table — the
-//! single place the repo's absolute performance/correctness bounds and
-//! per-metric noise floors live. All three go through [`run_suite`] and
-//! [`apply_gates`], so a harness is measured, reported and judged by the
-//! same code however it is invoked.
+//! single place the repo's performance/correctness bounds live. All three
+//! go through [`run_suite`] and [`apply_gates`], so a harness is measured,
+//! reported and judged by the same code however it is invoked, and a row's
+//! bound is the whole verdict on it: there is no baseline file.
 //!
 //! Metric selection follows the simulator's measurement model: the sim
 //! TSC is scaled host wall-clock, so raw latencies and bandwidths are
-//! machine-dependent — those are recorded with `compare: false`
-//! (tracked, never gated against the baseline) or wide `rel_floor`s,
-//! while deterministic counts, rates, ratios, and conservation errors
-//! carry the regression gate.
+//! machine-dependent. Those rows carry no bound, or a capability bound
+//! judged on the best trial; deterministic counts, rates, ratios and
+//! conservation errors are bounded at the value they take, judged on the
+//! worst trial.
 
 use crate::gate::GateResult;
 use crate::{
@@ -21,9 +21,9 @@ use crate::{
     render_selfheal, render_shootdown,
 };
 use covirt::config::CovirtConfig;
-use covirt::stats::overhead_pct;
+use covirt::stats::{median, overhead_pct};
 use covirt::ExecMode;
-use covirt_trace::bench::{BenchRecord, Direction};
+use covirt_trace::export::escape;
 use covirt_trace::Phase;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -43,55 +43,46 @@ const SUITE_SCALING: ScalingParams = ScalingParams {
     trials: 3,
 };
 const SCALING_CORES: usize = 4;
-const NUMA_CORES: usize = 2;
-const NUMA_ZONES: usize = 2;
 const FRAG_REGIONS: usize = 128;
 const FRAG_ROUNDS: usize = 8;
 const EXITLESS_ROUNDS: u64 = 8192;
 const BARRIER_ROUNDS: u64 = 32;
 const PARKED_BOUND_NS: u64 = 200_000;
 
-/// The workload configuration string fingerprinted into every suite:
-/// change any sizing above and baselines demand a re-bless instead of a
-/// meaningless comparison.
-pub fn config_string(trials: usize) -> String {
-    format!(
-        "covirt-bench trials={trials} \
-         scaling{{stream_n={},ra_log2_n={},ra_updates={},best_of={},cores={}}} \
-         numa{{cores={},zones={}}} frag{{regions={},rounds={}}} \
-         exitless{{rounds={},barrier={},parked_bound_ns={}}}",
-        SUITE_SCALING.stream_n,
-        SUITE_SCALING.ra_log2_n,
-        SUITE_SCALING.ra_updates,
-        SUITE_SCALING.trials,
-        SCALING_CORES,
-        NUMA_CORES,
-        NUMA_ZONES,
-        FRAG_REGIONS,
-        FRAG_ROUNDS,
-        EXITLESS_ROUNDS,
-        BARRIER_ROUNDS,
-        PARKED_BOUND_NS,
-    )
+/// Which way "better" points for a metric.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// Larger is better (throughput, hit rates, speedups).
+    Higher,
+    /// Smaller is better (latency, error, exits, violations).
+    Lower,
 }
 
-/// Which trial statistic a metric's absolute bounds judge.
+impl Direction {
+    /// Name in `BENCH_covirt.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Direction::Higher => "higher",
+            Direction::Lower => "lower",
+        }
+    }
+}
+
+/// Which trial statistic a row's bounds judge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GateOn {
     /// The sample farthest in the worse direction — the default, right
     /// for deterministic counts and invariants (one bad trial fails).
     Worst,
-    /// The median trial — for bounds on noisy but centered quantities.
-    Median,
     /// The sample farthest in the better direction — capability claims
     /// on wall-clock-noisy metrics ("the off-path CAN run within 2%"),
     /// the STREAM best-of convention.
     Best,
 }
 
-/// One row of the declarative gate table: the metric's identity, its
-/// absolute bounds (judged against the [`GateOn`] trial statistic),
-/// and the noise declaration the baseline comparator uses.
+/// One row of the declarative gate table: the metric's identity and its
+/// bounds, judged against the [`GateOn`] trial statistic. A row with no
+/// bound is `info`: recorded, never judged.
 pub struct MetricSpec {
     /// Harness name.
     pub harness: &'static str,
@@ -107,25 +98,31 @@ pub struct MetricSpec {
     pub max: Option<f64>,
     /// Which trial statistic `min`/`max` judge.
     pub gate_on: GateOn,
-    /// Relative noise floor for the baseline comparator.
-    pub rel_floor: f64,
-    /// Absolute noise floor for the baseline comparator.
-    pub abs_floor: f64,
-    /// Whether the baseline comparator gates this metric at all.
-    pub compare: bool,
 }
 
 impl MetricSpec {
-    /// Whether the row has an absolute bound to fail.
+    /// Whether the row has a bound to fail.
     pub fn bounded(&self) -> bool {
         self.min.is_some() || self.max.is_some()
     }
 }
 
 /// The gate table. Every metric a harness emits appears here under the
-/// harness's [`Harness::key`], and [`run_suite`] panics if the collector
-/// and this table drift apart.
+/// harness's name, in [`HARNESSES`] order, and [`run_suite`] panics if
+/// the collector and this table drift apart. A bound on a deterministic
+/// count sits at the value the count takes, so any move in the worse
+/// direction fails; a new row is gated by adding it here.
 pub const GATES: &[MetricSpec] = &[
+    // -- table1: the benchmark roster itself --------------------------------
+    MetricSpec {
+        harness: "table1",
+        metric: "rows",
+        unit: "count",
+        direction: Direction::Higher,
+        min: Some(6.0),
+        max: None,
+        gate_on: GateOn::Worst,
+    },
     // -- shootdown: coalesced reclaim epochs --------------------------------
     MetricSpec {
         harness: "shootdown",
@@ -134,10 +131,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: Some(1.0),
         max: Some(1.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "shootdown",
@@ -145,24 +139,8 @@ pub const GATES: &[MetricSpec] = &[
         unit: "count",
         direction: Direction::Lower,
         min: Some(1.0),
-        max: None,
-        rel_floor: 0.5,
-        abs_floor: 4.0,
+        max: Some(8.0),
         gate_on: GateOn::Worst,
-        compare: true,
-    },
-    // -- table1: the benchmark roster itself --------------------------------
-    MetricSpec {
-        harness: "table1",
-        metric: "rows",
-        unit: "count",
-        direction: Direction::Higher,
-        min: Some(1.0),
-        max: None,
-        rel_floor: 0.0,
-        abs_floor: 0.0,
-        gate_on: GateOn::Worst,
-        compare: true,
     },
     // -- scaling: 4-core data-plane rung, native vs covirt ------------------
     MetricSpec {
@@ -172,10 +150,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: None,
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     MetricSpec {
         harness: "scaling",
@@ -184,10 +159,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: None,
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     MetricSpec {
         harness: "scaling",
@@ -196,10 +168,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: None,
-        rel_floor: 0.0,
-        abs_floor: 10.0,
-        gate_on: GateOn::Median,
-        compare: false,
+        gate_on: GateOn::Worst,
     },
     MetricSpec {
         harness: "scaling",
@@ -208,10 +177,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: None,
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     // One core, a 2-entry TLB over a four-page table: EPT-entry loads per
     // TLB miss once the walk cache is warm. 3 means the data page's leaf is
@@ -222,27 +188,22 @@ pub const GATES: &[MetricSpec] = &[
         unit: "count",
         direction: Direction::Lower,
         min: None,
-        max: Some(0.05),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
+        max: Some(0.0),
         gate_on: GateOn::Worst,
-        compare: true,
     },
     // -- numa: the walk over a fragmented enclave ---------------------------
     // EPT-entry loads per TLB miss over the fragmented working set (4 KiB
     // EPT leaves the walk cache cannot keep): 2 while the walk starts at the
-    // cached PD page of the data page's GiB, 4 from the EPT root.
+    // cached PD page of the data page's GiB, 4 from the EPT root. The run
+    // is deterministic and lands on 1027/512 exactly.
     MetricSpec {
         harness: "numa",
         metric: "frag_nested_loads_per_miss",
         unit: "count",
         direction: Direction::Lower,
         min: None,
-        max: Some(2.05),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
+        max: Some(2.005859375),
         gate_on: GateOn::Worst,
-        compare: true,
     },
     // -- exitless: command delivery -----------------------------------------
     MetricSpec {
@@ -252,10 +213,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     MetricSpec {
         harness: "exitless",
@@ -264,10 +222,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     MetricSpec {
         harness: "exitless",
@@ -276,10 +231,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(3.0),
         max: None,
-        rel_floor: 0.3,
-        abs_floor: 0.0,
         gate_on: GateOn::Best,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -288,10 +240,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -300,10 +249,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -312,10 +258,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -324,10 +267,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -336,10 +276,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -348,10 +285,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.0,
-        abs_floor: 2.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -360,10 +294,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "exitless",
@@ -372,10 +303,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     // -- selfheal: live tail + remediation ----------------------------------
     MetricSpec {
@@ -385,10 +313,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "selfheal",
@@ -397,10 +322,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: Some(1.0),
         max: None,
-        rel_floor: 1.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     MetricSpec {
         harness: "selfheal",
@@ -408,11 +330,8 @@ pub const GATES: &[MetricSpec] = &[
         unit: "count",
         direction: Direction::Lower,
         min: None,
-        max: Some(512.0),
-        rel_floor: 1.0,
-        abs_floor: 64.0,
+        max: Some(76.0),
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "selfheal",
@@ -421,10 +340,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     // -- audit: protection-audit engine -------------------------------------
     MetricSpec {
@@ -434,10 +350,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "audit",
@@ -446,10 +359,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 2.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "audit",
@@ -458,10 +368,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 16.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "audit",
@@ -470,10 +377,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.5,
-        abs_floor: 2.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     // -- profile: always-on cycle accounting --------------------------------
     MetricSpec {
@@ -482,11 +386,8 @@ pub const GATES: &[MetricSpec] = &[
         unit: "pct",
         direction: Direction::Lower,
         min: None,
-        max: Some(1.0),
-        rel_floor: 0.0,
-        abs_floor: 0.5,
+        max: Some(0.5),
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "profile",
@@ -495,10 +396,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 1.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     MetricSpec {
         harness: "profile",
@@ -507,10 +405,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(5.0),
-        rel_floor: 0.0,
-        abs_floor: 5.0,
         gate_on: GateOn::Best,
-        compare: false,
     },
     MetricSpec {
         harness: "profile",
@@ -519,10 +414,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 1.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: false,
     },
     MetricSpec {
         harness: "profile",
@@ -531,10 +423,7 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
     MetricSpec {
         harness: "profile",
@@ -543,23 +432,17 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Higher,
         min: Some(1.0),
         max: None,
-        rel_floor: 0.0,
-        abs_floor: 0.0,
         gate_on: GateOn::Worst,
-        compare: true,
     },
-    // -- trace: flight-recorder off-path cost -------------------------------
+    // -- traceovh: flight-recorder off-path cost ----------------------------
     MetricSpec {
-        harness: "trace",
+        harness: "traceovh",
         metric: "recorder_off_deficit_pct",
         unit: "pct",
         direction: Direction::Lower,
         min: None,
         max: Some(5.0),
-        rel_floor: 0.0,
-        abs_floor: 5.0,
         gate_on: GateOn::Best,
-        compare: false,
     },
 ];
 
@@ -600,21 +483,9 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// The harness name this entry's rows carry in [`GATES`] and
-    /// `BENCH_covirt.json`: its own, except `traceovh`, whose row was
-    /// recorded as `trace.*` before the subcommand was named and is
-    /// pinned by `bench/baseline.json`.
-    pub fn key(&self) -> &'static str {
-        if self.name == "traceovh" {
-            "trace"
-        } else {
-            self.name
-        }
-    }
-
     /// This harness's rows of [`GATES`].
     pub fn rows(&self) -> impl Iterator<Item = &'static MetricSpec> + '_ {
-        GATES.iter().filter(|s| s.harness == self.key())
+        GATES.iter().filter(|s| s.harness == self.name)
     }
 
     /// Whether a run can fail: some row has an absolute bound.
@@ -955,14 +826,135 @@ fn traceovh(_: &Ctx, c: &mut Collector) -> String {
 fn rows_of<'a>(harnesses: &'a [&Harness]) -> impl Iterator<Item = &'static MetricSpec> + 'a {
     GATES
         .iter()
-        .filter(|s| harnesses.iter().any(|h| h.key() == s.harness))
+        .filter(|s| harnesses.iter().any(|h| h.name == s.harness))
+}
+
+/// One row's trials: the samples a run pushed and their median.
+pub struct BenchRecord {
+    /// The row of [`GATES`] measured.
+    pub spec: &'static MetricSpec,
+    /// Per-trial samples, in run order.
+    pub samples: Vec<f64>,
+    /// `median(samples)`.
+    pub median: f64,
+}
+
+impl BenchRecord {
+    /// A record of `spec` from its trial samples.
+    pub fn new(spec: &'static MetricSpec, samples: Vec<f64>) -> BenchRecord {
+        BenchRecord {
+            spec,
+            median: median(&samples),
+            samples,
+        }
+    }
+
+    /// `harness.metric`, the name reports give the row.
+    pub fn key(&self) -> String {
+        format!("{}.{}", self.spec.harness, self.spec.metric)
+    }
+
+    /// The sample farthest in the worse direction (max for
+    /// lower-is-better, min for higher).
+    pub fn worst_sample(&self) -> f64 {
+        let fold = match self.spec.direction {
+            Direction::Lower => f64::max,
+            Direction::Higher => f64::min,
+        };
+        self.samples.iter().copied().fold(self.median, fold)
+    }
+
+    /// The sample farthest in the better direction.
+    pub fn best_sample(&self) -> f64 {
+        let fold = match self.spec.direction {
+            Direction::Lower => f64::min,
+            Direction::Higher => f64::max,
+        };
+        self.samples.iter().copied().fold(self.median, fold)
+    }
+
+    /// The statistic the row's bounds judge, named (`"worst"`/`"best"`).
+    pub fn judged(&self) -> (&'static str, f64) {
+        match self.spec.gate_on {
+            GateOn::Worst => ("worst", self.worst_sample()),
+            GateOn::Best => ("best", self.best_sample()),
+        }
+    }
+
+    /// Each of the row's bounds (`">= 1"`, `"<= 8"`) and whether this
+    /// run's judged statistic meets it; empty for an `info` row.
+    pub fn checks(&self) -> Vec<(String, bool)> {
+        let v = self.judged().1;
+        let min = self.spec.min.map(|b| (format!(">= {b}"), v >= b));
+        let max = self.spec.max.map(|b| (format!("<= {b}"), v <= b));
+        min.into_iter().chain(max).collect()
+    }
+}
+
+/// A finite number as JSON, anything else as `null`.
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    escape(s, &mut out);
+    out.push('"');
+    out
+}
+
+/// The `BENCH_covirt.json` artifact of a run at `commit`: per row, its
+/// samples and median and, for a bounded row, the statistic judged, the
+/// bounds and the verdict, so a failed run is explained by the artifact
+/// alone.
+pub fn to_json(commit: &str, records: &[BenchRecord]) -> String {
+    let rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            let s = r.spec;
+            let samples: Vec<String> = r.samples.iter().map(|&v| json_num(v)).collect();
+            let mut row = format!(
+                "    {{\"harness\": {}, \"metric\": {}, \"unit\": {}, \"direction\": {}, \
+                 \"median\": {}, \"samples\": [{}]",
+                json_str(s.harness),
+                json_str(s.metric),
+                json_str(s.unit),
+                json_str(s.direction.name()),
+                json_num(r.median),
+                samples.join(", ")
+            );
+            if s.bounded() {
+                let (which, v) = r.judged();
+                let bound = |b: Option<f64>| b.map_or("null".to_string(), json_num);
+                row.push_str(&format!(
+                    ", \"gate_on\": {}, \"judged\": {}, \"min\": {}, \"max\": {}, \"pass\": {}",
+                    json_str(which),
+                    json_num(v),
+                    bound(s.min),
+                    bound(s.max),
+                    r.checks().iter().all(|c| c.1)
+                ));
+            }
+            row + "}"
+        })
+        .collect();
+    format!(
+        "{{\n  \"commit\": {},\n  \"records\": [\n{}\n  ]\n}}\n",
+        json_str(commit),
+        rows.join(",\n")
+    )
 }
 
 /// Trial samples keyed by (harness, metric).
 #[derive(Default)]
 pub struct Collector {
-    /// [`Harness::key`] of the harness being measured; [`run_suite`] sets
-    /// it, so a harness can only ever push its own rows.
+    /// Name of the harness being measured; [`run_suite`] sets it, so a
+    /// harness can only ever push its own rows.
     harness: &'static str,
     samples: BTreeMap<(&'static str, &'static str), Vec<f64>>,
 }
@@ -996,16 +988,7 @@ impl Collector {
                             s.harness, s.metric
                         )
                     });
-                BenchRecord::from_samples(
-                    s.harness,
-                    s.metric,
-                    s.unit,
-                    s.direction,
-                    s.rel_floor,
-                    s.abs_floor,
-                    s.compare,
-                    samples,
-                )
+                BenchRecord::new(s, samples)
             })
             .collect()
     }
@@ -1020,7 +1003,7 @@ pub fn run_suite(harnesses: &[&Harness], trials: usize, ctx: &Ctx) -> Vec<BenchR
     for t in 0..trials {
         for h in harnesses {
             eprintln!("[{}] trial {}/{trials}...", h.name, t + 1);
-            c.harness = h.key();
+            c.harness = h.name;
             let report = (h.measure)(ctx, &mut c);
             if ctx.report {
                 println!("{report}");
@@ -1030,45 +1013,32 @@ pub fn run_suite(harnesses: &[&Harness], trials: usize, ctx: &Ctx) -> Vec<BenchR
     c.into_records(harnesses)
 }
 
-/// Apply the absolute min/max bounds of `harnesses`' rows to a finished
-/// run's records. Each bound is judged against the spec's [`GateOn`]
-/// statistic — the worst trial by default, so a single bad trial fails
-/// a deterministic gate even when the median survives.
+/// Apply the bounds of `harnesses`' rows to a finished run's records.
+/// Each bound is judged against the spec's [`GateOn`] statistic — the
+/// worst trial by default, so a single bad trial fails a deterministic
+/// gate even when the median survives.
 pub fn apply_gates(records: &[BenchRecord], harnesses: &[&Harness]) -> GateResult {
     let mut g = GateResult::new();
     for s in rows_of(harnesses).filter(|s| s.bounded()) {
-        match records
+        let key = format!("{}.{}", s.harness, s.metric);
+        let Some(r) = records
             .iter()
-            .find(|r| r.harness == s.harness && r.metric == s.metric)
-        {
-            None => {
-                g.check(
-                    &format!("{}.{}", s.harness, s.metric),
-                    false,
-                    "metric declared in suite::GATES but absent from the suite",
-                );
-            }
-            Some(r) => {
-                let (which, v) = match s.gate_on {
-                    GateOn::Worst => ("worst trial", r.worst_sample()),
-                    GateOn::Median => ("median", r.median),
-                    GateOn::Best => ("best trial", r.best_sample()),
-                };
-                if let Some(min) = s.min {
-                    g.check(
-                        &format!("{}.{} >= {min}", s.harness, s.metric),
-                        v >= min,
-                        format!("{which} {v} {}", s.unit),
-                    );
-                }
-                if let Some(max) = s.max {
-                    g.check(
-                        &format!("{}.{} <= {max}", s.harness, s.metric),
-                        v <= max,
-                        format!("{which} {v} {}", s.unit),
-                    );
-                }
-            }
+            .find(|r| r.spec.harness == s.harness && r.spec.metric == s.metric)
+        else {
+            g.check(
+                &key,
+                false,
+                "metric declared in suite::GATES but absent from the suite",
+            );
+            continue;
+        };
+        let (which, v) = r.judged();
+        for (bound, holds) in r.checks() {
+            g.check(
+                &format!("{key} {bound}"),
+                holds,
+                format!("{which} trial {v} {}", s.unit),
+            );
         }
     }
     g
@@ -1077,7 +1047,42 @@ pub fn apply_gates(records: &[BenchRecord], harnesses: &[&Harness]) -> GateResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use covirt_trace::bench::BenchRecord;
+
+    /// Every check `figures bench` makes, in table order. A bound moves
+    /// only by editing this list too.
+    const CHECKS: &[&str] = &[
+        "table1.rows >= 6",
+        "shootdown.broadcast_shootdowns >= 1",
+        "shootdown.broadcast_shootdowns <= 1",
+        "shootdown.tlb_range_flushes >= 1",
+        "shootdown.tlb_range_flushes <= 8",
+        "scaling.nested_loads_per_warm_miss <= 0",
+        "numa.frag_nested_loads_per_miss <= 2.005859375",
+        "exitless.p99_speedup >= 3",
+        "exitless.doorbell_cmd_exits <= 0",
+        "exitless.doorbell_escalations <= 0",
+        "exitless.doorbell_unharvested <= 0",
+        "exitless.concurrent_cmd_exits <= 0",
+        "exitless.concurrent_escalations <= 0",
+        "exitless.parked_escalations >= 1",
+        "exitless.parked_escalated_after_bound >= 1",
+        "exitless.parked_completed >= 1",
+        "selfheal.clean_actions <= 0",
+        "selfheal.mttr_ns >= 1",
+        "selfheal.events_to_remediate <= 76",
+        "selfheal.quarantined_live >= 1",
+        "audit.clean_violations <= 0",
+        "audit.region_lifecycles >= 1",
+        "audit.command_chains >= 1",
+        "audit.fault_attributed_violations >= 1",
+        "profile.conservation_error_pct <= 0.5",
+        "profile.window_count >= 1",
+        "profile.profiler_off_deficit_pct <= 5",
+        "profile.fault_culprit_spike_cycles >= 1",
+        "profile.bystander_controller_cycles <= 0",
+        "profile.fault_throttled >= 1",
+        "traceovh.recorder_off_deficit_pct <= 5",
+    ];
 
     #[test]
     fn gate_table_is_consistent() {
@@ -1087,19 +1092,13 @@ mod tests {
         keys.dedup();
         assert_eq!(keys.len(), n, "duplicate (harness, metric) in GATES");
         for s in GATES {
-            assert!(
-                s.rel_floor >= 0.0 && s.abs_floor >= 0.0,
-                "{}.{}",
-                s.harness,
-                s.metric
-            );
             if let (Some(min), Some(max)) = (s.min, s.max) {
                 assert!(min <= max, "{}.{} min > max", s.harness, s.metric);
             }
             assert!(!s.unit.is_empty() && !s.harness.is_empty() && !s.metric.is_empty());
             // Every row belongs to exactly one harness, which measures it.
             assert_eq!(
-                HARNESSES.iter().filter(|h| h.key() == s.harness).count(),
+                HARNESSES.iter().filter(|h| h.name == s.harness).count(),
                 1,
                 "{}.{} names no harness",
                 s.harness,
@@ -1165,16 +1164,16 @@ mod tests {
         assert_eq!(
             keys(&together),
             [
+                "table1.rows",
                 "shootdown.broadcast_shootdowns",
-                "shootdown.tlb_range_flushes",
-                "table1.rows"
+                "shootdown.tlb_range_flushes"
             ]
         );
         for h in cheap {
             let alone = run_suite(&[h], 2, &ctx());
             let expected: Vec<String> = keys(&together)
                 .into_iter()
-                .filter(|k| k.starts_with(h.key()))
+                .filter(|k| k.starts_with(h.name))
                 .collect();
             assert_eq!(keys(&alone), expected);
             assert!(alone.iter().all(|r| r.samples.len() == 2));
@@ -1183,49 +1182,65 @@ mod tests {
     }
 
     fn one(harness: &str, metric: &str, samples: &[f64]) -> BenchRecord {
-        let s = spec(harness, metric).unwrap();
-        BenchRecord::from_samples(
-            s.harness,
-            s.metric,
-            s.unit,
-            s.direction,
-            s.rel_floor,
-            s.abs_floor,
-            s.compare,
-            samples.to_vec(),
-        )
+        BenchRecord::new(spec(harness, metric).unwrap(), samples.to_vec())
     }
 
     #[test]
     fn gates_restricted_to_one_harness_judge_only_its_rows() {
-        let exitless = harness("exitless").unwrap();
-        // Every exitless row sitting exactly on its bound, nothing else.
-        let on_the_bound = |bad: Option<&str>| -> Vec<BenchRecord> {
-            exitless
-                .rows()
-                .map(|s| {
-                    let v = s.min.or(s.max).unwrap_or(0.0);
-                    let v = if bad == Some(s.metric) { v + 3.0 } else { v };
-                    one(s.harness, s.metric, &[v, v, v])
-                })
-                .collect()
-        };
-        let g = apply_gates(&on_the_bound(None), &[exitless]);
-        assert!(g.ok(), "{}", g.render());
-        assert_eq!(
-            g.checks.len(),
-            exitless
-                .rows()
-                .map(|s| s.min.is_some() as usize + s.max.is_some() as usize)
-                .sum::<usize>()
-        );
-        // Judged as part of the whole table, the other harnesses' rows
-        // are missing; restricted, one bad sample still fails by name.
         let all: Vec<&Harness> = HARNESSES.iter().collect();
-        assert!(!apply_gates(&on_the_bound(None), &all).ok());
-        let g = apply_gates(&on_the_bound(Some("doorbell_cmd_exits")), &[exitless]);
-        let failed: Vec<&str> = g.failures().iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(failed, ["exitless.doorbell_cmd_exits <= 0"]);
+        let mut judged = Vec::new();
+        for h in HARNESSES {
+            // Every row of `h` at its bound, `bad` one step past another.
+            let run = |bad: Option<(&str, f64)>| {
+                let records: Vec<BenchRecord> = h
+                    .rows()
+                    .map(|s| {
+                        let v = match bad {
+                            Some((metric, v)) if metric == s.metric => v,
+                            _ => s.min.or(s.max).unwrap_or(0.0),
+                        };
+                        BenchRecord::new(s, vec![v; 3])
+                    })
+                    .collect();
+                apply_gates(&records, &[h])
+            };
+            let g = run(None);
+            assert!(g.ok(), "{}", g.render());
+            judged.extend(g.checks.iter().map(|c| c.label.clone()));
+            if h.gated() {
+                // Judged as part of the whole table, the other harnesses'
+                // rows are missing.
+                let records: Vec<BenchRecord> = h
+                    .rows()
+                    .map(|s| BenchRecord::new(s, vec![s.min.or(s.max).unwrap_or(0.0)]))
+                    .collect();
+                assert!(!apply_gates(&records, &all).ok(), "{}", h.name);
+            }
+            for s in h.rows() {
+                let key = format!("{}.{}", s.harness, s.metric);
+                let below_min = s.min.map(|b| (b.next_down(), format!("{key} >= {b}")));
+                let above_max = s.max.map(|b| (b.next_up(), format!("{key} <= {b}")));
+                for (v, label) in below_min.into_iter().chain(above_max) {
+                    let g = run(Some((s.metric, v)));
+                    let failed: Vec<&str> = g.failures().iter().map(|c| c.label.as_str()).collect();
+                    assert_eq!(failed, [label]);
+                }
+            }
+        }
+        assert_eq!(judged, CHECKS);
+    }
+
+    #[test]
+    fn a_record_judges_its_worst_or_best_trial_by_direction() {
+        let r = one("exitless", "doorbell_cmd_exits", &[3.0, 1.0, 7.0]);
+        assert_eq!(r.median, 3.0);
+        assert_eq!(r.worst_sample(), 7.0, "lower-is-better: worst is max");
+        assert_eq!(r.best_sample(), 1.0, "lower-is-better: best is min");
+        assert_eq!(r.key(), "exitless.doorbell_cmd_exits");
+        let r = one("exitless", "p99_speedup", &[3.0, 1.0, 7.0]);
+        assert_eq!(r.worst_sample(), 1.0, "higher-is-better: worst is min");
+        assert_eq!(r.best_sample(), 7.0, "higher-is-better: best is max");
+        assert_eq!(r.judged(), ("best", 7.0));
     }
 
     #[test]
@@ -1276,5 +1291,23 @@ mod tests {
             .failures()
             .iter()
             .any(|c| c.label.contains("p99_speedup")));
+    }
+
+    /// The artifact records, for a bounded row, the statistic judged, its
+    /// bounds and the verdict; an `info` row carries its samples only.
+    #[test]
+    fn the_artifact_records_each_bounded_rows_verdict() {
+        let records = [
+            one("shootdown", "tlb_range_flushes", &[4.0, 9.0, 4.0]),
+            one("scaling", "covirt_gups_per_core", &[0.5]),
+        ];
+        let json = to_json("abc", &records);
+        assert!(json.starts_with("{\n  \"commit\": \"abc\",\n  \"records\": [\n"));
+        assert!(json.contains(
+            "\"metric\": \"tlb_range_flushes\", \"unit\": \"count\", \"direction\": \"lower\", \
+             \"median\": 4, \"samples\": [4, 9, 4], \"gate_on\": \"worst\", \"judged\": 9, \
+             \"min\": 1, \"max\": 8, \"pass\": false}"
+        ));
+        assert!(json.contains("\"median\": 0.5, \"samples\": [0.5]}\n  ]\n}\n"));
     }
 }

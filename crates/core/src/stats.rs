@@ -2,9 +2,6 @@
 
 use crate::vctx::VirtContext;
 
-/// Median of a sample: the one the bench suite's records are built with.
-pub use covirt_trace::bench::median;
-
 /// A sorted (reason, count) table of a context's exits across all cores —
 /// the "incremental overhead costs of different hardware protection
 /// features" instrumentation the paper's contribution list promises.
@@ -51,6 +48,22 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Median of a sample (of a copy; the input is not reordered). 0.0 when
+/// empty.
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
 }
 
 /// Sample standard deviation.
@@ -109,8 +122,38 @@ mod tests {
         assert_eq!(mean(&xs), 2.5);
         assert_eq!(median(&xs), 2.5);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[1.0, 9.0, 2.0]), 2.0);
         assert!((stddev(&xs) - 1.2909944487358056).abs() < 1e-12);
         assert_eq!(stddev(&[1.0]), 0.0);
         assert_eq!(mean(&[]), 0.0);
+    }
+
+    // The stand-in `ProptestConfig` has one field; `..default()` keeps the
+    // block compatible with the real crate.
+    #[allow(clippy::needless_update)]
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// The median lies within the sample's range, and shifting
+            /// every sample shifts it by the same amount.
+            #[test]
+            fn median_within_range_and_shift_equivariant(
+                xs in proptest::collection::vec((0u64..2_000_000).prop_map(|v| v as f64 / 100.0), 1..12),
+                shift in 0u64..1000,
+            ) {
+                let m = median(&xs);
+                let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+                let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                prop_assert!(m >= lo && m <= hi, "median {} outside [{}, {}]", m, lo, hi);
+                let shifted: Vec<f64> = xs.iter().map(|x| x + shift as f64).collect();
+                prop_assert!((median(&shifted) - (m + shift as f64)).abs() < 1e-9);
+            }
+        }
     }
 }

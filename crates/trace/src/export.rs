@@ -6,7 +6,7 @@ use crate::profile::{Phase, ProfileSnapshot, WindowSnapshot};
 use crate::{cycles_to_ns, unpack_str, EventKind, TraceEvent};
 
 /// Append `s` to `out` escaped for a JSON string literal.
-pub(crate) fn escape(s: &str, out: &mut String) {
+pub fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

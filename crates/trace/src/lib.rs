@@ -39,7 +39,6 @@
 //! read, discards the slot — torn records are *detected*, never returned.
 
 pub mod audit;
-pub mod bench;
 pub mod export;
 pub mod hist;
 pub mod profile;
