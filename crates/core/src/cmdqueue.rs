@@ -188,8 +188,8 @@ pub struct CmdQueue {
     /// Resolved backing + offset of the next-sequence word (same
     /// rationale: `alloc_seq` runs once per post).
     next_seq: (Arc<covirt_simhw::backing::Backing>, usize),
-    /// The core this queue serves (diagnostic only; carried into
-    /// [`FlushTimeout`] errors).
+    /// The core this queue serves: carried into [`FlushTimeout`] errors,
+    /// and the lane a wait's trace event goes on.
     core: u64,
     /// Flight-recorder handle; posts and waits emit trace events when set.
     tracer: Option<Tracer>,
@@ -233,7 +233,8 @@ impl CmdQueue {
             .map_err(|_| RingError::Corrupt)
     }
 
-    /// Tag the queue with the core it serves (for timeout diagnostics).
+    /// Tag the queue with the core it serves (for timeout diagnostics and
+    /// the lane of its waits' trace events).
     pub fn with_core(mut self, core: u64) -> Self {
         self.core = core;
         self
@@ -343,8 +344,12 @@ impl CmdQueue {
         backing.read_u64_acquire(*off)
     }
 
-    /// Controller: wait until `seq` completes or `spins` polls elapse — the
-    /// one completion wait.
+    /// Controller: wait until `seq` completes, the core leaves guest mode
+    /// or `spins` polls elapse — the one completion wait.
+    ///
+    /// `live` says whether the core is still in guest mode. A core that has
+    /// left it never runs on what it cached again, so its ack is not needed
+    /// and the wait ends `Ok`: a core parked by a fault never acknowledges.
     ///
     /// The wait escalates: the first polls busy-spin (the common case — a
     /// core at a safe point acknowledges within nanoseconds), then yield
@@ -353,19 +358,24 @@ impl CmdQueue {
     /// fallback, `(bound, kick)`: if the wait is still open `bound` after it
     /// began, `kick` runs — once, never earlier — and the wait goes on. On
     /// timeout the error names the stuck core and how far it got.
+    ///
+    /// The `CmdWait` event goes on the waited core's lane, so the audit
+    /// engine matches it to that core's post of `seq`.
     pub fn wait(
         &self,
         seq: u64,
         spins: u64,
         mut escalate: Option<(Duration, &dyn Fn())>,
+        live: &dyn Fn() -> bool,
     ) -> Result<(), FlushTimeout> {
         const SPIN_POLLS: u64 = 128;
         const YIELD_POLLS: u64 = 4096;
         let t0 = Instant::now();
         for i in 0..=spins {
-            if self.completed() >= seq {
+            if self.completed() >= seq || !live() {
                 if let Some(t) = self.tracer.as_ref().filter(|t| t.enabled()) {
-                    t.emit(EventKind::CmdWait, seq, t0.elapsed().as_nanos() as u64);
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    t.emit_on(self.core as u32, EventKind::CmdWait, seq, ns);
                 }
                 return Ok(());
             }
@@ -442,11 +452,11 @@ mod tests {
         let s1 = q.post(Command::Sync).unwrap();
         let s2 = q.post(Command::TlbFlushAll).unwrap();
         assert!(s2 > s1);
-        assert!(q.wait(s1, 1, None).is_err());
+        assert!(q.wait(s1, 1, None, &|| true).is_err());
         for c in q.drain() {
             q.complete(c.seq);
         }
-        assert!(q.wait(s2, 1, None).is_ok());
+        assert!(q.wait(s2, 1, None, &|| true).is_ok());
         assert_eq!(q.completed(), s2);
     }
 
@@ -455,11 +465,22 @@ mod tests {
         let (_w, q) = queue();
         let q = q.with_core(7);
         let s = q.post(Command::Sync).unwrap();
-        let err = q.wait(s, 1, None).unwrap_err();
+        let err = q.wait(s, 1, None, &|| true).unwrap_err();
         assert_eq!(err.core, 7);
         assert_eq!(err.seq, s);
         assert_eq!(err.completed, 0);
         assert!(err.to_string().contains("core 7"));
+    }
+
+    /// A core out of guest mode is not waited for, with or without budget.
+    #[test]
+    fn a_wait_on_a_parked_core_ends_ok() {
+        let (_w, q) = queue();
+        let s = q.post(Command::Sync).unwrap();
+        for spins in [0, u64::MAX] {
+            assert_eq!(q.wait(s, spins, None, &|| false), Ok(()));
+        }
+        assert_eq!(q.completed(), 0, "nothing acknowledged");
     }
 
     #[test]
@@ -483,7 +504,7 @@ mod tests {
         // Completing the merged command releases every earlier waiter.
         q.complete(merged);
         for s in seqs {
-            assert!(q.wait(s, 1, None).is_ok());
+            assert!(q.wait(s, 1, None, &|| true).is_ok());
         }
     }
 
@@ -527,7 +548,7 @@ mod tests {
         let drained = other.drain();
         assert_eq!(drained.len(), 2);
         other.complete(b);
-        assert!(q.wait(a, 1, None).is_ok());
+        assert!(q.wait(a, 1, None, &|| true).is_ok());
     }
 
     #[test]

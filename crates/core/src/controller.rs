@@ -55,9 +55,10 @@ use std::time::Duration;
 const EPT_POOL_BYTES: u64 = 16 * 1024 * 1024;
 
 /// Reclaims at or below this size are shot down with `TlbFlushRange`
-/// commands; larger ones fall back to a full flush (invalidating the whole
-/// TLB is cheaper than sweeping it per-range once the range dwarfs the TLB
-/// reach).
+/// commands; larger ones fall back to a full flush. On the host either
+/// flush visits only the entries the core holds, so the choice rests on
+/// the modelled cost: a ranged flush spares the refills of the entries it
+/// keeps, which stops paying once the range dwarfs the TLB's reach.
 pub const DEFAULT_RANGE_FLUSH_THRESHOLD: u64 = 16 * 1024 * 1024;
 
 /// Polls of a core's completion counter before a flush wait gives up with
@@ -260,7 +261,9 @@ impl CovirtController {
     /// Under doorbell-first delivery a core that has not acknowledged
     /// within the escalation bound is kicked with the legacy NMI once (and
     /// the escalation counted), so a core parked outside any harvest safe
-    /// point still converges. A core that never does is named in the error.
+    /// point still converges. A core that leaves guest mode meanwhile is
+    /// not waited for: it never runs on what it cached again. A core that
+    /// does neither is named in the error.
     fn round_trip(&self, vctx: &VirtContext, cmds: &[Command]) -> CovirtResult<()> {
         let mut waits = Vec::new();
         for (core, q, doorbell) in vctx.live_slots() {
@@ -284,7 +287,7 @@ impl CovirtController {
                 let _ = self.node.interconnect.send(0, IpiDest::Core(core), nmi);
             };
             let escalate = doorbell_first.then_some((bound, &kick as &dyn Fn()));
-            q.wait(seq, COMPLETION_WAIT_POLLS, escalate)?;
+            q.wait(seq, COMPLETION_WAIT_POLLS, escalate, &|| vctx.is_live(core))?;
         }
         if let Some(w0) = w0 {
             prof.attribute(

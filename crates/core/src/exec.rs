@@ -1361,6 +1361,36 @@ mod tests {
         assert_write_violates(&mut gc, range.start.raw() + 8);
     }
 
+    /// A command round trip waits only on cores still in guest mode. A
+    /// barrier is waiting on an unpolled core when that core makes a wild
+    /// write and is parked: the barrier returns `Ok` at once, since a parked
+    /// core never runs on what it cached again, instead of polling out
+    /// `COMPLETION_WAIT_POLLS` (minutes). The barrier's thread is joined
+    /// only once it has answered, as one that is still waiting never ends.
+    #[test]
+    fn a_round_trip_ends_when_its_core_leaves_guest_mode() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM_IPI));
+        let ctl = Arc::clone(w.controller.as_ref().unwrap());
+        let vctx = vctx_of(&w);
+        let mut gc = core(&w, 1);
+        let (enclave, (done, barrier)) = (w.enclave.id.0, std::sync::mpsc::channel());
+        let waiter = std::thread::spawn(move || done.send(ctl.shootdown_barrier(enclave)));
+        let q = vctx.cmdq(1).unwrap();
+        while q.pending() == 0 {
+            std::thread::yield_now();
+        }
+
+        let fault = kitten::faults::off_by_one_region(&w.kernel);
+        assert!(matches!(
+            gc.execute_fault(fault),
+            FaultOutcome::Contained(_)
+        ));
+        assert!(vctx.live_cores().is_empty());
+        let waited = barrier.recv_timeout(std::time::Duration::from_secs(5));
+        assert!(matches!(waited, Ok(Ok(()))), "{waited:?}");
+        waiter.join().unwrap().unwrap();
+    }
+
     /// One thread walks through `NestedLoad`s over a live core's walk cache,
     /// harvesting commands between walks as the core's safe points do, while
     /// another unmaps a range, flushes it through the core's queue and waits

@@ -639,7 +639,10 @@ mod tests {
             );
             assert!(ept_loads(&node, &vctx, &wc, gva) > 0, "and the walk cache");
         }
-        assert!(q.wait(seq, 1, None).is_ok(), "completion must be signalled");
+        assert!(
+            q.wait(seq, 1, None, &|| true).is_ok(),
+            "completion must be signalled"
+        );
         assert_eq!(hv.commands, 1);
     }
 
@@ -672,7 +675,7 @@ mod tests {
             0,
             "an unrelated line still hits"
         );
-        assert!(q.wait(seq, 1, None).is_ok());
+        assert!(q.wait(seq, 1, None, &|| true).is_ok());
         assert_eq!(tlb.stats().range_flushes, 1);
         assert_eq!(tlb.stats().full_flushes, 0);
     }

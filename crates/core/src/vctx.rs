@@ -222,6 +222,12 @@ impl VirtContext {
         }
     }
 
+    /// Whether `core` is in guest mode.
+    pub fn is_live(&self, core: usize) -> bool {
+        self.slot(core)
+            .is_some_and(|s| s.live.load(Ordering::SeqCst))
+    }
+
     /// The slots of the cores currently in guest mode, ascending.
     fn live(&self) -> impl Iterator<Item = &CoreSlot> {
         self.slots.iter().filter(|s| s.live.load(Ordering::SeqCst))
@@ -382,6 +388,7 @@ mod tests {
         assert_eq!(v.live_cores(), vec![1, 2]);
         v.core_left_guest(1);
         assert_eq!(v.live_cores(), vec![2]);
+        assert_eq!([1, 2, 9].map(|c| v.is_live(c)), [false, true, false]);
     }
 
     #[test]

@@ -410,6 +410,12 @@ impl WalkCache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
     }
+
+    /// Lines of `size` the cache holds, table lines included.
+    #[cfg(test)]
+    pub(crate) fn occupied(&self, size: PageSize) -> usize {
+        self.lines.borrow().occupied(size)
+    }
 }
 
 impl Default for WalkCache {

@@ -198,9 +198,9 @@ impl Tlb {
     ///
     /// This is the hypervisor's response to a `TlbFlushRange` command: a
     /// reclaim of a small region invalidates only the translations it could
-    /// have cached, so unrelated hot entries survive the shootdown. Cost is
-    /// bounded by the TLB geometry (one pass over the sets), never by the
-    /// range size.
+    /// have cached, so unrelated hot entries survive the shootdown. It visits
+    /// only the occupied entries, so its cost follows how many the core
+    /// holds, never the geometry or the range size.
     pub fn flush_range(&mut self, gva: u64, len: u64) {
         self.lines.invalidate_overlapping(gva, len);
         self.stats.range_flushes += 1;
@@ -212,6 +212,12 @@ impl Tlb {
     /// Snapshot of the counters.
     pub fn stats(&self) -> TlbStats {
         self.stats
+    }
+
+    /// Entries of `size` the TLB holds.
+    #[cfg(test)]
+    pub(crate) fn occupied(&self, size: PageSize) -> usize {
+        self.lines.occupied(size)
     }
 }
 

@@ -156,7 +156,7 @@ impl CmdLifecycle {
     /// Whether the command provably finished: its completion ack was
     /// observed, or a controller wait for it returned. The second case
     /// matters for drain-merged and live-tailed captures — the ring can
-    /// overwrite the `CmdComplete` record while the controller-lane
+    /// overwrite the `CmdComplete` record while the controller's
     /// `CmdWait` (which can only follow the completion) survives, so the
     /// chain is complete even though `complete_tsc` is `None`.
     pub fn complete(&self) -> bool {
@@ -507,9 +507,13 @@ pub struct AuditEngine {
     faulted: std::collections::HashSet<u64>,
     /// A `shutdown` control message has been seen.
     shutdown_seen: bool,
-    /// Last reservation index seen per lane (for mid-stream gap checks).
-    last_idx: HashMap<u32, u64>,
-    /// Drops reported by the recorder plus index gaps detected inline.
+    /// Per lane, the lowest and highest reservation index [`Self::ingest`]
+    /// saw and how many events: the indices in between that never arrived
+    /// are mid-stream gaps. Order-free, because a core's lane has a second
+    /// writer — the controller's waits on that core — whose timestamps and
+    /// indices can disagree with the core's by an event.
+    lane_spans: BTreeMap<u32, (u64, u64, u64)>,
+    /// Drops reported by the recorder plus index gaps.
     dropped: u64,
 }
 
@@ -529,7 +533,7 @@ impl AuditEngine {
             enclaves: BTreeMap::new(),
             faulted: std::collections::HashSet::new(),
             shutdown_seen: false,
-            last_idx: HashMap::new(),
+            lane_spans: BTreeMap::new(),
             dropped: 0,
         }
     }
@@ -581,19 +585,8 @@ impl AuditEngine {
     /// Ingest one event. Events must arrive in merged chronological order
     /// (the order [`crate::Recorder::drain`] produces).
     pub fn ingest(&mut self, e: &TraceEvent) {
-        // Reservation-index gap ⇒ the ring wrapped mid-capture.
-        if let Some(&prev) = self.last_idx.get(&e.lane) {
-            if e.idx > prev + 1 {
-                self.dropped += e.idx - prev - 1;
-                self.notes.push(format!(
-                    "lane {} index gap: {} event(s) missing before idx {}",
-                    e.lane,
-                    e.idx - prev - 1,
-                    e.idx
-                ));
-            }
-        }
-        self.last_idx.insert(e.lane, e.idx);
+        let span = self.lane_spans.entry(e.lane).or_insert((e.idx, e.idx, 0));
+        *span = (span.0.min(e.idx), span.1.max(e.idx), span.2 + 1);
         self.ingest_event(e);
     }
 
@@ -617,7 +610,6 @@ impl AuditEngine {
             ));
         }
         for e in events {
-            self.last_idx.insert(e.lane, e.idx);
             self.ingest_event(e);
         }
         let degraded = self
@@ -736,24 +728,14 @@ impl AuditEngine {
                 if let Some(s) = self.stats(e.enclave) {
                     s.cmd_wait_ns.record(e.b);
                 }
-                // The wait names a sequence number but no core, and one
-                // broadcast posts the same number to every core's queue. A
-                // wait returns only after its command's ack, so attach to
-                // the most recent acked command still lacking a wait —
-                // never to a sibling still in flight, whose completion
-                // would then find no open post. With no acked candidate the
-                // ack record was lost to the ring: the returned wait proves
-                // completion, so close the most recent open entry.
-                let pick = |acked: bool| {
-                    self.cmd_order.iter().rposition(|c| {
-                        c.seq == e.a && c.wait_ns.is_none() && c.complete_tsc.is_some() == acked
-                    })
-                };
-                if let Some(i) = pick(true).or_else(|| pick(false)) {
-                    let c = &mut self.cmd_order[i];
+                // The wait is on the waited core's lane, so (seq, lane) is
+                // its command, as a doorbell's (seq, core) is. It leaves the
+                // chain open for the ack: the controller stamps the wait on
+                // its own thread, so it can sort before the ack's record.
+                let key = (e.a, e.lane as u64);
+                let mut cmds = self.cmd_order.iter_mut().rev();
+                if let Some(c) = cmds.find(|c| (c.seq, c.core) == key && c.wait_ns.is_none()) {
                     c.wait_ns = Some(e.b);
-                    let key = (c.seq, c.core);
-                    self.cmds_open.remove(&key);
                 }
             }
             EventKind::Grant => {
@@ -875,6 +857,16 @@ impl AuditEngine {
     /// Close the stream: run end-of-trace checks, the drop-threshold
     /// check and the SLO watchdogs, and produce the report.
     pub fn finish(mut self) -> AuditReport {
+        // Reservation-index gap ⇒ the ring wrapped mid-capture.
+        for (lane, &(lo, hi, seen)) in &self.lane_spans {
+            let missing = (hi - lo + 1).saturating_sub(seen);
+            if missing > 0 {
+                self.dropped += missing;
+                self.notes.push(format!(
+                    "lane {lane} index gaps: {missing} event(s) missing"
+                ));
+            }
+        }
         let evidence_incomplete = self.dropped > 0;
         let end_tsc = self.window.back().map(|e| e.tsc).unwrap_or(0);
 
@@ -1014,9 +1006,9 @@ mod tests {
             ev(210, 2, 2, EventKind::NmiKick, 0, 0),
             tagged(ev(250, 0, 0, EventKind::CmdDrain, 1, 0), 0),
             tagged(ev(300, 0, 1, EventKind::CmdComplete, 7, 100), 0),
-            tagged(ev(350, 2, 3, EventKind::CmdWait, 7, 150), 0),
-            tagged(ev(400, 2, 4, EventKind::Reclaim, 0x20_0000, 0x20_0000), 0),
-            tagged(ev(500, 2, 5, EventKind::ShootdownEnd, 400, 0), 0),
+            tagged(ev(350, 0, 2, EventKind::CmdWait, 7, 150), 0),
+            tagged(ev(400, 2, 3, EventKind::Reclaim, 0x20_0000, 0x20_0000), 0),
+            tagged(ev(500, 2, 4, EventKind::ShootdownEnd, 400, 0), 0),
         ]
     }
 
@@ -1053,7 +1045,7 @@ mod tests {
             // Guest core 0 harvests in guest mode (lane = core).
             tagged(ev(240, 0, 0, EventKind::CmdHarvest, 1, 0), 0),
             tagged(ev(260, 0, 1, EventKind::CmdComplete, 7, 60), 0),
-            tagged(ev(300, 2, 2, EventKind::CmdWait, 7, 100), 0),
+            tagged(ev(300, 0, 2, EventKind::CmdWait, 7, 100), 0),
         ];
         let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
         assert!(report.ok(), "violations: {:?}", report.violations);
@@ -1082,9 +1074,9 @@ mod tests {
             tagged(ev(100, 2, 0, EventKind::CmdPost, 7, 0), 0),
             tagged(ev(110, 2, 1, EventKind::CmdPost, 7, 1), 0),
             tagged(ev(200, 0, 0, EventKind::CmdComplete, 7, 100), 0),
-            tagged(ev(210, 2, 2, EventKind::CmdWait, 7, 20), 0),
+            tagged(ev(210, 0, 1, EventKind::CmdWait, 7, 20), 0),
             tagged(ev(300, 1, 0, EventKind::CmdComplete, 7, 190), 0),
-            tagged(ev(310, 2, 3, EventKind::CmdWait, 7, 5), 0),
+            tagged(ev(310, 1, 1, EventKind::CmdWait, 7, 5), 0),
         ];
         let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
         assert!(report.ok(), "violations: {:?}", report.violations);
@@ -1096,6 +1088,67 @@ mod tests {
         );
         assert_eq!((by_core(1).complete_ns, by_core(1).wait_ns), (190, Some(5)));
         assert_eq!(report.enclaves[&0].cmd_latency_ns.count, 2);
+    }
+
+    /// Two cores ack one broadcast's sequence number and the controller's
+    /// waits on them return in the opposite order. A wait is on its core's
+    /// lane, so each lands on that core's command; matched by sequence
+    /// number alone, the two would be swapped.
+    #[test]
+    fn each_wait_lands_on_the_core_whose_lane_it_is_on() {
+        let events = vec![
+            tagged(ev(100, 2, 0, EventKind::CmdPost, 7, 0), 0),
+            tagged(ev(110, 2, 1, EventKind::CmdPost, 7, 1), 0),
+            tagged(ev(200, 1, 0, EventKind::CmdComplete, 7, 90), 0),
+            tagged(ev(210, 0, 0, EventKind::CmdComplete, 7, 110), 0),
+            tagged(ev(300, 0, 1, EventKind::CmdWait, 7, 200), 0),
+            tagged(ev(310, 1, 1, EventKind::CmdWait, 7, 210), 0),
+        ];
+        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
+        let wait_of = |core| {
+            report
+                .commands
+                .iter()
+                .find(|c| c.core == core)
+                .unwrap()
+                .wait_ns
+        };
+        assert_eq!((wait_of(0), wait_of(1)), (Some(200), Some(210)));
+    }
+
+    /// The controller stamps a wait on its own thread, so the wait can sort
+    /// before the ack it followed; the ack still closes the chain.
+    #[test]
+    fn a_wait_sorted_before_its_ack_leaves_the_ack_to_stitch() {
+        let events = vec![
+            tagged(ev(100, 2, 0, EventKind::CmdPost, 7, 0), 0),
+            tagged(ev(200, 0, 0, EventKind::CmdWait, 7, 30), 0),
+            tagged(ev(201, 0, 1, EventKind::CmdComplete, 7, 100), 0),
+        ];
+        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
+        let c = &report.commands[0];
+        assert_eq!(
+            (c.complete_tsc, c.complete_ns, c.wait_ns),
+            (Some(201), 100, Some(30))
+        );
+        assert_eq!(report.enclaves[&0].cmd_latency_ns.count, 1);
+    }
+
+    /// Two writers share a core's lane, so its indices can arrive out of
+    /// order by timestamp; only an index that never arrives is a gap.
+    #[test]
+    fn index_gaps_do_not_depend_on_arrival_order() {
+        let events = [1, 0, 3].map(|idx| ev(100 + idx, 0, idx, EventKind::TlbFlushPage, 0, 0));
+        let cfg = AuditConfig {
+            drop_threshold: 100,
+            ..AuditConfig::default()
+        };
+        let report = audit_events(cfg, HZ, &events, &[]);
+        assert_eq!(report.dropped_events, 1, "notes: {:?}", report.notes);
+        assert_eq!(report.notes, ["lane 0 index gaps: 1 event(s) missing"]);
     }
 
     /// A doorbell chain that escalated (NmiKick present) is still valid
@@ -1313,7 +1366,7 @@ mod tests {
             tagged(ev(100, 2, 0, EventKind::CmdPost, 9, 1), 0),
             // The CmdComplete on lane 1 was overwritten before delivery
             // (the lap below), but the controller's wait returned:
-            tagged(ev(300, 2, 1, EventKind::CmdWait, 9, 150), 0),
+            tagged(ev(300, 1, 1, EventKind::CmdWait, 9, 150), 0),
         ];
         let verdict = engine.ingest_tail(&events, 1);
         assert_eq!(verdict.ingested, 2);

@@ -71,7 +71,8 @@ pub enum EventKind {
     /// Command executed + acknowledged. `a`: seq, `b`: post→complete ns
     /// (0 when the poster's recorder was off).
     CmdComplete = 5,
-    /// Controller finished waiting on a completion. `a`: seq, `b`: wait ns.
+    /// Controller finished waiting on a core's completion; on that core's
+    /// lane, not the controller's. `a`: seq, `b`: wait ns.
     CmdWait = 6,
     /// NMI kick sent. `a`: sender core, `b`: destination core.
     NmiKick = 7,
@@ -533,6 +534,17 @@ impl Tracer {
         }
     }
 
+    /// [`Tracer::emit`] on `lane` instead of the tracer's own: for an event
+    /// about a core that another thread observes (the controller's wait on
+    /// a core's ack goes on that core's lane).
+    #[inline]
+    pub fn emit_on(&self, lane: u32, kind: EventKind, a: u64, b: u64) {
+        if self.rec.enabled() {
+            self.rec
+                .emit_tagged(lane, self.enclave, kind, (self.now)(), a, b);
+        }
+    }
+
     /// Emit with a caller-supplied timestamp (e.g. the exit-info TSC).
     #[inline]
     pub fn emit_at(&self, kind: EventKind, tsc: u64, a: u64, b: u64) {
@@ -701,6 +713,9 @@ mod tests {
         assert_eq!(evs[1].enclave, Some(9));
         assert_eq!(evs[2].enclave, Some(7));
         assert_eq!(evs[3].enclave, Some(9));
+        t.emit_on(0, EventKind::CmdWait, 7, 40);
+        let e = &r.lane_events(0)[0];
+        assert_eq!((e.lane, e.enclave, e.tsc, e.a), (0, Some(7), 5, 7));
     }
 
     #[test]

@@ -169,12 +169,19 @@ mod tests {
         let world = world(4);
         world.node.recorder().set_enabled(true);
         reclaim_churn(&world, &mut || {});
-        // Posts and waits are both the controller's, so its lane orders
-        // them by emission.
+        // Posts and waits are both stamped by the controller's thread, so
+        // their timestamps order them; each wait is on its core's lane.
         let (events, _) = world.node.drain_trace();
-        let idx_of = |kind| events.iter().filter(move |e| e.kind == kind).map(|e| e.idx);
-        assert_eq!(idx_of(EventKind::CmdPost).count(), 8, "2 ranges x 4 cores");
-        assert_eq!(idx_of(EventKind::CmdWait).count(), 4, "one wait per core");
-        assert!(idx_of(EventKind::CmdPost).max() < idx_of(EventKind::CmdWait).min());
+        let of = |kind| events.iter().filter(move |e| e.kind == kind);
+        assert_eq!(of(EventKind::CmdPost).count(), 8, "2 ranges x 4 cores");
+        let mut waited: Vec<u64> = of(EventKind::CmdWait).map(|e| e.lane as u64).collect();
+        waited.sort_unstable();
+        let mut cores: Vec<u64> = of(EventKind::CmdPost).map(|e| e.b).collect();
+        cores.sort_unstable();
+        cores.dedup();
+        assert_eq!(cores.len(), 4);
+        assert_eq!(waited, cores, "one wait per core, on its lane");
+        let tsc = |kind| of(kind).map(|e| e.tsc);
+        assert!(tsc(EventKind::CmdPost).max() < tsc(EventKind::CmdWait).min());
     }
 }

@@ -175,7 +175,7 @@ proptest! {
             prop_assert_eq!(d.seq, seq);
             q.complete(d.seq);
         }
-        prop_assert!(q.wait(*seqs.last().unwrap(), 1, None).is_ok());
+        prop_assert!(q.wait(*seqs.last().unwrap(), 1, None, &|| true).is_ok());
     }
 
     /// Whitelist algebra: grants and revocations compose like set ops.
