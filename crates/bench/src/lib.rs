@@ -396,8 +396,8 @@ pub fn render_overhead_arm(what: &str, arm: &OverheadArm) -> String {
     )
 }
 
-/// Render a profile report: the per-enclave x per-phase cycle table, the
-/// per-core conservation check and the live window tail's tally.
+/// Render a profile report: the per-enclave x per-phase cycle table and
+/// the per-core conservation check.
 pub fn render_profile(r: &ProfileReport) -> String {
     let mut out = String::from("per-enclave phase breakdown (cycles):\n");
     out.push_str(&format!("  {:<10}", "enclave"));
@@ -423,12 +423,6 @@ pub fn render_profile(r: &ProfileReport) -> String {
             l.conservation_error() * 100.0
         ));
     }
-    out.push_str(&format!(
-        "live window tail: {} sealed window(s) across {} lane(s), {} cycles/window\n",
-        r.window_count(),
-        r.windows.iter().filter(|(_, w)| !w.is_empty()).count(),
-        r.window_cycles
-    ));
     out
 }
 

@@ -391,15 +391,6 @@ pub const GATES: &[MetricSpec] = &[
     },
     MetricSpec {
         harness: "profile",
-        metric: "window_count",
-        unit: "count",
-        direction: Direction::Higher,
-        min: Some(1.0),
-        max: None,
-        gate_on: GateOn::Worst,
-    },
-    MetricSpec {
-        harness: "profile",
         metric: "profiler_off_deficit_pct",
         unit: "pct",
         direction: Direction::Lower,
@@ -611,9 +602,8 @@ pub const HARNESSES: &[Harness] = &[
     Harness {
         name: "profile",
         help: "always-on cycle accounting: STREAM + reclaim churn with the\n\
-               phase profiler on, per-enclave phase breakdown, live window\n\
-               tail, flamegraph (covirt-profile.folded) and counter-track\n\
-               (covirt-profile.json) exports under --out; accounted cycles\n\
+               phase profiler on, per-enclave phase breakdown and a flamegraph\n\
+               (covirt-profile.folded) under --out; accounted cycles\n\
                must match wall-clock TSC per core and the profiler-off STREAM\n\
                path must keep up with the enabled one (judged on the best of\n\
                --trials). Then a bystander\n\
@@ -762,7 +752,6 @@ fn profile(ctx: &Ctx, c: &mut Collector) -> String {
         "conservation_error_pct",
         clean.max_conservation_error() * 100.0,
     );
-    c.push("window_count", clean.window_count() as f64);
     let arm = profile::profiler_overhead_arm();
     c.push("profiler_off_deficit_pct", arm.deficit_pct());
     let fr = profile::fault_run();
@@ -791,24 +780,17 @@ fn profile(ctx: &Ctx, c: &mut Collector) -> String {
     out
 }
 
-/// Write the clean profile's flamegraph and counter tracks under `dir`;
-/// returns the "wrote ..." lines.
+/// Write the clean profile's flamegraph under `dir`; returns the
+/// "wrote ..." line.
 fn export_profile(dir: &Path, r: &profile::ProfileReport) -> String {
-    use covirt_trace::export;
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-    let folded_path = dir.join("covirt-profile.folded");
-    let counters_path = dir.join("covirt-profile.json");
-    let folded = export::to_folded(&r.snapshot);
-    let counters = export::to_chrome_counter_trace(&r.windows, r.window_cycles, r.hz);
-    std::fs::write(&folded_path, &folded).expect("write covirt-profile.folded");
-    std::fs::write(&counters_path, &counters).expect("write covirt-profile.json");
+    let path = dir.join("covirt-profile.folded");
+    let folded = covirt_trace::export::to_folded(&r.snapshot);
+    std::fs::write(&path, &folded).expect("write covirt-profile.folded");
     format!(
-        "wrote {} ({} lines; flamegraph.pl / speedscope folded format)\n\
-         wrote {} ({} bytes; chrome://tracing counter tracks)\n",
-        folded_path.display(),
-        folded.lines().count(),
-        counters_path.display(),
-        counters.len()
+        "wrote {} ({} lines; flamegraph.pl / speedscope folded format)\n",
+        path.display(),
+        folded.lines().count()
     )
 }
 
@@ -1076,7 +1058,6 @@ mod tests {
         "audit.command_chains >= 1",
         "audit.fault_attributed_violations >= 1",
         "profile.conservation_error_pct <= 0.5",
-        "profile.window_count >= 1",
         "profile.profiler_off_deficit_pct <= 5",
         "profile.fault_culprit_spike_cycles >= 1",
         "profile.bystander_controller_cycles <= 0",

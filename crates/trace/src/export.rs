@@ -2,7 +2,7 @@
 //! crate stays dependency-free. Timestamps convert from sim-TSC cycles to
 //! microseconds with the caller-supplied clock frequency.
 
-use crate::profile::{Phase, ProfileSnapshot, WindowSnapshot};
+use crate::profile::{Phase, ProfileSnapshot};
 use crate::{cycles_to_ns, unpack_str, EventKind, TraceEvent};
 
 /// Append `s` to `out` escaped for a JSON string literal.
@@ -234,46 +234,6 @@ pub fn to_folded(snap: &ProfileSnapshot) -> String {
     out
 }
 
-/// chrome://tracing counter tracks from per-lane window streams: one
-/// "C" event per sealed window per lane, with each phase's cycles as a
-/// stacked series. `tracks` pairs a lane with its tailed windows;
-/// `window_cycles` positions each window on the timeline. Loadable
-/// standalone or merged into a [`to_chrome_trace`] document.
-pub fn to_chrome_counter_trace(
-    tracks: &[(u32, Vec<WindowSnapshot>)],
-    window_cycles: u64,
-    hz: u64,
-) -> String {
-    let mut out = String::with_capacity(tracks.len() * 256 + 64);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    for (lane, windows) in tracks {
-        for w in windows {
-            let ts = ts_us(w.index.saturating_mul(window_cycles), 0, hz);
-            let mut args = String::new();
-            for phase in Phase::ALL {
-                if !args.is_empty() {
-                    args.push(',');
-                }
-                args.push_str(&format!(
-                    "\"{}\":{}",
-                    phase.name(),
-                    w.phase_cycles[phase as usize]
-                ));
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"phase cycles core{lane}\",\"cat\":\"profile\",\"ph\":\"C\",\"pid\":0,\"tid\":{lane},\"ts\":{ts:.3},\"args\":{{{args}}}}}"
-            ));
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,27 +402,5 @@ mod tests {
             overlay: Vec::new(),
         };
         assert_eq!(to_folded(&snap), "");
-    }
-
-    #[test]
-    fn counter_trace_positions_windows_on_the_timeline() {
-        use crate::profile::{Phase, WindowSnapshot, NUM_PHASES};
-        let mut w = WindowSnapshot {
-            index: 2,
-            phase_cycles: [0; NUM_PHASES],
-        };
-        w.phase_cycles[Phase::GuestExec as usize] = 800;
-        w.phase_cycles[Phase::RootExit as usize] = 200;
-        let text = to_chrome_counter_trace(&[(1, vec![w])], 1000, 1_000_000_000);
-        assert!(text.starts_with("{\"traceEvents\":["));
-        assert!(text.ends_with('}'));
-        assert!(text.contains("\"ph\":\"C\""));
-        assert!(text.contains("\"name\":\"phase cycles core1\""));
-        // Window 2 × 1000 cycles at 1 GHz = 2000 ns = 2 us.
-        assert!(text.contains("\"ts\":2.000"));
-        assert!(text.contains("\"guest_exec\":800"));
-        assert!(text.contains("\"root_exit\":200"));
-        // Every phase appears as a series, even at zero.
-        assert!(text.contains("\"throttled\":0"));
     }
 }

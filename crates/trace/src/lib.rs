@@ -28,11 +28,11 @@
 //!
 //! ## Ring protocol
 //!
-//! Event lanes and the profiler's sealed-window lanes are the same
-//! seqlock ring (`seqring.rs`), each decoding its own payload words.
-//! Each lane has one *logical* writer (the thread driving that core; the
-//! controller gets its own lane), but the ring is robust to concurrent
-//! readers and even misbehaving extra writers: slots carry a seqlock-style
+//! Each event lane is one seqlock ring (`seqring.rs`) of four-word
+//! records the recorder packs and decodes. Each lane has one *logical*
+//! writer (the thread driving that core; the controller gets its own
+//! lane), but the ring is robust to concurrent readers and even
+//! misbehaving extra writers: slots carry a seqlock-style
 //! sequence word (`2*idx + 1` while a write is in flight, `2*idx + 2` once
 //! slot content for stream index `idx` is committed). A reader that
 //! observes an odd sequence, or a sequence that changed across its payload
@@ -272,13 +272,10 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-/// One per-core ring of four-word records: TSC, meta, `a`, `b`. Meta is
-/// kind (low 8 bits) | lane (bits 8..40) | enclave tag (bits 40..64,
-/// `enclave_id + 1`, 0 = unattributed).
-type Lane = SeqRing<4>;
-
-/// Decode one lane record; `None` when the kind byte is unknown.
-fn decode((idx, [tsc, meta, a, b]): seqring::Record<4>) -> Option<TraceEvent> {
+/// Decode one lane record (TSC, meta, `a`, `b`); `None` when the kind byte
+/// is unknown. Meta is kind (low 8 bits) | lane (bits 8..40) | enclave tag
+/// (bits 40..64, `enclave_id + 1`, 0 = unattributed).
+fn decode((idx, [tsc, meta, a, b]): (u64, [u64; 4])) -> Option<TraceEvent> {
     let tag = meta >> 40;
     Some(TraceEvent {
         tsc,
@@ -292,7 +289,7 @@ fn decode((idx, [tsc, meta, a, b]): seqring::Record<4>) -> Option<TraceEvent> {
 }
 
 /// [`SeqRing::tail_from`] decoded; an undecodable record counts as lost.
-fn tail_lane(lane: &Lane, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
+fn tail_lane(lane: &SeqRing, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
     let (records, next, dropped) = lane.tail_from(cursor);
     let read = records.len() as u64;
     let events: Vec<TraceEvent> = records.into_iter().filter_map(decode).collect();
@@ -304,7 +301,7 @@ fn tail_lane(lane: &Lane, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
 /// shares the lane layout.
 pub struct Recorder {
     enabled: AtomicBool,
-    lanes: Vec<Lane>,
+    lanes: Vec<SeqRing>,
     profile: Arc<profile::PhaseProfiler>,
 }
 
@@ -316,7 +313,7 @@ impl Recorder {
         let capacity = capacity.max(2).next_power_of_two();
         Arc::new(Recorder {
             enabled: AtomicBool::new(false),
-            lanes: (0..lanes).map(|_| Lane::new(capacity)).collect(),
+            lanes: (0..lanes).map(|_| SeqRing::new(capacity)).collect(),
             profile: profile::PhaseProfiler::new(lanes),
         })
     }
@@ -360,7 +357,7 @@ impl Recorder {
     /// record's meta word (the audit engine keys per-enclave rollups and
     /// lifecycle chains off it).
     #[inline]
-    pub fn emit_tagged(
+    fn emit_tagged(
         &self,
         lane: u32,
         enclave: Option<u64>,
@@ -375,14 +372,6 @@ impl Recorder {
         let li = (lane as usize).min(self.lanes.len() - 1);
         let meta = kind as u64 | ((lane as u64) << 8) | (enclave_tag(enclave) << 40);
         self.lanes[li].write([tsc, meta, a, b]);
-    }
-
-    /// One lane's coherent records, oldest first.
-    pub fn lane_events(&self, lane: u32) -> Vec<TraceEvent> {
-        self.lanes
-            .get(lane as usize)
-            .map(|l| l.snapshot().into_iter().filter_map(decode).collect())
-            .unwrap_or_default()
     }
 
     /// Merged chronological dump across all lanes, sorted by TSC (lane and
@@ -433,23 +422,23 @@ impl Recorder {
 
     /// Total events ever emitted (including overwritten ones).
     pub fn emitted(&self) -> u64 {
-        self.lanes.iter().map(Lane::written).sum()
+        self.lanes.iter().map(SeqRing::written).sum()
     }
 
     /// Events per lane ring (all lanes share one capacity; 0 if the
     /// recorder somehow has no lanes — `drop` accounting must not panic).
-    pub fn lane_capacity(&self) -> u64 {
-        self.lanes.first().map_or(0, Lane::capacity)
+    fn lane_capacity(&self) -> u64 {
+        self.lanes.first().map_or(0, SeqRing::capacity)
     }
 
     /// Events ever emitted on one lane (including overwritten ones).
-    pub fn lane_emitted(&self, lane: u32) -> u64 {
-        self.lanes.get(lane as usize).map_or(0, Lane::written)
+    fn lane_emitted(&self, lane: u32) -> u64 {
+        self.lanes.get(lane as usize).map_or(0, SeqRing::written)
     }
 
     /// Events a lane's ring has overwritten (dropped from any future
     /// dump): everything emitted beyond the ring's capacity.
-    pub fn lane_dropped(&self, lane: u32) -> u64 {
+    fn lane_dropped(&self, lane: u32) -> u64 {
         self.lane_emitted(lane).saturating_sub(self.lane_capacity())
     }
 
@@ -569,6 +558,17 @@ impl std::fmt::Debug for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Recorder {
+        /// One lane's coherent records, oldest first.
+        fn lane_events(&self, lane: u32) -> Vec<TraceEvent> {
+            self.lanes[lane as usize]
+                .snapshot()
+                .into_iter()
+                .filter_map(decode)
+                .collect()
+        }
+    }
 
     fn recorder() -> Arc<Recorder> {
         let r = Recorder::new(3, 16);

@@ -14,15 +14,17 @@
 //! ```
 //!
 //! holds by construction on every core, and the `figures profile` CI gate
-//! verifies it to 1% so a future missed boundary or double attribution is
+//! verifies it to 0.5 % so a future missed boundary or double attribution is
 //! caught, not silently absorbed.
 //!
 //! Layout mirrors the recorder: one shard per lane (core lanes plus the
 //! controller lane), each shard a small enclave-slot table of per-phase
-//! atomic cycle counters. The hot paths pay **one plain-bool branch when
-//! the profiler is off** — the [`PhaseTracker`] caches enabled-ness at
-//! `begin`, so a disabled transition is a single predictable-untaken
-//! branch, no atomic load, no RDTSC.
+//! atomic cycle counters. The profiler keeps totals only: a reader that
+//! wants a rate takes two snapshots and subtracts. The hot paths pay
+//! **one plain-bool branch when the profiler is off** — the
+//! [`PhaseTracker`] caches enabled-ness at `begin`, so a disabled
+//! transition is a single predictable-untaken branch, no atomic load, no
+//! RDTSC.
 //!
 //! Controller-side costs that execute on arbitrary threads (shootdown
 //! completion waits, remediation throttle intervals) cannot join a
@@ -30,14 +32,7 @@
 //! per enclave through the **overlay** ([`PhaseProfiler::attribute`]),
 //! reported alongside the per-core totals but excluded from the
 //! conservation check.
-//!
-//! A per-lane sliding-window ring ([`PhaseProfiler::tail_windows`])
-//! exposes the time series live — fixed windows of per-phase cycle
-//! shares — in the same seqlock ring the recorder's event lanes use
-//! (`seqring.rs`), so the remediation pump consumes it with the cursor
-//! discipline it already has.
 
-use crate::seqring::SeqRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,7 +80,7 @@ impl Phase {
         Phase::Idle,
     ];
 
-    /// Stable wire/display name (folded stacks, counter tracks, tables).
+    /// Stable wire/display name (folded stacks, tables).
     pub fn name(&self) -> &'static str {
         match self {
             Phase::GuestExec => "guest_exec",
@@ -105,81 +100,20 @@ impl Phase {
 /// last slot aggregates overflow so attribution never fails.
 const SLOTS: usize = 8;
 
-/// Sealed windows retained per lane ring (power of two).
-const WINDOW_SLOTS: usize = 64;
+/// Slot tag of a slot no session or attribution has claimed.
+const FREE: u64 = 0;
 
-/// Default window length in cycles (~0.4 ms at the default 2.4 GHz
-/// simulated clock) — long enough to hold many phase changes, short
-/// enough that a remediation pump sees phase-mix changes quickly.
-pub const DEFAULT_WINDOW_CYCLES: u64 = 1 << 20;
-
-/// One sealed window of a lane's time series.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WindowSnapshot {
-    /// Window index: `tsc / window_cycles` of the cycles it covers.
-    pub index: u64,
-    /// Cycles accumulated per phase within the window.
-    pub phase_cycles: [u64; NUM_PHASES],
+/// Slot tag for `enclave` (None = untagged / native work). Untagged work
+/// claims a slot like an enclave does, under a tag distinct from [`FREE`],
+/// so a later enclave never claims a slot that already holds cycles.
+fn slot_tag(enclave: Option<u64>) -> u64 {
+    enclave.map_or(1, |e| e.saturating_add(2))
 }
 
-impl WindowSnapshot {
-    /// Total cycles accounted in this window.
-    pub fn total(&self) -> u64 {
-        self.phase_cycles.iter().sum()
-    }
-
-    /// Fraction of the window's accounted cycles spent in `phase`.
-    pub fn share(&self, phase: Phase) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.phase_cycles[phase as usize] as f64 / total as f64
-        }
-    }
-}
-
-/// Payload words of one sealed window in the lane's [`SeqRing`]: the
-/// window index, then per-phase cycles.
-const WINDOW_WORDS: usize = 1 + NUM_PHASES;
-
-/// Decode a sealed window from its ring payload.
-fn decode_window(words: [u64; WINDOW_WORDS]) -> WindowSnapshot {
-    WindowSnapshot {
-        index: words[0],
-        phase_cycles: std::array::from_fn(|p| words[1 + p]),
-    }
-}
-
-/// Writer-private accumulator for the window currently being filled.
-/// Lives in the [`PhaseTracker`] so the hot path touches no atomics
-/// beyond the per-phase totals.
-struct WindowAcc {
-    index: u64,
-    phase_cycles: [u64; NUM_PHASES],
-    dirty: bool,
-}
-
-impl WindowAcc {
-    fn new() -> WindowAcc {
-        WindowAcc {
-            index: 0,
-            phase_cycles: [0; NUM_PHASES],
-            dirty: false,
-        }
-    }
-
-    fn reset(&mut self, index: u64) {
-        self.index = index;
-        self.phase_cycles = [0; NUM_PHASES];
-        self.dirty = false;
-    }
-}
-
-/// One lane's shard: enclave-slot table of per-phase cycle totals, the
-/// conservation pair (wall vs accounted) and the sealed-window ring.
+/// One lane's shard: enclave-slot table of per-phase cycle totals and the
+/// conservation pair (wall vs accounted).
 struct LaneShard {
-    /// Slot tags: enclave id + 1; 0 = free; the last slot aggregates
+    /// Slot tags ([`slot_tag`], or [`FREE`]); the last slot aggregates
     /// overflow under its first claimant's tag.
     tags: [AtomicU64; SLOTS],
     cycles: [[AtomicU64; NUM_PHASES]; SLOTS],
@@ -188,58 +122,35 @@ struct LaneShard {
     /// Sum of all phase deltas recorded by the tracker (conservation
     /// counterpart of `wall`; overlay attribution bypasses this).
     accounted: AtomicU64,
-    /// Sealed windows, in seal order.
-    windows: SeqRing<WINDOW_WORDS>,
 }
 
 impl LaneShard {
     fn new() -> LaneShard {
         LaneShard {
-            tags: std::array::from_fn(|_| AtomicU64::new(0)),
+            tags: std::array::from_fn(|_| AtomicU64::new(FREE)),
             cycles: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             wall: AtomicU64::new(0),
             accounted: AtomicU64::new(0),
-            windows: SeqRing::new(WINDOW_SLOTS),
         }
     }
 
-    /// The slot for `tag` (enclave id + 1; 0 = untagged), claiming a
-    /// free one on first use. When the table is full everything else
-    /// aggregates into the last slot.
+    /// The slot for `tag` (a [`slot_tag`]), claiming a free one on first
+    /// use. When the table is full everything else aggregates into the
+    /// last slot.
     fn slot_for(&self, tag: u64) -> usize {
         for (i, t) in self.tags.iter().enumerate() {
             let cur = t.load(Ordering::Relaxed);
             if cur == tag {
                 return i;
             }
-            if cur == 0
-                && t.compare_exchange(0, tag, Ordering::Relaxed, Ordering::Relaxed)
+            if cur == FREE
+                && t.compare_exchange(FREE, tag, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
             {
                 return i;
             }
         }
         SLOTS - 1
-    }
-
-    /// Seal a writer-private window accumulator into the ring.
-    fn seal(&self, acc: &WindowAcc) {
-        let mut words = [0; WINDOW_WORDS];
-        words[0] = acc.index;
-        words[1..].copy_from_slice(&acc.phase_cycles);
-        self.windows.write(words);
-    }
-
-    /// Tail sealed windows from `cursor` (seal-order stream index):
-    /// `(windows, next_cursor, dropped_since)` — same strict-prefix
-    /// cursor protocol as the recorder's event tailing.
-    fn tail_windows(&self, cursor: u64) -> (Vec<WindowSnapshot>, u64, u64) {
-        let (records, next, dropped) = self.windows.tail_from(cursor);
-        let windows = records
-            .into_iter()
-            .map(|(_, words)| decode_window(words))
-            .collect();
-        (windows, next, dropped)
     }
 }
 
@@ -326,12 +237,11 @@ impl ProfileSnapshot {
 }
 
 /// The profiler: per-lane shards of per-enclave × per-phase cycle
-/// totals, a controller overlay, and per-lane sliding-window rings.
+/// totals and a controller overlay.
 /// Starts disabled; when off the only cost at an emit site is the
 /// tracker's cached-bool branch.
 pub struct PhaseProfiler {
     enabled: AtomicBool,
-    window_cycles: AtomicU64,
     lanes: Vec<LaneShard>,
     overlay: LaneShard,
 }
@@ -342,7 +252,6 @@ impl PhaseProfiler {
     pub fn new(lanes: usize) -> Arc<PhaseProfiler> {
         Arc::new(PhaseProfiler {
             enabled: AtomicBool::new(false),
-            window_cycles: AtomicU64::new(DEFAULT_WINDOW_CYCLES),
             lanes: (0..lanes.max(1)).map(|_| LaneShard::new()).collect(),
             overlay: LaneShard::new(),
         })
@@ -361,22 +270,6 @@ impl PhaseProfiler {
         self.enabled.store(on, Ordering::Release);
     }
 
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Window length in cycles for the time-series rings.
-    pub fn window_cycles(&self) -> u64 {
-        self.window_cycles.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Set the window length (cycles; clamped to >= 1). Affects windows
-    /// sealed after the call.
-    pub fn set_window_cycles(&self, cycles: u64) {
-        self.window_cycles.store(cycles.max(1), Ordering::Relaxed);
-    }
-
     #[inline]
     fn shard(&self, lane: u32) -> &LaneShard {
         &self.lanes[(lane as usize).min(self.lanes.len() - 1)]
@@ -391,36 +284,20 @@ impl PhaseProfiler {
         if !self.enabled() || cycles == 0 {
             return;
         }
-        let slot = self.overlay.slot_for(enclave + 1);
+        let slot = self.overlay.slot_for(slot_tag(Some(enclave)));
         self.overlay.cycles[slot][phase as usize].fetch_add(cycles, Ordering::Relaxed);
-    }
-
-    /// Live-tail one lane's sealed windows from a cursor:
-    /// `(windows, next_cursor, dropped_since)` — the recorder's tailing
-    /// contract (strict prefix, lapped windows counted as dropped).
-    pub fn tail_windows(&self, lane: u32, cursor: u64) -> (Vec<WindowSnapshot>, u64, u64) {
-        self.lanes
-            .get(lane as usize)
-            .map(|l| l.tail_windows(cursor))
-            .unwrap_or((Vec::new(), cursor, 0))
     }
 
     fn shard_enclaves(shard: &LaneShard) -> Vec<EnclavePhases> {
         let mut out = Vec::new();
         for (i, t) in shard.tags.iter().enumerate() {
             let tag = t.load(Ordering::Relaxed);
-            let mut cycles = [0u64; NUM_PHASES];
-            let mut any = false;
-            for (p, slot) in cycles.iter_mut().enumerate() {
-                *slot = shard.cycles[i][p].load(Ordering::Relaxed);
-                any |= *slot != 0;
-            }
-            if tag == 0 && !any {
+            if tag == FREE {
                 continue;
             }
             out.push(EnclavePhases {
-                enclave: (tag != 0).then(|| tag - 1),
-                cycles,
+                enclave: tag.checked_sub(2),
+                cycles: std::array::from_fn(|p| shard.cycles[i][p].load(Ordering::Relaxed)),
             });
         }
         out
@@ -449,11 +326,11 @@ impl PhaseProfiler {
 /// Per-core handle driving the phase state machine. One per `GuestCore`
 /// (the thread logically owning the lane); transitions are
 /// single-threaded by construction, the shard atomics exist for
-/// concurrent *readers* (snapshot, window tailing).
+/// concurrent *readers* (snapshot).
 pub struct PhaseTracker {
     prof: Arc<PhaseProfiler>,
     lane: u32,
-    /// Enclave tag (id + 1; 0 = untagged), resolved to a shard slot.
+    /// Enclave slot tag ([`slot_tag`]), resolved to a shard slot.
     slot: usize,
     tag: u64,
     /// Cached at `begin`: the only thing a transition checks when the
@@ -463,7 +340,6 @@ pub struct PhaseTracker {
     /// When the current phase delta started (last transition).
     phase_start: u64,
     begin_tsc: u64,
-    window: WindowAcc,
 }
 
 impl PhaseTracker {
@@ -474,25 +350,18 @@ impl PhaseTracker {
             prof,
             lane,
             slot: 0,
-            tag: 0,
+            tag: slot_tag(None),
             on: false,
             phase: Phase::Idle,
             phase_start: 0,
             begin_tsc: 0,
-            window: WindowAcc::new(),
         }
     }
 
     /// Attribute this tracker's cycles to `enclave` (claims a shard
     /// slot). Call before `begin`.
     pub fn set_enclave(&mut self, enclave: u64) {
-        self.tag = enclave + 1;
-    }
-
-    /// Whether the tracker is armed (profiler was enabled at `begin`).
-    #[inline]
-    pub fn on(&self) -> bool {
-        self.on
+        self.tag = slot_tag(Some(enclave));
     }
 
     /// The current phase.
@@ -512,7 +381,6 @@ impl PhaseTracker {
         self.phase = Phase::GuestExec;
         self.phase_start = tsc;
         self.begin_tsc = tsc;
-        self.window.reset(tsc / self.prof.window_cycles());
     }
 
     /// Move the state machine to `phase` at `tsc`, attributing the
@@ -542,36 +410,20 @@ impl PhaseTracker {
         if delta > 0 {
             shard.cycles[self.slot][out].fetch_add(delta, Ordering::Relaxed);
             shard.accounted.fetch_add(delta, Ordering::Relaxed);
-            // Window accounting: the delta lands in the window of its
-            // *end* timestamp; a boundary crossing seals the previous
-            // window first so readers see a dense seal-order stream.
-            let idx = tsc / self.prof.window_cycles();
-            if idx != self.window.index {
-                if self.window.dirty {
-                    shard.seal(&self.window);
-                }
-                self.window.reset(idx);
-            }
-            self.window.phase_cycles[out] += delta;
-            self.window.dirty = true;
         }
         self.phase = phase;
         self.phase_start = tsc;
     }
 
     /// Disarm at `tsc`: attribute the trailing delta to the current
-    /// phase, seal the partial window, and add `tsc - begin_tsc` to the
-    /// lane's wall total. Conservation (`wall == accounted`) holds
-    /// exactly when every session is bracketed begin/finish.
+    /// phase and add `tsc - begin_tsc` to the lane's wall total.
+    /// Conservation (`wall == accounted`) holds exactly when every session
+    /// is bracketed begin/finish.
     pub fn finish(&mut self, tsc: u64) {
         if !self.on {
             return;
         }
         self.advance(Phase::Idle, tsc);
-        if self.window.dirty {
-            self.prof.shard(self.lane).seal(&self.window);
-            self.window.reset(self.window.index + 1);
-        }
         self.prof
             .shard(self.lane)
             .wall
@@ -656,7 +508,7 @@ mod tests {
         assert!(snap.lanes[0].enclaves.is_empty());
         // The next begin picks the flag up.
         t.begin(400);
-        assert!(t.on());
+        assert!(t.on);
     }
 
     #[test]
@@ -684,126 +536,26 @@ mod tests {
         );
     }
 
+    /// Regression: an untagged session's slot stayed tagged free, so the
+    /// next enclave on the lane claimed it along with the native cycles
+    /// already in it.
     #[test]
-    fn window_rollover_seals_dense_stream_with_indices() {
+    fn untagged_cycles_stay_untagged_when_an_enclave_follows_on_the_lane() {
         let prof = profiler(1);
-        prof.set_window_cycles(1_000);
-        let mut t = PhaseTracker::new(Arc::clone(&prof), 0);
-        t.begin(0);
-        t.transition(Phase::RootExit, 500); // window 0
-        t.transition(Phase::GuestExec, 900); // window 0
-        t.transition(Phase::RootExit, 1_200); // crosses into window 1
-        t.transition(Phase::GuestExec, 5_500); // skips windows 2..4
-        t.finish(5_600);
-        let (wins, next, dropped) = prof.tail_windows(0, 0);
-        assert_eq!(dropped, 0);
-        assert_eq!(next, wins.len() as u64);
-        // Seal order is dense even though window indices have gaps.
-        assert_eq!(
-            wins.iter().map(|w| w.index).collect::<Vec<_>>(),
-            vec![0, 1, 5]
-        );
-        // Deltas belong to the *outgoing* phase: begin enters GuestExec,
-        // so the 0..500 delta is guest time, 500..900 is exit time.
-        assert_eq!(wins[0].phase_cycles[Phase::GuestExec as usize], 500);
-        assert_eq!(wins[0].phase_cycles[Phase::RootExit as usize], 400);
-        // The delta ending at 1200 lands wholly in window 1.
-        assert_eq!(wins[1].phase_cycles[Phase::GuestExec as usize], 300);
-        assert_eq!(wins[2].phase_cycles[Phase::RootExit as usize], 4_300);
-        assert_eq!(wins[2].phase_cycles[Phase::GuestExec as usize], 100);
-        // Shares sum to 1 for a non-empty window.
-        let s: f64 = Phase::ALL.iter().map(|&p| wins[0].share(p)).sum();
-        assert!((s - 1.0).abs() < 1e-9);
-        // Cursor protocol: nothing new after the tail.
-        let (more, next2, d2) = prof.tail_windows(0, next);
-        assert!(more.is_empty());
-        assert_eq!(next2, next);
-        assert_eq!(d2, 0);
-    }
-
-    #[test]
-    fn window_ring_laps_count_dropped() {
-        let prof = profiler(1);
-        prof.set_window_cycles(100);
-        let mut t = PhaseTracker::new(Arc::clone(&prof), 0);
-        t.begin(0);
-        let total = (WINDOW_SLOTS as u64) + 17;
-        for i in 0..total {
-            // One delta per window: each seal advances the stream.
-            t.transition(Phase::RootExit, i * 100 + 50);
-            t.transition(Phase::GuestExec, i * 100 + 90);
-        }
-        t.finish(total * 100 + 10);
-        let (wins, next, dropped) = prof.tail_windows(0, 0);
-        assert_eq!(wins.len(), WINDOW_SLOTS);
-        assert_eq!(dropped, next - WINDOW_SLOTS as u64);
-        assert!(dropped >= 17);
-        // The survivors are the newest windows, in order.
-        for pair in wins.windows(2) {
-            assert!(pair[0].index < pair[1].index);
-        }
-    }
-
-    #[test]
-    fn window_read_is_tear_free_while_writer_advances() {
-        let prof = profiler(1);
-        prof.set_window_cycles(1_000);
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let prof = Arc::clone(&prof);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut t = PhaseTracker::new(prof, 0);
-                t.begin(0);
-                let mut tsc = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // Fill each window with a recognizable pattern: every
-                    // phase gets exactly `index + 1` cycles, so a torn read
-                    // mixing two windows shows unequal entries.
-                    let idx = tsc / 1_000;
-                    let unit = (idx % 100) + 1;
-                    if unit * (NUM_PHASES as u64) <= 1_000 {
-                        for &p in Phase::ALL.iter() {
-                            tsc += unit;
-                            t.transition(p, tsc);
-                        }
-                    }
-                    tsc = (idx + 1) * 1_000; // jump to the next window
-                    t.transition(Phase::GuestExec, tsc);
-                    // Strip the boundary-crossing delta off phase 0 below.
-                }
-                t.finish(tsc);
-            })
-        };
-        let mut cursor = 0u64;
-        let mut seen = 0u64;
-        while seen < 500 {
-            let (wins, next, _) = prof.tail_windows(0, cursor);
-            cursor = next;
-            for w in &wins {
-                // The mid-cycle phases must all hold the same unit value;
-                // a torn read straddling two seals would disagree.
-                // (GuestExec absorbs an extra unit at the cycle start and
-                // Idle absorbs the previous window's boundary jump, so
-                // both are excluded from the equality check.)
-                let unit = (w.index % 100) + 1;
-                for &p in Phase::ALL.iter() {
-                    if p == Phase::GuestExec || p == Phase::Idle {
-                        continue;
-                    }
-                    assert_eq!(
-                        w.phase_cycles[p as usize],
-                        unit,
-                        "torn window at index {} phase {}",
-                        w.index,
-                        p.name()
-                    );
-                }
-            }
-            seen += wins.len() as u64;
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
+        let mut native = PhaseTracker::new(Arc::clone(&prof), 0);
+        native.begin(0);
+        native.finish(1_000);
+        let mut enclave = PhaseTracker::new(Arc::clone(&prof), 0);
+        enclave.set_enclave(3);
+        enclave.begin(2_000);
+        enclave.finish(2_500);
+        let by: Vec<(Option<u64>, u64)> = prof
+            .snapshot()
+            .by_enclave()
+            .iter()
+            .map(|e| (e.enclave, e.total()))
+            .collect();
+        assert_eq!(by, vec![(None, 1_000), (Some(3), 500)]);
     }
 
     #[test]

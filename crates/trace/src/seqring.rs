@@ -1,7 +1,6 @@
-//! The one seqlock ring behind the flight recorder's event lanes and the
-//! profiler's sealed-window lanes.
+//! The seqlock ring behind each of the flight recorder's event lanes.
 //!
-//! A [`SeqRing`] is a fixed, power-of-two number of slots of `WORDS`
+//! A [`SeqRing`] is a fixed, power-of-two number of slots of [`WORDS`]
 //! payload words each. A writer reserves stream index `idx` with one
 //! `fetch_add`, marks the slot `2*idx + 1` (write in flight), stores the
 //! payload with relaxed atomics, and commits with `2*idx + 2`. Payload
@@ -10,26 +9,26 @@
 //! than preventing them. Readers never block a writer and never return a
 //! record whose sequence was odd or moved across the payload read.
 //!
-//! The ring stores raw words; each user packs and decodes its own record.
+//! The ring stores raw words; the recorder packs and decodes its records.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-struct Slot<const WORDS: usize> {
+/// Payload words per record: TSC, meta, `a`, `b`.
+const WORDS: usize = 4;
+
+struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; WORDS],
 }
 
-/// A committed record: its stream index and payload.
-pub(crate) type Record<const WORDS: usize> = (u64, [u64; WORDS]);
-
-/// A lock-free single-lane ring of `WORDS`-word records.
-pub(crate) struct SeqRing<const WORDS: usize> {
+/// A lock-free single-lane ring of [`WORDS`]-word records.
+pub(crate) struct SeqRing {
     /// Next stream index to write (fetch_add reservation).
     next: AtomicU64,
-    slots: Box<[Slot<WORDS>]>,
+    slots: Box<[Slot]>,
 }
 
-impl<const WORDS: usize> SeqRing<WORDS> {
+impl SeqRing {
     /// A ring of `capacity` slots; `capacity` must be a power of two.
     ///
     /// The slots come from one zeroed allocation, so a large ring costs
@@ -41,7 +40,7 @@ impl<const WORDS: usize> SeqRing<WORDS> {
     /// perfbench pins it).
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity.is_power_of_two(), "ring capacity {capacity}");
-        let slots = Box::<[Slot<WORDS>]>::new_zeroed_slice(capacity);
+        let slots = Box::<[Slot]>::new_zeroed_slice(capacity);
         SeqRing {
             next: AtomicU64::new(0),
             // SAFETY: a `Slot` is only `AtomicU64`s, and an `AtomicU64` has
@@ -61,7 +60,7 @@ impl<const WORDS: usize> SeqRing<WORDS> {
         self.next.load(Ordering::Relaxed)
     }
 
-    fn slot(&self, idx: u64) -> &Slot<WORDS> {
+    fn slot(&self, idx: u64) -> &Slot {
         &self.slots[(idx as usize) & (self.slots.len() - 1)]
     }
 
@@ -84,7 +83,7 @@ impl<const WORDS: usize> SeqRing<WORDS> {
     }
 
     /// Read `slot`'s payload if it stays committed under `seq` throughout.
-    fn read(slot: &Slot<WORDS>, seq: u64) -> Option<[u64; WORDS]> {
+    fn read(slot: &Slot, seq: u64) -> Option<[u64; WORDS]> {
         let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
         // The fence orders the payload loads before the re-check: if seq
         // is unchanged, no writer touched the slot in between and the
@@ -93,10 +92,11 @@ impl<const WORDS: usize> SeqRing<WORDS> {
         (slot.seq.load(Ordering::Relaxed) == seq).then_some(words)
     }
 
-    /// Every coherent record currently in the ring, oldest first. Records
-    /// a concurrent writer is mid-overwriting are skipped.
-    pub(crate) fn snapshot(&self) -> Vec<Record<WORDS>> {
-        let mut out: Vec<Record<WORDS>> = self
+    /// Every coherent record currently in the ring as (stream index,
+    /// payload), oldest first. Records a concurrent writer is
+    /// mid-overwriting are skipped.
+    pub(crate) fn snapshot(&self) -> Vec<(u64, [u64; WORDS])> {
+        let mut out: Vec<(u64, [u64; WORDS])> = self
             .slots
             .iter()
             .filter_map(|slot| {
@@ -120,7 +120,7 @@ impl<const WORDS: usize> SeqRing<WORDS> {
     /// the walk stops at the first slot whose write is still in flight, so
     /// a record is never skipped and later delivered (no reordering, no
     /// double delivery across calls).
-    pub(crate) fn tail_from(&self, cursor: u64) -> (Vec<Record<WORDS>>, u64, u64) {
+    pub(crate) fn tail_from(&self, cursor: u64) -> (Vec<(u64, [u64; WORDS])>, u64, u64) {
         let next = self.next.load(Ordering::Acquire);
         if next <= cursor {
             // Nothing new; a cursor from the future stays put.

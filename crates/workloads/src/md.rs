@@ -95,16 +95,6 @@ pub struct MdResult {
     pub energy_end: f64,
 }
 
-impl MdResult {
-    /// Relative energy drift over the run (NVE sanity metric).
-    pub fn energy_drift(&self) -> f64 {
-        if self.energy_start == 0.0 {
-            return 0.0;
-        }
-        ((self.energy_end - self.energy_start) / self.energy_start).abs()
-    }
-}
-
 /// Guest-resident atom arrays (SoA: x, y, z each `[f64; n]`, same for v, f,
 /// plus an EAM density array).
 struct Atoms {
@@ -553,6 +543,16 @@ mod tests {
     use covirt::config::CovirtConfig;
     use covirt::ExecMode;
     use covirt_simhw::topology::HwLayout;
+
+    impl MdResult {
+        /// Relative energy drift over the run (NVE sanity metric).
+        fn energy_drift(&self) -> f64 {
+            if self.energy_start == 0.0 {
+                return 0.0;
+            }
+            ((self.energy_end - self.energy_start) / self.energy_start).abs()
+        }
+    }
 
     fn tiny(workload: MdWorkload) -> MdParams {
         MdParams {

@@ -1,12 +1,10 @@
 //! Driver for `figures profile` — always-on cycle accounting with
 //! per-enclave phase attribution.
 //!
-//! Two runs share one shape: enable the [`PhaseProfiler`], bracket every
-//! guest core with `profile_begin`/`profile_finish`, drive real workload
+//! Two runs share one shape: enable the profiler, bracket every guest
+//! core with `profile_begin`/`profile_finish`, drive real workload
 //! traffic (STREAM plus a grant → touch → epoch-reclaim churn loop), and
-//! tail the profiler's sliding-window ring *live* with the same cursor
-//! discipline the remediation loop uses on the flight recorder. The
-//! clean run yields the per-enclave × per-phase cycle breakdown and the
+//! read the phase totals at the end. The clean run yields the per-enclave × per-phase cycle breakdown and the
 //! conservation check (accounted cycles must equal wall-clock TSC per
 //! core); the fault run adds a bystander enclave and a misbehaving one —
 //! SLO-degraded (throttled) and then fault-quarantined — and must pin
@@ -16,8 +14,7 @@
 use covirt::GuestCore;
 use covirt_simhw::topology::{CoreId, ZoneId};
 use covirt_trace::audit::{AuditConfig, SloBudgets};
-use covirt_trace::profile::WindowSnapshot;
-use covirt_trace::{Phase, PhaseProfiler, ProfileSnapshot};
+use covirt_trace::{Phase, ProfileSnapshot};
 use pisces::RemediationAction;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,12 +26,6 @@ use crate::{scenario, stream, World};
 pub struct ProfileReport {
     /// Final per-core × per-enclave × per-phase cycle totals.
     pub snapshot: ProfileSnapshot,
-    /// Windows tailed live, per lane, in seal order.
-    pub windows: Vec<(u32, Vec<WindowSnapshot>)>,
-    /// Window width in cycles (for timeline reconstruction).
-    pub window_cycles: u64,
-    /// TSC frequency.
-    pub hz: u64,
     /// The workload enclave (the misbehaving one on fault runs).
     pub enclave: u64,
     /// The clean bystander enclave (fault runs only).
@@ -64,59 +55,22 @@ impl ProfileReport {
             .map(|e| e.cycles[phase as usize])
             .sum()
     }
-
-    /// Total windows tailed across all lanes.
-    pub fn window_count(&self) -> usize {
-        self.windows.iter().map(|(_, w)| w.len()).sum()
-    }
-}
-
-/// Tail every lane's window ring once, appending to `out`. Same strict
-/// cursor protocol as the event tail: `cursors[lane]` advances to the
-/// next unread seal slot.
-fn pump_windows(
-    prof: &PhaseProfiler,
-    cursors: &mut Vec<u64>,
-    out: &mut [(u32, Vec<WindowSnapshot>)],
-) {
-    if cursors.is_empty() {
-        cursors.resize(prof.lane_count(), 0);
-    }
-    for (lane, slot) in out.iter_mut() {
-        let (batch, next, _dropped) = prof.tail_windows(*lane, cursors[*lane as usize]);
-        cursors[*lane as usize] = next;
-        slot.extend(batch);
-    }
-}
-
-fn window_tracks(prof: &PhaseProfiler) -> Vec<(u32, Vec<WindowSnapshot>)> {
-    (0..prof.lane_count() as u32)
-        .map(|l| (l, Vec::new()))
-        .collect()
 }
 
 /// Clean run: STREAM on core 0, then the grant → touch → epoch-reclaim
-/// churn on every core, all bracketed, windows tailed live. The shootdown
-/// waits land in the controller overlay, the cores' own flush servicing in
-/// their lane totals.
+/// churn on every core, all bracketed. The shootdown waits land in the
+/// controller overlay, the cores' own flush servicing in their lane
+/// totals.
 pub fn clean_run() -> ProfileReport {
     let world = scenario::world(2);
     let prof = Arc::clone(world.node.recorder().profiler());
     prof.set_enabled(true);
-    let mut cursors: Vec<u64> = Vec::new();
-    let mut windows = window_tracks(&prof);
 
     scenario::stream_phase(&world);
-    pump_windows(&prof, &mut cursors, &mut windows);
-    scenario::reclaim_churn(&world, &mut || {
-        pump_windows(&prof, &mut cursors, &mut windows)
-    });
+    scenario::reclaim_churn(&world, &mut || {});
 
     ProfileReport {
         snapshot: prof.snapshot(),
-        windows,
-        window_cycles: prof.window_cycles(),
-        hz: world.node.clock.hz(),
         enclave: world.enclave.id.0,
         bystander: None,
         actions: Vec::new(),
@@ -135,8 +89,6 @@ pub fn fault_run() -> ProfileReport {
     let prof = Arc::clone(world.node.recorder().profiler());
     prof.set_enabled(true);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    let mut cursors: Vec<u64> = Vec::new();
-    let mut windows = window_tracks(&prof);
 
     // Live control loop with the profiler attached: a 1 ns shootdown-RTT
     // budget makes the churn's real RTTs degrade the workload enclave,
@@ -202,7 +154,6 @@ pub fn fault_run() -> ProfileReport {
     // once they stop has the shootdown RTTs in the ring: it throttles.
     let churn = scenario::reclaim_churn(&world, &mut || {
         tailer.pump();
-        pump_windows(&prof, &mut cursors, &mut windows);
     });
 
     // Fault phase: a contained EPT violation on the first core, shut
@@ -217,13 +168,9 @@ pub fn fault_run() -> ProfileReport {
 
     stop_by.store(true, Ordering::Release);
     by_thread.join().expect("bystander thread panicked");
-    pump_windows(&prof, &mut cursors, &mut windows);
 
     ProfileReport {
         snapshot: prof.snapshot(),
-        windows,
-        window_cycles: prof.window_cycles(),
-        hz: world.node.clock.hz(),
         enclave: world.enclave.id.0,
         bystander: Some(bystander_id),
         actions: tailer.into_report().actions,
@@ -305,7 +252,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clean_run_conserves_cycles_and_tails_windows() {
+    fn clean_run_conserves_cycles_and_attributes_guest_work() {
         let r = clean_run();
         assert!(
             r.max_conservation_error() <= 0.01,
@@ -316,7 +263,6 @@ mod tests {
             r.enclave_phase_cycles(r.enclave, Phase::GuestExec) > 0,
             "no guest-exec cycles attributed to the workload enclave"
         );
-        assert!(r.window_count() > 0, "live tail saw no sealed windows");
     }
 
     #[test]

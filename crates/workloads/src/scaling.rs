@@ -55,7 +55,7 @@ pub struct ScalingParams {
 
 impl ScalingParams {
     /// Parameters for a scale.
-    pub fn for_scale(scale: Scale) -> ScalingParams {
+    fn for_scale(scale: Scale) -> ScalingParams {
         match scale {
             Scale::Quick => ScalingParams {
                 stream_n: 1 << 21,
@@ -75,7 +75,7 @@ impl ScalingParams {
 
 /// Run one (mode, cores) point: per-core STREAM then per-core
 /// RandomAccess, all cores concurrent, one OS thread per core, in a single
-/// NUMA zone (the multi-zone arm is [`run_numa_point`]).
+/// NUMA zone (the multi-zone arm is [`run_numa`]).
 pub fn run_point(mode: ExecMode, cores: usize, p: ScalingParams) -> ScalingPoint {
     let world = build_world(mode, cores, 1, p);
     let streams: Vec<stream::Stream> = (0..cores)
@@ -192,7 +192,7 @@ fn build_world(mode: ExecMode, cores: usize, zones: usize, p: ScalingParams) -> 
 
 /// Run one multi-zone point: every core streams arrays allocated in its
 /// *local* zone, concurrently.
-pub fn run_numa_point(mode: ExecMode, cores: usize, zones: usize, p: ScalingParams) -> NumaPoint {
+fn run_numa_point(mode: ExecMode, cores: usize, zones: usize, p: ScalingParams) -> NumaPoint {
     let world = build_world(mode, cores, zones, p);
     let streams: Vec<stream::Stream> = world
         .cores

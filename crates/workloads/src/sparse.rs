@@ -22,7 +22,6 @@ pub struct GuestCsr {
     pub cols: u64,
     /// Guest address of `vals: [f64; nnz]`.
     pub vals: u64,
-    dims: (usize, usize, usize),
 }
 
 impl GuestCsr {
@@ -77,7 +76,6 @@ impl GuestCsr {
             row_off: world.alloc_array(((n + 1) * 8) as u64),
             cols: world.alloc_array((nnz * 8) as u64),
             vals: world.alloc_array((nnz * 8) as u64),
-            dims,
         };
 
         // Row offsets.
@@ -103,11 +101,6 @@ impl GuestCsr {
         }
         debug_assert_eq!(k as usize, nnz);
         Ok(m)
-    }
-
-    /// Grid dimensions.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        self.dims
     }
 
     /// `y[rows] = A[rows] · x` over a row range (one rank's share).
