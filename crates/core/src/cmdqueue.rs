@@ -8,14 +8,16 @@
 //! space.
 //!
 //! One queue exists per enclave CPU (each hypervisor context is
-//! single-core). The queue lives in shared physical memory inside the
-//! enclave's management region; a completion counter lets the controller
-//! block until a synchronization command has been executed on the core —
-//! which is how memory-unmap ordering ("reclamation only occurs after the
-//! resources have been fully unmapped") is enforced.
+//! single-core). The queue lives in shared physical memory, in one frame
+//! of the controller's node-lifetime frame pool that no EPT maps, so the
+//! co-kernel it commands cannot write it; a completion counter lets the
+//! controller block until a synchronization command has been executed on
+//! the core — which is how memory-unmap ordering ("reclamation only occurs
+//! after the resources have been fully unmapped") is enforced.
 
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::memory::MemWindow;
+use covirt_simhw::paging::PoolFrame;
 use covirt_trace::{EventKind, Tracer};
 use pisces::ring::{RingError, SharedRing};
 use pisces::wire::{WireReader, WireWriter};
@@ -27,11 +29,11 @@ pub const CMD_SLOT: u64 = 40;
 /// Commands per queue.
 pub const CMD_SLOTS: u64 = 32;
 /// Offset of the completion counter within the queue region.
-const OFF_COMPLETION: u64 = 0;
+pub(crate) const OFF_COMPLETION: u64 = 0;
 /// Offset of the sequence-number allocator within the queue region.
-const OFF_NEXT_SEQ: u64 = 8;
-/// Offset of the ring within the queue region.
-const OFF_RING: u64 = 64;
+pub(crate) const OFF_NEXT_SEQ: u64 = 8;
+/// Offset of the ring (its header first) within the queue region.
+pub(crate) const OFF_RING: u64 = 64;
 
 /// A command to the hypervisor. Every variant is a *synchronization
 /// notification*: the actual configuration change was already made by the
@@ -181,7 +183,7 @@ pub struct CmdQueue {
     ring: SharedRing,
     /// Resolved backing + offset of the completion counter, cached at
     /// construction: `completed()` sits in every completion-wait spin and
-    /// every harvest, and the queue's region lives as long as the enclave,
+    /// every harvest, and the queue's frame lives as long as any handle,
     /// so re-resolving per read (bitmap check + `Arc` churn) is pure
     /// overhead on the hottest path of command delivery.
     completion: (Arc<covirt_simhw::backing::Backing>, usize),
@@ -193,17 +195,16 @@ pub struct CmdQueue {
     core: u64,
     /// Flight-recorder handle; posts and waits emit trace events when set.
     tracer: Option<Tracer>,
+    /// The frame the queue is formatted in. It goes back to its pool when
+    /// the last handle drops — never while one can still post or drain.
+    frame: Arc<PoolFrame>,
 }
 
 impl CmdQueue {
-    /// Bytes of shared memory one queue needs.
-    pub fn required_bytes() -> u64 {
-        OFF_RING + SharedRing::required_bytes(CMD_SLOTS, CMD_SLOT)
-    }
-
-    /// Format a queue at the start of `window` (controller side, before
-    /// boot).
-    pub fn create(window: &MemWindow) -> Result<Self, RingError> {
+    /// Format a queue at the start of `frame` (controller side, before
+    /// boot); the queue owns the frame from here.
+    pub fn create(frame: PoolFrame) -> Result<Self, RingError> {
+        let window = frame.window();
         let ring_window = Self::ring_window(window)?;
         for (off, value) in [(OFF_COMPLETION, 0), (OFF_NEXT_SEQ, 1)] {
             window
@@ -218,7 +219,13 @@ impl CmdQueue {
             next_seq: (backing, off + OFF_NEXT_SEQ as usize),
             core: 0,
             tracer: None,
+            frame: Arc::new(frame),
         })
+    }
+
+    /// The physical span the queue lives in: its frame.
+    pub fn range(&self) -> PhysRange {
+        self.frame.window().range()
     }
 
     /// The part of `window` past the two words, which the ring gets; a
@@ -408,14 +415,21 @@ mod tests {
     use super::*;
     use covirt_simhw::addr::PAGE_SIZE_4K;
     use covirt_simhw::memory::PhysMemory;
+    use covirt_simhw::paging::FramePool;
     use covirt_simhw::topology::ZoneId;
 
-    fn queue() -> (MemWindow, CmdQueue) {
-        let window = PhysMemory::new(&[16 * 1024 * 1024])
-            .alloc_window(ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
+    fn pool() -> Arc<FramePool> {
+        let mem = Arc::new(PhysMemory::new(&[16 * 1024 * 1024]));
+        let window = mem
+            .alloc_window(ZoneId(0), 4 * PAGE_SIZE_4K, PAGE_SIZE_4K)
             .unwrap();
-        let q = CmdQueue::create(&window).unwrap();
-        (window, q)
+        Arc::new(FramePool::over(mem, &window))
+    }
+
+    fn queue() -> (Arc<FramePool>, CmdQueue) {
+        let pool = pool();
+        let q = CmdQueue::create(pool.take_frame().unwrap()).unwrap();
+        (pool, q)
     }
 
     #[test]
@@ -551,14 +565,18 @@ mod tests {
         assert!(q.wait(a, 1, None, &|| true).is_ok());
     }
 
+    /// A queue is one frame, and the frame stays out of the pool until the
+    /// last handle that can still use the queue drops.
     #[test]
-    fn undersized_region_rejected() {
-        let (window, _q) = queue();
-        // alloc rounds to 4 KiB, so make deliberately short sub-windows:
-        // one with no room for the ring, one with none for the words.
-        for len in [128, 8] {
-            let short = window.sub(PhysRange::new(window.base(), len)).unwrap();
-            assert!(CmdQueue::create(&short).is_err(), "{len} bytes");
-        }
+    fn the_frame_returns_when_the_last_handle_drops() {
+        let (pool, q) = queue();
+        assert_eq!(q.range().len, PAGE_SIZE_4K);
+        let other = q.clone();
+        drop(q);
+        assert_eq!(pool.outstanding(), 1, "a clone can still post");
+        let seq = other.post(Command::Sync).unwrap();
+        assert_eq!(other.drain()[0].seq, seq);
+        drop(other);
+        assert_eq!(pool.outstanding(), 0);
     }
 }

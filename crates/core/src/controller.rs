@@ -5,8 +5,12 @@
 //! control paths that manage the system-wide hardware configuration". It
 //! builds each enclave's virtualization context before boot (which is what
 //! interposes the hypervisor: a core of an enclave with a context starts
-//! under it), and afterwards translates every
-//! resource-management event into direct edits of that context:
+//! under it). Everything it hands a hypervisor that lives in physical
+//! memory — the EPT's table frames and each core's command queue — comes
+//! from one frame pool the controller reserves once per node and no EPT
+//! maps, so no co-kernel can write its hypervisor's state. Afterwards it
+//! translates every resource-management event into direct edits of that
+//! context:
 //!
 //! * memory grant   → EPT map, then return immediately (asynchronous —
 //!   the enclave keeps running while the mapping is installed);
@@ -20,7 +24,6 @@
 //!   the master runs the detach hook too for every attacher of a segment
 //!   that is destroyed, or whose owner ends, under it.
 
-use crate::boot::{cmdq_addr, CMDQ_STRIDE};
 use crate::cmdqueue::{CmdQueue, Command};
 use crate::config::CovirtConfig;
 use crate::fault::{FaultLog, FaultReport};
@@ -47,12 +50,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-/// Bytes of host memory the node reserves, once, for the EPT table frames
-/// of every enclave it will ever host. An enclave's EPT takes a handful of
-/// frames (its grants are 2 MiB-aligned and coalesce into large leaves) and
-/// returns them when it drops, so 4096 frames bound the enclaves *alive at
-/// once*, not the enclaves ever created.
-const EPT_POOL_BYTES: u64 = 16 * 1024 * 1024;
+/// Bytes of host memory the node reserves, once, for the frames of every
+/// enclave it will ever host: its EPT's tables and one command queue per
+/// core. An enclave takes a handful of frames (its grants are 2 MiB-aligned
+/// and coalesce into large leaves) and returns them when its context
+/// drops, so 4096 frames bound the enclaves *alive at once*, not the
+/// enclaves ever created.
+const FRAME_POOL_BYTES: u64 = 16 * 1024 * 1024;
 
 /// Reclaims at or below this size are shot down with `TlbFlushRange`
 /// commands; larger ones fall back to a full flush. On the host either
@@ -110,10 +114,10 @@ pub struct CovirtController {
     escalation_bound_ns: RwLock<u64>,
     /// Doorbell deliveries that timed out and escalated to an NMI.
     nmi_escalations: AtomicU64,
-    /// The node's EPT table frames, shared by every enclave's EPT; reserved
-    /// when the first memory-protected enclave boots and kept for the life
-    /// of the node.
-    ept_pool: Mutex<Option<Arc<FramePool>>>,
+    /// The node's frames for hypervisor state — every enclave's EPT tables
+    /// and command queues; reserved when the first enclave boots and kept
+    /// for the life of the node.
+    frame_pool: Mutex<Option<Arc<FramePool>>>,
     /// Flight-recorder handle on the controller lane.
     tracer: Tracer,
 }
@@ -135,7 +139,7 @@ impl CovirtController {
             delivery: RwLock::new(CmdDelivery::DoorbellFirst),
             escalation_bound_ns: RwLock::new(DEFAULT_ESCALATION_BOUND_NS),
             nmi_escalations: AtomicU64::new(0),
-            ept_pool: Mutex::new(None),
+            frame_pool: Mutex::new(None),
             tracer,
         })
     }
@@ -299,24 +303,25 @@ impl CovirtController {
         Ok(())
     }
 
-    /// The node's EPT frame pool, reserved on first use.
-    fn ept_pool(&self) -> HwResult<Arc<FramePool>> {
-        let mut slot = self.ept_pool.lock();
+    /// The node's frame pool, reserved on first use.
+    fn frame_pool(&self) -> HwResult<Arc<FramePool>> {
+        let mut slot = self.frame_pool.lock();
         if let Some(pool) = slot.as_ref() {
             return Ok(Arc::clone(pool));
         }
         let mem = &self.node.mem;
-        let region = mem.alloc_window(ZoneId(0), EPT_POOL_BYTES, PAGE_SIZE_4K)?;
+        let region = mem.alloc_window(ZoneId(0), FRAME_POOL_BYTES, PAGE_SIZE_4K)?;
         let pool = Arc::new(FramePool::over(Arc::clone(mem), &region));
         *slot = Some(Arc::clone(&pool));
         Ok(pool)
     }
 
-    /// EPT table frames currently held by enclaves' EPTs (0 before the
-    /// first memory-protected enclave boots). Every frame comes back when
-    /// the last handle on its enclave's [`VirtContext`] drops.
-    pub fn ept_frames_outstanding(&self) -> u64 {
-        self.ept_pool
+    /// Frames currently held by enclaves' EPTs and command queues (0
+    /// before the first enclave boots). Every frame comes back when the
+    /// last handle on its enclave's [`VirtContext`] — or on one of its
+    /// queues — drops.
+    pub fn frames_outstanding(&self) -> u64 {
+        self.frame_pool
             .lock()
             .as_ref()
             .map_or(0, |pool| pool.outstanding())
@@ -326,18 +331,19 @@ impl CovirtController {
     fn build_context(&self, enclave: &Enclave) -> PiscesResult<Arc<VirtContext>> {
         let res = enclave.resources();
         let cores: Vec<usize> = res.cores.iter().map(|c| c.0).collect();
+        let pool = self.frame_pool()?;
 
         // EPT: identity map of everything the enclave owns, coalesced into
         // the largest possible pages, full permissions.
         let ept = if self.config.memory {
-            let ept = Ept::new(self.ept_pool()?)?;
+            let ept = Ept::new(Arc::clone(&pool))?;
             for r in &res.mem {
                 ept.map_identity(*r, 3).map_err(PiscesError::Hw)?;
                 self.tracer
                     .emit_for(enclave.id.0, EventKind::EptMap, r.start.raw(), r.len);
             }
-            // The management region (boot structures, control channel,
-            // command queues) must be guest-reachable too.
+            // The management region (boot parameters, control channel)
+            // must be guest-reachable too.
             ept.map_identity(enclave.mgmt_region, 1)
                 .map_err(PiscesError::Hw)?;
             Some(Arc::new(ept))
@@ -357,15 +363,11 @@ impl CovirtController {
             }
         }
 
-        // Per-core command queues inside the management region, each
-        // placed through the window Pisces resolved when it allocated it.
-        let mgmt = enclave.mgmt();
-        for (i, &core) in cores.iter().enumerate() {
-            let q = mgmt
-                .sub(PhysRange::new(cmdq_addr(mgmt.base(), i), CMDQ_STRIDE))
-                .ok()
-                .and_then(|w| CmdQueue::create(&w).ok())
-                .ok_or(PiscesError::Invalid("command queue creation failed"))?
+        // One command queue per core, each in a frame of the node's pool:
+        // hypervisor state the guest has no mapping of.
+        for &core in &cores {
+            let q = CmdQueue::create(pool.take_frame()?)
+                .map_err(|_| PiscesError::Invalid("command queue creation failed"))?
                 .with_core(core as u64)
                 .with_tracer(self.tracer.clone().with_enclave(enclave.id.0));
             vctx.set_cmdq(core, q);
@@ -910,30 +912,80 @@ mod tests {
     fn enclaves_share_one_pool_and_return_their_frames_when_they_drop() {
         let (master, ctl) = setup(CovirtConfig::MEM);
         let mem = &master.pisces().node().mem;
-        assert_eq!(ctl.ept_frames_outstanding(), 0);
+        assert_eq!(ctl.frames_outstanding(), 0);
         let idle = mem.zone_usage(ZoneId(0)).unwrap().1;
         let (e1, _k1) = master.bring_up_enclave("e1", &req()).unwrap();
-        let one = ctl.ept_frames_outstanding();
-        assert!(one > 0);
+        // Its EPT's four tables (root, PDPT, PD and the management region's
+        // PT) and one command queue for each of its two cores.
+        let one = ctl.frames_outstanding();
+        assert_eq!(one, 4 + 2);
         let with_one = mem.zone_usage(ZoneId(0)).unwrap().1;
         let small = ResourceRequest::new(vec![CoreId(3)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
         let (e2, _k2) = master.bring_up_enclave("e2", &small).unwrap();
-        // The second enclave took frames, not a second pool: zone 0 grew
-        // by exactly what the first enclave itself cost beyond the pool.
-        assert_eq!(ctl.ept_frames_outstanding(), 2 * one);
+        // The second enclave took frames, not a second pool: the same EPT
+        // and one queue fewer, and zone 0 grew by exactly what the first
+        // enclave itself cost beyond the pool.
+        assert_eq!(ctl.frames_outstanding(), 2 * one - 1);
         let with_two = mem.zone_usage(ZoneId(0)).unwrap().1;
-        assert_eq!(with_two - with_one, with_one - idle - EPT_POOL_BYTES);
+        assert_eq!(with_two - with_one, with_one - idle - FRAME_POOL_BYTES);
 
         // Teardown drops the controller's handle; a holder of the context
         // (a terminated guest core, a benchmark) keeps the frames alive.
         let held = ctl.context(e2.id.0).unwrap();
         master.pisces().teardown(&e2).unwrap();
-        assert_eq!(ctl.ept_frames_outstanding(), 2 * one);
+        assert_eq!(ctl.frames_outstanding(), 2 * one - 1);
         drop(held);
-        assert_eq!(ctl.ept_frames_outstanding(), one);
+        assert_eq!(ctl.frames_outstanding(), one);
         master.pisces().teardown(&e1).unwrap();
-        assert_eq!(ctl.ept_frames_outstanding(), 0);
-        assert_eq!(mem.zone_usage(ZoneId(0)).unwrap().1, idle + EPT_POOL_BYTES);
+        assert_eq!(ctl.frames_outstanding(), 0);
+        assert_eq!(
+            mem.zone_usage(ZoneId(0)).unwrap().1,
+            idle + FRAME_POOL_BYTES
+        );
+
+        // Without memory protection an enclave still gets its queues from
+        // the pool, which its first bring-up reserves: one frame per core,
+        // back when the last handle on the context drops.
+        let (master, ctl) = setup(CovirtConfig::NONE);
+        let mem = &master.pisces().node().mem;
+        let idle = mem.zone_usage(ZoneId(0)).unwrap().1;
+        let (e, _k) = master.bring_up_enclave("e", &req()).unwrap();
+        assert_eq!(ctl.frames_outstanding(), 2);
+        let held = ctl.context(e.id.0).unwrap();
+        master.pisces().teardown(&e).unwrap();
+        assert_eq!(ctl.frames_outstanding(), 2);
+        drop(held);
+        assert_eq!(ctl.frames_outstanding(), 0);
+        assert_eq!(
+            mem.zone_usage(ZoneId(0)).unwrap().1,
+            idle + FRAME_POOL_BYTES
+        );
+    }
+
+    /// The co-kernel cannot forge its hypervisor's acknowledgements: no
+    /// core's completion counter, sequence allocator or ring header is
+    /// writable through the enclave's EPT.
+    #[test]
+    fn no_command_queue_word_is_writable_through_the_ept() {
+        use crate::cmdqueue::{OFF_COMPLETION, OFF_NEXT_SEQ, OFF_RING};
+        use covirt_simhw::addr::GuestPhysAddr;
+        use covirt_simhw::HwError;
+
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let (enclave, _kernel) = master.bring_up_enclave("e0", &req()).unwrap();
+        let vctx = ctl.context(enclave.id.0).unwrap();
+        let ept = vctx.ept.as_ref().unwrap();
+        let mem = &master.pisces().node().mem;
+        for core in vctx.cores() {
+            let base = vctx.cmdq(core).unwrap().range().start;
+            for off in [OFF_COMPLETION, OFF_NEXT_SEQ, OFF_RING] {
+                let gpa = GuestPhysAddr::new(base.raw() + off);
+                match ept.translate(gpa, Access::Write, &DirectLoad(mem)) {
+                    Err(HwError::EptViolation { .. }) => {}
+                    other => panic!("core {core}: the word at {gpa} is reachable: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -950,7 +1002,7 @@ mod tests {
         // Leave the pool a single frame. The enclave's first grant from
         // zone 1 sits under a PML4 entry of its own and needs two: the
         // first allocation succeeds, the second is the refusal.
-        let pool = ctl.ept_pool().unwrap();
+        let pool = ctl.frame_pool().unwrap();
         let mut hoard = Vec::new();
         while let Ok(frame) = pool.alloc_frame() {
             hoard.push(frame);
@@ -962,7 +1014,7 @@ mod tests {
                 node.mem.zone_usage(ZoneId(0)).unwrap(),
                 node.mem.zone_usage(ZoneId(1)).unwrap(),
                 enclave.resources(),
-                ctl.ept_frames_outstanding(),
+                ctl.frames_outstanding(),
                 vctx.ept.as_ref().unwrap().leaf_counts().unwrap(),
             )
         };

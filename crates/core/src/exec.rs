@@ -655,10 +655,8 @@ impl GuestCore {
     /// WRMSR from guest code.
     pub fn wrmsr(&mut self, index: u32, value: u64) -> CovirtResult<()> {
         self.check_live()?;
-        if self
-            .vctx()
-            .is_some_and(|v| v.msr_bitmap.read().write_exits(index))
-        {
+        let msrs = self.vctx().and_then(|v| v.msr_bitmap.as_ref());
+        if msrs.is_some_and(|b| b.write_exits(index)) {
             self.vm_exit(ExitReason::MsrWrite { index, value })
         } else {
             self.cpu.msrs.write(index, value);
@@ -669,7 +667,8 @@ impl GuestCore {
     /// OUT instruction from guest code.
     pub fn io_write(&mut self, port: u16, value: u32) -> CovirtResult<()> {
         self.check_live()?;
-        if self.vctx().is_some_and(|v| v.io_bitmap.read().exits(port)) {
+        let ports = self.vctx().and_then(|v| v.io_bitmap.as_ref());
+        if ports.is_some_and(|b| b.exits(port)) {
             self.vm_exit(ExitReason::IoWrite { port, value })
         } else {
             self.node.ioports.write(port, value);

@@ -8,9 +8,10 @@
 //! MSR/IO/ICR accesses, NMI-signalled command-queue work, and abort-class
 //! faults, on which it terminates the enclave and parks the core.
 //!
-//! The hypervisor deliberately has no dynamic allocation; its only working
-//! memory is the fixed 8 KiB stack pre-allocated by the control module
-//! (modelled as an owned buffer so the constraint is visible in the type).
+//! The hypervisor deliberately allocates no working memory: everything it
+//! works on — the VMCS, the EPT, the command queue, the doorbell — is
+//! what the controller built before the core booted, and the queue lives
+//! in a node-lifetime frame no EPT maps.
 
 use crate::cmdqueue::{CmdQueue, Command, SeqCommand};
 use crate::controller::CovirtController;
@@ -32,9 +33,6 @@ use std::sync::Arc;
 /// exit so that exit-rate differences between configurations produce the
 /// same *shape* of overhead the paper measures.
 pub const VM_TRANSITION_NS: u64 = 700;
-
-/// The paper's preallocated hypervisor stack size.
-pub const HV_STACK_BYTES: usize = 8 * 1024;
 
 /// What the exec loop should do after an exit was handled.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,8 +69,6 @@ pub struct Hypervisor {
     /// This core's command-doorbell descriptor, likewise: the safe-point
     /// check is two atomic loads, not a lookup.
     doorbell: Arc<PostedIntDescriptor>,
-    /// The fixed 8 KiB stack pre-allocated by the control module.
-    _stack: Box<[u8; HV_STACK_BYTES]>,
     /// Exits handled on this core.
     pub exits: u64,
     /// Wall-clock nanoseconds spent in exit handling (including modelled
@@ -136,7 +132,6 @@ impl Hypervisor {
             vmcs,
             cmdq,
             doorbell,
-            _stack: Box::new([0; HV_STACK_BYTES]),
             exits: 0,
             exit_ns: 0,
             commands: 0,
@@ -203,9 +198,8 @@ impl Hypervisor {
                 ExitAction::Resume
             }
             ExitReason::MsrWrite { index, value } => {
-                let blocked =
-                    self.vctx.config.msr && self.vctx.msr_bitmap.read().write_exits(index);
-                if !blocked {
+                let msrs = self.vctx.msr_bitmap.as_ref();
+                if !msrs.is_some_and(|b| b.write_exits(index)) {
                     self.cpu.msrs.write(index, value);
                 }
                 ExitAction::Resume
@@ -215,8 +209,8 @@ impl Hypervisor {
                 ExitAction::Resume
             }
             ExitReason::IoWrite { port, value } => {
-                let blocked = self.vctx.config.io && self.vctx.io_bitmap.read().exits(port);
-                if !blocked {
+                let ports = self.vctx.io_bitmap.as_ref();
+                if !ports.is_some_and(|b| b.exits(port)) {
                     self.node.ioports.write(port, value);
                 }
                 ExitAction::Resume
@@ -393,27 +387,19 @@ mod tests {
 
     fn setup(config: CovirtConfig) -> (Arc<SimNode>, Arc<VirtContext>, Hypervisor, Tlb, WalkCache) {
         let node = SimNode::new(NodeConfig::small());
-        let ept = if config.memory {
-            let pool_region = node
-                .mem
-                .alloc_backed(ZoneId(0), 4 * 1024 * 1024, PAGE_SIZE_4K)
-                .unwrap();
-            Some(Arc::new(
-                covirt_simhw::ept::Ept::new(Arc::new(
-                    covirt_simhw::paging::FramePool::new(Arc::clone(&node.mem), pool_region)
-                        .unwrap(),
-                ))
-                .unwrap(),
-            ))
-        } else {
-            None
-        };
-        let mut vctx = VirtContext::new(7, config, &[1, 2], &[0x40], ept);
-        let qwindow = node
+        let pool_window = node
             .mem
-            .alloc_window(ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
+            .alloc_window(ZoneId(0), 4 * 1024 * 1024, PAGE_SIZE_4K)
             .unwrap();
-        vctx.set_cmdq(1, CmdQueue::create(&qwindow).unwrap());
+        let pool = Arc::new(covirt_simhw::paging::FramePool::over(
+            Arc::clone(&node.mem),
+            &pool_window,
+        ));
+        let ept = config
+            .memory
+            .then(|| Arc::new(covirt_simhw::ept::Ept::new(Arc::clone(&pool)).unwrap()));
+        let mut vctx = VirtContext::new(7, config, &[1, 2], &[0x40], ept);
+        vctx.set_cmdq(1, CmdQueue::create(pool.take_frame().unwrap()).unwrap());
         let vctx = Arc::new(vctx);
         let ctl = CovirtController::new(Arc::clone(&node), config);
         let hv = Hypervisor::launch(Arc::clone(&node), ctl, Arc::clone(&vctx), 1).unwrap();

@@ -40,7 +40,6 @@
     )
 )]
 
-pub mod boot;
 pub mod cmdqueue;
 pub mod config;
 pub mod controller;

@@ -3,17 +3,18 @@
 //! A [`VirtContext`] is the hardware-level state the controller builds for
 //! one enclave before its CPUs boot, and then edits in place for the rest
 //! of the enclave's life: the EPT, the per-core VMCS replicas, the MSR/IO
-//! bitmaps, the IPI whitelist, the posted-interrupt descriptors and the
-//! per-core command queues. The hypervisor instances hold references into
-//! the same structures — that shared access is what makes asynchronous,
-//! controller-side reconfiguration possible.
+//! bitmaps of the features that have one, the IPI whitelist, the
+//! posted-interrupt descriptors and the per-core command queues. The
+//! hypervisor instances hold references into the same structures — that
+//! shared access is what makes asynchronous, controller-side
+//! reconfiguration possible.
 
 use crate::cmdqueue::CmdQueue;
 use crate::config::{CovirtConfig, IpiMode};
 use crate::whitelist::IpiWhitelist;
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::ept::Ept;
-use covirt_simhw::ioport::IoBitmap;
+use covirt_simhw::ioport::{IoBitmap, PORT_KBD_RESET, PORT_PCI_CONFIG_ADDR, PORT_PCI_CONFIG_DATA};
 use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::vmcs::{new_vmcs, ApicVirtMode, VmcsHandle};
@@ -61,10 +62,12 @@ pub struct VirtContext {
     pub ept: Option<Arc<Ept>>,
     /// IPI transmission whitelist (present iff IPI protection is on).
     pub whitelist: Arc<IpiWhitelist>,
-    /// MSR intercept bitmap shared by every core's VMCS.
-    pub msr_bitmap: Arc<RwLock<MsrBitmap>>,
-    /// I/O intercept bitmap shared by every core's VMCS.
-    pub io_bitmap: Arc<RwLock<IoBitmap>>,
+    /// MSR intercepts of every core (present iff MSR protection is on;
+    /// absent intercepts nothing).
+    pub msr_bitmap: Option<Box<MsrBitmap>>,
+    /// I/O port intercepts of every core (present iff I/O protection is
+    /// on; absent intercepts nothing).
+    pub io_bitmap: Option<IoBitmap>,
     /// One slot per enclave core, sorted by core id.
     slots: Vec<CoreSlot>,
     /// Set when the hypervisor terminated the enclave; the reason string.
@@ -92,31 +95,26 @@ impl VirtContext {
             ept.is_some(),
             "EPT presence must match the feature set"
         );
-        let mut msr_bitmap = MsrBitmap::intercept_none();
-        if config.msr {
+        let msr_bitmap = config.msr.then(|| {
             // Intercept the MSRs an enclave must never write: machine-check
             // bank controls (writing garbage there can wedge the node).
+            let mut bitmap = Box::new(MsrBitmap::intercept_none());
             for bank in 0..8u32 {
-                msr_bitmap.intercept_write(IA32_MC0_CTL + 4 * bank, true);
+                bitmap.intercept_write(IA32_MC0_CTL + 4 * bank, true);
             }
-        }
-        let mut io_bitmap = IoBitmap::intercept_none();
-        if config.io {
-            io_bitmap.set(covirt_simhw::ioport::PORT_KBD_RESET, true);
-            io_bitmap.set_range(
-                covirt_simhw::ioport::PORT_PCI_CONFIG_ADDR,
-                covirt_simhw::ioport::PORT_PCI_CONFIG_DATA + 3,
-                true,
-            );
-        }
+            bitmap
+        });
+        let io_bitmap = config.io.then(|| {
+            let mut bitmap = IoBitmap::intercept_none();
+            bitmap.set(PORT_KBD_RESET, true);
+            bitmap.set_range(PORT_PCI_CONFIG_ADDR, PORT_PCI_CONFIG_DATA + 3, true);
+            bitmap
+        });
 
         let whitelist = Arc::new(IpiWhitelist::new(
             cores.iter().copied(),
             vectors.iter().copied().chain(std::iter::once(TIMER_VECTOR)),
         ));
-
-        let msr_bitmap = Arc::new(RwLock::new(msr_bitmap));
-        let io_bitmap = Arc::new(RwLock::new(io_bitmap));
 
         let mut cores = cores.to_vec();
         cores.sort_unstable();
@@ -136,8 +134,6 @@ impl VirtContext {
                         Some(IpiMode::Posted) => ApicVirtMode::Posted,
                         None => ApicVirtMode::Passthrough,
                     };
-                    v.controls.msr_bitmap = Some(Arc::clone(&msr_bitmap));
-                    v.controls.io_bitmap = Some(Arc::clone(&io_bitmap));
                     v.controls.posted_desc = posted.clone();
                 }
                 CoreSlot {
@@ -370,13 +366,22 @@ mod tests {
     #[test]
     fn msr_io_protection_configures_bitmaps() {
         let v = VirtContext::new(1, CovirtConfig::FULL, &[1], &[], Some(ept()));
-        assert!(v.msr_bitmap.read().write_exits(IA32_MC0_CTL));
-        assert!(!v.msr_bitmap.read().read_exits(IA32_MC0_CTL));
-        assert!(v
-            .io_bitmap
-            .read()
-            .exits(covirt_simhw::ioport::PORT_KBD_RESET));
-        assert!(!v.io_bitmap.read().exits(covirt_simhw::ioport::PORT_COM1));
+        let msr = v.msr_bitmap.as_ref().unwrap();
+        assert!(msr.write_exits(IA32_MC0_CTL));
+        assert!(!msr.read_exits(IA32_MC0_CTL));
+        let io = v.io_bitmap.as_ref().unwrap();
+        assert!(io.exits(PORT_KBD_RESET));
+        assert!(!io.exits(covirt_simhw::ioport::PORT_COM1));
+    }
+
+    /// A feature that is off has no bitmap to consult.
+    #[test]
+    fn bitmaps_exist_only_for_their_feature() {
+        let mem = VirtContext::new(1, CovirtConfig::MEM_IPI, &[1], &[], Some(ept()));
+        let none = VirtContext::new(2, CovirtConfig::NONE, &[1], &[], None);
+        for v in [&mem, &none] {
+            assert!(v.msr_bitmap.is_none() && v.io_bitmap.is_none());
+        }
     }
 
     #[test]

@@ -301,8 +301,9 @@ fn level_index(addr: u64, level: u8) -> u64 {
 /// evaluation's walk-cost ratios depend.
 ///
 /// Several tables may share one pool (every enclave's EPT draws from the
-/// controller's node-lifetime pool). A [`RadixTable`] returns its frames
-/// when it drops, so a frame is reachable from at most one live table.
+/// controller's node-lifetime pool), and so may structures that are not
+/// tables ([`PoolFrame`]). A [`RadixTable`] returns its frames when it
+/// drops, so a frame is reachable from at most one live owner.
 pub struct FramePool {
     mem: Arc<PhysMemory>,
     region: PhysRange,
@@ -440,6 +441,41 @@ impl FramePool {
     /// The physical memory the pool carves frames from.
     pub fn memory(&self) -> &Arc<PhysMemory> {
         &self.mem
+    }
+
+    /// Take one zeroed frame for a structure of the caller's own, with the
+    /// window onto it; it comes back when the [`PoolFrame`] drops.
+    pub fn take_frame(self: &Arc<Self>) -> HwResult<PoolFrame> {
+        let pa = self.alloc_frame()?;
+        let window = self.mem.window(PhysRange::new(pa, PAGE_SIZE_4K));
+        let window = window.inspect_err(|_| drop(self.free_frame(pa)))?;
+        Ok(PoolFrame {
+            pool: Arc::clone(self),
+            window,
+        })
+    }
+}
+
+/// One frame of a [`FramePool`] that no table links: a structure its
+/// holder formats in it (a hypervisor command queue). The frame goes back
+/// to the pool when this drops, so whoever shares the structure shares
+/// this through an `Arc` and the last user's drop returns it.
+pub struct PoolFrame {
+    pool: Arc<FramePool>,
+    window: MemWindow,
+}
+
+impl PoolFrame {
+    /// The window onto the frame's 4 KiB.
+    pub fn window(&self) -> &MemWindow {
+        &self.window
+    }
+}
+
+impl Drop for PoolFrame {
+    fn drop(&mut self) {
+        // Only `take_frame` builds one, from a frame that pool had out.
+        let _ = self.pool.free_frame(self.window.base());
     }
 }
 
@@ -1082,6 +1118,29 @@ mod tests {
         pool.free_frame(a).unwrap();
         assert!(pool.free_frame(a).is_err(), "double free accepted");
         assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// A taken frame is zeroed, reached through a window of exactly its
+    /// 4 KiB, and back in the pool — once — when it drops.
+    #[test]
+    fn a_taken_frame_is_one_zeroed_page_returned_on_drop() {
+        let (_mem, pool) = setup();
+        let frame = pool.take_frame().unwrap();
+        let w = frame.window();
+        assert_eq!(w.len(), PAGE_SIZE_4K);
+        assert!(w.base().raw().is_multiple_of(PAGE_SIZE_4K));
+        assert_eq!(w.read_u64(w.base().add(PAGE_SIZE_4K - 8)).unwrap(), 0);
+        w.write_u64(w.base(), 0xdead).unwrap();
+        assert!(w.write_u64(w.base().add(PAGE_SIZE_4K), 1).is_err());
+        assert_eq!(pool.outstanding(), 1);
+        let base = w.base();
+        drop(frame);
+        assert_eq!(pool.outstanding(), 0);
+        assert!(pool.free_frame(base).is_err(), "returned twice");
+        // The next taker gets the same page, zeroed again.
+        let again = pool.take_frame().unwrap();
+        assert_eq!(again.window().base(), base);
+        assert_eq!(again.window().read_u64(base).unwrap(), 0);
     }
 
     #[test]

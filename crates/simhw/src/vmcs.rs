@@ -11,8 +11,6 @@
 
 use crate::addr::HostPhysAddr;
 use crate::exit::ExitInfo;
-use crate::ioport::IoBitmap;
-use crate::msr::MsrBitmap;
 use crate::posted::PostedIntDescriptor;
 use covirt_trace::{pack_str, EventKind, Tracer};
 use parking_lot::RwLock;
@@ -77,10 +75,6 @@ pub struct VmcsControls {
     pub hlt_exiting: bool,
     /// APIC virtualization mode.
     pub apic_virt: ApicVirtMode,
-    /// MSR intercept bitmap; `None` intercepts every MSR access.
-    pub msr_bitmap: Option<Arc<RwLock<MsrBitmap>>>,
-    /// I/O intercept bitmap; `None` intercepts every port access.
-    pub io_bitmap: Option<Arc<RwLock<IoBitmap>>>,
     /// Posted-interrupt descriptor (required for `ApicVirtMode::Posted`).
     pub posted_desc: Option<Arc<PostedIntDescriptor>>,
 }

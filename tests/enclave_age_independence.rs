@@ -1,7 +1,7 @@
 //! An enclave's lifecycle must cost what it cost the first time, however
 //! many enclaves the node has hosted before: the 64th bring-up, fault and
-//! reclaim leave the node's memory, the victim's pages and the EPT frame
-//! pool exactly where the 1st did.
+//! reclaim leave the node's memory, the victim's pages and the controller's
+//! frame pool (EPT tables and command queues) exactly where the 1st did.
 //!
 //! Single-threaded, as perfbench's `faultcycle` is, so containment never
 //! crosses the enclave-teardown race (ROADMAP P0).
@@ -28,7 +28,7 @@ struct Footprint {
     zone0_in_use: u64,
     /// Whether the victim's first page still resolves after its end.
     victim_page_backed: bool,
-    ept_frames_outstanding: u64,
+    frames_outstanding: u64,
 }
 
 struct Lab {
@@ -96,7 +96,7 @@ impl Lab {
         Footprint {
             zone0_in_use: mem.zone_usage(ZoneId(0)).unwrap().1,
             victim_page_backed: mem.resolve(HostPhysAddr::new(touched), 8).is_ok(),
-            ept_frames_outstanding: self.controller.ept_frames_outstanding(),
+            frames_outstanding: self.controller.frames_outstanding(),
         }
     }
 }
@@ -107,12 +107,12 @@ fn the_64th_lifecycle_costs_and_leaves_what_the_first_did() {
     // A long-lived bystander, as on a real node: its frames stay out of the
     // pool throughout, and it must still run at the end.
     let (bystander, mut bystander_core, _) = lab.bring_up(2, 64 * 1024 * 1024);
-    let bystander_frames = lab.controller.ept_frames_outstanding();
+    let bystander_frames = lab.controller.frames_outstanding();
     assert!(bystander_frames > 0);
 
     for fault in [true, false] {
         let first = lab.cycle(fault);
-        assert_eq!(first.ept_frames_outstanding, bystander_frames);
+        assert_eq!(first.frames_outstanding, bystander_frames);
         assert!(!first.victim_page_backed);
         let mut last = None;
         for _ in 1..CYCLES {

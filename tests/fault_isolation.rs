@@ -255,10 +255,10 @@ fn dead_owners_segment_is_unreachable_once_its_memory_is_regranted() {
         let in_use = || lab.node.mem.zone_usage(ZoneId(0)).unwrap().1;
         let frames = || {
             let ctl = lab.controller.as_ref();
-            ctl.map_or(0, |c| c.ept_frames_outstanding())
+            ctl.map_or(0, |c| c.frames_outstanding())
         };
-        // One lifecycle first, so the node's EPT pool (reserved at the
-        // first protected boot, kept for good) is part of the baseline.
+        // One lifecycle first, so the node's frame pool (reserved at the
+        // first Covirt boot, kept for good) is part of the baseline.
         let (warm, _k, g) = lab.enclave(2);
         g.shutdown();
         pisces.teardown(&warm).unwrap();
@@ -364,7 +364,7 @@ fn dead_owners_segment_is_unreachable_once_its_memory_is_regranted() {
         }
         assert!(pisces.enclaves().is_empty(), "{mode}");
         assert_eq!(in_use(), idle, "{mode}: leaked bytes");
-        assert_eq!(frames(), frames_idle, "{mode}: EPT frames outstanding");
+        assert_eq!(frames(), frames_idle, "{mode}: pool frames outstanding");
     }
 }
 
@@ -427,6 +427,54 @@ fn a_reclaimed_frame_is_real_memory_not_an_orphan() {
             }
             (_, outcome) => panic!("{mode}: {outcome:?}"),
         }
+    }
+}
+
+/// A co-kernel that scribbles on its management region cannot forge its
+/// hypervisor's acknowledgements, because the command queues are not
+/// there. The guest writes `u64::MAX` where its core's completion counter
+/// used to be (96 KiB into the region). A reclaim of a range the core has
+/// cached still waits for the core's own flush — the reclaim does not
+/// return while the core is not polling — and the core executes exactly
+/// one range flush. Its stale write into the range afterwards is contained.
+#[test]
+fn a_scribbled_management_region_forges_no_flush_acknowledgement() {
+    const FORMER_COMPLETION_WORD: u64 = 96 * 1024;
+    let lab = Lab::new(ExecMode::Covirt(CovirtConfig::MEM));
+    let pisces = lab.master.pisces();
+    let (e, k, mut g) = lab.enclave(2);
+    let range = pisces.add_memory(&e, ZoneId(0), 2 * 1024 * 1024).unwrap();
+    k.poll_ctrl().unwrap();
+    pisces.process_acks(&e).unwrap();
+    g.write_u64(range.start.raw(), 0xa).unwrap(); // the core caches the range
+    let forged = e.mgmt_region.start.raw() + FORMER_COMPLETION_WORD;
+    g.write_u64(forged, u64::MAX).unwrap();
+
+    // The reclaim, with the core polling as a live core does — once it has
+    // been seen not to return without it.
+    pisces.request_remove_memory(&e, range).unwrap();
+    k.poll_ctrl().unwrap();
+    std::thread::scope(|s| {
+        let acks = s.spawn(|| {
+            while e.resources().mem.contains(&range) {
+                pisces.process_acks(&e).unwrap();
+                std::thread::yield_now();
+            }
+        });
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(
+            !acks.is_finished(),
+            "the reclaim returned before the core flushed"
+        );
+        while !acks.is_finished() {
+            g.poll().unwrap();
+            std::thread::yield_now();
+        }
+    });
+    assert_eq!(g.tlb_stats().range_flushes, 1);
+    match g.execute_fault(faults::stale_shared_mapping(&k, range)) {
+        FaultOutcome::Contained(r) => assert!(r.contains("EPT violation"), "{r}"),
+        o => panic!("the stale write must be contained, got {o:?}"),
     }
 }
 

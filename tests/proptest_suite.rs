@@ -160,10 +160,12 @@ proptest! {
     #[test]
     fn cmdqueue_roundtrip(gvas in proptest::collection::vec(any::<u64>(), 1..16)) {
         use covirt_suite::covirt::cmdqueue::{CmdQueue, Command};
-        let region = PhysMemory::new(&[8 * 1024 * 1024])
-            .alloc_window(covirt_suite::simhw::topology::ZoneId(0), CmdQueue::required_bytes(), PAGE_SIZE_4K)
+        let mem = Arc::new(PhysMemory::new(&[8 * 1024 * 1024]));
+        let region = mem
+            .alloc_window(covirt_suite::simhw::topology::ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K)
             .unwrap();
-        let q = CmdQueue::create(&region).unwrap();
+        let pool = Arc::new(FramePool::over(mem, &region));
+        let q = CmdQueue::create(pool.take_frame().unwrap()).unwrap();
         let mut seqs = Vec::new();
         for &gva in &gvas {
             seqs.push(q.post(Command::TlbFlushPage { gva }).unwrap());
