@@ -14,11 +14,19 @@
 //! controller block until a synchronization command has been executed on
 //! the core — which is how memory-unmap ordering ("reclamation only occurs
 //! after the resources have been fully unmapped") is enforced.
+//!
+//! The ring is single-producer, single-consumer. Several host threads may
+//! post to one queue (a reclaim, an XEMEM detach and a termination of the
+//! same enclave), so producers are serialized: a post holds the queue's
+//! host-side producer lock over its sequence number, its push and, when
+//! the ring is full, the coalescing path. The hypervisor is the one
+//! consumer and takes no lock.
 
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::memory::MemWindow;
 use covirt_simhw::paging::PoolFrame;
 use covirt_trace::{EventKind, Tracer};
+use parking_lot::Mutex;
 use pisces::ring::{RingError, SharedRing};
 use pisces::wire::{WireReader, WireWriter};
 use std::sync::Arc;
@@ -195,9 +203,18 @@ pub struct CmdQueue {
     core: u64,
     /// Flight-recorder handle; posts and waits emit trace events when set.
     tracer: Option<Tracer>,
-    /// The frame the queue is formatted in. It goes back to its pool when
-    /// the last handle drops — never while one can still post or drain.
-    frame: Arc<PoolFrame>,
+    /// What every handle shares besides the queue's memory. The frame goes
+    /// back to its pool when the last handle drops — never while one can
+    /// still post or drain.
+    frame: Arc<QueueFrame>,
+}
+
+/// The frame a queue is formatted in, and the lock its producers take.
+struct QueueFrame {
+    frame: PoolFrame,
+    /// Held by a post from its sequence number to its push (coalescing
+    /// included): the ring takes one producer at a time.
+    producer: Mutex<()>,
 }
 
 impl CmdQueue {
@@ -219,13 +236,16 @@ impl CmdQueue {
             next_seq: (backing, off + OFF_NEXT_SEQ as usize),
             core: 0,
             tracer: None,
-            frame: Arc::new(frame),
+            frame: Arc::new(QueueFrame {
+                frame,
+                producer: Mutex::new(()),
+            }),
         })
     }
 
     /// The physical span the queue lives in: its frame.
     pub fn range(&self) -> PhysRange {
-        self.frame.window().range()
+        self.frame.frame.window().range()
     }
 
     /// The part of `window` past the two words, which the ring gets; a
@@ -253,7 +273,8 @@ impl CmdQueue {
         self
     }
 
-    /// Push `cmd` under the next sequence number, which is returned.
+    /// Push `cmd` under the next sequence number, which is returned. The
+    /// caller holds the producer lock.
     fn push(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
         // Sequence numbers live in shared memory so any controller thread
         // allocates them consistently.
@@ -283,9 +304,12 @@ impl CmdQueue {
     /// completing hypervisor uses to report post→complete latency. A zero
     /// stamp disables the measurement for that command.
     pub fn post_at(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
-        let out = match self.push(cmd, tsc) {
-            Err(RingError::Full) => self.post_coalescing(cmd, tsc),
-            out => out,
+        let out = {
+            let _producer = self.frame.producer.lock();
+            match self.push(cmd, tsc) {
+                Err(RingError::Full) => self.post_coalescing(cmd, tsc),
+                out => out,
+            }
         };
         if let (Ok(seq), Some(t)) = (&out, &self.tracer) {
             t.emit(EventKind::CmdPost, *seq, self.core);
@@ -295,6 +319,7 @@ impl CmdQueue {
 
     /// Slow path when the ring is full: drain it, merge every flush-class
     /// command into one `TlbFlushAll`, re-post the rest, then post `cmd`.
+    /// The caller holds the producer lock.
     ///
     /// Soundness: flush commands are idempotent and mutually subsumable, so
     /// replacing N of them with one `TlbFlushAll` carrying a *fresh,
@@ -563,6 +588,35 @@ mod tests {
         assert_eq!(drained.len(), 2);
         other.complete(b);
         assert!(q.wait(a, 1, None, &|| true).is_ok());
+    }
+
+    /// Two host threads posting to one queue at once lose nothing: every
+    /// sequence number either got is drained, once. (The ring holds all
+    /// of a round's posts, so nothing merges.)
+    #[test]
+    fn concurrent_posters_lose_no_command() {
+        const POSTS: usize = 14;
+        let (_pool, q) = queue();
+        for round in 0..3_000 {
+            let barrier = std::sync::Barrier::new(2);
+            let mut posted: Vec<u64> = std::thread::scope(|s| {
+                let poster = || {
+                    barrier.wait();
+                    (0..POSTS)
+                        .map(|_| q.post(Command::Sync).unwrap())
+                        .collect::<Vec<_>>()
+                };
+                let threads = [s.spawn(poster), s.spawn(poster)];
+                threads
+                    .into_iter()
+                    .flat_map(|t| t.join().unwrap())
+                    .collect()
+            });
+            let mut drained: Vec<u64> = q.drain().iter().map(|c| c.seq).collect();
+            posted.sort_unstable();
+            drained.sort_unstable();
+            assert_eq!(drained, posted, "round {round}");
+        }
     }
 
     /// A queue is one frame, and the frame stays out of the pool until the

@@ -962,6 +962,45 @@ mod tests {
         );
     }
 
+    /// An enclave's EPT (leaves at every level) and its used command
+    /// queues come back to the pool clean: every frame the pool hands out
+    /// next reads zero.
+    #[test]
+    fn frames_come_back_to_the_pool_clean() {
+        use crate::cmdqueue::Command;
+        use covirt_simhw::addr::{HostPhysAddr, PAGE_SIZE_1G};
+
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let (enclave, _kernel) = master.bring_up_enclave("e0", &req()).unwrap();
+        let vctx = ctl.context(enclave.id.0).unwrap();
+        let ept = vctx.ept.as_ref().unwrap();
+        // The bring-up mapped 2 MiB and 4 KiB leaves; add a 1 GiB one far
+        // above RAM (the EPT maps, it does not allocate).
+        let far = PhysRange::new(HostPhysAddr::new(64 * PAGE_SIZE_1G), PAGE_SIZE_1G);
+        ept.map_identity(far, 3).unwrap();
+        let (l4k, l2m, l1g) = ept.leaf_counts().unwrap();
+        assert!(l4k > 0 && l2m > 0 && l1g == 1);
+        for core in vctx.cores() {
+            let q = vctx.cmdq(core).unwrap();
+            for gva in 1..=4 {
+                q.post(Command::TlbFlushPage { gva: gva << 12 }).unwrap();
+            }
+        }
+        let out = ctl.frames_outstanding();
+        drop(vctx);
+        master.pisces().teardown(&enclave).unwrap();
+        assert_eq!(ctl.frames_outstanding(), 0);
+
+        let pool = ctl.frame_pool().unwrap();
+        let frames: Vec<_> = (0..out).map(|_| pool.take_frame().unwrap()).collect();
+        for f in &frames {
+            let w = f.window();
+            for off in (0..PAGE_SIZE_4K).step_by(8) {
+                assert_eq!(w.read_u64(w.base().add(off)).unwrap(), 0, "{:?}", w.base());
+            }
+        }
+    }
+
     /// The co-kernel cannot forge its hypervisor's acknowledgements: no
     /// core's completion counter, sequence allocator or ring header is
     /// writable through the enclave's EPT.

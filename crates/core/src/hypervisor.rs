@@ -43,13 +43,17 @@ pub enum ExitAction {
     Terminate(String),
 }
 
-/// Burn wall-clock time to model a fixed hardware cost.
+/// Burn wall-clock time to model a fixed hardware cost: return at the
+/// first clock read at or past `ns` after the call began.
+///
+/// The deadline is computed once, and each iteration is one clock read
+/// and one comparison, with no `PAUSE` (`spin_loop`) between reads: the
+/// wait ends within one read of its deadline, so a charge costs what it
+/// models.
 #[inline]
 pub fn model_delay_ns(ns: u64) {
-    let start = std::time::Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
-    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_nanos(ns);
+    while std::time::Instant::now() < deadline {}
 }
 
 /// One per-core hypervisor instance. Owned by the thread driving the core
@@ -405,6 +409,18 @@ mod tests {
         let hv = Hypervisor::launch(Arc::clone(&node), ctl, Arc::clone(&vctx), 1).unwrap();
         let tlb = Tlb::new(TlbParams::default());
         (node, vctx, hv, tlb, WalkCache::new())
+    }
+
+    /// A modelled delay is a lower bound: it never returns early.
+    #[test]
+    fn a_modelled_delay_never_returns_before_its_deadline() {
+        for ns in [0, 1, 50, VM_TRANSITION_NS, 5_000] {
+            for _ in 0..200 {
+                let t = std::time::Instant::now();
+                model_delay_ns(ns);
+                assert!(t.elapsed() >= std::time::Duration::from_nanos(ns));
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@ use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::vmcs::{new_vmcs, ApicVirtMode, VmcsHandle};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -254,12 +253,16 @@ impl VirtContext {
         self.terminated.read().clone()
     }
 
-    /// Total exits across every core's VMCS, by reason.
-    pub fn exit_counts(&self) -> HashMap<&'static str, u64> {
-        let mut out: HashMap<&'static str, u64> = HashMap::new();
+    /// Total exits across every core's VMCS: one (reason name, count)
+    /// pair per reason that occurred.
+    pub fn exit_counts(&self) -> Vec<(&'static str, u64)> {
+        let mut out: Vec<(&'static str, u64)> = Vec::new();
         for slot in &self.slots {
-            for (k, v) in slot.vmcs.read().exit_counts.iter() {
-                *out.entry(k).or_insert(0) += v;
+            for (name, n) in slot.vmcs.read().exit_counts() {
+                match out.iter_mut().find(|(k, _)| *k == name) {
+                    Some((_, total)) => *total += n,
+                    None => out.push((name, n)),
+                }
             }
         }
         out

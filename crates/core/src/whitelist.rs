@@ -9,6 +9,13 @@
 //! ICR write, so there is no CPU-cached state to invalidate — exactly the
 //! distinction the paper draws between updates that need the command queue
 //! and those that do not.
+//!
+//! It is bits, as the hardware structures beside it are: the enclave's own
+//! cores are a bitmap fixed at construction (an enclave's cores never
+//! change), its own vectors are 256 bits the controller sets and clears in
+//! place, and a check on that pair takes no lock. Cross-enclave grants are
+//! rare and sit behind a lock that a check consults only when the pair is
+//! not one of the enclave's own.
 
 use parking_lot::RwLock;
 use std::collections::HashSet;
@@ -16,11 +23,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allowed (destination core, vector) pairs for one enclave.
 pub struct IpiWhitelist {
-    /// Cores the enclave may target (its own cores; cross-enclave vectors
-    /// add specific remote pairs).
-    cores: RwLock<HashSet<usize>>,
-    /// Vectors the enclave may raise on its own cores.
-    vectors: RwLock<HashSet<u8>>,
+    /// Cores the enclave may target, one bit each: its own. A core past the
+    /// last word is not one of them.
+    cores: Box<[u64]>,
+    /// Vectors the enclave may raise on its own cores, one bit each. The
+    /// controller's vector hooks update a word with `AcqRel` and a check
+    /// reads it with `Acquire`, so a check that sees a revocation also
+    /// sees what the revoking thread did before it.
+    vectors: [AtomicU64; 4],
     /// Explicit extra (core, vector) grants for cross-enclave signalling.
     grants: RwLock<HashSet<(usize, u8)>>,
     /// IPIs dropped by enforcement (instrumentation).
@@ -29,26 +39,56 @@ pub struct IpiWhitelist {
     permitted: AtomicU64,
 }
 
+/// The word and mask of bit `i` in a bitmap of `u64`s.
+fn bit(i: usize) -> (usize, u64) {
+    (i / 64, 1 << (i % 64))
+}
+
 impl IpiWhitelist {
     /// Whitelist for an enclave owning `cores`, allowed to use `vectors`
     /// among themselves.
     pub fn new(
-        cores: impl IntoIterator<Item = usize>,
+        cores: impl IntoIterator<Item = usize> + Clone,
         vectors: impl IntoIterator<Item = u8>,
     ) -> Self {
+        let words = cores.clone().into_iter().max().map_or(0, |c| c / 64 + 1);
+        let mut core_bits = vec![0u64; words].into_boxed_slice();
+        for c in cores {
+            let (w, m) = bit(c);
+            core_bits[w] |= m;
+        }
+        let mut vector_bits = [0u64; 4].map(AtomicU64::new);
+        for v in vectors {
+            let (w, m) = bit(v.into());
+            *vector_bits[w].get_mut() |= m;
+        }
         IpiWhitelist {
-            cores: RwLock::new(cores.into_iter().collect()),
-            vectors: RwLock::new(vectors.into_iter().collect()),
+            cores: core_bits,
+            vectors: vector_bits,
             grants: RwLock::new(HashSet::new()),
             dropped: AtomicU64::new(0),
             permitted: AtomicU64::new(0),
         }
     }
 
+    /// Is `dest` one of the enclave's cores and `vector` one of its
+    /// vectors? Lock-free.
+    #[inline]
+    fn own(&self, dest: usize, vector: u8) -> bool {
+        let (cw, cm) = bit(dest);
+        let (vw, vm) = bit(vector.into());
+        self.cores.get(cw).is_some_and(|w| w & cm != 0)
+            && self.vectors[vw].load(Ordering::Acquire) & vm != 0
+    }
+
+    /// The whole predicate: own pair, else a grant.
+    fn allows(&self, dest: usize, vector: u8) -> bool {
+        self.own(dest, vector) || self.grants.read().contains(&(dest, vector))
+    }
+
     /// Is sending `vector` to `dest` allowed? Updates the counters.
     pub fn check(&self, dest: usize, vector: u8) -> bool {
-        let ok = (self.cores.read().contains(&dest) && self.vectors.read().contains(&vector))
-            || self.grants.read().contains(&(dest, vector));
+        let ok = self.allows(dest, vector);
         if ok {
             self.permitted.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -59,18 +99,19 @@ impl IpiWhitelist {
 
     /// Non-counting query (for tests/diagnostics).
     pub fn would_allow(&self, dest: usize, vector: u8) -> bool {
-        (self.cores.read().contains(&dest) && self.vectors.read().contains(&vector))
-            || self.grants.read().contains(&(dest, vector))
+        self.allows(dest, vector)
     }
 
     /// Allow a vector on the enclave's own cores (vector allocation).
     pub fn add_vector(&self, vector: u8) {
-        self.vectors.write().insert(vector);
+        let (w, m) = bit(vector.into());
+        self.vectors[w].fetch_or(m, Ordering::AcqRel);
     }
 
     /// Revoke a vector (vector free — runs before the vector is recycled).
     pub fn remove_vector(&self, vector: u8) {
-        self.vectors.write().remove(&vector);
+        let (w, m) = bit(vector.into());
+        self.vectors[w].fetch_and(!m, Ordering::AcqRel);
     }
 
     /// Grant a specific cross-enclave (core, vector) pair (Hobbes treats
@@ -105,7 +146,9 @@ mod tests {
         assert!(w.check(3, 0x41));
         assert!(!w.check(0, 0x40), "host core is not a legal destination");
         assert!(!w.check(2, 0x2f), "unallocated vector must be dropped");
-        assert_eq!(w.counts(), (2, 2));
+        assert!(!w.check(64, 0x40), "a core past the bitmap is no one's own");
+        assert!(!w.check(usize::MAX, 0x40), "nor is the broadcast stand-in");
+        assert_eq!(w.counts(), (2, 4));
     }
 
     #[test]
@@ -126,6 +169,9 @@ mod tests {
         assert!(w.would_allow(1, 0x42));
         w.remove_vector(0x42);
         assert!(!w.would_allow(1, 0x42));
+        // The top vector lives in the last word.
+        w.add_vector(0xff);
+        assert!(w.would_allow(1, 0xff) && !w.would_allow(1, 0xfe));
     }
 
     #[test]

@@ -57,8 +57,8 @@ impl KittenKernel {
         // Page-table pool lives at the head of the first assigned region
         // (the one search for that region).
         let pt_pool_range = PhysRange::new(HostPhysAddr::new(params.pt_pool.0), params.pt_pool.1);
-        let pool = Arc::new(FramePool::new(Arc::clone(mem), pt_pool_range)?);
-        let page_tables = GuestPageTables::new(Arc::clone(&pool))?;
+        let pool = FramePool::new(Arc::clone(mem), pt_pool_range)?;
+        let page_tables = GuestPageTables::owning(pool)?;
 
         // Identity-map every assigned region with large pages (Kitten's
         // contiguous-memory policy makes 2 MiB mappings the norm).

@@ -70,23 +70,49 @@ pub enum ExitReason {
 }
 
 impl ExitReason {
+    /// How many reasons there are: the length of a per-reason count array.
+    pub const COUNT: usize = 13;
+
+    /// Every reason's [`ExitReason::name`], in [`ExitReason::index`] order.
+    pub const NAMES: [&'static str; Self::COUNT] = [
+        "ext-intr",
+        "nmi",
+        "cpuid",
+        "xsetbv",
+        "rdmsr",
+        "wrmsr",
+        "io-in",
+        "io-out",
+        "ept-violation",
+        "icr-write",
+        "hlt",
+        "double-fault",
+        "triple-fault",
+    ];
+
+    /// Dense index of the reason, below [`ExitReason::COUNT`]; payloads do
+    /// not take part.
+    pub fn index(&self) -> usize {
+        match self {
+            ExitReason::ExternalInterrupt { .. } => 0,
+            ExitReason::Nmi => 1,
+            ExitReason::Cpuid { .. } => 2,
+            ExitReason::Xsetbv { .. } => 3,
+            ExitReason::MsrRead { .. } => 4,
+            ExitReason::MsrWrite { .. } => 5,
+            ExitReason::IoRead { .. } => 6,
+            ExitReason::IoWrite { .. } => 7,
+            ExitReason::EptViolation(_) => 8,
+            ExitReason::IcrWrite { .. } => 9,
+            ExitReason::Hlt => 10,
+            ExitReason::DoubleFault => 11,
+            ExitReason::TripleFault => 12,
+        }
+    }
+
     /// Short stable name for stats tables.
     pub fn name(&self) -> &'static str {
-        match self {
-            ExitReason::ExternalInterrupt { .. } => "ext-intr",
-            ExitReason::Nmi => "nmi",
-            ExitReason::Cpuid { .. } => "cpuid",
-            ExitReason::Xsetbv { .. } => "xsetbv",
-            ExitReason::MsrRead { .. } => "rdmsr",
-            ExitReason::MsrWrite { .. } => "wrmsr",
-            ExitReason::IoRead { .. } => "io-in",
-            ExitReason::IoWrite { .. } => "io-out",
-            ExitReason::EptViolation(_) => "ept-violation",
-            ExitReason::IcrWrite { .. } => "icr-write",
-            ExitReason::Hlt => "hlt",
-            ExitReason::DoubleFault => "double-fault",
-            ExitReason::TripleFault => "triple-fault",
-        }
+        Self::NAMES[self.index()]
     }
 }
 
@@ -108,5 +134,39 @@ mod tests {
         assert_eq!(ExitReason::Nmi.name(), "nmi");
         assert_eq!(ExitReason::MsrWrite { index: 1, value: 2 }.name(), "wrmsr");
         assert_eq!(ExitReason::Hlt.name(), "hlt");
+        assert_eq!(
+            ExitReason::ExternalInterrupt { vector: 0xec }.name(),
+            "ext-intr"
+        );
+        assert_eq!(ExitReason::TripleFault.name(), "triple-fault");
+    }
+
+    /// Every reason has its own index, and together they fill the count
+    /// array.
+    #[test]
+    fn indices_are_dense_and_distinct() {
+        let all = [
+            ExitReason::ExternalInterrupt { vector: 0 },
+            ExitReason::Nmi,
+            ExitReason::Cpuid { leaf: 0 },
+            ExitReason::Xsetbv { xcr0: 0 },
+            ExitReason::MsrRead { index: 0 },
+            ExitReason::MsrWrite { index: 0, value: 0 },
+            ExitReason::IoRead { port: 0 },
+            ExitReason::IoWrite { port: 0, value: 0 },
+            ExitReason::EptViolation(EptViolationInfo {
+                gpa: crate::addr::GuestPhysAddr::new(0),
+                access: crate::paging::Access::Read,
+            }),
+            ExitReason::IcrWrite { value: 0 },
+            ExitReason::Hlt,
+            ExitReason::DoubleFault,
+            ExitReason::TripleFault,
+        ];
+        let mut seen = [false; ExitReason::COUNT];
+        for r in all {
+            assert!(!std::mem::replace(&mut seen[r.index()], true), "{r:?}");
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 }

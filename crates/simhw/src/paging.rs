@@ -300,10 +300,18 @@ fn level_index(addr: u64, level: u8) -> u64 {
 /// cached-page-table-entry cost regime of real hardware, on which the
 /// evaluation's walk-cost ratios depend.
 ///
+/// Every frame it hands out reads zero. A frame is cleaned when it comes
+/// back ([`FramePool::free_frame`] zeroes it while its lines are still hot
+/// from the owner that just used it), so a returned frame reads
+/// not-present until it is reused and goes out again as it came back;
+/// only a frame never handed out is zeroed on its way out.
+///
 /// Several tables may share one pool (every enclave's EPT draws from the
 /// controller's node-lifetime pool), and so may structures that are not
 /// tables ([`PoolFrame`]). A [`RadixTable`] returns its frames when it
-/// drops, so a frame is reachable from at most one live owner.
+/// drops, so a frame is reachable from at most one live owner; a table
+/// that owns its pool outright ([`RadixTable::owning`]) returns none,
+/// because the pool and its frames go with it.
 pub struct FramePool {
     mem: Arc<PhysMemory>,
     region: PhysRange,
@@ -382,10 +390,10 @@ impl FramePool {
     /// Allocate one zeroed 4 KiB table frame, reusing a returned frame
     /// before touching a fresh one.
     pub fn alloc_frame(&self) -> HwResult<HostPhysAddr> {
-        let frame_off = {
+        let (frame_off, fresh) = {
             let mut frames = self.frames.lock();
-            let off = match frames.free.pop() {
-                Some(off) => off,
+            let (off, fresh) = match frames.free.pop() {
+                Some(off) => (off, false),
                 None => {
                     let off = frames.next;
                     if off + PAGE_SIZE_4K > self.region.len {
@@ -395,28 +403,38 @@ impl FramePool {
                         });
                     }
                     frames.next = off + PAGE_SIZE_4K;
-                    off
+                    (off, true)
                 }
             };
             let (word, mask) = FrameList::bit(off / PAGE_SIZE_4K);
             frames.out[word] |= mask;
-            off
+            (off, fresh)
         };
-        // Zero through the pool's own pinned backing: frame allocation is a
-        // tight loop at boot, and the region was resolved once at
-        // construction. The caller owns the frame exclusively from here, so
-        // zeroing needs no lock.
-        self.backing
-            .zero(self.backing_off + frame_off as usize, PAGE_SIZE_4K as usize);
+        let at = self.backing_off + frame_off as usize;
+        if fresh {
+            // Zero through the pool's own pinned backing: frame allocation
+            // is a tight loop at boot, and the region was resolved once at
+            // construction. The caller owns the frame exclusively from
+            // here, so zeroing needs no lock.
+            self.backing.zero(at, PAGE_SIZE_4K as usize);
+        } else {
+            // `free_frame` cleaned it on the way back.
+            debug_assert!(
+                (0..PAGE_SIZE_4K as usize)
+                    .step_by(8)
+                    .all(|i| self.backing.read_u64(at + i) == 0),
+                "a returned frame was written after its return"
+            );
+        }
         Ok(self.region.start.add(frame_off))
     }
 
-    /// Return a frame obtained from [`FramePool::alloc_frame`]. The caller
-    /// must have unlinked it from every table first: the next allocation
-    /// may hand it to another table. An address that is not a frame this
-    /// pool has out — foreign, unaligned, never allocated, already
-    /// returned — is refused, since accepting it would give one frame two
-    /// owners.
+    /// Return a frame obtained from [`FramePool::alloc_frame`], zeroing it.
+    /// The caller must have unlinked it from every table first: the next
+    /// allocation may hand it to another table. An address that is not a
+    /// frame this pool has out — foreign, unaligned, never allocated,
+    /// already returned — is refused and left untouched, since accepting it
+    /// would give one frame two owners.
     pub fn free_frame(&self, pa: HostPhysAddr) -> HwResult<()> {
         let off = pa.raw().wrapping_sub(self.region.start.raw());
         let mut frames = self.frames.lock();
@@ -427,6 +445,10 @@ impl FramePool {
         if !off.is_multiple_of(PAGE_SIZE_4K) || frames.out.get(word).is_none_or(|w| w & mask == 0) {
             return Err(HwError::Invalid("not an outstanding frame of this pool"));
         }
+        // Clean under the lock: once on the free list the frame is the next
+        // allocation's, and that allocation does not zero it.
+        self.backing
+            .zero(self.backing_off + off as usize, PAGE_SIZE_4K as usize);
         frames.out[word] &= !mask;
         frames.free.push(off);
         Ok(())
@@ -483,11 +505,13 @@ impl Drop for PoolFrame {
 ///
 /// The table owns every frame it takes from its pool and returns them all
 /// when it drops — not earlier, because a walker holding the table may
-/// still follow any of them. Edits of one table are not synchronized with
-/// each other; its owner serializes them.
+/// still follow any of them — unless it owns the pool itself
+/// ([`RadixTable::owning`]), which then goes with it. Edits of one table
+/// are not synchronized with each other; its owner serializes them.
 pub struct RadixTable<F: EntryFormat> {
-    mem: Arc<PhysMemory>,
     pool: Arc<FramePool>,
+    /// The pool is this table's alone ([`RadixTable::owning`]).
+    owns_pool: bool,
     root: HostPhysAddr,
     /// Every frame taken from `pool`, in allocation order (root first).
     frames: Mutex<Vec<HostPhysAddr>>,
@@ -503,12 +527,25 @@ struct MapUndo {
 }
 
 impl<F: EntryFormat> RadixTable<F> {
-    /// Create an empty table, allocating the root frame from `pool`.
+    /// Create an empty table, allocating the root frame from `pool`, which
+    /// other tables and structures may share.
     pub fn new(pool: Arc<FramePool>) -> HwResult<Self> {
+        Self::build(pool, false)
+    }
+
+    /// Create an empty table over a pool of its own (a kernel's page-table
+    /// pool, carved out of the kernel's memory). Nothing else takes frames
+    /// from the pool, so on drop the table returns none: pool and frames go
+    /// together.
+    pub fn owning(pool: FramePool) -> HwResult<Self> {
+        Self::build(Arc::new(pool), true)
+    }
+
+    fn build(pool: Arc<FramePool>, owns_pool: bool) -> HwResult<Self> {
         let root = pool.alloc_frame()?;
         Ok(RadixTable {
-            mem: Arc::clone(pool.memory()),
             pool,
+            owns_pool,
             root,
             frames: Mutex::new(vec![root]),
             _fmt: std::marker::PhantomData,
@@ -535,7 +572,7 @@ impl<F: EntryFormat> RadixTable<F> {
     fn read_entry(&self, pa: HostPhysAddr) -> HwResult<u64> {
         match self.pool.load(pa) {
             Some(v) => Ok(v),
-            None => self.mem.read_u64(pa),
+            None => self.pool.memory().read_u64(pa),
         }
     }
 
@@ -544,7 +581,7 @@ impl<F: EntryFormat> RadixTable<F> {
         if self.pool.store(pa, value) {
             Ok(())
         } else {
-            self.mem.write_u64(pa, value)
+            self.pool.memory().write_u64(pa, value)
         }
     }
 
@@ -832,7 +869,7 @@ impl<F: EntryFormat> RadixTable<F> {
             // which may count them on a core-local resolve counter.
             let e = match self.pool.load(taddr) {
                 Some(v) => v,
-                None => loader.load_word(&self.mem, taddr)?,
+                None => loader.load_word(self.pool.memory(), taddr)?,
             };
             loads += extra + 1;
             if !F::present(e) {
@@ -890,6 +927,11 @@ impl<F: EntryFormat> RadixTable<F> {
 
 impl<F: EntryFormat> Drop for RadixTable<F> {
     fn drop(&mut self) {
+        if self.owns_pool {
+            // The pool goes with the table: nothing would take these
+            // frames again, so there is nothing to return or clean.
+            return;
+        }
         for frame in self.frames.get_mut().drain(..) {
             // Only frames `alloc_frame` returned are recorded, so the pool
             // accepts each; a `Drop` must not panic in any case.
@@ -1095,8 +1137,10 @@ mod tests {
         assert!(pool.store(a.add(8), 0xdead));
         pool.free_frame(a).unwrap();
         assert_eq!(pool.outstanding(), 1);
+        // Cleaned on the way back: it reads not-present before any reuse.
+        assert_eq!(pool.load(a.add(8)), Some(0));
         // The free list is served before the bump pointer moves, and what
-        // it hands out is zeroed again.
+        // it hands out is still zero.
         assert_eq!(pool.alloc_frame().unwrap(), a);
         assert_eq!(pool.load(a.add(8)), Some(0));
         assert_eq!(pool.alloc_frame().unwrap(), b.add(PAGE_SIZE_4K));
@@ -1107,6 +1151,7 @@ mod tests {
     fn free_frame_refuses_what_the_pool_never_handed_out() {
         let (mem, pool) = setup();
         let a = pool.alloc_frame().unwrap();
+        assert!(pool.store(a, 0xbeef));
         let outside = mem.alloc(ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K).unwrap();
         for bad in [a.add(8), a.add(PAGE_SIZE_4K), outside.start] {
             assert!(
@@ -1114,6 +1159,8 @@ mod tests {
                 "{bad:?} accepted"
             );
         }
+        // A refused return cleans nothing.
+        assert_eq!(pool.load(a), Some(0xbeef));
         assert_eq!(pool.outstanding(), 1);
         pool.free_frame(a).unwrap();
         assert!(pool.free_frame(a).is_err(), "double free accepted");
@@ -1161,6 +1208,48 @@ mod tests {
         assert_eq!(pool.outstanding(), 1);
         drop(other);
         assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// Every frame of a table on a shared pool is back and clean once the
+    /// table drops; a table that owns its pool returns nothing and leaves
+    /// its frames as they were, because they go with the pool.
+    #[test]
+    fn a_dropped_table_cleans_its_frames_unless_it_owns_the_pool() {
+        let (mem, pool) = setup();
+        let region = mem
+            .alloc(ZoneId(0), 2 * PAGE_SIZE_2M, PAGE_SIZE_2M)
+            .unwrap();
+        let map = |pt: &GuestPageTables| {
+            // A 2 MiB leaf and, after the split, 4 KiB leaves too.
+            pt.map(region.start.raw(), region.start, region.len, Perms::RWX, 2)
+                .unwrap();
+            pt.unmap(region.start.raw() + PAGE_SIZE_4K, PAGE_SIZE_4K)
+                .unwrap();
+            pt.frames.lock().clone()
+        };
+        let dirty = |frame: &HostPhysAddr| {
+            (0..PAGE_SIZE_4K)
+                .step_by(8)
+                .any(|i| mem.read_u64(frame.add(i)).unwrap() != 0)
+        };
+
+        let shared = GuestPageTables::new(Arc::clone(&pool)).unwrap();
+        let frames = map(&shared);
+        assert_eq!(frames.len(), 4, "root, PDPT, PD and the split's PT");
+        assert!(frames.iter().all(dirty));
+        drop(shared);
+        assert_eq!(pool.outstanding(), 0);
+        assert!(!frames.iter().any(dirty), "a returned frame reads zero");
+
+        let own = mem
+            .alloc_backed(ZoneId(0), 8 * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        let owning =
+            GuestPageTables::owning(FramePool::new(Arc::clone(&mem), own).unwrap()).unwrap();
+        let frames = map(&owning);
+        assert!(frames.iter().all(|f| own.contains(*f)));
+        drop(owning);
+        assert!(frames.iter().all(dirty), "nothing was cleaned or returned");
     }
 
     #[test]

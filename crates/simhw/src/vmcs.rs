@@ -10,11 +10,10 @@
 //! the in-memory VMCS region.
 
 use crate::addr::HostPhysAddr;
-use crate::exit::ExitInfo;
+use crate::exit::{ExitInfo, ExitReason};
 use crate::posted::PostedIntDescriptor;
 use covirt_trace::{pack_str, EventKind, Tracer};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Guest register state at launch (the subset the Pisces trampoline
@@ -90,9 +89,10 @@ pub struct Vmcs {
     pub launched: bool,
     /// Exit-information fields: the most recent exit.
     pub last_exit: Option<ExitInfo>,
-    /// Cumulative exit counts by reason name (instrumentation register —
-    /// stands in for the perf counters the paper reads).
-    pub exit_counts: HashMap<&'static str, u64>,
+    /// Cumulative exit counts, one per reason at [`ExitReason::index`]
+    /// (instrumentation register — stands in for the perf counters the
+    /// paper reads).
+    exit_counts: [u64; ExitReason::COUNT],
     /// Flight-recorder handle; exits emit `ExitEnter` events when set.
     pub tracer: Option<Tracer>,
 }
@@ -105,7 +105,7 @@ impl Vmcs {
 
     /// Record an exit in the exit-information fields.
     pub fn record_exit(&mut self, info: ExitInfo) {
-        *self.exit_counts.entry(info.reason.name()).or_insert(0) += 1;
+        self.exit_counts[info.reason.index()] += 1;
         if let Some(t) = &self.tracer {
             if t.enabled() {
                 let (a, b) = pack_str(info.reason.name());
@@ -113,6 +113,15 @@ impl Vmcs {
             }
         }
         self.last_exit = Some(info);
+    }
+
+    /// The exits recorded so far, as (reason name, count) pairs of the
+    /// reasons that occurred, in [`ExitReason::index`] order.
+    pub fn exit_counts(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        ExitReason::NAMES
+            .into_iter()
+            .zip(self.exit_counts)
+            .filter(|&(_, n)| n > 0)
     }
 }
 
@@ -127,7 +136,7 @@ pub fn new_vmcs() -> VmcsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exit::ExitReason;
+    use std::collections::HashMap;
 
     #[test]
     fn defaults() {
@@ -154,8 +163,10 @@ mod tests {
             reason: ExitReason::Hlt,
             tsc: 30,
         });
-        assert_eq!(v.exit_counts["cpuid"], 2);
-        assert_eq!(v.exit_counts["hlt"], 1);
+        let counts: HashMap<_, _> = v.exit_counts().collect();
+        assert_eq!(counts["cpuid"], 2);
+        assert_eq!(counts["hlt"], 1);
+        assert_eq!(counts.len(), 2, "a reason that never exited is not listed");
         assert_eq!(v.last_exit.unwrap().tsc, 30);
     }
 }

@@ -180,31 +180,49 @@ proptest! {
         prop_assert!(q.wait(*seqs.last().unwrap(), 1, None, &|| true).is_ok());
     }
 
-    /// Whitelist algebra: grants and revocations compose like set ops.
+    /// Whitelist algebra: grants and revocations compose like set ops, and
+    /// vectors added or removed after construction move the base predicate.
+    /// Destinations past the core bitmap (`usize::MAX` included) and the
+    /// top vector are probed on every case.
     #[test]
     fn whitelist_set_semantics(
         base_cores in proptest::collection::hash_set(0usize..16, 0..4),
         base_vectors in proptest::collection::hash_set(any::<u8>(), 0..4),
-        grants in proptest::collection::vec((0usize..16, any::<u8>()), 0..8),
-        probe in (0usize..16, any::<u8>()),
+        added in proptest::collection::hash_set(any::<u8>(), 0..4),
+        removed in proptest::collection::hash_set(any::<u8>(), 0..4),
+        grants in proptest::collection::vec((0usize..80, any::<u8>()), 0..8),
+        probe in (0usize..80, any::<u8>()),
     ) {
         use covirt_suite::covirt::whitelist::IpiWhitelist;
         let w = IpiWhitelist::new(base_cores.iter().copied(), base_vectors.iter().copied());
+        // A grant reaches past the core bitmap too.
+        let grants: Vec<(usize, u8)> = grants.into_iter().chain([(usize::MAX, 0xff)]).collect();
+        for &v in &added {
+            w.add_vector(v);
+        }
+        for &v in &removed {
+            w.remove_vector(v);
+        }
+        let vectors: std::collections::HashSet<u8> =
+            base_vectors.union(&added).filter(|v| !removed.contains(v)).copied().collect();
         for &(c, v) in &grants {
             w.grant(c, v);
         }
-        let (pc, pv) = probe;
-        let expect = (base_cores.contains(&pc) && base_vectors.contains(&pv))
-            || grants.contains(&(pc, pv));
-        prop_assert_eq!(w.would_allow(pc, pv), expect);
+        let base = |c: usize, v: u8| base_cores.contains(&c) && vectors.contains(&v);
+        let probes = [probe.0, 16, 64, 1 << 20, usize::MAX]
+            .into_iter()
+            .flat_map(|c| [(c, probe.1), (c, 0xff)]);
+        for (pc, pv) in probes.clone() {
+            let expect = base(pc, pv) || grants.contains(&(pc, pv));
+            prop_assert_eq!(w.would_allow(pc, pv), expect);
+        }
         // Revoking all grants restores the base predicate.
         for &(c, v) in &grants {
             w.revoke(c, v);
         }
-        prop_assert_eq!(
-            w.would_allow(pc, pv),
-            base_cores.contains(&pc) && base_vectors.contains(&pv)
-        );
+        for (pc, pv) in probes {
+            prop_assert_eq!(w.would_allow(pc, pv), base(pc, pv));
+        }
     }
 
     /// MemMap: after any sequence of adds/removes, regions never overlap
