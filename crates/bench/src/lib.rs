@@ -278,7 +278,7 @@ pub fn render_shootdown(r: &ShootdownRun) -> String {
 
 /// Render the `figures report` page of one traced shootdown run: the
 /// per-core count table, the audit engine's page over the same capture
-/// (region and command lifecycles, the per-enclave latency budget rows),
+/// (region and command lifecycles, the per-enclave latency rows),
 /// the slowest of the command completions it stitched, and each zone's
 /// memory in use.
 pub fn render_report(run: &ShootdownRun) -> String {
@@ -311,30 +311,6 @@ pub fn render_report(run: &ShootdownRun) -> String {
             z,
             total >> 20,
             in_use >> 10
-        ));
-    }
-    out
-}
-
-/// Render one `selfheal` arm: what the live tail delivered and what the
-/// remediation policy did about it.
-pub fn render_selfheal(arm: &str, r: &workloads::selfheal::SelfhealReport) -> String {
-    let mut out = format!(
-        "{arm}: live tail {} batch(es), {} event(s) delivered, {} lapped\n",
-        r.batches, r.events, r.dropped
-    );
-    if r.actions.is_empty() {
-        out.push_str("remediation actions: none\n");
-    } else {
-        out.push_str("remediation actions:\n");
-        for a in &r.actions {
-            out.push_str(&format!("  - {a}\n"));
-        }
-    }
-    if let Some(mttr) = r.mttr_ns {
-        out.push_str(&format!(
-            "MTTR {mttr} ns ({} event(s) fault -> remediation)\n",
-            r.events_to_remediate
         ));
     }
     out
@@ -455,9 +431,10 @@ mod tests {
             // Skip the rest of the title line and the column header.
             rows.lines().skip(2).collect::<Vec<_>>()
         };
-        let enclaves = section("per-enclave budget report:");
+        let enclaves = section("per-enclave report:");
         assert_eq!(enclaves.len(), 1, "{text}");
-        assert!(enclaves[0].trim_end().ends_with("OK"), "{text}");
+        // No fault, so no fault -> teardown latency.
+        assert!(enclaves[0].trim_end().ends_with(" -"), "{text}");
         let zones = section("per-zone memory:");
         assert_eq!(zones.len(), run.node.topology.zones, "{text}");
         let latencies: Vec<u64> = section("slowest command completions")

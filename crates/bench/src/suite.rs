@@ -18,7 +18,7 @@ use crate::gate::GateResult;
 use crate::{
     render_exitless, render_fig3, render_fig4, render_fig5a, render_fig5b, render_fig8,
     render_numa_points, render_overhead_arm, render_profile, render_scaling, render_scaling_points,
-    render_selfheal, render_shootdown,
+    render_shootdown,
 };
 use covirt::config::CovirtConfig;
 use covirt::stats::{median, overhead_pct};
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use workloads::figures::{self, Scale};
 use workloads::scaling::ScalingParams;
-use workloads::{audit, exitless, profile, scaling, selfheal, shootdown, table1};
+use workloads::{audit, exitless, profile, scaling, shootdown, table1};
 
 /// Default trials per harness for `figures bench`.
 pub const DEFAULT_TRIALS: usize = 3;
@@ -305,43 +305,6 @@ pub const GATES: &[MetricSpec] = &[
         max: None,
         gate_on: GateOn::Worst,
     },
-    // -- selfheal: live tail + remediation ----------------------------------
-    MetricSpec {
-        harness: "selfheal",
-        metric: "clean_actions",
-        unit: "count",
-        direction: Direction::Lower,
-        min: None,
-        max: Some(0.0),
-        gate_on: GateOn::Worst,
-    },
-    MetricSpec {
-        harness: "selfheal",
-        metric: "mttr_ns",
-        unit: "ns",
-        direction: Direction::Lower,
-        min: Some(1.0),
-        max: None,
-        gate_on: GateOn::Worst,
-    },
-    MetricSpec {
-        harness: "selfheal",
-        metric: "events_to_remediate",
-        unit: "count",
-        direction: Direction::Lower,
-        min: None,
-        max: Some(76.0),
-        gate_on: GateOn::Worst,
-    },
-    MetricSpec {
-        harness: "selfheal",
-        metric: "quarantined_live",
-        unit: "bool",
-        direction: Direction::Higher,
-        min: Some(1.0),
-        max: None,
-        gate_on: GateOn::Worst,
-    },
     // -- audit: protection-audit engine -------------------------------------
     MetricSpec {
         harness: "audit",
@@ -376,6 +339,16 @@ pub const GATES: &[MetricSpec] = &[
         unit: "count",
         direction: Direction::Higher,
         min: Some(1.0),
+        max: None,
+        gate_on: GateOn::Worst,
+    },
+    // Info: host wall-clock, so a bound waits for a virtual clock.
+    MetricSpec {
+        harness: "audit",
+        metric: "fault_to_teardown_ns",
+        unit: "ns",
+        direction: Direction::Lower,
+        min: None,
         max: None,
         gate_on: GateOn::Worst,
     },
@@ -414,15 +387,6 @@ pub const GATES: &[MetricSpec] = &[
         direction: Direction::Lower,
         min: None,
         max: Some(0.0),
-        gate_on: GateOn::Worst,
-    },
-    MetricSpec {
-        harness: "profile",
-        metric: "fault_throttled",
-        unit: "bool",
-        direction: Direction::Higher,
-        min: Some(1.0),
-        max: None,
         gate_on: GateOn::Worst,
     },
     // -- traceovh: flight-recorder off-path cost ----------------------------
@@ -581,21 +545,12 @@ pub const HARNESSES: &[Harness] = &[
         measure: exitless,
     },
     Harness {
-        name: "selfheal",
-        help: "live audit tail with self-healing control feedback: the clean\n\
-               arm must take zero remediation actions; in the fault arm the\n\
-               injected violation must be detected live and the enclave\n\
-               quarantined, with the detection->remediation latency (MTTR)\n\
-               printed",
-        in_all: false,
-        measure: selfheal,
-    },
-    Harness {
         name: "audit",
         help: "protection audit: a clean lifecycle workload through the audit\n\
                engine (lifecycles, violations — expected: zero — and the\n\
-               per-enclave budget report), then a contained fault the engine\n\
-               must attribute to the faulting enclave",
+               per-enclave report), then a contained fault the engine must\n\
+               attribute to the faulting enclave, with its fault->teardown\n\
+               latency",
         in_all: false,
         measure: audit,
     },
@@ -607,9 +562,9 @@ pub const HARNESSES: &[Harness] = &[
                must match wall-clock TSC per core and the profiler-off STREAM\n\
                path must keep up with the enabled one (judged on the best of\n\
                --trials). Then a bystander\n\
-               enclave runs beside a misbehaving one (SLO-throttled, then\n\
-               fault-quarantined): the ShootdownWait/Throttled spike must\n\
-               land on the culprit and the bystander stay clean",
+               enclave runs beside a misbehaving one (reclaim churn, then a\n\
+               contained fault): the ShootdownWait spike must land on the\n\
+               culprit and the bystander stay clean",
         in_all: false,
         measure: profile,
     },
@@ -708,23 +663,6 @@ fn exitless(_: &Ctx, c: &mut Collector) -> String {
     render_exitless(&nmi, &doorbell, &conc, &parked)
 }
 
-fn selfheal(_: &Ctx, c: &mut Collector) -> String {
-    let clean = selfheal::clean_run();
-    c.push("clean_actions", clean.actions.len() as f64);
-    let fault = selfheal::fault_run();
-    c.push("mttr_ns", fault.mttr_ns.map_or(0.0, |n| n as f64));
-    c.push("events_to_remediate", fault.events_to_remediate as f64);
-    c.push(
-        "quarantined_live",
-        (fault.quarantined() && fault.quarantined_live) as u64 as f64,
-    );
-    format!(
-        "{}\n{}",
-        render_selfheal("clean run", &clean),
-        render_selfheal("fault run", &fault)
-    )
-}
-
 fn audit(_: &Ctx, c: &mut Collector) -> String {
     let clean = audit::audit_trace(&audit::clean_run().node);
     c.push("clean_violations", clean.violations.len() as f64);
@@ -738,6 +676,10 @@ fn audit(_: &Ctx, c: &mut Collector) -> String {
         .filter(|v| v.enclave == Some(run.enclave))
         .count();
     c.push("fault_attributed_violations", attributed as f64);
+    let fault_to_teardown = fault.enclaves[&run.enclave]
+        .fault_to_teardown_ns
+        .expect("the contained fault tears its enclave down");
+    c.push("fault_to_teardown_ns", fault_to_teardown as f64);
     format!(
         "clean run\n{}\nfault run: {attributed} violation(s) attributed to enclave {}\n{}",
         clean.render(),
@@ -755,17 +697,10 @@ fn profile(ctx: &Ctx, c: &mut Collector) -> String {
     let arm = profile::profiler_overhead_arm();
     c.push("profiler_off_deficit_pct", arm.deficit_pct());
     let fr = profile::fault_run();
-    let spike = |e| {
-        fr.enclave_phase_cycles(e, Phase::ShootdownWait)
-            + fr.enclave_phase_cycles(e, Phase::Throttled)
-    };
+    let spike = |e| fr.enclave_phase_cycles(e, Phase::ShootdownWait);
     c.push("fault_culprit_spike_cycles", spike(fr.enclave) as f64);
     let bystander = fr.bystander.expect("fault run has a bystander");
     c.push("bystander_controller_cycles", spike(bystander) as f64);
-    let throttled = fr.actions.iter().any(|a| {
-        matches!(a, pisces::RemediationAction::Throttle { enclave, .. } if *enclave == fr.enclave)
-    });
-    c.push("fault_throttled", throttled as u64 as f64);
 
     let mut out = format!("clean run\n{}", render_profile(&clean));
     if ctx.report {
@@ -1049,10 +984,6 @@ mod tests {
         "exitless.parked_escalations >= 1",
         "exitless.parked_escalated_after_bound >= 1",
         "exitless.parked_completed >= 1",
-        "selfheal.clean_actions <= 0",
-        "selfheal.mttr_ns >= 1",
-        "selfheal.events_to_remediate <= 76",
-        "selfheal.quarantined_live >= 1",
         "audit.clean_violations <= 0",
         "audit.region_lifecycles >= 1",
         "audit.command_chains >= 1",
@@ -1061,7 +992,6 @@ mod tests {
         "profile.profiler_off_deficit_pct <= 5",
         "profile.fault_culprit_spike_cycles >= 1",
         "profile.bystander_controller_cycles <= 0",
-        "profile.fault_throttled >= 1",
         "traceovh.recorder_off_deficit_pct <= 5",
     ];
 
@@ -1116,7 +1046,6 @@ mod tests {
             "scaling",
             "numa",
             "exitless",
-            "selfheal",
             "profile",
             "audit",
             "traceovh",

@@ -212,8 +212,8 @@ impl MasterControl {
     /// Pisces fault report). Reclaims it and notifies every living enclave
     /// that shared a segment with it, as the paper's master control
     /// process is responsible for. An enclave already reclaimed has left
-    /// the host and its sharers were told then: a later report (another of
-    /// its cores, the remediation loop) is `Ok` and does nothing.
+    /// the host and its sharers were told then: a later report (from
+    /// another of its cores) is `Ok` and does nothing.
     pub fn handle_enclave_failure(&self, failed: u64, reason: &str) -> HobbesResult<()> {
         let Ok(enclave) = self.host.enclave(EnclaveId(failed)) else {
             return Ok(());

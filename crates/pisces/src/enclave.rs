@@ -6,7 +6,6 @@ use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::MemWindow;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Enclave identifier, unique per host.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -85,11 +84,6 @@ pub struct Enclave {
     /// Host→enclave replies the control ring had no room for, oldest
     /// first; [`crate::host::PiscesHost::process_acks`] sends them on.
     pub(crate) parked_replies: Mutex<VecDeque<CtrlMsg>>,
-    /// Self-healing control flag, orthogonal to the lifecycle state: a
-    /// remediation policy quarantines an enclave with a confirmed
-    /// protection violation. A flag, not a state — the lifecycle machine
-    /// keeps its invariants.
-    quarantined: AtomicBool,
 }
 
 impl Enclave {
@@ -105,20 +99,7 @@ impl Enclave {
             mgmt,
             ctrl: Mutex::new(None),
             parked_replies: Mutex::new(VecDeque::new()),
-            quarantined: AtomicBool::new(false),
         }
-    }
-
-    /// Whether this enclave has been quarantined.
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Acquire)
-    }
-
-    /// Quarantine the enclave: no new resources may be granted to it
-    /// (`PiscesHost::add_memory` refuses). One-way; returns `true` only
-    /// for the transition, so a policy acts exactly once.
-    pub fn quarantine(&self) -> bool {
-        !self.quarantined.swap(true, Ordering::AcqRel)
     }
 
     /// Current state (cloned snapshot).
@@ -276,18 +257,6 @@ mod tests {
                 proptest::prop_assert_eq!(e.state(), states[at].clone());
             }
         }
-    }
-
-    #[test]
-    fn quarantine_flag() {
-        let e = enclave();
-        assert!(!e.is_quarantined());
-        // Quarantine reports the transition exactly once.
-        assert!(e.quarantine());
-        assert!(!e.quarantine());
-        assert!(e.is_quarantined());
-        // The flag does not disturb the lifecycle state machine.
-        assert_eq!(e.state(), EnclaveState::Created);
     }
 
     #[test]

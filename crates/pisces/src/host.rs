@@ -17,7 +17,7 @@ use covirt_simhw::node::SimNode;
 use covirt_simhw::topology::ZoneId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// First dynamically allocatable IPI vector (below are legacy/exception
@@ -43,9 +43,6 @@ pub struct PiscesHost {
     next_id: AtomicU64,
     assigned_cores: Mutex<HashSet<usize>>,
     vector_pool: Mutex<VecDeque<u8>>,
-    /// When set (by a remediation policy whose observability degraded),
-    /// new enclave admission is refused until the flag clears.
-    admission_shed: AtomicBool,
 }
 
 impl PiscesHost {
@@ -58,20 +55,7 @@ impl PiscesHost {
             next_id: AtomicU64::new(1),
             assigned_cores: Mutex::new(HashSet::from([0])),
             vector_pool: Mutex::new((VECTOR_POOL_FIRST..=VECTOR_POOL_LAST).collect()),
-            admission_shed: AtomicBool::new(false),
         })
-    }
-
-    /// Whether new enclave admission is currently shed.
-    pub fn admission_shed(&self) -> bool {
-        self.admission_shed.load(Ordering::Acquire)
-    }
-
-    /// Shed (or re-open) admission of new enclaves. Returns the previous
-    /// value. Set by remediation when ring-drop rates mark the audit
-    /// evidence too incomplete to vouch for new tenants.
-    pub fn set_admission_shed(&self, on: bool) -> bool {
-        self.admission_shed.swap(on, Ordering::AcqRel)
     }
 
     /// The node this framework manages.
@@ -112,11 +96,6 @@ impl PiscesHost {
     /// parameters. The enclave is left in `Loaded` state. A request that
     /// fails part-way hands back everything it had claimed.
     pub fn create_enclave(&self, name: &str, req: &ResourceRequest) -> PiscesResult<Arc<Enclave>> {
-        if self.admission_shed() {
-            return Err(PiscesError::ResourceBusy(
-                "admission shed: observability degraded",
-            ));
-        }
         // What has been claimed so far, for `release` on any failure.
         let mut spec = ResourceSpec::new();
         let mut mgmt = None;
@@ -209,7 +188,7 @@ impl PiscesHost {
             .ok()
             .and_then(|w| CtrlChannel::create(&w).ok())
             .ok_or(PiscesError::Invalid("control channel setup failed"))?;
-        chan.set_tracer(self.node.controller_tracer());
+        chan.set_tracer(self.node.controller_tracer().with_enclave(id.0));
         enclave.set_ctrl(chan);
 
         // Boot parameters at the head of the management region.
@@ -296,9 +275,6 @@ impl PiscesHost {
                 enclave: enclave.id.0,
                 op: "add_memory",
             });
-        }
-        if enclave.is_quarantined() {
-            return Err(PiscesError::Vetoed("enclave is quarantined"));
         }
         let range = self.node.mem.alloc_backed(zone, bytes, PAGE_SIZE_2M)?;
         if let Err(e) = self.run_hooks(|h| h.on_mem_add_prepared(enclave, range)) {
@@ -932,7 +908,9 @@ mod tests {
                     if orderly {
                         h.teardown(&e)
                     } else {
-                        h.report_fault(&e, "raced remediation")
+                        // The same fault reported again from another core,
+                        // as Hobbes' failure handler does.
+                        h.report_fault(&e, "raced second report")
                     }
                 });
                 (fault.join().unwrap(), other.join().unwrap())
@@ -980,6 +958,8 @@ mod tests {
     /// running, and a refusal leaves it loaded.
     #[test]
     fn launch_hook_runs_before_the_enclave_runs_and_may_refuse() {
+        use std::sync::atomic::AtomicBool;
+
         struct Interpose(AtomicBool);
         impl EnclaveHooks for Interpose {
             fn on_launch(&self, e: &Enclave) -> PiscesResult<()> {

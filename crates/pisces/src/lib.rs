@@ -24,8 +24,6 @@
 //!   controller depends on. The host's methods are the management
 //!   interface; the `/dev/pisces` ioctl numbering the real module puts in
 //!   front of them is not modelled.
-//! * **Self-healing** ([`remediation`]) — audit verdicts fed back into
-//!   the host as quarantine, teardown and admission control.
 
 #![cfg_attr(
     not(test),
@@ -42,14 +40,12 @@ pub mod ctrlchan;
 pub mod enclave;
 pub mod hooks;
 pub mod host;
-pub mod remediation;
 pub mod resources;
 pub mod ring;
 pub mod wire;
 
 pub use enclave::{Enclave, EnclaveId, EnclaveState};
 pub use host::PiscesHost;
-pub use remediation::{RemediationAction, RemediationConfig, RemediationPolicy};
 pub use resources::ResourceSpec;
 
 /// Errors produced by the framework.

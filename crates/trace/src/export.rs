@@ -195,9 +195,9 @@ fn enclave_frame(enclave: Option<u64>) -> String {
 /// Folded-stack flamegraph lines from a profile snapshot:
 /// `phase;enclave;detail cycles`, one line per non-zero cell, suitable
 /// for `flamegraph.pl` / speedscope "folded" import. Per-core cycles get
-/// a `coreN` leaf; controller-side overlay attribution (shootdown waits,
-/// throttle intervals) gets a `controller` leaf so off-core costs stay
-/// distinguishable from on-core phase time.
+/// a `coreN` leaf; controller-side overlay attribution (shootdown waits)
+/// gets a `controller` leaf so off-core costs stay distinguishable from
+/// on-core phase time.
 pub fn to_folded(snap: &ProfileSnapshot) -> String {
     let mut out = String::new();
     for lane in &snap.lanes {

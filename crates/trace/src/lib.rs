@@ -11,10 +11,10 @@
 //!   `enabled` branch so the hot paths pay nothing when tracing is off;
 //! * **exporters** ([`export`]) rendering a merged chronological dump as
 //!   JSON Lines or chrome://tracing JSON;
-//! * an online **protection-audit engine** ([`audit`]) that streams a
-//!   dump through lifecycle stitching, invariant checkers and per-enclave
-//!   SLO watchdogs, bucketing every latency the events carry into the
-//!   one log2 histogram ([`hist`]).
+//! * a **protection-audit engine** ([`audit`]) that streams a dump
+//!   through lifecycle stitching, invariant checkers and per-enclave
+//!   attribution, bucketing every latency the events carry into the one
+//!   log2 histogram ([`hist`]).
 //!
 //! The crate holds no counters. Counts live on the component that counts
 //! them (`CoreCounters`, `TlbStats`, `ZoneStats`, the controller's
@@ -288,15 +288,6 @@ fn decode((idx, [tsc, meta, a, b]): (u64, [u64; 4])) -> Option<TraceEvent> {
     })
 }
 
-/// [`SeqRing::tail_from`] decoded; an undecodable record counts as lost.
-fn tail_lane(lane: &SeqRing, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
-    let (records, next, dropped) = lane.tail_from(cursor);
-    let read = records.len() as u64;
-    let events: Vec<TraceEvent> = records.into_iter().filter_map(decode).collect();
-    let undecodable = read - events.len() as u64;
-    (events, next, dropped + undecodable)
-}
-
 /// The flight recorder: one ring per lane, plus the phase profiler that
 /// shares the lane layout.
 pub struct Recorder {
@@ -385,39 +376,6 @@ impl Recorder {
             .collect();
         all.sort_by_key(|e| (e.tsc, e.lane, e.idx));
         all
-    }
-
-    /// Live-tail one lane from a cursor: `(events, next_cursor,
-    /// dropped_since)`. The cursor is the next undelivered stream index
-    /// (start at 0); feed `next_cursor` back in to stream the lane
-    /// incrementally while writers are still emitting. `dropped_since`
-    /// counts records in the cursor window the ring overwrote before they
-    /// could be delivered. Unknown lanes return an empty batch with the
-    /// cursor unchanged.
-    pub fn tail_from(&self, lane: u32, cursor: u64) -> (Vec<TraceEvent>, u64, u64) {
-        self.lanes
-            .get(lane as usize)
-            .map(|l| tail_lane(l, cursor))
-            .unwrap_or((Vec::new(), cursor, 0))
-    }
-
-    /// Live-tail every lane at once, merging the batches chronologically.
-    /// `cursors` is resized to the lane count (new lanes start at 0) and
-    /// advanced in place; returns `(events, dropped_since)` summed across
-    /// lanes. Within a lane the merged batch preserves stream order, so
-    /// incremental consumers (the audit engine) see each lane gap-free.
-    pub fn tail_all(&self, cursors: &mut Vec<u64>) -> (Vec<TraceEvent>, u64) {
-        cursors.resize(self.lanes.len(), 0);
-        let mut all = Vec::new();
-        let mut dropped = 0;
-        for (lane, cursor) in cursors.iter_mut().enumerate() {
-            let (events, next, d) = tail_lane(&self.lanes[lane], *cursor);
-            all.extend(events);
-            *cursor = next;
-            dropped += d;
-        }
-        all.sort_by_key(|e| (e.tsc, e.lane, e.idx));
-        (all, dropped)
     }
 
     /// Total events ever emitted (including overwritten ones).
@@ -748,9 +706,6 @@ mod tests {
         assert_eq!(r.dropped(), 0);
         assert_eq!(r.drops_per_lane(), Vec::<u64>::new());
         assert!(r.drain().is_empty());
-        let (events, next, dropped) = r.tail_from(0, 0);
-        assert!(events.is_empty());
-        assert_eq!((next, dropped), (0, 0));
     }
 
     #[test]
@@ -762,80 +717,5 @@ mod tests {
         r.set_enabled(true);
         r.emit(0, EventKind::Grant, 1, 2, 3);
         assert_eq!(r.drain().len(), 1);
-    }
-
-    #[test]
-    fn tail_from_is_incremental_without_double_delivery() {
-        let r = recorder();
-        for i in 0..5u64 {
-            r.emit(0, EventKind::CmdPost, 100 + i, i, 0);
-        }
-        let (batch1, cur, d1) = r.tail_from(0, 0);
-        assert_eq!(batch1.len(), 5);
-        assert_eq!((cur, d1), (5, 0));
-
-        // Nothing new: cursor stays put, nothing re-delivered.
-        let (empty, cur2, d2) = r.tail_from(0, cur);
-        assert!(empty.is_empty());
-        assert_eq!((cur2, d2), (5, 0));
-
-        for i in 5..8u64 {
-            r.emit(0, EventKind::CmdPost, 100 + i, i, 0);
-        }
-        let (batch2, cur3, d3) = r.tail_from(0, cur2);
-        assert_eq!(
-            batch2.iter().map(|e| e.idx).collect::<Vec<_>>(),
-            vec![5, 6, 7]
-        );
-        assert_eq!((cur3, d3), (8, 0));
-    }
-
-    #[test]
-    fn tail_from_counts_lapped_records_as_dropped() {
-        let r = recorder(); // capacity 16 per lane
-        for i in 0..40u64 {
-            r.emit(0, EventKind::CmdPost, 100 + i, i, 0);
-        }
-        let (events, cur, dropped) = r.tail_from(0, 0);
-        assert_eq!(events.len(), 16);
-        assert_eq!(events.first().unwrap().idx, 24);
-        assert_eq!(cur, 40);
-        assert_eq!(dropped, 24);
-        // Accounting invariant: delivered + dropped == emitted.
-        assert_eq!(events.len() as u64 + dropped, r.lane_emitted(0));
-        // A stale cursor mid-ring only loses the overwritten prefix.
-        let (tail, cur2, d2) = r.tail_from(0, 30);
-        assert_eq!(tail.first().unwrap().idx, 30);
-        assert_eq!((cur2, d2), (40, 0));
-    }
-
-    #[test]
-    fn tail_from_future_cursor_stays_put() {
-        let r = recorder();
-        r.emit(0, EventKind::Grant, 1, 0, 0);
-        let (events, cur, dropped) = r.tail_from(0, 99);
-        assert!(events.is_empty());
-        assert_eq!((cur, dropped), (99, 0));
-    }
-
-    #[test]
-    fn tail_all_merges_lanes_and_advances_cursors() {
-        let r = recorder();
-        r.emit(1, EventKind::CmdPost, 30, 7, 1);
-        r.emit(0, EventKind::Grant, 10, 0x1000, 0x2000);
-        r.emit(2, EventKind::CmdComplete, 20, 7, 900);
-        let mut cursors = Vec::new();
-        let (events, dropped) = r.tail_all(&mut cursors);
-        assert_eq!(dropped, 0);
-        assert_eq!(
-            events.iter().map(|e| e.tsc).collect::<Vec<_>>(),
-            vec![10, 20, 30]
-        );
-        assert_eq!(cursors, vec![1, 1, 1]);
-        r.emit(0, EventKind::Reclaim, 40, 0x1000, 0x2000);
-        let (events, _) = r.tail_all(&mut cursors);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::Reclaim);
-        assert_eq!(cursors, vec![2, 1, 1]);
     }
 }

@@ -27,11 +27,10 @@
 //! RDTSC.
 //!
 //! Controller-side costs that execute on arbitrary threads (shootdown
-//! completion waits, remediation throttle intervals) cannot join a
-//! per-core timeline without breaking conservation; they are attributed
-//! per enclave through the **overlay** ([`PhaseProfiler::attribute`]),
-//! reported alongside the per-core totals but excluded from the
-//! conservation check.
+//! completion waits) cannot join a per-core timeline without breaking
+//! conservation; they are attributed per enclave through the **overlay**
+//! ([`PhaseProfiler::attribute`]), reported alongside the per-core totals
+//! but excluded from the conservation check.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,18 +53,15 @@ pub enum Phase {
     /// Waiting on broadcast shootdown completions (overlay: attributed
     /// to the enclave whose reclaim forced the wait).
     ShootdownWait = 4,
-    /// Enclave throttled by the remediation policy (overlay: wall time
-    /// between throttle and unthrottle/quarantine).
-    Throttled = 5,
     /// Safe-point servicing not otherwise attributed (timer poll, IRR
     /// scan, doorbell check on the no-work path).
-    SafePoint = 6,
+    SafePoint = 5,
     /// Core parked (terminated enclave) or trailing time at finish.
-    Idle = 7,
+    Idle = 6,
 }
 
 /// Number of phases (array dimension for per-slot counters).
-pub const NUM_PHASES: usize = 8;
+pub const NUM_PHASES: usize = 7;
 
 impl Phase {
     /// Every phase, in display order.
@@ -75,7 +71,6 @@ impl Phase {
         Phase::CmdHarvest,
         Phase::TlbMiss,
         Phase::ShootdownWait,
-        Phase::Throttled,
         Phase::SafePoint,
         Phase::Idle,
     ];
@@ -88,7 +83,6 @@ impl Phase {
             Phase::CmdHarvest => "cmd_harvest",
             Phase::TlbMiss => "tlb_miss",
             Phase::ShootdownWait => "shootdown_wait",
-            Phase::Throttled => "throttled",
             Phase::SafePoint => "safe_point",
             Phase::Idle => "idle",
         }
@@ -200,8 +194,8 @@ impl LaneProfile {
 pub struct ProfileSnapshot {
     /// Per-lane (per-core) profiles, lane order.
     pub lanes: Vec<LaneProfile>,
-    /// Controller-side per-enclave attribution (shootdown waits,
-    /// throttle intervals) — outside the per-core conservation sums.
+    /// Controller-side per-enclave attribution (shootdown waits) —
+    /// outside the per-core conservation sums.
     pub overlay: Vec<EnclavePhases>,
 }
 
@@ -276,10 +270,9 @@ impl PhaseProfiler {
     }
 
     /// Attribute `cycles` of `phase` to `enclave` on the controller
-    /// overlay — for control-plane costs (shootdown completion waits,
-    /// throttle intervals) that run on arbitrary threads and therefore
-    /// sit outside every per-core conservation sum. Gated on the
-    /// profiler flag.
+    /// overlay — for control-plane costs (shootdown completion waits)
+    /// that run on arbitrary threads and therefore sit outside every
+    /// per-core conservation sum. Gated on the profiler flag.
     pub fn attribute(&self, enclave: u64, phase: Phase, cycles: u64) {
         if !self.enabled() || cycles == 0 {
             return;
@@ -515,7 +508,7 @@ mod tests {
     fn overlay_attribution_is_per_enclave_and_off_conservation() {
         let prof = profiler(2);
         prof.attribute(7, Phase::ShootdownWait, 5_000);
-        prof.attribute(7, Phase::Throttled, 2_000);
+        prof.attribute(7, Phase::CmdHarvest, 2_000);
         prof.attribute(9, Phase::ShootdownWait, 100);
         prof.attribute(9, Phase::GuestExec, 0); // zero: dropped
         let snap = prof.snapshot();
@@ -524,14 +517,14 @@ mod tests {
         let by = snap.by_enclave();
         let e7 = by.iter().find(|e| e.enclave == Some(7)).unwrap();
         assert_eq!(e7.cycles[Phase::ShootdownWait as usize], 5_000);
-        assert_eq!(e7.cycles[Phase::Throttled as usize], 2_000);
+        assert_eq!(e7.cycles[Phase::CmdHarvest as usize], 2_000);
         let e9 = by.iter().find(|e| e.enclave == Some(9)).unwrap();
         assert_eq!(e9.total(), 100);
         // Disabled profiler drops attribution.
         prof.set_enabled(false);
-        prof.attribute(7, Phase::Throttled, 999);
+        prof.attribute(7, Phase::CmdHarvest, 999);
         assert_eq!(
-            prof.snapshot().by_enclave()[0].cycles[Phase::Throttled as usize],
+            prof.snapshot().by_enclave()[0].cycles[Phase::CmdHarvest as usize],
             2_000
         );
     }
@@ -580,13 +573,13 @@ mod tests {
     fn slot_overflow_aggregates_instead_of_failing() {
         let prof = profiler(1);
         for e in 0..(SLOTS as u64 + 4) {
-            prof.attribute(e, Phase::Throttled, 10);
+            prof.attribute(e, Phase::ShootdownWait, 10);
         }
         let snap = prof.snapshot();
         let total: u64 = snap
             .overlay
             .iter()
-            .map(|e| e.cycles[Phase::Throttled as usize])
+            .map(|e| e.cycles[Phase::ShootdownWait as usize])
             .sum();
         assert_eq!(total, (SLOTS as u64 + 4) * 10, "no attribution lost");
     }

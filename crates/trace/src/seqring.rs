@@ -110,51 +110,4 @@ impl SeqRing {
         out.sort_by_key(|r| r.0);
         out
     }
-
-    /// The committed records at stream indices `cursor..`, oldest first,
-    /// without consuming them: `(records, next_cursor, dropped_since)`.
-    /// The cursor is the next undelivered stream index; pass `next_cursor`
-    /// back in to tail incrementally. `dropped_since` counts records in
-    /// `cursor..next_cursor` the ring overwrote before (or while) they
-    /// could be read. Delivery is a strict prefix of the readable range —
-    /// the walk stops at the first slot whose write is still in flight, so
-    /// a record is never skipped and later delivered (no reordering, no
-    /// double delivery across calls).
-    pub(crate) fn tail_from(&self, cursor: u64) -> (Vec<(u64, [u64; WORDS])>, u64, u64) {
-        let next = self.next.load(Ordering::Acquire);
-        if next <= cursor {
-            // Nothing new; a cursor from the future stays put.
-            return (Vec::new(), cursor, 0);
-        }
-        // Everything older than one ring's worth is already overwritten.
-        let start = cursor.max(next.saturating_sub(self.capacity()));
-        let mut dropped = start - cursor;
-        let mut out = Vec::with_capacity((next - start) as usize);
-        let mut pos = start;
-        while pos < next {
-            let want = pos * 2 + 2;
-            let slot = self.slot(pos);
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq < want {
-                // The slot still holds older content or an in-flight
-                // write for `pos` (the writer reserves the index before
-                // committing). Stop so delivery stays a strict prefix;
-                // the next call resumes here.
-                break;
-            }
-            // `seq > want`: the ring lapped `pos` after the `next` load;
-            // a failed read: overwritten mid-read. Either way it is gone.
-            let read = if seq == want {
-                Self::read(slot, want)
-            } else {
-                None
-            };
-            match read {
-                Some(words) => out.push((pos, words)),
-                None => dropped += 1,
-            }
-            pos += 1;
-        }
-        (out, pos, dropped)
-    }
 }

@@ -26,7 +26,7 @@ pub fn clean_run() -> AuditRun {
     let world = scenario::world(2);
     world.node.recorder().set_enabled(true);
     scenario::stream_phase(&world);
-    scenario::reclaim_churn(&world, &mut || {});
+    scenario::reclaim_churn(&world);
     AuditRun {
         enclave: world.enclave.id.0,
         node: Arc::clone(&world.node),
@@ -39,7 +39,7 @@ pub fn clean_run() -> AuditRun {
 pub fn fault_run() -> AuditRun {
     let world = scenario::world(1);
     world.node.recorder().set_enabled(true);
-    scenario::contained_fault(&world, &mut || {});
+    scenario::contained_fault(&world);
     AuditRun {
         enclave: world.enclave.id.0,
         node: Arc::clone(&world.node),

@@ -190,24 +190,23 @@ impl World {
             return vec![r];
         }
         let f = &f;
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (rank, (mut g, slot)) in guests.drain(..).zip(out.iter_mut()).enumerate() {
-                handles.push(s.spawn(move |_| {
-                    let r = f(rank, &mut g);
-                    g.shutdown();
-                    *slot = Some(r);
-                }));
-            }
-            for h in handles {
-                h.join().expect("workload thread panicked");
-            }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = guests
+                .into_iter()
+                .enumerate()
+                .map(|(rank, mut g)| {
+                    s.spawn(move || {
+                        let r = f(rank, &mut g);
+                        g.shutdown();
+                        r
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("workload thread panicked"))
+                .collect()
         })
-        .expect("crossbeam scope failed");
-        out.into_iter()
-            .map(|r| r.expect("rank produced no result"))
-            .collect()
     }
 
     /// Launch every enclave core and keep it live — see [`LiveCores`].

@@ -32,7 +32,6 @@ pub mod profile;
 pub mod randomaccess;
 pub mod scaling;
 pub mod scenario;
-pub mod selfheal;
 pub mod selfish;
 pub mod shootdown;
 pub mod sparse;

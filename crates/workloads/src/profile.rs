@@ -4,22 +4,19 @@
 //! Two runs share one shape: enable the profiler, bracket every guest
 //! core with `profile_begin`/`profile_finish`, drive real workload
 //! traffic (STREAM plus a grant → touch → epoch-reclaim churn loop), and
-//! read the phase totals at the end. The clean run yields the per-enclave × per-phase cycle breakdown and the
-//! conservation check (accounted cycles must equal wall-clock TSC per
-//! core); the fault run adds a bystander enclave and a misbehaving one —
-//! SLO-degraded (throttled) and then fault-quarantined — and must pin
-//! the ShootdownWait/Throttled cycle spike on the misbehaving enclave,
-//! not the bystander.
+//! read the phase totals at the end. The clean run yields the per-enclave
+//! × per-phase cycle breakdown and the conservation check (accounted
+//! cycles must equal wall-clock TSC per core); the fault run adds a
+//! bystander enclave beside a misbehaving one — reclaim churn, then a
+//! contained fault — and must pin the ShootdownWait cycle spike on the
+//! misbehaving enclave, not the bystander.
 
 use covirt::GuestCore;
 use covirt_simhw::topology::{CoreId, ZoneId};
-use covirt_trace::audit::{AuditConfig, SloBudgets};
 use covirt_trace::{Phase, ProfileSnapshot};
-use pisces::RemediationAction;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::selfheal::Tailer;
 use crate::{scenario, stream, World};
 
 /// What a profile run measured.
@@ -30,8 +27,6 @@ pub struct ProfileReport {
     pub enclave: u64,
     /// The clean bystander enclave (fault runs only).
     pub bystander: Option<u64>,
-    /// Remediation actions the fault run's control loop took.
-    pub actions: Vec<RemediationAction>,
 }
 
 impl ProfileReport {
@@ -67,51 +62,28 @@ pub fn clean_run() -> ProfileReport {
     prof.set_enabled(true);
 
     scenario::stream_phase(&world);
-    scenario::reclaim_churn(&world, &mut || {});
+    scenario::reclaim_churn(&world);
 
     ProfileReport {
         snapshot: prof.snapshot(),
         enclave: world.enclave.id.0,
         bystander: None,
-        actions: Vec::new(),
     }
 }
 
 /// Fault run: a clean bystander enclave streams on its own core while
-/// the workload enclave churns reclaim epochs under a 1 ns shootdown SLO
-/// (guaranteed Throttle) and then hits a contained fault (Quarantine).
-/// The pump closes the control loop live — recorder tail → audit engine
-/// → remediation policy with the profiler attached — so every throttle
-/// interval the policy imposes becomes Throttled overlay cycles on the
-/// misbehaving enclave.
+/// the workload enclave churns reclaim epochs and then hits a contained
+/// fault. The churn's shootdown waits are ShootdownWait overlay cycles
+/// on the misbehaving enclave; none may land on the bystander.
 pub fn fault_run() -> ProfileReport {
     let world = scenario::world(2);
     let prof = Arc::clone(world.node.recorder().profiler());
     prof.set_enabled(true);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
 
-    // Live control loop with the profiler attached: a 1 ns shootdown-RTT
-    // budget makes the churn's real RTTs degrade the workload enclave,
-    // so the policy genuinely throttles it.
-    let mut tailer = Tailer::new(
-        &world,
-        AuditConfig {
-            budgets: SloBudgets {
-                shootdown_p99_ns: Some(1),
-                ..SloBudgets::default()
-            },
-            ..AuditConfig::default()
-        },
-    );
-    let clock_node = Arc::clone(&world.node);
-    tailer.policy.attach_profiler(
-        Arc::clone(&prof),
-        Arc::new(move || clock_node.clock.rdtsc()),
-    );
-
     // Bystander enclave on a core of its own, doing clean guest work for
     // the whole run. Its phase profile must stay free of ShootdownWait
-    // and Throttled cycles.
+    // cycles.
     let topo = world.node.topology.clone();
     let bystander_core = topo.total_cores() - 1 - 2;
     let req = pisces::resources::ResourceRequest::new(
@@ -150,21 +122,12 @@ pub fn fault_run() -> ProfileReport {
         })
     };
 
-    // Churn phase on the workload enclave's cores. The verdict pumped
-    // once they stop has the shootdown RTTs in the ring: it throttles.
-    let churn = scenario::reclaim_churn(&world, &mut || {
-        tailer.pump();
-    });
-
-    // Fault phase: a contained EPT violation on the first core, shut
-    // down to be relaunchable; the live loop must quarantine, which also
-    // closes the open throttle interval.
-    for g in churn.cores {
+    // Churn phase on the workload enclave's cores, shut down after so
+    // the fault phase can relaunch the first: a contained EPT violation.
+    for g in scenario::reclaim_churn(&world).cores {
         g.shutdown();
     }
-    scenario::contained_fault(&world, &mut || {});
-    tailer.pump_until_quarantined();
-    tailer.policy.flush_throttle_intervals();
+    scenario::contained_fault(&world);
 
     stop_by.store(true, Ordering::Release);
     by_thread.join().expect("bystander thread panicked");
@@ -173,7 +136,6 @@ pub fn fault_run() -> ProfileReport {
         snapshot: prof.snapshot(),
         enclave: world.enclave.id.0,
         bystander: Some(bystander_id),
-        actions: tailer.into_report().actions,
     }
 }
 
@@ -269,25 +231,15 @@ mod tests {
     fn fault_run_pins_the_spike_on_the_faulting_enclave() {
         let r = fault_run();
         let bystander = r.bystander.unwrap();
-        let spike = |e| {
-            r.enclave_phase_cycles(e, Phase::ShootdownWait)
-                + r.enclave_phase_cycles(e, Phase::Throttled)
-        };
+        let spike = |e| r.enclave_phase_cycles(e, Phase::ShootdownWait);
         assert!(
             spike(r.enclave) > 0,
-            "no ShootdownWait/Throttled cycles on the misbehaving enclave"
+            "no ShootdownWait cycles on the misbehaving enclave"
         );
         assert_eq!(
             spike(bystander),
             0,
             "bystander enclave was charged controller-side cycles"
-        );
-        assert!(
-            r.actions
-                .iter()
-                .any(|a| matches!(a, RemediationAction::Throttle { enclave, .. } if *enclave == r.enclave)),
-            "policy never throttled the degraded enclave: {:?}",
-            r.actions
         );
         assert!(
             r.enclave_phase_cycles(bystander, Phase::GuestExec) > 0,

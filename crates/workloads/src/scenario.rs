@@ -1,9 +1,9 @@
-//! The protocol scenarios the extension harnesses (`audit`, `selfheal`,
-//! `profile`, `shootdown`) share, each written once: a short STREAM phase
-//! for data-plane traffic, the Section IV grant → touch → epoch-reclaim
-//! churn against live cores, and the Section V contained fault. A harness
-//! builds its world, switches on what it observes (recorder, profiler,
-//! tailer), calls these, and reduces what they return.
+//! The protocol scenarios the extension harnesses (`audit`, `profile`,
+//! `shootdown`) share, each written once: a short STREAM phase for
+//! data-plane traffic, the Section IV grant → touch → epoch-reclaim churn
+//! against live cores, and the Section V contained fault. A harness
+//! builds its world, switches on what it observes (recorder, profiler),
+//! calls these, and reduces what they return.
 //!
 //! Every guest session a scenario opens is bracketed as a profiler session
 //! (`profile_begin` … `profile_finish`): free while the profiler is off,
@@ -55,12 +55,7 @@ pub struct Churn {
 /// Grant two 2 MiB ranges, let the co-kernel ack them, cache their
 /// translations on every (live, polling) core, then reclaim both inside
 /// one epoch so a single broadcast shootdown closes both lifecycles.
-///
-/// `between` runs on the driver's thread at every control-plane step —
-/// after the grants are acked, on every turn of each reclaim's ack wait,
-/// and after the cores stop — which is where a live observer pumps its
-/// tail.
-pub fn reclaim_churn(world: &World, between: &mut dyn FnMut()) -> Churn {
+pub fn reclaim_churn(world: &World) -> Churn {
     let ctl = world.controller.as_ref().expect("covirt world");
     let (enclave, kernel) = (&world.enclave, &world.kernel);
     let pisces = world.master.pisces();
@@ -74,7 +69,6 @@ pub fn reclaim_churn(world: &World, between: &mut dyn FnMut()) -> Churn {
     let ranges = [grant(), grant()];
     kernel.poll_ctrl().expect("co-kernel poll");
     pisces.process_acks(enclave).expect("grant acks");
-    between();
 
     // Every core fills its TLB with the soon-to-be-stale entries before
     // the reclaim starts, then keeps polling so the flushes get serviced.
@@ -94,12 +88,10 @@ pub fn reclaim_churn(world: &World, between: &mut dyn FnMut()) -> Churn {
         while enclave.resources().mem.contains(&r) {
             kernel.poll_ctrl().expect("co-kernel poll");
             pisces.process_acks(enclave).expect("reclaim ack");
-            between();
         }
     }
     ctl.end_reclaim_epoch(enclave.id.0).expect("epoch close");
     let cores = live.stop();
-    between();
 
     Churn {
         ranges,
@@ -109,23 +101,12 @@ pub fn reclaim_churn(world: &World, between: &mut dyn FnMut()) -> Churn {
 }
 
 /// The enclave's first core writes one page past its last region (the
-/// paper's off-by-one bug) on a thread of its own, `between` running on
-/// the driver's thread until it is done; Covirt must contain it.
-pub fn contained_fault(world: &World, between: &mut dyn FnMut()) {
+/// paper's off-by-one bug); Covirt must contain it.
+pub fn contained_fault(world: &World) {
     let mut g = world.guest_core(world.cores[0]).expect("guest core");
-    let outcome = std::thread::scope(|s| {
-        let guest = s.spawn(move || {
-            g.profile_begin();
-            let outcome = g.execute_fault(faults::off_by_one_region(&world.kernel));
-            g.profile_finish();
-            outcome
-        });
-        while !guest.is_finished() {
-            between();
-            std::hint::spin_loop();
-        }
-        guest.join().expect("faulting core's thread panicked")
-    });
+    g.profile_begin();
+    let outcome = g.execute_fault(faults::off_by_one_region(&world.kernel));
+    g.profile_finish();
     assert!(
         matches!(outcome, FaultOutcome::Contained(_)),
         "covirt must contain the injected fault, got {outcome:?}"
@@ -142,8 +123,7 @@ mod tests {
         let world = world(2);
         let in_use = || world.node.mem.zone_usage(ZoneId(0)).unwrap().1;
         let before = in_use();
-        let mut steps = 0;
-        let churn = reclaim_churn(&world, &mut || steps += 1);
+        let churn = reclaim_churn(&world);
 
         assert_eq!(
             churn.shootdowns, 1,
@@ -156,8 +136,6 @@ mod tests {
         let held = world.enclave.resources().mem;
         assert!(churn.ranges.iter().all(|r| !held.contains(r)));
         assert_eq!(in_use(), before, "both grants returned to the zone");
-        // Grant acks, at least one ack wait per reclaim, cores stopped.
-        assert!(steps >= 4, "between ran {steps} times");
     }
 
     /// The two-phase broadcast: a shootdown posts to every live core
@@ -168,7 +146,7 @@ mod tests {
     fn every_post_of_a_shootdown_precedes_its_first_wait() {
         let world = world(4);
         world.node.recorder().set_enabled(true);
-        reclaim_churn(&world, &mut || {});
+        reclaim_churn(&world);
         // Posts and waits are both stamped by the controller's thread, so
         // their timestamps order them; each wait is on its core's lane.
         let (events, _) = world.node.drain_trace();

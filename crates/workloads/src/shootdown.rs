@@ -33,7 +33,7 @@ pub fn run(trace: bool) -> ShootdownRun {
     if trace {
         world.node.recorder().set_enabled(true);
     }
-    let churn = scenario::reclaim_churn(&world, &mut || {});
+    let churn = scenario::reclaim_churn(&world);
     ShootdownRun {
         shootdowns: churn.shootdowns,
         nmi_escalations: world

@@ -1,11 +1,16 @@
 //! End-to-end protection-audit proofs: the clean lifecycle workload must
-//! stream through the engine violation-free with complete chains, and
-//! the fault-injected workload must produce a violation attributed to
-//! the faulting enclave. Mirrors what the `figures audit` CI smoke runs.
+//! stream through the engine violation-free with complete chains, the
+//! fault-injected workload must produce a violation attributed to the
+//! faulting enclave, and a teardown with no cause of its own is an
+//! orphan attributed to the enclave torn down. Mirrors what the
+//! `figures audit` CI smoke runs.
 
+use covirt_suite::pisces::resources::ResourceRequest;
+use covirt_suite::simhw::topology::{CoreId, ZoneId};
 use covirt_suite::trace::audit::{audit_events, AuditConfig, ViolationKind};
 use covirt_suite::trace::{EventKind, Recorder, Tracer};
-use covirt_suite::workloads::audit::{clean_run, fault_run};
+use covirt_suite::workloads::audit::{audit_trace, clean_run, fault_run};
+use covirt_suite::workloads::scenario;
 use std::sync::Arc;
 
 #[test]
@@ -47,7 +52,7 @@ fn clean_run_is_violation_free_with_complete_lifecycles() {
         .expect("clean run must attribute events to its enclave");
     assert_eq!(stats.faults, 0);
     assert!(stats.shootdown_rtt_ns.count >= 1);
-    assert!(!stats.is_degraded());
+    assert_eq!(stats.fault_to_teardown_ns, None);
 
     let text = report.render();
     assert!(text.contains("violations: 0"));
@@ -76,13 +81,41 @@ fn fault_run_attributes_violation_to_faulting_enclave() {
         .any(|v| v.kind == ViolationKind::ProtectionFault));
     // Each violation ships its surrounding event window.
     assert!(attributed.iter().all(|v| !v.window.is_empty()));
-    // The fault also lands in the per-enclave rollup.
-    assert!(report.enclaves[&run.enclave].faults >= 1);
+    // The fault also lands in the per-enclave rollup, with the time its
+    // containment took to tear the enclave down.
+    let stats = &report.enclaves[&run.enclave];
+    assert!(stats.faults >= 1);
+    assert!(stats.fault_to_teardown_ns.is_some_and(|ns| ns > 0));
     // The teardown that followed the fault report is NOT an orphan.
     assert!(!report
         .violations
         .iter()
         .any(|v| v.kind == ViolationKind::OrphanTeardown));
+}
+
+/// One enclave's shutdown message excuses its own teardown, not another
+/// enclave's: after A shuts down in order, B torn down with neither a
+/// shutdown message nor a fault report is an orphan, attributed to B.
+#[test]
+fn teardown_without_its_own_shutdown_is_an_orphan() {
+    let world = scenario::world(1);
+    world.node.recorder().set_enabled(true);
+    let last_core = world.node.topology.total_cores() - 1;
+    let req = ResourceRequest::new(vec![CoreId(last_core)], vec![(ZoneId(0), 16 * 1024 * 1024)]);
+    let (b, _) = world.master.bring_up_enclave("b", &req).unwrap();
+    let (pisces, a) = (world.master.pisces(), &world.enclave);
+    pisces.request_shutdown(a).unwrap();
+    pisces.teardown(a).unwrap();
+    pisces.teardown(&b).unwrap();
+
+    let report = audit_trace(&world.node);
+    let orphans: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.kind == ViolationKind::OrphanTeardown)
+        .map(|v| v.enclave)
+        .collect();
+    assert_eq!(orphans, [Some(b.id.0)], "{}", report.render());
 }
 
 #[test]

@@ -146,80 +146,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-    /// A live tailer racing one emitter (the `tail_from` cursor contract):
-    /// every delivered event is whole (payload matches its reservation
-    /// index), no index is ever delivered twice, each call's accounting
-    /// satisfies `next_cursor - cursor == delivered + dropped`, and once
-    /// the emitter quiesces delivered + dropped equals *exactly* what was
-    /// emitted — laps past the cursor are reported, never silently eaten.
-    #[test]
-    fn live_tail_under_racing_emitter_is_exact(
-        per_lane in 100u64..2_000,
-        cap_log2 in 2u32..7,
-    ) {
-        let rec = Arc::new(Recorder::new(1, 1usize << cap_log2));
-        rec.set_enabled(true);
-        let clock = Arc::new(AtomicU64::new(1));
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-
-        let mut delivered = 0u64;
-        let mut dropped = 0u64;
-        let mut cursor = 0u64;
-        let mut last_idx: Option<u64> = None;
-
-        std::thread::scope(|s| {
-            {
-                let t = tracer_with_shared_clock(&rec, 0, &clock);
-                let done = Arc::clone(&done);
-                s.spawn(move || {
-                    for i in 0..per_lane {
-                        t.emit(EventKind::CmdPost, i, expected_b(0, i));
-                    }
-                    done.store(true, Ordering::Release);
-                });
-            }
-            loop {
-                // Read the flag *before* tailing: if the emitter had
-                // already quiesced, this tail call sees its every record.
-                let quiesced = done.load(Ordering::Acquire);
-                let (batch, next, d) = rec.tail_from(0, cursor);
-                prop_assert_eq!(
-                    next - cursor,
-                    batch.len() as u64 + d,
-                    "per-call accounting must balance"
-                );
-                for e in &batch {
-                    prop_assert!(
-                        last_idx.is_none_or(|p| e.idx > p),
-                        "index delivered twice or out of order"
-                    );
-                    prop_assert_eq!(e.a, e.idx, "torn payload (a)");
-                    prop_assert_eq!(e.b, expected_b(0, e.idx), "torn payload (b)");
-                    last_idx = Some(e.idx);
-                }
-                delivered += batch.len() as u64;
-                dropped += d;
-                cursor = next;
-                if quiesced && cursor >= per_lane {
-                    break;
-                }
-            }
-            Ok(())
-        })?;
-
-        prop_assert_eq!(
-            delivered + dropped,
-            per_lane,
-            "every emit must be delivered or accounted as dropped"
-        );
-        prop_assert_eq!(cursor, per_lane);
-        prop_assert_eq!(rec.emitted(), per_lane);
-    }
-}
-
 #[test]
 fn disabled_recorder_stays_empty_under_threads() {
     let rec = Arc::new(Recorder::new(4, 64));
