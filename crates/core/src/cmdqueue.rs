@@ -15,6 +15,11 @@
 //! the core — which is how memory-unmap ordering ("reclamation only occurs
 //! after the resources have been fully unmapped") is enforced.
 //!
+//! A command is one slot of a Pisces [`SharedRing`]: eight words holding
+//! its sequence number, post TSC, op and two operands. The frame holds the
+//! completion counter and the sequence allocator, then, from
+//! `OFF_RING`, the ring's 64-byte header and its `CMD_SLOTS` slots.
+//!
 //! The ring is single-producer, single-consumer. Several host threads may
 //! post to one queue (a reclaim, an XEMEM detach and a termination of the
 //! same enclave), so producers are serialized: a post holds the queue's
@@ -27,13 +32,10 @@ use covirt_simhw::memory::MemWindow;
 use covirt_simhw::paging::PoolFrame;
 use covirt_trace::{EventKind, Tracer};
 use parking_lot::Mutex;
-use pisces::ring::{RingError, SharedRing};
-use pisces::wire::{WireReader, WireWriter};
+use pisces::ring::{RingError, SharedRing, Slot};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Fixed command slot size (seq + post-TSC + op + up to two operands).
-pub const CMD_SLOT: u64 = 40;
 /// Commands per queue.
 pub const CMD_SLOTS: u64 = 32;
 /// Offset of the completion counter within the queue region.
@@ -109,46 +111,26 @@ pub struct SeqCommand {
 }
 
 impl SeqCommand {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_u64(self.seq).put_u64(self.tsc);
-        match self.cmd {
-            Command::TlbFlushAll => {
-                w.put_u64(OP_FLUSH_ALL);
-            }
-            Command::TlbFlushPage { gva } => {
-                w.put_u64(OP_FLUSH_PAGE).put_u64(gva);
-            }
-            Command::TlbFlushRange { gva, len } => {
-                w.put_u64(OP_FLUSH_RANGE).put_u64(gva).put_u64(len);
-            }
-            Command::ReloadVmcs => {
-                w.put_u64(OP_RELOAD);
-            }
-            Command::Terminate => {
-                w.put_u64(OP_TERMINATE);
-            }
-            Command::Sync => {
-                w.put_u64(OP_SYNC);
-            }
-        }
-        w.finish()
+    /// The command as a ring slot: seq, post TSC, op, two operands.
+    fn to_slot(self) -> Slot {
+        let (op, a, b) = match self.cmd {
+            Command::TlbFlushAll => (OP_FLUSH_ALL, 0, 0),
+            Command::TlbFlushPage { gva } => (OP_FLUSH_PAGE, gva, 0),
+            Command::TlbFlushRange { gva, len } => (OP_FLUSH_RANGE, gva, len),
+            Command::ReloadVmcs => (OP_RELOAD, 0, 0),
+            Command::Terminate => (OP_TERMINATE, 0, 0),
+            Command::Sync => (OP_SYNC, 0, 0),
+        };
+        [self.seq, self.tsc, op, a, b, 0, 0, 0]
     }
 
-    fn decode(buf: &[u8]) -> Option<SeqCommand> {
-        let mut r = WireReader::new(buf);
-        let seq = r.get_u64().ok()?;
-        let tsc = r.get_u64().ok()?;
-        let op = r.get_u64().ok()?;
+    /// The command a slot holds; `None` for an unknown op.
+    fn from_slot(slot: &Slot) -> Option<SeqCommand> {
+        let [seq, tsc, op, a, b, ..] = *slot;
         let cmd = match op {
             OP_FLUSH_ALL => Command::TlbFlushAll,
-            OP_FLUSH_PAGE => Command::TlbFlushPage {
-                gva: r.get_u64().ok()?,
-            },
-            OP_FLUSH_RANGE => Command::TlbFlushRange {
-                gva: r.get_u64().ok()?,
-                len: r.get_u64().ok()?,
-            },
+            OP_FLUSH_PAGE => Command::TlbFlushPage { gva: a },
+            OP_FLUSH_RANGE => Command::TlbFlushRange { gva: a, len: b },
             OP_RELOAD => Command::ReloadVmcs,
             OP_TERMINATE => Command::Terminate,
             OP_SYNC => Command::Sync,
@@ -228,7 +210,7 @@ impl CmdQueue {
                 .write_u64(window.base().add(off), value)
                 .map_err(|_| RingError::Corrupt)?;
         }
-        let ring = SharedRing::create(&ring_window, CMD_SLOTS, CMD_SLOT)?;
+        let ring = SharedRing::create(&ring_window, CMD_SLOTS)?;
         let (backing, off) = window.pinned();
         Ok(CmdQueue {
             ring,
@@ -285,7 +267,7 @@ impl CmdQueue {
                 break cur;
             }
         };
-        self.ring.push(&SeqCommand { seq, tsc, cmd }.encode())?;
+        self.ring.push(SeqCommand { seq, tsc, cmd }.to_slot())?;
         Ok(seq)
     }
 
@@ -333,7 +315,7 @@ impl CmdQueue {
         let drained = self.drain().into_iter();
         let (flushes, kept): (Vec<_>, Vec<_>) = drained.partition(|c| c.cmd.is_flush());
         for c in &kept {
-            self.ring.push(&c.encode())?;
+            self.ring.push(c.to_slot())?;
         }
         if cmd.is_flush() {
             // The merged flush covers the drained flushes *and* `cmd`.
@@ -348,8 +330,8 @@ impl CmdQueue {
     /// Hypervisor: drain all pending commands.
     pub fn drain(&self) -> Vec<SeqCommand> {
         let mut out = Vec::new();
-        while let Ok(buf) = self.ring.pop() {
-            if let Some(c) = SeqCommand::decode(&buf) {
+        while let Ok(slot) = self.ring.pop() {
+            if let Some(c) = SeqCommand::from_slot(&slot) {
                 out.push(c);
             }
         }

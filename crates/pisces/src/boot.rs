@@ -13,29 +13,30 @@
 //! ([`crate::hooks::EnclaveHooks::on_launch`] builds it); what the host
 //! hands back from a launch is the one thing either entry path needs, the
 //! parameters' address ([`BootPlan`]).
+//!
+//! The parameters are a record of 64-bit words: a length word, then
+//! [`BOOT_MAGIC`] and the fields ([`BootParams::encode`]).
 
-use crate::wire::{read_record, write_record, WireError, WireReader, WireWriter};
-use covirt_simhw::addr::HostPhysAddr;
+use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::MemWindow;
+use covirt_simhw::HwError;
 
-/// Magic number identifying a Pisces boot-parameter structure.
+/// First word of a Pisces boot-parameter record.
 pub const BOOT_MAGIC: u64 = 0x5049_5343_4553_4250; // "PISCESBP"
+
+/// Most words [`BootParams::read_from`] accepts: the length word is in
+/// memory the co-kernel can write.
+const MAX_WORDS: u64 = 1 << 17;
 
 /// The boot-parameter structure transmitted to a co-kernel.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BootParams {
-    /// Identifies the structure ([`BOOT_MAGIC`]).
-    pub magic: u64,
     /// The enclave's id.
     pub enclave_id: u64,
-    /// Name of the kernel image ("kitten" in the evaluation).
-    pub kernel_name: String,
     /// Cores assigned to the enclave (boot core first).
     pub cores: Vec<u64>,
     /// Assigned memory regions as `(start, len)` pairs.
     pub mem_regions: Vec<(u64, u64)>,
-    /// IPI vectors allocated to the enclave.
-    pub ipi_vectors: Vec<u8>,
     /// Physical base of the control channel shared region.
     pub ctrlchan_base: u64,
     /// Length of the control channel region.
@@ -47,84 +48,82 @@ pub struct BootParams {
     pub tsc_hz: u64,
 }
 
+/// A boot-parameter record that is missing, truncated or malformed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadParams;
+
 impl BootParams {
-    /// Serialize into wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_u64(self.magic)
-            .put_u64(self.enclave_id)
-            .put_str(&self.kernel_name)
-            .put_u64_list(&self.cores);
-        w.put_u64(self.mem_regions.len() as u64);
-        for &(s, l) in &self.mem_regions {
-            w.put_u64(s).put_u64(l);
-        }
-        w.put_u64_list(
-            &self
-                .ipi_vectors
-                .iter()
-                .map(|&v| v as u64)
-                .collect::<Vec<_>>(),
-        )
-        .put_u64(self.ctrlchan_base)
-        .put_u64(self.ctrlchan_len)
-        .put_u64(self.pt_pool.0)
-        .put_u64(self.pt_pool.1)
-        .put_u64(self.tsc_hz);
-        w.finish()
+    /// The structure as words: [`BOOT_MAGIC`], the id, each list behind
+    /// its length, then the fixed fields.
+    pub fn encode(&self) -> Vec<u64> {
+        let mut w = vec![BOOT_MAGIC, self.enclave_id, self.cores.len() as u64];
+        w.extend(&self.cores);
+        w.push(self.mem_regions.len() as u64);
+        w.extend(self.mem_regions.iter().flat_map(|&(s, l)| [s, l]));
+        w.extend([
+            self.ctrlchan_base,
+            self.ctrlchan_len,
+            self.pt_pool.0,
+            self.pt_pool.1,
+            self.tsc_hz,
+        ]);
+        w
     }
 
-    /// Deserialize from wire format.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let magic = r.get_u64()?;
-        if magic != BOOT_MAGIC {
-            return Err(WireError);
+    /// Read back what [`BootParams::encode`] produced. A list ends at the
+    /// record's end at the latest: a length past it is refused once the
+    /// words run out, and nothing is allocated for words that are not
+    /// there.
+    pub fn decode(words: &[u64]) -> Result<Self, BadParams> {
+        let mut words = words.iter().copied();
+        let mut next = || words.next().ok_or(BadParams);
+        if next()? != BOOT_MAGIC {
+            return Err(BadParams);
         }
-        let enclave_id = r.get_u64()?;
-        let kernel_name = r.get_str()?;
-        let cores = r.get_u64_list()?;
-        let nregions = r.get_u64()? as usize;
-        if nregions > 4096 {
-            return Err(WireError);
-        }
-        let mut mem_regions = Vec::with_capacity(nregions);
-        for _ in 0..nregions {
-            mem_regions.push((r.get_u64()?, r.get_u64()?));
-        }
-        let ipi_vectors = r
-            .get_u64_list()?
-            .into_iter()
-            .map(|v| u8::try_from(v).map_err(|_| WireError))
-            .collect::<Result<Vec<u8>, _>>()?;
+        let enclave_id = next()?;
+        let cores = (0..next()?)
+            .map(|_| next())
+            .collect::<Result<_, BadParams>>()?;
+        let mem_regions = (0..next()?)
+            .map(|_| Ok((next()?, next()?)))
+            .collect::<Result<_, BadParams>>()?;
         Ok(BootParams {
-            magic,
             enclave_id,
-            kernel_name,
             cores,
             mem_regions,
-            ipi_vectors,
-            ctrlchan_base: r.get_u64()?,
-            ctrlchan_len: r.get_u64()?,
-            pt_pool: (r.get_u64()?, r.get_u64()?),
-            tsc_hz: r.get_u64()?,
+            ctrlchan_base: next()?,
+            ctrlchan_len: next()?,
+            pt_pool: (next()?, next()?),
+            tsc_hz: next()?,
         })
     }
 
     /// Write the structure at `addr` of a window onto the enclave's
-    /// management region (length-prefixed so it can be read back without
-    /// out-of-band size knowledge).
-    pub fn write_to(
-        &self,
-        window: &MemWindow,
-        addr: HostPhysAddr,
-    ) -> Result<(), covirt_simhw::HwError> {
-        write_record(window, addr, &self.encode())
+    /// management region: a length word, then [`BootParams::encode`]'s
+    /// words. A record the window does not hold entirely writes nothing.
+    pub fn write_to(&self, window: &MemWindow, addr: HostPhysAddr) -> Result<(), HwError> {
+        let words = self.encode();
+        let len = words.len() as u64;
+        let record = window.sub(PhysRange::new(addr, 8 * (1 + len)))?;
+        for (i, word) in std::iter::once(len).chain(words).enumerate() {
+            record.write_u64(addr.add(8 * i as u64), word)?;
+        }
+        Ok(())
     }
 
     /// Read a structure back from `addr` of a window.
-    pub fn read_from(window: &MemWindow, addr: HostPhysAddr) -> Result<Self, WireError> {
-        Self::decode(&read_record(window, addr)?)
+    pub fn read_from(window: &MemWindow, addr: HostPhysAddr) -> Result<Self, BadParams> {
+        let len = window.read_u64(addr).map_err(|_| BadParams)?;
+        if len > MAX_WORDS {
+            return Err(BadParams);
+        }
+        let words = (1..=len)
+            .map(|i| {
+                let at = addr.checked_add(8 * i).ok_or(BadParams)?;
+                window.read_u64(at).map_err(|_| BadParams)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::decode(&words)
     }
 }
 
@@ -145,12 +144,9 @@ mod tests {
 
     fn params() -> BootParams {
         BootParams {
-            magic: BOOT_MAGIC,
             enclave_id: 3,
-            kernel_name: "kitten".into(),
             cores: vec![4, 5],
             mem_regions: vec![(0x100_0000, 0x20_0000), (0x200_0000, 0x10_0000)],
-            ipi_vectors: vec![0x40, 0x41],
             ctrlchan_base: 0x300_0000,
             ctrlchan_len: 0x1_0000,
             pt_pool: (0x100_0000, 0x10_0000),
@@ -166,9 +162,24 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut p = params();
-        p.magic = 0x1234;
-        assert!(BootParams::decode(&p.encode()).is_err());
+        let mut words = params().encode();
+        words[0] = 0x1234;
+        assert!(BootParams::decode(&words).is_err());
+    }
+
+    /// Truncated records and list lengths past the words present are
+    /// refused, never allocated for.
+    #[test]
+    fn truncated_and_absurd_lengths_are_refused() {
+        let words = params().encode();
+        for cut in 0..words.len() {
+            assert_eq!(BootParams::decode(&words[..cut]), Err(BadParams), "{cut}");
+        }
+        for (at, n) in [(2, u64::MAX), (2, words.len() as u64), (5, u64::MAX)] {
+            let mut bad = words.clone();
+            bad[at] = n;
+            assert_eq!(BootParams::decode(&bad), Err(BadParams), "[{at}] = {n}");
+        }
     }
 
     #[test]
@@ -197,6 +208,8 @@ mod tests {
     fn read_from_unwritten_memory_fails() {
         let mem = PhysMemory::new(&[16 * 1024 * 1024]);
         let region = mem.alloc_window(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+        assert!(BootParams::read_from(&region, region.base()).is_err());
+        region.write_u64(region.base(), u64::MAX).unwrap();
         assert!(BootParams::read_from(&region, region.base()).is_err());
     }
 }

@@ -2,18 +2,16 @@
 //!
 //! Each enclave gets a pair of shared-memory rings: host→enclave for
 //! resource-management commands, enclave→host for acknowledgements and
-//! forwarded system calls. Messages are fixed 64-byte records encoded with
-//! the [`crate::wire`] codec, because that is how the real framework moves
-//! them — as C structs in shared physical memory, not as Rust objects.
+//! forwarded system calls. A message is one ring [`Slot`] — a tag word,
+//! then up to three operand words — because that is how the real framework
+//! moves them: as fixed C structs in shared physical memory, not as Rust
+//! objects.
 
-use crate::ring::{RingError, SharedRing};
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::ring::{RingError, SharedRing, Slot};
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::memory::MemWindow;
 use covirt_trace::{pack_str, EventKind, Tracer};
 
-/// Slot size of control messages.
-pub const CTRL_SLOT: u64 = 64;
 /// Slots per direction.
 pub const CTRL_SLOTS: u64 = 64;
 
@@ -109,86 +107,42 @@ impl CtrlMsg {
         }
     }
 
-    /// Encode into a fixed-size slot payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self {
-            CtrlMsg::AddMem { start, len } => {
-                w.put_u64(TAG_ADD_MEM).put_u64(*start).put_u64(*len);
-            }
-            CtrlMsg::AddMemAck { start, len } => {
-                w.put_u64(TAG_ADD_MEM_ACK).put_u64(*start).put_u64(*len);
-            }
-            CtrlMsg::RemoveMem { start, len } => {
-                w.put_u64(TAG_REMOVE_MEM).put_u64(*start).put_u64(*len);
-            }
-            CtrlMsg::RemoveMemAck { start, len } => {
-                w.put_u64(TAG_REMOVE_MEM_ACK).put_u64(*start).put_u64(*len);
-            }
-            CtrlMsg::Syscall { nr, arg0, arg1 } => {
-                w.put_u64(TAG_SYSCALL)
-                    .put_u64(*nr)
-                    .put_u64(*arg0)
-                    .put_u64(*arg1);
-            }
-            CtrlMsg::SyscallRet { nr, ret } => {
-                w.put_u64(TAG_SYSCALL_RET).put_u64(*nr).put_u64(*ret);
-            }
-            CtrlMsg::Shutdown => {
-                w.put_u64(TAG_SHUTDOWN);
-            }
-            CtrlMsg::ShutdownAck => {
-                w.put_u64(TAG_SHUTDOWN_ACK);
-            }
-            CtrlMsg::Ping { token } => {
-                w.put_u64(TAG_PING).put_u64(*token);
-            }
-            CtrlMsg::PingAck { token } => {
-                w.put_u64(TAG_PING_ACK).put_u64(*token);
-            }
-        }
-        w.finish()
+    /// The message as a ring slot: its tag, then its operands.
+    fn to_slot(&self) -> Slot {
+        let (tag, a, b, c) = match *self {
+            CtrlMsg::AddMem { start, len } => (TAG_ADD_MEM, start, len, 0),
+            CtrlMsg::AddMemAck { start, len } => (TAG_ADD_MEM_ACK, start, len, 0),
+            CtrlMsg::RemoveMem { start, len } => (TAG_REMOVE_MEM, start, len, 0),
+            CtrlMsg::RemoveMemAck { start, len } => (TAG_REMOVE_MEM_ACK, start, len, 0),
+            CtrlMsg::Syscall { nr, arg0, arg1 } => (TAG_SYSCALL, nr, arg0, arg1),
+            CtrlMsg::SyscallRet { nr, ret } => (TAG_SYSCALL_RET, nr, ret, 0),
+            CtrlMsg::Shutdown => (TAG_SHUTDOWN, 0, 0, 0),
+            CtrlMsg::ShutdownAck => (TAG_SHUTDOWN_ACK, 0, 0, 0),
+            CtrlMsg::Ping { token } => (TAG_PING, token, 0, 0),
+            CtrlMsg::PingAck { token } => (TAG_PING_ACK, token, 0, 0),
+        };
+        [tag, a, b, c, 0, 0, 0, 0]
     }
 
-    /// Decode from a slot payload.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let tag = r.get_u64()?;
-        Ok(match tag {
-            TAG_ADD_MEM => CtrlMsg::AddMem {
-                start: r.get_u64()?,
-                len: r.get_u64()?,
-            },
-            TAG_ADD_MEM_ACK => CtrlMsg::AddMemAck {
-                start: r.get_u64()?,
-                len: r.get_u64()?,
-            },
-            TAG_REMOVE_MEM => CtrlMsg::RemoveMem {
-                start: r.get_u64()?,
-                len: r.get_u64()?,
-            },
-            TAG_REMOVE_MEM_ACK => CtrlMsg::RemoveMemAck {
-                start: r.get_u64()?,
-                len: r.get_u64()?,
-            },
+    /// The message a slot holds; `None` for an unknown tag.
+    fn from_slot(slot: &Slot) -> Option<Self> {
+        let [tag, a, b, c, ..] = *slot;
+        Some(match tag {
+            TAG_ADD_MEM => CtrlMsg::AddMem { start: a, len: b },
+            TAG_ADD_MEM_ACK => CtrlMsg::AddMemAck { start: a, len: b },
+            TAG_REMOVE_MEM => CtrlMsg::RemoveMem { start: a, len: b },
+            TAG_REMOVE_MEM_ACK => CtrlMsg::RemoveMemAck { start: a, len: b },
             TAG_SYSCALL => CtrlMsg::Syscall {
-                nr: r.get_u64()?,
-                arg0: r.get_u64()?,
-                arg1: r.get_u64()?,
+                nr: a,
+                arg0: b,
+                arg1: c,
             },
-            TAG_SYSCALL_RET => CtrlMsg::SyscallRet {
-                nr: r.get_u64()?,
-                ret: r.get_u64()?,
-            },
+            TAG_SYSCALL_RET => CtrlMsg::SyscallRet { nr: a, ret: b },
             TAG_SHUTDOWN => CtrlMsg::Shutdown,
             TAG_SHUTDOWN_ACK => CtrlMsg::ShutdownAck,
-            TAG_PING => CtrlMsg::Ping {
-                token: r.get_u64()?,
-            },
-            TAG_PING_ACK => CtrlMsg::PingAck {
-                token: r.get_u64()?,
-            },
-            _ => return Err(WireError),
+            TAG_PING => CtrlMsg::Ping { token: a },
+            TAG_PING_ACK => CtrlMsg::PingAck { token: a },
+            _ => return None,
         })
     }
 }
@@ -218,7 +172,7 @@ pub struct CtrlChannel {
 impl CtrlChannel {
     /// Bytes of shared memory a channel needs.
     pub fn required_bytes() -> u64 {
-        2 * SharedRing::required_bytes(CTRL_SLOTS, CTRL_SLOT).next_power_of_two()
+        2 * SharedRing::required_bytes(CTRL_SLOTS).next_power_of_two()
     }
 
     /// The two rings' windows: the halves of the channel's.
@@ -236,8 +190,8 @@ impl CtrlChannel {
         let [a, b] = Self::halves(window)?;
         Ok(CtrlChannel {
             side: Side::Host,
-            to_enclave: SharedRing::create(&a, CTRL_SLOTS, CTRL_SLOT)?,
-            to_host: SharedRing::create(&b, CTRL_SLOTS, CTRL_SLOT)?,
+            to_enclave: SharedRing::create(&a, CTRL_SLOTS)?,
+            to_host: SharedRing::create(&b, CTRL_SLOTS)?,
             tracer: None,
         })
     }
@@ -276,7 +230,7 @@ impl CtrlChannel {
 
     /// Send a message toward the peer.
     pub fn send(&self, msg: &CtrlMsg) -> Result<(), RingError> {
-        self.tx().push(&msg.encode())?;
+        self.tx().push(msg.to_slot())?;
         if let Some(t) = &self.tracer {
             let (a, b) = pack_str(msg.tag_name());
             t.emit(EventKind::CtrlSend, a, b);
@@ -293,8 +247,8 @@ impl CtrlChannel {
     /// Non-blocking receive from the peer.
     pub fn try_recv(&self) -> Result<Option<CtrlMsg>, RingError> {
         match self.rx().pop() {
-            Ok(buf) => {
-                let msg = CtrlMsg::decode(&buf).map_err(|_| RingError::Corrupt)?;
+            Ok(slot) => {
+                let msg = CtrlMsg::from_slot(&slot).ok_or(RingError::Corrupt)?;
                 if let Some(t) = &self.tracer {
                     let (a, b) = pack_str(msg.tag_name());
                     t.emit(EventKind::CtrlRecv, a, b);
@@ -346,16 +300,14 @@ mod tests {
             CtrlMsg::PingAck { token: 99 },
         ];
         for m in msgs {
-            let e = m.encode();
-            assert!(e.len() as u64 <= CTRL_SLOT, "message too large for slot");
-            assert_eq!(CtrlMsg::decode(&e).unwrap(), m);
+            assert_eq!(CtrlMsg::from_slot(&m.to_slot()), Some(m));
         }
     }
 
     #[test]
     fn decode_garbage_fails() {
-        assert!(CtrlMsg::decode(&[0xffu8; 64]).is_err());
-        assert!(CtrlMsg::decode(&[]).is_err());
+        assert_eq!(CtrlMsg::from_slot(&[u64::MAX; 8]), None);
+        assert_eq!(CtrlMsg::from_slot(&[0; 8]), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::resources::ResourceSpec;
 use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::MemWindow;
 use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 /// Enclave identifier, unique per host.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -84,6 +84,10 @@ pub struct Enclave {
     /// Host→enclave replies the control ring had no room for, oldest
     /// first; [`crate::host::PiscesHost::process_acks`] sends them on.
     pub(crate) parked_replies: Mutex<VecDeque<CtrlMsg>>,
+    /// Ranges the host asked the co-kernel to give back that it has not
+    /// acknowledged yet; [`crate::host::PiscesHost::process_acks`] acts on
+    /// a `RemoveMemAck` only by taking its range out of here.
+    pub(crate) removals: Mutex<HashSet<PhysRange>>,
 }
 
 impl Enclave {
@@ -99,6 +103,7 @@ impl Enclave {
             mgmt,
             ctrl: Mutex::new(None),
             parked_replies: Mutex::new(VecDeque::new()),
+            removals: Mutex::new(HashSet::new()),
         }
     }
 

@@ -6,13 +6,13 @@
 //! Linux "has" everything an enclave was not given), runs the hook chain
 //! around every resource event, and drives the control channels.
 
-use crate::boot::{BootParams, BootPlan, BOOT_MAGIC};
-use crate::ctrlchan::{CtrlChannel, CtrlMsg};
+use crate::boot::{BootParams, BootPlan};
+use crate::ctrlchan::{CtrlChannel, CtrlMsg, CTRL_SLOTS};
 use crate::enclave::{Enclave, EnclaveId, EnclaveState};
 use crate::hooks::EnclaveHooks;
 use crate::resources::{ResourceRequest, ResourceSpec};
 use crate::{PiscesError, PiscesResult};
-use covirt_simhw::addr::{PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
+use covirt_simhw::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::topology::ZoneId;
 use parking_lot::{Mutex, RwLock};
@@ -31,7 +31,7 @@ const MGMT_REGION_LEN: u64 = 256 * 1024;
 /// Replies one enclave may have parked (see `PiscesHost::reply`): as many
 /// as its ring holds again. The enclave decides how many syscalls it
 /// forwards without polling, so the host bounds what it keeps for it.
-const MAX_PARKED_REPLIES: usize = crate::ctrlchan::CTRL_SLOTS as usize;
+const MAX_PARKED_REPLIES: usize = CTRL_SLOTS as usize;
 /// Of the enclave's first region, how much is designated as page-table pool.
 const PT_POOL_LEN: u64 = 16 * 1024 * 1024;
 
@@ -194,12 +194,9 @@ impl PiscesHost {
         // Boot parameters at the head of the management region.
         let first = spec.mem[0];
         let params = BootParams {
-            magic: BOOT_MAGIC,
             enclave_id: id.0,
-            kernel_name: "kitten".into(),
             cores: spec.cores.iter().map(|c| c.0 as u64).collect(),
             mem_regions: spec.mem.iter().map(|r| (r.start.raw(), r.len)).collect(),
-            ipi_vectors: spec.ipi_vectors.clone(),
             ctrlchan_base: chan_base.raw(),
             ctrlchan_len: chan_len,
             pt_pool: (first.start.raw(), PT_POOL_LEN.min(first.len / 4)),
@@ -318,7 +315,8 @@ impl PiscesHost {
     }
 
     /// Ask the enclave to give a region back. Completion happens when the
-    /// co-kernel acks and [`PiscesHost::process_acks`] handles it.
+    /// co-kernel acks and [`PiscesHost::process_acks`] handles it; the
+    /// range is recorded as outstanding first, so that ack is expected.
     pub fn request_remove_memory(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
         if !enclave.state().is_live() {
             return Err(PiscesError::BadState {
@@ -334,16 +332,24 @@ impl PiscesHost {
         let ctrl = enclave
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
-        ctrl.send(&CtrlMsg::RemoveMem {
+        let recorded = enclave.removals.lock().insert(range);
+        let sent = ctrl.send(&CtrlMsg::RemoveMem {
             start: range.start.raw(),
             len: range.len,
-        })
-        .map_err(|_| PiscesError::ResourceBusy("control channel full"))?;
-        Ok(())
+        });
+        if sent.is_err() && recorded {
+            enclave.removals.lock().remove(&range);
+        }
+        sent.map_err(|_| PiscesError::ResourceBusy("control channel full"))
     }
 
-    /// Drain and handle pending enclave→host control messages. Returns the
-    /// messages that were processed.
+    /// Handle pending enclave→host control messages, at most one ring's
+    /// worth per call. Returns the messages that were processed.
+    ///
+    /// The ring is the co-kernel's to write: a `RemoveMemAck` counts only
+    /// if it names a range [`PiscesHost::request_remove_memory`] asked for,
+    /// and the hooks get the host's record of it; any other is refused
+    /// before a hook runs.
     ///
     /// `RemoveMemAck` ordering (the Covirt contract): ack received →
     /// **hook** (EPT unmap + TLB flush, blocking) → partition shrinks →
@@ -355,13 +361,18 @@ impl PiscesHost {
         // Replies an earlier call had no ring slot for go first.
         Self::send_parked(&mut enclave.parked_replies.lock(), &ctrl);
         let mut handled = Vec::new();
-        while let Some(msg) = ctrl
-            .try_recv()
-            .map_err(|_| PiscesError::Invalid("ctrl channel"))?
-        {
+        for _ in 0..CTRL_SLOTS {
+            let Some(msg) = ctrl
+                .try_recv()
+                .map_err(|_| PiscesError::Invalid("ctrl channel"))?
+            else {
+                break;
+            };
             match &msg {
                 CtrlMsg::RemoveMemAck { start, len } => {
-                    let range = PhysRange::new(covirt_simhw::addr::HostPhysAddr::new(*start), *len);
+                    let acked = PhysRange::new(HostPhysAddr::new(*start), *len);
+                    let taken = enclave.removals.lock().take(&acked);
+                    let range = taken.ok_or(PiscesError::Invalid("removal not asked for"))?;
                     self.run_hooks(|h| h.on_mem_remove_acked(enclave, range))?;
                     enclave
                         .with_resources_mut(|r| r.remove_mem(range))
@@ -570,10 +581,7 @@ mod tests {
     fn enclave_end(h: &PiscesHost, e: &Enclave) -> CtrlChannel {
         let mgmt = h.node().mem.window_from(e.mgmt_region.start).unwrap();
         let bp = BootParams::read_from(&mgmt, mgmt.base()).unwrap();
-        let chan = PhysRange::new(
-            covirt_simhw::addr::HostPhysAddr::new(bp.ctrlchan_base),
-            bp.ctrlchan_len,
-        );
+        let chan = PhysRange::new(HostPhysAddr::new(bp.ctrlchan_base), bp.ctrlchan_len);
         CtrlChannel::attach_enclave(&mgmt.sub(chan).unwrap()).unwrap()
     }
 

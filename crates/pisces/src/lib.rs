@@ -9,15 +9,16 @@
 //!
 //! * **Resource partitioning** ([`resources`]) — cores, memory regions and
 //!   IPI vectors assigned to each enclave, with dynamic add/remove.
-//! * **Boot protocol** ([`boot`], [`wire`]) — the trampoline hand-off: a
-//!   boot-parameter structure serialized into enclave memory whose address
-//!   is passed to the co-kernel in a register. Covirt *interposes* on this
+//! * **Boot protocol** ([`boot`]) — the trampoline hand-off: a
+//!   boot-parameter record of words in enclave memory whose address is
+//!   passed to the co-kernel in a register. Covirt *interposes* on this
 //!   (it boots the CPU into its hypervisor, which chains to the original
 //!   kernel entry with the same register), which is why a launch runs the
 //!   hook chain first ([`hooks::EnclaveHooks::on_launch`]).
-//! * **Control channels** ([`ring`], [`ctrlchan`]) — shared-memory command
-//!   rings between the host and each enclave (Pisces' longcall channel),
-//!   used for memory grant/reclaim transmission and syscall forwarding.
+//! * **Control channels** ([`ring`], [`ctrlchan`]) — shared-memory rings
+//!   of fixed word records between the host and each enclave (Pisces'
+//!   longcall channel), used for memory grant/reclaim transmission and
+//!   syscall forwarding.
 //! * **Lifecycle + hooks** ([`enclave`], [`hooks`], [`host`]) — enclave
 //!   state machine and the resource-event callbacks whose *ordering*
 //!   (map-before-notify, unmap-after-ack, cut-off-before-free) the Covirt
@@ -42,7 +43,6 @@ pub mod hooks;
 pub mod host;
 pub mod resources;
 pub mod ring;
-pub mod wire;
 
 pub use enclave::{Enclave, EnclaveId, EnclaveState};
 pub use host::PiscesHost;

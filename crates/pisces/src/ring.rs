@@ -1,30 +1,37 @@
-//! Single-producer / single-consumer message ring in shared physical
-//! memory.
+//! Single-producer / single-consumer ring of fixed records in shared
+//! physical memory.
 //!
-//! Pisces' control channels (and later Covirt's hypervisor command queue)
-//! are fixed-size message rings living in memory visible to both sides.
-//! The ring is laid out *inside a populated physical region*, so the
-//! simulated kernels genuinely communicate through (simulated) RAM:
+//! Pisces' control channels and Covirt's hypervisor command queue are
+//! rings of fixed-size messages in memory both sides can write. A record
+//! is one [`Slot`] of [`SLOT_WORDS`] 64-bit words, and every access to
+//! the ring — header, cursors, slots — is one atomic word load or store:
 //!
 //! ```text
 //! +0   magic
 //! +8   slot_count          (power of two)
-//! +16  slot_size           (bytes, multiple of 8)
-//! +24  head                (consumer cursor, release-published)
-//! +32  tail                (producer cursor, release-published)
-//! +64  slot[0] .. slot[n-1]
+//! +16  head                (consumer cursor, release-published)
+//! +24  tail                (producer cursor, release-published)
+//! +64  slot[0] .. slot[n-1], SLOT_WORDS words each
 //! ```
+//!
+//! The other side can write every word, so a handle keeps the count it was
+//! made with and a consumer refuses cursors claiming more than it holds.
 
 use covirt_simhw::backing::Backing;
 use covirt_simhw::memory::MemWindow;
 use std::sync::Arc;
 
+/// Words per record.
+pub const SLOT_WORDS: usize = 8;
+/// One record: 64 bytes, a cache line.
+pub type Slot = [u64; SLOT_WORDS];
+
+const SLOT_BYTES: u64 = 8 * SLOT_WORDS as u64;
 const MAGIC: u64 = 0x5049_5343_4553_5251; // "PISCESRQ"
 const OFF_MAGIC: usize = 0;
 const OFF_COUNT: usize = 8;
-const OFF_SLOT_SIZE: usize = 16;
-const OFF_HEAD: usize = 24;
-const OFF_TAIL: usize = 32;
+const OFF_HEAD: usize = 16;
+const OFF_TAIL: usize = 24;
 const DATA_OFF: usize = 64;
 
 /// Errors from ring operations.
@@ -34,10 +41,8 @@ pub enum RingError {
     Full,
     /// The ring is empty (consumer side).
     Empty,
-    /// The header is corrupt or the region is too small.
+    /// The header or a cursor is corrupt, or the region is too small.
     Corrupt,
-    /// A payload did not match the slot size.
-    BadSize,
 }
 
 impl std::fmt::Display for RingError {
@@ -46,7 +51,6 @@ impl std::fmt::Display for RingError {
             RingError::Full => "ring full",
             RingError::Empty => "ring empty",
             RingError::Corrupt => "ring corrupt",
-            RingError::BadSize => "bad payload size",
         };
         f.write_str(s)
     }
@@ -63,27 +67,23 @@ pub struct SharedRing {
     backing: Arc<Backing>,
     base: usize,
     slot_count: u64,
-    slot_size: u64,
 }
 
 impl SharedRing {
-    /// Bytes of shared memory needed for `slot_count` slots of `slot_size`.
-    pub fn required_bytes(slot_count: u64, slot_size: u64) -> u64 {
-        DATA_OFF as u64 + slot_count * slot_size
+    /// Bytes of shared memory needed for `slot_count` slots.
+    pub fn required_bytes(slot_count: u64) -> u64 {
+        DATA_OFF as u64 + slot_count * SLOT_BYTES
     }
 
     /// Format a fresh ring at the start of `window` and return a handle.
-    /// `slot_count` is rounded up to a power of two; `slot_size` to a
-    /// multiple of 8.
-    pub fn create(window: &MemWindow, slot_count: u64, slot_size: u64) -> Result<Self, RingError> {
+    /// `slot_count` is rounded up to a power of two.
+    pub fn create(window: &MemWindow, slot_count: u64) -> Result<Self, RingError> {
         let slot_count = slot_count.max(2).next_power_of_two();
-        let slot_size = slot_size.div_ceil(8) * 8;
-        if Self::required_bytes(slot_count, slot_size) > window.len() {
+        if Self::required_bytes(slot_count) > window.len() {
             return Err(RingError::Corrupt);
         }
         let (backing, base) = window.pinned();
         backing.write_u64(base + OFF_COUNT, slot_count);
-        backing.write_u64(base + OFF_SLOT_SIZE, slot_size);
         backing.write_u64(base + OFF_HEAD, 0);
         backing.write_u64(base + OFF_TAIL, 0);
         backing.write_u64_release(base + OFF_MAGIC, MAGIC);
@@ -91,7 +91,6 @@ impl SharedRing {
             backing,
             base,
             slot_count,
-            slot_size,
         })
     }
 
@@ -103,24 +102,19 @@ impl SharedRing {
             return Err(RingError::Corrupt);
         }
         let slot_count = backing.read_u64(base + OFF_COUNT);
-        let slot_size = backing.read_u64(base + OFF_SLOT_SIZE);
-        if !slot_count.is_power_of_two() || slot_size == 0 || !slot_size.is_multiple_of(8) {
-            return Err(RingError::Corrupt);
-        }
         // The header is writable by the other side: bounds-check the data
         // area it describes without trusting the product not to wrap.
         let fits = slot_count
-            .checked_mul(slot_size)
+            .checked_mul(SLOT_BYTES)
             .and_then(|data| data.checked_add(DATA_OFF as u64))
             .is_some_and(|need| need <= window.len());
-        if !fits {
+        if !slot_count.is_power_of_two() || !fits {
             return Err(RingError::Corrupt);
         }
         Ok(SharedRing {
             backing,
             base,
             slot_count,
-            slot_size,
         })
     }
 
@@ -148,41 +142,38 @@ impl SharedRing {
     }
 
     fn slot_offset(&self, idx: u64) -> usize {
-        self.base + DATA_OFF + ((idx & (self.slot_count - 1)) * self.slot_size) as usize
+        self.base + DATA_OFF + ((idx & (self.slot_count - 1)) * SLOT_BYTES) as usize
     }
 
-    /// Producer: enqueue one message (must be exactly `slot_size` bytes or
-    /// shorter — short payloads are zero-padded).
-    pub fn push(&self, payload: &[u8]) -> Result<(), RingError> {
-        if payload.len() as u64 > self.slot_size {
-            return Err(RingError::BadSize);
-        }
-        let head = self.head();
+    /// Producer: enqueue one record.
+    pub fn push(&self, slot: Slot) -> Result<(), RingError> {
         let tail = self.tail();
-        if tail.wrapping_sub(head) >= self.slot_count {
+        if tail.wrapping_sub(self.head()) >= self.slot_count {
             return Err(RingError::Full);
         }
         let off = self.slot_offset(tail);
-        self.backing.zero(off, self.slot_size as usize);
-        self.backing.write_bytes(off, payload);
+        for (i, word) in slot.into_iter().enumerate() {
+            self.backing.write_u64(off + 8 * i, word);
+        }
         self.backing
             .write_u64_release(self.base + OFF_TAIL, tail.wrapping_add(1));
         Ok(())
     }
 
-    /// Consumer: dequeue one message.
-    pub fn pop(&self) -> Result<Vec<u8>, RingError> {
+    /// Consumer: dequeue one record. More queued than the ring holds means
+    /// the producer's cursor is corrupt: refused, and nothing is consumed.
+    pub fn pop(&self) -> Result<Slot, RingError> {
         let head = self.head();
-        let tail = self.tail();
-        if tail == head {
-            return Err(RingError::Empty);
+        match self.tail().wrapping_sub(head) {
+            0 => return Err(RingError::Empty),
+            queued if queued > self.slot_count => return Err(RingError::Corrupt),
+            _ => {}
         }
         let off = self.slot_offset(head);
-        let mut buf = vec![0u8; self.slot_size as usize];
-        self.backing.read_bytes(off, &mut buf);
+        let slot = std::array::from_fn(|i| self.backing.read_u64(off + 8 * i));
         self.backing
             .write_u64_release(self.base + OFF_HEAD, head.wrapping_add(1));
-        Ok(buf)
+        Ok(slot)
     }
 }
 
@@ -199,48 +190,49 @@ mod tests {
             .unwrap()
     }
 
-    fn setup(slots: u64, size: u64) -> (MemWindow, SharedRing) {
+    fn setup(slots: u64) -> (MemWindow, SharedRing) {
         let window = window(64 * 1024);
-        let ring = SharedRing::create(&window, slots, size).unwrap();
+        let ring = SharedRing::create(&window, slots).unwrap();
         (window, ring)
+    }
+
+    /// A record whose first word is `v` and whose last is its complement.
+    fn slot(v: u64) -> Slot {
+        let mut s = [0; SLOT_WORDS];
+        s[0] = v;
+        s[SLOT_WORDS - 1] = !v;
+        s
     }
 
     #[test]
     fn push_pop_fifo() {
-        let (_w, ring) = setup(8, 16);
-        ring.push(b"alpha").unwrap();
-        ring.push(b"beta").unwrap();
+        let (_w, ring) = setup(8);
+        ring.push(slot(1)).unwrap();
+        ring.push(slot(2)).unwrap();
         assert_eq!(ring.len(), 2);
-        assert_eq!(&ring.pop().unwrap()[..5], b"alpha");
-        assert_eq!(&ring.pop().unwrap()[..4], b"beta");
+        assert_eq!(ring.pop(), Ok(slot(1)));
+        assert_eq!(ring.pop(), Ok(slot(2)));
         assert_eq!(ring.pop(), Err(RingError::Empty));
     }
 
     #[test]
     fn fills_at_capacity() {
-        let (_w, ring) = setup(4, 8);
+        let (_w, ring) = setup(4);
         for i in 0..4u64 {
-            ring.push(&i.to_le_bytes()).unwrap();
+            ring.push(slot(i)).unwrap();
         }
-        assert_eq!(ring.push(&[0; 8]), Err(RingError::Full));
+        assert_eq!(ring.push(slot(9)), Err(RingError::Full));
         ring.pop().unwrap();
-        ring.push(&[0; 8]).unwrap();
-    }
-
-    #[test]
-    fn oversized_payload_rejected() {
-        let (_w, ring) = setup(4, 8);
-        assert_eq!(ring.push(&[0u8; 9]), Err(RingError::BadSize));
+        ring.push(slot(9)).unwrap();
     }
 
     #[test]
     fn attach_sees_messages() {
-        let (window, ring) = setup(8, 16);
-        ring.push(b"hello enclave").unwrap();
+        let (window, ring) = setup(8);
+        ring.push(slot(0xe)).unwrap();
         let other = SharedRing::attach(&window).unwrap();
         assert_eq!(other.capacity(), 8);
-        let msg = other.pop().unwrap();
-        assert_eq!(&msg[..13], b"hello enclave");
+        assert_eq!(other.pop(), Ok(slot(0xe)));
         // Consumption is visible to the original handle.
         assert!(ring.is_empty());
     }
@@ -257,8 +249,8 @@ mod tests {
     /// a wide window does not attach through a narrower one.
     #[test]
     fn attach_rejects_a_window_the_ring_overruns() {
-        let (window, _ring) = setup(8, 16);
-        let need = SharedRing::required_bytes(8, 16);
+        let (window, _ring) = setup(8);
+        let need = SharedRing::required_bytes(8);
         let narrow = |len| window.sub(PhysRange::new(window.base(), len)).unwrap();
         assert!(SharedRing::attach(&narrow(need)).is_ok());
         assert_eq!(
@@ -273,17 +265,17 @@ mod tests {
 
     #[test]
     fn create_rejects_undersized_region() {
-        assert!(SharedRing::create(&window(4096), 1024, 128).is_err());
+        assert!(SharedRing::create(&window(4096), 1024).is_err());
     }
 
     #[test]
     fn cross_thread_stream() {
-        let (_w, ring) = setup(16, 8);
+        let (_w, ring) = setup(16);
         let producer = ring.clone();
         let t = std::thread::spawn(move || {
             for i in 0..1000u64 {
                 loop {
-                    match producer.push(&i.to_le_bytes()) {
+                    match producer.push(slot(i)) {
                         Ok(()) => break,
                         Err(RingError::Full) => std::thread::yield_now(),
                         Err(e) => panic!("{e}"),
@@ -294,9 +286,8 @@ mod tests {
         let mut expect = 0u64;
         while expect < 1000 {
             match ring.pop() {
-                Ok(buf) => {
-                    let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                    assert_eq!(v, expect);
+                Ok(got) => {
+                    assert_eq!(got, slot(expect));
                     expect += 1;
                 }
                 Err(RingError::Empty) => std::thread::yield_now(),

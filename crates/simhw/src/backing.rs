@@ -7,8 +7,8 @@
 //! behaves like RAM: multiple simulated cores may read and write it
 //! concurrently, and — exactly as on real hardware — racing unsynchronized
 //! accesses yield unspecified *values* but never corrupt the simulator
-//! itself (accesses are always whole aligned machine words or byte copies
-//! into freshly owned buffers).
+//! itself (accesses are always whole aligned machine words, or a
+//! zero-fill of a range).
 
 use crate::error::{HwError, HwResult};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,8 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// stays valid as long as the `Backing` does. All access goes through the
 /// methods below, which only ever perform aligned word loads/stores (via
 /// [`AtomicU64`] with relaxed ordering, matching the coherence guarantees of
-/// real DRAM) or `ptr::copy_nonoverlapping` into/out of caller-owned
-/// buffers. No Rust references to the interior are ever created, so no
+/// real DRAM) or zero-fill a range ([`Backing::zero`]). No Rust references to the interior are ever created, so no
 /// aliasing rules can be violated regardless of what the simulated software
 /// does.
 pub struct Backing {
@@ -180,22 +179,6 @@ impl Backing {
             .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
     }
 
-    /// Copy bytes out of the backing into `buf`.
-    pub fn read_bytes(&self, offset: usize, buf: &mut [u8]) {
-        assert!(offset + buf.len() <= self.len, "read_bytes out of bounds");
-        // SAFETY: source range is in-bounds; destination is caller-owned and
-        // non-overlapping with the backing.
-        unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(offset), buf.as_mut_ptr(), buf.len()) }
-    }
-
-    /// Copy bytes from `buf` into the backing.
-    pub fn write_bytes(&self, offset: usize, buf: &[u8]) {
-        assert!(offset + buf.len() <= self.len, "write_bytes out of bounds");
-        // SAFETY: destination range is in-bounds; source is caller-owned and
-        // non-overlapping with the backing.
-        unsafe { std::ptr::copy_nonoverlapping(buf.as_ptr(), self.ptr.add(offset), buf.len()) }
-    }
-
     /// Zero a byte range.
     pub fn zero(&self, offset: usize, len: usize) {
         assert!(offset + len <= self.len, "zero out of bounds");
@@ -274,16 +257,6 @@ mod tests {
         assert_eq!(b.read_u64(8), 0xdead_beef_cafe_f00d);
         assert_eq!(b.read_u64(0), 0);
         assert_eq!(b.read_u64(16), 0);
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let b = Backing::new(128).unwrap();
-        let src = [1u8, 2, 3, 4, 5];
-        b.write_bytes(17, &src);
-        let mut dst = [0u8; 5];
-        b.read_bytes(17, &mut dst);
-        assert_eq!(src, dst);
     }
 
     #[test]

@@ -218,20 +218,6 @@ impl MemWindow {
         Ok(())
     }
 
-    /// Copy bytes out of the window.
-    pub fn read_bytes(&self, addr: HostPhysAddr, buf: &mut [u8]) -> HwResult<()> {
-        self.backing
-            .read_bytes(self.locate(addr, buf.len() as u64)?, buf);
-        Ok(())
-    }
-
-    /// Copy bytes into the window.
-    pub fn write_bytes(&self, addr: HostPhysAddr, buf: &[u8]) -> HwResult<()> {
-        self.backing
-            .write_bytes(self.locate(addr, buf.len() as u64)?, buf);
-        Ok(())
-    }
-
     /// The window onto `range`, which this one must hold entirely.
     pub fn sub(&self, range: PhysRange) -> HwResult<MemWindow> {
         Ok(MemWindow {
@@ -952,17 +938,17 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
             /// A window, a sub-window of it and the memory they were cut
-            /// from are views of the same bytes: what one writes at an
+            /// from are views of the same words: what one writes at an
             /// address the others read there, an access the (sub-)window
             /// does not hold entirely is refused and changes nothing, and
-            /// no length wraps an address into range. Ops are (view, kind,
-            /// offset from the region start — may fall either side of it —,
-            /// length, value).
+            /// no length wraps an address into range. Ops are (view, write
+            /// or read, word offset from the region start — may fall
+            /// either side of it —, value).
             #[test]
             fn window_access_agrees_with_physmemory_and_stops_at_its_bounds(
                 cut in (0u64..REGION / 8, 0u64..REGION / 8 + 2),
                 ops in proptest::collection::vec(
-                    (0u8..3, 0u8..4, -64i64..(REGION as i64 + 64), 0usize..48, any::<u64>()),
+                    (0u8..3, any::<bool>(), -8i64..(REGION as i64 / 8 + 8), any::<u64>()),
                     1..80,
                 ),
             ) {
@@ -979,65 +965,41 @@ mod tests {
                 prop_assert_eq!(inner.is_ok(), cut.end().raw() <= base + REGION, "{:?}", cut);
                 let views = [Some(whole.clone()), inner.ok(), m.window(whole.range()).ok()];
 
-                let mut model = vec![0u8; REGION as usize];
-                for (view, kind, off, len, value) in ops {
+                let mut model = vec![0u64; REGION as usize / 8];
+                for (view, write, off, value) in ops {
                     let Some(w) = &views[view as usize] else { continue };
-                    let addr = HostPhysAddr::new(base.wrapping_add_signed(off));
-                    let word = HostPhysAddr::new(addr.raw() & !7);
-                    let held = |a: HostPhysAddr, n: u64| {
-                        a.raw() >= w.base().raw() && a.raw() + n <= w.range().end().raw()
-                    };
-                    let at = |a: HostPhysAddr| (a.raw() - base) as usize;
-                    match kind {
-                        0 => {
-                            let wrote = w.write_u64(word, value);
-                            prop_assert_eq!(wrote.is_ok(), held(word, 8), "{:?} in {:?}", word, w);
-                            if wrote.is_ok() {
-                                model[at(word)..][..8].copy_from_slice(&value.to_le_bytes());
-                                prop_assert_eq!(m.read_u64(word), Ok(value));
-                            }
+                    let word = HostPhysAddr::new(base.wrapping_add_signed(8 * off));
+                    let held = word.raw() >= w.base().raw() && word.raw() + 8 <= w.range().end().raw();
+                    let at = (word.raw().wrapping_sub(base) / 8) as usize;
+                    if write {
+                        let wrote = w.write_u64(word, value);
+                        prop_assert_eq!(wrote.is_ok(), held, "{:?} in {:?}", word, w);
+                        if wrote.is_ok() {
+                            model[at] = value;
+                            prop_assert_eq!(m.read_u64(word), Ok(value));
                         }
-                        1 => {
-                            let got = w.read_u64(word);
-                            prop_assert_eq!(got.is_ok(), held(word, 8), "{:?} in {:?}", word, w);
-                            if let Ok(got) = got {
-                                prop_assert_eq!(Ok(got), m.read_u64(word));
-                                prop_assert_eq!(got.to_le_bytes(), model[at(word)..][..8]);
-                            }
-                        }
-                        2 => {
-                            let bytes: Vec<u8> =
-                                (0..len).map(|i| (value >> (i % 8 * 8)) as u8 ^ i as u8).collect();
-                            let wrote = w.write_bytes(addr, &bytes);
-                            prop_assert_eq!(wrote.is_ok(), held(addr, len as u64));
-                            if wrote.is_ok() {
-                                model[at(addr)..][..len].copy_from_slice(&bytes);
-                            }
-                        }
-                        _ => {
-                            let mut got = vec![0xa5u8; len];
-                            let read = w.read_bytes(addr, &mut got);
-                            prop_assert_eq!(read.is_ok(), held(addr, len as u64));
-                            if read.is_ok() {
-                                prop_assert_eq!(&got[..], &model[at(addr)..][..len]);
-                            }
+                    } else {
+                        let got = w.read_u64(word);
+                        prop_assert_eq!(got.is_ok(), held, "{:?} in {:?}", word, w);
+                        if let Ok(got) = got {
+                            prop_assert_eq!(Ok(got), m.read_u64(word));
+                            prop_assert_eq!(got, model[at]);
                         }
                     }
                 }
                 // Refused accesses wrote nothing, here or next door.
-                let mut bytes = vec![0u8; REGION as usize];
-                m.window(whole.range()).unwrap().read_bytes(whole.base(), &mut bytes).unwrap();
-                prop_assert!(bytes == model, "the region is not what the accepted writes made it");
+                let words = |r: PhysRange| -> Vec<u64> {
+                    (0..r.len / 8).map(|i| m.read_u64(r.start.add(8 * i)).unwrap()).collect()
+                };
+                prop_assert!(words(whole.range()) == model, "the region is not what the accepted writes made it");
                 for r in [_below, _above] {
-                    let mut bytes = vec![0u8; 4096];
-                    m.window(r).unwrap().read_bytes(r.start, &mut bytes).unwrap();
-                    prop_assert!(bytes.iter().all(|&b| b == 0), "{:?} was written", r);
+                    prop_assert!(words(r).iter().all(|&w| w == 0), "{:?} was written", r);
                 }
                 // An end that wraps is out of range, not a small number.
                 for w in views.iter().flatten() {
                     let top = HostPhysAddr::new(u64::MAX - 7);
                     prop_assert!(w.read_u64(top).is_err());
-                    prop_assert!(w.write_bytes(top, &[0; 16]).is_err());
+                    prop_assert!(w.write_u64(top, 0).is_err());
                     prop_assert!(w.sub(PhysRange::new(w.base(), u64::MAX)).is_err());
                     prop_assert!(w.sub(PhysRange::new(top, 16)).is_err());
                 }

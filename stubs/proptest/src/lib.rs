@@ -10,14 +10,12 @@
 //!   message and case number, not a minimal counterexample;
 //! * `ProptestConfig` has a single field (`cases`), which is why the
 //!   in-tree tests spell it `ProptestConfig { cases, ..default() }` and
-//!   allow `clippy::needless_update`;
-//! * string strategies accept only the `[charset]{min,max}` pattern
-//!   shape the in-tree tests use.
+//!   allow `clippy::needless_update`.
 //!
 //! The strategy algebra that IS supported: integer ranges, `any::<T>()`
 //! for ints/bool, tuples of strategies, `Just`, `prop_map`,
 //! `prop_oneof!` (weighted and unweighted), `collection::vec`,
-//! `collection::hash_set`, and `[..]{m,n}` string patterns.
+//! and `collection::hash_set`.
 
 pub mod test_runner {
     /// Deterministic splitmix64 RNG; the whole stub samples from this.
@@ -218,14 +216,6 @@ pub mod strategy {
     tuple_strategy!(A: 0, B: 1, C: 2, D: 3);
     tuple_strategy!(A: 0, B: 1, C: 2, D: 3, E: 4);
     tuple_strategy!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-
-    /// `"[a-z0-9_.-]{0,32}"`-style string pattern strategy.
-    impl Strategy for &'static str {
-        type Value = String;
-        fn sample(&self, rng: &mut TestRng) -> String {
-            crate::string::sample_pattern(self, rng)
-        }
-    }
 }
 
 pub mod arbitrary {
@@ -311,55 +301,6 @@ pub mod collection {
             }
             out
         }
-    }
-}
-
-pub mod string {
-    use crate::test_runner::TestRng;
-
-    /// Generate a string for a `[charset]{min,max}` pattern. Supports
-    /// literal chars and `a-z` ranges inside the class (a trailing `-`
-    /// is literal). Any other pattern shape falls back to stripping the
-    /// regex metacharacters and returning the remainder verbatim.
-    pub fn sample_pattern(pattern: &str, rng: &mut TestRng) -> String {
-        match parse(pattern) {
-            Some((chars, min, max)) if !chars.is_empty() => {
-                let len = min + rng.below((max - min + 1) as u64) as usize;
-                (0..len)
-                    .map(|_| chars[rng.below(chars.len() as u64) as usize])
-                    .collect()
-            }
-            _ => pattern
-                .chars()
-                .filter(|c| c.is_alphanumeric() || matches!(c, '_' | '.' | '-' | ' '))
-                .collect(),
-        }
-    }
-
-    fn parse(pattern: &str) -> Option<(Vec<char>, usize, usize)> {
-        let rest = pattern.strip_prefix('[')?;
-        let (class, rest) = rest.split_once(']')?;
-        let counts = rest.strip_prefix('{')?.strip_suffix('}')?;
-        let (min, max) = counts.split_once(',')?;
-        let (min, max) = (min.trim().parse().ok()?, max.trim().parse().ok()?);
-        if min > max {
-            return None;
-        }
-        let mut chars = Vec::new();
-        let cs: Vec<char> = class.chars().collect();
-        let mut i = 0;
-        while i < cs.len() {
-            if i + 2 < cs.len() && cs[i + 1] == '-' {
-                for c in cs[i]..=cs[i + 2] {
-                    chars.push(c);
-                }
-                i += 3;
-            } else {
-                chars.push(cs[i]);
-                i += 1;
-            }
-        }
-        Some((chars, min, max))
     }
 }
 
@@ -502,18 +443,6 @@ mod tests {
             assert!(s < 3);
             let i = (-5i64..5).sample(&mut rng);
             assert!((-5..5).contains(&i));
-        }
-    }
-
-    #[test]
-    fn string_pattern_matches_class() {
-        let mut rng = TestRng::deterministic("strings");
-        for _ in 0..200 {
-            let s = "[a-z0-9_.-]{0,32}".sample(&mut rng);
-            assert!(s.len() <= 32);
-            assert!(s
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "_.-".contains(c)));
         }
     }
 

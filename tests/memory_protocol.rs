@@ -5,8 +5,9 @@
 use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::MasterControl;
+use covirt_suite::pisces::ctrlchan::{CtrlMsg, CTRL_SLOTS};
 use covirt_suite::pisces::resources::ResourceRequest;
-use covirt_suite::simhw::addr::PhysRange;
+use covirt_suite::simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::paging::{Access, DirectLoad};
 use covirt_suite::simhw::tlb::TlbParams;
@@ -228,4 +229,69 @@ fn ept_uses_large_pages_for_enclave_memory() {
     // the 256 KiB management region needs 4 KiB entries.
     assert_eq!(c2m + c1g * 512, 32, "enclave memory must coalesce");
     assert_eq!(c4k, 64, "management region maps with 4 KiB pages");
+}
+
+/// The enclave→host ring's cursors are the co-kernel's to write. A tail
+/// pushed 2^16 past the head over a ring full of well-formed messages
+/// must not make one host call handle 2^16 of them: the host takes at
+/// most one ring's worth, and refuses a cursor that claims more.
+#[test]
+fn a_scribbled_ring_cursor_costs_the_host_at_most_one_ring_of_messages() {
+    let (node, master, _ctl) = world();
+    let req = ResourceRequest::new(vec![CoreId(2)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+    let (e, k) = master.bring_up_enclave("c", &req).unwrap();
+    let pisces = master.pisces();
+    for token in 0..CTRL_SLOTS {
+        k.ctrl().send(&CtrlMsg::PingAck { token }).unwrap();
+    }
+    assert_eq!(pisces.process_acks(&e).unwrap().len() as u64, CTRL_SLOTS);
+
+    let to_host = k.params.ctrlchan_base + k.params.ctrlchan_len / 2;
+    let tail = HostPhysAddr::new(to_host + 24); // the ring header's tail word
+    node.mem
+        .write_u64(tail, node.mem.read_u64(tail).unwrap() + (1 << 16))
+        .unwrap();
+    let handled = pisces.process_acks(&e).map_or(0, |h| h.len() as u64);
+    assert!(handled <= CTRL_SLOTS, "{handled} handled");
+}
+
+/// Sends a `RemoveMemAck` of the range `forged` makes of the boot region,
+/// with no removal outstanding: the host must refuse it before any hook
+/// runs, and the partition, the EPT and zone 0's use stay as they were.
+fn forged_removal_ack_is_refused(forged: impl Fn(PhysRange) -> (u64, u64)) {
+    let (node, master, ctl) = world();
+    let req = ResourceRequest::new(vec![CoreId(2)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+    let (e, k) = master.bring_up_enclave("f", &req).unwrap();
+    let vctx = ctl.context(e.id.0).unwrap();
+    let ept = vctx.ept.as_ref().unwrap();
+    let view = || {
+        (
+            e.resources(),
+            ept.leaf_counts(),
+            node.mem.zone_usage(ZoneId(0)),
+        )
+    };
+    let before = view();
+    let (start, len) = forged(before.0.mem[0]);
+    k.ctrl()
+        .send(&CtrlMsg::RemoveMemAck { start, len })
+        .unwrap();
+    let acked = master.pisces().process_acks(&e);
+    assert!(acked.is_err(), "{acked:?}");
+    assert_eq!(view(), before);
+}
+
+/// A removal acknowledgement whose range wraps the address space reaches
+/// no hook: a range built from the co-kernel's words never does.
+#[test]
+fn an_acknowledged_removal_of_a_wrapping_range_is_refused() {
+    forged_removal_ack_is_refused(|_| (u64::MAX - 4095, 8192));
+}
+
+/// A co-kernel that acknowledges the removal of its own boot region, which
+/// the host never asked for, keeps it: nothing leaves the partition, the
+/// EPT or the zone.
+#[test]
+fn an_acknowledged_removal_the_host_did_not_request_is_refused() {
+    forged_removal_ack_is_refused(|boot| (boot.start.raw(), boot.len));
 }

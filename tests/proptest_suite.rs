@@ -1,12 +1,13 @@
 //! Property-based tests on the core data structures and invariants:
 //! the radix page tables against a reference map, the shared ring's FIFO
-//! property, wire-codec roundtrips, memory-map consistency, whitelist
-//! algebra, and TLB/translation agreement.
+//! property, boot-parameter and command roundtrips, memory-map
+//! consistency, whitelist algebra, and TLB/translation agreement.
 
 // `ProptestConfig { cases, ..default() }` is the portable spelling; the
 // offline stub's config struct has a single field, which trips this lint.
 #![allow(clippy::needless_update)]
 
+use covirt_suite::pisces::ctrlchan::CtrlMsg;
 use covirt_suite::simhw::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use covirt_suite::simhw::memory::PhysMemory;
 use covirt_suite::simhw::paging::{DirectLoad, FramePool, GuestPageTables, Perms};
@@ -47,6 +48,46 @@ fn pt_op() -> impl Strategy<Value = PtOp> {
     prop_oneof![
         (0..pages, 1u64..64).prop_map(|(page, count)| PtOp::Map { page, count }),
         (0..pages, 1u64..64).prop_map(|(page, count)| PtOp::Unmap { page, count }),
+    ]
+}
+
+/// A step of `arbitrary_cokernel_words_never_hurt_the_host`: a host call
+/// (grant 2 MiB, ask for a held range back, handle the culprit's messages)
+/// or a co-kernel store into its control channel (any word at a word
+/// offset, a removal ack of a range it holds or held, a well-formed
+/// message with arbitrary fields).
+#[derive(Clone, Debug)]
+enum ChanOp {
+    Grant,
+    Request(usize),
+    Acks,
+    Word(u64, u64),
+    AckHeld(usize),
+    Send(CtrlMsg),
+}
+
+fn chan_op() -> impl Strategy<Value = ChanOp> {
+    // Each ring is 1024 words; its header is the first 8, the cursors
+    // words 2 and 3.
+    let word = prop_oneof![0u64..2048, 0u64..8, 1024u64..1032];
+    let value = prop_oneof![any::<u64>(), 0u64..256];
+    let msg =
+        (0u8..3, any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(kind, a, b, c)| match kind {
+            0 => CtrlMsg::RemoveMemAck { start: a, len: b },
+            1 => CtrlMsg::AddMem { start: a, len: b },
+            _ => CtrlMsg::Syscall {
+                nr: a,
+                arg0: b,
+                arg1: c,
+            },
+        });
+    prop_oneof![
+        1 => Just(ChanOp::Grant),
+        1 => (0usize..8).prop_map(ChanOp::Request),
+        3 => Just(ChanOp::Acks),
+        4 => (word, value).prop_map(|(w, v)| ChanOp::Word(w, v)),
+        1 => (0usize..8).prop_map(ChanOp::AckHeld),
+        3 => msg.prop_map(ChanOp::Send),
     ]
 }
 
@@ -102,25 +143,25 @@ proptest! {
     /// Ring: any push/pop interleaving preserves FIFO order and capacity.
     #[test]
     fn ring_fifo_property(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
-        use covirt_suite::pisces::ring::{RingError, SharedRing};
+        use covirt_suite::pisces::ring::{RingError, SharedRing, SLOT_WORDS};
         let region = PhysMemory::new(&[8 * 1024 * 1024])
             .alloc_window(covirt_suite::simhw::topology::ZoneId(0), 16 * 1024, PAGE_SIZE_4K)
             .unwrap();
-        let ring = SharedRing::create(&region, 8, 16).unwrap();
+        let ring = SharedRing::create(&region, 8).unwrap();
         let mut model = std::collections::VecDeque::new();
         let mut next = 0u64;
         for push in ops {
             if push {
-                match ring.push(&next.to_le_bytes()) {
+                match ring.push([next; SLOT_WORDS]) {
                     Ok(()) => { model.push_back(next); next += 1; }
                     Err(RingError::Full) => prop_assert_eq!(model.len() as u64, ring.capacity()),
                     Err(e) => prop_assert!(false, "unexpected {:?}", e),
                 }
             } else {
                 match ring.pop() {
-                    Ok(buf) => {
-                        let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                        prop_assert_eq!(Some(v), model.pop_front());
+                    Ok(slot) => {
+                        let v = model.pop_front();
+                        prop_assert_eq!(Some(slot), v.map(|v| [v; SLOT_WORDS]));
                     }
                     Err(RingError::Empty) => prop_assert!(model.is_empty()),
                     Err(e) => prop_assert!(false, "unexpected {:?}", e),
@@ -130,24 +171,19 @@ proptest! {
         }
     }
 
-    /// Wire codec: boot parameters roundtrip for arbitrary contents.
+    /// Boot parameters roundtrip for arbitrary contents.
     #[test]
     fn boot_params_roundtrip(
         enclave_id in any::<u64>(),
-        name in "[a-z0-9_.-]{0,32}",
         cores in proptest::collection::vec(0u64..4096, 0..16),
         regions in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..16),
-        vectors in proptest::collection::vec(any::<u8>(), 0..16),
         tsc in any::<u64>(),
     ) {
-        use covirt_suite::pisces::boot::{BootParams, BOOT_MAGIC};
+        use covirt_suite::pisces::boot::BootParams;
         let p = BootParams {
-            magic: BOOT_MAGIC,
             enclave_id,
-            kernel_name: name,
             cores,
             mem_regions: regions.into_iter().map(|(a, b)| (a as u64, b as u64)).collect(),
-            ipi_vectors: vectors,
             ctrlchan_base: 0x1234,
             ctrlchan_len: 0x5678,
             pt_pool: (1, 2),
@@ -269,5 +305,74 @@ proptest! {
         }
         prop_assert_eq!(b.drain(), expect);
         prop_assert!(b.is_empty());
+    }
+
+    /// Whatever a co-kernel writes into its control channel, the host
+    /// neither panics nor handles more than one ring's worth of messages
+    /// per call, the culprit loses only memory it was asked to return, a
+    /// bystander's partition does not move, and once the culprit is torn
+    /// down every byte and pool frame it held is back.
+    #[test]
+    fn arbitrary_cokernel_words_never_hurt_the_host(
+        ops in proptest::collection::vec(chan_op(), 1..60),
+    ) {
+        use covirt_suite::covirt::config::CovirtConfig;
+        use covirt_suite::covirt::CovirtController;
+        use covirt_suite::hobbes::MasterControl;
+        use covirt_suite::pisces::ctrlchan::CTRL_SLOTS;
+        use covirt_suite::pisces::resources::ResourceRequest;
+        use covirt_suite::simhw::node::{NodeConfig, SimNode};
+        use covirt_suite::simhw::topology::{CoreId, ZoneId};
+
+        let node = SimNode::new(NodeConfig::paper_testbed());
+        let master = MasterControl::new(Arc::clone(&node));
+        let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::MEM);
+        ctl.attach_hobbes(&master);
+        let pisces = master.pisces();
+        let req = |core| ResourceRequest::new(vec![CoreId(core)], vec![(ZoneId(0), 64 << 20)]);
+        let usage = || (node.mem.zone_usage(ZoneId(0)).unwrap().1, ctl.frames_outstanding());
+        // One lifecycle first, so the node's frame pool (reserved at the
+        // first Covirt boot, kept for good) is part of the baseline.
+        let (warm, _) = master.bring_up_enclave("warm", &req(2)).unwrap();
+        pisces.teardown(&warm).unwrap();
+        let start = usage();
+
+        let (bystander, _) = master.bring_up_enclave("bystander", &req(3)).unwrap();
+        let bystander_res = bystander.resources();
+        let (culprit, k) = master.bring_up_enclave("culprit", &req(2)).unwrap();
+        let chan = PhysRange::new(HostPhysAddr::new(k.params.ctrlchan_base), k.params.ctrlchan_len);
+        let mut held = culprit.resources().mem;
+        let mut asked = Vec::new();
+        for op in ops {
+            let pick = |i: usize| held[i % held.len()];
+            match op {
+                ChanOp::Grant => held.extend(pisces.add_memory(&culprit, ZoneId(0), 2 << 20)),
+                ChanOp::Request(i) => {
+                    if pisces.request_remove_memory(&culprit, pick(i)).is_ok() {
+                        asked.push(pick(i));
+                    }
+                }
+                ChanOp::Acks => {
+                    let handled = pisces.process_acks(&culprit).map_or(0, |h| h.len() as u64);
+                    prop_assert!(handled <= CTRL_SLOTS, "{} handled", handled);
+                }
+                ChanOp::Word(w, v) => {
+                    node.mem.write_u64(chan.start.add(8 * (w % (chan.len / 8))), v).unwrap();
+                }
+                ChanOp::AckHeld(i) => {
+                    let (start, len) = (pick(i).start.raw(), pick(i).len);
+                    _ = k.ctrl().send(&CtrlMsg::RemoveMemAck { start, len });
+                }
+                ChanOp::Send(msg) => _ = k.ctrl().send(&msg),
+            }
+            let now = culprit.resources().mem;
+            for r in &held {
+                prop_assert!(now.contains(r) || asked.contains(r), "{:?} taken unasked", r);
+            }
+            prop_assert_eq!(bystander.resources(), bystander_res);
+        }
+        pisces.teardown(&culprit).unwrap();
+        pisces.teardown(&bystander).unwrap();
+        prop_assert_eq!(usage(), start);
     }
 }
