@@ -150,11 +150,19 @@ impl CovirtController {
     }
 
     /// Register with the Hobbes master control (XEMEM hooks + fault
-    /// notification path). Also attaches to its Pisces instance.
+    /// notification path). Also attaches to its Pisces instance, where a
+    /// fault the host finds itself (a control ring it cannot read) is then
+    /// reported here, on core 0 (the host's), before it reaches Hobbes.
     pub fn attach_hobbes(self: &Arc<Self>, master: &Arc<MasterControl>) {
         *self.master.write() = Some(Arc::downgrade(master));
         master.register_hooks(Arc::clone(self) as Arc<dyn HobbesHooks>);
         self.attach_pisces(master.pisces());
+        let ctl = Arc::downgrade(self);
+        master.pisces().set_fault_path(move |enclave, reason| {
+            if let Some(ctl) = ctl.upgrade() {
+                ctl.report_fault(enclave, 0, reason);
+            }
+        });
     }
 
     /// The feature set this controller enforces.
@@ -962,13 +970,15 @@ mod tests {
         );
     }
 
-    /// An enclave's EPT (leaves at every level) and its used command
+    /// Every writer of the pool's frames cleans up after itself: an
+    /// enclave's EPT (leaves at every level, a 2 MiB leaf split by an
+    /// unmap, a map refused mid-way and rolled back) and its used command
     /// queues come back to the pool clean: every frame the pool hands out
     /// next reads zero.
     #[test]
     fn frames_come_back_to_the_pool_clean() {
         use crate::cmdqueue::Command;
-        use covirt_simhw::addr::{HostPhysAddr, PAGE_SIZE_1G};
+        use covirt_simhw::addr::{HostPhysAddr, PAGE_SIZE_1G, PAGE_SIZE_2M};
 
         let (master, ctl) = setup(CovirtConfig::MEM);
         let (enclave, _kernel) = master.bring_up_enclave("e0", &req()).unwrap();
@@ -980,6 +990,46 @@ mod tests {
         ept.map_identity(far, 3).unwrap();
         let (l4k, l2m, l1g) = ept.leaf_counts().unwrap();
         assert!(l4k > 0 && l2m > 0 && l1g == 1);
+        // An unmap inside a 2 MiB leaf fills a whole PT with the split.
+        let ram = enclave.resources().mem[0];
+        let page = PhysRange::new(ram.start.add(PAGE_SIZE_2M + PAGE_SIZE_4K), PAGE_SIZE_4K);
+        let split = ctl.frames_outstanding();
+        ept.unmap(page).unwrap();
+        assert_eq!(ctl.frames_outstanding(), split + 1, "the split took a PT");
+        // 4 KiB leaves across a 2 MiB boundary of a fresh GiB need a PD and
+        // two PTs; with two frames left the map links the PD, writes the
+        // first PT's leaves, is refused at the second and rolls back.
+        let pool = ctl.frame_pool().unwrap();
+        let mut hoard = Vec::new();
+        while let Ok(frame) = pool.alloc_frame() {
+            hoard.push(frame);
+        }
+        let mut spare = hoard.split_off(hoard.len() - 2);
+        for &frame in &spare {
+            pool.free_frame(frame).unwrap();
+        }
+        let boundary = 65 * PAGE_SIZE_1G + PAGE_SIZE_2M;
+        let across = PhysRange::new(
+            HostPhysAddr::new(boundary - 2 * PAGE_SIZE_4K),
+            3 * PAGE_SIZE_4K,
+        );
+        assert!(ept.map_identity(across, 1).is_err());
+        // What the pool hands out next is what the map wrote and gave back.
+        let next: Vec<_> = (0..2).map(|_| pool.take_frame().unwrap()).collect();
+        let mut taken: Vec<_> = next.iter().map(|f| f.window().base()).collect();
+        taken.sort();
+        spare.sort();
+        assert_eq!(taken, spare);
+        for f in &next {
+            let w = f.window();
+            for off in (0..PAGE_SIZE_4K).step_by(8) {
+                assert_eq!(w.read_u64(w.base().add(off)).unwrap(), 0, "{:?}", w.base());
+            }
+        }
+        drop(next);
+        for frame in hoard {
+            pool.free_frame(frame).unwrap();
+        }
         for core in vctx.cores() {
             let q = vctx.cmdq(core).unwrap();
             for gva in 1..=4 {
@@ -991,7 +1041,6 @@ mod tests {
         master.pisces().teardown(&enclave).unwrap();
         assert_eq!(ctl.frames_outstanding(), 0);
 
-        let pool = ctl.frame_pool().unwrap();
         let frames: Vec<_> = (0..out).map(|_| pool.take_frame().unwrap()).collect();
         for f in &frames {
             let w = f.window();

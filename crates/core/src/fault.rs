@@ -12,7 +12,8 @@ use parking_lot::Mutex;
 pub struct FaultReport {
     /// The enclave that faulted.
     pub enclave: u64,
-    /// The core the abort exit occurred on.
+    /// The core the abort exit occurred on; 0 (the host's) for a fault
+    /// the host found.
     pub core: usize,
     /// Human-readable abort reason (exit qualification).
     pub reason: String,

@@ -47,6 +47,12 @@ impl MasterControl {
         Arc::new_cyclic(|master| {
             let host = PiscesHost::new(node);
             host.register_hooks(Arc::new(ForgetEnclave(Weak::clone(master))));
+            let failed = Weak::clone(master);
+            host.set_fault_path(move |enclave, reason| {
+                if let Some(master) = failed.upgrade() {
+                    let _ = master.handle_enclave_failure(enclave, reason);
+                }
+            });
             MasterControl {
                 host,
                 xemem: XememService::new(),
@@ -209,11 +215,12 @@ impl MasterControl {
     }
 
     /// Fault path: an enclave died (Covirt containment calls this via the
-    /// Pisces fault report). Reclaims it and notifies every living enclave
-    /// that shared a segment with it, as the paper's master control
-    /// process is responsible for. An enclave already reclaimed has left
-    /// the host and its sharers were told then: a later report (from
-    /// another of its cores) is `Ok` and does nothing.
+    /// Pisces fault report, and the host for a fault it finds itself).
+    /// Reclaims it and notifies every living enclave that shared a segment
+    /// with it, as the paper's master control process is responsible for.
+    /// An enclave already reclaimed has left the host and its sharers were
+    /// told then: a later report (from another of its cores) is `Ok` and
+    /// does nothing.
     pub fn handle_enclave_failure(&self, failed: u64, reason: &str) -> HobbesResult<()> {
         let Ok(enclave) = self.host.enclave(EnclaveId(failed)) else {
             return Ok(());

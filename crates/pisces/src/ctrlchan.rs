@@ -171,7 +171,7 @@ pub struct CtrlChannel {
 
 impl CtrlChannel {
     /// Bytes of shared memory a channel needs.
-    pub fn required_bytes() -> u64 {
+    pub const fn required_bytes() -> u64 {
         2 * SharedRing::required_bytes(CTRL_SLOTS).next_power_of_two()
     }
 

@@ -26,12 +26,18 @@ pub const VECTOR_POOL_FIRST: u8 = 0x40;
 /// Last dynamically allocatable IPI vector.
 pub const VECTOR_POOL_LAST: u8 = 0xbf;
 
-/// Size reserved per enclave for boot structures + control channel.
-const MGMT_REGION_LEN: u64 = 256 * 1024;
+/// The head of the management region: the boot-parameter record, which
+/// must fit this page.
+const BOOT_PARAMS_LEN: u64 = PAGE_SIZE_4K;
+/// Size of an enclave's management region: what it carries, the
+/// boot-parameter page and then the control channel.
+const MGMT_REGION_LEN: u64 = BOOT_PARAMS_LEN + CtrlChannel::required_bytes();
 /// Replies one enclave may have parked (see `PiscesHost::reply`): as many
 /// as its ring holds again. The enclave decides how many syscalls it
 /// forwards without polling, so the host bounds what it keeps for it.
 const MAX_PARKED_REPLIES: usize = CTRL_SLOTS as usize;
+/// Why an enclave whose enclave→host ring the host cannot read failed.
+const CORRUPT_CHANNEL: &str = "control channel corrupt";
 /// Of the enclave's first region, how much is designated as page-table pool.
 const PT_POOL_LEN: u64 = 16 * 1024 * 1024;
 
@@ -43,7 +49,14 @@ pub struct PiscesHost {
     next_id: AtomicU64,
     assigned_cores: Mutex<HashSet<usize>>,
     vector_pool: Mutex<VecDeque<u8>>,
+    /// Where a fault the host finds itself goes first (see
+    /// [`PiscesHost::set_fault_path`]).
+    fault_path: RwLock<Option<FaultPath>>,
 }
+
+/// The fault path of a layer above the host: called with the failed
+/// enclave's id and the reason.
+type FaultPath = Arc<dyn Fn(u64, &str) + Send + Sync>;
 
 impl PiscesHost {
     /// Load the framework onto a node. Core 0 is reserved for the host OS.
@@ -55,6 +68,7 @@ impl PiscesHost {
             next_id: AtomicU64::new(1),
             assigned_cores: Mutex::new(HashSet::from([0])),
             vector_pool: Mutex::new((VECTOR_POOL_FIRST..=VECTOR_POOL_LAST).collect()),
+            fault_path: RwLock::new(None),
         })
     }
 
@@ -66,6 +80,26 @@ impl PiscesHost {
     /// Register a hook set (Covirt's controller registers here).
     pub fn register_hooks(&self, hooks: Arc<dyn EnclaveHooks>) {
         self.hooks.write().push(hooks);
+    }
+
+    /// Send a fault the host finds itself — a control ring it cannot
+    /// read — down `path`, the fault path of the layer that owns the
+    /// policy, instead of straight to [`PiscesHost::report_fault`]. Hobbes
+    /// installs its failure handler, which also tells the enclave's
+    /// sharers; Covirt installs its containment report, which logs the
+    /// fault and goes on to Hobbes. The last one installed is called.
+    pub fn set_fault_path(&self, path: impl Fn(u64, &str) + Send + Sync + 'static) {
+        *self.fault_path.write() = Some(Arc::new(path));
+    }
+
+    /// Fail `enclave` for a fault the host found: down the fault path,
+    /// then here, which does nothing more if the path failed it.
+    fn fail(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
+        let path = self.fault_path.read().clone();
+        if let Some(path) = path {
+            path(enclave.id.0, reason);
+        }
+        self.report_fault(enclave, reason)
     }
 
     fn run_hooks<T>(&self, f: impl Fn(&dyn EnclaveHooks) -> PiscesResult<T>) -> PiscesResult<()> {
@@ -180,9 +214,9 @@ impl PiscesHost {
             mgmt_window.clone(),
         ));
 
-        // Control channel occupies the tail of the management region.
+        // The control channel follows the boot-parameter page.
         let chan_len = CtrlChannel::required_bytes();
-        let chan_base = mgmt.start.add(mgmt.len - chan_len);
+        let chan_base = mgmt.start.add(BOOT_PARAMS_LEN);
         let mut chan = mgmt_window
             .sub(PhysRange::new(chan_base, chan_len))
             .ok()
@@ -202,7 +236,10 @@ impl PiscesHost {
             pt_pool: (first.start.raw(), PT_POOL_LEN.min(first.len / 4)),
             tsc_hz: self.node.topology.tsc_hz,
         };
-        params.write_to(&mgmt_window, enclave.params_addr())?;
+        // A record the page does not hold is refused whole, and with it
+        // the request.
+        let page = mgmt_window.sub(PhysRange::new(mgmt.start, BOOT_PARAMS_LEN))?;
+        params.write_to(&page, enclave.params_addr())?;
 
         enclave
             .transition(&[EnclaveState::Created], EnclaveState::Loaded)
@@ -349,12 +386,22 @@ impl PiscesHost {
     /// The ring is the co-kernel's to write: a `RemoveMemAck` counts only
     /// if it names a range [`PiscesHost::request_remove_memory`] asked for,
     /// and the hooks get the host's record of it; any other is refused
-    /// before a hook runs.
+    /// before a hook runs. A ring the host cannot read — a cursor claiming
+    /// more than it holds, a slot that is no message — fails the enclave
+    /// down the fault path ([`PiscesHost::set_fault_path`]); a dead
+    /// enclave's ring, whose memory may be another's by then, is not read
+    /// again.
     ///
     /// `RemoveMemAck` ordering (the Covirt contract): ack received →
     /// **hook** (EPT unmap + TLB flush, blocking) → partition shrinks →
     /// memory returns to the host allocator.
     pub fn process_acks(&self, enclave: &Enclave) -> PiscesResult<Vec<CtrlMsg>> {
+        if !EnclaveState::NOT_DEAD.contains(&enclave.state()) {
+            return Err(PiscesError::BadState {
+                enclave: enclave.id.0,
+                op: "process_acks",
+            });
+        }
         let ctrl = enclave
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
@@ -362,11 +409,13 @@ impl PiscesHost {
         Self::send_parked(&mut enclave.parked_replies.lock(), &ctrl);
         let mut handled = Vec::new();
         for _ in 0..CTRL_SLOTS {
-            let Some(msg) = ctrl
-                .try_recv()
-                .map_err(|_| PiscesError::Invalid("ctrl channel"))?
-            else {
-                break;
+            let msg = match ctrl.try_recv() {
+                Ok(Some(msg)) => msg,
+                Ok(None) => break,
+                Err(_) => {
+                    self.fail(enclave, CORRUPT_CHANNEL)?;
+                    return Err(PiscesError::Invalid(CORRUPT_CHANNEL));
+                }
             };
             match &msg {
                 CtrlMsg::RemoveMemAck { start, len } => {
@@ -828,6 +877,40 @@ mod tests {
         // Other enclaves can be created afterwards — the node survived.
         let e2 = h.create_enclave("e1", &small_req()).unwrap();
         assert_eq!(e2.state(), EnclaveState::Loaded);
+    }
+
+    /// A ring the host cannot read fails its enclave down the installed
+    /// fault path; with no path, or one that leaves the enclave alive, the
+    /// host fails it itself. Either way it is reclaimed once.
+    #[test]
+    fn a_corrupt_ring_fails_its_enclave_with_or_without_a_fault_path() {
+        for installed in [false, true] {
+            let h = host();
+            let told = Arc::new(Mutex::new(Vec::new()));
+            if installed {
+                let told = Arc::clone(&told);
+                h.set_fault_path(move |id, why| told.lock().push((id, why.to_owned())));
+            }
+            let in_use = || h.node().mem.zone_usage(ZoneId(0)).unwrap().1;
+            let before = in_use();
+            let e = h.create_enclave("e0", &small_req()).unwrap();
+            h.launch(&e).unwrap();
+            // The enclave→host ring is the channel's second half; the tail
+            // is its header's fourth word.
+            let ring = MGMT_REGION_LEN - CtrlChannel::required_bytes() / 2;
+            let tail = e.mgmt_region.start.add(ring + 24);
+            let mem = &h.node().mem;
+            mem.write_u64(tail, mem.read_u64(tail).unwrap() + (1 << 16))
+                .unwrap();
+            assert!(h.process_acks(&e).is_err());
+            assert_eq!(e.state(), EnclaveState::Failed(CORRUPT_CHANNEL.into()));
+            assert_eq!(in_use(), before);
+            let expected = match installed {
+                true => vec![(e.id.0, CORRUPT_CHANNEL.to_owned())],
+                false => vec![],
+            };
+            assert_eq!(*told.lock(), expected);
+        }
     }
 
     /// Dead is absorbing at the host API too: no lifecycle call moves a

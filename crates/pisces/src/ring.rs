@@ -71,7 +71,7 @@ pub struct SharedRing {
 
 impl SharedRing {
     /// Bytes of shared memory needed for `slot_count` slots.
-    pub fn required_bytes(slot_count: u64) -> u64 {
+    pub const fn required_bytes(slot_count: u64) -> u64 {
         DATA_OFF as u64 + slot_count * SLOT_BYTES
     }
 

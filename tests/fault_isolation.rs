@@ -432,14 +432,13 @@ fn a_reclaimed_frame_is_real_memory_not_an_orphan() {
 
 /// A co-kernel that scribbles on its management region cannot forge its
 /// hypervisor's acknowledgements, because the command queues are not
-/// there. The guest writes `u64::MAX` where its core's completion counter
-/// used to be (96 KiB into the region). A reclaim of a range the core has
-/// cached still waits for the core's own flush — the reclaim does not
-/// return while the core is not polling — and the core executes exactly
-/// one range flush. Its stale write into the range afterwards is contained.
+/// there. The guest writes `u64::MAX` over every word of the region
+/// outside its control channel. A reclaim of a range the core has cached
+/// still waits for the core's own flush — the reclaim does not return
+/// while the core is not polling — and the core executes exactly one
+/// range flush. Its stale write into the range afterwards is contained.
 #[test]
 fn a_scribbled_management_region_forges_no_flush_acknowledgement() {
-    const FORMER_COMPLETION_WORD: u64 = 96 * 1024;
     let lab = Lab::new(ExecMode::Covirt(CovirtConfig::MEM));
     let pisces = lab.master.pisces();
     let (e, k, mut g) = lab.enclave(2);
@@ -447,8 +446,11 @@ fn a_scribbled_management_region_forges_no_flush_acknowledgement() {
     k.poll_ctrl().unwrap();
     pisces.process_acks(&e).unwrap();
     g.write_u64(range.start.raw(), 0xa).unwrap(); // the core caches the range
-    let forged = e.mgmt_region.start.raw() + FORMER_COMPLETION_WORD;
-    g.write_u64(forged, u64::MAX).unwrap();
+    let chan = k.params.ctrlchan_base..k.params.ctrlchan_base + k.params.ctrlchan_len;
+    let region = e.mgmt_region.start.raw()..e.mgmt_region.end().raw();
+    for word in region.step_by(8).filter(|w| !chan.contains(w)) {
+        g.write_u64(word, u64::MAX).unwrap();
+    }
 
     // The reclaim, with the core polling as a live core does — once it has
     // been seen not to return without it.

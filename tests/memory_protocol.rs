@@ -4,15 +4,21 @@
 
 use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::{CovirtController, GuestCore};
-use covirt_suite::hobbes::MasterControl;
-use covirt_suite::pisces::ctrlchan::{CtrlMsg, CTRL_SLOTS};
+use covirt_suite::hobbes::events::HobbesHooks;
+use covirt_suite::hobbes::{HobbesError, MasterControl};
+use covirt_suite::pisces::ctrlchan::{CtrlChannel, CtrlMsg, CTRL_SLOTS};
+use covirt_suite::pisces::host::{VECTOR_POOL_FIRST, VECTOR_POOL_LAST};
 use covirt_suite::pisces::resources::ResourceRequest;
-use covirt_suite::simhw::addr::{HostPhysAddr, PhysRange};
+use covirt_suite::pisces::{EnclaveState, PiscesError};
+use covirt_suite::simhw::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_4K};
+use covirt_suite::simhw::error::HwError;
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::paging::{Access, DirectLoad};
 use covirt_suite::simhw::tlb::TlbParams;
 use covirt_suite::simhw::topology::{CoreId, ZoneId};
-use std::sync::Arc;
+use covirt_suite::trace::audit::ViolationKind;
+use covirt_suite::workloads::audit::audit_trace;
+use std::sync::{Arc, Mutex};
 
 fn world() -> (Arc<SimNode>, Arc<MasterControl>, Arc<CovirtController>) {
     let node = SimNode::new(NodeConfig::paper_testbed());
@@ -226,9 +232,15 @@ fn ept_uses_large_pages_for_enclave_memory() {
     let vctx = ctl.context(e.id.0).unwrap();
     let (c4k, c2m, c1g) = vctx.ept.as_ref().unwrap().leaf_counts().unwrap();
     // 64 MiB of 2 MiB-aligned memory coalesces into 32 large pages; only
-    // the 256 KiB management region needs 4 KiB entries.
+    // the management region — the boot-parameter page, then the control
+    // channel — needs 4 KiB entries.
     assert_eq!(c2m + c1g * 512, 32, "enclave memory must coalesce");
-    assert_eq!(c4k, 64, "management region maps with 4 KiB pages");
+    let region_pages = (PAGE_SIZE_4K + CtrlChannel::required_bytes()) / PAGE_SIZE_4K;
+    assert_eq!(region_pages, 5);
+    assert_eq!(e.mgmt_region.len, region_pages * PAGE_SIZE_4K);
+    assert_eq!(c4k, region_pages, "management region maps with 4 KiB pages");
+    // The EPT's root, PDPT, PD and the region's PT, and the core's queue.
+    assert_eq!(ctl.frames_outstanding(), 4 + 1);
 }
 
 /// The enclave→host ring's cursors are the co-kernel's to write. A tail
@@ -253,6 +265,150 @@ fn a_scribbled_ring_cursor_costs_the_host_at_most_one_ring_of_messages() {
         .unwrap();
     let handled = pisces.process_acks(&e).map_or(0, |h| h.len() as u64);
     assert!(handled <= CTRL_SLOTS, "{handled} handled");
+}
+
+/// A co-kernel that corrupts its own enclave→host ring fails its enclave
+/// and nothing else. The host fails the culprit down the one fault path —
+/// Covirt files the report, Hobbes tells the enclave that shares the
+/// culprit's memory, Pisces reclaims it once, its memory and pool frames
+/// back — and reads its ring no more. The trace audits as a contained
+/// fault, not an orphan teardown, and a bystander keeps its partition and
+/// its EPT.
+#[test]
+fn a_corrupt_control_ring_fails_its_enclave_and_nothing_else() {
+    struct Told(Mutex<Vec<(u64, u64)>>);
+    impl HobbesHooks for Told {
+        fn on_dependency_failed(&self, dependent: u64, failed: u64) {
+            self.0.lock().unwrap().push((dependent, failed));
+        }
+    }
+    let (node, master, ctl) = world();
+    node.recorder().set_enabled(true);
+    let told = Arc::new(Told(Mutex::new(Vec::new())));
+    master.register_hooks(Arc::clone(&told) as Arc<dyn HobbesHooks>);
+    let pisces = master.pisces();
+    let req = |core| ResourceRequest::new(vec![CoreId(core)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+    let (bystander, _) = master.bring_up_enclave("bystander", &req(3)).unwrap();
+    let bystander_vctx = ctl.context(bystander.id.0).unwrap();
+    let bystander_view = || {
+        (
+            bystander.state(),
+            bystander.resources(),
+            bystander_vctx.ept.as_ref().unwrap().leaf_counts().unwrap(),
+        )
+    };
+    let bystander_before = bystander_view();
+    let usage = || {
+        (
+            node.mem.zone_usage(ZoneId(0)).unwrap(),
+            ctl.frames_outstanding(),
+        )
+    };
+    let before = usage();
+
+    let (sharer, _) = master.bring_up_enclave("sharer", &req(4)).unwrap();
+    let (culprit, k) = master.bring_up_enclave("culprit", &req(2)).unwrap();
+    let seg = PhysRange::new(culprit.resources().mem[0].start, 2 * 1024 * 1024);
+    master.export_segment(culprit.id.0, "seg", seg).unwrap();
+    master.attach_segment(sharer.id.0, "seg").unwrap();
+    let to_host = k.params.ctrlchan_base + k.params.ctrlchan_len / 2;
+    let tail = HostPhysAddr::new(to_host + 24); // the ring header's tail word
+    node.mem
+        .write_u64(tail, node.mem.read_u64(tail).unwrap() + (1 << 16))
+        .unwrap();
+    assert!(pisces.process_acks(&culprit).is_err());
+    match culprit.state() {
+        EnclaveState::Failed(why) => assert!(why.contains("control channel"), "{why}"),
+        state => panic!("the culprit is {state:?}"),
+    }
+    let filed = ctl.faults.for_enclave(culprit.id.0);
+    assert_eq!(filed.len(), 1, "{filed:?}");
+    assert!(filed[0].reason.contains("control channel"), "{filed:?}");
+    assert_eq!(filed[0].reclaim, Some(Ok(())));
+    let notices = master.notices.drain();
+    assert_eq!(notices.len(), 1, "{notices:?}");
+    assert_eq!(
+        (notices[0].dependent, notices[0].failed),
+        (sharer.id.0, culprit.id.0)
+    );
+    assert_eq!(*told.0.lock().unwrap(), [(sharer.id.0, culprit.id.0)]);
+    assert_eq!(sharer.state(), EnclaveState::Running);
+
+    let failed = usage();
+    for _ in 0..2 {
+        let again = pisces.process_acks(&culprit);
+        assert!(
+            matches!(again, Err(PiscesError::BadState { .. })),
+            "{again:?}"
+        );
+    }
+    assert_eq!(usage(), failed, "reclaimed once");
+    assert_eq!(ctl.faults.for_enclave(culprit.id.0).len(), 1);
+    let audit = audit_trace(&node);
+    assert!(
+        audit
+            .violations
+            .iter()
+            .all(|v| v.kind != ViolationKind::OrphanTeardown),
+        "{}",
+        audit.render()
+    );
+    assert!(
+        audit
+            .violations
+            .iter()
+            .any(|v| v.kind == ViolationKind::ProtectionFault && v.enclave == Some(culprit.id.0)),
+        "{}",
+        audit.render()
+    );
+    // With its sharer gone too, everything the culprit held is back.
+    pisces.teardown(&sharer).unwrap();
+    assert_eq!(usage(), before);
+    assert_eq!(bystander_view(), bystander_before);
+}
+
+/// The boot-parameter page holds the largest record the node can
+/// describe: every core the host can give and a region in each zone. A
+/// request whose record the page cannot hold is refused with nothing kept:
+/// memory, pool frames, cores and vectors are all back.
+#[test]
+fn the_boot_page_holds_the_largest_record_the_node_describes() {
+    let (node, master, ctl) = world();
+    let topo = &node.topology;
+    // Core 0 is the host's; the request takes every vector as well.
+    let cores: Vec<_> = (1..topo.total_cores()).map(CoreId).collect();
+    let zones = (0..topo.zones)
+        .map(|z| (ZoneId(z), 4 * 1024 * 1024))
+        .collect();
+    let mut everything = ResourceRequest::new(cores, zones);
+    everything.num_ipi_vectors = (VECTOR_POOL_LAST - VECTOR_POOL_FIRST) as usize + 1;
+    let (e, k) = master.bring_up_enclave("everything", &everything).unwrap();
+    assert_eq!(k.params.cores.len(), topo.total_cores() - 1);
+    assert_eq!(k.params.mem_regions.len(), topo.zones);
+    master.pisces().teardown(&e).unwrap();
+
+    let state = || {
+        (
+            node.mem.zone_usage(ZoneId(0)).unwrap(),
+            node.mem.zone_usage(ZoneId(1)).unwrap(),
+            ctl.frames_outstanding(),
+        )
+    };
+    let before = state();
+    // 256 (start, len) pairs are a page on their own.
+    let overflow = ResourceRequest::new(vec![CoreId(1)], vec![(ZoneId(0), PAGE_SIZE_4K); 256]);
+    let refused = master.bring_up_enclave("overflow", &overflow).err();
+    assert_eq!(state(), before);
+    // The cores and vectors are back: the request for all of them boots,
+    // its boot page where the refused record would have begun.
+    let (e, _) = master.bring_up_enclave("everything", &everything).unwrap();
+    match refused {
+        Some(HobbesError::Pisces(PiscesError::Hw(HwError::UnbackedPhys(at)))) => {
+            assert_eq!(at, e.mgmt_region.start, "refused for another record")
+        }
+        other => panic!("a record past its page was not refused for it: {other:?}"),
+    }
+    master.pisces().teardown(&e).unwrap();
 }
 
 /// Sends a `RemoveMemAck` of the range `forged` makes of the boot region,

@@ -309,9 +309,11 @@ proptest! {
 
     /// Whatever a co-kernel writes into its control channel, the host
     /// neither panics nor handles more than one ring's worth of messages
-    /// per call, the culprit loses only memory it was asked to return, a
-    /// bystander's partition does not move, and once the culprit is torn
-    /// down every byte and pool frame it held is back.
+    /// per call. A call that fails either refused a message, and the
+    /// culprit lives on having lost only memory it was asked to return, or
+    /// found the ring corrupt, and the culprit is `Failed` for it. A
+    /// bystander's partition and EPT do not move, and once the culprit is
+    /// gone every byte and pool frame it held is back.
     #[test]
     fn arbitrary_cokernel_words_never_hurt_the_host(
         ops in proptest::collection::vec(chan_op(), 1..60),
@@ -321,6 +323,7 @@ proptest! {
         use covirt_suite::hobbes::MasterControl;
         use covirt_suite::pisces::ctrlchan::CTRL_SLOTS;
         use covirt_suite::pisces::resources::ResourceRequest;
+        use covirt_suite::pisces::EnclaveState;
         use covirt_suite::simhw::node::{NodeConfig, SimNode};
         use covirt_suite::simhw::topology::{CoreId, ZoneId};
 
@@ -338,7 +341,12 @@ proptest! {
         let start = usage();
 
         let (bystander, _) = master.bring_up_enclave("bystander", &req(3)).unwrap();
-        let bystander_res = bystander.resources();
+        let bystander_vctx = ctl.context(bystander.id.0).unwrap();
+        let bystander_view = || {
+            let ept = bystander_vctx.ept.as_ref().unwrap();
+            (bystander.resources(), ept.leaf_counts().unwrap())
+        };
+        let bystander_before = bystander_view();
         let (culprit, k) = master.bring_up_enclave("culprit", &req(2)).unwrap();
         let chan = PhysRange::new(HostPhysAddr::new(k.params.ctrlchan_base), k.params.ctrlchan_len);
         let mut held = culprit.resources().mem;
@@ -353,8 +361,26 @@ proptest! {
                     }
                 }
                 ChanOp::Acks => {
-                    let handled = pisces.process_acks(&culprit).map_or(0, |h| h.len() as u64);
-                    prop_assert!(handled <= CTRL_SLOTS, "{} handled", handled);
+                    let acked = pisces.process_acks(&culprit);
+                    if let Ok(h) = &acked {
+                        prop_assert!(h.len() as u64 <= CTRL_SLOTS, "{} handled", h.len());
+                    }
+                    match culprit.state() {
+                        EnclaveState::Running => {
+                            // Every pop checks the enclave→host cursors
+                            // (the second ring's words 2 and 3) first, so a
+                            // call that leaves them claiming more than the
+                            // ring holds found them so.
+                            let word = |w: u64| node.mem.read_u64(chan.start.add(8 * w)).unwrap();
+                            let queued = word(1024 + 3).wrapping_sub(word(1024 + 2));
+                            prop_assert!(queued <= CTRL_SLOTS, "{:?} on a corrupt ring", acked);
+                        }
+                        EnclaveState::Failed(why) => {
+                            prop_assert!(acked.is_err(), "failed, yet {:?}", acked);
+                            prop_assert!(why.contains("control channel"), "{}", why);
+                        }
+                        state => prop_assert!(false, "{:?} left the culprit {:?}", acked, state),
+                    }
                 }
                 ChanOp::Word(w, v) => {
                     node.mem.write_u64(chan.start.add(8 * (w % (chan.len / 8))), v).unwrap();
@@ -365,13 +391,20 @@ proptest! {
                 }
                 ChanOp::Send(msg) => _ = k.ctrl().send(&msg),
             }
+            prop_assert_eq!(bystander_view(), bystander_before.clone());
+            if culprit.state() != EnclaveState::Running {
+                // Failed and reclaimed: its co-kernel runs no more.
+                break;
+            }
             let now = culprit.resources().mem;
             for r in &held {
                 prop_assert!(now.contains(r) || asked.contains(r), "{:?} taken unasked", r);
             }
-            prop_assert_eq!(bystander.resources(), bystander_res);
         }
-        pisces.teardown(&culprit).unwrap();
+        if culprit.state() == EnclaveState::Running {
+            pisces.teardown(&culprit).unwrap();
+        }
+        drop(bystander_vctx);
         pisces.teardown(&bystander).unwrap();
         prop_assert_eq!(usage(), start);
     }
