@@ -19,8 +19,14 @@ use covirt_bench::gate::GateResult;
 use covirt_bench::suite::{self, BenchRecord, Ctx, Harness, HARNESSES};
 use covirt_bench::{render_report, render_shootdown};
 use std::path::PathBuf;
+use workloads::census::CountingAlloc;
 use workloads::figures::Scale;
 use workloads::shootdown;
+
+/// Counts each thread's heap allocations for the `alloc` harness; costs
+/// the other harnesses one thread-local increment per allocation.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Options every subcommand receives.
 #[derive(Clone)]

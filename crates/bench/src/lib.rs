@@ -15,6 +15,11 @@
 pub mod gate;
 pub mod suite;
 
+/// The `alloc` harness counts allocations only under this allocator.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: workloads::census::CountingAlloc = workloads::census::CountingAlloc;
+
 use covirt::stats::overhead_pct;
 use covirt_simhw::topology::ZoneId;
 use covirt_trace::audit::CmdLifecycle;

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use workloads::figures::{self, Scale};
 use workloads::scaling::ScalingParams;
-use workloads::{audit, exitless, profile, scaling, shootdown, table1};
+use workloads::{audit, census, exitless, profile, scaling, shootdown, table1};
 
 /// Default trials per harness for `figures bench`.
 pub const DEFAULT_TRIALS: usize = 3;
@@ -389,6 +389,113 @@ pub const GATES: &[MetricSpec] = &[
         max: Some(0.0),
         gate_on: GateOn::Worst,
     },
+    // -- alloc: heap allocations per call (counted, not timed) --------------
+    // The per-event paths of the co-kernel, the guest, the controller and
+    // the hypervisor allocate nothing. The host's grant and reclaim calls
+    // sit at the value they reach, 0; the lifecycle at what Covirt adds to
+    // the native one: the context and its slots, the EPT and its frame
+    // record, each core's VMCS and queue frame, the whitelist's core
+    // bitmap, the abort reason, and one fault-log growth every eight
+    // lifecycles. The two lifecycle totals are information.
+    MetricSpec {
+        harness: "alloc",
+        metric: "coker_poll",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "guest_harvest",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "grant_hook",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "reclaim_round_trip",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "cpuid_exit",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "lifecycle_covirt_minus_native",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(9.125),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "lifecycle_covirt",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: None,
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "lifecycle_native",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: None,
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "add_memory",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "request_remove",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
+    MetricSpec {
+        harness: "alloc",
+        metric: "process_acks",
+        unit: "allocs",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
     // -- traceovh: flight-recorder off-path cost ----------------------------
     MetricSpec {
         harness: "traceovh",
@@ -569,6 +676,17 @@ pub const HARNESSES: &[Harness] = &[
         measure: profile,
     },
     Harness {
+        name: "alloc",
+        help: "allocation census: heap allocations per call of the co-kernel's\n\
+               control poll, a guest doorbell harvest, the controller's grant\n\
+               hook and reclaim hook with its round trip to eleven live cores,\n\
+               a CPUID exit, the host's grant/reclaim calls, and one enclave\n\
+               lifecycle under Covirt against native (needs the figures\n\
+               binary's counting allocator)",
+        in_all: false,
+        measure: alloc,
+    },
+    Harness {
         name: "traceovh",
         help: "STREAM with the flight recorder disabled vs enabled: the\n\
                disabled path must keep up (judged on the best of --trials)",
@@ -727,6 +845,72 @@ fn export_profile(dir: &Path, r: &profile::ProfileReport) -> String {
         path.display(),
         folded.lines().count()
     )
+}
+
+/// Allocations are counted per thread by the global allocator, so they
+/// repeat on any host: every row is bounded at the value it takes.
+fn alloc(_: &Ctx, c: &mut Collector) -> String {
+    assert!(
+        census::counting(),
+        "the alloc harness needs workloads::census::CountingAlloc as the global allocator"
+    );
+    let n = census::take();
+    let minus = n.lifecycle_covirt - n.lifecycle_native;
+    let rows = [
+        (
+            "coker_poll",
+            n.coker_poll,
+            "co-kernel poll_ctrl, per message",
+        ),
+        ("guest_harvest", n.guest_harvest, "guest doorbell harvest"),
+        (
+            "grant_hook",
+            n.grant_hook,
+            "controller grant hook (EPT map)",
+        ),
+        (
+            "reclaim_round_trip",
+            n.reclaim_round_trip,
+            "controller reclaim hook + round trip, 11 cores",
+        ),
+        ("cpuid_exit", n.cpuid_exit, "CPUID exit"),
+        (
+            "lifecycle_covirt_minus_native",
+            minus,
+            "one lifecycle, Covirt minus native",
+        ),
+        (
+            "lifecycle_covirt",
+            n.lifecycle_covirt,
+            "one lifecycle, Covirt",
+        ),
+        (
+            "lifecycle_native",
+            n.lifecycle_native,
+            "one lifecycle, native",
+        ),
+        (
+            "add_memory",
+            n.add_memory,
+            "host add_memory (grant hook in)",
+        ),
+        (
+            "request_remove",
+            n.request_remove,
+            "host request_remove_memory",
+        ),
+        (
+            "process_acks",
+            n.process_acks,
+            "host process_acks, per grant-and-reclaim cycle",
+        ),
+    ];
+    let mut out = String::from("Allocation census (heap allocations per call)\n");
+    for (metric, v, what) in rows {
+        c.push(metric, v);
+        out.push_str(&format!("  {what:<48} {v:>7.2}\n"));
+    }
+    out
 }
 
 /// The disabled recorder costs one relaxed load + branch per emit point,
@@ -992,6 +1176,15 @@ mod tests {
         "profile.profiler_off_deficit_pct <= 5",
         "profile.fault_culprit_spike_cycles >= 1",
         "profile.bystander_controller_cycles <= 0",
+        "alloc.coker_poll <= 0",
+        "alloc.guest_harvest <= 0",
+        "alloc.grant_hook <= 0",
+        "alloc.reclaim_round_trip <= 0",
+        "alloc.cpuid_exit <= 0",
+        "alloc.lifecycle_covirt_minus_native <= 9.125",
+        "alloc.add_memory <= 0",
+        "alloc.request_remove <= 0",
+        "alloc.process_acks <= 0",
         "traceovh.recorder_off_deficit_pct <= 5",
     ];
 
@@ -1048,6 +1241,7 @@ mod tests {
             "exitless",
             "profile",
             "audit",
+            "alloc",
             "traceovh",
         ] {
             assert!(harness(gated).is_some_and(Harness::gated), "{gated}");
@@ -1138,6 +1332,17 @@ mod tests {
             }
         }
         assert_eq!(judged, CHECKS);
+    }
+
+    /// The census runs under the counting allocator this test binary
+    /// installs, and every bounded row of it holds.
+    #[test]
+    fn the_alloc_harness_meets_its_bounds() {
+        let alloc = [harness("alloc").unwrap()];
+        let records = run_suite(&alloc, 1, &ctx());
+        assert_eq!(records.len(), alloc[0].rows().count());
+        let g = apply_gates(&records, &alloc);
+        assert!(g.ok(), "{}", g.render());
     }
 
     #[test]

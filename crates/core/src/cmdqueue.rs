@@ -32,12 +32,15 @@ use covirt_simhw::memory::MemWindow;
 use covirt_simhw::paging::PoolFrame;
 use covirt_trace::{EventKind, Tracer};
 use parking_lot::Mutex;
-use pisces::ring::{RingError, SharedRing, Slot};
+use pisces::ring::{Batch, RingError, SharedRing, Slot};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Commands per queue.
 pub const CMD_SLOTS: u64 = 32;
+/// What one drain takes off a queue: at most its `CMD_SLOTS` commands,
+/// held inline.
+pub type Drained = Batch<SeqCommand, { CMD_SLOTS as usize }>;
 /// Offset of the completion counter within the queue region.
 pub(crate) const OFF_COMPLETION: u64 = 0;
 /// Offset of the sequence-number allocator within the queue region.
@@ -312,27 +315,36 @@ impl CmdQueue {
     /// a command observed by both sides executes twice, and every command
     /// in the protocol is idempotent.
     fn post_coalescing(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
-        let drained = self.drain().into_iter();
-        let (flushes, kept): (Vec<_>, Vec<_>) = drained.partition(|c| c.cmd.is_flush());
-        for c in &kept {
-            self.ring.push(c.to_slot())?;
+        let mut merged = false;
+        for c in self.drain().iter() {
+            match c.cmd.is_flush() {
+                true => merged = true,
+                false => self.ring.push(c.to_slot())?,
+            }
         }
         if cmd.is_flush() {
             // The merged flush covers the drained flushes *and* `cmd`.
             return self.push(Command::TlbFlushAll, tsc);
         }
-        if !flushes.is_empty() {
+        if merged {
             self.push(Command::TlbFlushAll, 0)?;
         }
         self.push(cmd, tsc)
     }
 
-    /// Hypervisor: drain all pending commands.
-    pub fn drain(&self) -> Vec<SeqCommand> {
-        let mut out = Vec::new();
-        while let Ok(slot) = self.ring.pop() {
+    /// Hypervisor: drain the pending commands, at most a ring's worth, in
+    /// the order they were posted. Allocates nothing: the batch is held
+    /// inline. What producers push meanwhile beyond that stays queued for
+    /// the next drain (their doorbell comes after their push).
+    pub fn drain(&self) -> Drained {
+        let mut out = Drained::new();
+        for _ in 0..CMD_SLOTS {
+            let Ok(slot) = self.ring.pop() else {
+                break;
+            };
             if let Some(c) = SeqCommand::from_slot(&slot) {
-                out.push(c);
+                // At most `CMD_SLOTS` pops: the batch has room.
+                let _ = out.push(c);
             }
         }
         out
@@ -474,7 +486,7 @@ mod tests {
         let s2 = q.post(Command::TlbFlushAll).unwrap();
         assert!(s2 > s1);
         assert!(q.wait(s1, 1, None, &|| true).is_err());
-        for c in q.drain() {
+        for c in q.drain().iter() {
             q.complete(c.seq);
         }
         assert!(q.wait(s2, 1, None, &|| true).is_ok());
@@ -547,6 +559,41 @@ mod tests {
         assert_eq!(drained[1].cmd, Command::TlbFlushAll);
         assert_eq!(drained[2].cmd, Command::Sync);
         assert_eq!(drained[2].seq, sync);
+    }
+
+    /// A full ring drains into the fixed batch whole and in post order,
+    /// and so does one the coalescing path refilled: nothing is lost.
+    #[test]
+    fn a_full_ring_drains_whole_and_in_order() {
+        let (_w, q) = queue();
+        let cmds: Vec<Command> = (0..CMD_SLOTS)
+            .map(|i| match i % 2 {
+                0 => Command::Sync,
+                _ => Command::TlbFlushPage { gva: i << 12 },
+            })
+            .collect();
+        let seqs: Vec<u64> = cmds.iter().map(|&c| q.post(c).unwrap()).collect();
+        let drained = q.drain();
+        assert_eq!(drained.len() as u64, CMD_SLOTS);
+        let got: Vec<(u64, Command)> = drained.iter().map(|c| (c.seq, c.cmd)).collect();
+        let want: Vec<(u64, Command)> = seqs.iter().copied().zip(cmds.iter().copied()).collect();
+        assert_eq!(got, want);
+
+        // Refill, then overflow: the syncs keep their sequence numbers and
+        // order, the flushes merge into one, the new command lands last.
+        let seqs: Vec<u64> = cmds.iter().map(|&c| q.post(c).unwrap()).collect();
+        let last = q.post(Command::ReloadVmcs).unwrap();
+        let drained = q.drain();
+        let syncs: Vec<u64> = seqs.iter().copied().step_by(2).collect();
+        let kept: Vec<u64> = drained.iter().take(syncs.len()).map(|c| c.seq).collect();
+        assert_eq!(kept, syncs);
+        assert!(drained[..syncs.len()]
+            .iter()
+            .all(|c| c.cmd == Command::Sync));
+        let tail: Vec<Command> = drained[syncs.len()..].iter().map(|c| c.cmd).collect();
+        assert_eq!(tail, [Command::TlbFlushAll, Command::ReloadVmcs]);
+        assert_eq!(drained.last().unwrap().seq, last);
+        assert_eq!(q.pending(), 0);
     }
 
     #[test]

@@ -44,9 +44,10 @@ use parking_lot::{Mutex, RwLock};
 use pisces::enclave::Enclave;
 use pisces::hooks::EnclaveHooks;
 use pisces::host::PiscesHost;
+use pisces::resources::ResourceSpec;
+use pisces::ring::Batch;
 use pisces::{PiscesError, PiscesResult};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -76,6 +77,10 @@ const COMPLETION_WAIT_POLLS: u64 = 50_000_000;
 /// 32 slots; leave headroom for unrelated commands).
 const MAX_RANGE_FLUSH_CMDS: usize = 8;
 
+/// Live cores one pass of a command round trip posts to before it waits
+/// on them; an enclave with more live cores takes several passes.
+const ROUND_TRIP_CORES: usize = 64;
+
 /// Default time a core gets to acknowledge a doorbell-delivered command
 /// before the controller escalates to an NMI kick. Generous relative to a
 /// polling core's harvest latency (microseconds) so host-scheduler hiccups
@@ -101,17 +106,20 @@ pub enum CmdDelivery {
 pub struct CovirtController {
     node: Arc<SimNode>,
     config: CovirtConfig,
-    contexts: RwLock<HashMap<u64, Arc<VirtContext>>>,
+    /// Every managed enclave's context, sorted by enclave id: a lookup is
+    /// a binary search over the enclaves alive, no hashing.
+    contexts: RwLock<Vec<(u64, Arc<VirtContext>)>>,
     master: RwLock<Option<Weak<MasterControl>>>,
     /// Record of every contained fault.
     pub faults: FaultLog,
     /// Broadcast shootdowns issued (instrumentation).
     shootdowns: AtomicU64,
-    /// How commands are signalled to cores (doorbell-first by default).
-    delivery: RwLock<CmdDelivery>,
+    /// Whether commands are signalled by NMI alone (the legacy
+    /// [`CmdDelivery::NmiOnly`]) instead of doorbell-first, the default.
+    nmi_only: AtomicBool,
     /// Nanoseconds a core gets to acknowledge a doorbell before the
     /// controller escalates to an NMI kick.
-    escalation_bound_ns: RwLock<u64>,
+    escalation_bound_ns: AtomicU64,
     /// Doorbell deliveries that timed out and escalated to an NMI.
     nmi_escalations: AtomicU64,
     /// The node's frames for hypervisor state — every enclave's EPT tables
@@ -132,12 +140,12 @@ impl CovirtController {
         Arc::new(CovirtController {
             node,
             config,
-            contexts: RwLock::new(HashMap::new()),
+            contexts: RwLock::new(Vec::new()),
             master: RwLock::new(None),
             faults: FaultLog::new(),
             shootdowns: AtomicU64::new(0),
-            delivery: RwLock::new(CmdDelivery::DoorbellFirst),
-            escalation_bound_ns: RwLock::new(DEFAULT_ESCALATION_BOUND_NS),
+            nmi_only: AtomicBool::new(false),
+            escalation_bound_ns: AtomicU64::new(DEFAULT_ESCALATION_BOUND_NS),
             nmi_escalations: AtomicU64::new(0),
             frame_pool: Mutex::new(None),
             tracer,
@@ -172,11 +180,11 @@ impl CovirtController {
 
     /// The virtualization context for an enclave.
     pub fn context(&self, enclave: u64) -> CovirtResult<Arc<VirtContext>> {
-        self.contexts
-            .read()
-            .get(&enclave)
-            .cloned()
-            .ok_or(CovirtError::NoContext(enclave))
+        let contexts = self.contexts.read();
+        match contexts.binary_search_by_key(&enclave, |(id, _)| *id) {
+            Ok(i) => Ok(Arc::clone(&contexts[i].1)),
+            Err(_) => Err(CovirtError::NoContext(enclave)),
+        }
     }
 
     /// How many broadcast shootdowns this controller has issued.
@@ -187,24 +195,28 @@ impl CovirtController {
     /// Select the command-delivery mode (ablation knob; doorbell-first by
     /// default).
     pub fn set_delivery(&self, delivery: CmdDelivery) {
-        *self.delivery.write() = delivery;
+        let nmi_only = delivery == CmdDelivery::NmiOnly;
+        self.nmi_only.store(nmi_only, Ordering::Relaxed);
     }
 
     /// The current command-delivery mode.
     pub fn delivery(&self) -> CmdDelivery {
-        *self.delivery.read()
+        match self.nmi_only.load(Ordering::Relaxed) {
+            true => CmdDelivery::NmiOnly,
+            false => CmdDelivery::DoorbellFirst,
+        }
     }
 
     /// Bound the doorbell-acknowledgement window: a core that has not
     /// advanced its completion counter within `ns` is escalated to an NMI
     /// kick.
     pub fn set_escalation_bound_ns(&self, ns: u64) {
-        *self.escalation_bound_ns.write() = ns;
+        self.escalation_bound_ns.store(ns, Ordering::Relaxed);
     }
 
     /// The configured doorbell-escalation bound in nanoseconds.
     pub fn escalation_bound_ns(&self) -> u64 {
-        *self.escalation_bound_ns.read()
+        self.escalation_bound_ns.load(Ordering::Relaxed)
     }
 
     /// How many doorbell deliveries escalated to an NMI kick.
@@ -268,7 +280,9 @@ impl CovirtController {
     /// them all (doorbell posts, or NMIs in the legacy mode) before waiting
     /// on anything, so the per-core work executes concurrently; then
     /// collect the completions in a single pass. Total latency is therefore
-    /// max(per-core) + one signal delivery, not the sum over cores.
+    /// max(per-core) + one signal delivery, not the sum over cores. What
+    /// the wait needs of each core is held inline, for up to
+    /// [`ROUND_TRIP_CORES`] live cores a pass.
     ///
     /// Under doorbell-first delivery a core that has not acknowledged
     /// within the escalation bound is kicked with the legacy NMI once (and
@@ -277,12 +291,26 @@ impl CovirtController {
     /// not waited for: it never runs on what it cached again. A core that
     /// does neither is named in the error.
     fn round_trip(&self, vctx: &VirtContext, cmds: &[Command]) -> CovirtResult<()> {
-        let mut waits = Vec::new();
-        for (core, q, doorbell) in vctx.live_slots() {
-            let seq = self.post_and_signal(vctx.enclave_id, core, q, doorbell, cmds)?;
-            waits.push((core, q, seq));
+        let mut live = vctx.live_slots().peekable();
+        while live.peek().is_some() {
+            let mut waits = Batch::<_, ROUND_TRIP_CORES>::new();
+            for (core, q, doorbell) in live.by_ref().take(ROUND_TRIP_CORES) {
+                let seq = self.post_and_signal(vctx.enclave_id, core, q, doorbell, cmds)?;
+                // `take` leaves the batch room.
+                let _ = waits.push((core, q, seq));
+            }
+            self.await_completions(vctx, &waits)?;
         }
+        Ok(())
+    }
 
+    /// The waiting half of [`Self::round_trip`]: each `(core, queue, seq)`
+    /// completes, escalates, or its core leaves guest mode.
+    fn await_completions(
+        &self,
+        vctx: &VirtContext,
+        waits: &[(usize, &CmdQueue, u64)],
+    ) -> CovirtResult<()> {
         // The wait is control-plane time forced by *this* enclave, so
         // covirt-prof attributes it to the enclave on the overlay (the
         // calling thread has no per-core timeline to conserve against).
@@ -290,7 +318,7 @@ impl CovirtController {
         let w0 = prof.enabled().then(|| self.node.clock.rdtsc());
         let doorbell_first = self.delivery() == CmdDelivery::DoorbellFirst;
         let bound = Duration::from_nanos(self.escalation_bound_ns());
-        for (core, q, seq) in waits {
+        for &(core, q, seq) in waits {
             // The doorbell went unanswered: demote to the legacy NMI kick
             // (the interconnect emits NmiKick for the audit trail).
             let kick = || {
@@ -335,16 +363,32 @@ impl CovirtController {
             .map_or(0, |pool| pool.outstanding())
     }
 
-    /// Build the full virtualization context for an enclave about to boot.
+    /// Build the full virtualization context for an enclave about to boot,
+    /// reading its partition in place.
     fn build_context(&self, enclave: &Enclave) -> PiscesResult<Arc<VirtContext>> {
-        let res = enclave.resources();
-        let cores: Vec<usize> = res.cores.iter().map(|c| c.0).collect();
         let pool = self.frame_pool()?;
+        let vctx = Arc::new(enclave.with_resources(|res| self.assemble(enclave, res, &pool))?);
+        let mut contexts = self.contexts.write();
+        let id = enclave.id.0;
+        match contexts.binary_search_by_key(&id, |(id, _)| *id) {
+            Ok(i) => contexts[i].1 = Arc::clone(&vctx),
+            Err(i) => contexts.insert(i, (id, Arc::clone(&vctx))),
+        }
+        Ok(vctx)
+    }
 
+    /// The context of `enclave`, whose partition is `res`, with its tables
+    /// and queues taken from `pool`.
+    fn assemble(
+        &self,
+        enclave: &Enclave,
+        res: &ResourceSpec,
+        pool: &Arc<FramePool>,
+    ) -> PiscesResult<VirtContext> {
         // EPT: identity map of everything the enclave owns, coalesced into
         // the largest possible pages, full permissions.
         let ept = if self.config.memory {
-            let ept = Ept::new(Arc::clone(&pool))?;
+            let ept = Ept::new(Arc::clone(pool))?;
             for r in &res.mem {
                 ept.map_identity(*r, 3).map_err(PiscesError::Hw)?;
                 self.tracer
@@ -359,32 +403,25 @@ impl CovirtController {
             None
         };
 
-        let mut vctx = VirtContext::new(enclave.id.0, self.config, &cores, &res.ipi_vectors, ept);
+        let cores = || res.cores.iter().map(|c| c.0);
+        let mut vctx = VirtContext::new(enclave.id.0, self.config, cores(), &res.ipi_vectors, ept);
 
-        // Pre-boot VMCS guest state: every core launches "at the kernel
-        // entry" with RDI = the unmodified Pisces boot parameters.
-        for &core in &cores {
+        for core in cores() {
+            // Pre-boot VMCS guest state: every core launches "at the kernel
+            // entry" with RDI = the unmodified Pisces boot parameters.
             if let Some(h) = vctx.vmcs(core) {
                 let mut v = h.write();
                 v.guest.rip = 0xffff_ffff_8000_0000; // canonical kernel text base
                 v.guest.rdi = enclave.params_addr().raw();
             }
-        }
-
-        // One command queue per core, each in a frame of the node's pool:
-        // hypervisor state the guest has no mapping of.
-        for &core in &cores {
+            // One command queue per core, each in a frame of the node's
+            // pool: hypervisor state the guest has no mapping of.
             let q = CmdQueue::create(pool.take_frame()?)
                 .map_err(|_| PiscesError::Invalid("command queue creation failed"))?
                 .with_core(core as u64)
                 .with_tracer(self.tracer.clone().with_enclave(enclave.id.0));
             vctx.set_cmdq(core, q);
         }
-
-        let vctx = Arc::new(vctx);
-        self.contexts
-            .write()
-            .insert(enclave.id.0, Arc::clone(&vctx));
         Ok(vctx)
     }
 
@@ -430,19 +467,20 @@ impl CovirtController {
         if ranges.is_empty() {
             return Ok(());
         }
-        let use_ranges = ranges.len() <= MAX_RANGE_FLUSH_CMDS
-            && ranges
-                .iter()
-                .all(|r| r.len <= DEFAULT_RANGE_FLUSH_THRESHOLD);
         // The LWK identity-maps its assignment, so the guest-virtual
-        // address of a reclaimed frame is its guest-physical address.
-        let flush = |r: &PhysRange| Command::TlbFlushRange {
-            gva: r.start.raw(),
-            len: r.len,
-        };
-        let cmds: Vec<Command> = match use_ranges {
-            true => ranges.iter().map(flush).collect(),
-            false => vec![Command::TlbFlushAll],
+        // address of a reclaimed frame is its guest-physical address. A
+        // range that does not fit the batch is one too many.
+        let mut flushes = Batch::<Command, MAX_RANGE_FLUSH_CMDS>::new();
+        let use_ranges = ranges.iter().all(|r| {
+            let flush = Command::TlbFlushRange {
+                gva: r.start.raw(),
+                len: r.len,
+            };
+            r.len <= DEFAULT_RANGE_FLUSH_THRESHOLD && flushes.push(flush).is_ok()
+        });
+        let cmds: &[Command] = match use_ranges {
+            true => &flushes,
+            false => &[Command::TlbFlushAll],
         };
         let traced = self.tracer.enabled();
         let t0 = if traced { self.node.clock.rdtsc() } else { 0 };
@@ -455,7 +493,7 @@ impl CovirtController {
                 use_ranges as u64,
             );
         }
-        self.round_trip(vctx, &cmds)?;
+        self.round_trip(vctx, cmds)?;
         self.shootdowns.fetch_add(1, Ordering::Relaxed);
         if traced {
             let rtt = self
@@ -532,13 +570,14 @@ impl CovirtController {
     /// enclave's resources and notifies dependants — in that order, so a
     /// notice never precedes its report and the report does not depend on
     /// the reclaim returning. What the reclaim returned joins it afterwards.
-    pub fn report_fault(&self, enclave: u64, core: usize, reason: &str) {
+    pub fn report_fault(&self, enclave: u64, core: usize, reason: impl Into<Arc<str>>) {
+        let reason = reason.into();
         self.tracer
             .emit_for(enclave, EventKind::FaultReport, enclave, core as u64);
         let filed = self.faults.record(FaultReport {
             enclave,
             core,
-            reason: reason.to_owned(),
+            reason: Arc::clone(&reason),
             tsc: self.node.clock.rdtsc(),
             reclaim: None,
         });
@@ -617,7 +656,13 @@ impl EnclaveHooks for CovirtController {
     }
 
     fn on_teardown(&self, enclave: &Enclave) {
-        if let Some(vctx) = self.contexts.write().remove(&enclave.id.0) {
+        let removed = {
+            let mut contexts = self.contexts.write();
+            let id = enclave.id.0;
+            let at = contexts.binary_search_by_key(&id, |(id, _)| *id);
+            at.ok().map(|i| contexts.remove(i).1)
+        };
+        if let Some(vctx) = removed {
             vctx.terminate("enclave torn down");
             self.tracer
                 .emit_for(enclave.id.0, EventKind::Teardown, enclave.id.0, 0);

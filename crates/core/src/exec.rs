@@ -90,8 +90,8 @@ pub struct CoreCounters {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultOutcome {
     /// Covirt trapped the access and terminated the enclave; the node and
-    /// other enclaves survive. The string is the abort reason.
-    Contained(String),
+    /// other enclaves survive. The abort reason.
+    Contained(Arc<str>),
     /// The wild access went through and silently corrupted memory that
     /// belongs to someone else (native co-kernel behaviour).
     CorruptedMemory {
@@ -225,7 +225,7 @@ pub struct GuestCore {
     /// cached-bool branch per transition) until a harness arms it with
     /// [`GuestCore::profile_begin`].
     phase: PhaseTracker,
-    terminated: Option<String>,
+    terminated: Option<Arc<str>>,
 }
 
 impl GuestCore {
@@ -402,15 +402,15 @@ impl GuestCore {
     #[inline]
     fn check_live(&self) -> CovirtResult<()> {
         match &self.terminated {
-            Some(reason) => Err(CovirtError::EnclaveTerminated(reason.clone())),
+            Some(reason) => Err(CovirtError::EnclaveTerminated(Arc::clone(reason))),
             None => Ok(()),
         }
     }
 
-    fn die(&mut self, reason: String) -> CovirtError {
+    fn die(&mut self, reason: Arc<str>) -> CovirtError {
         self.phase
             .transition_now(Phase::Idle, || self.node.clock.rdtsc());
-        self.terminated = Some(reason.clone());
+        self.terminated = Some(Arc::clone(&reason));
         if let Some(hv) = &self.hv {
             hv.report_fault(&reason);
         }
@@ -691,7 +691,7 @@ impl GuestCore {
         }
 
         // Opportunistic doorbell harvest: every safe point checks the
-        // command-doorbell descriptor directly (two atomic loads on the
+        // command-doorbell descriptor directly (one atomic load on the
         // no-work path, no clone, no allocation), so pending commands are
         // drained exitlessly even before (or without) the notification IPI
         // landing in the IRR. With the descriptor's suppress-notification
@@ -746,7 +746,11 @@ impl GuestCore {
 
     /// If the controller rang this core's doorbell, drain and execute the
     /// command queue in guest mode — the exitless half of command delivery.
-    /// Execution semantics are shared with the NMI path
+    /// The doorbell rings on its outstanding-notification bit alone, which
+    /// a poster sets after its commands are queued
+    /// ([`Hypervisor::doorbell_rung`]): one post is one harvest, never one
+    /// early harvest and a second over an empty queue, so every harvest
+    /// counted finds work. Execution semantics are shared with the NMI path
     /// ([`Hypervisor::execute_commands`]): flushes hit this core's TLB and
     /// walk cache, and the completion counter advances only after each
     /// command's effect is applied, so the controller's completion wait
@@ -788,7 +792,7 @@ impl GuestCore {
         let prev = self.phase.phase();
         self.phase
             .transition_now(Phase::CmdHarvest, || clock.rdtsc());
-        let action = hv.execute_commands(drained, &mut self.tlb, &self.walk_cache);
+        let action = hv.execute_commands(&drained, &mut self.tlb, &self.walk_cache);
         self.phase.transition_now(prev, || clock.rdtsc());
         match action {
             ExitAction::Terminate(r) => Err(self.die(r)),
@@ -1840,7 +1844,9 @@ mod tests {
             let reclaim = |gc: &mut GuestCore, range: PhysRange| {
                 host.request_remove_memory(&w.enclave, range).unwrap();
                 w.kernel.poll_ctrl().unwrap();
-                with_one_poll(&w, gc, || drop(host.process_acks(&w.enclave).unwrap()));
+                with_one_poll(&w, gc, || {
+                    host.process_acks(&w.enclave).unwrap();
+                });
             };
             let ranges = [grant_2m(&w), grant_2m(&w), grant_2m(&w)];
             for r in ranges {

@@ -6,6 +6,7 @@
 //! a node crash, the operator gets a trace of what the enclave did wrong.
 
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// One contained fault.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -15,8 +16,9 @@ pub struct FaultReport {
     /// The core the abort exit occurred on; 0 (the host's) for a fault
     /// the host found.
     pub core: usize,
-    /// Human-readable abort reason (exit qualification).
-    pub reason: String,
+    /// Human-readable abort reason (exit qualification), shared with the
+    /// context, the core and the enclave state that hold it too.
+    pub reason: Arc<str>,
     /// TSC at containment time.
     pub tsc: u64,
     /// What reclaiming the enclave's resources returned (`Ok` too when a
@@ -100,6 +102,6 @@ mod tests {
         assert_eq!(log.all()[1].reclaim, Some(refused));
         assert_eq!(log.for_enclave(1).len(), 1);
         assert_eq!(log.for_enclave(3).len(), 0);
-        assert_eq!(log.all()[1].reason, "df");
+        assert_eq!(&*log.all()[1].reason, "df");
     }
 }

@@ -13,7 +13,7 @@
 //! what the controller built before the core booted, and the queue lives
 //! in a node-lifetime frame no EPT maps.
 
-use crate::cmdqueue::{CmdQueue, Command, SeqCommand};
+use crate::cmdqueue::{CmdQueue, Command, Drained, SeqCommand};
 use crate::controller::CovirtController;
 use crate::vctx::VirtContext;
 use crate::{CovirtError, CovirtResult};
@@ -39,8 +39,9 @@ pub const VM_TRANSITION_NS: u64 = 700;
 pub enum ExitAction {
     /// Re-enter the guest.
     Resume,
-    /// The enclave was terminated; the string is the abort reason.
-    Terminate(String),
+    /// The enclave was terminated; the abort reason, formatted once and
+    /// shared by everyone the termination is reported to.
+    Terminate(Arc<str>),
 }
 
 /// Burn wall-clock time to model a fixed hardware cost: return at the
@@ -70,9 +71,9 @@ pub struct Hypervisor {
     vmcs: VmcsHandle,
     /// This core's command queue, taken from the context once at launch.
     cmdq: CmdQueue,
-    /// This core's command-doorbell descriptor, likewise: the safe-point
-    /// check is two atomic loads, not a lookup.
-    doorbell: Arc<PostedIntDescriptor>,
+    /// This core's slot in the context, looked up once at launch: the
+    /// safe-point check indexes its doorbell, it does not search.
+    slot: usize,
     /// Exits handled on this core.
     pub exits: u64,
     /// Wall-clock nanoseconds spent in exit handling (including modelled
@@ -97,8 +98,7 @@ impl Hypervisor {
         core: usize,
     ) -> CovirtResult<Self> {
         let cpu = Arc::clone(node.cpu(covirt_simhw::topology::CoreId(core))?);
-        let (Some(vmcs), Some(doorbell)) = (vctx.vmcs(core), vctx.cmd_doorbell(core).cloned())
-        else {
+        let (Some(vmcs), Some(slot)) = (vctx.vmcs(core), vctx.slot_index(core)) else {
             return Err(CovirtError::Invalid("core has no VMCS"));
         };
         let cmdq = vctx.cmdq(core).cloned();
@@ -120,7 +120,7 @@ impl Hypervisor {
         // suppress it (the SN bit). Parked cores are covered by the
         // controller's bounded NMI fallback, which watches the completion
         // counter, not the interrupt.
-        doorbell.set_suppress(true);
+        vctx.doorbell_at(slot).set_suppress(true);
         model_delay_ns(VM_TRANSITION_NS); // the VMLAUNCH itself
 
         // Tag this core's lane with the enclave it runs, so exits, drains
@@ -135,7 +135,7 @@ impl Hypervisor {
             controller,
             vmcs,
             cmdq,
-            doorbell,
+            slot,
             exits: 0,
             exit_ns: 0,
             commands: 0,
@@ -148,25 +148,35 @@ impl Hypervisor {
         &self.vctx
     }
 
+    /// This core's command-doorbell descriptor.
+    #[inline]
+    fn doorbell(&self) -> &PostedIntDescriptor {
+        self.vctx.doorbell_at(self.slot)
+    }
+
     /// Whether the controller rang this core's command doorbell since the
-    /// last [`Self::take_commands`].
+    /// last [`Self::take_commands`]: its outstanding-notification bit. A
+    /// poster sets that bit last, after its commands are queued and its
+    /// vector posted, so one post is one harvest. The vector alone does not
+    /// ring: a harvest between a poster's vector and its bit would take the
+    /// commands early and leave the bit set over an empty queue.
     #[inline]
     pub fn doorbell_rung(&self) -> bool {
-        self.doorbell.notification_outstanding() || self.doorbell.has_pending()
+        self.doorbell().notification_outstanding()
     }
 
     /// Acknowledge the doorbell, then drain the queue — in that order, so a
     /// post racing the drain re-raises the doorbell instead of being lost.
-    pub fn take_commands(&self) -> Vec<SeqCommand> {
-        self.doorbell.acknowledge();
+    pub fn take_commands(&self) -> Drained {
+        self.doorbell().acknowledge();
         self.cmdq.drain()
     }
 
     /// The last step of an abort, taken by the exec loop once the core is
     /// parked: notify the management layer.
-    pub fn report_fault(&self, reason: &str) {
+    pub fn report_fault(&self, reason: &Arc<str>) {
         self.controller
-            .report_fault(self.vctx.enclave_id, self.core, reason);
+            .report_fault(self.vctx.enclave_id, self.core, Arc::clone(reason));
     }
 
     /// Handle one VM exit. `tlb` and `walk_cache` are the core's translation
@@ -288,14 +298,16 @@ impl Hypervisor {
         action
     }
 
-    /// Drain and execute the command queue (invoked on NMI).
+    /// Take and execute the command queue (invoked on NMI). The doorbell is
+    /// acknowledged too: an escalated command was also posted to it, and a
+    /// bit left set would ring a later safe point over an empty queue.
     fn process_commands(&mut self, tlb: &mut Tlb, walk_cache: &WalkCache) -> ExitAction {
-        let drained = self.cmdq.drain();
+        let drained = self.take_commands();
         if self.tracer.enabled() && !drained.is_empty() {
             self.tracer
                 .emit(EventKind::CmdDrain, drained.len() as u64, 0);
         }
-        self.execute_commands(drained, tlb, walk_cache)
+        self.execute_commands(&drained, tlb, walk_cache)
     }
 
     /// Execute an already-drained command batch against this core. Shared
@@ -307,7 +319,7 @@ impl Hypervisor {
     /// unmap-before-reclaim.
     pub fn execute_commands(
         &mut self,
-        drained: Vec<SeqCommand>,
+        drained: &[SeqCommand],
         tlb: &mut Tlb,
         walk_cache: &WalkCache,
     ) -> ExitAction {
@@ -333,7 +345,7 @@ impl Hypervisor {
                     let _ = self.cpu.vmptrld(Arc::clone(&self.vmcs));
                 }
                 Command::Terminate => {
-                    action = self.abort("terminated by controller".to_owned());
+                    action = self.abort("terminated by controller");
                 }
                 Command::Sync => {}
             }
@@ -355,25 +367,41 @@ impl Hypervisor {
 
     /// Terminate the enclave: record the reason, notify the management
     /// layer (done by the caller via the fault report), and park the core
-    /// back in host mode.
-    fn abort(&mut self, reason: String) -> ExitAction {
-        self.vctx.terminate(&reason);
+    /// back in host mode. The reason is formatted here once; the context,
+    /// the core and every report after share it.
+    fn abort(&mut self, reason: impl Into<Arc<str>>) -> ExitAction {
+        let reason = reason.into();
+        self.vctx.terminate(Arc::clone(&reason));
+        self.leave_guest();
+        ExitAction::Terminate(reason)
+    }
+
+    /// Take this core out of guest mode if this instance put it there: the
+    /// context stops counting it live, the VMCS is cleared (VMCLEAR — it
+    /// can be launched again) and VMX goes off. Idempotent.
+    fn leave_guest(&mut self) {
+        if !self.vctx.is_live(self.core) {
+            return;
+        }
         self.vctx.core_left_guest(self.core);
-        self.vmcs.write().launched = false; // VMCLEAR
+        self.vmcs.write().launched = false;
         self.cpu.set_mode(CpuMode::Host);
         let _ = self.cpu.vmxoff();
-        ExitAction::Terminate(reason)
     }
 
     /// Clean shutdown of the guest on this core (enclave teardown).
     pub fn shutdown(mut self) -> (u64, u64) {
-        if self.cpu.mode() == CpuMode::Guest {
-            self.vctx.core_left_guest(self.core);
-            self.vmcs.write().launched = false; // VMCLEAR — relaunchable
-            self.cpu.set_mode(CpuMode::Host);
-            let _ = self.cpu.vmxoff();
-        }
+        self.leave_guest();
         (self.exits, std::mem::take(&mut self.exit_ns))
+    }
+}
+
+/// A hypervisor dropped without [`Hypervisor::shutdown`] — its core's
+/// thread let go of it after an orderly teardown — still leaves guest
+/// mode: a core left in VMX operation refuses the next enclave's VMXON.
+impl Drop for Hypervisor {
+    fn drop(&mut self) {
+        self.leave_guest();
     }
 }
 
@@ -381,6 +409,7 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::config::CovirtConfig;
+    use crate::vctx::CMD_DOORBELL_VECTOR;
     use covirt_simhw::addr::{GuestPhysAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use covirt_simhw::apic::{ICR_MODE_FIXED, ICR_SH_ALL_EXC, ICR_SH_NONE};
     use covirt_simhw::ept::EptViolationInfo;
@@ -402,7 +431,7 @@ mod tests {
         let ept = config
             .memory
             .then(|| Arc::new(covirt_simhw::ept::Ept::new(Arc::clone(&pool)).unwrap()));
-        let mut vctx = VirtContext::new(7, config, &[1, 2], &[0x40], ept);
+        let mut vctx = VirtContext::new(7, config, [1, 2], &[0x40], ept);
         vctx.set_cmdq(1, CmdQueue::create(pool.take_frame().unwrap()).unwrap());
         let vctx = Arc::new(vctx);
         let ctl = CovirtController::new(Arc::clone(&node), config);
@@ -680,6 +709,20 @@ mod tests {
         assert!(q.wait(seq, 1, None, &|| true).is_ok());
         assert_eq!(tlb.stats().range_flushes, 1);
         assert_eq!(tlb.stats().full_flushes, 0);
+    }
+
+    /// A command the controller escalated to an NMI was posted to the
+    /// doorbell too: the NMI's drain acknowledges it, so no later safe
+    /// point harvests the empty queue.
+    #[test]
+    fn an_nmi_drain_answers_the_doorbell_too() {
+        let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
+        let seq = vctx.cmdq(1).unwrap().post(Command::Sync).unwrap();
+        vctx.cmd_doorbell(1).unwrap().post(CMD_DOORBELL_VECTOR);
+        assert!(hv.doorbell_rung());
+        hv.handle_exit(ExitReason::Nmi, &mut tlb, &wc);
+        assert_eq!(vctx.cmdq(1).unwrap().completed(), seq);
+        assert!(!hv.doorbell_rung(), "the doorbell still rings");
     }
 
     #[test]

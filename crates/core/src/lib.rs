@@ -65,9 +65,8 @@ pub enum CovirtError {
     Kitten(kitten::KittenError),
     /// The enclave has no virtualization context.
     NoContext(u64),
-    /// The enclave was terminated by the hypervisor; the string records
-    /// the abort reason.
-    EnclaveTerminated(String),
+    /// The enclave was terminated by the hypervisor; the abort reason.
+    EnclaveTerminated(std::sync::Arc<str>),
     /// Command-queue failure.
     CmdQueue(pisces::ring::RingError),
     /// A core did not acknowledge a synchronization command.

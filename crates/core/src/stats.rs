@@ -85,7 +85,7 @@ mod tests {
     /// them, tabulates by count then name, summed across cores.
     #[test]
     fn exit_table_sorted_desc() {
-        let vctx = VirtContext::new(1, CovirtConfig::NONE, &[1, 2], &[], None);
+        let vctx = VirtContext::new(1, CovirtConfig::NONE, [1, 2], &[], None);
         let mix = [
             (1, ExitReason::Hlt, 3),
             (1, ExitReason::Cpuid { leaf: 0 }, 1),

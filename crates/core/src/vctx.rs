@@ -40,12 +40,13 @@ struct CoreSlot {
     vmcs: VmcsHandle,
     /// The core's command queue, once the controller has placed it.
     cmdq: Option<CmdQueue>,
-    /// Posted-interrupt descriptor (posted IPI mode only).
+    /// Posted-interrupt descriptor (posted IPI mode only), shared with the
+    /// VMCS that registers it.
     posted: Option<Arc<PostedIntDescriptor>>,
     /// Command-doorbell descriptor. Unlike `posted`, this exists in *every*
     /// Covirt configuration: the exitless command path does not depend on
     /// the enclave opting into posted-IPI protection.
-    cmd_doorbell: Arc<PostedIntDescriptor>,
+    cmd_doorbell: PostedIntDescriptor,
     /// Whether the core is executing in guest mode (its TLB may cache
     /// stale state; flush synchronization must wait for it).
     live: AtomicBool,
@@ -59,8 +60,8 @@ pub struct VirtContext {
     pub config: CovirtConfig,
     /// Extended page tables (present iff memory protection is on).
     pub ept: Option<Arc<Ept>>,
-    /// IPI transmission whitelist (present iff IPI protection is on).
-    pub whitelist: Arc<IpiWhitelist>,
+    /// IPI transmission whitelist (consulted iff IPI protection is on).
+    pub whitelist: IpiWhitelist,
     /// MSR intercepts of every core (present iff MSR protection is on;
     /// absent intercepts nothing).
     pub msr_bitmap: Option<Box<MsrBitmap>>,
@@ -69,8 +70,9 @@ pub struct VirtContext {
     pub io_bitmap: Option<IoBitmap>,
     /// One slot per enclave core, sorted by core id.
     slots: Vec<CoreSlot>,
-    /// Set when the hypervisor terminated the enclave; the reason string.
-    terminated: RwLock<Option<String>>,
+    /// Set when the hypervisor terminated the enclave; the reason, shared
+    /// with everyone the termination is reported to.
+    terminated: RwLock<Option<Arc<str>>>,
     /// EPT violations caught (instrumentation).
     pub violations: AtomicU64,
     /// The open reclaim epoch, if any: ranges already unmapped whose one
@@ -85,7 +87,7 @@ impl VirtContext {
     pub fn new(
         enclave_id: u64,
         config: CovirtConfig,
-        cores: &[usize],
+        cores: impl IntoIterator<Item = usize>,
         vectors: &[u8],
         ept: Option<Arc<Ept>>,
     ) -> Self {
@@ -110,15 +112,7 @@ impl VirtContext {
             bitmap
         });
 
-        let whitelist = Arc::new(IpiWhitelist::new(
-            cores.iter().copied(),
-            vectors.iter().copied().chain(std::iter::once(TIMER_VECTOR)),
-        ));
-
-        let mut cores = cores.to_vec();
-        cores.sort_unstable();
-        cores.dedup();
-        let slots = cores
+        let mut slots: Vec<CoreSlot> = cores
             .into_iter()
             .map(|core| {
                 let vmcs = new_vmcs();
@@ -140,11 +134,17 @@ impl VirtContext {
                     vmcs,
                     cmdq: None,
                     posted,
-                    cmd_doorbell: Arc::new(PostedIntDescriptor::new(CMD_DOORBELL_VECTOR)),
+                    cmd_doorbell: PostedIntDescriptor::new(CMD_DOORBELL_VECTOR),
                     live: AtomicBool::new(false),
                 }
             })
             .collect();
+        slots.sort_unstable_by_key(|s| s.core);
+        slots.dedup_by_key(|s| s.core);
+        let whitelist = IpiWhitelist::new(
+            slots.iter().map(|s| s.core),
+            vectors.iter().copied().chain(std::iter::once(TIMER_VECTOR)),
+        );
 
         VirtContext {
             enclave_id,
@@ -161,7 +161,7 @@ impl VirtContext {
     }
 
     /// Index of `core`'s slot, if it is one of the enclave's cores.
-    fn slot_index(&self, core: usize) -> Option<usize> {
+    pub(crate) fn slot_index(&self, core: usize) -> Option<usize> {
         self.slots.binary_search_by_key(&core, |s| s.core).ok()
     }
 
@@ -199,8 +199,15 @@ impl VirtContext {
     }
 
     /// A core's command-doorbell descriptor (present in every config).
-    pub fn cmd_doorbell(&self, core: usize) -> Option<&Arc<PostedIntDescriptor>> {
+    pub fn cmd_doorbell(&self, core: usize) -> Option<&PostedIntDescriptor> {
         self.slot(core).map(|s| &s.cmd_doorbell)
+    }
+
+    /// The command doorbell of the slot at `index` (see
+    /// [`Self::slot_index`]; a hypervisor looks its core up once, at launch).
+    #[inline]
+    pub(crate) fn doorbell_at(&self, index: usize) -> &PostedIntDescriptor {
+        &self.slots[index].cmd_doorbell
     }
 
     /// Mark a core as executing in guest mode.
@@ -237,19 +244,20 @@ impl VirtContext {
     /// mode, in ascending core order: its id, its queue and its doorbell.
     pub fn live_slots(&self) -> impl Iterator<Item = (usize, &CmdQueue, &PostedIntDescriptor)> {
         self.live()
-            .filter_map(|s| Some((s.core, s.cmdq.as_ref()?, &*s.cmd_doorbell)))
+            .filter_map(|s| Some((s.core, s.cmdq.as_ref()?, &s.cmd_doorbell)))
     }
 
-    /// Record enclave termination (idempotent; first reason wins).
-    pub fn terminate(&self, reason: &str) {
+    /// Record enclave termination (idempotent; first reason wins, and a
+    /// later one is not even converted).
+    pub fn terminate(&self, reason: impl Into<Arc<str>>) {
         let mut t = self.terminated.write();
         if t.is_none() {
-            *t = Some(reason.to_owned());
+            *t = Some(reason.into());
         }
     }
 
     /// Whether (and why) the enclave was terminated.
-    pub fn termination(&self) -> Option<String> {
+    pub fn termination(&self) -> Option<Arc<str>> {
         self.terminated.read().clone()
     }
 
@@ -290,7 +298,7 @@ mod tests {
 
     #[test]
     fn vmcs_replicated_per_core() {
-        let v = VirtContext::new(1, CovirtConfig::MEM, &[2, 3], &[0x40], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::MEM, [2, 3], &[0x40], Some(ept()));
         assert_eq!(v.cores(), vec![2, 3]);
         let a = v.vmcs(2).unwrap();
         let b = v.vmcs(3).unwrap();
@@ -305,25 +313,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "EPT presence must match")]
     fn ept_mismatch_panics() {
-        VirtContext::new(1, CovirtConfig::MEM, &[1], &[], None);
+        VirtContext::new(1, CovirtConfig::MEM, [1], &[], None);
     }
 
     #[test]
     fn vapic_mode_sets_controls() {
-        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, &[1], &[0x40], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, [1], &[0x40], Some(ept()));
         let h = v.vmcs(1).unwrap();
         assert_eq!(h.read().controls.apic_virt, ApicVirtMode::TrapAll);
         assert!(h.read().controls.ext_int_exiting);
         assert!(v.posted(1).is_none());
         // Memory-only and no-feature configs also keep interrupt exiting
         // on (the constant baseline cost of interposition).
-        let m = VirtContext::new(2, CovirtConfig::MEM, &[1], &[], Some(ept()));
+        let m = VirtContext::new(2, CovirtConfig::MEM, [1], &[], Some(ept()));
         assert!(m.vmcs(1).unwrap().read().controls.ext_int_exiting);
     }
 
     #[test]
     fn posted_mode_builds_descriptors() {
-        let v = VirtContext::new(1, CovirtConfig::MEM_IPI_PIV, &[1, 2], &[0x40], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::MEM_IPI_PIV, [1, 2], &[0x40], Some(ept()));
         let h = v.vmcs(1).unwrap();
         assert_eq!(h.read().controls.apic_virt, ApicVirtMode::Posted);
         assert!(
@@ -342,8 +350,8 @@ mod tests {
     fn cmd_doorbell_built_for_every_config() {
         // The exitless command path must not depend on posted-IPI mode:
         // every config gets a per-core doorbell descriptor.
-        let none = VirtContext::new(1, CovirtConfig::NONE, &[1, 2], &[], None);
-        let piv = VirtContext::new(2, CovirtConfig::MEM_IPI_PIV, &[1], &[0x40], Some(ept()));
+        let none = VirtContext::new(1, CovirtConfig::NONE, [1, 2], &[], None);
+        let piv = VirtContext::new(2, CovirtConfig::MEM_IPI_PIV, [1], &[0x40], Some(ept()));
         for v in [&none, &piv] {
             let d = v.cmd_doorbell(1).expect("doorbell descriptor missing");
             assert_eq!(d.notification_vector(), CMD_DOORBELL_VECTOR);
@@ -360,7 +368,7 @@ mod tests {
 
     #[test]
     fn whitelist_includes_timer() {
-        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, &[5], &[0x44], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, [5], &[0x44], Some(ept()));
         assert!(v.whitelist.would_allow(5, 0x44));
         assert!(v.whitelist.would_allow(5, TIMER_VECTOR));
         assert!(!v.whitelist.would_allow(0, 0x44));
@@ -368,7 +376,7 @@ mod tests {
 
     #[test]
     fn msr_io_protection_configures_bitmaps() {
-        let v = VirtContext::new(1, CovirtConfig::FULL, &[1], &[], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::FULL, [1], &[], Some(ept()));
         let msr = v.msr_bitmap.as_ref().unwrap();
         assert!(msr.write_exits(IA32_MC0_CTL));
         assert!(!msr.read_exits(IA32_MC0_CTL));
@@ -380,8 +388,8 @@ mod tests {
     /// A feature that is off has no bitmap to consult.
     #[test]
     fn bitmaps_exist_only_for_their_feature() {
-        let mem = VirtContext::new(1, CovirtConfig::MEM_IPI, &[1], &[], Some(ept()));
-        let none = VirtContext::new(2, CovirtConfig::NONE, &[1], &[], None);
+        let mem = VirtContext::new(1, CovirtConfig::MEM_IPI, [1], &[], Some(ept()));
+        let none = VirtContext::new(2, CovirtConfig::NONE, [1], &[], None);
         for v in [&mem, &none] {
             assert!(v.msr_bitmap.is_none() && v.io_bitmap.is_none());
         }
@@ -389,7 +397,7 @@ mod tests {
 
     #[test]
     fn live_core_tracking() {
-        let v = VirtContext::new(1, CovirtConfig::NONE, &[1, 2], &[], None);
+        let v = VirtContext::new(1, CovirtConfig::NONE, [1, 2], &[], None);
         assert!(v.live_cores().is_empty());
         v.core_entered_guest(1);
         v.core_entered_guest(2);
@@ -401,10 +409,10 @@ mod tests {
 
     #[test]
     fn termination_first_reason_wins() {
-        let v = VirtContext::new(1, CovirtConfig::NONE, &[1], &[], None);
+        let v = VirtContext::new(1, CovirtConfig::NONE, [1], &[], None);
         assert!(v.termination().is_none());
         v.terminate("ept violation");
         v.terminate("later");
-        assert_eq!(v.termination().unwrap(), "ept violation");
+        assert_eq!(&*v.termination().unwrap(), "ept violation");
     }
 }

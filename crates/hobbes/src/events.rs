@@ -40,8 +40,8 @@ pub struct FailureNotice {
     pub dependent: u64,
     /// The enclave that failed.
     pub failed: u64,
-    /// Reason string from the fault report.
-    pub reason: String,
+    /// The reason from the fault report, shared with it.
+    pub reason: std::sync::Arc<str>,
 }
 
 /// A simple mailbox of failure notices (per master control instance).

@@ -195,7 +195,7 @@ impl MasterControl {
                 .try_for_each(|h| h.on_xemem_detach_acked(who, range));
             if let Err(why) = cut {
                 let reason = format!("kept a revoked segment: {why}");
-                let _ = self.handle_enclave_failure(who, &reason);
+                let _ = self.handle_enclave_failure(who, reason);
             }
         }
     }
@@ -221,13 +221,18 @@ impl MasterControl {
     /// An enclave already reclaimed has left the host and its sharers were
     /// told then: a later report (from another of its cores) is `Ok` and
     /// does nothing.
-    pub fn handle_enclave_failure(&self, failed: u64, reason: &str) -> HobbesResult<()> {
+    pub fn handle_enclave_failure(
+        &self,
+        failed: u64,
+        reason: impl Into<Arc<str>>,
+    ) -> HobbesResult<()> {
         let Ok(enclave) = self.host.enclave(EnclaveId(failed)) else {
             return Ok(());
         };
+        let reason = reason.into();
         // Read before the reclaim, which revokes what it is read from.
         let dependants = self.xemem.sharers(failed);
-        self.host.report_fault(&enclave, reason)?;
+        self.host.report_fault(&enclave, Arc::clone(&reason))?;
         for d in dependants {
             // The host OS/R (0) is no enclave, and a dependant the reclaim
             // itself had to end has nobody left to tell.
@@ -240,7 +245,7 @@ impl MasterControl {
             self.notices.post(FailureNotice {
                 dependent: d,
                 failed,
-                reason: reason.to_owned(),
+                reason: Arc::clone(&reason),
             });
         }
         Ok(())

@@ -64,8 +64,14 @@ pub fn stale_shared_mapping(kernel: &KittenKernel, reclaimed: PhysRange) -> Inje
 pub fn off_by_one_region(kernel: &KittenKernel) -> InjectedFault {
     // `KittenKernel::boot` refuses parameters without a memory region and
     // nothing removes a boot region, so there is a last one to run past.
-    let boot = kernel.memmap().by_kind(RegionKind::Boot);
-    let end = boot.last().map_or(HostPhysAddr::new(0), |r| r.range.end());
+    let end = kernel.with_memmap(|m| {
+        let boot = m
+            .regions()
+            .iter()
+            .rev()
+            .find(|r| r.kind == RegionKind::Boot);
+        boot.map_or(HostPhysAddr::new(0), |r| r.range.end())
+    });
     let rogue = PhysRange::new(end, PAGE_SIZE_4K);
     kernel.with_memmap_mut(|m| m.corrupt_extend(rogue));
     let _ = kernel.page_tables.map(

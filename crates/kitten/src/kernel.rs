@@ -11,7 +11,7 @@ use covirt_simhw::paging::{DirectLoad, FramePool, GuestPageTables, Perms};
 use covirt_simhw::topology::CoreId;
 use parking_lot::{Mutex, RwLock};
 use pisces::boot::BootParams;
-use pisces::ctrlchan::{CtrlChannel, CtrlMsg};
+use pisces::ctrlchan::{CtrlBatch, CtrlChannel, CtrlMsg};
 use std::sync::Arc;
 
 /// A booted Kitten instance (one per enclave).
@@ -47,25 +47,24 @@ impl KittenKernel {
         if params.mem_regions.is_empty() {
             return Err(KittenError::BadBootParams);
         }
+        // The page is the enclave's to write: every range in it is checked.
+        let decode =
+            |(start, len)| PhysRange::checked(start, len).ok_or(KittenError::BadBootParams);
         let chan = mgmt
-            .sub(PhysRange::new(
-                HostPhysAddr::new(params.ctrlchan_base),
-                params.ctrlchan_len,
-            ))
+            .sub(decode((params.ctrlchan_base, params.ctrlchan_len))?)
             .map_err(|_| KittenError::Ctrl("channel outside the management region"))?;
 
         // Page-table pool lives at the head of the first assigned region
         // (the one search for that region).
-        let pt_pool_range = PhysRange::new(HostPhysAddr::new(params.pt_pool.0), params.pt_pool.1);
-        let pool = FramePool::new(Arc::clone(mem), pt_pool_range)?;
+        let pool = FramePool::new(Arc::clone(mem), decode(params.pt_pool)?)?;
         let page_tables = GuestPageTables::owning(pool)?;
 
         // Identity-map every assigned region with large pages (Kitten's
         // contiguous-memory policy makes 2 MiB mappings the norm).
         let mut memmap = MemMap::new();
-        for &(start, len) in &params.mem_regions {
-            let range = PhysRange::new(HostPhysAddr::new(start), len);
-            page_tables.map(start, range.start, len, Perms::RWX, 2)?;
+        for &region in &params.mem_regions {
+            let range = decode(region)?;
+            page_tables.map(range.start.raw(), range.start, range.len, Perms::RWX, 2)?;
             memmap
                 .add(range, RegionKind::Boot)
                 .map_err(KittenError::Invalid)?;
@@ -94,6 +93,11 @@ impl KittenKernel {
     /// Snapshot of the memory map.
     pub fn memmap(&self) -> MemMap {
         self.memmap.read().clone()
+    }
+
+    /// Read the memory map in place, without a snapshot.
+    pub fn with_memmap<R>(&self, f: impl FnOnce(&MemMap) -> R) -> R {
+        f(&self.memmap.read())
     }
 
     /// Mutate the memory map (fault injections use this).
@@ -127,14 +131,21 @@ impl KittenKernel {
     }
 
     /// Service pending host→enclave control messages. Returns the messages
-    /// handled. This is the kernel's "management interrupt" bottom half; in
-    /// a live enclave it runs from the exec loop's safe points.
+    /// handled, held inline: a poll allocates nothing. This is the kernel's
+    /// "management interrupt" bottom half; in a live enclave it runs from
+    /// the exec loop's safe points.
     ///
     /// A handled message may owe the host an acknowledgement, so none is
     /// taken while the enclave→host ring is full: it stays queued for the
-    /// next poll instead of being applied with its ack lost.
-    pub fn poll_ctrl(&self) -> KittenResult<Vec<CtrlMsg>> {
-        let mut handled = Vec::new();
+    /// next poll instead of being applied with its ack lost. The inbound
+    /// ring lies in memory the enclave can write, so a range it names is
+    /// checked before it is mapped or unmapped: one that wraps the address
+    /// space is refused. Inlined: the batch is then built in the caller's
+    /// frame instead of copied there, which an idle poll would otherwise
+    /// pay for whole.
+    #[inline]
+    pub fn poll_ctrl(&self) -> KittenResult<CtrlBatch> {
+        let mut handled = CtrlBatch::new();
         while self.ctrl.can_send() {
             let Some(msg) = self
                 .ctrl
@@ -143,52 +154,46 @@ impl KittenKernel {
             else {
                 break;
             };
-            match &msg {
+            let named = |start, len| {
+                PhysRange::checked(start, len)
+                    .ok_or(KittenError::Ctrl("range wraps the address space"))
+            };
+            let ack = match msg {
                 CtrlMsg::AddMem { start, len } => {
-                    let range = PhysRange::new(HostPhysAddr::new(*start), *len);
+                    let range = named(start, len)?;
                     self.page_tables
-                        .map(*start, range.start, *len, Perms::RWX, 2)?;
+                        .map(start, range.start, len, Perms::RWX, 2)?;
                     self.memmap
                         .write()
                         .add(range, RegionKind::Granted)
                         .map_err(KittenError::Invalid)?;
-                    self.ctrl
-                        .send(&CtrlMsg::AddMemAck {
-                            start: *start,
-                            len: *len,
-                        })
-                        .map_err(|_| KittenError::Ctrl("send failed"))?;
+                    Some(CtrlMsg::AddMemAck { start, len })
                 }
                 CtrlMsg::RemoveMem { start, len } => {
-                    let range = PhysRange::new(HostPhysAddr::new(*start), *len);
-                    self.page_tables.unmap(*start, *len)?;
+                    let range = named(start, len)?;
+                    self.page_tables.unmap(start, len)?;
                     self.memmap
                         .write()
                         .remove(range)
                         .map_err(KittenError::Invalid)?;
-                    self.ctrl
-                        .send(&CtrlMsg::RemoveMemAck {
-                            start: *start,
-                            len: *len,
-                        })
-                        .map_err(|_| KittenError::Ctrl("send failed"))?;
+                    Some(CtrlMsg::RemoveMemAck { start, len })
                 }
-                CtrlMsg::Ping { token } => {
-                    self.ctrl
-                        .send(&CtrlMsg::PingAck { token: *token })
-                        .map_err(|_| KittenError::Ctrl("send failed"))?;
-                }
+                CtrlMsg::Ping { token } => Some(CtrlMsg::PingAck { token }),
                 CtrlMsg::SyscallRet { nr, ret } => {
-                    *self.last_syscall_ret.lock() = Some((*nr, *ret));
+                    *self.last_syscall_ret.lock() = Some((nr, ret));
+                    None
                 }
-                CtrlMsg::Shutdown => {
-                    self.ctrl
-                        .send(&CtrlMsg::ShutdownAck)
-                        .map_err(|_| KittenError::Ctrl("send failed"))?;
-                }
+                CtrlMsg::Shutdown => Some(CtrlMsg::ShutdownAck),
                 _ => return Err(KittenError::Ctrl("unexpected message from host")),
+            };
+            if let Some(ack) = ack {
+                self.ctrl
+                    .send(&ack)
+                    .map_err(|_| KittenError::Ctrl("send failed"))?;
             }
-            handled.push(msg);
+            // The loop stops when the outbound ring is full, so it handles
+            // at most a ring's worth: the batch has room.
+            let _ = handled.push(msg);
         }
         Ok(handled)
     }
@@ -264,11 +269,12 @@ impl KittenKernel {
     /// allocator; there is no free — LWK workloads allocate once.
     pub fn alloc_contiguous(&self, bytes: u64, cursor: &mut u64) -> KittenResult<u64> {
         let boot = self
-            .memmap
-            .read()
-            .by_kind(RegionKind::Boot)
-            .first()
-            .copied()
+            .with_memmap(|m| {
+                m.regions()
+                    .iter()
+                    .find(|r| r.kind == RegionKind::Boot)
+                    .copied()
+            })
             .ok_or(KittenError::Invalid("no boot region"))?;
         // Skip the page-table pool at the head of the region.
         let base =
@@ -404,7 +410,7 @@ mod tests {
         let expect: Vec<CtrlMsg> = (0..calls)
             .map(|i| CtrlMsg::SyscallRet { nr: 60 + i, ret: 0 })
             .collect();
-        assert_eq!(returns, expect);
+        assert_eq!(*returns, expect);
     }
 
     #[test]

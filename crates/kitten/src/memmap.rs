@@ -54,9 +54,16 @@ impl MemMap {
         if self.regions.iter().any(|r| r.range.overlaps(&range)) {
             return Err("overlaps existing region");
         }
-        self.regions.push(MappedRegion { range, kind });
-        self.regions.sort_by_key(|r| r.range.start.raw());
+        self.insert(MappedRegion { range, kind });
         Ok(())
+    }
+
+    /// Insert `region` in start order.
+    fn insert(&mut self, region: MappedRegion) {
+        let at = self
+            .regions
+            .partition_point(|r| r.range.start <= region.range.start);
+        self.regions.insert(at, region);
     }
 
     /// Remove a region by exact range.
@@ -91,11 +98,10 @@ impl MemMap {
         // Bypass overlap checking deliberately only against corrupt
         // entries; a corrupt region overlapping a real one would be
         // indistinguishable from a real mapping.
-        self.regions.push(MappedRegion {
+        self.insert(MappedRegion {
             range,
             kind: RegionKind::Corrupt,
         });
-        self.regions.sort_by_key(|r| r.range.start.raw());
     }
 
     /// Regions of a given kind.

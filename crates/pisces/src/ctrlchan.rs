@@ -7,7 +7,7 @@
 //! moves them: as fixed C structs in shared physical memory, not as Rust
 //! objects.
 
-use crate::ring::{RingError, SharedRing, Slot};
+use crate::ring::{Batch, RingError, SharedRing, Slot};
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::memory::MemWindow;
 use covirt_trace::{pack_str, EventKind, Tracer};
@@ -15,8 +15,12 @@ use covirt_trace::{pack_str, EventKind, Tracer};
 /// Slots per direction.
 pub const CTRL_SLOTS: u64 = 64;
 
+/// What one side handles off its ring in one call: at most `CTRL_SLOTS`
+/// messages, held inline.
+pub type CtrlBatch = Batch<CtrlMsg, { CTRL_SLOTS as usize }>;
+
 /// A control message.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CtrlMsg {
     /// Host → enclave: a memory region has been granted; extend your map.
     AddMem {
@@ -108,8 +112,8 @@ impl CtrlMsg {
     }
 
     /// The message as a ring slot: its tag, then its operands.
-    fn to_slot(&self) -> Slot {
-        let (tag, a, b, c) = match *self {
+    fn to_slot(self) -> Slot {
+        let (tag, a, b, c) = match self {
             CtrlMsg::AddMem { start, len } => (TAG_ADD_MEM, start, len, 0),
             CtrlMsg::AddMemAck { start, len } => (TAG_ADD_MEM_ACK, start, len, 0),
             CtrlMsg::RemoveMem { start, len } => (TAG_REMOVE_MEM, start, len, 0),

@@ -5,7 +5,8 @@ use crate::resources::ResourceSpec;
 use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::MemWindow;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Enclave identifier, unique per host.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -30,9 +31,9 @@ pub enum EnclaveState {
     ShuttingDown,
     /// Cleanly shut down; resources reclaimed.
     Terminated,
-    /// Killed by a fault (Covirt containment or host decision); the string
-    /// records why.
-    Failed(String),
+    /// Killed by a fault (Covirt containment or host decision); why, as
+    /// the fault report that killed it recorded it.
+    Failed(Arc<str>),
 }
 
 impl EnclaveState {
@@ -85,9 +86,9 @@ pub struct Enclave {
     /// first; [`crate::host::PiscesHost::process_acks`] sends them on.
     pub(crate) parked_replies: Mutex<VecDeque<CtrlMsg>>,
     /// Ranges the host asked the co-kernel to give back that it has not
-    /// acknowledged yet; [`crate::host::PiscesHost::process_acks`] acts on
-    /// a `RemoveMemAck` only by taking its range out of here.
-    pub(crate) removals: Mutex<HashSet<PhysRange>>,
+    /// acknowledged yet, each once; [`crate::host::PiscesHost::process_acks`]
+    /// acts on a `RemoveMemAck` only by taking its range out of here.
+    pub(crate) removals: Mutex<Vec<PhysRange>>,
 }
 
 impl Enclave {
@@ -103,7 +104,7 @@ impl Enclave {
             mgmt,
             ctrl: Mutex::new(None),
             parked_replies: Mutex::new(VecDeque::new()),
-            removals: Mutex::new(HashSet::new()),
+            removals: Mutex::new(Vec::new()),
         }
     }
 
@@ -132,9 +133,14 @@ impl Enclave {
         }
     }
 
-    /// Read access to the resource partition.
+    /// A snapshot of the resource partition.
     pub fn resources(&self) -> ResourceSpec {
         self.resources.read().clone()
+    }
+
+    /// Read the resource partition in place, without a snapshot.
+    pub fn with_resources<R>(&self, f: impl FnOnce(&ResourceSpec) -> R) -> R {
+        f(&self.resources.read())
     }
 
     /// Mutate the resource partition.

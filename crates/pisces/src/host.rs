@@ -7,12 +7,12 @@
 //! around every resource event, and drives the control channels.
 
 use crate::boot::{BootParams, BootPlan};
-use crate::ctrlchan::{CtrlChannel, CtrlMsg, CTRL_SLOTS};
+use crate::ctrlchan::{CtrlBatch, CtrlChannel, CtrlMsg, CTRL_SLOTS};
 use crate::enclave::{Enclave, EnclaveId, EnclaveState};
 use crate::hooks::EnclaveHooks;
 use crate::resources::{ResourceRequest, ResourceSpec};
 use crate::{PiscesError, PiscesResult};
-use covirt_simhw::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
+use covirt_simhw::addr::{PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::topology::ZoneId;
 use parking_lot::{Mutex, RwLock};
@@ -361,7 +361,7 @@ impl PiscesHost {
                 op: "remove_memory",
             });
         }
-        if !enclave.resources().mem.contains(&range) {
+        if !enclave.with_resources(|r| r.mem.contains(&range)) {
             return Err(PiscesError::Invalid(
                 "region is not assigned to the enclave",
             ));
@@ -369,19 +369,27 @@ impl PiscesHost {
         let ctrl = enclave
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
-        let recorded = enclave.removals.lock().insert(range);
+        let recorded = {
+            let mut removals = enclave.removals.lock();
+            let new = !removals.contains(&range);
+            if new {
+                removals.push(range);
+            }
+            new
+        };
         let sent = ctrl.send(&CtrlMsg::RemoveMem {
             start: range.start.raw(),
             len: range.len,
         });
         if sent.is_err() && recorded {
-            enclave.removals.lock().remove(&range);
+            enclave.removals.lock().retain(|r| *r != range);
         }
         sent.map_err(|_| PiscesError::ResourceBusy("control channel full"))
     }
 
     /// Handle pending enclave→host control messages, at most one ring's
-    /// worth per call. Returns the messages that were processed.
+    /// worth per call. Returns the messages that were processed, held
+    /// inline: a call allocates nothing per message.
     ///
     /// The ring is the co-kernel's to write: a `RemoveMemAck` counts only
     /// if it names a range [`PiscesHost::request_remove_memory`] asked for,
@@ -395,7 +403,7 @@ impl PiscesHost {
     /// `RemoveMemAck` ordering (the Covirt contract): ack received →
     /// **hook** (EPT unmap + TLB flush, blocking) → partition shrinks →
     /// memory returns to the host allocator.
-    pub fn process_acks(&self, enclave: &Enclave) -> PiscesResult<Vec<CtrlMsg>> {
+    pub fn process_acks(&self, enclave: &Enclave) -> PiscesResult<CtrlBatch> {
         if !EnclaveState::NOT_DEAD.contains(&enclave.state()) {
             return Err(PiscesError::BadState {
                 enclave: enclave.id.0,
@@ -407,7 +415,7 @@ impl PiscesHost {
             .ok_or(PiscesError::Invalid("no control channel"))?;
         // Replies an earlier call had no ring slot for go first.
         Self::send_parked(&mut enclave.parked_replies.lock(), &ctrl);
-        let mut handled = Vec::new();
+        let mut handled = CtrlBatch::new();
         for _ in 0..CTRL_SLOTS {
             let msg = match ctrl.try_recv() {
                 Ok(Some(msg)) => msg,
@@ -419,8 +427,13 @@ impl PiscesHost {
             };
             match &msg {
                 CtrlMsg::RemoveMemAck { start, len } => {
-                    let acked = PhysRange::new(HostPhysAddr::new(*start), *len);
-                    let taken = enclave.removals.lock().take(&acked);
+                    // A range that wraps was never asked for.
+                    let acked = PhysRange::checked(*start, *len);
+                    let taken = {
+                        let mut removals = enclave.removals.lock();
+                        let i = removals.iter().position(|r| Some(*r) == acked);
+                        i.map(|i| removals.swap_remove(i))
+                    };
                     let range = taken.ok_or(PiscesError::Invalid("removal not asked for"))?;
                     self.run_hooks(|h| h.on_mem_remove_acked(enclave, range))?;
                     enclave
@@ -444,7 +457,8 @@ impl PiscesHost {
                     }))
                 }
             }
-            handled.push(msg);
+            // At most `CTRL_SLOTS` messages: the batch has room.
+            let _ = handled.push(msg);
         }
         Ok(handled)
     }
@@ -544,11 +558,8 @@ impl PiscesHost {
     /// others return `Ok` at once, possibly before it has finished — as
     /// does a report for an enclave already reclaimed, through a handle
     /// that outlived it.
-    pub fn report_fault(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
-        match enclave.transition(
-            &EnclaveState::NOT_DEAD,
-            EnclaveState::Failed(reason.to_owned()),
-        ) {
+    pub fn report_fault(&self, enclave: &Enclave, reason: impl Into<Arc<str>>) -> PiscesResult<()> {
+        match enclave.transition(&EnclaveState::NOT_DEAD, EnclaveState::Failed(reason.into())) {
             Ok(_) => self.reclaim(enclave),
             Err(_) => Ok(()), // already dead; double reports are harmless
         }
@@ -630,7 +641,7 @@ mod tests {
     fn enclave_end(h: &PiscesHost, e: &Enclave) -> CtrlChannel {
         let mgmt = h.node().mem.window_from(e.mgmt_region.start).unwrap();
         let bp = BootParams::read_from(&mgmt, mgmt.base()).unwrap();
-        let chan = PhysRange::new(HostPhysAddr::new(bp.ctrlchan_base), bp.ctrlchan_len);
+        let chan = PhysRange::checked(bp.ctrlchan_base, bp.ctrlchan_len).unwrap();
         CtrlChannel::attach_enclave(&mgmt.sub(chan).unwrap()).unwrap()
     }
 

@@ -16,9 +16,14 @@
 //!
 //! The other side can write every word, so a handle keeps the count it was
 //! made with and a consumer refuses cursors claiming more than it holds.
+//!
+//! What a consumer takes off a ring in one call goes into a [`Batch`]: at
+//! most a ring's worth of records held inline, so draining a ring
+//! allocates nothing.
 
 use covirt_simhw::backing::Backing;
 use covirt_simhw::memory::MemWindow;
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 /// Words per record.
@@ -177,6 +182,64 @@ impl SharedRing {
     }
 }
 
+/// Up to `N` records held inline, in the order they were pushed: what one
+/// call takes off a ring of at most `N` slots. Reads as a slice.
+#[derive(Clone, Copy)]
+pub struct Batch<T: Copy, const N: usize> {
+    len: usize,
+    items: [MaybeUninit<T>; N],
+}
+
+impl<T: Copy, const N: usize> Batch<T, N> {
+    /// An empty batch.
+    pub const fn new() -> Self {
+        Batch {
+            len: 0,
+            items: [MaybeUninit::uninit(); N],
+        }
+    }
+
+    /// Append `item`, or hand it back when the batch already holds `N`.
+    pub fn push(&mut self, item: T) -> Result<(), T> {
+        match self.items.get_mut(self.len) {
+            Some(slot) => {
+                slot.write(item);
+                self.len += 1;
+                Ok(())
+            }
+            None => Err(item),
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> Default for Batch<T, N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::Deref for Batch<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        // SAFETY: the first `len` items were written by `push`, and
+        // `MaybeUninit<T>` has `T`'s layout.
+        unsafe { std::slice::from_raw_parts(self.items.as_ptr().cast(), self.len) }
+    }
+}
+
+impl<T: Copy + PartialEq, const N: usize, const M: usize> PartialEq<[T; M]> for Batch<T, N> {
+    fn eq(&self, other: &[T; M]) -> bool {
+        **self == *other
+    }
+}
+
+impl<T: Copy + std::fmt::Debug, const N: usize> std::fmt::Debug for Batch<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +265,21 @@ mod tests {
         s[0] = v;
         s[SLOT_WORDS - 1] = !v;
         s
+    }
+
+    /// A batch keeps what it was given, in order, up to its size, and hands
+    /// back what does not fit.
+    #[test]
+    fn a_batch_holds_its_size_in_order() {
+        let mut b = Batch::<u64, 3>::new();
+        assert!(b.is_empty());
+        for v in [7, 8, 9] {
+            b.push(v).unwrap();
+        }
+        assert_eq!(b.push(10), Err(10));
+        assert_eq!(*b, [7, 8, 9]);
+        assert_eq!(b.iter().rev().copied().collect::<Vec<_>>(), [9, 8, 7]);
+        assert_eq!(format!("{b:?}"), "[7, 8, 9]");
     }
 
     #[test]

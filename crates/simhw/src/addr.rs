@@ -216,6 +216,17 @@ impl PhysRange {
         Self { start, len }
     }
 
+    /// The range of `len` bytes at `start`, built from words another party
+    /// wrote (a co-kernel's ring or boot page); `None` when its end would
+    /// not fit the address space. Every range made of such words goes
+    /// through here, so [`Self::end`] and [`Self::contains`] cannot wrap.
+    pub const fn checked(start: u64, len: u64) -> Option<Self> {
+        match start.checked_add(len) {
+            Some(_) => Some(Self::new(HostPhysAddr(start), len)),
+            None => None,
+        }
+    }
+
     /// One past the last byte.
     pub const fn end(&self) -> HostPhysAddr {
         HostPhysAddr(self.start.0 + self.len)
@@ -259,6 +270,22 @@ mod tests {
         let a = GuestPhysAddr::new(PAGE_SIZE_2M * 3);
         assert_eq!(a.align_up(PAGE_SIZE_2M), a);
         assert_eq!(a.align_down(PAGE_SIZE_2M), a);
+    }
+
+    /// A range whose end would wrap is refused; one that ends exactly at
+    /// the top of the address space is not.
+    #[test]
+    fn a_checked_range_never_wraps() {
+        let page = !0xfff_u64;
+        assert_eq!(PhysRange::checked(page, 0x2000), None);
+        assert_eq!(PhysRange::checked(u64::MAX, 1), None);
+        let top = PhysRange::checked(page, 0xfff).unwrap();
+        assert_eq!(top.end().raw(), u64::MAX);
+        assert!(top.contains(HostPhysAddr::new(page)));
+        assert_eq!(
+            PhysRange::checked(0x1000, 0x1000),
+            Some(PhysRange::new(HostPhysAddr::new(0x1000), 0x1000))
+        );
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub struct SimNode {
     pub ioports: Arc<IoPortSpace>,
     cpus: Vec<Arc<Cpu>>,
     recorder: Arc<Recorder>,
+    /// The TSC read every tracer of the node stamps events with.
+    now: Arc<dyn Fn() -> u64 + Send + Sync>,
 }
 
 impl SimNode {
@@ -68,7 +70,11 @@ impl SimNode {
             let clock = Arc::clone(&clock);
             Arc::new(move || clock.rdtsc())
         };
-        interconnect.set_tracer(Tracer::new(Arc::clone(&recorder), ctrl_lane, now));
+        interconnect.set_tracer(Tracer::new(
+            Arc::clone(&recorder),
+            ctrl_lane,
+            Arc::clone(&now),
+        ));
         let cpus = (0..topo.total_cores())
             .map(|i| {
                 let apic = Arc::new(LocalApic::new(
@@ -87,6 +93,7 @@ impl SimNode {
             ioports: Arc::new(IoPortSpace::new()),
             cpus,
             recorder,
+            now,
         })
     }
 
@@ -98,12 +105,7 @@ impl SimNode {
     /// A tracer stamping events for `lane` with this node's TSC. Lanes 0
     /// to `total_cores - 1` are per-core; see [`SimNode::controller_tracer`].
     pub fn tracer(&self, lane: u32) -> Tracer {
-        let clock = Arc::clone(&self.clock);
-        Tracer::new(
-            Arc::clone(&self.recorder),
-            lane,
-            Arc::new(move || clock.rdtsc()),
-        )
+        Tracer::new(Arc::clone(&self.recorder), lane, Arc::clone(&self.now))
     }
 
     /// The controller's tracer (the lane after the last core's).

@@ -518,12 +518,52 @@ pub struct RadixTable<F: EntryFormat> {
     _fmt: std::marker::PhantomData<F>,
 }
 
+/// Table frames a table's record has room for before it grows: the root
+/// and the tables under it of an enclave's first grants.
+const FRAMES_RESERVED: usize = 8;
+
+/// Entries a `map` call logs inline before it spills to the heap: a
+/// grant's leaves and the tables linked above them.
+const UNDO_INLINE: usize = 32;
+
 /// What a `map` call has changed so far, so a failure can take it back:
-/// the entries it overwrote with their old values, and where in the
-/// table's frame record its own allocations start.
+/// the entries it overwrote with their old values, in order, and where in
+/// the table's frame record its own allocations start. The first
+/// [`UNDO_INLINE`] entries are held inline, so a map of a grant allocates
+/// nothing.
 struct MapUndo {
-    entries: Vec<(HostPhysAddr, u64)>,
+    inline: [(HostPhysAddr, u64); UNDO_INLINE],
+    logged: usize,
+    spilled: Vec<(HostPhysAddr, u64)>,
     first_new_frame: usize,
+}
+
+impl MapUndo {
+    fn new(first_new_frame: usize) -> Self {
+        MapUndo {
+            inline: [(HostPhysAddr::new(0), 0); UNDO_INLINE],
+            logged: 0,
+            spilled: Vec::new(),
+            first_new_frame,
+        }
+    }
+
+    /// Log that the entry at `eaddr` held `old`.
+    fn push(&mut self, eaddr: HostPhysAddr, old: u64) {
+        match self.inline.get_mut(self.logged) {
+            Some(slot) => {
+                *slot = (eaddr, old);
+                self.logged += 1;
+            }
+            None => self.spilled.push((eaddr, old)),
+        }
+    }
+
+    /// The logged entries, newest first.
+    fn newest_first(&self) -> impl Iterator<Item = &(HostPhysAddr, u64)> {
+        let inline = &self.inline[..self.logged];
+        self.spilled.iter().rev().chain(inline.iter().rev())
+    }
 }
 
 impl<F: EntryFormat> RadixTable<F> {
@@ -543,11 +583,13 @@ impl<F: EntryFormat> RadixTable<F> {
 
     fn build(pool: Arc<FramePool>, owns_pool: bool) -> HwResult<Self> {
         let root = pool.alloc_frame()?;
+        let mut frames = Vec::with_capacity(FRAMES_RESERVED);
+        frames.push(root);
         Ok(RadixTable {
             pool,
             owns_pool,
             root,
-            frames: Mutex::new(vec![root]),
+            frames: Mutex::new(frames),
             _fmt: std::marker::PhantomData,
         })
     }
@@ -607,10 +649,7 @@ impl<F: EntryFormat> RadixTable<F> {
         {
             return Err(HwError::Invalid("map arguments must be 4 KiB aligned"));
         }
-        let mut undo = MapUndo {
-            entries: Vec::new(),
-            first_new_frame: self.frames.lock().len(),
-        };
+        let mut undo = MapUndo::new(self.frames.lock().len());
         let mut off = 0u64;
         while off < len {
             let size = Self::leaf_size(va + off, pa.raw() + off, len - off, max_level);
@@ -641,7 +680,7 @@ impl<F: EntryFormat> RadixTable<F> {
     /// Undo a failed `map`: restore the overwritten entries newest first,
     /// which unlinks every frame the call allocated, then return those.
     fn roll_back(&self, undo: MapUndo) {
-        for &(eaddr, old) in undo.entries.iter().rev() {
+        for &(eaddr, old) in undo.newest_first() {
             // The same store succeeded moments ago on the way in.
             let _ = self.write_entry(eaddr, old);
         }
@@ -666,7 +705,7 @@ impl<F: EntryFormat> RadixTable<F> {
                 F::frame(e)
             } else {
                 let child = self.alloc_table()?;
-                undo.entries.push((eaddr, e));
+                undo.push(eaddr, e);
                 self.write_entry(eaddr, F::table_entry(child))?;
                 child
             };
@@ -692,10 +731,9 @@ impl<F: EntryFormat> RadixTable<F> {
         let first = level_index(va, level);
         let count = (512 - first).min(remaining / size);
         let table = self.descend(va, level, undo)?;
-        undo.entries.reserve(count as usize);
         for i in 0..count {
             let eaddr = Self::entry_addr(table, first + i);
-            undo.entries.push((eaddr, self.read_entry(eaddr)?));
+            undo.push(eaddr, self.read_entry(eaddr)?);
             self.write_entry(eaddr, F::leaf_entry(pa.add(i * size), level, perms))?;
         }
         Ok(count * size)
@@ -726,7 +764,7 @@ impl<F: EntryFormat> RadixTable<F> {
                 F::frame(e)
             } else {
                 let child = self.alloc_table()?;
-                undo.entries.push((eaddr, e));
+                undo.push(eaddr, e);
                 self.write_entry(eaddr, F::table_entry(child))?;
                 child
             };
@@ -734,7 +772,7 @@ impl<F: EntryFormat> RadixTable<F> {
             cur -= 1;
         }
         let eaddr = Self::entry_addr(table, level_index(va, level));
-        undo.entries.push((eaddr, self.read_entry(eaddr)?));
+        undo.push(eaddr, self.read_entry(eaddr)?);
         self.write_entry(eaddr, F::leaf_entry(pa, level, perms))?;
         Ok(())
     }
@@ -749,10 +787,7 @@ impl<F: EntryFormat> RadixTable<F> {
         perms: Perms,
         max_level: u8,
     ) -> HwResult<()> {
-        let mut undo = MapUndo {
-            entries: Vec::new(),
-            first_new_frame: self.frames.lock().len(),
-        };
+        let mut undo = MapUndo::new(self.frames.lock().len());
         let mut off = 0u64;
         while off < len {
             let size = Self::leaf_size(va + off, pa.raw() + off, len - off, max_level);

@@ -22,6 +22,7 @@
 //! per-figure drivers the benchmark harness and the `figures` binary use.
 
 pub mod audit;
+pub mod census;
 pub mod env;
 pub mod exitless;
 pub mod figures;

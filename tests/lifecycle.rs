@@ -95,3 +95,34 @@ fn relaunch_core_after_clean_shutdown() {
         g.shutdown();
     }
 }
+
+/// A Covirt core its thread lets go of after an orderly teardown, without
+/// `shutdown`, still leaves VMX operation: the next enclave on the core
+/// launches. (A core left in VMX refused the next VMXON.)
+#[test]
+fn a_dropped_core_leaves_vmx_for_the_next_enclave() {
+    let node = SimNode::new(NodeConfig::small());
+    let master = MasterControl::new(Arc::clone(&node));
+    let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::MEM);
+    ctl.attach_hobbes(&master);
+    let req = ResourceRequest::new(vec![CoreId(1)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+    let launch = |kernel| {
+        GuestCore::launch_covirt(
+            Arc::clone(&node),
+            kernel,
+            Arc::clone(&ctl),
+            1,
+            TlbParams::default(),
+        )
+    };
+    let (first, kernel) = master.bring_up_enclave("first", &req).unwrap();
+    let mut g = launch(kernel).unwrap();
+    g.poll().unwrap();
+    master.pisces().teardown(&first).unwrap();
+    drop(g);
+
+    let (_second, kernel) = master.bring_up_enclave("second", &req).unwrap();
+    let mut g = launch(kernel).expect("the second enclave's core launches");
+    g.poll().unwrap();
+    g.shutdown();
+}

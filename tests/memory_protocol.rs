@@ -451,3 +451,69 @@ fn an_acknowledged_removal_of_a_wrapping_range_is_refused() {
 fn an_acknowledged_removal_the_host_did_not_request_is_refused() {
     forged_removal_ack_is_refused(|boot| (boot.start.raw(), boot.len));
 }
+
+/// The co-kernel's inbound ring lies in its management region, which it
+/// can write: a message scribbled there whose range wraps the address
+/// space is refused by its own kernel as an error — not an overflow inside
+/// the page-table code — and the kernel serves the next grant.
+#[test]
+fn a_wrapping_range_in_the_inbound_ring_is_an_error_not_a_panic() {
+    let (_node, master, _ctl) = world();
+    let req = ResourceRequest::new(vec![CoreId(2)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+    let (e, k) = master.bring_up_enclave("w", &req).unwrap();
+    let inbound = e.ctrl().unwrap();
+    let top = !0xfff_u64;
+    for scribbled in [
+        CtrlMsg::AddMem {
+            start: top,
+            len: 0x2000,
+        },
+        CtrlMsg::RemoveMem {
+            start: top,
+            len: 0x2000,
+        },
+    ] {
+        inbound.send(&scribbled).unwrap();
+        assert!(k.poll_ctrl().is_err(), "{scribbled:?} was not refused");
+    }
+    let pisces = master.pisces();
+    let range = pisces.add_memory(&e, ZoneId(0), 2 * 1024 * 1024).unwrap();
+    assert_eq!(k.poll_ctrl().unwrap().len(), 1);
+    assert!(k.memmap().contains(range.start, range.len));
+    pisces.teardown(&e).unwrap();
+}
+
+/// A boot page whose regions wrap the address space does not boot: the
+/// kernel reports bad parameters for each range it decodes.
+#[test]
+fn a_boot_page_with_a_wrapping_range_does_not_boot() {
+    use covirt_suite::kitten::{KittenError, KittenKernel};
+    use covirt_suite::pisces::boot::BootParams;
+
+    let (node, master, _ctl) = world();
+    let req = ResourceRequest::new(vec![CoreId(2)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+    let e = master.pisces().create_enclave("b", &req).unwrap();
+    let page = e
+        .mgmt()
+        .sub(PhysRange::new(e.mgmt_region.start, PAGE_SIZE_4K));
+    let page = page.unwrap();
+    let good = BootParams::read_from(&page, e.params_addr()).unwrap();
+    const WRAP: (u64, u64) = (!0xfff, 0x2000);
+    let scribbles: [fn(&mut BootParams); 3] = [
+        |p| p.mem_regions[0] = WRAP,
+        |p| p.pt_pool = WRAP,
+        |p| (p.ctrlchan_base, p.ctrlchan_len) = WRAP,
+    ];
+    for scribble in scribbles {
+        let mut params = good.clone();
+        scribble(&mut params);
+        params.write_to(&page, e.params_addr()).unwrap();
+        let booted = KittenKernel::boot(&node.mem, e.params_addr());
+        assert!(
+            matches!(booted, Err(KittenError::BadBootParams)),
+            "{:?}",
+            booted.err()
+        );
+    }
+    master.pisces().teardown(&e).unwrap();
+}

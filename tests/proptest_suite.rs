@@ -64,6 +64,9 @@ enum ChanOp {
     Word(u64, u64),
     AckHeld(usize),
     Send(CtrlMsg),
+    /// The co-kernel scribbles a message into its own inbound ring (which
+    /// lies in its management region), then polls it.
+    Inbound(CtrlMsg),
 }
 
 fn chan_op() -> impl Strategy<Value = ChanOp> {
@@ -81,6 +84,18 @@ fn chan_op() -> impl Strategy<Value = ChanOp> {
                 arg1: c,
             },
         });
+    // Ranges at the top of the address space wrap when their end is
+    // computed; a co-kernel's kernel must refuse them, not overflow.
+    let start = prop_oneof![any::<u64>(), Just(!0xfff_u64), 0u64..1 << 36];
+    let len = prop_oneof![
+        any::<u64>(),
+        Just(0x2000u64),
+        (1u64..1024).prop_map(|p| p << 12)
+    ];
+    let inbound = (any::<bool>(), start, len).prop_map(|(add, start, len)| match add {
+        true => CtrlMsg::AddMem { start, len },
+        false => CtrlMsg::RemoveMem { start, len },
+    });
     prop_oneof![
         1 => Just(ChanOp::Grant),
         1 => (0usize..8).prop_map(ChanOp::Request),
@@ -88,6 +103,7 @@ fn chan_op() -> impl Strategy<Value = ChanOp> {
         4 => (word, value).prop_map(|(w, v)| ChanOp::Word(w, v)),
         1 => (0usize..8).prop_map(ChanOp::AckHeld),
         3 => msg.prop_map(ChanOp::Send),
+        2 => inbound.prop_map(ChanOp::Inbound),
     ]
 }
 
@@ -309,7 +325,8 @@ proptest! {
 
     /// Whatever a co-kernel writes into its control channel, the host
     /// neither panics nor handles more than one ring's worth of messages
-    /// per call. A call that fails either refused a message, and the
+    /// per call, and neither does the co-kernel's own kernel polling a
+    /// scribbled inbound ring. A call that fails either refused a message, and the
     /// culprit lives on having lost only memory it was asked to return, or
     /// found the ring corrupt, and the culprit is `Failed` for it. A
     /// bystander's partition and EPT do not move, and once the culprit is
@@ -390,6 +407,14 @@ proptest! {
                     _ = k.ctrl().send(&CtrlMsg::RemoveMemAck { start, len });
                 }
                 ChanOp::Send(msg) => _ = k.ctrl().send(&msg),
+                ChanOp::Inbound(msg) => {
+                    if let Some(inbound) = culprit.ctrl() {
+                        _ = inbound.send(&msg);
+                    }
+                    if let Ok(h) = k.poll_ctrl() {
+                        prop_assert!(h.len() as u64 <= CTRL_SLOTS, "{} polled", h.len());
+                    }
+                }
             }
             prop_assert_eq!(bystander_view(), bystander_before.clone());
             if culprit.state() != EnclaveState::Running {
