@@ -403,10 +403,12 @@ impl CovirtController {
             None
         };
 
-        let cores = || res.cores.iter().map(|c| c.0);
-        let mut vctx = VirtContext::new(enclave.id.0, self.config, cores(), &res.ipi_vectors, ept);
+        // Pisces admitted only cores the node has.
+        let cpus = res.cores.iter().filter_map(|&c| self.node.cpu(c).ok());
+        let cpus = cpus.map(Arc::clone);
+        let mut vctx = VirtContext::new(enclave.id.0, self.config, cpus, &res.ipi_vectors, ept);
 
-        for core in cores() {
+        for core in res.cores.iter().map(|c| c.0) {
             // Pre-boot VMCS guest state: every core launches "at the kernel
             // entry" with RDI = the unmodified Pisces boot parameters.
             if let Some(h) = vctx.vmcs(core) {

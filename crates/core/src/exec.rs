@@ -1574,8 +1574,8 @@ mod tests {
                 assert!(terminated, "{config}: entry point {i} returned {r:?}");
             }
             assert_eq!(gc.exit_count(), exits, "{config}");
-            assert_eq!(gc.cpu.mode(), covirt_simhw::cpu::CpuMode::Host, "{config}");
-            assert!(!gc.cpu.vmx_enabled(), "{config}");
+            let parked = covirt_simhw::cpu::VmxState::Off;
+            assert_eq!(gc.cpu.vmx_state(), parked, "{config}");
         }
     }
 

@@ -18,14 +18,15 @@ use crate::controller::CovirtController;
 use crate::vctx::VirtContext;
 use crate::{CovirtError, CovirtResult};
 use covirt_simhw::apic::IcrCommand;
-use covirt_simhw::cpu::{Cpu, CpuMode};
+use covirt_simhw::cpu::{Cpu, VmxEvent};
 use covirt_simhw::ept::WalkCache;
 use covirt_simhw::exit::{ExitInfo, ExitReason};
 use covirt_simhw::node::SimNode;
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::tlb::Tlb;
-use covirt_simhw::vmcs::VmcsHandle;
+use covirt_simhw::vmcs::Vmcs;
 use covirt_trace::{EventKind, Tracer};
+use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// Measured VM-entry/exit round-trip on Broadwell-class hardware is on the
@@ -68,7 +69,6 @@ pub struct Hypervisor {
     vctx: Arc<VirtContext>,
     /// The controller module, notified when this instance aborts.
     controller: Arc<CovirtController>,
-    vmcs: VmcsHandle,
     /// This core's command queue, taken from the context once at launch.
     cmdq: CmdQueue,
     /// This core's slot in the context, looked up once at launch: the
@@ -88,52 +88,45 @@ pub struct Hypervisor {
 impl Hypervisor {
     /// CPU boot path: enable VMX, load the pre-configured VMCS, and
     /// "launch" the co-kernel — the simulated equivalent of the VMLAUNCH
-    /// performed after the Pisces trampoline hand-off. Guest state (entry
-    /// point, RDI = Pisces boot parameters) was already written by the
-    /// controller.
+    /// performed after the Pisces trampoline hand-off, one
+    /// [`VmxEvent::Launch`]. Guest state (entry point, RDI = Pisces boot
+    /// parameters) was already written by the controller. A terminated
+    /// enclave is not entered again.
     pub fn launch(
         node: Arc<SimNode>,
         controller: Arc<CovirtController>,
         vctx: Arc<VirtContext>,
         core: usize,
     ) -> CovirtResult<Self> {
-        let cpu = Arc::clone(node.cpu(covirt_simhw::topology::CoreId(core))?);
-        let (Some(vmcs), Some(slot)) = (vctx.vmcs(core), vctx.slot_index(core)) else {
+        let Some(slot) = vctx.slot_index(core) else {
             return Err(CovirtError::Invalid("core has no VMCS"));
         };
         let cmdq = vctx.cmdq(core).cloned();
         let cmdq = cmdq.ok_or(CovirtError::Invalid("core has no command queue"))?;
-        cpu.vmxon()?;
-        cpu.vmptrld(Arc::clone(&vmcs))?;
-        {
-            let mut v = vmcs.write();
-            if v.launched {
-                cpu.vmxoff()?;
-                return Err(CovirtError::Invalid("VMCS already launched"));
-            }
-            v.launched = true;
+        if let Some(reason) = vctx.termination() {
+            return Err(CovirtError::EnclaveTerminated(reason));
         }
-        cpu.set_mode(CpuMode::Guest);
-        vctx.core_entered_guest(core);
+        let s = vctx.slot_at(slot);
+        let cpu = Arc::clone(&s.cpu);
+        cpu.transition(vctx.enclave_id, VmxEvent::Launch)?;
         // A covirt guest loop checks the descriptor at every safe point, so
         // the physical notification IPI adds nothing while the core runs —
         // suppress it (the SN bit). Parked cores are covered by the
         // controller's bounded NMI fallback, which watches the completion
         // counter, not the interrupt.
-        vctx.doorbell_at(slot).set_suppress(true);
+        s.cmd_doorbell.set_suppress(true);
         model_delay_ns(VM_TRANSITION_NS); // the VMLAUNCH itself
 
         // Tag this core's lane with the enclave it runs, so exits, drains
         // and completions attribute to it in the audit engine.
         let tracer = node.tracer(core as u32).with_enclave(vctx.enclave_id);
-        vmcs.write().tracer = Some(tracer.clone());
+        s.vmcs.write().tracer = Some(tracer.clone());
         Ok(Hypervisor {
             core,
             cpu,
             node,
             vctx,
             controller,
-            vmcs,
             cmdq,
             slot,
             exits: 0,
@@ -148,10 +141,15 @@ impl Hypervisor {
         &self.vctx
     }
 
+    /// This core's VMCS.
+    fn vmcs(&self) -> &RwLock<Vmcs> {
+        &self.vctx.slot_at(self.slot).vmcs
+    }
+
     /// This core's command-doorbell descriptor.
     #[inline]
     fn doorbell(&self) -> &PostedIntDescriptor {
-        self.vctx.doorbell_at(self.slot)
+        &self.vctx.slot_at(self.slot).cmd_doorbell
     }
 
     /// Whether the controller rang this core's command doorbell since the
@@ -189,10 +187,12 @@ impl Hypervisor {
         walk_cache: &WalkCache,
     ) -> ExitAction {
         let t0 = std::time::Instant::now();
-        self.cpu.set_mode(CpuMode::HypervisorRoot);
+        // Refused only on a core this instance no longer runs, which takes
+        // no exit: the exec loop asks a terminated core for none.
+        let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Exit);
         model_delay_ns(VM_TRANSITION_NS);
         self.exits += 1;
-        self.vmcs.write().record_exit(ExitInfo {
+        self.vmcs().write().record_exit(ExitInfo {
             reason,
             tsc: self.node.clock.rdtsc(),
         });
@@ -202,7 +202,7 @@ impl Hypervisor {
             // with no or minor modification.
             ExitReason::Cpuid { leaf: _ } => ExitAction::Resume,
             ExitReason::Xsetbv { xcr0 } => {
-                self.vmcs.write().guest.xcr0 = xcr0;
+                self.vmcs().write().guest.xcr0 = xcr0;
                 ExitAction::Resume
             }
             ExitReason::MsrRead { index } => {
@@ -290,7 +290,7 @@ impl Hypervisor {
 
         if matches!(action, ExitAction::Resume) {
             model_delay_ns(VM_TRANSITION_NS); // VM entry
-            self.cpu.set_mode(CpuMode::Guest);
+            let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Resume);
         }
         let handled_ns = t0.elapsed().as_nanos() as u64;
         self.exit_ns += handled_ns;
@@ -341,8 +341,11 @@ impl Hypervisor {
                 }
                 Command::ReloadVmcs => {
                     // Re-serialize the (controller-edited) VMCS onto the
-                    // CPU: in the model, re-issue VMPTRLD.
-                    let _ = self.cpu.vmptrld(Arc::clone(&self.vmcs));
+                    // CPU: in the model, re-issue VMPTRLD. It is legal only
+                    // in root, so a harvest in guest mode leaves it to the
+                    // next exit; the model's VMCS is shared memory either
+                    // way.
+                    let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Reload);
                 }
                 Command::Terminate => {
                     action = self.abort("terminated by controller");
@@ -376,17 +379,13 @@ impl Hypervisor {
         ExitAction::Terminate(reason)
     }
 
-    /// Take this core out of guest mode if this instance put it there: the
-    /// context stops counting it live, the VMCS is cleared (VMCLEAR — it
-    /// can be launched again) and VMX goes off. Idempotent.
+    /// Take this core out of VMX operation if it still runs this enclave:
+    /// VMCLEAR (the VMCS can be launched again) and VMXOFF, one
+    /// [`VmxEvent::Leave`]; the context stops counting the core live.
+    /// Idempotent: a core already off, or running the next enclave, refuses
+    /// the event and keeps its state.
     fn leave_guest(&mut self) {
-        if !self.vctx.is_live(self.core) {
-            return;
-        }
-        self.vctx.core_left_guest(self.core);
-        self.vmcs.write().launched = false;
-        self.cpu.set_mode(CpuMode::Host);
-        let _ = self.cpu.vmxoff();
+        let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Leave);
     }
 
     /// Clean shutdown of the guest on this core (enclave teardown).
@@ -431,7 +430,8 @@ mod tests {
         let ept = config
             .memory
             .then(|| Arc::new(covirt_simhw::ept::Ept::new(Arc::clone(&pool)).unwrap()));
-        let mut vctx = VirtContext::new(7, config, [1, 2], &[0x40], ept);
+        let cpus = node.cpus()[1..3].to_vec();
+        let mut vctx = VirtContext::new(7, config, cpus, &[0x40], ept);
         vctx.set_cmdq(1, CmdQueue::create(pool.take_frame().unwrap()).unwrap());
         let vctx = Arc::new(vctx);
         let ctl = CovirtController::new(Arc::clone(&node), config);
@@ -453,23 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn launch_enters_guest_mode() {
-        let (node, vctx, _hv, _tlb, _wc) = setup(CovirtConfig::NONE);
-        let cpu = node.cpu(covirt_simhw::topology::CoreId(1)).unwrap();
-        assert_eq!(cpu.mode(), CpuMode::Guest);
-        assert!(cpu.vmx_enabled());
-        assert_eq!(vctx.live_cores(), vec![1]);
-        assert!(vctx.vmcs(1).unwrap().read().launched);
-    }
-
-    #[test]
-    fn double_launch_rejected() {
-        let (node, vctx, _hv, _tlb, _wc) = setup(CovirtConfig::NONE);
-        let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::NONE);
-        assert!(Hypervisor::launch(node, ctl, vctx, 1).is_err());
-    }
-
-    #[test]
     fn cpuid_and_xsetbv_emulated() {
         let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
         assert_eq!(
@@ -487,7 +470,7 @@ mod tests {
 
     #[test]
     fn ept_violation_terminates() {
-        let (node, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
+        let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
         let action = hv.handle_exit(
             ExitReason::EptViolation(EptViolationInfo {
                 gpa: GuestPhysAddr::new(0xdead_0000),
@@ -499,9 +482,6 @@ mod tests {
         assert!(matches!(action, ExitAction::Terminate(_)));
         assert!(vctx.termination().unwrap().contains("EPT violation"));
         assert_eq!(vctx.live_cores(), Vec::<usize>::new());
-        let cpu = node.cpu(covirt_simhw::topology::CoreId(1)).unwrap();
-        assert_eq!(cpu.mode(), CpuMode::Host);
-        assert!(!cpu.vmx_enabled());
         assert_eq!(
             vctx.violations.load(std::sync::atomic::Ordering::Relaxed),
             1
@@ -737,15 +717,11 @@ mod tests {
 
     #[test]
     fn shutdown_returns_stats() {
-        let (node, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
+        let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
         hv.handle_exit(ExitReason::Cpuid { leaf: 0 }, &mut tlb, &wc);
         let (exits, ns) = hv.shutdown();
         assert_eq!(exits, 1);
         assert!(ns > 0);
         assert!(vctx.live_cores().is_empty());
-        assert_eq!(
-            node.cpu(covirt_simhw::topology::CoreId(1)).unwrap().mode(),
-            CpuMode::Host
-        );
     }
 }

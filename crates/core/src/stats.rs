@@ -85,7 +85,8 @@ mod tests {
     /// them, tabulates by count then name, summed across cores.
     #[test]
     fn exit_table_sorted_desc() {
-        let vctx = VirtContext::new(1, CovirtConfig::NONE, [1, 2], &[], None);
+        let node = covirt_simhw::node::SimNode::new(covirt_simhw::node::NodeConfig::small());
+        let vctx = VirtContext::new(1, CovirtConfig::NONE, node.cpus()[1..3].to_vec(), &[], None);
         let mix = [
             (1, ExitReason::Hlt, 3),
             (1, ExitReason::Cpuid { leaf: 0 }, 1),

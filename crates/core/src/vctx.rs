@@ -13,13 +13,14 @@ use crate::cmdqueue::CmdQueue;
 use crate::config::{CovirtConfig, IpiMode};
 use crate::whitelist::IpiWhitelist;
 use covirt_simhw::addr::PhysRange;
+use covirt_simhw::cpu::Cpu;
 use covirt_simhw::ept::Ept;
 use covirt_simhw::ioport::{IoBitmap, PORT_KBD_RESET, PORT_PCI_CONFIG_ADDR, PORT_PCI_CONFIG_DATA};
 use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
-use covirt_simhw::vmcs::{new_vmcs, ApicVirtMode, VmcsHandle};
+use covirt_simhw::vmcs::{ApicVirtMode, Vmcs};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// The notification vector posted-interrupt descriptors use (one below the
@@ -33,11 +34,13 @@ pub const PIV_NOTIFICATION_VECTOR: u8 = 0xf2;
 pub const CMD_DOORBELL_VECTOR: u8 = 0xf3;
 
 /// What a context keeps for one enclave core.
-struct CoreSlot {
-    core: usize,
+pub(crate) struct CoreSlot {
+    /// The core, whose VMX state says whether it runs this enclave.
+    pub(crate) cpu: Arc<Cpu>,
     /// The core's VMCS replica ("replicating the hypervisor context ... for
-    /// each CPU core managed by Covirt").
-    vmcs: VmcsHandle,
+    /// each CPU core managed by Covirt"). Boxed: held inline, it made
+    /// building a context slower (EXPERIMENTS.md, "One VMX state per core").
+    pub(crate) vmcs: Box<RwLock<Vmcs>>,
     /// The core's command queue, once the controller has placed it.
     cmdq: Option<CmdQueue>,
     /// Posted-interrupt descriptor (posted IPI mode only), shared with the
@@ -46,10 +49,7 @@ struct CoreSlot {
     /// Command-doorbell descriptor. Unlike `posted`, this exists in *every*
     /// Covirt configuration: the exitless command path does not depend on
     /// the enclave opting into posted-IPI protection.
-    cmd_doorbell: PostedIntDescriptor,
-    /// Whether the core is executing in guest mode (its TLB may cache
-    /// stale state; flush synchronization must wait for it).
-    live: AtomicBool,
+    pub(crate) cmd_doorbell: PostedIntDescriptor,
 }
 
 /// Per-enclave virtualization state.
@@ -82,12 +82,12 @@ pub struct VirtContext {
 }
 
 impl VirtContext {
-    /// Assemble a context for `enclave_id` covering `cores`, with `vectors`
+    /// Assemble a context for `enclave_id` covering `cpus`, with `vectors`
     /// initially whitelisted.
     pub fn new(
         enclave_id: u64,
         config: CovirtConfig,
-        cores: impl IntoIterator<Item = usize>,
+        cpus: impl IntoIterator<Item = Arc<Cpu>>,
         vectors: &[u8],
         ept: Option<Arc<Ept>>,
     ) -> Self {
@@ -112,10 +112,10 @@ impl VirtContext {
             bitmap
         });
 
-        let mut slots: Vec<CoreSlot> = cores
+        let mut slots: Vec<CoreSlot> = cpus
             .into_iter()
-            .map(|core| {
-                let vmcs = new_vmcs();
+            .map(|cpu| {
+                let vmcs = Box::new(RwLock::new(Vmcs::new()));
                 let posted = matches!(config.ipi, Some(IpiMode::Posted))
                     .then(|| Arc::new(PostedIntDescriptor::new(PIV_NOTIFICATION_VECTOR)));
                 {
@@ -130,19 +130,18 @@ impl VirtContext {
                     v.controls.posted_desc = posted.clone();
                 }
                 CoreSlot {
-                    core,
+                    cpu,
                     vmcs,
                     cmdq: None,
                     posted,
                     cmd_doorbell: PostedIntDescriptor::new(CMD_DOORBELL_VECTOR),
-                    live: AtomicBool::new(false),
                 }
             })
             .collect();
-        slots.sort_unstable_by_key(|s| s.core);
-        slots.dedup_by_key(|s| s.core);
+        slots.sort_unstable_by_key(|s| s.cpu.id);
+        slots.dedup_by_key(|s| s.cpu.id);
         let whitelist = IpiWhitelist::new(
-            slots.iter().map(|s| s.core),
+            slots.iter().map(|s| s.cpu.id.0),
             vectors.iter().copied().chain(std::iter::once(TIMER_VECTOR)),
         );
 
@@ -162,7 +161,7 @@ impl VirtContext {
 
     /// Index of `core`'s slot, if it is one of the enclave's cores.
     pub(crate) fn slot_index(&self, core: usize) -> Option<usize> {
-        self.slots.binary_search_by_key(&core, |s| s.core).ok()
+        self.slots.binary_search_by_key(&core, |s| s.cpu.id.0).ok()
     }
 
     /// `core`'s slot, if it is one of the enclave's cores.
@@ -171,13 +170,13 @@ impl VirtContext {
     }
 
     /// The VMCS for a core.
-    pub fn vmcs(&self, core: usize) -> Option<VmcsHandle> {
-        self.slot(core).map(|s| Arc::clone(&s.vmcs))
+    pub fn vmcs(&self, core: usize) -> Option<&RwLock<Vmcs>> {
+        self.slot(core).map(|s| &*s.vmcs)
     }
 
     /// All cores with a VMCS, in ascending order.
     pub fn cores(&self) -> Vec<usize> {
-        self.slots.iter().map(|s| s.core).collect()
+        self.slots.iter().map(|s| s.cpu.id.0).collect()
     }
 
     /// Install a core's command queue (controller, before boot). A core
@@ -203,48 +202,40 @@ impl VirtContext {
         self.slot(core).map(|s| &s.cmd_doorbell)
     }
 
-    /// The command doorbell of the slot at `index` (see
-    /// [`Self::slot_index`]; a hypervisor looks its core up once, at launch).
+    /// The slot at `index` (see [`Self::slot_index`]; a hypervisor looks
+    /// its core up once, at launch).
     #[inline]
-    pub(crate) fn doorbell_at(&self, index: usize) -> &PostedIntDescriptor {
-        &self.slots[index].cmd_doorbell
+    pub(crate) fn slot_at(&self, index: usize) -> &CoreSlot {
+        &self.slots[index]
     }
 
-    /// Mark a core as executing in guest mode.
-    pub fn core_entered_guest(&self, core: usize) {
-        if let Some(s) = self.slot(core) {
-            s.live.store(true, Ordering::SeqCst);
-        }
+    /// Whether the slot's core runs this enclave: its VMX state, in guest
+    /// or root, names this enclave's VMCS. Such a core may cache the
+    /// enclave's translations, so flush synchronization waits for it.
+    fn runs_here(&self, slot: &CoreSlot) -> bool {
+        slot.cpu.vmx_state().enclave() == Some(self.enclave_id)
     }
 
-    /// Mark a core as having left guest mode (termination or shutdown).
-    pub fn core_left_guest(&self, core: usize) {
-        if let Some(s) = self.slot(core) {
-            s.live.store(false, Ordering::SeqCst);
-        }
-    }
-
-    /// Whether `core` is in guest mode.
+    /// Whether `core` is live: one of the enclave's cores, running it.
     pub fn is_live(&self, core: usize) -> bool {
-        self.slot(core)
-            .is_some_and(|s| s.live.load(Ordering::SeqCst))
+        self.slot(core).is_some_and(|s| self.runs_here(s))
     }
 
-    /// The slots of the cores currently in guest mode, ascending.
+    /// The slots of the live cores, ascending.
     fn live(&self) -> impl Iterator<Item = &CoreSlot> {
-        self.slots.iter().filter(|s| s.live.load(Ordering::SeqCst))
+        self.slots.iter().filter(|s| self.runs_here(s))
     }
 
-    /// Cores currently in guest mode, in ascending order.
+    /// The live cores, in ascending order.
     pub fn live_cores(&self) -> Vec<usize> {
-        self.live().map(|s| s.core).collect()
+        self.live().map(|s| s.cpu.id.0).collect()
     }
 
-    /// What a command round trip needs of each core currently in guest
-    /// mode, in ascending core order: its id, its queue and its doorbell.
+    /// What a command round trip needs of each live core, in ascending core
+    /// order: its id, its queue and its doorbell.
     pub fn live_slots(&self) -> impl Iterator<Item = (usize, &CmdQueue, &PostedIntDescriptor)> {
         self.live()
-            .filter_map(|s| Some((s.core, s.cmdq.as_ref()?, &s.cmd_doorbell)))
+            .filter_map(|s| Some((s.cpu.id.0, s.cmdq.as_ref()?, &s.cmd_doorbell)))
     }
 
     /// Record enclave termination (idempotent; first reason wins, and a
@@ -285,8 +276,15 @@ pub const TIMER_VECTOR: u8 = 0xec;
 mod tests {
     use super::*;
     use covirt_simhw::memory::PhysMemory;
+    use covirt_simhw::node::{NodeConfig, SimNode};
     use covirt_simhw::paging::FramePool;
-    use covirt_simhw::topology::ZoneId;
+    use covirt_simhw::topology::{CoreId, ZoneId};
+
+    /// Cores `ids` of a small node.
+    fn cpus<const N: usize>(ids: [usize; N]) -> [Arc<Cpu>; N] {
+        let node = SimNode::new(NodeConfig::small());
+        ids.map(|c| Arc::clone(node.cpu(CoreId(c)).unwrap()))
+    }
 
     fn ept() -> Arc<Ept> {
         let mem = Arc::new(PhysMemory::new(&[64 * 1024 * 1024]));
@@ -298,12 +296,12 @@ mod tests {
 
     #[test]
     fn vmcs_replicated_per_core() {
-        let v = VirtContext::new(1, CovirtConfig::MEM, [2, 3], &[0x40], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::MEM, cpus([2, 3]), &[0x40], Some(ept()));
         assert_eq!(v.cores(), vec![2, 3]);
         let a = v.vmcs(2).unwrap();
         let b = v.vmcs(3).unwrap();
         assert!(
-            !Arc::ptr_eq(&a, &b),
+            !std::ptr::eq(a, b),
             "per-core VMCS must be replicas, not shared"
         );
         assert!(a.read().controls.eptp.is_some());
@@ -313,25 +311,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "EPT presence must match")]
     fn ept_mismatch_panics() {
-        VirtContext::new(1, CovirtConfig::MEM, [1], &[], None);
+        VirtContext::new(1, CovirtConfig::MEM, cpus([1]), &[], None);
     }
 
     #[test]
     fn vapic_mode_sets_controls() {
-        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, [1], &[0x40], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, cpus([1]), &[0x40], Some(ept()));
         let h = v.vmcs(1).unwrap();
         assert_eq!(h.read().controls.apic_virt, ApicVirtMode::TrapAll);
         assert!(h.read().controls.ext_int_exiting);
         assert!(v.posted(1).is_none());
         // Memory-only and no-feature configs also keep interrupt exiting
         // on (the constant baseline cost of interposition).
-        let m = VirtContext::new(2, CovirtConfig::MEM, [1], &[], Some(ept()));
+        let m = VirtContext::new(2, CovirtConfig::MEM, cpus([1]), &[], Some(ept()));
         assert!(m.vmcs(1).unwrap().read().controls.ext_int_exiting);
     }
 
     #[test]
     fn posted_mode_builds_descriptors() {
-        let v = VirtContext::new(1, CovirtConfig::MEM_IPI_PIV, [1, 2], &[0x40], Some(ept()));
+        let v = VirtContext::new(
+            1,
+            CovirtConfig::MEM_IPI_PIV,
+            cpus([1, 2]),
+            &[0x40],
+            Some(ept()),
+        );
         let h = v.vmcs(1).unwrap();
         assert_eq!(h.read().controls.apic_virt, ApicVirtMode::Posted);
         assert!(
@@ -350,8 +354,14 @@ mod tests {
     fn cmd_doorbell_built_for_every_config() {
         // The exitless command path must not depend on posted-IPI mode:
         // every config gets a per-core doorbell descriptor.
-        let none = VirtContext::new(1, CovirtConfig::NONE, [1, 2], &[], None);
-        let piv = VirtContext::new(2, CovirtConfig::MEM_IPI_PIV, [1], &[0x40], Some(ept()));
+        let none = VirtContext::new(1, CovirtConfig::NONE, cpus([1, 2]), &[], None);
+        let piv = VirtContext::new(
+            2,
+            CovirtConfig::MEM_IPI_PIV,
+            cpus([1]),
+            &[0x40],
+            Some(ept()),
+        );
         for v in [&none, &piv] {
             let d = v.cmd_doorbell(1).expect("doorbell descriptor missing");
             assert_eq!(d.notification_vector(), CMD_DOORBELL_VECTOR);
@@ -368,15 +378,15 @@ mod tests {
 
     #[test]
     fn whitelist_includes_timer() {
-        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, [5], &[0x44], Some(ept()));
-        assert!(v.whitelist.would_allow(5, 0x44));
-        assert!(v.whitelist.would_allow(5, TIMER_VECTOR));
+        let v = VirtContext::new(1, CovirtConfig::MEM_IPI, cpus([3]), &[0x44], Some(ept()));
+        assert!(v.whitelist.would_allow(3, 0x44));
+        assert!(v.whitelist.would_allow(3, TIMER_VECTOR));
         assert!(!v.whitelist.would_allow(0, 0x44));
     }
 
     #[test]
     fn msr_io_protection_configures_bitmaps() {
-        let v = VirtContext::new(1, CovirtConfig::FULL, [1], &[], Some(ept()));
+        let v = VirtContext::new(1, CovirtConfig::FULL, cpus([1]), &[], Some(ept()));
         let msr = v.msr_bitmap.as_ref().unwrap();
         assert!(msr.write_exits(IA32_MC0_CTL));
         assert!(!msr.read_exits(IA32_MC0_CTL));
@@ -388,28 +398,16 @@ mod tests {
     /// A feature that is off has no bitmap to consult.
     #[test]
     fn bitmaps_exist_only_for_their_feature() {
-        let mem = VirtContext::new(1, CovirtConfig::MEM_IPI, [1], &[], Some(ept()));
-        let none = VirtContext::new(2, CovirtConfig::NONE, [1], &[], None);
+        let mem = VirtContext::new(1, CovirtConfig::MEM_IPI, cpus([1]), &[], Some(ept()));
+        let none = VirtContext::new(2, CovirtConfig::NONE, cpus([1]), &[], None);
         for v in [&mem, &none] {
             assert!(v.msr_bitmap.is_none() && v.io_bitmap.is_none());
         }
     }
 
     #[test]
-    fn live_core_tracking() {
-        let v = VirtContext::new(1, CovirtConfig::NONE, [1, 2], &[], None);
-        assert!(v.live_cores().is_empty());
-        v.core_entered_guest(1);
-        v.core_entered_guest(2);
-        assert_eq!(v.live_cores(), vec![1, 2]);
-        v.core_left_guest(1);
-        assert_eq!(v.live_cores(), vec![2]);
-        assert_eq!([1, 2, 9].map(|c| v.is_live(c)), [false, true, false]);
-    }
-
-    #[test]
     fn termination_first_reason_wins() {
-        let v = VirtContext::new(1, CovirtConfig::NONE, [1], &[], None);
+        let v = VirtContext::new(1, CovirtConfig::NONE, cpus([1]), &[], None);
         assert!(v.termination().is_none());
         v.terminate("ept violation");
         v.terminate("later");

@@ -1,29 +1,98 @@
-//! Per-core CPU state: VMX enablement and the current-VMCS pointer.
+//! Per-core CPU state: the core's VMX lifecycle, its APIC and MSR file.
 //!
 //! Covirt replicates its hypervisor context per CPU core ("each hypervisor
 //! context only supports a single CPU core and is unaware of other
 //! hypervisor instances"); correspondingly each simulated [`Cpu`] carries
-//! its own VMX state, APIC and MSR file, and the thread driving the core is
-//! the only writer of its mode.
+//! its own VMX state, APIC and MSR file.
+//!
+//! # The VMX lifecycle
+//!
+//! A core's VMX life is one word, read as a [`VmxState`] and changed only
+//! by [`Cpu::transition`]. The states follow the SDM's VMX operation and
+//! VMCS launch states (Intel SDM vol. 3C §24.1): outside VMX operation, VMX
+//! non-root operation on a launched VMCS, and VMX root operation with that
+//! VMCS still current and launched. `e` is the enclave whose VMCS is
+//! current:
+//!
+//! ```text
+//!   Off ── Launch ──▶ Guest(e) ── Exit ───▶ Root(e) ── Reload ──▶ Root(e)
+//!                     Guest(e) ◀── Resume ── Root(e)
+//!   Off ◀── Leave ─── Guest(e) or Root(e)
+//! ```
+//!
+//! [`VmxEvent`] names the instructions behind each arrow. Every other pair
+//! is refused with an [`HwError`], and the state stays:
+//! [`HwError::VmxNotEnabled`] outside VMX operation,
+//! [`HwError::InvalidVmcs`] for an event of an enclave whose VMCS is not
+//! current, [`HwError::Invalid`] otherwise (a second VMXON among them). The
+//! word belongs to the physical core, not to an enclave: a core no one took
+//! out of VMX operation refuses the next enclave's `Launch`.
 
 use crate::apic::LocalApic;
 use crate::error::{HwError, HwResult};
 use crate::msr::MsrFile;
 use crate::topology::CoreId;
-use crate::vmcs::VmcsHandle;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What the core is currently executing.
+/// Where a core is in its VMX life; the enclave is the one whose VMCS is
+/// current.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CpuMode {
-    /// Host (Linux / Pisces) context, or idle.
-    Host = 0,
-    /// Covirt hypervisor root mode.
-    HypervisorRoot = 1,
-    /// Guest (co-kernel) non-root mode.
-    Guest = 2,
+pub enum VmxState {
+    /// Outside VMX operation: host (Linux / Pisces) context, or idle.
+    Off,
+    /// VMX non-root operation: the enclave's co-kernel runs on its
+    /// launched VMCS.
+    Guest(u64),
+    /// VMX root operation: the Covirt hypervisor handles an exit of the
+    /// enclave's guest.
+    Root(u64),
+}
+
+/// Low bits of the lifecycle word holding the state; the enclave takes the
+/// rest.
+const STATE_BITS: u32 = 2;
+
+impl VmxState {
+    /// The enclave whose VMCS is current, while the core is in VMX
+    /// operation.
+    pub fn enclave(self) -> Option<u64> {
+        match self {
+            VmxState::Off => None,
+            VmxState::Guest(e) | VmxState::Root(e) => Some(e),
+        }
+    }
+
+    fn word(self) -> u64 {
+        match self {
+            VmxState::Off => 0,
+            VmxState::Guest(e) => e << STATE_BITS | 1,
+            VmxState::Root(e) => e << STATE_BITS | 2,
+        }
+    }
+
+    fn from_word(word: u64) -> Self {
+        match word & ((1 << STATE_BITS) - 1) {
+            1 => VmxState::Guest(word >> STATE_BITS),
+            2 => VmxState::Root(word >> STATE_BITS),
+            _ => VmxState::Off,
+        }
+    }
+}
+
+/// What moves a core between [`VmxState`]s (see the module doc).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VmxEvent {
+    /// VMXON, VMPTRLD and VMLAUNCH: `Off → Guest`.
+    Launch,
+    /// A VM exit: `Guest → Root`.
+    Exit,
+    /// VMRESUME: `Root → Guest`.
+    Resume,
+    /// VMPTRLD of the current VMCS: `Root → Root`.
+    Reload,
+    /// VMCLEAR and VMXOFF: `Guest` or `Root` → `Off`.
+    Leave,
 }
 
 /// One logical CPU core.
@@ -34,132 +103,63 @@ pub struct Cpu {
     pub apic: Arc<LocalApic>,
     /// The core's MSR file.
     pub msrs: MsrFile,
-    vmx_on: AtomicBool,
-    mode: AtomicU8,
-    current_vmcs: Mutex<Option<VmcsHandle>>,
+    /// The [`VmxState`], packed into one word.
+    vmx: AtomicU64,
 }
 
 impl Cpu {
-    /// Build a core with its APIC.
+    /// Build a core with its APIC, outside VMX operation.
     pub fn new(id: CoreId, apic: Arc<LocalApic>) -> Self {
         Cpu {
             id,
             apic,
             msrs: MsrFile::new(),
-            vmx_on: AtomicBool::new(false),
-            mode: AtomicU8::new(CpuMode::Host as u8),
-            current_vmcs: Mutex::new(None),
+            vmx: AtomicU64::new(VmxState::Off.word()),
         }
     }
 
-    /// VMXON: enable VMX root operation on this core.
-    pub fn vmxon(&self) -> HwResult<()> {
-        if self.vmx_on.swap(true, Ordering::AcqRel) {
-            return Err(HwError::Invalid("VMXON while already in VMX operation"));
-        }
-        Ok(())
+    /// Where the core is in its VMX life.
+    pub fn vmx_state(&self) -> VmxState {
+        VmxState::from_word(self.vmx.load(Ordering::SeqCst))
     }
 
-    /// VMXOFF: leave VMX operation, clearing the current VMCS.
-    pub fn vmxoff(&self) -> HwResult<()> {
-        if !self.vmx_on.swap(false, Ordering::AcqRel) {
-            return Err(HwError::VmxNotEnabled(self.id.0));
-        }
-        *self.current_vmcs.lock() = None;
-        self.set_mode(CpuMode::Host);
-        Ok(())
-    }
-
-    /// True if VMX operation is enabled.
-    pub fn vmx_enabled(&self) -> bool {
-        self.vmx_on.load(Ordering::Acquire)
-    }
-
-    /// VMPTRLD: make `vmcs` current on this core.
-    pub fn vmptrld(&self, vmcs: VmcsHandle) -> HwResult<()> {
-        if !self.vmx_enabled() {
-            return Err(HwError::VmxNotEnabled(self.id.0));
-        }
-        *self.current_vmcs.lock() = Some(vmcs);
-        Ok(())
-    }
-
-    /// The current VMCS, if any.
-    pub fn current_vmcs(&self) -> Option<VmcsHandle> {
-        self.current_vmcs.lock().clone()
-    }
-
-    /// Current execution mode.
-    pub fn mode(&self) -> CpuMode {
-        match self.mode.load(Ordering::Acquire) {
-            0 => CpuMode::Host,
-            1 => CpuMode::HypervisorRoot,
-            _ => CpuMode::Guest,
+    /// Apply `event` on behalf of `enclave`'s hypervisor and return the
+    /// state it leads to, or refuse it and leave the state as it was. Only
+    /// the hypervisor instance driving the core calls this; the order is
+    /// sequentially consistent, so a controller that reads the core out of
+    /// guest mode after editing a table knows the core reads the edit when
+    /// it enters again.
+    pub fn transition(&self, enclave: u64, event: VmxEvent) -> HwResult<VmxState> {
+        let mut word = self.vmx.load(Ordering::SeqCst);
+        loop {
+            let next = self.next(VmxState::from_word(word), enclave, event)?;
+            let swap =
+                self.vmx
+                    .compare_exchange(word, next.word(), Ordering::SeqCst, Ordering::SeqCst);
+            match swap {
+                Ok(_) => return Ok(next),
+                Err(now) => word = now,
+            }
         }
     }
 
-    /// Transition the core's mode (driven by the owning thread).
-    pub fn set_mode(&self, mode: CpuMode) {
-        self.mode.store(mode as u8, Ordering::Release);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::clock::TscClock;
-    use crate::interconnect::Interconnect;
-    use crate::vmcs::new_vmcs;
-
-    fn cpu() -> Cpu {
-        let ic = Arc::new(Interconnect::new(1));
-        let clock = Arc::new(TscClock::new(1_000_000_000));
-        Cpu::new(CoreId(0), Arc::new(LocalApic::new(0, ic, clock)))
-    }
-
-    #[test]
-    fn vmx_lifecycle() {
-        let c = cpu();
-        assert!(!c.vmx_enabled());
-        c.vmxon().unwrap();
-        assert!(c.vmx_enabled());
-        assert!(c.vmxon().is_err(), "double VMXON must fault");
-        c.vmxoff().unwrap();
-        assert!(!c.vmx_enabled());
-        assert!(
-            c.vmxoff().is_err(),
-            "VMXOFF outside VMX operation must fault"
-        );
-    }
-
-    #[test]
-    fn vmptrld_requires_vmxon() {
-        let c = cpu();
-        assert!(matches!(
-            c.vmptrld(new_vmcs()),
-            Err(HwError::VmxNotEnabled(0))
-        ));
-        c.vmxon().unwrap();
-        c.vmptrld(new_vmcs()).unwrap();
-        assert!(c.current_vmcs().is_some());
-    }
-
-    #[test]
-    fn vmxoff_clears_current() {
-        let c = cpu();
-        c.vmxon().unwrap();
-        c.vmptrld(new_vmcs()).unwrap();
-        c.vmxoff().unwrap();
-        assert!(c.current_vmcs().is_none());
-    }
-
-    #[test]
-    fn mode_transitions() {
-        let c = cpu();
-        assert_eq!(c.mode(), CpuMode::Host);
-        c.set_mode(CpuMode::Guest);
-        assert_eq!(c.mode(), CpuMode::Guest);
-        c.set_mode(CpuMode::HypervisorRoot);
-        assert_eq!(c.mode(), CpuMode::HypervisorRoot);
+    /// The one transition table.
+    fn next(&self, state: VmxState, enclave: u64, event: VmxEvent) -> HwResult<VmxState> {
+        use VmxEvent::*;
+        use VmxState::*;
+        match (state, event) {
+            (Off, Launch) if enclave >> (u64::BITS - STATE_BITS) == 0 => Ok(Guest(enclave)),
+            (Off, Launch) => Err(HwError::Invalid("enclave id wider than the VMX word")),
+            (Off, _) => Err(HwError::VmxNotEnabled(self.id.0)),
+            (_, Launch) => Err(HwError::Invalid("VMXON while already in VMX operation")),
+            (Guest(e) | Root(e), _) if e != enclave => Err(HwError::InvalidVmcs),
+            (Guest(e), Exit) => Ok(Root(e)),
+            (Root(_), Exit) => Err(HwError::Invalid("VM exit outside VMX non-root operation")),
+            (Root(e), Resume) => Ok(Guest(e)),
+            (Guest(_), Resume) => Err(HwError::Invalid("VMRESUME outside VMX root operation")),
+            (Root(e), Reload) => Ok(Root(e)),
+            (Guest(_), Reload) => Err(HwError::Invalid("VMPTRLD outside VMX root operation")),
+            (Guest(_) | Root(_), Leave) => Ok(Off),
+        }
     }
 }

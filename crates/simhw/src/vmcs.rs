@@ -6,14 +6,18 @@
 //! the whole structure before the enclave CPU boots, and later edits it in
 //! place (it "retains access to the data structures of the co-kernel's
 //! virtualization context"); the hypervisor merely loads and launches it.
-//! The structure is therefore shared: `Arc<RwLock<Vmcs>>` plays the role of
-//! the in-memory VMCS region.
+//! The structure is therefore shared: the enclave's virtualization context
+//! owns one `RwLock<Vmcs>` per core, which plays the role of the in-memory
+//! VMCS region, and the controller and the core's hypervisor both reach it
+//! there.
+//!
+//! Its launch state is not a field: a VMCS is launched exactly while its
+//! core's [`VmxState`](crate::cpu::VmxState) names its enclave.
 
 use crate::addr::HostPhysAddr;
 use crate::exit::{ExitInfo, ExitReason};
 use crate::posted::PostedIntDescriptor;
 use covirt_trace::{pack_str, EventKind, Tracer};
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// Guest register state at launch (the subset the Pisces trampoline
@@ -85,8 +89,6 @@ pub struct Vmcs {
     pub guest: GuestState,
     /// Execution controls.
     pub controls: VmcsControls,
-    /// Whether VMLAUNCH has been executed.
-    pub launched: bool,
     /// Exit-information fields: the most recent exit.
     pub last_exit: Option<ExitInfo>,
     /// Cumulative exit counts, one per reason at [`ExitReason::index`]
@@ -98,7 +100,7 @@ pub struct Vmcs {
 }
 
 impl Vmcs {
-    /// Fresh, unlaunched VMCS.
+    /// Fresh VMCS.
     pub fn new() -> Self {
         Self::default()
     }
@@ -125,14 +127,6 @@ impl Vmcs {
     }
 }
 
-/// Shared handle to a VMCS, as both controller and hypervisor hold one.
-pub type VmcsHandle = Arc<RwLock<Vmcs>>;
-
-/// Allocate a fresh shared VMCS.
-pub fn new_vmcs() -> VmcsHandle {
-    Arc::new(RwLock::new(Vmcs::new()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +135,6 @@ mod tests {
     #[test]
     fn defaults() {
         let v = Vmcs::new();
-        assert!(!v.launched);
         assert!(v.last_exit.is_none());
         assert_eq!(v.guest.efer, 0x500);
         assert_eq!(v.controls.apic_virt, ApicVirtMode::Passthrough);

@@ -92,7 +92,9 @@ pub fn fig4(scale: Scale) -> Vec<Fig4Row> {
 /// The measurement order every per-configuration figure shares: `setup`
 /// builds and warms one arm per mode, then `reps` rounds measure every
 /// mode in turn, so slow drift of the shared host lands on all
-/// configurations alike. Returns each mode's samples in `modes` order.
+/// configurations alike. The lead rotates: arm *i* goes first in rounds
+/// ≡ *i* (mod arms), so no arm pays for going first every round. Returns
+/// each mode's samples in `modes` order.
 fn interleaved_sweep<S, R>(
     modes: &[ExecMode],
     reps: usize,
@@ -103,8 +105,10 @@ fn interleaved_sweep<S, R>(
         .iter()
         .map(|&mode| (mode, setup(mode), Vec::with_capacity(reps)))
         .collect();
-    for _ in 0..reps {
-        for (mode, state, samples) in &mut arms {
+    let n = arms.len();
+    for round in 0..reps {
+        for k in 0..n {
+            let (mode, state, samples) = &mut arms[(round + k) % n];
             samples.push(measure(*mode, state));
         }
     }
@@ -357,26 +361,37 @@ mod tests {
         assert_eq!(labels.len(), dedup.len());
     }
 
+    /// Every arm is warmed once, then each round measures every arm once,
+    /// led by arm `round mod 3`.
     #[test]
-    fn sweep_warms_each_mode_once_then_measures_rep_major() {
-        let (a, b) = (ExecMode::Native, ExecMode::paper_sweep()[1]);
+    fn sweep_warms_each_mode_once_then_rotates_the_lead_each_round() {
+        let [a, b, c, _] = ExecMode::paper_sweep();
         let log = std::cell::RefCell::new(Vec::new());
         let runs = interleaved_sweep(
-            &[a, b],
-            2,
+            &[a, b, c],
+            4,
             |mode| log.borrow_mut().push(("warm", mode)),
             |mode, ()| {
                 log.borrow_mut().push(("measure", mode));
                 log.borrow().len()
             },
         );
-        let measured = [("measure", a), ("measure", b)];
-        assert_eq!(
-            *log.borrow(),
-            [[("warm", a), ("warm", b)], measured, measured].concat()
-        );
+        let round = |modes: [ExecMode; 3]| modes.map(|m| ("measure", m));
+        let expected = [
+            [("warm", a), ("warm", b), ("warm", c)],
+            round([a, b, c]),
+            round([b, c, a]),
+            round([c, a, b]),
+            round([a, b, c]),
+        ];
+        assert_eq!(*log.borrow(), expected.concat());
         // Each mode gets its own samples back, in rep order.
-        assert_eq!(runs, [(a, vec![3, 5]), (b, vec![4, 6])]);
+        let expected_runs = [
+            (a, vec![4, 9, 11, 13]),
+            (b, vec![5, 7, 12, 14]),
+            (c, vec![6, 8, 10, 15]),
+        ];
+        assert_eq!(runs, expected_runs);
     }
 
     #[test]
