@@ -191,6 +191,20 @@ pub const GATES: &[MetricSpec] = &[
         max: Some(0.0),
         gate_on: GateOn::Worst,
     },
+    // The same run: guest PT-entry addresses per TLB miss translated on
+    // the nested walk's slow path (a walk-cache lookup) instead of inside
+    // the walk cache's table line. 0 while the line survives from miss to
+    // miss; 1 means every miss looks its first table entry up again, 3 that
+    // no level walks inside the line.
+    MetricSpec {
+        harness: "scaling",
+        metric: "slow_entries_per_warm_miss",
+        unit: "count",
+        direction: Direction::Lower,
+        min: None,
+        max: Some(0.0),
+        gate_on: GateOn::Worst,
+    },
     // -- numa: the walk over a fragmented enclave ---------------------------
     // EPT-entry loads per TLB miss over the fragmented working set (4 KiB
     // EPT leaves the walk cache cannot keep): 2 while the walk starts at the
@@ -727,10 +741,9 @@ fn scaling(ctx: &Ctx, c: &mut Collector) -> String {
         overhead_pct(native.stream_mbs_per_core, covirt.stream_mbs_per_core),
     );
     c.push("covirt_gups_per_core", covirt.gups_per_core);
-    c.push(
-        "nested_loads_per_warm_miss",
-        scaling::run_warm_miss_point(p.ra_updates).walk_loads_per_miss(),
-    );
+    let warm = scaling::run_warm_miss_point(p.ra_updates);
+    c.push("nested_loads_per_warm_miss", warm.walk_loads_per_miss());
+    c.push("slow_entries_per_warm_miss", warm.slow_entries_per_miss());
     if !ctx.report {
         return String::new();
     }
@@ -1158,6 +1171,7 @@ mod tests {
         "shootdown.tlb_range_flushes >= 1",
         "shootdown.tlb_range_flushes <= 8",
         "scaling.nested_loads_per_warm_miss <= 0",
+        "scaling.slow_entries_per_warm_miss <= 0",
         "numa.frag_nested_loads_per_miss <= 2.005859375",
         "exitless.p99_speedup >= 3",
         "exitless.doorbell_cmd_exits <= 0",

@@ -436,7 +436,7 @@ impl CovirtController {
     /// reclaim epoch is open for the enclave, deferred: the range joins
     /// the epoch's pending set and a single coalesced shootdown covers
     /// every range when the epoch closes.
-    fn unmap_and_flush(&self, enclave: u64, range: PhysRange) -> CovirtResult<()> {
+    pub(crate) fn unmap_and_flush(&self, enclave: u64, range: PhysRange) -> CovirtResult<()> {
         let Ok(vctx) = self.context(enclave) else {
             return Ok(()); // not a Covirt-managed enclave
         };

@@ -21,7 +21,7 @@ use crate::controller::CovirtController;
 use crate::hypervisor::{model_delay_ns, ExitAction, Hypervisor};
 use crate::vctx::{VirtContext, CMD_DOORBELL_VECTOR, PIV_NOTIFICATION_VECTOR, TIMER_VECTOR};
 use crate::{CovirtError, CovirtResult};
-use covirt_simhw::addr::{GuestPhysAddr, HostPhysAddr, PageSize, PAGE_SIZE_2M};
+use covirt_simhw::addr::{GuestPhysAddr, HostPhysAddr, PAGE_SIZE_2M};
 use covirt_simhw::apic::{IcrCommand, ICR_MODE_FIXED, ICR_SH_NONE};
 use covirt_simhw::cpu::Cpu;
 use covirt_simhw::ept::{Ept, WalkCache};
@@ -78,6 +78,11 @@ pub struct CoreCounters {
     pub walk_cache_hits: u64,
     /// EPT walk-cache misses (translations that went to the live EPT).
     pub walk_cache_misses: u64,
+    /// Guest PT-entry addresses a nested walk translated on its slow path —
+    /// through a walk-cache lookup, or the live EPT with the cache off —
+    /// rather than inside the walk cache's table line. 0 while no flush or
+    /// 2 MiB fill intervenes and the guest's tables share that line.
+    pub slow_entry_translations: u64,
     /// Physical resolves this core made: TLB fills and table-entry loads
     /// off the frame pool. Named for perfbench, which reads it and
     /// `resolve_misses`; the next benchmark-only change renames both.
@@ -120,19 +125,26 @@ pub enum FaultOutcome {
 /// guest-physical mappings and of EPT PDPTEs: an address under a cached EPT
 /// leaf whose rights allow the access resolves in zero extra loads, a miss
 /// under a cached PD page walks from that page (1–2 loads instead of 3–4),
-/// and a miss caches the whole leaf it walked to and the PDPTE it passed. The
-/// cache is the core's: only the hypervisor's flush commands, run at a safe
-/// point, drop its lines — never mid-walk.
+/// and a miss caches the whole leaf it walked to and the PDPTE it passed. A
+/// table entry inside the cache's table line is its own host address: the
+/// native load plus one compare, its hit counted with the others of the
+/// walk in one add ([`count_line_hits`](Self::count_line_hits)); only the
+/// rest take the slow path. The cache is the core's: only the hypervisor's
+/// flush commands, run at a safe point, drop its lines — never mid-walk.
 struct NestedLoad<'a> {
     ept: &'a Ept,
     mem: &'a PhysMemory,
     loads: Cell<u32>,
+    /// Table entries translated on the slow path rather than inside the
+    /// table line: by the walk cache's lookup, or the live EPT when no
+    /// cache is attached.
+    slow_entries: Cell<u32>,
     cache: Option<&'a WalkCache>,
-    /// Base of the identity-mapped 2 MiB walk-cache line this walk's last
-    /// page-table lookup hit, or `u64::MAX`: a guest's page tables usually
-    /// share one, so the next level inside it is answered here — its own
-    /// address — and counted with [`WalkCache::count_repeat_hit`].
-    table_line: Cell<u64>,
+    /// The cache's table line as of this walk's last slow entry, or
+    /// `u64::MAX` (no line, or no cache).
+    line: Cell<u64>,
+    /// Table entries answered inside `line`, each a walk-cache hit.
+    line_hits: Cell<u32>,
     /// The owning [`GuestCore`]'s resolve counter, which off-pool entry
     /// loads (both the EPT walk's and the guest walk's) are counted on.
     region_cache: &'a RegionCache,
@@ -150,10 +162,39 @@ impl<'a> NestedLoad<'a> {
             ept,
             mem,
             loads: Cell::new(0),
+            slow_entries: Cell::new(0),
             cache,
-            table_line: Cell::new(u64::MAX),
+            line: Cell::new(Self::line_of(cache)),
+            line_hits: Cell::new(0),
             region_cache,
         }
+    }
+
+    /// The base of `cache`'s table line, or `u64::MAX`.
+    fn line_of(cache: Option<&WalkCache>) -> u64 {
+        cache.and_then(WalkCache::table_line).unwrap_or(u64::MAX)
+    }
+
+    /// Count the walk's entries answered inside the table line as the
+    /// walk-cache hits their lookups would have been.
+    fn count_line_hits(&self) {
+        if let Some(cache) = self.cache {
+            cache.count_repeat_hits(self.line_hits.get());
+        }
+    }
+
+    /// A table entry outside the table line: the gpa → hpa step, which may
+    /// set a new line or (by a 2 MiB fill) forget the old one.
+    #[cold]
+    #[inline(never)]
+    fn translate_entry_slow(&self, pa: HostPhysAddr) -> Result<(HostPhysAddr, u32), HwError> {
+        self.slow_entries.set(self.slow_entries.get() + 1);
+        let t = self.translate_gpa(GuestPhysAddr::new(pa.raw()), Access::Read)?;
+        if let Some(cache) = self.cache {
+            cache.remember_table_line(pa.raw(), &t);
+        }
+        self.line.set(Self::line_of(self.cache));
+        Ok((t.pa, t.loads))
     }
 
     /// The gpa → hpa step of this walk, for a guest PT-entry page and for
@@ -177,20 +218,13 @@ impl<'a> NestedLoad<'a> {
 }
 
 impl TableLoad for NestedLoad<'_> {
-    #[inline]
+    #[inline(always)]
     fn translate_entry_addr(&self, pa: HostPhysAddr) -> Result<(HostPhysAddr, u32), HwError> {
-        let line = pa.raw() & !(PAGE_SIZE_2M - 1);
-        if let Some(cache) = self.cache {
-            if line == self.table_line.get() {
-                cache.count_repeat_hit();
-                return Ok((pa, 0));
-            }
+        if pa.align_down(PAGE_SIZE_2M).raw() == self.line.get() {
+            self.line_hits.set(self.line_hits.get() + 1);
+            return Ok((pa, 0));
         }
-        let t = self.translate_gpa(GuestPhysAddr::new(pa.raw()), Access::Read)?;
-        let identity_hit = t.loads == 0 && t.page_size == PageSize::Size2M && t.pa == pa;
-        self.table_line
-            .set(if identity_hit { line } else { u64::MAX });
-        Ok((t.pa, t.loads))
+        self.translate_entry_slow(pa)
     }
 
     #[inline]
@@ -446,13 +480,14 @@ impl GuestCore {
             // same step with the access's own rights. The walk cache
             // answers either from a leaf it holds whose rights allow the
             // access; the live EPT answers the rest and raises violations.
-            let loader = NestedLoad::new(
-                ept,
-                mem,
-                self.walk_cache_enabled.then_some(&self.walk_cache),
-                &self.region_cache,
-            );
-            let gt = match self.kernel.page_tables.walk(gva, &loader) {
+            // Guest table entries inside the cache's table line load
+            // natively.
+            let cache = self.walk_cache_enabled.then_some(&self.walk_cache);
+            let loader = NestedLoad::new(ept, mem, cache, &self.region_cache);
+            let walk = self.kernel.page_tables.walk(gva, &loader);
+            loader.count_line_hits();
+            self.counters.slow_entry_translations += loader.slow_entries.get() as u64;
+            let gt = match walk {
                 Ok(t) => t,
                 Err(HwError::EptViolation { gpa, .. }) => {
                     self.counters.walk_loads += loader.loads.get() as u64;
@@ -861,6 +896,7 @@ impl GuestCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cmdqueue::Command;
     use crate::config::CovirtConfig;
     use covirt_simhw::addr::{PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use covirt_simhw::node::NodeConfig;
@@ -1055,12 +1091,7 @@ mod tests {
     fn walk_cache_ablation_cuts_loads_per_miss() {
         let run_with_cache = |enabled: bool| {
             let w = world(ExecMode::Covirt(CovirtConfig::MEM));
-            let tlb = TlbParams {
-                entries_4k: 16,
-                entries_2m: 2,
-                entries_1g: 1,
-            };
-            let mut gc = core_with(&w, 1, tlb);
+            let mut gc = core_with(&w, 1, TWO_PAGE_TLB);
             gc.set_walk_cache_enabled(enabled);
             let table = w.kernel.alloc_contiguous(8 << 20, &mut 0).unwrap();
             let mut ran = 1u64;
@@ -1191,29 +1222,43 @@ mod tests {
         assert!(after.walk_loads - before.walk_loads > 3, "EPT re-walked");
     }
 
-    /// The first half of the controller's round trip for one core: post a
-    /// flush of `range` to `core`'s queue and ring its doorbell. Returns the
-    /// flush's sequence number.
-    fn post_flush(vctx: &VirtContext, core: usize, range: PhysRange) -> u64 {
-        let flush = crate::cmdqueue::Command::TlbFlushRange {
-            gva: range.start.raw(),
-            len: range.len,
-        };
-        let seq = vctx.cmdq(core).unwrap().post(flush).unwrap();
+    /// The first half of the controller's round trip for one core: post
+    /// `cmd` to `core`'s queue and ring its doorbell. Returns the command's
+    /// sequence number.
+    fn post_command(vctx: &VirtContext, core: usize, cmd: Command) -> u64 {
+        let seq = vctx.cmdq(core).unwrap().post(cmd).unwrap();
         vctx.cmd_doorbell(core).unwrap().post(CMD_DOORBELL_VECTOR);
         seq
     }
 
-    /// The whole round trip for one live core: the flush of `range`, taken
-    /// at `gc`'s next safe point.
-    fn flush_range(w: &World, gc: &mut GuestCore, range: PhysRange) {
+    /// The flush command for `range`.
+    fn range_flush(range: PhysRange) -> Command {
+        Command::TlbFlushRange {
+            gva: range.start.raw(),
+            len: range.len,
+        }
+    }
+
+    /// [`post_command`] for a flush of `range`.
+    fn post_flush(vctx: &VirtContext, core: usize, range: PhysRange) -> u64 {
+        post_command(vctx, core, range_flush(range))
+    }
+
+    /// The whole round trip for one live core: `cmd`, run by the
+    /// hypervisor's `execute_commands` at `gc`'s next safe point.
+    fn run_command(w: &World, gc: &mut GuestCore, cmd: Command) {
         let vctx = vctx_of(w);
-        let seq = post_flush(&vctx, gc.core, range);
+        let seq = post_command(&vctx, gc.core, cmd);
         gc.poll().unwrap();
         assert!(
             vctx.cmdq(gc.core).unwrap().completed() >= seq,
-            "the core ran the flush"
+            "the core ran {cmd:?}"
         );
+    }
+
+    /// [`run_command`] for a flush of `range`.
+    fn flush_range(w: &World, gc: &mut GuestCore, range: PhysRange) {
+        run_command(w, gc, range_flush(range));
     }
 
     /// What a write to `gva` must come back as once the EPT refuses it: the
@@ -1496,8 +1541,222 @@ mod tests {
             let entry = leaf.add(pt_page * PAGE_SIZE_4K + 8 * pt_page);
             assert_eq!(loader.translate_entry_addr(entry).unwrap(), (entry, 0));
         }
+        loader.count_line_hits();
         assert_eq!(walk_cache.stats(), (255, 1));
         assert_eq!(loader.loads.get(), fill);
+    }
+
+    /// A 2-entry 2 MiB TLB: strided reads over four 2 MiB pages all miss.
+    const TWO_PAGE_TLB: TlbParams = TlbParams {
+        entries_4k: 16,
+        entries_2m: 2,
+        entries_1g: 1,
+    };
+
+    /// A Covirt core with a 2-page TLB over an 8 MiB table whose data leaves
+    /// and the guest tables' line the walk cache holds, and that table.
+    fn warm_core(w: &World) -> (GuestCore, u64) {
+        let mut gc = core_with(w, 1, TWO_PAGE_TLB);
+        let a = w.kernel.alloc_contiguous(8 << 20, &mut 0).unwrap();
+        // The first four misses fill the data leaves, each fill forgetting
+        // the line; the next four set it and keep it.
+        misses(&mut gc, a, 8);
+        let line = w.kernel.page_tables.root().align_down(PAGE_SIZE_2M);
+        assert_eq!(gc.walk_cache.table_line(), Some(line.raw()));
+        (gc, a)
+    }
+
+    /// `n` reads, each a TLB miss, striding over the four pages at `a`.
+    fn misses(gc: &mut GuestCore, a: u64, n: u64) {
+        let walks = gc.counters.walks;
+        for i in 0..n {
+            gc.read_u64(a + (i % 4) * PAGE_SIZE_2M).unwrap();
+        }
+        assert_eq!(gc.counters.walks, walks + n, "every read missed");
+    }
+
+    /// Once one miss has set the table line, a miss walks the guest's
+    /// tables inside it: no entry goes to a walk-cache lookup, and the
+    /// counts are what the lookups would have made — a hit per level and
+    /// one for the data page.
+    #[test]
+    fn warm_misses_take_no_slow_path_entry_translation() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let (mut gc, a) = warm_core(&w);
+        let before = gc.counters();
+        misses(&mut gc, a, 64);
+        let after = gc.counters();
+        assert_eq!(
+            after.slow_entry_translations,
+            before.slow_entry_translations
+        );
+        assert_eq!(after.walk_cache_hits, before.walk_cache_hits + 64 * 4);
+        assert_eq!(after.walk_cache_misses, before.walk_cache_misses);
+        assert_eq!(after.walk_loads, before.walk_loads);
+        assert_eq!(after.guest_walk_loads, before.guest_walk_loads + 64 * 3);
+        assert_eq!(
+            after.resolve_hits,
+            before.resolve_hits + 64,
+            "the TLB fills"
+        );
+    }
+
+    /// The table line goes with every flush command the hypervisor runs
+    /// and with every 2 MiB fill; the next miss looks its first entry up
+    /// again and the misses after it are back inside the line.
+    #[test]
+    fn each_flush_command_and_each_2m_fill_forget_the_table_line() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let (mut gc, a) = warm_core(&w);
+        let slow = |gc: &GuestCore| gc.counters().slow_entry_translations;
+        let line = gc.walk_cache.table_line().unwrap();
+        // Page and range flushes of the line's own page drop no data leaf;
+        // a full flush drops the four, and each 2 MiB refill forgets the
+        // line once more.
+        let flushes = [
+            (Command::TlbFlushPage { gva: line }, 1),
+            (
+                range_flush(PhysRange::new(HostPhysAddr::new(line), PAGE_SIZE_2M)),
+                1,
+            ),
+            (Command::TlbFlushAll, 1 + 4),
+        ];
+        for (cmd, cost) in flushes {
+            run_command(&w, &mut gc, cmd);
+            assert_eq!(gc.walk_cache.table_line(), None, "{cmd:?}");
+            let before = slow(&gc);
+            misses(&mut gc, a, 16);
+            assert_eq!(slow(&gc), before + cost, "{cmd:?}");
+        }
+
+        // A 2 MiB page in the line's slot, 16 lines (the class's slots)
+        // away: its fill evicts no data leaf.
+        let mem = w.enclave.resources().mem[0];
+        let fresh = [
+            line + 16 * PAGE_SIZE_2M,
+            line.wrapping_sub(16 * PAGE_SIZE_2M),
+        ]
+        .into_iter()
+        .find(|&c| mem.covers(&PhysRange::new(HostPhysAddr::new(c), PAGE_SIZE_2M)))
+        .unwrap();
+        gc.read_u64(fresh).unwrap();
+        assert_eq!(gc.walk_cache.table_line(), None, "its 2 MiB fill");
+        let before = slow(&gc);
+        misses(&mut gc, a, 16);
+        assert_eq!(slow(&gc), before + 1);
+    }
+
+    /// With the walk cache off there is no table line: every level of
+    /// every walk translates its entry through the live EPT.
+    #[test]
+    fn with_the_walk_cache_off_every_level_takes_the_slow_path() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core_with(&w, 1, TWO_PAGE_TLB);
+        gc.set_walk_cache_enabled(false);
+        let a = w.kernel.alloc_contiguous(8 << 20, &mut 0).unwrap();
+        misses(&mut gc, a, 16);
+        let c = gc.counters();
+        assert_eq!(c.slow_entry_translations, 16 * 3);
+        assert_eq!(c.slow_entry_translations, c.guest_walk_loads);
+    }
+
+    /// A walk inside the table line whose lower table is elsewhere looks
+    /// up only the entry outside the line: the levels inside it are counted
+    /// once, as hits, and the line moves to the one that answered.
+    #[test]
+    fn a_walk_through_a_table_outside_the_line_looks_up_only_that_entry() {
+        use covirt_simhw::paging::x86_bits::{ADDR, P, PS, RW};
+
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let (mut gc, _) = warm_core(&w);
+        let (pd, data) = (grant_2m(&w).start.raw(), grant_2m(&w).start.raw());
+        // A 2 MiB page in a GiB the guest has not mapped, whose PD page
+        // is outside the line.
+        let gva = 0x40_0000_0000 + 3 * PAGE_SIZE_2M;
+        let root = w.kernel.page_tables.root().raw();
+        let pdpt = gc.read_u64(root + ((gva >> 39) & 0x1ff) * 8).unwrap() & ADDR;
+        let pdpte = pdpt + ((gva >> 30) & 0x1ff) * 8;
+        assert_eq!(gc.read_u64(pdpte).unwrap(), 0, "an unmapped GiB");
+        gc.write_u64(pd + ((gva >> 21) & 0x1ff) * 8, data | P | RW | PS)
+            .unwrap();
+        gc.write_u64(pdpte, pd | P | RW).unwrap();
+        gc.write_u64(data + 8, 0xfeed).unwrap();
+        // The data write's 2 MiB fill forgot the line; a miss on the PD
+        // page, whose leaf the cache holds, sets it again.
+        gc.read_u64(pd).unwrap();
+        assert_eq!(gc.walk_cache.table_line(), Some(root & !(PAGE_SIZE_2M - 1)));
+
+        let before = gc.counters();
+        assert_eq!(gc.read_u64(gva + 8).unwrap(), 0xfeed);
+        let after = gc.counters();
+        assert_eq!(after.walks, before.walks + 1);
+        assert_eq!(after.guest_walk_loads, before.guest_walk_loads + 3);
+        assert_eq!(after.walk_loads, before.walk_loads, "every gpa was cached");
+        assert_eq!(
+            after.walk_cache_hits,
+            before.walk_cache_hits + 4,
+            "two levels in the line, the PD page and the data page"
+        );
+        assert_eq!(after.walk_cache_misses, before.walk_cache_misses);
+        assert_eq!(
+            after.slow_entry_translations,
+            before.slow_entry_translations + 1
+        );
+        assert_eq!(
+            after.resolve_hits,
+            before.resolve_hits + 2,
+            "the off-pool PDE and the TLB fill"
+        );
+        assert_eq!(gc.walk_cache.table_line(), Some(pd), "the PD page's line");
+    }
+
+    /// The table line never outlives what the EPT grants: once the line
+    /// under the guest's page tables is unmapped, or narrowed to no read
+    /// right, and the flush round trip has returned, the next miss reads a
+    /// table entry there and is contained.
+    #[test]
+    fn a_table_line_the_ept_takes_back_is_not_walked_after_its_flush() {
+        use covirt_simhw::paging::Perms;
+
+        for how in ["unmap", "narrow"] {
+            let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+            let (mut gc, a) = warm_core(&w);
+            let root = w.kernel.page_tables.root();
+            let line = PhysRange::new(root.align_down(PAGE_SIZE_2M), PAGE_SIZE_2M);
+            if how == "unmap" {
+                let ctl = w.controller.as_ref().unwrap();
+                std::thread::scope(|s| {
+                    let op = s.spawn(|| ctl.unmap_and_flush(w.enclave.id.0, line));
+                    while !op.is_finished() {
+                        gc.poll().unwrap();
+                        std::thread::yield_now();
+                    }
+                    op.join().unwrap().unwrap();
+                });
+            } else {
+                let exec_only = Perms {
+                    r: false,
+                    w: false,
+                    x: true,
+                };
+                ept_of(&w).map_identity_perms(line, exec_only, 2).unwrap();
+                flush_range(&w, &mut gc, line);
+            }
+            assert_eq!(gc.walk_cache.table_line(), None, "{how}");
+            let pml4e = root.raw() + ((a >> 39) & 0x1ff) * 8;
+            let fault = InjectedFault::WildAccess {
+                addr: HostPhysAddr::new(a + PAGE_SIZE_2M),
+                write: false,
+            };
+            match gc.execute_fault(fault) {
+                FaultOutcome::Contained(r) => assert!(
+                    r.contains(&format!("EPT violation at {pml4e:#x} (Read)")),
+                    "{how}: {r}"
+                ),
+                other => panic!("{how}: a walk through the taken-back line gave {other:?}"),
+            }
+            assert!(gc.terminated().is_some(), "{how}");
+        }
     }
 
     #[test]

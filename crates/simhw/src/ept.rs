@@ -253,6 +253,15 @@ impl Ept {
 /// trip has returned no walk any core starts serves anything from inside the
 /// range. A cache follows one [`Ept`] for life.
 ///
+/// The cache also remembers its *table line*: the identity 2 MiB line that
+/// last answered a guest page-table read ([`table_line`](Self::table_line)).
+/// While it is set, a lookup anywhere inside it would return that line, so a
+/// walker may answer a guest table entry there from the entry's own address
+/// and count the hit with [`count_repeat_hits`](Self::count_repeat_hits).
+/// Only a flush or a 2 MiB fill can change what such a lookup returns, and
+/// every flush and every 2 MiB fill forgets the line: the flush commands
+/// stay the cache's only coherence.
+///
 /// Every hit is checked against the cached rights, and one they deny falls
 /// through to the live EPT, which raises the violation or refills the line;
 /// so does a walk resumed from a PD page that finds no entry or denied
@@ -272,6 +281,8 @@ pub struct WalkCache {
     /// 2 MiB and 4 × 1 GiB slots: a few dozen lines cover the guest's page
     /// tables and the data of many gigabytes.
     lines: RefCell<SizeClassed<(u64, Perms), true>>,
+    /// Base of the table line, or `u64::MAX` (no 2 MiB line has it).
+    table_line: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -281,6 +292,7 @@ impl WalkCache {
     pub fn new() -> Self {
         WalkCache {
             lines: RefCell::new(SizeClassed::new([64, 16, 4])),
+            table_line: Cell::new(u64::MAX),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
@@ -289,17 +301,38 @@ impl WalkCache {
     /// Drop every line that shares a byte with `[gpa, gpa + len)`, table
     /// lines included: the walk-cache half of a ranged flush command.
     pub fn flush_range(&self, gpa: u64, len: u64) {
+        self.table_line.set(u64::MAX);
         self.lines.borrow_mut().invalidate_overlapping(gpa, len);
     }
 
     /// Drop the lines covering `gpa`, table lines included.
     pub fn flush_page(&self, gpa: u64) {
+        self.table_line.set(u64::MAX);
         self.lines.borrow_mut().invalidate_page(gpa);
     }
 
     /// Drop every line.
     pub fn flush_all(&self) {
+        self.table_line.set(u64::MAX);
         self.lines.borrow_mut().clear();
+    }
+
+    /// The base of the table line, if one is set: every guest-physical
+    /// address inside it translates to itself with read rights, with no
+    /// load, until the next flush or 2 MiB fill.
+    #[inline(always)]
+    pub fn table_line(&self) -> Option<u64> {
+        let line = self.table_line.get();
+        (line != u64::MAX).then_some(line)
+    }
+
+    /// Remember `t`, the answer to a guest page-table read of `gpa`, as
+    /// the table line if it is an identity 2 MiB line.
+    #[inline]
+    pub fn remember_table_line(&self, gpa: u64, t: &Translation) {
+        if t.page_size == PageSize::Size2M && t.pa.raw() == gpa {
+            self.table_line.set(t.page_base.raw());
+        }
     }
 
     /// Translate `gpa` for `access` as of the last flush: the gpa → hpa
@@ -391,19 +424,23 @@ impl WalkCache {
     }
 
     /// Install the whole EPT leaf that translated `gpa` — `leaf` is what
-    /// [`Ept::translate`] returned for it since the last flush.
+    /// [`Ept::translate`] returned for it since the last flush. A 2 MiB fill
+    /// forgets the table line.
     #[inline]
     pub(crate) fn insert(&self, gpa: u64, leaf: &Translation) {
+        if leaf.page_size == PageSize::Size2M {
+            self.table_line.set(u64::MAX);
+        }
         *self.lines.borrow_mut().fill(gpa, leaf.page_size) = (leaf.page_base.raw(), leaf.perms);
     }
 
-    /// Count a hit on a 2 MiB line an earlier lookup of the same walk
-    /// returned, which a walker may answer from itself: the 2 MiB class is
-    /// probed first and only a fill changes a line, so until the walker's
-    /// next miss a lookup inside that line would return it again.
-    #[inline]
-    pub fn count_repeat_hit(&self) {
-        self.hits.set(self.hits.get() + 1);
+    /// Count `n` hits on the table line that a walker answered from itself:
+    /// the 2 MiB class is probed first and only a fill changes a line, so
+    /// until the next flush or 2 MiB fill a lookup inside that
+    /// line would return it again.
+    #[inline(always)]
+    pub fn count_repeat_hits(&self, n: u32) {
+        self.hits.set(self.hits.get() + u64::from(n));
     }
 
     /// (hits, misses) since construction.
@@ -621,6 +658,49 @@ mod tests {
             (Ok(c), Ok(l)) => c.pa == l.pa && c.perms.intersect(l.perms) == c.perms,
             (Err(c), Err(l)) => c == l,
             _ => false,
+        }
+    }
+
+    /// The table line is an identity 2 MiB answer to a read, and it lasts
+    /// until a flush of any kind or a 2 MiB fill.
+    #[test]
+    fn the_table_line_lasts_until_a_flush_or_a_2m_fill() {
+        let (mem, ept) = setup();
+        let (c, load) = (WalkCache::new(), DirectLoad(&mem));
+        let r = mem
+            .alloc(ZoneId(0), 2 * PAGE_SIZE_2M, PAGE_SIZE_2M)
+            .unwrap();
+        let small = mem
+            .alloc(ZoneId(0), 2 * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        ept.map_identity(r, 2).unwrap();
+        ept.map_identity(small, 1).unwrap();
+        let line = r.start.raw();
+        let read = |gpa: u64| {
+            let t = c.translate(&ept, GuestPhysAddr::new(gpa), Access::Read, &load);
+            t.unwrap()
+        };
+        let remember = |gpa: u64| c.remember_table_line(gpa, &read(gpa));
+
+        remember(small.start.raw());
+        assert_eq!(c.table_line(), None, "a 4 KiB leaf is no line");
+        remember(line + 0x1238);
+        assert_eq!(c.table_line(), Some(line));
+        read(small.start.raw() + PAGE_SIZE_4K);
+        assert_eq!(c.table_line(), Some(line), "a 4 KiB fill");
+        read(line + PAGE_SIZE_2M);
+        assert_eq!(c.table_line(), None, "a 2 MiB fill");
+
+        let flushes: [&dyn Fn(); 3] = [
+            &|| c.flush_page(small.start.raw()),
+            &|| c.flush_range(small.start.raw(), PAGE_SIZE_4K),
+            &|| c.flush_all(),
+        ];
+        for (kind, flush) in flushes.iter().enumerate() {
+            remember(line + 8);
+            assert_eq!(c.table_line(), Some(line));
+            flush();
+            assert_eq!(c.table_line(), None, "flush kind {kind}");
         }
     }
 

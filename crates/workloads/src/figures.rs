@@ -33,26 +33,35 @@ pub struct Fig3Row {
     pub min_loop_ns: u64,
 }
 
-/// Run Figure 3.
+/// Run Figure 3: every configuration built, then its detour loop run in
+/// one interleaved round per configuration, each a share of the duration,
+/// so each configuration leads one round; a configuration's rounds are
+/// reported as one run.
 pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
     let duration_ms = match scale {
         Scale::Quick => 150,
         Scale::Paper => 5_000,
     };
-    ExecMode::paper_sweep()
-        .iter()
-        .map(|&mode| {
-            let w = World::quick(mode);
-            let r = selfish::run(&w, duration_ms);
-            Fig3Row {
-                mode: mode.label(),
-                detours: r.detours.iter().map(|d| (d.at_ns, d.duration_ns)).collect(),
-                noise_fraction: r.noise_fraction(),
-                rate_hz: r.detour_rate_hz(),
-                min_loop_ns: r.min_loop_ns,
-            }
-        })
-        .collect()
+    let modes = ExecMode::paper_sweep();
+    let round_ms = duration_ms / modes.len() as u64;
+    interleaved_sweep(&modes, modes.len(), World::quick, |_, w| {
+        selfish::run(w, round_ms)
+    })
+    .into_iter()
+    .map(|(mode, rounds)| {
+        let r = rounds
+            .into_iter()
+            .reduce(selfish::SelfishResult::followed_by)
+            .expect("at least one round");
+        Fig3Row {
+            mode: mode.label(),
+            detours: r.detours.iter().map(|d| (d.at_ns, d.duration_ns)).collect(),
+            noise_fraction: r.noise_fraction(),
+            rate_hz: r.detour_rate_hz(),
+            min_loop_ns: r.min_loop_ns,
+        }
+    })
+    .collect()
 }
 
 /// Figure 4 — XEMEM attach delay vs region size, Covirt on/off.
@@ -64,7 +73,9 @@ pub struct Fig4Row {
     pub samples: Vec<(u64, f64, f64)>,
 }
 
-/// Run Figure 4.
+/// Run Figure 4: both configurations' worlds built, then `reps` rounds
+/// that each time one attach per size, interleaved so each configuration
+/// leads in turn.
 pub fn fig4(scale: Scale) -> Vec<Fig4Row> {
     let sizes: &[u64] = match scale {
         Scale::Quick => &xemem_bench::DEFAULT_SIZES_MIB,
@@ -74,16 +85,35 @@ pub fn fig4(scale: Scale) -> Vec<Fig4Row> {
         Scale::Quick => 5,
         Scale::Paper => 10,
     };
-    [
-        ExecMode::Native,
-        ExecMode::Covirt(covirt::config::CovirtConfig::MEM),
-    ]
-    .iter()
-    .map(|&mode| Fig4Row {
+    let max_mib = sizes.iter().copied().max().unwrap_or(1);
+    interleaved_sweep(
+        &[
+            ExecMode::Native,
+            ExecMode::Covirt(covirt::config::CovirtConfig::MEM),
+        ],
+        reps,
+        |mode| xemem_bench::AttachBench::new(mode, max_mib),
+        |_, bench| {
+            sizes
+                .iter()
+                .map(|&mib| bench.attach_us(mib))
+                .collect::<Vec<_>>()
+        },
+    )
+    .into_iter()
+    .map(|(mode, rounds)| Fig4Row {
         mode: mode.label(),
-        samples: xemem_bench::run(mode, sizes, reps)
-            .into_iter()
-            .map(|s| (s.size_mib, s.mean_us, s.stddev_us))
+        samples: sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &mib)| {
+                let latencies: Vec<f64> = rounds.iter().map(|r| r[i]).collect();
+                let (mean, sd) = (
+                    covirt::stats::mean(&latencies),
+                    covirt::stats::stddev(&latencies),
+                );
+                (mib, mean, sd)
+            })
             .collect(),
     })
     .collect()

@@ -44,6 +44,9 @@ pub struct RaResult {
     pub walk_cache_hits: u64,
     /// EPT walk-cache misses during the run.
     pub walk_cache_misses: u64,
+    /// Guest PT-entry addresses translated on the nested walk's slow path
+    /// (`CoreCounters::slow_entry_translations`).
+    pub slow_entry_translations: u64,
 }
 
 impl RaResult {
@@ -52,6 +55,12 @@ impl RaResult {
     /// cache off, 0 once it holds the leaves the walk meets.
     pub fn walk_loads_per_miss(&self) -> f64 {
         covirt::stats::ratio(self.walk_loads, self.walks)
+    }
+
+    /// Average slow-path entry translations per TLB miss: 0 while the walk
+    /// cache's table line holds the guest's tables, 0 natively.
+    pub fn slow_entries_per_miss(&self) -> f64 {
+        covirt::stats::ratio(self.slow_entry_translations, self.walks)
     }
 
     /// Average guest PT-entry loads per TLB miss, the same in every mode.
@@ -134,6 +143,7 @@ impl RandomAccess {
             guest_walk_loads: c1.guest_walk_loads - c0.guest_walk_loads,
             walk_cache_hits: c1.walk_cache_hits - c0.walk_cache_hits,
             walk_cache_misses: c1.walk_cache_misses - c0.walk_cache_misses,
+            slow_entry_translations: c1.slow_entry_translations - c0.slow_entry_translations,
         })
     }
 

@@ -130,7 +130,9 @@ pub const WARM_MISS_LOG2_N: u32 = 20;
 /// the walk cache and the second is returned: its `walk_loads_per_miss()` is
 /// the nested (EPT-entry) loads a *warm* TLB miss pays — 0 while the walk
 /// cache serves every guest-physical address the walk meets, 3 if the data
-/// page's leaf is walked afresh on every miss.
+/// page's leaf is walked afresh on every miss — and its
+/// `slow_entries_per_miss()` the guest table entries looked up in the walk
+/// cache rather than walked inside its table line: 0.
 pub fn run_warm_miss_point(updates: u64) -> randomaccess::RaResult {
     let mut world = World::quick(ExecMode::Covirt(CovirtConfig::MEM));
     world.tlb = SMALL_TLB;

@@ -38,6 +38,20 @@ impl SelfishResult {
         self.detours.iter().map(|d| d.duration_ns).sum::<u64>() as f64 / self.total_ns as f64
     }
 
+    /// `self` followed by `later`, as one run: `later`'s detours shifted
+    /// by `self`'s length, the lower noise floor, the summed length.
+    pub fn followed_by(mut self, later: SelfishResult) -> SelfishResult {
+        let shift = self.total_ns;
+        self.detours
+            .extend(later.detours.into_iter().map(|d| Detour {
+                at_ns: d.at_ns + shift,
+                ..d
+            }));
+        self.min_loop_ns = self.min_loop_ns.min(later.min_loop_ns);
+        self.total_ns += later.total_ns;
+        self
+    }
+
     /// Detours per second.
     pub fn detour_rate_hz(&self) -> f64 {
         if self.total_ns == 0 {
@@ -129,6 +143,23 @@ mod tests {
             }
         }
         best
+    }
+
+    #[test]
+    fn runs_followed_by_one_another_read_as_one_run() {
+        let run = |at_ns, min_loop_ns| SelfishResult {
+            detours: vec![Detour {
+                at_ns,
+                duration_ns: 50,
+            }],
+            min_loop_ns,
+            total_ns: 1_000,
+        };
+        let joined = run(10, 7).followed_by(run(20, 5));
+        let at: Vec<u64> = joined.detours.iter().map(|d| d.at_ns).collect();
+        assert_eq!(at, [10, 1_020]);
+        assert_eq!((joined.min_loop_ns, joined.total_ns), (5, 2_000));
+        assert_eq!(joined.noise_fraction(), 0.05);
     }
 
     #[test]
