@@ -25,7 +25,7 @@ use covirt_simhw::addr::{GuestPhysAddr, HostPhysAddr, PAGE_SIZE_2M};
 use covirt_simhw::apic::{IcrCommand, ICR_MODE_FIXED, ICR_SH_NONE};
 use covirt_simhw::cpu::Cpu;
 use covirt_simhw::ept::{Ept, WalkCache};
-use covirt_simhw::error::HwError;
+use covirt_simhw::error::{HwError, HwResult};
 use covirt_simhw::exit::ExitReason;
 use covirt_simhw::memory::{PhysMemory, RegionCache};
 use covirt_simhw::node::SimNode;
@@ -50,11 +50,14 @@ pub struct CoreCounters {
     pub writes: u64,
     /// Page walks performed (TLB misses).
     pub walks: u64,
-    /// Table-entry loads across all walks. Natively these are the guest
-    /// PT-entry loads. Under Covirt they are EPT-entry loads only: the EPT
-    /// walks for the guest-physical addresses — guest PT-entry pages and
-    /// the data page — that missed the walk cache; the guest PT-entry loads
-    /// themselves are not added.
+    /// Table-entry loads of the miss path's own loader class, so the meaning
+    /// is per mode (perfbench charges it). Natively these are the guest
+    /// PT-entry loads. Under memory protection they are EPT-entry loads
+    /// only: the EPT walks for the guest-physical addresses — guest
+    /// PT-entry pages and the data page — that missed the walk cache; the
+    /// guest PT-entry loads themselves are not added. A walk the guest's
+    /// rights refuse keeps its table loads and takes no data-page step; one
+    /// that meets a not-present guest entry adds none.
     pub walk_loads: u64,
     /// Guest PT-entry loads across all walks, in every mode (natively the
     /// same loads `walk_loads` counts).
@@ -215,6 +218,35 @@ impl<'a> NestedLoad<'a> {
         self.loads.set(self.loads.get() + t.loads);
         Ok(t)
     }
+
+    /// Count a guest walk that ended in `walk`: its table line's hits, its
+    /// slow entries, and its EPT loads as `walk_loads`, unless the guest's
+    /// own tables ended it.
+    #[inline(always)]
+    fn count(&self, walk: &HwResult<Translation>, c: &mut CoreCounters) {
+        self.count_line_hits();
+        c.slow_entry_translations += self.slow_entries.get() as u64;
+        let ept_loads = self.loads.get();
+        match walk {
+            Ok(gt) => {
+                c.walk_loads += ept_loads as u64;
+                c.guest_walk_loads += (gt.loads - ept_loads) as u64;
+            }
+            Err(HwError::EptViolation { .. }) => c.walk_loads += ept_loads as u64,
+            Err(_) => {}
+        }
+    }
+
+    /// The TLB fill for `gt`, a guest leaf that grants `access`: what the
+    /// EPT's check of its data page leaves of it.
+    #[inline(always)]
+    fn fill(&self, gt: Translation, access: Access, c: &mut CoreCounters) -> HwResult<Translation> {
+        let et = self.translate_gpa(GuestPhysAddr::new(gt.pa.raw()), access)?;
+        c.walk_loads += et.loads as u64;
+        // The TLB is filled with what both leaves cover, not with the
+        // guest's own: the EPT vouched for `et`'s page only.
+        Ok(gt.intersect(&et))
+    }
 }
 
 impl TableLoad for NestedLoad<'_> {
@@ -232,6 +264,18 @@ impl TableLoad for NestedLoad<'_> {
         let (b, off) = self.region_cache.resolve(mem, pa, 8)?;
         Ok(b.read_u64(off))
     }
+}
+
+/// The guest's own rights rule, the same in every mode and checked before
+/// the EPT's: a leaf the guest's walk reached that does not grant `access`
+/// is the guest's page fault, not an exit.
+#[inline(always)]
+fn guest_leaf(walk: HwResult<Translation>, access: Access) -> CovirtResult<Translation> {
+    let gt = walk?;
+    if !gt.perms.allows(access) {
+        return Err(CovirtError::Invalid("write to read-only mapping"));
+    }
+    Ok(gt)
 }
 
 /// One enclave CPU executing guest software.
@@ -457,87 +501,63 @@ impl GuestCore {
     fn translate(&mut self, gva: u64, access: Access) -> CovirtResult<(*mut u8, u64)> {
         self.check_live()?;
         if let Some(hit) = self.tlb.lookup(gva) {
-            if access == Access::Write && !hit.writable {
-                return self.protection_fault(gva, access);
+            // A line holds only what the guest's leaf and the EPT's both
+            // grant, so a write it refuses walks: the walk, not the line,
+            // tells the guest's fault from the EPT's.
+            if access != Access::Write || hit.writable {
+                return Ok((hit.host_ptr, hit.remaining));
             }
-            return Ok((hit.host_ptr, hit.remaining));
         }
         self.translate_slow(gva, access)
     }
 
+    /// The one miss path: the guest's tables walked once over the mode's
+    /// loader — entries loaded where they sit natively, each entry's gpa
+    /// translated by the EPT (through the walk cache) under memory
+    /// protection — then the fill. The interrupted phase is back on every
+    /// return but the enclave's termination.
     #[cold]
     fn translate_slow(&mut self, gva: u64, access: Access) -> CovirtResult<(*mut u8, u64)> {
         self.counters.walks += 1;
         let prev = self.phase.phase();
         self.phase
             .transition_now(Phase::TlbMiss, || self.node.clock.rdtsc());
-        let mem = &self.node.mem;
-        let ept = self.hv.as_ref().and_then(|h| h.vctx().ept.as_deref());
-
-        let t = if let Some(ept) = ept {
-            // Nested translation: guest walk with EPT-translated entry
-            // loads, then the EPT translation of the final address — the
-            // same step with the access's own rights. The walk cache
-            // answers either from a leaf it holds whose rights allow the
-            // access; the live EPT answers the rest and raises violations.
-            // Guest table entries inside the cache's table line load
-            // natively.
-            let cache = self.walk_cache_enabled.then_some(&self.walk_cache);
-            let loader = NestedLoad::new(ept, mem, cache, &self.region_cache);
-            let walk = self.kernel.page_tables.walk(gva, &loader);
-            loader.count_line_hits();
-            self.counters.slow_entry_translations += loader.slow_entries.get() as u64;
-            let gt = match walk {
-                Ok(t) => t,
-                Err(HwError::EptViolation { gpa, .. }) => {
-                    self.counters.walk_loads += loader.loads.get() as u64;
-                    return self.ept_violation(gpa, Access::Read);
+        let (mem, pt, c) = (&self.node.mem, &self.kernel.page_tables, &mut self.counters);
+        let filled = match self.hv.as_ref().and_then(|h| h.vctx().ept.as_deref()) {
+            Some(ept) => {
+                let cache = self.walk_cache_enabled.then_some(&self.walk_cache);
+                let loader = NestedLoad::new(ept, mem, cache, &self.region_cache);
+                let walk = pt.walk(gva, &loader);
+                if let Ok(gt) = &walk {
+                    // The access waits for the checks of its rights; the
+                    // host's fetch of its line need not.
+                    mem.prefetch(gt.pa);
                 }
-                Err(HwError::PageNotPresent { .. }) => {
-                    return Err(CovirtError::Invalid("guest page fault (not mapped)"));
-                }
-                Err(e) => return Err(e.into()),
-            };
-            // The access waits for the EPT's check of the data page; the
-            // host's fetch of its line need not.
-            mem.prefetch(gt.pa);
-            self.counters.walk_loads += loader.loads.get() as u64;
-            self.counters.guest_walk_loads += (gt.loads - loader.loads.get()) as u64;
-            let et = match loader.translate_gpa(GuestPhysAddr::new(gt.pa.raw()), access) {
-                Ok(t) => t,
-                Err(HwError::EptViolation { gpa, .. }) => {
-                    return self.ept_violation(gpa, access);
-                }
-                Err(e) => return Err(e.into()),
-            };
-            self.counters.walk_loads += et.loads as u64;
-            // The TLB is filled with what both leaves cover, not with the
-            // guest's own: the EPT vouched for `et`'s page only.
-            gt.intersect(&et)
-        } else {
-            let loader = CachedLoad {
-                mem,
-                cache: &self.region_cache,
-            };
-            let t = match self.kernel.page_tables.walk(gva, &loader) {
-                Ok(t) => t,
-                Err(HwError::PageNotPresent { .. }) => {
-                    return Err(CovirtError::Invalid("guest page fault (not mapped)"));
-                }
-                Err(e) => return Err(e.into()),
-            };
-            self.counters.walk_loads += t.loads as u64;
-            self.counters.guest_walk_loads += t.loads as u64;
-            if access == Access::Write && !t.perms.w {
-                return Err(CovirtError::Invalid("write to read-only mapping"));
+                loader.count(&walk, c);
+                guest_leaf(walk, access).and_then(|gt| Ok(loader.fill(gt, access, c)?))
             }
-            t
+            None => {
+                let cache = &self.region_cache;
+                let walk = pt.walk(gva, &CachedLoad { mem, cache });
+                if let Ok(gt) = &walk {
+                    c.walk_loads += gt.loads as u64;
+                    c.guest_walk_loads += gt.loads as u64;
+                }
+                guest_leaf(walk, access)
+            }
+        };
+        let t = match filled {
+            Ok(t) => t,
+            Err(e) => return self.refuse(prev, e),
         };
 
         // Resolve host backing for the whole page and fill the TLB.
         let page_size = t.page_size.bytes();
         let page_gva = t.page_size.base_of(gva);
-        let (backing, off) = self.region_cache.resolve(mem, t.page_base, page_size)?;
+        let (backing, off) = match self.region_cache.resolve(mem, t.page_base, page_size) {
+            Ok(r) => r,
+            Err(e) => return self.refuse(prev, e.into()),
+        };
         let base_ptr = backing.ptr_at(off);
         self.tlb
             .insert(page_gva, page_size, base_ptr, backing, t.perms.w);
@@ -547,24 +567,30 @@ impl GuestCore {
         Ok(unsafe { (base_ptr.add(in_page as usize), page_size - in_page) })
     }
 
-    /// Abort-class: the hypervisor terminates the enclave, so this returns
-    /// an error either way.
-    fn ept_violation(
-        &mut self,
-        gpa: GuestPhysAddr,
-        access: Access,
-    ) -> CovirtResult<(*mut u8, u64)> {
-        let info = covirt_simhw::ept::EptViolationInfo { gpa, access };
-        self.vm_exit(ExitReason::EptViolation(info))?;
-        Err(CovirtError::Invalid("EPT violation resumed the guest"))
-    }
-
-    fn protection_fault(&mut self, gva: u64, access: Access) -> CovirtResult<(*mut u8, u64)> {
-        if self.vctx().is_some_and(|v| v.ept.is_some()) {
-            self.ept_violation(GuestPhysAddr::new(gva), access)
-        } else {
-            Err(CovirtError::Invalid("write to read-only mapping"))
-        }
+    /// A miss that ends without a fill: the guest's own page fault, or the
+    /// EPT's violation — an exit, which terminates the enclave unless the
+    /// hypervisor resumes it. Unless it did, `prev`, the phase the miss
+    /// interrupted, is back.
+    #[cold]
+    #[inline(never)]
+    fn refuse(&mut self, prev: Phase, e: CovirtError) -> CovirtResult<(*mut u8, u64)> {
+        let e = match e {
+            CovirtError::Hw(HwError::EptViolation { gpa, write, .. }) => {
+                // The data path reads and writes; it never fetches.
+                let access = if write { Access::Write } else { Access::Read };
+                let info = covirt_simhw::ept::EptViolationInfo { gpa, access };
+                match self.vm_exit(ExitReason::EptViolation(info)) {
+                    Ok(()) => CovirtError::Invalid("EPT violation resumed the guest"),
+                    Err(e) => return Err(e),
+                }
+            }
+            CovirtError::Hw(HwError::PageNotPresent { .. }) => {
+                CovirtError::Invalid("guest page fault (not mapped)")
+            }
+            e => e,
+        };
+        self.phase.transition_now(prev, || self.node.clock.rdtsc());
+        Err(e)
     }
 
     /// Read a 64-bit word at `gva`.
@@ -623,22 +649,9 @@ impl GuestCore {
         count: usize,
         mut f: impl FnMut(usize, &mut [T]),
     ) -> CovirtResult<()> {
-        let esz = std::mem::size_of::<T>() as u64;
-        debug_assert!(gva.is_multiple_of(esz));
-        let mut done = 0usize;
-        while done < count {
-            let cur = gva + done as u64 * esz;
-            let (p, remaining) = self.translate(cur, Access::Write)?;
-            let n = ((remaining / esz) as usize).min(count - done).max(1);
-            // SAFETY: p is valid for `n * esz` bytes within one mapped
-            // page; T is Copy/POD by bound; exclusive logical ownership is
-            // the caller's contract.
-            let slice = unsafe { std::slice::from_raw_parts_mut(p as *mut T, n) };
-            f(done, slice);
-            done += n;
-        }
-        self.counters.writes += count as u64;
-        Ok(())
+        // SAFETY: see `chunks`; exclusive logical ownership of the range
+        // is the caller's contract.
+        self.chunks(gva, count, Access::Write, |i, s| f(i, unsafe { &mut *s }))
     }
 
     /// Immutable variant of [`GuestCore::with_chunks_mut`].
@@ -648,19 +661,35 @@ impl GuestCore {
         count: usize,
         mut f: impl FnMut(usize, &[T]),
     ) -> CovirtResult<()> {
+        // SAFETY: see `chunks`.
+        self.chunks(gva, count, Access::Read, |i, s| f(i, unsafe { &*s }))
+    }
+
+    /// The one loop of both chunked accesses: `f` gets each span's element
+    /// offset and the span, translated for `access` — valid for its
+    /// elements, all within one mapped page.
+    #[inline(always)]
+    fn chunks<T>(
+        &mut self,
+        gva: u64,
+        count: usize,
+        access: Access,
+        mut f: impl FnMut(usize, *mut [T]),
+    ) -> CovirtResult<()> {
         let esz = std::mem::size_of::<T>() as u64;
         debug_assert!(gva.is_multiple_of(esz));
         let mut done = 0usize;
         while done < count {
-            let cur = gva + done as u64 * esz;
-            let (p, remaining) = self.translate(cur, Access::Read)?;
+            let (p, remaining) = self.translate(gva + done as u64 * esz, access)?;
             let n = ((remaining / esz) as usize).min(count - done).max(1);
-            // SAFETY: as above, read-only.
-            let slice = unsafe { std::slice::from_raw_parts(p as *const T, n) };
-            f(done, slice);
+            f(done, std::ptr::slice_from_raw_parts_mut(p as *mut T, n));
             done += n;
         }
-        self.counters.reads += count as u64;
+        if access == Access::Write {
+            self.counters.writes += count as u64;
+        } else {
+            self.counters.reads += count as u64;
+        }
         Ok(())
     }
 
@@ -1355,6 +1384,77 @@ mod tests {
         gc.write_u64(gva + 16, 9).unwrap(); // unflushed, the line still grants it
         flush_range(&w, &mut gc, range);
         assert_write_violates(&mut gc, gva + 16);
+    }
+
+    /// The guest's own read-only leaf refuses a write in every mode, on the
+    /// miss and on the hit of the line a read filled: the guest's page
+    /// fault, no exit, and the enclave lives on. (Under an EPT the miss once
+    /// wrote the word and the hit killed the enclave.) A refused miss hands
+    /// the profiler back the phase it interrupted, so guest time is not
+    /// billed to `tlb_miss`.
+    #[test]
+    fn a_write_to_a_guest_read_only_page_is_the_guests_fault_in_every_mode() {
+        let modes = [CovirtConfig::MEM, CovirtConfig::MEM_IPI].map(ExecMode::Covirt);
+        for mode in [ExecMode::Native].into_iter().chain(modes) {
+            let w = world(mode);
+            w.master
+                .pisces()
+                .node()
+                .recorder()
+                .profiler()
+                .set_enabled(true);
+            let mut gc = core(&w, 1);
+            let (range, read_only) = (grant_2m(&w), covirt_simhw::paging::Perms::R);
+            let gva = range.start.raw();
+            w.kernel
+                .page_tables
+                .map(gva, range.start, range.len, read_only, 2)
+                .unwrap();
+            gc.profile_begin();
+            let exits = gc.exit_count();
+            let refused = |gc: &mut GuestCore, r: CovirtResult<()>, want: &str| {
+                assert!(
+                    matches!(r, Err(CovirtError::Invalid(m)) if m == want),
+                    "{mode}: {r:?}"
+                );
+                assert_eq!(gc.phase.phase(), Phase::GuestExec, "{mode}: {want}");
+            };
+            let r = gc.write_u64(gva, 1);
+            refused(&mut gc, r, "write to read-only mapping");
+            assert_eq!(gc.read_u64(gva).unwrap(), 0, "{mode}");
+            let (hits, walks) = (gc.tlb_stats().hits, gc.counters.walks);
+            let r = gc.write_u64(gva, 1);
+            refused(&mut gc, r, "write to read-only mapping");
+            assert_eq!(gc.tlb_stats().hits, hits + 1, "{mode}: a hit");
+            assert_eq!(
+                gc.counters.walks,
+                walks + 1,
+                "{mode}: the refused hit walks"
+            );
+            let r = gc.read_u64(0x7f00_0000_0000).map(drop);
+            refused(&mut gc, r, "guest page fault (not mapped)");
+            assert_eq!((gc.exit_count(), gc.terminated()), (exits, None), "{mode}");
+            gc.profile_finish();
+        }
+    }
+
+    /// A line the EPT narrowed refuses a write hit by walking, and the walk
+    /// finds the EPT's violation, not the guest's fault.
+    #[test]
+    fn a_write_hit_on_a_line_the_ept_narrowed_is_its_violation() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core(&w, 1);
+        let range = grant_2m(&w);
+        ept_of(&w)
+            .map_identity_perms(range, covirt_simhw::paging::Perms::R, 2)
+            .unwrap();
+        assert_eq!(gc.read_u64(range.start.raw()).unwrap(), 0);
+        let exits = gc.exit_count();
+        match gc.write_u64(range.start.raw(), 1) {
+            Err(CovirtError::EnclaveTerminated(r)) => assert!(r.contains("EPT violation"), "{r}"),
+            other => panic!("expected the EPT violation, got {other:?}"),
+        }
+        assert_eq!(gc.exit_count(), exits + 1);
     }
 
     /// The simulator notices a Covirt that forgets to invalidate: an EPT

@@ -3,7 +3,8 @@
 //! guest's data path consistent with a reference model — reads return what
 //! the model says and what an uncached walk of the guest's tables and the
 //! EPT reaches, and accesses to reclaimed memory are contained, never
-//! silently wrong.
+//! silently wrong. A write the guest's own tables refuse is the guest's
+//! page fault: the enclave lives on and the model is unchanged.
 
 // `ProptestConfig { cases, ..default() }` is the portable spelling; the
 // offline stub's config struct has a single field, which trips this lint.
@@ -18,11 +19,11 @@ use covirt_suite::kitten::KittenKernel;
 use covirt_suite::pisces::resources::ResourceRequest;
 use covirt_suite::simhw::addr::{GuestPhysAddr, PhysRange};
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
-use covirt_suite::simhw::paging::{Access, DirectLoad};
+use covirt_suite::simhw::paging::{Access, DirectLoad, Perms};
 use covirt_suite::simhw::tlb::TlbParams;
 use covirt_suite::simhw::topology::{CoreId, ZoneId};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -40,6 +41,10 @@ enum Op {
     /// A flush command for the i-th held region: one page, its range, or
     /// (kind 2, or nothing held) everything.
     Flush(u8, usize),
+    /// The guest remaps the i-th held region read-only in its own tables
+    /// and invalidates its page: a later write there is the guest's page
+    /// fault, not the EPT's.
+    Protect(usize),
 }
 
 /// The word at `gva` as an uncached walk reaches it: the guest's tables,
@@ -62,6 +67,7 @@ fn op() -> impl Strategy<Value = Op> {
         4 => (0usize..8, any::<u16>()).prop_map(|(i, o)| Op::Read(i, o)),
         1 => Just(Op::Poll),
         2 => (0u8..3, 0usize..8).prop_map(|(k, i)| Op::Flush(k, i)),
+        1 => (0usize..8).prop_map(Op::Protect),
     ]
 }
 
@@ -85,6 +91,17 @@ proptest! {
             run_ops(&ops, tlb)?;
         }
     }
+}
+
+/// Post `cmd` to core 1's queue, ring its doorbell and let the core run it
+/// at its next safe point.
+fn run_command(vctx: &VirtContext, g: &mut GuestCore, cmd: Command) -> TestCaseResult {
+    let q = vctx.cmdq(1).unwrap();
+    let seq = q.post(cmd).unwrap();
+    vctx.cmd_doorbell(1).unwrap().post(CMD_DOORBELL_VECTOR);
+    g.poll().unwrap();
+    prop_assert!(q.completed() >= seq, "the core ran {:?}", cmd);
+    Ok(())
 }
 
 /// Run `ops` on a fresh enclave whose one core has `tlb`, checking every
@@ -111,6 +128,8 @@ fn run_ops(ops: &[Op], tlb: TlbParams) -> TestCaseResult {
     let mut held: Vec<PhysRange> = Vec::new();
     // model: (region index slot, word offset) -> value
     let mut model: HashMap<(u64, u64), u64> = HashMap::new();
+    // Held regions the guest mapped read-only.
+    let mut read_only: HashSet<u64> = HashSet::new();
 
     for op in ops.iter().cloned() {
         match op {
@@ -157,6 +176,7 @@ fn run_ops(ops: &[Op], tlb: TlbParams) -> TestCaseResult {
                 }
                 prop_assert!(t.join().unwrap(), "reclaim wedged");
                 model.retain(|&(base, _), _| base != r.start.raw());
+                read_only.remove(&r.start.raw());
             }
             Op::Write(i, off, v) => {
                 if held.is_empty() {
@@ -164,8 +184,21 @@ fn run_ops(ops: &[Op], tlb: TlbParams) -> TestCaseResult {
                 }
                 let r = held[i % held.len()];
                 let word = (off as u64) % (r.len / 8);
-                g.write_u64(r.start.raw() + word * 8, v).unwrap();
-                model.insert((r.start.raw(), word), v);
+                let wrote = g.write_u64(r.start.raw() + word * 8, v);
+                if read_only.contains(&r.start.raw()) {
+                    prop_assert!(
+                        matches!(
+                            wrote,
+                            Err(CovirtError::Invalid("write to read-only mapping"))
+                        ),
+                        "a write the guest's leaf refuses is its own fault, got {:?}",
+                        wrote
+                    );
+                    prop_assert!(g.terminated().is_none());
+                } else {
+                    wrote.unwrap();
+                    model.insert((r.start.raw(), word), v);
+                }
             }
             Op::Read(i, off) => {
                 if held.is_empty() {
@@ -190,11 +223,19 @@ fn run_ops(ops: &[Op], tlb: TlbParams) -> TestCaseResult {
                     },
                     _ => Command::TlbFlushAll,
                 };
-                let q = vctx.cmdq(1).unwrap();
-                let seq = q.post(cmd).unwrap();
-                vctx.cmd_doorbell(1).unwrap().post(CMD_DOORBELL_VECTOR);
-                g.poll().unwrap();
-                prop_assert!(q.completed() >= seq, "the core ran {:?}", cmd);
+                run_command(&vctx, &mut g, cmd)?;
+            }
+            Op::Protect(i) => {
+                if held.is_empty() {
+                    continue;
+                }
+                let r = held[i % held.len()];
+                kernel
+                    .page_tables
+                    .map(r.start.raw(), r.start, r.len, Perms::R, 2)
+                    .unwrap();
+                run_command(&vctx, &mut g, Command::TlbFlushPage { gva: r.start.raw() })?;
+                read_only.insert(r.start.raw());
             }
         }
     }
