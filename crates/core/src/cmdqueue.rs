@@ -73,8 +73,6 @@ pub enum Command {
         /// Length of the range in bytes.
         len: u64,
     },
-    /// Re-load the VMCS from memory (controls changed).
-    ReloadVmcs,
     /// Terminate the enclave on this core (host-initiated kill).
     Terminate,
     /// Pure barrier: complete without doing anything (used to measure the
@@ -84,7 +82,6 @@ pub enum Command {
 
 const OP_FLUSH_ALL: u64 = 1;
 const OP_FLUSH_PAGE: u64 = 2;
-const OP_RELOAD: u64 = 3;
 const OP_TERMINATE: u64 = 4;
 const OP_SYNC: u64 = 5;
 const OP_FLUSH_RANGE: u64 = 6;
@@ -120,7 +117,6 @@ impl SeqCommand {
             Command::TlbFlushAll => (OP_FLUSH_ALL, 0, 0),
             Command::TlbFlushPage { gva } => (OP_FLUSH_PAGE, gva, 0),
             Command::TlbFlushRange { gva, len } => (OP_FLUSH_RANGE, gva, len),
-            Command::ReloadVmcs => (OP_RELOAD, 0, 0),
             Command::Terminate => (OP_TERMINATE, 0, 0),
             Command::Sync => (OP_SYNC, 0, 0),
         };
@@ -134,7 +130,6 @@ impl SeqCommand {
             OP_FLUSH_ALL => Command::TlbFlushAll,
             OP_FLUSH_PAGE => Command::TlbFlushPage { gva: a },
             OP_FLUSH_RANGE => Command::TlbFlushRange { gva: a, len: b },
-            OP_RELOAD => Command::ReloadVmcs,
             OP_TERMINATE => Command::Terminate,
             OP_SYNC => Command::Sync,
             _ => return None,
@@ -253,7 +248,7 @@ impl CmdQueue {
     }
 
     /// Attach a flight-recorder handle (controller side).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+    pub fn traced(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
         self
     }
@@ -461,7 +456,6 @@ mod tests {
                 gva: 0x40_0000,
                 len: 2 * 1024 * 1024,
             },
-            Command::ReloadVmcs,
             Command::Terminate,
             Command::Sync,
         ];
@@ -469,9 +463,9 @@ mod tests {
         for c in cmds {
             seqs.push(q.post(c).unwrap());
         }
-        assert_eq!(q.pending(), 6);
+        assert_eq!(q.pending(), 5);
         let drained = q.drain();
-        assert_eq!(drained.len(), 6);
+        assert_eq!(drained.len(), 5);
         for (i, d) in drained.iter().enumerate() {
             assert_eq!(d.seq, seqs[i]);
             assert_eq!(d.cmd, cmds[i]);
@@ -544,18 +538,18 @@ mod tests {
     #[test]
     fn coalescing_preserves_non_flush_commands() {
         let (_w, q) = queue();
-        let reload = q.post(Command::ReloadVmcs).unwrap();
+        let terminate = q.post(Command::Terminate).unwrap();
         for i in 0..CMD_SLOTS - 1 {
             q.post(Command::TlbFlushPage { gva: i * 4096 }).unwrap();
         }
         assert_eq!(q.pending(), CMD_SLOTS);
         let sync = q.post(Command::Sync).unwrap();
         let drained = q.drain();
-        // ReloadVmcs survives with its original seq; the flushes merged;
+        // Terminate survives with its original seq; the flushes merged;
         // the new Sync landed last.
         assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].cmd, Command::ReloadVmcs);
-        assert_eq!(drained[0].seq, reload);
+        assert_eq!(drained[0].cmd, Command::Terminate);
+        assert_eq!(drained[0].seq, terminate);
         assert_eq!(drained[1].cmd, Command::TlbFlushAll);
         assert_eq!(drained[2].cmd, Command::Sync);
         assert_eq!(drained[2].seq, sync);
@@ -582,7 +576,7 @@ mod tests {
         // Refill, then overflow: the syncs keep their sequence numbers and
         // order, the flushes merge into one, the new command lands last.
         let seqs: Vec<u64> = cmds.iter().map(|&c| q.post(c).unwrap()).collect();
-        let last = q.post(Command::ReloadVmcs).unwrap();
+        let last = q.post(Command::Terminate).unwrap();
         let drained = q.drain();
         let syncs: Vec<u64> = seqs.iter().copied().step_by(2).collect();
         let kept: Vec<u64> = drained.iter().take(syncs.len()).map(|c| c.seq).collect();
@@ -591,7 +585,7 @@ mod tests {
             .iter()
             .all(|c| c.cmd == Command::Sync));
         let tail: Vec<Command> = drained[syncs.len()..].iter().map(|c| c.cmd).collect();
-        assert_eq!(tail, [Command::TlbFlushAll, Command::ReloadVmcs]);
+        assert_eq!(tail, [Command::TlbFlushAll, Command::Terminate]);
         assert_eq!(drained.last().unwrap().seq, last);
         assert_eq!(q.pending(), 0);
     }

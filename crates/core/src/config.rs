@@ -30,8 +30,6 @@ pub struct CovirtConfig {
     pub msr: bool,
     /// I/O-port protection (sensitive ports trap).
     pub io: bool,
-    /// Runtime tracing: enable the node's flight recorder for this run.
-    pub trace: bool,
 }
 
 impl CovirtConfig {
@@ -43,7 +41,6 @@ impl CovirtConfig {
         ipi: None,
         msr: false,
         io: false,
-        trace: false,
     };
 
     /// Memory protection only.
@@ -52,7 +49,6 @@ impl CovirtConfig {
         ipi: None,
         msr: false,
         io: false,
-        trace: false,
     };
 
     /// Memory + IPI protection (full APIC virtualization) — the paper's
@@ -62,7 +58,6 @@ impl CovirtConfig {
         ipi: Some(IpiMode::Vapic),
         msr: false,
         io: false,
-        trace: false,
     };
 
     /// Memory + IPI protection using posted interrupts.
@@ -71,7 +66,6 @@ impl CovirtConfig {
         ipi: Some(IpiMode::Posted),
         msr: false,
         io: false,
-        trace: false,
     };
 
     /// Everything on (memory, IPI via PIV, MSR, I/O).
@@ -80,36 +74,7 @@ impl CovirtConfig {
         ipi: Some(IpiMode::Posted),
         msr: true,
         io: true,
-        trace: false,
     };
-
-    /// Whether *any* feature needing the EPT is on (several features rely
-    /// on memory protection being enabled, as the paper notes).
-    pub fn needs_ept(&self) -> bool {
-        self.memory
-    }
-
-    /// The same feature set with the flight recorder enabled.
-    pub fn with_trace(mut self) -> CovirtConfig {
-        self.trace = true;
-        self
-    }
-
-    /// Whether incoming hardware interrupts force VM exits.
-    ///
-    /// Always true under Covirt: the minimal hypervisor keeps pin-based
-    /// external-interrupt exiting enabled in every configuration (it must
-    /// retain control of the hardware interrupt path for abort handling,
-    /// and VMX requires it for posted-interrupt processing). Posted mode
-    /// exempts only the *notification vector*, which the hardware handles
-    /// without an exit — "while PIV allows exitless IPIs, it still
-    /// requires exits for all external interrupts generated by hardware
-    /// devices" (Section IV-C). This is what makes the paper's "baseline
-    /// performance penalty ... that stays roughly constant regardless of
-    /// how those features are configured" (HPCG, Section V-B) emerge.
-    pub fn exits_on_external_interrupts(&self) -> bool {
-        true
-    }
 
     /// Short label used in tables and figures.
     pub fn label(&self) -> String {
@@ -198,14 +163,6 @@ mod tests {
         assert_eq!(CovirtConfig::MEM_IPI_PIV.label(), "covirt-mem+ipi-piv");
         assert_eq!(CovirtConfig::FULL.label(), "covirt-mem+ipi-piv+msr+io");
         assert_eq!(ExecMode::Native.label(), "native");
-    }
-
-    #[test]
-    fn interrupt_exit_semantics() {
-        assert!(CovirtConfig::MEM_IPI.exits_on_external_interrupts());
-        assert!(CovirtConfig::MEM_IPI_PIV.exits_on_external_interrupts());
-        assert!(CovirtConfig::MEM.exits_on_external_interrupts());
-        assert!(CovirtConfig::NONE.exits_on_external_interrupts());
     }
 
     #[test]

@@ -133,9 +133,6 @@ pub struct CovirtController {
 impl CovirtController {
     /// Create a controller enforcing `config` on every enclave it manages.
     pub fn new(node: Arc<SimNode>, config: CovirtConfig) -> Arc<Self> {
-        if config.trace {
-            node.recorder().set_enabled(true);
-        }
         let tracer = node.controller_tracer();
         Arc::new(CovirtController {
             node,
@@ -421,7 +418,7 @@ impl CovirtController {
             let q = CmdQueue::create(pool.take_frame()?)
                 .map_err(|_| PiscesError::Invalid("command queue creation failed"))?
                 .with_core(core as u64)
-                .with_tracer(self.tracer.clone().with_enclave(enclave.id.0));
+                .traced(self.tracer.clone().with_enclave(enclave.id.0));
             vctx.set_cmdq(core, q);
         }
         Ok(vctx)
@@ -737,7 +734,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(t.pa.raw(), r.start.raw() + 4096);
-        assert_eq!(vctx.vmcs(1).unwrap().read().controls.eptp, Some(ept.eptp()));
     }
 
     #[test]

@@ -55,9 +55,10 @@ pub struct CoreCounters {
     /// PT-entry loads. Under memory protection they are EPT-entry loads
     /// only: the EPT walks for the guest-physical addresses — guest
     /// PT-entry pages and the data page — that missed the walk cache; the
-    /// guest PT-entry loads themselves are not added. A walk the guest's
-    /// rights refuse keeps its table loads and takes no data-page step; one
-    /// that meets a not-present guest entry adds none.
+    /// guest PT-entry loads themselves are not added. Every EPT load a walk
+    /// made counts, also when the walk fails: at a not-present guest entry,
+    /// on the EPT's violation, or on the guest's rights, which end it
+    /// before the data-page step.
     pub walk_loads: u64,
     /// Guest PT-entry loads across all walks, in every mode (natively the
     /// same loads `walk_loads` counts).
@@ -220,20 +221,16 @@ impl<'a> NestedLoad<'a> {
     }
 
     /// Count a guest walk that ended in `walk`: its table line's hits, its
-    /// slow entries, and its EPT loads as `walk_loads`, unless the guest's
-    /// own tables ended it.
+    /// slow entries, every EPT load it made as `walk_loads`, and, for a
+    /// walk that reached a leaf, its guest loads.
     #[inline(always)]
     fn count(&self, walk: &HwResult<Translation>, c: &mut CoreCounters) {
         self.count_line_hits();
         c.slow_entry_translations += self.slow_entries.get() as u64;
         let ept_loads = self.loads.get();
-        match walk {
-            Ok(gt) => {
-                c.walk_loads += ept_loads as u64;
-                c.guest_walk_loads += (gt.loads - ept_loads) as u64;
-            }
-            Err(HwError::EptViolation { .. }) => c.walk_loads += ept_loads as u64,
-            Err(_) => {}
+        c.walk_loads += ept_loads as u64;
+        if let Ok(gt) = walk {
+            c.guest_walk_loads += (gt.loads - ept_loads) as u64;
         }
     }
 
@@ -471,9 +468,13 @@ impl GuestCore {
         self.terminated.as_deref()
     }
 
-    /// Hypervisor exit count on this core (0 when native).
+    /// Hypervisor exit count on this core: the sum of its VMCS's
+    /// per-reason counts (0 when native). The VMCS lives as long as the
+    /// enclave's context, so a core launched again keeps counting on.
     pub fn exit_count(&self) -> u64 {
-        self.hv.as_ref().map(|h| h.exits).unwrap_or(0)
+        self.hv
+            .as_ref()
+            .map_or(0, |hv| hv.vmcs().read().exit_total())
     }
 
     /// The hypervisor parked this core: no further guest execution.
@@ -763,10 +764,17 @@ impl GuestCore {
         // state.
         self.harvest_doorbell()?;
 
-        // Fixed vectors.
-        let ext_exits = self
-            .vctx()
-            .is_some_and(|v| v.config.exits_on_external_interrupts());
+        // Fixed vectors. Under Covirt each one exits, in every configuration:
+        // the minimal hypervisor keeps pin-based external-interrupt exiting
+        // on to keep control of the hardware interrupt path for abort
+        // handling, and VMX requires it for posted-interrupt processing.
+        // Posted mode exempts only its notification vector — "while PIV
+        // allows exitless IPIs, it still requires exits for all external
+        // interrupts generated by hardware devices" (Section IV-C). This is
+        // the paper's "baseline performance penalty ... that stays roughly
+        // constant regardless of how those features are configured" (HPCG,
+        // Section V-B).
+        let ext_exits = self.hv.is_some();
         loop {
             let mailbox = self.node.interconnect.mailbox(self.core)?;
             let Some(vector) = mailbox.irr.pop_highest() else {
@@ -912,12 +920,10 @@ impl GuestCore {
         }
     }
 
-    /// Leave guest mode cleanly (enclave shutdown); returns (exits, ns in
-    /// the hypervisor) for reporting.
-    pub fn shutdown(mut self) -> (u64, u64) {
-        match self.hv.take() {
-            Some(hv) => hv.shutdown(),
-            None => (0, 0),
+    /// Leave guest mode cleanly (enclave shutdown).
+    pub fn shutdown(mut self) {
+        if let Some(hv) = self.hv.take() {
+            hv.shutdown();
         }
     }
 }
@@ -1069,6 +1075,66 @@ mod tests {
             gc.write_u64(entry, intact).unwrap();
             assert_eq!(gc.read_u64(a + PAGE_SIZE_2M).unwrap(), 0, "{mode}");
         }
+    }
+
+    /// A nested walk that stops at a not-present guest entry made EPT loads
+    /// for the guest entries it read, and `walk_loads` counts them; it
+    /// reached no leaf, so it adds no guest loads.
+    #[test]
+    fn a_guest_page_fault_under_memory_protection_counts_its_ept_loads() {
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let mut gc = core(&w, 1);
+        gc.set_walk_cache_enabled(false);
+        let before = gc.counters();
+        assert!(matches!(
+            gc.read_u64(0x7f00_0000_0000),
+            Err(CovirtError::Invalid(_))
+        ));
+        let after = gc.counters();
+        assert_eq!(after.walks, before.walks + 1);
+        assert!(after.walk_loads > before.walk_loads, "EPT loads uncounted");
+        assert_eq!(after.guest_walk_loads, before.guest_walk_loads);
+        assert!(gc.terminated().is_none());
+    }
+
+    /// Exits taken through the guest's own entry points are counted per
+    /// reason in each core's VMCS: the context sums them across cores, and
+    /// a core's `exit_count` is the sum of its VMCS's counts.
+    #[test]
+    fn exits_are_counted_per_reason_in_each_cores_vmcs() {
+        use covirt_simhw::ioport::{PORT_COM1, PORT_KBD_RESET};
+        use covirt_simhw::msr::{IA32_FS_BASE, IA32_MC0_CTL};
+        let w = world(ExecMode::Covirt(CovirtConfig::FULL));
+        let (mut g1, mut g2) = (core(&w, 1), core(&w, 2));
+        g1.cpuid(0).unwrap();
+        g1.cpuid(1).unwrap();
+        g1.wrmsr(IA32_MC0_CTL, 0xbad).unwrap();
+        g1.io_write(PORT_KBD_RESET, 0xfe).unwrap();
+        g2.cpuid(0).unwrap();
+        g2.wrmsr(IA32_MC0_CTL + 4, 0).unwrap();
+        g2.send_ipi(0, 0x40).unwrap();
+        // An MSR and a port the bitmaps pass take no exit.
+        g2.wrmsr(IA32_FS_BASE, 1).unwrap();
+        g2.io_write(PORT_COM1, b'x' as u32).unwrap();
+
+        let vctx = g1.vctx().unwrap();
+        assert_eq!(vctx.whitelist.counts(), (0, 1), "the IPI was refused");
+        assert_eq!(
+            vctx.exit_counts(),
+            [("cpuid", 3), ("wrmsr", 2), ("io-out", 1), ("icr-write", 1)]
+        );
+        for (g, total) in [(&g1, 4), (&g2, 3)] {
+            let vmcs = vctx.vmcs(g.core).unwrap().read();
+            let per_reason: u64 = vmcs.exit_counts().map(|(_, n)| n).sum();
+            assert_eq!(
+                (g.exit_count(), per_reason),
+                (total, total),
+                "core {}",
+                g.core
+            );
+        }
+        g1.shutdown();
+        assert_eq!(core(&w, 1).exit_count(), 4, "a relaunch keeps the VMCS");
     }
 
     #[test]
@@ -2028,7 +2094,9 @@ mod tests {
         // Tickful kernel: poll after the period elapses.
         for (mode, expect_exit) in [
             (ExecMode::Native, false),
+            (ExecMode::Covirt(CovirtConfig::NONE), true),
             (ExecMode::Covirt(CovirtConfig::MEM), true),
+            (ExecMode::Covirt(CovirtConfig::MEM_IPI), true),
             (ExecMode::Covirt(CovirtConfig::MEM_IPI_PIV), true), // timer is a hardware intr
         ] {
             let w = world(mode);

@@ -20,12 +20,12 @@ use crate::{CovirtError, CovirtResult};
 use covirt_simhw::apic::IcrCommand;
 use covirt_simhw::cpu::{Cpu, VmxEvent};
 use covirt_simhw::ept::WalkCache;
-use covirt_simhw::exit::{ExitInfo, ExitReason};
+use covirt_simhw::exit::ExitReason;
 use covirt_simhw::node::SimNode;
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::tlb::Tlb;
 use covirt_simhw::vmcs::Vmcs;
-use covirt_trace::{EventKind, Tracer};
+use covirt_trace::{pack_str, EventKind, Tracer};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -74,13 +74,6 @@ pub struct Hypervisor {
     /// This core's slot in the context, looked up once at launch: the
     /// safe-point check indexes its doorbell, it does not search.
     slot: usize,
-    /// Exits handled on this core.
-    pub exits: u64,
-    /// Wall-clock nanoseconds spent in exit handling (including modelled
-    /// transition cost).
-    pub exit_ns: u64,
-    /// Commands executed from the queue.
-    pub commands: u64,
     /// Flight-recorder handle for this core's lane.
     tracer: Tracer,
 }
@@ -120,7 +113,6 @@ impl Hypervisor {
         // Tag this core's lane with the enclave it runs, so exits, drains
         // and completions attribute to it in the audit engine.
         let tracer = node.tracer(core as u32).with_enclave(vctx.enclave_id);
-        s.vmcs.write().tracer = Some(tracer.clone());
         Ok(Hypervisor {
             core,
             cpu,
@@ -129,9 +121,6 @@ impl Hypervisor {
             controller,
             cmdq,
             slot,
-            exits: 0,
-            exit_ns: 0,
-            commands: 0,
             tracer,
         })
     }
@@ -142,7 +131,7 @@ impl Hypervisor {
     }
 
     /// This core's VMCS.
-    fn vmcs(&self) -> &RwLock<Vmcs> {
+    pub(crate) fn vmcs(&self) -> &RwLock<Vmcs> {
         &self.vctx.slot_at(self.slot).vmcs
     }
 
@@ -177,49 +166,35 @@ impl Hypervisor {
             .report_fault(self.vctx.enclave_id, self.core, Arc::clone(reason));
     }
 
-    /// Handle one VM exit. `tlb` and `walk_cache` are the core's translation
-    /// caches (flushed on command). Returns what the exec loop should do
-    /// next.
+    /// Handle one VM exit: count it in this core's VMCS and, when traced,
+    /// bracket it with `ExitEnter` and `ExitLeave`. `tlb` and `walk_cache`
+    /// are the core's translation caches (flushed on command). Returns what
+    /// the exec loop should do next.
     pub fn handle_exit(
         &mut self,
         reason: ExitReason,
         tlb: &mut Tlb,
         walk_cache: &WalkCache,
     ) -> ExitAction {
-        let t0 = std::time::Instant::now();
+        let t0 = self.tracer.enabled().then(std::time::Instant::now);
         // Refused only on a core this instance no longer runs, which takes
         // no exit: the exec loop asks a terminated core for none.
         let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Exit);
         model_delay_ns(VM_TRANSITION_NS);
-        self.exits += 1;
-        self.vmcs().write().record_exit(ExitInfo {
-            reason,
-            tsc: self.node.clock.rdtsc(),
-        });
+        self.vmcs().write().record_exit(reason);
+        if t0.is_some() {
+            let (a, b) = pack_str(reason.name());
+            self.tracer.emit(EventKind::ExitEnter, a, b);
+        }
 
         let action = match reason {
-            // Always-exiting instructions, executed directly by the VMM
-            // with no or minor modification.
+            // The always-exiting instruction, executed directly by the VMM.
             ExitReason::Cpuid { leaf: _ } => ExitAction::Resume,
-            ExitReason::Xsetbv { xcr0 } => {
-                self.vmcs().write().guest.xcr0 = xcr0;
-                ExitAction::Resume
-            }
-            ExitReason::MsrRead { index } => {
-                // Reads of intercepted MSRs are answered from the real MSR
-                // file (Covirt hides nothing — zero abstraction).
-                let _ = self.cpu.msrs.read(index);
-                ExitAction::Resume
-            }
             ExitReason::MsrWrite { index, value } => {
                 let msrs = self.vctx.msr_bitmap.as_ref();
                 if !msrs.is_some_and(|b| b.write_exits(index)) {
                     self.cpu.msrs.write(index, value);
                 }
-                ExitAction::Resume
-            }
-            ExitReason::IoRead { port } => {
-                let _ = self.node.ioports.read(port);
                 ExitAction::Resume
             }
             ExitReason::IoWrite { port, value } => {
@@ -268,12 +243,11 @@ impl Hypervisor {
                 }
                 ExitAction::Resume
             }
-            // External interrupts only exit in TrapAll mode: the hypervisor
-            // acknowledges and re-injects into the guest.
+            // A hardware interrupt (every Covirt configuration exits on
+            // one): the hypervisor acknowledges and re-injects it.
             ExitReason::ExternalInterrupt { vector: _ } => ExitAction::Resume,
             // NMI: command-queue synchronization work.
             ExitReason::Nmi => self.process_commands(tlb, walk_cache),
-            ExitReason::Hlt => ExitAction::Resume,
             // Abort-class exits: terminate, notify, park.
             ExitReason::EptViolation(info) => {
                 self.vctx
@@ -292,9 +266,10 @@ impl Hypervisor {
             model_delay_ns(VM_TRANSITION_NS); // VM entry
             let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Resume);
         }
-        let handled_ns = t0.elapsed().as_nanos() as u64;
-        self.exit_ns += handled_ns;
-        self.tracer.emit(EventKind::ExitLeave, handled_ns, 0);
+        if let Some(t0) = t0 {
+            let handled_ns = t0.elapsed().as_nanos() as u64;
+            self.tracer.emit(EventKind::ExitLeave, handled_ns, 0);
+        }
         action
     }
 
@@ -325,7 +300,6 @@ impl Hypervisor {
     ) -> ExitAction {
         let mut action = ExitAction::Resume;
         for sc in drained {
-            self.commands += 1;
             match sc.cmd {
                 Command::TlbFlushAll => {
                     tlb.flush_all();
@@ -338,14 +312,6 @@ impl Hypervisor {
                 Command::TlbFlushRange { gva, len } => {
                     tlb.flush_range(gva, len);
                     walk_cache.flush_range(gva, len);
-                }
-                Command::ReloadVmcs => {
-                    // Re-serialize the (controller-edited) VMCS onto the
-                    // CPU: in the model, re-issue VMPTRLD. It is legal only
-                    // in root, so a harvest in guest mode leaves it to the
-                    // next exit; the model's VMCS is shared memory either
-                    // way.
-                    let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Reload);
                 }
                 Command::Terminate => {
                     action = self.abort("terminated by controller");
@@ -389,9 +355,8 @@ impl Hypervisor {
     }
 
     /// Clean shutdown of the guest on this core (enclave teardown).
-    pub fn shutdown(mut self) -> (u64, u64) {
+    pub fn shutdown(mut self) {
         self.leave_guest();
-        (self.exits, std::mem::take(&mut self.exit_ns))
     }
 }
 
@@ -452,20 +417,19 @@ mod tests {
         }
     }
 
+    /// CPUID is emulated and resumed, and the exit is counted in the
+    /// core's VMCS.
     #[test]
-    fn cpuid_and_xsetbv_emulated() {
+    fn cpuid_emulated_and_counted() {
         let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
-        assert_eq!(
-            hv.handle_exit(ExitReason::Cpuid { leaf: 1 }, &mut tlb, &wc),
-            ExitAction::Resume
-        );
-        assert_eq!(
-            hv.handle_exit(ExitReason::Xsetbv { xcr0: 7 }, &mut tlb, &wc),
-            ExitAction::Resume
-        );
-        assert_eq!(vctx.vmcs(1).unwrap().read().guest.xcr0, 7);
-        assert_eq!(hv.exits, 2);
-        assert!(hv.exit_ns > 0);
+        for leaf in [1, 7] {
+            assert_eq!(
+                hv.handle_exit(ExitReason::Cpuid { leaf }, &mut tlb, &wc),
+                ExitAction::Resume
+            );
+        }
+        assert_eq!(vctx.exit_counts(), [("cpuid", 2)]);
+        assert_eq!(vctx.vmcs(2).unwrap().read().exit_total(), 0);
     }
 
     #[test]
@@ -654,7 +618,7 @@ mod tests {
             q.wait(seq, 1, None, &|| true).is_ok(),
             "completion must be signalled"
         );
-        assert_eq!(hv.commands, 1);
+        assert_eq!(q.completed(), seq, "one command, executed once");
     }
 
     #[test]
@@ -715,13 +679,14 @@ mod tests {
         assert!(vctx.termination().unwrap().contains("controller"));
     }
 
+    /// Shutdown leaves guest mode; the exits the core took stay counted in
+    /// its VMCS.
     #[test]
-    fn shutdown_returns_stats() {
+    fn shutdown_leaves_no_live_core() {
         let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::NONE);
         hv.handle_exit(ExitReason::Cpuid { leaf: 0 }, &mut tlb, &wc);
-        let (exits, ns) = hv.shutdown();
-        assert_eq!(exits, 1);
-        assert!(ns > 0);
+        hv.shutdown();
         assert!(vctx.live_cores().is_empty());
+        assert_eq!(vctx.exit_counts(), [("cpuid", 1)]);
     }
 }

@@ -1,25 +1,4 @@
-//! Reporting helpers: exit-count tables and overhead summaries.
-
-use crate::vctx::VirtContext;
-
-/// A sorted (reason, count) table of a context's exits across all cores —
-/// the "incremental overhead costs of different hardware protection
-/// features" instrumentation the paper's contribution list promises.
-pub fn exit_table(vctx: &VirtContext) -> Vec<(&'static str, u64)> {
-    let mut v = vctx.exit_counts();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    v
-}
-
-/// Render an exit table as aligned text lines.
-pub fn format_exit_table(vctx: &VirtContext) -> String {
-    let table = exit_table(vctx);
-    let mut out = String::from("exit reason        count\n");
-    for (name, count) in table {
-        out.push_str(&format!("{name:<18} {count}\n"));
-    }
-    out
-}
+//! Reporting helpers: overhead percentages and sample statistics.
 
 /// Percentage slowdown of `measured` relative to `baseline` (positive =
 /// slower). Used everywhere the paper reports "X% overhead". A zero
@@ -78,53 +57,6 @@ pub fn stddev(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CovirtConfig;
-    use covirt_simhw::exit::{ExitInfo, ExitReason};
-
-    /// A fixed mix of exits on two cores, payload-carrying reasons among
-    /// them, tabulates by count then name, summed across cores.
-    #[test]
-    fn exit_table_sorted_desc() {
-        let node = covirt_simhw::node::SimNode::new(covirt_simhw::node::NodeConfig::small());
-        let vctx = VirtContext::new(1, CovirtConfig::NONE, node.cpus()[1..3].to_vec(), &[], None);
-        let mix = [
-            (1, ExitReason::Hlt, 3),
-            (1, ExitReason::Cpuid { leaf: 0 }, 1),
-            (2, ExitReason::ExternalInterrupt { vector: 0xec }, 2),
-            (1, ExitReason::ExternalInterrupt { vector: 0x40 }, 1),
-            (2, ExitReason::Cpuid { leaf: 7 }, 1),
-            (2, ExitReason::MsrRead { index: 0x10 }, 1),
-            (2, ExitReason::Nmi, 3),
-        ];
-        for (core, reason, n) in mix {
-            let h = vctx.vmcs(core).unwrap();
-            for _ in 0..n {
-                h.write().record_exit(ExitInfo { reason, tsc: 0 });
-            }
-        }
-        let t = exit_table(&vctx);
-        assert_eq!(
-            t,
-            [
-                ("ext-intr", 3),
-                ("hlt", 3),
-                ("nmi", 3),
-                ("cpuid", 2),
-                ("rdmsr", 1)
-            ]
-        );
-        let s = format_exit_table(&vctx);
-        assert_eq!(
-            s,
-            "exit reason        count\n\
-             ext-intr           3\n\
-             hlt                3\n\
-             nmi                3\n\
-             cpuid              2\n\
-             rdmsr              1\n"
-        );
-    }
-
     #[test]
     fn overhead_math() {
         assert_eq!(overhead_pct(100.0, 103.1), 3.0999999999999943);

@@ -8,6 +8,11 @@
 //! hypervisor instances hold references into the same structures — that
 //! shared access is what makes asynchronous, controller-side
 //! reconfiguration possible.
+//!
+//! The context is the whole exit policy: the exec loop and the hypervisor
+//! decide every exit from its `config`, `msr_bitmap`, `io_bitmap`,
+//! [`VirtContext::posted`] descriptors and `ept`, and the VMCS holds no
+//! control that repeats them.
 
 use crate::cmdqueue::CmdQueue;
 use crate::config::{CovirtConfig, IpiMode};
@@ -18,7 +23,7 @@ use covirt_simhw::ept::Ept;
 use covirt_simhw::ioport::{IoBitmap, PORT_KBD_RESET, PORT_PCI_CONFIG_ADDR, PORT_PCI_CONFIG_DATA};
 use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
-use covirt_simhw::vmcs::{ApicVirtMode, Vmcs};
+use covirt_simhw::vmcs::Vmcs;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -43,8 +48,7 @@ pub(crate) struct CoreSlot {
     pub(crate) vmcs: Box<RwLock<Vmcs>>,
     /// The core's command queue, once the controller has placed it.
     cmdq: Option<CmdQueue>,
-    /// Posted-interrupt descriptor (posted IPI mode only), shared with the
-    /// VMCS that registers it.
+    /// Posted-interrupt descriptor (posted IPI mode only).
     posted: Option<Arc<PostedIntDescriptor>>,
     /// Command-doorbell descriptor. Unlike `posted`, this exists in *every*
     /// Covirt configuration: the exitless command path does not depend on
@@ -115,23 +119,11 @@ impl VirtContext {
         let mut slots: Vec<CoreSlot> = cpus
             .into_iter()
             .map(|cpu| {
-                let vmcs = Box::new(RwLock::new(Vmcs::new()));
                 let posted = matches!(config.ipi, Some(IpiMode::Posted))
                     .then(|| Arc::new(PostedIntDescriptor::new(PIV_NOTIFICATION_VECTOR)));
-                {
-                    let mut v = vmcs.write();
-                    v.controls.eptp = ept.as_ref().map(|e| e.eptp());
-                    v.controls.ext_int_exiting = config.exits_on_external_interrupts();
-                    v.controls.apic_virt = match config.ipi {
-                        Some(IpiMode::Vapic) => ApicVirtMode::TrapAll,
-                        Some(IpiMode::Posted) => ApicVirtMode::Posted,
-                        None => ApicVirtMode::Passthrough,
-                    };
-                    v.controls.posted_desc = posted.clone();
-                }
                 CoreSlot {
                     cpu,
-                    vmcs,
+                    vmcs: Box::new(RwLock::new(Vmcs::new())),
                     cmdq: None,
                     posted,
                     cmd_doorbell: PostedIntDescriptor::new(CMD_DOORBELL_VECTOR),
@@ -304,8 +296,7 @@ mod tests {
             !std::ptr::eq(a, b),
             "per-core VMCS must be replicas, not shared"
         );
-        assert!(a.read().controls.eptp.is_some());
-        assert_eq!(a.read().controls.apic_virt, ApicVirtMode::Passthrough);
+        assert!(v.ept.is_some() && v.posted(2).is_none());
     }
 
     #[test]
@@ -315,16 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn vapic_mode_sets_controls() {
+    fn vapic_mode_builds_no_descriptor() {
         let v = VirtContext::new(1, CovirtConfig::MEM_IPI, cpus([1]), &[0x40], Some(ept()));
-        let h = v.vmcs(1).unwrap();
-        assert_eq!(h.read().controls.apic_virt, ApicVirtMode::TrapAll);
-        assert!(h.read().controls.ext_int_exiting);
         assert!(v.posted(1).is_none());
-        // Memory-only and no-feature configs also keep interrupt exiting
-        // on (the constant baseline cost of interposition).
-        let m = VirtContext::new(2, CovirtConfig::MEM, cpus([1]), &[], Some(ept()));
-        assert!(m.vmcs(1).unwrap().read().controls.ext_int_exiting);
     }
 
     #[test]
@@ -335,12 +319,6 @@ mod tests {
             cpus([1, 2]),
             &[0x40],
             Some(ept()),
-        );
-        let h = v.vmcs(1).unwrap();
-        assert_eq!(h.read().controls.apic_virt, ApicVirtMode::Posted);
-        assert!(
-            h.read().controls.ext_int_exiting,
-            "hardware interrupts still exit under PIV"
         );
         assert!(v.posted(1).is_some());
         assert!(v.posted(2).is_some());
@@ -389,7 +367,7 @@ mod tests {
         let v = VirtContext::new(1, CovirtConfig::FULL, cpus([1]), &[], Some(ept()));
         let msr = v.msr_bitmap.as_ref().unwrap();
         assert!(msr.write_exits(IA32_MC0_CTL));
-        assert!(!msr.read_exits(IA32_MC0_CTL));
+        assert!(!msr.write_exits(covirt_simhw::msr::IA32_FS_BASE));
         let io = v.io_bitmap.as_ref().unwrap();
         assert!(io.exits(PORT_KBD_RESET));
         assert!(!io.exits(covirt_simhw::ioport::PORT_COM1));

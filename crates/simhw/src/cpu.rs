@@ -15,7 +15,7 @@
 //! current:
 //!
 //! ```text
-//!   Off ── Launch ──▶ Guest(e) ── Exit ───▶ Root(e) ── Reload ──▶ Root(e)
+//!   Off ── Launch ──▶ Guest(e) ── Exit ───▶ Root(e)
 //!                     Guest(e) ◀── Resume ── Root(e)
 //!   Off ◀── Leave ─── Guest(e) or Root(e)
 //! ```
@@ -89,8 +89,6 @@ pub enum VmxEvent {
     Exit,
     /// VMRESUME: `Root → Guest`.
     Resume,
-    /// VMPTRLD of the current VMCS: `Root → Root`.
-    Reload,
     /// VMCLEAR and VMXOFF: `Guest` or `Root` → `Off`.
     Leave,
 }
@@ -157,8 +155,6 @@ impl Cpu {
             (Root(_), Exit) => Err(HwError::Invalid("VM exit outside VMX non-root operation")),
             (Root(e), Resume) => Ok(Guest(e)),
             (Guest(_), Resume) => Err(HwError::Invalid("VMRESUME outside VMX root operation")),
-            (Root(e), Reload) => Ok(Root(e)),
-            (Guest(_), Reload) => Err(HwError::Invalid("VMPTRLD outside VMX root operation")),
             (Guest(_) | Root(_), Leave) => Ok(Off),
         }
     }

@@ -1,11 +1,12 @@
-//! VM-exit reasons and exit information.
+//! VM-exit reasons.
 //!
-//! The subset modelled is exactly the set Covirt's hypervisor must handle
-//! (Section IV-B of the paper): externally generated interrupts and NMIs,
-//! the two always-exiting instructions (`cpuid`, `xsetbv`), MSR and I/O
-//! accesses selected by the bitmaps, EPT violations, APIC (ICR) writes
-//! under APIC virtualization, HLT, and abort-class exceptions such as
-//! double/triple faults.
+//! The set modelled is the exits a co-kernel under Covirt's hypervisor
+//! can raise (Section IV-B of the paper): externally generated interrupts
+//! and NMIs, the always-exiting `cpuid`, MSR writes and I/O writes the
+//! bitmaps select, EPT violations, APIC (ICR) writes under APIC
+//! virtualization, and the abort-class double and triple faults. Each has
+//! a guest entry point that raises it; the hypervisor keeps a count per
+//! reason in the core's VMCS and nothing else about an exit.
 
 use crate::ept::EptViolationInfo;
 
@@ -24,27 +25,12 @@ pub enum ExitReason {
         /// Requested leaf (EAX).
         leaf: u32,
     },
-    /// The guest executed XSETBV.
-    Xsetbv {
-        /// Requested XCR0 value.
-        xcr0: u64,
-    },
-    /// RDMSR of an intercepted MSR.
-    MsrRead {
-        /// MSR index.
-        index: u32,
-    },
     /// WRMSR of an intercepted MSR.
     MsrWrite {
         /// MSR index.
         index: u32,
         /// Value being written.
         value: u64,
-    },
-    /// IN from an intercepted port.
-    IoRead {
-        /// Port number.
-        port: u16,
     },
     /// OUT to an intercepted port.
     IoWrite {
@@ -61,8 +47,6 @@ pub enum ExitReason {
         /// Raw x2APIC ICR value.
         value: u64,
     },
-    /// The guest executed HLT while HLT exiting is enabled.
-    Hlt,
     /// Abort-class exception: double fault in the guest.
     DoubleFault,
     /// Abort-class: triple fault (would reset a bare-metal machine).
@@ -71,21 +55,17 @@ pub enum ExitReason {
 
 impl ExitReason {
     /// How many reasons there are: the length of a per-reason count array.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 9;
 
     /// Every reason's [`ExitReason::name`], in [`ExitReason::index`] order.
     pub const NAMES: [&'static str; Self::COUNT] = [
         "ext-intr",
         "nmi",
         "cpuid",
-        "xsetbv",
-        "rdmsr",
         "wrmsr",
-        "io-in",
         "io-out",
         "ept-violation",
         "icr-write",
-        "hlt",
         "double-fault",
         "triple-fault",
     ];
@@ -97,16 +77,12 @@ impl ExitReason {
             ExitReason::ExternalInterrupt { .. } => 0,
             ExitReason::Nmi => 1,
             ExitReason::Cpuid { .. } => 2,
-            ExitReason::Xsetbv { .. } => 3,
-            ExitReason::MsrRead { .. } => 4,
-            ExitReason::MsrWrite { .. } => 5,
-            ExitReason::IoRead { .. } => 6,
-            ExitReason::IoWrite { .. } => 7,
-            ExitReason::EptViolation(_) => 8,
-            ExitReason::IcrWrite { .. } => 9,
-            ExitReason::Hlt => 10,
-            ExitReason::DoubleFault => 11,
-            ExitReason::TripleFault => 12,
+            ExitReason::MsrWrite { .. } => 3,
+            ExitReason::IoWrite { .. } => 4,
+            ExitReason::EptViolation(_) => 5,
+            ExitReason::IcrWrite { .. } => 6,
+            ExitReason::DoubleFault => 7,
+            ExitReason::TripleFault => 8,
         }
     }
 
@@ -114,15 +90,6 @@ impl ExitReason {
     pub fn name(&self) -> &'static str {
         Self::NAMES[self.index()]
     }
-}
-
-/// Exit record stored in the VMCS exit-information fields.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExitInfo {
-    /// The exit reason.
-    pub reason: ExitReason,
-    /// TSC at exit time.
-    pub tsc: u64,
 }
 
 #[cfg(test)]
@@ -133,7 +100,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(ExitReason::Nmi.name(), "nmi");
         assert_eq!(ExitReason::MsrWrite { index: 1, value: 2 }.name(), "wrmsr");
-        assert_eq!(ExitReason::Hlt.name(), "hlt");
+        assert_eq!(ExitReason::IoWrite { port: 1, value: 2 }.name(), "io-out");
         assert_eq!(
             ExitReason::ExternalInterrupt { vector: 0xec }.name(),
             "ext-intr"
@@ -149,17 +116,13 @@ mod tests {
             ExitReason::ExternalInterrupt { vector: 0 },
             ExitReason::Nmi,
             ExitReason::Cpuid { leaf: 0 },
-            ExitReason::Xsetbv { xcr0: 0 },
-            ExitReason::MsrRead { index: 0 },
             ExitReason::MsrWrite { index: 0, value: 0 },
-            ExitReason::IoRead { port: 0 },
             ExitReason::IoWrite { port: 0, value: 0 },
             ExitReason::EptViolation(EptViolationInfo {
                 gpa: crate::addr::GuestPhysAddr::new(0),
                 access: crate::paging::Access::Read,
             }),
             ExitReason::IcrWrite { value: 0 },
-            ExitReason::Hlt,
             ExitReason::DoubleFault,
             ExitReason::TripleFault,
         ];

@@ -2,7 +2,8 @@
 //!
 //! I/O operations are the fourth resource class Covirt can protect. The
 //! model keeps a node-wide port space (a few well-known ports stand in for
-//! real devices) and the VMX-style 64-Kbit intercept bitmap.
+//! real devices, and count the writes that reach them) and the VMX-style
+//! 64-Kbit intercept bitmap.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -21,7 +22,6 @@ pub const PORT_PCI_CONFIG_DATA: u16 = 0xcfc;
 /// Node-wide port space (device side).
 #[derive(Default)]
 pub struct IoPortSpace {
-    values: RwLock<HashMap<u16, u32>>,
     /// Count of writes per port — lets tests assert a dangerous write never
     /// reached the "device".
     writes: RwLock<HashMap<u16, u64>>,
@@ -33,14 +33,9 @@ impl IoPortSpace {
         Self::default()
     }
 
-    /// IN instruction (device side).
-    pub fn read(&self, port: u16) -> u32 {
-        *self.values.read().get(&port).unwrap_or(&0)
-    }
-
-    /// OUT instruction (device side).
-    pub fn write(&self, port: u16, value: u32) {
-        self.values.write().insert(port, value);
+    /// OUT instruction (device side): the model's devices keep no value,
+    /// only how often each port was written.
+    pub fn write(&self, port: u16, _value: u32) {
         *self.writes.write().entry(port).or_insert(0) += 1;
     }
 
@@ -68,13 +63,6 @@ impl IoBitmap {
     pub fn intercept_none() -> Self {
         IoBitmap {
             bits: Box::new([0; IO_WORDS]),
-        }
-    }
-
-    /// Intercept every port.
-    pub fn intercept_all() -> Self {
-        IoBitmap {
-            bits: Box::new([u64::MAX; IO_WORDS]),
         }
     }
 
@@ -107,12 +95,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn port_rw_and_counts() {
+    fn port_writes_are_counted() {
         let io = IoPortSpace::new();
-        assert_eq!(io.read(PORT_COM1), 0);
+        assert_eq!(io.write_count(PORT_COM1), 0);
         io.write(PORT_COM1, b'x' as u32);
-        assert_eq!(io.read(PORT_COM1), b'x' as u32);
-        assert_eq!(io.write_count(PORT_COM1), 1);
+        io.write(PORT_COM1, b'y' as u32);
+        assert_eq!(io.write_count(PORT_COM1), 2);
         assert_eq!(io.write_count(PORT_KBD_RESET), 0);
     }
 
@@ -142,12 +130,5 @@ mod tests {
         assert!(b.exits(PORT_PCI_CONFIG_DATA));
         assert!(b.exits(PORT_PCI_CONFIG_DATA + 3));
         assert!(!b.exits(PORT_PCI_CONFIG_DATA + 4));
-    }
-
-    #[test]
-    fn bitmap_all() {
-        let b = IoBitmap::intercept_all();
-        assert!(b.exits(0));
-        assert!(b.exits(12345));
     }
 }

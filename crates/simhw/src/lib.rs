@@ -24,8 +24,9 @@
 //!   being hard-coded.
 //! * **Interrupts** ([`apic`], [`posted`], [`interconnect`]) — local APICs,
 //!   the ICR, NMIs, the LAPIC timer, and VT-x posted-interrupt descriptors.
-//! * **VMX** ([`vmcs`], [`exit`], [`msr`], [`ioport`]) — the VMCS field
-//!   store, exit reasons, MSR file + MSR bitmaps, and I/O port bitmaps.
+//! * **VMX** ([`vmcs`], [`exit`], [`msr`], [`ioport`]) — the VMCS (guest
+//!   state and exit counts), exit reasons, MSR file + MSR write bitmap,
+//!   and I/O port bitmap.
 //! * **CPUs and the node** ([`cpu`], [`node`], [`clock`]) — per-core state
 //!   (VMX on/off, active VMCS, TSC) and the assembled [`node::SimNode`].
 //!

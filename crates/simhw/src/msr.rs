@@ -1,10 +1,11 @@
 //! Model-specific registers and the VMX MSR intercept bitmaps.
 //!
 //! Covirt lists MSR accesses among the operations it can protect. VMX
-//! provides per-MSR read/write intercept bitmaps covering the low
+//! provides per-MSR read and write intercept bitmaps covering the low
 //! (`0..=0x1fff`) and high (`0xc000_0000..=0xc000_1fff`) ranges; accesses to
-//! MSRs outside those ranges unconditionally exit. The model reproduces
-//! exactly that dispatch.
+//! MSRs outside those ranges unconditionally exit. Covirt intercepts only
+//! writes, so the model keeps the write half and reproduces exactly its
+//! dispatch.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -56,11 +57,9 @@ const HIGH_BASE: u32 = 0xc000_0000;
 const HIGH_END: u32 = 0xc000_2000;
 const WORDS: usize = (0x2000 / 64) as usize;
 
-/// VMX-style MSR intercept bitmap: four 1-KiB bitmaps (read-low, read-high,
-/// write-low, write-high). A set bit means the access causes a VM exit.
+/// The write half of a VMX MSR intercept bitmap: two 1-KiB bitmaps
+/// (write-low, write-high). A set bit means the write causes a VM exit.
 pub struct MsrBitmap {
-    read_low: [u64; WORDS],
-    read_high: [u64; WORDS],
     write_low: [u64; WORDS],
     write_high: [u64; WORDS],
 }
@@ -76,20 +75,8 @@ impl MsrBitmap {
     /// outside the ranges still exit, per VMX).
     pub fn intercept_none() -> Self {
         MsrBitmap {
-            read_low: [0; WORDS],
-            read_high: [0; WORDS],
             write_low: [0; WORDS],
             write_high: [0; WORDS],
-        }
-    }
-
-    /// A bitmap that intercepts everything.
-    pub fn intercept_all() -> Self {
-        MsrBitmap {
-            read_low: [u64::MAX; WORDS],
-            read_high: [u64::MAX; WORDS],
-            write_low: [u64::MAX; WORDS],
-            write_high: [u64::MAX; WORDS],
         }
     }
 
@@ -102,22 +89,6 @@ impl MsrBitmap {
             Some((false, (bit / 64) as usize, 1u64 << (bit % 64)))
         } else {
             None
-        }
-    }
-
-    /// Mark reads of `index` as intercepted.
-    pub fn intercept_read(&mut self, index: u32, intercept: bool) {
-        if let Some((low, w, m)) = Self::slot(index) {
-            let arr = if low {
-                &mut self.read_low
-            } else {
-                &mut self.read_high
-            };
-            if intercept {
-                arr[w] |= m;
-            } else {
-                arr[w] &= !m;
-            }
         }
     }
 
@@ -137,18 +108,7 @@ impl MsrBitmap {
         }
     }
 
-    /// Does a read of `index` exit? (Out-of-range MSRs always exit.)
-    pub fn read_exits(&self, index: u32) -> bool {
-        match Self::slot(index) {
-            Some((low, w, m)) => {
-                let arr = if low { &self.read_low } else { &self.read_high };
-                arr[w] & m != 0
-            }
-            None => true,
-        }
-    }
-
-    /// Does a write of `index` exit?
+    /// Does a write of `index` exit? (Out-of-range MSRs always exit.)
     pub fn write_exits(&self, index: u32) -> bool {
         match Self::slot(index) {
             Some((low, w, m)) => {
@@ -180,14 +140,14 @@ mod tests {
     #[test]
     fn bitmap_default_passes_in_range() {
         let b = MsrBitmap::intercept_none();
-        assert!(!b.read_exits(IA32_APIC_BASE));
+        assert!(!b.write_exits(IA32_APIC_BASE));
         assert!(!b.write_exits(IA32_EFER));
     }
 
     #[test]
     fn out_of_range_always_exits() {
         let b = MsrBitmap::intercept_none();
-        assert!(b.read_exits(0x8000_0000));
+        assert!(b.write_exits(0x8000_0000));
         assert!(b.write_exits(0x4000_0000));
     }
 
@@ -196,7 +156,7 @@ mod tests {
         let mut b = MsrBitmap::intercept_none();
         b.intercept_write(IA32_MC0_CTL, true);
         assert!(b.write_exits(IA32_MC0_CTL));
-        assert!(!b.read_exits(IA32_MC0_CTL));
+        assert!(!b.write_exits(IA32_MC0_CTL + 4), "only the one MSR");
         b.intercept_write(IA32_MC0_CTL, false);
         assert!(!b.write_exits(IA32_MC0_CTL));
     }
@@ -204,15 +164,9 @@ mod tests {
     #[test]
     fn high_range_intercepts() {
         let mut b = MsrBitmap::intercept_none();
-        b.intercept_read(IA32_GS_BASE, true);
-        assert!(b.read_exits(IA32_GS_BASE));
-        assert!(!b.write_exits(IA32_GS_BASE));
-    }
-
-    #[test]
-    fn intercept_all_exits_everything() {
-        let b = MsrBitmap::intercept_all();
-        assert!(b.read_exits(IA32_APIC_BASE));
+        b.intercept_write(IA32_GS_BASE, true);
         assert!(b.write_exits(IA32_GS_BASE));
+        assert!(!b.write_exits(IA32_FS_BASE));
+        assert!(!b.write_exits(IA32_GS_BASE - HIGH_BASE), "the low twin");
     }
 }
