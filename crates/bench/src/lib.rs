@@ -253,25 +253,24 @@ pub fn render_fig8(rows: &[Fig8Row]) -> String {
     out
 }
 
-/// Render the shootdown demo's result: the coalescing headline plus the
+/// Render the shootdown demo's result: the per-reclaim headline plus the
 /// per-core count table (TLB, walk cache, exits, guest-mode harvests).
 pub fn render_shootdown(r: &ShootdownRun) -> String {
     let mut out = format!(
-        "Coalesced reclaim epoch: 2 x 2 MiB reclaimed, {} broadcast shootdown(s), \
+        "Reclaim, one shootdown each: 2 x 2 MiB reclaimed, {} broadcast shootdown(s), \
          {} NMI escalation(s)\n\
-         core   tlb-hits  tlb-misses  full-flush  page-flush  range-flush  wcache h/m  \
+         core   tlb-hits  tlb-misses  full-flush  range-flush  wcache h/m  \
          exits  harvested\n",
         r.shootdowns, r.nmi_escalations
     );
     for g in &r.cores {
         let (tlb, c) = (g.tlb_stats(), g.counters());
         out.push_str(&format!(
-            "cpu{:<4} {:>8} {:>11} {:>11} {:>11} {:>12} {:>10} {:>6} {:>10}\n",
+            "cpu{:<4} {:>8} {:>11} {:>11} {:>12} {:>10} {:>6} {:>10}\n",
             g.core,
             tlb.hits,
             tlb.misses,
             tlb.full_flushes,
-            tlb.page_flushes,
             tlb.range_flushes,
             format!("{}/{}", c.walk_cache_hits, c.walk_cache_misses),
             g.exit_count(),

@@ -3,9 +3,12 @@
 //! "The Covirt hypervisor is managed via a simple command queue between
 //! itself and the controller module. Commands are fixed-size messages
 //! containing update notifications directing the hypervisor to synchronize
-//! part of its local state." Pending commands are signalled with NMI IPIs
-//! so no fixed interrupt vector has to be stolen from the guest's vector
-//! space.
+//! part of its local state." Pending commands are signalled doorbell-first:
+//! the controller posts a command vector into the core's posted-interrupt
+//! descriptor, which the guest harvests at its next safe point with no VM
+//! exit. An NMI IPI — which steals no vector from the guest's space — is
+//! the bounded fallback for a core that does not answer in time, and the
+//! whole protocol under the legacy NMI-only delivery.
 //!
 //! One queue exists per enclave CPU (each hypervisor context is
 //! single-core). The queue lives in shared physical memory, in one frame
@@ -60,13 +63,8 @@ pub(crate) const OFF_RING: u64 = 64;
 pub enum Command {
     /// Flush the core's entire TLB and walk cache (EPT mappings shrank).
     TlbFlushAll,
-    /// Flush a single page translation.
-    TlbFlushPage {
-        /// Guest-virtual page to invalidate.
-        gva: u64,
-    },
-    /// Flush every translation overlapping a range (a coalesced reclaim
-    /// shootdown that leaves unrelated hot entries alive).
+    /// Flush every translation overlapping a range (a reclaim's shootdown
+    /// that leaves unrelated hot entries alive).
     TlbFlushRange {
         /// Start of the range to invalidate.
         gva: u64,
@@ -81,7 +79,6 @@ pub enum Command {
 }
 
 const OP_FLUSH_ALL: u64 = 1;
-const OP_FLUSH_PAGE: u64 = 2;
 const OP_TERMINATE: u64 = 4;
 const OP_SYNC: u64 = 5;
 const OP_FLUSH_RANGE: u64 = 6;
@@ -91,10 +88,7 @@ impl Command {
     /// single `TlbFlushAll`, which is what makes drain-merge coalescing
     /// sound when the ring fills.
     pub fn is_flush(&self) -> bool {
-        matches!(
-            self,
-            Command::TlbFlushAll | Command::TlbFlushPage { .. } | Command::TlbFlushRange { .. }
-        )
+        matches!(self, Command::TlbFlushAll | Command::TlbFlushRange { .. })
     }
 }
 
@@ -115,7 +109,6 @@ impl SeqCommand {
     fn to_slot(self) -> Slot {
         let (op, a, b) = match self.cmd {
             Command::TlbFlushAll => (OP_FLUSH_ALL, 0, 0),
-            Command::TlbFlushPage { gva } => (OP_FLUSH_PAGE, gva, 0),
             Command::TlbFlushRange { gva, len } => (OP_FLUSH_RANGE, gva, len),
             Command::Terminate => (OP_TERMINATE, 0, 0),
             Command::Sync => (OP_SYNC, 0, 0),
@@ -128,7 +121,6 @@ impl SeqCommand {
         let [seq, tsc, op, a, b, ..] = *slot;
         let cmd = match op {
             OP_FLUSH_ALL => Command::TlbFlushAll,
-            OP_FLUSH_PAGE => Command::TlbFlushPage { gva: a },
             OP_FLUSH_RANGE => Command::TlbFlushRange { gva: a, len: b },
             OP_TERMINATE => Command::Terminate,
             OP_SYNC => Command::Sync,
@@ -270,7 +262,8 @@ impl CmdQueue {
     }
 
     /// Controller: post a command, returning its sequence number. The
-    /// caller is responsible for signalling the target core with an NMI.
+    /// caller signals the target core: a doorbell first, an NMI as the
+    /// bounded fallback.
     ///
     /// A full ring does not fail the caller: pending flush commands are
     /// drained and merged into a single `TlbFlushAll` (see
@@ -440,6 +433,14 @@ mod tests {
         Arc::new(FramePool::over(mem, &window))
     }
 
+    /// A flush of the `i`th 4 KiB page.
+    fn page_flush(i: u64) -> Command {
+        Command::TlbFlushRange {
+            gva: i * PAGE_SIZE_4K,
+            len: PAGE_SIZE_4K,
+        }
+    }
+
     fn queue() -> (Arc<FramePool>, CmdQueue) {
         let pool = pool();
         let q = CmdQueue::create(pool.take_frame().unwrap()).unwrap();
@@ -451,7 +452,6 @@ mod tests {
         let (_w, q) = queue();
         let cmds = [
             Command::TlbFlushAll,
-            Command::TlbFlushPage { gva: 0x20_0000 },
             Command::TlbFlushRange {
                 gva: 0x40_0000,
                 len: 2 * 1024 * 1024,
@@ -463,14 +463,18 @@ mod tests {
         for c in cmds {
             seqs.push(q.post(c).unwrap());
         }
-        assert_eq!(q.pending(), 5);
+        assert_eq!(q.pending(), 4);
         let drained = q.drain();
-        assert_eq!(drained.len(), 5);
+        assert_eq!(drained.len(), 4);
         for (i, d) in drained.iter().enumerate() {
             assert_eq!(d.seq, seqs[i]);
             assert_eq!(d.cmd, cmds[i]);
         }
         assert_eq!(q.pending(), 0);
+        // No command has op 2 or 3.
+        for op in [2, 3] {
+            assert_eq!(SeqCommand::from_slot(&[1, 0, op, 0x1000, 0, 0, 0, 0]), None);
+        }
     }
 
     #[test]
@@ -516,7 +520,7 @@ mod tests {
         // Fill the ring to capacity with flush commands.
         let mut seqs = Vec::new();
         for i in 0..CMD_SLOTS {
-            seqs.push(q.post(Command::TlbFlushPage { gva: i * 4096 }).unwrap());
+            seqs.push(q.post(page_flush(i)).unwrap());
         }
         assert_eq!(q.pending(), CMD_SLOTS);
         // The next post coalesces rather than erroring.
@@ -540,7 +544,7 @@ mod tests {
         let (_w, q) = queue();
         let terminate = q.post(Command::Terminate).unwrap();
         for i in 0..CMD_SLOTS - 1 {
-            q.post(Command::TlbFlushPage { gva: i * 4096 }).unwrap();
+            q.post(page_flush(i)).unwrap();
         }
         assert_eq!(q.pending(), CMD_SLOTS);
         let sync = q.post(Command::Sync).unwrap();
@@ -563,7 +567,7 @@ mod tests {
         let cmds: Vec<Command> = (0..CMD_SLOTS)
             .map(|i| match i % 2 {
                 0 => Command::Sync,
-                _ => Command::TlbFlushPage { gva: i << 12 },
+                _ => page_flush(i),
             })
             .collect();
         let seqs: Vec<u64> = cmds.iter().map(|&c| q.post(c).unwrap()).collect();

@@ -14,9 +14,10 @@
 //!
 //! * memory grant   → EPT map, then return immediately (asynchronous —
 //!   the enclave keeps running while the mapping is installed);
-//! * memory reclaim → EPT unmap, then a `TlbFlush` command + doorbell
-//!   (NMI under the legacy delivery mode, or on escalation) to every live
-//!   enclave core, blocking until each completes;
+//! * memory reclaim → EPT unmap, then one flush command to every live
+//!   enclave core, signalled by doorbell (an NMI under the legacy
+//!   delivery mode, or on escalation), blocking until each completes —
+//!   so Pisces frees no frame a core may still cache;
 //! * vector alloc/free → whitelist edit, **no** hypervisor coordination
 //!   (the hypervisor reads the whitelist fresh on every trap — only state
 //!   the CPU may cache needs the command queue);
@@ -59,8 +60,8 @@ use std::time::Duration;
 /// enclaves ever created.
 const FRAME_POOL_BYTES: u64 = 16 * 1024 * 1024;
 
-/// Reclaims at or below this size are shot down with `TlbFlushRange`
-/// commands; larger ones fall back to a full flush. On the host either
+/// Reclaims at or below this size are shot down with a `TlbFlushRange`
+/// command; larger ones fall back to a full flush. On the host either
 /// flush visits only the entries the core holds, so the choice rests on
 /// the modelled cost: a ranged flush spares the refills of the entries it
 /// keeps, which stops paying once the range dwarfs the TLB's reach.
@@ -71,11 +72,6 @@ pub const DEFAULT_RANGE_FLUSH_THRESHOLD: u64 = 16 * 1024 * 1024;
 /// core may not be scheduled for many quanta; a live core answers in
 /// microseconds of its own time.
 const COMPLETION_WAIT_POLLS: u64 = 50_000_000;
-
-/// At most this many coalesced ranges ride in one shootdown before the
-/// controller merges them into a single full flush (the command ring holds
-/// 32 slots; leave headroom for unrelated commands).
-const MAX_RANGE_FLUSH_CMDS: usize = 8;
 
 /// Live cores one pass of a command round trip posts to before it waits
 /// on them; an enclave with more live cores takes several passes.
@@ -221,8 +217,8 @@ impl CovirtController {
         self.nmi_escalations.load(Ordering::Relaxed)
     }
 
-    /// Post `cmds` to `core`'s queue, then signal the core — the first half
-    /// of a command round trip. Returns the last command's sequence number.
+    /// Post `cmd` to `core`'s queue, then signal the core — the first half
+    /// of a command round trip. Returns the command's sequence number.
     ///
     /// Doorbell-first: post the doorbell vector into the core's descriptor
     /// and send the physical notification IPI only when `post()` reports
@@ -233,17 +229,14 @@ impl CovirtController {
         core: usize,
         q: &CmdQueue,
         doorbell: &PostedIntDescriptor,
-        cmds: &[Command],
+        cmd: Command,
     ) -> CovirtResult<u64> {
         let stamp = if self.tracer.enabled() {
             self.node.clock.rdtsc()
         } else {
             0
         };
-        let mut seq = 0;
-        for cmd in cmds {
-            seq = q.post_at(*cmd, stamp)?;
-        }
+        let seq = q.post_at(cmd, stamp)?;
         let signal = match self.delivery() {
             CmdDelivery::DoorbellFirst => {
                 let notify = doorbell.post(CMD_DOORBELL_VECTOR);
@@ -270,10 +263,10 @@ impl CovirtController {
     pub fn post_sync(&self, vctx: &VirtContext, core: usize) -> CovirtResult<u64> {
         let slot = vctx.cmdq(core).zip(vctx.cmd_doorbell(core));
         let (q, doorbell) = slot.ok_or(CovirtError::Invalid("core has no command queue"))?;
-        self.post_and_signal(vctx.enclave_id, core, q, doorbell, &[Command::Sync])
+        self.post_and_signal(vctx.enclave_id, core, q, doorbell, Command::Sync)
     }
 
-    /// One command round trip: post `cmds` to *every* live core and signal
+    /// One command round trip: post `cmd` to *every* live core and signal
     /// them all (doorbell posts, or NMIs in the legacy mode) before waiting
     /// on anything, so the per-core work executes concurrently; then
     /// collect the completions in a single pass. Total latency is therefore
@@ -287,12 +280,12 @@ impl CovirtController {
     /// point still converges. A core that leaves guest mode meanwhile is
     /// not waited for: it never runs on what it cached again. A core that
     /// does neither is named in the error.
-    fn round_trip(&self, vctx: &VirtContext, cmds: &[Command]) -> CovirtResult<()> {
+    fn round_trip(&self, vctx: &VirtContext, cmd: Command) -> CovirtResult<()> {
         let mut live = vctx.live_slots().peekable();
         while live.peek().is_some() {
             let mut waits = Batch::<_, ROUND_TRIP_CORES>::new();
             for (core, q, doorbell) in live.by_ref().take(ROUND_TRIP_CORES) {
-                let seq = self.post_and_signal(vctx.enclave_id, core, q, doorbell, cmds)?;
+                let seq = self.post_and_signal(vctx.enclave_id, core, q, doorbell, cmd)?;
                 // `take` leaves the batch room.
                 let _ = waits.push((core, q, seq));
             }
@@ -409,9 +402,7 @@ impl CovirtController {
             // Pre-boot VMCS guest state: every core launches "at the kernel
             // entry" with RDI = the unmodified Pisces boot parameters.
             if let Some(h) = vctx.vmcs(core) {
-                let mut v = h.write();
-                v.guest.rip = 0xffff_ffff_8000_0000; // canonical kernel text base
-                v.guest.rdi = enclave.params_addr().raw();
+                h.write().guest.rdi = enclave.params_addr().raw();
             }
             // One command queue per core, each in a frame of the node's
             // pool: hypervisor state the guest has no mapping of.
@@ -426,13 +417,8 @@ impl CovirtController {
 
     /// Unmap a range and synchronize every live core's TLB and EPT walk
     /// cache — the EPT edit alone leaves both serving the old translation.
-    ///
-    /// The EPT edit is always immediate — a stale *mapping* must never
-    /// outlive the reclaim decision. Synchronization is either immediate
-    /// (one broadcast shootdown covering just this range) or, when a
-    /// reclaim epoch is open for the enclave, deferred: the range joins
-    /// the epoch's pending set and a single coalesced shootdown covers
-    /// every range when the epoch closes.
+    /// Returns only once every live core has flushed the range, so the
+    /// caller may hand its frames to a new owner.
     pub(crate) fn unmap_and_flush(&self, enclave: u64, range: PhysRange) -> CovirtResult<()> {
         let Ok(vctx) = self.context(enclave) else {
             return Ok(()); // not a Covirt-managed enclave
@@ -442,44 +428,29 @@ impl CovirtController {
             ept.unmap(range)?;
             self.tracer
                 .emit_for(enclave, EventKind::Reclaim, range.start.raw(), range.len);
-            // An open epoch defers the shootdown to its close.
-            let mut epoch = vctx.reclaim_epoch.lock();
-            let deferred = epoch.as_mut().map(|ranges| ranges.push(range));
-            drop(epoch); // not held across the shootdown's wait
-            if deferred.is_none() {
-                self.broadcast_shootdown(&vctx, &[range])?;
-            }
+            self.broadcast_shootdown(&vctx, range)?;
         }
         Ok(())
     }
 
-    /// Broadcast shootdown: one [`Self::round_trip`] of flush commands.
+    /// Broadcast shootdown: one [`Self::round_trip`] of one flush command.
     ///
-    /// Command selection: if every range fits under the range-flush
-    /// threshold (and there are few enough to leave ring headroom), each
-    /// core gets per-range `TlbFlushRange` commands and keeps its
-    /// unrelated TLB entries and walk-cache lines; otherwise a single
-    /// `TlbFlushAll`. A ranged flush is the RISC-V `HFENCE.GVMA` form;
-    /// VT-x's INVEPT has no ranged type, and its single-context form would
-    /// clear the whole walk cache on every reclaim.
-    fn broadcast_shootdown(&self, vctx: &VirtContext, ranges: &[PhysRange]) -> CovirtResult<()> {
-        if ranges.is_empty() {
-            return Ok(());
-        }
+    /// A range at or under the range-flush threshold gets a
+    /// `TlbFlushRange`, so each core keeps its unrelated TLB entries and
+    /// walk-cache lines; a larger one a `TlbFlushAll`. A ranged flush is the RISC-V
+    /// `HFENCE.GVMA` form; VT-x's INVEPT has no ranged type, and its
+    /// single-context form would clear the whole walk cache on every
+    /// reclaim.
+    fn broadcast_shootdown(&self, vctx: &VirtContext, range: PhysRange) -> CovirtResult<()> {
         // The LWK identity-maps its assignment, so the guest-virtual
-        // address of a reclaimed frame is its guest-physical address. A
-        // range that does not fit the batch is one too many.
-        let mut flushes = Batch::<Command, MAX_RANGE_FLUSH_CMDS>::new();
-        let use_ranges = ranges.iter().all(|r| {
-            let flush = Command::TlbFlushRange {
-                gva: r.start.raw(),
-                len: r.len,
-            };
-            r.len <= DEFAULT_RANGE_FLUSH_THRESHOLD && flushes.push(flush).is_ok()
-        });
-        let cmds: &[Command] = match use_ranges {
-            true => &flushes,
-            false => &[Command::TlbFlushAll],
+        // address of a reclaimed frame is its guest-physical address.
+        let ranged = range.len <= DEFAULT_RANGE_FLUSH_THRESHOLD;
+        let cmd = match ranged {
+            true => Command::TlbFlushRange {
+                gva: range.start.raw(),
+                len: range.len,
+            },
+            false => Command::TlbFlushAll,
         };
         let traced = self.tracer.enabled();
         let t0 = if traced { self.node.clock.rdtsc() } else { 0 };
@@ -488,11 +459,11 @@ impl CovirtController {
                 vctx.enclave_id,
                 EventKind::ShootdownBegin,
                 t0,
-                ranges.len() as u64,
-                use_ranges as u64,
+                range.len,
+                ranged as u64,
             );
         }
-        self.round_trip(vctx, cmds)?;
+        self.round_trip(vctx, cmd)?;
         self.shootdowns.fetch_add(1, Ordering::Relaxed);
         if traced {
             let rtt = self
@@ -505,46 +476,13 @@ impl CovirtController {
         Ok(())
     }
 
-    /// Open a reclaim epoch for an enclave: until [`end_reclaim_epoch`]
-    /// runs, every reclaim unmaps its range immediately but defers TLB
-    /// synchronization, and the close issues one coalesced shootdown for
-    /// all of them. The epoch is part of the enclave's context: an unknown
-    /// enclave opens nothing, and a teardown takes an open epoch with it.
-    ///
-    /// Safety contract: while the epoch is open, reclaimed ranges are
-    /// unmapped but may still sit in live TLBs — the caller must not
-    /// recycle the underlying frames until `end_reclaim_epoch` returns
-    /// `Ok`.
-    ///
-    /// [`end_reclaim_epoch`]: Self::end_reclaim_epoch
-    pub fn begin_reclaim_epoch(&self, enclave: u64) {
-        if let Ok(vctx) = self.context(enclave) {
-            vctx.reclaim_epoch.lock().get_or_insert_with(Vec::new);
-        }
-    }
-
-    /// Close a reclaim epoch: one broadcast shootdown covering every range
-    /// reclaimed since [`begin_reclaim_epoch`]. Blocks until all live
-    /// cores acknowledge; only then may the frames be reused.
-    ///
-    /// [`begin_reclaim_epoch`]: Self::begin_reclaim_epoch
-    pub fn end_reclaim_epoch(&self, enclave: u64) -> CovirtResult<()> {
-        let Ok(vctx) = self.context(enclave) else {
-            return Ok(());
-        };
-        let Some(ranges) = vctx.reclaim_epoch.lock().take() else {
-            return Ok(()); // no epoch was open
-        };
-        self.broadcast_shootdown(&vctx, &ranges)
-    }
-
     /// Run one command round trip of `Sync` commands (post to every live
     /// core, signal it, wait for all acks) without touching any state. This
     /// is the pure synchronization cost of a shootdown — benchmarks use it
     /// to measure how latency scales with core count.
     pub fn shootdown_barrier(&self, enclave: u64) -> CovirtResult<()> {
         match self.context(enclave) {
-            Ok(vctx) => self.round_trip(&vctx, &[Command::Sync]),
+            Ok(vctx) => self.round_trip(&vctx, Command::Sync),
             Err(_) => Ok(()),
         }
     }
@@ -602,7 +540,7 @@ impl CovirtController {
             return Ok(());
         };
         if let Err(e) = ept.map_identity(range, 3) {
-            let _ = self.broadcast_shootdown(&vctx, &[range]);
+            let _ = self.broadcast_shootdown(&vctx, range);
             return Err(e);
         }
         self.tracer
@@ -810,54 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_coalesces_reclaims_into_one_shootdown() {
-        let (master, ctl) = setup(CovirtConfig::MEM);
-        let (enclave, kernel) = master.bring_up_enclave("e0", &req()).unwrap();
-        let vctx = ctl.context(enclave.id.0).unwrap();
-        let r1 = master
-            .pisces()
-            .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-            .unwrap();
-        let r2 = master
-            .pisces()
-            .add_memory(&enclave, ZoneId(0), 2 * 1024 * 1024)
-            .unwrap();
-        kernel.poll_ctrl().unwrap();
-        master.pisces().process_acks(&enclave).unwrap();
-        let before = ctl.shootdown_count();
-
-        ctl.begin_reclaim_epoch(enclave.id.0);
-        for r in [r1, r2] {
-            master.pisces().request_remove_memory(&enclave, r).unwrap();
-            kernel.poll_ctrl().unwrap();
-            master.pisces().process_acks(&enclave).unwrap();
-            // The unmap is immediate even though the shootdown is deferred.
-            assert!(vctx
-                .ept
-                .as_ref()
-                .unwrap()
-                .translate(
-                    covirt_simhw::addr::GuestPhysAddr::new(r.start.raw()),
-                    Access::Read,
-                    &DirectLoad(&master.pisces().node().mem)
-                )
-                .is_err());
-        }
-        assert_eq!(
-            ctl.shootdown_count(),
-            before,
-            "shootdown deferred while epoch open"
-        );
-        ctl.end_reclaim_epoch(enclave.id.0).unwrap();
-        assert_eq!(
-            ctl.shootdown_count(),
-            before + 1,
-            "both reclaims rode one shootdown"
-        );
-    }
-
-    #[test]
-    fn reclaims_outside_epoch_each_shoot_down() {
+    fn each_reclaim_shoots_down_once() {
         let (master, ctl) = setup(CovirtConfig::MEM);
         let (enclave, kernel) = master.bring_up_enclave("e0", &req()).unwrap();
         let r1 = master
@@ -871,12 +762,12 @@ mod tests {
         kernel.poll_ctrl().unwrap();
         master.pisces().process_acks(&enclave).unwrap();
         let before = ctl.shootdown_count();
-        for r in [r1, r2] {
+        for (i, r) in [r1, r2].into_iter().enumerate() {
             master.pisces().request_remove_memory(&enclave, r).unwrap();
             kernel.poll_ctrl().unwrap();
             master.pisces().process_acks(&enclave).unwrap();
+            assert_eq!(ctl.shootdown_count(), before + i as u64 + 1, "{r:?}");
         }
-        assert_eq!(ctl.shootdown_count(), before + 2);
     }
 
     #[test]
@@ -1076,7 +967,11 @@ mod tests {
         for core in vctx.cores() {
             let q = vctx.cmdq(core).unwrap();
             for gva in 1..=4 {
-                q.post(Command::TlbFlushPage { gva: gva << 12 }).unwrap();
+                let page = Command::TlbFlushRange {
+                    gva: gva << 12,
+                    len: PAGE_SIZE_4K,
+                };
+                q.post(page).unwrap();
             }
         }
         let out = ctl.frames_outstanding();
@@ -1236,33 +1131,6 @@ mod tests {
             ctl.context(enclave.id.0),
             Err(CovirtError::NoContext(_))
         ));
-    }
-
-    /// An open reclaim epoch is part of the context: teardown leaves nothing
-    /// of it reachable from the controller, and an unknown enclave opens
-    /// none.
-    #[test]
-    fn an_open_epoch_dies_with_its_context() {
-        let (master, ctl) = setup(CovirtConfig::MEM);
-        let (enclave, kernel) = master.bring_up_enclave("e0", &req()).unwrap();
-        let (host, id) = (master.pisces(), enclave.id.0);
-        let vctx = ctl.context(id).unwrap();
-        let range = host.add_memory(&enclave, ZoneId(0), 2 << 20).unwrap();
-        kernel.poll_ctrl().unwrap();
-        host.process_acks(&enclave).unwrap();
-        ctl.begin_reclaim_epoch(id);
-        ctl.begin_reclaim_epoch(99);
-        host.request_remove_memory(&enclave, range).unwrap();
-        kernel.poll_ctrl().unwrap();
-        host.process_acks(&enclave).unwrap();
-        assert_eq!(*vctx.reclaim_epoch.lock(), Some(vec![range]));
-
-        host.teardown(&enclave).unwrap();
-        assert!(matches!(ctl.context(id), Err(CovirtError::NoContext(_))));
-        assert_eq!(Arc::strong_count(&vctx), 1, "the epoch's last holder is us");
-        ctl.end_reclaim_epoch(id).unwrap();
-        ctl.end_reclaim_epoch(99).unwrap();
-        assert_eq!(ctl.shootdown_count(), 0);
     }
 
     #[test]

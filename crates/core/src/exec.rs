@@ -1242,8 +1242,7 @@ mod tests {
     }
 
     /// Reclaim `range` through the full protocol — guest ack, controller
-    /// unmap, shootdown — with `gc` polling as a live core does. Inside an
-    /// open reclaim epoch this returns without any shootdown.
+    /// unmap, shootdown — with `gc` polling as a live core does.
     fn reclaim(w: &World, gc: &mut GuestCore, range: PhysRange) {
         let host = w.master.pisces();
         host.request_remove_memory(&w.enclave, range).unwrap();
@@ -1776,11 +1775,10 @@ mod tests {
         let (mut gc, a) = warm_core(&w);
         let slow = |gc: &GuestCore| gc.counters().slow_entry_translations;
         let line = gc.walk_cache.table_line().unwrap();
-        // Page and range flushes of the line's own page drop no data leaf;
-        // a full flush drops the four, and each 2 MiB refill forgets the
-        // line once more.
+        // A range flush of the line's own page drops no data leaf; a full
+        // flush drops the four, and each 2 MiB refill forgets the line once
+        // more.
         let flushes = [
-            (Command::TlbFlushPage { gva: line }, 1),
             (
                 range_flush(PhysRange::new(HostPhysAddr::new(line), PAGE_SIZE_2M)),
                 1,
@@ -2239,12 +2237,12 @@ mod tests {
         let piv = ExecMode::Covirt(CovirtConfig::MEM_IPI_PIV);
         let modes = ExecMode::paper_sweep().into_iter().chain([piv]);
         #[rustfmt::skip]
-        let pinned: [[u64; 25]; 5] = [
-            [16, 3, 11, 33, 2, 0, 1, 0, 0, 0, 5, 0, 0, 11, 0, 8, 11, 0, 0, 0, 0, 0, 0, 0, 0],
-            [16, 3, 11, 33, 2, 0, 1, 0, 1, 1, 5, 0, 0, 11, 0, 8, 11, 0, 0, 0, 2, 0, 0, 0, 0],
-            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 11, 0, 8, 11, 0, 0, 3, 2, 2, 0, 5, 3],
-            [16, 3, 11, 10, 2, 0, 1, 0, 3, 4, 5, 43, 1, 11, 0, 8, 11, 0, 0, 3, 4, 2, 0, 5, 3],
-            [16, 3, 11, 10, 2, 0, 1, 1, 3, 4, 5, 43, 1, 11, 0, 8, 11, 0, 0, 3, 3, 2, 0, 5, 3],
+        let pinned: [[u64; 24]; 5] = [
+            [16, 3, 11, 33, 2, 0, 1, 0, 0, 0, 4, 0, 0, 11, 0, 8, 11, 0, 0, 0, 0, 0, 0, 0],
+            [16, 3, 11, 33, 2, 0, 1, 0, 1, 1, 4, 0, 0, 11, 0, 8, 11, 0, 0, 2, 0, 0, 0, 0],
+            [16, 3, 11, 10, 2, 0, 1, 0, 4, 4, 4, 43, 1, 11, 0, 8, 11, 0, 3, 2, 3, 0, 5, 3],
+            [16, 3, 11, 10, 2, 0, 1, 0, 4, 4, 4, 43, 1, 11, 0, 8, 11, 0, 3, 4, 3, 0, 5, 3],
+            [16, 3, 11, 10, 2, 0, 1, 1, 4, 4, 4, 43, 1, 11, 0, 8, 11, 0, 3, 3, 3, 0, 5, 3],
         ];
         for (mode, want) in modes.zip(pinned) {
             let w = world(mode);
@@ -2267,7 +2265,7 @@ mod tests {
                 gc.read_u64(a + (i % 4) * PAGE_SIZE_2M).unwrap();
                 gc.read_u64(a + (i % 4) * PAGE_SIZE_2M + 8).unwrap();
             }
-            // Grant → write → reclaim, then one epoch of two reclaims.
+            // Grant → write → reclaim, three times.
             let reclaim = |gc: &mut GuestCore, range: PhysRange| {
                 host.request_remove_memory(&w.enclave, range).unwrap();
                 w.kernel.poll_ctrl().unwrap();
@@ -2279,13 +2277,9 @@ mod tests {
             for r in ranges {
                 gc.write_u64(r.start.raw(), 7).unwrap();
             }
-            reclaim(&mut gc, ranges[0]);
-            ctl.inspect(|c| c.begin_reclaim_epoch(id));
-            reclaim(&mut gc, ranges[1]);
-            reclaim(&mut gc, ranges[2]);
-            with_one_poll(&w, &mut gc, || {
-                ctl.inspect(|c| c.end_reclaim_epoch(id).unwrap());
-            });
+            for r in ranges {
+                reclaim(&mut gc, r);
+            }
             // One always-exiting instruction, one whitelisted IPI (to this
             // core, so the barrier's poll receives it), one refused, one
             // barrier.
@@ -2307,7 +2301,7 @@ mod tests {
                 c.reads, c.writes, c.walks, c.walk_loads, c.ipis_sent, c.timer_irqs, c.ipi_irqs,
                 c.posted_harvested, c.cmd_doorbells, c.cmd_harvested, c.polls, c.walk_cache_hits,
                 c.walk_cache_misses, c.resolve_hits, c.resolve_misses,
-                t.hits, t.misses, t.full_flushes, t.page_flushes, t.range_flushes,
+                t.hits, t.misses, t.full_flushes, t.range_flushes,
                 gc.exit_count(), shootdowns, escalations, maps, unmaps,
             ];
             assert_eq!(

@@ -305,10 +305,6 @@ impl Hypervisor {
                     tlb.flush_all();
                     walk_cache.flush_all();
                 }
-                Command::TlbFlushPage { gva } => {
-                    tlb.flush_page(gva);
-                    walk_cache.flush_page(gva);
-                }
                 Command::TlbFlushRange { gva, len } => {
                     tlb.flush_range(gva, len);
                     walk_cache.flush_range(gva, len);

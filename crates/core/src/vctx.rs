@@ -17,14 +17,13 @@
 use crate::cmdqueue::CmdQueue;
 use crate::config::{CovirtConfig, IpiMode};
 use crate::whitelist::IpiWhitelist;
-use covirt_simhw::addr::PhysRange;
 use covirt_simhw::cpu::Cpu;
 use covirt_simhw::ept::Ept;
 use covirt_simhw::ioport::{IoBitmap, PORT_KBD_RESET, PORT_PCI_CONFIG_ADDR, PORT_PCI_CONFIG_DATA};
 use covirt_simhw::msr::{MsrBitmap, IA32_MC0_CTL};
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::vmcs::Vmcs;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -79,10 +78,6 @@ pub struct VirtContext {
     terminated: RwLock<Option<Arc<str>>>,
     /// EPT violations caught (instrumentation).
     pub violations: AtomicU64,
-    /// The open reclaim epoch, if any: ranges already unmapped whose one
-    /// coalesced shootdown waits for the epoch to close. Lives and dies
-    /// with the context.
-    pub(crate) reclaim_epoch: Mutex<Option<Vec<PhysRange>>>,
 }
 
 impl VirtContext {
@@ -147,7 +142,6 @@ impl VirtContext {
             slots,
             terminated: RwLock::new(None),
             violations: AtomicU64::new(0),
-            reclaim_epoch: Mutex::new(None),
         }
     }
 

@@ -305,12 +305,6 @@ impl WalkCache {
         self.lines.borrow_mut().invalidate_overlapping(gpa, len);
     }
 
-    /// Drop the lines covering `gpa`, table lines included.
-    pub fn flush_page(&self, gpa: u64) {
-        self.table_line.set(u64::MAX);
-        self.lines.borrow_mut().invalidate_page(gpa);
-    }
-
     /// Drop every line.
     pub fn flush_all(&self) {
         self.table_line.set(u64::MAX);
@@ -691,11 +685,9 @@ mod tests {
         read(line + PAGE_SIZE_2M);
         assert_eq!(c.table_line(), None, "a 2 MiB fill");
 
-        let flushes: [&dyn Fn(); 3] = [
-            &|| c.flush_page(small.start.raw()),
-            &|| c.flush_range(small.start.raw(), PAGE_SIZE_4K),
-            &|| c.flush_all(),
-        ];
+        let page = || c.flush_range(small.start.raw(), PAGE_SIZE_4K);
+        let all = || c.flush_all();
+        let flushes: [&dyn Fn(); 2] = [&page, &all];
         for (kind, flush) in flushes.iter().enumerate() {
             remember(line + 8);
             assert_eq!(c.table_line(), Some(line));

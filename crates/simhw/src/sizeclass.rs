@@ -128,18 +128,6 @@ impl<P: Default, const POW2: bool> SizeClassed<P, POW2> {
         &mut slot.payload
     }
 
-    /// Drop the page covering `addr` from every class that holds one.
-    pub fn invalidate_page(&mut self, addr: u64) {
-        for size in PageSize::ALL {
-            let idx = self.index(addr, size);
-            let slot = &mut self.classes[size as usize][idx];
-            if slot.tag == size.base_of(addr) {
-                *slot = Slot::empty();
-                self.occupied[size as usize][idx / 64] &= !(1 << (idx % 64));
-            }
-        }
-    }
-
     /// Drop every page that shares a byte with `[start, start + len)`. Only
     /// occupied slots are visited: the cost follows what is cached, never
     /// the range.
@@ -230,12 +218,6 @@ mod tests {
                 })
         }
 
-        fn remove_page(&mut self, addr: u64) {
-            for s in PageSize::ALL {
-                self.pages.remove(&(s, addr >> s.shift()));
-            }
-        }
-
         fn remove_overlapping(&mut self, start: u64, len: u64) {
             self.pages.retain(|&(s, p), _| {
                 let base = p << s.shift();
@@ -285,8 +267,8 @@ mod tests {
     }
 
     /// On the default TLB geometry a ranged flush empties exactly the slots
-    /// of the pages it overlaps, in both classes, a page flush the one slot
-    /// it drops, and a full flush every slot.
+    /// of the pages it overlaps, in both classes, a one-page range flush
+    /// the one slot of its page, and a full flush every slot.
     #[test]
     fn flushes_empty_exactly_the_slots_they_drop_on_the_default_tlb() {
         let mut tlb = Tlb::new(TlbParams::default());
@@ -314,7 +296,7 @@ mod tests {
             );
         }
         assert_eq!(occupancy(&tlb), [2, 2, 0]);
-        tlb.flush_page(small[0]);
+        tlb.flush_range(small[0], PAGE_SIZE_4K);
         assert_eq!(occupancy(&tlb), [1, 2, 0]);
 
         tlb.flush_all();
@@ -332,7 +314,7 @@ mod tests {
         /// geometries: the default with its 127-entry class, a tiny odd one
         /// and one with an empty class) and on a `WalkCache` (leaves of three
         /// sets of rights looked up for all three accesses, flushed by the
-        /// same page, range and full flushes as the TLB): every lookup, the
+        /// same one-page, range and full flushes as the TLB): every lookup, the
         /// final survivors and the statistics equal the reference's — a leaf
         /// whose rights deny the access is a miss — and after every operation
         /// each class's occupied-slot count is the reference's page count.
@@ -352,7 +334,7 @@ mod tests {
             let backing = Arc::new(Backing::new(16 * 1024 * 1024 + 4096).unwrap());
             let host = |id: u64| backing.ptr_at(id as usize * 8) as u64;
             let (mut hits, mut misses) = (0u64, 0u64);
-            let (mut page_flushes, mut range_flushes, mut full_flushes) = (0u64, 0u64, 0u64);
+            let (mut range_flushes, mut full_flushes) = (0u64, 0u64);
 
             let cache = WalkCache::new();
             let mut cache_ref = Reference::new(WALK_CACHE_SLOTS);
@@ -403,11 +385,13 @@ mod tests {
                     }
                     5..=7 => check(addr, ACCESSES[kind as usize - 5], &mut tlb, &tlb_ref, &cache_ref)?,
                     8 => {
-                        tlb.flush_page(addr);
-                        tlb_ref.remove_page(addr);
-                        page_flushes += 1;
-                        cache.flush_page(addr);
-                        cache_ref.remove_page(addr);
+                        // One 4 KiB page.
+                        let page = addr & !(PAGE_SIZE_4K - 1);
+                        tlb.flush_range(page, PAGE_SIZE_4K);
+                        tlb_ref.remove_overlapping(page, PAGE_SIZE_4K);
+                        range_flushes += 1;
+                        cache.flush_range(page, PAGE_SIZE_4K);
+                        cache_ref.remove_overlapping(page, PAGE_SIZE_4K);
                     }
                     9 => {
                         let len = [0, 8, PAGE_SIZE_4K, PAGE_SIZE_2M, 3 * PAGE_SIZE_2M + PAGE_SIZE_4K, PAGE_SIZE_1G]
@@ -443,8 +427,8 @@ mod tests {
             let stats = tlb.stats();
             prop_assert_eq!((stats.hits, stats.misses), (hits, misses));
             prop_assert_eq!(
-                (stats.page_flushes, stats.range_flushes, stats.full_flushes),
-                (page_flushes, range_flushes, full_flushes)
+                (stats.range_flushes, stats.full_flushes),
+                (range_flushes, full_flushes)
             );
             prop_assert_eq!(cache.stats(), (cache_hits, cache_misses));
         }

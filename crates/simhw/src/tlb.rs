@@ -88,9 +88,10 @@ pub struct TlbStats {
     pub misses: u64,
     /// Full flushes performed.
     pub full_flushes: u64,
-    /// Single-page invalidations performed.
+    /// Always 0: no command flushes a single page (a one-page flush is a
+    /// range). Kept only because perfbench reads it.
     pub page_flushes: u64,
-    /// Ranged invalidations performed (Covirt's coalesced shootdowns).
+    /// Ranged invalidations performed (Covirt's reclaim shootdowns).
     pub range_flushes: u64,
 }
 
@@ -182,15 +183,6 @@ impl Tlb {
         self.stats.full_flushes += 1;
         if let Some(t) = &self.tracer {
             t.emit(EventKind::TlbFlushAll, 0, 0);
-        }
-    }
-
-    /// Invalidate any entry covering `gva` (INVLPG analogue).
-    pub fn flush_page(&mut self, gva: u64) {
-        self.lines.invalidate_page(gva);
-        self.stats.page_flushes += 1;
-        if let Some(t) = &self.tracer {
-            t.emit(EventKind::TlbFlushPage, gva, 0);
         }
     }
 
@@ -289,18 +281,13 @@ mod tests {
     }
 
     #[test]
-    fn flush_page_is_selective() {
+    fn a_one_page_range_flush_spares_its_neighbour() {
         let mut tlb = Tlb::new(TlbParams::default());
         let b = backing_page();
-        tlb.insert(0, PAGE_SIZE_4K, b.ptr_at(0), Arc::clone(&b), true);
-        tlb.insert(
-            PAGE_SIZE_4K,
-            PAGE_SIZE_4K,
-            b.ptr_at(0),
-            Arc::clone(&b),
-            true,
-        );
-        tlb.flush_page(0);
+        for page in [0, PAGE_SIZE_4K] {
+            tlb.insert(page, PAGE_SIZE_4K, b.ptr_at(0), Arc::clone(&b), true);
+        }
+        tlb.flush_range(0, PAGE_SIZE_4K);
         assert!(tlb.lookup(0).is_none());
         assert!(tlb.lookup(PAGE_SIZE_4K).is_some());
     }

@@ -18,11 +18,9 @@
 use crate::exit::ExitReason;
 
 /// Guest register state at launch (the subset the Pisces trampoline
-/// establishes: entry point and boot-parameter pointer in RDI).
+/// establishes that anything reads: the boot-parameter pointer in RDI).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GuestState {
-    /// Entry instruction pointer (the co-kernel's start address).
-    pub rip: u64,
     /// Boot-parameter pointer handed to the kernel in RDI.
     pub rdi: u64,
 }

@@ -61,9 +61,8 @@ impl Default for AuditConfig {
 }
 
 /// One region's protection lifecycle, stitched from `Grant` → `Reclaim` →
-/// the enclave's next `ShootdownEnd` (reclaim epochs close many regions
-/// with one shootdown, so the end event synchronizes every pending
-/// reclaim of its enclave).
+/// the enclave's next `ShootdownEnd`, which synchronizes every pending
+/// reclaim of its enclave.
 #[derive(Clone, Debug)]
 pub struct RegionLifecycle {
     /// Owning enclave, when the emitter tagged one.
@@ -734,10 +733,8 @@ impl AuditEngine {
             // Pure markers: no lifecycle or invariant keyed off them.
             EventKind::ExitEnter
             | EventKind::EptMap
-            | EventKind::EptUnmap
             | EventKind::ShootdownBegin
             | EventKind::TlbFlushAll
-            | EventKind::TlbFlushPage
             | EventKind::TlbFlushRange
             | EventKind::XememAttach
             | EventKind::XememDetach
@@ -1028,7 +1025,7 @@ mod tests {
     /// order by timestamp; only an index that never arrives is a gap.
     #[test]
     fn index_gaps_do_not_depend_on_arrival_order() {
-        let events = [1, 0, 3].map(|idx| ev(100 + idx, 0, idx, EventKind::TlbFlushPage, 0, 0));
+        let events = [1, 0, 3].map(|idx| ev(100 + idx, 0, idx, EventKind::TlbFlushRange, 0, 0));
         let cfg = AuditConfig {
             drop_threshold: 100,
             ..AuditConfig::default()
@@ -1196,7 +1193,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_shootdown_closes_all_pending_reclaims() {
+    fn a_shootdown_closes_all_pending_reclaims() {
         let events = vec![
             tagged(ev(100, 2, 0, EventKind::Grant, 0x20_0000, 0x20_0000), 0),
             tagged(ev(110, 2, 1, EventKind::Grant, 0x40_0000, 0x20_0000), 0),

@@ -78,21 +78,17 @@ pub enum EventKind {
     NmiKick = 7,
     /// Full TLB flush executed. `a`,`b`: unused (0).
     TlbFlushAll = 8,
-    /// Single-page TLB invalidation. `a`: gva, `b`: unused (0).
-    TlbFlushPage = 9,
     /// Ranged TLB invalidation. `a`: gva, `b`: len.
     TlbFlushRange = 10,
     /// EPT mapping installed. `a`: start, `b`: len.
     EptMap = 11,
-    /// EPT mapping removed. `a`: start, `b`: len.
-    EptUnmap = 12,
     /// Memory granted to the enclave. `a`: start, `b`: len.
     Grant = 13,
-    /// Memory reclaimed (unmapped, shootdown issued/deferred). `a`: start,
+    /// Memory reclaimed: the EPT unmap, before its shootdown. `a`: start,
     /// `b`: len.
     Reclaim = 14,
-    /// Broadcast shootdown phase 1 begins (span begin). `a`: ranges,
-    /// `b`: 1 if range-flush commands were selected, else 0.
+    /// Broadcast shootdown phase 1 begins (span begin). `a`: the range's
+    /// length, `b`: 1 if a range flush was selected, else 0.
     ShootdownBegin = 15,
     /// Broadcast shootdown fully acknowledged (span end). `a`: rtt ns,
     /// `b`: unused (0).
@@ -128,7 +124,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for decoders and summaries.
-    pub const ALL: [EventKind; 27] = [
+    pub const ALL: [EventKind; 25] = [
         EventKind::ExitEnter,
         EventKind::ExitLeave,
         EventKind::CmdPost,
@@ -137,10 +133,8 @@ impl EventKind {
         EventKind::CmdWait,
         EventKind::NmiKick,
         EventKind::TlbFlushAll,
-        EventKind::TlbFlushPage,
         EventKind::TlbFlushRange,
         EventKind::EptMap,
-        EventKind::EptUnmap,
         EventKind::Grant,
         EventKind::Reclaim,
         EventKind::ShootdownBegin,
@@ -169,10 +163,8 @@ impl EventKind {
             EventKind::CmdWait => "cmd_wait",
             EventKind::NmiKick => "nmi_kick",
             EventKind::TlbFlushAll => "tlb_flush_all",
-            EventKind::TlbFlushPage => "tlb_flush_page",
             EventKind::TlbFlushRange => "tlb_flush_range",
             EventKind::EptMap => "ept_map",
-            EventKind::EptUnmap => "ept_unmap",
             EventKind::Grant => "grant",
             EventKind::Reclaim => "reclaim",
             EventKind::ShootdownBegin => "shootdown_begin",
@@ -200,7 +192,8 @@ impl EventKind {
     }
 
     fn from_u8(v: u8) -> Option<EventKind> {
-        EventKind::ALL.get(v.wrapping_sub(1) as usize).copied()
+        let at = EventKind::ALL.binary_search_by_key(&v, |k| *k as u8);
+        at.ok().map(|i| EventKind::ALL[i])
     }
 }
 
@@ -614,20 +607,19 @@ mod tests {
 
     /// The kind→name table must stay exhaustive: `EventKind::name` is a
     /// match without a wildcard (a new kind without a name is a compile
-    /// error), `ALL` must enumerate every discriminant contiguously, and
-    /// names must be unique, non-empty wire identifiers.
+    /// error), `ALL` must enumerate every discriminant in order, the codes
+    /// of deleted kinds (9, 12) stay unknown so no other kind takes them,
+    /// and names must be unique, non-empty wire identifiers.
     #[test]
     fn kind_name_table_exhaustive() {
         use std::collections::HashSet;
-        // Discriminants are 1..=N with no gaps, in declaration order.
-        for (i, k) in EventKind::ALL.iter().enumerate() {
-            assert_eq!(*k as u8, (i + 1) as u8, "ALL must match discriminants");
+        // Discriminants are 1..=27, in declaration order, with 9 and 12 gone.
+        let codes: Vec<u8> = EventKind::ALL.iter().map(|k| *k as u8).collect();
+        let want: Vec<u8> = (1..=27).filter(|c| ![9, 12].contains(c)).collect();
+        assert_eq!(codes, want, "ALL must match discriminants");
+        for gone in [9, 12, 28] {
+            assert_eq!(EventKind::from_u8(gone), None, "code {gone}");
         }
-        assert_eq!(
-            EventKind::from_u8(EventKind::ALL.len() as u8 + 1),
-            None,
-            "ALL must cover every defined kind"
-        );
         let names: HashSet<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), EventKind::ALL.len(), "names must be unique");
         for n in names {

@@ -19,7 +19,7 @@ pub struct AuditRun {
 }
 
 /// Clean run: a short STREAM phase (exit/attribution traffic) followed by
-/// the full grant → touch-on-every-core → epoch-reclaim → coalesced
+/// the full grant → touch-on-every-core → reclaim → per-reclaim
 /// shootdown lifecycle, recorder on throughout. Every region chain must
 /// complete and no invariant may fire.
 pub fn clean_run() -> AuditRun {

@@ -3,7 +3,7 @@
 //!
 //! Two runs share one shape: enable the profiler, bracket every guest
 //! core with `profile_begin`/`profile_finish`, drive real workload
-//! traffic (STREAM plus a grant → touch → epoch-reclaim churn loop), and
+//! traffic (STREAM plus a grant → touch → reclaim churn loop), and
 //! read the phase totals at the end. The clean run yields the per-enclave
 //! × per-phase cycle breakdown and the conservation check (accounted
 //! cycles must equal wall-clock TSC per core); the fault run adds a
@@ -52,7 +52,7 @@ impl ProfileReport {
     }
 }
 
-/// Clean run: STREAM on core 0, then the grant → touch → epoch-reclaim
+/// Clean run: STREAM on core 0, then the grant → touch → reclaim
 /// churn on every core, all bracketed. The shootdown waits land in the
 /// controller overlay, the cores' own flush servicing in their lane
 /// totals.
@@ -72,7 +72,7 @@ pub fn clean_run() -> ProfileReport {
 }
 
 /// Fault run: a clean bystander enclave streams on its own core while
-/// the workload enclave churns reclaim epochs and then hits a contained
+/// the workload enclave churns reclaims and then hits a contained
 /// fault. The churn's shootdown waits are ShootdownWait overlay cycles
 /// on the misbehaving enclave; none may land on the bystander.
 pub fn fault_run() -> ProfileReport {

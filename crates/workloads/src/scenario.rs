@@ -1,6 +1,6 @@
 //! The protocol scenarios the extension harnesses (`audit`, `profile`,
 //! `shootdown`) share, each written once: a short STREAM phase for
-//! data-plane traffic, the Section IV grant → touch → epoch-reclaim churn
+//! data-plane traffic, the Section IV grant → touch → reclaim churn
 //! against live cores, and the Section V contained fault. A harness
 //! builds its world, switches on what it observes (recorder, profiler),
 //! calls these, and reduces what they return.
@@ -48,13 +48,14 @@ pub struct Churn {
     /// The enclave's cores in rank order, stopped but not shut down, so
     /// their counters can still be read.
     pub cores: Vec<GuestCore>,
-    /// Broadcast shootdowns the churn cost (the coalescing claim: 1).
+    /// Broadcast shootdowns the churn cost: one per reclaim, 2.
     pub shootdowns: u64,
 }
 
 /// Grant two 2 MiB ranges, let the co-kernel ack them, cache their
-/// translations on every (live, polling) core, then reclaim both inside
-/// one epoch so a single broadcast shootdown closes both lifecycles.
+/// translations on every (live, polling) core, then reclaim them one after
+/// the other: each reclaim's broadcast shootdown completes before its
+/// frames go back.
 pub fn reclaim_churn(world: &World) -> Churn {
     let ctl = world.controller.as_ref().expect("covirt world");
     let (enclave, kernel) = (&world.enclave, &world.kernel);
@@ -82,7 +83,6 @@ pub fn reclaim_churn(world: &World) -> Churn {
         GuestCore::profile_finish,
     );
 
-    ctl.begin_reclaim_epoch(enclave.id.0);
     for r in ranges {
         pisces.request_remove_memory(enclave, r).expect("reclaim");
         while enclave.resources().mem.contains(&r) {
@@ -90,7 +90,6 @@ pub fn reclaim_churn(world: &World) -> Churn {
             pisces.process_acks(enclave).expect("reclaim ack");
         }
     }
-    ctl.end_reclaim_epoch(enclave.id.0).expect("epoch close");
     let cores = live.stop();
 
     Churn {
@@ -119,16 +118,13 @@ mod tests {
     use covirt_trace::EventKind;
 
     #[test]
-    fn churn_reclaims_both_ranges_with_one_broadcast_and_flushes_every_core() {
+    fn churn_reclaims_both_ranges_with_one_broadcast_each_and_flushes_every_core() {
         let world = world(2);
         let in_use = || world.node.mem.zone_usage(ZoneId(0)).unwrap().1;
         let before = in_use();
         let churn = reclaim_churn(&world);
 
-        assert_eq!(
-            churn.shootdowns, 1,
-            "2 reclaims in one epoch -> 1 broadcast"
-        );
+        assert_eq!(churn.shootdowns, 2, "2 reclaims -> 2 broadcasts");
         assert_eq!(churn.cores.len(), 2);
         for g in &churn.cores {
             assert_eq!(g.tlb_stats().range_flushes, 2, "core {}", g.core);
@@ -147,19 +143,29 @@ mod tests {
         let world = world(4);
         world.node.recorder().set_enabled(true);
         reclaim_churn(&world);
-        // Posts and waits are both stamped by the controller's thread, so
-        // their timestamps order them; each wait is on its core's lane.
+        // Posts, waits and shootdown brackets are all stamped by the
+        // controller's thread, so their timestamps order them; each wait
+        // is on its core's lane.
         let (events, _) = world.node.drain_trace();
         let of = |kind| events.iter().filter(move |e| e.kind == kind);
+        let spans: Vec<(u64, u64)> = of(EventKind::ShootdownBegin)
+            .map(|e| e.tsc)
+            .zip(of(EventKind::ShootdownEnd).map(|e| e.tsc))
+            .collect();
+        assert_eq!(spans.len(), 2, "one shootdown per reclaim");
         assert_eq!(of(EventKind::CmdPost).count(), 8, "2 ranges x 4 cores");
-        let mut waited: Vec<u64> = of(EventKind::CmdWait).map(|e| e.lane as u64).collect();
-        waited.sort_unstable();
-        let mut cores: Vec<u64> = of(EventKind::CmdPost).map(|e| e.b).collect();
-        cores.sort_unstable();
-        cores.dedup();
-        assert_eq!(cores.len(), 4);
-        assert_eq!(waited, cores, "one wait per core, on its lane");
-        let tsc = |kind| of(kind).map(|e| e.tsc);
-        assert!(tsc(EventKind::CmdPost).max() < tsc(EventKind::CmdWait).min());
+        for (begin, end) in spans {
+            let inside = |kind| of(kind).filter(move |e| (begin..=end).contains(&e.tsc));
+            let mut waited: Vec<u64> = inside(EventKind::CmdWait).map(|e| e.lane as u64).collect();
+            waited.sort_unstable();
+            let mut cores: Vec<u64> = inside(EventKind::CmdPost).map(|e| e.b).collect();
+            cores.sort_unstable();
+            assert_eq!(cores.len(), 4, "one post per core");
+            cores.dedup();
+            assert_eq!(cores.len(), 4);
+            assert_eq!(waited, cores, "one wait per core, on its lane");
+            let tsc = |kind| inside(kind).map(|e| e.tsc);
+            assert!(tsc(EventKind::CmdPost).max() < tsc(EventKind::CmdWait).min());
+        }
     }
 }

@@ -1,9 +1,10 @@
-//! The coalesced reclaim-epoch shootdown harness (`figures shootdown`,
-//! `trace`, `report`, and the bench suite): grant two ranges, cache their
-//! translations on every live core, reclaim both inside one epoch so a
-//! single broadcast shootdown closes both lifecycles, and return the
-//! stopped cores (their counters are read where they live) plus the node
-//! (recorder still loaded) for the trace exporters and the audit engine.
+//! The per-reclaim shootdown harness (`figures shootdown`, `trace`,
+//! `report`, and the bench suite): grant two ranges, cache their
+//! translations on every live core, reclaim them one after the other —
+//! each with its own broadcast shootdown, complete before its frames go
+//! back — and return the stopped cores (their counters are read where
+//! they live) plus the node (recorder still loaded) for the trace
+//! exporters and the audit engine.
 
 use covirt::GuestCore;
 use covirt_simhw::node::SimNode;
@@ -15,8 +16,7 @@ use crate::scenario;
 pub struct ShootdownRun {
     /// The node whose recorder (if enabled) holds the run's events.
     pub node: Arc<SimNode>,
-    /// Broadcast shootdowns the controller issued (the coalescing claim:
-    /// one epoch, two reclaims, one broadcast).
+    /// Broadcast shootdowns the controller issued: one per reclaim, 2.
     pub shootdowns: u64,
     /// Doorbells that went unanswered past the escalation bound and were
     /// demoted to an NMI kick (0 when every core harvested in guest mode).
@@ -51,14 +51,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_coalesces_to_one_broadcast() {
+    fn each_reclaim_is_one_broadcast() {
         let r = run(false);
-        assert_eq!(r.shootdowns, 1, "2 reclaims in one epoch -> 1 broadcast");
+        assert_eq!(r.shootdowns, 2, "2 reclaims -> 2 broadcasts");
         assert_eq!(r.cores.len(), 2);
         for g in &r.cores {
             let tlb = g.tlb_stats();
             assert!(
-                tlb.range_flushes + tlb.full_flushes + tlb.page_flushes > 0,
+                tlb.range_flushes + tlb.full_flushes > 0,
                 "core {} never flushed",
                 g.core
             );

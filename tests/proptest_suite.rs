@@ -220,12 +220,13 @@ proptest! {
         let q = CmdQueue::create(pool.take_frame().unwrap()).unwrap();
         let mut seqs = Vec::new();
         for &gva in &gvas {
-            seqs.push(q.post(Command::TlbFlushPage { gva }).unwrap());
+            let len = PAGE_SIZE_4K;
+            seqs.push(q.post(Command::TlbFlushRange { gva, len }).unwrap());
         }
         let drained = q.drain();
         prop_assert_eq!(drained.len(), gvas.len());
         for ((d, &gva), &seq) in drained.iter().zip(&gvas).zip(&seqs) {
-            prop_assert_eq!(d.cmd, Command::TlbFlushPage { gva });
+            prop_assert_eq!(d.cmd, Command::TlbFlushRange { gva, len: PAGE_SIZE_4K });
             prop_assert_eq!(d.seq, seq);
             q.complete(d.seq);
         }

@@ -9,7 +9,7 @@
 //!   a free leaves, or `UnbackedPhys` — the word read through a backing it
 //!   resolved is one some writer legitimately stored there, never freed
 //!   host memory and never a torn word;
-//! * under the full stack, guest loads racing a reclaim epoch observe
+//! * under the full stack, guest loads racing a reclaim observe
 //!   only values the host published for that region's lifetime (or fault
 //!   once their TLB entry is shot down).
 
@@ -111,7 +111,7 @@ fn concurrent_resolve_never_sees_reclaimed_or_torn_state() {
 }
 
 #[test]
-fn guest_reads_stay_coherent_across_reclaim_epochs() {
+fn guest_reads_stay_coherent_across_reclaims() {
     let node = SimNode::new(NodeConfig::paper_testbed());
     let master = MasterControl::new(Arc::clone(&node));
     let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::MEM);
@@ -145,7 +145,7 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    // Service flush NMIs so reclaim epochs can close.
+                    // Service flush commands so reclaims can complete.
                     g.poll().unwrap();
                     let Some((addr, tag)) = *published.lock().unwrap() else {
                         std::thread::yield_now();
@@ -180,9 +180,8 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
         }
         *published.lock().unwrap() = None;
 
-        // Reclaim under an epoch while the guests keep reading: the close
-        // cannot return until both cores flushed their stale entries.
-        ctl.begin_reclaim_epoch(e.id.0);
+        // Reclaim while the guests keep reading: the reclaim cannot return
+        // until both cores flushed their stale entries.
         master.pisces().request_remove_memory(&e, r).unwrap();
         let t0 = std::time::Instant::now();
         while e.resources().mem.contains(&r) {
@@ -191,7 +190,6 @@ fn guest_reads_stay_coherent_across_reclaim_epochs() {
             assert!(t0.elapsed().as_secs() < 30, "reclaim wedged");
             std::thread::yield_now();
         }
-        ctl.end_reclaim_epoch(e.id.0).unwrap();
     }
     stop.store(true, Ordering::Release);
     for h in guests {

@@ -1,7 +1,7 @@
-//! Stale-TLB-window safety under the coalesced/broadcast shootdown
-//! protocol: a reclaim epoch may defer synchronization, but its close must
-//! not return until *every* live core has executed its flush — only then
-//! may the host recycle the frames.
+//! Stale-TLB-window safety under the broadcast shootdown protocol: a
+//! reclaim must not return — and so Pisces must not free its frames —
+//! until *every* live core has executed its flush. Only then may another
+//! enclave be handed the memory.
 
 use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::controller::DEFAULT_RANGE_FLUSH_THRESHOLD;
@@ -22,7 +22,7 @@ fn world() -> (Arc<SimNode>, Arc<MasterControl>, Arc<CovirtController>) {
 }
 
 #[test]
-fn epoch_close_blocks_until_every_core_flushes() {
+fn reclaim_blocks_until_every_core_flushes() {
     let (node, master, ctl) = world();
     let req = covirt_suite::pisces::resources::ResourceRequest::new(
         vec![CoreId(2), CoreId(3)],
@@ -57,65 +57,140 @@ fn epoch_close_blocks_until_every_core_flushes() {
         g.write_u64(r1.start.raw(), 0xa).unwrap();
         g.write_u64(r2.start.raw(), 0xb).unwrap();
     }
-
-    // Reclaim both ranges inside one epoch: the unmaps are immediate and
-    // the acks complete without any shootdown.
-    ctl.begin_reclaim_epoch(e.id.0);
-    for r in [r1, r2] {
-        master.pisces().request_remove_memory(&e, r).unwrap();
-        k.poll_ctrl().unwrap();
-        master.pisces().process_acks(&e).unwrap();
-    }
-    assert!(!e.resources().mem.contains(&r1) && !e.resources().mem.contains(&r2));
-
-    // THE WINDOW: with the epoch still open, both cores can still reach
-    // the reclaimed frames through their stale TLB entries. The host has
-    // freed them already (they read the zeros the free left), and a frame
-    // recycled now would be written by the old owner — exactly why the
-    // epoch contract forbids recycling before the close returns.
-    assert_eq!(g2.read_u64(r1.start.raw()).unwrap(), 0);
-    assert_eq!(g3.read_u64(r2.start.raw()).unwrap(), 0);
     let flushes_before = g2.tlb_stats().range_flushes + g2.tlb_stats().full_flushes;
 
-    // Close the epoch from the host side. Service NMIs ONLY on core 2 for
-    // a while: the close must NOT complete while core 3 still holds its
-    // stale entries.
-    let ctl2 = Arc::clone(&ctl);
-    let enclave_id = e.id.0;
-    let closer = std::thread::spawn(move || ctl2.end_reclaim_epoch(enclave_id).unwrap());
+    // Reclaim both ranges, one after the other, from a host thread.
+    // Service flush commands ONLY on core 2 for a while: the first
+    // reclaim must NOT complete while core 3 still holds its stale
+    // entries.
+    let host = Arc::clone(master.pisces());
+    let (e2, k2) = (Arc::clone(&e), Arc::clone(&k));
+    let reclaimer = std::thread::spawn(move || {
+        for r in [r1, r2] {
+            host.request_remove_memory(&e2, r).unwrap();
+            k2.poll_ctrl().unwrap();
+            while e2.resources().mem.contains(&r) {
+                host.process_acks(&e2).unwrap();
+                std::thread::yield_now();
+            }
+        }
+    });
     let t0 = std::time::Instant::now();
     while t0.elapsed() < std::time::Duration::from_millis(300) {
         g2.poll().unwrap();
         std::thread::yield_now();
     }
     assert!(
-        !closer.is_finished(),
-        "epoch close returned before core 3 flushed — stale window open!"
+        !reclaimer.is_finished() && e.resources().mem.contains(&r1),
+        "a reclaim returned before core 3 flushed — stale window open!"
     );
 
-    // Now let core 3 service its flush too; the close completes.
-    while !closer.is_finished() {
+    // Now let core 3 service its flushes too; both reclaims complete.
+    while !reclaimer.is_finished() {
         g2.poll().unwrap();
         g3.poll().unwrap();
         std::thread::yield_now();
     }
-    closer.join().unwrap();
+    reclaimer.join().unwrap();
+    assert!(!e.resources().mem.contains(&r1) && !e.resources().mem.contains(&r2));
 
-    // The two coalesced ranges rode ONE shootdown of two range-flush
-    // commands per core (both sit under the range threshold).
+    // Each reclaim was its own shootdown of one range-flush command per
+    // core (both sit under the range threshold).
     assert_eq!(g2.tlb_stats().range_flushes, flushes_before + 2);
     assert_eq!(g3.tlb_stats().range_flushes, 2);
     assert_eq!(g3.tlb_stats().full_flushes, 0);
 
-    // After the close, the stale path is gone on BOTH cores: a rebuilt
+    // After the reclaims, the stale path is gone on BOTH cores: a rebuilt
     // stale access EPT-faults and is contained.
     for (g, r) in [(&mut g2, r1), (&mut g3, r2)] {
         let fault = covirt_suite::kitten::faults::stale_shared_mapping(&k, r);
         match g.execute_fault(fault) {
             FaultOutcome::Contained(reason) => assert!(reason.contains("EPT violation")),
-            o => panic!("post-close stale access must be contained, got {o:?}"),
+            o => panic!("a stale access after the reclaim must be contained, got {o:?}"),
         }
     }
+}
+
+/// The invariant across enclaves: while a reclaim waits on a core of its
+/// enclave that still caches the range, the frames stay allocated and no
+/// other enclave can be granted them. Once the reclaim completes the next
+/// owner gets them, and the old owner's stale access is an EPT violation
+/// that leaves the new owner's data intact.
+#[test]
+fn a_reclaimed_range_reaches_no_new_owner_before_every_core_flushed_it() {
+    use covirt_suite::pisces::resources::ResourceRequest;
+
+    let (node, master, ctl) = world();
+    let host = master.pisces();
+    let request = |core| ResourceRequest::new(vec![CoreId(core)], vec![(ZoneId(0), 64 << 20)]);
+    let (a, ka) = master.bring_up_enclave("a", &request(2)).unwrap();
+    let (b, kb) = master.bring_up_enclave("b", &request(3)).unwrap();
+    let launch = |k: &Arc<covirt_suite::kitten::KittenKernel>, core| {
+        let (node, k, ctl) = (Arc::clone(&node), Arc::clone(k), Arc::clone(&ctl));
+        GuestCore::launch_covirt(node, k, ctl, core, TlbParams::default()).unwrap()
+    };
+    let (mut ga, mut gb) = (launch(&ka, 2), launch(&kb, 3));
+    let grant = |e, k: &covirt_suite::kitten::KittenKernel| {
+        let r = host.add_memory(e, ZoneId(0), 2 << 20).unwrap();
+        k.poll_ctrl().unwrap();
+        host.process_acks(e).unwrap();
+        r
+    };
+
+    // A's live core caches the grant.
+    let r = grant(&a, &ka);
+    ga.write_u64(r.start.raw(), 0xa).unwrap();
+    let in_use = || node.mem.zone_usage(ZoneId(0)).unwrap().1;
+    let held = in_use();
+
+    // A host thread reclaims it while A's core does not poll.
+    host.request_remove_memory(&a, r).unwrap();
+    ka.poll_ctrl().unwrap();
+    let vctx = ctl.context(a.id.0).unwrap();
+    let reclaimer = std::thread::spawn({
+        let (host, a) = (Arc::clone(host), Arc::clone(&a));
+        move || {
+            while a.resources().mem.contains(&r) {
+                host.process_acks(&a).unwrap();
+                std::thread::yield_now();
+            }
+        }
+    });
+    // The shootdown has rung A's core; the reclaim now waits on it.
+    let rung = || vctx.cmd_doorbell(2).unwrap().notification_outstanding();
+    while !rung() && !reclaimer.is_finished() {
+        std::thread::yield_now();
+    }
+    assert_eq!(in_use(), held, "zone 0 still counts the range");
+    let other = grant(&b, &kb);
+    assert!(
+        !other.overlaps(&r),
+        "B was granted {other:?}, inside A's unflushed {r:?}"
+    );
+    assert!(!reclaimer.is_finished(), "the reclaim returned unflushed");
+
+    // A's core polls; the reclaim completes and the range goes back.
+    while !reclaimer.is_finished() {
+        ga.poll().unwrap();
+        std::thread::yield_now();
+    }
+    reclaimer.join().unwrap();
+    assert_eq!(ga.tlb_stats().range_flushes, 1);
+
+    // B gets the range and writes where A's stale write would land.
+    let next = grant(&b, &kb);
+    assert_eq!(next, r, "B is granted A's reclaimed range");
+    let word = r.start.raw() + r.len / 2;
+    gb.write_u64(word, 0xb0b).unwrap();
+    let fault = covirt_suite::kitten::faults::stale_shared_mapping(&ka, r);
+    match ga.execute_fault(fault) {
+        FaultOutcome::Contained(reason) => assert!(
+            reason.contains(&format!("EPT violation at {word:#x} (Write)")),
+            "{reason}"
+        ),
+        o => panic!("A's stale write must be contained, got {o:?}"),
+    }
+    assert_eq!(gb.read_u64(word).unwrap(), 0xb0b, "B's word is intact");
 }
 
 #[test]

@@ -17,7 +17,7 @@ use covirt_suite::covirt::{CovirtController, CovirtError, GuestCore};
 use covirt_suite::hobbes::MasterControl;
 use covirt_suite::kitten::KittenKernel;
 use covirt_suite::pisces::resources::ResourceRequest;
-use covirt_suite::simhw::addr::{GuestPhysAddr, PhysRange};
+use covirt_suite::simhw::addr::{GuestPhysAddr, PhysRange, PAGE_SIZE_4K};
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::paging::{Access, DirectLoad, Perms};
 use covirt_suite::simhw::tlb::TlbParams;
@@ -102,6 +102,14 @@ fn run_command(vctx: &VirtContext, g: &mut GuestCore, cmd: Command) -> TestCaseR
     g.poll().unwrap();
     prop_assert!(q.completed() >= seq, "the core ran {:?}", cmd);
     Ok(())
+}
+
+/// A flush of the 4 KiB page at `gva`.
+fn page_flush(gva: u64) -> Command {
+    Command::TlbFlushRange {
+        gva,
+        len: PAGE_SIZE_4K,
+    }
 }
 
 /// Run `ops` on a fresh enclave whose one core has `tlb`, checking every
@@ -216,7 +224,7 @@ fn run_ops(ops: &[Op], tlb: TlbParams) -> TestCaseResult {
             Op::Flush(kind, i) => {
                 let r = (!held.is_empty()).then(|| held[i % held.len()]);
                 let cmd = match (kind, r) {
-                    (0, Some(r)) => Command::TlbFlushPage { gva: r.start.raw() },
+                    (0, Some(r)) => page_flush(r.start.raw()),
                     (1, Some(r)) => Command::TlbFlushRange {
                         gva: r.start.raw(),
                         len: r.len,
@@ -234,7 +242,7 @@ fn run_ops(ops: &[Op], tlb: TlbParams) -> TestCaseResult {
                     .page_tables
                     .map(r.start.raw(), r.start, r.len, Perms::R, 2)
                     .unwrap();
-                run_command(&vctx, &mut g, Command::TlbFlushPage { gva: r.start.raw() })?;
+                run_command(&vctx, &mut g, page_flush(r.start.raw()))?;
                 read_only.insert(r.start.raw());
             }
         }
