@@ -7,8 +7,9 @@
 //! the controller posts a command vector into the core's posted-interrupt
 //! descriptor, which the guest harvests at its next safe point with no VM
 //! exit. An NMI IPI — which steals no vector from the guest's space — is
-//! the bounded fallback for a core that does not answer in time, and the
-//! whole protocol under the legacy NMI-only delivery.
+//! the fallback for a core that does not answer within the controller's
+//! escalation bound; with a bound of zero it goes out with every post,
+//! which is the paper's NMI-only protocol.
 //!
 //! One queue exists per enclave CPU (each hypervisor context is
 //! single-core). The queue lives in shared physical memory, in one frame
@@ -16,7 +17,8 @@
 //! co-kernel it commands cannot write it; a completion counter lets the
 //! controller block until a synchronization command has been executed on
 //! the core — which is how memory-unmap ordering ("reclamation only occurs
-//! after the resources have been fully unmapped") is enforced.
+//! after the resources have been fully unmapped") is enforced, up to a
+//! deadline.
 //!
 //! A command is one slot of a Pisces [`SharedRing`]: eight words holding
 //! its sequence number, post TSC, op and two operands. The frame holds the
@@ -359,33 +361,34 @@ impl CmdQueue {
     }
 
     /// Controller: wait until `seq` completes, the core leaves guest mode
-    /// or `spins` polls elapse — the one completion wait.
+    /// or `deadline` passes — the one completion wait.
     ///
     /// `live` says whether the core is still in guest mode. A core that has
     /// left it never runs on what it cached again, so its ack is not needed
     /// and the wait ends `Ok`: a core parked by a fault never acknowledges.
     ///
-    /// The wait escalates: the first polls busy-spin (the common case — a
+    /// The wait backs off: the first polls busy-spin (the common case — a
     /// core at a safe point acknowledges within nanoseconds), then yield
-    /// the CPU, then back off with short sleeps so a slow core never costs
-    /// the controller a saturated CPU. `escalate` is the caller's bounded
-    /// fallback, `(bound, kick)`: if the wait is still open `bound` after it
-    /// began, `kick` runs — once, never earlier — and the wait goes on. On
-    /// timeout the error names the stuck core and how far it got.
+    /// the CPU, then short sleeps so a slow core never costs the controller
+    /// a saturated CPU. `escalate` is the caller's bounded fallback,
+    /// `(bound, kick)`: if the wait is still open `bound` after it began,
+    /// `kick` runs — once, never earlier — and the wait goes on. At
+    /// `deadline` after it began the wait gives up, and the error names
+    /// the stuck core and how far it got.
     ///
     /// The `CmdWait` event goes on the waited core's lane, so the audit
     /// engine matches it to that core's post of `seq`.
     pub fn wait(
         &self,
         seq: u64,
-        spins: u64,
+        deadline: Duration,
         mut escalate: Option<(Duration, &dyn Fn())>,
         live: &dyn Fn() -> bool,
     ) -> Result<(), FlushTimeout> {
         const SPIN_POLLS: u64 = 128;
         const YIELD_POLLS: u64 = 4096;
         let t0 = Instant::now();
-        for i in 0..=spins {
+        for i in 0u64.. {
             if self.completed() >= seq || !live() {
                 if let Some(t) = self.tracer.as_ref().filter(|t| t.enabled()) {
                     let ns = t0.elapsed().as_nanos() as u64;
@@ -393,7 +396,11 @@ impl CmdQueue {
                 }
                 return Ok(());
             }
-            if let Some((_, kick)) = escalate.take_if(|(bound, _)| t0.elapsed() >= *bound) {
+            let waited = t0.elapsed();
+            if waited >= deadline {
+                break;
+            }
+            if let Some((_, kick)) = escalate.take_if(|(bound, _)| waited >= *bound) {
                 kick();
             }
             if i < SPIN_POLLS {
@@ -424,6 +431,10 @@ mod tests {
     use covirt_simhw::memory::PhysMemory;
     use covirt_simhw::paging::FramePool;
     use covirt_simhw::topology::ZoneId;
+
+    /// The deadline of a wait that either finds its command complete or is
+    /// meant to time out.
+    const SHORT: Duration = Duration::from_millis(1);
 
     fn pool() -> Arc<FramePool> {
         let mem = Arc::new(PhysMemory::new(&[16 * 1024 * 1024]));
@@ -483,11 +494,11 @@ mod tests {
         let s1 = q.post(Command::Sync).unwrap();
         let s2 = q.post(Command::TlbFlushAll).unwrap();
         assert!(s2 > s1);
-        assert!(q.wait(s1, 1, None, &|| true).is_err());
+        assert!(q.wait(s1, SHORT, None, &|| true).is_err());
         for c in q.drain().iter() {
             q.complete(c.seq);
         }
-        assert!(q.wait(s2, 1, None, &|| true).is_ok());
+        assert!(q.wait(s2, SHORT, None, &|| true).is_ok());
         assert_eq!(q.completed(), s2);
     }
 
@@ -496,20 +507,20 @@ mod tests {
         let (_w, q) = queue();
         let q = q.with_core(7);
         let s = q.post(Command::Sync).unwrap();
-        let err = q.wait(s, 1, None, &|| true).unwrap_err();
+        let err = q.wait(s, SHORT, None, &|| true).unwrap_err();
         assert_eq!(err.core, 7);
         assert_eq!(err.seq, s);
         assert_eq!(err.completed, 0);
         assert!(err.to_string().contains("core 7"));
     }
 
-    /// A core out of guest mode is not waited for, with or without budget.
+    /// A core out of guest mode is not waited for, whatever the deadline.
     #[test]
     fn a_wait_on_a_parked_core_ends_ok() {
         let (_w, q) = queue();
         let s = q.post(Command::Sync).unwrap();
-        for spins in [0, u64::MAX] {
-            assert_eq!(q.wait(s, spins, None, &|| false), Ok(()));
+        for deadline in [Duration::ZERO, Duration::MAX] {
+            assert_eq!(q.wait(s, deadline, None, &|| false), Ok(()));
         }
         assert_eq!(q.completed(), 0, "nothing acknowledged");
     }
@@ -535,7 +546,7 @@ mod tests {
         // Completing the merged command releases every earlier waiter.
         q.complete(merged);
         for s in seqs {
-            assert!(q.wait(s, 1, None, &|| true).is_ok());
+            assert!(q.wait(s, SHORT, None, &|| true).is_ok());
         }
     }
 
@@ -614,7 +625,7 @@ mod tests {
         let drained = other.drain();
         assert_eq!(drained.len(), 2);
         other.complete(b);
-        assert!(q.wait(a, 1, None, &|| true).is_ok());
+        assert!(q.wait(a, SHORT, None, &|| true).is_ok());
     }
 
     /// Two host threads posting to one queue at once lose nothing: every

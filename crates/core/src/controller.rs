@@ -15,9 +15,12 @@
 //! * memory grant   → EPT map, then return immediately (asynchronous —
 //!   the enclave keeps running while the mapping is installed);
 //! * memory reclaim → EPT unmap, then one flush command to every live
-//!   enclave core, signalled by doorbell (an NMI under the legacy
-//!   delivery mode, or on escalation), blocking until each completes —
-//!   so Pisces frees no frame a core may still cache;
+//!   enclave core, signalled by doorbell, blocking until each completes —
+//!   so Pisces frees no frame a core may still cache. A core that has not
+//!   answered within the escalation bound is kicked with an NMI; a bound
+//!   of zero sends the NMI with the post, which is the paper's NMI-only
+//!   protocol. A core that answers neither within a few seconds more
+//!   fails the reclaim with an error naming it; the removal stays pending;
 //! * vector alloc/free → whitelist edit, **no** hypervisor coordination
 //!   (the hypervisor reads the whitelist fresh on every trap — only state
 //!   the CPU may cache needs the command queue);
@@ -48,7 +51,7 @@ use pisces::host::PiscesHost;
 use pisces::resources::ResourceSpec;
 use pisces::ring::Batch;
 use pisces::{PiscesError, PiscesResult};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -67,11 +70,13 @@ const FRAME_POOL_BYTES: u64 = 16 * 1024 * 1024;
 /// keeps, which stops paying once the range dwarfs the TLB's reach.
 pub const DEFAULT_RANGE_FLUSH_THRESHOLD: u64 = 16 * 1024 * 1024;
 
-/// Polls of a core's completion counter before a flush wait gives up with
-/// a [`FlushTimeout`]. Sized for an oversubscribed host, where a polling
-/// core may not be scheduled for many quanta; a live core answers in
-/// microseconds of its own time.
-const COMPLETION_WAIT_POLLS: u64 = 50_000_000;
+/// How long past the escalation bound a round trip waits for a core
+/// before it gives up with a [`FlushTimeout`] naming the core. Of 100 000
+/// waits in the tests, `figures bench` and traced perfbench on a 2-vCPU
+/// host the longest on a polled core took 12 ms, on a deliberately parked
+/// one 0.3 s (EXPERIMENTS.md, "One command round trip"): a core this
+/// silent is not polled.
+const COMPLETION_GRACE: Duration = Duration::from_secs(3);
 
 /// Live cores one pass of a command round trip posts to before it waits
 /// on them; an enclave with more live cores takes several passes.
@@ -83,19 +88,6 @@ const ROUND_TRIP_CORES: usize = 64;
 /// never trigger spurious escalations, yet bounded so a core parked
 /// outside any safe point is kicked promptly.
 pub const DEFAULT_ESCALATION_BOUND_NS: u64 = 10_000_000;
-
-/// How commands are signalled to enclave cores.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmdDelivery {
-    /// Post the doorbell vector into the core's posted-interrupt
-    /// descriptor; the guest harvests and drains in guest mode with no VM
-    /// exit. NMI is sent only if the completion counter fails to advance
-    /// within the escalation bound.
-    DoorbellFirst,
-    /// Legacy behaviour: unconditional NMI kick per post (every command
-    /// costs the target core a VM exit). Kept as the ablation baseline.
-    NmiOnly,
-}
 
 /// The controller module. One instance manages every Covirt-protected
 /// enclave on the node.
@@ -110,11 +102,8 @@ pub struct CovirtController {
     pub faults: FaultLog,
     /// Broadcast shootdowns issued (instrumentation).
     shootdowns: AtomicU64,
-    /// Whether commands are signalled by NMI alone (the legacy
-    /// [`CmdDelivery::NmiOnly`]) instead of doorbell-first, the default.
-    nmi_only: AtomicBool,
     /// Nanoseconds a core gets to acknowledge a doorbell before the
-    /// controller escalates to an NMI kick.
+    /// controller escalates to an NMI kick; 0 sends the NMI with the post.
     escalation_bound_ns: AtomicU64,
     /// Doorbell deliveries that timed out and escalated to an NMI.
     nmi_escalations: AtomicU64,
@@ -137,7 +126,6 @@ impl CovirtController {
             master: RwLock::new(None),
             faults: FaultLog::new(),
             shootdowns: AtomicU64::new(0),
-            nmi_only: AtomicBool::new(false),
             escalation_bound_ns: AtomicU64::new(DEFAULT_ESCALATION_BOUND_NS),
             nmi_escalations: AtomicU64::new(0),
             frame_pool: Mutex::new(None),
@@ -185,31 +173,13 @@ impl CovirtController {
         self.shootdowns.load(Ordering::Relaxed)
     }
 
-    /// Select the command-delivery mode (ablation knob; doorbell-first by
-    /// default).
-    pub fn set_delivery(&self, delivery: CmdDelivery) {
-        let nmi_only = delivery == CmdDelivery::NmiOnly;
-        self.nmi_only.store(nmi_only, Ordering::Relaxed);
-    }
-
-    /// The current command-delivery mode.
-    pub fn delivery(&self) -> CmdDelivery {
-        match self.nmi_only.load(Ordering::Relaxed) {
-            true => CmdDelivery::NmiOnly,
-            false => CmdDelivery::DoorbellFirst,
-        }
-    }
-
     /// Bound the doorbell-acknowledgement window: a core that has not
     /// advanced its completion counter within `ns` is escalated to an NMI
-    /// kick.
+    /// kick. A bound of 0 is the paper's NMI-only protocol: the NMI goes
+    /// out with every post, beside the doorbell, and is not counted as an
+    /// escalation.
     pub fn set_escalation_bound_ns(&self, ns: u64) {
         self.escalation_bound_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// The configured doorbell-escalation bound in nanoseconds.
-    pub fn escalation_bound_ns(&self) -> u64 {
-        self.escalation_bound_ns.load(Ordering::Relaxed)
     }
 
     /// How many doorbell deliveries escalated to an NMI kick.
@@ -220,9 +190,11 @@ impl CovirtController {
     /// Post `cmd` to `core`'s queue, then signal the core — the first half
     /// of a command round trip. Returns the command's sequence number.
     ///
-    /// Doorbell-first: post the doorbell vector into the core's descriptor
-    /// and send the physical notification IPI only when `post()` reports
-    /// none outstanding. NMI-only: the legacy unconditional NMI kick.
+    /// The doorbell vector goes into the core's descriptor, and the
+    /// physical notification IPI only when `post()` reports none
+    /// outstanding. At an escalation bound of 0 an NMI goes first, so a
+    /// safe point that begins after the doorbell rang takes the NMI exit,
+    /// whose drain answers the doorbell too.
     fn post_and_signal(
         &self,
         enclave: u64,
@@ -237,24 +209,23 @@ impl CovirtController {
             0
         };
         let seq = q.post_at(cmd, stamp)?;
-        let signal = match self.delivery() {
-            CmdDelivery::DoorbellFirst => {
-                let notify = doorbell.post(CMD_DOORBELL_VECTOR);
-                self.tracer
-                    .emit_for(enclave, EventKind::CmdDoorbell, seq, core as u64);
-                notify.then_some(DeliveryMode::Fixed(CMD_DOORBELL_VECTOR))
-            }
-            CmdDelivery::NmiOnly => Some(DeliveryMode::Nmi),
-        };
-        if let Some(mode) = signal {
-            self.node.interconnect.send(0, IpiDest::Core(core), mode)?;
+        let to = IpiDest::Core(core);
+        if self.escalation_bound_ns.load(Ordering::Relaxed) == 0 {
+            self.node.interconnect.send(0, to, DeliveryMode::Nmi)?;
+        }
+        let notify = doorbell.post(CMD_DOORBELL_VECTOR);
+        self.tracer
+            .emit_for(enclave, EventKind::CmdDoorbell, seq, core as u64);
+        if notify {
+            let mode = DeliveryMode::Fixed(CMD_DOORBELL_VECTOR);
+            self.node.interconnect.send(0, to, mode)?;
         }
         Ok(seq)
     }
 
-    /// Post a single `Sync` command to `core` under the configured
-    /// delivery protocol and return its sequence number — the caller owns
-    /// the completion wait (poll `vctx.cmdq(core)`). Takes the prefetched
+    /// Post a single `Sync` command to `core`, signalled as every post is,
+    /// and return its sequence number — the caller owns the completion
+    /// wait (poll `vctx.cmdq(core)`). Takes the prefetched
     /// context (see [`Self::context`]) so the per-command span contains no
     /// map lookup or queue clone. Benchmarks drive this to measure pure
     /// per-command delivery latency (post → signal → drain → complete)
@@ -267,19 +238,19 @@ impl CovirtController {
     }
 
     /// One command round trip: post `cmd` to *every* live core and signal
-    /// them all (doorbell posts, or NMIs in the legacy mode) before waiting
+    /// them all (doorbell posts, with NMIs at a bound of 0) before waiting
     /// on anything, so the per-core work executes concurrently; then
     /// collect the completions in a single pass. Total latency is therefore
     /// max(per-core) + one signal delivery, not the sum over cores. What
     /// the wait needs of each core is held inline, for up to
     /// [`ROUND_TRIP_CORES`] live cores a pass.
     ///
-    /// Under doorbell-first delivery a core that has not acknowledged
-    /// within the escalation bound is kicked with the legacy NMI once (and
-    /// the escalation counted), so a core parked outside any harvest safe
-    /// point still converges. A core that leaves guest mode meanwhile is
-    /// not waited for: it never runs on what it cached again. A core that
-    /// does neither is named in the error.
+    /// A core that has not acknowledged within a nonzero escalation bound
+    /// is kicked with an NMI once (and the escalation counted), so a core
+    /// parked outside any harvest safe point still converges. A core that
+    /// leaves guest mode meanwhile is not waited for: it never runs on what
+    /// it cached again. A core that does neither within
+    /// [`COMPLETION_GRACE`] past the bound is named in the error.
     fn round_trip(&self, vctx: &VirtContext, cmd: Command) -> CovirtResult<()> {
         let mut live = vctx.live_slots().peekable();
         while live.peek().is_some() {
@@ -295,7 +266,8 @@ impl CovirtController {
     }
 
     /// The waiting half of [`Self::round_trip`]: each `(core, queue, seq)`
-    /// completes, escalates, or its core leaves guest mode.
+    /// completes, escalates, or its core leaves guest mode — or the first
+    /// that does none of these by the deadline fails the round trip.
     fn await_completions(
         &self,
         vctx: &VirtContext,
@@ -306,18 +278,20 @@ impl CovirtController {
         // calling thread has no per-core timeline to conserve against).
         let prof = self.node.recorder().profiler();
         let w0 = prof.enabled().then(|| self.node.clock.rdtsc());
-        let doorbell_first = self.delivery() == CmdDelivery::DoorbellFirst;
-        let bound = Duration::from_nanos(self.escalation_bound_ns());
+        let bound_ns = self.escalation_bound_ns.load(Ordering::Relaxed);
+        let bound = Duration::from_nanos(bound_ns);
+        let deadline = bound.saturating_add(COMPLETION_GRACE);
         for &(core, q, seq) in waits {
-            // The doorbell went unanswered: demote to the legacy NMI kick
-            // (the interconnect emits NmiKick for the audit trail).
+            // The doorbell went unanswered: kick with an NMI (the
+            // interconnect emits NmiKick for the audit trail). At a bound
+            // of 0 the NMI already went with the post.
             let kick = || {
                 self.nmi_escalations.fetch_add(1, Ordering::Relaxed);
                 let nmi = DeliveryMode::Nmi;
                 let _ = self.node.interconnect.send(0, IpiDest::Core(core), nmi);
             };
-            let escalate = doorbell_first.then_some((bound, &kick as &dyn Fn()));
-            q.wait(seq, COMPLETION_WAIT_POLLS, escalate, &|| vctx.is_live(core))?;
+            let escalate = (bound_ns > 0).then_some((bound, &kick as &dyn Fn()));
+            q.wait(seq, deadline, escalate, &|| vctx.is_live(core))?;
         }
         if let Some(w0) = w0 {
             prof.attribute(
@@ -549,6 +523,15 @@ impl CovirtController {
     }
 }
 
+/// A failed unmap-and-flush for Pisces: a core that never answered the
+/// flush makes the resource busy, with the core named.
+fn flush_error(e: CovirtError) -> PiscesError {
+    match e {
+        CovirtError::Hw(e) => PiscesError::Hw(e),
+        e => PiscesError::ResourceBusy(e.to_string().into()),
+    }
+}
+
 impl EnclaveHooks for CovirtController {
     fn on_launch(&self, enclave: &Enclave) -> PiscesResult<()> {
         self.build_context(enclave).map(drop)
@@ -562,16 +545,14 @@ impl EnclaveHooks for CovirtController {
     /// The kernel never heard of the range, but the EPT mapped it: a core
     /// whose kernel strayed into it holds its translations until the
     /// shootdown, like a reclaim's.
-    fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) {
-        let _ = self.unmap_and_flush(enclave.id.0, range);
+    fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
+        self.unmap_and_flush(enclave.id.0, range)
+            .map_err(flush_error)
     }
 
     fn on_mem_remove_acked(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
         self.unmap_and_flush(enclave.id.0, range)
-            .map_err(|e| match e {
-                CovirtError::Hw(e) => PiscesError::Hw(e),
-                _ => PiscesError::ResourceBusy("TLB flush synchronization failed"),
-            })
+            .map_err(flush_error)
     }
 
     fn on_vector_alloc(&self, enclave: &Enclave, vector: u8) -> PiscesResult<()> {

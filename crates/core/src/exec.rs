@@ -822,7 +822,9 @@ impl GuestCore {
     /// a poster sets after its commands are queued
     /// ([`Hypervisor::doorbell_rung`]): one post is one harvest, never one
     /// early harvest and a second over an empty queue, so every harvest
-    /// counted finds work. Execution semantics are shared with the NMI path
+    /// counted finds work — except at an escalation bound of 0, where an
+    /// NMI exit may drain the queue before the doorbell rings, and the next
+    /// safe point counts a harvest of nothing. Execution semantics are shared with the NMI path
     /// ([`Hypervisor::execute_commands`]): flushes hit this core's TLB and
     /// walk cache, and the completion counter advances only after each
     /// command's effect is applied, so the controller's completion wait
@@ -1570,6 +1572,7 @@ mod tests {
                 gc.poll().unwrap();
                 std::thread::yield_now();
             }
+            abort.join().unwrap().unwrap();
         });
         assert_write_violates(&mut gc, range.start.raw() + 8);
     }
@@ -1577,9 +1580,9 @@ mod tests {
     /// A command round trip waits only on cores still in guest mode. A
     /// barrier is waiting on an unpolled core when that core makes a wild
     /// write and is parked: the barrier returns `Ok` at once, since a parked
-    /// core never runs on what it cached again, instead of polling out
-    /// `COMPLETION_WAIT_POLLS` (minutes). The barrier's thread is joined
-    /// only once it has answered, as one that is still waiting never ends.
+    /// core never runs on what it cached again, instead of waiting out the
+    /// completion deadline and failing with the core's `FlushTimeout`. The
+    /// barrier's thread is joined only once it has answered.
     #[test]
     fn a_round_trip_ends_when_its_core_leaves_guest_mode() {
         let w = world(ExecMode::Covirt(CovirtConfig::MEM_IPI));
@@ -2183,27 +2186,87 @@ mod tests {
         ctl.nmi_escalation_count()
     }
 
+    /// An escalation bound of 0 is the paper's NMI-only protocol: the NMI
+    /// goes out with each post, beside the doorbell, so every core drains on
+    /// an exit, nothing is harvested in guest mode and no escalation is
+    /// counted. The cores first poll once both doorbells rang; a post's NMI
+    /// precedes its doorbell, so that poll takes the exit.
     #[test]
-    fn nmi_only_delivery_still_works_and_costs_exits() {
+    fn a_zero_escalation_bound_drains_every_command_on_an_nmi_exit() {
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));
         let ctl = Arc::clone(w.controller.as_ref().unwrap());
-        ctl.set_delivery(crate::controller::CmdDelivery::NmiOnly);
+        ctl.set_escalation_bound_ns(0);
+        let vctx = vctx_of(&w);
         let mut g1 = core(&w, 1);
         let mut g2 = core(&w, 2);
         let enclave = w.kernel.params.enclave_id;
 
         let c = Arc::clone(&ctl);
         let h = std::thread::spawn(move || c.shootdown_barrier(enclave));
+        let rung = |core| vctx.cmd_doorbell(core).unwrap().notification_outstanding();
+        while !(h.is_finished() || rung(1) && rung(2)) {
+            std::thread::yield_now();
+        }
         while !h.is_finished() {
             g1.poll().unwrap();
             g2.poll().unwrap();
             std::hint::spin_loop();
         }
         h.join().unwrap().unwrap();
-        assert!(g1.exit_count() >= 1, "NMI delivery costs a VM exit");
-        assert!(g2.exit_count() >= 1, "NMI delivery costs a VM exit");
-        assert_eq!(g1.counters.cmd_harvested, 0);
-        assert_eq!(g2.counters.cmd_harvested, 0);
+        for g in [&g1, &g2] {
+            assert!(g.exit_count() >= 1, "NMI delivery costs a VM exit");
+            assert_eq!(g.counters.cmd_harvested, 0, "harvested in guest mode");
+        }
+        assert_eq!(ctl.nmi_escalation_count(), 0, "the NMI went with the post");
+    }
+
+    /// At a bound of 0, cores that poll all through the post race its NMI
+    /// and its doorbell, and every interleaving converges. A safe point
+    /// between its NMI check and its doorbell check harvests the command in
+    /// guest mode, and the NMI exits over an empty queue afterwards; an NMI
+    /// exit that drains before the doorbell rang leaves the doorbell set
+    /// over an empty queue, and the next safe point counts it. Either way
+    /// each command is drained once, each NMI costs one exit, and no
+    /// escalation is counted.
+    #[test]
+    fn a_zero_escalation_bound_converges_against_cores_polling_throughout() {
+        const ROUNDS: u64 = 20;
+        let w = world(ExecMode::Covirt(CovirtConfig::MEM));
+        let ctl = Arc::clone(w.controller.as_ref().unwrap());
+        ctl.set_escalation_bound_ns(0);
+        let vctx = vctx_of(&w);
+        let mut gs = [core(&w, 1), core(&w, 2)];
+        let before = gs.each_ref().map(|g| {
+            let c = &g.counters;
+            (g.exit_count(), c.cmd_harvested, c.cmd_doorbells)
+        });
+        let enclave = w.kernel.params.enclave_id;
+
+        for _ in 0..ROUNDS {
+            let c = Arc::clone(&ctl);
+            let h = std::thread::spawn(move || c.shootdown_barrier(enclave));
+            while !h.is_finished() {
+                gs.iter_mut().for_each(|g| g.poll().unwrap());
+                std::hint::spin_loop();
+            }
+            h.join().unwrap().unwrap();
+            // Take the NMI of a command harvested ahead of its exit.
+            gs.iter_mut().for_each(|g| g.poll().unwrap());
+        }
+        for (i, (g, (exits, harvested, doorbells))) in gs.iter().zip(before).enumerate() {
+            let c = &g.counters;
+            assert_eq!(vctx.cmdq(i + 1).unwrap().pending(), 0);
+            assert!(g.exit_count() - exits >= ROUNDS, "an NMI not taken");
+            assert!(
+                c.cmd_harvested - harvested <= ROUNDS,
+                "a command drained twice"
+            );
+            assert!(
+                c.cmd_doorbells - doorbells <= ROUNDS,
+                "a doorbell counted twice"
+            );
+        }
+        assert_eq!(ctl.nmi_escalation_count(), 0, "the NMI went with the post");
     }
 
     /// Run `host_op` — which blocks on a shootdown whenever it signals a

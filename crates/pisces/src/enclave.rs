@@ -108,6 +108,11 @@ impl Enclave {
         }
     }
 
+    /// Whether the host's request for `range` back is still outstanding.
+    pub fn removal_pending(&self, range: PhysRange) -> bool {
+        self.removals.lock().contains(&range)
+    }
+
     /// Current state (cloned snapshot).
     pub fn state(&self) -> EnclaveState {
         self.state.lock().clone()

@@ -36,8 +36,11 @@ pub trait EnclaveHooks: Send + Sync {
     /// co-kernel was told of it (the control ring was full). Covirt unmaps
     /// the range and flushes it from the enclave's live cores, as for a
     /// reclaim: a kernel whose memory map is corrupt may already have
-    /// touched the mapped range, so a core may hold its translation.
-    fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) {}
+    /// touched the mapped range, so a core may hold its translation. An
+    /// error says one may still: the range must not go back to the node.
+    fn on_mem_add_aborted(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
+        Ok(())
+    }
 
     /// Called when the co-kernel has **acknowledged** removal of a region
     /// but before the host reclaims/reuses it. Covirt unmaps the EPT

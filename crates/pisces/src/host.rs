@@ -38,6 +38,8 @@ const MGMT_REGION_LEN: u64 = BOOT_PARAMS_LEN + CtrlChannel::required_bytes();
 const MAX_PARKED_REPLIES: usize = CTRL_SLOTS as usize;
 /// Why an enclave whose enclave→host ring the host cannot read failed.
 const CORRUPT_CHANNEL: &str = "control channel corrupt";
+/// Why a request for an IPI vector failed.
+const NO_VECTORS: &str = "IPI vector pool exhausted";
 /// Of the enclave's first region, how much is designated as page-table pool.
 const PT_POOL_LEN: u64 = 16 * 1024 * 1024;
 
@@ -157,7 +159,7 @@ impl PiscesHost {
                     return Err(PiscesError::Invalid("core does not exist"));
                 }
                 if assigned.contains(&c.0) {
-                    return Err(PiscesError::ResourceBusy("core already assigned"));
+                    return Err(PiscesError::ResourceBusy("core already assigned".into()));
                 }
             }
             assigned.extend(req.cores.iter().map(|c| c.0));
@@ -201,7 +203,7 @@ impl PiscesHost {
         {
             let mut pool = self.vector_pool.lock();
             if pool.len() < req.num_ipi_vectors {
-                return Err(PiscesError::ResourceBusy("IPI vector pool exhausted"));
+                return Err(PiscesError::ResourceBusy(NO_VECTORS.into()));
             }
             spec.ipi_vectors.extend(pool.drain(..req.num_ipi_vectors));
         }
@@ -316,7 +318,9 @@ impl PiscesHost {
             return Err(e);
         }
         if let Err(e) = enclave.with_resources_mut(|r| r.add_mem(range)) {
-            self.abort_grant(enclave, range);
+            if self.abort_grant(enclave, range).is_ok() {
+                let _ = self.node.mem.free(range);
+            }
             return Err(PiscesError::Invalid(e));
         }
         let sent = enclave
@@ -327,13 +331,16 @@ impl PiscesHost {
                     start: range.start.raw(),
                     len: range.len,
                 })
-                .map_err(|_| PiscesError::ResourceBusy("control channel full"))
+                .map_err(|_| PiscesError::ResourceBusy("control channel full".into()))
             });
         if let Err(e) = sent {
-            // Whoever takes the range out of the partition frees it: a
+            // Out of the partition only once no core caches it, else for the
+            // teardown to return; whoever takes it out frees it, and a
             // teardown racing this grant may already have.
-            if enclave.with_resources_mut(|r| r.remove_mem(range)).is_ok() {
-                self.abort_grant(enclave, range);
+            if self.abort_grant(enclave, range).is_ok()
+                && enclave.with_resources_mut(|r| r.remove_mem(range)).is_ok()
+            {
+                let _ = self.node.mem.free(range);
             }
             return Err(e);
         }
@@ -343,12 +350,14 @@ impl PiscesHost {
     /// Undo a grant the hooks prepared but the co-kernel was never told
     /// of: the layers drop their mappings — and whatever the enclave's
     /// cores cached of them, since a kernel that strays can reach memory it
-    /// never heard of once it is mapped — and the range returns to the node.
-    fn abort_grant(&self, enclave: &Enclave, range: PhysRange) {
+    /// never heard of once it is mapped. Every hook runs; an error says a
+    /// core may still cache the range, which then goes to no one.
+    fn abort_grant(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
+        let mut aborted = Ok(());
         for h in self.hooks.read().iter() {
-            h.on_mem_add_aborted(enclave, range);
+            aborted = aborted.and(h.on_mem_add_aborted(enclave, range));
         }
-        let _ = self.node.mem.free(range);
+        aborted
     }
 
     /// Ask the enclave to give a region back. Completion happens when the
@@ -384,7 +393,7 @@ impl PiscesHost {
         if sent.is_err() && recorded {
             enclave.removals.lock().retain(|r| *r != range);
         }
-        sent.map_err(|_| PiscesError::ResourceBusy("control channel full"))
+        sent.map_err(|_| PiscesError::ResourceBusy("control channel full".into()))
     }
 
     /// Handle pending enclave→host control messages, at most one ring's
@@ -402,7 +411,9 @@ impl PiscesHost {
     ///
     /// `RemoveMemAck` ordering (the Covirt contract): ack received →
     /// **hook** (EPT unmap + TLB flush, blocking) → partition shrinks →
-    /// memory returns to the host allocator.
+    /// memory returns to the host allocator. A failed hook (a core that
+    /// never acknowledged the flush) leaves the removal pending and the
+    /// range in the partition, for the teardown to return.
     pub fn process_acks(&self, enclave: &Enclave) -> PiscesResult<CtrlBatch> {
         if !EnclaveState::NOT_DEAD.contains(&enclave.state()) {
             return Err(PiscesError::BadState {
@@ -435,7 +446,10 @@ impl PiscesHost {
                         i.map(|i| removals.swap_remove(i))
                     };
                     let range = taken.ok_or(PiscesError::Invalid("removal not asked for"))?;
-                    self.run_hooks(|h| h.on_mem_remove_acked(enclave, range))?;
+                    if let Err(e) = self.run_hooks(|h| h.on_mem_remove_acked(enclave, range)) {
+                        enclave.removals.lock().push(range);
+                        return Err(e);
+                    }
                     enclave
                         .with_resources_mut(|r| r.remove_mem(range))
                         .map_err(PiscesError::Invalid)?;
@@ -483,7 +497,7 @@ impl PiscesHost {
         let mut parked = enclave.parked_replies.lock();
         if parked.len() >= MAX_PARKED_REPLIES {
             return Err(PiscesError::ResourceBusy(
-                "enclave is not draining its control channel",
+                "enclave is not draining its control channel".into(),
             ));
         }
         parked.push_back(msg);
@@ -497,7 +511,7 @@ impl PiscesHost {
             .vector_pool
             .lock()
             .pop_front()
-            .ok_or(PiscesError::ResourceBusy("IPI vector pool exhausted"))?;
+            .ok_or(PiscesError::ResourceBusy(NO_VECTORS.into()))?;
         if let Err(e) = self.run_hooks(|h| h.on_vector_alloc(enclave, v)) {
             self.vector_pool.lock().push_front(v);
             return Err(e);
@@ -584,24 +598,7 @@ impl PiscesHost {
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
         ctrl.send(&CtrlMsg::Shutdown)
-            .map_err(|_| PiscesError::ResourceBusy("control channel full"))
-    }
-
-    /// Orderly shutdown end-to-end: request, wait for the co-kernel's ack
-    /// (the enclave side must be polled — by its own thread or by the
-    /// caller alternating), then tear down. Spins up to `spins` polls.
-    pub fn shutdown_enclave_sync(&self, enclave: &Enclave, spins: u64) -> PiscesResult<()> {
-        self.request_shutdown(enclave)?;
-        for _ in 0..spins {
-            // `process_acks` treats ShutdownAck as benign and hands it back.
-            if self.process_acks(enclave)?.contains(&CtrlMsg::ShutdownAck) {
-                return self.teardown(enclave);
-            }
-            std::thread::yield_now();
-        }
-        Err(PiscesError::ResourceBusy(
-            "co-kernel did not acknowledge shutdown",
-        ))
+            .map_err(|_| PiscesError::ResourceBusy("control channel full".into()))
     }
 }
 

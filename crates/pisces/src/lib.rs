@@ -44,6 +44,8 @@ pub mod host;
 pub mod resources;
 pub mod ring;
 
+use std::borrow::Cow;
+
 pub use enclave::{Enclave, EnclaveId, EnclaveState};
 pub use host::PiscesHost;
 pub use resources::ResourceSpec;
@@ -63,7 +65,7 @@ pub enum PiscesError {
         op: &'static str,
     },
     /// A requested resource is unavailable or already assigned.
-    ResourceBusy(&'static str),
+    ResourceBusy(Cow<'static, str>),
     /// A hook vetoed the operation.
     Vetoed(&'static str),
     /// Malformed request.

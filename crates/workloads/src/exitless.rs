@@ -1,22 +1,24 @@
 //! Exitless command delivery harness (`figures -- exitless`).
 //!
-//! Measures the steady-state command path under the two delivery
-//! protocols the controller supports:
+//! Measures the steady-state command path at the two ends of the
+//! controller's one delivery setting, its escalation bound. Every post
+//! rings the core's doorbell: the controller posts into the core's
+//! posted-interrupt descriptor, and the guest harvests it at a safe point
+//! and drains the queue *in guest mode*, with no VM exit.
 //!
-//! * **NMI-only** — every posted command is followed by an NMI IPI, so
-//!   the guest core takes a VM exit to drain the queue (the baseline).
-//! * **Doorbell-first** — the controller posts a doorbell into the
-//!   core's posted-interrupt descriptor; the guest harvests it at a safe
-//!   point and drains the queue *in guest mode*, with no VM exit. The
-//!   NMI survives only as a bounded fallback for parked cores.
+//! * **NMI-only** — a bound of 0, the paper's protocol: an NMI IPI goes
+//!   out with every post, so the guest core takes a VM exit to drain the
+//!   queue (the baseline). The exit's drain answers the doorbell too.
+//! * **Doorbell-first** — the default bound: the NMI survives only as a
+//!   bounded fallback for parked cores.
 //!
 //! Three phases:
 //!
 //! 1. **Latency arms** — single-command round-trips via
 //!    [`covirt::controller::CovirtController::post_sync`] with the guest polled from the same
-//!    thread, one arm per protocol. Reports post→complete p50/p99 and VM
+//!    thread, one arm per bound. Reports post→complete p50/p99 and VM
 //!    exits per command.
-//! 2. **Concurrent barrier** — doorbell-first
+//! 2. **Concurrent barrier** —
 //!    [`covirt::controller::CovirtController::shootdown_barrier`] rounds against live polling
 //!    cores, exercising the controller's blocking completion wait: it
 //!    must stay exitless and never escalate.
@@ -24,13 +26,13 @@
 //!    escalate to an NMI once the configured TSC bound elapses, and the
 //!    command must still complete after the cores resume.
 
-use covirt::controller::CmdDelivery;
+use covirt::controller::DEFAULT_ESCALATION_BOUND_NS;
 use std::sync::Arc;
 
 use crate::env::LiveCores;
 use crate::scenario;
 
-/// Result of one delivery-protocol arm.
+/// Result of one escalation-bound arm.
 pub struct ArmResult {
     /// Human label ("nmi-only" / "doorbell-first").
     pub label: &'static str,
@@ -81,8 +83,8 @@ pub struct ParkedResult {
 /// are then taken over the batch samples.
 const BATCH: u64 = 16;
 
-/// Drive `rounds` single-command round-trips under `delivery` and
-/// collect the arm's latency/exit profile.
+/// Drive `rounds` single-command round-trips at escalation bound
+/// `bound_ns` and collect the arm's latency/exit profile.
 ///
 /// The controller post and the guest poll run interleaved on ONE thread:
 /// post → poll until the completion counter advances. That makes the
@@ -90,10 +92,10 @@ const BATCH: u64 = 16;
 /// completion, plus the VM transitions the protocol incurs — rather than
 /// host-scheduler wakeup latency, which on a loaded (or single-CPU)
 /// machine swamps both arms identically and hides the difference.
-fn run_arm(delivery: CmdDelivery, rounds: u64, label: &'static str) -> ArmResult {
+fn run_arm(bound_ns: u64, rounds: u64, label: &'static str) -> ArmResult {
     let world = scenario::world(2);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_delivery(delivery);
+    ctl.set_escalation_bound_ns(bound_ns);
     let enclave = world.kernel.params.enclave_id;
     let core = world.cores[0];
     let mut g = world.guest_core(core).unwrap();
@@ -144,14 +146,14 @@ fn run_arm(delivery: CmdDelivery, rounds: u64, label: &'static str) -> ArmResult
 
 /// The two steady-state arms: same workload, same process, same thread.
 pub fn steady_state(rounds: u64) -> (ArmResult, ArmResult) {
-    let nmi = run_arm(CmdDelivery::NmiOnly, rounds, "nmi-only");
-    let doorbell = run_arm(CmdDelivery::DoorbellFirst, rounds, "doorbell-first");
+    let nmi = run_arm(0, rounds, "nmi-only");
+    let doorbell = run_arm(DEFAULT_ESCALATION_BOUND_NS, rounds, "doorbell-first");
     (nmi, doorbell)
 }
 
 /// Result of the concurrent barrier phase: the controller's blocking
 /// completion wait (the path production reclaims take) exercised against
-/// live polling cores under doorbell-first delivery.
+/// live polling cores.
 pub struct ConcurrentResult {
     /// Barrier round-trips driven.
     pub rounds: u64,
@@ -164,13 +166,12 @@ pub struct ConcurrentResult {
     pub escalations: u64,
 }
 
-/// Doorbell-first barrier rounds against concurrently polling cores —
+/// Barrier rounds against concurrently polling cores —
 /// verifies the completion wait never runs its escalation hook when
 /// the cores are live, and that the whole run stays exitless.
 pub fn concurrent_barrier(rounds: u64) -> ConcurrentResult {
     let world = scenario::world(2);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_delivery(CmdDelivery::DoorbellFirst);
     // A polling core answers a doorbell in microseconds of *its own* CPU
     // time, but on an oversubscribed host the poll thread may not be
     // scheduled for several quanta. Widen the bound so the phase tests
@@ -205,7 +206,6 @@ pub fn concurrent_barrier(rounds: u64) -> ConcurrentResult {
 pub fn parked_fallback(bound_ns: u64) -> ParkedResult {
     let world = scenario::world(2);
     let ctl = Arc::clone(world.controller.as_ref().unwrap());
-    ctl.set_delivery(CmdDelivery::DoorbellFirst);
     ctl.set_escalation_bound_ns(bound_ns);
     let enclave = world.kernel.params.enclave_id;
 
@@ -248,6 +248,8 @@ mod tests {
         assert_eq!(doorbell.escalations, 0);
         assert_eq!(doorbell.harvested, doorbell.commands);
         assert!(nmi.cmd_exits >= nmi.commands, "NMI path exits per command");
+        assert_eq!(nmi.harvested, 0, "the NMI exit drains before a harvest");
+        assert_eq!(nmi.escalations, 0, "the NMI went with the post");
         assert!(nmi.p50_ns > doorbell.p50_ns, "exit cost must show up");
     }
 

@@ -6,6 +6,7 @@ use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::events::HobbesHooks;
 use covirt_suite::hobbes::{HobbesError, MasterControl};
+use covirt_suite::kitten::KittenKernel;
 use covirt_suite::pisces::ctrlchan::{CtrlChannel, CtrlMsg, CTRL_SLOTS};
 use covirt_suite::pisces::host::{VECTOR_POOL_FIRST, VECTOR_POOL_LAST};
 use covirt_suite::pisces::resources::ResourceRequest;
@@ -19,6 +20,7 @@ use covirt_suite::simhw::topology::{CoreId, ZoneId};
 use covirt_suite::trace::audit::ViolationKind;
 use covirt_suite::workloads::audit::audit_trace;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn world() -> (Arc<SimNode>, Arc<MasterControl>, Arc<CovirtController>) {
     let node = SimNode::new(NodeConfig::paper_testbed());
@@ -100,6 +102,129 @@ fn grants_are_asynchronous_wrt_running_guest() {
         g.write_u64(r.start.raw(), 0x5a).unwrap();
         assert_eq!(g.read_u64(r.start.raw()).unwrap(), 0x5a);
     }
+}
+
+/// A reclaim whose only live core is never polled ends at the completion
+/// deadline (the escalation bound plus a few seconds) with `ResourceBusy`
+/// naming that core. Nothing of the range is lost: it stays in the
+/// partition and counted in zone 0, and its removal stays pending. The
+/// co-kernel dropped the range from its memory map when it acknowledged
+/// and acknowledges no second request, so only the enclave's teardown
+/// returns the range, once. A bystander is granted memory and writes it
+/// while the wait runs.
+#[test]
+fn a_reclaim_from_a_core_that_never_answers_ends_at_its_deadline_and_loses_no_range() {
+    let (node, master, ctl) = world();
+    let host = master.pisces();
+    let request = |core| ResourceRequest::new(vec![CoreId(core)], vec![(ZoneId(0), 64 << 20)]);
+    let (a, ka) = master.bring_up_enclave("a", &request(2)).unwrap();
+    let (b, kb) = master.bring_up_enclave("b", &request(3)).unwrap();
+    let launch = |k: &Arc<KittenKernel>, core| {
+        let (node, k, ctl) = (Arc::clone(&node), Arc::clone(k), Arc::clone(&ctl));
+        GuestCore::launch_covirt(node, k, ctl, core, TlbParams::default()).unwrap()
+    };
+    // A's core is in guest mode and never polls.
+    let (ga, mut gb) = (launch(&ka, 2), launch(&kb, 3));
+    let grant = |e, k: &KittenKernel| {
+        let r = host.add_memory(e, ZoneId(0), 2 << 20).unwrap();
+        k.poll_ctrl().unwrap();
+        host.process_acks(e).unwrap();
+        r
+    };
+    let r = grant(&a, &ka);
+    let in_use = || node.mem.zone_usage(ZoneId(0)).unwrap().1;
+    let held = in_use();
+
+    host.request_remove_memory(&a, r).unwrap();
+    ka.poll_ctrl().unwrap();
+    let (done, reclaimed) = std::sync::mpsc::channel();
+    let t0 = Instant::now();
+    let reclaimer = std::thread::spawn({
+        let (host, a) = (Arc::clone(host), Arc::clone(&a));
+        move || done.send(host.process_acks(&a).map(drop)).unwrap()
+    });
+    let bell = ctl.context(a.id.0).unwrap();
+    while !bell.cmd_doorbell(2).unwrap().notification_outstanding() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "A's core was never rung"
+        );
+        std::thread::yield_now();
+    }
+    let other = grant(&b, &kb);
+    gb.write_u64(other.start.raw(), 0xb0b).unwrap();
+    assert_eq!(gb.read_u64(other.start.raw()).unwrap(), 0xb0b);
+    assert!(reclaimed.try_recv().is_err(), "the reclaim did not wait");
+
+    let err = match reclaimed.recv_timeout(Duration::from_secs(30)) {
+        Ok(Err(e)) => e,
+        got => panic!("the reclaim must fail within its deadline, got {got:?}"),
+    };
+    reclaimer.join().unwrap();
+    assert!(matches!(err, PiscesError::ResourceBusy(_)), "{err}");
+    assert!(err.to_string().contains("core 2"), "{err}");
+    assert!(a.removal_pending(r), "the removal was dropped");
+    assert!(
+        a.resources().mem.contains(&r),
+        "the range left A's partition"
+    );
+    assert_eq!(in_use(), held + other.len, "zone 0 lost count of the range");
+
+    // A's core leaves guest mode, and the teardown returns A's partition,
+    // the range with it, once: a second free of it would fail the teardown.
+    drop(ga);
+    let partition: u64 = a.resources().mem.iter().map(|m| m.len).sum();
+    host.teardown(&a).unwrap();
+    let returned = partition + a.mgmt_region.len;
+    assert_eq!(in_use(), held + other.len - returned);
+}
+
+/// A grant abandoned because the co-kernel's control ring is full is
+/// flushed from the enclave's cores before the range goes back. When the
+/// only live core never answers, the flush ends at the completion deadline
+/// and the range stays in the partition and counted in zone 0, so the
+/// enclave's teardown returns it, once, instead of the grant handing it
+/// back while the core may still cache it.
+#[test]
+fn an_aborted_grant_whose_core_never_answers_stays_in_the_partition() {
+    let (node, master, ctl) = world();
+    let host = master.pisces();
+    let req = ResourceRequest::new(vec![CoreId(2)], vec![(ZoneId(0), 64 << 20)]);
+    let (a, ka) = master.bring_up_enclave("a", &req).unwrap();
+    // A's core is in guest mode and never polls.
+    let ga = GuestCore::launch_covirt(Arc::clone(&node), ka, ctl, 2, TlbParams::default()).unwrap();
+    let ctrl = a.ctrl().unwrap();
+    while ctrl.send(&CtrlMsg::Ping { token: 0 }).is_ok() {}
+    let in_use = || node.mem.zone_usage(ZoneId(0)).unwrap().1;
+    let (held, before) = (in_use(), a.resources().mem);
+
+    let (done, granted) = std::sync::mpsc::channel();
+    let granter = std::thread::spawn({
+        let (host, a) = (Arc::clone(host), Arc::clone(&a));
+        move || done.send(host.add_memory(&a, ZoneId(0), 2 << 20)).unwrap()
+    });
+    match granted.recv_timeout(Duration::from_secs(30)) {
+        Ok(Err(PiscesError::ResourceBusy(_))) => {}
+        got => panic!("the grant must fail on the full ring, got {got:?}"),
+    }
+    granter.join().unwrap();
+    let kept: Vec<_> = a
+        .resources()
+        .mem
+        .into_iter()
+        .filter(|m| !before.contains(m))
+        .collect();
+    assert_eq!(kept.len(), 1, "the aborted range left the partition");
+    assert_eq!(
+        in_use(),
+        held + kept[0].len,
+        "zone 0 lost count of the range"
+    );
+
+    drop(ga);
+    let partition: u64 = a.resources().mem.iter().map(|m| m.len).sum();
+    host.teardown(&a).unwrap();
+    assert_eq!(in_use(), held + kept[0].len - partition - a.mgmt_region.len);
 }
 
 #[test]

@@ -5,6 +5,7 @@ use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::MasterControl;
 use covirt_suite::kitten::syscall::{self, Sysno};
+use covirt_suite::pisces::ctrlchan::CtrlMsg;
 use covirt_suite::pisces::resources::ResourceRequest;
 use covirt_suite::pisces::EnclaveState;
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
@@ -36,10 +37,19 @@ fn orderly_shutdown_roundtrip() {
             std::thread::yield_now();
         }
     });
-    master
-        .pisces()
-        .shutdown_enclave_sync(&e, 10_000_000)
-        .unwrap();
+    let host = master.pisces();
+    host.request_shutdown(&e).unwrap();
+    let t0 = std::time::Instant::now();
+    // `process_acks` treats ShutdownAck as benign and hands it back.
+    while !host
+        .process_acks(&e)
+        .unwrap()
+        .contains(&CtrlMsg::ShutdownAck)
+    {
+        assert!(t0.elapsed().as_secs() < 30, "no ShutdownAck");
+        std::thread::yield_now();
+    }
+    host.teardown(&e).unwrap();
     stop.store(true, std::sync::atomic::Ordering::Release);
     pump.join().unwrap();
     assert_eq!(e.state(), EnclaveState::Terminated);
