@@ -640,18 +640,18 @@ pub const HARNESSES: &[Harness] = &[
     },
     Harness {
         name: "scaling",
-        help: "data-plane per-core scaling (STREAM+GUPS, 1..8 cores), plus the\n\
-               multi-zone weak-scaling arm (arrays pinned per zone); the gate rows come from a 4-core rung at suite sizing and,\n\
-               for the nested loads a warm TLB miss pays, a 1-core RandomAccess\n\
-               over a 2-entry TLB",
+        help: "data-plane per-core scaling (STREAM+GUPS, 1..8 cores; `numa`\n\
+               prints the multi-zone ladder); the gate rows come from a 4-core\n\
+               rung at suite sizing and, for the nested loads a warm TLB miss\n\
+               pays, a 1-core RandomAccess over a 2-entry TLB",
         in_all: true,
         measure: scaling,
     },
     Harness {
         name: "numa",
         help: "the many-grants fragmentation rung: EPT-entry loads per TLB miss\n\
-               over an enclave fragmented into small grants (plus the multi-zone\n\
-               ladder with --report)",
+               over an enclave fragmented into small grants, plus the multi-zone\n\
+               weak-scaling ladder (arrays pinned per zone)",
         in_all: false,
         measure: numa,
     },
@@ -747,11 +747,7 @@ fn scaling(ctx: &Ctx, c: &mut Collector) -> String {
     if !ctx.report {
         return String::new();
     }
-    format!(
-        "{}\n{}",
-        render_scaling_points(&scaling::run(ctx.scale)),
-        render_numa_points(&scaling::run_numa(ctx.scale))
-    )
+    render_scaling_points(&scaling::run(ctx.scale))
 }
 
 fn numa(ctx: &Ctx, c: &mut Collector) -> String {

@@ -73,7 +73,7 @@ pub enum Command {
         /// Length of the range in bytes.
         len: u64,
     },
-    /// Terminate the enclave on this core (host-initiated kill).
+    /// Stop the core for good, reporting nothing: its enclave's teardown.
     Terminate,
     /// Pure barrier: complete without doing anything (used to measure the
     /// queue's round-trip latency in the ablation bench).

@@ -26,11 +26,15 @@
 //!   the CPU may cache needs the command queue);
 //! * XEMEM attach/detach → same as grant/reclaim, via the Hobbes hooks;
 //!   the master runs the detach hook too for every attacher of a segment
-//!   that is destroyed, or whose owner ends, under it.
+//!   that is destroyed, or whose owner ends, under it;
+//! * teardown (orderly, faulted or the operator's kill) → one `Terminate`
+//!   round trip, so every live core of the enclave has left guest mode
+//!   before Pisces frees its partition.
 
 use crate::cmdqueue::{CmdQueue, Command};
 use crate::config::CovirtConfig;
 use crate::fault::{FaultLog, FaultReport};
+use crate::hypervisor::TORN_DOWN;
 use crate::vctx::{VirtContext, CMD_DOORBELL_VECTOR};
 use crate::{CovirtError, CovirtResult};
 use covirt_simhw::addr::{PhysRange, PAGE_SIZE_4K};
@@ -50,7 +54,7 @@ use pisces::hooks::EnclaveHooks;
 use pisces::host::PiscesHost;
 use pisces::resources::ResourceSpec;
 use pisces::ring::Batch;
-use pisces::{PiscesError, PiscesResult};
+use pisces::{EnclaveState, PiscesError, PiscesResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -461,26 +465,14 @@ impl CovirtController {
         }
     }
 
-    /// The operator's kill switch for a wedged guest: post `Terminate` to
-    /// every live core of the enclave and kick it with an NMI. Each core
-    /// aborts at its next exit and reports the fault, which reclaims the
-    /// enclave; cores that never entered guest mode need no coercion.
-    pub fn terminate_enclave(&self, enclave: u64) -> CovirtResult<()> {
-        let vctx = self.context(enclave)?;
-        for (core, q, _) in vctx.live_slots() {
-            q.post(Command::Terminate)?;
-            let nmi = DeliveryMode::Nmi;
-            self.node.interconnect.send(0, IpiDest::Core(core), nmi)?;
-        }
-        Ok(())
-    }
-
     /// Fault containment entry point, called by the execution environment
     /// when a hypervisor instance terminates its enclave: record the
     /// report and tell the master control process, which reclaims the
     /// enclave's resources and notifies dependants — in that order, so a
     /// notice never precedes its report and the report does not depend on
     /// the reclaim returning. What the reclaim returned joins it afterwards.
+    /// Also the operator's kill switch (`core` 0): the reclaim's teardown
+    /// stops the enclave's cores.
     pub fn report_fault(&self, enclave: u64, core: usize, reason: impl Into<Arc<str>>) {
         let reason = reason.into();
         self.tracer
@@ -523,8 +515,8 @@ impl CovirtController {
     }
 }
 
-/// A failed unmap-and-flush for Pisces: a core that never answered the
-/// flush makes the resource busy, with the core named.
+/// A failed round trip for Pisces: a core that never answered the flush
+/// or the stop makes the resource busy, with the core named.
 fn flush_error(e: CovirtError) -> PiscesError {
     match e {
         CovirtError::Hw(e) => PiscesError::Hw(e),
@@ -573,18 +565,26 @@ impl EnclaveHooks for CovirtController {
         Ok(())
     }
 
-    fn on_teardown(&self, enclave: &Enclave) {
+    /// Before the enclave's frames go back, one `Terminate` round trip
+    /// stops every core still in guest mode, with the reason the enclave
+    /// ended; one that never answers is named in the error.
+    fn on_teardown(&self, enclave: &Enclave) -> PiscesResult<()> {
+        let id = enclave.id.0;
         let removed = {
             let mut contexts = self.contexts.write();
-            let id = enclave.id.0;
             let at = contexts.binary_search_by_key(&id, |(id, _)| *id);
             at.ok().map(|i| contexts.remove(i).1)
         };
-        if let Some(vctx) = removed {
-            vctx.terminate("enclave torn down");
-            self.tracer
-                .emit_for(enclave.id.0, EventKind::Teardown, enclave.id.0, 0);
-        }
+        let Some(vctx) = removed else {
+            return Ok(());
+        };
+        match enclave.state() {
+            EnclaveState::Failed(why) => vctx.terminate(why),
+            _ => vctx.terminate(TORN_DOWN),
+        };
+        self.tracer.emit_for(id, EventKind::Teardown, id, 0);
+        self.round_trip(&vctx, Command::Terminate)
+            .map_err(flush_error)
     }
 }
 

@@ -433,7 +433,8 @@ impl GuestCore {
                 self.phase.transition_now(prev, || clock.rdtsc());
                 Ok(())
             }
-            ExitAction::Terminate(r) => Err(self.die(r)),
+            ExitAction::Terminate(r) => Err(self.die(r, true)),
+            ExitAction::Stopped(r) => Err(self.die(r, false)),
         }
     }
 
@@ -486,11 +487,12 @@ impl GuestCore {
         }
     }
 
-    fn die(&mut self, reason: Arc<str>) -> CovirtError {
+    /// Out of guest mode for good; only a fault of the core's own reports.
+    fn die(&mut self, reason: Arc<str>, report: bool) -> CovirtError {
         self.phase
             .transition_now(Phase::Idle, || self.node.clock.rdtsc());
         self.terminated = Some(Arc::clone(&reason));
-        if let Some(hv) = &self.hv {
+        if let Some(hv) = self.hv.as_ref().filter(|_| report) {
             hv.report_fault(&reason);
         }
         CovirtError::EnclaveTerminated(reason)
@@ -869,7 +871,8 @@ impl GuestCore {
         let action = hv.execute_commands(&drained, &mut self.tlb, &self.walk_cache);
         self.phase.transition_now(prev, || clock.rdtsc());
         match action {
-            ExitAction::Terminate(r) => Err(self.die(r)),
+            ExitAction::Terminate(r) => Err(self.die(r, true)),
+            ExitAction::Stopped(r) => Err(self.die(r, false)),
             ExitAction::Resume => Ok(()),
         }
     }

@@ -6,7 +6,8 @@
 //! owns one core, launches the pre-configured VMCS, and afterwards runs
 //! only to handle the small set of exits — emulated instructions, trapped
 //! MSR/IO/ICR accesses, NMI-signalled command-queue work, and abort-class
-//! faults, on which it terminates the enclave and parks the core.
+//! faults, on which it terminates the enclave and parks the core (so does
+//! the teardown's `Terminate` command).
 //!
 //! The hypervisor deliberately allocates no working memory: everything it
 //! works on — the VMCS, the EPT, the command queue, the doorbell — is
@@ -35,6 +36,9 @@ use std::sync::Arc;
 /// same *shape* of overhead the paper measures.
 pub const VM_TRANSITION_NS: u64 = 700;
 
+/// Why an enclave ended when its teardown, not a fault, ended it.
+pub(crate) const TORN_DOWN: &str = "enclave torn down";
+
 /// What the exec loop should do after an exit was handled.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExitAction {
@@ -43,6 +47,8 @@ pub enum ExitAction {
     /// The enclave was terminated; the abort reason, formatted once and
     /// shared by everyone the termination is reported to.
     Terminate(Arc<str>),
+    /// The enclave's teardown stopped this core, which reports nothing.
+    Stopped(Arc<str>),
 }
 
 /// Burn wall-clock time to model a fixed hardware cost: return at the
@@ -311,8 +317,10 @@ impl Hypervisor {
                     tlb.flush_range(gva, len);
                     walk_cache.flush_range(gva, len);
                 }
+                // The teardown that posted it terminated the context.
                 Command::Terminate => {
-                    action = self.abort("terminated by controller");
+                    action = ExitAction::Stopped(self.vctx.terminate(TORN_DOWN));
+                    self.leave_guest();
                 }
                 Command::Sync => {}
             }
@@ -668,14 +676,21 @@ mod tests {
         assert!(!hv.doorbell_rung(), "the doorbell still rings");
     }
 
+    /// `Terminate` stops the core with the reason the enclave already
+    /// ended for, which it does not report again.
     #[test]
-    fn terminate_command_kills_enclave() {
+    fn terminate_command_stops_the_core_with_the_enclaves_reason() {
         let (_n, vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
+        vctx.terminate("EPT violation on core 2");
         let q = vctx.cmdq(1).unwrap().clone();
-        q.post(Command::Terminate).unwrap();
+        let seq = q.post(Command::Terminate).unwrap();
         let action = hv.handle_exit(ExitReason::Nmi, &mut tlb, &wc);
-        assert!(matches!(action, ExitAction::Terminate(_)));
-        assert!(vctx.termination().unwrap().contains("controller"));
+        assert_eq!(
+            action,
+            ExitAction::Stopped("EPT violation on core 2".into())
+        );
+        assert!(vctx.live_cores().is_empty());
+        assert_eq!(q.completed(), seq);
     }
 
     /// Shutdown leaves guest mode; the exits the core took stay counted in

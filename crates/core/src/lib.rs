@@ -84,7 +84,7 @@ impl std::fmt::Display for CovirtError {
             CovirtError::NoContext(id) => write!(f, "no virtualization context for enclave {id}"),
             CovirtError::EnclaveTerminated(why) => write!(f, "enclave terminated: {why}"),
             CovirtError::CmdQueue(w) => write!(f, "command queue: {w}"),
-            CovirtError::FlushTimeout(t) => write!(f, "TLB flush synchronization failed: {t}"),
+            CovirtError::FlushTimeout(t) => write!(f, "command round trip failed: {t}"),
             CovirtError::Invalid(w) => write!(f, "invalid request: {w}"),
         }
     }

@@ -225,12 +225,10 @@ impl VirtContext {
     }
 
     /// Record enclave termination (idempotent; first reason wins, and a
-    /// later one is not even converted).
-    pub fn terminate(&self, reason: impl Into<Arc<str>>) {
+    /// later one is not even converted). Returns the reason that won.
+    pub fn terminate(&self, reason: impl Into<Arc<str>>) -> Arc<str> {
         let mut t = self.terminated.write();
-        if t.is_none() {
-            *t = Some(reason.into());
-        }
+        Arc::clone(t.get_or_insert_with(|| reason.into()))
     }
 
     /// Whether (and why) the enclave was terminated.
@@ -382,7 +380,7 @@ mod tests {
         let v = VirtContext::new(1, CovirtConfig::NONE, cpus([1]), &[], None);
         assert!(v.termination().is_none());
         v.terminate("ept violation");
-        v.terminate("later");
+        assert_eq!(&*v.terminate("later"), "ept violation");
         assert_eq!(&*v.termination().unwrap(), "ept violation");
     }
 }

@@ -34,10 +34,11 @@ pub struct MasterControl {
 struct ForgetEnclave(Weak<MasterControl>);
 
 impl EnclaveHooks for ForgetEnclave {
-    fn on_teardown(&self, enclave: &Enclave) {
+    fn on_teardown(&self, enclave: &Enclave) -> pisces::PiscesResult<()> {
         if let Some(master) = self.0.upgrade() {
             master.forget(enclave.id.0);
         }
+        Ok(())
     }
 }
 
@@ -184,18 +185,19 @@ impl MasterControl {
     /// A segment is gone while `attachers` still map `range`: take it out
     /// of each one's reach through the detach hook (under Covirt, EPT unmap
     /// and a shootdown the attacher's live cores acknowledge) before the
-    /// memory can be reused. An attacher that cannot be cut off is ended
-    /// instead — never skipped. Blocks like a detach; holds no lock of the
-    /// master across the wait.
+    /// memory can be reused. An attacher that cannot be cut off is failed
+    /// down the host's fault path instead — never skipped. Blocks like a
+    /// detach; holds no lock of the master across the wait.
     fn cut_off(&self, attachers: &[u64], range: PhysRange) {
         let hooks = self.hooks.read().clone();
         for &who in attachers {
             let cut = hooks
                 .iter()
                 .try_for_each(|h| h.on_xemem_detach_acked(who, range));
-            if let Err(why) = cut {
-                let reason = format!("kept a revoked segment: {why}");
-                let _ = self.handle_enclave_failure(who, reason);
+            if let (Err(why), Ok(attacher)) = (cut, self.host.enclave(EnclaveId(who))) {
+                let _ = self
+                    .host
+                    .fail(&attacher, &format!("kept a revoked segment: {why}"));
             }
         }
     }
@@ -220,7 +222,8 @@ impl MasterControl {
     /// with it, as the paper's master control process is responsible for.
     /// An enclave already reclaimed has left the host and its sharers were
     /// told then: a later report (from another of its cores) is `Ok` and
-    /// does nothing.
+    /// does nothing. A reclaim error (a core that never stopped) is
+    /// returned after the sharers are told.
     pub fn handle_enclave_failure(
         &self,
         failed: u64,
@@ -232,7 +235,7 @@ impl MasterControl {
         let reason = reason.into();
         // Read before the reclaim, which revokes what it is read from.
         let dependants = self.xemem.sharers(failed);
-        self.host.report_fault(&enclave, Arc::clone(&reason))?;
+        let reclaimed = self.host.report_fault(&enclave, Arc::clone(&reason));
         for d in dependants {
             // The host OS/R (0) is no enclave, and a dependant the reclaim
             // itself had to end has nobody left to tell.
@@ -248,7 +251,7 @@ impl MasterControl {
                 reason: Arc::clone(&reason),
             });
         }
-        Ok(())
+        Ok(reclaimed?)
     }
 }
 
@@ -509,5 +512,43 @@ mod tests {
         assert_eq!(notices[0].failed, e1.id.0);
         // The consumer itself keeps running.
         assert_eq!(e2.state(), pisces::EnclaveState::Running);
+    }
+
+    /// A reclaim that returns an error — a core the teardown could not
+    /// stop — still ends the enclave and releases it, and its sharers are
+    /// still told; the error comes back to the caller after that.
+    #[test]
+    fn a_reclaim_error_still_tells_the_dependants() {
+        struct Unstoppable;
+        impl EnclaveHooks for Unstoppable {
+            fn on_teardown(&self, _e: &Enclave) -> pisces::PiscesResult<()> {
+                Err(pisces::PiscesError::ResourceBusy(
+                    "core 1 did not stop".into(),
+                ))
+            }
+        }
+        let m = master();
+        let mem = Arc::clone(&m.pisces().node().mem);
+        let idle = zone0(&mem);
+        let (e1, _) = m.bring_up_enclave("p", &req(1)).unwrap();
+        let producer = zone0(&mem) - idle;
+        let (e2, _) = m.bring_up_enclave("c", &req(2)).unwrap();
+        m.export_segment(e1.id.0, "x", carve(&e1)).unwrap();
+        m.attach_segment(e2.id.0, "x").unwrap();
+        let both = zone0(&mem);
+        m.pisces().register_hooks(Arc::new(Unstoppable));
+
+        let err = m
+            .handle_enclave_failure(e1.id.0, "ept violation")
+            .unwrap_err();
+        assert!(err.to_string().contains("core 1 did not stop"), "{err}");
+        assert!(matches!(e1.state(), pisces::EnclaveState::Failed(_)));
+        let told: Vec<u64> = m.notices.drain().iter().map(|n| n.dependent).collect();
+        assert_eq!(told, vec![e2.id.0], "the consumer was not told");
+        assert_eq!(
+            zone0(&mem),
+            both - producer,
+            "the producer was not released"
+        );
     }
 }

@@ -67,7 +67,11 @@ pub trait EnclaveHooks: Send + Sync {
     /// **before** anything it holds returns to the node, so the layer can
     /// release its own per-enclave state and cut off whoever still reaches
     /// the enclave's memory. May block (the Hobbes layer waits here for the
-    /// attachers of the enclave's segments to flush); the host holds none
-    /// of its locks across the call.
-    fn on_teardown(&self, enclave: &Enclave) {}
+    /// attachers of the enclave's segments to flush, Covirt for the
+    /// enclave's own cores to stop); the host holds none of its locks
+    /// across the call. An error (a core that never stopped) is returned
+    /// after the release.
+    fn on_teardown(&self, enclave: &Enclave) -> PiscesResult<()> {
+        Ok(())
+    }
 }

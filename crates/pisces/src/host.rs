@@ -38,6 +38,8 @@ const MGMT_REGION_LEN: u64 = BOOT_PARAMS_LEN + CtrlChannel::required_bytes();
 const MAX_PARKED_REPLIES: usize = CTRL_SLOTS as usize;
 /// Why an enclave whose enclave→host ring the host cannot read failed.
 const CORRUPT_CHANNEL: &str = "control channel corrupt";
+/// Why a message to an enclave was refused.
+const RING_FULL: &str = "control channel full";
 /// Why a request for an IPI vector failed.
 const NO_VECTORS: &str = "IPI vector pool exhausted";
 /// Of the enclave's first region, how much is designated as page-table pool.
@@ -94,9 +96,10 @@ impl PiscesHost {
         *self.fault_path.write() = Some(Arc::new(path));
     }
 
-    /// Fail `enclave` for a fault the host found: down the fault path,
+    /// Fail `enclave` for a fault the host (a control ring it cannot read)
+    /// or Hobbes (a segment it cannot revoke) found: down the fault path,
     /// then here, which does nothing more if the path failed it.
-    fn fail(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
+    pub fn fail(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
         let path = self.fault_path.read().clone();
         if let Some(path) = path {
             path(enclave.id.0, reason);
@@ -306,39 +309,41 @@ impl PiscesHost {
         zone: ZoneId,
         bytes: u64,
     ) -> PiscesResult<PhysRange> {
-        if !enclave.state().is_live() {
-            return Err(PiscesError::BadState {
-                enclave: enclave.id.0,
-                op: "add_memory",
-            });
-        }
+        let ctrl = enclave
+            .ctrl()
+            .ok_or(PiscesError::Invalid("no control channel"))?;
         let range = self.node.mem.alloc_backed(zone, bytes, PAGE_SIZE_2M)?;
         if let Err(e) = self.run_hooks(|h| h.on_mem_add_prepared(enclave, range)) {
             let _ = self.node.mem.free(range);
             return Err(e);
         }
-        if let Err(e) = enclave.with_resources_mut(|r| r.add_mem(range)) {
-            if self.abort_grant(enclave, range).is_ok() {
-                let _ = self.node.mem.free(range);
+        // Recorded and sent under the resource lock while the enclave lives:
+        // a teardown takes the partition under it after the enclave died,
+        // and releases the management region after that. `Err(true)`: the
+        // range was recorded but the ring was full.
+        let dead = PiscesError::BadState {
+            enclave: enclave.id.0,
+            op: "add_memory",
+        };
+        let sent = enclave.with_resources_mut(|r| {
+            if !enclave.state().is_live() {
+                return Err((false, dead));
             }
-            return Err(PiscesError::Invalid(e));
-        }
-        let sent = enclave
-            .ctrl()
-            .ok_or(PiscesError::Invalid("no control channel"))
-            .and_then(|ctrl| {
-                ctrl.send(&CtrlMsg::AddMem {
-                    start: range.start.raw(),
-                    len: range.len,
-                })
-                .map_err(|_| PiscesError::ResourceBusy("control channel full".into()))
-            });
-        if let Err(e) = sent {
-            // Out of the partition only once no core caches it, else for the
-            // teardown to return; whoever takes it out frees it, and a
-            // teardown racing this grant may already have.
+            r.add_mem(range)
+                .map_err(|e| (false, PiscesError::Invalid(e)))?;
+            let msg = CtrlMsg::AddMem {
+                start: range.start.raw(),
+                len: range.len,
+            };
+            ctrl.send(&msg)
+                .map_err(|_| (true, PiscesError::ResourceBusy(RING_FULL.into())))
+        });
+        if let Err((recorded, e)) = sent {
+            // Freed only once no core caches it, else held. A recorded range
+            // leaves the partition first — unless a teardown racing this
+            // grant took it, and frees it itself.
             if self.abort_grant(enclave, range).is_ok()
-                && enclave.with_resources_mut(|r| r.remove_mem(range)).is_ok()
+                && (!recorded || enclave.with_resources_mut(|r| r.remove_mem(range)).is_ok())
             {
                 let _ = self.node.mem.free(range);
             }
@@ -393,7 +398,7 @@ impl PiscesHost {
         if sent.is_err() && recorded {
             enclave.removals.lock().retain(|r| *r != range);
         }
-        sent.map_err(|_| PiscesError::ResourceBusy("control channel full".into()))
+        sent.map_err(|_| PiscesError::ResourceBusy(RING_FULL.into()))
     }
 
     /// Handle pending enclave→host control messages, at most one ring's
@@ -537,13 +542,16 @@ impl PiscesHost {
     /// [`Enclave::transition`] killed the enclave; taking the spec under
     /// the resource lock leaves nothing for anyone else to free.
     ///
-    /// A teardown hook may block on other enclaves' cores and may end one
-    /// of those enclaves through this same path, so the hooks run on a
-    /// copy of the chain with no lock of the host held.
+    /// A teardown hook may block on the enclave's own cores and on other
+    /// enclaves', and may end one of those enclaves through this same
+    /// path, so the hooks run on a copy of the chain with no lock of the
+    /// host held. Everything is released whatever a hook returned; the
+    /// first error (a core that never stopped) is returned.
     fn reclaim(&self, enclave: &Enclave) -> PiscesResult<()> {
         let hooks = self.hooks.read().clone();
+        let mut stopped = Ok(());
         for h in &hooks {
-            h.on_teardown(enclave);
+            stopped = stopped.and(h.on_teardown(enclave));
         }
         let res = enclave.with_resources_mut(std::mem::take);
         let freed = self.release(&res, Some(enclave.mgmt_region));
@@ -551,7 +559,7 @@ impl PiscesHost {
         // record goes the host's hold on its management window and
         // control channel.
         self.enclaves.write().remove(&enclave.id.0);
-        freed
+        stopped.and(freed)
     }
 
     /// Orderly teardown: `Terminated`, hooks, reclaim.
@@ -598,7 +606,7 @@ impl PiscesHost {
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
         ctrl.send(&CtrlMsg::Shutdown)
-            .map_err(|_| PiscesError::ResourceBusy("control channel full".into()))
+            .map_err(|_| PiscesError::ResourceBusy(RING_FULL.into()))
     }
 }
 
@@ -979,8 +987,9 @@ mod tests {
         #[derive(Default)]
         struct CountTeardowns(AtomicUsize);
         impl EnclaveHooks for CountTeardowns {
-            fn on_teardown(&self, _e: &Enclave) {
+            fn on_teardown(&self, _e: &Enclave) -> PiscesResult<()> {
                 self.0.fetch_add(1, Ordering::Relaxed);
+                Ok(())
             }
         }
 
@@ -1051,6 +1060,43 @@ mod tests {
             before,
             "vetoed grant must not stick"
         );
+    }
+
+    /// A teardown that takes the partition between a grant's allocation
+    /// and its record — here from inside the grant's own prepare hook —
+    /// leaves the grant nothing to record into: the record is refused, the
+    /// grant is undone through the hooks, and the range goes back, so zone
+    /// 0 ends where it started. (It used to be recorded into the emptied
+    /// partition and announced into the released management region.)
+    #[test]
+    fn a_grant_racing_a_teardown_is_refused_and_returns_its_range() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Weak;
+
+        struct TearDownMidGrant(Weak<PiscesHost>, AtomicUsize);
+        impl EnclaveHooks for TearDownMidGrant {
+            fn on_mem_add_prepared(&self, e: &Enclave, _r: PhysRange) -> PiscesResult<()> {
+                self.0.upgrade().unwrap().teardown(e)
+            }
+            fn on_mem_add_aborted(&self, _e: &Enclave, _r: PhysRange) -> PiscesResult<()> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+        let h = host();
+        let in_use = || h.node().mem.zone_usage(ZoneId(0)).unwrap().1;
+        let idle = in_use();
+        let e = h.create_enclave("e0", &small_req()).unwrap();
+        h.launch(&e).unwrap();
+        let hook = Arc::new(TearDownMidGrant(Arc::downgrade(&h), AtomicUsize::new(0)));
+        h.register_hooks(Arc::clone(&hook) as Arc<dyn EnclaveHooks>);
+
+        let err = h.add_memory(&e, ZoneId(0), 2 * 1024 * 1024).unwrap_err();
+        assert!(matches!(err, PiscesError::BadState { .. }), "{err}");
+        assert_eq!(e.state(), EnclaveState::Terminated);
+        assert_eq!(hook.1.load(Ordering::Relaxed), 1, "the grant was undone");
+        assert!(e.resources().mem.is_empty());
+        assert_eq!(in_use(), idle, "the range leaked");
     }
 
     /// The launch hook runs on a loaded enclave before it is marked

@@ -37,28 +37,11 @@ use crate::hist::HistSnapshot;
 use crate::{cycles_to_ns, unpack_str, EventKind, TraceEvent};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-/// Engine configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct AuditConfig {
-    /// A posted command must complete within this many (TSC-derived)
-    /// nanoseconds of its post.
-    pub cmd_bound_ns: u64,
-    /// Ring drops above this count are a violation (at or below it they
-    /// only mark the evidence incomplete).
-    pub drop_threshold: u64,
-    /// Events of context captured around each violation.
-    pub window: usize,
-}
-
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            cmd_bound_ns: 1_000_000_000, // 1 s — generous for loaded CI hosts
-            drop_threshold: 0,           // any drop is loud by default
-            window: 8,
-        }
-    }
-}
+/// A posted command must complete within this many (TSC-derived)
+/// nanoseconds of its post: 1 s, generous for loaded CI hosts.
+const CMD_BOUND_NS: u64 = 1_000_000_000;
+/// Events of context captured around each violation.
+const WINDOW: usize = 8;
 
 /// One region's protection lifecycle, stitched from `Grant` → `Reclaim` →
 /// the enclave's next `ShootdownEnd`, which synchronizes every pending
@@ -417,7 +400,6 @@ impl AuditReport {
 /// [`AuditEngine::ingest`] (plus the recorder's drop counters via
 /// [`AuditEngine::note_lane_drops`]), then call [`AuditEngine::finish`].
 pub struct AuditEngine {
-    cfg: AuditConfig,
     hz: u64,
     /// Rolling context window for violation reports.
     window: VecDeque<TraceEvent>,
@@ -447,11 +429,10 @@ pub struct AuditEngine {
 
 impl AuditEngine {
     /// A fresh engine converting timestamps at `hz`.
-    pub fn new(cfg: AuditConfig, hz: u64) -> AuditEngine {
+    pub fn new(hz: u64) -> AuditEngine {
         AuditEngine {
-            cfg,
             hz,
-            window: VecDeque::with_capacity(cfg.window + 1),
+            window: VecDeque::with_capacity(WINDOW + 1),
             regions: HashMap::new(),
             region_order: Vec::new(),
             cmds_open: HashMap::new(),
@@ -516,7 +497,7 @@ impl AuditEngine {
         let span = self.lane_spans.entry(e.lane).or_insert((e.idx, e.idx, 0));
         *span = (span.0.min(e.idx), span.1.max(e.idx), span.2 + 1);
         self.window.push_back(*e);
-        if self.window.len() > self.cfg.window {
+        if self.window.len() > WINDOW {
             self.window.pop_front();
         }
 
@@ -585,8 +566,7 @@ impl AuditEngine {
                     c.complete_tsc = Some(e.tsc);
                     c.complete_ns = e.b;
                     let ns = cycles_to_ns(e.tsc.saturating_sub(c.post_tsc), self.hz);
-                    let (enclave, seq, core, bound) =
-                        (c.enclave, c.seq, c.core, self.cfg.cmd_bound_ns);
+                    let (enclave, seq, core, bound) = (c.enclave, c.seq, c.core, CMD_BOUND_NS);
                     if e.b > 0 {
                         if let Some(s) = self.stats(e.enclave.or(enclave)) {
                             s.cmd_latency_ns.record(e.b);
@@ -821,11 +801,9 @@ impl AuditEngine {
             }
         }
 
-        if self.dropped > self.cfg.drop_threshold {
-            let detail = format!(
-                "capture dropped {} event(s) (threshold {})",
-                self.dropped, self.cfg.drop_threshold
-            );
+        // Any drop is loud.
+        if evidence_incomplete {
+            let detail = format!("capture dropped {} event(s)", self.dropped);
             self.violate(ViolationKind::RingDrops, None, end_tsc, detail);
         }
 
@@ -844,13 +822,8 @@ impl AuditEngine {
 
 /// Convenience: audit a full dump plus the recorder's per-lane drop
 /// counters in one call.
-pub fn audit_events(
-    cfg: AuditConfig,
-    hz: u64,
-    events: &[TraceEvent],
-    drops_per_lane: &[u64],
-) -> AuditReport {
-    let mut engine = AuditEngine::new(cfg, hz);
+pub fn audit_events(hz: u64, events: &[TraceEvent], drops_per_lane: &[u64]) -> AuditReport {
+    let mut engine = AuditEngine::new(hz);
     engine.note_lane_drops(drops_per_lane);
     for e in events {
         engine.ingest(e);
@@ -898,7 +871,7 @@ mod tests {
 
     #[test]
     fn clean_stream_has_zero_violations_and_complete_lifecycles() {
-        let report = audit_events(AuditConfig::default(), HZ, &clean_stream(), &[0, 0, 0]);
+        let report = audit_events(HZ, &clean_stream(), &[0, 0, 0]);
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert!(!report.evidence_incomplete);
         assert_eq!(report.regions.len(), 1);
@@ -931,7 +904,7 @@ mod tests {
             tagged(ev(260, 0, 1, EventKind::CmdComplete, 7, 60), 0),
             tagged(ev(300, 0, 2, EventKind::CmdWait, 7, 100), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        let report = audit_events(HZ, &events, &[0, 0, 0]);
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert_eq!(report.commands.len(), 1);
         let c = &report.commands[0];
@@ -962,7 +935,7 @@ mod tests {
             tagged(ev(300, 1, 0, EventKind::CmdComplete, 7, 190), 0),
             tagged(ev(310, 1, 1, EventKind::CmdWait, 7, 5), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        let report = audit_events(HZ, &events, &[0, 0, 0]);
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
         let by_core = |core| report.commands.iter().find(|c| c.core == core).unwrap();
@@ -988,7 +961,7 @@ mod tests {
             tagged(ev(300, 0, 1, EventKind::CmdWait, 7, 200), 0),
             tagged(ev(310, 1, 1, EventKind::CmdWait, 7, 210), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        let report = audit_events(HZ, &events, &[0, 0, 0]);
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
         let wait_of = |core| {
@@ -1011,7 +984,7 @@ mod tests {
             tagged(ev(200, 0, 0, EventKind::CmdWait, 7, 30), 0),
             tagged(ev(201, 0, 1, EventKind::CmdComplete, 7, 100), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        let report = audit_events(HZ, &events, &[0, 0, 0]);
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
         let c = &report.commands[0];
         assert_eq!(
@@ -1026,11 +999,7 @@ mod tests {
     #[test]
     fn index_gaps_do_not_depend_on_arrival_order() {
         let events = [1, 0, 3].map(|idx| ev(100 + idx, 0, idx, EventKind::TlbFlushRange, 0, 0));
-        let cfg = AuditConfig {
-            drop_threshold: 100,
-            ..AuditConfig::default()
-        };
-        let report = audit_events(cfg, HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert_eq!(report.dropped_events, 1, "notes: {:?}", report.notes);
         assert_eq!(report.notes, ["lane 0 index gaps: 1 event(s) missing"]);
     }
@@ -1046,7 +1015,7 @@ mod tests {
             tagged(ev(1050, 0, 0, EventKind::CmdDrain, 1, 0), 0),
             tagged(ev(1080, 0, 1, EventKind::CmdComplete, 7, 880), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 0]);
+        let report = audit_events(HZ, &events, &[0, 0, 0]);
         assert!(report.ok(), "violations: {:?}", report.violations);
         let c = &report.commands[0];
         assert!(c.complete());
@@ -1062,7 +1031,7 @@ mod tests {
             tagged(ev(100, 2, 0, EventKind::FaultReport, 3, 1), 3),
             tagged(ev(200, 2, 1, EventKind::Teardown, 3, 0), 3),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::ProtectionFault);
         assert_eq!(report.violations[0].enclave, Some(3));
@@ -1075,7 +1044,7 @@ mod tests {
     #[test]
     fn teardown_without_cause_is_orphan() {
         let events = vec![tagged(ev(100, 2, 0, EventKind::Teardown, 5, 0), 5)];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::OrphanTeardown);
         assert_eq!(report.violations[0].enclave, Some(5));
@@ -1088,11 +1057,11 @@ mod tests {
             tagged(ev(50, 2, 0, EventKind::CtrlSend, a, b), 5),
             tagged(ev(100, 2, 1, EventKind::Teardown, 5, 0), 5),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert!(report.ok(), "violations: {:?}", report.violations);
         // Enclave 5's shutdown does not excuse enclave 6's teardown.
         events.push(tagged(ev(150, 2, 2, EventKind::Teardown, 6, 0), 6));
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::OrphanTeardown);
         assert_eq!(report.violations[0].enclave, Some(6));
@@ -1106,7 +1075,7 @@ mod tests {
             tagged(ev(150, 2, 1, EventKind::Grant, 0x30_0000, 0x20_0000), 1),
             tagged(ev(200, 2, 2, EventKind::ShootdownEnd, 100, 0), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::UseAfterReclaim);
         assert_eq!(report.violations[0].enclave, Some(1));
@@ -1116,7 +1085,7 @@ mod tests {
             tagged(ev(200, 2, 1, EventKind::ShootdownEnd, 100, 0), 0),
             tagged(ev(250, 2, 2, EventKind::Grant, 0x30_0000, 0x20_0000), 1),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert!(report.ok());
     }
 
@@ -1126,33 +1095,26 @@ mod tests {
             tagged(ev(100, 2, 0, EventKind::CmdPost, 9, 1), 0),
             tagged(ev(200, 2, 1, EventKind::Reclaim, 0x20_0000, 0x20_0000), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         let kinds: Vec<_> = report.violations.iter().map(|v| v.kind).collect();
         assert!(kinds.contains(&ViolationKind::CommandStall));
         assert!(kinds.contains(&ViolationKind::UnsyncedReclaim));
     }
 
+    /// Drops demote the absence-based findings to notes, and are
+    /// themselves the one violation.
     #[test]
-    fn drops_demote_absence_checks_and_trip_threshold() {
+    fn drops_demote_absence_checks_and_are_a_violation() {
         let events = vec![
             tagged(ev(100, 2, 0, EventKind::CmdPost, 9, 1), 0),
             tagged(ev(200, 2, 1, EventKind::Reclaim, 0x20_0000, 0x20_0000), 0),
         ];
-        // Generous threshold: drops only demote, no violation at all.
-        let cfg = AuditConfig {
-            drop_threshold: 100,
-            ..AuditConfig::default()
-        };
-        let report = audit_events(cfg, HZ, &events, &[0, 0, 7]);
+        let report = audit_events(HZ, &events, &[0, 0, 7]);
         assert!(report.evidence_incomplete);
         assert_eq!(report.dropped_events, 7);
-        assert!(report.ok(), "violations: {:?}", report.violations);
         assert!(report.notes.iter().any(|n| n.contains("demoted")));
-        // Default threshold 0: the drops themselves are a violation, but
-        // the absence-based findings stay demoted.
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[0, 0, 7]);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].kind, ViolationKind::RingDrops);
+        let kinds: Vec<_> = report.violations.iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, [ViolationKind::RingDrops]);
     }
 
     #[test]
@@ -1163,32 +1125,28 @@ mod tests {
         ];
         // The completion is on lane 2 keyed to core 1 ⇒ no match; with the
         // gap the engine must demote the stall instead of asserting it.
-        let cfg = AuditConfig {
-            drop_threshold: 100,
-            ..AuditConfig::default()
-        };
-        let report = audit_events(cfg, HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert!(report.evidence_incomplete);
         assert_eq!(report.dropped_events, 4);
-        assert!(report.ok());
+        let kinds: Vec<_> = report.violations.iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, [ViolationKind::RingDrops]);
     }
 
     #[test]
     fn command_over_bound_is_a_stall_even_with_drops() {
-        let cfg = AuditConfig {
-            cmd_bound_ns: 1_000,
-            drop_threshold: 100,
-            ..AuditConfig::default()
-        };
+        // Completed 2 s after its post, past the 1 s bound.
         let events = vec![
             tagged(ev(1_000, 2, 0, EventKind::CmdPost, 9, 1), 0),
-            tagged(ev(50_000, 1, 0, EventKind::CmdComplete, 9, 49_000), 0),
+            tagged(ev(2_000_001_000, 1, 0, EventKind::CmdComplete, 9, 0), 0),
         ];
-        let report = audit_events(cfg, HZ, &events, &[0, 5]);
+        let report = audit_events(HZ, &events, &[0, 5]);
         // Presence-based: the over-bound completion was observed, so it is
         // NOT demoted by the incomplete evidence.
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].kind, ViolationKind::CommandStall);
+        let kinds: Vec<_> = report.violations.iter().map(|v| v.kind).collect();
+        assert_eq!(
+            kinds,
+            [ViolationKind::CommandStall, ViolationKind::RingDrops]
+        );
         assert!(report.violations[0].detail.contains("bound"));
     }
 
@@ -1201,7 +1159,7 @@ mod tests {
             tagged(ev(210, 2, 3, EventKind::Reclaim, 0x40_0000, 0x20_0000), 0),
             tagged(ev(300, 2, 4, EventKind::ShootdownEnd, 200, 0), 0),
         ];
-        let report = audit_events(AuditConfig::default(), HZ, &events, &[]);
+        let report = audit_events(HZ, &events, &[]);
         assert!(report.ok());
         assert_eq!(report.regions.len(), 2);
         assert!(report.regions.iter().all(|r| r.complete()));
@@ -1210,7 +1168,7 @@ mod tests {
 
     #[test]
     fn render_is_stable_for_empty_input() {
-        let report = audit_events(AuditConfig::default(), HZ, &[], &[]);
+        let report = audit_events(HZ, &[], &[]);
         assert!(report.ok());
         let text = report.render();
         assert!(text.contains("(none observed)"));
@@ -1225,11 +1183,7 @@ mod tests {
     /// `complete()` miscounted it as unfinished.
     #[test]
     fn wait_only_chain_is_complete_and_renders() {
-        let cfg = AuditConfig {
-            drop_threshold: 100,
-            ..AuditConfig::default()
-        };
-        let mut engine = AuditEngine::new(cfg, HZ);
+        let mut engine = AuditEngine::new(HZ);
         // The CmdComplete on lane 1 was overwritten before the drain (the
         // one drop below), but the controller's wait returned:
         engine.note_lane_drops(&[0, 1]);
@@ -1258,7 +1212,7 @@ mod tests {
     /// an evidence-incomplete note, not a panic or an accusation.
     #[test]
     fn degenerate_lifecycle_without_reclaim_tsc_is_noted_not_fatal() {
-        let mut engine = AuditEngine::new(AuditConfig::default(), HZ);
+        let mut engine = AuditEngine::new(HZ);
         engine.ingest(&tagged(
             ev(100, 2, 0, EventKind::Grant, 0x10_0000, 0x1000),
             0,

@@ -5,7 +5,7 @@
 //! recorder still loaded so the caller can drain it into the engine.
 
 use covirt_simhw::node::SimNode;
-use covirt_trace::audit::{audit_events, AuditConfig, AuditReport};
+use covirt_trace::audit::{audit_events, AuditReport};
 use std::sync::Arc;
 
 use crate::scenario;
@@ -50,5 +50,5 @@ pub fn fault_run() -> AuditRun {
 /// through the protection-audit engine: the one capture-to-report call.
 pub fn audit_trace(node: &SimNode) -> AuditReport {
     let (events, drops) = node.drain_trace();
-    audit_events(AuditConfig::default(), node.clock.hz(), &events, &drops)
+    audit_events(node.clock.hz(), &events, &drops)
 }

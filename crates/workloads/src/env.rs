@@ -2,7 +2,7 @@
 //! mode, plus the parallel-execution harness.
 
 use covirt::controller::CovirtController;
-use covirt::{CovirtResult, ExecMode, GuestCore};
+use covirt::{CovirtError, CovirtResult, ExecMode, GuestCore};
 use covirt_simhw::addr::PAGE_SIZE_2M;
 use covirt_simhw::memory::ZONE_SPAN;
 use covirt_simhw::node::{NodeConfig, SimNode};
@@ -221,9 +221,10 @@ impl World {
 
 /// Guest cores kept live for a control-plane driver: one thread per core
 /// runs `prime`, reports ready, then polls at safe points — servicing the
-/// controller's doorbells and NMIs — until [`LiveCores::stop`], and runs
-/// `finish` on its own thread before handing the core back. Dropping the
-/// handle stops and joins too, so no poller outlives a panicking driver.
+/// controller's doorbells and NMIs — until [`LiveCores::stop`] or its
+/// enclave's end, and runs `finish` on its own thread before handing the
+/// core back. Dropping the handle stops and joins too, so no poller
+/// outlives a panicking driver.
 pub struct LiveCores {
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<GuestCore>>,
@@ -250,7 +251,11 @@ impl LiveCores {
                     (hooks.0)(&mut g);
                     primed.fetch_add(1, Ordering::Release);
                     while !stop.load(Ordering::Acquire) {
-                        g.poll().expect("live core poll failed");
+                        if let Err(e) = g.poll() {
+                            let ended = matches!(e, CovirtError::EnclaveTerminated(_));
+                            assert!(ended, "live core poll failed: {e}");
+                            break;
+                        }
                         // The driver needs CPU time too on a host with
                         // fewer CPUs than enclave cores.
                         std::thread::yield_now();
@@ -425,6 +430,18 @@ mod tests {
         }));
         assert!(primed.is_err());
         assert_eq!(finished.load(Ordering::SeqCst), 5);
+    }
+
+    /// A teardown stops live cores, and their pollers end there instead of
+    /// failing: `stop` hands back every core, each out of guest mode.
+    #[test]
+    fn live_cores_end_when_their_enclave_is_torn_down() {
+        let w = crate::scenario::world(2);
+        let live = w.live_cores(|_| {}, |_| {});
+        w.master.pisces().teardown(&w.enclave).expect("teardown");
+        let cores = live.stop();
+        assert_eq!(cores.len(), 2);
+        assert!(cores.iter().all(|g| g.terminated().is_some()));
     }
 
     #[test]

@@ -68,12 +68,19 @@ mod tests {
     /// The count vocabulary and the event vocabulary agree: on one traced
     /// run, the counts the components keep and the latencies the audit
     /// engine buckets out of the event stream describe the same facts.
+    /// The run's escalation bound is the scripted run's, so only the
+    /// completion deadline ends a wait and no wall-clock kick turns a
+    /// doorbell into an NMI on a busy host.
     #[test]
     fn component_counts_and_audited_events_agree_on_one_run() {
         use crate::audit::audit_trace;
 
-        let r = run(true);
-        let report = audit_trace(&r.node);
+        let world = scenario::world(2);
+        world.node.recorder().set_enabled(true);
+        let ctl = world.controller.as_ref().expect("covirt world");
+        ctl.set_escalation_bound_ns(u64::MAX >> 1);
+        let churn = scenario::reclaim_churn(&world);
+        let report = audit_trace(&world.node);
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert!(!report.evidence_incomplete, "notes: {:?}", report.notes);
         assert_eq!(report.regions.len(), 2);
@@ -81,13 +88,13 @@ mod tests {
 
         assert_eq!(report.enclaves.len(), 1, "one enclave ran");
         let s = report.enclaves.values().next().expect("enclave row");
-        let exits: u64 = r.cores.iter().map(GuestCore::exit_count).sum();
-        let harvested: u64 = r.cores.iter().map(|g| g.counters().cmd_harvested).sum();
+        let exits: u64 = churn.cores.iter().map(GuestCore::exit_count).sum();
+        let harvested: u64 = churn.cores.iter().map(|g| g.counters().cmd_harvested).sum();
         assert_eq!(s.exit_ns.count, exits);
-        assert_eq!(s.shootdown_rtt_ns.count, r.shootdowns);
+        assert_eq!(s.shootdown_rtt_ns.count, churn.shootdowns);
         // Every command was delivered by doorbell and drained in guest
         // mode, so the harvest count is the completion count.
-        assert_eq!(r.nmi_escalations, 0);
+        assert_eq!(ctl.nmi_escalation_count(), 0);
         assert_eq!(s.cmd_latency_ns.count, harvested);
         assert!(harvested > 0);
 

@@ -7,7 +7,7 @@
 
 use covirt_suite::pisces::resources::ResourceRequest;
 use covirt_suite::simhw::topology::{CoreId, ZoneId};
-use covirt_suite::trace::audit::{audit_events, AuditConfig, ViolationKind};
+use covirt_suite::trace::audit::{audit_events, ViolationKind};
 use covirt_suite::trace::{EventKind, Recorder, Tracer};
 use covirt_suite::workloads::audit::{audit_trace, clean_run, fault_run};
 use covirt_suite::workloads::scenario;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 fn clean_run_is_violation_free_with_complete_lifecycles() {
     let run = clean_run();
     let (events, drops) = run.node.drain_trace();
-    let report = audit_events(AuditConfig::default(), run.node.clock.hz(), &events, &drops);
+    let report = audit_events(run.node.clock.hz(), &events, &drops);
 
     assert!(
         report.ok(),
@@ -63,7 +63,7 @@ fn clean_run_is_violation_free_with_complete_lifecycles() {
 fn fault_run_attributes_violation_to_faulting_enclave() {
     let run = fault_run();
     let (events, drops) = run.node.drain_trace();
-    let report = audit_events(AuditConfig::default(), run.node.clock.hz(), &events, &drops);
+    let report = audit_events(run.node.clock.hz(), &events, &drops);
 
     assert!(!report.ok(), "fault run must produce violations");
     let attributed: Vec<_> = report
@@ -135,22 +135,13 @@ fn overflowed_recorder_demotes_absence_checks() {
     assert_eq!(drops, vec![24]);
     assert_eq!(events.len(), 16);
 
-    let cfg = AuditConfig {
-        drop_threshold: u64::MAX, // isolate demotion from the drop check
-        ..AuditConfig::default()
-    };
-    let report = audit_events(cfg, 1_000_000_000, &events, &drops);
+    let report = audit_events(1_000_000_000, &events, &drops);
     assert!(report.evidence_incomplete);
     assert_eq!(report.dropped_events, 24);
-    assert!(
-        report.ok(),
-        "absence-based stalls must demote to notes under drops"
-    );
+    // The absence-based stalls are notes; the drops themselves are the one
+    // violation.
     assert!(report.notes.iter().any(|n| n.contains("demoted")));
+    let kinds: Vec<_> = report.violations.iter().map(|v| v.kind).collect();
+    assert_eq!(kinds, [ViolationKind::RingDrops]);
     assert!(report.render().contains("INCOMPLETE"));
-
-    // With the default threshold the same drops are themselves loud.
-    let report = audit_events(AuditConfig::default(), 1_000_000_000, &events, &drops);
-    assert_eq!(report.violations.len(), 1);
-    assert_eq!(report.violations[0].kind, ViolationKind::RingDrops);
 }

@@ -233,6 +233,68 @@ fn dependent_enclaves_notified_not_crashed() {
     assert!(k2.translate(seg.start.raw()).is_ok());
 }
 
+/// An attacher that cannot be cut off from a destroyed segment fails like
+/// any other enclave: down the host's fault path, so the controller files
+/// it and the audit reads its teardown as caused. The attacher's only core
+/// never polls while the cut-off waits on it; the cut-off ends at its
+/// deadline and fails the attacher, with one fault-log row naming it.
+/// Only then is the core driven again, so the teardown can stop it
+/// (one that is never driven costs the teardown the same deadline).
+#[test]
+fn an_attacher_that_is_not_cut_off_is_filed_as_a_fault() {
+    use covirt_suite::covirt::CovirtError::EnclaveTerminated;
+    use covirt_suite::trace::audit::ViolationKind;
+    use covirt_suite::workloads::audit::audit_trace;
+
+    let lab = Lab::new(ExecMode::Covirt(CovirtConfig::MEM));
+    let ctl = Arc::clone(lab.controller.as_ref().unwrap());
+    lab.node.recorder().set_enabled(true);
+    let (owner, _ko, _go) = lab.enclave(2);
+    let (attacher, _ka, mut ga) = lab.enclave(3);
+    let r = owner.resources().mem[0];
+    let seg = covirt_suite::simhw::addr::PhysRange::new(
+        r.start.add(r.len - 2 * 1024 * 1024),
+        2 * 1024 * 1024,
+    );
+    lab.master.export_segment(owner.id.0, "x", seg).unwrap();
+    lab.master.attach_segment(attacher.id.0, "x").unwrap();
+    ga.write_u64(seg.start.raw(), 1).unwrap();
+
+    let id = attacher.id.0;
+    let core = std::thread::spawn({
+        let ctl = Arc::clone(&ctl);
+        move || {
+            while ctl.faults.for_enclave(id).is_empty() {
+                std::thread::yield_now();
+            }
+            loop {
+                match ga.poll() {
+                    Ok(()) => std::thread::yield_now(),
+                    Err(e) => break e,
+                }
+            }
+        }
+    });
+    let leftover = lab.master.destroy_segment("x").unwrap();
+    assert_eq!(leftover, [id]);
+    match attacher.state() {
+        EnclaveState::Failed(why) => assert!(why.contains("kept a revoked segment"), "{why}"),
+        s => panic!("the attacher must be ended, is {s:?}"),
+    }
+    assert_eq!(owner.state(), EnclaveState::Running);
+    let rows = ctl.faults.for_enclave(id);
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert!(rows[0].reason.contains("core 3"), "{}", rows[0].reason);
+    assert_eq!(rows[0].reclaim, Some(Ok(())));
+    assert!(matches!(core.join().unwrap(), EnclaveTerminated(_)));
+    let report = audit_trace(&lab.node);
+    let orphans = report
+        .violations
+        .iter()
+        .filter(|v| v.kind == ViolationKind::OrphanTeardown);
+    assert_eq!(orphans.count(), 0, "{}", report.render());
+}
+
 /// The paper's motivating bug with the roles reversed: it is the *owner*
 /// of a shared segment that dies, while an attacher still maps it, and the
 /// owner's memory is handed to somebody else. One table over what Covirt
@@ -602,4 +664,81 @@ fn guest_leaf_larger_than_the_ept_leaf_reaches_only_what_the_ept_mapped() {
         .for_enclave(attacher.id.0);
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].reclaim, Some(Ok(())));
+}
+
+/// An enclave's death stops its cores before its memory goes back.
+/// Enclave A runs on cores 2 and 4 under memory protection; core 2 caches a
+/// granted range and keeps polling on its own thread. A ends — core 4's
+/// wild write is contained, or core 4 shuts down and the host tears A
+/// down — and the call
+/// returns only once core 2 is out of guest mode: its poll saw the
+/// teardown's `Terminate`, and it reported nothing of its own. B is then
+/// granted the range and writes it; core 2's next write is refused, and
+/// B's word is intact. (Before teardown stopped the cores, core 2 stayed
+/// in guest mode and its write through its TLB landed in B's memory.)
+#[test]
+fn a_dead_enclaves_live_core_is_stopped_before_its_memory_is_regranted() {
+    use covirt_suite::covirt::CovirtError::EnclaveTerminated;
+    use covirt_suite::simhw::addr::PAGE_SIZE_2M;
+    use covirt_suite::simhw::cpu::VmxState;
+
+    for fault in [true, false] {
+        let lab = Lab::new(ExecMode::Covirt(CovirtConfig::MEM));
+        let (pisces, ctl) = (lab.master.pisces(), lab.controller.as_ref().unwrap());
+        let req = ResourceRequest::new(vec![CoreId(2), CoreId(4)], vec![(ZoneId(0), 16 << 20)]);
+        let (a, ka) = lab.master.bring_up_enclave("a", &req).unwrap();
+        let launch = |core| {
+            let (node, k, ctl) = (Arc::clone(&lab.node), Arc::clone(&ka), Arc::clone(ctl));
+            GuestCore::launch_covirt(node, k, ctl, core, TlbParams::default()).unwrap()
+        };
+        let (mut sibling, mut faulty) = (launch(2), launch(4));
+        let (b, kb, mut gb) = lab.enclave(3);
+        let range = pisces.add_memory(&a, ZoneId(0), PAGE_SIZE_2M).unwrap();
+        ka.poll_ctrl().unwrap();
+        pisces.process_acks(&a).unwrap();
+        let target = range.start.raw();
+        sibling.write_u64(target, 0xa).unwrap();
+        let sibling = std::thread::spawn(move || loop {
+            match sibling.poll() {
+                Ok(()) => std::thread::yield_now(),
+                Err(e) => break (sibling, e),
+            }
+        });
+
+        if fault {
+            match faulty.execute_fault(faults::off_by_one_region(&ka)) {
+                FaultOutcome::Contained(r) => assert!(r.contains("EPT violation"), "{r}"),
+                o => panic!("covirt must contain, got {o:?}"),
+            }
+        } else {
+            faulty.shutdown();
+            pisces.teardown(&a).unwrap();
+        }
+        let state = lab.node.cpu(CoreId(2)).unwrap().vmx_state();
+        assert_eq!(state, VmxState::Off, "fault {fault}: core 2 still runs A");
+        let (mut sibling, stopped) = sibling.join().unwrap();
+        assert!(matches!(stopped, EnclaveTerminated(_)), "{stopped:?}");
+        let reports = ctl.faults.for_enclave(a.id.0);
+        assert_eq!(reports.len(), usize::from(fault), "{reports:?}");
+        assert!(reports
+            .iter()
+            .all(|r| r.core == 4 && r.reclaim == Some(Ok(()))));
+
+        // First fit: B's grants walk up through A's old memory to the range.
+        let regranted = (0..64)
+            .map(|_| {
+                let r = pisces.add_memory(&b, ZoneId(0), PAGE_SIZE_2M).unwrap();
+                kb.poll_ctrl().unwrap();
+                pisces.process_acks(&b).unwrap();
+                r
+            })
+            .find(|r| *r == range);
+        assert_eq!(regranted, Some(range), "fault {fault}: the test's premise");
+        gb.write_u64(target, 0xb0b).unwrap();
+        assert!(matches!(
+            sibling.write_u64(target, 0xdead),
+            Err(EnclaveTerminated(_))
+        ));
+        assert_eq!(gb.read_u64(target).unwrap(), 0xb0b, "fault {fault}");
+    }
 }

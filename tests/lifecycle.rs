@@ -108,9 +108,9 @@ fn relaunch_core_after_clean_shutdown() {
     }
 }
 
-/// A Covirt core its thread lets go of after an orderly teardown, without
-/// `shutdown`, still leaves VMX operation: the next enclave on the core
-/// launches. (A core left in VMX refused the next VMXON.)
+/// A Covirt core its thread lets go of without `shutdown` still leaves VMX
+/// operation: the teardown has no core left to stop, and the next enclave
+/// on the core launches. (A core left in VMX refused the next VMXON.)
 #[test]
 fn a_dropped_core_leaves_vmx_for_the_next_enclave() {
     let node = SimNode::new(NodeConfig::small());
@@ -130,8 +130,9 @@ fn a_dropped_core_leaves_vmx_for_the_next_enclave() {
     let (first, kernel) = master.bring_up_enclave("first", &req).unwrap();
     let mut g = launch(kernel).unwrap();
     g.poll().unwrap();
-    master.pisces().teardown(&first).unwrap();
     drop(g);
+    assert_eq!(node.cpu(CoreId(1)).unwrap().vmx_state(), VmxState::Off);
+    master.pisces().teardown(&first).unwrap();
 
     let (_second, kernel) = master.bring_up_enclave("second", &req).unwrap();
     let mut g = launch(kernel).expect("the second enclave's core launches");

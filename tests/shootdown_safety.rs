@@ -101,14 +101,18 @@ fn reclaim_blocks_until_every_core_flushes() {
     assert_eq!(g3.tlb_stats().full_flushes, 0);
 
     // After the reclaims, the stale path is gone on BOTH cores: a rebuilt
-    // stale access EPT-faults and is contained.
-    for (g, r) in [(&mut g2, r1), (&mut g3, r2)] {
-        let fault = covirt_suite::kitten::faults::stale_shared_mapping(&k, r);
-        match g.execute_fault(fault) {
-            FaultOutcome::Contained(reason) => assert!(reason.contains("EPT violation")),
-            o => panic!("a stale access after the reclaim must be contained, got {o:?}"),
+    // stale access EPT-faults and is contained. Each core runs on its own
+    // thread, as a core does: the first fault's teardown stops the other
+    // core only once that core has left guest mode by its own fault.
+    std::thread::scope(|s| {
+        for (g, r) in [(&mut g2, r1), (&mut g3, r2)] {
+            let fault = covirt_suite::kitten::faults::stale_shared_mapping(&k, r);
+            s.spawn(move || match g.execute_fault(fault) {
+                FaultOutcome::Contained(reason) => assert!(reason.contains("EPT violation")),
+                o => panic!("a stale access after the reclaim must be contained, got {o:?}"),
+            });
         }
-    }
+    });
 }
 
 /// The invariant across enclaves: while a reclaim waits on a core of its

@@ -8,6 +8,7 @@ use covirt_suite::kitten::syscall::{self, Sysno};
 use covirt_suite::pisces::ctrlchan::CtrlMsg;
 use covirt_suite::pisces::resources::ResourceRequest;
 use covirt_suite::pisces::EnclaveState;
+use covirt_suite::simhw::cpu::VmxState;
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::tlb::TlbParams;
 use covirt_suite::simhw::topology::{CoreId, ZoneId};
@@ -123,26 +124,33 @@ fn operator_kill_switch_terminates_live_guest() {
         TlbParams::default(),
     )
     .unwrap();
-
-    // Operator issues the kill; the guest core discovers it at its next
-    // safe point (the NMI drains the Terminate command).
-    ctl.terminate_enclave(e.id.0).unwrap();
-    let err = loop {
+    // The guest runs on a thread of its own, polling at safe points.
+    let guest = std::thread::spawn(move || loop {
         match g.poll() {
             Ok(()) => std::thread::yield_now(),
-            Err(err) => break err,
+            Err(err) => break (g, err),
         }
-    };
-    assert!(matches!(
-        err,
-        covirt_suite::covirt::CovirtError::EnclaveTerminated(_)
-    ));
+    });
+
+    // The operator kills the enclave as a fault is reported; its teardown
+    // stops the core at its next safe point before the call returns.
+    ctl.report_fault(e.id.0, 0, "killed by the operator");
+    assert_eq!(node.cpu(CoreId(1)).unwrap().vmx_state(), VmxState::Off);
+    let (mut g, err) = guest.join().unwrap();
+    match err {
+        covirt_suite::covirt::CovirtError::EnclaveTerminated(why) => {
+            assert!(why.contains("operator"), "{why}")
+        }
+        err => panic!("{err:?}"),
+    }
+    assert!(g.poll().is_err(), "a stopped core runs no more");
     assert!(matches!(e.state(), EnclaveState::Failed(_)));
-    // The operator reads why in the fault log.
-    let rows = ctl.faults.all();
-    assert!(rows
-        .iter()
-        .any(|r| r.enclave == e.id.0 && r.reason.contains("controller")));
+    // The operator reads why in the fault log: the kill's row, and none
+    // from the core it stopped.
+    let rows = ctl.faults.for_enclave(e.id.0);
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert!(rows[0].reason.contains("operator"));
+    assert_eq!(rows[0].reclaim, Some(Ok(())));
     // The enclave is gone: there is nothing left to kill.
-    assert!(ctl.terminate_enclave(e.id.0).is_err());
+    assert!(ctl.context(e.id.0).is_err());
 }
