@@ -3,34 +3,34 @@
 //! "The Covirt hypervisor is managed via a simple command queue between
 //! itself and the controller module. Commands are fixed-size messages
 //! containing update notifications directing the hypervisor to synchronize
-//! part of its local state." Pending commands are signalled doorbell-first:
-//! the controller posts a command vector into the core's posted-interrupt
-//! descriptor, which the guest harvests at its next safe point with no VM
-//! exit. An NMI IPI — which steals no vector from the guest's space — is
+//! part of its local state." Pending commands are signalled by a polled
+//! doorbell: the controller posts the command vector into the core's
+//! doorbell descriptor, whose outstanding-notification bit the guest checks
+//! at every safe point and answers with no VM exit. No interrupt is sent
+//! for it. An NMI IPI — which steals no vector from the guest's space — is
 //! the fallback for a core that does not answer within the controller's
 //! escalation bound; with a bound of zero it goes out with every post,
 //! which is the paper's NMI-only protocol.
 //!
 //! One queue exists per enclave CPU (each hypervisor context is
-//! single-core). The queue lives in shared physical memory, in one frame
-//! of the controller's node-lifetime frame pool that no EPT maps, so the
-//! co-kernel it commands cannot write it; a completion counter lets the
-//! controller block until a synchronization command has been executed on
-//! the core — which is how memory-unmap ordering ("reclamation only occurs
-//! after the resources have been fully unmapped") is enforced, up to a
-//! deadline.
+//! single-core). The queue lives in one frame of the controller's
+//! node-lifetime frame pool that no EPT maps, so the co-kernel it commands
+//! cannot write it. The frame holds only what the hypervisor reads or
+//! writes: the completion word at offset 0, which lets the controller block
+//! until a synchronization command has been executed on the core — which
+//! is how memory-unmap ordering ("reclamation only occurs after the
+//! resources have been fully unmapped") is enforced, up to a deadline —
+//! and, from `OFF_RING`, a Pisces [`SharedRing`] of `CMD_SLOTS` commands.
+//! A command is one ring slot: eight words holding its sequence number,
+//! post TSC, op and two operands.
 //!
-//! A command is one slot of a Pisces [`SharedRing`]: eight words holding
-//! its sequence number, post TSC, op and two operands. The frame holds the
-//! completion counter and the sequence allocator, then, from
-//! `OFF_RING`, the ring's 64-byte header and its `CMD_SLOTS` slots.
-//!
-//! The ring is single-producer, single-consumer. Several host threads may
-//! post to one queue (a reclaim, an XEMEM detach and a termination of the
-//! same enclave), so producers are serialized: a post holds the queue's
-//! host-side producer lock over its sequence number, its push and, when
-//! the ring is full, the coalescing path. The hypervisor is the one
-//! consumer and takes no lock.
+//! The ring has exactly one producer and one consumer. Several host
+//! threads may post to one queue (a reclaim, an XEMEM detach and a
+//! termination of the same enclave), so a post holds the queue's host-side
+//! producer lock over its push; the lock also guards the sequence counter,
+//! which only posters use. The hypervisor is the one consumer and takes no
+//! lock. A post to a full ring fails with the same error as a wait that
+//! timed out: the core has not taken `CMD_SLOTS` commands.
 
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::memory::MemWindow;
@@ -48,9 +48,8 @@ pub const CMD_SLOTS: u64 = 32;
 pub type Drained = Batch<SeqCommand, { CMD_SLOTS as usize }>;
 /// Offset of the completion counter within the queue region.
 pub(crate) const OFF_COMPLETION: u64 = 0;
-/// Offset of the sequence-number allocator within the queue region.
-pub(crate) const OFF_NEXT_SEQ: u64 = 8;
-/// Offset of the ring (its header first) within the queue region.
+/// Offset of the ring (its header first) within the queue region: the
+/// completion word has its cache line to itself.
 pub(crate) const OFF_RING: u64 = 64;
 
 /// A command to the hypervisor. Every variant is a *synchronization
@@ -84,15 +83,6 @@ const OP_FLUSH_ALL: u64 = 1;
 const OP_TERMINATE: u64 = 4;
 const OP_SYNC: u64 = 5;
 const OP_FLUSH_RANGE: u64 = 6;
-
-impl Command {
-    /// True for TLB-invalidation commands. Any of these is subsumed by a
-    /// single `TlbFlushAll`, which is what makes drain-merge coalescing
-    /// sound when the ring fills.
-    pub fn is_flush(&self) -> bool {
-        matches!(self, Command::TlbFlushAll | Command::TlbFlushRange { .. })
-    }
-}
 
 /// A command tagged with its sequence number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,14 +122,16 @@ impl SeqCommand {
     }
 }
 
-/// A synchronization wait that ran out of budget: names the core that
-/// failed to acknowledge, the sequence number waited for, and how far the
-/// core actually got — so controller errors can say *which* CPU is stuck.
+/// A core that did not answer its commands: a synchronization wait that
+/// ran out of budget, or a post that found the core's ring full. Names the
+/// core, the command it did not acknowledge, and how far the core actually
+/// got — so controller errors can say *which* CPU is stuck.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlushTimeout {
     /// The core whose queue this is.
     pub core: u64,
-    /// Sequence number that was being waited on.
+    /// Sequence number that was being waited on; for a full ring, the
+    /// oldest command the core has not taken.
     pub seq: u64,
     /// Highest sequence number the core had completed at timeout.
     pub completed: u64,
@@ -169,9 +161,6 @@ pub struct CmdQueue {
     /// so re-resolving per read (bitmap check + `Arc` churn) is pure
     /// overhead on the hottest path of command delivery.
     completion: (Arc<covirt_simhw::backing::Backing>, usize),
-    /// Resolved backing + offset of the next-sequence word (same
-    /// rationale: `alloc_seq` runs once per post).
-    next_seq: (Arc<covirt_simhw::backing::Backing>, usize),
     /// The core this queue serves: carried into [`FlushTimeout`] errors,
     /// and the lane a wait's trace event goes on.
     core: u64,
@@ -186,9 +175,10 @@ pub struct CmdQueue {
 /// The frame a queue is formatted in, and the lock its producers take.
 struct QueueFrame {
     frame: PoolFrame,
-    /// Held by a post from its sequence number to its push (coalescing
-    /// included): the ring takes one producer at a time.
-    producer: Mutex<()>,
+    /// The next post's sequence number, held by a post over its push: the
+    /// ring takes one producer at a time, and a post the ring refuses
+    /// takes no number.
+    sequence: Mutex<u64>,
 }
 
 impl CmdQueue {
@@ -197,22 +187,19 @@ impl CmdQueue {
     pub fn create(frame: PoolFrame) -> Result<Self, RingError> {
         let window = frame.window();
         let ring_window = Self::ring_window(window)?;
-        for (off, value) in [(OFF_COMPLETION, 0), (OFF_NEXT_SEQ, 1)] {
-            window
-                .write_u64(window.base().add(off), value)
-                .map_err(|_| RingError::Corrupt)?;
-        }
+        window
+            .write_u64(window.base().add(OFF_COMPLETION), 0)
+            .map_err(|_| RingError::Corrupt)?;
         let ring = SharedRing::create(&ring_window, CMD_SLOTS)?;
         let (backing, off) = window.pinned();
         Ok(CmdQueue {
             ring,
-            completion: (Arc::clone(&backing), off + OFF_COMPLETION as usize),
-            next_seq: (backing, off + OFF_NEXT_SEQ as usize),
+            completion: (backing, off + OFF_COMPLETION as usize),
             core: 0,
             tracer: None,
             frame: Arc::new(QueueFrame {
                 frame,
-                producer: Mutex::new(()),
+                sequence: Mutex::new(1),
             }),
         })
     }
@@ -222,8 +209,8 @@ impl CmdQueue {
         self.frame.frame.window().range()
     }
 
-    /// The part of `window` past the two words, which the ring gets; a
-    /// window too short for the words has none.
+    /// The part of `window` past the completion word's line, which the
+    /// ring gets; a window too short for the line has none.
     fn ring_window(window: &MemWindow) -> Result<MemWindow, RingError> {
         let len = window
             .len()
@@ -247,79 +234,48 @@ impl CmdQueue {
         self
     }
 
-    /// Push `cmd` under the next sequence number, which is returned. The
-    /// caller holds the producer lock.
-    fn push(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
-        // Sequence numbers live in shared memory so any controller thread
-        // allocates them consistently.
-        let (backing, off) = &self.next_seq;
-        let seq = loop {
-            let cur = backing.read_u64_acquire(*off);
-            if backing.cas_u64(*off, cur, cur + 1).is_ok() {
-                break cur;
-            }
-        };
-        self.ring.push(SeqCommand { seq, tsc, cmd }.to_slot())?;
-        Ok(seq)
-    }
-
     /// Controller: post a command, returning its sequence number. The
     /// caller signals the target core: a doorbell first, an NMI as the
     /// bounded fallback.
     ///
-    /// A full ring does not fail the caller: pending flush commands are
-    /// drained and merged into a single `TlbFlushAll` (see
-    /// [`Command::is_flush`]), which both makes room and subsumes the
-    /// drained work.
-    pub fn post(&self, cmd: Command) -> Result<u64, RingError> {
+    /// A full ring fails the post, with the core, the oldest command it has
+    /// not taken and its completion count, and takes no sequence number:
+    /// the core has left `CMD_SLOTS` commands untaken.
+    pub fn post(&self, cmd: Command) -> Result<u64, FlushTimeout> {
         self.post_at(cmd, 0)
     }
 
     /// [`CmdQueue::post`] with an explicit post-time TSC stamp, which the
     /// completing hypervisor uses to report post→complete latency. A zero
     /// stamp disables the measurement for that command.
-    pub fn post_at(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
-        let out = {
-            let _producer = self.frame.producer.lock();
-            match self.push(cmd, tsc) {
-                Err(RingError::Full) => self.post_coalescing(cmd, tsc),
-                out => out,
+    pub fn post_at(&self, cmd: Command, tsc: u64) -> Result<u64, FlushTimeout> {
+        let seq = {
+            let mut next = self.frame.sequence.lock();
+            let seq = *next;
+            // A push refuses nothing but a full ring.
+            if self
+                .ring
+                .push(SeqCommand { seq, tsc, cmd }.to_slot())
+                .is_err()
+            {
+                return Err(self.stuck(seq.saturating_sub(CMD_SLOTS)));
             }
+            *next += 1;
+            seq
         };
-        if let (Ok(seq), Some(t)) = (&out, &self.tracer) {
-            t.emit(EventKind::CmdPost, *seq, self.core);
+        if let Some(t) = &self.tracer {
+            t.emit(EventKind::CmdPost, seq, self.core);
         }
-        out
+        Ok(seq)
     }
 
-    /// Slow path when the ring is full: drain it, merge every flush-class
-    /// command into one `TlbFlushAll`, re-post the rest, then post `cmd`.
-    /// The caller holds the producer lock.
-    ///
-    /// Soundness: flush commands are idempotent and mutually subsumable, so
-    /// replacing N of them with one `TlbFlushAll` carrying a *fresh,
-    /// maximal* sequence number preserves every waiter's contract — the
-    /// completion counter is a monotonic max, so acknowledging the merged
-    /// command also acknowledges every drained sequence number below it.
-    /// Racing the hypervisor's own drain is harmless for the same reason:
-    /// a command observed by both sides executes twice, and every command
-    /// in the protocol is idempotent.
-    fn post_coalescing(&self, cmd: Command, tsc: u64) -> Result<u64, RingError> {
-        let mut merged = false;
-        for c in self.drain().iter() {
-            match c.cmd.is_flush() {
-                true => merged = true,
-                false => self.ring.push(c.to_slot())?,
-            }
+    /// The error naming this queue's core as stuck on `seq`.
+    fn stuck(&self, seq: u64) -> FlushTimeout {
+        FlushTimeout {
+            core: self.core,
+            seq,
+            completed: self.completed(),
         }
-        if cmd.is_flush() {
-            // The merged flush covers the drained flushes *and* `cmd`.
-            return self.push(Command::TlbFlushAll, tsc);
-        }
-        if merged {
-            self.push(Command::TlbFlushAll, 0)?;
-        }
-        self.push(cmd, tsc)
     }
 
     /// Hypervisor: drain the pending commands, at most a ring's worth, in
@@ -340,17 +296,11 @@ impl CmdQueue {
         out
     }
 
-    /// Hypervisor: mark `seq` (and everything before it) complete.
+    /// Hypervisor: mark `seq` (and everything before it) complete. One
+    /// atomic max: the counter never moves back.
     pub fn complete(&self, seq: u64) {
         let (backing, off) = &self.completion;
-        // Monotonic max — completions may be recorded out of order if a
-        // drain batch is processed back-to-front.
-        loop {
-            let cur = backing.read_u64_acquire(*off);
-            if seq <= cur || backing.cas_u64(*off, cur, seq).is_ok() {
-                break;
-            }
-        }
+        backing.fetch_max_u64(*off, seq);
     }
 
     /// Highest completed sequence number.
@@ -411,11 +361,7 @@ impl CmdQueue {
                 std::thread::sleep(Duration::from_micros(20));
             }
         }
-        Err(FlushTimeout {
-            core: self.core,
-            seq,
-            completed: self.completed(),
-        })
+        Err(self.stuck(seq))
     }
 
     /// Pending (unconsumed) command count.
@@ -525,56 +471,14 @@ mod tests {
         assert_eq!(q.completed(), 0, "nothing acknowledged");
     }
 
+    /// A post to a full ring fails, naming the core, the oldest command
+    /// it has not taken and its completion count; the ring still drains
+    /// whole and in post order, and the next post takes the next sequence
+    /// number. The controller is never a second consumer of the ring.
     #[test]
-    fn full_ring_of_flushes_coalesces_instead_of_failing() {
+    fn a_post_to_a_full_ring_fails_and_the_ring_drains_whole_and_in_order() {
         let (_w, q) = queue();
-        // Fill the ring to capacity with flush commands.
-        let mut seqs = Vec::new();
-        for i in 0..CMD_SLOTS {
-            seqs.push(q.post(page_flush(i)).unwrap());
-        }
-        assert_eq!(q.pending(), CMD_SLOTS);
-        // The next post coalesces rather than erroring.
-        let merged = q
-            .post(Command::TlbFlushRange { gva: 0, len: 4096 })
-            .unwrap();
-        assert!(merged > *seqs.last().unwrap());
-        let drained = q.drain();
-        assert_eq!(drained.len(), 1, "flushes must merge into a single command");
-        assert_eq!(drained[0].cmd, Command::TlbFlushAll);
-        assert_eq!(drained[0].seq, merged);
-        // Completing the merged command releases every earlier waiter.
-        q.complete(merged);
-        for s in seqs {
-            assert!(q.wait(s, SHORT, None, &|| true).is_ok());
-        }
-    }
-
-    #[test]
-    fn coalescing_preserves_non_flush_commands() {
-        let (_w, q) = queue();
-        let terminate = q.post(Command::Terminate).unwrap();
-        for i in 0..CMD_SLOTS - 1 {
-            q.post(page_flush(i)).unwrap();
-        }
-        assert_eq!(q.pending(), CMD_SLOTS);
-        let sync = q.post(Command::Sync).unwrap();
-        let drained = q.drain();
-        // Terminate survives with its original seq; the flushes merged;
-        // the new Sync landed last.
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].cmd, Command::Terminate);
-        assert_eq!(drained[0].seq, terminate);
-        assert_eq!(drained[1].cmd, Command::TlbFlushAll);
-        assert_eq!(drained[2].cmd, Command::Sync);
-        assert_eq!(drained[2].seq, sync);
-    }
-
-    /// A full ring drains into the fixed batch whole and in post order,
-    /// and so does one the coalescing path refilled: nothing is lost.
-    #[test]
-    fn a_full_ring_drains_whole_and_in_order() {
-        let (_w, q) = queue();
+        let q = q.with_core(5);
         let cmds: Vec<Command> = (0..CMD_SLOTS)
             .map(|i| match i % 2 {
                 0 => Command::Sync,
@@ -582,27 +486,25 @@ mod tests {
             })
             .collect();
         let seqs: Vec<u64> = cmds.iter().map(|&c| q.post(c).unwrap()).collect();
+        q.complete(seqs[0] - 1);
+        for cmd in [Command::Terminate, Command::TlbFlushAll] {
+            let err = q.post(cmd).unwrap_err();
+            let want = FlushTimeout {
+                core: 5,
+                seq: seqs[0],
+                completed: seqs[0] - 1,
+            };
+            assert_eq!(err, want);
+            assert!(err.to_string().contains("core 5"), "{err}");
+        }
+        assert_eq!(q.pending(), CMD_SLOTS);
+
         let drained = q.drain();
-        assert_eq!(drained.len() as u64, CMD_SLOTS);
         let got: Vec<(u64, Command)> = drained.iter().map(|c| (c.seq, c.cmd)).collect();
         let want: Vec<(u64, Command)> = seqs.iter().copied().zip(cmds.iter().copied()).collect();
         assert_eq!(got, want);
-
-        // Refill, then overflow: the syncs keep their sequence numbers and
-        // order, the flushes merge into one, the new command lands last.
-        let seqs: Vec<u64> = cmds.iter().map(|&c| q.post(c).unwrap()).collect();
-        let last = q.post(Command::Terminate).unwrap();
-        let drained = q.drain();
-        let syncs: Vec<u64> = seqs.iter().copied().step_by(2).collect();
-        let kept: Vec<u64> = drained.iter().take(syncs.len()).map(|c| c.seq).collect();
-        assert_eq!(kept, syncs);
-        assert!(drained[..syncs.len()]
-            .iter()
-            .all(|c| c.cmd == Command::Sync));
-        let tail: Vec<Command> = drained[syncs.len()..].iter().map(|c| c.cmd).collect();
-        assert_eq!(tail, [Command::TlbFlushAll, Command::Terminate]);
-        assert_eq!(drained.last().unwrap().seq, last);
         assert_eq!(q.pending(), 0);
+        assert_eq!(q.post(Command::Sync), Ok(seqs[CMD_SLOTS as usize - 1] + 1));
     }
 
     #[test]
@@ -613,8 +515,8 @@ mod tests {
         assert_eq!(q.completed(), 5);
     }
 
-    /// The two sides' handles are clones: everything they agree on —
-    /// ring, completion counter, sequence allocator — is in the region.
+    /// The two sides' handles are clones: the ring and the completion
+    /// counter are in the region, and posters share one sequence counter.
     #[test]
     fn clones_share_the_queue_in_memory() {
         let (_w, q) = queue();
@@ -629,12 +531,14 @@ mod tests {
     }
 
     /// Two host threads posting to one queue at once lose nothing: every
-    /// sequence number either got is drained, once. (The ring holds all
-    /// of a round's posts, so nothing merges.)
+    /// sequence number either got is drained, once, and together they got
+    /// the next numbers with no gap. (The ring holds all of a round's
+    /// posts.)
     #[test]
     fn concurrent_posters_lose_no_command() {
         const POSTS: usize = 14;
         let (_pool, q) = queue();
+        let mut next = 1;
         for round in 0..3_000 {
             let barrier = std::sync::Barrier::new(2);
             let mut posted: Vec<u64> = std::thread::scope(|s| {
@@ -654,6 +558,9 @@ mod tests {
             posted.sort_unstable();
             drained.sort_unstable();
             assert_eq!(drained, posted, "round {round}");
+            let gap_free: Vec<u64> = (next..next + 2 * POSTS as u64).collect();
+            assert_eq!(posted, gap_free, "round {round}");
+            next += 2 * POSTS as u64;
         }
     }
 

@@ -15,12 +15,15 @@
 //! * memory grant   → EPT map, then return immediately (asynchronous —
 //!   the enclave keeps running while the mapping is installed);
 //! * memory reclaim → EPT unmap, then one flush command to every live
-//!   enclave core, signalled by doorbell, blocking until each completes —
+//!   enclave core, signalled by its polled doorbell (no interrupt is sent:
+//!   the core checks the doorbell at every safe point), blocking until
+//!   each completes —
 //!   so Pisces frees no frame a core may still cache. A core that has not
 //!   answered within the escalation bound is kicked with an NMI; a bound
 //!   of zero sends the NMI with the post, which is the paper's NMI-only
 //!   protocol. A core that answers neither within a few seconds more
-//!   fails the reclaim with an error naming it; the removal stays pending;
+//!   fails the reclaim with an error naming it, and so does a post that
+//!   finds the core's command ring full; the removal stays pending;
 //! * vector alloc/free → whitelist edit, **no** hypervisor coordination
 //!   (the hypervisor reads the whitelist fresh on every trap — only state
 //!   the CPU may cache needs the command queue);
@@ -29,7 +32,8 @@
 //!   that is destroyed, or whose owner ends, under it;
 //! * teardown (orderly, faulted or the operator's kill) → one `Terminate`
 //!   round trip, so every live core of the enclave has left guest mode
-//!   before Pisces frees its partition.
+//!   before Pisces frees its partition; if one never answers, Pisces
+//!   frees nothing.
 
 use crate::cmdqueue::{CmdQueue, Command};
 use crate::config::CovirtConfig;
@@ -192,13 +196,14 @@ impl CovirtController {
     }
 
     /// Post `cmd` to `core`'s queue, then signal the core — the first half
-    /// of a command round trip. Returns the command's sequence number.
+    /// of a command round trip. Returns the command's sequence number; a
+    /// full ring fails the post with the error a timed-out wait returns.
     ///
-    /// The doorbell vector goes into the core's descriptor, and the
-    /// physical notification IPI only when `post()` reports none
-    /// outstanding. At an escalation bound of 0 an NMI goes first, so a
-    /// safe point that begins after the doorbell rang takes the NMI exit,
-    /// whose drain answers the doorbell too.
+    /// The signal is the doorbell vector posted into the core's descriptor,
+    /// whose outstanding-notification bit the core checks at every safe
+    /// point; no notification IPI is sent. At an escalation bound of 0 an
+    /// NMI goes first, so a safe point that begins after the doorbell rang
+    /// takes the NMI exit, whose drain answers the doorbell too.
     fn post_and_signal(
         &self,
         enclave: u64,
@@ -213,17 +218,13 @@ impl CovirtController {
             0
         };
         let seq = q.post_at(cmd, stamp)?;
-        let to = IpiDest::Core(core);
         if self.escalation_bound_ns.load(Ordering::Relaxed) == 0 {
-            self.node.interconnect.send(0, to, DeliveryMode::Nmi)?;
+            let nmi = DeliveryMode::Nmi;
+            self.node.interconnect.send(0, IpiDest::Core(core), nmi)?;
         }
-        let notify = doorbell.post(CMD_DOORBELL_VECTOR);
+        doorbell.post(CMD_DOORBELL_VECTOR);
         self.tracer
             .emit_for(enclave, EventKind::CmdDoorbell, seq, core as u64);
-        if notify {
-            let mode = DeliveryMode::Fixed(CMD_DOORBELL_VECTOR);
-            self.node.interconnect.send(0, to, mode)?;
-        }
         Ok(seq)
     }
 
@@ -970,11 +971,11 @@ mod tests {
     }
 
     /// The co-kernel cannot forge its hypervisor's acknowledgements: no
-    /// core's completion counter, sequence allocator or ring header is
-    /// writable through the enclave's EPT.
+    /// core's completion counter or ring header is writable through the
+    /// enclave's EPT.
     #[test]
     fn no_command_queue_word_is_writable_through_the_ept() {
-        use crate::cmdqueue::{OFF_COMPLETION, OFF_NEXT_SEQ, OFF_RING};
+        use crate::cmdqueue::{OFF_COMPLETION, OFF_RING};
         use covirt_simhw::addr::GuestPhysAddr;
         use covirt_simhw::HwError;
 
@@ -985,7 +986,7 @@ mod tests {
         let mem = &master.pisces().node().mem;
         for core in vctx.cores() {
             let base = vctx.cmdq(core).unwrap().range().start;
-            for off in [OFF_COMPLETION, OFF_NEXT_SEQ, OFF_RING] {
+            for off in [OFF_COMPLETION, OFF_RING] {
                 let gpa = GuestPhysAddr::new(base.raw() + off);
                 match ept.translate(gpa, Access::Write, &DirectLoad(mem)) {
                     Err(HwError::EptViolation { .. }) => {}

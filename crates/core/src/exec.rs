@@ -19,7 +19,7 @@
 use crate::config::ExecMode;
 use crate::controller::CovirtController;
 use crate::hypervisor::{model_delay_ns, ExitAction, Hypervisor};
-use crate::vctx::{VirtContext, CMD_DOORBELL_VECTOR, PIV_NOTIFICATION_VECTOR, TIMER_VECTOR};
+use crate::vctx::{VirtContext, PIV_NOTIFICATION_VECTOR, TIMER_VECTOR};
 use crate::{CovirtError, CovirtResult};
 use covirt_simhw::addr::{GuestPhysAddr, HostPhysAddr, PAGE_SIZE_2M};
 use covirt_simhw::apic::{IcrCommand, ICR_MODE_FIXED, ICR_SH_NONE};
@@ -757,13 +757,10 @@ impl GuestCore {
             self.vm_exit(ExitReason::Nmi)?;
         }
 
-        // Opportunistic doorbell harvest: every safe point checks the
-        // command-doorbell descriptor directly (one atomic load on the
-        // no-work path, no clone, no allocation), so pending commands are
-        // drained exitlessly even before (or without) the notification IPI
-        // landing in the IRR. With the descriptor's suppress-notification
-        // bit set at launch, this check IS the delivery path in steady
-        // state.
+        // The command doorbell: every safe point checks the descriptor
+        // directly (one atomic load on the no-work path, no clone, no
+        // allocation), and drains pending commands exitlessly. This check
+        // is the delivery path; no interrupt is sent for the doorbell.
         self.harvest_doorbell()?;
 
         // Fixed vectors. Under Covirt each one exits, in every configuration:
@@ -782,14 +779,6 @@ impl GuestCore {
             let Some(vector) = mailbox.irr.pop_highest() else {
                 break;
             };
-            if self.hv.is_some() && vector == CMD_DOORBELL_VECTOR {
-                // The physical doorbell notification. The descriptor was
-                // (or will be) harvested by the safe-point check above;
-                // consume the vector without a VM exit and without
-                // delivering it to the guest — it is not a guest IRQ.
-                self.harvest_doorbell()?;
-                continue;
-            }
             if vector == PIV_NOTIFICATION_VECTOR {
                 // Only cloned on the (rare) notification arrival, never on
                 // the empty-IRR hot path.
@@ -938,6 +927,7 @@ mod tests {
     use super::*;
     use crate::cmdqueue::Command;
     use crate::config::CovirtConfig;
+    use crate::vctx::CMD_DOORBELL_VECTOR;
     use covirt_simhw::addr::{PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use covirt_simhw::node::NodeConfig;
     use covirt_simhw::topology::{CoreId, ZoneId};
@@ -1555,7 +1545,7 @@ mod tests {
     /// live core, and once the abort has returned the next write is an EPT
     /// violation, not served from the TLB or the walk cache.
     #[test]
-    fn an_aborted_grant_is_flushed_from_the_live_cores() {
+    fn an_aborted_grant_is_shot_down_on_the_live_cores() {
         use pisces::hooks::EnclaveHooks;
 
         let w = world(ExecMode::Covirt(CovirtConfig::MEM));

@@ -105,15 +105,8 @@ impl Hypervisor {
         if let Some(reason) = vctx.termination() {
             return Err(CovirtError::EnclaveTerminated(reason));
         }
-        let s = vctx.slot_at(slot);
-        let cpu = Arc::clone(&s.cpu);
+        let cpu = Arc::clone(&vctx.slot_at(slot).cpu);
         cpu.transition(vctx.enclave_id, VmxEvent::Launch)?;
-        // A covirt guest loop checks the descriptor at every safe point, so
-        // the physical notification IPI adds nothing while the core runs —
-        // suppress it (the SN bit). Parked cores are covered by the
-        // controller's bounded NMI fallback, which watches the completion
-        // counter, not the interrupt.
-        s.cmd_doorbell.set_suppress(true);
         model_delay_ns(VM_TRANSITION_NS); // the VMLAUNCH itself
 
         // Tag this core's lane with the enclave it runs, so exits, drains

@@ -10,13 +10,14 @@
 //!   the small set of trapped operations (CPUID/XSETBV emulation, MSR and
 //!   I/O intercepts, ICR whitelisting), terminates the enclave on abort
 //!   exits (EPT violations, double faults), and services the command queue
-//!   when signalled with an NMI.
+//!   at its safe points, or on an NMI exit when it does not answer.
 //! * The **controller** ([`controller`]) is embedded in the co-kernel
 //!   management framework (Pisces hooks + Hobbes hooks). It watches every
 //!   resource-assignment change, edits the enclave's virtualization context
 //!   *directly and asynchronously* (EPT mappings, whitelists, bitmaps), and
 //!   only involves the hypervisor when cached state must be invalidated —
-//!   via fixed-size commands ([`cmdqueue`]) signalled with NMI IPIs.
+//!   via fixed-size commands ([`cmdqueue`]) signalled by a polled
+//!   doorbell, with an NMI IPI as the fallback.
 //! * **Protection features are modular** ([`config`]): memory (EPT), IPI
 //!   (full APIC virtualization or posted interrupts), MSR, I/O-port and
 //!   abort handling can each be enabled independently, so operators choose
@@ -67,9 +68,7 @@ pub enum CovirtError {
     NoContext(u64),
     /// The enclave was terminated by the hypervisor; the abort reason.
     EnclaveTerminated(std::sync::Arc<str>),
-    /// Command-queue failure.
-    CmdQueue(pisces::ring::RingError),
-    /// A core did not acknowledge a synchronization command.
+    /// A core did not take or acknowledge a synchronization command.
     FlushTimeout(cmdqueue::FlushTimeout),
     /// Malformed request.
     Invalid(&'static str),
@@ -83,7 +82,6 @@ impl std::fmt::Display for CovirtError {
             CovirtError::Kitten(e) => write!(f, "kitten: {e}"),
             CovirtError::NoContext(id) => write!(f, "no virtualization context for enclave {id}"),
             CovirtError::EnclaveTerminated(why) => write!(f, "enclave terminated: {why}"),
-            CovirtError::CmdQueue(w) => write!(f, "command queue: {w}"),
             CovirtError::FlushTimeout(t) => write!(f, "command round trip failed: {t}"),
             CovirtError::Invalid(w) => write!(f, "invalid request: {w}"),
         }
@@ -107,12 +105,6 @@ impl From<pisces::PiscesError> for CovirtError {
 impl From<kitten::KittenError> for CovirtError {
     fn from(e: kitten::KittenError) -> Self {
         CovirtError::Kitten(e)
-    }
-}
-
-impl From<pisces::ring::RingError> for CovirtError {
-    fn from(e: pisces::ring::RingError) -> Self {
-        CovirtError::CmdQueue(e)
     }
 }
 

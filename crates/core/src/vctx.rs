@@ -32,9 +32,10 @@ use std::sync::Arc;
 pub const PIV_NOTIFICATION_VECTOR: u8 = 0xf2;
 
 /// The doorbell vector the controller posts to signal pending command-queue
-/// work (exitless command delivery). Also outside the guest-allocatable
-/// pool; distinct from [`PIV_NOTIFICATION_VECTOR`] so command doorbells and
-/// guest-to-guest posted IPIs never alias.
+/// work (exitless command delivery): posted into the core's doorbell
+/// descriptor, never sent as an interrupt. Also outside the
+/// guest-allocatable pool; distinct from [`PIV_NOTIFICATION_VECTOR`] so
+/// command doorbells and guest-to-guest posted IPIs never alias.
 pub const CMD_DOORBELL_VECTOR: u8 = 0xf3;
 
 /// What a context keeps for one enclave core.

@@ -69,8 +69,8 @@ pub trait EnclaveHooks: Send + Sync {
     /// the enclave's memory. May block (the Hobbes layer waits here for the
     /// attachers of the enclave's segments to flush, Covirt for the
     /// enclave's own cores to stop); the host holds none of its locks
-    /// across the call. An error (a core that never stopped) is returned
-    /// after the release.
+    /// across the call. An error (a core that never stopped) is returned,
+    /// and the host then releases nothing the enclave holds.
     fn on_teardown(&self, enclave: &Enclave) -> PiscesResult<()> {
         Ok(())
     }

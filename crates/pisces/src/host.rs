@@ -545,21 +545,24 @@ impl PiscesHost {
     /// A teardown hook may block on the enclave's own cores and on other
     /// enclaves', and may end one of those enclaves through this same
     /// path, so the hooks run on a copy of the chain with no lock of the
-    /// host held. Everything is released whatever a hook returned; the
-    /// first error (a core that never stopped) is returned.
+    /// host held. Every hook runs. If one fails (a core that never stopped
+    /// and may still reach the partition), nothing is released: the dead
+    /// enclave keeps its memory, management region, cores, vectors and
+    /// record, and the first error, naming the core, is returned.
     fn reclaim(&self, enclave: &Enclave) -> PiscesResult<()> {
         let hooks = self.hooks.read().clone();
         let mut stopped = Ok(());
         for h in &hooks {
             stopped = stopped.and(h.on_teardown(enclave));
         }
+        stopped?;
         let res = enclave.with_resources_mut(std::mem::take);
         let freed = self.release(&res, Some(enclave.mgmt_region));
         // Last, so that a hook can still look the enclave up; with the
         // record goes the host's hold on its management window and
         // control channel.
         self.enclaves.write().remove(&enclave.id.0);
-        stopped.and(freed)
+        freed
     }
 
     /// Orderly teardown: `Terminated`, hooks, reclaim.

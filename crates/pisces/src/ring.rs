@@ -66,7 +66,10 @@ impl std::error::Error for RingError {}
 /// A handle onto a shared-memory ring. Both ends construct a handle over
 /// a window onto the same physical range; the type does not enforce which
 /// side produces — the *protocol* (one producer, one consumer) does, as in
-/// the real system.
+/// the real system. Each cursor has one writer and is stored without a
+/// read-modify-write: a second consumer racing `pop` can move `head`
+/// backwards, after which the ring reads `Corrupt`. A side with several
+/// producing threads serializes them (the command queue's producer lock).
 #[derive(Clone)]
 pub struct SharedRing {
     backing: Arc<Backing>,

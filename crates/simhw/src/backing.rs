@@ -170,13 +170,12 @@ impl Backing {
         self.word(offset).store(value, Ordering::Release);
     }
 
-    /// Aligned 64-bit compare-exchange, for simulated software that needs
-    /// atomic RMW on shared memory (e.g. command-queue producer/consumer
-    /// indices).
+    /// Aligned 64-bit atomic max (acquire-release): the word becomes
+    /// the larger of itself and `value` and never moves back (a completion
+    /// counter). Returns the previous value.
     #[inline]
-    pub fn cas_u64(&self, offset: usize, current: u64, new: u64) -> Result<u64, u64> {
-        self.word(offset)
-            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
+    pub fn fetch_max_u64(&self, offset: usize, value: u64) -> u64 {
+        self.word(offset).fetch_max(value, Ordering::AcqRel)
     }
 
     /// Zero a byte range.
@@ -314,27 +313,23 @@ mod tests {
     }
 
     #[test]
-    fn cas_semantics() {
+    fn fetch_max_semantics() {
         let b = Backing::new(8).unwrap();
-        assert_eq!(b.cas_u64(0, 0, 7), Ok(0));
-        assert_eq!(b.cas_u64(0, 0, 9), Err(7));
+        assert_eq!(b.fetch_max_u64(0, 7), 0);
+        assert_eq!(b.fetch_max_u64(0, 3), 7);
         assert_eq!(b.read_u64(0), 7);
     }
 
+    /// Racing maxima leave the largest value, whatever the order.
     #[test]
-    fn concurrent_counter() {
+    fn concurrent_max() {
         let b = Arc::new(Backing::new(8).unwrap());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
                 let b = Arc::clone(&b);
                 std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        loop {
-                            let cur = b.read_u64(0);
-                            if b.cas_u64(0, cur, cur + 1).is_ok() {
-                                break;
-                            }
-                        }
+                    for i in 0..1000 {
+                        b.fetch_max_u64(0, i * 4 + t);
                     }
                 })
             })
@@ -342,6 +337,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(b.read_u64(0), 4000);
+        assert_eq!(b.read_u64(0), 3999);
     }
 }

@@ -12,17 +12,16 @@ use crate::interconnect::VectorBitmap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The in-memory posted-interrupt descriptor (Intel SDM Vol. 3, 29.6).
+///
+/// Two consumers use it. A posted-IPI core learns of a post from the
+/// notification vector and harvests the PIR. The hypervisor's command
+/// doorbell is polled instead: the core checks the ON bit at every safe
+/// point, and no notification is sent for it.
 pub struct PostedIntDescriptor {
     /// Posted-interrupt requests: one bit per vector.
     pir: VectorBitmap,
     /// Outstanding-notification bit.
     on: AtomicBool,
-    /// Suppress-notification bit (SDM 29.6 / VT-d PID "SN"): the consumer
-    /// sets it while it is actively polling the descriptor at safe
-    /// points, telling posters to skip the physical notification IPI —
-    /// the poll loop will see the PIR anyway. Cleared (default) for
-    /// consumers that rely on the interrupt to learn about posts.
-    sn: AtomicBool,
     /// The physical vector used to notify the target core.
     notification_vector: u8,
 }
@@ -33,17 +32,8 @@ impl PostedIntDescriptor {
         PostedIntDescriptor {
             pir: VectorBitmap::default(),
             on: AtomicBool::new(false),
-            sn: AtomicBool::new(false),
             notification_vector,
         }
-    }
-
-    /// Set or clear the suppress-notification bit. While set, `post()`
-    /// never requests a physical notification — ON still tracks posts, so
-    /// pollers (and the controller's bounded NMI fallback, which watches
-    /// the completion counter rather than the interrupt) are unaffected.
-    pub fn set_suppress(&self, suppress: bool) {
-        self.sn.store(suppress, Ordering::Release);
     }
 
     /// The notification vector registered with the VMCS.
@@ -63,13 +53,12 @@ impl PostedIntDescriptor {
     /// seen; posting in the opposite order could set ON while the bit
     /// lands after the drain, losing the wakeup.
     ///
-    /// When the suppress-notification bit is set the function always
-    /// returns `false` (no IPI), but ON is still tracked so pollers and
-    /// the quiescent invariant behave identically.
+    /// A poster to a descriptor whose consumer polls ON at its safe points
+    /// (the hypervisor's command doorbell) sends no notification and
+    /// ignores the result.
     pub fn post(&self, vector: u8) -> bool {
         self.pir.set(vector);
-        let was_outstanding = self.on.swap(true, Ordering::AcqRel);
-        !was_outstanding && !self.sn.load(Ordering::Acquire)
+        !self.on.swap(true, Ordering::AcqRel)
     }
 
     /// Harvest all posted vectors (what the core does on receiving the
@@ -138,19 +127,6 @@ mod tests {
         assert!(!d.has_pending());
         // Next post needs a fresh notification.
         assert!(d.post(0x11));
-    }
-
-    #[test]
-    fn suppressed_post_skips_notification_but_tracks_on() {
-        let d = PostedIntDescriptor::new(0xf3);
-        d.set_suppress(true);
-        assert!(!d.post(0x21), "SN set: no physical notification");
-        assert!(d.notification_outstanding(), "ON still tracks the post");
-        assert!(d.has_pending());
-        assert_eq!(d.harvest(), vec![0x21]);
-        // Clearing SN restores the notify-on-first-post behaviour.
-        d.set_suppress(false);
-        assert!(d.post(0x21));
     }
 
     #[test]

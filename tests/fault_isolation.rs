@@ -742,3 +742,36 @@ fn a_dead_enclaves_live_core_is_stopped_before_its_memory_is_regranted() {
         assert_eq!(gb.read_u64(target).unwrap(), 0xb0b, "fault {fault}");
     }
 }
+
+/// A teardown whose core never answers releases nothing. The core is in
+/// guest mode and never polled, so the `Terminate` round trip ends at its
+/// deadline with `ResourceBusy` naming the core, and the dead enclave
+/// keeps everything that core may still reach: its partition and
+/// management region stay counted in use, the core stays assigned (an
+/// enclave asking for it is refused) and the host keeps the record.
+#[test]
+fn a_teardown_whose_core_never_answers_releases_nothing() {
+    use covirt_suite::pisces::PiscesError;
+
+    let lab = Lab::new(ExecMode::Covirt(CovirtConfig::MEM));
+    let pisces = lab.master.pisces();
+    let in_use = || lab.node.mem.zone_usage(ZoneId(0)).unwrap().1;
+    let (a, _ka, core) = lab.enclave(2);
+    let held = in_use();
+
+    let err = pisces.teardown(&a).unwrap_err();
+    assert!(matches!(err, PiscesError::ResourceBusy(_)), "{err}");
+    assert!(err.to_string().contains("core 2"), "{err}");
+    assert_eq!(a.state(), EnclaveState::Terminated);
+    assert_eq!(in_use(), held, "the partition went back");
+    assert!(!a.resources().mem.is_empty());
+    assert!(lab.node.mem.resolve(a.mgmt_region.start, 8).is_ok());
+    assert!(pisces.enclave(a.id).is_ok(), "the host forgot the enclave");
+    let again = ResourceRequest::new(vec![CoreId(2)], vec![(ZoneId(0), 16 << 20)]);
+    match pisces.create_enclave("b", &again) {
+        Err(PiscesError::ResourceBusy(why)) => assert!(why.contains("core"), "{why}"),
+        got => panic!("core 2 must stay assigned, got {:?}", got.map(|e| e.id)),
+    }
+    assert_eq!(in_use(), held);
+    drop(core);
+}
