@@ -1,5 +1,5 @@
-//! The Kitten kernel object: boot, memory management, control-channel
-//! servicing and syscall forwarding.
+//! The Kitten kernel object: boot, memory management and control-channel
+//! servicing.
 
 use crate::memmap::{MemMap, RegionKind};
 use crate::task::{Task, TaskId};
@@ -28,8 +28,6 @@ pub struct KittenKernel {
     pub timer_policy: TimerPolicy,
     tasks: RwLock<Vec<Task>>,
     next_task: Mutex<u64>,
-    /// Most recent syscall return received from the host.
-    last_syscall_ret: Mutex<Option<(u64, u64)>>,
 }
 
 impl KittenKernel {
@@ -86,7 +84,6 @@ impl KittenKernel {
             timer_policy: TimerPolicy::default(),
             tasks: RwLock::new(Vec::new()),
             next_task: Mutex::new(1),
-            last_syscall_ret: Mutex::new(None),
         })
     }
 
@@ -135,7 +132,7 @@ impl KittenKernel {
     /// "management interrupt" bottom half; in a live enclave it runs from
     /// the exec loop's safe points.
     ///
-    /// A handled message may owe the host an acknowledgement, so none is
+    /// Every handled message owes the host an acknowledgement, so none is
     /// taken while the enclave→host ring is full: it stays queued for the
     /// next poll instead of being applied with its ack lost. The inbound
     /// ring lies in memory the enclave can write, so a range it names is
@@ -167,7 +164,7 @@ impl KittenKernel {
                         .write()
                         .add(range, RegionKind::Granted)
                         .map_err(KittenError::Invalid)?;
-                    Some(CtrlMsg::AddMemAck { start, len })
+                    CtrlMsg::AddMemAck { start, len }
                 }
                 CtrlMsg::RemoveMem { start, len } => {
                     let range = named(start, len)?;
@@ -176,21 +173,15 @@ impl KittenKernel {
                         .write()
                         .remove(range)
                         .map_err(KittenError::Invalid)?;
-                    Some(CtrlMsg::RemoveMemAck { start, len })
+                    CtrlMsg::RemoveMemAck { start, len }
                 }
-                CtrlMsg::Ping { token } => Some(CtrlMsg::PingAck { token }),
-                CtrlMsg::SyscallRet { nr, ret } => {
-                    *self.last_syscall_ret.lock() = Some((nr, ret));
-                    None
-                }
-                CtrlMsg::Shutdown => Some(CtrlMsg::ShutdownAck),
+                CtrlMsg::Ping { token } => CtrlMsg::PingAck { token },
+                CtrlMsg::Shutdown => CtrlMsg::ShutdownAck,
                 _ => return Err(KittenError::Ctrl("unexpected message from host")),
             };
-            if let Some(ack) = ack {
-                self.ctrl
-                    .send(&ack)
-                    .map_err(|_| KittenError::Ctrl("send failed"))?;
-            }
+            self.ctrl
+                .send(&ack)
+                .map_err(|_| KittenError::Ctrl("send failed"))?;
             // The loop stops when the outbound ring is full, so it handles
             // at most a ring's worth: the batch has room.
             let _ = handled.push(msg);
@@ -228,18 +219,6 @@ impl KittenKernel {
             .remove(range)
             .map_err(KittenError::Invalid)?;
         Ok(())
-    }
-
-    /// Forward a system call to the host OS/R.
-    pub fn forward_syscall(&self, nr: u64, arg0: u64, arg1: u64) -> KittenResult<()> {
-        self.ctrl
-            .send(&CtrlMsg::Syscall { nr, arg0, arg1 })
-            .map_err(|_| KittenError::Ctrl("send failed"))
-    }
-
-    /// Take the most recent syscall return, if one arrived.
-    pub fn take_syscall_ret(&self) -> Option<(u64, u64)> {
-        self.last_syscall_ret.lock().take()
     }
 
     /// Create a task pinned to `core`.
@@ -352,6 +331,14 @@ mod tests {
         assert!(!e.resources().mem.contains(&range));
     }
 
+    /// Fill the host→enclave ring with pings, numbered on from `*token`.
+    fn fill_with_pings(host_end: &CtrlChannel, token: &mut u64) {
+        while host_end.can_send() {
+            host_end.send(&CtrlMsg::Ping { token: *token }).unwrap();
+            *token += 1;
+        }
+    }
+
     /// A full enclave→host ring must not cost the host an ack: the
     /// message stays queued (its effect unapplied) until the ack fits.
     #[test]
@@ -360,19 +347,18 @@ mod tests {
         let range = h.add_memory(&e, ZoneId(0), 2 * 1024 * 1024).unwrap();
         k.poll_ctrl().unwrap();
         h.process_acks(&e).unwrap();
-        while k.ctrl.can_send() {
-            k.forward_syscall(60, 1, 2).unwrap();
-        }
+        // A ring of pings, answered: the acks fill the enclave→host ring.
+        fill_with_pings(&e.ctrl().unwrap(), &mut 0);
+        k.poll_ctrl().unwrap();
+        assert!(!k.ctrl.can_send());
         h.request_remove_memory(&e, range).unwrap();
 
         assert_eq!(k.poll_ctrl().unwrap(), []);
         assert!(k.memmap().contains(range.start, range.len));
         assert_eq!(k.ctrl.pending(), 1);
 
-        // The host end takes the syscalls off the ring (unanswered: 64
-        // returns plus the queued RemoveMem would overrun the other ring).
-        let host_end = e.ctrl().unwrap();
-        while host_end.try_recv().unwrap().is_some() {}
+        // The host takes the ping acks off the ring.
+        h.process_acks(&e).unwrap();
         let handled = k.poll_ctrl().unwrap();
         assert!(matches!(handled[..], [CtrlMsg::RemoveMem { .. }]));
         assert!(!k.memmap().contains(range.start, 8));
@@ -380,37 +366,28 @@ mod tests {
         assert!(!e.resources().mem.contains(&range));
     }
 
-    /// The host-side mirror, with both rings full at once: the host keeps
-    /// taking the kernel's syscalls though it cannot answer yet, which is
-    /// what lets the kernel (deferring its polls until its own ring has
-    /// room) start draining; every return then arrives, none is lost and
-    /// neither side waits on the other.
+    /// Both rings full at once: the kernel takes no ping it cannot
+    /// acknowledge, and once the host drains the acks it answers every
+    /// ping, in order, losing none.
     #[test]
-    fn two_full_rings_lose_no_syscall_return_and_do_not_wait_on_each_other() {
+    fn two_full_rings_lose_no_ack_and_do_not_wait_on_each_other() {
         let (h, e, k) = booted();
         let host_end = e.ctrl().unwrap();
-        let mut pings = 0;
-        while host_end.can_send() {
-            host_end.send(&CtrlMsg::Ping { token: pings }).unwrap();
-            pings += 1;
-        }
-        let mut calls = 0;
-        while k.ctrl.can_send() {
-            k.forward_syscall(60 + calls, 0, 0).unwrap();
-            calls += 1;
-        }
+        let mut token = 0;
+        fill_with_pings(&host_end, &mut token);
+        assert_eq!(k.poll_ctrl().unwrap().len() as u64, token);
+        let first = token;
+        fill_with_pings(&host_end, &mut token);
         assert_eq!(k.poll_ctrl().unwrap(), [], "no room to acknowledge a ping");
+        assert_eq!(k.ctrl.pending(), token - first);
 
-        assert_eq!(h.process_acks(&e).unwrap().len(), calls as usize);
-        assert_eq!(k.poll_ctrl().unwrap().len(), pings as usize);
-        assert_eq!(k.take_syscall_ret(), None, "every return is still parked");
-        // The parked returns go out ahead of anything new, oldest first.
-        assert_eq!(h.process_acks(&e).unwrap().len(), pings as usize);
-        let returns = k.poll_ctrl().unwrap();
-        let expect: Vec<CtrlMsg> = (0..calls)
-            .map(|i| CtrlMsg::SyscallRet { nr: 60 + i, ret: 0 })
+        assert_eq!(h.process_acks(&e).unwrap().len() as u64, first);
+        let pings: Vec<CtrlMsg> = (first..token).map(|t| CtrlMsg::Ping { token: t }).collect();
+        assert_eq!(*k.poll_ctrl().unwrap(), pings);
+        let acks: Vec<CtrlMsg> = (first..token)
+            .map(|t| CtrlMsg::PingAck { token: t })
             .collect();
-        assert_eq!(*returns, expect);
+        assert_eq!(*h.process_acks(&e).unwrap(), acks);
     }
 
     #[test]
@@ -421,16 +398,6 @@ mod tests {
         k.poll_ctrl().unwrap();
         let reply = ctrl.try_recv().unwrap().unwrap();
         assert_eq!(reply, CtrlMsg::PingAck { token: 31337 });
-    }
-
-    #[test]
-    fn syscall_forwarding() {
-        let (h, e, k) = booted();
-        k.forward_syscall(60, 1, 2).unwrap();
-        h.process_acks(&e).unwrap(); // host answers with ret 0
-        k.poll_ctrl().unwrap();
-        assert_eq!(k.take_syscall_ret(), Some((60, 0)));
-        assert_eq!(k.take_syscall_ret(), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! enclave: it boots from the Pisces boot-parameter structure, builds an
 //! *identity-mapped* view of its assigned memory (Kitten's contiguous
 //! physical-memory policy), runs tasks with minimal scheduling, keeps OS
-//! noise low via a tickless-by-default timer policy, and delegates
-//! heavy-weight system calls to the host OS/R over the control channel.
+//! noise low via a tickless-by-default timer policy, and acknowledges the
+//! host's management requests over the control channel.
 //!
 //! The crate also carries the *fault-injection* surface
 //! ([`faults`]) used to reproduce the bug classes Section V of the paper
@@ -27,7 +27,6 @@
 pub mod faults;
 pub mod kernel;
 pub mod memmap;
-pub mod syscall;
 pub mod task;
 pub mod timer;
 

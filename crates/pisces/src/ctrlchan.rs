@@ -1,11 +1,11 @@
 //! The host ⇄ enclave control channel (Pisces' "longcall" interface).
 //!
 //! Each enclave gets a pair of shared-memory rings: host→enclave for
-//! resource-management commands, enclave→host for acknowledgements and
-//! forwarded system calls. A message is one ring [`Slot`] — a tag word,
-//! then up to three operand words — because that is how the real framework
-//! moves them: as fixed C structs in shared physical memory, not as Rust
-//! objects.
+//! resource-management requests, enclave→host for their acknowledgements.
+//! The host answers nothing the co-kernel sends. A message is one ring
+//! [`Slot`] — a tag word, then up to two operand words — because that is
+//! how the real framework moves them: as fixed C structs in shared
+//! physical memory, not as Rust objects.
 
 use crate::ring::{Batch, RingError, SharedRing, Slot};
 use covirt_simhw::addr::PhysRange;
@@ -50,33 +50,16 @@ pub enum CtrlMsg {
         /// Length in bytes.
         len: u64,
     },
-    /// Enclave → host: a forwarded system call (Kitten delegates
-    /// heavy-weight syscalls to the host OS/R).
-    Syscall {
-        /// Syscall number.
-        nr: u64,
-        /// First argument.
-        arg0: u64,
-        /// Second argument.
-        arg1: u64,
-    },
-    /// Host → enclave: result of a forwarded system call.
-    SyscallRet {
-        /// Syscall number this answers.
-        nr: u64,
-        /// Return value.
-        ret: u64,
-    },
     /// Host → enclave: orderly shutdown request.
     Shutdown,
     /// Enclave → host: shutdown complete.
     ShutdownAck,
-    /// Liveness probe (either direction).
+    /// Host → enclave: liveness probe.
     Ping {
         /// Echo token.
         token: u64,
     },
-    /// Liveness response.
+    /// Enclave → host: liveness response.
     PingAck {
         /// Echoed token.
         token: u64,
@@ -87,8 +70,7 @@ const TAG_ADD_MEM: u64 = 1;
 const TAG_ADD_MEM_ACK: u64 = 2;
 const TAG_REMOVE_MEM: u64 = 3;
 const TAG_REMOVE_MEM_ACK: u64 = 4;
-const TAG_SYSCALL: u64 = 5;
-const TAG_SYSCALL_RET: u64 = 6;
+// Tags 5 and 6 are retired: a slot carrying one is no message.
 const TAG_SHUTDOWN: u64 = 7;
 const TAG_SHUTDOWN_ACK: u64 = 8;
 const TAG_PING: u64 = 9;
@@ -102,8 +84,6 @@ impl CtrlMsg {
             CtrlMsg::AddMemAck { .. } => "add_mem_ack",
             CtrlMsg::RemoveMem { .. } => "remove_mem",
             CtrlMsg::RemoveMemAck { .. } => "remove_mem_ack",
-            CtrlMsg::Syscall { .. } => "syscall",
-            CtrlMsg::SyscallRet { .. } => "syscall_ret",
             CtrlMsg::Shutdown => "shutdown",
             CtrlMsg::ShutdownAck => "shutdown_ack",
             CtrlMsg::Ping { .. } => "ping",
@@ -113,35 +93,27 @@ impl CtrlMsg {
 
     /// The message as a ring slot: its tag, then its operands.
     fn to_slot(self) -> Slot {
-        let (tag, a, b, c) = match self {
-            CtrlMsg::AddMem { start, len } => (TAG_ADD_MEM, start, len, 0),
-            CtrlMsg::AddMemAck { start, len } => (TAG_ADD_MEM_ACK, start, len, 0),
-            CtrlMsg::RemoveMem { start, len } => (TAG_REMOVE_MEM, start, len, 0),
-            CtrlMsg::RemoveMemAck { start, len } => (TAG_REMOVE_MEM_ACK, start, len, 0),
-            CtrlMsg::Syscall { nr, arg0, arg1 } => (TAG_SYSCALL, nr, arg0, arg1),
-            CtrlMsg::SyscallRet { nr, ret } => (TAG_SYSCALL_RET, nr, ret, 0),
-            CtrlMsg::Shutdown => (TAG_SHUTDOWN, 0, 0, 0),
-            CtrlMsg::ShutdownAck => (TAG_SHUTDOWN_ACK, 0, 0, 0),
-            CtrlMsg::Ping { token } => (TAG_PING, token, 0, 0),
-            CtrlMsg::PingAck { token } => (TAG_PING_ACK, token, 0, 0),
+        let (tag, a, b) = match self {
+            CtrlMsg::AddMem { start, len } => (TAG_ADD_MEM, start, len),
+            CtrlMsg::AddMemAck { start, len } => (TAG_ADD_MEM_ACK, start, len),
+            CtrlMsg::RemoveMem { start, len } => (TAG_REMOVE_MEM, start, len),
+            CtrlMsg::RemoveMemAck { start, len } => (TAG_REMOVE_MEM_ACK, start, len),
+            CtrlMsg::Shutdown => (TAG_SHUTDOWN, 0, 0),
+            CtrlMsg::ShutdownAck => (TAG_SHUTDOWN_ACK, 0, 0),
+            CtrlMsg::Ping { token } => (TAG_PING, token, 0),
+            CtrlMsg::PingAck { token } => (TAG_PING_ACK, token, 0),
         };
-        [tag, a, b, c, 0, 0, 0, 0]
+        [tag, a, b, 0, 0, 0, 0, 0]
     }
 
     /// The message a slot holds; `None` for an unknown tag.
     fn from_slot(slot: &Slot) -> Option<Self> {
-        let [tag, a, b, c, ..] = *slot;
+        let [tag, a, b, ..] = *slot;
         Some(match tag {
             TAG_ADD_MEM => CtrlMsg::AddMem { start: a, len: b },
             TAG_ADD_MEM_ACK => CtrlMsg::AddMemAck { start: a, len: b },
             TAG_REMOVE_MEM => CtrlMsg::RemoveMem { start: a, len: b },
             TAG_REMOVE_MEM_ACK => CtrlMsg::RemoveMemAck { start: a, len: b },
-            TAG_SYSCALL => CtrlMsg::Syscall {
-                nr: a,
-                arg0: b,
-                arg1: c,
-            },
-            TAG_SYSCALL_RET => CtrlMsg::SyscallRet { nr: a, ret: b },
             TAG_SHUTDOWN => CtrlMsg::Shutdown,
             TAG_SHUTDOWN_ACK => CtrlMsg::ShutdownAck,
             TAG_PING => CtrlMsg::Ping { token: a },
@@ -285,33 +257,35 @@ mod tests {
         (window, ch)
     }
 
+    /// Every message round-trips under the tag it has always had; 5 and 6
+    /// (a forwarded system call and its return) are retired.
     #[test]
     fn encode_decode_all_variants() {
         let msgs = [
-            CtrlMsg::AddMem { start: 1, len: 2 },
-            CtrlMsg::AddMemAck { start: 1, len: 2 },
-            CtrlMsg::RemoveMem { start: 3, len: 4 },
-            CtrlMsg::RemoveMemAck { start: 3, len: 4 },
-            CtrlMsg::Syscall {
-                nr: 60,
-                arg0: 1,
-                arg1: 2,
-            },
-            CtrlMsg::SyscallRet { nr: 60, ret: 0 },
-            CtrlMsg::Shutdown,
-            CtrlMsg::ShutdownAck,
-            CtrlMsg::Ping { token: 99 },
-            CtrlMsg::PingAck { token: 99 },
+            (CtrlMsg::AddMem { start: 1, len: 2 }, 1),
+            (CtrlMsg::AddMemAck { start: 1, len: 2 }, 2),
+            (CtrlMsg::RemoveMem { start: 3, len: 4 }, 3),
+            (CtrlMsg::RemoveMemAck { start: 3, len: 4 }, 4),
+            (CtrlMsg::Shutdown, 7),
+            (CtrlMsg::ShutdownAck, 8),
+            (CtrlMsg::Ping { token: 99 }, 9),
+            (CtrlMsg::PingAck { token: 99 }, 10),
         ];
-        for m in msgs {
+        for (m, tag) in msgs {
+            assert_eq!(m.to_slot()[0], tag, "{m:?}");
             assert_eq!(CtrlMsg::from_slot(&m.to_slot()), Some(m));
         }
     }
 
+    /// A slot that is no message decodes to nothing: garbage, and a slot
+    /// tagged with a retired tag.
     #[test]
     fn decode_garbage_fails() {
         assert_eq!(CtrlMsg::from_slot(&[u64::MAX; 8]), None);
         assert_eq!(CtrlMsg::from_slot(&[0; 8]), None);
+        for tag in [5, 6] {
+            assert_eq!(CtrlMsg::from_slot(&[tag, 60, 1, 2, 0, 0, 0, 0]), None);
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Enclave objects and their lifecycle state machine.
 
-use crate::ctrlchan::{CtrlChannel, CtrlMsg};
+use crate::ctrlchan::CtrlChannel;
 use crate::resources::ResourceSpec;
 use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::MemWindow;
 use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Enclave identifier, unique per host.
@@ -82,9 +81,6 @@ pub struct Enclave {
     /// region takes a sub-window of it.
     mgmt: MemWindow,
     ctrl: Mutex<Option<CtrlChannel>>,
-    /// Host→enclave replies the control ring had no room for, oldest
-    /// first; [`crate::host::PiscesHost::process_acks`] sends them on.
-    pub(crate) parked_replies: Mutex<VecDeque<CtrlMsg>>,
     /// Ranges the host asked the co-kernel to give back that it has not
     /// acknowledged yet, each once; [`crate::host::PiscesHost::process_acks`]
     /// acts on a `RemoveMemAck` only by taking its range out of here.
@@ -103,7 +99,6 @@ impl Enclave {
             mgmt_region: mgmt.range(),
             mgmt,
             ctrl: Mutex::new(None),
-            parked_replies: Mutex::new(VecDeque::new()),
             removals: Mutex::new(Vec::new()),
         }
     }

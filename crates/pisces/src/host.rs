@@ -32,10 +32,6 @@ const BOOT_PARAMS_LEN: u64 = PAGE_SIZE_4K;
 /// Size of an enclave's management region: what it carries, the
 /// boot-parameter page and then the control channel.
 const MGMT_REGION_LEN: u64 = BOOT_PARAMS_LEN + CtrlChannel::required_bytes();
-/// Replies one enclave may have parked (see `PiscesHost::reply`): as many
-/// as its ring holds again. The enclave decides how many syscalls it
-/// forwards without polling, so the host bounds what it keeps for it.
-const MAX_PARKED_REPLIES: usize = CTRL_SLOTS as usize;
 /// Why an enclave whose enclave→host ring the host cannot read failed.
 const CORRUPT_CHANNEL: &str = "control channel corrupt";
 /// Why a message to an enclave was refused.
@@ -412,7 +408,8 @@ impl PiscesHost {
     /// more than it holds, a slot that is no message — fails the enclave
     /// down the fault path ([`PiscesHost::set_fault_path`]); a dead
     /// enclave's ring, whose memory may be another's by then, is not read
-    /// again.
+    /// again. Nothing is answered: the host→enclave ring carries only the
+    /// host's requests.
     ///
     /// `RemoveMemAck` ordering (the Covirt contract): ack received →
     /// **hook** (EPT unmap + TLB flush, blocking) → partition shrinks →
@@ -429,8 +426,6 @@ impl PiscesHost {
         let ctrl = enclave
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
-        // Replies an earlier call had no ring slot for go first.
-        Self::send_parked(&mut enclave.parked_replies.lock(), &ctrl);
         let mut handled = CtrlBatch::new();
         for _ in 0..CTRL_SLOTS {
             let msg = match ctrl.try_recv() {
@@ -461,13 +456,6 @@ impl PiscesHost {
                     self.node.mem.free(range)?;
                 }
                 CtrlMsg::AddMemAck { .. } | CtrlMsg::PingAck { .. } | CtrlMsg::ShutdownAck => {}
-                CtrlMsg::Syscall { nr, arg0, arg1 } => {
-                    // Forwarded syscalls are executed "on the host" — the
-                    // model simply answers; real work is in the hobbes
-                    // layer.
-                    let _ = (arg0, arg1);
-                    Self::reply(enclave, &ctrl, CtrlMsg::SyscallRet { nr: *nr, ret: 0 })?;
-                }
                 other => {
                     return Err(PiscesError::Invalid(match other {
                         CtrlMsg::AddMem { .. } => "unexpected AddMem from enclave",
@@ -480,34 +468,6 @@ impl PiscesHost {
             let _ = handled.push(msg);
         }
         Ok(handled)
-    }
-
-    /// Send parked replies, oldest first, while the host→enclave ring
-    /// takes them.
-    fn send_parked(parked: &mut VecDeque<CtrlMsg>, ctrl: &CtrlChannel) {
-        while parked.front().is_some_and(|r| ctrl.send(r).is_ok()) {
-            parked.pop_front();
-        }
-    }
-
-    /// Answer a message already taken off the enclave→host ring. The reply
-    /// queues behind any the host→enclave ring had no room for and goes
-    /// out as soon as the ring takes it — at once, or from a later
-    /// [`PiscesHost::process_acks`]: the host keeps draining, so a
-    /// co-kernel that defers its polls until it can acknowledge them (it
-    /// takes no message while its own ring is full) always gets that room,
-    /// and the two full rings never wait on each other. An enclave that
-    /// lets [`MAX_PARKED_REPLIES`] pile up is refused further answers.
-    fn reply(enclave: &Enclave, ctrl: &CtrlChannel, msg: CtrlMsg) -> PiscesResult<()> {
-        let mut parked = enclave.parked_replies.lock();
-        if parked.len() >= MAX_PARKED_REPLIES {
-            return Err(PiscesError::ResourceBusy(
-                "enclave is not draining its control channel".into(),
-            ));
-        }
-        parked.push_back(msg);
-        Self::send_parked(&mut parked, ctrl);
-        Ok(())
     }
 
     /// Allocate an IPI vector for the enclave from the global pool.
@@ -770,81 +730,6 @@ mod tests {
         assert!(!e.resources().mem.contains(&range));
     }
 
-    /// A full host→enclave ring must not cost the co-kernel its syscall
-    /// return: the host still takes the `Syscall` (it never stops
-    /// draining), keeps the reply on the enclave and sends it, in order,
-    /// once the ring has room.
-    #[test]
-    fn full_command_ring_parks_syscall_replies_instead_of_losing_them() {
-        let h = host();
-        let e = h.create_enclave("e0", &small_req()).unwrap();
-        h.launch(&e).unwrap();
-        let guest = enclave_end(&h, &e);
-        let host_end = e.ctrl().unwrap();
-        while host_end.can_send() {
-            host_end.send(&CtrlMsg::Ping { token: 7 }).unwrap();
-        }
-        for nr in [60, 61] {
-            let call = CtrlMsg::Syscall {
-                nr,
-                arg0: 1,
-                arg1: 2,
-            };
-            guest.send(&call).unwrap();
-            assert_eq!(h.process_acks(&e).unwrap(), [call]);
-        }
-        // Nothing fitted yet, and nothing was dropped.
-        assert_eq!(guest.pending(), crate::ctrlchan::CTRL_SLOTS);
-        assert_eq!(e.parked_replies.lock().len(), 2);
-
-        while let Some(msg) = guest.try_recv().unwrap() {
-            assert_eq!(msg, CtrlMsg::Ping { token: 7 });
-        }
-        assert_eq!(h.process_acks(&e).unwrap(), []);
-        for nr in [60, 61] {
-            assert_eq!(
-                guest.try_recv().unwrap(),
-                Some(CtrlMsg::SyscallRet { nr, ret: 0 })
-            );
-        }
-        assert!(e.parked_replies.lock().is_empty());
-    }
-
-    /// How many syscalls go unanswered is the enclave's choice, so what the
-    /// host keeps for it is bounded: past one ring's worth of parked
-    /// replies the next syscall is refused, and polling clears the refusal.
-    #[test]
-    fn parked_replies_are_bounded_per_enclave() {
-        let h = host();
-        let e = h.create_enclave("e0", &small_req()).unwrap();
-        h.launch(&e).unwrap();
-        let guest = enclave_end(&h, &e);
-        let call = CtrlMsg::Syscall {
-            nr: 60,
-            arg0: 0,
-            arg1: 0,
-        };
-        // One ring of replies sent, one ring's worth parked.
-        for _ in 0..2 * crate::ctrlchan::CTRL_SLOTS {
-            guest.send(&call).unwrap();
-            h.process_acks(&e).unwrap();
-        }
-        assert_eq!(e.parked_replies.lock().len(), MAX_PARKED_REPLIES);
-        guest.send(&call).unwrap();
-        let err = h.process_acks(&e).unwrap_err();
-        assert!(matches!(err, PiscesError::ResourceBusy(_)), "{err}");
-
-        while guest.try_recv().unwrap().is_some() {}
-        guest.send(&call).unwrap();
-        assert_eq!(h.process_acks(&e).unwrap(), [call]);
-        let mut returns = 0;
-        while guest.try_recv().unwrap().is_some() {
-            returns += 1;
-        }
-        assert_eq!(returns, MAX_PARKED_REPLIES);
-        assert_eq!(e.parked_replies.lock().len(), 1);
-    }
-
     #[test]
     fn vector_lifecycle() {
         let h = host();
@@ -900,35 +785,51 @@ mod tests {
 
     /// A ring the host cannot read fails its enclave down the installed
     /// fault path; with no path, or one that leaves the enclave alive, the
-    /// host fails it itself. Either way it is reclaimed once.
+    /// host fails it itself. Either way it is reclaimed once. A slot with
+    /// a retired tag (5 and 6 were a forwarded system call and its return)
+    /// is such a ring, and it is not answered: when the fault path runs,
+    /// nothing is queued on the host→enclave ring.
     #[test]
     fn a_corrupt_ring_fails_its_enclave_with_or_without_a_fault_path() {
-        for installed in [false, true] {
-            let h = host();
-            let told = Arc::new(Mutex::new(Vec::new()));
-            if installed {
-                let told = Arc::clone(&told);
-                h.set_fault_path(move |id, why| told.lock().push((id, why.to_owned())));
+        for corrupt in [None, Some(5), Some(6)] {
+            for installed in [false, true] {
+                let h = host();
+                let in_use = || h.node().mem.zone_usage(ZoneId(0)).unwrap().1;
+                let before = in_use();
+                let e = h.create_enclave("e0", &small_req()).unwrap();
+                h.launch(&e).unwrap();
+                let told = Arc::new(Mutex::new(Vec::new()));
+                if installed {
+                    let (told, guest) = (Arc::clone(&told), enclave_end(&h, &e));
+                    h.set_fault_path(move |id, why| {
+                        told.lock().push((id, why.to_owned(), guest.pending()))
+                    });
+                }
+                // The enclave→host ring is the channel's second half; the
+                // tail is its header's fourth word.
+                let ring_len = CtrlChannel::required_bytes() / 2;
+                let ring = e.mgmt_region.start.add(MGMT_REGION_LEN - ring_len);
+                match corrupt {
+                    None => {
+                        let (mem, tail) = (&h.node().mem, ring.add(24));
+                        mem.write_u64(tail, mem.read_u64(tail).unwrap() + (1 << 16))
+                            .unwrap();
+                    }
+                    Some(tag) => {
+                        let window = e.mgmt().sub(PhysRange::new(ring, ring_len)).unwrap();
+                        let to_host = crate::ring::SharedRing::attach(&window).unwrap();
+                        to_host.push([tag, 60, 1, 2, 0, 0, 0, 0]).unwrap();
+                    }
+                }
+                assert!(h.process_acks(&e).is_err(), "{corrupt:?}");
+                assert_eq!(e.state(), EnclaveState::Failed(CORRUPT_CHANNEL.into()));
+                assert_eq!(in_use(), before);
+                let expected = match installed {
+                    true => vec![(e.id.0, CORRUPT_CHANNEL.to_owned(), 0)],
+                    false => vec![],
+                };
+                assert_eq!(*told.lock(), expected, "{corrupt:?}");
             }
-            let in_use = || h.node().mem.zone_usage(ZoneId(0)).unwrap().1;
-            let before = in_use();
-            let e = h.create_enclave("e0", &small_req()).unwrap();
-            h.launch(&e).unwrap();
-            // The enclave→host ring is the channel's second half; the tail
-            // is its header's fourth word.
-            let ring = MGMT_REGION_LEN - CtrlChannel::required_bytes() / 2;
-            let tail = e.mgmt_region.start.add(ring + 24);
-            let mem = &h.node().mem;
-            mem.write_u64(tail, mem.read_u64(tail).unwrap() + (1 << 16))
-                .unwrap();
-            assert!(h.process_acks(&e).is_err());
-            assert_eq!(e.state(), EnclaveState::Failed(CORRUPT_CHANNEL.into()));
-            assert_eq!(in_use(), before);
-            let expected = match installed {
-                true => vec![(e.id.0, CORRUPT_CHANNEL.to_owned())],
-                false => vec![],
-            };
-            assert_eq!(*told.lock(), expected);
         }
     }
 

@@ -17,8 +17,9 @@
 //!   hook chain first ([`hooks::EnclaveHooks::on_launch`]).
 //! * **Control channels** ([`ring`], [`ctrlchan`]) — shared-memory rings
 //!   of fixed word records between the host and each enclave (Pisces'
-//!   longcall channel), used for memory grant/reclaim transmission and
-//!   syscall forwarding.
+//!   longcall channel): the host's requests (memory grants and reclaims,
+//!   shutdown, liveness) one way and the co-kernel's acknowledgements the
+//!   other.
 //! * **Lifecycle + hooks** ([`enclave`], [`hooks`], [`host`]) — enclave
 //!   state machine and the resource-event callbacks whose *ordering*
 //!   (map-before-notify, unmap-after-ack, cut-off-before-free) the Covirt

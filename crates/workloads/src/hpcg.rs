@@ -6,10 +6,8 @@
 //! a contiguous row block; dot products reduce through shared atomic
 //! cells behind barriers, matching the OpenMP structure of the reference.
 
-use crate::env::World;
-use crate::sparse::{row_parts, vec_ops, CgShared, GuestCsr, ReduceCell};
-use covirt::{CovirtResult, GuestCore};
-use std::sync::Barrier;
+use crate::env::{partition, World};
+use crate::sparse::{cg_rank, vec_ops, CgShared, CgVectors, GuestCsr};
 
 /// HPCG result.
 #[derive(Clone, Copy, Debug)]
@@ -30,130 +28,23 @@ fn flops_per_iteration(n: usize, nnz: usize) -> f64 {
     (2 * nnz + 4 * nnz + 10 * n) as f64
 }
 
-/// All-ranks reduction: every rank contributes `local` and receives the
-/// global sum. Three barriers fence reset / accumulate / read so no rank
-/// can observe a half-built value.
-pub fn reduce(bar: &Barrier, cell: &ReduceCell, local: f64) -> f64 {
-    bar.wait();
-    cell.reset(); // idempotent: every rank stores the same zero
-    bar.wait();
-    cell.add(local);
-    bar.wait();
-    cell.get()
-}
-
-struct Vectors {
-    x: u64,
-    b: u64,
-    r: u64,
-    z: u64,
-    p: u64,
-    ap: u64,
-}
-
-fn alloc_vectors(world: &World, n: usize) -> Vectors {
-    let bytes = (n * 8) as u64;
-    Vectors {
-        x: world.alloc_array(bytes),
-        b: world.alloc_array(bytes),
-        r: world.alloc_array(bytes),
-        z: world.alloc_array(bytes),
-        p: world.alloc_array(bytes),
-        ap: world.alloc_array(bytes),
-    }
-}
-
-/// One rank's PCG loop body. All ranks execute this concurrently.
-#[allow(clippy::too_many_arguments)]
-fn pcg_rank(
-    g: &mut GuestCore,
-    m: &GuestCsr,
-    v: &Vectors,
-    rows: std::ops::Range<usize>,
-    shared: &CgShared,
-    max_iters: usize,
-    tol: f64,
-    precondition: bool,
-) -> CovirtResult<(usize, f64)> {
-    let bar: &Barrier = &shared.barrier;
-
-    // x = 0, r = b, z = M⁻¹ r, p = z.
-    vec_ops::fill(g, v.x, rows.clone(), 0.0)?;
-    vec_ops::copy(g, v.b, v.r, rows.clone())?;
-    if precondition {
-        vec_ops::fill(g, v.z, rows.clone(), 0.0)?;
-        m.symgs_block(g, v.r, v.z, rows.clone())?;
-    } else {
-        vec_ops::copy(g, v.r, v.z, rows.clone())?;
-    }
-    vec_ops::copy(g, v.z, v.p, rows.clone())?;
-
-    let mut rz = reduce(
-        bar,
-        &shared.dots[0],
-        vec_ops::dot_local(g, v.r, v.z, rows.clone())?,
-    );
-    let b_norm = reduce(
-        bar,
-        &shared.dots[1],
-        vec_ops::dot_local(g, v.b, v.b, rows.clone())?,
-    )
-    .sqrt()
-    .max(f64::MIN_POSITIVE);
-
-    let mut iters = 0;
-    let mut rel = f64::INFINITY;
-    for _ in 0..max_iters {
-        // Ap = A p (barrier first: p must be fully updated everywhere).
-        bar.wait();
-        m.spmv_rows(g, v.p, v.ap, rows.clone())?;
-        let pap = reduce(
-            bar,
-            &shared.dots[1],
-            vec_ops::dot_local(g, v.p, v.ap, rows.clone())?,
-        );
-        let alpha = rz / pap;
-        vec_ops::axpy(g, alpha, v.p, v.x, rows.clone())?;
-        vec_ops::axpy(g, -alpha, v.ap, v.r, rows.clone())?;
-        // z = M⁻¹ r
-        if precondition {
-            vec_ops::fill(g, v.z, rows.clone(), 0.0)?;
-            m.symgs_block(g, v.r, v.z, rows.clone())?;
-        } else {
-            vec_ops::copy(g, v.r, v.z, rows.clone())?;
-        }
-        let rz_new = reduce(
-            bar,
-            &shared.dots[0],
-            vec_ops::dot_local(g, v.r, v.z, rows.clone())?,
-        );
-        let rr = reduce(
-            bar,
-            &shared.dots[1],
-            vec_ops::dot_local(g, v.r, v.r, rows.clone())?,
-        );
-        rel = rr.sqrt() / b_norm;
-        iters += 1;
-        if rel < tol {
-            break;
-        }
-        let beta = rz_new / rz;
-        rz = rz_new;
-        vec_ops::xpby(g, v.z, beta, v.p, rows.clone())?;
-        g.poll()?;
-    }
-    Ok((iters, rel))
-}
-
 /// Run HPCG in `world`: assemble a `dim³` problem (on the first core),
 /// solve with PCG for at most `max_iters` iterations, report GFLOP/s.
 pub fn run(world: &World, dim: usize, max_iters: usize) -> HpcgResult {
     let (m, v) = {
         let mut g = world.guest_core(world.cores[0]).expect("setup core");
         let m = GuestCsr::assemble(world, &mut g, dim, dim, dim).expect("assemble");
-        let v = alloc_vectors(world, m.n);
+        let alloc = || world.alloc_array((m.n * 8) as u64);
+        let v = CgVectors {
+            x: alloc(),
+            b: alloc(),
+            r: alloc(),
+            z: alloc(),
+            p: alloc(),
+            ap: alloc(),
+        };
         // b = A·1 so the exact solution is the ones vector.
-        let ones = world.alloc_array((m.n * 8) as u64);
+        let ones = alloc();
         vec_ops::fill(&mut g, ones, 0..m.n, 1.0).expect("fill");
         m.spmv_rows(&mut g, ones, v.b, 0..m.n).expect("rhs");
         g.shutdown();
@@ -162,10 +53,10 @@ pub fn run(world: &World, dim: usize, max_iters: usize) -> HpcgResult {
 
     let ranks = world.cores.len();
     let shared = CgShared::new(ranks);
-    let parts = row_parts(m.n, ranks);
+    let parts = partition(m.n, ranks);
     let t0 = std::time::Instant::now();
     let results = world.run_on_cores(|rank, g| {
-        pcg_rank(
+        cg_rank(
             g,
             &m,
             &v,

@@ -7,10 +7,8 @@
 //! products as cross-rank synchronization, which is why IPI protection has
 //! no visible effect on it.
 
-use crate::env::World;
-use crate::hpcg::reduce;
-use crate::sparse::{row_parts, vec_ops, CgShared, GuestCsr};
-use covirt::{CovirtResult, GuestCore};
+use crate::env::{partition, World};
+use crate::sparse::{cg_rank, vec_ops, CgShared, CgVectors, GuestCsr};
 
 /// MiniFE result.
 #[derive(Clone, Copy, Debug)]
@@ -25,63 +23,6 @@ pub struct MinifeResult {
     pub iterations: usize,
     /// Final relative residual.
     pub final_residual: f64,
-}
-
-/// One rank's plain-CG loop (no preconditioner — MiniFE's solver).
-#[allow(clippy::too_many_arguments)] // mirrors the solver's natural vector set
-fn cg_rank(
-    g: &mut GuestCore,
-    m: &GuestCsr,
-    x: u64,
-    b: u64,
-    r: u64,
-    p: u64,
-    ap: u64,
-    rows: std::ops::Range<usize>,
-    shared: &CgShared,
-    max_iters: usize,
-    tol: f64,
-) -> CovirtResult<(usize, f64)> {
-    let bar = &shared.barrier;
-    vec_ops::fill(g, x, rows.clone(), 0.0)?;
-    vec_ops::copy(g, b, r, rows.clone())?;
-    vec_ops::copy(g, r, p, rows.clone())?;
-    let mut rr = reduce(
-        bar,
-        &shared.dots[0],
-        vec_ops::dot_local(g, r, r, rows.clone())?,
-    );
-    let b_norm = rr.sqrt().max(f64::MIN_POSITIVE);
-
-    let mut iters = 0;
-    let mut rel = f64::INFINITY;
-    for _ in 0..max_iters {
-        bar.wait();
-        m.spmv_rows(g, p, ap, rows.clone())?;
-        let pap = reduce(
-            bar,
-            &shared.dots[1],
-            vec_ops::dot_local(g, p, ap, rows.clone())?,
-        );
-        let alpha = rr / pap;
-        vec_ops::axpy(g, alpha, p, x, rows.clone())?;
-        vec_ops::axpy(g, -alpha, ap, r, rows.clone())?;
-        let rr_new = reduce(
-            bar,
-            &shared.dots[0],
-            vec_ops::dot_local(g, r, r, rows.clone())?,
-        );
-        rel = rr_new.sqrt() / b_norm;
-        iters += 1;
-        if rel < tol {
-            break;
-        }
-        let beta = rr_new / rr;
-        rr = rr_new;
-        vec_ops::xpby(g, r, beta, p, rows.clone())?;
-        g.poll()?;
-    }
-    Ok((iters, rel))
 }
 
 /// Run MiniFE in `world` on an `nx = ny = nz = dim` box.
@@ -100,28 +41,32 @@ pub fn run(world: &World, dim: usize, max_iters: usize) -> MinifeResult {
     };
     let assembly_seconds = t_asm.elapsed().as_secs_f64();
 
-    let x = world.alloc_array((m.n * 8) as u64);
-    let r = world.alloc_array((m.n * 8) as u64);
-    let p = world.alloc_array((m.n * 8) as u64);
-    let ap = world.alloc_array((m.n * 8) as u64);
+    let alloc = || world.alloc_array((m.n * 8) as u64);
+    let (x, r) = (alloc(), alloc());
+    // No preconditioner: z is r itself.
+    let v = CgVectors {
+        x,
+        b,
+        r,
+        z: r,
+        p: alloc(),
+        ap: alloc(),
+    };
 
     let ranks = world.cores.len();
     let shared = CgShared::new(ranks);
-    let parts = row_parts(m.n, ranks);
+    let parts = partition(m.n, ranks);
     let t0 = std::time::Instant::now();
     let results = world.run_on_cores(|rank, g| {
         cg_rank(
             g,
             &m,
-            x,
-            b,
-            r,
-            p,
-            ap,
+            &v,
             parts[rank].clone(),
             &shared,
             max_iters,
             1e-9,
+            false,
         )
         .expect("cg rank")
     });

@@ -1,8 +1,9 @@
 //! Sparse-matrix substrate shared by HPCG and MiniFE: a 27-point-stencil
 //! CSR matrix and vectors living in guest memory, with parallel SpMV,
-//! dot products and AXPYs running on enclave cores.
+//! dot products and AXPYs running on enclave cores, and the one CG loop
+//! both solve with.
 
-use crate::env::{partition, World};
+use crate::env::World;
 use covirt::{CovirtResult, GuestCore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -232,6 +233,109 @@ impl CgShared {
     }
 }
 
+/// All-ranks reduction: every rank contributes `local` and receives the
+/// global sum. Three barriers fence reset / accumulate / read so no rank
+/// can observe a half-built value.
+pub fn reduce(bar: &Barrier, cell: &ReduceCell, local: f64) -> f64 {
+    bar.wait();
+    cell.reset(); // idempotent: every rank stores the same zero
+    bar.wait();
+    cell.add(local);
+    bar.wait();
+    cell.get()
+}
+
+/// The guest addresses of a CG solve's vectors. `z` is the preconditioned
+/// residual `M⁻¹r`; an unpreconditioned solve passes `r` itself.
+pub struct CgVectors {
+    /// Solution.
+    pub x: u64,
+    /// Right-hand side.
+    pub b: u64,
+    /// Residual.
+    pub r: u64,
+    /// Preconditioned residual (`r` when unpreconditioned).
+    pub z: u64,
+    /// Search direction.
+    pub p: u64,
+    /// `A·p`.
+    pub ap: u64,
+}
+
+/// One rank's CG loop over its row block; all ranks execute it
+/// concurrently. Solves `A·x = b` from `x = 0` until the relative residual
+/// falls below `tol` or `max_iters` iterations ran, and returns both.
+///
+/// With `precondition`, `z = M⁻¹r` is one SYMGS sweep pair per iteration
+/// (HPCG). Without it `v.z` must be `v.r` (MiniFE): the `r→z` copy is
+/// skipped, `r·r` is the `r·z` already reduced and `‖b‖` the first `r·r`,
+/// so an iteration reduces two dot products.
+#[allow(clippy::too_many_arguments)]
+pub fn cg_rank(
+    g: &mut GuestCore,
+    m: &GuestCsr,
+    v: &CgVectors,
+    rows: std::ops::Range<usize>,
+    shared: &CgShared,
+    max_iters: usize,
+    tol: f64,
+    precondition: bool,
+) -> CovirtResult<(usize, f64)> {
+    let bar = &shared.barrier;
+    let dot = |g: &mut GuestCore, cell: usize, a, b| -> CovirtResult<f64> {
+        let local = vec_ops::dot_local(g, a, b, rows.clone())?;
+        Ok(reduce(bar, &shared.dots[cell], local))
+    };
+    // z = M⁻¹ r.
+    let precondition_r = |g: &mut GuestCore| -> CovirtResult<()> {
+        if precondition {
+            vec_ops::fill(g, v.z, rows.clone(), 0.0)?;
+            m.symgs_block(g, v.r, v.z, rows.clone())?;
+        }
+        Ok(())
+    };
+
+    // x = 0, r = b, z = M⁻¹ r, p = z.
+    vec_ops::fill(g, v.x, rows.clone(), 0.0)?;
+    vec_ops::copy(g, v.b, v.r, rows.clone())?;
+    precondition_r(g)?;
+    vec_ops::copy(g, v.z, v.p, rows.clone())?;
+
+    let mut rz = dot(g, 0, v.r, v.z)?;
+    let bb = match precondition {
+        true => dot(g, 1, v.b, v.b)?,
+        false => rz,
+    };
+    let b_norm = bb.sqrt().max(f64::MIN_POSITIVE);
+
+    let mut iters = 0;
+    let mut rel = f64::INFINITY;
+    for _ in 0..max_iters {
+        // Ap = A p (barrier first: p must be fully updated everywhere).
+        bar.wait();
+        m.spmv_rows(g, v.p, v.ap, rows.clone())?;
+        let alpha = rz / dot(g, 1, v.p, v.ap)?;
+        vec_ops::axpy(g, alpha, v.p, v.x, rows.clone())?;
+        vec_ops::axpy(g, -alpha, v.ap, v.r, rows.clone())?;
+        precondition_r(g)?;
+        let rz_new = dot(g, 0, v.r, v.z)?;
+        let rr = match precondition {
+            true => dot(g, 1, v.r, v.r)?,
+            false => rz_new,
+        };
+        rel = rr.sqrt() / b_norm;
+        iters += 1;
+        if rel < tol {
+            break;
+        }
+        let beta = rz_new / rz;
+        rz = rz_new;
+        vec_ops::xpby(g, v.z, beta, v.p, rows.clone())?;
+        g.poll()?;
+    }
+    Ok((iters, rel))
+}
+
 /// Vector helpers over guest memory (rank-local row ranges).
 pub mod vec_ops {
     use super::*;
@@ -306,11 +410,6 @@ pub mod vec_ops {
         }
         Ok(())
     }
-}
-
-/// Row partitions for the world's core count.
-pub fn row_parts(n: usize, ranks: usize) -> Vec<std::ops::Range<usize>> {
-    partition(n, ranks)
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! A model of the XEMEM shared-memory system: XPMEM-compatible segment
 //! export/attach across enclave boundaries, with segment ids managed by a
 //! node-local name service. XEMEM is the substrate for *all* inter-enclave
-//! application communication in Hobbes (and for OS services like syscall
-//! forwarding), which is why the Covirt controller must track its
+//! application communication in Hobbes (and for OS services such as
+//! forwarded system calls), which is why the Covirt controller must track its
 //! attach/detach control paths: every attach grows an enclave's reachable
 //! memory, every detach shrinks it.
 //!

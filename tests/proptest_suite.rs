@@ -74,16 +74,11 @@ fn chan_op() -> impl Strategy<Value = ChanOp> {
     // words 2 and 3.
     let word = prop_oneof![0u64..2048, 0u64..8, 1024u64..1032];
     let value = prop_oneof![any::<u64>(), 0u64..256];
-    let msg =
-        (0u8..3, any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(kind, a, b, c)| match kind {
-            0 => CtrlMsg::RemoveMemAck { start: a, len: b },
-            1 => CtrlMsg::AddMem { start: a, len: b },
-            _ => CtrlMsg::Syscall {
-                nr: a,
-                arg0: b,
-                arg1: c,
-            },
-        });
+    let msg = (0u8..3, any::<u64>(), any::<u64>()).prop_map(|(kind, a, b)| match kind {
+        0 => CtrlMsg::RemoveMemAck { start: a, len: b },
+        1 => CtrlMsg::AddMem { start: a, len: b },
+        _ => CtrlMsg::PingAck { token: a },
+    });
     // Ranges at the top of the address space wrap when their end is
     // computed; a co-kernel's kernel must refuse them, not overflow.
     let start = prop_oneof![any::<u64>(), Just(!0xfff_u64), 0u64..1 << 36];
