@@ -44,8 +44,6 @@ pub struct BootParams {
     /// Region the kernel may carve page-table frames from
     /// (start, len) — inside the enclave's first memory region.
     pub pt_pool: (u64, u64),
-    /// Node TSC frequency for the kernel's timekeeping.
-    pub tsc_hz: u64,
 }
 
 /// A boot-parameter record that is missing, truncated or malformed.
@@ -65,7 +63,6 @@ impl BootParams {
             self.ctrlchan_len,
             self.pt_pool.0,
             self.pt_pool.1,
-            self.tsc_hz,
         ]);
         w
     }
@@ -94,7 +91,6 @@ impl BootParams {
             ctrlchan_base: next()?,
             ctrlchan_len: next()?,
             pt_pool: (next()?, next()?),
-            tsc_hz: next()?,
         })
     }
 
@@ -150,7 +146,6 @@ mod tests {
             ctrlchan_base: 0x300_0000,
             ctrlchan_len: 0x1_0000,
             pt_pool: (0x100_0000, 0x10_0000),
-            tsc_hz: 1_700_000_000,
         }
     }
 

@@ -240,6 +240,12 @@ impl CtrlChannel {
     pub fn pending(&self) -> u64 {
         self.rx().len()
     }
+
+    /// [`pending`](Self::pending), read as a receive reads it: a ring whose
+    /// cursors claim more than it holds is [`RingError::Corrupt`].
+    pub fn queued(&self) -> Result<u64, RingError> {
+        self.rx().queued()
+    }
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use crate::ctrlchan::CtrlChannel;
 use crate::resources::ResourceSpec;
+use crate::PiscesError;
 use covirt_simhw::addr::{HostPhysAddr, PhysRange};
 use covirt_simhw::memory::MemWindow;
 use parking_lot::{Mutex, RwLock};
@@ -85,6 +86,10 @@ pub struct Enclave {
     /// acknowledged yet, each once; [`crate::host::PiscesHost::process_acks`]
     /// acts on a `RemoveMemAck` only by taking its range out of here.
     pub(crate) removals: Mutex<Vec<PhysRange>>,
+    /// The refusal that ended a [`crate::host::PiscesHost::process_acks`]
+    /// call after it had handled other messages: that call returned them,
+    /// and the next returns this.
+    pub(crate) refused: Mutex<Option<PiscesError>>,
 }
 
 impl Enclave {
@@ -100,6 +105,7 @@ impl Enclave {
             mgmt,
             ctrl: Mutex::new(None),
             removals: Mutex::new(Vec::new()),
+            refused: Mutex::new(None),
         }
     }
 

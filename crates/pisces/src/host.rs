@@ -235,7 +235,6 @@ impl PiscesHost {
             ctrlchan_base: chan_base.raw(),
             ctrlchan_len: chan_len,
             pt_pool: (first.start.raw(), PT_POOL_LEN.min(first.len / 4)),
-            tsc_hz: self.node.topology.tsc_hz,
         };
         // A record the page does not hold is refused whole, and with it
         // the request.
@@ -411,11 +410,16 @@ impl PiscesHost {
     /// again. Nothing is answered: the host→enclave ring carries only the
     /// host's requests.
     ///
+    /// A refused message ends the call with its error, but it loses none
+    /// the call handled before it: a call that has handled some returns
+    /// them, and the next call returns the error before it reads the ring.
+    ///
     /// `RemoveMemAck` ordering (the Covirt contract): ack received →
     /// **hook** (EPT unmap + TLB flush, blocking) → partition shrinks →
     /// memory returns to the host allocator. A failed hook (a core that
     /// never acknowledged the flush) leaves the removal pending and the
-    /// range in the partition, for the teardown to return.
+    /// range in the partition, for the teardown to return; it ends the call
+    /// as a refusal does.
     pub fn process_acks(&self, enclave: &Enclave) -> PiscesResult<CtrlBatch> {
         if !EnclaveState::NOT_DEAD.contains(&enclave.state()) {
             return Err(PiscesError::BadState {
@@ -426,48 +430,71 @@ impl PiscesHost {
         let ctrl = enclave
             .ctrl()
             .ok_or(PiscesError::Invalid("no control channel"))?;
+        if let Some(refused) = enclave.refused.lock().take() {
+            // The cursors are still read: a corrupt ring fails its enclave
+            // on the first call after the corruption, whatever it returns.
+            return match ctrl.queued() {
+                Ok(_) => Err(refused),
+                Err(_) => self.corrupt(enclave),
+            };
+        }
         let mut handled = CtrlBatch::new();
         for _ in 0..CTRL_SLOTS {
             let msg = match ctrl.try_recv() {
                 Ok(Some(msg)) => msg,
                 Ok(None) => break,
-                Err(_) => {
-                    self.fail(enclave, CORRUPT_CHANNEL)?;
-                    return Err(PiscesError::Invalid(CORRUPT_CHANNEL));
-                }
+                Err(_) => return self.corrupt(enclave),
             };
-            match &msg {
-                CtrlMsg::RemoveMemAck { start, len } => {
-                    // A range that wraps was never asked for.
-                    let acked = PhysRange::checked(*start, *len);
-                    let taken = {
-                        let mut removals = enclave.removals.lock();
-                        let i = removals.iter().position(|r| Some(*r) == acked);
-                        i.map(|i| removals.swap_remove(i))
-                    };
-                    let range = taken.ok_or(PiscesError::Invalid("removal not asked for"))?;
-                    if let Err(e) = self.run_hooks(|h| h.on_mem_remove_acked(enclave, range)) {
-                        enclave.removals.lock().push(range);
-                        return Err(e);
-                    }
-                    enclave
-                        .with_resources_mut(|r| r.remove_mem(range))
-                        .map_err(PiscesError::Invalid)?;
-                    self.node.mem.free(range)?;
+            if let Err(e) = self.handle_ack(enclave, &msg) {
+                if handled.is_empty() {
+                    return Err(e);
                 }
-                CtrlMsg::AddMemAck { .. } | CtrlMsg::PingAck { .. } | CtrlMsg::ShutdownAck => {}
-                other => {
-                    return Err(PiscesError::Invalid(match other {
-                        CtrlMsg::AddMem { .. } => "unexpected AddMem from enclave",
-                        CtrlMsg::RemoveMem { .. } => "unexpected RemoveMem from enclave",
-                        _ => "unexpected message from enclave",
-                    }))
-                }
+                *enclave.refused.lock() = Some(e);
+                break;
             }
             // At most `CTRL_SLOTS` messages: the batch has room.
             let _ = handled.push(msg);
         }
         Ok(handled)
+    }
+
+    /// Fail `enclave`, whose control ring the host cannot read, down the
+    /// fault path.
+    fn corrupt(&self, enclave: &Enclave) -> PiscesResult<CtrlBatch> {
+        self.fail(enclave, CORRUPT_CHANNEL)?;
+        Err(PiscesError::Invalid(CORRUPT_CHANNEL))
+    }
+
+    /// Act on one message [`PiscesHost::process_acks`] took off `enclave`'s
+    /// ring, or refuse it.
+    fn handle_ack(&self, enclave: &Enclave, msg: &CtrlMsg) -> PiscesResult<()> {
+        match msg {
+            CtrlMsg::RemoveMemAck { start, len } => {
+                // A range that wraps was never asked for.
+                let acked = PhysRange::checked(*start, *len);
+                let taken = {
+                    let mut removals = enclave.removals.lock();
+                    let i = removals.iter().position(|r| Some(*r) == acked);
+                    i.map(|i| removals.swap_remove(i))
+                };
+                let range = taken.ok_or(PiscesError::Invalid("removal not asked for"))?;
+                if let Err(e) = self.run_hooks(|h| h.on_mem_remove_acked(enclave, range)) {
+                    enclave.removals.lock().push(range);
+                    return Err(e);
+                }
+                enclave
+                    .with_resources_mut(|r| r.remove_mem(range))
+                    .map_err(PiscesError::Invalid)?;
+                self.node.mem.free(range)?;
+                Ok(())
+            }
+            CtrlMsg::AddMemAck { .. } | CtrlMsg::PingAck { .. } | CtrlMsg::ShutdownAck => Ok(()),
+            CtrlMsg::AddMem { .. } => Err(PiscesError::Invalid("unexpected AddMem from enclave")),
+            CtrlMsg::RemoveMem { .. } => {
+                Err(PiscesError::Invalid("unexpected RemoveMem from enclave"))
+            }
+            _ => Err(PiscesError::Invalid("unexpected message from enclave")),
+        }
     }
 
     /// Allocate an IPI vector for the enclave from the global pool.
@@ -728,6 +755,29 @@ mod tests {
         let handled = h.process_acks(&e).unwrap();
         assert_eq!(handled.len(), 1);
         assert!(!e.resources().mem.contains(&range));
+    }
+
+    /// A refused message loses none the same call handled before it: a
+    /// `ShutdownAck` and then a `RemoveMemAck` for a range never asked for
+    /// come back as the acknowledgement, then the refusal, then nothing,
+    /// and the partition keeps the range.
+    #[test]
+    fn a_refused_message_loses_none_handled_before_it() {
+        let h = host();
+        let e = h.create_enclave("e0", &small_req()).unwrap();
+        h.launch(&e).unwrap();
+        let mem = e.resources().mem;
+        let chan = enclave_end(&h, &e);
+        h.request_shutdown(&e).unwrap();
+        chan.send(&CtrlMsg::ShutdownAck).unwrap();
+        let (start, len) = (mem[0].start.raw(), mem[0].len);
+        chan.send(&CtrlMsg::RemoveMemAck { start, len }).unwrap();
+        let acks = || h.process_acks(&e).map(|handled| handled.to_vec());
+        assert_eq!(acks(), Ok(vec![CtrlMsg::ShutdownAck]));
+        assert_eq!(acks(), Err(PiscesError::Invalid("removal not asked for")));
+        assert_eq!(acks(), Ok(vec![]));
+        assert_eq!(e.resources().mem, mem);
+        assert_eq!(e.state(), EnclaveState::ShuttingDown);
     }
 
     #[test]

@@ -168,15 +168,22 @@ impl SharedRing {
         Ok(())
     }
 
-    /// Consumer: dequeue one record. More queued than the ring holds means
-    /// the producer's cursor is corrupt: refused, and nothing is consumed.
-    pub fn pop(&self) -> Result<Slot, RingError> {
-        let head = self.head();
-        match self.tail().wrapping_sub(head) {
-            0 => return Err(RingError::Empty),
-            queued if queued > self.slot_count => return Err(RingError::Corrupt),
-            _ => {}
+    /// Messages queued, as the consumer sees them: more than the ring holds
+    /// means the producer's cursor is corrupt, and is refused.
+    pub fn queued(&self) -> Result<u64, RingError> {
+        match self.len() {
+            queued if queued > self.slot_count => Err(RingError::Corrupt),
+            queued => Ok(queued),
         }
+    }
+
+    /// Consumer: dequeue one record. A corrupt cursor ([`queued`](Self::queued))
+    /// is refused, and nothing is consumed.
+    pub fn pop(&self) -> Result<Slot, RingError> {
+        if self.queued()? == 0 {
+            return Err(RingError::Empty);
+        }
+        let head = self.head();
         let off = self.slot_offset(head);
         let slot = std::array::from_fn(|i| self.backing.read_u64(off + 8 * i));
         self.backing

@@ -176,24 +176,20 @@ impl Ept {
         access: Access,
         loader: &impl TableLoad,
     ) -> HwResult<Translation> {
-        self.translate_from(self.table.root(), 4, gpa, access, loader)
-            .map(|(t, _)| t)
+        self.walk(gpa, access, loader).map(|(t, _)| t)
     }
 
-    /// [`translate`](Self::translate) from `table`, the table holding
-    /// `gpa`'s entry at `level`; also returns the PD page the walk passed
-    /// (see [`RadixTable::walk_from`]).
-    fn translate_from(
+    /// [`translate`](Self::translate), also returning the PD page the walk
+    /// passed (see [`RadixTable::walk_with_pd`]).
+    fn walk(
         &self,
-        table: HostPhysAddr,
-        level: u8,
         gpa: GuestPhysAddr,
         access: Access,
         loader: &impl TableLoad,
     ) -> HwResult<(Translation, Option<HostPhysAddr>)> {
         let (t, pd) = self
             .table
-            .walk_from(table, level, gpa.raw(), loader)
+            .walk_with_pd(gpa.raw(), loader)
             .map_err(|e| match e {
                 HwError::PageNotPresent { .. } => violation_err(gpa, access),
                 other => other,
@@ -331,17 +327,22 @@ impl WalkCache {
 
     /// Translate `gpa` for `access` as of the last flush: the gpa → hpa
     /// step of a nested walk, for a guest PT-entry page
-    /// ([`Access::Read`]) and the data page alike. A cached leaf whose rights
-    /// allow `access` answers with zero loads; anything else walks the live
-    /// `ept` through `loader` — from the cached PD page of `gpa`'s GiB if
-    /// there is one, else from the root, which raises the
-    /// [`HwError::EptViolation`] for `gpa` and `access` — and caches what
-    /// the walk read.
+    /// ([`Access::Read`]) and the data page alike. One probe of the classes
+    /// answers: a cached leaf whose rights allow `access` is the
+    /// translation, with zero loads; else the cached PD page of `gpa`'s GiB,
+    /// if there is one, is read for the leaf below it (1 load to a 2 MiB
+    /// leaf, 2 to a 4 KiB one), which is cached and counts as a hit if it
+    /// allows `access`. Anything else walks the live `ept` from the root
+    /// through `loader`, which raises the [`HwError::EptViolation`] for
+    /// `gpa` and `access`, and caches what the walk read.
     ///
-    /// Forced inline, the miss out of line: a hit is a link in the chain of
-    /// dependent loads a guest walk is. As a call handing a `Translation`
-    /// back through memory it costs RandomAccess under Covirt 9 % of its
-    /// host time, a fragmented enclave 14 %.
+    /// Forced inline, only the root walk out of line: a hit is a link in the
+    /// chain of dependent loads a guest walk is, and so is the read of a PD
+    /// page, which a fragmented enclave's data page takes on every TLB miss.
+    /// As a call handing a `Translation` back through memory the hit costs
+    /// RandomAccess under Covirt 9 % of its host time, a fragmented enclave
+    /// 14 %; with the PD page read out of line, behind a second probe, the
+    /// latter's `native_ratio` read about 5 % lower.
     #[inline(always)]
     pub fn translate(
         &self,
@@ -350,33 +351,35 @@ impl WalkCache {
         access: Access,
         loader: &impl TableLoad,
     ) -> HwResult<Translation> {
-        match self.lookup(gpa.raw(), access) {
-            Some(leaf) => Ok(leaf),
-            None => self.walk_and_fill(ept, gpa, access, loader),
+        let resumed = match self.probe(gpa.raw(), access) {
+            Ok(leaf) => {
+                self.hits.set(self.hits.get() + 1);
+                return Ok(leaf);
+            }
+            Err(pd) => pd.and_then(|pd| ept.table.leaf_from_pd(pd, gpa.raw())),
+        };
+        match resumed.filter(|leaf| leaf.perms.allows(access)) {
+            Some(leaf) => {
+                self.hits.set(self.hits.get() + 1);
+                self.insert(gpa.raw(), &leaf);
+                Ok(leaf)
+            }
+            None => self.walk_from_root(ept, gpa, access, loader),
         }
     }
 
-    /// The miss of [`translate`](Self::translate). A walk resumed from a
-    /// cached PD page that answers is a hit; one that finds no entry or
-    /// denied rights falls through to the root walk and counts as the miss
-    /// `lookup` tallied, charged that walk's loads.
+    /// The miss of [`translate`](Self::translate): the live EPT walked from
+    /// the root, its leaf and the PDPTE it passed cached.
     #[inline(never)]
-    fn walk_and_fill(
+    fn walk_from_root(
         &self,
         ept: &Ept,
         gpa: GuestPhysAddr,
         access: Access,
         loader: &impl TableLoad,
     ) -> HwResult<Translation> {
-        if let Some(pd) = self.pd_page(gpa.raw()) {
-            if let Ok((leaf, _)) = ept.translate_from(pd, 2, gpa, access, loader) {
-                self.misses.set(self.misses.get() - 1);
-                self.hits.set(self.hits.get() + 1);
-                self.insert(gpa.raw(), &leaf);
-                return Ok(leaf);
-            }
-        }
-        let (leaf, pd) = ept.translate_from(ept.eptp(), 4, gpa, access, loader)?;
+        self.misses.set(self.misses.get() + 1);
+        let (leaf, pd) = ept.walk(gpa, access, loader)?;
         self.insert(gpa.raw(), &leaf);
         if let Some(pd) = pd {
             *self.lines.borrow_mut().fill(gpa.raw(), PageSize::Size1G) = (pd.raw(), TABLE_LINE);
@@ -384,30 +387,41 @@ impl WalkCache {
         Ok(leaf)
     }
 
-    /// The PD page a cached PDPTE says holds `gpa`'s PDE.
-    #[inline]
-    fn pd_page(&self, gpa: u64) -> Option<HostPhysAddr> {
+    /// The one probe of [`translate`](Self::translate), counting nothing:
+    /// the cached leaf covering `gpa` if its rights allow `access`, else the
+    /// PD page a cached PDPTE says holds `gpa`'s PDE, if one does. The
+    /// classes are probed in turn and the first line covering `gpa`
+    /// decides; one that denies `access` in the 2 MiB or 4 KiB class still
+    /// leaves its GiB's PDPTE line to be asked.
+    #[inline(always)]
+    fn probe(&self, gpa: u64, access: Access) -> Result<Translation, Option<HostPhysAddr>> {
         let lines = self.lines.borrow();
-        let &(base, perms) = lines.probe_class(gpa, PageSize::Size1G)?.payload;
-        (perms == TABLE_LINE).then(|| HostPhysAddr::new(base))
+        let line = match lines.probe(gpa) {
+            Some(hit) if hit.payload.1.allows(access) => {
+                let &(base, perms) = hit.payload;
+                return Ok(Translation {
+                    page_base: HostPhysAddr::new(base),
+                    page_size: hit.size,
+                    pa: HostPhysAddr::new(base + hit.offset),
+                    perms,
+                    loads: 0,
+                });
+            }
+            Some(hit) if hit.size != PageSize::Size1G => lines.probe_class(gpa, PageSize::Size1G),
+            line => line,
+        };
+        Err(line
+            .filter(|line| line.payload.1 == TABLE_LINE)
+            .map(|line| HostPhysAddr::new(line.payload.0)))
     }
 
-    /// The cached leaf covering `gpa`, if its rights allow `access`. The
-    /// classes are probed in turn; one lookup counts one hit or — a leaf
-    /// that denies `access` included — one miss.
-    #[inline(always)]
+    /// The cached leaf covering `gpa`, if its rights allow `access`,
+    /// counted as one hit or — a leaf that denies `access` included — one
+    /// miss: [`translate`](Self::translate) with neither the resume nor the
+    /// walk, for tests that ask the cache alone.
+    #[cfg(test)]
     pub(crate) fn lookup(&self, gpa: u64, access: Access) -> Option<Translation> {
-        let lines = self.lines.borrow();
-        let leaf = lines.probe(gpa).and_then(|hit| {
-            let &(base, perms) = hit.payload;
-            perms.allows(access).then(|| Translation {
-                page_base: HostPhysAddr::new(base),
-                page_size: hit.size,
-                pa: HostPhysAddr::new(base + hit.offset),
-                perms,
-                loads: 0,
-            })
-        });
+        let leaf = self.probe(gpa, access).ok();
         let tally = if leaf.is_some() {
             &self.hits
         } else {
@@ -418,7 +432,7 @@ impl WalkCache {
     }
 
     /// Install the whole EPT leaf that translated `gpa` — `leaf` is what
-    /// [`Ept::translate`] returned for it since the last flush. A 2 MiB fill
+    /// the live EPT answered for it since the last flush. A 2 MiB fill
     /// forgets the table line.
     #[inline]
     pub(crate) fn insert(&self, gpa: u64, leaf: &Translation) {
@@ -566,6 +580,14 @@ mod tests {
             perms: Perms::RWX,
             loads: 0,
         }
+    }
+
+    /// The PD page the cached PDPTE line of `gpa`'s GiB points at, if
+    /// there is one.
+    fn pd_line(c: &WalkCache, gpa: u64) -> Option<u64> {
+        let lines = c.lines.borrow();
+        let line = lines.probe_class(gpa, PageSize::Size1G)?;
+        (line.payload.1 == TABLE_LINE).then_some(line.payload.0)
     }
 
     /// Host address a read of `gpa` hits at, if it does.
@@ -744,6 +766,93 @@ mod tests {
         }
     }
 
+    /// A 2 MiB and a 4 KiB leaf under a cached PDPTE, each cached with read
+    /// rights only and widened by a re-map (which owes no flush): a write
+    /// that the cached line denies is refilled from the PD page — 1 and 2
+    /// loads, one hit — not walked from the root, and then hits the line.
+    #[test]
+    fn a_denied_leaf_a_re_map_widened_is_refilled_from_the_pd_page() {
+        let (mem, ept) = setup();
+        let (c, load) = (WalkCache::new(), DirectLoad(&mem));
+        let big = mem.alloc(ZoneId(0), PAGE_SIZE_2M, PAGE_SIZE_2M).unwrap();
+        let small = mem.alloc(ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K).unwrap();
+        assert_eq!(
+            big.start.raw() / PAGE_SIZE_1G,
+            small.start.raw() / PAGE_SIZE_1G
+        );
+        ept.map_identity_perms(big, Perms::R, 2).unwrap();
+        ept.map_identity_perms(small, Perms::R, 1).unwrap();
+        let walk = |gpa: u64, access| {
+            let t = c.translate(&ept, GuestPhysAddr::new(gpa), access, &load);
+            (t.map(|t| t.loads), c.stats())
+        };
+        let (small_gpa, big_gpa) = (small.start.raw() + 8, big.start.raw() + 0x1238);
+        assert_eq!(walk(small_gpa, Access::Read), (Ok(4), (0, 1)), "cold");
+        assert_eq!(walk(big_gpa, Access::Read), (Ok(1), (1, 1)), "resumed");
+
+        ept.map_identity(big, 2).unwrap();
+        ept.map_identity(small, 1).unwrap();
+        assert_eq!(
+            walk(small_gpa, Access::Write),
+            (Ok(2), (2, 1)),
+            "4 KiB refill"
+        );
+        assert_eq!(
+            walk(big_gpa, Access::Write),
+            (Ok(1), (3, 1)),
+            "2 MiB refill"
+        );
+        assert_eq!(walk(small_gpa, Access::Write), (Ok(0), (4, 1)));
+        assert_eq!(walk(big_gpa, Access::Write), (Ok(0), (5, 1)));
+    }
+
+    /// Under a cached PD page, a PDE or a PTE that is not present, and a
+    /// leaf whose rights deny the access, are the root walk's to answer: it
+    /// raises the [`HwError::EptViolation`] for the address and the access,
+    /// counts one miss and caches nothing, so the PD page stays.
+    #[test]
+    fn a_missing_or_denying_entry_under_a_cached_pd_page_raises_the_root_walks_violation() {
+        let (mem, ept) = setup();
+        let (c, load) = (WalkCache::new(), DirectLoad(&mem));
+        let small = mem
+            .alloc(ZoneId(0), 2 * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        ept.map_identity_perms(sub(small, 0, PAGE_SIZE_4K), Perms::RWX, 1)
+            .unwrap();
+        ept.map_identity_perms(sub(small, PAGE_SIZE_4K, PAGE_SIZE_4K), Perms::R, 1)
+            .unwrap();
+        let first = GuestPhysAddr::new(small.start.raw());
+        c.translate(&ept, first, Access::Read, &load).unwrap();
+        let pd = pd_line(&c, first.raw());
+        assert!(pd.is_some(), "the cold walk cached the PDPTE");
+
+        // The page after `small` in its PT, and the same page in the other
+        // 2 MiB slot of an adjacent pair, whose PDE is empty.
+        assert!(!small.end().raw().is_multiple_of(PAGE_SIZE_2M));
+        let pte_missing = small.end().raw() + 8;
+        let pde_missing = first.raw() ^ PAGE_SIZE_2M;
+        for (gpa, access) in [
+            (pte_missing, Access::Read),
+            (pde_missing, Access::Write),
+            (small.start.raw() + PAGE_SIZE_4K + 8, Access::Write),
+        ] {
+            let gpa = GuestPhysAddr::new(gpa);
+            let (hits, misses) = c.stats();
+            assert_eq!(
+                c.translate(&ept, gpa, access, &load),
+                Err(violation_err(gpa, access)),
+                "{gpa:?}"
+            );
+            assert_eq!(c.stats(), (hits, misses + 1), "{gpa:?}: one miss");
+            assert_eq!(pd_line(&c, first.raw()), pd, "{gpa:?}");
+        }
+        let read = GuestPhysAddr::new(small.start.raw() + PAGE_SIZE_4K);
+        let (hits, misses) = c.stats();
+        let resumed = c.translate(&ept, read, Access::Read, &load);
+        assert_eq!(resumed.map(|t| t.loads), Ok(2), "the PD page still serves");
+        assert_eq!(c.stats(), (hits + 1, misses));
+    }
+
     /// A 1 GiB leaf mapped over a GiB whose PD page is cached unlinks that
     /// page and needs no flush (an `RWX` map only widens). A walk resumed
     /// there still gets what the live EPT grants — an answer it gave before,
@@ -779,7 +888,7 @@ mod tests {
                 &load,
             )
             .unwrap();
-            let old_pd = c.pd_page(gib.start.raw());
+            let old_pd = pd_line(&c, gib.start.raw());
             assert!(old_pd.is_some(), "the cold walk cached the PDPTE");
 
             ept.map_identity(gib, 3).unwrap();
@@ -801,7 +910,7 @@ mod tests {
             }
             if unmap_first {
                 assert_ne!(
-                    c.pd_page(gib.start.raw()),
+                    pd_line(&c, gib.start.raw()),
                     old_pd,
                     "the flush took the line"
                 );
@@ -867,7 +976,7 @@ mod tests {
         );
         c.flush_range(wanted.start.raw(), wanted.len);
         assert_eq!(
-            c.pd_page(wanted.start.raw()),
+            pd_line(&c, wanted.start.raw()),
             None,
             "the flush took the line"
         );

@@ -506,12 +506,15 @@ impl PhysMemory {
         Ok((Arc::clone(&zone.backing), off as usize))
     }
 
-    /// Start the host's fetch of the byte at `addr`, if it is populated
-    /// RAM: a hint for a caller that will access it after other work.
+    /// Start the host's fetch of the byte at `addr`, if it is RAM: a hint
+    /// for a caller that will access it after other work. Whether the page
+    /// is populated is not asked: a prefetch neither faults nor reads
+    /// anything the program sees, and the access it runs ahead of checks.
     #[inline]
     pub fn prefetch(&self, addr: HostPhysAddr) {
-        if let Ok((zone, off)) = self.locate(addr, 1) {
-            zone.backing.prefetch(off as usize);
+        let zone = self.zones.get((addr.raw() / ZONE_SPAN) as usize);
+        if let Some((z, (off, _, _))) = zone.and_then(|z| Some((z, z.pages(addr.raw(), 1)?))) {
+            z.backing.prefetch(off as usize);
         }
     }
 
@@ -675,6 +678,48 @@ mod tests {
                 m.resolve(HostPhysAddr::new(addr), 8).map(|_| ()),
                 Err(HwError::UnbackedPhys(HostPhysAddr::new(addr))),
                 "{addr:#x}"
+            );
+        }
+    }
+
+    /// A prefetch is a hint for any RAM address, populated or not, and a
+    /// no-op outside RAM: it populates nothing, faults nothing and changes
+    /// no word or page state the program can see.
+    #[test]
+    fn prefetch_is_a_hint_for_any_ram_address_and_a_no_op_outside_it() {
+        let m = mem();
+        let live = m
+            .alloc_backed(ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        let freed = m
+            .alloc_backed(ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K)
+            .unwrap();
+        let never = m.alloc(ZoneId(1), PAGE_SIZE_4K, PAGE_SIZE_4K).unwrap();
+        m.write_u64(live.start, 0x5eed).unwrap();
+        m.write_u64(freed.start, 0xdead).unwrap();
+        m.free(freed).unwrap();
+        let usage = || [ZoneId(0), ZoneId(1)].map(|z| m.zone_usage(z).unwrap());
+        let before = usage();
+        let ram_end = ZONE_RAM_BASE + (64 << 20);
+        for addr in [
+            live.start.raw() + 8,
+            freed.start.raw(),
+            never.start.raw() + PAGE_SIZE_4K - 1,
+            ram_end - 1,
+            ram_end,
+            ZONE_RAM_BASE - 1,
+            2 * ZONE_SPAN + ZONE_RAM_BASE,
+            u64::MAX,
+        ] {
+            m.prefetch(HostPhysAddr::new(addr));
+        }
+        assert_eq!(usage(), before);
+        assert_eq!(m.read_u64(live.start), Ok(0x5eed));
+        for unpopulated in [freed.start, never.start] {
+            assert_eq!(
+                m.read_u64(unpopulated),
+                Err(HwError::UnbackedPhys(unpopulated)),
+                "a prefetch populated {unpopulated:?}"
             );
         }
     }

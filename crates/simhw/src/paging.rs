@@ -880,21 +880,18 @@ impl<F: EntryFormat> RadixTable<F> {
     /// Covirt), then the entry is loaded via the pool fast path.
     #[inline]
     pub fn walk<L: TableLoad>(&self, va: u64, loader: &L) -> HwResult<Translation> {
-        self.walk_from(self.root, 4, va, loader).map(|(t, _)| t)
+        self.walk_with_pd(va, loader).map(|(t, _)| t)
     }
 
-    /// [`walk`](Self::walk) from `table`, the table holding `va`'s entry at
-    /// `level` — the root at 4, or a PD page (level 2) an earlier walk
-    /// passed. Also returns the PD page this walk passed, if it went through
-    /// a level-3 table entry (a PDPTE pointing at one).
+    /// [`walk`](Self::walk), also returning the PD page the walk passed, if
+    /// it went through a level-3 table entry (a PDPTE pointing at one).
     #[inline]
-    pub fn walk_from<L: TableLoad>(
+    pub fn walk_with_pd<L: TableLoad>(
         &self,
-        mut table: HostPhysAddr,
-        mut level: u8,
         va: u64,
         loader: &L,
     ) -> HwResult<(Translation, Option<HostPhysAddr>)> {
+        let (mut table, mut level) = (self.root, 4);
         let mut pd = None;
         let mut loads = 0u32;
         loop {
@@ -932,6 +929,38 @@ impl<F: EntryFormat> RadixTable<F> {
             };
             return Ok((t, pd));
         }
+    }
+
+    /// The leaf for `va` under `pd`, a PD page of this table that an
+    /// earlier walk passed: the PDE if it is a leaf, else the PTE it points
+    /// at — 1 or 2 loads. `None` if either entry is not present or a frame
+    /// is not the pool's. The loads are the pool's alone, with no
+    /// [`TableLoad`] asked, so it suits a table whose every frame came from
+    /// its pool and whose own frames need no translation (an EPT).
+    #[inline(always)]
+    pub fn leaf_from_pd(&self, pd: HostPhysAddr, va: u64) -> Option<Translation> {
+        let pde = self.pool.load(Self::entry_addr(pd, level_index(va, 2)))?;
+        let (e, page_size, loads) = if !F::present(pde) {
+            return None;
+        } else if F::leaf(pde, 2) {
+            (pde, PageSize::Size2M, 1)
+        } else {
+            let pte = self
+                .pool
+                .load(Self::entry_addr(F::frame(pde), level_index(va, 1)))?;
+            if !F::present(pte) {
+                return None;
+            }
+            (pte, PageSize::Size4K, 2)
+        };
+        let page_base = F::frame(e);
+        Some(Translation {
+            page_base,
+            page_size,
+            pa: page_base.add(va % page_size.bytes()),
+            perms: F::entry_perms(e),
+            loads,
+        })
     }
 
     /// Count leaves per level: `(count_4k, count_2m, count_1g)`.

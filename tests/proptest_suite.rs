@@ -188,7 +188,6 @@ proptest! {
         enclave_id in any::<u64>(),
         cores in proptest::collection::vec(0u64..4096, 0..16),
         regions in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..16),
-        tsc in any::<u64>(),
     ) {
         use covirt_suite::pisces::boot::BootParams;
         let p = BootParams {
@@ -198,7 +197,6 @@ proptest! {
             ctrlchan_base: 0x1234,
             ctrlchan_len: 0x5678,
             pt_pool: (1, 2),
-            tsc_hz: tsc,
         };
         prop_assert_eq!(BootParams::decode(&p.encode()).unwrap(), p);
     }
