@@ -60,7 +60,7 @@ use pisces::resources::ResourceSpec;
 use pisces::ring::Batch;
 use pisces::{EnclaveState, PiscesError, PiscesResult};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 /// Bytes of host memory the node reserves, once, for the frames of every
@@ -105,8 +105,10 @@ pub struct CovirtController {
     /// Every managed enclave's context, sorted by enclave id: a lookup is
     /// a binary search over the enclaves alive, no hashing.
     contexts: RwLock<Vec<(u64, Arc<VirtContext>)>>,
-    master: RwLock<Option<Weak<MasterControl>>>,
-    /// Record of every contained fault.
+    /// The master control process this controller reports faults to: one,
+    /// set when it attaches (see [`Self::attach_hobbes`]).
+    master: OnceLock<Weak<MasterControl>>,
+    /// Every contained fault, counted; the latest kept.
     pub faults: FaultLog,
     /// Broadcast shootdowns issued (instrumentation).
     shootdowns: AtomicU64,
@@ -117,8 +119,10 @@ pub struct CovirtController {
     nmi_escalations: AtomicU64,
     /// The node's frames for hypervisor state — every enclave's EPT tables
     /// and command queues; reserved when the first enclave boots and kept
-    /// for the life of the node.
-    frame_pool: Mutex<Option<Arc<FramePool>>>,
+    /// for the life of the node. Read without a lock once reserved.
+    frame_pool: OnceLock<Arc<FramePool>>,
+    /// Held by the one bring-up that reserves the frame pool.
+    reserving: Mutex<()>,
     /// Flight-recorder handle on the controller lane.
     tracer: Tracer,
 }
@@ -131,12 +135,13 @@ impl CovirtController {
             node,
             config,
             contexts: RwLock::new(Vec::new()),
-            master: RwLock::new(None),
+            master: OnceLock::new(),
             faults: FaultLog::new(),
             shootdowns: AtomicU64::new(0),
             escalation_bound_ns: AtomicU64::new(DEFAULT_ESCALATION_BOUND_NS),
             nmi_escalations: AtomicU64::new(0),
-            frame_pool: Mutex::new(None),
+            frame_pool: OnceLock::new(),
+            reserving: Mutex::new(()),
             tracer,
         })
     }
@@ -150,8 +155,10 @@ impl CovirtController {
     /// notification path). Also attaches to its Pisces instance, where a
     /// fault the host finds itself (a control ring it cannot read) is then
     /// reported here, on core 0 (the host's), before it reaches Hobbes.
+    /// A controller serves one master: faults go to the first it attached
+    /// to.
     pub fn attach_hobbes(self: &Arc<Self>, master: &Arc<MasterControl>) {
-        *self.master.write() = Some(Arc::downgrade(master));
+        let _ = self.master.set(Arc::downgrade(master));
         master.register_hooks(Arc::clone(self) as Arc<dyn HobbesHooks>);
         self.attach_pisces(master.pisces());
         let ctl = Arc::downgrade(self);
@@ -309,16 +316,19 @@ impl CovirtController {
     }
 
     /// The node's frame pool, reserved on first use.
-    fn frame_pool(&self) -> HwResult<Arc<FramePool>> {
-        let mut slot = self.frame_pool.lock();
-        if let Some(pool) = slot.as_ref() {
-            return Ok(Arc::clone(pool));
+    fn frame_pool(&self) -> HwResult<&Arc<FramePool>> {
+        if let Some(pool) = self.frame_pool.get() {
+            return Ok(pool);
+        }
+        let _one = self.reserving.lock();
+        if let Some(pool) = self.frame_pool.get() {
+            return Ok(pool);
         }
         let mem = &self.node.mem;
         let region = mem.alloc_window(ZoneId(0), FRAME_POOL_BYTES, PAGE_SIZE_4K)?;
-        let pool = Arc::new(FramePool::over(Arc::clone(mem), &region));
-        *slot = Some(Arc::clone(&pool));
-        Ok(pool)
+        Ok(self
+            .frame_pool
+            .get_or_init(|| Arc::new(FramePool::over(Arc::clone(mem), &region))))
     }
 
     /// Frames currently held by enclaves' EPTs and command queues (0
@@ -326,24 +336,34 @@ impl CovirtController {
     /// last handle on its enclave's [`VirtContext`] — or on one of its
     /// queues — drops.
     pub fn frames_outstanding(&self) -> u64 {
-        self.frame_pool
-            .lock()
-            .as_ref()
-            .map_or(0, |pool| pool.outstanding())
+        self.frame_pool.get().map_or(0, |pool| pool.outstanding())
     }
 
     /// Build the full virtualization context for an enclave about to boot,
-    /// reading its partition in place.
-    fn build_context(&self, enclave: &Enclave) -> PiscesResult<Arc<VirtContext>> {
+    /// reading its partition in place, and register it.
+    ///
+    /// A teardown may kill the enclave while the context is built. Its hook
+    /// then finds no context to remove, so the context is registered only
+    /// if the enclave is still alive, checked under the registry's lock,
+    /// which the teardown's hook takes after the kill: whichever side comes
+    /// second removes the context. A context not registered goes, with its
+    /// frames, when this returns the launch's refusal.
+    fn build_context(&self, enclave: &Enclave) -> PiscesResult<()> {
         let pool = self.frame_pool()?;
-        let vctx = Arc::new(enclave.with_resources(|res| self.assemble(enclave, res, &pool))?);
-        let mut contexts = self.contexts.write();
+        let vctx = Arc::new(enclave.with_resources(|res| self.assemble(enclave, res, pool))?);
         let id = enclave.id.0;
-        match contexts.binary_search_by_key(&id, |(id, _)| *id) {
-            Ok(i) => contexts[i].1 = Arc::clone(&vctx),
-            Err(i) => contexts.insert(i, (id, Arc::clone(&vctx))),
+        let mut contexts = self.contexts.write();
+        if !EnclaveState::NOT_DEAD.contains(&enclave.state()) {
+            return Err(PiscesError::BadState {
+                enclave: id,
+                op: "launch",
+            });
         }
-        Ok(vctx)
+        match contexts.binary_search_by_key(&id, |(id, _)| *id) {
+            Ok(i) => contexts[i].1 = vctx,
+            Err(i) => contexts.insert(i, (id, vctx)),
+        }
+        Ok(())
     }
 
     /// The context of `enclave`, whose partition is `res`, with its tables
@@ -355,18 +375,16 @@ impl CovirtController {
         pool: &Arc<FramePool>,
     ) -> PiscesResult<VirtContext> {
         // EPT: identity map of everything the enclave owns, coalesced into
-        // the largest possible pages, full permissions.
+        // the largest possible pages, and of the management region (boot
+        // parameters, control channel), which must be guest-reachable too;
+        // full permissions, built in one pass.
         let ept = if self.config.memory {
-            let ept = Ept::new(Arc::clone(pool))?;
+            let owned = res.mem.iter().map(|&r| (r, 3));
+            let ept = Ept::identity(Arc::clone(pool), owned.chain([(enclave.mgmt_region, 1)]))?;
             for r in &res.mem {
-                ept.map_identity(*r, 3).map_err(PiscesError::Hw)?;
                 self.tracer
                     .emit_for(enclave.id.0, EventKind::EptMap, r.start.raw(), r.len);
             }
-            // The management region (boot parameters, control channel)
-            // must be guest-reachable too.
-            ept.map_identity(enclave.mgmt_region, 1)
-                .map_err(PiscesError::Hw)?;
             Some(Arc::new(ept))
         } else {
             None
@@ -377,20 +395,18 @@ impl CovirtController {
         let cpus = cpus.map(Arc::clone);
         let mut vctx = VirtContext::new(enclave.id.0, self.config, cpus, &res.ipi_vectors, ept);
 
-        for core in res.cores.iter().map(|c| c.0) {
-            // Pre-boot VMCS guest state: every core launches "at the kernel
-            // entry" with RDI = the unmodified Pisces boot parameters.
-            if let Some(h) = vctx.vmcs(core) {
-                h.write().guest.rdi = enclave.params_addr().raw();
-            }
-            // One command queue per core, each in a frame of the node's
-            // pool: hypervisor state the guest has no mapping of.
+        // Pre-boot VMCS guest state: every core launches "at the kernel
+        // entry" with RDI = the unmodified Pisces boot parameters. And one
+        // command queue per core, each in a frame of the node's pool:
+        // hypervisor state the guest has no mapping of.
+        vctx.prepare_cores(enclave.params_addr().raw(), |core| {
             let q = CmdQueue::create(pool.take_frame()?)
-                .map_err(|_| PiscesError::Invalid("command queue creation failed"))?
+                .map_err(|_| PiscesError::Invalid("command queue creation failed"))?;
+            let traced = q
                 .with_core(core as u64)
                 .traced(self.tracer.clone().with_enclave(enclave.id.0));
-            vctx.set_cmdq(core, q);
-        }
+            Ok::<_, PiscesError>(traced)
+        })?;
         Ok(vctx)
     }
 
@@ -485,7 +501,7 @@ impl CovirtController {
             tsc: self.node.clock.rdtsc(),
             reclaim: None,
         });
-        if let Some(master) = self.master.read().as_ref().and_then(Weak::upgrade) {
+        if let Some(master) = self.master.get().and_then(Weak::upgrade) {
             let reclaim = master.handle_enclave_failure(enclave, reason);
             self.faults.set_reclaim(filed, reclaim);
         }
@@ -527,7 +543,7 @@ fn flush_error(e: CovirtError) -> PiscesError {
 
 impl EnclaveHooks for CovirtController {
     fn on_launch(&self, enclave: &Enclave) -> PiscesResult<()> {
-        self.build_context(enclave).map(drop)
+        self.build_context(enclave)
     }
 
     fn on_mem_add_prepared(&self, enclave: &Enclave, range: PhysRange) -> PiscesResult<()> {
@@ -579,10 +595,13 @@ impl EnclaveHooks for CovirtController {
         let Some(vctx) = removed else {
             return Ok(());
         };
-        match enclave.state() {
-            EnclaveState::Failed(why) => vctx.terminate(why),
-            _ => vctx.terminate(TORN_DOWN),
-        };
+        // A fault named the end already when its core aborted.
+        if vctx.termination().is_none() {
+            match enclave.state() {
+                EnclaveState::Failed(why) => vctx.terminate(why),
+                _ => vctx.terminate(TORN_DOWN),
+            };
+        }
         self.tracer.emit_for(id, EventKind::Teardown, id, 0);
         self.round_trip(&vctx, Command::Terminate)
             .map_err(flush_error)
@@ -968,6 +987,142 @@ mod tests {
                 assert_eq!(w.read_u64(w.base().add(off)).unwrap(), 0, "{:?}", w.base());
             }
         }
+    }
+
+    /// The same return through a teardown whose EPT split a 2 MiB leaf and
+    /// whose queue wrapped its ring: the EPT's frames come back in one
+    /// pool call, the queues' with them, and every frame the pool hands
+    /// out next — those very frames — reads zero.
+    #[test]
+    fn frames_come_back_to_the_pool_clean_after_a_split_and_a_wrapped_ring() {
+        use crate::cmdqueue::{Command, CMD_SLOTS};
+        use covirt_simhw::addr::PAGE_SIZE_2M;
+
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let (enclave, _kernel) = master.bring_up_enclave("e0", &req()).unwrap();
+        let vctx = ctl.context(enclave.id.0).unwrap();
+        let ram = enclave.resources().mem[0];
+        let page = PhysRange::new(ram.start.add(PAGE_SIZE_2M + PAGE_SIZE_4K), PAGE_SIZE_4K);
+        let split = ctl.frames_outstanding();
+        vctx.ept.as_ref().unwrap().unmap(page).unwrap();
+        assert_eq!(ctl.frames_outstanding(), split + 1, "the split took a PT");
+        // Three rings' worth through core 1's queue, drained as its
+        // hypervisor would: every slot written, the cursors past the end.
+        let q = vctx.cmdq(1).unwrap();
+        for gva in 0..3 * CMD_SLOTS {
+            q.post(Command::TlbFlushRange {
+                gva: gva << 12,
+                len: PAGE_SIZE_4K,
+            })
+            .unwrap();
+            assert_eq!(q.drain().len(), 1);
+        }
+        let queues: Vec<_> = vctx
+            .cores()
+            .iter()
+            .map(|&c| vctx.cmdq(c).unwrap().range().start)
+            .collect();
+        let out = ctl.frames_outstanding();
+        drop(vctx);
+        master.pisces().teardown(&enclave).unwrap();
+        assert_eq!(ctl.frames_outstanding(), 0);
+
+        let pool = ctl.frame_pool().unwrap();
+        let frames: Vec<_> = (0..out).map(|_| pool.take_frame().unwrap()).collect();
+        let taken: Vec<_> = frames.iter().map(|f| f.window().base()).collect();
+        assert!(
+            queues.iter().all(|q| taken.contains(q)),
+            "{queues:?} not among {taken:?}"
+        );
+        for f in &frames {
+            let w = f.window();
+            for off in (0..PAGE_SIZE_4K).step_by(8) {
+                assert_eq!(w.read_u64(w.base().add(off)).unwrap(), 0, "{:?}", w.base());
+            }
+        }
+    }
+
+    /// A teardown that kills the enclave while its launch builds the
+    /// context — here a hook ahead of the controller's — finds no context
+    /// to remove; the launch, coming second, removes it. Nothing stays
+    /// registered, no frame stays out, and the core is not entered.
+    #[test]
+    fn a_launch_that_loses_to_a_teardown_leaves_no_context() {
+        use crate::exec::GuestCore;
+        use covirt_simhw::tlb::TlbParams;
+        use kitten::KittenKernel;
+
+        struct TearDownAtLaunch(Weak<PiscesHost>);
+        impl EnclaveHooks for TearDownAtLaunch {
+            fn on_launch(&self, enclave: &Enclave) -> PiscesResult<()> {
+                match self.0.upgrade() {
+                    Some(host) => host.teardown(enclave),
+                    None => Ok(()),
+                }
+            }
+        }
+        let node = SimNode::new(NodeConfig::small());
+        let master = MasterControl::new(Arc::clone(&node));
+        let pisces = master.pisces();
+        pisces.register_hooks(Arc::new(TearDownAtLaunch(Arc::downgrade(pisces))));
+        let ctl = CovirtController::new(Arc::clone(&node), CovirtConfig::MEM);
+        ctl.attach_hobbes(&master);
+
+        let enclave = pisces.create_enclave("e0", &req()).unwrap();
+        let kernel = Arc::new(KittenKernel::boot(&node.mem, enclave.params_addr()).unwrap());
+        let err = pisces.launch(&enclave).unwrap_err();
+        assert!(matches!(err, PiscesError::BadState { .. }), "{err}");
+        assert_eq!(enclave.state(), EnclaveState::Terminated);
+        assert_eq!(ctl.frames_outstanding(), 0);
+        assert!(matches!(
+            ctl.context(enclave.id.0),
+            Err(CovirtError::NoContext(_))
+        ));
+        let core = GuestCore::launch_covirt(node, kernel, ctl, 1, TlbParams::default());
+        assert!(matches!(core.err(), Some(CovirtError::NoContext(_))));
+    }
+
+    /// A bring-up whose launch the EPT pool refuses changes nothing: the
+    /// new enclave is torn down — partition, management region, record —
+    /// and once the frames are back the same bring-up goes through.
+    #[test]
+    fn a_bring_up_refused_by_an_exhausted_ept_pool_changes_nothing() {
+        use covirt_simhw::HwError;
+
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let node = Arc::clone(master.pisces().node());
+        let (_e0, _k0) = master.bring_up_enclave("e0", &req()).unwrap();
+        let pool = ctl.frame_pool().unwrap();
+        let mut hoard = Vec::new();
+        while let Ok(frame) = pool.alloc_frame() {
+            hoard.push(frame);
+        }
+        let state = || {
+            (
+                node.mem.zone_usage(ZoneId(0)).unwrap(),
+                ctl.frames_outstanding(),
+                master.pisces().enclaves().len(),
+            )
+        };
+        let before = state();
+        let small = ResourceRequest::new(vec![CoreId(3)], vec![(ZoneId(0), 32 << 20)]);
+        let Err(err) = master.bring_up_enclave("e1", &small) else {
+            panic!("the bring-up went through");
+        };
+        assert!(
+            matches!(
+                err,
+                hobbes::HobbesError::Pisces(PiscesError::Hw(HwError::OutOfMemory { .. }))
+            ),
+            "{err}"
+        );
+        assert_eq!(state(), before);
+
+        for frame in hoard {
+            pool.free_frame(frame).unwrap();
+        }
+        let (e1, _k1) = master.bring_up_enclave("e1", &small).unwrap();
+        assert!(ctl.context(e1.id.0).is_ok());
     }
 
     /// The co-kernel cannot forge its hypervisor's acknowledgements: no

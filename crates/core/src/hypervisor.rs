@@ -23,6 +23,7 @@ use covirt_simhw::cpu::{Cpu, VmxEvent};
 use covirt_simhw::ept::WalkCache;
 use covirt_simhw::exit::ExitReason;
 use covirt_simhw::node::SimNode;
+use covirt_simhw::paging::Access;
 use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::tlb::Tlb;
 use covirt_simhw::vmcs::Vmcs;
@@ -38,6 +39,67 @@ pub const VM_TRANSITION_NS: u64 = 700;
 
 /// Why an enclave ended when its teardown, not a fault, ended it.
 pub(crate) const TORN_DOWN: &str = "enclave torn down";
+
+/// An abort reason being written: text on the stack, allocated once
+/// when it is done, with no `String` on the way. Holds what it is given
+/// up to its capacity, which every reason fits.
+#[derive(Clone, Copy)]
+struct Reason {
+    buf: [u8; 96],
+    len: usize,
+}
+
+impl Reason {
+    fn new() -> Self {
+        Reason {
+            buf: [0; 96],
+            len: 0,
+        }
+    }
+
+    /// Append `text`.
+    fn push(&mut self, text: &str) -> &mut Self {
+        self.bytes(text.as_bytes())
+    }
+
+    fn bytes(&mut self, b: &[u8]) -> &mut Self {
+        let end = (self.len + b.len()).min(self.buf.len());
+        self.buf[self.len..end].copy_from_slice(&b[..end - self.len]);
+        self.len = end;
+        self
+    }
+
+    /// Append `v` as `{:#x}` writes it.
+    fn hex(&mut self, v: u64) -> &mut Self {
+        let digits = (64 - v.leading_zeros()).div_ceil(4).max(1) as usize;
+        let mut out = [0u8; 16];
+        for (i, d) in out[..digits].iter_mut().rev().enumerate() {
+            *d = b"0123456789abcdef"[(v >> (4 * i)) as usize & 0xf];
+        }
+        self.push("0x").bytes(&out[..digits])
+    }
+
+    /// Append `v` in decimal.
+    fn dec(&mut self, mut v: u64) -> &mut Self {
+        let mut out = [0u8; 20];
+        let mut at = out.len();
+        loop {
+            at -= 1;
+            out[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&out[at..])
+    }
+
+    fn as_str(&self) -> &str {
+        // Only whole `&str`s and ASCII digits are written, and nothing is
+        // cut: every reason fits the buffer.
+        std::str::from_utf8(&self.buf[..self.len]).unwrap_or("abort")
+    }
+}
 
 /// What the exec loop should do after an exit was handled.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,10 +137,8 @@ pub struct Hypervisor {
     vctx: Arc<VirtContext>,
     /// The controller module, notified when this instance aborts.
     controller: Arc<CovirtController>,
-    /// This core's command queue, taken from the context once at launch.
-    cmdq: CmdQueue,
     /// This core's slot in the context, looked up once at launch: the
-    /// safe-point check indexes its doorbell, it does not search.
+    /// safe-point check indexes its doorbell and queue, it does not search.
     slot: usize,
     /// Flight-recorder handle for this core's lane.
     tracer: Tracer,
@@ -100,8 +160,9 @@ impl Hypervisor {
         let Some(slot) = vctx.slot_index(core) else {
             return Err(CovirtError::Invalid("core has no VMCS"));
         };
-        let cmdq = vctx.cmdq(core).cloned();
-        let cmdq = cmdq.ok_or(CovirtError::Invalid("core has no command queue"))?;
+        if vctx.slot_at(slot).cmdq.is_none() {
+            return Err(CovirtError::Invalid("core has no command queue"));
+        }
         if let Some(reason) = vctx.termination() {
             return Err(CovirtError::EnclaveTerminated(reason));
         }
@@ -118,7 +179,6 @@ impl Hypervisor {
             node,
             vctx,
             controller,
-            cmdq,
             slot,
             tracer,
         })
@@ -140,6 +200,13 @@ impl Hypervisor {
         &self.vctx.slot_at(self.slot).cmd_doorbell
     }
 
+    /// This core's command queue: launch refused a core without one, and
+    /// the controller places queues before it shares the context.
+    #[inline]
+    fn cmdq(&self) -> Option<&CmdQueue> {
+        self.vctx.slot_at(self.slot).cmdq.as_ref()
+    }
+
     /// Whether the controller rang this core's command doorbell since the
     /// last [`Self::take_commands`]: its outstanding-notification bit. A
     /// poster sets that bit last, after its commands are queued and its
@@ -157,7 +224,7 @@ impl Hypervisor {
     /// post racing the drain re-raises the doorbell instead of being lost.
     pub fn take_commands(&self) -> Drained {
         self.doorbell().acknowledge();
-        self.cmdq.drain()
+        self.cmdq().map(CmdQueue::drain).unwrap_or_default()
     }
 
     /// The last step of an abort, taken by the exec loop once the core is
@@ -254,13 +321,18 @@ impl Hypervisor {
                 self.vctx
                     .violations
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.abort(format!(
-                    "EPT violation at {} ({:?}) on {}",
-                    info.gpa, info.access, self.cpu.id
-                ))
+                let access = match info.access {
+                    Access::Read => "Read",
+                    Access::Write => "Write",
+                    Access::Exec => "Exec",
+                };
+                let mut r = Reason::new();
+                r.push("EPT violation at ").hex(info.gpa.raw());
+                r.push(" (").push(access).push(")");
+                self.abort(r)
             }
-            ExitReason::DoubleFault => self.abort(format!("double fault on {}", self.cpu.id)),
-            ExitReason::TripleFault => self.abort(format!("triple fault on {}", self.cpu.id)),
+            ExitReason::DoubleFault => self.abort(*Reason::new().push("double fault")),
+            ExitReason::TripleFault => self.abort(*Reason::new().push("triple fault")),
         };
 
         if matches!(action, ExitAction::Resume) {
@@ -317,7 +389,9 @@ impl Hypervisor {
                 }
                 Command::Sync => {}
             }
-            self.cmdq.complete(sc.seq);
+            if let Some(q) = self.cmdq() {
+                q.complete(sc.seq);
+            }
             if self.tracer.enabled() {
                 // A zero stamp means the poster's recorder was off.
                 let ns = if sc.tsc != 0 {
@@ -333,12 +407,14 @@ impl Hypervisor {
         action
     }
 
-    /// Terminate the enclave: record the reason, notify the management
-    /// layer (done by the caller via the fault report), and park the core
-    /// back in host mode. The reason is formatted here once; the context,
-    /// the core and every report after share it.
-    fn abort(&mut self, reason: impl Into<Arc<str>>) -> ExitAction {
-        let reason = reason.into();
+    /// Terminate the enclave: record the reason — `what`, then the core —
+    /// notify the management layer (done by the caller via the fault
+    /// report), and park the core back in host mode. The reason is
+    /// allocated here once; the context, the core and every report after
+    /// share it.
+    fn abort(&mut self, mut what: Reason) -> ExitAction {
+        what.push(" on cpu").dec(self.cpu.id.0 as u64);
+        let reason: Arc<str> = what.as_str().into();
         self.vctx.terminate(Arc::clone(&reason));
         self.leave_guest();
         ExitAction::Terminate(reason)
@@ -397,7 +473,8 @@ mod tests {
             .then(|| Arc::new(covirt_simhw::ept::Ept::new(Arc::clone(&pool)).unwrap()));
         let cpus = node.cpus()[1..3].to_vec();
         let mut vctx = VirtContext::new(7, config, cpus, &[0x40], ept);
-        vctx.set_cmdq(1, CmdQueue::create(pool.take_frame().unwrap()).unwrap());
+        let queue = |_| CmdQueue::create(pool.take_frame().unwrap());
+        vctx.prepare_cores(0, queue).unwrap();
         let vctx = Arc::new(vctx);
         let ctl = CovirtController::new(Arc::clone(&node), config);
         let hv = Hypervisor::launch(Arc::clone(&node), ctl, Arc::clone(&vctx), 1).unwrap();
@@ -450,6 +527,16 @@ mod tests {
             vctx.violations.load(std::sync::atomic::Ordering::Relaxed),
             1
         );
+    }
+
+    /// An abort reason reads as `format!` writes it, for any address.
+    #[test]
+    fn an_abort_reason_reads_as_format_writes_it() {
+        for v in [0, 1, 0xf, 0x10, 0xdead_0000, u64::MAX] {
+            let mut r = Reason::new();
+            r.push("EPT violation at ").hex(v).push(" on cpu").dec(v);
+            assert_eq!(r.as_str(), format!("EPT violation at {v:#x} on cpu{v}"));
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use covirt_simhw::posted::PostedIntDescriptor;
 use covirt_simhw::vmcs::Vmcs;
 use parking_lot::RwLock;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The notification vector posted-interrupt descriptors use (one below the
 /// legacy spurious vector, outside the guest-allocatable pool).
@@ -43,11 +43,11 @@ pub(crate) struct CoreSlot {
     /// The core, whose VMX state says whether it runs this enclave.
     pub(crate) cpu: Arc<Cpu>,
     /// The core's VMCS replica ("replicating the hypervisor context ... for
-    /// each CPU core managed by Covirt"). Boxed: held inline, it made
-    /// building a context slower (EXPERIMENTS.md, "One VMX state per core").
-    pub(crate) vmcs: Box<RwLock<Vmcs>>,
+    /// each CPU core managed by Covirt"), held inline: the slots and their
+    /// VMCSs are one allocation.
+    pub(crate) vmcs: RwLock<Vmcs>,
     /// The core's command queue, once the controller has placed it.
-    cmdq: Option<CmdQueue>,
+    pub(crate) cmdq: Option<CmdQueue>,
     /// Posted-interrupt descriptor (posted IPI mode only).
     posted: Option<Arc<PostedIntDescriptor>>,
     /// Command-doorbell descriptor. Unlike `posted`, this exists in *every*
@@ -76,7 +76,7 @@ pub struct VirtContext {
     slots: Vec<CoreSlot>,
     /// Set when the hypervisor terminated the enclave; the reason, shared
     /// with everyone the termination is reported to.
-    terminated: RwLock<Option<Arc<str>>>,
+    terminated: OnceLock<Arc<str>>,
     /// EPT violations caught (instrumentation).
     pub violations: AtomicU64,
 }
@@ -119,7 +119,7 @@ impl VirtContext {
                     .then(|| Arc::new(PostedIntDescriptor::new(PIV_NOTIFICATION_VECTOR)));
                 CoreSlot {
                     cpu,
-                    vmcs: Box::new(RwLock::new(Vmcs::new())),
+                    vmcs: RwLock::new(Vmcs::new()),
                     cmdq: None,
                     posted,
                     cmd_doorbell: PostedIntDescriptor::new(CMD_DOORBELL_VECTOR),
@@ -141,7 +141,7 @@ impl VirtContext {
             msr_bitmap,
             io_bitmap,
             slots,
-            terminated: RwLock::new(None),
+            terminated: OnceLock::new(),
             violations: AtomicU64::new(0),
         }
     }
@@ -158,7 +158,7 @@ impl VirtContext {
 
     /// The VMCS for a core.
     pub fn vmcs(&self, core: usize) -> Option<&RwLock<Vmcs>> {
-        self.slot(core).map(|s| &*s.vmcs)
+        self.slot(core).map(|s| &s.vmcs)
     }
 
     /// All cores with a VMCS, in ascending order.
@@ -166,12 +166,19 @@ impl VirtContext {
         self.slots.iter().map(|s| s.cpu.id.0).collect()
     }
 
-    /// Install a core's command queue (controller, before boot). A core
-    /// outside the enclave has no slot to install it in.
-    pub fn set_cmdq(&mut self, core: usize, q: CmdQueue) {
-        if let Some(i) = self.slot_index(core) {
-            self.slots[i].cmdq = Some(q);
+    /// Before boot (controller): set every core's launch RDI to `rdi` and
+    /// install the command queue `queue` makes for it, in core order; the
+    /// first error `queue` returns is returned.
+    pub(crate) fn prepare_cores<E>(
+        &mut self,
+        rdi: u64,
+        mut queue: impl FnMut(usize) -> Result<CmdQueue, E>,
+    ) -> Result<(), E> {
+        for slot in &mut self.slots {
+            slot.vmcs.get_mut().guest.rdi = rdi;
+            slot.cmdq = Some(queue(slot.cpu.id.0)?);
         }
+        Ok(())
     }
 
     /// A core's command queue.
@@ -228,13 +235,12 @@ impl VirtContext {
     /// Record enclave termination (idempotent; first reason wins, and a
     /// later one is not even converted). Returns the reason that won.
     pub fn terminate(&self, reason: impl Into<Arc<str>>) -> Arc<str> {
-        let mut t = self.terminated.write();
-        Arc::clone(t.get_or_insert_with(|| reason.into()))
+        Arc::clone(self.terminated.get_or_init(|| reason.into()))
     }
 
     /// Whether (and why) the enclave was terminated.
     pub fn termination(&self) -> Option<Arc<str>> {
-        self.terminated.read().clone()
+        self.terminated.get().cloned()
     }
 
     /// Total exits across every core's VMCS: one (reason name, count)

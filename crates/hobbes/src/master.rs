@@ -78,17 +78,28 @@ impl MasterControl {
     /// the enclave and the kernel handle. (With Covirt active, launch
     /// interposition happens inside `PiscesHost::launch` via its hooks; the
     /// returned plan's params pointer is what Kitten reads either way.)
+    /// A launch or boot that fails tears the new enclave down before the
+    /// error returns, so the caller, who gets no handle, is left nothing to
+    /// free.
     pub fn bring_up_enclave(
         &self,
         name: &str,
         req: &ResourceRequest,
     ) -> HobbesResult<(Arc<pisces::Enclave>, Arc<KittenKernel>)> {
         let enclave = self.host.create_enclave(name, req)?;
-        let plan = self.host.launch(&enclave)?;
-        let kernel = Arc::new(KittenKernel::boot(
-            &self.host.node().mem,
-            plan.pisces_params_addr,
-        )?);
+        let booted = self.host.launch(&enclave).map_err(HobbesError::from);
+        let kernel = booted.and_then(|plan| {
+            let mem = &self.host.node().mem;
+            Ok(Arc::new(KittenKernel::boot(mem, plan.pisces_params_addr)?))
+        });
+        let kernel = match kernel {
+            Ok(kernel) => kernel,
+            Err(e) => {
+                // Refused only when a teardown already ended it.
+                let _ = self.host.teardown(&enclave);
+                return Err(e);
+            }
+        };
         self.kernels
             .write()
             .insert(enclave.id.0, Arc::clone(&kernel));

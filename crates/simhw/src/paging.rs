@@ -312,6 +312,10 @@ fn level_index(addr: u64, level: u8) -> u64 {
 /// drops, so a frame is reachable from at most one live owner; a table
 /// that owns its pool outright ([`RadixTable::owning`]) returns none,
 /// because the pool and its frames go with it.
+///
+/// A holder of several frames takes and returns them in one call
+/// ([`FramePool::alloc_frames`], [`FramePool::free_frames`]): one lock for
+/// all of them, and each returned frame is still zeroed whole.
 pub struct FramePool {
     mem: Arc<PhysMemory>,
     region: PhysRange,
@@ -390,43 +394,57 @@ impl FramePool {
     /// Allocate one zeroed 4 KiB table frame, reusing a returned frame
     /// before touching a fresh one.
     pub fn alloc_frame(&self) -> HwResult<HostPhysAddr> {
-        let (frame_off, fresh) = {
+        let mut frame = [HostPhysAddr::new(0)];
+        self.alloc_frames(&mut frame)?;
+        Ok(frame[0])
+    }
+
+    /// Fill `out` with zeroed frames under one lock: returned frames first,
+    /// newest first, then fresh ones. All or nothing: a pool that cannot
+    /// supply every frame hands out none.
+    pub fn alloc_frames(&self, out: &mut [HostPhysAddr]) -> HwResult<()> {
+        let (reused, fresh_off, fresh) = {
             let mut frames = self.frames.lock();
-            let (off, fresh) = match frames.free.pop() {
-                Some(off) => (off, false),
-                None => {
-                    let off = frames.next;
-                    if off + PAGE_SIZE_4K > self.region.len {
-                        return Err(HwError::OutOfMemory {
-                            zone: self.mem.zone_of(self.region.start).0,
-                            requested: PAGE_SIZE_4K,
-                        });
+            let reused = frames.free.len().min(out.len());
+            let fresh = (out.len() - reused) as u64 * PAGE_SIZE_4K;
+            let fresh_off = frames.next;
+            if fresh_off + fresh > self.region.len {
+                return Err(HwError::OutOfMemory {
+                    zone: self.mem.zone_of(self.region.start).0,
+                    requested: out.len() as u64 * PAGE_SIZE_4K,
+                });
+            }
+            frames.next += fresh;
+            let mut fresh_next = fresh_off;
+            for slot in out.iter_mut() {
+                let off = match frames.free.pop() {
+                    Some(off) => off,
+                    None => {
+                        fresh_next += PAGE_SIZE_4K;
+                        fresh_next - PAGE_SIZE_4K
                     }
-                    frames.next = off + PAGE_SIZE_4K;
-                    (off, true)
-                }
-            };
-            let (word, mask) = FrameList::bit(off / PAGE_SIZE_4K);
-            frames.out[word] |= mask;
-            (off, fresh)
+                };
+                let (word, mask) = FrameList::bit(off / PAGE_SIZE_4K);
+                frames.out[word] |= mask;
+                *slot = self.region.start.add(off);
+            }
+            (reused, fresh_off, fresh)
         };
-        let at = self.backing_off + frame_off as usize;
-        if fresh {
-            // Zero through the pool's own pinned backing: frame allocation
-            // is a tight loop at boot, and the region was resolved once at
-            // construction. The caller owns the frame exclusively from
-            // here, so zeroing needs no lock.
-            self.backing.zero(at, PAGE_SIZE_4K as usize);
-        } else {
-            // `free_frame` cleaned it on the way back.
-            debug_assert!(
-                (0..PAGE_SIZE_4K as usize)
-                    .step_by(8)
-                    .all(|i| self.backing.read_u64(at + i) == 0),
-                "a returned frame was written after its return"
-            );
+        // The caller owns the frames exclusively from here, so zeroing
+        // needs no lock. Fresh frames are consecutive: one pass through
+        // the pool's own pinned backing, resolved once at construction.
+        if fresh > 0 {
+            self.backing
+                .zero(self.backing_off + fresh_off as usize, fresh as usize);
         }
-        Ok(self.region.start.add(frame_off))
+        // `free_frames` cleaned each returned one on the way back.
+        debug_assert!(
+            out[..reused].iter().all(|f| (0..PAGE_SIZE_4K)
+                .step_by(8)
+                .all(|i| self.load(f.add(i)) == Some(0))),
+            "a returned frame was written after its return"
+        );
+        Ok(())
     }
 
     /// Return a frame obtained from [`FramePool::alloc_frame`], zeroing it.
@@ -436,22 +454,36 @@ impl FramePool {
     /// already returned — is refused and left untouched, since accepting it
     /// would give one frame two owners.
     pub fn free_frame(&self, pa: HostPhysAddr) -> HwResult<()> {
-        let off = pa.raw().wrapping_sub(self.region.start.raw());
-        let mut frames = self.frames.lock();
-        let (word, mask) = FrameList::bit(off / PAGE_SIZE_4K);
-        // Only `alloc_frame` sets a bit: a frame never handed out has a
-        // clear one, an address outside the region none (or a spare bit of
-        // the last word, never set).
-        if !off.is_multiple_of(PAGE_SIZE_4K) || frames.out.get(word).is_none_or(|w| w & mask == 0) {
-            return Err(HwError::Invalid("not an outstanding frame of this pool"));
+        self.free_frames(&[pa])
+    }
+
+    /// [`FramePool::free_frame`] for each of `frames`, under one lock: each
+    /// frame this pool has out comes back zeroed, and the first address
+    /// refused is reported after the rest are back.
+    pub fn free_frames(&self, frames: &[HostPhysAddr]) -> HwResult<()> {
+        let mut list = self.frames.lock();
+        let mut refused = Ok(());
+        for &pa in frames {
+            let off = pa.raw().wrapping_sub(self.region.start.raw());
+            let (word, mask) = FrameList::bit(off / PAGE_SIZE_4K);
+            // Only an allocation sets a bit: a frame never handed out has a
+            // clear one, an address outside the region none (or a spare bit
+            // of the last word, never set).
+            if !off.is_multiple_of(PAGE_SIZE_4K) || list.out.get(word).is_none_or(|w| w & mask == 0)
+            {
+                refused = refused.and(Err(HwError::Invalid(
+                    "not an outstanding frame of this pool",
+                )));
+                continue;
+            }
+            // Clean under the lock: once on the free list the frame is the
+            // next allocation's, and that allocation does not zero it.
+            self.backing
+                .zero(self.backing_off + off as usize, PAGE_SIZE_4K as usize);
+            list.out[word] &= !mask;
+            list.free.push(off);
         }
-        // Clean under the lock: once on the free list the frame is the next
-        // allocation's, and that allocation does not zero it.
-        self.backing
-            .zero(self.backing_off + off as usize, PAGE_SIZE_4K as usize);
-        frames.out[word] &= !mask;
-        frames.free.push(off);
-        Ok(())
+        refused
     }
 
     /// Frames handed out and not yet returned.
@@ -592,6 +624,128 @@ impl<F: EntryFormat> RadixTable<F> {
             frames: Mutex::new(frames),
             _fmt: std::marker::PhantomData,
         })
+    }
+
+    /// A fresh table holding the identity maps `maps` — each a range, its
+    /// rights and the largest level its leaves may take, as [`Self::map`]
+    /// takes them — built in one pass: the tables the leaves need are
+    /// counted first, taken from `pool` with the root in one call, and
+    /// every entry is written once. Nothing is logged: on an error the
+    /// table is dropped whole, and its frames go back.
+    ///
+    /// The table is the one an empty table gets from the same `map` calls
+    /// in order, except that a table the count reserved but the leaves did
+    /// not need (a range that comes back under a table an earlier range
+    /// left) goes back to the pool at once.
+    pub fn identity(
+        pool: Arc<FramePool>,
+        maps: impl Iterator<Item = (PhysRange, Perms, u8)> + Clone,
+    ) -> HwResult<Self> {
+        let mut frames = vec![HostPhysAddr::new(0); 1 + Self::tables_for(maps.clone())?];
+        pool.alloc_frames(&mut frames)?;
+        let mut table = RadixTable {
+            pool,
+            owns_pool: false,
+            root: frames[0],
+            frames: Mutex::new(frames),
+            _fmt: std::marker::PhantomData,
+        };
+        let frames = table.frames.get_mut();
+        let linked = Self::fill(&table.pool, frames, maps)?;
+        if linked < frames.len() {
+            let _ = table.pool.free_frames(&frames[linked..]);
+            frames.truncate(linked);
+        }
+        Ok(table)
+    }
+
+    /// The leaf runs of an identity map of `range` up to `max_level`, in
+    /// address order: (first address, leaf size, leaves), each within one
+    /// table, as [`Self::map`] fills them.
+    fn runs(range: PhysRange, max_level: u8) -> impl Iterator<Item = (u64, PageSize, u64)> + Clone {
+        let (start, len) = (range.start.raw(), range.len);
+        let mut off = 0u64;
+        std::iter::from_fn(move || {
+            (off < len).then(|| {
+                let va = start + off;
+                let size = Self::leaf_size(va, va, len - off, max_level);
+                let count = (512 - level_index(va, size.level())).min((len - off) / size.bytes());
+                off += count * size.bytes();
+                (va, size, count)
+            })
+        })
+    }
+
+    /// At least as many tables below the root as the identity maps `maps`
+    /// link: at each level, one per change of the table a run's leaves
+    /// need — exact when the maps come in address order.
+    fn tables_for(maps: impl Iterator<Item = (PhysRange, Perms, u8)>) -> HwResult<usize> {
+        let mut last = [None::<u64>; 3];
+        let mut tables = 0;
+        for (range, _, max_level) in maps {
+            if !range.start.raw().is_multiple_of(PAGE_SIZE_4K)
+                || !range.len.is_multiple_of(PAGE_SIZE_4K)
+            {
+                return Err(HwError::Invalid("map arguments must be 4 KiB aligned"));
+            }
+            for (va, size, _) in Self::runs(range, max_level) {
+                // The table at `level` holding the run's entries, per level
+                // from the leaves' up to the PDPT.
+                for level in size.level()..=3 {
+                    let key = va >> level_shift(level + 1);
+                    if last[level as usize - 1].replace(key) != Some(key) {
+                        tables += 1;
+                    }
+                }
+            }
+        }
+        Ok(tables)
+    }
+
+    /// Write the identity maps `maps` into the empty table rooted at
+    /// `frames[0]`, linking the tables it needs from `frames[1..]` in
+    /// order. Returns how many of `frames` the table now holds.
+    fn fill(
+        pool: &FramePool,
+        frames: &[HostPhysAddr],
+        maps: impl Iterator<Item = (PhysRange, Perms, u8)>,
+    ) -> HwResult<usize> {
+        const OUTSIDE: HwError = HwError::Invalid("table frame outside its pool");
+        const UNCOUNTED: HwError = HwError::Invalid("a table the count missed");
+        let mut linked = 1;
+        for (range, perms, max_level) in maps {
+            for (va, size, count) in Self::runs(range, max_level) {
+                let level = size.level();
+                let mut table = frames[0];
+                for cur in (level + 1..=4).rev() {
+                    let eaddr = Self::entry_addr(table, level_index(va, cur));
+                    let e = pool.load(eaddr).ok_or(OUTSIDE)?;
+                    table = if F::present(e) {
+                        if F::leaf(e, cur) {
+                            return Err(HwError::Invalid(
+                                "mapping collides with an existing larger page",
+                            ));
+                        }
+                        F::frame(e)
+                    } else {
+                        // `tables_for` counted every table linked here.
+                        let child = *frames.get(linked).ok_or(UNCOUNTED)?;
+                        linked += 1;
+                        pool.store(eaddr, F::table_entry(child));
+                        child
+                    };
+                }
+                let first = level_index(va, level);
+                for i in 0..count {
+                    let pa = HostPhysAddr::new(va + i * size.bytes());
+                    let eaddr = Self::entry_addr(table, first + i);
+                    if !pool.store(eaddr, F::leaf_entry(pa, level, perms)) {
+                        return Err(OUTSIDE);
+                    }
+                }
+            }
+        }
+        Ok(linked)
     }
 
     /// Take one table frame from the pool and record it as this table's.
@@ -996,11 +1150,9 @@ impl<F: EntryFormat> Drop for RadixTable<F> {
             // frames again, so there is nothing to return or clean.
             return;
         }
-        for frame in self.frames.get_mut().drain(..) {
-            // Only frames `alloc_frame` returned are recorded, so the pool
-            // accepts each; a `Drop` must not panic in any case.
-            let _ = self.pool.free_frame(frame);
-        }
+        // Only frames the pool handed out are recorded, so it accepts each,
+        // all in one call; a `Drop` must not panic in any case.
+        let _ = self.pool.free_frames(self.frames.get_mut());
     }
 }
 
@@ -1228,6 +1380,45 @@ mod tests {
         assert_eq!(pool.outstanding(), 1);
         pool.free_frame(a).unwrap();
         assert!(pool.free_frame(a).is_err(), "double free accepted");
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// Frames taken and returned in one call: returned frames first, in
+    /// the order single allocations would take them, then fresh ones, all
+    /// zero; a call the pool cannot serve whole takes nothing; a batch
+    /// return cleans every frame it accepts and refuses the rest.
+    #[test]
+    fn frames_go_out_and_come_back_in_one_call() {
+        let (mem, pool) = setup();
+        let mut first = [HostPhysAddr::new(0); 3];
+        pool.alloc_frames(&mut first).unwrap();
+        for f in first {
+            assert!(pool.store(f.add(8), 0xdead));
+        }
+        pool.free_frames(&first[..2]).unwrap();
+        assert!(first[..2].iter().all(|&f| pool.load(f.add(8)) == Some(0)));
+        let mut next = [HostPhysAddr::new(0); 3];
+        pool.alloc_frames(&mut next).unwrap();
+        assert_eq!(next, [first[1], first[0], first[2].add(PAGE_SIZE_4K)]);
+        assert!(next.iter().all(|&f| pool.load(f.add(8)) == Some(0)));
+
+        // Nothing is taken from a pool one frame short.
+        let left = (pool.region.len / PAGE_SIZE_4K - pool.outstanding()) as usize;
+        let mut too_many = vec![HostPhysAddr::new(0); left + 1];
+        assert!(matches!(
+            pool.alloc_frames(&mut too_many),
+            Err(HwError::OutOfMemory { .. })
+        ));
+        assert_eq!(pool.outstanding(), 4);
+
+        // A foreign address and a second return are refused; the rest of
+        // the batch comes back clean.
+        let outside = mem.alloc(ZoneId(0), PAGE_SIZE_4K, PAGE_SIZE_4K).unwrap();
+        let batch = [next[0], outside.start, next[0], first[2], next[2]];
+        assert!(matches!(pool.free_frames(&batch), Err(HwError::Invalid(_))));
+        assert_eq!(pool.outstanding(), 1);
+        assert_eq!(pool.load(first[2].add(8)), Some(0));
+        pool.free_frame(next[1]).unwrap();
         assert_eq!(pool.outstanding(), 0);
     }
 
@@ -1595,6 +1786,46 @@ mod tests {
                     }
                 }
                 prop_assert!(tree(&fast) == tree(&slow), "same calls, different entries");
+            }
+
+            /// A table built in one pass from identity maps is the table
+            /// `map` builds from the same calls in order — same entries in
+            /// the same frames, same record, same frames out — and a build
+            /// any of whose calls `map` refuses fails whole, with every
+            /// frame back. The pool is large enough for any order's count.
+            #[test]
+            fn a_one_pass_identity_build_is_the_table_its_maps_build(
+                maps in proptest::collection::vec(
+                    ((0u64..2, 0usize..6, 0usize..6), (0u8..3, 1u64..4, 0u64..40), 1u8..4),
+                    1..6,
+                ),
+            ) {
+                let maps: Vec<(PhysRange, Perms, u8)> = maps
+                    .into_iter()
+                    .map(|(at, size, max_level)| {
+                        let (va, _, len, max_level) = range(at, 0, size, max_level);
+                        (PhysRange::new(HostPhysAddr::new(va), len), Perms::RW, max_level)
+                    })
+                    .collect();
+                let (_mem, slow_pool, slow) = table(64);
+                let mapped = maps.iter().try_for_each(|&(r, perms, max_level)| {
+                    slow.map(r.start.raw(), r.start, r.len, perms, max_level)
+                });
+                // Only the pool: the helper's table goes, and its root
+                // frame is the one the build takes first.
+                let (_mem, fast_pool, _) = table(64);
+                let built = GuestPageTables::identity(Arc::clone(&fast_pool), maps.iter().copied());
+                match (mapped, built) {
+                    (Ok(()), Ok(fast)) => {
+                        prop_assert!(tree(&fast) == tree(&slow), "same maps, different entries");
+                        prop_assert_eq!(&*fast.frames.lock(), &*slow.frames.lock());
+                        prop_assert_eq!(fast_pool.outstanding(), slow_pool.outstanding());
+                    }
+                    (Err(_), Err(_)) => prop_assert_eq!(fast_pool.outstanding(), 0),
+                    (mapped, built) => prop_assert!(
+                        false, "map {:?}, one-pass build {:?}", mapped, built.map(|_| ())
+                    ),
+                }
             }
 
             /// A pool that runs dry part-way through a run — in the middle

@@ -138,6 +138,11 @@ pub struct Census {
     /// The same lifecycle natively, to first touch and an orderly
     /// teardown.
     pub lifecycle_native: f64,
+    /// Frames of the controller's frame pool still out once the Covirt
+    /// lifecycles are over, beyond those out before them: an EPT table or
+    /// command queue a lifecycle never gave back. Zone usage cannot show
+    /// one, since the pool is reserved once for the node.
+    pub lifecycle_frames_left: f64,
 }
 
 /// Take the census. Meaningful only under [`CountingAlloc`].
@@ -146,8 +151,8 @@ pub fn take() -> Census {
     exits_and_harvests(&mut c);
     control_path(&mut c);
     hooks(&mut c);
-    c.lifecycle_covirt = lifecycle(ExecMode::Covirt(CovirtConfig::MEM));
-    c.lifecycle_native = lifecycle(ExecMode::Native);
+    (c.lifecycle_covirt, c.lifecycle_frames_left) = lifecycle(ExecMode::Covirt(CovirtConfig::MEM));
+    (c.lifecycle_native, _) = lifecycle(ExecMode::Native);
     c
 }
 
@@ -281,8 +286,9 @@ fn hooks(c: &mut Census) {
 /// Mean allocations of one enclave lifecycle in `mode`, as `perfbench`'s
 /// `faultcycle` runs it: bring-up, launch of its core, first touch, then
 /// under Covirt a wild write contained and the enclave reclaimed, natively
-/// an orderly teardown.
-fn lifecycle(mode: ExecMode) -> f64 {
+/// an orderly teardown. Also the controller's pool frames the lifecycles
+/// left out (0 natively).
+fn lifecycle(mode: ExecMode) -> (f64, f64) {
     let node = SimNode::new(NodeConfig {
         topology: Topology::paper_testbed(),
     });
@@ -328,5 +334,8 @@ fn lifecycle(mode: ExecMode) -> f64 {
         }
         assert!(enclave.resources().mem.is_empty(), "reclaimed");
     };
-    per_call(LIFECYCLES, once)
+    let frames = || controller.as_ref().map_or(0, |c| c.frames_outstanding());
+    let before = frames();
+    let allocs = per_call(LIFECYCLES, once);
+    (allocs, frames().saturating_sub(before) as f64)
 }
