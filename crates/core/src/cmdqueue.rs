@@ -33,11 +33,13 @@
 //! timed out: the core has not taken `CMD_SLOTS` commands.
 
 use covirt_simhw::addr::PhysRange;
+use covirt_simhw::backing::PinnedWord;
 use covirt_simhw::memory::MemWindow;
 use covirt_simhw::paging::PoolFrame;
 use covirt_trace::{EventKind, Tracer};
 use parking_lot::Mutex;
 use pisces::ring::{Batch, RingError, SharedRing, Slot};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,8 +51,10 @@ pub type Drained = Batch<SeqCommand, { CMD_SLOTS as usize }>;
 /// Offset of the completion counter within the queue region.
 pub(crate) const OFF_COMPLETION: u64 = 0;
 /// Offset of the ring (its header first) within the queue region: the
-/// completion word has its cache line to itself.
-pub(crate) const OFF_RING: u64 = 64;
+/// completion word, which a waiting controller polls, has its line
+/// ([`LINE_BYTES`](covirt_simhw::line::LINE_BYTES)) to itself, apart from
+/// the cursors and slots every post and drain write.
+pub(crate) const OFF_RING: u64 = 128;
 
 /// A command to the hypervisor. Every variant is a *synchronization
 /// notification*: the actual configuration change was already made by the
@@ -155,12 +159,11 @@ impl std::error::Error for FlushTimeout {}
 #[derive(Clone)]
 pub struct CmdQueue {
     ring: SharedRing,
-    /// Resolved backing + offset of the completion counter, cached at
-    /// construction: `completed()` sits in every completion-wait spin and
-    /// every harvest, and the queue's frame lives as long as any handle,
-    /// so re-resolving per read (bitmap check + `Arc` churn) is pure
-    /// overhead on the hottest path of command delivery.
-    completion: (Arc<covirt_simhw::backing::Backing>, usize),
+    /// The completion counter, its address resolved once at construction:
+    /// `completed()` sits in every completion-wait poll and `complete()` in
+    /// every harvest, and a word read through the zone's `Backing` reloads
+    /// the line its `Arc` counts share, which TLB fills and grants bump.
+    completion: PinnedWord,
     /// The core this queue serves: carried into [`FlushTimeout`] errors,
     /// and the lane a wait's trace event goes on.
     core: u64,
@@ -194,7 +197,7 @@ impl CmdQueue {
         let (backing, off) = window.pinned();
         Ok(CmdQueue {
             ring,
-            completion: (backing, off + OFF_COMPLETION as usize),
+            completion: PinnedWord::new(backing, off + OFF_COMPLETION as usize),
             core: 0,
             tracer: None,
             frame: Arc::new(QueueFrame {
@@ -299,15 +302,13 @@ impl CmdQueue {
     /// Hypervisor: mark `seq` (and everything before it) complete. One
     /// atomic max: the counter never moves back.
     pub fn complete(&self, seq: u64) {
-        let (backing, off) = &self.completion;
-        backing.fetch_max_u64(*off, seq);
+        self.completion.fetch_max(seq, Ordering::AcqRel);
     }
 
     /// Highest completed sequence number.
     #[inline]
     pub fn completed(&self) -> u64 {
-        let (backing, off) = &self.completion;
-        backing.read_u64_acquire(*off)
+        self.completion.load(Ordering::Acquire)
     }
 
     /// Controller: wait until `seq` completes, the core leaves guest mode
@@ -320,7 +321,11 @@ impl CmdQueue {
     /// The wait backs off: the first polls busy-spin (the common case — a
     /// core at a safe point acknowledges within nanoseconds), then yield
     /// the CPU, then short sleeps so a slow core never costs the controller
-    /// a saturated CPU. `escalate` is the caller's bounded fallback,
+    /// a saturated CPU. A spinning poll reads only the completion word; the
+    /// clock and `live` are read on the first poll and every
+    /// `SPIN_CHECK_EVERY`th after it, so the spin adds at most that many
+    /// polls to a deadline or an escalation. Every poll after the spin
+    /// reads all three. `escalate` is the caller's bounded fallback,
     /// `(bound, kick)`: if the wait is still open `bound` after it began,
     /// `kick` runs — once, never earlier — and the wait goes on. At
     /// `deadline` after it began the wait gives up, and the error names
@@ -336,10 +341,16 @@ impl CmdQueue {
         live: &dyn Fn() -> bool,
     ) -> Result<(), FlushTimeout> {
         const SPIN_POLLS: u64 = 128;
+        const SPIN_CHECK_EVERY: u64 = 16;
         const YIELD_POLLS: u64 = 4096;
         let t0 = Instant::now();
         for i in 0u64.. {
-            if self.completed() >= seq || !live() {
+            let done = self.completed() >= seq;
+            if !done && i < SPIN_POLLS && !i.is_multiple_of(SPIN_CHECK_EVERY) {
+                std::hint::spin_loop();
+                continue;
+            }
+            if done || !live() {
                 if let Some(t) = self.tracer.as_ref().filter(|t| t.enabled()) {
                     let ns = t0.elapsed().as_nanos() as u64;
                     t.emit_on(self.core as u32, EventKind::CmdWait, seq, ns);
@@ -505,6 +516,29 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(q.pending(), 0);
         assert_eq!(q.post(Command::Sync), Ok(seqs[CMD_SLOTS as usize - 1] + 1));
+    }
+
+    /// The completion word shares no line with the ring a post writes, and
+    /// `complete`/`completed` reach it through the address resolved when
+    /// the queue was made, not through the zone's `Backing`.
+    #[test]
+    fn the_completion_word_has_its_line_and_is_reached_directly() {
+        use covirt_simhw::line::{shares_line, LINE_BYTES};
+        let ring_header = 32;
+        assert!(
+            !shares_line(OFF_COMPLETION as usize, 8, OFF_RING as usize, ring_header),
+            "the completion word shares a line with the ring's cursors"
+        );
+        let (_w, q) = queue();
+        let (backing, off) = q.frame.frame.window().pinned();
+        assert_eq!(off % LINE_BYTES, 0, "the queue frame starts a line");
+        let word = backing.ptr_at(off + OFF_COMPLETION as usize);
+        assert!(
+            std::ptr::eq(&*q.completion, word.cast()),
+            "the completion word is not the frame's"
+        );
+        q.complete(9);
+        assert_eq!(backing.read_u64(off + OFF_COMPLETION as usize), 9);
     }
 
     #[test]

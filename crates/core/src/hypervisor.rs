@@ -116,14 +116,13 @@ pub enum ExitAction {
 /// Burn wall-clock time to model a fixed hardware cost: return at the
 /// first clock read at or past `ns` after the call began.
 ///
-/// The deadline is computed once, and each iteration is one clock read
-/// and one comparison, with no `PAUSE` (`spin_loop`) between reads: the
-/// wait ends within one read of its deadline, so a charge costs what it
-/// models.
+/// The deadline is computed once, and each iteration is one read of the
+/// host's TSC ([`covirt_simhw::clock::spin_ns`]) and one comparison, with
+/// no `PAUSE` (`spin_loop`) between reads: the wait ends within one read of
+/// its deadline, so a charge costs what it models.
 #[inline]
 pub fn model_delay_ns(ns: u64) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_nanos(ns);
-    while std::time::Instant::now() < deadline {}
+    covirt_simhw::clock::spin_ns(ns);
 }
 
 /// One per-core hypervisor instance. Owned by the thread driving the core

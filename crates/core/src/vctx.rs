@@ -57,6 +57,15 @@ pub(crate) struct CoreSlot {
 }
 
 /// Per-enclave virtualization state.
+///
+/// Aligned to [`LINE_BYTES`](covirt_simhw::line::LINE_BYTES): the
+/// controller takes a handle on the context
+/// ([`crate::CovirtController::context`]) on every grant and reclaim, and
+/// the `Arc` counts it bumps then sit on a line before the context's
+/// fields, whose `slots` every safe point reads and whose `ept` every
+/// nested walk does. A core's doorbell, which a reclaim's post writes, has
+/// its own line in its slot.
+#[repr(align(128))]
 pub struct VirtContext {
     /// The enclave this context protects.
     pub enclave_id: u64,
@@ -283,6 +292,66 @@ mod tests {
             .alloc_backed(ZoneId(0), 4 * 1024 * 1024, covirt_simhw::addr::PAGE_SIZE_4K)
             .unwrap();
         Arc::new(Ept::new(Arc::new(FramePool::new(mem, pool_region).unwrap())).unwrap())
+    }
+
+    /// The `Arc` counts a `context()` call bumps on every grant and reclaim
+    /// sit on a line before every field of the context, among them `slots`
+    /// (every safe point) and `ept` (every nested walk).
+    #[test]
+    fn a_context_handle_bumps_no_line_a_safe_point_or_walk_reads() {
+        use covirt_simhw::line::LINE_BYTES;
+        assert!(
+            std::mem::align_of::<VirtContext>() >= LINE_BYTES,
+            "VirtContext's Arc counts share a line with its fields"
+        );
+        let v = Arc::new(VirtContext::new(
+            1,
+            CovirtConfig::MEM,
+            cpus([1]),
+            &[],
+            Some(ept()),
+        ));
+        assert_eq!(
+            Arc::as_ptr(&v) as usize % LINE_BYTES,
+            0,
+            "VirtContext's Arc counts share a line with its fields"
+        );
+    }
+
+    /// A core's doorbell, which every reclaim's post writes and every safe
+    /// point reads, shares no line with the rest of the core's slot.
+    #[test]
+    fn a_doorbell_shares_no_line_with_the_rest_of_its_slot() {
+        use covirt_simhw::line::shares_line;
+        use std::mem::{offset_of, size_of};
+        let bell = (
+            offset_of!(CoreSlot, cmd_doorbell),
+            size_of::<PostedIntDescriptor>(),
+        );
+        let others = [
+            ("cpu", offset_of!(CoreSlot, cpu), size_of::<Arc<Cpu>>()),
+            (
+                "vmcs",
+                offset_of!(CoreSlot, vmcs),
+                size_of::<RwLock<Vmcs>>(),
+            ),
+            (
+                "cmdq",
+                offset_of!(CoreSlot, cmdq),
+                size_of::<Option<CmdQueue>>(),
+            ),
+            (
+                "posted",
+                offset_of!(CoreSlot, posted),
+                size_of::<Option<Arc<PostedIntDescriptor>>>(),
+            ),
+        ];
+        for (name, at, len) in others {
+            assert!(
+                !shares_line(bell.0, bell.1, at, len),
+                "CoreSlot::cmd_doorbell shares a line with CoreSlot::{name}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! zero-fill of a range).
 
 use crate::error::{HwError, HwResult};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A contiguous, zero-initialized block of host memory standing in for
 /// physical RAM.
@@ -170,14 +172,6 @@ impl Backing {
         self.word(offset).store(value, Ordering::Release);
     }
 
-    /// Aligned 64-bit atomic max (acquire-release): the word becomes
-    /// the larger of itself and `value` and never moves back (a completion
-    /// counter). Returns the previous value.
-    #[inline]
-    pub fn fetch_max_u64(&self, offset: usize, value: u64) -> u64 {
-        self.word(offset).fetch_max(value, Ordering::AcqRel)
-    }
-
     /// Zero a byte range.
     pub fn zero(&self, offset: usize, len: usize) {
         assert!(offset + len <= self.len, "zero out of bounds");
@@ -218,6 +212,47 @@ impl Backing {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = offset;
+    }
+}
+
+/// One word of a [`Backing`], its address resolved once.
+///
+/// Every access goes through the pointer it holds and never reads the
+/// `Backing` itself. Every handle's `Arc` shares a line with the backing's
+/// `ptr` and `len`, and TLB fills and allocations bump those counts, so a
+/// word read through the `Backing` reloads that line after each of them.
+/// The handle keeps the mapping alive.
+#[derive(Clone)]
+pub struct PinnedWord {
+    word: NonNull<AtomicU64>,
+    _backing: Arc<Backing>,
+}
+
+// SAFETY: the word is an `AtomicU64` inside a mapping `_backing` keeps
+// alive, accessed only through shared references, as `&AtomicU64` is.
+unsafe impl Send for PinnedWord {}
+unsafe impl Sync for PinnedWord {}
+
+impl PinnedWord {
+    /// The word at `offset` of `backing`, which must be in bounds and
+    /// 8-byte aligned, as for every word access.
+    pub fn new(backing: Arc<Backing>, offset: usize) -> Self {
+        let word = NonNull::from(backing.word(offset));
+        PinnedWord {
+            word,
+            _backing: backing,
+        }
+    }
+}
+
+impl std::ops::Deref for PinnedWord {
+    type Target = AtomicU64;
+
+    #[inline]
+    fn deref(&self) -> &AtomicU64 {
+        // SAFETY: `new` took the pointer from a checked word access, and
+        // the mapping it points into lives as long as `_backing`.
+        unsafe { self.word.as_ref() }
     }
 }
 
@@ -312,24 +347,28 @@ mod tests {
         b.read_u64(8);
     }
 
+    /// A pinned word is the backing's word: a max through it lands there.
     #[test]
     fn fetch_max_semantics() {
-        let b = Backing::new(8).unwrap();
-        assert_eq!(b.fetch_max_u64(0, 7), 0);
-        assert_eq!(b.fetch_max_u64(0, 3), 7);
-        assert_eq!(b.read_u64(0), 7);
+        let b = Arc::new(Backing::new(16).unwrap());
+        let w = PinnedWord::new(Arc::clone(&b), 8);
+        assert_eq!(w.fetch_max(7, Ordering::AcqRel), 0);
+        assert_eq!(w.fetch_max(3, Ordering::AcqRel), 7);
+        assert_eq!((b.read_u64(0), b.read_u64(8)), (0, 7));
     }
 
-    /// Racing maxima leave the largest value, whatever the order.
+    /// Racing maxima through clones of one pinned word leave the largest
+    /// value, whatever the order.
     #[test]
     fn concurrent_max() {
         let b = Arc::new(Backing::new(8).unwrap());
+        let w = PinnedWord::new(Arc::clone(&b), 0);
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
-                let b = Arc::clone(&b);
+                let w = w.clone();
                 std::thread::spawn(move || {
                     for i in 0..1000 {
-                        b.fetch_max_u64(0, i * 4 + t);
+                        w.fetch_max(i * 4 + t, Ordering::AcqRel);
                     }
                 })
             })

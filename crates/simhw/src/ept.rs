@@ -16,6 +16,7 @@
 
 use crate::addr::{GuestPhysAddr, HostPhysAddr, PageSize, PhysRange};
 use crate::error::{HwError, HwResult};
+use crate::line::Line;
 use crate::paging::{Access, EntryFormat, FramePool, Perms, RadixTable, TableLoad, Translation};
 use crate::sizeclass::SizeClassed;
 use std::cell::{Cell, RefCell};
@@ -109,12 +110,21 @@ const TABLE_LINE: Perms = Perms {
 };
 
 /// An enclave's extended page tables.
+///
+/// What a grant or a reclaim writes — the op counts here and the table's
+/// frame record — sits on lines of its own, apart from the table's root
+/// and pool, which every nested walk reads (see [`crate::line`]).
 pub struct Ept {
     table: RadixTable<EptFormat>,
-    /// Count of map operations (controller-side instrumentation).
-    map_ops: AtomicU64,
-    /// Count of unmap operations.
-    unmap_ops: AtomicU64,
+    /// Map and unmap operations (controller-side instrumentation).
+    ops: Line<OpCounts>,
+}
+
+/// The counts behind [`Ept::op_counts`].
+#[derive(Default)]
+struct OpCounts {
+    map: AtomicU64,
+    unmap: AtomicU64,
 }
 
 impl Ept {
@@ -122,8 +132,7 @@ impl Ept {
     pub fn new(pool: Arc<FramePool>) -> HwResult<Self> {
         Ok(Ept {
             table: RadixTable::new(pool)?,
-            map_ops: AtomicU64::new(0),
-            unmap_ops: AtomicU64::new(0),
+            ops: Line::default(),
         })
     }
 
@@ -138,8 +147,10 @@ impl Ept {
         let maps = ranges.clone().count() as u64;
         Ok(Ept {
             table: RadixTable::identity(pool, ranges.map(|(r, level)| (r, Perms::RWX, level)))?,
-            map_ops: AtomicU64::new(maps),
-            unmap_ops: AtomicU64::new(0),
+            ops: Line(OpCounts {
+                map: AtomicU64::new(maps),
+                unmap: AtomicU64::new(0),
+            }),
         })
     }
 
@@ -171,7 +182,7 @@ impl Ept {
     ) -> HwResult<()> {
         self.table
             .map(range.start.raw(), range.start, range.len, perms, max_level)?;
-        self.map_ops.fetch_add(1, Ordering::Relaxed);
+        self.ops.map.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -180,7 +191,7 @@ impl Ept {
     /// it may have cleared part of it.
     pub fn unmap(&self, range: PhysRange) -> HwResult<()> {
         self.table.unmap(range.start.raw(), range.len)?;
-        self.unmap_ops.fetch_add(1, Ordering::Relaxed);
+        self.ops.unmap.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -224,8 +235,8 @@ impl Ept {
     /// (map ops, unmap ops) performed so far.
     pub fn op_counts(&self) -> (u64, u64) {
         (
-            self.map_ops.load(Ordering::Relaxed),
-            self.unmap_ops.load(Ordering::Relaxed),
+            self.ops.map.load(Ordering::Relaxed),
+            self.ops.unmap.load(Ordering::Relaxed),
         )
     }
 }
@@ -516,6 +527,26 @@ mod tests {
         let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region).unwrap());
         let ept = Ept::new(Arc::clone(&pool)).unwrap();
         (mem, pool, ept)
+    }
+
+    /// The op counts a grant and a reclaim bump share no line with the
+    /// table (whose own test keeps its frame record off the root and the
+    /// pool a walk reads), and the counts of an `Arc<Ept>` sit on a line
+    /// before the table.
+    #[test]
+    fn a_grant_or_reclaim_writes_no_line_a_walk_reads() {
+        use crate::line::{shares_line, LINE_BYTES};
+        use std::mem::{align_of, offset_of, size_of};
+        assert!(
+            align_of::<Ept>() >= LINE_BYTES,
+            "an Arc<Ept>'s counts share a line with Ept::table"
+        );
+        let ops = (offset_of!(Ept, ops), size_of::<Line<OpCounts>>());
+        let table = (offset_of!(Ept, table), size_of::<RadixTable<EptFormat>>());
+        assert!(
+            !shares_line(ops.0, ops.1, table.0, table.1),
+            "Ept::ops shares a line with Ept::table"
+        );
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub mod error;
 pub mod exit;
 pub mod interconnect;
 pub mod ioport;
+pub mod line;
 pub mod memory;
 pub mod msr;
 pub mod node;

@@ -13,6 +13,7 @@
 
 use crate::addr::{level_shift, GuestVirtAddr, HostPhysAddr, PageSize, PhysRange, PAGE_SIZE_4K};
 use crate::error::{HwError, HwResult};
+use crate::line::Line;
 use crate::memory::{MemWindow, PhysMemory};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -546,7 +547,9 @@ pub struct RadixTable<F: EntryFormat> {
     owns_pool: bool,
     root: HostPhysAddr,
     /// Every frame taken from `pool`, in allocation order (root first).
-    frames: Mutex<Vec<HostPhysAddr>>,
+    /// Every map and unmap takes its lock, so it has its own line, apart
+    /// from `root` and `pool`, which every walk reads.
+    frames: Line<Mutex<Vec<HostPhysAddr>>>,
     _fmt: std::marker::PhantomData<F>,
 }
 
@@ -621,7 +624,7 @@ impl<F: EntryFormat> RadixTable<F> {
             pool,
             owns_pool,
             root,
-            frames: Mutex::new(frames),
+            frames: Line(Mutex::new(frames)),
             _fmt: std::marker::PhantomData,
         })
     }
@@ -647,7 +650,7 @@ impl<F: EntryFormat> RadixTable<F> {
             pool,
             owns_pool: false,
             root: frames[0],
-            frames: Mutex::new(frames),
+            frames: Line(Mutex::new(frames)),
             _fmt: std::marker::PhantomData,
         };
         let frames = table.frames.get_mut();
@@ -1164,6 +1167,29 @@ mod tests {
     use super::*;
     use crate::addr::{PAGE_SIZE_1G, PAGE_SIZE_2M};
     use crate::topology::ZoneId;
+
+    /// The frame record's lock, which every map and unmap takes, shares no
+    /// line with the root and the pool, which every walk reads.
+    #[test]
+    fn an_edit_writes_no_line_a_walk_reads() {
+        use crate::line::shares_line;
+        use std::mem::{offset_of, size_of};
+        type T = RadixTable<X86Format>;
+        let frames = (
+            offset_of!(T, frames),
+            size_of::<Line<Mutex<Vec<HostPhysAddr>>>>(),
+        );
+        let read = [
+            ("root", offset_of!(T, root), size_of::<HostPhysAddr>()),
+            ("pool", offset_of!(T, pool), size_of::<Arc<FramePool>>()),
+        ];
+        for (name, at, len) in read {
+            assert!(
+                !shares_line(frames.0, frames.1, at, len),
+                "RadixTable::frames shares a line with RadixTable::{name}"
+            );
+        }
+    }
 
     const RO: Perms = Perms {
         r: true,
