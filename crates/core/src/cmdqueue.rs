@@ -343,6 +343,7 @@ impl CmdQueue {
         const SPIN_POLLS: u64 = 128;
         const SPIN_CHECK_EVERY: u64 = 16;
         const YIELD_POLLS: u64 = 4096;
+        // Host time: a bound on a silent core must end if modelled time stops.
         let t0 = Instant::now();
         for i in 0u64.. {
             let done = self.completed() >= seq;

@@ -461,10 +461,7 @@ impl CovirtController {
         self.round_trip(vctx, cmd)?;
         self.shootdowns.fetch_add(1, Ordering::Relaxed);
         if traced {
-            let rtt = self
-                .node
-                .clock
-                .cycles_to_ns(self.node.clock.rdtsc().saturating_sub(t0));
+            let rtt = self.node.clock.ns_since(t0);
             self.tracer
                 .emit_for(vctx.enclave_id, EventKind::ShootdownEnd, rtt, 0);
         }

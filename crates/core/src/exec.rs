@@ -18,7 +18,7 @@
 
 use crate::config::ExecMode;
 use crate::controller::CovirtController;
-use crate::hypervisor::{model_delay_ns, ExitAction, Hypervisor};
+use crate::hypervisor::{ExitAction, Hypervisor};
 use crate::vctx::{VirtContext, PIV_NOTIFICATION_VECTOR, TIMER_VECTOR};
 use crate::{CovirtError, CovirtResult};
 use covirt_simhw::addr::{GuestPhysAddr, HostPhysAddr, PAGE_SIZE_2M};
@@ -40,6 +40,18 @@ use std::sync::Arc;
 /// Modelled cost of the guest's timer-interrupt handler (the detour the
 /// Selfish benchmark sees even natively).
 pub const TIMER_HANDLER_NS: u64 = 400;
+
+/// The data path moves aligned words (DESIGN.md §7). A misaligned one is
+/// the guest's own fault, refused before any translation: no exit, and the
+/// core runs on.
+#[inline(always)]
+fn word_aligned(gva: u64) -> CovirtResult<()> {
+    if gva.is_multiple_of(8) {
+        Ok(())
+    } else {
+        Err(CovirtError::Invalid("misaligned guest word"))
+    }
+}
 
 /// Per-core instrumentation counters (non-atomic: one thread per core).
 #[derive(Clone, Copy, Debug, Default)]
@@ -599,9 +611,9 @@ impl GuestCore {
     /// Read a 64-bit word at `gva`.
     #[inline]
     pub fn read_u64(&mut self, gva: u64) -> CovirtResult<u64> {
+        word_aligned(gva)?;
         self.counters.reads += 1;
         let (p, _) = self.translate(gva, Access::Read)?;
-        debug_assert_eq!(gva % 8, 0);
         // SAFETY: p points at 8 aligned mapped bytes inside a live Backing.
         // Relaxed atomic access models coherent DRAM and keeps racing
         // guest accesses (which real co-kernels do perform) defined.
@@ -613,9 +625,9 @@ impl GuestCore {
     /// Write a 64-bit word at `gva`.
     #[inline]
     pub fn write_u64(&mut self, gva: u64, value: u64) -> CovirtResult<()> {
+        word_aligned(gva)?;
         self.counters.writes += 1;
         let (p, _) = self.translate(gva, Access::Write)?;
-        debug_assert_eq!(gva % 8, 0);
         // SAFETY: p points at 8 aligned mapped writable bytes inside a live
         // Backing; relaxed atomic store keeps racing guest writes defined.
         unsafe {
@@ -639,7 +651,9 @@ impl GuestCore {
 
     /// Stream over `[gva, gva + count*size_of::<T>())` as mutable slices,
     /// one per contiguous translated span (at most one page each). `f`
-    /// receives the element offset of the chunk and the chunk itself.
+    /// receives the element offset of the chunk and the chunk itself. `T`
+    /// is a word (`u64`, `f64`; another size does not compile), and a
+    /// misaligned `gva` is refused like [`GuestCore::read_u64`]'s.
     ///
     /// # Safety contract (internal)
     ///
@@ -670,7 +684,8 @@ impl GuestCore {
 
     /// The one loop of both chunked accesses: `f` gets each span's element
     /// offset and the span, translated for `access` — valid for its
-    /// elements, all within one mapped page.
+    /// elements, all within one mapped page. Elements are words, and an
+    /// aligned word never crosses a page.
     #[inline(always)]
     fn chunks<T>(
         &mut self,
@@ -679,12 +694,12 @@ impl GuestCore {
         access: Access,
         mut f: impl FnMut(usize, *mut [T]),
     ) -> CovirtResult<()> {
-        let esz = std::mem::size_of::<T>() as u64;
-        debug_assert!(gva.is_multiple_of(esz));
+        const { assert!(std::mem::size_of::<T>() == 8, "the data path moves words") };
+        word_aligned(gva)?;
         let mut done = 0usize;
         while done < count {
-            let (p, remaining) = self.translate(gva + done as u64 * esz, access)?;
-            let n = ((remaining / esz) as usize).min(count - done).max(1);
+            let (p, remaining) = self.translate(gva + done as u64 * 8, access)?;
+            let n = ((remaining / 8) as usize).min(count - done);
             f(done, std::ptr::slice_from_raw_parts_mut(p as *mut T, n));
             done += n;
         }
@@ -870,7 +885,7 @@ impl GuestCore {
     fn deliver(&mut self, vector: u8) {
         if vector == TIMER_VECTOR {
             self.counters.timer_irqs += 1;
-            model_delay_ns(TIMER_HANDLER_NS);
+            self.node.clock.charge_ns(TIMER_HANDLER_NS);
         } else {
             self.counters.ipi_irqs += 1;
         }
@@ -2104,6 +2119,58 @@ mod tests {
             } else {
                 assert_eq!(gc.exit_count(), 0);
             }
+        }
+    }
+
+    /// The timer handler is charged on the node clock: a poll that
+    /// delivers one tick moves it by at least the handler's cost. A lower
+    /// bound only: a loaded host may deschedule the core past it.
+    #[test]
+    fn a_timer_delivery_advances_the_node_clock_by_its_handler() {
+        let w = world(ExecMode::Native);
+        let mut gc = core(&w, 1);
+        for tick in 1..=20 {
+            gc.cpu.apic.arm_timer(1, false, TIMER_VECTOR); // due at once
+            let t0 = gc.clock().rdtsc();
+            gc.poll().unwrap();
+            let took = gc.clock().rdtsc() - t0;
+            assert_eq!(gc.counters.timer_irqs, tick);
+            assert!(
+                took >= gc.clock().ns_to_cycles(TIMER_HANDLER_NS),
+                "{took} cycles"
+            );
+        }
+    }
+
+    /// The data path moves aligned words. A word at a mapped page's last 4
+    /// bytes is the guest's own fault in every entry point: no exit, no
+    /// byte of the next page touched, and the core reads its memory after.
+    #[test]
+    fn a_misaligned_word_is_refused_and_touches_nothing() {
+        for mode in [ExecMode::Native, ExecMode::Covirt(CovirtConfig::MEM)] {
+            let w = world(mode);
+            let mut gc = core(&w, 1);
+            let end = (data_gva(&w) + PAGE_SIZE_2M) & !(PAGE_SIZE_2M - 1);
+            gc.write_u64(end - 8, 1).unwrap();
+            gc.write_u64(end, 2).unwrap();
+            let exits = gc.exit_count();
+            let at = end - 4;
+            let refused = [
+                gc.write_u64(at, u64::MAX),
+                gc.read_u64(at).map(drop),
+                gc.with_chunks::<u64>(at, 1, |_, _| ()),
+                gc.with_chunks_mut::<u64>(at, 1, |_, c| c[0] = u64::MAX),
+            ];
+            for (i, r) in refused.into_iter().enumerate() {
+                assert!(
+                    matches!(r, Err(CovirtError::Invalid(_))),
+                    "{mode}: {i}: {r:?}"
+                );
+            }
+            assert_eq!(gc.exit_count(), exits, "{mode}");
+            assert!(gc.terminated().is_none(), "{mode}");
+            assert_eq!(gc.read_u64(end - 8).unwrap(), 1, "{mode}");
+            assert_eq!(gc.read_u64(end).unwrap(), 2, "{mode}");
         }
     }
 

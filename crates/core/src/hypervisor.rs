@@ -33,8 +33,9 @@ use std::sync::Arc;
 
 /// Measured VM-entry/exit round-trip on Broadwell-class hardware is on the
 /// order of 1,200 guest cycles; the model charges this much wall time per
-/// exit so that exit-rate differences between configurations produce the
-/// same *shape* of overhead the paper measures.
+/// exit (on the node clock, [`covirt_simhw::clock::TscClock::charge_ns`])
+/// so that exit-rate differences between configurations produce the same
+/// *shape* of overhead the paper measures.
 pub const VM_TRANSITION_NS: u64 = 700;
 
 /// Why an enclave ended when its teardown, not a fault, ended it.
@@ -113,18 +114,6 @@ pub enum ExitAction {
     Stopped(Arc<str>),
 }
 
-/// Burn wall-clock time to model a fixed hardware cost: return at the
-/// first clock read at or past `ns` after the call began.
-///
-/// The deadline is computed once, and each iteration is one read of the
-/// host's TSC ([`covirt_simhw::clock::spin_ns`]) and one comparison, with
-/// no `PAUSE` (`spin_loop`) between reads: the wait ends within one read of
-/// its deadline, so a charge costs what it models.
-#[inline]
-pub fn model_delay_ns(ns: u64) {
-    covirt_simhw::clock::spin_ns(ns);
-}
-
 /// One per-core hypervisor instance. Owned by the thread driving the core
 /// (no sharing — "each hypervisor context only supports a single CPU core
 /// and is unaware of other hypervisor instances").
@@ -167,7 +156,7 @@ impl Hypervisor {
         }
         let cpu = Arc::clone(&vctx.slot_at(slot).cpu);
         cpu.transition(vctx.enclave_id, VmxEvent::Launch)?;
-        model_delay_ns(VM_TRANSITION_NS); // the VMLAUNCH itself
+        node.clock.charge_ns(VM_TRANSITION_NS); // the VMLAUNCH itself
 
         // Tag this core's lane with the enclave it runs, so exits, drains
         // and completions attribute to it in the audit engine.
@@ -243,11 +232,12 @@ impl Hypervisor {
         tlb: &mut Tlb,
         walk_cache: &WalkCache,
     ) -> ExitAction {
-        let t0 = self.tracer.enabled().then(std::time::Instant::now);
+        let clock = &self.node.clock;
+        let t0 = self.tracer.enabled().then(|| clock.rdtsc());
         // Refused only on a core this instance no longer runs, which takes
         // no exit: the exec loop asks a terminated core for none.
         let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Exit);
-        model_delay_ns(VM_TRANSITION_NS);
+        clock.charge_ns(VM_TRANSITION_NS);
         self.vmcs().write().record_exit(reason);
         if t0.is_some() {
             let (a, b) = pack_str(reason.name());
@@ -335,11 +325,11 @@ impl Hypervisor {
         };
 
         if matches!(action, ExitAction::Resume) {
-            model_delay_ns(VM_TRANSITION_NS); // VM entry
+            self.node.clock.charge_ns(VM_TRANSITION_NS); // VM entry
             let _ = self.cpu.transition(self.vctx.enclave_id, VmxEvent::Resume);
         }
         if let Some(t0) = t0 {
-            let handled_ns = t0.elapsed().as_nanos() as u64;
+            let handled_ns = self.node.clock.ns_since(t0);
             self.tracer.emit(EventKind::ExitLeave, handled_ns, 0);
         }
         action
@@ -394,9 +384,7 @@ impl Hypervisor {
             if self.tracer.enabled() {
                 // A zero stamp means the poster's recorder was off.
                 let ns = if sc.tsc != 0 {
-                    self.node
-                        .clock
-                        .cycles_to_ns(self.node.clock.rdtsc().saturating_sub(sc.tsc))
+                    self.node.clock.ns_since(sc.tsc)
                 } else {
                     0
                 };
@@ -481,15 +469,21 @@ mod tests {
         (node, vctx, hv, tlb, WalkCache::new())
     }
 
-    /// A modelled delay is a lower bound: it never returns early.
+    /// An exit is charged on the node clock: a resumed CPUID exit moves it
+    /// by at least its exit and its entry. A lower bound only: a loaded
+    /// host may deschedule the core for any time past it.
     #[test]
-    fn a_modelled_delay_never_returns_before_its_deadline() {
-        for ns in [0, 1, 50, VM_TRANSITION_NS, 5_000] {
-            for _ in 0..200 {
-                let t = std::time::Instant::now();
-                model_delay_ns(ns);
-                assert!(t.elapsed() >= std::time::Duration::from_nanos(ns));
-            }
+    fn a_cpuid_exit_advances_the_node_clock_by_two_transitions() {
+        let (node, _vctx, mut hv, mut tlb, wc) = setup(CovirtConfig::MEM);
+        for _ in 0..100 {
+            let t0 = node.clock.rdtsc();
+            let action = hv.handle_exit(ExitReason::Cpuid { leaf: 0 }, &mut tlb, &wc);
+            assert_eq!(action, ExitAction::Resume);
+            let took = node.clock.rdtsc() - t0;
+            assert!(
+                took >= node.clock.ns_to_cycles(2 * VM_TRANSITION_NS),
+                "{took} cycles"
+            );
         }
     }
 

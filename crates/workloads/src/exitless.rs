@@ -123,7 +123,7 @@ fn run_arm(bound_ns: u64, rounds: u64, label: &'static str) -> ArmResult {
                 g.poll().unwrap();
             }
         }
-        lat_ns.push(clock.cycles_to_ns(clock.rdtsc().saturating_sub(t0)) / BATCH);
+        lat_ns.push(clock.ns_since(t0) / BATCH);
     }
 
     let c = g.counters();
@@ -222,7 +222,7 @@ pub fn parked_fallback(bound_ns: u64) -> ParkedResult {
     while ctl.nmi_escalation_count() == 0 && !barrier.is_finished() {
         std::thread::yield_now();
     }
-    let time_to_escalation_ns = clock.cycles_to_ns(clock.rdtsc().saturating_sub(t0));
+    let time_to_escalation_ns = clock.ns_since(t0);
     let escalations = ctl.nmi_escalation_count();
 
     // Resume the cores so the NMI-driven drain can run the command.

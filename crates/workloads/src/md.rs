@@ -485,7 +485,7 @@ pub fn run(world: &World, params: MdParams) -> MdResult {
     let ke_cell = ReduceCell::new();
     let neigh_lock = parking_lot::RwLock::new(std::mem::take(&mut neigh));
 
-    let t0 = std::time::Instant::now();
+    let t0 = world.node.clock.rdtsc();
     let results = world.run_on_cores(|rank, g| {
         let mine = parts[rank].clone();
         let mut first = (0.0f64, 0.0f64);
@@ -525,7 +525,7 @@ pub fn run(world: &World, params: MdParams) -> MdResult {
         }
         (first, last)
     });
-    let loop_time_s = t0.elapsed().as_secs_f64();
+    let loop_time_s = world.node.clock.ns_since(t0) as f64 / 1e9;
     let ((pe0, ke0), (pe1, ke1)) = results[0];
 
     MdResult {

@@ -28,7 +28,7 @@ pub struct MinifeResult {
 /// Run MiniFE in `world` on an `nx = ny = nz = dim` box.
 pub fn run(world: &World, dim: usize, max_iters: usize) -> MinifeResult {
     // Assembly phase (single core, like the reference's default build).
-    let t_asm = std::time::Instant::now();
+    let t_asm = world.node.clock.rdtsc();
     let (m, b) = {
         let mut g = world.guest_core(world.cores[0]).expect("setup core");
         let m = GuestCsr::assemble(world, &mut g, dim, dim, dim).expect("assemble");
@@ -39,7 +39,7 @@ pub fn run(world: &World, dim: usize, max_iters: usize) -> MinifeResult {
         g.shutdown();
         (m, b)
     };
-    let assembly_seconds = t_asm.elapsed().as_secs_f64();
+    let assembly_seconds = world.node.clock.ns_since(t_asm) as f64 / 1e9;
 
     let alloc = || world.alloc_array((m.n * 8) as u64);
     let (x, r) = (alloc(), alloc());
@@ -56,7 +56,7 @@ pub fn run(world: &World, dim: usize, max_iters: usize) -> MinifeResult {
     let ranks = world.cores.len();
     let shared = CgShared::new(ranks);
     let parts = partition(m.n, ranks);
-    let t0 = std::time::Instant::now();
+    let t0 = world.node.clock.rdtsc();
     let results = world.run_on_cores(|rank, g| {
         cg_rank(
             g,
@@ -70,7 +70,7 @@ pub fn run(world: &World, dim: usize, max_iters: usize) -> MinifeResult {
         )
         .expect("cg rank")
     });
-    let solve_seconds = t0.elapsed().as_secs_f64();
+    let solve_seconds = world.node.clock.ns_since(t0) as f64 / 1e9;
     let (iterations, final_residual) = results[0];
     // CG flops/iter: SpMV (2 nnz) + 2 dots (4n) + 3 axpy-class (6n).
     let flops = (2 * m.nnz + 10 * m.n) as f64 * iterations as f64;

@@ -114,7 +114,7 @@ impl RandomAccess {
         let mut ran: u64 = 0x1;
         let m0 = g.tlb_stats();
         let c0 = g.counters();
-        let t = std::time::Instant::now();
+        let t = g.clock().rdtsc();
         for i in 0..updates {
             ran = hpcc_next(ran);
             let idx = ran & mask;
@@ -125,7 +125,7 @@ impl RandomAccess {
                 g.poll()?;
             }
         }
-        let secs = t.elapsed().as_secs_f64();
+        let secs = g.clock().ns_since(t) as f64 / 1e9;
         let m1 = g.tlb_stats();
         let c1 = g.counters();
         let lookups = (m1.hits + m1.misses) - (m0.hits + m0.misses);

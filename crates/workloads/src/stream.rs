@@ -145,23 +145,24 @@ impl Stream {
         const SCALAR: f64 = 3.0;
         let bytes2 = (self.n * 16) as f64; // 2 arrays touched
         let bytes3 = (self.n * 24) as f64; // 3 arrays touched
-        let mbs = |bytes: f64, secs: f64| bytes / secs / 1e6;
+        let clock = std::sync::Arc::clone(g.clock());
+        let mbs = |bytes: f64, t0: u64| bytes * 1e3 / clock.ns_since(t0) as f64;
 
-        let t = std::time::Instant::now();
+        let t = clock.rdtsc();
         self.binary_kernel(g, self.a, self.c, |x| x)?;
-        let copy = mbs(bytes2, t.elapsed().as_secs_f64());
+        let copy = mbs(bytes2, t);
 
-        let t = std::time::Instant::now();
+        let t = clock.rdtsc();
         self.binary_kernel(g, self.c, self.b, |x| SCALAR * x)?;
-        let scale = mbs(bytes2, t.elapsed().as_secs_f64());
+        let scale = mbs(bytes2, t);
 
-        let t = std::time::Instant::now();
+        let t = clock.rdtsc();
         self.ternary_kernel(g, self.a, self.b, self.c, |x, y| x + y)?;
-        let add = mbs(bytes3, t.elapsed().as_secs_f64());
+        let add = mbs(bytes3, t);
 
-        let t = std::time::Instant::now();
+        let t = clock.rdtsc();
         self.ternary_kernel(g, self.b, self.c, self.a, |x, y| x + SCALAR * y)?;
-        let triad = mbs(bytes3, t.elapsed().as_secs_f64());
+        let triad = mbs(bytes3, t);
 
         Ok(StreamResult {
             copy_mbs: copy,
