@@ -136,24 +136,6 @@ impl Ept {
         })
     }
 
-    /// An EPT identity-mapping each of `ranges` with full permissions up to
-    /// its level (as [`Self::map_identity`] does, one map each), built in
-    /// one pass: its table frames come from `pool` in one call (see
-    /// [`RadixTable::identity`]). A build that fails takes no frame.
-    pub fn identity(
-        pool: Arc<FramePool>,
-        ranges: impl Iterator<Item = (PhysRange, u8)> + Clone,
-    ) -> HwResult<Self> {
-        let maps = ranges.clone().count() as u64;
-        Ok(Ept {
-            table: RadixTable::identity(pool, ranges.map(|(r, level)| (r, Perms::RWX, level)))?,
-            ops: Line(OpCounts {
-                map: AtomicU64::new(maps),
-                unmap: AtomicU64::new(0),
-            }),
-        })
-    }
-
     /// The EPT pointer (root frame) that goes into the VMCS.
     pub fn eptp(&self) -> HostPhysAddr {
         self.table.root()
