@@ -33,13 +33,12 @@
 //! timed out: the core has not taken `CMD_SLOTS` commands.
 
 use covirt_simhw::addr::PhysRange;
-use covirt_simhw::backing::PinnedWord;
+use covirt_simhw::backing::Backing;
 use covirt_simhw::memory::MemWindow;
 use covirt_simhw::paging::PoolFrame;
 use covirt_trace::{EventKind, Tracer};
 use parking_lot::Mutex;
 use pisces::ring::{Batch, RingError, SharedRing, Slot};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -159,11 +158,9 @@ impl std::error::Error for FlushTimeout {}
 #[derive(Clone)]
 pub struct CmdQueue {
     ring: SharedRing,
-    /// The completion counter, its address resolved once at construction:
-    /// `completed()` sits in every completion-wait poll and `complete()` in
-    /// every harvest, and a word read through the zone's `Backing` reloads
-    /// the line its `Arc` counts share, which TLB fills and grants bump.
-    completion: PinnedWord,
+    /// The completion counter: the queue frame's backing and the word's
+    /// offset in it, resolved once at construction.
+    completion: (Arc<Backing>, usize),
     /// The core this queue serves: carried into [`FlushTimeout`] errors,
     /// and the lane a wait's trace event goes on.
     core: u64,
@@ -197,7 +194,7 @@ impl CmdQueue {
         let (backing, off) = window.pinned();
         Ok(CmdQueue {
             ring,
-            completion: PinnedWord::new(backing, off + OFF_COMPLETION as usize),
+            completion: (backing, off + OFF_COMPLETION as usize),
             core: 0,
             tracer: None,
             frame: Arc::new(QueueFrame {
@@ -302,13 +299,15 @@ impl CmdQueue {
     /// Hypervisor: mark `seq` (and everything before it) complete. One
     /// atomic max: the counter never moves back.
     pub fn complete(&self, seq: u64) {
-        self.completion.fetch_max(seq, Ordering::AcqRel);
+        let (backing, off) = &self.completion;
+        backing.fetch_max_u64(*off, seq);
     }
 
     /// Highest completed sequence number.
     #[inline]
     pub fn completed(&self) -> u64 {
-        self.completion.load(Ordering::Acquire)
+        let (backing, off) = &self.completion;
+        backing.read_u64_acquire(*off)
     }
 
     /// Controller: wait until `seq` completes, the core leaves guest mode
@@ -321,11 +320,7 @@ impl CmdQueue {
     /// The wait backs off: the first polls busy-spin (the common case — a
     /// core at a safe point acknowledges within nanoseconds), then yield
     /// the CPU, then short sleeps so a slow core never costs the controller
-    /// a saturated CPU. A spinning poll reads only the completion word; the
-    /// clock and `live` are read on the first poll and every
-    /// `SPIN_CHECK_EVERY`th after it, so the spin adds at most that many
-    /// polls to a deadline or an escalation. Every poll after the spin
-    /// reads all three. `escalate` is the caller's bounded fallback,
+    /// a saturated CPU. `escalate` is the caller's bounded fallback,
     /// `(bound, kick)`: if the wait is still open `bound` after it began,
     /// `kick` runs — once, never earlier — and the wait goes on. At
     /// `deadline` after it began the wait gives up, and the error names
@@ -341,17 +336,11 @@ impl CmdQueue {
         live: &dyn Fn() -> bool,
     ) -> Result<(), FlushTimeout> {
         const SPIN_POLLS: u64 = 128;
-        const SPIN_CHECK_EVERY: u64 = 16;
         const YIELD_POLLS: u64 = 4096;
         // Host time: a bound on a silent core must end if modelled time stops.
         let t0 = Instant::now();
         for i in 0u64.. {
-            let done = self.completed() >= seq;
-            if !done && i < SPIN_POLLS && !i.is_multiple_of(SPIN_CHECK_EVERY) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if done || !live() {
+            if self.completed() >= seq || !live() {
                 if let Some(t) = self.tracer.as_ref().filter(|t| t.enabled()) {
                     let ns = t0.elapsed().as_nanos() as u64;
                     t.emit_on(self.core as u32, EventKind::CmdWait, seq, ns);
@@ -519,11 +508,10 @@ mod tests {
         assert_eq!(q.post(Command::Sync), Ok(seqs[CMD_SLOTS as usize - 1] + 1));
     }
 
-    /// The completion word shares no line with the ring a post writes, and
-    /// `complete`/`completed` reach it through the address resolved when
-    /// the queue was made, not through the zone's `Backing`.
+    /// The completion word shares no line with the ring a post writes,
+    /// and `complete` lands in the queue frame's word.
     #[test]
-    fn the_completion_word_has_its_line_and_is_reached_directly() {
+    fn the_completion_word_has_its_line() {
         use covirt_simhw::line::{shares_line, LINE_BYTES};
         let ring_header = 32;
         assert!(
@@ -533,11 +521,6 @@ mod tests {
         let (_w, q) = queue();
         let (backing, off) = q.frame.frame.window().pinned();
         assert_eq!(off % LINE_BYTES, 0, "the queue frame starts a line");
-        let word = backing.ptr_at(off + OFF_COMPLETION as usize);
-        assert!(
-            std::ptr::eq(&*q.completion, word.cast()),
-            "the completion word is not the frame's"
-        );
         q.complete(9);
         assert_eq!(backing.read_u64(off + OFF_COMPLETION as usize), 9);
     }
