@@ -13,15 +13,13 @@
 //! harness's report and judges its rows of [`suite::GATES`], so any
 //! failed bound exits non-zero with the failing row named. `--full`
 //! selects the paper-scale sweep parameters from Table I instead of the
-//! scaled defaults. `trace`, `report` and `bench` are plain tool commands.
+//! scaled defaults. `bench` is the one subcommand that is not a harness.
 
 use covirt_bench::gate::GateResult;
 use covirt_bench::suite::{self, BenchRecord, Ctx, Harness, HARNESSES};
-use covirt_bench::{render_report, render_shootdown};
 use std::path::PathBuf;
 use workloads::census::CountingAlloc;
 use workloads::figures::Scale;
-use workloads::shootdown;
 
 /// Counts each thread's heap allocations for the `alloc` harness; costs
 /// the other harnesses one thread-local increment per allocation.
@@ -41,68 +39,28 @@ struct Opts {
     trials: Option<usize>,
 }
 
-/// A subcommand that is not a harness: it measures no row of the gate
-/// table.
-struct Tool {
-    name: &'static str,
-    /// Help text; continuation lines are newline-separated.
-    help: &'static str,
-    run: fn(&Opts) -> GateResult,
-}
-
-const TOOLS: &[Tool] = &[
-    Tool {
-        name: "trace",
-        help: "shootdown demo with the flight recorder on; writes covirt-trace.json\n\
-               (chrome://tracing / ui.perfetto.dev) and covirt-trace.jsonl under --out",
-        run: trace_cmd,
-    },
-    Tool {
-        name: "report",
-        help: "shootdown demo with the flight recorder on; prints the per-core and\n\
-               per-zone counts, the audit page of the same capture and the slowest\n\
-               command completions",
-        run: |_| report_cmd(),
-    },
-    Tool {
-        name: "bench",
-        help: "covirt-bench observability suite: run every harness that has gate\n\
-               rows headless over --trials trials, judge each bounded row of the\n\
-               gate table, and write <out>/BENCH_covirt.json (per row its samples,\n\
-               median, judged trial, bounds and verdict); exits 1 naming any row\n\
-               that misses its bound",
-        run: bench_cmd,
-    },
-];
-
 fn usage_text() -> String {
-    let names: Vec<&str> = HARNESSES
-        .iter()
-        .map(|h| h.name)
-        .chain(TOOLS.iter().map(|t| t.name))
-        .collect();
+    let names: Vec<&str> = HARNESSES.iter().map(|h| h.name).collect();
     let mut out = format!(
-        "usage: figures <{}|all> [--full] [--out <dir>] [--trials <n>]\n",
+        "usage: figures <{}|bench|all> [--full] [--out <dir>] [--trials <n>]\n",
         names.join("|")
     );
-    let entries = HARNESSES
-        .iter()
-        .map(|h| (h.name, h.help, h.gated()))
-        .chain(TOOLS.iter().map(|t| (t.name, t.help, false)));
-    for (name, help, gated) in entries {
-        let mut lines = help.lines();
-        let gated = if gated { " [gated]" } else { "" };
-        out.push_str(&format!(
-            "\n  {:<9} {}{gated}",
-            name,
-            lines.next().unwrap_or("")
-        ));
+    for h in HARNESSES {
+        let mut lines = h.help.lines();
+        let first = lines.next().unwrap_or("");
+        let gated = if h.gated() { " [gated]" } else { "" };
+        out.push_str(&format!("\n  {:<9} {first}{gated}", h.name));
         for l in lines {
             out.push_str(&format!("\n            {}", l.trim_start()));
         }
     }
     out.push_str(
-        "\n  all       every harness marked for the combined run\
+        "\n  bench     covirt-bench observability suite: run every harness that has gate\
+         \n            rows headless over --trials trials, judge each bounded row of the\
+         \n            gate table, and write <out>/BENCH_covirt.json (per row its samples,\
+         \n            median, judged trial, bounds and verdict); exits 1 naming any row\
+         \n            that misses its bound\
+         \n  all       every harness marked for the combined run\
          \n  --full    paper-scale sweep parameters (slow; needs several GiB)\
          \n  --out     artifact directory (default target/figures/)\
          \n  --trials  trials per harness (default 3 for bench, 1 otherwise)\
@@ -117,12 +75,6 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Resolve `--out`, creating the directory.
-fn out_dir(o: &Opts) -> PathBuf {
-    std::fs::create_dir_all(&o.out).unwrap_or_else(|e| panic!("create {}: {e}", o.out.display()));
-    o.out.clone()
-}
-
 /// Run `harnesses` the way `bench` runs all of them, restricted: measure
 /// over `--trials`, print each report, judge their rows of the gate table.
 fn harness_cmd(harnesses: &[&Harness], o: &Opts) -> GateResult {
@@ -133,54 +85,6 @@ fn harness_cmd(harnesses: &[&Harness], o: &Opts) -> GateResult {
     };
     let records = suite::run_suite(harnesses, o.trials.unwrap_or(1), &ctx);
     suite::apply_gates(&records, harnesses)
-}
-
-/// `trace` subcommand: run the shootdown demo with the recorder on and
-/// export the merged timeline in both formats.
-fn trace_cmd(o: &Opts) -> GateResult {
-    use covirt_trace::export;
-
-    let run = shootdown::run(true);
-    println!("{}", render_shootdown(&run));
-    let node = run.node;
-    let events = node.recorder().drain();
-    let hz = node.clock.hz();
-
-    let dir = out_dir(o);
-    let chrome_path = dir.join("covirt-trace.json");
-    let jsonl_path = dir.join("covirt-trace.jsonl");
-    let chrome = export::to_chrome_trace(&events, hz);
-    let jsonl = export::to_jsonl(&events, hz);
-    std::fs::write(&chrome_path, &chrome).expect("write covirt-trace.json");
-    std::fs::write(&jsonl_path, &jsonl).expect("write covirt-trace.jsonl");
-
-    let mut by_kind: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    for e in &events {
-        *by_kind.entry(e.kind.name()).or_insert(0) += 1;
-    }
-    println!(
-        "\n{} trace events across {} lanes:",
-        events.len(),
-        node.recorder().lane_count()
-    );
-    for (k, n) in &by_kind {
-        println!("  {k:<18} {n:>6}");
-    }
-    println!(
-        "\nwrote {} ({} bytes; load in chrome://tracing or ui.perfetto.dev)",
-        chrome_path.display(),
-        chrome.len()
-    );
-    println!("wrote {} ({} bytes)", jsonl_path.display(), jsonl.len());
-    GateResult::new()
-}
-
-/// `report` subcommand: run the shootdown demo with the recorder on and
-/// print its counts and its audited latencies as one page.
-fn report_cmd() -> GateResult {
-    println!("{}", render_report(&shootdown::run(true)));
-    GateResult::new()
 }
 
 /// Current commit hash, or "unknown" outside a git checkout.
@@ -244,18 +148,19 @@ fn bench_cmd(o: &Opts) -> GateResult {
         .filter(|h| h.rows().next().is_some())
         .collect();
     eprintln!("[bench] running the full suite, {trials} trial(s) per harness...");
-    let dir = out_dir(o);
     let ctx = Ctx {
         scale: o.scale,
-        out: &dir,
+        out: &o.out,
         report: false,
     };
     let records = suite::run_suite(&harnesses, trials, &ctx);
     let commit = git_commit();
-    let path = dir.join("BENCH_covirt.json");
-    std::fs::write(&path, suite::to_json(&commit, &records)).expect("write BENCH_covirt.json");
     println!("{}", render_suite(&commit, &records));
-    println!("wrote {}", path.display());
+    let json = suite::to_json(&commit, &records);
+    print!(
+        "{}",
+        suite::write_artifact(&o.out, "BENCH_covirt.json", &json)
+    );
     suite::apply_gates(&records, &harnesses)
 }
 
@@ -303,8 +208,8 @@ fn main() {
         harness_cmd(&in_all, &opts)
     } else if let Some(h) = suite::harness(what) {
         harness_cmd(&[h], &opts)
-    } else if let Some(t) = TOOLS.iter().find(|t| t.name == what) {
-        (t.run)(&opts)
+    } else if what == "bench" {
+        bench_cmd(&opts)
     } else {
         usage()
     };
@@ -326,25 +231,22 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Usage and dispatch read the same two tables, so every harness and
-    /// tool is listed, and no tool shadows a harness or the `all` keyword.
+    /// Usage and dispatch read the one harness table, so every harness and
+    /// `bench` are listed, `bench` shadows no harness, and the shootdown
+    /// demo has no second entry point.
     #[test]
     fn usage_lists_every_harness_and_tool() {
         let usage = usage_text();
-        for name in HARNESSES
-            .iter()
-            .map(|h| h.name)
-            .chain(TOOLS.iter().map(|t| t.name))
-        {
+        for name in HARNESSES.iter().map(|h| h.name).chain(["bench"]) {
             assert!(
                 usage.contains(&format!("\n  {name:<9} ")),
                 "{name} unlisted"
             );
         }
-        for t in TOOLS {
-            assert!(suite::harness(t.name).is_none(), "{} is both", t.name);
-            assert_ne!(t.name, "all");
-            assert!(!t.help.trim().is_empty());
+        assert!(suite::harness("bench").is_none());
+        for gone in ["trace", "report"] {
+            assert!(!usage.contains(&format!("\n  {gone} ")), "{gone} listed");
+            assert!(!usage.contains(&format!("|{gone}|")), "{gone} listed");
         }
         assert!(!usage.contains("--fault"));
     }

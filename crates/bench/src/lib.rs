@@ -20,6 +20,7 @@ pub mod suite;
 #[global_allocator]
 static ALLOC: workloads::census::CountingAlloc = workloads::census::CountingAlloc;
 
+use crate::suite::Direction::{self, Higher, Lower};
 use covirt::stats::overhead_pct;
 use covirt_simhw::topology::ZoneId;
 use covirt_trace::audit::CmdLifecycle;
@@ -88,182 +89,175 @@ pub fn render_fig4(rows: &[Fig4Row]) -> String {
     out
 }
 
-/// Render Figure 5a (STREAM) with overhead-vs-native percentages.
-pub fn render_fig5a(rows: &[Fig5aRow]) -> String {
-    let native = rows
-        .iter()
-        .find(|r| r.mode == "native")
-        .expect("native row");
-    let mut out = String::from(
-        "Fig. 5a — STREAM bandwidth (MB/s)\n\
-         config              copy        scale       add         triad     triad-ovh%\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<18} {:>10.0} {:>11.0} {:>11.0} {:>11.0} {:>10}\n",
-            r.mode,
-            r.copy,
-            r.scale,
-            r.add,
-            r.triad,
-            fmt_pct(overhead_pct(r.triad, native.triad)) // slower ⇒ positive
-        ));
+/// `head`, then each row of `rows` against its group's `native` row, one
+/// `line` per row. `key` gives a row's group and mode; the groups are the
+/// runs of equal keys in row order, and each prints every row of its key.
+/// `line` gets the row and `ovh`, which formats a column's overhead
+/// against the native row, positive when the row is worse in the column's
+/// direction.
+fn vs_native<'a, R, K: PartialEq>(
+    head: &str,
+    rows: &'a [R],
+    key: impl Fn(&'a R) -> (K, &'a str),
+    line: impl Fn(&R, &dyn Fn(fn(&R) -> f64, Direction) -> String) -> String,
+) -> String {
+    let mut groups: Vec<K> = rows.iter().map(|r| key(r).0).collect();
+    groups.dedup();
+    let mut out = head.to_string();
+    for g in &groups {
+        let group = || rows.iter().filter(|r| key(r).0 == *g);
+        let native = group().find(|r| key(r).1 == "native").expect("native row");
+        for r in group() {
+            let ovh = |col: fn(&R) -> f64, better| match better {
+                Direction::Higher => fmt_pct(overhead_pct(col(r), col(native))),
+                Direction::Lower => fmt_pct(overhead_pct(col(native), col(r))),
+            };
+            out.push_str(&line(r, &ovh));
+        }
     }
     out
+}
+
+/// Render Figure 5a (STREAM) with overhead-vs-native percentages.
+pub fn render_fig5a(rows: &[Fig5aRow]) -> String {
+    vs_native(
+        "Fig. 5a — STREAM bandwidth (MB/s)\n\
+         config              copy        scale       add         triad     triad-ovh%\n",
+        rows,
+        |r| ((), &r.mode),
+        |r, ovh| {
+            format!(
+                "{:<18} {:>10.0} {:>11.0} {:>11.0} {:>11.0} {:>10}\n",
+                r.mode,
+                r.copy,
+                r.scale,
+                r.add,
+                r.triad,
+                ovh(|r| r.triad, Higher)
+            )
+        },
+    )
 }
 
 /// Render Figure 5b (RandomAccess GUPS) with overheads and the nested-walk
 /// instrumentation behind them.
 pub fn render_fig5b(rows: &[Fig5bRow]) -> String {
-    let native = rows
-        .iter()
-        .find(|r| r.mode == "native")
-        .expect("native row");
-    let mut out = String::from(
+    vs_native(
         "Fig. 5b — RandomAccess\n\
          config              GUPS        miss-rate   overhead-%  loads/miss (guest + nested)  wcache-hit%\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<18} {:>10.5} {:>11.4} {:>11} {:>11.2} ({:.2} + {:.2}) {:>16.1}\n",
-            r.mode,
-            r.gups,
-            r.tlb_miss_rate,
-            fmt_pct(overhead_pct(r.gups, native.gups)),
-            r.guest_loads_per_miss + r.nested_loads_per_miss,
-            r.guest_loads_per_miss,
-            r.nested_loads_per_miss,
-            r.walk_cache_hit_rate * 100.0
-        ));
-    }
-    out
+        rows,
+        |r| ((), &r.mode),
+        |r, ovh| {
+            format!(
+                "{:<18} {:>10.5} {:>11.4} {:>11} {:>11.2} ({:.2} + {:.2}) {:>16.1}\n",
+                r.mode,
+                r.gups,
+                r.tlb_miss_rate,
+                ovh(|r| r.gups, Higher),
+                r.guest_loads_per_miss + r.nested_loads_per_miss,
+                r.guest_loads_per_miss,
+                r.nested_loads_per_miss,
+                r.walk_cache_hit_rate * 100.0
+            )
+        },
+    )
 }
 
 /// Render a scaling figure (6 or 7).
 pub fn render_scaling(title: &str, unit: &str, rows: &[ScalingRow]) -> String {
-    let mut out =
-        format!("{title}\nlayout  config              {unit:>12}   seconds   ovh-vs-native-%\n");
-    let mut layouts: Vec<String> = rows.iter().map(|r| r.layout.clone()).collect();
-    layouts.dedup();
-    for layout in &layouts {
-        let native = rows
-            .iter()
-            .find(|r| &r.layout == layout && r.mode == "native")
-            .expect("native row");
-        for r in rows.iter().filter(|r| &r.layout == layout) {
-            out.push_str(&format!(
+    vs_native(
+        &format!("{title}\nlayout  config              {unit:>12}   seconds   ovh-vs-native-%\n"),
+        rows,
+        |r| (&r.layout, &r.mode),
+        |r, ovh| {
+            format!(
                 "{:<7} {:<18} {:>12.2} {:>9.3} {:>12}\n",
                 r.layout,
                 r.mode,
                 r.perf,
                 r.seconds,
-                fmt_pct(overhead_pct(r.perf, native.perf))
-            ));
-        }
-    }
-    out
+                ovh(|r| r.perf, Higher)
+            )
+        },
+    )
 }
 
 /// Render the data-plane scaling sweep (per-core STREAM + RandomAccess at
 /// 1/2/4/8 cores).
 pub fn render_scaling_points(rows: &[ScalingPoint]) -> String {
-    let mut out = String::from(
+    vs_native(
         "Data-plane scaling — per-core throughput (weak scaling)\n\
          cores config              triad-MB/s/core  ovh-%  GUPS/core  ovh-%\n",
-    );
-    let mut core_counts: Vec<usize> = rows.iter().map(|r| r.cores).collect();
-    core_counts.dedup();
-    for &cores in &core_counts {
-        let native = rows
-            .iter()
-            .find(|r| r.cores == cores && r.mode == "native")
-            .expect("native row");
-        for r in rows.iter().filter(|r| r.cores == cores) {
-            out.push_str(&format!(
+        rows,
+        |r| (r.cores, &r.mode),
+        |r, ovh| {
+            format!(
                 "{:<5} {:<18} {:>15.0} {:>6} {:>10.5} {:>6}\n",
                 r.cores,
                 r.mode,
                 r.stream_mbs_per_core,
-                fmt_pct(overhead_pct(
-                    r.stream_mbs_per_core,
-                    native.stream_mbs_per_core
-                )),
+                ovh(|r| r.stream_mbs_per_core, Higher),
                 r.gups_per_core,
-                fmt_pct(overhead_pct(r.gups_per_core, native.gups_per_core)),
-            ));
-        }
-    }
-    out
+                ovh(|r| r.gups_per_core, Higher),
+            )
+        },
+    )
 }
 
 /// Render the multi-zone weak-scaling arm: per-core throughput with each
 /// core's arrays pinned to its local zone.
 pub fn render_numa_points(rows: &[NumaPoint]) -> String {
-    let mut out = String::from(
+    vs_native(
         "Multi-zone weak scaling — arrays pinned per local zone\n\
          cores zones config              triad-MB/s/core  ovh-%\n",
-    );
-    let mut core_counts: Vec<usize> = rows.iter().map(|r| r.cores).collect();
-    core_counts.dedup();
-    for &cores in &core_counts {
-        let native = rows
-            .iter()
-            .find(|r| r.cores == cores && r.mode == "native")
-            .expect("native row");
-        for r in rows.iter().filter(|r| r.cores == cores) {
-            out.push_str(&format!(
+        rows,
+        |r| (r.cores, &r.mode),
+        |r, ovh| {
+            format!(
                 "{:<5} {:<5} {:<18} {:>15.0} {:>6}\n",
                 r.cores,
                 r.zones,
                 r.mode,
                 r.stream_mbs_per_core,
-                fmt_pct(overhead_pct(
-                    r.stream_mbs_per_core,
-                    native.stream_mbs_per_core
-                )),
-            ));
-        }
-    }
-    out
+                ovh(|r| r.stream_mbs_per_core, Higher),
+            )
+        },
+    )
 }
 
 /// Render Figure 8 (LAMMPS loop times, lower is better).
 pub fn render_fig8(rows: &[Fig8Row]) -> String {
-    let mut out = String::from(
+    vs_native(
         "Fig. 8 — LAMMPS loop time (s, lower is better)\n\
          workload  config              loop-s     ovh-vs-native-%\n",
-    );
-    let mut workloads: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
-    workloads.dedup();
-    for wl in &workloads {
-        let native = rows
-            .iter()
-            .find(|r| &r.workload == wl && r.mode == "native")
-            .expect("native row");
-        for r in rows.iter().filter(|r| &r.workload == wl) {
-            out.push_str(&format!(
+        rows,
+        |r| (&r.workload, &r.mode),
+        |r, ovh| {
+            format!(
                 "{:<9} {:<18} {:>8.3} {:>14}\n",
                 r.workload,
                 r.mode,
                 r.loop_time_s,
-                fmt_pct(overhead_pct(native.loop_time_s, r.loop_time_s))
-            ));
-        }
-    }
-    out
+                ovh(|r| r.loop_time_s, Lower)
+            )
+        },
+    )
 }
 
-/// Render the shootdown demo's result: the per-reclaim headline plus the
-/// per-core count table (TLB, walk cache, exits, guest-mode harvests).
-pub fn render_shootdown(r: &ShootdownRun) -> String {
+/// Render the shootdown demo's page of one recorded run: the per-reclaim
+/// headline, the per-core count table (TLB, walk cache, exits, guest-mode
+/// harvests), the audit engine's page over the same capture (region and
+/// command lifecycles, the per-enclave latency rows), the slowest of the
+/// command completions it stitched, and each zone's memory in use.
+pub fn render_report(run: &ShootdownRun) -> String {
     let mut out = format!(
         "Reclaim, one shootdown each: 2 x 2 MiB reclaimed, {} broadcast shootdown(s), \
          {} NMI escalation(s)\n\
          core   tlb-hits  tlb-misses  full-flush  range-flush  wcache h/m  \
          exits  harvested\n",
-        r.shootdowns, r.nmi_escalations
+        run.shootdowns, run.nmi_escalations
     );
-    for g in &r.cores {
+    for g in &run.cores {
         let (tlb, c) = (g.tlb_stats(), g.counters());
         out.push_str(&format!(
             "cpu{:<4} {:>8} {:>11} {:>11} {:>12} {:>10} {:>6} {:>10}\n",
@@ -277,18 +271,9 @@ pub fn render_shootdown(r: &ShootdownRun) -> String {
             c.cmd_harvested,
         ));
     }
-    out
-}
-
-/// Render the `figures report` page of one traced shootdown run: the
-/// per-core count table, the audit engine's page over the same capture
-/// (region and command lifecycles, the per-enclave latency rows),
-/// the slowest of the command completions it stitched, and each zone's
-/// memory in use.
-pub fn render_report(run: &ShootdownRun) -> String {
     let node = &run.node;
     let audit = audit_trace(node);
-    let mut out = format!("{}\n{}", render_shootdown(run), audit.render());
+    out += &format!("\n{}", audit.render());
 
     let mut timed: Vec<&CmdLifecycle> = audit
         .commands
@@ -417,36 +402,28 @@ mod tests {
         assert_eq!(fmt_pct(overhead_pct(0.0, 5.0)), "n/a");
     }
 
-    /// The report page is the count tables and the audit page of one
-    /// capture: every core, the enclave's latency row, every zone, and at
-    /// most five completions, slowest first.
+    /// Each group's baseline is its `native` row wherever it sits, and a
+    /// column's sign follows its direction: a worse row reads positive.
     #[test]
-    fn report_page_lists_cores_enclave_zones_and_ranked_completions() {
-        let run = workloads::shootdown::run(true);
-        let text = render_report(&run);
-        for c in &run.cores {
-            assert!(text.contains(&format!("\ncpu{:<4} ", c.core)), "{text}");
-        }
-        assert!(text.contains("evidence: complete"), "{text}");
-        assert_eq!(text.matches(" synced ").count(), 2, "{text}");
-        let section = |title: &str| {
-            let body = text.split_once(title).expect(title).1;
-            let rows = body.split("\n\n").next().expect("section body");
-            // Skip the rest of the title line and the column header.
-            rows.lines().skip(2).collect::<Vec<_>>()
-        };
-        let enclaves = section("per-enclave report:");
-        assert_eq!(enclaves.len(), 1, "{text}");
-        // No fault, so no fault -> teardown latency.
-        assert!(enclaves[0].trim_end().ends_with(" -"), "{text}");
-        let zones = section("per-zone memory:");
-        assert_eq!(zones.len(), run.node.topology.zones, "{text}");
-        let latencies: Vec<u64> = section("slowest command completions")
-            .iter()
-            .map(|l| l.split_whitespace().last().unwrap().parse().unwrap())
-            .collect();
-        assert!((1..=5).contains(&latencies.len()), "{text}");
-        assert!(latencies.windows(2).all(|w| w[0] >= w[1]), "{text}");
+    fn vs_native_reads_each_groups_native_row_in_either_direction() {
+        let rows = [
+            ("a", "covirt", 90.0, 1.1),
+            ("a", "native", 100.0, 1.0),
+            ("b", "covirt", 300.0, 1.5),
+            ("b", "none", 150.0, 2.5),
+            ("b", "native", 200.0, 2.0),
+        ];
+        let s = vs_native(
+            "head\n",
+            &rows,
+            |r| (r.0, r.1),
+            |_, ovh| format!("{} {}\n", ovh(|r| r.2, Higher), ovh(|r| r.3, Lower)),
+        );
+        // Row order is kept: a's two rows, then b's three.
+        assert_eq!(
+            s,
+            "head\n11.11 10.00\n0.00 0.00\n-33.33 -25.00\n33.33 25.00\n0.00 0.00\n"
+        );
     }
 
     #[test]

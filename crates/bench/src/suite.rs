@@ -17,13 +17,13 @@
 use crate::gate::GateResult;
 use crate::{
     render_exitless, render_fig3, render_fig4, render_fig5a, render_fig5b, render_fig8,
-    render_numa_points, render_overhead_arm, render_profile, render_scaling, render_scaling_points,
-    render_shootdown,
+    render_numa_points, render_overhead_arm, render_profile, render_report, render_scaling,
+    render_scaling_points,
 };
 use covirt::config::CovirtConfig;
 use covirt::stats::{median, overhead_pct};
 use covirt::ExecMode;
-use covirt_trace::export::escape;
+use covirt_trace::export::{self, escape};
 use covirt_trace::Phase;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -645,7 +645,8 @@ pub const HARNESSES: &[Harness] = &[
     },
     Harness {
         name: "shootdown",
-        help: "per-reclaim shootdown demo with TLB flush stats",
+        help: "per-reclaim shootdown demo, recorded: per-core counts, audit page,\n\
+               slowest completions, zone memory; covirt-trace.json{,l} under --out",
         in_all: true,
         measure: shootdown,
     },
@@ -733,12 +734,24 @@ fn table1(_: &Ctx, c: &mut Collector) -> String {
     )
 }
 
-fn shootdown(_: &Ctx, c: &mut Collector) -> String {
-    let sd = shootdown::run(false);
+/// The shootdown demo, recorded once: its counts and, when anyone reads
+/// the report, the page of that capture and both trace exports under
+/// `--out`.
+fn shootdown(ctx: &Ctx, c: &mut Collector) -> String {
+    let sd = shootdown::run();
     c.push("broadcast_shootdowns", sd.shootdowns as f64);
     let range_flushes: u64 = sd.cores.iter().map(|g| g.tlb_stats().range_flushes).sum();
     c.push("tlb_range_flushes", range_flushes as f64);
-    render_shootdown(&sd)
+    if !ctx.report {
+        return String::new();
+    }
+    let (events, hz) = (sd.node.recorder().drain(), sd.node.clock.hz());
+    let chrome = export::to_chrome_trace(&events, hz);
+    let jsonl = export::to_jsonl(&events, hz);
+    render_report(&sd)
+        + "\n"
+        + &write_artifact(ctx.out, "covirt-trace.json", &chrome)
+        + &write_artifact(ctx.out, "covirt-trace.jsonl", &jsonl)
 }
 
 fn scaling(ctx: &Ctx, c: &mut Collector) -> String {
@@ -842,7 +855,8 @@ fn profile(ctx: &Ctx, c: &mut Collector) -> String {
 
     let mut out = format!("clean run\n{}", render_profile(&clean));
     if ctx.report {
-        out.push_str(&export_profile(ctx.out, &clean));
+        let folded = export::to_folded(&clean.snapshot);
+        out.push_str(&write_artifact(ctx.out, "covirt-profile.folded", &folded));
     }
     out.push_str(&render_overhead_arm("profiler", &arm));
     out.push_str(&format!(
@@ -853,18 +867,13 @@ fn profile(ctx: &Ctx, c: &mut Collector) -> String {
     out
 }
 
-/// Write the clean profile's flamegraph under `dir`; returns the
-/// "wrote ..." line.
-fn export_profile(dir: &Path, r: &profile::ProfileReport) -> String {
+/// Write `body` to `dir/name`, creating `dir`; returns the "wrote ..."
+/// line.
+pub fn write_artifact(dir: &Path, name: &str, body: &str) -> String {
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-    let path = dir.join("covirt-profile.folded");
-    let folded = covirt_trace::export::to_folded(&r.snapshot);
-    std::fs::write(&path, &folded).expect("write covirt-profile.folded");
-    format!(
-        "wrote {} ({} lines; flamegraph.pl / speedscope folded format)\n",
-        path.display(),
-        folded.lines().count()
-    )
+    let path = dir.join(name);
+    std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    format!("wrote {} ({} bytes)\n", path.display(), body.len())
 }
 
 /// Allocations are counted per thread by the global allocator, so they
@@ -1281,6 +1290,52 @@ mod tests {
             scale: Scale::Quick,
             out: Path::new("target/figures"),
             report: false,
+        }
+    }
+
+    /// `figures shootdown` is the demo's one entry point. Its page is the
+    /// count tables and the audit page of one capture: every core, the
+    /// enclave's latency row, every zone, and at most five completions,
+    /// slowest first. Both trace exports land under `--out`.
+    #[test]
+    fn report_page_lists_cores_enclave_zones_and_ranked_completions() {
+        let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/shootdown-page");
+        let _ = std::fs::remove_dir_all(&out);
+        let ctx = Ctx {
+            out: &out,
+            report: true,
+            ..ctx()
+        };
+        let mut c = Collector {
+            harness: "shootdown",
+            ..Collector::default()
+        };
+        let text = shootdown(&ctx, &mut c);
+        assert_eq!(text.lines().filter(|l| l.starts_with("cpu")).count(), 2);
+        assert!(text.contains("evidence: complete"), "{text}");
+        assert_eq!(text.matches(" synced ").count(), 2, "{text}");
+        let section = |title: &str| {
+            let body = text.split_once(title).expect(title).1;
+            let rows = body.split("\n\n").next().expect("section body");
+            // Skip the rest of the title line and the column header.
+            rows.lines().skip(2).collect::<Vec<_>>()
+        };
+        let enclaves = section("per-enclave report:");
+        assert_eq!(enclaves.len(), 1, "{text}");
+        // No fault, so no fault -> teardown latency.
+        assert!(enclaves[0].trim_end().ends_with(" -"), "{text}");
+        let zones = covirt_simhw::topology::Topology::paper_testbed().zones;
+        assert_eq!(section("per-zone memory:").len(), zones, "{text}");
+        let latencies: Vec<u64> = section("slowest command completions")
+            .iter()
+            .map(|l| l.split_whitespace().last().unwrap().parse().unwrap())
+            .collect();
+        assert!((1..=5).contains(&latencies.len()), "{text}");
+        assert!(latencies.windows(2).all(|w| w[0] >= w[1]), "{text}");
+        for name in ["covirt-trace.json", "covirt-trace.jsonl"] {
+            let file = std::fs::read_to_string(out.join(name)).expect(name);
+            assert!(file.contains("shootdown"), "{name}: {file}");
+            assert!(text.contains(&format!("wrote {} (", out.join(name).display())));
         }
     }
 

@@ -136,11 +136,6 @@ impl Ept {
         })
     }
 
-    /// The EPT pointer (root frame) that goes into the VMCS.
-    pub fn eptp(&self) -> HostPhysAddr {
-        self.table.root()
-    }
-
     /// Identity-map a host-physical range into the guest-physical space
     /// with full permissions, coalescing into pages up to `max_level`
     /// (3 ⇒ allow 1 GiB, 2 ⇒ up to 2 MiB, 1 ⇒ 4 KiB only).

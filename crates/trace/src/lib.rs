@@ -320,11 +320,6 @@ impl Recorder {
         self.enabled.store(on, Ordering::Release);
     }
 
-    /// Number of lanes (cores + 1 controller lane by convention).
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The controller's lane (last, by convention).
     pub fn controller_lane(&self) -> u32 {
         (self.lanes.len() - 1) as u32
@@ -485,14 +480,8 @@ impl Tracer {
         }
     }
 
-    /// Emit with a caller-supplied timestamp (e.g. the exit-info TSC).
-    #[inline]
-    pub fn emit_at(&self, kind: EventKind, tsc: u64, a: u64, b: u64) {
-        self.rec
-            .emit_tagged(self.lane, self.enclave, kind, tsc, a, b);
-    }
-
-    /// [`Tracer::emit_at`] attributed to an explicit enclave.
+    /// Emit with a caller-supplied timestamp, attributed to an explicit
+    /// enclave.
     #[inline]
     pub fn emit_at_for(&self, enclave: u64, kind: EventKind, tsc: u64, a: u64, b: u64) {
         self.rec
@@ -656,13 +645,11 @@ mod tests {
         assert_eq!(t.enclave(), Some(7));
         t.emit(EventKind::ExitLeave, 100, 0);
         t.emit_for(9, EventKind::Grant, 0x1000, 0x2000);
-        t.emit_at(EventKind::CmdDrain, 6, 1, 0);
         t.emit_at_for(9, EventKind::ShootdownBegin, 7, 1, 0);
         let evs = r.lane_events(1);
         assert_eq!(evs[0].enclave, Some(7));
         assert_eq!(evs[1].enclave, Some(9));
-        assert_eq!(evs[2].enclave, Some(7));
-        assert_eq!(evs[3].enclave, Some(9));
+        assert_eq!((evs[2].enclave, evs[2].tsc), (Some(9), 7));
         t.emit_on(0, EventKind::CmdWait, 7, 40);
         let e = &r.lane_events(0)[0];
         assert_eq!((e.lane, e.enclave, e.tsc, e.a), (0, Some(7), 5, 7));
@@ -703,7 +690,7 @@ mod tests {
     #[test]
     fn constructor_clamps_degenerate_shapes() {
         let r = Recorder::new(0, 0);
-        assert_eq!(r.lane_count(), 1);
+        assert_eq!(r.lanes.len(), 1);
         assert_eq!(r.lane_capacity(), 2);
         assert_eq!(r.controller_lane(), 0);
         r.set_enabled(true);

@@ -1,10 +1,9 @@
-//! The per-reclaim shootdown harness (`figures shootdown`, `trace`,
-//! `report`, and the bench suite): grant two ranges, cache their
-//! translations on every live core, reclaim them one after the other —
-//! each with its own broadcast shootdown, complete before its frames go
-//! back — and return the stopped cores (their counters are read where
-//! they live) plus the node (recorder still loaded) for the trace
-//! exporters and the audit engine.
+//! The per-reclaim shootdown demo (`figures shootdown` and the bench
+//! suite): grant two ranges, cache their translations on every live
+//! core, reclaim them one after the other — each with its own broadcast
+//! shootdown, complete before its frames go back — and return the
+//! stopped cores (their counters are read where they live) plus the node
+//! (recorder still loaded) for the trace exporters and the audit engine.
 
 use covirt::GuestCore;
 use covirt_simhw::node::SimNode;
@@ -14,7 +13,7 @@ use crate::scenario;
 
 /// A finished shootdown run.
 pub struct ShootdownRun {
-    /// The node whose recorder (if enabled) holds the run's events.
+    /// The node whose recorder holds the run's events.
     pub node: Arc<SimNode>,
     /// Broadcast shootdowns the controller issued: one per reclaim, 2.
     pub shootdowns: u64,
@@ -26,13 +25,11 @@ pub struct ShootdownRun {
     pub cores: Vec<GuestCore>,
 }
 
-/// Run the demo. With `trace` the node's flight recorder runs for the
-/// whole workload so callers can export the timeline and audit it.
-pub fn run(trace: bool) -> ShootdownRun {
+/// Run the demo with the node's flight recorder on for the whole
+/// workload, so the caller can export the timeline and audit it.
+pub fn run() -> ShootdownRun {
     let world = scenario::world(2);
-    if trace {
-        world.node.recorder().set_enabled(true);
-    }
+    world.node.recorder().set_enabled(true);
     let churn = scenario::reclaim_churn(&world);
     ShootdownRun {
         shootdowns: churn.shootdowns,
@@ -52,7 +49,7 @@ mod tests {
 
     #[test]
     fn each_reclaim_is_one_broadcast() {
-        let r = run(false);
+        let r = run();
         assert_eq!(r.shootdowns, 2, "2 reclaims -> 2 broadcasts");
         assert_eq!(r.cores.len(), 2);
         for g in &r.cores {

@@ -182,7 +182,7 @@ fn exporters_emit_wellformed_json() {
     for lane in 0..3u32 {
         let t = tracer_with_shared_clock(&rec, lane, &clock);
         let (a, b) = covirt_trace::pack_str("ept_violation\"\\x");
-        t.emit_at(EventKind::ExitEnter, 10 + lane as u64, a, b);
+        rec.emit(lane, EventKind::ExitEnter, 10 + lane as u64, a, b);
         t.emit(EventKind::ExitLeave, 1200, 0);
         t.emit(EventKind::CmdPost, 7, lane as u64);
         t.emit(EventKind::CmdComplete, 7, 900);
